@@ -1,13 +1,12 @@
-//! Criterion: direct and im2col convolution, forward and backward, at
-//! thread budget 1 vs. the machine default. These are the kernels behind
-//! every CNN experiment's local-training time.
+//! Criterion: the channel-lane convolution, forward and backward, at thread
+//! budget 1 vs. the machine default. These are the kernels behind every CNN
+//! experiment's local-training time.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_tensor::{
-    conv2d, conv2d_backward, conv2d_im2col, set_thread_budget, thread_budget, ConvSpec,
-    Initializer, Tensor,
+    conv2d, conv2d_backward, set_thread_budget, thread_budget, ConvSpec, Initializer, Tensor,
 };
 
 fn bench_conv(c: &mut Criterion) {
@@ -35,14 +34,6 @@ fn bench_conv(c: &mut Criterion) {
     g.bench_function(format!("direct_fwd_{default_budget}t"), |bch| {
         set_thread_budget(default_budget);
         bch.iter(|| conv2d(black_box(&x), &w, &b, spec));
-    });
-    g.bench_function("im2col_fwd_1t", |bch| {
-        set_thread_budget(1);
-        bch.iter(|| conv2d_im2col(black_box(&x), &w, &b, spec));
-    });
-    g.bench_function(format!("im2col_fwd_{default_budget}t"), |bch| {
-        set_thread_budget(default_budget);
-        bch.iter(|| conv2d_im2col(black_box(&x), &w, &b, spec));
     });
     g.bench_function("direct_bwd_1t", |bch| {
         set_thread_budget(1);

@@ -1,5 +1,5 @@
 //! Criterion: the blocked/packed GEMM kernels at the shapes the models
-//! actually hit (FC layers, im2col products), at thread budget 1 vs. the
+//! actually hit (FC layers, LSTM gate products), at thread budget 1 vs. the
 //! machine default — the kernels behind Fig. 10's per-round compute cost.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

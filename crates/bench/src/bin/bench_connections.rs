@@ -129,13 +129,19 @@ fn run_leg(conns: usize) -> LegReport {
                 c.hello(id as u32, SEED).expect("register");
                 clients.push(c);
             }
-            'run: loop {
+            // Every connection gets its `Shutdown` in the same sweep (the
+            // server only shuts down once every echo is claimed). Finish
+            // the sweep before dropping the sockets: closing them on the
+            // first `Shutdown` drains sessions the server has not sent
+            // theirs to yet, and those frames go uncharged.
+            let mut shutting_down = false;
+            while !shutting_down {
                 for (id, c) in clients.iter_mut().enumerate() {
                     match c.read_event() {
                         Ok(ClientEvent::Payload(MsgKind::ModelDown, params)) => {
                             c.send_payload(MsgKind::ModelUp, &params).expect("upload");
                         }
-                        Ok(ClientEvent::Control(ControlMsg::Shutdown)) => break 'run,
+                        Ok(ClientEvent::Control(ControlMsg::Shutdown)) => shutting_down = true,
                         Ok(other) => panic!("client {id}: unexpected frame {other:?}"),
                         Err(e) => panic!("client {id}: link died: {e}"),
                     }

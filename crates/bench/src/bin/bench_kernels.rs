@@ -1,4 +1,4 @@
-//! Kernel benchmark report for the blocked-GEMM / parallel-conv / SIMD work:
+//! Kernel benchmark report for the blocked-GEMM / channel-lane-conv / SIMD work:
 //! measures the shipped kernels against naive references, across thread
 //! budgets, and across SIMD dispatch modes, and emits a JSON report
 //! (`BENCH_PR5.json` via `scripts/bench-report.sh`).
@@ -14,8 +14,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_tensor::{
-    axpy_slices, conv2d, conv2d_backward, dot_slices, exp_slices, set_simd_enabled,
-    set_thread_budget, simd_enabled, sq_dist_slices, thread_budget, ConvSpec, Initializer, Tensor,
+    axpy_slices, conv2d_backward_into, conv2d_into, dot_slices, exp_slices, set_simd_enabled,
+    set_thread_budget, simd_enabled, sq_dist_slices, thread_budget, Conv2dGrads, ConvSpec,
+    Initializer, Tensor,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -144,7 +145,10 @@ fn main() {
     };
     let gemm_bit_identical = c1.data() == cn.data();
 
-    // Conv forward/backward, batch 32, 8→16 channels on 16×16.
+    // Conv forward/backward, batch 32, 8→16 channels on 16×16, through the
+    // `_into` entry points the models call (warm buffers, so the legs time
+    // the channel-lane kernels and not the allocator). A 3×3 kernel on this
+    // shape is ~1 ms, so each sample is a batch of calls.
     let x = Initializer::Normal(1.0).init(&[32, 8, 16, 16], &mut rng);
     let w = Initializer::Normal(0.1).init(&[16, 8, 3, 3], &mut rng);
     let bias = Tensor::zeros(&[16]);
@@ -153,24 +157,39 @@ fn main() {
         stride: 1,
         pad: 1,
     };
-    let y = conv2d(&x, &w, &bias, spec);
+    let mut y = Tensor::scratch();
+    conv2d_into(&x, &w, &bias, spec, &mut y);
     let dy = Tensor::ones(y.dims());
+    let mut grads = Conv2dGrads::scratch();
+    let mut conv_scratch = Vec::new();
+    let conv_calls = if smoke { 1 } else { 10 };
     for (budget, label) in [(1usize, "1t".to_string()), (multi, format!("{multi}t"))] {
         set_thread_budget(budget);
         let t = median_secs(
             || {
-                std::hint::black_box(conv2d(&x, &w, &bias, spec));
+                for _ in 0..conv_calls {
+                    conv2d_into(std::hint::black_box(&x), &w, &bias, spec, &mut y);
+                }
             },
             reps,
         );
-        entries.push((format!("conv_fwd_{label}"), t));
+        entries.push((format!("conv_fwd_{label}"), t / conv_calls as f64));
         let t = median_secs(
             || {
-                std::hint::black_box(conv2d_backward(&x, &w, &dy, spec));
+                for _ in 0..conv_calls {
+                    conv2d_backward_into(
+                        std::hint::black_box(&x),
+                        &w,
+                        &dy,
+                        spec,
+                        &mut grads,
+                        &mut conv_scratch,
+                    );
+                }
             },
             reps,
         );
-        entries.push((format!("conv_bwd_{label}"), t));
+        entries.push((format!("conv_bwd_{label}"), t / conv_calls as f64));
     }
     set_thread_budget(default_budget);
 

@@ -3,12 +3,15 @@
 use crate::layer::Layer;
 use crate::param::Param;
 use rand::Rng;
-use rfl_tensor::{conv2d_backward_into, conv2d_into, Conv2dGrads, ConvSpec, Initializer, Tensor};
+use rfl_tensor::{
+    conv2d_backward_into, conv2d_backward_params_into, conv2d_into, Conv2dGrads, ConvSpec,
+    Initializer, Tensor,
+};
 
 /// 2-D convolution over NCHW inputs with Kaiming-initialized weights.
 ///
 /// Owns its activation cache and backward scratch buffers (`grads_buf`,
-/// `dw_scratch`), so warm `forward_into`/`backward_into` steps allocate
+/// `scratch`), so warm `forward_into`/`backward_into` steps allocate
 /// nothing.
 pub struct Conv2d {
     pub weight: Param, // [out_ch, in_ch, k, k]
@@ -16,7 +19,7 @@ pub struct Conv2d {
     spec: ConvSpec,
     cached_input: Option<Tensor>,
     grads_buf: Conv2dGrads,
-    dw_scratch: Vec<f32>,
+    scratch: Vec<f32>,
 }
 
 impl Conv2d {
@@ -41,7 +44,7 @@ impl Conv2d {
             },
             cached_input: None,
             grads_buf: Conv2dGrads::scratch(),
-            dw_scratch: Vec::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -53,6 +56,30 @@ impl Conv2d {
     /// Output spatial size for a square input of extent `n`.
     pub fn out_size(&self, n: usize) -> usize {
         self.spec.out_size(n)
+    }
+
+    /// [`Layer::backward_into`] for a network's first layer: accumulates the
+    /// same weight and bias gradients, bit for bit, and skips the input
+    /// gradient nobody reads.
+    pub fn backward_params(&mut self, dout: &Tensor) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("Conv2d::backward before forward");
+        conv2d_backward_params_into(
+            x,
+            &self.weight.value,
+            dout,
+            self.spec,
+            &mut self.grads_buf,
+            &mut self.scratch,
+        );
+        self.accumulate_param_grads();
+    }
+
+    fn accumulate_param_grads(&mut self) {
+        self.weight.grad.add_assign(&self.grads_buf.dweight);
+        self.bias.grad.add_assign(&self.grads_buf.dbias);
     }
 }
 
@@ -88,10 +115,9 @@ impl Layer for Conv2d {
             dout,
             self.spec,
             &mut self.grads_buf,
-            &mut self.dw_scratch,
+            &mut self.scratch,
         );
-        self.weight.grad.add_assign(&self.grads_buf.dweight);
-        self.bias.grad.add_assign(&self.grads_buf.dbias);
+        self.accumulate_param_grads();
         // Hand the freshly computed dinput to the caller and keep their old
         // buffer as next call's scratch — no copy, no allocation.
         std::mem::swap(&mut self.grads_buf.dinput, dinput);
@@ -143,6 +169,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut c = Conv2d::new(1, 2, 3, 2, 0, &mut rng);
         check_layer_gradients(&mut c, &[1, 1, 7, 7], &mut rng);
+    }
+
+    #[test]
+    fn backward_params_matches_full_backward_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut c = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
+        let x = Initializer::Normal(1.0).init(&[4, 3, 9, 9], &mut rng);
+        let y = c.forward(&x, true);
+        let dy = Initializer::Normal(1.0).init(y.dims(), &mut rng);
+        c.backward(&dy);
+        let (dw, db) = (c.weight.grad.clone(), c.bias.grad.clone());
+        c.weight.zero_grad();
+        c.bias.zero_grad();
+        c.backward_params(&dy);
+        assert_eq!(c.weight.grad.data(), dw.data());
+        assert_eq!(c.bias.grad.data(), db.data());
     }
 
     #[test]

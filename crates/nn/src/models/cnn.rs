@@ -193,7 +193,7 @@ impl Model for CnnClassifier {
             n.backward_into(&a, &mut b);
             std::mem::swap(&mut a, &mut b);
         }
-        self.conv1.backward_into(&a, &mut b); // final dinput is discarded
+        self.conv1.backward_params(&a); // nobody reads the input gradient
         self.ws.give(b);
         self.ws.give(a);
     }

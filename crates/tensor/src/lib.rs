@@ -24,7 +24,6 @@
 mod codec;
 mod conv;
 pub mod fastmath;
-mod im2col;
 mod init;
 mod matmul;
 mod ops;
@@ -39,9 +38,11 @@ mod workspace;
 pub use codec::{
     decode_f32_into, decode_f32_slice, encode_f32_into, encode_f32_slice, wire_size, CodecError,
 };
-pub use conv::{conv2d, conv2d_backward, conv2d_backward_into, conv2d_into, Conv2dGrads, ConvSpec};
+pub use conv::{
+    conv2d, conv2d_backward, conv2d_backward_into, conv2d_backward_params_into, conv2d_into,
+    Conv2dGrads, ConvSpec,
+};
 pub use fastmath::{normal_fill, normal_from_units};
-pub use im2col::{conv2d_im2col, im2col, im2col_into};
 pub use init::{normal_sample, Initializer};
 pub use pool::{maxpool2d, maxpool2d_backward, maxpool2d_backward_into, maxpool2d_into, PoolSpec};
 pub use shape::Shape;

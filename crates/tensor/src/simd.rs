@@ -16,6 +16,14 @@
 //!   separate multiply and add, **never a fused multiply-add** (FMA contracts
 //!   the intermediate rounding and would break bit-identity with the scalar
 //!   path; the `avx2` target feature deliberately does not enable `fma`).
+//! - Channel-lane kernels (the convolutions in `conv.rs`) put eight
+//!   **independent output scalars** in the lanes — never a reduction — so
+//!   each output replays its scalar operation sequence unchanged and the
+//!   lane count is invisible in the result. They are written once, as
+//!   plain Rust over `[f32; LANES]` blocks, and `lane_kernel!` compiles
+//!   that one body twice: under `#[target_feature(enable = "avx2")]` for the
+//!   dispatched path and plainly for the fallback. Rust never contracts or
+//!   reassociates float arithmetic, so both builds round identically.
 //! - The transcendental kernels use a shared Cephes-style polynomial
 //!   ([`scalar::exp_core`]) instead of libm, so the vector path can replay
 //!   it exactly: same range clamp, same round-to-nearest-even via the
@@ -110,6 +118,34 @@ macro_rules! dispatch {
         scalar::$name($($arg),*)
     }};
 }
+
+/// Defines `fn $name(args)` that runs the `#[inline(always)]` function
+/// `$body` compiled under `#[target_feature(enable = "avx2")]` when SIMD
+/// dispatch is on and compiled plainly otherwise. `$body` must be portable
+/// Rust (no intrinsics): the two builds then differ in instruction
+/// selection only, never in the arithmetic they perform. `fma` is not
+/// enabled, for the reason given in the module docs.
+macro_rules! lane_kernel {
+    ($name:ident => $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {
+        #[inline]
+        fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                unsafe fn wide($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                if $crate::simd::simd_enabled() {
+                    // SAFETY: `simd_enabled()` is only true after a runtime
+                    // AVX2 check.
+                    return unsafe { wide($($arg),*) };
+                }
+            }
+            $body($($arg),*)
+        }
+    };
+}
+pub(crate) use lane_kernel;
 
 /// Dot product of two equal-length slices (canonical 8-lane stride).
 #[inline]
@@ -323,6 +359,36 @@ pub mod scalar {
 
     pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
         [dot(a, b0), dot(a, b1), dot(a, b2), dot(a, b3)]
+    }
+
+    /// [`LANES`] simultaneous dot products sharing `a`, against a
+    /// lane-interleaved `b` (`b[i·LANES + l]` is element `i` of vector `l`):
+    /// `out[l]` is bit-identical to [`dot`] of `a` with vector `l`. The
+    /// lanes here are independent results, so the strided partial sums of
+    /// each reduction become [`LANES`] blocks of their own.
+    #[inline(always)]
+    pub fn dot_lanes(a: &[f32], b: &[f32]) -> [f32; LANES] {
+        debug_assert_eq!(a.len() * LANES, b.len());
+        let full = a.len() / LANES * LANES;
+        // part[j][l]: `dot`'s j-th strided accumulator for vector l.
+        let mut part = [[0.0f32; LANES]; LANES];
+        for (ca, cb) in a[..full]
+            .chunks_exact(LANES)
+            .zip(b.chunks_exact(LANES * LANES))
+        {
+            for ((p, &x), bv) in part.iter_mut().zip(ca).zip(cb.chunks_exact(LANES)) {
+                for (pl, &y) in p.iter_mut().zip(bv) {
+                    *pl += x * y;
+                }
+            }
+        }
+        let mut s: [f32; LANES] = std::array::from_fn(|l| hsum8(&part.map(|p| p[l])));
+        for (&x, bv) in a[full..].iter().zip(b[full * LANES..].chunks_exact(LANES)) {
+            for (sl, &y) in s.iter_mut().zip(bv) {
+                *sl += x * y;
+            }
+        }
+        s
     }
 
     pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
@@ -867,6 +933,23 @@ mod tests {
             let quad = dot4_slices(&a, &b0, &b1, &b2, &b3);
             for (q, bi) in quad.iter().zip([&b0, &b1, &b2, &b3]) {
                 assert_eq!(q.to_bits(), dot_slices(&a, bi).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn dot_lanes_matches_eight_dots_bitwise() {
+        for &n in LENS {
+            let (a, seed) = vecs(n);
+            let rows: Vec<Vec<f32>> = (0..LANES)
+                .map(|l| seed.iter().map(|v| v * (0.3 + l as f32) - 0.2).collect())
+                .collect();
+            let interleaved: Vec<f32> = (0..n)
+                .flat_map(|i| rows.iter().map(move |r| r[i]))
+                .collect();
+            let got = scalar::dot_lanes(&a, &interleaved);
+            for (g, r) in got.iter().zip(&rows) {
+                assert_eq!(g.to_bits(), scalar::dot(&a, r).to_bits());
             }
         }
     }

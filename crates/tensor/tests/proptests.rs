@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rfl_tensor::{
     conv2d, conv2d_backward, conv2d_backward_into, conv2d_into, decode_f32_into, decode_f32_slice,
-    encode_f32_into, encode_f32_slice, im2col, im2col_into, maxpool2d, maxpool2d_backward,
-    maxpool2d_backward_into, maxpool2d_into, Conv2dGrads, ConvSpec, PoolSpec, Tensor,
+    encode_f32_into, encode_f32_slice, maxpool2d, maxpool2d_backward, maxpool2d_backward_into,
+    maxpool2d_into, Conv2dGrads, ConvSpec, PoolSpec, Tensor,
 };
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -283,9 +283,6 @@ proptest! {
         let fresh = conv2d(&x, &w, &b, spec);
         prop_assert_eq!(out.data(), fresh.data());
         prop_assert_eq!(out.dims(), fresh.dims());
-
-        im2col_into(&x, spec, &mut out);
-        prop_assert_eq!(out.data(), im2col(&x, spec).data());
 
         let dy = Tensor::from_vec(det_vec(fresh.numel(), 10), fresh.dims());
         let mut grads = Conv2dGrads {
