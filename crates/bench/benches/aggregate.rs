@@ -2,7 +2,7 @@
 //! weighted model average every algorithm performs each round.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rfl_core::Federation;
+use rfl_core::aggregate::weighted_average;
 
 fn bench_aggregate(c: &mut Criterion) {
     let n_params = 30_000usize; // ≈ the CNN's parameter count
@@ -15,7 +15,7 @@ fn bench_aggregate(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new("weighted_average", clients),
             &clients,
-            |b, _| b.iter(|| Federation::weighted_average(black_box(&params), black_box(&weights))),
+            |b, _| b.iter(|| weighted_average(black_box(&params), black_box(&weights))),
         );
     }
     g.finish();

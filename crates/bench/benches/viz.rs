@@ -1,11 +1,11 @@
-//! Criterion: visualization math — t-SNE iteration cost and PCA projection
-//! (the cost behind regenerating Fig. 1).
+//! Criterion: visualization math — t-SNE iteration cost (the cost behind
+//! regenerating Fig. 1).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_tensor::{Initializer, Tensor};
-use rfl_viz::{pca_project, Tsne, TsneConfig};
+use rfl_viz::{Tsne, TsneConfig};
 
 fn features(n: usize, d: usize) -> Tensor {
     let mut rng = StdRng::seed_from_u64(0);
@@ -23,9 +23,6 @@ fn bench_viz(c: &mut Criterion) {
                 ..TsneConfig::default()
             };
             b.iter(|| Tsne::new(cfg).embed(black_box(&x)))
-        });
-        g.bench_with_input(BenchmarkId::new("pca_2d", n), &n, |b, _| {
-            b.iter(|| pca_project(black_box(&x), 2))
         });
     }
     g.finish();

@@ -20,10 +20,10 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfl_core::algorithms::{CompressedFedAvg, FedAvg};
+use rfl_core::algorithms::FedAvg;
 use rfl_core::comm::{FaultConfig, FaultyTransport};
 use rfl_core::compress::{CompressedVec, Compression, Compressor};
-use rfl_core::{Algorithm, Federation, FlConfig, ModelFactory, OptimizerFactory, Trainer};
+use rfl_core::{Federation, FlConfig, ModelFactory, OptimizerFactory, Trainer};
 use rfl_data::synth::gaussian::GaussianMixtureSpec;
 use rfl_data::{partition, FederatedData};
 use std::fmt::Write as _;
@@ -146,12 +146,7 @@ fn run_leg(leg: &Leg, rounds: usize) -> LegReport {
             1,
         ))));
     }
-    let mut algo: Box<dyn Algorithm> = if leg.policy.is_enabled() {
-        Box::new(CompressedFedAvg::new(leg.policy))
-    } else {
-        Box::new(FedAvg::new())
-    };
-    let h = Trainer::new(cfg).run(algo.as_mut(), &mut fed);
+    let h = Trainer::new(cfg).run(&mut FedAvg::new(), &mut fed);
     let d = fed.num_params();
     let up: u64 = h.records().iter().map(|r| r.up_bytes).sum();
 

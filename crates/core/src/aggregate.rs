@@ -3,12 +3,11 @@
 //! the leaves are combined along a spine whose shape depends only on the
 //! selection — never on arrival order or thread count.
 //!
-//! The server's old path was materialize-then-average:
-//! [`crate::Federation::collect_params`] buffered `O(sampled·d)` floats and
-//! [`crate::Federation::weighted_average`] re-walked the whole set. With a
-//! million registered clients and 1% sampling that is 10,000 live parameter
-//! vectors held simultaneously. The [`StreamingAggregator`] replaces the
-//! buffer with one flat `d`-float accumulator plus a folded-weight scalar.
+//! Materialize-then-average — buffer `O(sampled·d)` floats, then walk the
+//! whole set ([`weighted_average`]) — holds 10,000 live parameter vectors
+//! with a million registered clients and 1% sampling. The
+//! [`StreamingAggregator`] replaces the buffer with one flat `d`-float
+//! accumulator plus a folded-weight scalar.
 //!
 //! # The reduction tree
 //!
@@ -27,7 +26,7 @@
 //!   shape whose per-element operation sequence is *identical* to the flat
 //!   sequential fold `zeros; acc += w₀·θ₀; acc += w₁·θ₁; …`, which is what
 //!   keeps the result bit-identical to the retained
-//!   [`crate::Federation::weighted_average`] oracle (f32 addition is not
+//!   [`weighted_average`] oracle (f32 addition is not
 //!   associative, so any balanced shape would change the pinned losses).
 //!
 //! In-order arrivals skip the explicit leaf and fold straight into the spine
@@ -57,11 +56,25 @@
 //! selection* ([`crate::sampling::renormalized_weights`]). When every
 //! selected upload arrives (the common, pinned case) the fold sequence is
 //! exactly `zeros; axpy(w_0, θ_0); axpy(w_1, θ_1); …` — bit-identical to
-//! `weighted_average(params, renormalized_weights(..))`, which stays in the
-//! codebase as the oracle. When uploads drop, the accumulator is rescaled
+//! `weighted_average(params, renormalized_weights(..))`, which stays below
+//! as the oracle. When uploads drop, the accumulator is rescaled
 //! once by `1/Σ(folded weights)` — the same renormalize-over-survivors
 //! semantics, applied as a single deterministic correction instead of a
 //! re-walk of buffered vectors.
+
+/// Weighted average of parameter vectors (`Σ w_i θ_i`), every vector
+/// materialized: the oracle the [`StreamingAggregator`] is pinned against
+/// (unit tests here, the aggregator proptests, the Criterion baseline).
+pub fn weighted_average(params: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
+    assert_eq!(params.len(), weights.len());
+    assert!(!params.is_empty());
+    let mut out = vec![0.0; params[0].len()];
+    for (p, &w) in params.iter().zip(weights) {
+        assert_eq!(p.len(), out.len());
+        rfl_tensor::axpy_slices(&mut out, w, p);
+    }
+    out
+}
 
 /// Dimension at which element-wise tree ops start chunking across the worker
 /// pool; below this the dispatch overhead exceeds the win.
@@ -324,12 +337,23 @@ impl StreamingAggregator {
 mod tests {
     use super::*;
     use crate::sampling::renormalized_weights;
-    use crate::Federation;
 
     fn params(n: usize, d: usize) -> Vec<Vec<f32>> {
         (0..n)
             .map(|i| (0..d).map(|j| (i * d + j) as f32 * 0.37 - 1.5).collect())
             .collect()
+    }
+
+    #[test]
+    fn weighted_average_of_identical_is_identity() {
+        let p = vec![vec![1.0, 2.0], vec![1.0, 2.0]];
+        assert_eq!(weighted_average(&p, &[0.3, 0.7]), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn weighted_average_weights_matter() {
+        let p = vec![vec![0.0], vec![10.0]];
+        assert_eq!(weighted_average(&p, &[0.9, 0.1]), vec![1.0]);
     }
 
     #[test]
@@ -341,7 +365,7 @@ mod tests {
             agg.push(slot, pi);
         }
         let got = agg.finish().unwrap();
-        assert_eq!(got, Federation::weighted_average(&p, &w));
+        assert_eq!(got, weighted_average(&p, &w));
     }
 
     #[test]
@@ -370,7 +394,7 @@ mod tests {
         let d = PAR_MIN_DIM + 3;
         let p = params(3, d);
         let w = renormalized_weights(&[0.5, 0.2, 0.3], &[0, 1, 2]);
-        let want = Federation::weighted_average(&p, &w);
+        let want = weighted_average(&p, &w);
         for order in [[0usize, 1, 2], [2, 1, 0]] {
             let mut agg = StreamingAggregator::new(d, w.clone());
             for &slot in &order {
@@ -457,7 +481,7 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(
             first,
-            Federation::weighted_average(&p, &renormalized_weights(&all_w, &sel))
+            weighted_average(&p, &renormalized_weights(&all_w, &sel))
         );
     }
 

@@ -49,6 +49,8 @@ impl Algorithm for FedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::Compression;
+    use crate::history::History;
     use crate::testutil::{convex_fed, run_rounds};
 
     #[test]
@@ -80,6 +82,45 @@ mod tests {
         assert_eq!(r.down_bytes, 8 * per_msg);
         assert_eq!(r.up_bytes, 8 * per_msg);
         assert_eq!(r.delta_bytes, 0);
+    }
+
+    /// Compression is a wire stage of the federation, not an algorithm:
+    /// stock FedAvg over a federation with a policy set compresses uploads.
+    fn run_compressed(policy: Compression, seed: u64, clients: usize, rounds: usize) -> History {
+        let (mut fed, cfg) = convex_fed(0.0, seed, clients);
+        fed.set_compression(policy);
+        run_rounds(&mut FedAvg::new(), &mut fed, &cfg, rounds)
+    }
+
+    fn up(h: &History) -> u64 {
+        h.records().iter().map(|r| r.up_bytes).sum()
+    }
+
+    #[test]
+    fn quantized_uploads_learn_nearly_as_well() {
+        let ha = run_compressed(Compression::None, 100, 6, 15);
+        let hb = run_compressed(Compression::Quantize { bits: 8 }, 100, 6, 15);
+        let (a, b) = (ha.final_accuracy().unwrap(), hb.final_accuracy().unwrap());
+        assert!(b > a - 0.1, "8-bit quantization lost too much: {a} vs {b}");
+        assert!(up(&hb) < up(&ha) / 2, "{} vs {}", up(&hb), up(&ha));
+    }
+
+    #[test]
+    fn topk_uploads_are_cheaper_than_dense() {
+        let ha = run_compressed(Compression::None, 101, 4, 2);
+        let hb = run_compressed(Compression::TopK { ratio: 0.1 }, 101, 4, 2);
+        assert!(
+            up(&hb) * 3 < up(&ha),
+            "top-10% should cut uploads ≥3x: {} vs {}",
+            up(&hb),
+            up(&ha)
+        );
+    }
+
+    #[test]
+    fn topk_still_learns() {
+        let h = run_compressed(Compression::TopK { ratio: 0.25 }, 102, 6, 20);
+        assert!(h.final_accuracy().unwrap() > 0.4);
     }
 
     #[test]

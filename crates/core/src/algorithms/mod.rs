@@ -1,9 +1,7 @@
 //! The federated optimization algorithms compared in the paper's evaluation.
 
-mod compressed;
 mod fedavg;
 mod fedavgm;
-mod fedper;
 mod fedprox;
 mod poc;
 mod qfedavg;
@@ -11,10 +9,8 @@ mod rfedavg;
 mod rfedavg_plus;
 mod scaffold;
 
-pub use compressed::CompressedFedAvg;
 pub use fedavg::FedAvg;
 pub use fedavgm::FedAvgM;
-pub use fedper::FedPer;
 pub use fedprox::FedProx;
 pub use poc::PowerOfChoice;
 pub use qfedavg::QFedAvg;

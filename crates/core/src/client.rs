@@ -29,7 +29,7 @@ pub struct LocalReport {
 /// between rounds. Moving these four fields out on
 /// [`Client::hibernate`] and back in on [`Client::wake`] round-trips the
 /// client bit-exactly: the RNG stream position, the epoch-shuffle cursor,
-/// the optimizer state (momentum/Adam moments, learning rate), and the
+/// the optimizer state (RMSProp accumulators, learning rate), and the
 /// flat parameters are everything local training reads besides the data
 /// itself, which the registry regenerates deterministically.
 pub struct ClientPersist {

@@ -249,13 +249,7 @@ impl Transport for FaultyTransport {
         encode_f32_into(&mut self.wire, payload);
         let wire = self.wire.len() as u64;
         let out = self.simulate_link(client, wire);
-        let dir = kind.direction();
-        let bytes = wire * u64::from(out.attempts);
-        if kind.is_delta() {
-            self.stats.record_delta(dir, bytes);
-        } else {
-            self.stats.record(dir, bytes);
-        }
+        self.stats.charge(kind, wire * u64::from(out.attempts));
         let data = out.delivered.then(|| {
             let mut v = Vec::with_capacity(payload.len());
             decode_f32_into(&self.wire, &mut v).expect("codec round-trip cannot fail");
@@ -286,31 +280,10 @@ impl Transport for FaultyTransport {
         }
         // One logical message (matching the perfect transport's broadcast
         // accounting); bytes cover every per-link attempt.
-        let bytes = wire * attempts_total;
-        if kind.is_delta() {
-            self.stats.record_delta(Direction::Download, bytes);
-        } else {
-            self.stats.record(Direction::Download, bytes);
-        }
+        self.stats.charge(kind, wire * attempts_total);
         let mut data = Vec::with_capacity(payload.len());
         decode_f32_into(&self.wire, &mut data).expect("codec round-trip cannot fail");
         BroadcastDelivery { data, links }
-    }
-
-    fn send_raw(&mut self, kind: MsgKind, client: usize, wire_bytes: u64) -> LinkOutcome {
-        debug_assert!(
-            kind.is_compressed(),
-            "send_raw is for pre-encoded compressed payloads, got {kind:?}"
-        );
-        let out = self.simulate_link(client, wire_bytes);
-        let dir = kind.direction();
-        let bytes = wire_bytes * u64::from(out.attempts);
-        if kind.is_delta() {
-            self.stats.record_delta(dir, bytes);
-        } else {
-            self.stats.record(dir, bytes);
-        }
-        out
     }
 
     fn send_compressed(
@@ -325,12 +298,7 @@ impl Transport for FaultyTransport {
         debug_assert_eq!(wire as usize, payload.wire_bytes());
         let link = self.simulate_link(client, wire);
         // Every attempt carries the full encoded frame.
-        let bytes = wire * u64::from(link.attempts);
-        if kind.is_delta() {
-            self.stats.record_delta(kind.direction(), bytes);
-        } else {
-            self.stats.record(kind.direction(), bytes);
-        }
+        self.stats.charge(kind, wire * u64::from(link.attempts));
         if link.delivered {
             assert!(
                 out.decode_from(&self.wire),
@@ -352,24 +320,28 @@ impl Transport for FaultyTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::Channel;
+    use crate::comm::PerfectTransport;
 
     #[test]
     fn lossless_matches_perfect_byte_accounting() {
         let mut t = FaultyTransport::new(FaultConfig::lossless(42));
-        let mut ch = Channel::new();
+        let mut p = PerfectTransport::new();
         let v = vec![1.0f32; 50];
         let d = t.send(MsgKind::ModelUp, 0, &v);
-        let expect = ch.transfer(Direction::Upload, &v);
-        assert_eq!(d.data.as_deref(), Some(expect.as_slice()));
+        assert_eq!(d.data, p.send(MsgKind::ModelUp, 0, &v).data);
         let bd = t.broadcast(MsgKind::DeltaTableDown, &[0, 1, 2], &v);
-        let expect_b = ch.broadcast_delta(3, &v);
-        assert_eq!(bd.data, expect_b);
+        assert_eq!(
+            bd.data,
+            p.broadcast(MsgKind::DeltaTableDown, &[0, 1, 2], &v).data
+        );
         assert!(bd.links.iter().all(|l| l.delivered && l.attempts == 1));
-        assert_eq!(t.stats().upload_bytes(), ch.stats().upload_bytes());
-        assert_eq!(t.stats().download_bytes(), ch.stats().download_bytes());
-        assert_eq!(t.stats().delta_bytes(), ch.stats().delta_bytes());
-        assert_eq!(t.stats().messages(), ch.stats().messages());
+        let wire = rfl_tensor::wire_size(v.len()) as u64;
+        for s in [t.stats(), p.stats()] {
+            assert_eq!(s.upload_bytes(), wire);
+            assert_eq!(s.download_bytes(), 3 * wire);
+            assert_eq!(s.delta_bytes(), 3 * wire);
+            assert_eq!(s.messages(), 2);
+        }
         assert_eq!(t.fault_stats(), FaultStats::default());
     }
 

@@ -4,7 +4,7 @@
 //! [`MsgKind`] naming *what* the bytes are (model parameters, δ maps,
 //! control state), which fixes the transfer direction and the accounting
 //! plane (model vs δ) once, at the type level — algorithm code no longer
-//! reaches into channel internals to pick counters.
+//! picks counters itself ([`super::CommStats::charge`] does).
 
 use super::stats::Direction;
 use crate::compress::Compression;
@@ -24,8 +24,8 @@ pub enum MsgKind {
     DeltaDown,
     /// A client's recomputed δ map, client → server.
     DeltaUp,
-    /// Algorithm control state (e.g. SCAFFOLD's variate `c`, FedPer's φ
-    /// slice), server → client. Model-plane accounting.
+    /// Algorithm control state (e.g. SCAFFOLD's variate `c`), server →
+    /// client. Model-plane accounting.
     ControlDown,
     /// Algorithm control state (e.g. SCAFFOLD's `c_k⁺`), client → server.
     ControlUp,

@@ -1,16 +1,15 @@
 //! Byte-accurate communication: simulated and real.
 //!
-//! The layer is split in three: [`Channel`]/[`CommStats`] meter bytes with
-//! the real wire codec, the [`Transport`] trait decides *delivery* — typed
-//! envelopes ([`MsgKind`]) go in, [`Delivery`]/[`BroadcastDelivery`] outcomes
-//! come out — and the socket layer moves the same frames over a real wire.
-//! [`PerfectTransport`] is the lossless default (byte-identical to the bare
-//! channel); [`FaultyTransport`] injects seeded per-link drops, virtual
+//! The layer is split in three: [`CommStats`] is the byte ledger every
+//! backend charges with the real wire codec's lengths, the [`Transport`]
+//! trait decides *delivery* — typed envelopes ([`MsgKind`]) go in,
+//! [`Delivery`]/[`BroadcastDelivery`] outcomes come out — and the socket
+//! layer moves the same frames over a real wire. [`PerfectTransport`] is the
+//! lossless default; [`FaultyTransport`] injects seeded per-link drops, virtual
 //! latency, bounded retries, and per-round deadlines; [`SocketTransport`]
 //! runs the server end of a multi-process federation over TCP or Unix-domain
 //! sockets and reproduces the perfect transport bit-exactly on a loopback.
 
-mod channel;
 mod faulty;
 mod message;
 mod reactor;
@@ -22,7 +21,6 @@ mod transport;
 
 pub(crate) use faulty::mix64;
 
-pub use channel::Channel;
 pub use faulty::{FaultConfig, FaultyTransport, LatencyModel};
 pub use message::{
     BroadcastDelivery, ControlMsg, Delivery, DropReason, FaultStats, LinkOutcome, MsgKind,

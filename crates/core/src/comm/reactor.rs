@@ -12,7 +12,7 @@
 //! so nothing in the server sleep-polls.
 //!
 //! Backpressure: every connection's write queue is bounded
-//! (`RFL_NET_WRITE_BUF` bytes, default 16 MiB). An enqueue that would
+//! ([`WRITE_BUF_BYTES`], 16 MiB). An enqueue that would
 //! overflow the bound blocks the *sender* (the round loop) on a condvar
 //! until the reactor drains space or the send deadline passes — a wedged
 //! client costs one bounded wait, never unbounded server memory. Broadcast
@@ -37,31 +37,29 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// broadcast) toward clients that have stopped reading before force-closing.
 const STOP_FLUSH_GRACE: Duration = Duration::from_secs(5);
 
-/// Reactor tuning, resolved once per server from the environment.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct NetConfig {
-    /// Number of event-loop shards (`RFL_NET_THREADS`).
-    pub threads: usize,
-    /// Per-connection write-queue bound in bytes (`RFL_NET_WRITE_BUF`).
-    pub write_buf: usize,
+/// Per-connection write-queue bound in bytes.
+const WRITE_BUF_BYTES: usize = 16 << 20;
+
+/// Number of event-loop shards a new server starts: `RFL_NET_THREADS`, or
+/// one per core up to 4.
+pub(crate) fn net_threads() -> usize {
+    let raw = std::env::var_os("RFL_NET_THREADS").map(|v| v.to_string_lossy().into_owned());
+    parse_net_threads(raw.as_deref())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(4)))
 }
 
-impl NetConfig {
-    pub(crate) fn from_env() -> NetConfig {
-        let default_threads = std::thread::available_parallelism()
-            .map(|n| n.get().min(4))
-            .unwrap_or(1);
-        let threads = std::env::var("RFL_NET_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(default_threads);
-        let write_buf = std::env::var("RFL_NET_WRITE_BUF")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 4096)
-            .unwrap_or(16 << 20);
-        NetConfig { threads, write_buf }
+/// Parses `RFL_NET_THREADS`: unset means the default shard count (`None`),
+/// anything else must be an integer ≥ 1. A typo must not silently run the
+/// default configuration, so everything else is an error.
+fn parse_net_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!(
+            "RFL_NET_THREADS={raw:?} is not valid: expected an integer >= 1, \
+             or unset for one shard per core (at most 4)"
+        )),
     }
 }
 
@@ -325,7 +323,6 @@ pub(crate) struct ServerShared {
     pub(crate) welcome_frame: Arc<[u8]>,
     pub(crate) n_clients: usize,
     pub(crate) seed: u64,
-    pub(crate) write_buf: usize,
     pub(crate) shards: Vec<Arc<ShardHandle>>,
 }
 
@@ -635,7 +632,7 @@ impl Shard {
                 q: WriteQueue::new(),
                 open: true,
                 close_after_flush: false,
-                capacity: self.shared.write_buf,
+                capacity: WRITE_BUF_BYTES,
             }),
             space: Condvar::new(),
             waker: self.shared.shards[self.idx].waker.clone(),
@@ -836,9 +833,16 @@ mod tests {
     }
 
     #[test]
-    fn net_config_defaults_are_sane() {
-        let cfg = NetConfig::from_env();
-        assert!(cfg.threads >= 1);
-        assert!(cfg.write_buf >= 4096);
+    fn rfl_net_threads_accepts_positive_integers_only() {
+        assert_eq!(parse_net_threads(None), Ok(None));
+        assert_eq!(parse_net_threads(Some("2")), Ok(Some(2)));
+        for bad in ["0", "two", "-1", ""] {
+            let err = parse_net_threads(Some(bad)).unwrap_err();
+            assert!(
+                err.contains("RFL_NET_THREADS") && err.contains(bad),
+                "{err}"
+            );
+            assert!(err.contains("integer >= 1"), "{err}");
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! This module promotes the [`Transport`] abstraction from in-memory
 //! delivery to an actual wire: a length-prefixed framing layer over TCP or
 //! Unix-domain sockets, speaking the *same* hand-rolled `bytes` codec as
-//! the in-memory channel ([`rfl_tensor::encode_f32_into`]), so a payload's
+//! the in-memory transports ([`rfl_tensor::encode_f32_into`]), so a payload's
 //! bytes on the wire are exactly the bytes the simulation meters.
 //!
 //! Three pieces:
@@ -38,10 +38,10 @@ use super::message::{
     BroadcastDelivery, ControlMsg, Delivery, DropReason, FaultStats, LinkOutcome, MsgKind,
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
-use super::reactor::{self, NetConfig, ServerShared};
+use super::reactor::{self, ServerShared};
 use super::session::{RecvError, Session, SessionState};
 use super::stats::{CommStats, Direction};
-use super::transport::{RemoteTransport, Transport};
+use super::transport::{codec_round_trip, RemoteTransport, Transport};
 use crate::client::{Client, LocalReport};
 use crate::compress::{compress_plain, ef_compress_update, CompressedVec, Compression};
 use crate::rules::LocalRule;
@@ -299,8 +299,7 @@ impl SocketTransport {
         let (listener, local) = Listener::bind(endpoint)?;
         let mut welcome_body = Vec::new();
         welcome.encode_body(&mut welcome_body);
-        let cfg = NetConfig::from_env();
-        let (shards, wake_rx_ends) = reactor::build_shards(cfg.threads)?;
+        let (shards, wake_rx_ends) = reactor::build_shards(reactor::net_threads())?;
         let shared = Arc::new(ServerShared {
             sessions: Mutex::new(vec![None; n_clients]),
             registration: Condvar::new(),
@@ -312,7 +311,6 @@ impl SocketTransport {
             welcome_frame: encode_frame(welcome.tag(), &welcome_body),
             n_clients,
             seed,
-            write_buf: cfg.write_buf,
             shards,
         });
         let net_threads = reactor::spawn_shards(listener, &shared, wake_rx_ends)?;
@@ -323,7 +321,7 @@ impl SocketTransport {
             stats: CommStats::new(),
             dropped: 0,
             deadline_drops: 0,
-            timeout: recv_timeout_from_env(),
+            timeout: DEFAULT_RECV_TIMEOUT,
             wire: Vec::new(),
             body: Vec::new(),
         })
@@ -336,7 +334,7 @@ impl SocketTransport {
 
     /// Bounds every blocking receive; a client that stays silent longer is
     /// dropped from the round as a [`DropReason::Deadline`]. Defaults to
-    /// 120 s (`RFL_SOCKET_TIMEOUT_SECS` overrides).
+    /// 120 s.
     pub fn set_recv_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
     }
@@ -395,23 +393,6 @@ impl SocketTransport {
         Instant::now() + self.timeout
     }
 
-    /// Encodes `payload` with the wire codec into the scratch buffer and
-    /// returns the round-tripped copy (the receiver-side bytes).
-    fn codec_round_trip(&mut self, payload: &[f32]) -> Vec<f32> {
-        encode_f32_into(&mut self.wire, payload);
-        let mut out = Vec::with_capacity(payload.len());
-        decode_f32_into(&self.wire, &mut out).expect("codec round-trip cannot fail");
-        out
-    }
-
-    fn charge(&mut self, kind: MsgKind, bytes: u64) {
-        if kind.is_delta() {
-            self.stats.record_delta(kind.direction(), bytes);
-        } else {
-            self.stats.record(kind.direction(), bytes);
-        }
-    }
-
     fn charge_control(&mut self, dir: Direction, bytes: u64) {
         self.stats.record(dir, bytes);
     }
@@ -461,13 +442,9 @@ impl SocketTransport {
     }
 }
 
-fn recv_timeout_from_env() -> Duration {
-    std::env::var("RFL_SOCKET_TIMEOUT_SECS")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(Duration::from_secs)
-        .unwrap_or(Duration::from_secs(120))
-}
+/// Receive timeout of a freshly bound server
+/// ([`SocketTransport::set_recv_timeout`] changes it).
+const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(120);
 
 impl Transport for SocketTransport {
     fn begin_round(&mut self, _round: u64) {
@@ -480,12 +457,12 @@ impl Transport for SocketTransport {
             Direction::Download,
             "server-originated sends go down; uploads arrive via RemoteTransport::recv"
         );
-        let data = self.codec_round_trip(payload);
+        let data = codec_round_trip(&mut self.wire, payload);
         let deadline = self.send_deadline();
         let outcome = match self.session(client) {
             Some(session) => match session.send_frame(kind.tag(), &self.wire, deadline) {
                 Ok(n) => {
-                    self.charge(kind, n);
+                    self.stats.charge(kind, n);
                     LinkOutcome::perfect()
                 }
                 Err(_) => {
@@ -520,7 +497,7 @@ impl Transport for SocketTransport {
         payload: &[f32],
     ) -> BroadcastDelivery {
         debug_assert_eq!(kind.direction(), Direction::Download, "broadcasts go down");
-        let data = self.codec_round_trip(payload);
+        let data = codec_round_trip(&mut self.wire, payload);
         // Encode once: every recipient queues the same `Arc<[u8]>` frame —
         // fan-out is N refcount bumps plus N queue pushes, never N copies
         // of an O(d) model.
@@ -556,22 +533,9 @@ impl Transport for SocketTransport {
             links.push(outcome);
         }
         if delivered_bytes > 0 {
-            self.charge(kind, delivered_bytes);
+            self.stats.charge(kind, delivered_bytes);
         }
         BroadcastDelivery { data, links }
-    }
-
-    fn send_raw(&mut self, kind: MsgKind, _client: usize, wire_bytes: u64) -> LinkOutcome {
-        // Ledger-only charge for callers that pre-encode their own payload;
-        // compressed frames that actually cross the socket go through
-        // `send_compressed` / `recv_compressed` below. Only the compressed
-        // planes pre-encode, so any other kind here is a mischarge.
-        debug_assert!(
-            kind.is_compressed(),
-            "send_raw is for pre-encoded compressed payloads, got {kind:?}"
-        );
-        self.charge(kind, wire_bytes);
-        LinkOutcome::perfect()
     }
 
     fn send_compressed(
@@ -586,7 +550,7 @@ impl Transport for SocketTransport {
         let outcome = match self.session(client) {
             Some(session) => match session.send_frame(kind.tag(), &self.body, deadline) {
                 Ok(n) => {
-                    self.charge(kind, n);
+                    self.stats.charge(kind, n);
                     LinkOutcome::perfect()
                 }
                 Err(_) => {
@@ -653,7 +617,8 @@ impl RemoteTransport for SocketTransport {
                 let mut data = Vec::new();
                 match decode_f32_into(&body, &mut data) {
                     Ok(()) => {
-                        self.charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
+                        self.stats
+                            .charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
                         Delivery {
                             data: Some(data),
                             attempts: 1,
@@ -709,7 +674,7 @@ impl RemoteTransport for SocketTransport {
                 let mut data = Vec::new();
                 match decode_f32_into(&body, &mut data) {
                     Ok(()) => {
-                        self.charge(kind, wire);
+                        self.stats.charge(kind, wire);
                         Some(Delivery {
                             data: Some(data),
                             attempts: 1,
@@ -820,7 +785,8 @@ impl RemoteTransport for SocketTransport {
                     // encoding: charge its true length (plus frame header),
                     // never a modelled estimate.
                     debug_assert_eq!(body.len(), out.wire_bytes());
-                    self.charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
+                    self.stats
+                        .charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
                     LinkOutcome::perfect()
                 } else {
                     self.dropped += 1;

@@ -1,5 +1,7 @@
 //! Communication accounting.
 
+use super::message::MsgKind;
+
 /// Transfer direction, from the clients' perspective.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
@@ -10,7 +12,7 @@ pub enum Direction {
 }
 
 /// Byte counters for one training run. Every scalar that crosses the
-/// simulated network is counted through [`crate::comm::Channel`], so these
+/// network is counted through a [`crate::comm::Transport`], so these
 /// numbers are the ground truth behind Table III and the efficiency figures.
 #[derive(Clone, Debug, Default)]
 pub struct CommStats {
@@ -43,6 +45,16 @@ impl CommStats {
             Direction::Upload => self.delta_up_bytes += bytes,
         }
         self.record(dir, bytes);
+    }
+
+    /// Charges `bytes` of a `kind` message to the direction and plane the
+    /// envelope names — how every transport books its traffic.
+    pub fn charge(&mut self, kind: MsgKind, bytes: u64) {
+        if kind.is_delta() {
+            self.record_delta(kind.direction(), bytes);
+        } else {
+            self.record(kind.direction(), bytes);
+        }
     }
 
     pub fn download_bytes(&self) -> u64 {
@@ -155,6 +167,20 @@ mod tests {
         assert_eq!(s.messages(), 2);
         s.record_delta(Direction::Upload, 8);
         assert_eq!(s.messages(), 3);
+    }
+
+    #[test]
+    fn charge_books_the_plane_and_direction_of_the_kind() {
+        let mut s = CommStats::new();
+        s.charge(MsgKind::ModelDown, 100);
+        s.charge(MsgKind::CompressedUp, 7);
+        s.charge(MsgKind::DeltaTableDown, 30);
+        s.charge(MsgKind::CompressedDeltaUp, 12);
+        assert_eq!(s.download_bytes(), 130);
+        assert_eq!(s.upload_bytes(), 19);
+        assert_eq!(s.delta_download_bytes(), 30);
+        assert_eq!(s.delta_upload_bytes(), 12);
+        assert_eq!(s.messages(), 4);
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! Algorithms and the [`crate::Federation`] round plumbing send typed
 //! envelopes ([`MsgKind`] + payload) and consume [`Delivery`] outcomes; the
 //! *delivery semantics* — perfect, lossy, delayed — live entirely behind
-//! this trait. [`PerfectTransport`] wraps the metered [`Channel`] and is
-//! bit- and byte-identical to the pre-transport code path;
-//! [`crate::comm::FaultyTransport`] adds seeded per-link faults.
+//! this trait. [`PerfectTransport`] delivers everything and charges the
+//! real codec's byte count; [`crate::comm::FaultyTransport`] adds seeded
+//! per-link faults.
 
-use super::channel::Channel;
 use super::message::{BroadcastDelivery, Delivery, FaultStats, LinkOutcome, MsgKind};
 use super::stats::{CommStats, Direction};
 use crate::client::LocalReport;
 use crate::compress::CompressedVec;
+use rfl_tensor::{decode_f32_into, encode_f32_into};
 
 /// A simulated network between the server and its clients.
 ///
@@ -33,13 +33,6 @@ pub trait Transport: Send {
     /// charged per receiver; content is decoded once and shared).
     fn broadcast(&mut self, kind: MsgKind, clients: &[usize], payload: &[f32])
         -> BroadcastDelivery;
-
-    /// Charges a message of `wire_bytes` whose payload carries its own wire
-    /// format; no scalar payload crosses here. Only the compressed-payload
-    /// kinds ([`MsgKind::is_compressed`]) pre-encode their own frames, so
-    /// implementations debug-assert that `kind` is one of them — a raw
-    /// charge under a dense kind would book bytes the codec never metered.
-    fn send_raw(&mut self, kind: MsgKind, client: usize, wire_bytes: u64) -> LinkOutcome;
 
     /// Sends a compressed payload on the link of `client`. The payload is
     /// framed with its exact `CompressedVec` encoding, the ledger is charged
@@ -88,8 +81,8 @@ pub trait RemoteTransport {
     /// `Some(delivery)` resolves the upload *now* — a completed frame
     /// claimed off the queue, or a dead link mapped to a loss — while
     /// `None` means nothing has arrived yet and the link is still live.
-    /// Arrival-order collection (`Federation::fold_uploads_unordered`)
-    /// sweeps this across the selection so early finishers fold while
+    /// Arrival-order collection (`Federation::collect_average`) sweeps
+    /// this across the selection so early finishers fold while
     /// stragglers upload. The default resolves by blocking: a transport
     /// with no readiness information degrades to in-order claiming.
     fn try_recv(&mut self, kind: MsgKind, client: usize) -> Option<Delivery> {
@@ -122,12 +115,20 @@ pub trait RemoteTransport {
 }
 
 /// The lossless, zero-latency transport: every send is delivered on the
-/// first attempt, and the byte accounting is exactly the metered
-/// [`Channel`]'s — the default, and the baseline every fault model is
-/// validated against.
+/// first attempt. Every payload is *actually* serialized and deserialized
+/// with the `rfl-tensor` wire codec and the encoded length charged to the
+/// [`CommStats`] ledger, so the communication numbers in the evaluation are
+/// measured, not estimated — the default, and the baseline every fault
+/// model is validated against.
+///
+/// The wire buffer is reused for every message
+/// ([`rfl_tensor::encode_f32_into`] produces bytes identical to
+/// `encode_f32_slice`, so the ledger cannot tell the difference); only the
+/// received `Vec<f32>` copy handed to the caller is allocated per transfer.
 #[derive(Default)]
 pub struct PerfectTransport {
-    channel: Channel,
+    stats: CommStats,
+    wire: Vec<u8>,
 }
 
 impl PerfectTransport {
@@ -136,16 +137,21 @@ impl PerfectTransport {
     }
 }
 
+/// Encodes `payload` with the wire codec into `wire` (reused across
+/// messages) and returns the decoded copy — the receiver-side values.
+pub(crate) fn codec_round_trip(wire: &mut Vec<u8>, payload: &[f32]) -> Vec<f32> {
+    encode_f32_into(wire, payload);
+    let mut out = Vec::with_capacity(payload.len());
+    decode_f32_into(wire, &mut out).expect("codec round-trip cannot fail");
+    out
+}
+
 impl Transport for PerfectTransport {
     fn begin_round(&mut self, _round: u64) {}
 
     fn send(&mut self, kind: MsgKind, _client: usize, payload: &[f32]) -> Delivery {
-        let dir = kind.direction();
-        let data = if kind.is_delta() {
-            self.channel.transfer_delta(dir, payload)
-        } else {
-            self.channel.transfer(dir, payload)
-        };
+        let data = codec_round_trip(&mut self.wire, payload);
+        self.stats.charge(kind, self.wire.len() as u64);
         Delivery {
             data: Some(data),
             attempts: 1,
@@ -153,6 +159,8 @@ impl Transport for PerfectTransport {
         }
     }
 
+    /// Charges the cost of `clients.len()` receivers without materializing
+    /// that many copies (the content is identical for every receiver).
     fn broadcast(
         &mut self,
         kind: MsgKind,
@@ -160,24 +168,13 @@ impl Transport for PerfectTransport {
         payload: &[f32],
     ) -> BroadcastDelivery {
         debug_assert_eq!(kind.direction(), Direction::Download, "broadcasts go down");
-        let data = if kind.is_delta() {
-            self.channel.broadcast_delta(clients.len(), payload)
-        } else {
-            self.channel.broadcast(clients.len(), payload)
-        };
+        let data = codec_round_trip(&mut self.wire, payload);
+        self.stats
+            .charge(kind, self.wire.len() as u64 * clients.len() as u64);
         BroadcastDelivery {
             data,
             links: vec![LinkOutcome::perfect(); clients.len()],
         }
-    }
-
-    fn send_raw(&mut self, kind: MsgKind, _client: usize, wire_bytes: u64) -> LinkOutcome {
-        debug_assert!(
-            kind.is_compressed(),
-            "send_raw is for pre-encoded compressed payloads, got {kind:?}"
-        );
-        self.channel.record_raw(kind.direction(), wire_bytes);
-        LinkOutcome::perfect()
     }
 
     fn send_compressed(
@@ -187,12 +184,18 @@ impl Transport for PerfectTransport {
         payload: &CompressedVec,
         out: &mut CompressedVec,
     ) -> LinkOutcome {
-        self.channel.transfer_compressed(kind, payload, out);
+        payload.encode_into(&mut self.wire);
+        debug_assert_eq!(self.wire.len(), payload.wire_bytes());
+        assert!(
+            out.decode_from(&self.wire),
+            "codec round-trip cannot fail on a well-formed payload"
+        );
+        self.stats.charge(kind, self.wire.len() as u64);
         LinkOutcome::perfect()
     }
 
     fn stats(&self) -> &CommStats {
-        self.channel.stats()
+        &self.stats
     }
 
     fn fault_stats(&self) -> FaultStats {
@@ -203,18 +206,17 @@ impl Transport for PerfectTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rfl_tensor::wire_size;
 
     #[test]
-    fn send_matches_channel_accounting() {
+    fn send_is_lossless_and_metered() {
         let mut t = PerfectTransport::new();
-        let mut ch = Channel::new();
-        let v = vec![1.0f32, -2.0, 3.5];
+        let v = vec![1.0f32, -2.5, 3e7];
         let d = t.send(MsgKind::ModelUp, 0, &v);
-        let expect = ch.transfer(Direction::Upload, &v);
-        assert_eq!(d.data.as_deref(), Some(expect.as_slice()));
+        assert_eq!(d.data, Some(v));
         assert_eq!(d.attempts, 1);
-        assert_eq!(t.stats().upload_bytes(), ch.stats().upload_bytes());
-        assert_eq!(t.stats().messages(), ch.stats().messages());
+        assert_eq!(t.stats().upload_bytes(), wire_size(3) as u64);
+        assert_eq!(t.stats().messages(), 1);
     }
 
     #[test]
@@ -222,8 +224,8 @@ mod tests {
         let mut t = PerfectTransport::new();
         t.send(MsgKind::DeltaUp, 2, &[1.0; 16]);
         t.broadcast(MsgKind::DeltaTableDown, &[0, 1, 2], &[0.5; 32]);
-        assert_eq!(t.stats().delta_upload_bytes(), 4 + 64);
-        assert_eq!(t.stats().delta_download_bytes(), 3 * (4 + 128));
+        assert_eq!(t.stats().delta_upload_bytes(), wire_size(16) as u64);
+        assert_eq!(t.stats().delta_download_bytes(), 3 * wire_size(32) as u64);
         assert_eq!(t.stats().total_bytes(), t.stats().delta_bytes());
     }
 
@@ -233,7 +235,7 @@ mod tests {
         let bd = t.broadcast(MsgKind::ModelDown, &[0, 3, 7], &[2.0; 10]);
         assert_eq!(bd.data, vec![2.0; 10]);
         assert_eq!(bd.delivered_clients(&[0, 3, 7]), vec![0, 3, 7]);
-        assert_eq!(t.stats().download_bytes(), 3 * (4 + 40));
+        assert_eq!(t.stats().download_bytes(), 3 * wire_size(10) as u64);
         // A broadcast is one logical message regardless of fan-out.
         assert_eq!(t.stats().messages(), 1);
     }
@@ -246,26 +248,6 @@ mod tests {
         assert_eq!(t.stats().delta_bytes(), 0);
         assert_eq!(t.stats().upload_bytes(), 4 + 32);
         assert_eq!(t.stats().download_bytes(), 2 * (4 + 32));
-    }
-
-    #[test]
-    fn raw_sends_charge_without_payload() {
-        let mut t = PerfectTransport::new();
-        let out = t.send_raw(MsgKind::CompressedUp, 1, 123);
-        assert!(out.delivered);
-        assert_eq!(t.stats().upload_bytes(), 123);
-    }
-
-    /// `send_raw` is a ledger-only charge for payloads that carry their own
-    /// wire encoding — that is only ever the compressed kinds. Charging a
-    /// dense kind raw would book bytes the codec never produced, so debug
-    /// builds reject the mismatched tag outright.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "pre-encoded compressed payloads")]
-    fn raw_sends_reject_uncompressed_kinds() {
-        let mut t = PerfectTransport::new();
-        let _ = t.send_raw(MsgKind::ModelUp, 1, 123);
     }
 
     #[test]

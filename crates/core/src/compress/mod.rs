@@ -5,7 +5,7 @@
 //! A [`Compressor`] maps a parameter vector to a compact wire form and
 //! back. Compressors are *lossy*; the round-trip error is the price paid
 //! for fewer bytes. They compose with any algorithm whose uploads are
-//! parameter vectors (see the `ext_compression` experiment).
+//! parameter vectors (see the `ext_compress` gate).
 
 mod quantize;
 mod sketch;

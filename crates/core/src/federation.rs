@@ -4,8 +4,8 @@
 use crate::aggregate::StreamingAggregator;
 use crate::client::{Client, LocalReport};
 use crate::comm::{
-    BroadcastDelivery, CommStats, Delivery, FaultStats, LinkOutcome, MsgKind, PerfectTransport,
-    RemoteTransport, Transport,
+    BroadcastDelivery, CommStats, Delivery, FaultStats, MsgKind, PerfectTransport, RemoteTransport,
+    Transport,
 };
 use crate::compress::{
     compress_plain, decode_plain_into, decode_upload_into, ef_compress_update, CompressedVec,
@@ -21,8 +21,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_data::{Dataset, FederatedData};
 use rfl_nn::{
-    Adam, CnnClassifier, CnnConfig, LinearNet, LogisticRegression, LstmClassifier, LstmConfig,
-    MlpClassifier, Model, Optimizer, RmsProp, Sgd,
+    CnnClassifier, CnnConfig, LinearNet, LogisticRegression, LstmClassifier, LstmConfig, Model,
+    Optimizer, RmsProp, Sgd,
 };
 use rfl_trace::{SpanKind, Tracer};
 use std::sync::Arc;
@@ -119,12 +119,6 @@ pub enum ModelFactory {
         classes: usize,
         l2: f32,
     },
-    Mlp {
-        dim: usize,
-        hidden1: usize,
-        hidden2: usize,
-        classes: usize,
-    },
 }
 
 impl ModelFactory {
@@ -149,16 +143,6 @@ impl ModelFactory {
         }
     }
 
-    /// Two-hidden-layer MLP over dense inputs (feature hook at `hidden2`).
-    pub fn mlp(dim: usize, hidden1: usize, hidden2: usize, classes: usize) -> Self {
-        ModelFactory::Mlp {
-            dim,
-            hidden1,
-            hidden2,
-            classes,
-        }
-    }
-
     /// Builds a model with weights derived from `seed`.
     pub fn build(&self, seed: u64) -> Box<dyn Model> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -174,17 +158,6 @@ impl ModelFactory {
                 classes,
                 l2,
             } => Box::new(LinearNet::new(dim, feature_dim, classes, l2, &mut rng)),
-            ModelFactory::Mlp {
-                dim,
-                hidden1,
-                hidden2,
-                classes,
-            } => Box::new(MlpClassifier::new(
-                dim,
-                &[hidden1, hidden2],
-                classes,
-                &mut rng,
-            )),
         }
     }
 }
@@ -193,9 +166,7 @@ impl ModelFactory {
 #[derive(Clone, Copy, Debug)]
 pub enum OptimizerFactory {
     Sgd { lr: f32 },
-    SgdMomentum { lr: f32, momentum: f32 },
     RmsProp { lr: f32 },
-    Adam { lr: f32 },
 }
 
 impl OptimizerFactory {
@@ -203,26 +174,14 @@ impl OptimizerFactory {
         OptimizerFactory::Sgd { lr }
     }
 
-    pub fn sgd_momentum(lr: f32, momentum: f32) -> Self {
-        OptimizerFactory::SgdMomentum { lr, momentum }
-    }
-
     pub fn rmsprop(lr: f32) -> Self {
         OptimizerFactory::RmsProp { lr }
-    }
-
-    pub fn adam(lr: f32) -> Self {
-        OptimizerFactory::Adam { lr }
     }
 
     pub fn build(&self) -> Box<dyn Optimizer> {
         match *self {
             OptimizerFactory::Sgd { lr } => Box::new(Sgd::new(lr)),
-            OptimizerFactory::SgdMomentum { lr, momentum } => {
-                Box::new(Sgd::with_momentum(lr, momentum))
-            }
             OptimizerFactory::RmsProp { lr } => Box::new(RmsProp::new(lr)),
-            OptimizerFactory::Adam { lr } => Box::new(Adam::new(lr)),
         }
     }
 }
@@ -257,6 +216,17 @@ impl StragglerModel {
         h = crate::comm::mix64(h ^ (client as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
         self.min_steps + (h as usize) % (steps - self.min_steps + 1)
     }
+}
+
+/// Panics on a policy that would not survive the wire (invalid bit widths,
+/// ratios, or sketch shapes) — the same validation the socket handshake
+/// applies.
+fn assert_wire_valid(policy: Compression) {
+    let (mode, bits, ratio, rows, cols, seed) = policy.to_wire();
+    assert!(
+        Compression::from_wire(mode, bits, ratio, rows, cols, seed).is_some(),
+        "invalid compression policy: {policy:?}"
+    );
 }
 
 /// Attaches drop/retry/deadline counters to a span — only when nonzero, so
@@ -351,96 +321,26 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Builds the federation: every client starts from the same global
-    /// initialization (derived from `seed`), with its own optimizer state
-    /// and RNG stream.
-    pub fn new(
-        data: &FederatedData,
+    /// What the three constructors share: the evaluation replica and the
+    /// global initialization derived from `seed`, the validated compression
+    /// policy, and cold round state — no clients yet, perfect transport.
+    fn base(
         model: ModelFactory,
-        optimizer: OptimizerFactory,
         cfg: &FlConfig,
         seed: u64,
-    ) -> Self {
-        assert!(data.num_clients() >= 2, "need at least two clients");
-        let eval_model = model.build(seed);
-        let mut global = Vec::new();
-        eval_model.read_params(&mut global);
-        let clients = data
-            .clients
-            .iter()
-            .enumerate()
-            .map(|(k, d)| {
-                let mut m = model.build(seed);
-                m.write_params(&global);
-                let mut c = Client::new(k, m, d.clone(), optimizer.build(), cfg.batch_size, seed);
-                c.set_clip_grad_norm(cfg.clip_grad_norm);
-                c
-            })
-            .collect();
-        Federation {
-            clients,
-            remote: false,
-            registry: None,
-            n_clients: data.num_clients(),
-            weights: data.client_weights(),
-            global,
-            transport: Box::new(PerfectTransport::new()),
-            test: data.test.clone(),
-            eval_model,
-            parallel: cfg.parallel,
-            eval_batch: 64,
-            tracer: Tracer::disabled(),
-            current_round: 0,
-            straggler: None,
-            lookahead: None,
-            prefetch: None,
-            hibernate_wave: None,
-            background_hibernate: false,
-            agg: StreamingAggregator::default(),
-            upload_buf: Vec::new(),
-            compression: cfg.compression,
-            comp_update: Vec::new(),
-            comp_recon: Vec::new(),
-            comp_payload: CompressedVec::default(),
-            comp_rt: CompressedVec::default(),
-            comp_decoded: Vec::new(),
-        }
-    }
-
-    /// Builds a *lazy-mode* federation for cross-device scale: registered
-    /// clients are descriptors in a sharded [`ClientRegistry`], materialized
-    /// (dataset + model replica) only when sampled and evicted back to their
-    /// durable state when the next round starts. Server memory is
-    /// `O(d + active·d)` instead of `O(N·d)`, so a million registered
-    /// clients at 1% sampling fit comfortably. Training is bit-identical to
-    /// an eager [`Federation::new`] over the same data — client RNG streams
-    /// are keyed on `(seed, id)`, never on construction order.
-    pub fn lazy(
-        source: Arc<dyn ClientDataSource>,
+        weights: Vec<f32>,
         test: Dataset,
-        model: ModelFactory,
-        optimizer: OptimizerFactory,
-        cfg: &FlConfig,
-        seed: u64,
     ) -> Self {
-        let n = source.num_clients();
-        assert!(n >= 2, "need at least two clients");
+        assert!(weights.len() >= 2, "need at least two clients");
+        assert_wire_valid(cfg.compression);
         let eval_model = model.build(seed);
         let mut global = Vec::new();
         eval_model.read_params(&mut global);
-        // Same arithmetic as `FederatedData::client_weights`, bit for bit,
-        // without materializing any dataset.
-        let total: usize = (0..n).map(|k| source.num_samples(k)).sum();
-        assert!(total > 0, "no training data");
-        let weights = (0..n)
-            .map(|k| source.num_samples(k) as f32 / total as f32)
-            .collect();
-        let registry = ClientRegistry::new(source, model, optimizer, cfg, seed, global.clone());
         Federation {
             clients: Vec::new(),
             remote: false,
-            registry: Some(Arc::new(registry)),
-            n_clients: n,
+            registry: None,
+            n_clients: weights.len(),
             weights,
             global,
             transport: Box::new(PerfectTransport::new()),
@@ -466,6 +366,62 @@ impl Federation {
         }
     }
 
+    /// Builds the federation: every client starts from the same global
+    /// initialization (derived from `seed`), with its own optimizer state
+    /// and RNG stream.
+    pub fn new(
+        data: &FederatedData,
+        model: ModelFactory,
+        optimizer: OptimizerFactory,
+        cfg: &FlConfig,
+        seed: u64,
+    ) -> Self {
+        let mut fed = Self::base(model, cfg, seed, data.client_weights(), data.test.clone());
+        fed.clients = data
+            .clients
+            .iter()
+            .enumerate()
+            .map(|(k, d)| {
+                let mut m = model.build(seed);
+                m.write_params(&fed.global);
+                let mut c = Client::new(k, m, d.clone(), optimizer.build(), cfg.batch_size, seed);
+                c.set_clip_grad_norm(cfg.clip_grad_norm);
+                c
+            })
+            .collect();
+        fed
+    }
+
+    /// Builds a *lazy-mode* federation for cross-device scale: registered
+    /// clients are descriptors in a sharded [`ClientRegistry`], materialized
+    /// (dataset + model replica) only when sampled and evicted back to their
+    /// durable state when the next round starts. Server memory is
+    /// `O(d + active·d)` instead of `O(N·d)`, so a million registered
+    /// clients at 1% sampling fit comfortably. Training is bit-identical to
+    /// an eager [`Federation::new`] over the same data — client RNG streams
+    /// are keyed on `(seed, id)`, never on construction order.
+    pub fn lazy(
+        source: Arc<dyn ClientDataSource>,
+        test: Dataset,
+        model: ModelFactory,
+        optimizer: OptimizerFactory,
+        cfg: &FlConfig,
+        seed: u64,
+    ) -> Self {
+        // Same arithmetic as `FederatedData::client_weights`, bit for bit,
+        // without materializing any dataset.
+        let n = source.num_clients();
+        let total: usize = (0..n).map(|k| source.num_samples(k)).sum();
+        assert!(total > 0, "no training data");
+        let weights = (0..n)
+            .map(|k| source.num_samples(k) as f32 / total as f32)
+            .collect();
+        let mut fed = Self::base(model, cfg, seed, weights, test);
+        let registry = ClientRegistry::new(source, model, optimizer, cfg, seed, fed.global.clone());
+        fed.registry = Some(Arc::new(registry));
+        fed
+    }
+
     /// Builds a *remote-mode* federation: no local client replicas — the
     /// clients are real processes reachable through `transport`'s
     /// [`RemoteTransport`] half. The server still owns the canonical
@@ -480,47 +436,14 @@ impl Federation {
         seed: u64,
         mut transport: Box<dyn Transport>,
     ) -> Self {
-        assert!(data.num_clients() >= 2, "need at least two clients");
         assert!(
             transport.as_remote().is_some(),
             "remote federation needs a transport with a RemoteTransport half"
         );
-        let eval_model = model.build(seed);
-        let mut global = Vec::new();
-        eval_model.read_params(&mut global);
-        Federation {
-            clients: Vec::new(),
-            remote: true,
-            registry: None,
-            n_clients: data.num_clients(),
-            weights: data.client_weights(),
-            global,
-            transport,
-            test: data.test.clone(),
-            eval_model,
-            parallel: cfg.parallel,
-            eval_batch: 64,
-            tracer: Tracer::disabled(),
-            current_round: 0,
-            straggler: None,
-            lookahead: None,
-            prefetch: None,
-            hibernate_wave: None,
-            background_hibernate: false,
-            agg: StreamingAggregator::default(),
-            upload_buf: Vec::new(),
-            compression: cfg.compression,
-            comp_update: Vec::new(),
-            comp_recon: Vec::new(),
-            comp_payload: CompressedVec::default(),
-            comp_rt: CompressedVec::default(),
-            comp_decoded: Vec::new(),
-        }
-    }
-
-    /// Whether this federation drives remote client processes.
-    pub fn is_remote(&self) -> bool {
-        self.remote
+        let mut fed = Self::base(model, cfg, seed, data.client_weights(), data.test.clone());
+        fed.remote = true;
+        fed.transport = transport;
+        fed
     }
 
     fn remote_transport(&mut self) -> &mut dyn RemoteTransport {
@@ -563,8 +486,10 @@ impl Federation {
     /// the last broadcast global) and δ syncs as
     /// [`MsgKind::CompressedDeltaUp`] frames. In remote mode the clients
     /// must run the same policy (it rides the `Welcome` frame), so flip it
-    /// before the first round, never mid-run.
+    /// before the first round, never mid-run. Panics on a policy that would
+    /// not survive the wire, like the constructors.
     pub fn set_compression(&mut self, policy: Compression) {
+        assert_wire_valid(policy);
         self.compression = policy;
     }
 
@@ -650,12 +575,6 @@ impl Federation {
         self.registry.as_ref().map_or(0, |r| r.num_persisted())
     }
 
-    /// Number of currently materialized (active) clients. In eager mode
-    /// this is all of them.
-    pub fn num_active(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Applies a learning-rate schedule step to the whole federation.
     /// Eager mode sets every replica's optimizer; lazy mode records the
     /// rate in the registry (applied whenever a client materializes) and
@@ -676,7 +595,12 @@ impl Federation {
 
     /// Resolves a client id to its slot in `self.clients`. Eager mode is
     /// the identity; lazy mode binary-searches the id-sorted active set.
+    /// Remote mode has no slots to resolve.
     fn local_idx(&self, k: usize) -> usize {
+        assert!(
+            !self.remote,
+            "client state lives in the remote process; this algorithm needs local replicas"
+        );
         if self.registry.is_none() {
             k
         } else {
@@ -905,7 +829,7 @@ impl Federation {
         }
     }
 
-    /// Installs an observability sink; all subsequent channel operations,
+    /// Installs an observability sink; all subsequent transport operations,
     /// local training, and evaluations emit spans into it. Defaults to the
     /// disabled (no-op) tracer.
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -980,12 +904,6 @@ impl Federation {
         self.transport.broadcast(kind, clients, payload)
     }
 
-    /// Charges a `kind` message of `wire_bytes` whose payload carries its
-    /// own wire format (compressed uploads).
-    pub fn send_raw(&mut self, kind: MsgKind, client: usize, wire_bytes: u64) -> LinkOutcome {
-        self.transport.send_raw(kind, client, wire_bytes)
-    }
-
     /// Borrows client `k`. Lazy mode: `k` must be active this round
     /// (materialized by a broadcast or [`Federation::client_mut`]).
     pub fn client(&self, k: usize) -> &Client {
@@ -1032,23 +950,6 @@ impl Federation {
         span.counter("clients", selected.len() as u64);
         fault_counters(&mut span, &self.fault_stats().since(&fbefore));
         delivered
-    }
-
-    /// Uploads the selected clients' parameters to the server as metered
-    /// [`MsgKind::ModelUp`] messages. Returns `(client, params)` for the
-    /// uploads that arrived — a dropped upload removes the client from the
-    /// round's aggregation.
-    ///
-    /// This is the *materializing* collection path — `O(delivered·d)`
-    /// server memory — kept for algorithms that need every vector at once
-    /// (momentum, fairness reweighting) and as the oracle the streaming
-    /// path is pinned against. Round loops that only need the weighted
-    /// average use [`Federation::collect_aggregate`], which folds each
-    /// upload on arrival in O(d).
-    pub fn collect_params(&mut self, selected: &[usize]) -> Vec<(usize, Vec<f32>)> {
-        let mut out = Vec::with_capacity(selected.len());
-        self.fold_uploads(selected, |_, k, params| out.push((k, params.to_vec())));
-        out
     }
 
     /// The streaming upload walk shared by every collection flavor: claims
@@ -1163,12 +1064,12 @@ impl Federation {
     /// probe), so early finishers fold into the aggregation tree while
     /// stragglers are still uploading; only when nothing is ready does the
     /// walk block — on the earliest still-pending client, with the
-    /// standard per-claim timeout. `visit` may therefore run in any order
-    /// (the reduction tree makes the fold order-free); call sites that
-    /// need visit order must use `fold_uploads`. Returned delivered ids
+    /// standard per-claim timeout. `visit` may therefore run in any order,
+    /// which only the order-free reduction tree of
+    /// [`Federation::collect_average`] tolerates. Returned delivered ids
     /// are in selection order either way, and the byte/fault accounting is
     /// identical. Local and compressed paths delegate unchanged.
-    pub fn fold_uploads_unordered(
+    fn fold_uploads_unordered(
         &mut self,
         selected: &[usize],
         mut visit: impl FnMut(usize, usize, &[f32]),
@@ -1223,8 +1124,8 @@ impl Federation {
     /// returns the delivered ids and the weighted average over them (with
     /// weights renormalized over the survivors), or `None` when every
     /// upload dropped. Bit-identical to
-    /// `weighted_average(params, renormalized_weights(weights, delivered))`
-    /// when all uploads arrive.
+    /// [`crate::aggregate::weighted_average`] over the uploads with
+    /// `renormalized_weights(weights, delivered)` when all of them arrive.
     pub fn collect_average(&mut self, selected: &[usize]) -> (Vec<usize>, Option<Vec<f32>>) {
         let dim = self.global.len();
         let mut fold_span = self.tracer.span(SpanKind::Fold);
@@ -1253,9 +1154,7 @@ impl Federation {
     /// the selected clients' uploads in selection order, folds each one
     /// into the [`StreamingAggregator`] on arrival, and installs the
     /// aggregate as the new global (uploads all lost ⇒ the global is left
-    /// untouched). Emits the same Upload and Aggregate spans as the
-    /// materializing `collect_params` + `weighted_average` pair and charges
-    /// identical bytes. Returns the delivered ids.
+    /// untouched). Returns the delivered ids.
     pub fn collect_aggregate(&mut self, selected: &[usize]) -> Vec<usize> {
         let (delivered, avg) = self.collect_average(selected);
         let mut span = self.tracer.span(SpanKind::Aggregate);
@@ -1390,10 +1289,9 @@ impl Federation {
         self.train_selected_steps(selected, rules, &per_client)
     }
 
-    /// Like [`Federation::train_selected`] but with a per-client step
-    /// count — models *system heterogeneity* (stragglers doing less local
-    /// work), the scenario FedProx's proximal term is designed for.
-    pub fn train_selected_steps(
+    /// [`Federation::train_selected`] with the per-client step counts
+    /// resolved.
+    fn train_selected_steps(
         &mut self,
         selected: &[usize],
         rules: &[LocalRule],
@@ -1517,30 +1415,6 @@ impl Federation {
         reports
     }
 
-    /// Weighted average of parameter vectors (`Σ w_i θ_i`), written into a
-    /// caller-provided buffer — the allocation-free form the materializing
-    /// call sites use so the average doesn't get built twice.
-    pub fn weighted_average_into(out: &mut Vec<f32>, params: &[Vec<f32>], weights: &[f32]) {
-        assert_eq!(params.len(), weights.len());
-        assert!(!params.is_empty());
-        let n = params[0].len();
-        out.clear();
-        out.resize(n, 0.0);
-        for (p, &w) in params.iter().zip(weights) {
-            assert_eq!(p.len(), n);
-            rfl_tensor::axpy_slices(out, w, p);
-        }
-    }
-
-    /// Weighted average of parameter vectors (`Σ w_i θ_i`). This is the
-    /// materialize-everything oracle the [`StreamingAggregator`] is pinned
-    /// against (see the aggregator proptests).
-    pub fn weighted_average(params: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
-        let mut out = Vec::new();
-        Self::weighted_average_into(&mut out, params, weights);
-        out
-    }
-
     /// Evaluates the global model on the held-out test set.
     pub fn evaluate_global(&mut self) -> EvalResult {
         let mut span = self.tracer.span(SpanKind::Eval);
@@ -1590,6 +1464,7 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::uploads;
     use rand::Rng;
     use rfl_data::synth::gaussian::GaussianMixtureSpec;
 
@@ -1623,19 +1498,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_average_of_identical_is_identity() {
-        let p = vec![vec![1.0, 2.0], vec![1.0, 2.0]];
-        let avg = Federation::weighted_average(&p, &[0.3, 0.7]);
-        assert_eq!(avg, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn weighted_average_weights_matter() {
-        let p = vec![vec![0.0], vec![10.0]];
-        assert_eq!(Federation::weighted_average(&p, &[0.9, 0.1]), vec![1.0]);
-    }
-
-    #[test]
     fn broadcast_meters_per_receiver() {
         let mut fed = small_fed(false, 1);
         let n_params = fed.num_params();
@@ -1660,8 +1522,8 @@ mod tests {
         for (a, b) in rs.iter().zip(&rp) {
             assert_eq!(a.loss, b.loss);
         }
-        let ps = fed_s.collect_params(&selected);
-        let pp = fed_p.collect_params(&selected);
+        let ps = uploads(&mut fed_s, &selected);
+        let pp = uploads(&mut fed_p, &selected);
         assert_eq!(ps, pp);
     }
 
@@ -1692,14 +1554,7 @@ mod tests {
             fed.broadcast_params(&selected);
             let rules = vec![LocalRule::Plain; 4];
             fed.train_selected(&selected, &rules, 5);
-            let params: Vec<Vec<f32>> = fed
-                .collect_params(&selected)
-                .into_iter()
-                .map(|(_, p)| p)
-                .collect();
-            let w = crate::sampling::renormalized_weights(fed.weights(), &selected);
-            let avg = Federation::weighted_average(&params, &w);
-            fed.set_global(avg);
+            fed.collect_aggregate(&selected);
         }
         let after = fed.evaluate_global().loss;
         assert!(after < before, "{before} → {after}");
@@ -1708,7 +1563,7 @@ mod tests {
     #[test]
     fn tracing_does_not_change_results() {
         // The no-op sink is not enough: even an *enabled* tracer must be
-        // invisible to training (it only reads the channel meters and the
+        // invisible to training (it only reads the transport meters and the
         // clock, never the RNG streams).
         let run = |trace: bool| {
             let mut fed = small_fed(true, 7);
@@ -1722,13 +1577,7 @@ mod tests {
             for _ in 0..3 {
                 fed.broadcast_params(&selected);
                 fed.train_selected(&selected, &vec![LocalRule::Plain; 4], 5);
-                let params: Vec<Vec<f32>> = fed
-                    .collect_params(&selected)
-                    .into_iter()
-                    .map(|(_, p)| p)
-                    .collect();
-                let w = crate::sampling::renormalized_weights(fed.weights(), &selected);
-                fed.set_global(Federation::weighted_average(&params, &w));
+                fed.collect_aggregate(&selected);
             }
             (fed.global().to_vec(), tracer.records().len())
         };
@@ -1745,7 +1594,7 @@ mod tests {
         let tracer = Tracer::enabled();
         fed.set_tracer(tracer.clone());
         fed.broadcast_params(&[0, 1, 2]);
-        let params = fed.collect_params(&[0, 1, 2]);
+        let params = uploads(&mut fed, &[0, 1, 2]);
         assert_eq!(params.len(), 3);
         let recs = tracer.records();
         let sum = |kind: &str| -> u64 {
@@ -1785,7 +1634,7 @@ mod tests {
         );
         fed.broadcast_params(&[0, 1]);
         fed.train_selected(&[0, 1], &[LocalRule::Plain, LocalRule::Plain], 1);
-        let params = fed.collect_params(&[0, 1]);
+        let params = uploads(&mut fed, &[0, 1]);
         assert_ne!(
             params[0].1, params[1].1,
             "clients sampled identical batches"
@@ -1798,6 +1647,7 @@ mod tests {
 mod straggler_tests {
     use super::*;
     use crate::rules::LocalRule;
+    use crate::testutil::uploads;
     use rfl_data::synth::gaussian::GaussianMixtureSpec;
 
     #[test]
@@ -1860,8 +1710,8 @@ mod straggler_tests {
         fed_s.train_selected_steps(&selected, &rules, &steps);
         fed_p.train_selected_steps(&selected, &rules, &steps);
         assert_eq!(
-            fed_s.collect_params(&selected),
-            fed_p.collect_params(&selected)
+            uploads(&mut fed_s, &selected),
+            uploads(&mut fed_p, &selected)
         );
     }
 
@@ -1901,6 +1751,7 @@ mod transport_tests {
     use super::*;
     use crate::comm::{FaultConfig, FaultyTransport};
     use crate::rules::LocalRule;
+    use crate::testutil::uploads;
     use rfl_data::synth::gaussian::GaussianMixtureSpec;
 
     fn fed_with(transport: Option<Box<dyn Transport>>, seed: u64) -> Federation {
@@ -1954,7 +1805,7 @@ mod transport_tests {
         let active = fed.broadcast_params(&all);
         fed.train_selected(&active, &vec![LocalRule::Plain; active.len()], 1);
         let before = fed.fault_stats();
-        let uploads = fed.collect_params(&active);
+        let uploads = uploads(&mut fed, &active);
         let dropped_uploads = fed.fault_stats().since(&before).dropped as usize;
         assert_eq!(uploads.len() + dropped_uploads, active.len());
         for (k, p) in &uploads {
@@ -1977,11 +1828,7 @@ mod transport_tests {
                 let active = fed.broadcast_params(&selected);
                 assert_eq!(active, selected);
                 fed.train_selected(&active, &vec![LocalRule::Plain; 4], 2);
-                let uploads = fed.collect_params(&active);
-                let (ids, params): (Vec<usize>, Vec<Vec<f32>>) = uploads.into_iter().unzip();
-                let w = crate::sampling::renormalized_weights(fed.weights(), &ids);
-                let avg = Federation::weighted_average(&params, &w);
-                fed.set_global(avg);
+                assert_eq!(fed.collect_aggregate(&active), active);
             }
         }
         assert_eq!(
@@ -1993,6 +1840,21 @@ mod transport_tests {
         assert_eq!(p.total_bytes(), f.total_bytes());
         assert_eq!(p.messages(), f.messages());
         assert_eq!(faulty.fault_stats(), crate::comm::FaultStats::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid compression policy")]
+    fn constructors_reject_wire_invalid_policies() {
+        use crate::canonical::{config, data, model, optimizer};
+        let mut cfg = config(44, 1);
+        cfg.compression = Compression::Quantize { bits: 9 };
+        Federation::new(&data(44), model(), optimizer(), &cfg, 44);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid compression policy")]
+    fn set_compression_rejects_wire_invalid_policies() {
+        fed_with(None, 45).set_compression(Compression::TopK { ratio: 1.5 });
     }
 
     #[test]

@@ -63,12 +63,10 @@ pub mod federation;
 pub mod history;
 pub mod mem;
 pub mod mmd;
-pub mod mmd_rbf;
 pub mod personalization;
 pub mod registry;
 pub mod rules;
 pub mod sampling;
-pub mod secagg;
 #[cfg(test)]
 pub(crate) mod testutil;
 pub mod trainer;
@@ -87,7 +85,7 @@ pub use trainer::{Algorithm, RoundOutcome, Trainer};
 /// Convenient glob import for examples and binaries.
 pub mod prelude {
     pub use crate::algorithms::{
-        FedAvg, FedAvgM, FedPer, FedProx, PowerOfChoice, QFedAvg, RFedAvg, RFedAvgPlus, Scaffold,
+        FedAvg, FedAvgM, FedProx, PowerOfChoice, QFedAvg, RFedAvg, RFedAvgPlus, Scaffold,
     };
     pub use crate::client::Client;
     pub use crate::comm::{

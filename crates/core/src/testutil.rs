@@ -49,3 +49,10 @@ pub(crate) fn run_rounds(
     let cfg = FlConfig { rounds, ..*cfg };
     Trainer::new(cfg).run(algo, fed)
 }
+
+/// Every delivered upload of `selected`, materialized as `(client, params)`.
+pub(crate) fn uploads(fed: &mut Federation, selected: &[usize]) -> Vec<(usize, Vec<f32>)> {
+    let mut out = Vec::with_capacity(selected.len());
+    fed.fold_uploads(selected, |_, k, params| out.push((k, params.to_vec())));
+    out
+}

@@ -312,10 +312,6 @@ impl Transport for VictimDrops {
         bd
     }
 
-    fn send_raw(&mut self, kind: MsgKind, client: usize, wire_bytes: u64) -> LinkOutcome {
-        self.inner.send_raw(kind, client, wire_bytes)
-    }
-
     fn send_compressed(
         &mut self,
         kind: MsgKind,
@@ -548,4 +544,27 @@ fn handshake_rejects_wrong_seed_and_bad_id() {
     let w = c.hello(0, seed).expect("valid hello");
     assert!(matches!(w, ControlMsg::Welcome { .. }));
     assert_eq!(transport.live_clients(), 1);
+}
+
+/// Algorithms that read client state server-side (q-FedAvg's local losses,
+/// SCAFFOLD's variates) cannot run against remote processes; the failure
+/// says so instead of indexing an empty replica list.
+#[test]
+#[should_panic(expected = "client state lives in the remote process")]
+fn remote_mode_names_what_it_cannot_do() {
+    let seed = canonical::SEED;
+    let transport = SocketTransport::bind(
+        &Endpoint::Tcp("127.0.0.1:0".into()),
+        &welcome(seed, 1, Compression::None),
+    )
+    .expect("bind server");
+    let cfg = canonical::config(seed, 1);
+    let fed = Federation::remote(
+        &canonical::data(seed),
+        canonical::model(),
+        &cfg,
+        seed,
+        Box::new(transport),
+    );
+    fed.client(0);
 }

@@ -4,10 +4,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use rfl_core::aggregate::weighted_average;
 use rfl_core::dp::{clip_l2, privatize_delta, DpConfig};
 use rfl_core::mmd;
 use rfl_core::sampling::{renormalized_weights, sample_clients};
-use rfl_core::{Federation, StreamingAggregator};
+use rfl_core::StreamingAggregator;
 use rfl_tensor::Tensor;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -125,7 +126,7 @@ proptest! {
     fn weighted_average_in_convex_hull(
         a in finite_vec(5), b in finite_vec(5), t in 0.0f32..1.0
     ) {
-        let avg = Federation::weighted_average(
+        let avg = weighted_average(
             &[a.clone(), b.clone()],
             &[t, 1.0 - t],
         );
@@ -164,7 +165,7 @@ proptest! {
         }
         let got = agg.finish().unwrap();
         let want =
-            Federation::weighted_average(&params, &renormalized_weights(&raw_w, &sel));
+            weighted_average(&params, &renormalized_weights(&raw_w, &sel));
         prop_assert_eq!(got, want);
     }
 
@@ -208,7 +209,7 @@ proptest! {
         let treed = tree.finish().unwrap();
 
         let oracle =
-            Federation::weighted_average(&params, &renormalized_weights(&raw_w, &sel));
+            weighted_average(&params, &renormalized_weights(&raw_w, &sel));
         prop_assert_eq!(&treed, &sequential);
         prop_assert_eq!(&sequential, &oracle);
     }

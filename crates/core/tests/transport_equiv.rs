@@ -103,8 +103,7 @@ fn lossless_faulty_is_bit_and_byte_identical_to_perfect() {
 /// otherwise the comm ledger (and Table III) would silently change meaning.
 #[test]
 fn reused_wire_buffers_are_byte_identical_to_one_shot_encoding() {
-    use rfl_core::comm::{Channel, Direction};
-    use rfl_tensor::{encode_f32_into, encode_f32_slice};
+    use rfl_tensor::{decode_f32_slice, encode_f32_into, encode_f32_slice, wire_size};
     let payloads: Vec<Vec<f32>> = vec![
         vec![],
         vec![0.0],
@@ -117,20 +116,19 @@ fn reused_wire_buffers_are_byte_identical_to_one_shot_encoding() {
         encode_f32_into(&mut buf, p);
         assert_eq!(&buf[..], &encode_f32_slice(p)[..], "wire bytes diverged");
     }
-    // And the metered channel path built on it delivers the same values and
-    // charges the same per-message byte cost as a fresh channel (no state
-    // leaking between transfers through the reused buffer).
-    let mut reused = Channel::new();
+    // And the perfect transport built on it delivers the one-shot codec's
+    // bits and charges `wire_size(n)` per message (no state leaking between
+    // sends through the reused buffer).
+    let mut reused = PerfectTransport::new();
     let mut prev = 0u64;
     for p in &payloads {
-        let mut fresh = Channel::new();
-        let a = reused.transfer(Direction::Upload, p);
-        let b = fresh.transfer(Direction::Upload, p);
+        let got = reused.send(MsgKind::ModelUp, 0, p).data.expect("delivered");
+        let want = decode_f32_slice(encode_f32_slice(p)).expect("codec round trip");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(bits(&got), bits(&want));
         let cost = reused.stats().upload_bytes() - prev;
         prev = reused.stats().upload_bytes();
-        assert_eq!(cost, fresh.stats().upload_bytes());
+        assert_eq!(cost, wire_size(p.len()) as u64);
     }
 }
 

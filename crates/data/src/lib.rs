@@ -31,7 +31,6 @@
 
 pub mod batch;
 pub mod dataset;
-pub mod io;
 pub mod partition;
 pub mod stats;
 pub mod synth;

@@ -7,15 +7,11 @@
 
 pub mod aggregate;
 pub mod ascii;
-pub mod confusion;
 pub mod curve;
 pub mod fairness;
-pub mod significance;
 pub mod table;
 
 pub use aggregate::{mean_std, MeanStd};
-pub use confusion::ConfusionMatrix;
 pub use curve::Series;
 pub use fairness::FairnessStats;
-pub use significance::{welch_t_test, WelchResult};
 pub use table::TextTable;

@@ -121,14 +121,6 @@ impl Sigmoid {
     }
 }
 
-/// Scalar sigmoid with the canonical polynomial-`exp` semantics of the SIMD
-/// layer; shared with the LSTM/GRU gates. The clamped `exp` makes the single
-/// expression stable at both extremes (no sign branch needed).
-#[inline]
-pub fn sigmoid(v: f32) -> f32 {
-    rfl_tensor::sigmoid_f32(v)
-}
-
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut out = Tensor::scratch();
@@ -193,10 +185,10 @@ mod tests {
 
     #[test]
     fn sigmoid_is_stable_at_extremes() {
-        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
-        assert!(sigmoid(-100.0) < 1e-6);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-        assert!(sigmoid(-100.0).is_finite());
+        let y = Sigmoid::new().forward(&Tensor::from_slice(&[100.0, -100.0, 0.0]), true);
+        assert!((y.data()[0] - 1.0).abs() < 1e-6);
+        assert!(y.data()[1] < 1e-6 && y.data()[1].is_finite());
+        assert!((y.data()[2] - 0.5).abs() < 1e-7);
     }
 
     #[test]

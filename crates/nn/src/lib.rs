@@ -4,10 +4,10 @@
 //! [`rfl_tensor`]. It implements exactly what the rFedAvg reproduction needs:
 //!
 //! * layers: [`Linear`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`],
-//!   [`Flatten`], [`Dropout`], [`Embedding`], [`Lstm`];
+//!   [`Flatten`], [`Embedding`], [`Lstm`];
 //! * losses: softmax [`cross_entropy`] and [`mse`];
-//! * optimizers over flat parameter vectors: [`Sgd`] (with optional momentum)
-//!   and [`RmsProp`] — the paper trains image models with SGD and the
+//! * optimizers over flat parameter vectors: [`Sgd`] and
+//!   [`RmsProp`] — the paper trains image models with SGD and the
 //!   Sent140 LSTM with RMSProp;
 //! * models exposing the *feature hook* needed by the distribution
 //!   regularizer: [`CnnClassifier`], [`LstmClassifier`],
@@ -36,14 +36,10 @@
 //! ```
 
 mod activations;
-mod adam;
 mod conv2d;
-mod dropout;
 mod embedding;
 mod flatten;
 pub mod gradcheck;
-mod groupnorm;
-mod gru;
 mod layer;
 mod linear;
 mod loss;
@@ -52,27 +48,21 @@ mod models;
 mod optim;
 mod param;
 mod pooling;
-mod schedule;
 mod sequential;
 
 pub use activations::{Relu, Sigmoid, Tanh};
-pub use adam::Adam;
 pub use conv2d::Conv2d;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use flatten::Flatten;
-pub use groupnorm::GroupNorm;
-pub use gru::Gru;
 pub use layer::Layer;
 pub use linear::Linear;
 pub use loss::{cross_entropy, cross_entropy_into, mse, nll_from_log_softmax};
 pub use lstm::Lstm;
 pub use models::{
     CnnClassifier, CnnConfig, Input, LinearNet, LogisticRegression, LstmClassifier, LstmConfig,
-    MlpClassifier, Model, ModelOutput,
+    Model, ModelOutput,
 };
 pub use optim::{Optimizer, RmsProp, Sgd};
 pub use param::{read_grads_flat, read_params_flat, write_params_flat, Param};
 pub use pooling::MaxPool2d;
-pub use schedule::LrSchedule;
 pub use sequential::Sequential;

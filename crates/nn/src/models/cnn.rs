@@ -9,7 +9,6 @@ use super::{Input, Model, ModelOutput};
 use crate::activations::Relu;
 use crate::conv2d::Conv2d;
 use crate::flatten::Flatten;
-use crate::groupnorm::GroupNorm;
 use crate::layer::Layer;
 use crate::linear::Linear;
 use crate::param::Param;
@@ -26,8 +25,6 @@ pub struct CnnConfig {
     pub conv2_channels: usize,
     pub feature_dim: usize,
     pub num_classes: usize,
-    /// Insert GroupNorm (the FL-safe normalization) after each conv layer.
-    pub group_norm: bool,
 }
 
 impl CnnConfig {
@@ -40,7 +37,6 @@ impl CnnConfig {
             conv2_channels: 16,
             feature_dim: 64,
             num_classes: 10,
-            group_norm: false,
         }
     }
 
@@ -53,7 +49,6 @@ impl CnnConfig {
             conv2_channels: 16,
             feature_dim: 64,
             num_classes: 10,
-            group_norm: false,
         }
     }
 
@@ -66,14 +61,7 @@ impl CnnConfig {
             conv2_channels: 16,
             feature_dim: 64,
             num_classes: 62,
-            group_norm: false,
         }
-    }
-
-    /// Enables GroupNorm after each convolution (builder style).
-    pub fn with_group_norm(mut self) -> Self {
-        self.group_norm = true;
-        self
     }
 }
 
@@ -81,11 +69,9 @@ impl CnnConfig {
 pub struct CnnClassifier {
     cfg: CnnConfig,
     conv1: Conv2d,
-    norm1: Option<GroupNorm>,
     relu1: Relu,
     pool1: MaxPool2d,
     conv2: Conv2d,
-    norm2: Option<GroupNorm>,
     relu2: Relu,
     pool2: MaxPool2d,
     flatten: Flatten,
@@ -103,15 +89,9 @@ impl CnnClassifier {
         CnnClassifier {
             cfg,
             conv1: Conv2d::new(cfg.in_channels, cfg.conv1_channels, 3, 1, 1, rng),
-            norm1: cfg
-                .group_norm
-                .then(|| GroupNorm::new(cfg.conv1_channels, (cfg.conv1_channels / 4).max(1))),
             relu1: Relu::new(),
             pool1: MaxPool2d::new(2),
             conv2: Conv2d::new(cfg.conv1_channels, cfg.conv2_channels, 3, 1, 1, rng),
-            norm2: cfg
-                .group_norm
-                .then(|| GroupNorm::new(cfg.conv2_channels, (cfg.conv2_channels / 4).max(1))),
             relu2: Relu::new(),
             pool2: MaxPool2d::new(2),
             flatten: Flatten::new(),
@@ -146,23 +126,14 @@ impl Model for CnnClassifier {
         let mut a = self.ws.take(&[1]);
         let mut b = self.ws.take(&[1]);
         self.conv1.forward_into(x, &mut a, train);
-        if let Some(n) = &mut self.norm1 {
-            n.forward_into(&a, &mut b, train);
-            std::mem::swap(&mut a, &mut b);
-        }
         self.relu1.forward_into(&a, &mut b, train);
         self.pool1.forward_into(&b, &mut a, train);
         self.conv2.forward_into(&a, &mut b, train);
-        std::mem::swap(&mut a, &mut b);
-        if let Some(n) = &mut self.norm2 {
-            n.forward_into(&a, &mut b, train);
-            std::mem::swap(&mut a, &mut b);
-        }
-        self.relu2.forward_into(&a, &mut b, train);
-        self.pool2.forward_into(&b, &mut a, train);
-        self.flatten.forward_into(&a, &mut b, train);
-        self.fc1.forward_into(&b, &mut a, train);
-        self.relu3.forward_into(&a, &mut out.features, train);
+        self.relu2.forward_into(&b, &mut a, train);
+        self.pool2.forward_into(&a, &mut b, train);
+        self.flatten.forward_into(&b, &mut a, train);
+        self.fc1.forward_into(&a, &mut b, train);
+        self.relu3.forward_into(&b, &mut out.features, train);
         self.fc2.forward_into(&out.features, &mut out.logits, train);
         self.ws.give(b);
         self.ws.give(a);
@@ -180,49 +151,27 @@ impl Model for CnnClassifier {
         self.flatten.backward_into(&a, &mut b);
         self.pool2.backward_into(&b, &mut a);
         self.relu2.backward_into(&a, &mut b);
-        std::mem::swap(&mut a, &mut b);
-        if let Some(n) = &mut self.norm2 {
-            n.backward_into(&a, &mut b);
-            std::mem::swap(&mut a, &mut b);
-        }
-        self.conv2.backward_into(&a, &mut b);
-        self.pool1.backward_into(&b, &mut a);
-        self.relu1.backward_into(&a, &mut b);
-        std::mem::swap(&mut a, &mut b);
-        if let Some(n) = &mut self.norm1 {
-            n.backward_into(&a, &mut b);
-            std::mem::swap(&mut a, &mut b);
-        }
+        self.conv2.backward_into(&b, &mut a);
+        self.pool1.backward_into(&a, &mut b);
+        self.relu1.backward_into(&b, &mut a);
         self.conv1.backward_params(&a); // nobody reads the input gradient
         self.ws.give(b);
         self.ws.give(a);
     }
 
     fn params(&self) -> Vec<&Param> {
-        let mut v = Vec::with_capacity(12);
+        let mut v = Vec::with_capacity(8);
         v.extend(self.conv1.params());
-        if let Some(n) = &self.norm1 {
-            v.extend(n.params());
-        }
         v.extend(self.conv2.params());
-        if let Some(n) = &self.norm2 {
-            v.extend(n.params());
-        }
         v.extend(self.fc1.params());
         v.extend(self.fc2.params());
         v
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = Vec::with_capacity(12);
+        let mut v = Vec::with_capacity(8);
         v.extend(self.conv1.params_mut());
-        if let Some(n) = &mut self.norm1 {
-            v.extend(n.params_mut());
-        }
         v.extend(self.conv2.params_mut());
-        if let Some(n) = &mut self.norm2 {
-            v.extend(n.params_mut());
-        }
         v.extend(self.fc1.params_mut());
         v.extend(self.fc2.params_mut());
         v
@@ -230,26 +179,14 @@ impl Model for CnnClassifier {
 
     fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
         self.conv1.for_each_param(f);
-        if let Some(n) = &self.norm1 {
-            n.for_each_param(f);
-        }
         self.conv2.for_each_param(f);
-        if let Some(n) = &self.norm2 {
-            n.for_each_param(f);
-        }
         self.fc1.for_each_param(f);
         self.fc2.for_each_param(f);
     }
 
     fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.conv1.for_each_param_mut(f);
-        if let Some(n) = &mut self.norm1 {
-            n.for_each_param_mut(f);
-        }
         self.conv2.for_each_param_mut(f);
-        if let Some(n) = &mut self.norm2 {
-            n.for_each_param_mut(f);
-        }
         self.fc1.for_each_param_mut(f);
         self.fc2.for_each_param_mut(f);
     }
@@ -364,59 +301,6 @@ mod tests {
         // strictly below the classifier.
         let head_start = m.phi_param_range().end;
         assert_eq!(&g_plain[head_start..], &g_inject[head_start..]);
-    }
-
-    #[test]
-    fn group_norm_variant_trains() {
-        use crate::optim::{Optimizer, Sgd};
-        let mut rng = StdRng::seed_from_u64(20);
-        let mut m = CnnClassifier::new(CnnConfig::mnist_like().with_group_norm(), &mut rng);
-        // 4 extra norm params groups: γ/β for each conv.
-        assert_eq!(m.params().len(), 12);
-        let x = Initializer::Normal(1.0).init(&[6, 1, 16, 16], &mut rng);
-        let labels: Vec<usize> = (0..6).map(|i| i % 10).collect();
-        let mut opt = Sgd::new(0.05);
-        let (mut flat, mut grads) = (Vec::new(), Vec::new());
-        let mut first = None;
-        let mut last = 0.0;
-        for _ in 0..30 {
-            m.zero_grads();
-            let out = m.forward(&Input::Images(x.clone()), true);
-            let (loss, d) = cross_entropy(&out.logits, &labels);
-            m.backward(&d, None);
-            m.read_params(&mut flat);
-            m.read_grads(&mut grads);
-            opt.step(&mut flat, &grads);
-            m.write_params(&flat);
-            first.get_or_insert(loss);
-            last = loss;
-        }
-        assert!(last < first.unwrap(), "{:?} → {last}", first);
-    }
-
-    #[test]
-    fn group_norm_reduces_shift_sensitivity() {
-        // GroupNorm can't remove a brightness shift exactly (conv turns it
-        // into channel-dependent offsets that cross group boundaries), but
-        // it must damp it substantially relative to the plain CNN — the
-        // per-client shift robustness that motivates GroupNorm in FL.
-        let sensitivity = |group_norm: bool| -> f32 {
-            let mut rng = StdRng::seed_from_u64(21);
-            let cfg = if group_norm {
-                CnnConfig::mnist_like().with_group_norm()
-            } else {
-                CnnConfig::mnist_like()
-            };
-            let mut m = CnnClassifier::new(cfg, &mut rng);
-            let x = Initializer::Normal(1.0).init(&[2, 1, 16, 16], &mut rng);
-            let shifted = x.add_scalar(5.0);
-            let a = m.forward(&Input::Images(x), false).logits;
-            let b = m.forward(&Input::Images(shifted), false).logits;
-            a.sub(&b).norm()
-        };
-        let plain = sensitivity(false);
-        let gn = sensitivity(true);
-        assert!(gn < plain * 0.5, "GroupNorm {gn} vs plain {plain}");
     }
 
     #[test]

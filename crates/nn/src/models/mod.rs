@@ -9,12 +9,10 @@
 mod cnn;
 mod linear;
 mod lstm_classifier;
-mod mlp;
 
 pub use cnn::{CnnClassifier, CnnConfig};
 pub use linear::{LinearNet, LogisticRegression};
 pub use lstm_classifier::{LstmClassifier, LstmConfig};
-pub use mlp::MlpClassifier;
 
 use crate::param::Param;
 use rfl_tensor::Tensor;

@@ -2,8 +2,8 @@
 //!
 //! The FL plane exchanges flattened parameter vectors, so optimizers operate
 //! directly on `&mut [f32]` / `&[f32]` pairs. Client-local optimizer state
-//! (momentum, RMSProp accumulators) persists across federated rounds exactly
-//! as it does in the paper's PyTorch implementation.
+//! (RMSProp accumulators) persists across federated rounds exactly as it does
+//! in the paper's PyTorch implementation.
 
 /// A first-order optimizer updating parameters in place from gradients.
 pub trait Optimizer: Send {
@@ -16,53 +16,26 @@ pub trait Optimizer: Send {
     /// Replaces the learning rate (used by decaying schedules).
     fn set_lr(&mut self, lr: f32);
 
-    /// Clears internal state (momentum buffers etc.).
+    /// Clears internal state (squared-gradient accumulators etc.).
     fn reset(&mut self);
 }
 
-/// Stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent.
 pub struct Sgd {
     lr: f32,
-    momentum: f32,
-    velocity: Vec<f32>,
 }
 
 impl Sgd {
-    /// Plain SGD.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with heavy-ball momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum in [0,1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
+        Sgd { lr }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
-        if self.momentum == 0.0 {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
+        for (p, g) in params.iter_mut().zip(grads) {
+            *p -= self.lr * g;
         }
     }
 
@@ -74,9 +47,7 @@ impl Optimizer for Sgd {
         self.lr = lr;
     }
 
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
+    fn reset(&mut self) {}
 }
 
 /// RMSProp as used for the paper's Sent140 LSTM (lr 0.01).
@@ -147,15 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accumulates_velocity() {
-        let mut o = Sgd::with_momentum(0.1, 0.9);
-        let mut p = vec![0.0f32];
-        o.step(&mut p, &[1.0]); // v=1, p=-0.1
-        o.step(&mut p, &[1.0]); // v=1.9, p=-0.29
-        assert!((p[0] + 0.29).abs() < 1e-6);
-    }
-
-    #[test]
     fn rmsprop_normalizes_gradient_scale() {
         // Two parameters with gradients of very different scales should move
         // by comparable amounts after the accumulator warms up.
@@ -185,13 +147,13 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut o = Sgd::with_momentum(0.1, 0.9);
+        let mut o = RmsProp::new(0.1);
         let mut p = vec![0.0f32];
         o.step(&mut p, &[1.0]);
         o.reset();
         let mut q = vec![0.0f32];
         o.step(&mut q, &[1.0]);
-        assert!((q[0] + 0.1).abs() < 1e-7); // same as a fresh first step
+        assert_eq!(q[0], p[0]); // same as a fresh first step
     }
 
     #[test]

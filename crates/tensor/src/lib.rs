@@ -47,10 +47,9 @@ pub use init::{normal_sample, Initializer};
 pub use pool::{maxpool2d, maxpool2d_backward, maxpool2d_backward_into, maxpool2d_into, PoolSpec};
 pub use shape::Shape;
 pub use simd::{
-    add_assign_slices, axpy4_slices, axpy_slices, dot4_slices, dot_slices, exp_f32, exp_slices,
-    relu_slices, scale_add_slices, scale_slices, scale_slices_into, set_simd_enabled, sigmoid_f32,
-    sigmoid_slices, simd_backend, simd_enabled, sq_dist_slices, sq_dists_to_rows, sum_slices,
-    tanh_f32, tanh_slices,
+    add_assign_slices, axpy4_slices, axpy_slices, dot4_slices, dot_slices, exp_slices, relu_slices,
+    scale_add_slices, scale_slices, scale_slices_into, set_simd_enabled, sigmoid_slices,
+    simd_backend, simd_enabled, sq_dist_slices, sum_slices, tanh_slices,
 };
 pub use tensor::Tensor;
 pub use threads::{

@@ -74,12 +74,24 @@ fn avx2_available() -> bool {
 
 fn simd_cell() -> &'static AtomicBool {
     SIMD_ENABLED.get_or_init(|| {
-        let requested = match std::env::var("RFL_SIMD").ok().as_deref().map(str::trim) {
-            Some("0") => false,
-            _ => true, // default and RFL_SIMD=1: use SIMD when available
-        };
+        let raw = std::env::var_os("RFL_SIMD").map(|v| v.to_string_lossy().into_owned());
+        let requested = parse_simd(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"));
         AtomicBool::new(requested && avx2_available())
     })
+}
+
+/// Parses `RFL_SIMD`: unset or `1` asks for SIMD when the CPU has it, `0`
+/// for the scalar kernels. Anything else is an error — a typo must not
+/// silently run the default configuration.
+fn parse_simd(raw: Option<&str>) -> Result<bool, String> {
+    match raw.map(str::trim) {
+        None | Some("1") => Ok(true),
+        Some("0") => Ok(false),
+        Some(other) => Err(format!(
+            "RFL_SIMD={other:?} is not valid: expected 0 (scalar kernels) or \
+             1 (AVX2 when available), or unset for 1"
+        )),
+    }
 }
 
 /// Whether kernels currently dispatch to the AVX2 path.
@@ -197,17 +209,6 @@ pub fn sq_dist_slices(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(sq_dist(a, b))
 }
 
-/// Squared distances from `x` to every `d`-length row of `rows`:
-/// `out[j] = ‖x − rows[j·d..(j+1)·d]‖²`. The shared row-pair distance helper
-/// of the MMD modules; each entry is bit-identical to [`sq_dist_slices`].
-pub fn sq_dists_to_rows(x: &[f32], rows: &[f32], d: usize, out: &mut [f32]) {
-    assert_eq!(x.len(), d, "query length must equal the row width");
-    assert_eq!(rows.len(), out.len() * d, "rows/out length mismatch");
-    for (o, row) in out.iter_mut().zip(rows.chunks_exact(d)) {
-        *o = sq_dist_slices(x, row);
-    }
-}
-
 /// Sum of a slice (canonical 8-lane stride).
 #[inline]
 pub fn sum_slices(a: &[f32]) -> f32 {
@@ -244,8 +245,8 @@ pub fn scale_add_slices(y: &mut [f32], a: f32, b: f32) {
 }
 
 /// `xs[i] = exp(scale·xs[i] + bias)` via the canonical polynomial. The
-/// `scale` operand hoists multiplies like the RBF kernel's `−γ` out of the
-/// caller's loop; the `bias` operand folds in softmax's `−max` shift.
+/// `scale` operand hoists a constant multiply out of the caller's loop;
+/// the `bias` operand folds in softmax's `−max` shift.
 #[inline]
 pub fn exp_slices(xs: &mut [f32], scale: f32, bias: f32) {
     dispatch!(exp(xs, scale, bias))
@@ -267,27 +268,6 @@ pub fn sigmoid_slices(xs: &mut [f32]) {
 #[inline]
 pub fn relu_slices(xs: &mut [f32]) {
     dispatch!(relu(xs))
-}
-
-/// Scalar `exp` with the canonical polynomial semantics — exactly what
-/// [`exp_slices`] computes per element. Shared with per-element consumers
-/// (GRU gates) so every `exp` in the workspace rounds identically.
-#[inline]
-pub fn exp_f32(x: f32) -> f32 {
-    scalar::exp_core(x)
-}
-
-/// Scalar `tanh` with the canonical polynomial semantics of [`tanh_slices`].
-#[inline]
-pub fn tanh_f32(x: f32) -> f32 {
-    scalar::tanh_core(x)
-}
-
-/// Scalar sigmoid with the canonical polynomial semantics of
-/// [`sigmoid_slices`].
-#[inline]
-pub fn sigmoid_f32(x: f32) -> f32 {
-    scalar::sigmoid_core(x)
 }
 
 // ---------------------------------------------------------------------------
@@ -909,6 +889,18 @@ mod tests {
     const LENS: &[usize] = &[0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 100];
 
     #[test]
+    fn rfl_simd_accepts_zero_or_one_only() {
+        assert_eq!(parse_simd(None), Ok(true));
+        assert_eq!(parse_simd(Some("1")), Ok(true));
+        assert_eq!(parse_simd(Some("0")), Ok(false));
+        for bad in ["off", "false", "2", ""] {
+            let err = parse_simd(Some(bad)).unwrap_err();
+            assert!(err.contains("RFL_SIMD") && err.contains(bad), "{err}");
+            assert!(err.contains("expected 0"), "{err}");
+        }
+    }
+
+    #[test]
     fn dispatched_dot_matches_scalar_bitwise() {
         for &n in LENS {
             let (a, b) = vecs(n);
@@ -959,34 +951,34 @@ mod tests {
         for i in -860..880 {
             let x = i as f32 * 0.1;
             let want = x.exp();
-            let got = exp_f32(x);
+            let got = scalar::exp_core(x);
             let rel = (got - want).abs() / want.max(f32::MIN_POSITIVE);
             assert!(rel < 5e-6, "exp({x}): {got} vs {want}");
         }
-        assert_eq!(exp_f32(0.0), 1.0);
+        assert_eq!(scalar::exp_core(0.0), 1.0);
     }
 
     #[test]
     fn exp_saturates_instead_of_overflowing() {
-        assert!(exp_f32(1000.0).is_finite());
-        assert!(exp_f32(f32::INFINITY).is_finite());
-        assert!(exp_f32(-1000.0) > 0.0);
-        assert!(exp_f32(f32::NEG_INFINITY) > 0.0);
+        assert!(scalar::exp_core(1000.0).is_finite());
+        assert!(scalar::exp_core(f32::INFINITY).is_finite());
+        assert!(scalar::exp_core(-1000.0) > 0.0);
+        assert!(scalar::exp_core(f32::NEG_INFINITY) > 0.0);
     }
 
     #[test]
     fn tanh_and_sigmoid_match_libm_closely() {
         for i in -120..=120 {
             let x = i as f32 * 0.1;
-            let t = tanh_f32(x);
+            let t = scalar::tanh_core(x);
             assert!((t - x.tanh()).abs() < 3e-6, "tanh({x}): {t}");
-            let s = sigmoid_f32(x);
+            let s = scalar::sigmoid_core(x);
             let want = 1.0 / (1.0 + (-x).exp());
             assert!((s - want).abs() < 3e-6, "sigmoid({x}): {s}");
         }
-        assert!(tanh_f32(100.0) <= 1.0 && tanh_f32(100.0) > 0.9999);
-        assert!(tanh_f32(-100.0) >= -1.0 && tanh_f32(-100.0) < -0.9999);
-        assert_eq!(sigmoid_f32(0.0), 0.5);
+        assert!(scalar::tanh_core(100.0) <= 1.0 && scalar::tanh_core(100.0) > 0.9999);
+        assert!(scalar::tanh_core(-100.0) >= -1.0 && scalar::tanh_core(-100.0) < -0.9999);
+        assert_eq!(scalar::sigmoid_core(0.0), 0.5);
     }
 
     #[test]
@@ -1020,23 +1012,6 @@ mod tests {
             let mut leaf2 = vec![0.0f32; n];
             scalar::scale_into(&mut leaf2, 0.73, &x);
             assert_eq!(leaf, leaf2);
-        }
-    }
-
-    #[test]
-    fn sq_dists_to_rows_matches_pairwise() {
-        let d = 13;
-        let (x, rows_a) = vecs(d);
-        let mut rows = rows_a;
-        let (more, _) = vecs(d * 4);
-        rows.extend_from_slice(&more[..d * 3]);
-        let mut out = vec![0.0f32; 4];
-        sq_dists_to_rows(&x, &rows, d, &mut out);
-        for (j, o) in out.iter().enumerate() {
-            assert_eq!(
-                o.to_bits(),
-                sq_dist_slices(&x, &rows[j * d..(j + 1) * d]).to_bits()
-            );
         }
     }
 

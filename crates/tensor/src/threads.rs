@@ -37,13 +37,26 @@ fn budget_cell() -> &'static AtomicUsize {
         let default = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let n = std::env::var("RFL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
+        let raw = std::env::var_os("RFL_THREADS").map(|v| v.to_string_lossy().into_owned());
+        let n = parse_threads(raw.as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
             .unwrap_or(default);
         AtomicUsize::new(n.min(MAX_THREADS))
     })
+}
+
+/// Parses `RFL_THREADS`: unset means "one worker per core" (`None`),
+/// anything else must be an integer ≥ 1. A typo must not silently run the
+/// default configuration, so everything else is an error.
+fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!(
+            "RFL_THREADS={raw:?} is not valid: expected an integer >= 1, \
+             or unset for one worker per core"
+        )),
+    }
 }
 
 /// The current thread budget shared by kernel- and client-level parallelism.
@@ -304,6 +317,18 @@ pub fn parallel_for_chunks2<T: Send, U: Send>(
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn rfl_threads_accepts_positive_integers_only() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(Some(" 1 ")), Ok(Some(1)));
+        for bad in ["four", "0", "-2", "", "4.0"] {
+            let err = parse_threads(Some(bad)).unwrap_err();
+            assert!(err.contains("RFL_THREADS") && err.contains(bad), "{err}");
+            assert!(err.contains("integer >= 1"), "{err}");
+        }
+    }
 
     #[test]
     fn runs_every_task_exactly_once() {

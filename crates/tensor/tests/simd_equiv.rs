@@ -215,25 +215,6 @@ proptest! {
         prop_assert_eq!(bits(&y1), bits(&y2));
     }
 
-    #[test]
-    fn sq_dists_to_rows_eq_per_row_sq_dist(
-        rows in 1usize..6,
-        di in 0usize..5,
-        seed in 0u64..1_000_000,
-    ) {
-        let d = [1usize, 7, 8, 9, 33][di];
-        let x = det_vec(d, seed);
-        let mat = det_vec(rows * d, seed ^ 99);
-        let mut out = vec![0.0f32; rows];
-        simd::sq_dists_to_rows(&x, &mat, d, &mut out);
-        for (j, o) in out.iter().enumerate() {
-            prop_assert_eq!(
-                o.to_bits(),
-                simd::sq_dist_slices(&x, &mat[j * d..(j + 1) * d]).to_bits()
-            );
-        }
-    }
-
     /// Extreme exp inputs (overflow/underflow region, ±inf, NaN) must clamp
     /// identically on both paths and never produce an infinity.
     #[test]

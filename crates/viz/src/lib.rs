@@ -4,10 +4,8 @@
 //! implementation used to regenerate Fig. 1 (feature visualizations of the
 //! last FC layer), plus an ASCII scatter renderer.
 
-pub mod pca;
 pub mod scatter;
 pub mod tsne;
 
-pub use pca::pca_project;
 pub use scatter::render_scatter;
 pub use tsne::{Tsne, TsneConfig};

@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Prints the size of the maintained surface as two markdown tables: per crate
+# (Rust lines in src/ and in tests/ + benches/, `pub` items in src/, binaries,
+# #[test] functions, seconds for a clean release build of that crate alone)
+# and workspace totals (lines, algorithms, Federation's public functions, the
+# RFL_* variables library code reads). Report-only: nothing gates on it.
+#
+# Usage: scripts/surface-report.sh   (one clean build per crate: minutes)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Every .rs file under the given directories, NUL-separated (a crate without
+# tests/ or benches/ contributes nothing).
+rs_files() {
+  find "$@" -name '*.rs' -print0 2> /dev/null || true
+}
+
+rs_lines() {
+  rs_files "$@" | xargs -0 -r cat | wc -l
+}
+
+# Lines matching a regex in those files.
+rs_count() {
+  local pattern="$1"; shift
+  { rs_files "$@" | xargs -0 -r grep -hE "$pattern" || true; } | wc -l
+}
+
+PUB='^[[:space:]]*pub (fn|struct|enum|trait|const|static|type|mod|use|unsafe fn) '
+
+echo "| crate | src lines | test lines | pub items | bins | #[test] | clean build s |"
+echo "|---|---:|---:|---:|---:|---:|---:|"
+for dir in crates/*/; do
+  dir=${dir%/}
+  name=$(sed -n 's/^name = "\(.*\)"/\1/p' "$dir/Cargo.toml" | head -1)
+  bins=0
+  [[ -d "$dir/src/bin" ]] && bins=$(find "$dir/src/bin" -name '*.rs' | wc -l)
+  target=target/surface-report
+  rm -rf "$target"
+  start=$(date +%s.%N)
+  CARGO_TARGET_DIR="$target" cargo build --release --offline --quiet -p "$name" ||
+    { echo "clean build of $name failed" >&2; exit 1; }
+  secs=$(echo "$(date +%s.%N) $start" | awk '{printf "%.1f", $1 - $2}')
+  rm -rf "$target"
+  echo "| $name | $(rs_lines "$dir/src") | $(rs_lines "$dir/tests" "$dir/benches")" \
+    "| $(rs_count "$PUB" "$dir/src") | $bins | $(rs_count '#\[test\]' "$dir") | $secs |"
+done
+
+# Library sources with their trailing `#[cfg(test)]` module cut off, so a
+# variable only a unit test reads is not counted as a knob.
+env_reads() {
+  find crates/*/src src -name '*.rs' -not -path '*/bin/*' -print0 |
+    xargs -0 -r awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip' |
+    { grep -oE 'env::var(_os)?\("RFL_[A-Z_]+"' || true; } |
+    grep -oE 'RFL_[A-Z_]+' | sort -u | paste -sd' ' -
+}
+
+ALGOS=$(find crates/core/src/algorithms -name '*.rs' -not -name mod.rs | wc -l)
+echo
+echo "| workspace | value |"
+echo "|---|---|"
+echo "| Rust lines under crates/ | $(rs_lines crates) |"
+echo "| Rust lines in root src/ tests/ examples/ | $(rs_lines src tests examples) |"
+echo "| pub items under crates/*/src | $(rs_count "$PUB" crates/*/src) |"
+echo "| binaries | $(find crates/*/src/bin -name '*.rs' | wc -l) |"
+echo "| #[test] functions | $(rs_count '#\[test\]' crates src tests) |"
+echo "| algorithm files | $ALGOS |"
+echo "| Federation \`pub fn\` | $(grep -c '^    pub fn' crates/core/src/federation.rs) |"
+echo "| RFL_* read by library code | $(env_reads) |"

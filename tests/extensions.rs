@@ -1,12 +1,10 @@
-//! Integration tests of the extension features: compression, secure
-//! aggregation, personalization, adaptive selection, and the RBF MMD.
+//! Integration tests of the extension features: compression,
+//! personalization, adaptive selection, and server momentum.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfedavg::core::algorithms::CompressedFedAvg;
 use rfedavg::core::compress::Compression;
 use rfedavg::core::personalization::{mean_gain, personalize_all};
-use rfedavg::core::{mmd_rbf, secagg};
 use rfedavg::data::synth::gaussian::GaussianMixtureSpec;
 use rfedavg::data::{partition, FederatedData};
 use rfedavg::prelude::*;
@@ -46,27 +44,27 @@ fn fed(seed: u64, cfg: &FlConfig) -> Federation {
 /// rank dense > 8-bit > top-10%.
 #[test]
 fn compressed_pipelines_learn_and_save_bytes() {
-    let run = |policy: Option<Compression>| -> (f32, u64) {
-        let c = cfg(12, 40);
-        let mut f = fed(40, &c);
-        let h = match policy {
-            None => Trainer::new(c).run(&mut FedAvg::new(), &mut f),
-            Some(p) => Trainer::new(c).run(&mut CompressedFedAvg::new(p), &mut f),
+    let run = |compression: Compression| -> (f32, u64) {
+        let c = FlConfig {
+            compression,
+            ..cfg(12, 40)
         };
+        let mut f = fed(40, &c);
+        let h = Trainer::new(c).run(&mut FedAvg::new(), &mut f);
         (
             h.final_accuracy().unwrap(),
             h.records().iter().map(|r| r.up_bytes).sum(),
         )
     };
-    let (acc_dense, up_dense) = run(None);
-    let (acc_q8, up_q8) = run(Some(Compression::Quantize { bits: 8 }));
+    let (acc_dense, up_dense) = run(Compression::None);
+    let (acc_q8, up_q8) = run(Compression::Quantize { bits: 8 });
     let n = fed(40, &cfg(1, 40)).num_params();
-    let (acc_topk, up_topk) = run(Some(Compression::TopK { ratio: 0.1 }));
-    let (acc_sketch, _) = run(Some(Compression::Sketch {
+    let (acc_topk, up_topk) = run(Compression::TopK { ratio: 0.1 });
+    let (acc_sketch, _) = run(Compression::Sketch {
         rows: 5,
         cols: ((n / 4) | 1) as u32,
         seed: 3,
-    }));
+    });
 
     assert!(acc_dense > 0.4);
     assert!(acc_q8 > acc_dense - 0.1, "{acc_q8} vs {acc_dense}");
@@ -74,41 +72,6 @@ fn compressed_pipelines_learn_and_save_bytes() {
     assert!(acc_sketch > 0.3, "{acc_sketch}");
     assert!(up_q8 < up_dense / 2, "{up_q8} vs {up_dense}");
     assert!(up_topk < up_q8, "{up_topk} vs {up_q8}");
-}
-
-/// Secure aggregation composes with the FL plane: aggregating masked
-/// updates reproduces the FedAvg average.
-#[test]
-fn secure_aggregation_reproduces_plain_average() {
-    let c = cfg(1, 41);
-    let mut f = fed(41, &c);
-    let selected: Vec<usize> = (0..f.num_clients()).collect();
-    f.broadcast_params(&selected);
-    let rules = vec![rfedavg::core::LocalRule::Plain; selected.len()];
-    f.train_selected(&selected, &rules, 5);
-    let params: Vec<Vec<f32>> = f
-        .collect_params(&selected)
-        .into_iter()
-        .map(|(_, p)| p)
-        .collect();
-
-    let masked: Vec<Vec<f32>> = params
-        .iter()
-        .enumerate()
-        .map(|(k, p)| secagg::mask_update(p, k, &selected, 7, 100.0))
-        .collect();
-    let sum_masked = secagg::aggregate_masked(&masked);
-    let sum_plain = secagg::aggregate_masked(&params);
-    for (a, b) in sum_masked.iter().zip(&sum_plain) {
-        assert!((a - b).abs() < 2e-2, "{a} vs {b}");
-    }
-    // Individual masked vectors are unrecognizable.
-    let d0: f32 = masked[0]
-        .iter()
-        .zip(&params[0])
-        .map(|(a, b)| (a - b) * (a - b))
-        .sum();
-    assert!(d0.sqrt() > 10.0);
 }
 
 /// Personalization on a regularized global model lifts local accuracy.
@@ -131,24 +94,6 @@ fn power_of_choice_learns() {
     let mut f = fed(43, &c);
     let h = Trainer::new(c).run(&mut PowerOfChoice::new(2.0, 1e-3), &mut f);
     assert!(h.final_accuracy().unwrap() > 0.4);
-}
-
-/// RBF MMD agrees with linear MMD on mean-shifted client features and
-/// detects shape differences linear MMD cannot.
-#[test]
-fn rbf_mmd_on_client_features() {
-    let c = cfg(5, 44);
-    let mut f = fed(44, &c);
-    Trainer::new(c).run(&mut FedAvg::new(), &mut f);
-    let selected: Vec<usize> = (0..f.num_clients()).collect();
-    f.broadcast_params(&selected);
-    let (fa, _) = f.client_mut(0).compute_features(40);
-    let (fb, _) = f.client_mut(1).compute_features(40);
-    let gamma = mmd_rbf::median_heuristic_gamma(&fa, &fb);
-    let m = mmd_rbf::rbf_mmd_sq(&fa, &fb, gamma);
-    assert!(m.is_finite() && m >= -1e-6);
-    // Self-MMD is zero.
-    assert!(mmd_rbf::rbf_mmd_sq(&fa, &fa, gamma).abs() < 1e-9);
 }
 
 /// FedAvgM: momentum accelerates early progress relative to plain FedAvg
