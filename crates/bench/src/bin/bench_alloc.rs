@@ -6,7 +6,9 @@
 //! cache, and batch buffer filled for the first time — the per-step cost
 //! the pre-workspace code paid on every step) against the *warm*
 //! steady-state, and re-checks the pinned round-loop loss so the speedup
-//! provably did not change the arithmetic.
+//! provably did not change the arithmetic. A second leg counts the lazy
+//! registry's materialize → train → hibernate cycle per client-round, cold
+//! (every shell built) against warm (every shell recycled).
 //!
 //! Usage: `bench_alloc [--quick] [--out <path>]`
 //!
@@ -18,10 +20,16 @@ use rand::SeedableRng;
 use rfl_bench::alloc_count::{snapshot, CountingAlloc};
 use rfl_core::algorithms::FedAvg;
 use rfl_core::compress::Compression;
-use rfl_core::{canonical, Algorithm, Client, Federation, LocalRule};
+use rfl_core::{
+    canonical, Algorithm, Client, Federation, FlConfig, LocalRule, MaterializedSource,
+    ModelFactory, OptimizerFactory,
+};
+use rfl_data::synth::gaussian::GaussianMixtureSpec;
 use rfl_data::synth::image::SynthImageSpec;
+use rfl_data::Dataset;
 use rfl_nn::{CnnClassifier, CnnConfig, Sgd};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 #[global_allocator]
@@ -39,6 +47,14 @@ const MIN_COLD_WARM_RATIO: f64 = 10.0;
 /// workspaces are all pooled, so the steady-state overhead is zero; the
 /// allowance covers a rare capacity regrow without hiding a real leak.
 const COMPRESSION_ROUND_ALLOC_OVERHEAD: f64 = 4.0;
+/// Allocator calls a warm client-round of the lazy lifecycle may make:
+/// materialize (recycled shell, persisted state, the source's cloned
+/// `Dataset`), one local step, upload, hibernate. What is left once shells
+/// are recycled is the dataset clone (3) and the round's own bookkeeping —
+/// measured 4.3. Rebuilding the replica and the step-loop buffers for every
+/// sampled client, as the registry did before it kept a shell list, reads
+/// 55.6 on this leg and fails the gate.
+const LIFECYCLE_ALLOC_CEILING: f64 = 8.0;
 /// The pin now lives next to the canonical run definition it gates.
 const PINNED_ROUND_LOSS: f64 = rfl_core::canonical::PINNED_ROUND_LOSS;
 
@@ -90,6 +106,63 @@ fn warm_round_allocs(seed: u64, policy: Compression, warm_rounds: usize) -> f64 
     snapshot().since(&s).allocs as f64 / warm_rounds as f64
 }
 
+/// The lazy lifecycle at `scale_lazy`'s shape (logistic 32 → 4, 32 samples
+/// per client, batch 8, one local step, pipelined FedAvg), small enough
+/// that every client has been sampled before the warm rounds start, so they
+/// measure the cycle and not first-time persists. Returns allocator calls
+/// per client-round of the cold first round and of the warm rounds.
+fn lifecycle_allocs(seed: u64, warm_rounds: usize) -> (f64, f64) {
+    const CLIENTS: usize = 400;
+    const SETTLE: usize = 24;
+    let spec = GaussianMixtureSpec {
+        dim: 32,
+        classes: 4,
+        ..GaussianMixtureSpec::default_spec()
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let shards: Vec<Dataset> = (0..CLIENTS)
+        .map(|_| spec.generate(32, None, &mut rng))
+        .collect();
+    let cfg = FlConfig {
+        rounds: SETTLE + warm_rounds,
+        local_steps: 1,
+        batch_size: 8,
+        sample_ratio: 0.25,
+        eval_every: usize::MAX,
+        clip_grad_norm: None,
+        seed,
+        ..FlConfig::cross_device()
+    };
+    let cohort = (CLIENTS / 4) as f64;
+    let mut fed = Federation::lazy(
+        Arc::new(MaterializedSource::new(shards)),
+        spec.generate(32, None, &mut rng),
+        ModelFactory::logistic(32, 4, 0.0),
+        OptimizerFactory::sgd(0.05),
+        &cfg,
+        seed,
+    );
+    fed.enable_pipelined_rounds(seed, cfg.sample_ratio, cfg.rounds);
+    let mut algo = FedAvg::new();
+    let mut round = |fed: &mut Federation, r: usize| {
+        fed.begin_round(r as u64);
+        algo.round(fed, &cfg, r, &mut rng);
+    };
+    let s = snapshot();
+    round(&mut fed, 0);
+    let cold = snapshot().since(&s).allocs as f64 / cohort;
+    for r in 1..SETTLE {
+        round(&mut fed, r);
+    }
+    let s = snapshot();
+    for r in SETTLE..cfg.rounds {
+        round(&mut fed, r);
+    }
+    fed.quiesce();
+    let warm = snapshot().since(&s).allocs as f64 / (warm_rounds as f64 * cohort);
+    (cold, warm)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -134,6 +207,8 @@ fn main() {
         warm_round_allocs(7, Compression::Quantize { bits: 4 }, warm_fed_rounds);
     let compression_overhead = compressed_round_allocs - dense_round_allocs;
 
+    let (lifecycle_cold, lifecycle_warm) = lifecycle_allocs(7, warm_fed_rounds);
+
     // The pinned provenance: same round loop as bench_kernels, exact loss.
     let (round_secs, round_loss) = round_loop(7, 2);
     // The recorded loss is an f32; compare at f32 precision (the f64 JSON
@@ -170,6 +245,18 @@ fn main() {
         json,
         "  \"compression_alloc_overhead_ceiling\": {COMPRESSION_ROUND_ALLOC_OVERHEAD},"
     );
+    let _ = writeln!(
+        json,
+        "  \"lifecycle_allocs_per_client_round_cold\": {lifecycle_cold:.2},"
+    );
+    let _ = writeln!(
+        json,
+        "  \"lifecycle_allocs_per_client_round_warm\": {lifecycle_warm:.2},"
+    );
+    let _ = writeln!(
+        json,
+        "  \"lifecycle_alloc_ceiling\": {LIFECYCLE_ALLOC_CEILING},"
+    );
     let _ = writeln!(json, "  \"round_loop_secs\": {round_secs:.6},");
     let _ = writeln!(json, "  \"round_loop_final_loss\": {round_loss:.9},");
     let _ = writeln!(json, "  \"round_loop_loss_pinned\": {loss_pinned}");
@@ -203,6 +290,13 @@ fn main() {
             "ERROR: compression adds {compression_overhead:.2} allocs per warm round \
              (dense {dense_round_allocs:.2} -> compressed {compressed_round_allocs:.2}); \
              ceiling is {COMPRESSION_ROUND_ALLOC_OVERHEAD}"
+        );
+        failed = true;
+    }
+    if lifecycle_warm > LIFECYCLE_ALLOC_CEILING {
+        eprintln!(
+            "ERROR: a warm lazy client-round makes {lifecycle_warm:.2} allocator calls \
+             (cold {lifecycle_cold:.2}); ceiling is {LIFECYCLE_ALLOC_CEILING}"
         );
         failed = true;
     }

@@ -1,5 +1,11 @@
 //! A federated client: private data, a model replica, persistent local
 //! optimizer state, and a private RNG.
+//!
+//! A [`Client`] is two halves around its dataset: the durable
+//! `ClientPersist` — everything that must survive an eviction — and a
+//! `ClientShell` — the model replica and the step loop's buffers, which
+//! hold nothing a later tenant can observe and are therefore recycled by
+//! the lazy registry instead of rebuilt ([`crate::registry`]).
 
 use crate::eval::{evaluate, gather_batch, to_input, EvalResult};
 use crate::mmd;
@@ -24,39 +30,63 @@ pub struct LocalReport {
     pub examples: usize,
 }
 
-/// The durable slice of a client's state, retained while the heavyweight
-/// simulation objects (model replica, dataset, scratch buffers) are evicted
-/// between rounds. Moving these four fields out on
-/// [`Client::hibernate`] and back in on [`Client::wake`] round-trips the
-/// client bit-exactly: the RNG stream position, the epoch-shuffle cursor,
-/// the optimizer state (RMSProp accumulators, learning rate), and the
-/// flat parameters are everything local training reads besides the data
-/// itself, which the registry regenerates deterministically.
-pub struct ClientPersist {
-    pub(crate) rng: StdRng,
-    pub(crate) sampler: BatchSampler,
-    pub(crate) optimizer: Box<dyn Optimizer>,
-    pub(crate) params: Vec<f32>,
+/// The durable half of a client, retained while the heavyweight simulation
+/// objects (model replica, dataset, scratch buffers) are evicted between
+/// rounds. [`Client::take_apart`] hands it out and [`Client::assemble`]
+/// takes it back, round-tripping the client bit-exactly: the RNG stream
+/// position, the epoch-shuffle cursor, the optimizer state (RMSProp
+/// accumulators, learning rate), and the flat parameters are everything
+/// local training reads besides the data itself, which the registry
+/// regenerates deterministically.
+pub(crate) struct ClientPersist {
+    rng: StdRng,
+    sampler: BatchSampler,
+    optimizer: Box<dyn Optimizer>,
+    /// The flat parameters: the step loop's read/step/write buffer while
+    /// the client is live (empty until an eager client's first step), the
+    /// model's only durable copy while it is not.
+    params: Vec<f32>,
     /// Error-feedback residual of the compression stage: what the last
     /// compressed upload failed to carry, folded into the next update.
     /// Empty (length 0) until the first compressed upload. Durable state —
     /// dropping it on eviction would silently change the model trajectory
     /// whenever uploads are compressed.
-    pub(crate) residual: Vec<f32>,
+    residual: Vec<f32>,
 }
 
-/// One client in the federation.
-pub struct Client {
-    id: usize,
+impl ClientPersist {
+    /// The durable state of client `id` before its first local step: its
+    /// own RNG stream, a sampler over `n_samples` examples, a fresh
+    /// optimizer, and `params` as the starting point.
+    pub(crate) fn initial(
+        id: usize,
+        n_samples: usize,
+        optimizer: Box<dyn Optimizer>,
+        batch_size: usize,
+        seed: u64,
+        params: Vec<f32>,
+    ) -> Self {
+        assert!(n_samples > 0, "client {id} has no data");
+        ClientPersist {
+            // Offset the stream so clients never share a sequence.
+            rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            sampler: BatchSampler::new(n_samples, batch_size),
+            optimizer,
+            params,
+            residual: Vec::new(),
+        }
+    }
+}
+
+/// The non-durable half of a client: the model replica and every buffer of
+/// the step loop. Nothing in it outlives a call as *state* — `write_params`
+/// overwrites every parameter on assembly, `zero_grads` opens every step,
+/// and each buffer is resized and fully overwritten before it is read — so
+/// a shell that served one client can serve any other of the same
+/// architecture, already warm, with bit-identical results.
+pub(crate) struct ClientShell {
     model: Box<dyn Model>,
-    data: Dataset,
-    optimizer: Box<dyn Optimizer>,
-    sampler: BatchSampler,
-    rng: StdRng,
-    clip_grad_norm: Option<f32>,
-    flat: Vec<f32>,
     grads: Vec<f32>,
-    residual: Vec<f32>,
     // Reusable mini-batch buffers: once warm, a local SGD step touches the
     // allocator only through the model's own (workspace-backed) forward.
     batch_idx: Vec<usize>,
@@ -70,7 +100,38 @@ pub struct Client {
     feat_sum: Tensor,
 }
 
+impl ClientShell {
+    /// A cold shell around `model`; its buffers size themselves on first use.
+    pub(crate) fn new(model: Box<dyn Model>) -> Self {
+        ClientShell {
+            model,
+            grads: Vec::new(),
+            batch_idx: Vec::new(),
+            batch_input: None,
+            batch_labels: Vec::new(),
+            out: ModelOutput::scratch(),
+            log_p: Tensor::scratch(),
+            dlogits: Tensor::scratch(),
+            mu: Tensor::scratch(),
+            dfeatures: Tensor::scratch(),
+            feat_sum: Tensor::scratch(),
+        }
+    }
+}
+
+/// One client in the federation.
+pub struct Client {
+    id: usize,
+    data: Dataset,
+    clip_grad_norm: Option<f32>,
+    persist: ClientPersist,
+    shell: ClientShell,
+}
+
 impl Client {
+    /// An eager client: the initial durable state and a cold shell around
+    /// `model`, whose current parameters are the starting point (the flat
+    /// copy fills on the first step).
     pub fn new(
         id: usize,
         model: Box<dyn Model>,
@@ -79,81 +140,52 @@ impl Client {
         batch_size: usize,
         seed: u64,
     ) -> Self {
-        assert!(!data.is_empty(), "client {id} has no data");
-        let sampler = BatchSampler::new(data.len(), batch_size);
         Client {
             id,
-            model,
+            persist: ClientPersist::initial(
+                id,
+                data.len(),
+                optimizer,
+                batch_size,
+                seed,
+                Vec::new(),
+            ),
             data,
-            optimizer,
-            sampler,
-            // Offset the stream so clients never share a sequence.
-            rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             clip_grad_norm: None,
-            flat: Vec::new(),
-            grads: Vec::new(),
-            residual: Vec::new(),
-            batch_idx: Vec::new(),
-            batch_input: None,
-            batch_labels: Vec::new(),
-            out: ModelOutput::scratch(),
-            log_p: Tensor::scratch(),
-            dlogits: Tensor::scratch(),
-            mu: Tensor::scratch(),
-            dfeatures: Tensor::scratch(),
-            feat_sum: Tensor::scratch(),
+            shell: ClientShell::new(model),
         }
     }
 
-    /// Tears the client down to its durable state ([`ClientPersist`]),
-    /// dropping the model replica, the dataset, and every scratch buffer.
-    /// The lazy registry calls this when evicting a client after its round.
-    pub fn hibernate(mut self) -> ClientPersist {
-        let mut params = std::mem::take(&mut self.flat);
-        self.model.read_params(&mut params);
-        ClientPersist {
-            rng: self.rng,
-            sampler: self.sampler,
-            optimizer: self.optimizer,
-            params,
-            residual: self.residual,
-        }
-    }
-
-    /// Rebuilds a hibernated client around a freshly constructed model and a
-    /// regenerated dataset. Bit-exact inverse of [`Client::hibernate`]: the
-    /// persisted parameters overwrite the model's fresh initialization, and
-    /// the RNG/sampler/optimizer resume exactly where they stopped.
-    pub fn wake(
+    /// Puts a client together from its two halves and its (regenerated)
+    /// dataset: the persisted parameters overwrite whatever the shell's
+    /// replica held, and the RNG/sampler/optimizer resume exactly where
+    /// they stopped. Bit-exact inverse of [`Client::take_apart`], whatever
+    /// the shell did in between.
+    pub(crate) fn assemble(
         id: usize,
-        mut model: Box<dyn Model>,
+        mut shell: ClientShell,
         data: Dataset,
         persist: ClientPersist,
         clip_grad_norm: Option<f32>,
     ) -> Self {
         assert!(!data.is_empty(), "client {id} has no data");
-        model.write_params(&persist.params);
+        shell.model.write_params(&persist.params);
         Client {
             id,
-            model,
             data,
-            optimizer: persist.optimizer,
-            sampler: persist.sampler,
-            rng: persist.rng,
             clip_grad_norm,
-            flat: persist.params,
-            grads: Vec::new(),
-            residual: persist.residual,
-            batch_idx: Vec::new(),
-            batch_input: None,
-            batch_labels: Vec::new(),
-            out: ModelOutput::scratch(),
-            log_p: Tensor::scratch(),
-            dlogits: Tensor::scratch(),
-            mu: Tensor::scratch(),
-            dfeatures: Tensor::scratch(),
-            feat_sum: Tensor::scratch(),
+            persist,
+            shell,
         }
+    }
+
+    /// Takes the client apart into its durable state (now holding the
+    /// replica's current parameters) and its reusable shell, dropping the
+    /// dataset. The lazy registry calls this when evicting a client after
+    /// its round.
+    pub(crate) fn take_apart(mut self) -> (ClientPersist, ClientShell) {
+        self.shell.model.read_params(&mut self.persist.params);
+        (self.persist, self.shell)
     }
 
     /// Enables global-norm gradient clipping on the assembled local
@@ -176,124 +208,137 @@ impl Client {
     }
 
     pub fn feature_dim(&self) -> usize {
-        self.model.feature_dim()
+        self.shell.model.feature_dim()
     }
 
     pub fn num_params(&mut self) -> usize {
-        self.model.num_params()
+        self.shell.model.num_params()
     }
 
     /// Installs parameters received from the server.
     pub fn write_params(&mut self, params: &[f32]) {
-        self.model.write_params(params);
+        self.shell.model.write_params(params);
     }
 
     /// Reads the client's current parameters.
     pub fn read_params(&self, out: &mut Vec<f32>) {
-        self.model.read_params(out);
+        self.shell.model.read_params(out);
     }
 
     /// The error-feedback residual of the compressed-upload stage. The
     /// compression helpers ([`crate::compress::ef_compress_update`]) size it
-    /// lazily on first use; it survives hibernation via [`ClientPersist`].
+    /// lazily on first use; it is durable state and survives hibernation.
     pub fn residual_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.residual
+        &mut self.persist.residual
     }
 
     /// Read-only view of the error-feedback residual (tests, diagnostics).
     pub fn residual(&self) -> &[f32] {
-        &self.residual
+        &self.persist.residual
     }
 
     /// Learning rate of the local optimizer.
     pub fn lr(&self) -> f32 {
-        self.optimizer.lr()
+        self.persist.optimizer.lr()
     }
 
     /// Overrides the local learning rate (decaying schedules).
     pub fn set_lr(&mut self, lr: f32) {
-        self.optimizer.set_lr(lr);
+        self.persist.optimizer.set_lr(lr);
     }
 
     /// Runs `steps` mini-batch SGD steps under `rule` (Algorithm 1/2 inner
     /// loop, lines 6–10).
     pub fn train_local(&mut self, steps: usize, rule: &LocalRule) -> LocalReport {
+        let Client {
+            data,
+            clip_grad_norm,
+            persist,
+            shell,
+            ..
+        } = self;
         let mut loss_sum = 0.0f32;
         let mut reg_sum = 0.0f32;
         let mut examples = 0usize;
         for _ in 0..steps {
-            self.sampler
-                .next_batch_into(&mut self.rng, &mut self.batch_idx);
-            examples += self.batch_idx.len();
+            persist
+                .sampler
+                .next_batch_into(&mut persist.rng, &mut shell.batch_idx);
+            examples += shell.batch_idx.len();
             gather_batch(
-                &self.data,
-                &self.batch_idx,
-                &mut self.batch_input,
-                &mut self.batch_labels,
+                data,
+                &shell.batch_idx,
+                &mut shell.batch_input,
+                &mut shell.batch_labels,
             );
-            self.model.zero_grads();
-            self.model.forward_into(
-                self.batch_input.as_ref().expect("batch gathered"),
-                &mut self.out,
+            shell.model.zero_grads();
+            shell.model.forward_into(
+                shell.batch_input.as_ref().expect("batch gathered"),
+                &mut shell.out,
                 true,
             );
             let loss = cross_entropy_into(
-                &self.out.logits,
-                &self.batch_labels,
-                &mut self.log_p,
-                &mut self.dlogits,
+                &shell.out.logits,
+                &shell.batch_labels,
+                &mut shell.log_p,
+                &mut shell.dlogits,
             );
             loss_sum += loss;
 
             let dfeatures = match rule {
                 LocalRule::Mmd { lambda, target } => {
                     reg_sum += mmd::regularizer_loss_into(
-                        &self.out.features,
+                        &shell.out.features,
                         target,
                         *lambda,
-                        &mut self.mu,
+                        &mut shell.mu,
                     );
                     mmd::feature_gradient_into(
-                        &self.out.features,
+                        &shell.out.features,
                         target,
                         *lambda,
-                        &mut self.mu,
-                        &mut self.dfeatures,
+                        &mut shell.mu,
+                        &mut shell.dfeatures,
                     );
-                    Some(&self.dfeatures)
+                    Some(&shell.dfeatures)
                 }
                 _ => None,
             };
-            self.model.backward(&self.dlogits, dfeatures);
+            shell.model.backward(&shell.dlogits, dfeatures);
 
-            self.model.read_params(&mut self.flat);
-            self.model.read_grads(&mut self.grads);
+            shell.model.read_params(&mut persist.params);
+            shell.model.read_grads(&mut shell.grads);
             match rule {
                 LocalRule::Prox { mu, anchor } => {
-                    debug_assert_eq!(anchor.len(), self.flat.len());
-                    for ((g, w), a) in self.grads.iter_mut().zip(&self.flat).zip(anchor.iter()) {
+                    debug_assert_eq!(anchor.len(), persist.params.len());
+                    for ((g, w), a) in shell
+                        .grads
+                        .iter_mut()
+                        .zip(&persist.params)
+                        .zip(anchor.iter())
+                    {
                         *g += mu * (w - a);
                     }
                 }
                 LocalRule::Scaffold { correction } => {
-                    debug_assert_eq!(correction.len(), self.grads.len());
-                    for (g, c) in self.grads.iter_mut().zip(correction.iter()) {
+                    debug_assert_eq!(correction.len(), shell.grads.len());
+                    for (g, c) in shell.grads.iter_mut().zip(correction.iter()) {
                         *g += c;
                     }
                 }
                 _ => {}
             }
-            if let Some(clip) = self.clip_grad_norm {
-                let norm = self.grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+            if let Some(clip) = *clip_grad_norm {
+                let norm = shell.grads.iter().map(|g| g * g).sum::<f32>().sqrt();
                 if norm > clip {
                     let s = clip / norm;
-                    for g in &mut self.grads {
+                    for g in &mut shell.grads {
                         *g *= s;
                     }
                 }
             }
-            self.optimizer.step(&mut self.flat, &self.grads);
-            self.model.write_params(&self.flat);
+            persist.optimizer.step(&mut persist.params, &shell.grads);
+            shell.model.write_params(&persist.params);
         }
         LocalReport {
             loss: loss_sum / steps.max(1) as f32,
@@ -307,27 +352,28 @@ impl Client {
     /// local dataset with the client's current parameters (Algorithm 1
     /// line 10 / Algorithm 2 line 15), batched to bound memory.
     pub fn compute_delta(&mut self, batch: usize) -> Vec<f32> {
-        let n = self.data.len();
-        let d = self.model.feature_dim();
+        let Client { data, shell, .. } = self;
+        let n = data.len();
+        let d = shell.model.feature_dim();
         let mut sum = vec![0.0f32; d];
         let mut lo = 0usize;
         while lo < n {
             let hi = (lo + batch).min(n);
-            self.batch_idx.clear();
-            self.batch_idx.extend(lo..hi);
+            shell.batch_idx.clear();
+            shell.batch_idx.extend(lo..hi);
             gather_batch(
-                &self.data,
-                &self.batch_idx,
-                &mut self.batch_input,
-                &mut self.batch_labels,
+                data,
+                &shell.batch_idx,
+                &mut shell.batch_input,
+                &mut shell.batch_labels,
             );
-            self.model.forward_into(
-                self.batch_input.as_ref().expect("batch gathered"),
-                &mut self.out,
+            shell.model.forward_into(
+                shell.batch_input.as_ref().expect("batch gathered"),
+                &mut shell.out,
                 false,
             );
-            self.out.features.sum_axis0_into(&mut self.feat_sum);
-            for (s, &v) in sum.iter_mut().zip(self.feat_sum.data()) {
+            shell.out.features.sum_axis0_into(&mut shell.feat_sum);
+            for (s, &v) in sum.iter_mut().zip(shell.feat_sum.data()) {
                 *s += v;
             }
             lo = hi;
@@ -344,14 +390,14 @@ impl Client {
         let n = self.data.len().min(max_n);
         let idx: Vec<usize> = (0..n).collect();
         let sub = self.data.select(&idx);
-        let out = self.model.forward(&to_input(sub.examples()), false);
+        let out = self.shell.model.forward(&to_input(sub.examples()), false);
         (out.features, sub.labels().to_vec())
     }
 
     /// Loss/accuracy of the current model on the client's own data
     /// (used by q-FedAvg and the fairness evaluation).
     pub fn evaluate_local(&mut self, batch: usize) -> EvalResult {
-        evaluate(self.model.as_mut(), &self.data, batch)
+        evaluate(self.shell.model.as_mut(), &self.data, batch)
     }
 }
 
@@ -489,19 +535,25 @@ mod tests {
         assert_eq!(r.reg_loss, 0.0);
     }
 
+    /// A cold shell whose replica starts from *different* weights than
+    /// `make_client`'s, so a parameter the assembly failed to overwrite
+    /// would show.
+    fn foreign_shell() -> ClientShell {
+        let mut rng = StdRng::seed_from_u64(0xF0E1);
+        ClientShell::new(Box::new(LogisticRegression::new(4, 2, 0.0, &mut rng)))
+    }
+
     #[test]
-    fn hibernate_wake_roundtrip_is_bit_exact() {
-        // A client evicted mid-run and revived around a fresh model + a
-        // regenerated dataset must continue training bit-identically to one
-        // that stayed live the whole time.
+    fn take_apart_assemble_roundtrip_is_bit_exact() {
+        // A client evicted mid-run and put back together around another
+        // shell + a regenerated dataset must continue training
+        // bit-identically to one that stayed live the whole time.
         let mut live = make_client(7);
         let mut cycled = make_client(7);
         live.train_local(3, &LocalRule::Plain);
         cycled.train_local(3, &LocalRule::Plain);
-        let persist = cycled.hibernate();
-        let mut rng = StdRng::seed_from_u64(7);
-        let fresh_model = Box::new(LogisticRegression::new(4, 2, 0.0, &mut rng));
-        let mut cycled = Client::wake(0, fresh_model, dense_data(32, 7), persist, None);
+        let (persist, _) = cycled.take_apart();
+        let mut cycled = Client::assemble(0, foreign_shell(), dense_data(32, 7), persist, None);
         live.train_local(5, &LocalRule::Plain);
         cycled.train_local(5, &LocalRule::Plain);
         let (mut wa, mut wb) = (Vec::new(), Vec::new());
@@ -511,13 +563,11 @@ mod tests {
     }
 
     #[test]
-    fn hibernate_preserves_the_compression_residual() {
+    fn take_apart_preserves_the_compression_residual() {
         let mut c = make_client(8);
         c.residual_mut().extend_from_slice(&[0.25, -1.5, 3.0e-8]);
-        let persist = c.hibernate();
-        let mut rng = StdRng::seed_from_u64(8);
-        let fresh_model = Box::new(LogisticRegression::new(4, 2, 0.0, &mut rng));
-        let woken = Client::wake(0, fresh_model, dense_data(32, 8), persist, None);
+        let (persist, _) = c.take_apart();
+        let woken = Client::assemble(0, foreign_shell(), dense_data(32, 8), persist, None);
         assert_eq!(woken.residual(), &[0.25, -1.5, 3.0e-8]);
     }
 

@@ -46,7 +46,7 @@ use crate::client::{Client, LocalReport};
 use crate::compress::{compress_plain, ef_compress_update, CompressedVec, Compression};
 use crate::rules::LocalRule;
 use rfl_tensor::{decode_f32_into, encode_f32_into};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 #[cfg(unix)]
@@ -65,14 +65,29 @@ pub const MAX_FRAME_BYTES: usize = 256 << 20;
 /// [`ClientConn::connect_with_backoff`]).
 pub const BACKOFF_CAP: Duration = Duration::from_secs(1);
 
-/// Writes one `[len][tag][body]` frame; returns its wire size.
+/// Writes one `[len][tag][body]` frame; returns its wire size. Header and
+/// body leave in one vectored write — on a `TCP_NODELAY` stream one `send`
+/// and one segment instead of two — and only a short write loops.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<u64> {
     assert!(body.len() <= MAX_FRAME_BYTES, "frame body too large");
     let mut header = [0u8; 5];
     header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
     header[4] = tag;
-    w.write_all(&header)?;
-    w.write_all(body)?;
+    let total = header.len() + body.len();
+    let mut sent = 0;
+    while sent < total {
+        let wrote = if sent < header.len() {
+            w.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(body)])
+        } else {
+            w.write(&body[sent - header.len()..])
+        };
+        match wrote {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()?;
     Ok(FRAME_HEADER_BYTES + body.len() as u64)
 }
@@ -1125,6 +1140,71 @@ mod tests {
         let (tag, body) = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(tag, 0x42);
         assert_eq!(body, b"hello");
+    }
+
+    /// A sink that counts write calls and accepts at most `limit` bytes
+    /// per call (vectored or not).
+    struct Sink {
+        bytes: Vec<u8>,
+        calls: usize,
+        limit: usize,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            for b in bufs {
+                let room = self.limit - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_when_the_writer_takes_it_all() {
+        let mut sink = Sink {
+            bytes: Vec::new(),
+            calls: 0,
+            limit: usize::MAX,
+        };
+        for i in 0..3u8 {
+            write_frame(&mut sink, i, &[i; 100]).unwrap();
+            assert_eq!(sink.calls, i as usize + 1);
+        }
+        write_frame(&mut sink, 9, &[]).unwrap();
+        assert_eq!(sink.calls, 4);
+        let mut wire = sink.bytes.as_slice();
+        for i in 0..3u8 {
+            assert_eq!(read_frame(&mut wire).unwrap(), (i, vec![i; 100]));
+        }
+        assert_eq!(read_frame(&mut wire).unwrap(), (9, Vec::new()));
+    }
+
+    #[test]
+    fn a_frame_survives_a_writer_that_takes_one_byte_per_call() {
+        let mut sink = Sink {
+            bytes: Vec::new(),
+            calls: 0,
+            limit: 1,
+        };
+        let body: Vec<u8> = (0..=255).collect();
+        let n = write_frame(&mut sink, 0x17, &body).unwrap();
+        assert_eq!(n, sink.bytes.len() as u64);
+        assert_eq!(sink.calls, 5 + 256);
+        assert_eq!(
+            read_frame(&mut sink.bytes.as_slice()).unwrap(),
+            (0x17, body)
+        );
     }
 
     #[test]

@@ -243,6 +243,17 @@ pub(crate) fn fault_counters(span: &mut rfl_trace::Span, faults: &FaultStats) {
     }
 }
 
+/// Attaches a materialization site's tally to its span: `clients` brought
+/// to life, of which `shells_built` needed a new shell and `shells_reused`
+/// took one off the registry's list. The split is the growth of the
+/// registry's build count across the site, which is exact because sites
+/// never overlap: each joins the wave before it before materializing.
+fn shell_counters(span: &mut rfl_trace::Span, clients: usize, shells_built: u64) {
+    span.counter("clients", clients as u64);
+    span.counter("shells_built", shells_built);
+    span.counter("shells_reused", clients as u64 - shells_built);
+}
+
 /// Round-addressable selection lookahead for the pipelined round engine
 /// (see [`Federation::enable_pipelined_rounds`]).
 struct Lookahead {
@@ -645,6 +656,8 @@ impl Federation {
         if missing.is_empty() {
             return;
         }
+        let mut span = self.tracer.span(SpanKind::Materialize);
+        let built_before = reg.shells_built();
         let threads = rfl_tensor::thread_budget().min(missing.len());
         let mut built: Vec<Option<Client>> = (0..missing.len()).map(|_| None).collect();
         if threads <= 1 {
@@ -673,6 +686,8 @@ impl Federation {
                 work(0);
             });
         }
+        shell_counters(&mut span, missing.len(), reg.shells_built() - built_before);
+        drop(span);
         self.clients
             .extend(built.into_iter().map(|c| c.expect("client not built")));
         self.clients.sort_by_key(|c| c.id());
@@ -727,8 +742,10 @@ impl Federation {
                 w.join().expect("hibernate wave panicked");
             }
             let mut span = tracer.span(SpanKind::Prefetch);
-            span.counter("clients", ids.len() as u64);
-            ids.iter().map(|&k| reg.materialize(k)).collect()
+            let built_before = reg.shells_built();
+            let built: Vec<Client> = ids.iter().map(|&k| reg.materialize(k)).collect();
+            shell_counters(&mut span, built.len(), reg.shells_built() - built_before);
+            built
         }));
     }
 
@@ -1871,5 +1888,132 @@ mod transport_tests {
         // The draw is pinned to the round: same round, same steps.
         let again = fed.train_selected(&selected, &vec![LocalRule::Plain; 4], 50);
         assert_eq!(steps, again.iter().map(|r| r.steps).collect::<Vec<_>>());
+    }
+}
+
+#[cfg(test)]
+mod shell_tests {
+    use super::*;
+    use rfl_data::synth::gaussian::GaussianMixtureSpec;
+
+    /// 40 lazy clients of 10 samples each, a quarter sampled per round.
+    fn lazy_fed(seed: u64) -> (Federation, FlConfig) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spec = GaussianMixtureSpec::default_spec();
+        let pool = spec.generate(400, None, &mut rng);
+        let parts = rfl_data::partition::iid(400, 40, &mut rng);
+        let data = FederatedData::from_partition(&pool, &parts, spec.generate(40, None, &mut rng));
+        let cfg = FlConfig {
+            rounds: 8,
+            local_steps: 2,
+            batch_size: 5,
+            sample_ratio: 0.25,
+            eval_every: 100,
+            ..FlConfig::cross_device()
+        };
+        let fed = Federation::lazy(
+            Arc::new(crate::registry::MaterializedSource::from_federated(&data)),
+            data.test.clone(),
+            ModelFactory::logistic(10, 4, 0.0),
+            OptimizerFactory::sgd(0.1),
+            &cfg,
+            seed,
+        );
+        (fed, cfg)
+    }
+
+    #[test]
+    fn a_mispredicted_wave_returns_both_persist_and_shell() {
+        let (mut fed, _) = lazy_fed(51);
+        fed.begin_round(0);
+        fed.prefetch_hint(&[1, 3, 5]);
+        // Nothing of the wave is wanted: three persists go to the shards,
+        // three shells to the list, and the two clients the round does want
+        // are assembled around two of those.
+        fed.broadcast_params(&[0, 2]);
+        let reg = fed.registry.as_ref().expect("lazy mode");
+        assert_eq!(reg.num_persisted(), 3);
+        assert_eq!(reg.shells_built(), 3);
+        assert_eq!(reg.shells_idle(), 1);
+        assert_eq!(fed.clients.len(), 2);
+    }
+
+    /// FedAvg under observation: a mispredicted hint wave before round 0,
+    /// the shell list checked against the build count after every round.
+    #[derive(Default)]
+    struct ShellProbe {
+        hinted: Vec<usize>,
+        selections: Vec<Vec<usize>>,
+    }
+
+    impl crate::trainer::Algorithm for ShellProbe {
+        fn name(&self) -> &'static str {
+            "ShellProbe"
+        }
+
+        fn round(
+            &mut self,
+            fed: &mut Federation,
+            cfg: &FlConfig,
+            round: usize,
+            rng: &mut StdRng,
+        ) -> crate::trainer::RoundOutcome {
+            if round == 0 {
+                let wanted = fed.sample_selection(cfg.sample_ratio, rng);
+                self.hinted = (0..fed.num_clients())
+                    .filter(|k| !wanted.contains(k))
+                    .take(5)
+                    .collect();
+                fed.prefetch_hint(&self.hinted);
+            }
+            let outcome = crate::algorithms::FedAvg.round(fed, cfg, round, rng);
+            let reg = fed.registry.as_ref().expect("lazy mode");
+            assert!(reg.shells_idle() as u64 <= reg.shells_built());
+            self.selections.push(outcome.selected.clone());
+            outcome
+        }
+    }
+
+    #[test]
+    fn the_shell_list_is_bounded_and_leaks_nothing() {
+        use std::collections::BTreeSet;
+        let (mut fed, cfg) = lazy_fed(52);
+        let mut probe = ShellProbe::default();
+        crate::Trainer::new(cfg)
+            .pipelined()
+            .run(&mut probe, &mut fed);
+        fed.evict_active();
+        fed.quiesce();
+
+        // Every client ever brought to life is persisted, exactly once.
+        let touched: BTreeSet<usize> = probe
+            .selections
+            .iter()
+            .flatten()
+            .chain(&probe.hinted)
+            .copied()
+            .collect();
+        assert_eq!(probe.hinted.len(), 5);
+        assert_eq!(fed.num_persisted(), touched.len());
+
+        // Every shell ever built is back on the list ...
+        let reg = fed.registry.as_ref().expect("lazy mode");
+        assert_eq!(reg.shells_idle() as u64, reg.shells_built());
+        // ... and there are no more of them than clients were ever live at
+        // once: a round's selection plus the prefetch of the next one (or
+        // the hint wave, alone before round 0). 80 client-rounds ran.
+        let live_high_water = probe
+            .selections
+            .windows(2)
+            .map(|w| w[0].iter().chain(&w[1]).collect::<BTreeSet<_>>().len())
+            .max()
+            .expect("several rounds")
+            .max(probe.hinted.len());
+        assert!(
+            reg.shells_built() <= live_high_water as u64,
+            "{} shells for at most {live_high_water} live clients",
+            reg.shells_built()
+        );
+        assert!(live_high_water <= 20);
     }
 }

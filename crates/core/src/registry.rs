@@ -7,21 +7,53 @@
 //! but a *descriptor*: its id plus the deterministic recipes (federation
 //! seed, model/optimizer factories, data source) that rebuild it on demand.
 //! The heavyweight objects exist only while the client is **active** in the
-//! current round; eviction keeps just the durable
-//! [`crate::client::ClientPersist`] (RNG position, epoch-shuffle cursor,
-//! optimizer state, flat parameters) in an index-hashed shard map.
+//! current round; eviction keeps just the client's durable half (RNG
+//! position, epoch-shuffle cursor, optimizer state, flat parameters, EF
+//! residual) in an index-hashed shard map.
+//!
+//! # Shells
+//!
+//! The other half of a client — its model replica and the step loop's
+//! buffers, a `ClientShell` — is not durable and not thrown away either:
+//! [`ClientRegistry::hibernate`] takes the client apart, files the durable
+//! half in its shard and puts the shell on a free list;
+//! [`ClientRegistry::materialize`] pops one, overwrites every parameter
+//! with the client's own, and hands back a client whose first step is
+//! already warm. A shell is only *built* when the list is empty. Building
+//! one per sampled client instead cost 60 allocator calls per client-round
+//! — made on the prefetch thread, used on the round thread, freed on the
+//! hibernate thread — and 60 % of a lazy round's CPU inside libc
+//! (EXPERIMENTS.md "Why a lazy round spent 60 % of its CPU in the
+//! allocator").
+//!
+//! The list needs no cap: a shell is built only when every shell built
+//! before it is inside a live client, so the list never holds more shells
+//! than clients were live at once — two cohorts under the pipelined engine
+//! (the round's actives and the next round's prefetch). It is one
+//! `Mutex<Vec<_>>` locked twice per client-round, for one `pop` and one
+//! `push`; shard it only with a measurement that says the lock is hot.
+//!
+//! A recycled shell arrives dirty and differently shaped — the previous
+//! tenant may have had a smaller shard (a clamped batch), trained under an
+//! MMD rule, or been evaluated — and none of that may show. It does not:
+//! `write_params` overwrites every parameter, `zero_grads` opens every
+//! step, and every buffer of the step loop, the models, their layers and
+//! their `Workspace`s is cleared or resized and then fully overwritten
+//! before it is read (the shapes already changed from step to step within
+//! one client: the ragged last batch of `compute_delta`). The
+//! `a_shells_history_is_invisible` test pins it for all four model
+//! families, large tenant first and small tenant first.
 //!
 //! # Determinism
 //!
 //! Nothing about a client's state may depend on *when* it is first
-//! materialized. Client `k`'s RNG stream is keyed on `(seed, k)` (the same
-//! `seed ^ k·φ64` offset [`crate::client::Client::new`] always used — never
-//! on construction order), the model's init weights come from the shared
-//! federation seed, and a fresh client starts from the *initial* global
-//! parameters exactly as an eagerly built one does. Hibernate → wake
-//! round-trips bit-exactly, so an eager run and a lazy run of the same
-//! federation produce identical losses and parameters (pinned by the
-//! `eager ≡ lazy` e2e test).
+//! materialized, or around which shell. Client `k`'s RNG stream is keyed on
+//! `(seed, k)` (the same `seed ^ k·φ64` offset [`crate::client::Client::new`]
+//! always used — never on construction order), and a fresh client starts
+//! from the *initial* global parameters exactly as an eagerly built one
+//! does. Hibernate → materialize round-trips bit-exactly, so an eager run
+//! and a lazy run of the same federation produce identical losses and
+//! parameters (pinned by the `eager ≡ lazy` e2e test).
 //!
 //! # Sharding
 //!
@@ -31,10 +63,11 @@
 //! contends on the shard owning its current client, and results land in
 //! index-addressed slots so the active set is independent of scheduling.
 
-use crate::client::{Client, ClientPersist};
+use crate::client::{Client, ClientPersist, ClientShell};
 use crate::federation::{FlConfig, ModelFactory, OptimizerFactory};
 use rfl_data::{Dataset, FederatedData};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Deterministic, thread-safe recipe for client datasets. Implementations
@@ -105,6 +138,12 @@ pub struct ClientRegistry {
     /// prefetch/hibernate worker threads behind an `Arc`.
     pending_lr: Mutex<Option<f32>>,
     shards: Vec<Mutex<HashMap<usize, ClientPersist>>>,
+    /// Shells of hibernated clients, waiting for the next materialization.
+    /// One lock, taken twice per client-round (see the module docs before
+    /// sharding it).
+    shells: Mutex<Vec<ClientShell>>,
+    /// Shells ever built — a statistic for the spans and the tests.
+    shells_built: AtomicU64,
 }
 
 impl ClientRegistry {
@@ -127,6 +166,8 @@ impl ClientRegistry {
             init_global,
             pending_lr: Mutex::new(None),
             shards: (0..n_shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shells: Mutex::new(Vec::new()),
+            shells_built: AtomicU64::new(0),
         }
     }
 
@@ -164,46 +205,63 @@ impl ClientRegistry {
         k % self.shards.len()
     }
 
-    /// Builds the live simulation object for client `k`: either woken from
-    /// its persisted state or constructed fresh from the deterministic
-    /// recipes. Takes `&self` — materialization of a selection runs on the
-    /// worker pool, contending only on the per-shard locks.
+    /// Shells built so far. A shell is only built when the list is empty,
+    /// that is when every shell built before it is inside a live client, so
+    /// this is also the most clients that were ever live at once.
+    pub(crate) fn shells_built(&self) -> u64 {
+        self.shells_built.load(Ordering::Relaxed)
+    }
+
+    /// Shells on the list right now.
+    #[cfg(test)]
+    pub(crate) fn shells_idle(&self) -> usize {
+        self.shells.lock().expect("shell list poisoned").len()
+    }
+
+    /// Builds the live simulation object for client `k`: its persisted
+    /// state — or, the first time, the initial state from the deterministic
+    /// recipes — assembled around a recycled shell and its regenerated
+    /// dataset. Takes `&self` — materialization of a selection runs on the
+    /// worker pool, contending only on the per-shard locks and, for one
+    /// `pop`, on the shell list.
     pub fn materialize(&self, k: usize) -> Client {
         let persist = self.shards[self.shard_of(k)]
             .lock()
             .expect("registry shard poisoned")
             .remove(&k);
-        let mut model = self.model.build(self.seed);
+        let recycled = self.shells.lock().expect("shell list poisoned").pop();
+        let shell = recycled.unwrap_or_else(|| {
+            self.shells_built.fetch_add(1, Ordering::Relaxed);
+            ClientShell::new(self.model.build(self.seed))
+        });
         let data = self.source.dataset(k);
-        let mut client = match persist {
-            Some(p) => Client::wake(k, model, data, p, self.clip_grad_norm),
-            None => {
-                model.write_params(&self.init_global);
-                let mut c = Client::new(
-                    k,
-                    model,
-                    data,
-                    self.optimizer.build(),
-                    self.batch_size,
-                    self.seed,
-                );
-                c.set_clip_grad_norm(self.clip_grad_norm);
-                c
-            }
-        };
+        let persist = persist.unwrap_or_else(|| {
+            ClientPersist::initial(
+                k,
+                data.len(),
+                self.optimizer.build(),
+                self.batch_size,
+                self.seed,
+                self.init_global.clone(),
+            )
+        });
+        let mut client = Client::assemble(k, shell, data, persist, self.clip_grad_norm);
         if let Some(lr) = self.pending_lr() {
             client.set_lr(lr);
         }
         client
     }
 
-    /// Evicts a client, keeping only its durable state.
+    /// Evicts a client: its durable state goes to its shard, its shell back
+    /// on the list, its dataset away.
     pub fn hibernate(&self, client: Client) {
         let k = client.id();
+        let (persist, shell) = client.take_apart();
         self.shards[self.shard_of(k)]
             .lock()
             .expect("registry shard poisoned")
-            .insert(k, client.hibernate());
+            .insert(k, persist);
+        self.shells.lock().expect("shell list poisoned").push(shell);
     }
 }
 
@@ -280,6 +338,126 @@ mod tests {
         live.read_params(&mut wa);
         cycled.read_params(&mut wb);
         assert_eq!(wa, wb);
+    }
+
+    /// What a tenant's run leaves behind that a caller can read, as bits.
+    #[derive(Debug, PartialEq)]
+    struct Footprint {
+        losses: Vec<u32>,
+        params: Vec<u32>,
+        delta: Vec<u32>,
+        eval: crate::eval::EvalResult,
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    const BATCH: usize = 8;
+
+    /// A two-client registry per model family: client 0 holds 20 samples
+    /// (full batches), client 1 holds 5 (every batch clamped).
+    fn two_tenant_registry(model: ModelFactory, pool: &Dataset) -> ClientRegistry {
+        let big: Vec<usize> = (0..20).collect();
+        let small: Vec<usize> = (20..25).collect();
+        let src = MaterializedSource::new(vec![pool.select(&big), pool.select(&small)]);
+        let mut init_global = Vec::new();
+        model.build(3).read_params(&mut init_global);
+        let mut cfg = FlConfig::cross_silo();
+        cfg.batch_size = BATCH;
+        cfg.clip_grad_norm = Some(5.0);
+        ClientRegistry::new(
+            Arc::new(src),
+            model,
+            OptimizerFactory::rmsprop(0.01),
+            &cfg,
+            3,
+            init_global,
+        )
+    }
+
+    fn mmd(c: &Client) -> LocalRule {
+        LocalRule::Mmd {
+            lambda: 0.1,
+            target: Arc::new(vec![0.25; c.feature_dim()]),
+        }
+    }
+
+    /// The first tenant dirties everything a shell owns: MMD steps fill
+    /// `mu`/`dfeatures`, `compute_delta` and `evaluate_local` leave
+    /// eval-mode caches and a ragged last batch behind.
+    fn first_tenant(reg: &ClientRegistry, k: usize) {
+        let mut c = reg.materialize(k);
+        let rule = mmd(&c);
+        c.train_local(3, &rule);
+        c.compute_delta(BATCH - 1);
+        c.evaluate_local(BATCH + 3);
+        reg.hibernate(c);
+    }
+
+    fn second_tenant(reg: &ClientRegistry, k: usize) -> Footprint {
+        let mut c = reg.materialize(k);
+        let rule = mmd(&c);
+        let mut losses = Vec::new();
+        for rule in [&LocalRule::Plain, &LocalRule::Plain, &rule] {
+            let r = c.train_local(2, rule);
+            losses.extend([r.loss.to_bits(), r.reg_loss.to_bits()]);
+        }
+        let delta = bits(&c.compute_delta(BATCH));
+        let eval = c.evaluate_local(BATCH);
+        let mut params = Vec::new();
+        c.read_params(&mut params);
+        Footprint {
+            losses,
+            params: bits(&params),
+            delta,
+            eval,
+        }
+    }
+
+    #[test]
+    fn a_shells_history_is_invisible() {
+        use rfl_data::synth::{image::SynthImageSpec, text::SynthTextSpec};
+        use rfl_nn::{CnnConfig, LstmConfig};
+        let mut rng = StdRng::seed_from_u64(21);
+        let dense = GaussianMixtureSpec::default_spec().generate(25, None, &mut rng);
+        let images = SynthImageSpec::mnist_like().generate(25, &mut rng);
+        let (tokens, _) = SynthTextSpec::sent140_like().generate_users(1, 25, &mut rng);
+        let families = [
+            ("logistic", ModelFactory::logistic(10, 4, 1e-3), &dense),
+            (
+                "linear_net",
+                ModelFactory::linear_net(10, 6, 4, 1e-3),
+                &dense,
+            ),
+            ("cnn", ModelFactory::cnn(CnnConfig::mnist_like()), &images),
+            (
+                "lstm",
+                ModelFactory::lstm(LstmConfig::sent140_like()),
+                &tokens,
+            ),
+        ];
+        for (name, model, pool) in families {
+            // Big tenant first, then small; then the reverse.
+            for (first, second) in [(0, 1), (1, 0)] {
+                let recycled = two_tenant_registry(model, pool);
+                first_tenant(&recycled, first);
+                assert_eq!(recycled.shells_idle(), 1);
+                let got = second_tenant(&recycled, second);
+                assert_eq!(
+                    recycled.shells_built(),
+                    1,
+                    "{name}: the shell was not reused"
+                );
+
+                let empty_list = two_tenant_registry(model, pool);
+                let want = second_tenant(&empty_list, second);
+                assert_eq!(
+                    got, want,
+                    "{name}: tenant {first} leaked into tenant {second}"
+                );
+            }
+        }
     }
 
     #[test]

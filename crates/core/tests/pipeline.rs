@@ -163,6 +163,27 @@ fn pipelined_run_emits_prefetch_fold_and_hibernate_spans() {
     for r in records.iter().filter(|r| r.kind == "fold") {
         assert!(r.counter("dims").unwrap_or(0) > 0, "fold span lost its dim");
     }
+    // Both materialization sites say whether the shell list hit. Every
+    // selected client is brought to life once per round, by the wave or
+    // inline; two waves are live at once at most, so once the list holds
+    // two cohorts' worth of shells nothing is ever built again.
+    let cohort = (cfg.sample_ratio * data.num_clients() as f32) as u64;
+    let (mut clients, mut built) = (0, 0);
+    for r in records
+        .iter()
+        .filter(|r| r.kind == "prefetch" || r.kind == "materialize")
+    {
+        let get = |name| r.counter(name).expect("materialization sites count shells");
+        assert_eq!(get("shells_built") + get("shells_reused"), get("clients"));
+        clients += get("clients");
+        built += get("shells_built");
+        assert!(
+            built <= 2 * cohort,
+            "round {:?} built shell {built} of a {cohort}-client cohort",
+            r.round
+        );
+    }
+    assert_eq!(clients, cfg.rounds as u64 * cohort);
 }
 
 /// Serial (non-pipelined) runs still journal the fold phase — the tree

@@ -19,6 +19,7 @@ pub struct LogisticRegression {
     head: Linear,
     l2: f32,
     cached_input: Option<Tensor>,
+    dinput: Tensor, // scratch for the head's (unused) input gradient
 }
 
 impl LogisticRegression {
@@ -28,6 +29,7 @@ impl LogisticRegression {
             head: Linear::new(in_dim, classes, rng),
             l2,
             cached_input: None,
+            dinput: Tensor::scratch(),
         }
     }
 
@@ -64,7 +66,7 @@ impl Model for LogisticRegression {
     fn backward(&mut self, dlogits: &Tensor, _dfeatures: Option<&Tensor>) {
         // φ is the identity here, so a feature gradient would only flow into
         // the (non-trainable) input; it is intentionally dropped.
-        let _ = self.head.backward(dlogits);
+        self.head.backward_into(dlogits, &mut self.dinput);
         if self.l2 > 0.0 {
             let l2 = self.l2;
             self.head.weight.grad.axpy(l2, &self.head.weight.value);
@@ -111,6 +113,8 @@ pub struct LinearNet {
     feat: Linear,
     head: Linear,
     l2: f32,
+    dfeat: Tensor,  // scratch: gradient w.r.t. the features
+    dinput: Tensor, // scratch for `feat`'s (unused) input gradient
 }
 
 impl LinearNet {
@@ -125,6 +129,8 @@ impl LinearNet {
             feat: Linear::new(in_dim, feature_dim, rng),
             head: Linear::new(feature_dim, classes, rng),
             l2,
+            dfeat: Tensor::scratch(),
+            dinput: Tensor::scratch(),
         }
     }
 }
@@ -147,16 +153,14 @@ impl Model for LinearNet {
     }
 
     fn backward(&mut self, dlogits: &Tensor, dfeatures: Option<&Tensor>) {
-        let mut d = self.head.backward(dlogits);
+        self.head.backward_into(dlogits, &mut self.dfeat);
         if let Some(df) = dfeatures {
-            d.add_assign(df);
+            self.dfeat.add_assign(df);
         }
-        let _ = self.feat.backward(&d);
+        self.feat.backward_into(&self.dfeat, &mut self.dinput);
         if self.l2 > 0.0 {
             let l2 = self.l2;
-            for p in self.params_mut() {
-                p.grad.axpy(l2, &p.value);
-            }
+            self.for_each_param_mut(&mut |p| p.grad.axpy(l2, &p.value));
         }
     }
 

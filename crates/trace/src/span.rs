@@ -34,6 +34,9 @@ pub enum SpanKind {
     Fold,
     /// Background hibernation of the previous selection's client state.
     Hibernate,
+    /// Foreground materialization of the selected clients no prefetch wave
+    /// delivered (every client, without the pipelined engine).
+    Materialize,
 }
 
 impl SpanKind {
@@ -53,6 +56,7 @@ impl SpanKind {
             SpanKind::Prefetch => "prefetch",
             SpanKind::Fold => "fold",
             SpanKind::Hibernate => "hibernate",
+            SpanKind::Materialize => "materialize",
         }
     }
 }
