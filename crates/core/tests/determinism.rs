@@ -10,8 +10,9 @@ use rfl_core::{
     canonical, Federation, FlConfig, MaterializedSource, ModelFactory, OptimizerFactory, Trainer,
 };
 use rfl_data::synth::image::SynthImageSpec;
+use rfl_data::synth::text::SynthTextSpec;
 use rfl_data::{partition, FederatedData};
-use rfl_nn::CnnConfig;
+use rfl_nn::{CnnConfig, LstmConfig};
 use std::sync::Arc;
 
 /// The small CNN federation behind every run in this suite.
@@ -201,4 +202,79 @@ fn lazy_mode_reproduces_the_canonical_pin() {
             "lazy canonical run drifted from the pin at {budget} threads: {loss:.9}"
         );
     }
+}
+
+/// Final-round training loss of [`run_lstm_rounds`], printed by the commit
+/// that precedes the register-tile GEMM and the fused LSTM cell (the
+/// `axpy`/`dot4` products and the per-gate `sigmoid/tanh_slices` sequence).
+/// A rewrite of the recurrent kernels is checked against this number, which
+/// it did not produce.
+const LSTM_PINNED_FINAL_LOSS: f32 = 0.588_255_05; // 0x3f1697e2
+
+/// Three rounds of rFedAvg on the sent140-like 2-layer LSTM with RMSProp:
+/// per-timestep gate GEMMs and their `transa`/`transb` partners at B = 20,
+/// the gate non-linearities, BPTT, the embedding, the δ sync and the MMD
+/// regularizer.
+fn run_lstm_rounds() -> (Vec<f32>, Vec<f32>) {
+    let seed = 23;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spec = SynthTextSpec::sent140_like();
+    let (pool, users) = spec.generate_users(4, 4 * 32, &mut rng);
+    let parts = partition::by_user(&users);
+    let (test, _) = spec.generate_users(1, 32, &mut rng);
+    let data = FederatedData::from_partition(&pool, &parts, test);
+    let cfg = FlConfig {
+        rounds: 3,
+        local_steps: 3,
+        batch_size: 20,
+        sample_ratio: 1.0,
+        eval_every: 1,
+        parallel: true,
+        clip_grad_norm: Some(10.0),
+        seed,
+        delta_probe_batch: None,
+        compression: rfl_core::compress::Compression::None,
+    };
+    let mut fed = Federation::new(
+        &data,
+        ModelFactory::lstm(LstmConfig::sent140_like()),
+        OptimizerFactory::rmsprop(0.01),
+        &cfg,
+        seed,
+    );
+    let mut algo = RFedAvg::new(0.1);
+    let history = Trainer::new(cfg).run(&mut algo, &mut fed);
+    let losses = history.records().iter().map(|r| r.train_loss).collect();
+    (losses, fed.global().to_vec())
+}
+
+/// The recurrent path's pin: the same LSTM federation at thread budgets 1
+/// and 4, with SIMD dispatch off and on, must agree bit for bit with each
+/// other and with [`LSTM_PINNED_FINAL_LOSS`].
+#[test]
+fn lstm_training_is_bit_identical_across_thread_budgets_and_simd() {
+    let (simd0, threads0) = (rfl_tensor::simd_enabled(), rfl_tensor::thread_budget());
+    let mut runs = Vec::new();
+    for simd in [false, true] {
+        for threads in [1, 4] {
+            rfl_tensor::set_simd_enabled(simd);
+            rfl_tensor::set_thread_budget(threads);
+            runs.push((simd, threads, run_lstm_rounds()));
+        }
+    }
+    rfl_tensor::set_simd_enabled(simd0);
+    rfl_tensor::set_thread_budget(threads0);
+
+    let (_, _, (losses, params)) = &runs[0];
+    let last = *losses.last().expect("three rounds ran");
+    println!("lstm final train loss: {last:?} ({:#010x})", last.to_bits());
+    for (simd, threads, (l, p)) in &runs[1..] {
+        assert_eq!(l, losses, "losses differ at simd={simd} threads={threads}");
+        assert_eq!(p, params, "params differ at simd={simd} threads={threads}");
+    }
+    assert_eq!(
+        last.to_bits(),
+        LSTM_PINNED_FINAL_LOSS.to_bits(),
+        "LSTM final loss {last:?} drifted from the pin {LSTM_PINNED_FINAL_LOSS:?}"
+    );
 }
