@@ -6,7 +6,9 @@
 //! cache, and batch buffer filled for the first time — the per-step cost
 //! the pre-workspace code paid on every step) against the *warm*
 //! steady-state, and re-checks the pinned round-loop loss so the speedup
-//! provably did not change the arithmetic. A second leg counts the lazy
+//! provably did not change the arithmetic. The same warm count is taken and
+//! gated for an LSTM training step (embedding, two LSTM layers' BPTT caches,
+//! RMSProp). A further leg counts the lazy
 //! registry's materialize → train → hibernate cycle per client-round, cold
 //! (every shell built) against warm (every shell recycled).
 //!
@@ -26,8 +28,9 @@ use rfl_core::{
 };
 use rfl_data::synth::gaussian::GaussianMixtureSpec;
 use rfl_data::synth::image::SynthImageSpec;
+use rfl_data::synth::text::SynthTextSpec;
 use rfl_data::Dataset;
-use rfl_nn::{CnnClassifier, CnnConfig, Sgd};
+use rfl_nn::{CnnClassifier, CnnConfig, LstmClassifier, LstmConfig, RmsProp, Sgd};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,6 +66,24 @@ fn cnn_client(seed: u64) -> Client {
     let data = SynthImageSpec::mnist_like().generate(64, &mut rng);
     let model = Box::new(CnnClassifier::new(CnnConfig::mnist_like(), &mut rng));
     Client::new(0, model, data, Box::new(Sgd::new(0.05)), 16, seed)
+}
+
+/// The sent140-like LSTM client at the paper's batch size.
+fn lstm_client(seed: u64) -> Client {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (data, _) = SynthTextSpec::sent140_like().generate_users(1, 80, &mut rng);
+    let model = Box::new(LstmClassifier::new(LstmConfig::sent140_like(), &mut rng));
+    Client::new(0, model, data, Box::new(RmsProp::new(0.01)), 20, seed)
+}
+
+/// Allocator calls per warm training step of `client`, after one cold step
+/// and eight more to settle lazily grown capacities (epoch reshuffle
+/// boundary, workspace high-water marks).
+fn warm_step_allocs(client: &mut Client, warm_steps: usize) -> f64 {
+    client.train_local(9, &LocalRule::Plain);
+    let s = snapshot();
+    client.train_local(warm_steps, &LocalRule::Plain);
+    snapshot().since(&s).allocs as f64 / warm_steps as f64
 }
 
 /// The same federated CNN round loop as `bench_kernels` and the
@@ -197,6 +218,8 @@ fn main() {
     // steady state (the current reality) yields a finite, JSON-valid ratio.
     let ratio = cold.allocs as f64 / warm_allocs_per_step.max(1.0);
 
+    let lstm_warm_allocs_per_step = warm_step_allocs(&mut lstm_client(7), warm_steps);
+
     // Compression must not reopen the per-round allocation leak: once the
     // `comp_*` workspaces and client residuals are warm, a quantized round
     // allocates no more than a dense one (plus the committed overhead
@@ -225,6 +248,10 @@ fn main() {
         "  \"warm_allocs_per_step\": {warm_allocs_per_step:.2},"
     );
     let _ = writeln!(json, "  \"warm_bytes_per_step\": {warm_bytes_per_step:.1},");
+    let _ = writeln!(
+        json,
+        "  \"lstm_warm_allocs_per_step\": {lstm_warm_allocs_per_step:.2},"
+    );
     let _ = writeln!(json, "  \"cold_over_warm_alloc_ratio\": {ratio:.1},");
     let _ = writeln!(json, "  \"warm_secs_per_step\": {warm_secs:.6},");
     let _ = writeln!(json, "  \"warm_alloc_ceiling\": {WARM_ALLOC_CEILING},");
@@ -274,6 +301,13 @@ fn main() {
     if warm_allocs_per_step > WARM_ALLOC_CEILING as f64 {
         eprintln!(
             "ERROR: {warm_allocs_per_step:.2} allocs per warm step exceeds the \
+             committed ceiling of {WARM_ALLOC_CEILING}"
+        );
+        failed = true;
+    }
+    if lstm_warm_allocs_per_step > WARM_ALLOC_CEILING as f64 {
+        eprintln!(
+            "ERROR: {lstm_warm_allocs_per_step:.2} allocs per warm LSTM step exceeds the \
              committed ceiling of {WARM_ALLOC_CEILING}"
         );
         failed = true;

@@ -12,7 +12,8 @@
 //! `set_simd_enabled`).
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use rfl_nn::{cross_entropy, Input, LstmClassifier, LstmConfig, Model, ModelOutput};
 use rfl_tensor::{
     axpy_slices, conv2d_backward_into, conv2d_into, dot_slices, exp_slices, set_simd_enabled,
     set_thread_budget, simd_enabled, sq_dist_slices, thread_budget, Conv2dGrads, ConvSpec,
@@ -145,6 +146,85 @@ fn main() {
     };
     let gemm_bit_identical = c1.data() == cn.data();
 
+    // The transposed products at 256³, and all three at the shapes one LSTM
+    // timestep runs at B = 20, H = 32 (`h·Wh`, `h_prevᵀ·dz`, `dz·Whᵀ`): a
+    // few microseconds each, so a sample is a batch of calls. Every leg is
+    // also compared bitwise across thread budgets and SIMD modes.
+    let simd_initially = simd_enabled();
+    // Their own stream, so the legs below keep the inputs they always had.
+    let mut lstm_rng = StdRng::seed_from_u64(1);
+    let h20 = Initializer::Normal(1.0).init(&[20, 32], &mut lstm_rng);
+    let wh = Initializer::Normal(0.1).init(&[32, 128], &mut lstm_rng);
+    let dz = Initializer::Normal(1.0).init(&[20, 128], &mut lstm_rng);
+    type Product = fn(&Tensor, &Tensor, &mut Tensor);
+    let products: [(&str, Product, &Tensor, &Tensor, usize); 5] = [
+        ("gemm_transa_256", Tensor::matmul_transa_into, &a, &b, 1),
+        ("gemm_transb_256", Tensor::matmul_transb_into, &a, &b, 1),
+        ("gemm_20x32x128", Tensor::matmul_into, &h20, &wh, 500),
+        (
+            "gemm_transa_32x20x128",
+            Tensor::matmul_transa_into,
+            &h20,
+            &dz,
+            500,
+        ),
+        (
+            "gemm_transb_20x128x32",
+            Tensor::matmul_transb_into,
+            &dz,
+            &wh,
+            500,
+        ),
+    ];
+    let mut products_bit_identical = true;
+    let mut out = Tensor::scratch();
+    for (name, product, lhs, rhs, calls) in products {
+        let calls = if smoke { 1 } else { calls };
+        set_thread_budget(1);
+        let t = median_secs(
+            || {
+                for _ in 0..calls {
+                    product(std::hint::black_box(lhs), rhs, &mut out);
+                }
+            },
+            reps,
+        );
+        entries.push((format!("{name}_1t"), t / calls as f64));
+        let reference = out.data().to_vec();
+        for (simd, budget) in [(false, 1), (false, multi), (true, multi)] {
+            set_simd_enabled(simd);
+            set_thread_budget(budget);
+            product(lhs, rhs, &mut out);
+            products_bit_identical &= out.data() == reference;
+        }
+        set_simd_enabled(simd_initially);
+    }
+
+    // One training step of the sent140-like LstmClassifier at B = 20, T = 16:
+    // forward, loss, backward (what `nn.lstm_fwd_s + nn.lstm_bwd_s` time).
+    let mut lstm = LstmClassifier::new(LstmConfig::sent140_like(), &mut lstm_rng);
+    let tokens: Vec<Vec<u32>> = (0..20)
+        .map(|_| (0..16).map(|_| lstm_rng.gen_range(0..128)).collect())
+        .collect();
+    let labels: Vec<usize> = (0..20).map(|i| i % 2).collect();
+    let input = Input::Tokens(tokens);
+    let mut lstm_out = ModelOutput::scratch();
+    let lstm_calls = if smoke { 1 } else { 20 };
+    set_thread_budget(1);
+    let t = median_secs(
+        || {
+            for _ in 0..lstm_calls {
+                lstm.zero_grads();
+                lstm.forward_into(std::hint::black_box(&input), &mut lstm_out, true);
+                let (_, dlogits) = cross_entropy(&lstm_out.logits, &labels);
+                lstm.backward(&dlogits, None);
+            }
+        },
+        reps,
+    );
+    entries.push(("lstm_step_b20_1t".into(), t / lstm_calls as f64));
+    set_thread_budget(default_budget);
+
     // Conv forward/backward, batch 32, 8→16 channels on 16×16, through the
     // `_into` entry points the models call (warm buffers, so the legs time
     // the channel-lane kernels and not the allocator). A 3×3 kernel on this
@@ -197,7 +277,6 @@ fn main() {
     // dispatch forced off (canonical scalar) and on (AVX2 where detected).
     // On scalar-only hardware both legs run the fallback and the ratio is
     // honestly ~1.0.
-    let simd_initially = simd_enabled();
     let n = 4096usize;
     let iters = if smoke { 50 } else { 2000 };
     let xs: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.37).sin()).collect();
@@ -353,6 +432,10 @@ fn main() {
     );
     let _ = writeln!(
         json,
+        "  \"products_bit_identical_across_budgets_and_simd\": {products_bit_identical},"
+    );
+    let _ = writeln!(
+        json,
         "  \"round_loop_bit_identical_across_budgets\": {round_bit_identical},"
     );
     let _ = writeln!(
@@ -383,11 +466,12 @@ fn main() {
     json.push_str("  \"measured_secs\": {\n");
     for (i, (k, v)) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{k}\": {v:.6}{comma}");
+        let _ = writeln!(json, "    \"{k}\": {v:.9}{comma}");
     }
     json.push_str("  }\n}\n");
 
-    if !gemm_bit_identical || !round_bit_identical || !simd_bit_identical {
+    if !gemm_bit_identical || !products_bit_identical || !round_bit_identical || !simd_bit_identical
+    {
         eprintln!("ERROR: results differ across thread budgets or SIMD modes");
         std::process::exit(1);
     }

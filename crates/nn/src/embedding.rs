@@ -43,6 +43,14 @@ impl Embedding {
     /// # Panics
     /// Panics if any token id is out of vocabulary or sequences are ragged.
     pub fn forward(&mut self, tokens: &[Vec<u32>]) -> Tensor {
+        let mut out = Tensor::scratch();
+        self.forward_into(tokens, &mut out);
+        out
+    }
+
+    /// [`forward`](Embedding::forward) into a caller-provided buffer (every
+    /// element overwritten); a warm call allocates nothing.
+    pub fn forward_into(&mut self, tokens: &[Vec<u32>], out: &mut Tensor) {
         let n = tokens.len();
         assert!(n > 0, "empty batch");
         let t = tokens[0].len();
@@ -52,28 +60,23 @@ impl Embedding {
         );
         let d = self.dim();
         let v = self.vocab();
-        let mut out = Tensor::zeros(&[t, n, d]);
+        out.resize(&[t, n, d]);
         let table = self.table.value.data();
         let o = out.data_mut();
+        // Tokens are cached time-major to mirror the gradient layout.
         self.cached_tokens.clear();
+        self.cached_tokens.resize(t * n, 0);
         for (i, seq) in tokens.iter().enumerate() {
             for (step, &tok) in seq.iter().enumerate() {
                 assert!((tok as usize) < v, "token {tok} out of vocab {v}");
                 let src = &table[tok as usize * d..(tok as usize + 1) * d];
                 let dst = (step * n + i) * d;
                 o[dst..dst + d].copy_from_slice(src);
-            }
-        }
-        // Cache tokens time-major to mirror the gradient layout.
-        self.cached_tokens.resize(t * n, 0);
-        for (i, seq) in tokens.iter().enumerate() {
-            for (step, &tok) in seq.iter().enumerate() {
                 self.cached_tokens[step * n + i] = tok;
             }
         }
         self.cached_batch = n;
         self.cached_steps = t;
-        out
     }
 
     /// Accumulates gradients into the table rows used by the last forward.

@@ -86,11 +86,12 @@ impl Model for LstmClassifier {
             Input::Tokens(t) => t,
             _ => panic!("LstmClassifier expects Input::Tokens"),
         };
-        let emb = self.embed.forward(tokens); // [T, N, D]
+        let mut emb = self.ws.take(&[1]);
+        self.embed.forward_into(tokens, &mut emb); // [T, N, D]
         let mut h1 = self.ws.take(&[1]);
-        self.lstm1.forward_into(&emb, &mut h1); // [T, N, H]
+        self.lstm1.forward_into(&emb, &mut h1, train); // [T, N, H]
         let mut h2 = self.ws.take(&[1]);
-        self.lstm2.forward_into(&h1, &mut h2); // [T, N, H]
+        self.lstm2.forward_into(&h1, &mut h2, train); // [T, N, H]
         let (t_len, n, h_dim) = (h2.dims()[0], h2.dims()[1], h2.dims()[2]);
         self.cached_steps = t_len;
         self.cached_batch = n;
@@ -107,6 +108,7 @@ impl Model for LstmClassifier {
         self.ws.give(last);
         self.ws.give(h2);
         self.ws.give(h1);
+        self.ws.give(emb);
     }
 
     fn backward(&mut self, dlogits: &Tensor, dfeatures: Option<&Tensor>) {

@@ -47,9 +47,10 @@ pub use init::{normal_sample, Initializer};
 pub use pool::{maxpool2d, maxpool2d_backward, maxpool2d_backward_into, maxpool2d_into, PoolSpec};
 pub use shape::Shape;
 pub use simd::{
-    add_assign_slices, axpy4_slices, axpy_slices, dot4_slices, dot_slices, exp_slices, relu_slices,
-    scale_add_slices, scale_slices, scale_slices_into, set_simd_enabled, sigmoid_slices,
-    simd_backend, simd_enabled, sq_dist_slices, sum_slices, tanh_slices,
+    add_assign_slices, axpy_slices, dot_slices, dot_tile_slices, exp_slices,
+    lstm_cell_backward_slices, lstm_cell_forward_slices, relu_slices, scale_add_slices,
+    scale_slices, scale_slices_into, set_simd_enabled, sigmoid_slices, simd_backend, simd_enabled,
+    sq_dist_slices, sum_slices, tanh_slices, LstmCellCache,
 };
 pub use tensor::Tensor;
 pub use threads::{

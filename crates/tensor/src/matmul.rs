@@ -4,15 +4,24 @@
 //! the task grid depends only on the operand shapes and every task owns a
 //! disjoint block of output rows, so results are bit-identical at any thread
 //! count. Per output element the reduction over the shared dimension follows
-//! the canonical order of the [`crate::simd`] kernels — ascending for the
-//! axpy-based products (`matmul`/`matmul_transa`), the 8-lane strided dot
-//! order for `matmul_transb`/`matvec` — on both dispatch paths. The blocked,
-//! packed GEMM tiles only *reorder memory traffic*, never the accumulation.
+//! one fixed order on both dispatch paths — ascending `k`, a separate
+//! multiply and add per term, starting from `+0.0`, for `matmul` /
+//! `matmul_transa`; the 8-lane strided order of [`crate::simd::dot_slices`]
+//! for `matmul_transb` / `matvec`.
+//!
+//! The three matrix-matrix products are register tiles: a small block of C
+//! (`MR × NR` for `matmul` / `matmul_transa`, `2 × 4` dot products for
+//! `matmul_transb`) stays in registers for the whole `k` range, so each
+//! loaded A and B value meets several outputs and C is read and written once.
+//! A tile only decides *which outputs share a register*; the operation
+//! sequence of each output is the one above. Cache blocking and packing, for
+//! large shapes, only reorder memory traffic.
 //!
 //! There is deliberately no `a == 0.0` fast path: `0 · NaN` must stay `NaN`
 //! (IEEE semantics the old kernels silently broke), and on the dense
 //! matrices of this workload the branch only cost time.
 
+use crate::simd::{lane_kernel, LANES};
 use crate::tensor::Tensor;
 
 /// Rows of A/C per packed block — one parallel task per `MC`-row block.
@@ -21,10 +30,18 @@ const MC: usize = 64;
 const KC: usize = 256;
 /// Columns of B per packed panel.
 const NC: usize = 256;
-/// Below this many multiply-accumulates the plain loop wins: packing and
-/// pool dispatch cost more than they save. Shape-dependent only, so the
-/// determinism contract is unaffected.
-const SMALL_GEMM: usize = 1 << 15;
+/// Below this many multiply-accumulates a product runs as one inline task on
+/// its operands as they lie: packing and pool dispatch cost more than they
+/// save. Shape-dependent only, so the determinism contract is unaffected.
+const SMALL_GEMM: usize = 1 << 17;
+
+/// Rows of a `matmul` / `matmul_transa` register tile. With [`NR`] columns
+/// that is eight 8-lane accumulators — enough independent add chains to
+/// cover the add latency on two ports — plus two B vectors and a broadcast
+/// A value, inside the sixteen AVX2 registers.
+const MR: usize = 4;
+/// Columns of a register tile: two 8-lane vectors.
+const NR: usize = 2 * LANES;
 
 /// Row-block height for the non-packed kernels (`transa`/`transb`/`matvec`).
 /// Collapsing to a single block below [`SMALL_GEMM`] makes `parallel_for`
@@ -46,15 +63,13 @@ impl Tensor {
     }
 
     /// [`matmul`](Tensor::matmul) writing into a caller-provided buffer
-    /// (resized as needed; previous contents ignored). Bit-identical to the
-    /// allocating version: the destination is zeroed and the identical
-    /// kernel accumulates into it.
+    /// (resized as needed; every element overwritten, so stale contents
+    /// never leak and the result is bit-identical to the allocating version).
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = mat_dims(self);
         let (k2, n) = mat_dims(other);
         assert_eq!(k, k2, "matmul inner dims: {k} vs {k2}");
         out.resize(&[m, n]);
-        out.fill(0.0);
         gemm(self.data(), other.data(), out.data_mut(), m, k, n);
     }
 
@@ -75,27 +90,18 @@ impl Tensor {
         out.resize(&[m, n]);
         let a = self.data();
         let b = other.data();
+        // All of `m` or the even `MC`: a row pair never straddles two tasks.
         let rb = row_block(m, m * k * n);
         crate::threads::parallel_for_chunks(out.data_mut(), rb * n, |blk, ochunk| {
-            let i0 = blk * rb;
-            for (i, orow) in ochunk.chunks_exact_mut(n).enumerate() {
-                let arow = &a[(i0 + i) * k..(i0 + i + 1) * k];
-                // Four B rows share one pass over `arow`.
-                let mut j = 0;
-                while j + 4 <= n {
-                    let d = crate::simd::dot4_slices(
-                        arow,
-                        &b[j * k..(j + 1) * k],
-                        &b[(j + 1) * k..(j + 2) * k],
-                        &b[(j + 2) * k..(j + 3) * k],
-                        &b[(j + 3) * k..(j + 4) * k],
-                    );
-                    orow[j..j + 4].copy_from_slice(&d);
-                    j += 4;
-                }
-                for (jj, ov) in orow.iter_mut().enumerate().skip(j) {
-                    *ov = crate::simd::dot_slices(arow, &b[jj * k..(jj + 1) * k]);
-                }
+            let rows = ochunk.len() / n;
+            let arow = |i: usize| &a[(blk * rb + i) * k..(blk * rb + i + 1) * k];
+            let mut opairs = ochunk.chunks_exact_mut(2 * n);
+            for (i, opair) in (&mut opairs).enumerate() {
+                transb_rows([arow(2 * i), arow(2 * i + 1)], b, opair);
+            }
+            let olast = opairs.into_remainder();
+            if !olast.is_empty() {
+                transb_rows([arow(rows - 1)], b, olast);
             }
         });
     }
@@ -109,29 +115,28 @@ impl Tensor {
     }
 
     /// [`matmul_transa`](Tensor::matmul_transa) writing into a
-    /// caller-provided buffer (zeroed first — the kernel accumulates).
+    /// caller-provided buffer (every element overwritten).
     pub fn matmul_transa_into(&self, other: &Tensor, out: &mut Tensor) {
         let (k, m) = mat_dims(self);
         let (k2, n) = mat_dims(other);
         assert_eq!(k, k2, "matmul_transa inner dims: {k} vs {k2}");
         out.resize(&[m, n]);
-        out.fill(0.0);
         let a = self.data();
         let b = other.data();
         let rb = row_block(m, m * k * n);
-        // Each task owns an `rb`-row block of C; within it the rank-1
-        // updates run over the shared dimension in ascending order, reading
-        // contiguous sub-rows of A and reusing the B row across the block.
+        // Each task owns an `rb`-row block of C, i.e. an `rb`-column strip
+        // of the stored A.
         crate::threads::parallel_for_chunks(out.data_mut(), rb * n, |blk, ochunk| {
-            let i0 = blk * rb;
             let rows = ochunk.len() / n;
-            for p in 0..k {
-                let arow = &a[p * m + i0..p * m + i0 + rows];
-                let brow = &b[p * n..(p + 1) * n];
-                for (i, &av) in arow.iter().enumerate() {
-                    crate::simd::axpy_slices(&mut ochunk[i * n..(i + 1) * n], av, brow);
-                }
-            }
+            let at = Block {
+                data: &a[blk * rb..],
+                ld: m,
+            };
+            let c = BlockMut {
+                data: ochunk,
+                ld: n,
+            };
+            tiles_tn(at, Block { data: b, ld: n }, c, (rows, k, n), false);
         });
     }
 
@@ -166,6 +171,27 @@ fn mat_dims(t: &Tensor) -> (usize, usize) {
     (t.dims()[0], t.dims()[1])
 }
 
+/// `R` rows of `A·Bᵀ`: `out` (`R × n`, row-major) gets the dot product of
+/// every `a` row with every `k`-long row of `b`, four B rows per
+/// [`dot_tile_slices`](crate::simd::dot_tile_slices) and the last `n % 4`
+/// one [`dot_slices`](crate::simd::dot_slices) each.
+fn transb_rows<const R: usize>(a: [&[f32]; R], b: &[f32], out: &mut [f32]) {
+    let k = a[0].len();
+    let n = out.len() / R;
+    let brow = |j: usize| &b[j * k..(j + 1) * k];
+    for j in (0..n - n % 4).step_by(4) {
+        let d = crate::simd::dot_tile_slices(a, [brow(j), brow(j + 1), brow(j + 2), brow(j + 3)]);
+        for (r, dr) in d.iter().enumerate() {
+            out[r * n + j..r * n + j + 4].copy_from_slice(dr);
+        }
+    }
+    for j in n - n % 4..n {
+        for (r, ar) in a.iter().enumerate() {
+            out[r * n + j] = crate::simd::dot_slices(ar, brow(j));
+        }
+    }
+}
+
 thread_local! {
     /// Packed B panel, reused across gemm calls on this thread. Safe because
     /// gemm never nests (kernels do not call kernels), so at most one borrow
@@ -187,24 +213,22 @@ fn ensure_len(v: &mut Vec<f32>, len: usize) {
     }
 }
 
-/// `C += A(m×k) × B(k×n)` with C pre-zeroed.
+/// `C = A(m×k) × B(k×n)`; previous contents of C are ignored.
 ///
-/// Cache-blocked with packed panels: B is packed per `(KC, NC)` tile, A per
-/// `(MC, KC)` block inside each parallel task, and the 4-row unrolled
-/// micro-kernel streams packed B rows through [`crate::simd::axpy4_slices`].
-/// Every element of C accumulates over `p` in ascending order regardless of
-/// tiling or thread count.
+/// Small products are one pass of register tiles over the operands as they
+/// lie. Large ones are cache-blocked with packed panels: B is packed per
+/// `(KC, NC)` tile, A per `(MC, KC)` block inside each parallel task, and
+/// the same tiles run inside the block, starting from `+0.0` in the first
+/// `k` panel and from C as their carry-in in the later ones. Every element
+/// of C accumulates over `p` in ascending order regardless of tiling or
+/// thread count.
 pub(crate) fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
     if m * k * n <= SMALL_GEMM {
-        // Plain i-k-j: the inner loop is a sequential axpy over rows of B.
-        for (i, crow) in c.chunks_exact_mut(n).enumerate() {
-            for p in 0..k {
-                crate::simd::axpy_slices(crow, a[i * k + p], &b[p * n..(p + 1) * n]);
-            }
-        }
+        let (a, b) = (Block { data: a, ld: k }, Block { data: b, ld: n });
+        tiles_nn(a, b, BlockMut { data: c, ld: n }, (m, k, n), false);
         return;
     }
     PACK_B.with(|cell| {
@@ -229,7 +253,18 @@ pub(crate) fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
                             let row = (i0 + i) * k + pc;
                             dst.copy_from_slice(&a[row..row + kc]);
                         }
-                        block_kernel(&ap[..rows * kc], bpanel, cchunk, rows, kc, nc, n, jc);
+                        let c = BlockMut {
+                            data: &mut cchunk[jc..],
+                            ld: n,
+                        };
+                        let (a, b) = (
+                            Block { data: &ap, ld: kc },
+                            Block {
+                                data: bpanel,
+                                ld: nc,
+                            },
+                        );
+                        tiles_nn(a, b, c, (rows, kc, nc), pc > 0);
                     });
                 });
             }
@@ -237,57 +272,128 @@ pub(crate) fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
     });
 }
 
-/// Micro-kernel: `C[0..rows, col_off..col_off+nc] += Ap(rows×kc) × Bp(kc×nc)`
-/// where `cblock` holds `rows` full C rows of stride `stride`.
-#[allow(clippy::too_many_arguments)]
-fn block_kernel(
-    ap: &[f32],
-    bp: &[f32],
-    cblock: &mut [f32],
-    rows: usize,
-    kc: usize,
-    nc: usize,
-    stride: usize,
-    col_off: usize,
+/// A row-major view of part of a matrix: `data` starts at the view's first
+/// element and consecutive rows are `ld` floats apart.
+#[derive(Clone, Copy)]
+struct Block<'a> {
+    data: &'a [f32],
+    ld: usize,
+}
+
+/// The mutable twin of [`Block`].
+struct BlockMut<'a> {
+    data: &'a mut [f32],
+    ld: usize,
+}
+
+lane_kernel!(tiles_nn => tiles_nn_body(
+    a: Block, b: Block, c: BlockMut, dims: (usize, usize, usize), carry: bool,
+));
+lane_kernel!(tiles_tn => tiles_tn_body(
+    a: Block, b: Block, c: BlockMut, dims: (usize, usize, usize), carry: bool,
+));
+
+/// `C[..rows, ..cols] = A × B[..kc, ..cols]` for `dims = (rows, kc, cols)`,
+/// `A` stored `rows × kc`; with `carry`, `C +=`.
+#[inline(always)]
+fn tiles_nn_body(a: Block, b: Block, c: BlockMut, dims: (usize, usize, usize), carry: bool) {
+    tiles::<false>(a, b, c, dims, carry)
+}
+
+/// `C[..rows, ..cols] = Aᵀ × B[..kc, ..cols]` for `dims = (rows, kc, cols)`,
+/// `A` stored `kc × rows`; with `carry`, `C +=`.
+#[inline(always)]
+fn tiles_tn_body(a: Block, b: Block, c: BlockMut, dims: (usize, usize, usize), carry: bool) {
+    tiles::<true>(a, b, c, dims, carry)
+}
+
+/// Covers a `rows × cols` block of C with [`MR`]` × `[`NR`] register tiles;
+/// `TA` says A is stored transposed (`kc × rows`). The column strip is the
+/// outer loop, so its `kc × NR` slice of B stays in L1 while the row tiles
+/// pass over it.
+#[inline(always)]
+fn tiles<const TA: bool>(
+    a: Block,
+    b: Block,
+    c: BlockMut,
+    (rows, kc, cols): (usize, usize, usize),
+    carry: bool,
 ) {
-    let mut rest = cblock;
-    let mut r = 0;
-    while r + 4 <= rows {
-        let (quad, tail) = rest.split_at_mut(4 * stride);
-        rest = tail;
-        let (r0, rem) = quad.split_at_mut(stride);
-        let (r1, rem) = rem.split_at_mut(stride);
-        let (r2, r3) = rem.split_at_mut(stride);
-        let c0 = &mut r0[col_off..col_off + nc];
-        let c1 = &mut r1[col_off..col_off + nc];
-        let c2 = &mut r2[col_off..col_off + nc];
-        let c3 = &mut r3[col_off..col_off + nc];
-        for p in 0..kc {
-            let x = &bp[p * nc..(p + 1) * nc];
-            crate::simd::axpy4_slices(
-                c0,
-                c1,
-                c2,
-                c3,
-                [
-                    ap[r * kc + p],
-                    ap[(r + 1) * kc + p],
-                    ap[(r + 2) * kc + p],
-                    ap[(r + 3) * kc + p],
-                ],
-                x,
-            );
+    for j in (0..cols).step_by(NR) {
+        let w = NR.min(cols - j);
+        let bt = Block {
+            data: &b.data[j..],
+            ..b
+        };
+        for i in (0..rows).step_by(MR) {
+            let h = MR.min(rows - i);
+            let at = Block {
+                data: &a.data[if TA { i } else { i * a.ld }..],
+                ..a
+            };
+            let ct = BlockMut {
+                data: &mut c.data[i * c.ld + j..],
+                ld: c.ld,
+            };
+            if h == MR && w == NR {
+                tile::<TA, true>(at, bt, ct, (MR, kc, NR), carry);
+            } else {
+                tile::<TA, false>(at, bt, ct, (h, kc, w), carry);
+            }
         }
-        r += 4;
     }
-    while r < rows {
-        let (row, tail) = rest.split_at_mut(stride);
-        rest = tail;
-        let crow = &mut row[col_off..col_off + nc];
-        for p in 0..kc {
-            crate::simd::axpy_slices(crow, ap[r * kc + p], &bp[p * nc..(p + 1) * nc]);
+}
+
+/// One register tile: `h × w` outputs (`FULL` promises `MR × NR`, which
+/// makes every copy a fixed-size load or store) that start from `+0.0` — or,
+/// with `carry`, from C — are carried through the whole `kc` range in `acc`,
+/// and stored once. Output `(r, j)` sees `acc = acc + a(r, p)·b(p, j)` for
+/// `p = 0, 1, …` and nothing else; the rows beyond `h` and columns beyond
+/// `w` compute on zeros and are never stored, so the arithmetic loop has
+/// constant bounds for every tile.
+#[inline(always)]
+fn tile<const TA: bool, const FULL: bool>(
+    a: Block,
+    b: Block,
+    c: BlockMut,
+    (h, kc, w): (usize, usize, usize),
+    carry: bool,
+) {
+    let (h, w) = if FULL { (MR, NR) } else { (h, w) };
+    let mut acc = [[0.0f32; NR]; MR];
+    if carry {
+        for (r, accr) in acc.iter_mut().enumerate().take(h) {
+            accr[..w].copy_from_slice(&c.data[r * c.ld..r * c.ld + w]);
         }
-        r += 1;
+    }
+    // Untransposed A: the tile's rows as `kc`-long slices, so the loop below
+    // indexes them without a bounds check (unused when `TA`).
+    let arows: [&[f32]; MR] = std::array::from_fn(|r| {
+        if !TA && r < h {
+            &a.data[r * a.ld..r * a.ld + kc]
+        } else {
+            &[][..]
+        }
+    });
+    for p in 0..kc {
+        let mut bv = [0.0f32; NR];
+        bv[..w].copy_from_slice(&b.data[p * b.ld..p * b.ld + w]);
+        let mut av = [0.0f32; MR];
+        if TA {
+            av[..h].copy_from_slice(&a.data[p * a.ld..p * a.ld + h]);
+        } else {
+            for (x, arow) in av.iter_mut().zip(&arows).take(h) {
+                *x = arow[p];
+            }
+        }
+        for (accr, &x) in acc.iter_mut().zip(&av) {
+            for (cv, &y) in accr.iter_mut().zip(&bv) {
+                *cv += x * y;
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate().take(h) {
+        c.data[r * c.ld..r * c.ld + w].copy_from_slice(&accr[..w]);
     }
 }
 

@@ -12,10 +12,23 @@
 //!   `((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7))` (the order an AVX2 horizontal
 //!   add produces), and the ragged tail is folded in sequentially.
 //! - Element-wise kernels (`axpy`, `scale_add`, `exp`, `tanh`, `sigmoid`,
-//!   `relu`) perform the identical scalar operation sequence per element —
-//!   separate multiply and add, **never a fused multiply-add** (FMA contracts
+//!   `relu`, the LSTM gate-gradient pass) perform the identical scalar
+//!   operation sequence per element — separate multiply and add, **never a fused multiply-add** (FMA contracts
 //!   the intermediate rounding and would break bit-identity with the scalar
 //!   path; the `avx2` target feature deliberately does not enable `fma`).
+//! - Register tiles (the matrix products in `matmul.rs`, [`dot_tile_slices`])
+//!   keep a small block of outputs in registers while the shared dimension
+//!   streams past, so one loaded operand meets several outputs. A tile only
+//!   chooses *which outputs share a register*: each output still sees its own
+//!   operation sequence — for the axpy-order products `acc = acc + a·b` in
+//!   ascending `k` from `+0.0`, for the dot-order product the 8-lane strided
+//!   chunks, the fixed tree and the sequential tail of `dot` — so the tile
+//!   shape is invisible in the result.
+//! - The fused LSTM cell ([`lstm_cell_forward_slices`]) runs one timestep's
+//!   element-wise chain per element in registers instead of one pass over
+//!   memory per operation; each value goes through the same `exp` polynomial,
+//!   divisions, multiplies and adds, in the same order, as the separate
+//!   `add_assign` / `sigmoid` / `tanh` passes.
 //! - Channel-lane kernels (the convolutions in `conv.rs`) put eight
 //!   **independent output scalars** in the lanes — never a reduction — so
 //!   each output replays its scalar operation sequence unchanged and the
@@ -166,15 +179,22 @@ pub fn dot_slices(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot(a, b))
 }
 
-/// Four simultaneous dot products sharing one pass over `a`: returns
-/// `[a·b0, a·b1, a·b2, a·b3]`, each bit-identical to [`dot_slices`] of the
-/// same pair. Used by `matmul_transb` so a row of A is read once per four
-/// output columns.
+/// An `R × 4` tile of dot products, `out[r][j] = a[r]·b[j]`, each
+/// bit-identical to [`dot_slices`] of the same pair. The register tile of
+/// `matmul_transb`: every loaded chunk of an A row meets four B rows and
+/// every chunk of a B row meets `R` A rows, and the four lane accumulators of
+/// a row are summed together in the canonical tree order.
+///
+/// # Panics
+/// Panics unless all `R + 4` slices have one length.
 #[inline]
-pub fn dot4_slices(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-    debug_assert!(b0.len() == a.len() && b1.len() == a.len());
-    debug_assert!(b2.len() == a.len() && b3.len() == a.len());
-    dispatch!(dot4(a, b0, b1, b2, b3))
+pub fn dot_tile_slices<const R: usize>(a: [&[f32]; R], b: [&[f32]; 4]) -> [[f32; 4]; R] {
+    let k = b[0].len();
+    assert!(
+        a.iter().chain(&b).all(|v| v.len() == k),
+        "dot_tile: operand lengths differ"
+    );
+    dispatch!(dot_tile(a, b))
 }
 
 /// `y += a * x` over raw slices (element-wise; both paths round identically).
@@ -182,23 +202,6 @@ pub fn dot4_slices(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) ->
 pub fn axpy_slices(y: &mut [f32], a: f32, x: &[f32]) {
     debug_assert_eq!(y.len(), x.len());
     dispatch!(axpy(y, a, x))
-}
-
-/// Four simultaneous axpys sharing one pass over `x`: `yᵢ += aᵢ·x`. The
-/// 4-row unrolled micro-kernel of the blocked GEMM — `x` (a packed B row)
-/// is loaded once per four output rows instead of once per row.
-#[inline]
-pub fn axpy4_slices(
-    y0: &mut [f32],
-    y1: &mut [f32],
-    y2: &mut [f32],
-    y3: &mut [f32],
-    a: [f32; 4],
-    x: &[f32],
-) {
-    debug_assert!(y0.len() == x.len() && y1.len() == x.len());
-    debug_assert!(y2.len() == x.len() && y3.len() == x.len());
-    dispatch!(axpy4(y0, y1, y2, y3, a, x))
 }
 
 /// Squared Euclidean distance between two equal-length slices (canonical
@@ -262,6 +265,133 @@ pub fn tanh_slices(xs: &mut [f32]) {
 #[inline]
 pub fn sigmoid_slices(xs: &mut [f32]) {
     dispatch!(sigmoid(xs))
+}
+
+/// One timestep of an LSTM's element-wise work for a batch of `N` examples
+/// and `H` hidden units, in one pass. `gates` `[N, 4H]` holds `x·Wx` on
+/// entry and the activated gates `i, f, g, o` on return; `zh` `[N, 4H]` is
+/// `h·Wh`, `bias` `[4H]`; `c` `[N, H]` is the cell state, updated in place;
+/// `tanh_c` and `h` `[N, H]` are overwritten. Per element:
+/// `z = (gates + zh) + bias → σ, σ, tanh, σ → c = f·c + i·g → tanh c →
+/// h = o·tanh c`, each value bit-identical to the `add_assign`,
+/// [`sigmoid_slices`] / [`tanh_slices`] and multiply-add passes it fuses.
+///
+/// # Panics
+/// Panics if the slice lengths do not describe one `(N, H)`.
+pub fn lstm_cell_forward_slices(
+    gates: &mut [f32],
+    zh: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+    tanh_c: &mut [f32],
+    h: &mut [f32],
+) {
+    let hd = bias.len() / 4;
+    assert!(
+        hd > 0
+            && bias.len() == 4 * hd
+            && c.len().is_multiple_of(hd)
+            && gates.len() == 4 * c.len()
+            && zh.len() == gates.len()
+            && tanh_c.len() == c.len()
+            && h.len() == c.len(),
+        "lstm_cell_forward: inconsistent lengths"
+    );
+    dispatch!(lstm_cell_forward(gates, zh, bias, c, tanh_c, h))
+}
+
+/// What one timestep's [`lstm_cell_forward_slices`] call read and wrote that
+/// its backward pass needs: the activated `gates` `[N, 4H]`, `tanh_c` and the
+/// cell state it started from, `c_prev`, both `[N, H]`.
+#[derive(Clone, Copy)]
+pub struct LstmCellCache<'a> {
+    pub gates: &'a [f32],
+    pub tanh_c: &'a [f32],
+    pub c_prev: &'a [f32],
+}
+
+/// The gate-gradient pass of one BPTT timestep: with `dh = dout + dh_next`
+/// and `dc = dh·o·(1 − tanh²c) + dc_next`, writes the pre-activation
+/// gradients `dz` `[N, 4H]` and `dc_prev = dc·f` `[N, H]`.
+///
+/// # Panics
+/// Panics if the slice lengths do not describe one `(N, H)` with `hidden = H`.
+pub fn lstm_cell_backward_slices(
+    hidden: usize,
+    cache: LstmCellCache,
+    dout: &[f32],
+    dh_next: &[f32],
+    dc_next: &[f32],
+    dz: &mut [f32],
+    dc_prev: &mut [f32],
+) {
+    let len = cache.tanh_c.len();
+    let same_len = [cache.c_prev, dout, dh_next, dc_next, dc_prev];
+    assert!(
+        hidden > 0
+            && len.is_multiple_of(hidden)
+            && cache.gates.len() == 4 * len
+            && dz.len() == 4 * len
+            && same_len.iter().all(|v| v.len() == len),
+        "lstm_cell_backward: inconsistent lengths"
+    );
+    lstm_cell_backward(hidden, cache, dout, dh_next, dc_next, dz, dc_prev);
+}
+
+lane_kernel!(lstm_cell_backward => lstm_cell_backward_body(
+    hidden: usize,
+    cache: LstmCellCache,
+    dout: &[f32],
+    dh_next: &[f32],
+    dc_next: &[f32],
+    dz: &mut [f32],
+    dc_prev: &mut [f32],
+));
+
+/// Plain Rust, compiled twice by [`lane_kernel!`]: every element is an
+/// independent chain of multiplies and adds, which the compiler vectorizes
+/// as written.
+#[inline(always)]
+fn lstm_cell_backward_body(
+    hidden: usize,
+    cache: LstmCellCache,
+    dout: &[f32],
+    dh_next: &[f32],
+    dc_next: &[f32],
+    dz: &mut [f32],
+    dc_prev: &mut [f32],
+) {
+    for (r, (grow, dzrow)) in cache
+        .gates
+        .chunks_exact(4 * hidden)
+        .zip(dz.chunks_exact_mut(4 * hidden))
+        .enumerate()
+    {
+        let at = r * hidden..(r + 1) * hidden;
+        let (tc, cp) = (&cache.tanh_c[at.clone()], &cache.c_prev[at.clone()]);
+        let (dout, dhn) = (&dout[at.clone()], &dh_next[at.clone()]);
+        let (dcn, dcp) = (&dc_next[at.clone()], &mut dc_prev[at]);
+        let (ig, rest) = grow.split_at(hidden);
+        let (fg, rest) = rest.split_at(hidden);
+        let (gg, og) = rest.split_at(hidden);
+        let (dzi, rest) = dzrow.split_at_mut(hidden);
+        let (dzf, rest) = rest.split_at_mut(hidden);
+        let (dzg, dzo) = rest.split_at_mut(hidden);
+        for j in 0..hidden {
+            let (i_g, f_g, g_g, o_g) = (ig[j], fg[j], gg[j], og[j]);
+            let dh = dout[j] + dhn[j];
+            let dc = dh * o_g * (1.0 - tc[j] * tc[j]) + dcn[j];
+            let d_o = dh * tc[j];
+            let d_i = dc * g_g;
+            let d_f = dc * cp[j];
+            let d_g = dc * i_g;
+            dcp[j] = dc * f_g;
+            dzi[j] = d_i * i_g * (1.0 - i_g);
+            dzf[j] = d_f * f_g * (1.0 - f_g);
+            dzg[j] = d_g * (1.0 - g_g * g_g);
+            dzo[j] = d_o * o_g * (1.0 - o_g);
+        }
+    }
 }
 
 /// `xs[i] = max(xs[i], 0)` with MAXPS semantics (`x > 0 ? x : 0`; NaN ↦ 0).
@@ -337,8 +467,8 @@ pub mod scalar {
         s
     }
 
-    pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        [dot(a, b0), dot(a, b1), dot(a, b2), dot(a, b3)]
+    pub fn dot_tile<const R: usize>(a: [&[f32]; R], b: [&[f32]; 4]) -> [[f32; 4]; R] {
+        a.map(|ar| b.map(|bj| dot(ar, bj)))
     }
 
     /// [`LANES`] simultaneous dot products sharing `a`, against a
@@ -374,28 +504,6 @@ pub mod scalar {
     pub fn axpy(y: &mut [f32], a: f32, x: &[f32]) {
         for (yv, &xv) in y.iter_mut().zip(x) {
             *yv += a * xv;
-        }
-    }
-
-    pub fn axpy4(
-        y0: &mut [f32],
-        y1: &mut [f32],
-        y2: &mut [f32],
-        y3: &mut [f32],
-        a: [f32; 4],
-        x: &[f32],
-    ) {
-        for ((((v0, v1), v2), v3), &xv) in y0
-            .iter_mut()
-            .zip(y1.iter_mut())
-            .zip(y2.iter_mut())
-            .zip(y3.iter_mut())
-            .zip(x)
-        {
-            *v0 += a[0] * xv;
-            *v1 += a[1] * xv;
-            *v2 += a[2] * xv;
-            *v3 += a[3] * xv;
         }
     }
 
@@ -515,6 +623,78 @@ pub mod scalar {
         }
     }
 
+    /// Hidden units `cols` of one example of the fused LSTM cell, as the
+    /// passes it fuses, each over `cols` only: the four gate pre-activations
+    /// `(gates + zh) + bias` activated in place (`σ, σ, tanh, σ` for
+    /// `i, f, g, o` at `j, H+j, 2H+j, 3H+j`), then `c = f·c + i·g`,
+    /// `tanh_c = tanh c`, `h = o·tanh_c`.
+    #[inline]
+    pub fn lstm_cell_forward_row(
+        gates: &mut [f32],
+        zh: &[f32],
+        bias: &[f32],
+        c: &mut [f32],
+        tanh_c: &mut [f32],
+        h: &mut [f32],
+        cols: std::ops::Range<usize>,
+    ) {
+        let hd = bias.len() / 4;
+        for gate in 0..4 {
+            let at = gate * hd + cols.start..gate * hd + cols.end;
+            let z = &mut gates[at.clone()];
+            for ((zv, &hv), &bv) in z.iter_mut().zip(&zh[at.clone()]).zip(&bias[at]) {
+                *zv = (*zv + hv) + bv;
+            }
+            if gate == 2 {
+                tanh(z);
+            } else {
+                sigmoid(z);
+            }
+        }
+        let (c, tanh_c, h) = (
+            &mut c[cols.clone()],
+            &mut tanh_c[cols.clone()],
+            &mut h[cols.clone()],
+        );
+        let (ig, rest) = gates.split_at(hd);
+        let (fg, rest) = rest.split_at(hd);
+        let (gg, og) = rest.split_at(hd);
+        let (ig, fg) = (&ig[cols.clone()], &fg[cols.clone()]);
+        let (gg, og) = (&gg[cols.clone()], &og[cols]);
+        for (((cv, &i_g), &f_g), &g_g) in c.iter_mut().zip(ig).zip(fg).zip(gg) {
+            *cv = f_g * *cv + i_g * g_g;
+        }
+        tanh_c.copy_from_slice(c);
+        tanh(tanh_c);
+        for ((hv, &o_g), &tc) in h.iter_mut().zip(og).zip(tanh_c.iter()) {
+            *hv = o_g * tc;
+        }
+    }
+
+    /// The fused LSTM cell over a batch; see
+    /// [`lstm_cell_forward_slices`].
+    pub fn lstm_cell_forward(
+        gates: &mut [f32],
+        zh: &[f32],
+        bias: &[f32],
+        c: &mut [f32],
+        tanh_c: &mut [f32],
+        h: &mut [f32],
+    ) {
+        let hd = bias.len() / 4;
+        for ((grow, zrow), ((crow, tcrow), hrow)) in gates
+            .chunks_exact_mut(4 * hd)
+            .zip(zh.chunks_exact(4 * hd))
+            .zip(
+                c.chunks_exact_mut(hd)
+                    .zip(tanh_c.chunks_exact_mut(hd))
+                    .zip(h.chunks_exact_mut(hd)),
+            )
+        {
+            lstm_cell_forward_row(grow, zrow, bias, crow, tcrow, hrow, 0..hd);
+        }
+    }
+
     pub fn relu(xs: &mut [f32]) {
         for v in xs.iter_mut() {
             // MAXPS(x, 0) semantics: NaN and -0.0 both map to +0.0.
@@ -567,29 +747,51 @@ mod avx2 {
         s
     }
 
+    /// [`hsum`] of four accumulators at once, `[hsum(v[0]), …, hsum(v[3])]`:
+    /// the same three additions per accumulator, in the same tree, with the
+    /// four results sharing each instruction.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
-        let n = a.len();
-        let chunks = n / LANES;
-        let ap = a.as_ptr();
-        let (p0, p1, p2, p3) = (b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr());
-        let mut a0 = _mm256_setzero_ps();
-        let mut a1 = _mm256_setzero_ps();
-        let mut a2 = _mm256_setzero_ps();
-        let mut a3 = _mm256_setzero_ps();
-        for c in 0..chunks {
-            let va = _mm256_loadu_ps(ap.add(c * LANES));
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(va, _mm256_loadu_ps(p0.add(c * LANES))));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(va, _mm256_loadu_ps(p1.add(c * LANES))));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(va, _mm256_loadu_ps(p2.add(c * LANES))));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(va, _mm256_loadu_ps(p3.add(c * LANES))));
+    unsafe fn hsum4(v: [__m256; 4]) -> __m128 {
+        // s[j] = [l0+l4, l1+l5, l2+l6, l3+l7] of accumulator j.
+        let mut s = [_mm_setzero_ps(); 4];
+        for (sj, &x) in s.iter_mut().zip(&v) {
+            *sj = _mm_add_ps(_mm256_castps256_ps128(x), _mm256_extractf128_ps(x, 1));
         }
-        let mut out = [hsum(a0), hsum(a1), hsum(a2), hsum(a3)];
-        for i in chunks * LANES..n {
-            out[0] += a[i] * b0[i];
-            out[1] += a[i] * b1[i];
-            out[2] += a[i] * b2[i];
-            out[3] += a[i] * b3[i];
+        let [mut s0, mut s1, mut s2, mut s3] = s;
+        // Now `si` holds sum `i` of every accumulator.
+        _MM_TRANSPOSE4_PS(&mut s0, &mut s1, &mut s2, &mut s3);
+        _mm_add_ps(_mm_add_ps(s0, s2), _mm_add_ps(s1, s3))
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_tile<const R: usize>(a: [&[f32]; R], b: [&[f32]; 4]) -> [[f32; 4]; R] {
+        let n = b[0].len();
+        let chunks = n / LANES;
+        let mut acc = [[_mm256_setzero_ps(); 4]; R];
+        for c in 0..chunks {
+            let o = c * LANES;
+            let vb = [
+                _mm256_loadu_ps(b[0].as_ptr().add(o)),
+                _mm256_loadu_ps(b[1].as_ptr().add(o)),
+                _mm256_loadu_ps(b[2].as_ptr().add(o)),
+                _mm256_loadu_ps(b[3].as_ptr().add(o)),
+            ];
+            for (ar, accr) in a.iter().zip(acc.iter_mut()) {
+                let va = _mm256_loadu_ps(ar.as_ptr().add(o));
+                for (l, &x) in accr.iter_mut().zip(&vb) {
+                    *l = _mm256_add_ps(*l, _mm256_mul_ps(va, x));
+                }
+            }
+        }
+        let mut out = [[0.0f32; 4]; R];
+        for ((ar, accr), o) in a.iter().zip(acc).zip(out.iter_mut()) {
+            _mm_storeu_ps(o.as_mut_ptr(), hsum4(accr));
+            for i in chunks * LANES..n {
+                for (s, bj) in o.iter_mut().zip(&b) {
+                    *s += ar[i] * bj[i];
+                }
+            }
         }
         out
     }
@@ -607,56 +809,6 @@ mod avx2 {
         }
         for i in chunks * LANES..n {
             y[i] += a * x[i];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy4(
-        y0: &mut [f32],
-        y1: &mut [f32],
-        y2: &mut [f32],
-        y3: &mut [f32],
-        a: [f32; 4],
-        x: &[f32],
-    ) {
-        let n = x.len();
-        let chunks = n / LANES;
-        let va0 = _mm256_set1_ps(a[0]);
-        let va1 = _mm256_set1_ps(a[1]);
-        let va2 = _mm256_set1_ps(a[2]);
-        let va3 = _mm256_set1_ps(a[3]);
-        let xp = x.as_ptr();
-        let (q0, q1, q2, q3) = (
-            y0.as_mut_ptr(),
-            y1.as_mut_ptr(),
-            y2.as_mut_ptr(),
-            y3.as_mut_ptr(),
-        );
-        for c in 0..chunks {
-            let vx = _mm256_loadu_ps(xp.add(c * LANES));
-            let o = c * LANES;
-            _mm256_storeu_ps(
-                q0.add(o),
-                _mm256_add_ps(_mm256_loadu_ps(q0.add(o)), _mm256_mul_ps(va0, vx)),
-            );
-            _mm256_storeu_ps(
-                q1.add(o),
-                _mm256_add_ps(_mm256_loadu_ps(q1.add(o)), _mm256_mul_ps(va1, vx)),
-            );
-            _mm256_storeu_ps(
-                q2.add(o),
-                _mm256_add_ps(_mm256_loadu_ps(q2.add(o)), _mm256_mul_ps(va2, vx)),
-            );
-            _mm256_storeu_ps(
-                q3.add(o),
-                _mm256_add_ps(_mm256_loadu_ps(q3.add(o)), _mm256_mul_ps(va3, vx)),
-            );
-        }
-        for i in chunks * LANES..n {
-            y0[i] += a[0] * x[i];
-            y1[i] += a[1] * x[i];
-            y2[i] += a[2] * x[i];
-            y3[i] += a[3] * x[i];
         }
     }
 
@@ -811,24 +963,37 @@ mod avx2 {
         }
     }
 
+    /// 8-wide transcription of [`scalar::tanh_core`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh_v(x: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let x = _mm256_min_ps(x, _mm256_set1_ps(TANH_CLAMP));
+        let x = _mm256_max_ps(x, _mm256_set1_ps(-TANH_CLAMP));
+        let e = exp_v(_mm256_add_ps(
+            _mm256_mul_ps(x, _mm256_set1_ps(2.0)),
+            _mm256_set1_ps(0.0),
+        ));
+        _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one))
+    }
+
+    /// 8-wide transcription of [`scalar::sigmoid_core`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sigmoid_v(x: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        // -x via sign-bit flip, exactly like the scalar negation.
+        let e = exp_v(_mm256_xor_ps(x, _mm256_set1_ps(-0.0)));
+        _mm256_div_ps(one, _mm256_add_ps(one, e))
+    }
+
     #[target_feature(enable = "avx2")]
     pub unsafe fn tanh(xs: &mut [f32]) {
-        let n = xs.len();
-        let chunks = n / LANES;
-        let hi = _mm256_set1_ps(TANH_CLAMP);
-        let lo = _mm256_set1_ps(-TANH_CLAMP);
-        let one = _mm256_set1_ps(1.0);
-        let two = _mm256_set1_ps(2.0);
-        let zero = _mm256_set1_ps(0.0);
+        let chunks = xs.len() / LANES;
         let p = xs.as_mut_ptr();
         for c in 0..chunks {
             let o = c * LANES;
-            let x = _mm256_loadu_ps(p.add(o));
-            let x = _mm256_min_ps(x, hi);
-            let x = _mm256_max_ps(x, lo);
-            let e = exp_v(_mm256_add_ps(_mm256_mul_ps(x, two), zero));
-            let t = _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one));
-            _mm256_storeu_ps(p.add(o), t);
+            _mm256_storeu_ps(p.add(o), tanh_v(_mm256_loadu_ps(p.add(o))));
         }
         for v in &mut xs[chunks * LANES..] {
             *v = scalar::tanh_core(*v);
@@ -837,20 +1002,77 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     pub unsafe fn sigmoid(xs: &mut [f32]) {
-        let n = xs.len();
-        let chunks = n / LANES;
-        let one = _mm256_set1_ps(1.0);
-        let sign = _mm256_set1_ps(-0.0);
+        let chunks = xs.len() / LANES;
         let p = xs.as_mut_ptr();
         for c in 0..chunks {
             let o = c * LANES;
-            let x = _mm256_loadu_ps(p.add(o));
-            // -x via sign-bit flip, exactly like the scalar negation.
-            let e = exp_v(_mm256_xor_ps(x, sign));
-            _mm256_storeu_ps(p.add(o), _mm256_div_ps(one, _mm256_add_ps(one, e)));
+            _mm256_storeu_ps(p.add(o), sigmoid_v(_mm256_loadu_ps(p.add(o))));
         }
         for v in &mut xs[chunks * LANES..] {
             *v = scalar::sigmoid_core(*v);
+        }
+    }
+
+    /// `(x[0..8] + y[0..8]) + z[0..8]`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add3(x: *const f32, y: *const f32, z: *const f32) -> __m256 {
+        _mm256_add_ps(
+            _mm256_add_ps(_mm256_loadu_ps(x), _mm256_loadu_ps(y)),
+            _mm256_loadu_ps(z),
+        )
+    }
+
+    /// 8-wide transcription of [`scalar::lstm_cell_forward`]: eight hidden
+    /// units of one example per iteration, the ragged end of each row
+    /// through [`scalar::lstm_cell_forward_row`]. Intrinsics rather than a
+    /// `lane_kernel!` body because the compiler does not vectorize the
+    /// fused chain as plain Rust (the saturating `as i32` and the divisions
+    /// in `exp_core` / `sigmoid_core`): that build ran the LSTM forward
+    /// slower than the unfused passes.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn lstm_cell_forward(
+        gates: &mut [f32],
+        zh: &[f32],
+        bias: &[f32],
+        c: &mut [f32],
+        tanh_c: &mut [f32],
+        h: &mut [f32],
+    ) {
+        let hd = bias.len() / 4;
+        let full = hd / LANES * LANES;
+        let bp = bias.as_ptr();
+        for ((grow, zrow), ((crow, tcrow), hrow)) in gates
+            .chunks_exact_mut(4 * hd)
+            .zip(zh.chunks_exact(4 * hd))
+            .zip(
+                c.chunks_exact_mut(hd)
+                    .zip(tanh_c.chunks_exact_mut(hd))
+                    .zip(h.chunks_exact_mut(hd)),
+            )
+        {
+            let (gp, zp) = (grow.as_mut_ptr(), zrow.as_ptr());
+            let (cp, tp, hp) = (crow.as_mut_ptr(), tcrow.as_mut_ptr(), hrow.as_mut_ptr());
+            for j in (0..full).step_by(LANES) {
+                let (fo, go, oo) = (hd + j, 2 * hd + j, 3 * hd + j);
+                let ig = sigmoid_v(add3(gp.add(j), zp.add(j), bp.add(j)));
+                let fg = sigmoid_v(add3(gp.add(fo), zp.add(fo), bp.add(fo)));
+                let gg = tanh_v(add3(gp.add(go), zp.add(go), bp.add(go)));
+                let og = sigmoid_v(add3(gp.add(oo), zp.add(oo), bp.add(oo)));
+                _mm256_storeu_ps(gp.add(j), ig);
+                _mm256_storeu_ps(gp.add(fo), fg);
+                _mm256_storeu_ps(gp.add(go), gg);
+                _mm256_storeu_ps(gp.add(oo), og);
+                let cv = _mm256_add_ps(
+                    _mm256_mul_ps(fg, _mm256_loadu_ps(cp.add(j))),
+                    _mm256_mul_ps(ig, gg),
+                );
+                let tc = tanh_v(cv);
+                _mm256_storeu_ps(cp.add(j), cv);
+                _mm256_storeu_ps(tp.add(j), tc);
+                _mm256_storeu_ps(hp.add(j), _mm256_mul_ps(og, tc));
+            }
+            scalar::lstm_cell_forward_row(grow, zrow, bias, crow, tcrow, hrow, full..hd);
         }
     }
 
@@ -916,15 +1138,21 @@ mod tests {
     }
 
     #[test]
-    fn dot4_matches_four_dots_bitwise() {
+    fn dot_tile_matches_eight_dots_bitwise() {
         for &n in LENS {
-            let (a, b0) = vecs(n);
+            let (a0, b0) = vecs(n);
+            let a1: Vec<f32> = a0.iter().map(|v| 0.4 - v).collect();
             let b1: Vec<f32> = b0.iter().map(|v| v * 0.7 + 0.1).collect();
             let b2: Vec<f32> = b0.iter().map(|v| -v).collect();
             let b3: Vec<f32> = b0.iter().rev().copied().collect();
-            let quad = dot4_slices(&a, &b0, &b1, &b2, &b3);
-            for (q, bi) in quad.iter().zip([&b0, &b1, &b2, &b3]) {
-                assert_eq!(q.to_bits(), dot_slices(&a, bi).to_bits());
+            let b = [&b0[..], &b1, &b2, &b3];
+            let pair = dot_tile_slices([&a0[..], &a1], b);
+            let single = dot_tile_slices([&a1[..]], b);
+            assert_eq!(pair[1].map(f32::to_bits), single[0].map(f32::to_bits));
+            for (row, ar) in pair.iter().zip([&a0, &a1]) {
+                for (d, bj) in row.iter().zip(b) {
+                    assert_eq!(d.to_bits(), dot_slices(ar, bj).to_bits());
+                }
             }
         }
     }

@@ -67,20 +67,19 @@ proptest! {
     }
 
     #[test]
-    fn dot4_dispatched_eq_scalar(len in ragged_len(), off in offset(), seed in 0u64..1_000_000) {
-        let a = det_vec(len + off, seed);
-        let b0 = det_vec(len + off, seed ^ 1);
-        let b1 = det_vec(len + off, seed ^ 2);
-        let b2 = det_vec(len + off, seed ^ 3);
-        let b3 = det_vec(len + off, seed ^ 4);
-        let got = simd::dot4_slices(&a[off..], &b0[off..], &b1[off..], &b2[off..], &b3[off..]);
-        let want = scalar::dot4(&a[off..], &b0[off..], &b1[off..], &b2[off..], &b3[off..]);
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.to_bits(), w.to_bits());
-        }
-        // dot4 must also agree with four independent dots.
-        for (g, bi) in got.iter().zip([&b0, &b1, &b2, &b3]) {
-            prop_assert_eq!(g.to_bits(), simd::dot_slices(&a[off..], &bi[off..]).to_bits());
+    fn dot_tile_dispatched_eq_scalar(len in ragged_len(), off in offset(), seed in 0u64..1_000_000) {
+        let a: Vec<Vec<f32>> = (0..2).map(|i| det_vec(len + off, seed ^ (20 + i))).collect();
+        let b: Vec<Vec<f32>> = (1..5).map(|i| det_vec(len + off, seed ^ i)).collect();
+        let (a0, a1) = (&a[0][off..], &a[1][off..]);
+        let b = [&b[0][off..], &b[1][off..], &b[2][off..], &b[3][off..]];
+        let got = simd::dot_tile_slices([a0, a1], b);
+        prop_assert_eq!(got.map(|r| r.map(f32::to_bits)), scalar::dot_tile([a0, a1], b).map(|r| r.map(f32::to_bits)));
+        // The one-row tile, and eight independent dots, say the same.
+        prop_assert_eq!(got[1].map(f32::to_bits), simd::dot_tile_slices([a1], b)[0].map(f32::to_bits));
+        for (row, ar) in got.iter().zip([a0, a1]) {
+            for (g, bj) in row.iter().zip(b) {
+                prop_assert_eq!(g.to_bits(), simd::dot_slices(ar, bj).to_bits());
+            }
         }
     }
 
@@ -97,29 +96,6 @@ proptest! {
         simd::axpy_slices(&mut y1, a, &x[off..]);
         scalar::axpy(&mut y2, a, &x[off..]);
         prop_assert_eq!(bits(&y1), bits(&y2));
-    }
-
-    #[test]
-    fn axpy4_dispatched_eq_scalar(len in ragged_len(), off in offset(), seed in 0u64..1_000_000) {
-        let x = det_vec(len + off, seed);
-        let mut rows1: Vec<Vec<f32>> = (0..4).map(|i| det_vec(len, seed ^ (10 + i))).collect();
-        let mut rows2 = rows1.clone();
-        let coef = [0.5f32, -1.25, 2.0, 0.33];
-        {
-            let (r0, rest) = rows1.split_at_mut(1);
-            let (r1, rest) = rest.split_at_mut(1);
-            let (r2, r3) = rest.split_at_mut(1);
-            simd::axpy4_slices(&mut r0[0], &mut r1[0], &mut r2[0], &mut r3[0], coef, &x[off..]);
-        }
-        {
-            let (r0, rest) = rows2.split_at_mut(1);
-            let (r1, rest) = rest.split_at_mut(1);
-            let (r2, r3) = rest.split_at_mut(1);
-            scalar::axpy4(&mut r0[0], &mut r1[0], &mut r2[0], &mut r3[0], coef, &x[off..]);
-        }
-        for (y1, y2) in rows1.iter().zip(&rows2) {
-            prop_assert_eq!(bits(y1), bits(y2));
-        }
     }
 
     #[test]
@@ -213,6 +189,33 @@ proptest! {
         simd::relu_slices(&mut y1);
         scalar::relu(&mut y2);
         prop_assert_eq!(bits(&y1), bits(&y2));
+    }
+
+    /// The fused LSTM cell, hidden sizes on both sides of the 8-lane
+    /// boundary (the backward pass is one plain-Rust body on both paths and
+    /// is pinned against its oracle in `rfl-nn`'s `lstm_oracle.rs`).
+    #[test]
+    fn lstm_cell_forward_dispatched_eq_scalar(
+        n in 1usize..=5,
+        hd in 1usize..=19,
+        off in offset(),
+        seed in 0u64..1_000_000,
+    ) {
+        // det_vec spans ±50: saturated and unsaturated gates both occur.
+        let gates = det_vec(n * 4 * hd + off, seed);
+        let zh = det_vec(n * 4 * hd + off, seed ^ 1);
+        let bias = det_vec(4 * hd + off, seed ^ 2);
+        let c = det_vec(n * hd + off, seed ^ 3);
+        let (mut g1, mut c1) = (gates[off..].to_vec(), c[off..].to_vec());
+        let (mut g2, mut c2) = (g1.clone(), c1.clone());
+        let (mut tc1, mut h1) = (vec![f32::NAN; n * hd], vec![f32::NAN; n * hd]);
+        let (mut tc2, mut h2) = (tc1.clone(), h1.clone());
+        simd::lstm_cell_forward_slices(&mut g1, &zh[off..], &bias[off..], &mut c1, &mut tc1, &mut h1);
+        scalar::lstm_cell_forward(&mut g2, &zh[off..], &bias[off..], &mut c2, &mut tc2, &mut h2);
+        prop_assert_eq!(bits(&g1), bits(&g2));
+        prop_assert_eq!(bits(&c1), bits(&c2));
+        prop_assert_eq!(bits(&tc1), bits(&tc2));
+        prop_assert_eq!(bits(&h1), bits(&h2));
     }
 
     /// Extreme exp inputs (overflow/underflow region, ±inf, NaN) must clamp
