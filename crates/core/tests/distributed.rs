@@ -15,8 +15,15 @@ use rfl_core::comm::{
     SocketTransport, Transport,
 };
 use rfl_core::compress::{CompressedVec, Compression};
-use rfl_core::{Federation, History};
+use rfl_core::{Algorithm, Federation, History, Trainer};
 use std::time::Duration;
+
+type MakeAlgo = fn() -> Box<dyn Algorithm>;
+
+/// The canonical run's algorithm (what [`canonical::run`] hard-codes).
+fn canonical_algo() -> Box<dyn Algorithm> {
+    Box::new(rfl_core::algorithms::RFedAvgPlus::new(canonical::LAMBDA))
+}
 
 fn welcome(seed: u64, rounds: usize, compression: Compression) -> ControlMsg {
     let cfg = canonical::config(seed, rounds);
@@ -69,6 +76,25 @@ fn server_run(
     recv_timeout: Duration,
     compression: Compression,
 ) -> (SocketHandle, Endpoint) {
+    server_run_with(
+        endpoint,
+        seed,
+        rounds,
+        recv_timeout,
+        compression,
+        canonical_algo,
+    )
+}
+
+/// [`server_run`] driving any algorithm over the canonical cohort.
+fn server_run_with(
+    endpoint: &Endpoint,
+    seed: u64,
+    rounds: usize,
+    recv_timeout: Duration,
+    compression: Compression,
+    make: MakeAlgo,
+) -> (SocketHandle, Endpoint) {
     let mut transport =
         SocketTransport::bind(endpoint, &welcome(seed, rounds, compression)).expect("bind server");
     transport.set_recv_timeout(recv_timeout);
@@ -82,9 +108,9 @@ fn server_run(
         cfg.compression = compression;
         let mut fed =
             Federation::remote(&data, canonical::model(), &cfg, seed, Box::new(transport));
-        let history = canonical::run(&mut fed, seed, rounds);
+        let history = Trainer::new(canonical::config(seed, rounds)).run(make().as_mut(), &mut fed);
         let faults = fed.fault_stats();
-        let stats = fed.comm_snapshot();
+        let stats = fed.comm_stats().clone();
         let global = fed.global().to_vec();
         fed.shutdown_remote();
         (history, global, faults, stats)
@@ -96,6 +122,15 @@ type SocketHandle = std::thread::JoinHandle<(History, Vec<f32>, FaultStats, Comm
 
 /// The in-process oracle on the perfect transport.
 fn oracle(seed: u64, rounds: usize, compression: Compression) -> (History, Vec<f32>) {
+    oracle_with(seed, rounds, compression, canonical_algo)
+}
+
+fn oracle_with(
+    seed: u64,
+    rounds: usize,
+    compression: Compression,
+    make: MakeAlgo,
+) -> (History, Vec<f32>) {
     let data = canonical::data(seed);
     let mut cfg = canonical::config(seed, rounds);
     cfg.compression = compression;
@@ -106,9 +141,128 @@ fn oracle(seed: u64, rounds: usize, compression: Compression) -> (History, Vec<f
         &cfg,
         seed,
     );
-    let h = canonical::run(&mut fed, seed, rounds);
+    let h = Trainer::new(canonical::config(seed, rounds)).run(make().as_mut(), &mut fed);
     let g = fed.global().to_vec();
     (h, g)
+}
+
+fn loss_bits(h: &History) -> Vec<u32> {
+    h.records().iter().map(|r| r.train_loss.to_bits()).collect()
+}
+
+/// FNV-1a over the bit patterns (the fingerprint `transport_equiv.rs`'s
+/// parity table uses).
+fn bit_hash(v: &[f32]) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+/// The loopback column of the parity table: the algorithms the socket
+/// back-end serves, dense and `quantize:8`, recorded on the commit before
+/// the round driver existed — the final global's bit hash and the server's
+/// whole byte ledger (handshakes included, taken before shutdown).
+const LOOPBACK_PARITY: &[(&str, &str)] = &[
+    (
+        "FedAvg/dense",
+        "global=c6054e5e6d6f41c8 down=587540 up=587404 ddown=0 dup=0 msgs=34",
+    ),
+    (
+        "FedAvg/q8",
+        "global=016aede39835f989 down=587540 up=147260 ddown=0 dup=0 msgs=34",
+    ),
+    (
+        "FedAvgM/dense",
+        "global=2c571cd84c223da0 down=587540 up=587404 ddown=0 dup=0 msgs=34",
+    ),
+    (
+        "FedAvgM/q8",
+        "global=1858066ae082a83f down=587540 up=147260 ddown=0 dup=0 msgs=34",
+    ),
+    (
+        "rFedAvg+/dense",
+        "global=0a77d744426f92c7 down=1175880 up=589524 ddown=1060 dup=2120 msgs=56",
+    ),
+    (
+        "rFedAvg+/q8",
+        "global=5b86a7ee130d9eb2 down=1175880 up=148004 ddown=1060 dup=744 msgs=56",
+    ),
+];
+
+/// Every cell the socket back-end serves lands on the in-process oracle bit
+/// for bit — per-round losses and final parameters — and on the literals
+/// of [`LOOPBACK_PARITY`].
+#[test]
+fn loopback_column_matches_the_in_process_oracle_and_the_recorded_table() {
+    let algos: [(&str, MakeAlgo); 3] = [
+        ("FedAvg", || Box::new(rfl_core::algorithms::FedAvg::new())),
+        ("FedAvgM", || {
+            Box::new(rfl_core::algorithms::FedAvgM::new(0.7))
+        }),
+        ("rFedAvg+", canonical_algo),
+    ];
+    let policies = [
+        ("dense", Compression::None),
+        ("q8", Compression::Quantize { bits: 8 }),
+    ];
+    let (seed, rounds) = (canonical::SEED, canonical::ROUNDS);
+    let mut actual = Vec::new();
+    for (name, make) in algos {
+        for (tag, policy) in policies {
+            let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+            let (server, at) = server_run_with(
+                &endpoint,
+                seed,
+                rounds,
+                Duration::from_secs(60),
+                policy,
+                make,
+            );
+            let clients: Vec<_> = (0..canonical::NUM_CLIENTS)
+                .map(|k| {
+                    let ep = at.clone();
+                    std::thread::spawn(move || {
+                        client_thread(ep, k, seed, ClientLoopOpts::default())
+                    })
+                })
+                .collect();
+            let (history, global, faults, s) = server.join().expect("server thread");
+            for c in clients {
+                assert!(matches!(c.join().expect("client"), ClientOutcome::Shutdown));
+            }
+            let (oracle_h, oracle_g) = oracle_with(seed, rounds, policy, make);
+            let cell = format!("{name}/{tag}");
+            assert_eq!(loss_bits(&history), loss_bits(&oracle_h), "{cell}: losses");
+            assert_eq!(global, oracle_g, "{cell}: global parameters");
+            assert_eq!(faults, FaultStats::default(), "{cell}: faults");
+            actual.push((
+                cell,
+                format!(
+                    "global={:016x} down={} up={} ddown={} dup={} msgs={}",
+                    bit_hash(&global),
+                    s.download_bytes(),
+                    s.upload_bytes(),
+                    s.delta_download_bytes(),
+                    s.delta_upload_bytes(),
+                    s.messages(),
+                ),
+            ));
+        }
+    }
+    let expected: Vec<(String, String)> = LOOPBACK_PARITY
+        .iter()
+        .map(|&(c, r)| (c.to_string(), r.to_string()))
+        .collect();
+    let render: String = actual
+        .iter()
+        .map(|(c, r)| format!("    ({c:?}, {r:?}),\n"))
+        .collect();
+    assert!(
+        actual == expected,
+        "loopback parity moved; this run reads:\n{render}"
+    );
 }
 
 fn socket_run_matches_oracle(endpoint: &Endpoint) {

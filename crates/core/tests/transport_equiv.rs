@@ -56,46 +56,202 @@ fn run(algo: &mut dyn Algorithm, seed: u64, transport: Option<Box<dyn Transport>
         fed.set_transport(t);
     }
     let h = Trainer::new(cfg).run(algo, &mut fed);
-    let stats = fed.comm_snapshot();
+    let stats = fed.comm_stats().clone();
     let faults = fed.fault_stats();
     (fed.global().to_vec(), h, stats, faults)
 }
 
-/// A no-fault `FaultyTransport` must be indistinguishable from the default
-/// backend: same trained model bit-for-bit, same byte ledger, same message
-/// counts — for the plain baseline and both paper algorithms (which exercise
-/// every message kind: model, δ table, averaged δ, δ upload).
-#[test]
-fn lossless_faulty_is_bit_and_byte_identical_to_perfect() {
-    type MakeAlgo = fn() -> Box<dyn Algorithm>;
-    let algos: Vec<(&str, MakeAlgo)> = vec![
-        ("FedAvg", || Box::new(FedAvg::new())),
-        ("rFedAvg", || Box::new(RFedAvg::new(1e-3))),
-        ("rFedAvg+", || Box::new(RFedAvgPlus::new(1e-3))),
-    ];
-    for (name, make) in algos {
-        let (w_p, h_p, s_p, _) = run(make().as_mut(), 60, None);
-        let faulty = FaultyTransport::new(FaultConfig::lossless(123));
-        let (w_f, h_f, s_f, faults) = run(make().as_mut(), 60, Some(Box::new(faulty)));
-        assert_eq!(w_p, w_f, "{name}: global params diverged");
-        assert_eq!(
-            s_p.total_bytes(),
-            s_f.total_bytes(),
-            "{name}: byte ledgers diverged"
-        );
-        assert_eq!(s_p.delta_bytes(), s_f.delta_bytes(), "{name}: delta bytes");
-        assert_eq!(s_p.messages(), s_f.messages(), "{name}: message counts");
-        assert_eq!(faults, FaultStats::default(), "{name}: spurious faults");
-        assert_eq!(
-            h_p.final_accuracy(),
-            h_f.final_accuracy(),
-            "{name}: accuracy"
-        );
-        for (a, b) in h_p.records().iter().zip(h_f.records()) {
-            assert_eq!(a.delivered, b.delivered, "{name}: delivered counts");
-            assert_eq!(b.dropped_msgs, 0, "{name}: drops on a lossless link");
+/// FNV-1a over the bit patterns — a one-word fingerprint of a parameter
+/// vector for the parity tables.
+fn bit_hash(v: &[f32]) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+/// Round 0's spans in creation order as `kind{counter=value,..}` (timings
+/// and the RSS gauge left out). Parallel local training opens its client
+/// spans in scheduling order, so each run of them is sorted by client.
+fn round0_spans(tracer: &rfl_trace::Tracer) -> String {
+    let mut out: Vec<String> = Vec::new();
+    let mut train_run = 0usize;
+    for r in tracer.records().iter().filter(|r| r.round == Some(0)) {
+        let counters: Vec<String> = r
+            .counters
+            .iter()
+            .filter(|(n, _)| *n != "rss_bytes")
+            .map(|(n, v)| format!("{n}={v}"))
+            .collect();
+        let client = r.client.map_or(String::new(), |c| format!("#{c}"));
+        out.push(format!("{}{client}{{{}}}", r.kind, counters.join(",")));
+        if r.kind == "local_train" {
+            train_run += 1;
+        } else {
+            let n = out.len() - 1;
+            out[n - train_run..n].sort();
+            train_run = 0;
         }
     }
+    let n = out.len();
+    out[n - train_run..].sort();
+    out.join(" ")
+}
+
+/// One cell of the parity table: everything a back-end or driver change
+/// must not move, rendered on one line.
+fn parity_row(algo: &mut dyn Algorithm, transport: Option<Box<dyn Transport>>) -> String {
+    let cfg = FlConfig {
+        sample_ratio: 0.5,
+        ..quick_cfg(4, 60)
+    };
+    let mut fed = gaussian_fed(60, &cfg);
+    if let Some(t) = transport {
+        fed.set_transport(t);
+    }
+    let tracer = rfl_trace::Tracer::enabled();
+    fed.set_tracer(tracer.clone());
+    let h = Trainer::new(cfg).run(algo, &mut fed);
+    let losses: Vec<String> = h
+        .records()
+        .iter()
+        .map(|r| format!("{:08x}", r.train_loss.to_bits()))
+        .collect();
+    let (s, f) = (fed.comm_stats(), fed.fault_stats());
+    format!(
+        "global={:016x} loss=[{}] down={} up={} ddown={} dup={} msgs={} faults=({},{},{}) | {}",
+        bit_hash(fed.global()),
+        losses.join(","),
+        s.download_bytes(),
+        s.upload_bytes(),
+        s.delta_download_bytes(),
+        s.delta_upload_bytes(),
+        s.messages(),
+        f.dropped,
+        f.retries,
+        f.deadline_drops,
+        round0_spans(&tracer),
+    )
+}
+
+type MakeAlgo = fn() -> Box<dyn Algorithm>;
+
+/// The ten algorithm rows of the parity table: the eight algorithms plus
+/// the two DP variants (which pin the noise draws' place in the server RNG
+/// stream, interleaved with the selection draws).
+fn parity_algos() -> Vec<(&'static str, MakeAlgo)> {
+    fn dp() -> rfl_core::dp::DpConfig {
+        rfl_core::dp::DpConfig::new(0.5, 1.0, 10)
+    }
+    vec![
+        ("FedAvg", || Box::new(FedAvg::new())),
+        ("FedProx", || Box::new(FedProx::new(0.1))),
+        ("FedAvgM", || Box::new(FedAvgM::new(0.7))),
+        ("Scaffold", || Box::new(Scaffold::new(1.0))),
+        ("q-FedAvg", || Box::new(QFedAvg::new(1.0))),
+        ("PoC", || Box::new(PowerOfChoice::new(2.0, 1e-3))),
+        ("rFedAvg", || Box::new(RFedAvg::new(1e-3))),
+        ("rFedAvg+", || Box::new(RFedAvgPlus::new(1e-3))),
+        ("rFedAvg/dp", || Box::new(RFedAvg::new(1e-3).with_dp(dp()))),
+        ("rFedAvg+/dp", || {
+            Box::new(RFedAvgPlus::new(1e-3).with_dp(dp()))
+        }),
+    ]
+}
+
+/// The in-process parity table, recorded on the commit before the round
+/// driver existed: for every algorithm, what a run leaves behind on a
+/// lossless link and on a seeded lossy one (30 % loss, no retry) — the
+/// final global's bit hash, each round's `train_loss` bits, the byte
+/// ledger per plane and direction, the message count, the fault counters
+/// and round 0's span sequence with its counters. A refactor of the round
+/// plumbing must leave every line as it is.
+const PARITY: &[(&str, &str, &str)] = &[
+    (
+        "FedAvg",
+        "global=dc5b7e1bb3b86fd1 loss=[3fa1e4a4,3f92bbae,3f544a0c,3f3a0a5e] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=82f2562ce783805f loss=[3fa1e4a4,3fa08854,3f6df162,3f3fcd0a] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
+    ),
+    (
+        "FedProx",
+        "global=0aa3b66a14b6ce5f loss=[3fa28678,3f9364d2,3f55f8d8,3f3b8a20] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=c1d91e1736682508 loss=[3fa28678,3fa0c84a,3f6f64f2,3f40bd24] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
+    ),
+    (
+        "FedAvgM",
+        "global=2448dcd4ef788420 loss=[3fa1e4a4,3f92bbae,3f4476ef,3f1fa2d4] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=e24708ed927cad82 loss=[3fa1e4a4,3fa08854,3f7cf290,3f26d4e0] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
+    ),
+    (
+        "Scaffold",
+        "global=17187f84f28fd0db loss=[3fa1e4a4,3fa31e67,3f90a350,3f6af178] down=9120 up=9120 ddown=0 dup=0 msgs=32 faults=(0,0,0) | round{bytes_down=2280,bytes_up=2280,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} upload{bytes=1140,clients=3} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=920bd6768a4f0ce8 loss=[3f8ddc69,3fa890db,3ef2ae46,3f5a2ab7] down=9120 up=6080 ddown=0 dup=0 msgs=24 faults=(5,0,0) | round{bytes_down=2280,bytes_up=760,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3,dropped=2} local_train#1{batches=5,examples=50} upload{bytes=380,clients=1} upload{bytes=380,clients=1} aggregate{clients=1}",
+    ),
+    (
+        "q-FedAvg",
+        "global=cde980f6526847fd loss=[3fa1e4a4,3fa3603d,3f8b43b4,3f74adbc] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=809cea706ac422ba loss=[3fa1e4a4,3fa72c36,3f8fbdcb,3f6ffcf2] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
+    ),
+    (
+        "PoC",
+        "global=7f28b264653543eb loss=[3fc2e452,3f78bf1e,3f5423e0,3f4a2b58] down=13680 up=4560 ddown=0 dup=0 msgs=20 faults=(0,0,0) | round{bytes_down=3420,bytes_up=1140,bytes_delta=0,participants=3} select{candidates=6,clients=3} broadcast{bytes=2280,clients=6} local_train#2{batches=5,examples=50} local_train#4{batches=5,examples=50} local_train#5{batches=5,examples=50} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{dims=6,clients=3}",
+        "global=f62da33e937a1d90 loss=[3fc2e452,3f85e54e,3f79dd33,3f6481e2] down=13680 up=4560 ddown=0 dup=0 msgs=20 faults=(11,0,0) | round{bytes_down=3420,bytes_up=1140,bytes_delta=0,participants=3,dropped=3} select{candidates=6,clients=3} broadcast{bytes=2280,clients=6,dropped=1} local_train#2{batches=5,examples=50} local_train#4{batches=5,examples=50} local_train#5{batches=5,examples=50} fold{clients=2,dims=94} upload{bytes=1140,clients=3,dropped=1} aggregate{clients=2} broadcast{bytes=1140,clients=3,dropped=1} delta_sync{dims=6,clients=2}",
+    ),
+    (
+        "rFedAvg",
+        "global=288b7f41348cc473 loss=[3fa1e4a4,3f92ce02,3f546424,3f3a4a15] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(0,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} delta_sync{bytes=84,dims=6,clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=cd6a25036e289efe loss=[3fa1e4a4,3f92ce02,3f5454bc,3f3a4f1a] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(6,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3,dropped=2} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} delta_sync{bytes=84,dims=6,clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+    ),
+    (
+        "rFedAvg+",
+        "global=6b0322491bef7309 loss=[3fa1e4a4,3f92ccc0,3f545e0a,3f3a49de] down=9372 up=4896 ddown=252 dup=336 msgs=41 faults=(0,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3}",
+        "global=090d0035faf9ae69 loss=[3fa1e4a4,3fa09956,3f6df5f6,3f3264fc] down=9372 up=4868 ddown=252 dup=308 msgs=40 faults=(6,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3}",
+    ),
+    (
+        "rFedAvg/dp",
+        "global=7330b4caa215a7b2 loss=[3fa1e4a4,3f60168c,3f5b804d,3f5d3460] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(0,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} delta_sync{bytes=84,dims=6,clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=651aace66b5fbdc9 loss=[3fa1e4a4,3f7544b6,3f6ae9c1,3f4df952] down=5892 up=3672 ddown=1332 dup=252 msgs=26 faults=(9,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3,dropped=2} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} delta_sync{bytes=84,dims=6,clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+    ),
+    (
+        "rFedAvg+/dp",
+        "global=2cf0967690158f0b loss=[3fa1e4a4,3f6017d2,3f5b8026,3f5d3274] down=9372 up=4896 ddown=252 dup=336 msgs=41 faults=(0,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3}",
+        "global=82adf307fc0106d0 loss=[3fa1e4a4,3f7e353d,3f733300,3f47a66f] down=8148 up=3672 ddown=168 dup=252 msgs=32 faults=(10,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3}",
+    ),
+];
+
+/// A no-fault `FaultyTransport` must be indistinguishable from the default
+/// backend — same trained model bit for bit, same byte ledger, same
+/// message counts, same spans — for all eight algorithms, and both must
+/// read exactly what [`PARITY`] recorded; so must the lossy column.
+#[test]
+fn lossless_faulty_is_bit_and_byte_identical_to_perfect() {
+    let mut actual = Vec::new();
+    for (name, make) in parity_algos() {
+        let perfect = parity_row(make().as_mut(), None);
+        let lossless = FaultyTransport::new(FaultConfig::lossless(123));
+        let faulty = parity_row(make().as_mut(), Some(Box::new(lossless)));
+        assert_eq!(perfect, faulty, "{name}: lossless faulty ≠ perfect");
+        let lossy = FaultyTransport::new(FaultConfig::lossy(7, 0.3, 0));
+        let lossy = parity_row(make().as_mut(), Some(Box::new(lossy)));
+        actual.push((name, perfect, lossy));
+    }
+    let render = |rows: &[(&str, String, String)]| -> String {
+        rows.iter()
+            .map(|(n, a, b)| {
+                format!("    (\n        {n:?},\n        {a:?},\n        {b:?},\n    ),\n")
+            })
+            .collect()
+    };
+    let expected: Vec<(&str, String, String)> = PARITY
+        .iter()
+        .map(|&(n, a, b)| (n, a.to_string(), b.to_string()))
+        .collect();
+    assert!(
+        actual == expected,
+        "parity table moved; this run reads:\n{}",
+        render(&actual)
+    );
 }
 
 /// The buffer-reusing encoder both transports now use must put the exact
