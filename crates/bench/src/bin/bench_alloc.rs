@@ -22,9 +22,10 @@ use rand::SeedableRng;
 use rfl_bench::alloc_count::{snapshot, CountingAlloc};
 use rfl_core::algorithms::FedAvg;
 use rfl_core::compress::Compression;
+use rfl_core::round::run_round;
 use rfl_core::{
-    canonical, Algorithm, Client, Federation, FlConfig, LocalRule, MaterializedSource,
-    ModelFactory, OptimizerFactory,
+    canonical, Client, Federation, FlConfig, LocalRule, MaterializedSource, ModelFactory,
+    OptimizerFactory,
 };
 use rfl_data::synth::gaussian::GaussianMixtureSpec;
 use rfl_data::synth::image::SynthImageSpec;
@@ -117,12 +118,12 @@ fn warm_round_allocs(seed: u64, policy: Compression, warm_rounds: usize) -> f64 
     );
     let mut algo = FedAvg::new();
     let mut rng = StdRng::seed_from_u64(seed);
-    for round in 0..4 {
-        algo.round(&mut fed, &cfg, round, &mut rng);
+    for _ in 0..4 {
+        run_round(&mut algo, &mut fed, &cfg, &mut rng);
     }
     let s = snapshot();
-    for round in 4..4 + warm_rounds {
-        algo.round(&mut fed, &cfg, round, &mut rng);
+    for _ in 0..warm_rounds {
+        run_round(&mut algo, &mut fed, &cfg, &mut rng);
     }
     snapshot().since(&s).allocs as f64 / warm_rounds as f64
 }
@@ -167,7 +168,7 @@ fn lifecycle_allocs(seed: u64, warm_rounds: usize) -> (f64, f64) {
     let mut algo = FedAvg::new();
     let mut round = |fed: &mut Federation, r: usize| {
         fed.begin_round(r as u64);
-        algo.round(fed, &cfg, r, &mut rng);
+        run_round(&mut algo, fed, &cfg, &mut rng);
     };
     let s = snapshot();
     round(&mut fed, 0);

@@ -19,9 +19,10 @@
 //! prefetch thread, and evicted waves hibernate in the background —
 //! whenever the thread budget has a spare core to run them on (waves fall
 //! back to inline work on a single-threaded budget, where background
-//! threads only time-slice against training). The million-client leg
-//! gates the wall-clock payoff: its throughput must beat the committed
-//! pre-pipelining baseline by [`MIN_1M_SPEEDUP`]×.
+//! threads only time-slice against training). Throughput is reported,
+//! never gated: a timing claim goes through `benchmark/` (`scale_lazy`),
+//! compared as alternating pairs — a fixed rounds/s constant cannot gate
+//! on a machine whose phases move every wall-clock metric by a third.
 //!
 //! Usage: `bench_scale [--quick] [--out <path>]`
 //!
@@ -65,13 +66,6 @@ const QUICK_RSS_CEILING_BYTES: u64 = 64 * 1024 * 1024;
 /// the forbidden `O(N)` term. 10× the registered clients may cost at most
 /// this factor.
 const MAX_SCALE_RSS_RATIO: f64 = 2.0;
-/// Million-client-leg throughput of the committed `BENCH_PR7.json` report
-/// (the serial wave loop, per-client means recomputation) — the baseline
-/// the pipelined engine is gated against.
-const BASELINE_1M_ROUNDS_PER_SEC: f64 = 2.509;
-/// The pipelined wave loop must beat [`BASELINE_1M_ROUNDS_PER_SEC`] by at
-/// least this factor on the million-client leg.
-const MIN_1M_SPEEDUP: f64 = 1.3;
 
 /// A million-client data source that *generates* each shard on demand:
 /// client `k`'s dataset is a deterministic function of `(seed, k)`, so a
@@ -255,7 +249,7 @@ fn run_leg(leg: Leg) -> LegReport {
                 fed.client(k).read_params(&mut buf);
                 agg.push(w * WAVE + i, &buf);
             }
-            loss_sum += reports.iter().map(|r| r.loss).sum::<f32>();
+            loss_sum += reports.iter().flatten().map(|r| r.loss).sum::<f32>();
             loss_n += reports.len();
             // Hibernate the wave before the next one materializes.
             fed.evict_active();
@@ -373,11 +367,6 @@ fn main() {
         "  \"quick_rss_ceiling_bytes\": {QUICK_RSS_CEILING_BYTES},"
     );
     let _ = writeln!(json, "  \"max_scale_rss_ratio\": {MAX_SCALE_RSS_RATIO},");
-    let _ = writeln!(
-        json,
-        "  \"baseline_1m_rounds_per_sec\": {BASELINE_1M_ROUNDS_PER_SEC},"
-    );
-    let _ = writeln!(json, "  \"min_1m_speedup\": {MIN_1M_SPEEDUP},");
     if let Some(r) = scale_ratio {
         // 1M @ 1% vs 100k @ 10%: same 10k sampled clients, 10× the
         // registered count — the O(N) isolation ratio.
@@ -433,18 +422,6 @@ fn main() {
             eprintln!(
                 "ERROR: at equal sampled count, 10x the registered clients costs {r:.2}x \
                  the peak RSS, above the required {MAX_SCALE_RSS_RATIO}x"
-            );
-            failed = true;
-        }
-    }
-    if let Some(m) = million {
-        let required = BASELINE_1M_ROUNDS_PER_SEC * MIN_1M_SPEEDUP;
-        if m.rounds_per_sec < required {
-            eprintln!(
-                "ERROR: million-client leg ran at {:.3} rounds/sec; the pipelined \
-                 engine must reach {required:.3} ({MIN_1M_SPEEDUP}x the committed \
-                 {BASELINE_1M_ROUNDS_PER_SEC} baseline)",
-                m.rounds_per_sec
             );
             failed = true;
         }

@@ -1,13 +1,9 @@
 //! Vanilla Federated Averaging (McMahan et al., AISTATS 2017).
 
-use super::{active_mean_losses, traced_select};
-use crate::federation::{Federation, FlConfig};
-use crate::rules::LocalRule;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
+use crate::trainer::Algorithm;
 
 /// FedAvg: sample clients, run `E` local SGD steps, average the parameters
-/// weighted by client data sizes.
+/// weighted by client data sizes — the round driver with no hook overridden.
 #[derive(Default)]
 pub struct FedAvg;
 
@@ -20,29 +16,6 @@ impl FedAvg {
 impl Algorithm for FedAvg {
     fn name(&self) -> &'static str {
         "FedAvg"
-    }
-
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        let selected = traced_select(fed, cfg.sample_ratio, rng);
-        let active = fed.broadcast_params(&selected);
-        let rules = vec![LocalRule::Plain; active.len()];
-        let reports = fed.train_selected(&active, &rules, cfg.local_steps);
-        // Streaming aggregation: each upload folds into the O(d)
-        // accumulator as it arrives; nothing is materialized server-side.
-        let delivered = fed.collect_aggregate(&active);
-        let (train_loss, reg_loss) = active_mean_losses(fed, &reports, &active);
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
-        }
     }
 }
 

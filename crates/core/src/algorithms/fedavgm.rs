@@ -2,12 +2,7 @@
 //! extension baseline beyond the paper's comparison set, often used to
 //! stabilize non-IID training.
 
-use super::{active_mean_losses, traced_select};
-use crate::federation::{Federation, FlConfig};
-use crate::rules::LocalRule;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
-use rfl_trace::SpanKind;
+use crate::trainer::Algorithm;
 
 /// FedAvg with heavy-ball momentum applied to the *server* update:
 /// `v ← β·v + Δ̄`, `w ← w + v`, where `Δ̄` is the weighted mean client
@@ -25,10 +20,6 @@ impl FedAvgM {
             velocity: Vec::new(),
         }
     }
-
-    pub fn beta(&self) -> f32 {
-        self.beta
-    }
 }
 
 impl Algorithm for FedAvgM {
@@ -36,44 +27,15 @@ impl Algorithm for FedAvgM {
         "FedAvgM"
     }
 
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        if self.velocity.len() != fed.num_params() {
-            self.velocity = vec![0.0; fed.num_params()];
+    fn server_step(&mut self, global: &[f32], mut average: Vec<f32>) -> Vec<f32> {
+        if self.velocity.len() != global.len() {
+            self.velocity = vec![0.0; global.len()];
         }
-        let selected = traced_select(fed, cfg.sample_ratio, rng);
-        let active = fed.broadcast_params(&selected);
-        let rules = vec![LocalRule::Plain; active.len()];
-        let reports = fed.train_selected(&active, &rules, cfg.local_steps);
-        // The weighted mean update streams out of the O(d) aggregator; only
-        // the velocity applies server-side state on top of it.
-        let (delivered, avg) = fed.collect_average(&active);
-
-        let mut span = fed.tracer().span(SpanKind::Aggregate);
-        span.counter("clients", delivered.len() as u64);
-        if let Some(avg) = avg {
-            let mut new_global = fed.global().to_vec();
-            for ((v, g), a) in self.velocity.iter_mut().zip(&mut new_global).zip(&avg) {
-                let delta = a - *g;
-                *v = self.beta * *v + delta;
-                *g += *v;
-            }
-            fed.set_global(new_global);
+        for ((v, g), a) in self.velocity.iter_mut().zip(global).zip(&mut average) {
+            *v = self.beta * *v + (*a - g);
+            *a = g + *v;
         }
-        drop(span);
-
-        let (train_loss, reg_loss) = active_mean_losses(fed, &reports, &active);
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
-        }
+        average
     }
 }
 

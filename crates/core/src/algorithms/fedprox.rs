@@ -1,11 +1,10 @@
 //! FedProx (Li et al., MLSys 2020): FedAvg with a proximal term
 //! `μ/2·‖w − w_global‖²` in every local objective.
 
-use super::{active_mean_losses, traced_select};
-use crate::federation::{Federation, FlConfig};
+use crate::plane::Capability;
+use crate::round::Round;
 use crate::rules::LocalRule;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
+use crate::trainer::Algorithm;
 use std::sync::Arc;
 
 /// FedProx with proximal coefficient `μ` (the paper uses μ = 1.0 on the
@@ -19,10 +18,6 @@ impl FedProx {
         assert!(mu >= 0.0, "μ must be non-negative");
         FedProx { mu }
     }
-
-    pub fn mu(&self) -> f32 {
-        self.mu
-    }
 }
 
 impl Algorithm for FedProx {
@@ -30,32 +25,15 @@ impl Algorithm for FedProx {
         "FedProx"
     }
 
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        let selected = traced_select(fed, cfg.sample_ratio, rng);
-        let active = fed.broadcast_params(&selected);
-        let anchor = Arc::new(fed.global().to_vec());
-        let rules = vec![
-            LocalRule::Prox {
-                mu: self.mu,
-                anchor: anchor.clone(),
-            };
-            active.len()
-        ];
-        let reports = fed.train_selected(&active, &rules, cfg.local_steps);
-        let delivered = fed.collect_aggregate(&active);
-        let (train_loss, reg_loss) = active_mean_losses(fed, &reports, &active);
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
-        }
+    fn needs(&self) -> &'static [Capability] {
+        &[Capability::ServerSideRule]
+    }
+
+    /// Every participant is anchored to the global model it just received.
+    fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
+        let anchor = Arc::new(r.fed.global().to_vec());
+        let mu = self.mu;
+        vec![LocalRule::Prox { mu, anchor }; r.active.len()]
     }
 }
 

@@ -7,14 +7,14 @@
 //! model, and keeps the `m` highest-loss candidates. Biasing participation
 //! toward struggling clients speeds convergence on heterogeneous data.
 
-use super::active_mean_losses;
-use crate::federation::{Federation, FlConfig};
+use super::mmd_rules;
+use crate::delta::DeltaTable;
+use crate::plane::Capability;
+use crate::round::Round;
 use crate::rules::LocalRule;
 use crate::sampling::sample_clients;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
+use crate::trainer::Algorithm;
 use rfl_trace::SpanKind;
-use std::sync::Arc;
 
 /// FedAvg (optionally with the rFedAvg+ regularizer) under Power-of-Choice
 /// selection with a candidate pool `d = oversample · m`.
@@ -22,7 +22,7 @@ pub struct PowerOfChoice {
     oversample: f32,
     /// λ = 0 disables the regularizer (plain PoC-FedAvg).
     lambda: f32,
-    table: Option<crate::delta::DeltaTable>,
+    table: Option<DeltaTable>,
 }
 
 impl PowerOfChoice {
@@ -42,94 +42,60 @@ impl Algorithm for PowerOfChoice {
         "PoC-rFedAvg+"
     }
 
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        let n = fed.num_clients();
-        let d_dim = fed.feature_dim();
-        let table = self
-            .table
-            .get_or_insert_with(|| crate::delta::DeltaTable::new(n, d_dim));
+    fn needs(&self) -> &'static [Capability] {
+        &[Capability::ClientStateRead, Capability::ServerSideRule]
+    }
 
-        // Candidate pool, then keep the highest-loss m. The whole ranking —
-        // including the candidate broadcast and loss probe — is the
-        // "selection" phase of this algorithm.
-        let tracer = fed.tracer().clone();
-        let mut select_span = tracer.span(SpanKind::Select);
-        let m = ((n as f32 * cfg.sample_ratio).ceil() as usize).clamp(1, n);
-        let pool_sr = (cfg.sample_ratio * self.oversample).min(1.0);
-        let candidates = sample_clients(n, pool_sr, rng);
+    /// Candidate pool, then keep the highest-loss m. The whole ranking —
+    /// including the candidate broadcast and loss probe — is the
+    /// "selection" phase of this algorithm, and leaves the selection
+    /// holding the model.
+    fn select(&mut self, r: &mut Round<'_>) {
+        let n = r.fed.num_clients();
+        let mut span = r.fed.tracer().span(SpanKind::Select);
+        let m = ((n as f32 * r.cfg.sample_ratio).ceil() as usize).clamp(1, n);
+        let pool_sr = (r.cfg.sample_ratio * self.oversample).min(1.0);
+        let candidates = sample_clients(n, pool_sr, r.rng);
+        span.counter("candidates", candidates.len() as u64);
         // Only candidates whose model download arrived can report a loss and
         // therefore be ranked; the rest drop out of the pool.
-        let pool = fed.broadcast_params(&candidates);
-        if pool.is_empty() {
-            select_span.counter("candidates", candidates.len() as u64);
-            select_span.counter("clients", 0);
-            drop(select_span);
-            return RoundOutcome {
-                train_loss: 0.0,
-                reg_loss: 0.0,
-                selected: Vec::new(),
-                delivered: Vec::new(),
-            };
+        let pool = r.fed.broadcast_params(&candidates);
+        if !pool.is_empty() {
+            let losses = r.fed.eval_local(&pool);
+            let mut ranked: Vec<(usize, f32)> = pool.into_iter().zip(losses).collect();
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            r.selected = ranked.iter().take(m).map(|(k, _)| *k).collect();
+            r.selected.sort_unstable();
+            r.active = r.selected.clone();
         }
-        let losses = fed.local_losses_at_global(&pool);
-        let mut ranked: Vec<(usize, f32)> = pool.iter().copied().zip(losses).collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let mut selected: Vec<usize> = ranked
-            .iter()
-            .take(m.min(pool.len()))
-            .map(|(k, _)| *k)
-            .collect();
-        selected.sort_unstable();
-        select_span.counter("candidates", candidates.len() as u64);
-        select_span.counter("clients", selected.len() as u64);
-        drop(select_span);
+        span.counter("clients", r.selected.len() as u64);
+    }
 
-        // rFedAvg+ style regularized local training on the selection. Only
-        // the selected clients' broadcast targets are materialized —
-        // O(m·d), not O(N·d).
-        let mut targets = table.means_excluding_initialized_for(&selected);
-        let rules: Vec<LocalRule> = (0..selected.len())
-            .map(|i| {
-                if self.lambda == 0.0 {
-                    return LocalRule::Plain;
-                }
-                match targets[i].take() {
-                    Some(target) => LocalRule::Mmd {
-                        lambda: self.lambda,
-                        target: Arc::new(target),
-                    },
-                    None => LocalRule::Plain,
-                }
-            })
-            .collect();
-        let reports = fed.train_selected(&selected, &rules, cfg.local_steps);
-        let delivered = fed.collect_aggregate(&selected);
-
-        if self.lambda > 0.0 {
-            let resynced = fed.broadcast_params(&selected);
-            // δ recomputation is server-simulated here (unmetered), so the
-            // span carries dims but no bytes.
-            let mut span = tracer.span(SpanKind::DeltaSync);
-            span.counter("dims", d_dim as u64);
-            span.counter("clients", resynced.len() as u64);
-            for &k in &resynced {
-                let delta = fed.client_mut(k).compute_delta(cfg.probe_batch());
-                table.set(k, delta);
-            }
+    /// rFedAvg+ style targets for the selection only — O(m·d), not O(N·d)
+    /// — handed to the replicas directly.
+    fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
+        let (n, d) = (r.fed.num_clients(), r.fed.feature_dim());
+        let table = self.table.get_or_insert_with(|| DeltaTable::new(n, d));
+        if self.lambda == 0.0 {
+            return vec![LocalRule::Plain; r.active.len()];
         }
+        mmd_rules(table, &r.active, self.lambda, |_, target| Some(target))
+    }
 
-        let (train_loss, reg_loss) = active_mean_losses(fed, &reports, &selected);
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
+    /// Re-broadcast, then δ recomputation — server-simulated here
+    /// (unmetered), so the span carries dims but no bytes.
+    fn after_fold(&mut self, r: &mut Round<'_>) {
+        if self.lambda == 0.0 {
+            return;
+        }
+        let table = self.table.as_mut().expect("prepare built the table");
+        let resynced = r.fed.broadcast_params(&r.selected);
+        let mut span = r.fed.tracer().span(SpanKind::DeltaSync);
+        span.counter("dims", table.dim() as u64);
+        span.counter("clients", resynced.len() as u64);
+        for &k in &resynced {
+            let delta = r.fed.client_mut(k).compute_delta(r.cfg.probe_batch());
+            table.set(k, delta);
         }
     }
 }
@@ -157,11 +123,7 @@ mod tests {
         let mut algo = PowerOfChoice::new(4.0, 0.0); // pool = all 8
         let all: Vec<usize> = (0..8).collect();
         fed.broadcast_params(&all);
-        let mut losses: Vec<(usize, f32)> = fed
-            .local_losses_at_global(&all)
-            .into_iter()
-            .enumerate()
-            .collect();
+        let mut losses: Vec<(usize, f32)> = fed.eval_local(&all).into_iter().enumerate().collect();
         losses.sort_by(|a, b| b.1.total_cmp(&a.1));
         let expected: Vec<usize> = {
             let mut v: Vec<usize> = losses.iter().take(2).map(|(k, _)| *k).collect();
@@ -176,7 +138,8 @@ mod tests {
         // the outcome: check by rerunning with the same seeds.
         let (mut fed2, _) = convex_fed(0.0, 81, 8);
         let mut rng = rand::SeedableRng::seed_from_u64(cfg.seed ^ 0x5EED_5EED);
-        let out = PowerOfChoice::new(4.0, 0.0).round(&mut fed2, &cfg, 0, &mut rng);
+        let mut algo2 = PowerOfChoice::new(4.0, 0.0);
+        let out = crate::round::run_round(&mut algo2, &mut fed2, &cfg, &mut rng);
         assert_eq!(out.selected, expected);
     }
 

@@ -1,11 +1,10 @@
 //! q-FedAvg (Li et al., ICLR 2020): fair resource allocation in federated
 //! learning via the q-fair objective `Σ p_k F_k^{q+1}/(q+1)`.
 
-use super::{mean_losses, traced_select};
-use crate::federation::{Federation, FlConfig};
+use crate::plane::Capability;
+use crate::round::Round;
 use crate::rules::LocalRule;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
+use crate::trainer::Algorithm;
 use rfl_trace::SpanKind;
 
 /// q-FedAvg with fairness parameter `q` (q = 0 recovers FedAvg-style
@@ -17,16 +16,17 @@ use rfl_trace::SpanKind;
 /// `Δ_k = F_k^q · L·(w − w_k)` and `h_k = q·F_k^{q−1}·‖L(w − w_k)‖² + L·F_k^q`.
 pub struct QFedAvg {
     q: f32,
+    /// `F_k`: the global model's loss on each participant's data.
+    losses: Vec<f32>,
 }
 
 impl QFedAvg {
     pub fn new(q: f32) -> Self {
         assert!(q >= 0.0, "q must be non-negative");
-        QFedAvg { q }
-    }
-
-    pub fn q(&self) -> f32 {
-        self.q
+        QFedAvg {
+            q,
+            losses: Vec::new(),
+        }
     }
 }
 
@@ -35,34 +35,29 @@ impl Algorithm for QFedAvg {
         "q-FedAvg"
     }
 
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        let selected = traced_select(fed, cfg.sample_ratio, rng);
-        let active = fed.broadcast_params(&selected);
-        // Loss of the global model on each participant's data (the F_k in
-        // the q-fair weights) — computed client-side after the download.
-        let losses = fed.local_losses_at_global(&active);
+    fn needs(&self) -> &'static [Capability] {
+        &[Capability::ClientStateRead]
+    }
 
-        let rules = vec![LocalRule::Plain; active.len()];
-        let reports = fed.train_selected(&active, &rules, cfg.local_steps);
+    /// Reads `F_k` client-side, right after the download.
+    fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
+        self.losses = r.fed.eval_local(&r.active);
+        vec![LocalRule::Plain; r.active.len()]
+    }
 
-        // The q-fair sums `Σ Δ_k` and `Σ h_k` are already per-upload
-        // accumulations, so each upload folds into them as it arrives and
-        // is dropped — O(d) server state, never the full upload set. The
-        // per-client state the fold needs (global snapshot, learning rates)
-        // is captured before the walk because the visitor cannot borrow the
-        // federation.
+    /// The q-fair sums `Σ Δ_k` and `Σ h_k` are per-upload accumulations, so
+    /// each upload folds into them as it arrives and is dropped — O(d)
+    /// server state. What the fold needs of the federation (global
+    /// snapshot, learning rates) is captured before the walk because the
+    /// visitor cannot borrow it.
+    fn fold(&mut self, r: &mut Round<'_>) -> Vec<usize> {
+        let fed = &mut *r.fed;
         let global = fed.global().to_vec();
-        let lrs: Vec<f32> = active.iter().map(|&k| fed.client(k).lr()).collect();
+        let lrs: Vec<f32> = r.active.iter().map(|&k| fed.client(k).lr()).collect();
         let mut delta_sum = vec![0.0f32; global.len()];
         let mut h_sum = 0.0f32;
-        let q = self.q;
-        let delivered = fed.fold_uploads(&active, |slot, _, params| {
+        let (q, losses) = (self.q, &self.losses);
+        let delivered = fed.fold_uploads(&r.active, false, |slot, _, params| {
             let lipschitz = 1.0 / lrs[slot];
             let f_k = losses[slot].max(1e-10);
             let fq = f_k.powf(q);
@@ -75,8 +70,8 @@ impl Algorithm for QFedAvg {
             h_sum += q * f_k.powf(q - 1.0) * grad_sq + lipschitz * fq;
         });
 
-        let mut agg_span = fed.tracer().span(SpanKind::Aggregate);
-        agg_span.counter("clients", delivered.len() as u64);
+        let mut span = fed.tracer().span(SpanKind::Aggregate);
+        span.counter("clients", delivered.len() as u64);
         if !delivered.is_empty() {
             assert!(h_sum > 0.0, "degenerate q-FedAvg denominator");
             let mut new_global = global;
@@ -85,20 +80,11 @@ impl Algorithm for QFedAvg {
             }
             fed.set_global(new_global);
         }
-        drop(agg_span);
+        delivered
+    }
 
-        let (train_loss, reg_loss) = if active.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let uniform = vec![1.0 / active.len() as f32; active.len()];
-            mean_losses(&reports, &uniform)
-        };
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
-        }
+    fn uniform_losses(&self) -> bool {
+        true
     }
 }
 

@@ -8,16 +8,15 @@
 //! local model parameters** (the inconsistency that rFedAvg+ later removes)
 //! and uploads it.
 
-use super::active_mean_losses;
-use crate::comm::MsgKind;
+use super::mmd_rules;
+use crate::comm::{CommStats, MsgKind};
 use crate::delta::DeltaTable;
 use crate::dp::DpConfig;
-use crate::federation::{fault_counters, Federation, FlConfig};
+use crate::plane::Capability;
+use crate::round::Round;
 use crate::rules::LocalRule;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
+use crate::trainer::Algorithm;
 use rfl_trace::SpanKind;
-use std::sync::Arc;
 
 /// rFedAvg with regularization weight `λ`.
 pub struct RFedAvg {
@@ -46,10 +45,6 @@ impl RFedAvg {
         self
     }
 
-    pub fn lambda(&self) -> f32 {
-        self.lambda
-    }
-
     /// The server's δ table (diagnostics; `None` before the first round).
     pub fn delta_table(&self) -> Option<&DeltaTable> {
         self.table.as_ref()
@@ -61,76 +56,45 @@ impl Algorithm for RFedAvg {
         "rFedAvg"
     }
 
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        let n = fed.num_clients();
-        let d = fed.feature_dim();
-        let tracer = fed.tracer().clone();
-        let table = self.table.get_or_insert_with(|| DeltaTable::new(n, d));
-
-        let selected = super::traced_select(fed, cfg.sample_ratio, rng);
-        let active = fed.broadcast_params(&selected);
-
-        // Broadcast the FULL delayed table to every participant — the
-        // O(dN²) communication of Algorithm 1 (server must ship N·d scalars
-        // to each of the participants). A client whose table download drops
-        // trains unregularized for the round (it has no targets).
-        let table_ok = {
-            let mut span = tracer.span(SpanKind::DeltaBroadcast);
-            let before = fed.comm_snapshot();
-            let fbefore = fed.fault_stats();
-            table.flattened_into(&mut self.flat_buf);
-            let bd = fed.broadcast(MsgKind::DeltaTableDown, &active, &self.flat_buf);
-            let diff = fed.comm_stats().since(&before);
-            span.counter("bytes", diff.delta_download_bytes());
-            span.counter("dims", (n * d) as u64);
-            span.counter("clients", active.len() as u64);
-            fault_counters(&mut span, &fed.fault_stats().since(&fbefore));
-            bd.delivered_clients(&active)
-        };
-
-        // Each client's regularization target is the mean of the other
-        // (already-reported) delayed maps; until another client has reported,
-        // the client trains unregularized (δ₀ is uninformative).
-        let mut targets = table.means_excluding_initialized_for(&active);
-        let rules: Vec<LocalRule> = active
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                if table_ok.binary_search(&k).is_err() {
-                    return LocalRule::Plain;
-                }
-                match targets[i].take() {
-                    Some(target) => LocalRule::Mmd {
-                        lambda: self.lambda,
-                        target: Arc::new(target),
-                    },
-                    None => LocalRule::Plain,
-                }
-            })
-            .collect();
-        let reports = fed.train_selected(&active, &rules, cfg.local_steps);
-
-        // δ is recomputed with each client's LOCAL (post-training) model —
-        // Algorithm 1 line 10 — then uploaded (d scalars per participant).
-        // This stays BEFORE the model upload so the DP noise draws keep their
-        // historical RNG order.
-        fed.sync_deltas(&active, table, cfg.probe_batch(), self.dp, rng);
-
-        let delivered = fed.collect_aggregate(&active);
-
-        let (train_loss, reg_loss) = active_mean_losses(fed, &reports, &active);
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
+    fn needs(&self) -> &'static [Capability] {
+        match self.dp {
+            Some(_) => &[Capability::TableDownload, Capability::DeltaPrivacy],
+            None => &[Capability::TableDownload],
         }
+    }
+
+    /// Broadcasts the FULL delayed table to every participant — the
+    /// O(dN²) communication of Algorithm 1 (N·d scalars to each of them).
+    /// Each client's target is the mean of the other already-reported
+    /// delayed maps; a client whose table download drops, or with nobody
+    /// else reported yet (δ₀ is uninformative), trains unregularized.
+    fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
+        let (n, d) = (r.fed.num_clients(), r.fed.feature_dim());
+        let table = self.table.get_or_insert_with(|| DeltaTable::new(n, d));
+        let (active, flat) = (&r.active, &mut self.flat_buf);
+        let bytes = CommStats::delta_download_bytes;
+        let kind = SpanKind::DeltaBroadcast;
+        let table_ok = r
+            .fed
+            .metered(kind, bytes, Some(n * d), active.len(), |fed| {
+                table.flattened_into(flat);
+                fed.transport()
+                    .broadcast(MsgKind::DeltaTableDown, active, flat)
+                    .delivered_clients(active)
+            });
+        mmd_rules(table, active, self.lambda, |k, target| {
+            table_ok.binary_search(&k).ok().map(|_| target)
+        })
+    }
+
+    /// δ is recomputed with each client's LOCAL (post-training) model —
+    /// Algorithm 1 line 10 — and uploaded (d scalars per participant)
+    /// BEFORE the model upload, which is also where the DP noise draws sit
+    /// in the server RNG stream.
+    fn before_upload(&mut self, r: &mut Round<'_>) {
+        let table = self.table.as_mut().expect("prepare built the table");
+        r.fed
+            .sync_deltas(&r.active, table, r.cfg.probe_batch(), self.dp, r.rng);
     }
 }
 

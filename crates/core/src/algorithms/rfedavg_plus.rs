@@ -12,16 +12,15 @@
 //!    The surrogate `r̃_k = ‖δ_k − δ̄^{−k}‖²` has the same gradient in
 //!    `δ_k` as the exact pairwise regularizer.
 
-use super::active_mean_losses;
-use crate::comm::MsgKind;
+use super::mmd_rules;
+use crate::comm::{CommStats, MsgKind};
 use crate::delta::DeltaTable;
 use crate::dp::DpConfig;
-use crate::federation::{fault_counters, Federation, FlConfig};
+use crate::plane::Capability;
+use crate::round::Round;
 use crate::rules::LocalRule;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
+use crate::trainer::Algorithm;
 use rfl_trace::SpanKind;
-use std::sync::Arc;
 
 /// rFedAvg+ with regularization weight `λ`.
 pub struct RFedAvgPlus {
@@ -46,10 +45,6 @@ impl RFedAvgPlus {
         self
     }
 
-    pub fn lambda(&self) -> f32 {
-        self.lambda
-    }
-
     pub fn delta_table(&self) -> Option<&DeltaTable> {
         self.table.as_ref()
     }
@@ -60,70 +55,36 @@ impl Algorithm for RFedAvgPlus {
         "rFedAvg+"
     }
 
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        let n = fed.num_clients();
-        let d = fed.feature_dim();
-        let tracer = fed.tracer().clone();
-        let table = self.table.get_or_insert_with(|| DeltaTable::new(n, d));
-
-        let selected = super::traced_select(fed, cfg.sample_ratio, rng);
-
-        // First sync: global model down.
-        let active = fed.broadcast_params(&selected);
-
-        // Per-client averaged δ target — d scalars each (O(dN) total). A
-        // dropped target message degrades that client to unregularized
-        // training for the round.
-        let rules: Vec<LocalRule> = {
-            let mut span = tracer.span(SpanKind::DeltaBroadcast);
-            let before = fed.comm_snapshot();
-            let fbefore = fed.fault_stats();
-            let mut targets = table.means_excluding_initialized_for(&active);
-            let rules = active
-                .iter()
-                .enumerate()
-                .map(|(i, &k)| match targets[i].take() {
-                    Some(target) => match fed.send(MsgKind::DeltaDown, k, &target).data {
-                        Some(received) => LocalRule::Mmd {
-                            lambda: self.lambda,
-                            target: Arc::new(received),
-                        },
-                        None => LocalRule::Plain,
-                    },
-                    None => LocalRule::Plain,
-                })
-                .collect();
-            let diff = fed.comm_stats().since(&before);
-            span.counter("bytes", diff.delta_download_bytes());
-            span.counter("dims", d as u64);
-            span.counter("clients", active.len() as u64);
-            fault_counters(&mut span, &fed.fault_stats().since(&fbefore));
-            rules
-        };
-        let reports = fed.train_selected(&active, &rules, cfg.local_steps);
-
-        // Upload local models; each one folds into the O(d) streaming
-        // accumulator as it arrives, renormalized over the delivered set.
-        let delivered = fed.collect_aggregate(&active);
-
-        // Second sync: consistent global model down; δ computed with it.
-        // Only clients that receive the re-broadcast report a fresh δ.
-        let resynced = fed.broadcast_params(&active);
-        fed.sync_deltas(&resynced, table, cfg.probe_batch(), self.dp, rng);
-
-        let (train_loss, reg_loss) = active_mean_losses(fed, &reports, &active);
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
+    fn needs(&self) -> &'static [Capability] {
+        match self.dp {
+            Some(_) => &[Capability::DeltaPrivacy],
+            None => &[],
         }
+    }
+
+    /// Sends each participant its averaged δ target — d scalars each,
+    /// O(dN) in total. A client trains against the copy it received; a
+    /// dropped target degrades it to unregularized training for the round.
+    fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
+        let (n, d) = (r.fed.num_clients(), r.fed.feature_dim());
+        let table = self.table.get_or_insert_with(|| DeltaTable::new(n, d));
+        let (active, lambda) = (&r.active, self.lambda);
+        let bytes = CommStats::delta_download_bytes;
+        let kind = SpanKind::DeltaBroadcast;
+        r.fed.metered(kind, bytes, Some(d), active.len(), |fed| {
+            mmd_rules(table, active, lambda, |k, target| {
+                fed.transport().send(MsgKind::DeltaDown, k, &target).data
+            })
+        })
+    }
+
+    /// Second sync: the consistent global model goes down again and δ is
+    /// computed with it. Only clients the re-broadcast reaches report one.
+    fn after_fold(&mut self, r: &mut Round<'_>) {
+        let table = self.table.as_mut().expect("prepare built the table");
+        let resynced = r.fed.broadcast_params(&r.active);
+        r.fed
+            .sync_deltas(&resynced, table, r.cfg.probe_batch(), self.dp, r.rng);
     }
 }
 

@@ -1,12 +1,12 @@
 //! SCAFFOLD (Karimireddy et al., ICML 2020): stochastic controlled averaging
 //! with server/client control variates correcting client drift.
 
-use super::{intersect_sorted, mean_losses, traced_select};
-use crate::comm::MsgKind;
-use crate::federation::{fault_counters, Federation, FlConfig};
+use super::intersect_sorted;
+use crate::comm::{CommStats, MsgKind};
+use crate::plane::Capability;
+use crate::round::Round;
 use crate::rules::LocalRule;
-use crate::trainer::{Algorithm, RoundOutcome};
-use rand::rngs::StdRng;
+use crate::trainer::Algorithm;
 use rfl_trace::SpanKind;
 use std::sync::Arc;
 
@@ -30,13 +30,6 @@ impl Scaffold {
         }
     }
 
-    fn ensure_init(&mut self, n_clients: usize, n_params: usize) {
-        if self.c.len() != n_params {
-            self.c = vec![0.0; n_params];
-            self.c_k = vec![vec![0.0; n_params]; n_clients];
-        }
-    }
-
     /// The server control variate (diagnostics / tests).
     pub fn server_control(&self) -> &[f32] {
         &self.c
@@ -53,65 +46,58 @@ impl Algorithm for Scaffold {
         "Scaffold"
     }
 
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        _round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome {
-        let n = fed.num_clients();
-        self.ensure_init(n, fed.num_params());
-        let tracer = fed.tracer().clone();
-        let selected = traced_select(fed, cfg.sample_ratio, rng);
+    fn needs(&self) -> &'static [Capability] {
+        use Capability::*;
+        &[ControlPlane, ServerSideRule, ClientStateRead]
+    }
 
-        // Download: model parameters AND the server control variate (the
-        // control broadcast gets its own span so downstream byte accounting
-        // still reconciles with `CommStats`). A client participates only if
-        // BOTH downloads arrive.
-        let model_ok = fed.broadcast_params(&selected);
-        let (c_received, ctrl_ok) = {
-            let mut span = tracer.span(SpanKind::Broadcast);
-            let before = fed.comm_snapshot();
-            let fbefore = fed.fault_stats();
-            let bd = fed.broadcast(MsgKind::ControlDown, &selected, &self.c);
-            span.counter("bytes", fed.comm_stats().since(&before).download_bytes());
-            span.counter("clients", selected.len() as u64);
-            fault_counters(&mut span, &fed.fault_stats().since(&fbefore));
-            let ctrl_ok = bd.delivered_clients(&selected);
-            (bd.data, ctrl_ok)
-        };
-        let active = intersect_sorted(&model_ok, &ctrl_ok);
-
-        let rules: Vec<LocalRule> = active
-            .iter()
-            .map(|&k| {
-                let correction: Vec<f32> = c_received
-                    .iter()
-                    .zip(&self.c_k[k])
-                    .map(|(c, ck)| c - ck)
-                    .collect();
-                LocalRule::Scaffold {
-                    correction: Arc::new(correction),
-                }
+    /// Second download: the server control variate, in a broadcast span of
+    /// its own so byte accounting still reconciles with `CommStats`. A
+    /// client participates only if BOTH downloads arrive, and trains with
+    /// the correction `c − c_k` on every gradient.
+    fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
+        let (n, dim) = (r.fed.num_clients(), r.fed.num_params());
+        if self.c.len() != dim {
+            self.c = vec![0.0; dim];
+            self.c_k = vec![vec![0.0; dim]; n];
+        }
+        let (selected, c) = (&r.selected, &self.c);
+        let bytes = CommStats::download_bytes;
+        let bd = r
+            .fed
+            .metered(SpanKind::Broadcast, bytes, None, selected.len(), |fed| {
+                fed.transport().broadcast(MsgKind::ControlDown, selected, c)
+            });
+        r.active = intersect_sorted(&r.active, &bd.delivered_clients(selected));
+        (r.active.iter())
+            .map(|&k| LocalRule::Scaffold {
+                correction: Arc::new(
+                    bd.data
+                        .iter()
+                        .zip(&self.c_k[k])
+                        .map(|(c, ck)| c - ck)
+                        .collect(),
+                ),
             })
-            .collect();
-        let reports = fed.train_selected(&active, &rules, cfg.local_steps);
+            .collect()
+    }
 
+    /// Streams the model uploads: each one folds `w_k − w` into the O(d)
+    /// update sum and yields its client's control-variate update, then is
+    /// dropped. The control uploads are buffered (not sent inside the
+    /// fold) so the wire keeps its order — every ModelUp before the first
+    /// ControlUp. What the fold needs of the federation is captured up
+    /// front; the visitor cannot borrow it.
+    fn fold(&mut self, r: &mut Round<'_>) -> Vec<usize> {
+        let (fed, active) = (&mut *r.fed, &r.active);
+        let n = fed.num_clients();
         let global_before = fed.global().to_vec();
-        // Stream the model uploads: each one folds `w_k − w` into the O(d)
-        // update sum and yields its client's control-variate update, then
-        // is dropped. The control uploads are buffered (not sent inside the
-        // fold) so the wire keeps its historical order — every ModelUp
-        // before the first ControlUp. Per-client state the fold needs is
-        // captured up front; the visitor cannot borrow the federation.
         let lrs: Vec<f32> = active.iter().map(|&k| fed.client(k).lr()).collect();
         let mut update_sum = vec![0.0f32; global_before.len()];
         let mut ctrl_uploads: Vec<(usize, Vec<f32>)> = Vec::with_capacity(active.len());
-        let c = &self.c;
-        let c_k = &self.c_k;
-        let local_steps = cfg.local_steps as f32;
-        let delivered = fed.fold_uploads(&active, |slot, k, params| {
+        let (c, c_k) = (&self.c, &self.c_k);
+        let local_steps = r.cfg.local_steps as f32;
+        let delivered = fed.fold_uploads(active, false, |slot, k, params| {
             rfl_tensor::add_assign_slices(&mut update_sum, params);
             rfl_tensor::axpy_slices(&mut update_sum, -1.0, &global_before);
             let scale = 1.0 / (local_steps * lrs[slot]);
@@ -127,23 +113,18 @@ impl Algorithm for Scaffold {
         // Control-variate uploads (option II). A client whose model upload
         // dropped skips its control upload too (the link is dead for the
         // round), so `c` only absorbs delivered updates.
-        let mut c_delta_sum = vec![0.0f32; fed.num_params()];
-        {
-            let mut span = tracer.span(SpanKind::Upload);
-            let before = fed.comm_snapshot();
-            let fbefore = fed.fault_stats();
+        let mut c_delta_sum = vec![0.0f32; global_before.len()];
+        let bytes = CommStats::upload_bytes;
+        fed.metered(SpanKind::Upload, bytes, None, delivered.len(), |fed| {
             for (k, c_k_new) in ctrl_uploads {
-                if let Some(received) = fed.send(MsgKind::ControlUp, k, &c_k_new).data {
+                if let Some(received) = fed.transport().send(MsgKind::ControlUp, k, &c_k_new).data {
                     for ((s, new), old) in c_delta_sum.iter_mut().zip(&received).zip(&self.c_k[k]) {
                         *s += new - old;
                     }
                     self.c_k[k] = received;
                 }
             }
-            span.counter("bytes", fed.comm_stats().since(&before).upload_bytes());
-            span.counter("clients", delivered.len() as u64);
-            fault_counters(&mut span, &fed.fault_stats().since(&fbefore));
-        }
+        });
         // c ← c + (|S|/N)·mean_S(c_k⁺ − c_k)  ==  c + (1/N)·Σ_S(c_k⁺ − c_k)
         for (c, d) in self.c.iter_mut().zip(&c_delta_sum) {
             *c += d / n as f32;
@@ -151,7 +132,7 @@ impl Algorithm for Scaffold {
 
         // Server update: w ← w + η_g · mean_D (w_k − w) over the delivered
         // uploads, applied from the folded sum.
-        let mut span = tracer.span(SpanKind::Aggregate);
+        let mut span = fed.tracer().span(SpanKind::Aggregate);
         span.counter("clients", delivered.len() as u64);
         if !delivered.is_empty() {
             let step = self.eta_g / delivered.len() as f32;
@@ -159,20 +140,11 @@ impl Algorithm for Scaffold {
             rfl_tensor::axpy_slices(&mut new_global, step, &update_sum);
             fed.set_global(new_global);
         }
-        drop(span);
+        delivered
+    }
 
-        let (train_loss, reg_loss) = if active.is_empty() {
-            (0.0, 0.0)
-        } else {
-            let uniform = vec![1.0 / active.len() as f32; active.len()];
-            mean_losses(&reports, &uniform)
-        };
-        RoundOutcome {
-            train_loss,
-            reg_loss,
-            selected,
-            delivered,
-        }
+    fn uniform_losses(&self) -> bool {
+        true
     }
 }
 

@@ -17,7 +17,7 @@
 
 use crate::algorithms::RFedAvgPlus;
 use crate::client::Client;
-use crate::federation::{Federation, FlConfig, ModelFactory, OptimizerFactory};
+use crate::federation::{eager_client, Federation, FlConfig, ModelFactory, OptimizerFactory};
 use crate::history::History;
 use crate::trainer::Trainer;
 use rand::rngs::StdRng;
@@ -112,22 +112,9 @@ pub fn optimizer() -> OptimizerFactory {
 /// `rfl-client` process runs so its parameter trajectory is bit-identical
 /// to the in-process replica's.
 pub fn client(k: usize, fed_data: &FederatedData, cfg: &FlConfig, seed: u64) -> Client {
-    let factory = model();
-    let init = factory.build(seed);
     let mut global = Vec::new();
-    init.read_params(&mut global);
-    let mut m = factory.build(seed);
-    m.write_params(&global);
-    let mut c = Client::new(
-        k,
-        m,
-        fed_data.clients[k].clone(),
-        optimizer().build(),
-        cfg.batch_size,
-        seed,
-    );
-    c.set_clip_grad_norm(cfg.clip_grad_norm);
-    c
+    model().build(seed).read_params(&mut global);
+    eager_client(k, fed_data, model(), optimizer(), cfg, seed, &global)
 }
 
 /// Runs the pinned round loop in-process on the given federation (which

@@ -204,28 +204,20 @@ impl FaultyTransport {
                 if self.clocks[client] > deadline {
                     // Arrives after the round closed: the sender is a
                     // dropout for the rest of this round, retrying is moot.
-                    break LinkOutcome {
-                        delivered: false,
-                        attempts: attempt,
-                        reason: Some(DropReason::Deadline),
-                    };
+                    break LinkOutcome::lost(DropReason::Deadline);
                 }
             }
             let lost = self.unit(client, seq, attempt, SALT_DROP) < self.cfg.drop_prob;
             if !lost {
-                break LinkOutcome {
-                    delivered: true,
-                    attempts: attempt,
-                    reason: None,
-                };
+                break LinkOutcome::perfect();
             }
             if attempt >= max_attempts {
-                break LinkOutcome {
-                    delivered: false,
-                    attempts: attempt,
-                    reason: Some(DropReason::Loss),
-                };
+                break LinkOutcome::lost(DropReason::Loss);
             }
+        };
+        let outcome = LinkOutcome {
+            attempts: attempt,
+            ..outcome
         };
         self.faults.retries += u64::from(outcome.retries());
         if !outcome.delivered {

@@ -454,6 +454,15 @@ impl LinkOutcome {
         }
     }
 
+    /// A single attempt that did not arrive.
+    pub fn lost(reason: DropReason) -> Self {
+        LinkOutcome {
+            delivered: false,
+            attempts: 1,
+            reason: Some(reason),
+        }
+    }
+
     /// Retransmissions beyond the first attempt.
     pub fn retries(&self) -> u32 {
         self.attempts.saturating_sub(1)
@@ -473,6 +482,24 @@ pub struct Delivery {
 }
 
 impl Delivery {
+    /// `data` as it fared on `link`.
+    pub fn over(link: LinkOutcome, data: Vec<f32>) -> Self {
+        Delivery {
+            data: link.delivered.then_some(data),
+            attempts: link.attempts,
+            reason: link.reason,
+        }
+    }
+
+    /// A single-attempt receive: the payload, or why there is none.
+    pub fn claimed(outcome: Result<Vec<f32>, DropReason>) -> Self {
+        Delivery {
+            reason: outcome.as_ref().err().copied(),
+            data: outcome.ok(),
+            attempts: 1,
+        }
+    }
+
     pub fn is_delivered(&self) -> bool {
         self.data.is_some()
     }

@@ -43,7 +43,8 @@ use super::session::{RecvError, Session, SessionState};
 use super::stats::{CommStats, Direction};
 use super::transport::{codec_round_trip, RemoteTransport, Transport};
 use crate::client::{Client, LocalReport};
-use crate::compress::{compress_plain, ef_compress_update, CompressedVec, Compression};
+use crate::compress::{CompressedVec, Compression};
+use crate::plane::{answer, Frame, Pull, Scratch};
 use crate::rules::LocalRule;
 use rfl_tensor::{decode_f32_into, encode_f32_into};
 use std::io::{self, IoSlice, Read, Write};
@@ -408,58 +409,131 @@ impl SocketTransport {
         Instant::now() + self.timeout
     }
 
-    fn charge_control(&mut self, dir: Direction, bytes: u64) {
-        self.stats.record(dir, bytes);
-    }
-
-    fn send_control(&mut self, client: usize, msg: &ControlMsg) -> LinkOutcome {
-        let Some(session) = self.session(client) else {
-            self.dropped += 1;
-            return LinkOutcome {
-                delivered: false,
-                attempts: 1,
-                reason: Some(DropReason::Loss),
-            };
-        };
-        msg.encode_body(&mut self.body);
-        match session.send_frame(msg.tag(), &self.body, self.send_deadline()) {
-            Ok(n) => {
-                self.charge_control(msg.direction(), n);
-                LinkOutcome::perfect()
-            }
-            Err(_) => {
-                self.dropped += 1;
-                LinkOutcome {
-                    delivered: false,
-                    attempts: 1,
-                    reason: Some(DropReason::Loss),
-                }
-            }
+    /// Queues one frame on `client`'s session through `push` and returns
+    /// its wire size; a missing session or a failed enqueue is a counted
+    /// loss.
+    fn enqueue(
+        &mut self,
+        client: usize,
+        push: impl FnOnce(&Session, Instant) -> io::Result<u64>,
+    ) -> Result<u64, LinkOutcome> {
+        let deadline = self.send_deadline();
+        match self.session(client).map(|s| push(&s, deadline)) {
+            Some(Ok(wire)) => Ok(wire),
+            _ => Err(LinkOutcome::lost(self.count_drop(DropReason::Loss))),
         }
     }
 
-    fn recv_frame(&mut self, client: usize, tag: u8) -> Result<Vec<u8>, DropReason> {
+    /// [`SocketTransport::enqueue`] of a `[tag][body]` frame charged to the
+    /// ledger as `kind`.
+    fn send_frame(&mut self, kind: MsgKind, client: usize, body: &[u8]) -> LinkOutcome {
+        match self.enqueue(client, |s, deadline| {
+            s.send_frame(kind.tag(), body, deadline)
+        }) {
+            Ok(wire) => {
+                self.stats.charge(kind, wire);
+                LinkOutcome::perfect()
+            }
+            Err(lost) => lost,
+        }
+    }
+
+    fn send_control(&mut self, client: usize, msg: &ControlMsg) -> LinkOutcome {
+        let mut body = std::mem::take(&mut self.body);
+        msg.encode_body(&mut body);
+        let sent = self.enqueue(client, |s, deadline| {
+            s.send_frame(msg.tag(), &body, deadline)
+        });
+        self.body = body;
+        match sent {
+            Ok(wire) => {
+                self.stats.record(msg.direction(), wire);
+                LinkOutcome::perfect()
+            }
+            Err(lost) => lost,
+        }
+    }
+
+    fn count_drop(&mut self, reason: DropReason) -> DropReason {
+        self.dropped += 1;
+        if reason == DropReason::Deadline {
+            self.deadline_drops += 1;
+        }
+        reason
+    }
+
+    /// Claims `client`'s next frame tagged `tag` — blocking up to the
+    /// receive timeout, or (`block == false`) only if it already completed
+    /// in the reactor, `None` meaning nothing yet on a live link. A missing
+    /// or drained session is a [`DropReason::Loss`], a timeout a
+    /// [`DropReason::Deadline`]; either is counted.
+    fn claim(
+        &mut self,
+        client: usize,
+        tag: u8,
+        block: bool,
+    ) -> Option<Result<Vec<u8>, DropReason>> {
         let Some(session) = self.session(client) else {
-            return Err(DropReason::Loss);
+            return Some(Err(self.count_drop(DropReason::Loss)));
         };
-        match session.recv_frame(tag, self.timeout) {
+        let claimed = if block {
+            session.recv_frame(tag, self.timeout).map(Some)
+        } else {
+            session.try_recv_frame(tag)
+        };
+        Some(match claimed {
             // The caller charges the wire bytes (plane depends on the kind).
-            Ok((body, _wire)) => Ok(body),
-            Err(RecvError::Closed) => Err(DropReason::Loss),
+            Ok(Some((body, _wire))) => Ok(body),
+            Ok(None) => return None,
+            Err(RecvError::Closed) => Err(self.count_drop(DropReason::Loss)),
             Err(RecvError::TimedOut) => {
                 // A silent client is dropped from the round, exactly like
                 // the in-memory deadline model; drain so later phases fail
                 // fast instead of re-waiting the full timeout.
                 session.close();
-                Err(DropReason::Deadline)
+                Err(self.count_drop(DropReason::Deadline))
             }
-        }
+        })
+    }
+
+    /// [`SocketTransport::claim`] of an upload on `kind`'s plane, decoded by
+    /// `decode` and charged its true frame length; an undecodable frame is
+    /// a counted loss.
+    fn claim_upload<T>(
+        &mut self,
+        kind: MsgKind,
+        client: usize,
+        block: bool,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Option<Result<T, DropReason>> {
+        assert_eq!(
+            kind.direction(),
+            Direction::Upload,
+            "remote receives are client-originated uploads"
+        );
+        let body = match self.claim(client, kind.tag(), block)? {
+            Ok(body) => body,
+            Err(reason) => return Some(Err(reason)),
+        };
+        Some(match decode(&body) {
+            Some(value) => {
+                self.stats
+                    .charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
+                Ok(value)
+            }
+            None => Err(self.count_drop(DropReason::Loss)),
+        })
     }
 }
 
 /// Receive timeout of a freshly bound server
 /// ([`SocketTransport::set_recv_timeout`] changes it).
 const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(120);
+
+fn decode_dense(body: &[u8]) -> Option<Vec<f32>> {
+    let mut data = Vec::new();
+    decode_f32_into(body, &mut data).ok().map(|()| data)
+}
 
 impl Transport for SocketTransport {
     fn begin_round(&mut self, _round: u64) {
@@ -472,37 +546,11 @@ impl Transport for SocketTransport {
             Direction::Download,
             "server-originated sends go down; uploads arrive via RemoteTransport::recv"
         );
-        let data = codec_round_trip(&mut self.wire, payload);
-        let deadline = self.send_deadline();
-        let outcome = match self.session(client) {
-            Some(session) => match session.send_frame(kind.tag(), &self.wire, deadline) {
-                Ok(n) => {
-                    self.stats.charge(kind, n);
-                    LinkOutcome::perfect()
-                }
-                Err(_) => {
-                    self.dropped += 1;
-                    LinkOutcome {
-                        delivered: false,
-                        attempts: 1,
-                        reason: Some(DropReason::Loss),
-                    }
-                }
-            },
-            None => {
-                self.dropped += 1;
-                LinkOutcome {
-                    delivered: false,
-                    attempts: 1,
-                    reason: Some(DropReason::Loss),
-                }
-            }
-        };
-        Delivery {
-            data: outcome.delivered.then_some(data),
-            attempts: outcome.attempts,
-            reason: outcome.reason,
-        }
+        let mut wire = std::mem::take(&mut self.wire);
+        let data = codec_round_trip(&mut wire, payload);
+        let link = self.send_frame(kind, client, &wire);
+        self.wire = wire;
+        Delivery::over(link, data)
     }
 
     fn broadcast(
@@ -517,36 +565,18 @@ impl Transport for SocketTransport {
         // fan-out is N refcount bumps plus N queue pushes, never N copies
         // of an O(d) model.
         let frame = encode_frame(kind.tag(), &self.wire);
-        let deadline = self.send_deadline();
-        let mut links = Vec::with_capacity(clients.len());
         let mut delivered_bytes = 0u64;
-        for &k in clients {
-            let outcome = match self.session(k) {
-                Some(session) => match session.send_encoded(&frame, deadline) {
-                    Ok(n) => {
-                        delivered_bytes += n;
+        let links = (clients.iter())
+            .map(
+                |&k| match self.enqueue(k, |s, deadline| s.send_encoded(&frame, deadline)) {
+                    Ok(wire) => {
+                        delivered_bytes += wire;
                         LinkOutcome::perfect()
                     }
-                    Err(_) => {
-                        self.dropped += 1;
-                        LinkOutcome {
-                            delivered: false,
-                            attempts: 1,
-                            reason: Some(DropReason::Loss),
-                        }
-                    }
+                    Err(lost) => lost,
                 },
-                None => {
-                    self.dropped += 1;
-                    LinkOutcome {
-                        delivered: false,
-                        attempts: 1,
-                        reason: Some(DropReason::Loss),
-                    }
-                }
-            };
-            links.push(outcome);
-        }
+            )
+            .collect();
         if delivered_bytes > 0 {
             self.stats.charge(kind, delivered_bytes);
         }
@@ -560,39 +590,17 @@ impl Transport for SocketTransport {
         payload: &CompressedVec,
         out: &mut CompressedVec,
     ) -> LinkOutcome {
-        payload.encode_into(&mut self.body);
-        let deadline = self.send_deadline();
-        let outcome = match self.session(client) {
-            Some(session) => match session.send_frame(kind.tag(), &self.body, deadline) {
-                Ok(n) => {
-                    self.stats.charge(kind, n);
-                    LinkOutcome::perfect()
-                }
-                Err(_) => {
-                    self.dropped += 1;
-                    LinkOutcome {
-                        delivered: false,
-                        attempts: 1,
-                        reason: Some(DropReason::Loss),
-                    }
-                }
-            },
-            None => {
-                self.dropped += 1;
-                LinkOutcome {
-                    delivered: false,
-                    attempts: 1,
-                    reason: Some(DropReason::Loss),
-                }
-            }
-        };
-        if outcome.delivered {
+        let mut body = std::mem::take(&mut self.body);
+        payload.encode_into(&mut body);
+        let link = self.send_frame(kind, client, &body);
+        if link.delivered {
             assert!(
-                out.decode_from(&self.body),
+                out.decode_from(&body),
                 "codec round-trip cannot fail on a well-formed payload"
             );
         }
-        outcome
+        self.body = body;
+        link
     }
 
     fn stats(&self) -> &CommStats {
@@ -606,62 +614,20 @@ impl Transport for SocketTransport {
             deadline_drops: self.deadline_drops,
         }
     }
-
-    fn as_remote(&mut self) -> Option<&mut dyn RemoteTransport> {
-        Some(self)
-    }
 }
 
 impl RemoteTransport for SocketTransport {
     /// Claims one client-originated upload frame, blocking until it
-    /// completes. `Federation::fold_uploads` calls this per selected client
-    /// *in selection order* and folds each payload as its frame completes,
-    /// dropping the buffer before claiming the next — the server never
-    /// holds more than one decoded upload. The aggregation path instead
-    /// sweeps [`RemoteTransport::try_recv`] to claim frames in *arrival*
-    /// order (the reduction tree makes the fold order-free), falling back
-    /// to this blocking claim only when nothing is ready.
+    /// completes. The fold calls this per selected client *in selection
+    /// order* and folds each payload as its frame completes, dropping the
+    /// buffer before claiming the next — the server never holds more than
+    /// one decoded upload. The aggregation path instead sweeps
+    /// [`RemoteTransport::try_recv`] to claim frames in *arrival* order
+    /// (the reduction tree makes the fold order-free), falling back to this
+    /// blocking claim only when nothing is ready.
     fn recv(&mut self, kind: MsgKind, client: usize) -> Delivery {
-        assert_eq!(
-            kind.direction(),
-            Direction::Upload,
-            "remote receives are client-originated uploads"
-        );
-        match self.recv_frame(client, kind.tag()) {
-            Ok(body) => {
-                let mut data = Vec::new();
-                match decode_f32_into(&body, &mut data) {
-                    Ok(()) => {
-                        self.stats
-                            .charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
-                        Delivery {
-                            data: Some(data),
-                            attempts: 1,
-                            reason: None,
-                        }
-                    }
-                    Err(_) => {
-                        self.dropped += 1;
-                        Delivery {
-                            data: None,
-                            attempts: 1,
-                            reason: Some(DropReason::Loss),
-                        }
-                    }
-                }
-            }
-            Err(reason) => {
-                self.dropped += 1;
-                if reason == DropReason::Deadline {
-                    self.deadline_drops += 1;
-                }
-                Delivery {
-                    data: None,
-                    attempts: 1,
-                    reason: Some(reason),
-                }
-            }
-        }
+        let claimed = self.claim_upload(kind, client, true, decode_dense);
+        Delivery::claimed(claimed.expect("a blocking claim resolves"))
     }
 
     /// Non-blocking readiness probe: resolves `client`'s upload right now
@@ -671,51 +637,8 @@ impl RemoteTransport for SocketTransport {
     /// while the link is live with nothing queued. Never times a client
     /// out — deadline enforcement stays with the blocking claim.
     fn try_recv(&mut self, kind: MsgKind, client: usize) -> Option<Delivery> {
-        assert_eq!(
-            kind.direction(),
-            Direction::Upload,
-            "remote receives are client-originated uploads"
-        );
-        let Some(session) = self.session(client) else {
-            self.dropped += 1;
-            return Some(Delivery {
-                data: None,
-                attempts: 1,
-                reason: Some(DropReason::Loss),
-            });
-        };
-        match session.try_recv_frame(kind.tag()) {
-            Ok(Some((body, wire))) => {
-                let mut data = Vec::new();
-                match decode_f32_into(&body, &mut data) {
-                    Ok(()) => {
-                        self.stats.charge(kind, wire);
-                        Some(Delivery {
-                            data: Some(data),
-                            attempts: 1,
-                            reason: None,
-                        })
-                    }
-                    Err(_) => {
-                        self.dropped += 1;
-                        Some(Delivery {
-                            data: None,
-                            attempts: 1,
-                            reason: Some(DropReason::Loss),
-                        })
-                    }
-                }
-            }
-            Ok(None) => None,
-            Err(_) => {
-                self.dropped += 1;
-                Some(Delivery {
-                    data: None,
-                    attempts: 1,
-                    reason: Some(DropReason::Loss),
-                })
-            }
-        }
+        self.claim_upload(kind, client, false, decode_dense)
+            .map(Delivery::claimed)
     }
 
     fn start_training(&mut self, client: usize, round: u64, steps: usize) -> LinkOutcome {
@@ -742,34 +665,25 @@ impl RemoteTransport for SocketTransport {
             examples: 0,
         }
         .tag();
-        match self.recv_frame(client, tag) {
-            Ok(body) => {
-                self.charge_control(Direction::Upload, FRAME_HEADER_BYTES + body.len() as u64);
-                if let Some(s) = self.session(client) {
-                    s.set_state(SessionState::Registered);
-                }
-                match ControlMsg::decode_body(tag, &body) {
-                    Ok(ControlMsg::Report {
-                        loss,
-                        reg_loss,
-                        steps,
-                        examples,
-                    }) => Some(LocalReport {
-                        loss,
-                        reg_loss,
-                        steps: steps as usize,
-                        examples: examples as usize,
-                    }),
-                    _ => None,
-                }
-            }
-            Err(reason) => {
-                self.dropped += 1;
-                if reason == DropReason::Deadline {
-                    self.deadline_drops += 1;
-                }
-                None
-            }
+        let body = self.claim(client, tag, true)?.ok()?;
+        self.stats
+            .record(Direction::Upload, FRAME_HEADER_BYTES + body.len() as u64);
+        if let Some(s) = self.session(client) {
+            s.set_state(SessionState::Registered);
+        }
+        match ControlMsg::decode_body(tag, &body) {
+            Ok(ControlMsg::Report {
+                loss,
+                reg_loss,
+                steps,
+                examples,
+            }) => Some(LocalReport {
+                loss,
+                reg_loss,
+                steps: steps as usize,
+                examples: examples as usize,
+            }),
+            _ => None,
         }
     }
 
@@ -783,46 +697,21 @@ impl RemoteTransport for SocketTransport {
         )
     }
 
+    /// The compressed frame body IS the `CompressedVec` wire encoding, so
+    /// the charge is its true length (plus frame header), never a modelled
+    /// estimate.
     fn recv_compressed(
         &mut self,
         kind: MsgKind,
         client: usize,
         out: &mut CompressedVec,
     ) -> LinkOutcome {
-        assert!(
-            kind.is_compressed() && kind.direction() == Direction::Upload,
-            "remote compressed receives are client-originated uploads"
-        );
-        match self.recv_frame(client, kind.tag()) {
-            Ok(body) => {
-                if out.decode_from(&body) {
-                    // The compressed frame body IS the `CompressedVec` wire
-                    // encoding: charge its true length (plus frame header),
-                    // never a modelled estimate.
-                    debug_assert_eq!(body.len(), out.wire_bytes());
-                    self.stats
-                        .charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
-                    LinkOutcome::perfect()
-                } else {
-                    self.dropped += 1;
-                    LinkOutcome {
-                        delivered: false,
-                        attempts: 1,
-                        reason: Some(DropReason::Loss),
-                    }
-                }
-            }
-            Err(reason) => {
-                self.dropped += 1;
-                if reason == DropReason::Deadline {
-                    self.deadline_drops += 1;
-                }
-                LinkOutcome {
-                    delivered: false,
-                    attempts: 1,
-                    reason: Some(reason),
-                }
-            }
+        assert!(kind.is_compressed(), "a compressed plane");
+        let decode = |body: &[u8]| out.decode_from(body).then_some(());
+        match self.claim_upload(kind, client, true, decode) {
+            Some(Ok(())) => LinkOutcome::perfect(),
+            Some(Err(reason)) => LinkOutcome::lost(reason),
+            None => unreachable!("a blocking claim resolves"),
         }
     }
 
@@ -838,7 +727,7 @@ impl RemoteTransport for SocketTransport {
                 let msg = ControlMsg::Shutdown;
                 msg.encode_body(&mut self.body);
                 if let Ok(n) = session.send_frame(msg.tag(), &self.body, deadline) {
-                    self.charge_control(Direction::Download, n);
+                    self.stats.record(Direction::Download, n);
                 }
                 // Let the reactor flush the queued Shutdown before the
                 // socket closes; a hard close here could drop it.
@@ -984,6 +873,21 @@ impl ClientConn {
         Ok(())
     }
 
+    /// Sends `client`'s [`answer`] to `what` on the message kind it belongs to.
+    fn send_answer(
+        &mut self,
+        client: &mut Client,
+        what: Pull<'_>,
+        policy: Compression,
+        scratch: &mut Scratch,
+    ) -> io::Result<()> {
+        let kind = what.kind(policy.is_enabled());
+        match answer(client, what, policy, scratch) {
+            Frame::Dense(values) => self.send_payload(kind, values),
+            Frame::Compressed(payload) => self.send_compressed(kind, payload),
+        }
+    }
+
     /// Blocks for the next frame.
     pub fn read_event(&mut self) -> io::Result<ClientEvent> {
         let (tag, body) = read_frame(&mut self.stream)?;
@@ -1030,8 +934,10 @@ pub enum ClientOutcome {
 
 /// The event-driven client half of the protocol: installs broadcast
 /// parameters, trains on `TrainStart` (with the δ target received this
-/// round, if any), uploads report + parameters, and answers δ probes —
-/// until `Shutdown`, a graceful departure, or a dead link.
+/// round, if any) and follows the report with the upload, answers δ probes
+/// — until `Shutdown`, a graceful departure, or a dead link. The frames it
+/// uploads come from [`answer`], the function the in-process plane calls on
+/// its replicas.
 ///
 /// The numeric call sequence on `client` is exactly the one the in-process
 /// simulation makes on its local replica, so the client's RNG stream and
@@ -1043,14 +949,11 @@ pub fn run_client_loop(
     opts: &ClientLoopOpts,
 ) -> ClientOutcome {
     let mut pending_target: Option<Vec<f32>> = None;
-    let mut flat = Vec::new();
-    // Compressed-upload state: the last broadcast parameters (the update is
-    // relative to them) and reused compression workspaces. The residual
+    // The last broadcast parameters (a compressed upload is relative to
+    // them) and the reused upload workspaces. The error-feedback residual
     // itself lives on the `Client` so hibernation persists it.
-    let mut last_global: Vec<f32> = Vec::new();
-    let mut update: Vec<f32> = Vec::new();
-    let mut recon: Vec<f32> = Vec::new();
-    let mut payload = CompressedVec::default();
+    let mut global: Vec<f32> = Vec::new();
+    let mut scratch = Scratch::default();
     loop {
         let event = match conn.read_event() {
             Ok(ev) => ev,
@@ -1059,7 +962,7 @@ pub fn run_client_loop(
         let io_result = match event {
             ClientEvent::Payload(MsgKind::ModelDown, params) => {
                 client.write_params(&params);
-                last_global = params;
+                global = params;
                 Ok(())
             }
             ClientEvent::Payload(MsgKind::DeltaDown, target) => {
@@ -1082,24 +985,8 @@ pub fn run_client_loop(
                     examples: report.examples as u32,
                 })
                 .and_then(|()| {
-                    client.read_params(&mut flat);
-                    if opts.compression.is_enabled() {
-                        // Same arithmetic, same order, same residual fold as
-                        // the in-process `fold_uploads` oracle — the frame
-                        // that crosses the socket is bit-identical.
-                        ef_compress_update(
-                            opts.compression,
-                            &flat,
-                            &last_global,
-                            client.residual_mut(),
-                            &mut update,
-                            &mut recon,
-                            &mut payload,
-                        );
-                        conn.send_compressed(MsgKind::CompressedUp, &payload)
-                    } else {
-                        conn.send_payload(MsgKind::ModelUp, &flat)
-                    }
+                    let upload = Pull::Upload { global: &global };
+                    conn.send_answer(client, upload, opts.compression, &mut scratch)
                 })
             }
             ClientEvent::Control(ControlMsg::DeltaProbe { round, probe_batch }) => {
@@ -1107,18 +994,17 @@ pub fn run_client_loop(
                     let _ = conn.send_control(&ControlMsg::Goodbye);
                     return ClientOutcome::Left;
                 }
-                let delta = client.compute_delta(probe_batch as usize);
-                if opts.compression.is_enabled() {
-                    compress_plain(opts.compression, &delta, &mut payload);
-                    conn.send_compressed(MsgKind::CompressedDeltaUp, &payload)
-                } else {
-                    conn.send_payload(MsgKind::DeltaUp, &delta)
-                }
+                let probe = Pull::Delta {
+                    probe_batch: probe_batch as usize,
+                    dp: None,
+                };
+                conn.send_answer(client, probe, opts.compression, &mut scratch)
             }
             ClientEvent::Control(ControlMsg::Shutdown) => return ClientOutcome::Shutdown,
-            // Unknown-but-valid frames (e.g. a future DeltaTableDown) are
-            // ignored rather than fatal; the server's deadline handles a
-            // client that ignores something it needed to answer.
+            // Frames this loop has no request for (`DeltaTableDown`, the
+            // control-variate planes) are ignored rather than fatal: the
+            // server refuses, before round 0, every algorithm that would
+            // send one ([`crate::Trainer::try_run`]).
             _ => Ok(()),
         };
         if let Err(e) = io_result {

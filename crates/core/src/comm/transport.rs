@@ -52,24 +52,14 @@ pub trait Transport: Send {
 
     /// Message-level fault counters (all zeros for a perfect transport).
     fn fault_stats(&self) -> FaultStats;
-
-    /// The remote half of a distributed backend, when this transport moves
-    /// traffic to real client processes instead of simulating them.
-    /// In-memory backends return `None` (the default); a
-    /// [`crate::Federation`] in remote mode requires `Some`.
-    fn as_remote(&mut self) -> Option<&mut dyn RemoteTransport> {
-        None
-    }
 }
 
-/// The server-side operations a *distributed* deployment needs beyond
-/// [`Transport`]: in the simulation, uploads and training are faked locally
-/// (`send(ModelUp, ..)` already knows the payload), but with real client
-/// processes the server must *ask* for work and *wait* for the bytes. The
-/// round plumbing calls these instead of touching local [`crate::Client`]s
-/// when the federation runs in remote mode, so algorithms are oblivious to
-/// which side of the wire their peers live on.
-pub trait RemoteTransport {
+/// A [`Transport`] whose clients are real processes: besides sending
+/// downloads, the server must *ask* for work and *wait* for the bytes
+/// (in the simulation `send(ModelUp, ..)` already knows the payload). This
+/// is what [`crate::plane`]'s socket back-end is built on, and what
+/// [`crate::Federation::remote`] takes — the back-end is chosen by type.
+pub trait RemoteTransport: Transport {
     /// Blocks for `client`'s next upload on `kind`'s plane (an
     /// upload-direction [`MsgKind`]); meters the received wire bytes. A
     /// dead link maps to [`super::DropReason::Loss`], a receive timeout to

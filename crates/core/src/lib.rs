@@ -64,7 +64,9 @@ pub mod history;
 pub mod mem;
 pub mod mmd;
 pub mod personalization;
+pub mod plane;
 pub mod registry;
+pub mod round;
 pub mod rules;
 pub mod sampling;
 #[cfg(test)]

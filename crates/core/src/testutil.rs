@@ -53,6 +53,18 @@ pub(crate) fn run_rounds(
 /// Every delivered upload of `selected`, materialized as `(client, params)`.
 pub(crate) fn uploads(fed: &mut Federation, selected: &[usize]) -> Vec<(usize, Vec<f32>)> {
     let mut out = Vec::with_capacity(selected.len());
-    fed.fold_uploads(selected, |_, k, params| out.push((k, params.to_vec())));
+    fed.fold_uploads(selected, false, |_, k, params| {
+        out.push((k, params.to_vec()))
+    });
     out
+}
+
+/// The FedAvg round tail: fold the uploads of `selected` into the weighted
+/// average and install it. Returns the delivered ids.
+pub(crate) fn collect_aggregate(fed: &mut Federation, selected: &[usize]) -> Vec<usize> {
+    let (delivered, average) = fed.collect_average(selected);
+    if let Some(average) = average {
+        fed.set_global(average);
+    }
+    delivered
 }

@@ -1,41 +1,12 @@
 //! The round loop driving any [`Algorithm`] over a [`Federation`].
 
-use crate::federation::{Federation, FlConfig};
+use crate::federation::{fault_counters, Federation, FlConfig, Meter};
 use crate::history::{History, RoundRecord};
+use crate::plane::Unsupported;
+pub use crate::round::{Algorithm, RoundOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_trace::Stopwatch;
-
-/// Result an algorithm reports for one communication round.
-#[derive(Clone, Debug)]
-pub struct RoundOutcome {
-    /// Mean local data loss across participants.
-    pub train_loss: f32,
-    /// Mean regularizer loss across participants (0 if not applicable).
-    pub reg_loss: f32,
-    /// Client indices the server selected for the round.
-    pub selected: Vec<usize>,
-    /// Clients whose upload made it into the round's aggregation — equal to
-    /// `selected` on a perfect transport, a subset under faults.
-    pub delivered: Vec<usize>,
-}
-
-/// A federated optimization algorithm. One call to `round` is one
-/// communication round `c` of the paper's algorithms.
-pub trait Algorithm: Send {
-    /// Display name (used in experiment output).
-    fn name(&self) -> &'static str;
-
-    /// Executes round `round` on the federation, using `rng` for client
-    /// sampling and any algorithm-internal randomness.
-    fn round(
-        &mut self,
-        fed: &mut Federation,
-        cfg: &FlConfig,
-        round: usize,
-        rng: &mut StdRng,
-    ) -> RoundOutcome;
-}
 
 /// A learning-rate schedule `round → lr`.
 pub type LrSchedule = Box<dyn Fn(usize) -> f32 + Send>;
@@ -89,11 +60,23 @@ impl Trainer {
         self
     }
 
-    /// Runs the full training loop.
+    /// Runs the full training loop; panics where [`Trainer::try_run`]
+    /// would refuse.
     pub fn run(&mut self, algo: &mut dyn Algorithm, fed: &mut Federation) -> History {
+        self.try_run(algo, fed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Runs the full training loop, after checking — before any frame is
+    /// sent — that `fed`'s client plane offers what `algo`'s hooks need.
+    pub fn try_run(
+        &mut self,
+        algo: &mut dyn Algorithm,
+        fed: &mut Federation,
+    ) -> Result<History, Unsupported> {
+        fed.check(algo)?;
         let mut history = History::new();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5EED_5EED);
-        if self.pipelined && fed.is_lazy() {
+        if self.pipelined && fed.registry().is_some() {
             fed.enable_pipelined_rounds(self.cfg.seed, self.cfg.sample_ratio, self.cfg.rounds);
         }
         let run_span = fed.tracer().begin_run(algo.name());
@@ -106,13 +89,11 @@ impl Trainer {
             }
             let mut round_span = fed.tracer().begin_round(round);
             fed.begin_round(round as u64);
-            let snap = fed.comm_snapshot();
-            let fsnap = fed.fault_stats();
+            let meter = Meter::start(fed);
             let sw = Stopwatch::start();
-            let outcome = algo.round(fed, &self.cfg, round, &mut rng);
+            let outcome = crate::round::run_round(algo, fed, &self.cfg, &mut rng);
             let seconds = sw.elapsed_secs();
-            let comm = fed.comm_stats().since(&snap);
-            let faults = fed.fault_stats().since(&fsnap);
+            let (comm, faults) = meter.stop(fed);
 
             let do_eval = (round + 1) % self.cfg.eval_every == 0 || round + 1 == self.cfg.rounds;
             let eval = do_eval.then(|| fed.evaluate_global());
@@ -126,7 +107,7 @@ impl Trainer {
             if rss_bytes > 0 {
                 round_span.counter("rss_bytes", rss_bytes);
             }
-            crate::federation::fault_counters(&mut round_span, &faults);
+            fault_counters(&mut round_span, &faults);
             drop(round_span);
 
             let record = RoundRecord {
@@ -155,7 +136,7 @@ impl Trainer {
         // inspection sees a settled shard map.
         fed.quiesce();
         drop(run_span);
-        history
+        Ok(history)
     }
 }
 
@@ -166,25 +147,12 @@ mod tests {
     use rfl_data::synth::gaussian::GaussianMixtureSpec;
     use rfl_data::FederatedData;
 
+    /// FedAvg under another name: every hook at its default.
     struct NoopAlgo;
 
     impl Algorithm for NoopAlgo {
         fn name(&self) -> &'static str {
             "noop"
-        }
-        fn round(
-            &mut self,
-            _fed: &mut Federation,
-            _cfg: &FlConfig,
-            round: usize,
-            _rng: &mut StdRng,
-        ) -> RoundOutcome {
-            RoundOutcome {
-                train_loss: 1.0 / (round + 1) as f32,
-                reg_loss: 0.0,
-                selected: vec![0, 1],
-                delivered: vec![0, 1],
-            }
         }
     }
 
