@@ -1,14 +1,23 @@
 //! Byte-accurate communication: simulated and real.
 //!
-//! The layer is split in three: [`CommStats`] is the byte ledger every
-//! backend charges with the real wire codec's lengths, the [`Transport`]
-//! trait decides *delivery* — typed envelopes ([`MsgKind`]) go in,
-//! [`Delivery`]/[`BroadcastDelivery`] outcomes come out — and the socket
-//! layer moves the same frames over a real wire. [`PerfectTransport`] is the
-//! lossless default; [`FaultyTransport`] injects seeded per-link drops, virtual
-//! latency, bounded retries, and per-round deadlines; [`SocketTransport`]
-//! runs the server end of a multi-process federation over TCP or Unix-domain
-//! sockets and reproduces the perfect transport bit-exactly on a loopback.
+//! [`CommStats`] is the byte ledger every backend charges with the real
+//! wire codec's lengths; the [`Transport`] trait decides *delivery* — typed
+//! envelopes ([`MsgKind`]) go in, [`Delivery`]/[`BroadcastDelivery`]
+//! outcomes come out. The two client-plane back-ends of [`crate::plane`]
+//! sit on the two kinds of transport:
+//!
+//! * **In process**, a [`Transport`] simulates the network between the
+//!   server and replicas it owns: [`PerfectTransport`] is the lossless
+//!   default; [`FaultyTransport`] injects seeded per-link drops, virtual
+//!   latency, bounded retries, and per-round deadlines. Both directions go
+//!   through `send`/`broadcast` — the plane computes a client's frame and
+//!   hands it to the transport.
+//! * **Over sockets**, a [`RemoteTransport`] — a `Transport` for the
+//!   downloads plus the receives, training orders and δ probes a server
+//!   needs when the other end is a process — moves the same frames over a
+//!   real wire. [`SocketTransport`] runs the server end over TCP or
+//!   Unix-domain sockets on the reactor; [`run_client_loop`] is the client
+//!   end. A loopback run reproduces the perfect transport bit-exactly.
 
 mod faulty;
 mod message;

@@ -17,7 +17,7 @@
 //!   `poll(2)` shards owns every non-blocking socket, so connections scale
 //!   without threads) and [`RemoteTransport`] for the client-originated
 //!   half (uploads, reports) that the in-memory simulation fakes locally.
-//!   [`crate::Federation`]'s round plumbing routes through both, so
+//!   [`crate::plane`]'s socket back-end is built on the pair, so
 //!   `Trainer::run` drives real client processes unchanged. Broadcasts
 //!   encode once into a shared `Arc<[u8]>` frame; fan-out costs refcount
 //!   bumps, not payload copies.
@@ -278,7 +278,7 @@ impl Drop for Listener {
 ///
 /// Downloads implement [`Transport`] by writing real frames; the
 /// client-originated half (uploads, reports) arrives through the
-/// [`RemoteTransport`] receives that [`crate::Federation`]'s remote mode
+/// [`RemoteTransport`] receives that [`crate::Federation::remote`]'s socket plane
 /// calls in place of the simulation's local loopback. Delivery outcomes map
 /// onto the same [`Delivery`]/[`LinkOutcome`] vocabulary as the in-memory
 /// backends: a drained session is a [`DropReason::Loss`], a receive that

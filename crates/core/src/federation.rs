@@ -8,7 +8,7 @@
 //! one over a [`RemoteTransport`]. Everything below them is written once
 //! against the plane: a model broadcast is an install, the fold claims
 //! uploads, the δ sync claims δ frames, and each metered phase is one
-//! [`Federation::metered`] call. Which phases run, in what order, with
+//! `Federation::metered` call. Which phases run, in what order, with
 //! which hooks, is [`crate::round`].
 
 use crate::aggregate::StreamingAggregator;

@@ -3,14 +3,18 @@
 //! Federated-learning framework and the algorithms of *Distribution-
 //! Regularized Federated Learning on Non-IID Data* (ICDE 2023).
 //!
-//! The crate simulates a synchronous FL system: a [`Federation`] of clients
-//! (each with a private [`rfl_data::Dataset`], its own model replica, local
-//! optimizer state, and seeded RNG), a flat-parameter server, and a
-//! byte-accurate [`comm::Transport`] carrying typed message envelopes
-//! ([`comm::MsgKind`]). Two backends ship: [`comm::PerfectTransport`]
-//! (every message delivered, the default) and [`comm::FaultyTransport`]
-//! (seeded per-link drops, a latency model, bounded retries, and a
-//! per-round deadline that turns slow clients into dropouts).
+//! The crate runs a synchronous FL system: a [`Federation`] holds the
+//! server's state (flat global parameters, aggregation weights, the
+//! streaming fold, evaluation) over one client plane ([`plane`]) — client
+//! replicas in this process (each with a private [`rfl_data::Dataset`], its
+//! own model replica, local optimizer state, and seeded RNG) behind a
+//! byte-accurate simulated [`comm::Transport`] ([`comm::PerfectTransport`],
+//! or [`comm::FaultyTransport`] with seeded drops, latency, retries and
+//! deadlines), or real client processes behind [`comm::SocketTransport`].
+//! One round driver ([`round`]) runs the phase sequence every algorithm
+//! shares; an [`Algorithm`] is its state plus the hooks it overrides, and
+//! [`Trainer::try_run`] refuses an algorithm × back-end pair the plane
+//! cannot serve before round 0.
 //!
 //! ## Algorithms
 //!

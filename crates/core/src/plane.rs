@@ -3,11 +3,11 @@
 //!
 //! A round makes five requests — *install* the global, *train* under a
 //! rule, *upload* the parameters, probe a *δ* map, *evaluate* locally — and
-//! [`ClientPlane`] has one method for each, taking the whole selection.
-//! [`LocalPlane`] owns the replicas (an eager `Vec<Client>` or the lazy
+//! `ClientPlane` has one method for each, taking the whole selection.
+//! `LocalPlane` owns the replicas (an eager `Vec<Client>` or the lazy
 //! registry's active set) and carries their frames through any
 //! [`Transport`], so perfect and faulty delivery are the same code;
-//! [`RemotePlane`] sends the requests to processes running
+//! `RemotePlane` sends the requests to processes running
 //! [`crate::comm::run_client_loop`] and claims their frames off the wire.
 //! Requests fan out to the whole selection first; upload and δ frames are
 //! then claimed one client at a time, in selection order unless the caller
@@ -78,7 +78,7 @@ impl std::error::Error for Unsupported {}
 pub(crate) const EVAL_BATCH: usize = 64;
 
 /// The two requests whose reply is a frame the server claims per client.
-pub enum Pull<'a> {
+pub(crate) enum Pull<'a> {
     /// The parameters: dense, or — under an enabled policy — the update
     /// against `global` compressed with the client's error-feedback
     /// residual.
@@ -94,7 +94,7 @@ pub enum Pull<'a> {
 
 impl Pull<'_> {
     /// The message kind of the frame, dense or compressed.
-    pub fn kind(&self, compressed: bool) -> MsgKind {
+    pub(crate) fn kind(&self, compressed: bool) -> MsgKind {
         match (self, compressed) {
             (Pull::Upload { .. }, false) => MsgKind::ModelUp,
             (Pull::Upload { .. }, true) => MsgKind::CompressedUp,
@@ -107,7 +107,7 @@ impl Pull<'_> {
 /// Reused client-side buffers of [`answer`]: the flat parameters or δ map,
 /// the error-feedback workspaces and the encoded payload.
 #[derive(Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     flat: Vec<f32>,
     delta: Vec<f32>,
     update: Vec<f32>,
@@ -116,14 +116,14 @@ pub struct Scratch {
 }
 
 /// A client's frame, borrowed from the [`Scratch`] it was built in.
-pub enum Frame<'a> {
+pub(crate) enum Frame<'a> {
     Dense(&'a [f32]),
     Compressed(&'a CompressedVec),
 }
 
 /// The client half of an upload or a δ sync — the same arithmetic in the
 /// same order whichever side of a wire the client sits on.
-pub fn answer<'a>(
+pub(crate) fn answer<'a>(
     client: &mut Client,
     what: Pull<'_>,
     policy: Compression,

@@ -19,7 +19,7 @@
 
 use crate::client::LocalReport;
 use crate::federation::{Federation, FlConfig};
-use crate::plane::{Capability, LocalPlane, RemotePlane};
+use crate::plane::Capability;
 use crate::rules::LocalRule;
 use crate::sampling::renormalized_weights;
 use rand::rngs::StdRng;
@@ -181,23 +181,85 @@ fn mean_losses(
         })
 }
 
-/// The algorithm × back-end table as markdown, from the declarations the
-/// pre-round check reads: each row is a label and an [`Algorithm::needs`]
-/// list, each column a way to run it (the faulty column is the in-process
-/// plane on a fault-injecting transport).
-pub fn capability_table(rows: &[(&str, &[Capability])]) -> String {
-    let columns = [LocalPlane::OFFERS, LocalPlane::OFFERS, RemotePlane::OFFERS];
-    let mut out =
-        String::from("| algorithm | in-process | faulty | loopback |\n|---|---|---|---|\n");
-    for (label, needs) in rows {
-        out += &format!("| {label} |");
-        for offers in columns {
-            out += &match needs.iter().find(|c| !offers.contains(c)) {
-                None => " runs |".to_string(),
-                Some(c) => format!(" refused: needs `{c:?}` |"),
-            };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithms::*;
+    use crate::dp::DpConfig;
+    use crate::plane::{LocalPlane, RemotePlane};
+
+    /// The algorithm × back-end table as markdown, from the declarations the
+    /// pre-round check reads: each row is a label and an [`Algorithm::needs`]
+    /// list, each column a way to run it (the faulty column is the in-process
+    /// plane on a fault-injecting transport).
+    fn capability_table(rows: &[(&str, &[Capability])]) -> String {
+        let columns = [LocalPlane::OFFERS, LocalPlane::OFFERS, RemotePlane::OFFERS];
+        let mut out =
+            String::from("| algorithm | in-process | faulty | loopback |\n|---|---|---|---|\n");
+        for (label, needs) in rows {
+            out += &format!("| {label} |");
+            for offers in columns {
+                out += &match needs.iter().find(|c| !offers.contains(c)) {
+                    None => " runs |".to_string(),
+                    Some(c) => format!(" refused: needs `{c:?}` |"),
+                };
+            }
+            out += "\n";
         }
-        out += "\n";
+        out
     }
-    out
+
+    /// README.md and DESIGN.md print exactly that table.
+    #[test]
+    fn the_capability_table_in_the_docs_is_the_generated_one() {
+        let dp = DpConfig::new(0.5, 1.0, 10);
+        let rows: Vec<(&str, Box<dyn Algorithm>)> = vec![
+            ("FedAvg", Box::new(FedAvg::new())),
+            ("FedAvgM", Box::new(FedAvgM::new(0.7))),
+            ("FedProx", Box::new(FedProx::new(0.1))),
+            ("SCAFFOLD", Box::new(Scaffold::new(1.0))),
+            ("q-FedAvg", Box::new(QFedAvg::new(1.0))),
+            ("PoC-rFedAvg+", Box::new(PowerOfChoice::new(2.0, 1e-3))),
+            ("rFedAvg", Box::new(RFedAvg::new(1e-3))),
+            ("rFedAvg+", Box::new(RFedAvgPlus::new(1e-3))),
+            ("rFedAvg + DP", Box::new(RFedAvg::new(1e-3).with_dp(dp))),
+            (
+                "rFedAvg+ + DP",
+                Box::new(RFedAvgPlus::new(1e-3).with_dp(dp)),
+            ),
+        ];
+        let rows: Vec<(&str, &[Capability])> =
+            rows.iter().map(|(label, a)| (*label, a.needs())).collect();
+        let table = capability_table(&rows);
+        for (name, doc) in [
+            ("README.md", include_str!("../../../README.md")),
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+        ] {
+            assert!(doc.contains(&table), "{name} should print:\n{table}");
+        }
+    }
+
+    #[test]
+    fn losses_average_over_the_reporters_only() {
+        let report = |loss| {
+            Some(LocalReport {
+                loss,
+                reg_loss: 2.0 * loss,
+                steps: 1,
+                examples: 1,
+            })
+        };
+        let weights = [0.5, 0.25, 0.25];
+        let reports = [report(1.0), None, report(3.0)];
+        // Client 1 never reported: 1.0 and 3.0 weigh 2/3 and 1/3.
+        let (loss, reg) = mean_losses(&weights, &[0, 1, 2], &reports, false);
+        assert!((loss - 5.0 / 3.0).abs() < 1e-6 && (reg - 10.0 / 3.0).abs() < 1e-6);
+        let (loss, _) = mean_losses(&weights, &[0, 1, 2], &reports, true);
+        assert_eq!(loss, 2.0);
+        assert_eq!(
+            mean_losses(&weights, &[1], &[None], false),
+            (0.0, 0.0),
+            "nobody reported"
+        );
+    }
 }

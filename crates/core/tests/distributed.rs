@@ -584,8 +584,11 @@ fn hard_mid_round_kill_renormalizes_over_survivors() {
     // upload, no goodbye. The server must stay live, renormalize round 0
     // over the survivors, exclude the corpse from round 1, and produce the
     // same *global parameters* as the in-memory oracle dropping the same
-    // message set. (Losses legitimately differ: the simulation still sees
-    // the dead client's local report, a real server cannot.)
+    // message set. Round 0's loss is the mean over the clients that
+    // reported, weights renormalized over them — the victim's missing
+    // report is not a loss of 0.0. (The oracle's own history still differs
+    // there: the simulation sees the dead client's local report, a real
+    // server cannot.)
     let (seed, rounds, victim) = (canonical::SEED, canonical::ROUNDS, 1usize);
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
     let (server, actual) = server_run(
@@ -642,6 +645,35 @@ fn hard_mid_round_kill_renormalizes_over_survivors() {
     assert_eq!(
         global, oracle_g,
         "survivor aggregation diverged from the drop oracle"
+    );
+
+    // The drop oracle's per-client round-0 reports: every client trains
+    // plain SGD from the initial global (no δ target exists yet), so an
+    // in-process replica of the cohort yields exactly what each survivor
+    // reported over the wire.
+    let data = canonical::data(seed);
+    let cfg = canonical::config(seed, rounds);
+    let mut fed = Federation::new(
+        &data,
+        canonical::model(),
+        canonical::optimizer(),
+        &cfg,
+        seed,
+    );
+    let all: Vec<usize> = (0..canonical::NUM_CLIENTS).collect();
+    fed.begin_round(0);
+    fed.broadcast_params(&all);
+    let rules = vec![rfl_core::LocalRule::Plain; all.len()];
+    let reports = fed.train_selected(&all, &rules, cfg.local_steps);
+    let survivors: Vec<usize> = all.iter().copied().filter(|&k| k != victim).collect();
+    let weights = rfl_core::sampling::renormalized_weights(fed.weights(), &survivors);
+    let expected = survivors.iter().zip(weights).fold(0.0f32, |sum, (&k, w)| {
+        sum + w * reports[k].expect("in-process clients report").loss
+    });
+    assert_eq!(
+        history.records()[0].train_loss.to_bits(),
+        expected.to_bits(),
+        "round 0's loss is not the survivors' renormalized mean"
     );
 }
 
@@ -700,25 +732,92 @@ fn handshake_rejects_wrong_seed_and_bad_id() {
     assert_eq!(transport.live_clients(), 1);
 }
 
-/// Algorithms that read client state server-side (q-FedAvg's local losses,
-/// SCAFFOLD's variates) cannot run against remote processes; the failure
-/// says so instead of indexing an empty replica list.
+/// An algorithm whose hooks need more than the wire carries is refused
+/// with a typed error naming the missing capability — before round 0, and
+/// before a single frame is sent — instead of training plain FedAvg
+/// without saying so (FedProx, rFedAvg) or dying on a mid-round assert
+/// (SCAFFOLD, q-FedAvg, power-of-choice, DP on δ).
 #[test]
-#[should_panic(expected = "client state lives in the remote process")]
-fn remote_mode_names_what_it_cannot_do() {
+fn remote_mode_refuses_what_it_cannot_do_before_round_zero() {
+    use rfl_core::algorithms::*;
+    use rfl_core::plane::{Capability, Unsupported};
     let seed = canonical::SEED;
-    let transport = SocketTransport::bind(
+    let mut transport = SocketTransport::bind(
         &Endpoint::Tcp("127.0.0.1:0".into()),
         &welcome(seed, 1, Compression::None),
     )
     .expect("bind server");
+    let ep = transport.local_endpoint().clone();
+    // A registered cohort, so a frame *could* be sent.
+    let mut conns: Vec<ClientConn> = (0..canonical::NUM_CLIENTS)
+        .map(|k| {
+            let mut c = ClientConn::connect(&ep).expect("connect");
+            c.hello(k as u32, seed).expect("hello");
+            c
+        })
+        .collect();
+    transport
+        .wait_for_clients(Duration::from_secs(10))
+        .expect("clients register");
+    transport.begin_round(0); // folds the handshakes into the ledger
     let cfg = canonical::config(seed, 1);
-    let fed = Federation::remote(
+    let mut fed = Federation::remote(
         &canonical::data(seed),
         canonical::model(),
         &cfg,
         seed,
         Box::new(transport),
     );
-    fed.client(0);
+    let after_handshake = fed.comm_stats().messages();
+    assert!(after_handshake > 0);
+
+    let dp = rfl_core::dp::DpConfig::new(0.5, 1.0, 10);
+    let refused: Vec<(Box<dyn Algorithm>, Capability)> = vec![
+        (Box::new(FedProx::new(0.1)), Capability::ServerSideRule),
+        (Box::new(RFedAvg::new(1e-3)), Capability::TableDownload),
+        (Box::new(Scaffold::new(1.0)), Capability::ControlPlane),
+        (Box::new(QFedAvg::new(1.0)), Capability::ClientStateRead),
+        (
+            Box::new(PowerOfChoice::new(2.0, 1e-3)),
+            Capability::ClientStateRead,
+        ),
+        (
+            Box::new(RFedAvg::new(1e-3).with_dp(dp)),
+            Capability::TableDownload,
+        ),
+        (
+            Box::new(RFedAvgPlus::new(1e-3).with_dp(dp)),
+            Capability::DeltaPrivacy,
+        ),
+    ];
+    for (mut algo, capability) in refused {
+        let name = algo.name();
+        let err = Trainer::new(cfg)
+            .try_run(algo.as_mut(), &mut fed)
+            .expect_err(name);
+        assert_eq!(
+            err,
+            Unsupported {
+                algorithm: name,
+                backend: "socket",
+                capability
+            }
+        );
+        assert!(err.to_string().contains(&format!("{capability:?}")));
+        assert_eq!(
+            fed.comm_stats().messages(),
+            after_handshake,
+            "{name}: a frame went out before the refusal"
+        );
+    }
+    // Nothing reached the clients either: the next frame each one reads is
+    // the shutdown.
+    fed.shutdown_remote();
+    for c in &mut conns {
+        let ev = c.read_event().expect("shutdown frame");
+        assert!(matches!(
+            ev,
+            rfl_core::comm::ClientEvent::Control(ControlMsg::Shutdown)
+        ));
+    }
 }

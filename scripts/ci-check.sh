@@ -13,6 +13,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
+# The back-end parity tables (crates/core/tests/transport_equiv.rs: all eight
+# algorithms, lossless and lossy, bits/bytes/messages/spans as literals;
+# crates/core/tests/distributed.rs: the loopback column) are plain tests, so
+# they run inside this leg and the two below — default, RFL_THREADS=4,
+# RFL_SIMD=0 — and need no step of their own.
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 

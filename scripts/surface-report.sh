@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Prints the size of the maintained surface as two markdown tables: per crate
-# (Rust lines in src/ and in tests/ + benches/, `pub` items in src/, binaries,
+# (Rust lines in src/ — all, and with each file's trailing `#[cfg(test)]`
+# module cut off — and in tests/ + benches/, `pub` items in src/, binaries,
 # #[test] functions, seconds for a clean release build of that crate alone)
-# and workspace totals (lines, algorithms, Federation's public functions, the
-# RFL_* variables library code reads). Report-only: nothing gates on it.
+# and workspace totals (lines, algorithms and their non-test lines,
+# Federation's public functions, the RFL_* variables library code reads).
+# Report-only: nothing gates on it.
 #
 # Usage: scripts/surface-report.sh   (one clean build per crate: minutes)
 set -euo pipefail
@@ -25,10 +27,17 @@ rs_count() {
   { rs_files "$@" | xargs -0 -r grep -hE "$pattern" || true; } | wc -l
 }
 
+# Lines of those files with each one's trailing `#[cfg(test)]` module cut off
+# — the number ROADMAP direction 2's "less code" contract is stated in.
+rs_nontest_lines() {
+  rs_files "$@" |
+    xargs -0 -r awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip' | wc -l
+}
+
 PUB='^[[:space:]]*pub (fn|struct|enum|trait|const|static|type|mod|use|unsafe fn) '
 
-echo "| crate | src lines | test lines | pub items | bins | #[test] | clean build s |"
-echo "|---|---:|---:|---:|---:|---:|---:|"
+echo "| crate | src lines | non-test src lines | test lines | pub items | bins | #[test] | clean build s |"
+echo "|---|---:|---:|---:|---:|---:|---:|---:|"
 for dir in crates/*/; do
   dir=${dir%/}
   name=$(sed -n 's/^name = "\(.*\)"/\1/p' "$dir/Cargo.toml" | head -1)
@@ -41,7 +50,8 @@ for dir in crates/*/; do
     { echo "clean build of $name failed" >&2; exit 1; }
   secs=$(echo "$(date +%s.%N) $start" | awk '{printf "%.1f", $1 - $2}')
   rm -rf "$target"
-  echo "| $name | $(rs_lines "$dir/src") | $(rs_lines "$dir/tests" "$dir/benches")" \
+  echo "| $name | $(rs_lines "$dir/src") | $(rs_nontest_lines "$dir/src")" \
+    "| $(rs_lines "$dir/tests" "$dir/benches")" \
     "| $(rs_count "$PUB" "$dir/src") | $bins | $(rs_count '#\[test\]' "$dir") | $secs |"
 done
 
@@ -64,5 +74,6 @@ echo "| pub items under crates/*/src | $(rs_count "$PUB" crates/*/src) |"
 echo "| binaries | $(find crates/*/src/bin -name '*.rs' | wc -l) |"
 echo "| #[test] functions | $(rs_count '#\[test\]' crates src tests) |"
 echo "| algorithm files | $ALGOS |"
+echo "| non-test lines of crates/core/src/algorithms/*.rs | $(rs_nontest_lines crates/core/src/algorithms) |"
 echo "| Federation \`pub fn\` | $(grep -c '^    pub fn' crates/core/src/federation.rs) |"
 echo "| RFL_* read by library code | $(env_reads) |"
