@@ -142,11 +142,7 @@ impl Transport for PerfectTransport {
     fn send(&mut self, kind: MsgKind, _client: usize, payload: &[f32]) -> Delivery {
         let data = codec_round_trip(&mut self.wire, payload);
         self.stats.charge(kind, self.wire.len() as u64);
-        Delivery {
-            data: Some(data),
-            attempts: 1,
-            reason: None,
-        }
+        Delivery::over(LinkOutcome::perfect(), data)
     }
 
     /// Charges the cost of `clients.len()` receivers without materializing

@@ -19,7 +19,7 @@
 //! that [`crate::Trainer::try_run`] checks the algorithm's against.
 
 use crate::client::{Client, LocalReport};
-use crate::comm::{MsgKind, PerfectTransport, RemoteTransport, Transport};
+use crate::comm::{Delivery, LinkOutcome, MsgKind, PerfectTransport, RemoteTransport, Transport};
 use crate::compress::{compress_plain, ef_compress_update, CompressedVec, Compression};
 use crate::dp::{privatize_delta, DpConfig};
 use crate::eval::{evaluate, EvalResult};
@@ -169,6 +169,20 @@ pub(crate) enum Arrived {
     /// Decoded into the caller's `CompressedVec`.
     Compressed,
     Lost,
+}
+
+impl Arrived {
+    fn dense(delivery: Delivery) -> Arrived {
+        delivery.data.map_or(Arrived::Lost, Arrived::Dense)
+    }
+
+    fn compressed(link: LinkOutcome) -> Arrived {
+        if link.delivered {
+            Arrived::Compressed
+        } else {
+            Arrived::Lost
+        }
+    }
 }
 
 /// Runs `job(i)` for every `i < n` on up to `threads` workers, the caller
@@ -523,9 +537,10 @@ impl LocalPlane {
         // The worker count honors the same budget as the tensor kernels
         // (`RFL_THREADS` / `set_thread_budget`); a serial federation is the
         // one-worker case.
-        let threads = match self.parallel {
-            true => rfl_tensor::thread_budget(),
-            false => 1,
+        let threads = if self.parallel {
+            rfl_tensor::thread_budget()
+        } else {
+            1
         };
         let tracer = &self.tracer;
         fan_out(work.len(), threads, |i| {
@@ -550,19 +565,9 @@ impl LocalPlane {
         let kind = what.kind(policy.is_enabled());
         let idx = self.idx(k);
         match answer(&mut self.clients[idx], what, policy, &mut self.scratch) {
-            Frame::Dense(values) => {
-                let data = self.transport.send(kind, k, values).data;
-                data.map_or(Arrived::Lost, Arrived::Dense)
-            }
+            Frame::Dense(values) => Arrived::dense(self.transport.send(kind, k, values)),
             Frame::Compressed(payload) => {
-                match self
-                    .transport
-                    .send_compressed(kind, k, payload, rt)
-                    .delivered
-                {
-                    true => Arrived::Compressed,
-                    false => Arrived::Lost,
-                }
+                Arrived::compressed(self.transport.send_compressed(kind, k, payload, rt))
             }
         }
     }
@@ -701,6 +706,10 @@ impl ClientPlane {
         match self {
             ClientPlane::Local(l) => l.train(selected, rules, steps),
             ClientPlane::Remote(r) => {
+                debug_assert!(
+                    (rules.iter()).all(|r| matches!(r, LocalRule::Plain | LocalRule::Mmd { .. })),
+                    "a remote client cannot be handed this rule"
+                );
                 for (&k, &e) in selected.iter().zip(steps) {
                     r.transport.start_training(k, round, e);
                 }
@@ -745,18 +754,10 @@ impl ClientPlane {
         Some(match self {
             ClientPlane::Local(l) => l.pull(k, what, policy, rt),
             ClientPlane::Remote(r) if policy.is_enabled() => {
-                match r.transport.recv_compressed(kind, k, rt).delivered {
-                    true => Arrived::Compressed,
-                    false => Arrived::Lost,
-                }
+                Arrived::compressed(r.transport.recv_compressed(kind, k, rt))
             }
-            ClientPlane::Remote(r) => {
-                let delivery = match block {
-                    true => r.transport.recv(kind, k),
-                    false => r.transport.try_recv(kind, k)?,
-                };
-                delivery.data.map_or(Arrived::Lost, Arrived::Dense)
-            }
+            ClientPlane::Remote(r) if block => Arrived::dense(r.transport.recv(kind, k)),
+            ClientPlane::Remote(r) => Arrived::dense(r.transport.try_recv(kind, k)?),
         })
     }
 }
