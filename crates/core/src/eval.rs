@@ -136,6 +136,80 @@ mod tests {
         assert_eq!(r.accuracy, 0.0);
     }
 
+    /// The one-thread loop `evaluate` was before it dealt its mini-batches
+    /// out, kept as the oracle: batches in ascending order through one
+    /// model, the `f64` loss sum taken as they complete.
+    fn evaluate_serial(model: &mut dyn Model, data: &Dataset, batch: usize) -> EvalResult {
+        let n = data.len();
+        let (mut correct, mut loss_sum) = (0usize, 0.0f64);
+        let (mut input, mut labels, mut pred) = (None, Vec::new(), Vec::new());
+        let mut out = ModelOutput::scratch();
+        let (mut log_p, mut dlogits) = (Tensor::scratch(), Tensor::scratch());
+        for lo in (0..n).step_by(batch) {
+            let idx: Vec<usize> = (lo..(lo + batch).min(n)).collect();
+            gather_batch(data, &idx, &mut input, &mut labels);
+            model.forward_into(input.as_ref().expect("batch gathered"), &mut out, false);
+            let loss = cross_entropy_into(&out.logits, &labels, &mut log_p, &mut dlogits);
+            loss_sum += loss as f64 * idx.len() as f64;
+            out.logits.argmax_rows_into(&mut pred);
+            correct += pred.iter().zip(&labels).filter(|(p, y)| p == y).count();
+        }
+        EvalResult {
+            loss: (loss_sum / n as f64) as f32,
+            accuracy: correct as f32 / n as f32,
+            n,
+        }
+    }
+
+    /// Every model family × test sets around the batch boundary × thread
+    /// budgets 1, 2 and 4 (more workers than the 1–4 batches included):
+    /// the same loss bits, accuracy bits and count as the serial loop.
+    #[test]
+    fn evaluate_matches_the_serial_loop_bit_for_bit() {
+        use crate::federation::ModelFactory;
+        use crate::plane::EVAL_BATCH;
+        use rfl_data::synth::gaussian::GaussianMixtureSpec;
+        use rfl_data::synth::image::SynthImageSpec;
+        use rfl_data::synth::text::SynthTextSpec;
+        use rfl_nn::{CnnConfig, LstmConfig};
+
+        type MakeData = fn(usize, &mut StdRng) -> Dataset;
+        let families: [(&str, ModelFactory, MakeData); 3] = [
+            ("logistic", ModelFactory::logistic(10, 4, 0.0), |n, rng| {
+                GaussianMixtureSpec::default_spec().generate(n, None, rng)
+            }),
+            (
+                "cnn",
+                ModelFactory::cnn(CnnConfig::mnist_like()),
+                |n, rng| SynthImageSpec::mnist_like().generate(n, rng),
+            ),
+            (
+                "lstm",
+                ModelFactory::lstm(LstmConfig::sent140_like()),
+                |n, rng| SynthTextSpec::sent140_like().generate_users(1, n, rng).0,
+            ),
+        ];
+        let before = rfl_tensor::thread_budget();
+        for (name, factory, make_data) in families {
+            for n in [1, 63, 64, 65, 200] {
+                let data = make_data(n, &mut StdRng::seed_from_u64(n as u64));
+                rfl_tensor::set_thread_budget(1);
+                let want = evaluate_serial(factory.build(5).as_mut(), &data, EVAL_BATCH);
+                assert_eq!(want.n, n);
+                for budget in [1, 2, 4] {
+                    rfl_tensor::set_thread_budget(budget);
+                    let got = evaluate(factory.build(5).as_mut(), &data, EVAL_BATCH);
+                    assert_eq!(
+                        (got.loss.to_bits(), got.accuracy.to_bits(), got.n),
+                        (want.loss.to_bits(), want.accuracy.to_bits(), want.n),
+                        "{name}, {n} examples, budget {budget}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
+        rfl_tensor::set_thread_budget(before);
+    }
+
     #[test]
     fn batching_does_not_change_result() {
         let mut rng = StdRng::seed_from_u64(2);

@@ -972,6 +972,40 @@ mod tests {
         assert!(results.iter().all(|r| r.n > 0));
     }
 
+    /// The per-client evaluations hand back what one client at a time on
+    /// one thread computes, in the order asked, at any thread budget.
+    #[test]
+    fn local_and_per_client_evaluation_return_the_serial_values_in_order() {
+        let before = rfl_tensor::thread_budget();
+        let selected = vec![0, 2, 3];
+        let mut fed = small_fed(false, 6);
+        fed.broadcast_params(&selected);
+        fed.train_selected(&selected, &vec![LocalRule::Plain; 3], 3);
+        // Local losses: each replica's own (now diverged) parameters.
+        let local: Vec<u32> = (selected.iter())
+            .map(|&k| fed.client_mut(k).evaluate_local(EVAL_BATCH).loss.to_bits())
+            .collect();
+        // Per-client results: the global model on each client's shard.
+        let mut model = ModelFactory::logistic(10, 4, 0.0).build(6);
+        model.write_params(fed.global());
+        let each: Vec<EvalResult> = (0..fed.num_clients())
+            .map(|k| evaluate(model.as_mut(), fed.client(k).data(), EVAL_BATCH))
+            .collect();
+        assert_eq!(each.len(), 4);
+        for (parallel, budget) in [(false, 1), (true, 1), (true, 2), (true, 4)] {
+            rfl_tensor::set_thread_budget(budget);
+            let mut fed = small_fed(parallel, 6);
+            fed.broadcast_params(&selected);
+            fed.train_selected(&selected, &vec![LocalRule::Plain; 3], 3);
+            let got: Vec<u32> = (fed.eval_local(&selected).iter())
+                .map(|l| l.to_bits())
+                .collect();
+            assert_eq!(got, local, "parallel {parallel}, budget {budget}");
+            assert_eq!(fed.evaluate_per_client(), each);
+        }
+        rfl_tensor::set_thread_budget(before);
+    }
+
     #[test]
     fn train_changes_params_and_reduces_global_loss_after_aggregate() {
         let mut fed = small_fed(false, 5);
