@@ -82,8 +82,9 @@ impl Algorithm for PowerOfChoice {
         mmd_rules(table, &r.active, self.lambda, |_, target| Some(target))
     }
 
-    /// Re-broadcast, then δ recomputation — server-simulated here
-    /// (unmetered), so the span carries dims but no bytes.
+    /// Re-broadcast, then δ recomputation — server-simulated here (the
+    /// plane's probe without the metered claims), so the span carries dims
+    /// but no bytes.
     fn after_fold(&mut self, r: &mut Round<'_>) {
         if self.lambda == 0.0 {
             return;
@@ -93,9 +94,9 @@ impl Algorithm for PowerOfChoice {
         let mut span = r.fed.tracer().span(SpanKind::DeltaSync);
         span.counter("dims", table.dim() as u64);
         span.counter("clients", resynced.len() as u64);
-        for &k in &resynced {
-            let delta = r.fed.client_mut(k).compute_delta(r.cfg.probe_batch());
-            table.set(k, delta);
+        let deltas = r.fed.probe_deltas(&resynced, r.cfg.probe_batch());
+        for (&k, delta) in resynced.iter().zip(deltas) {
+            table.set_from_slice(k, delta);
         }
     }
 }

@@ -352,10 +352,18 @@ impl Client {
     /// local dataset with the client's current parameters (Algorithm 1
     /// line 10 / Algorithm 2 line 15), batched to bound memory.
     pub fn compute_delta(&mut self, batch: usize) -> Vec<f32> {
+        let mut delta = Vec::new();
+        self.compute_delta_into(&mut delta, batch);
+        delta
+    }
+
+    /// [`Client::compute_delta`] into a caller-provided buffer (overwritten;
+    /// its allocation is reused from one probe to the next).
+    pub fn compute_delta_into(&mut self, sum: &mut Vec<f32>, batch: usize) {
         let Client { data, shell, .. } = self;
         let n = data.len();
-        let d = shell.model.feature_dim();
-        let mut sum = vec![0.0f32; d];
+        sum.clear();
+        sum.resize(shell.model.feature_dim(), 0.0);
         let mut lo = 0usize;
         while lo < n {
             let hi = (lo + batch).min(n);
@@ -379,10 +387,9 @@ impl Client {
             lo = hi;
         }
         let inv = 1.0 / n as f32;
-        for s in &mut sum {
+        for s in sum {
             *s *= inv;
         }
-        sum
     }
 
     /// Feature embeddings of up to `max_n` local samples (visualization).
@@ -397,7 +404,11 @@ impl Client {
     /// Loss/accuracy of the current model on the client's own data
     /// (used by q-FedAvg and the fairness evaluation).
     pub fn evaluate_local(&mut self, batch: usize) -> EvalResult {
-        evaluate(self.shell.model.as_mut(), &self.data, batch)
+        evaluate(
+            std::slice::from_mut(&mut self.shell.model),
+            &self.data,
+            batch,
+        )
     }
 }
 

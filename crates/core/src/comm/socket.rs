@@ -994,11 +994,10 @@ pub fn run_client_loop(
                     let _ = conn.send_control(&ControlMsg::Goodbye);
                     return ClientOutcome::Left;
                 }
-                let probe = Pull::Delta {
-                    probe_batch: probe_batch as usize,
-                    dp: None,
-                };
-                conn.send_answer(client, probe, opts.compression, &mut scratch)
+                // The request is the probe; the frame is claimed at once.
+                client.compute_delta_into(&mut scratch.delta, probe_batch as usize);
+                let claim = Pull::Delta { dp: None };
+                conn.send_answer(client, claim, opts.compression, &mut scratch)
             }
             ClientEvent::Control(ControlMsg::Shutdown) => return ClientOutcome::Shutdown,
             // Frames this loop has no request for (`DeltaTableDown`, the

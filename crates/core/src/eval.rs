@@ -1,5 +1,6 @@
 //! Model evaluation on datasets.
 
+use crate::plane::fan_out;
 use rfl_data::{gather_rows_into, Dataset, Examples};
 use rfl_nn::{cross_entropy_into, Input, Model, ModelOutput};
 use rfl_tensor::Tensor;
@@ -63,37 +64,63 @@ pub(crate) fn gather_batch(
     }
 }
 
-/// Evaluates `model` (eval mode) on `data` in mini-batches of `batch`.
+/// One evaluation worker: a replica of the model and the buffers its
+/// mini-batches are gathered and scored in, reused from batch to batch.
+struct Worker<'a> {
+    model: &'a mut dyn Model,
+    idx: Vec<usize>,
+    input: Option<Input>,
+    labels: Vec<usize>,
+    out: ModelOutput,
+    log_p: Tensor,
+    dlogits: Tensor,
+    pred: Vec<usize>,
+}
+
+/// Evaluates the model `replicas` hold (eval mode; every replica the same
+/// parameters) on `data` in mini-batches of `batch`, dealt across
+/// [`fan_out`] to one worker per replica.
 ///
-/// One input/label buffer pair is gathered into across all mini-batches, so
-/// the loop is allocation-free after the first batch; the values seen by
-/// the model are identical to slicing fresh sub-datasets (the batch-size
-/// invariance test pins this).
-pub fn evaluate(model: &mut dyn Model, data: &Dataset, batch: usize) -> EvalResult {
+/// Each worker gathers into one input/label buffer pair across its
+/// mini-batches, so it is allocation-free after its first; the values seen
+/// by the model are identical to slicing fresh sub-datasets (the batch-size
+/// invariance test pins this). Mini-batch `b` leaves its loss term and its
+/// correct count in slot `b`, and the `f64` loss sum is taken over the
+/// slots in ascending order afterwards — a reduction whose shape is keyed
+/// on the batch index, never on arrival or worker count, so the result is
+/// the same bits from one replica or from many.
+pub fn evaluate(replicas: &mut [Box<dyn Model>], data: &Dataset, batch: usize) -> EvalResult {
     assert!(batch > 0);
     let n = data.len();
     assert!(n > 0, "empty evaluation set");
-    let mut correct = 0usize;
-    let mut loss_sum = 0.0f64;
-    let mut input: Option<Input> = None;
-    let mut labels: Vec<usize> = Vec::new();
-    let mut idx: Vec<usize> = Vec::with_capacity(batch.min(n));
-    let mut pred: Vec<usize> = Vec::new();
-    let mut out = ModelOutput::scratch();
-    let (mut log_p, mut dlogits) = (Tensor::scratch(), Tensor::scratch());
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + batch).min(n);
-        idx.clear();
-        idx.extend(lo..hi);
-        gather_batch(data, &idx, &mut input, &mut labels);
-        model.forward_into(input.as_ref().expect("batch gathered"), &mut out, false);
-        let loss = cross_entropy_into(&out.logits, &labels, &mut log_p, &mut dlogits);
-        loss_sum += loss as f64 * (hi - lo) as f64;
-        out.logits.argmax_rows_into(&mut pred);
-        correct += pred.iter().zip(&labels).filter(|(p, y)| p == y).count();
-        lo = hi;
-    }
+    let mut per_batch = vec![(0.0f64, 0usize); n.div_ceil(batch)];
+    let mut workers: Vec<Worker> = (replicas.iter_mut())
+        .map(|model| Worker {
+            model: model.as_mut(),
+            idx: Vec::with_capacity(batch.min(n)),
+            input: None,
+            labels: Vec::new(),
+            out: ModelOutput::scratch(),
+            log_p: Tensor::scratch(),
+            dlogits: Tensor::scratch(),
+            pred: Vec::new(),
+        })
+        .collect();
+    fan_out(per_batch.iter_mut(), &mut workers, |w, b, slot| {
+        let (lo, hi) = (b * batch, ((b + 1) * batch).min(n));
+        w.idx.clear();
+        w.idx.extend(lo..hi);
+        gather_batch(data, &w.idx, &mut w.input, &mut w.labels);
+        let input = w.input.as_ref().expect("batch gathered");
+        w.model.forward_into(input, &mut w.out, false);
+        let loss = cross_entropy_into(&w.out.logits, &w.labels, &mut w.log_p, &mut w.dlogits);
+        w.out.logits.argmax_rows_into(&mut w.pred);
+        let correct = w.pred.iter().zip(&w.labels).filter(|(p, y)| p == y);
+        *slot = (loss as f64 * (hi - lo) as f64, correct.count());
+    });
+    let (loss_sum, correct) = per_batch
+        .iter()
+        .fold((0.0f64, 0usize), |(l, c), (dl, dc)| (l + dl, c + dc));
     EvalResult {
         loss: (loss_sum / n as f64) as f32,
         accuracy: correct as f32 / n as f32,
@@ -118,10 +145,10 @@ mod tests {
     #[test]
     fn perfect_classifier_scores_one() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut m = LogisticRegression::new(2, 2, 0.0, &mut rng);
+        let mut m: Box<dyn Model> = Box::new(LogisticRegression::new(2, 2, 0.0, &mut rng));
         // Set W = [[-3, 3], [0, 0]], b = 0: logit_1 − logit_0 = 6·x0.
         m.write_params(&[-3.0, 3.0, 0.0, 0.0, 0.0, 0.0]);
-        let r = evaluate(&mut m, &toy_data(), 2);
+        let r = evaluate(std::slice::from_mut(&mut m), &toy_data(), 2);
         assert_eq!(r.accuracy, 1.0);
         assert!(r.loss < 0.01);
         assert_eq!(r.n, 4);
@@ -130,9 +157,9 @@ mod tests {
     #[test]
     fn anti_classifier_scores_zero() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut m = LogisticRegression::new(2, 2, 0.0, &mut rng);
+        let mut m: Box<dyn Model> = Box::new(LogisticRegression::new(2, 2, 0.0, &mut rng));
         m.write_params(&[3.0, -3.0, 0.0, 0.0, 0.0, 0.0]);
-        let r = evaluate(&mut m, &toy_data(), 10);
+        let r = evaluate(std::slice::from_mut(&mut m), &toy_data(), 10);
         assert_eq!(r.accuracy, 0.0);
     }
 
@@ -162,8 +189,9 @@ mod tests {
     }
 
     /// Every model family × test sets around the batch boundary × thread
-    /// budgets 1, 2 and 4 (more workers than the 1–4 batches included):
-    /// the same loss bits, accuracy bits and count as the serial loop.
+    /// budgets 1, 2 and 4 with a replica each (more workers than the 1–4
+    /// batches included): the same loss bits, accuracy bits and count as
+    /// the serial loop.
     #[test]
     fn evaluate_matches_the_serial_loop_bit_for_bit() {
         use crate::federation::ModelFactory;
@@ -198,7 +226,8 @@ mod tests {
                 assert_eq!(want.n, n);
                 for budget in [1, 2, 4] {
                     rfl_tensor::set_thread_budget(budget);
-                    let got = evaluate(factory.build(5).as_mut(), &data, EVAL_BATCH);
+                    let mut replicas: Vec<_> = (0..budget).map(|_| factory.build(5)).collect();
+                    let got = evaluate(&mut replicas, &data, EVAL_BATCH);
                     assert_eq!(
                         (got.loss.to_bits(), got.accuracy.to_bits(), got.n),
                         (want.loss.to_bits(), want.accuracy.to_bits(), want.n),
@@ -213,7 +242,7 @@ mod tests {
     #[test]
     fn batching_does_not_change_result() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut m = LogisticRegression::new(2, 2, 0.0, &mut rng);
+        let mut m: [Box<dyn Model>; 1] = [Box::new(LogisticRegression::new(2, 2, 0.0, &mut rng))];
         let a = evaluate(&mut m, &toy_data(), 1);
         let b = evaluate(&mut m, &toy_data(), 4);
         assert!((a.loss - b.loss).abs() < 1e-5);

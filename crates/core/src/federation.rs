@@ -279,6 +279,28 @@ pub(crate) fn eager_client(
     c
 }
 
+/// Forward-only replicas of the global model, one per evaluation worker.
+/// The first is built with the federation (the global initialization is
+/// read off it); the rest the first time a thread budget asks for them.
+struct EvalReplicas {
+    factory: ModelFactory,
+    seed: u64,
+    models: Vec<Box<dyn Model>>,
+}
+
+impl EvalReplicas {
+    /// `n ≥ 1` replicas holding `params`.
+    fn load(&mut self, n: usize, params: &[f32]) -> &mut [Box<dyn Model>] {
+        while self.models.len() < n {
+            self.models.push(self.factory.build(self.seed));
+        }
+        for model in &mut self.models[..n] {
+            model.write_params(params);
+        }
+        &mut self.models[..n]
+    }
+}
+
 /// The federated system: the server's state over one client plane —
 /// in-process replicas ([`Federation::new`], [`Federation::lazy`]) or real
 /// client processes behind a socket ([`Federation::remote`]).
@@ -287,7 +309,7 @@ pub struct Federation {
     weights: Vec<f32>,
     global: Vec<f32>,
     test: Dataset,
-    eval_model: Box<dyn Model>,
+    eval: EvalReplicas,
     tracer: Tracer,
     current_round: u64,
     straggler: Option<StragglerModel>,
@@ -325,7 +347,11 @@ impl Federation {
             weights,
             global,
             test,
-            eval_model,
+            eval: EvalReplicas {
+                factory: model,
+                seed,
+                models: vec![eval_model],
+            },
             tracer: Tracer::disabled(),
             current_round: 0,
             straggler: None,
@@ -605,7 +631,7 @@ impl Federation {
     }
 
     pub fn feature_dim(&self) -> usize {
-        self.eval_model.feature_dim()
+        self.eval.models[0].feature_dim()
     }
 
     pub fn weights(&self) -> &[f32] {
@@ -800,8 +826,10 @@ impl Federation {
     /// `selected` answers a `Delta` request — recomputes its δ map with a
     /// `probe_batch`-sized probe, optionally privatizes it with the
     /// Gaussian mechanism, and uploads it on the metered δ plane; delivered
-    /// maps replace the server's table rows. Wrapped in a `delta_sync`
-    /// span. Returns how many arrived.
+    /// maps replace the server's table rows. The probes run concurrently
+    /// (the request fans out); the noise draws, the sends and the table
+    /// writes follow in selection order. Wrapped in a `delta_sync` span.
+    /// Returns how many arrived.
     pub(crate) fn sync_deltas(
         &mut self,
         selected: &[usize],
@@ -819,7 +847,6 @@ impl Federation {
             let mut delivered = 0;
             for &k in selected {
                 let what = Pull::Delta {
-                    probe_batch,
                     dp: dp.map(|dp| (dp, &mut *rng)),
                 };
                 let arrived = fed.plane.pull(k, what, policy, &mut fed.comp_rt, true);
@@ -828,7 +855,7 @@ impl Federation {
                     Arrived::Compressed
                         if decode_plain_into(policy, &fed.comp_rt, dim, &mut fed.comp_decoded) =>
                     {
-                        table.set(k, fed.comp_decoded.clone())
+                        table.set_from_slice(k, &fed.comp_decoded)
                     }
                     _ => continue,
                 }
@@ -861,23 +888,34 @@ impl Federation {
             .train(selected, rules, &per_client, self.current_round)
     }
 
-    /// Evaluates the global model on the held-out test set.
+    /// Evaluates the global model on the held-out test set, its
+    /// mini-batches dealt to as many replicas as the thread budget allows.
     pub fn evaluate_global(&mut self) -> EvalResult {
         let mut span = self.tracer.span(SpanKind::Eval);
-        self.eval_model.write_params(&self.global);
-        let result = evaluate(self.eval_model.as_mut(), &self.test, EVAL_BATCH);
+        let batches = self.test.len().div_ceil(EVAL_BATCH);
+        let workers = rfl_tensor::thread_budget().min(batches);
+        let replicas = self.eval.load(workers, &self.global);
+        let result = evaluate(replicas, &self.test, EVAL_BATCH);
         span.counter("examples", result.n as u64);
         result
     }
 
     /// Evaluates the global model on each client's local data
-    /// (fairness evaluation, Fig. 11).
+    /// (fairness evaluation, Fig. 11), a replica per worker of the
+    /// per-client fan-out; empty on the socket plane.
     pub fn evaluate_per_client(&mut self) -> Vec<EvalResult> {
-        self.eval_model.write_params(&self.global);
-        let model = self.eval_model.as_mut();
-        self.plane
-            .local()
-            .map_or_else(Vec::new, |l| l.evaluate_each(model))
+        let Some(l) = self.plane.local() else {
+            return Vec::new();
+        };
+        let workers = l.threads().min(self.weights.len());
+        l.evaluate_each(self.eval.load(workers, &self.global))
+    }
+
+    /// The δ map of each selected client, probed in place and unmetered —
+    /// the server-simulated sync of power-of-choice; the metered one is
+    /// [`Federation::sync_deltas`].
+    pub(crate) fn probe_deltas(&mut self, selected: &[usize], probe_batch: usize) -> &[Vec<f32>] {
+        self.local_mut().probe_deltas(selected, probe_batch)
     }
 
     /// Mean data loss of the model each selected client holds — the global
@@ -989,7 +1027,10 @@ mod tests {
         let mut model = ModelFactory::logistic(10, 4, 0.0).build(6);
         model.write_params(fed.global());
         let each: Vec<EvalResult> = (0..fed.num_clients())
-            .map(|k| evaluate(model.as_mut(), fed.client(k).data(), EVAL_BATCH))
+            .map(|k| {
+                let model = std::slice::from_mut(&mut model);
+                evaluate(model, fed.client(k).data(), EVAL_BATCH)
+            })
             .collect();
         assert_eq!(each.len(), 4);
         for (parallel, budget) in [(false, 1), (true, 1), (true, 2), (true, 4)] {

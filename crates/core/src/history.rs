@@ -14,7 +14,9 @@ pub struct RoundRecord {
     pub test_loss: Option<f32>,
     /// Test accuracy, when evaluated this round.
     pub test_acc: Option<f32>,
-    /// Wall-clock seconds spent in the round (local training + aggregation).
+    /// Wall-clock seconds of the round proper — selection, every broadcast,
+    /// local training, the δ syncs, upload and fold — *excluding* the
+    /// evaluation that may follow it (that is the `eval` span's time).
     pub seconds: f64,
     /// Bytes downloaded by clients this round.
     pub down_bytes: u64,

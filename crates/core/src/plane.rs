@@ -9,7 +9,9 @@
 //! [`Transport`], so perfect and faulty delivery are the same code;
 //! `RemotePlane` sends the requests to processes running
 //! [`crate::comm::run_client_loop`] and claims their frames off the wire.
-//! Requests fan out to the whole selection first; upload and δ frames are
+//! Requests fan out to the whole selection first — in process that is
+//! [`fan_out`] dealing the selected replicas to workers under the thread
+//! budget, each writing into its own slot — and upload and δ frames are
 //! then claimed one client at a time, in selection order unless the caller
 //! allows the dense fold's arrival-order sweep. What a client does to
 //! produce such a frame is written once, in [`answer`], for both sides.
@@ -27,6 +29,7 @@ use crate::registry::ClientRegistry;
 use crate::rules::LocalRule;
 use crate::sampling::SelectionStream;
 use rand::rngs::StdRng;
+use rfl_data::Dataset;
 use rfl_nn::Model;
 use rfl_trace::{SpanKind, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,11 +86,10 @@ pub(crate) enum Pull<'a> {
     /// against `global` compressed with the client's error-feedback
     /// residual.
     Upload { global: &'a [f32] },
-    /// The δ map probed with `probe_batch`-sized batches, privatized when
-    /// `dp` is set (compressed without error feedback: the probe starts
-    /// from scratch every round, so there is nothing to carry over).
+    /// The δ map the request probed, privatized when `dp` is set
+    /// (compressed without error feedback: the probe starts from scratch
+    /// every round, so there is nothing to carry over).
     Delta {
-        probe_batch: usize,
         dp: Option<(DpConfig, &'a mut StdRng)>,
     },
 }
@@ -109,7 +111,9 @@ impl Pull<'_> {
 #[derive(Default)]
 pub(crate) struct Scratch {
     flat: Vec<f32>,
-    delta: Vec<f32>,
+    /// The probed δ map: a δ *request* fills it
+    /// ([`Client::compute_delta_into`]), the claim's [`answer`] frames it.
+    pub(crate) delta: Vec<f32>,
     update: Vec<f32>,
     recon: Vec<f32>,
     payload: CompressedVec,
@@ -121,8 +125,11 @@ pub(crate) enum Frame<'a> {
     Compressed(&'a CompressedVec),
 }
 
-/// The client half of an upload or a δ sync — the same arithmetic in the
-/// same order whichever side of a wire the client sits on.
+/// The client half of an upload or a δ claim — the same arithmetic in the
+/// same order whichever side of a wire the client sits on. The δ probe
+/// itself belongs to the request, as on the wire: by the time its frame is
+/// claimed the map is in `scratch.delta`, and what is left is what must
+/// happen in claim order — the noise draws and the frame.
 pub(crate) fn answer<'a>(
     client: &mut Client,
     what: Pull<'_>,
@@ -145,8 +152,7 @@ pub(crate) fn answer<'a>(
             }
             &scratch.flat
         }
-        Pull::Delta { probe_batch, dp } => {
-            scratch.delta = client.compute_delta(probe_batch);
+        Pull::Delta { dp } => {
             if let Some((dp, rng)) = dp {
                 privatize_delta(&mut scratch.delta, dp, rng);
             }
@@ -185,26 +191,38 @@ impl Arrived {
     }
 }
 
-/// Runs `job(i)` for every `i < n` on up to `threads` workers, the caller
-/// being one of them. An atomic counter hands the indices out one at a
-/// time, so a slow job occupies one worker while the rest drain the queue
-/// (static chunking would park everything that shares the slow job's
-/// chunk behind it); jobs write to index-addressed slots, so the result
-/// does not depend on which worker ran what.
-fn fan_out(n: usize, threads: usize, job: impl Fn(usize) + Sync) {
+/// Runs `job(worker, i, item)` once for the `i`-th of `items`, on one thread
+/// per element of `workers` (never more threads than items), the caller
+/// being the first. An atomic counter hands the items out one at a time, so
+/// a slow job occupies one worker while the rest drain the queue (static
+/// chunking would park everything that shares the slow job's chunk behind
+/// it). Whatever a job writes goes through its item — a `&mut` slot of the
+/// caller's, addressed by `i` — so the result does not depend on which
+/// worker ran what; `worker` is for state no two jobs may share at once (a
+/// model replica, batch buffers), `&mut vec![(); threads]` when there is
+/// none.
+pub(crate) fn fan_out<W: Send, I: Send>(
+    items: impl IntoIterator<Item = I>,
+    workers: &mut [W],
+    job: impl Fn(&mut W, usize, I) + Sync,
+) {
+    let work: Vec<Mutex<Option<I>>> = (items.into_iter())
+        .map(|item| Mutex::new(Some(item)))
+        .collect();
     let next = AtomicUsize::new(0);
-    let drain = || loop {
+    let drain = |worker: &mut W| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        job(i);
+        let Some(slot) = work.get(i) else { break };
+        let item = slot.lock().expect("work slot poisoned").take();
+        job(worker, i, item.expect("work item claimed twice"));
     };
+    let drain = &drain;
+    let (own, others) = workers.split_first_mut().expect("a fan-out needs a worker");
     std::thread::scope(|s| {
-        for _ in 1..threads.min(n) {
-            s.spawn(drain);
+        for worker in others.iter_mut().take(work.len().saturating_sub(1)) {
+            s.spawn(move || drain(worker));
         }
-        drain();
+        drain(own);
     });
 }
 
@@ -267,6 +285,11 @@ pub(crate) struct LocalPlane {
     /// of inline.
     pub(crate) background_hibernate: bool,
     scratch: Scratch,
+    /// The last δ request: who was probed (sorted) and, slot for slot,
+    /// their maps, until [`LocalPlane::pull`] takes them. The buffers are
+    /// recycled from one request to the next.
+    probed: Vec<usize>,
+    deltas: Vec<Vec<f32>>,
 }
 
 impl LocalPlane {
@@ -299,6 +322,8 @@ impl LocalPlane {
             hibernate_wave: None,
             background_hibernate: false,
             scratch: Scratch::default(),
+            probed: Vec::new(),
+            deltas: Vec::new(),
         }
     }
 
@@ -413,16 +438,15 @@ impl LocalPlane {
         }
         let mut span = self.tracer.span(SpanKind::Materialize);
         let built_before = reg.shells_built();
-        let built: Vec<Mutex<Option<Client>>> = missing.iter().map(|_| Mutex::new(None)).collect();
-        fan_out(missing.len(), rfl_tensor::thread_budget(), |i| {
-            *built[i].lock().expect("slot poisoned") = Some(reg.materialize(missing[i]));
+        let mut built: Vec<Option<Client>> = missing.iter().map(|_| None).collect();
+        let workers = &mut vec![(); rfl_tensor::thread_budget()];
+        fan_out(built.iter_mut(), workers, |(), i, slot| {
+            *slot = Some(reg.materialize(missing[i]));
         });
         shell_counters(&mut span, missing.len(), reg.shells_built() - built_before);
         drop(span);
-        self.clients.extend(built.into_iter().map(|c| {
-            let built = c.into_inner().expect("slot poisoned");
-            built.expect("client not built")
-        }));
+        let built = built.into_iter().map(|c| c.expect("client not built"));
+        self.clients.extend(built);
         self.clients.sort_by_key(|c| c.id());
     }
 
@@ -515,44 +539,78 @@ impl LocalPlane {
         delivered
     }
 
+    /// Workers of a per-client fan-out: the same budget as the tensor
+    /// kernels (`RFL_THREADS` / `set_thread_budget`), or one for a serial
+    /// federation.
+    pub(crate) fn threads(&self) -> usize {
+        if self.parallel {
+            rfl_tensor::thread_budget()
+        } else {
+            1
+        }
+    }
+
+    /// The one per-client loop: runs `job(i, client, slot)` for every
+    /// `selected[i]` (sorted by id), the live replica and `slots[i]` handed
+    /// to it as disjoint `&mut` views, across [`fan_out`] on
+    /// [`LocalPlane::threads`] workers.
+    fn each_selected<T: Send>(
+        &mut self,
+        selected: &[usize],
+        slots: &mut [T],
+        job: impl Fn(usize, &mut Client, &mut T) + Sync,
+    ) {
+        self.ensure_active(selected);
+        assert_eq!(slots.len(), selected.len(), "one slot per selected client");
+        // Both lists are sorted by id, so one pass over the live clients
+        // finds the selected ones in order.
+        assert!(
+            selected.windows(2).all(|w| w[0] < w[1]),
+            "ids must be sorted"
+        );
+        let all_live = selected.iter().all(|&k| self.is_active(k));
+        assert!(all_live, "a selected client is not live");
+        let workers = &mut vec![(); self.threads()];
+        let mut wanted = selected.iter().peekable();
+        let live = (self.clients.iter_mut())
+            .filter(|c| wanted.next_if(|&&k| k == c.id()).is_some())
+            .zip(slots);
+        fan_out(live, workers, |(), i, (client, slot)| job(i, client, slot));
+    }
+
     fn train(
         &mut self,
         selected: &[usize],
         rules: &[LocalRule],
         steps: &[usize],
     ) -> Vec<Option<LocalReport>> {
-        self.ensure_active(selected);
-        // Disjoint &mut views of the selected clients: both lists are
-        // sorted by id, so one pass over the live ones finds them in order.
-        debug_assert!(selected.windows(2).all(|w| w[0] < w[1]));
-        let mut wanted = selected.iter().peekable();
         let mut reports = vec![None; selected.len()];
-        type WorkItem<'a> = (&'a mut Client, &'a mut Option<LocalReport>);
-        let work: Vec<Mutex<Option<WorkItem>>> = (self.clients.iter_mut())
-            .filter(|c| wanted.next_if(|&&k| k == c.id()).is_some())
-            .zip(reports.iter_mut())
-            .map(|item| Mutex::new(Some(item)))
-            .collect();
-        assert_eq!(work.len(), selected.len(), "a selected client is not live");
-        // The worker count honors the same budget as the tensor kernels
-        // (`RFL_THREADS` / `set_thread_budget`); a serial federation is the
-        // one-worker case.
-        let threads = if self.parallel {
-            rfl_tensor::thread_budget()
-        } else {
-            1
-        };
-        let tracer = &self.tracer;
-        fan_out(work.len(), threads, |i| {
-            let item = work[i].lock().expect("work slot poisoned").take();
-            let (c, slot) = item.expect("work item claimed twice");
+        let tracer = self.tracer.clone();
+        self.each_selected(selected, &mut reports, |i, c, slot| {
             let mut span = tracer.client_span(SpanKind::LocalTrain, c.id());
             let report = c.train_local(steps[i], &rules[i]);
             train_counters(&mut span, Some(&report));
             *slot = Some(report);
         });
-        drop(work);
         reports
+    }
+
+    /// The client half of a δ request, for the whole selection at once:
+    /// probes every selected client's map with `probe_batch`-sized batches
+    /// into the plane's recycled buffers and returns them in selection
+    /// order. [`LocalPlane::pull`] then frames them one at a time.
+    pub(crate) fn probe_deltas(&mut self, selected: &[usize], probe_batch: usize) -> &[Vec<f32>] {
+        let mut deltas = std::mem::take(&mut self.deltas);
+        if deltas.len() < selected.len() {
+            deltas.resize_with(selected.len(), Vec::new);
+        }
+        self.each_selected(selected, &mut deltas[..selected.len()], |_, c, map| {
+            c.compute_delta_into(map, probe_batch)
+        });
+        self.deltas = deltas;
+        self.probed.clear();
+        self.probed.extend_from_slice(selected);
+        &self.deltas[..selected.len()]
     }
 
     fn pull(
@@ -564,6 +622,11 @@ impl LocalPlane {
     ) -> Arrived {
         let kind = what.kind(policy.is_enabled());
         let idx = self.idx(k);
+        if let Pull::Delta { .. } = what {
+            let probed = self.probed.binary_search(&k);
+            let slot = probed.expect("a δ claim follows its request");
+            std::mem::swap(&mut self.scratch.delta, &mut self.deltas[slot]);
+        }
         match answer(&mut self.clients[idx], what, policy, &mut self.scratch) {
             Frame::Dense(values) => Arrived::dense(self.transport.send(kind, k, values)),
             Frame::Compressed(payload) => {
@@ -574,28 +637,37 @@ impl LocalPlane {
 
     /// The local loss of the model each selected client holds.
     pub(crate) fn eval_local(&mut self, selected: &[usize]) -> Vec<f32> {
-        self.ensure_active(selected);
-        (selected.iter())
-            .map(|&k| {
-                let idx = self.idx(k);
-                self.clients[idx].evaluate_local(EVAL_BATCH).loss
-            })
-            .collect()
+        let mut losses = vec![0.0; selected.len()];
+        self.each_selected(selected, &mut losses, |_, c, loss| {
+            *loss = c.evaluate_local(EVAL_BATCH).loss
+        });
+        losses
     }
 
-    /// Evaluates `model` on every client's data. Lazy mode regenerates the
-    /// shards transiently from the source instead of materializing clients.
-    pub(crate) fn evaluate_each(&self, model: &mut dyn Model) -> Vec<EvalResult> {
+    /// Evaluates the model `replicas` hold on every client's data, one
+    /// worker per replica, results in client order. Lazy mode regenerates
+    /// the shards transiently from the source instead of materializing
+    /// clients.
+    pub(crate) fn evaluate_each(&self, replicas: &mut [Box<dyn Model>]) -> Vec<EvalResult> {
+        let mut results: Vec<Option<EvalResult>> = vec![None; self.n_clients];
+        let on = |model: &mut Box<dyn Model>, shard: &Dataset| {
+            Some(evaluate(std::slice::from_mut(model), shard, EVAL_BATCH))
+        };
         match &self.registry {
-            Some(reg) => (0..self.n_clients)
-                .map(|k| evaluate(model, &reg.source().dataset(k), EVAL_BATCH))
-                .collect(),
-            None => self
-                .clients
-                .iter()
-                .map(|c| evaluate(model, c.data(), EVAL_BATCH))
-                .collect(),
+            Some(reg) => fan_out(results.iter_mut(), replicas, |model, k, result| {
+                *result = on(model, &reg.source().dataset(k))
+            }),
+            None => {
+                let shards = self.clients.iter().map(Client::data).zip(&mut results);
+                fan_out(shards, replicas, |model, _, (shard, result)| {
+                    *result = on(model, shard)
+                })
+            }
         }
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("client not evaluated"));
+        results.collect()
     }
 }
 
@@ -726,11 +798,14 @@ impl ClientPlane {
         }
     }
 
-    /// Fans the δ-probe requests out so remote clients compute their maps
-    /// concurrently; the replies are then [`ClientPlane::pull`]ed.
+    /// Fans the δ-probe requests out so the clients compute their maps
+    /// concurrently — remote ones each in its process, replicas across the
+    /// worker pool; the replies are then [`ClientPlane::pull`]ed.
     pub(crate) fn request_deltas(&mut self, selected: &[usize], round: u64, probe_batch: usize) {
         match self {
-            ClientPlane::Local(l) => l.ensure_active(selected),
+            ClientPlane::Local(l) => {
+                l.probe_deltas(selected, probe_batch);
+            }
             ClientPlane::Remote(r) => {
                 for &k in selected {
                     r.transport.request_delta(k, round, probe_batch);

@@ -30,7 +30,13 @@ pub struct Trainer {
 }
 
 impl Trainer {
+    /// Panics on `eval_every: 0`: the schedule is "every `eval_every`-th
+    /// round and the last one" (`rounds` for the last one only).
     pub fn new(cfg: FlConfig) -> Self {
+        assert!(
+            cfg.eval_every >= 1,
+            "FlConfig::eval_every must be at least 1 (use `rounds` to evaluate only the final round)"
+        );
         Trainer {
             cfg,
             lr_schedule: None,
@@ -193,6 +199,16 @@ mod tests {
             .map(|r| r.round)
             .collect();
         assert_eq!(evals, vec![1, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "FlConfig::eval_every must be at least 1")]
+    fn a_zero_evaluation_period_is_refused_before_any_round_trains() {
+        let (_, cfg) = tiny_fed(3);
+        Trainer::new(FlConfig {
+            eval_every: 0,
+            ..cfg
+        });
     }
 
     #[test]

@@ -1,0 +1,161 @@
+#!/usr/bin/env bash
+# ab.sh — alternating A/B runs of benchmark/ between two revisions.
+#
+# Usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N] [--seed0 S] [--dir DIR] [workload…]
+#
+#   <rev-a> <rev-b>  anything `git rev-parse` resolves; A is the base (the
+#                    parent), B the change.
+#   --pairs N        alternating pairs per workload (default 10).
+#   --seed0 S        seed of the first pair; pair i runs both sides at seed
+#                    S + i − 1 (default 18: 17 is the development seed).
+#   --dir DIR        where the two checkouts and their target directories
+#                    live (default: a fresh `mktemp -d`). A checkout is keyed
+#                    on its commit, so a DIR given twice is built once.
+#   workload…        names from BENCHMARK.json (default: all of them).
+#
+# Each revision is exported with `git archive` into DIR/<commit>/src (no
+# worktree is registered, so an interrupted run leaves nothing behind in
+# .git) and run with the `command` of *this* checkout's BENCHMARK.json at
+# its `run_seconds`, `CARGO_TARGET_DIR` pointing at DIR/<commit>/target —
+# the same offline, locked release build the driver makes, each side into
+# its own directory. Which side runs first flips every pair; the two runs of
+# a pair are back to back so both see the same phase of a noisy machine.
+#
+# Prints, per workload, one row per pair (`A → B` per end-to-end metric) and
+# a summary per metric: both sides' q1 / median / q3 (the quartiles of
+# benchmark/compare.sh), B ÷ A of the medians and the pairs B won — the
+# markdown tables of EXPERIMENTS.md. It only runs benchmark/; it edits
+# nothing. Exits 1 if a run was not `correct` or had failed operations.
+set -euo pipefail
+
+usage() { sed -n '2,/^set -euo/{/^set -euo/d;s/^# \{0,1\}//;p}' "$0"; }
+
+pairs=10 seed0=18 dir="" revs=() workloads=()
+while [ "$#" -gt 0 ]; do
+    case "$1" in
+        -h|--help) usage; exit 0 ;;
+        --pairs) pairs="${2:?--pairs wants a count}"; shift 2 ;;
+        --seed0) seed0="${2:?--seed0 wants a seed}"; shift 2 ;;
+        --dir) dir="${2:?--dir wants a directory}"; shift 2 ;;
+        -*) echo "ab.sh: unknown option $1" >&2; exit 2 ;;
+        *) if [ "${#revs[@]}" -lt 2 ]; then revs+=("$1"); else workloads+=("$1"); fi; shift ;;
+    esac
+done
+[ "${#revs[@]}" -eq 2 ] || { usage >&2; exit 2; }
+case "$pairs$seed0" in *[!0-9]*) echo "ab.sh: --pairs and --seed0 want integers" >&2; exit 2 ;; esac
+command -v jq > /dev/null || { echo "ab.sh needs jq" >&2; exit 2; }
+
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+spec="$repo/BENCHMARK.json"
+mapfile -t command < <(jq -r '.command[]' "$spec")
+# The same invocation with `build` for `run` (and no `--`) compiles without
+# running anything.
+mapfile -t build < <(jq -r '.command[] | select(. != "--") | if . == "run" then "build" else . end' "$spec")
+seconds="$(jq -r '.run_seconds' "$spec")"
+if [ "${#workloads[@]}" -eq 0 ]; then
+    mapfile -t workloads < <(jq -r '.workloads[].name' "$spec")
+fi
+for w in "${workloads[@]}"; do
+    jq -e --arg w "$w" 'any(.workloads[]; .name == $w)' "$spec" > /dev/null ||
+        { echo "ab.sh: $w is not a workload of BENCHMARK.json" >&2; exit 2; }
+done
+[ -n "$dir" ] || dir="$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")"
+mkdir -p "$dir"
+dir="$(cd "$dir" && pwd)"
+
+# Exports and builds one revision; prints its commit.
+prepare() {
+    local commit
+    commit="$(git -C "$repo" rev-parse --verify --quiet "$1^{commit}")" ||
+        { echo "ab.sh: $1 is not a revision" >&2; exit 2; }
+    if [ ! -d "$dir/$commit/src" ]; then
+        mkdir -p "$dir/$commit/src.partial"
+        git -C "$repo" archive "$commit" | tar -x -C "$dir/$commit/src.partial"
+        mv "$dir/$commit/src.partial" "$dir/$commit/src"
+    fi
+    echo "building $1 (${commit:0:7}) in $dir/$commit" >&2
+    (cd "$dir/$commit/src" && CARGO_TARGET_DIR="$dir/$commit/target" "${build[@]}" >&2)
+    echo "$commit"
+}
+
+# One run: the harness prints its result line last.
+run() { # commit workload seed
+    (cd "$dir/$1/src" &&
+        CARGO_TARGET_DIR="$dir/$1/target" "${command[@]}" \
+            --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2> /dev/null | tail -n 1)
+}
+
+a="$(prepare "${revs[0]}")"
+b="$(prepare "${revs[1]}")"
+runs="$dir/runs.$(date +%Y%m%dT%H%M%S).jsonl"
+for w in "${workloads[@]}"; do
+    for ((i = 1; i <= pairs; i++)); do
+        seed=$((seed0 + i - 1))
+        if ((i % 2)); then order=(A B); else order=(B A); fi
+        for side in "${order[@]}"; do
+            if [ "$side" = A ]; then commit="$a"; else commit="$b"; fi
+            echo "$w pair $i/$pairs seed $seed side $side" >&2
+            result="$(run "$commit" "$w" "$seed")"
+            jq -c -n --arg w "$w" --argjson pair "$i" --argjson seed "$seed" --arg side "$side" \
+                --arg first "${order[0]}" --argjson result "${result:-null}" \
+                '{workload: $w, pair: $pair, seed: $seed, side: $side, first: $first, result: $result}' \
+                >> "$runs"
+        done
+    done
+done
+
+echo "A = ${revs[0]} (${a:0:7}), B = ${revs[1]} (${b:0:7}); $pairs alternating pairs per workload,"
+echo "seeds $seed0–$((seed0 + pairs - 1)), \`--seconds $seconds --trace 0\`, nproc $(nproc); runs in \`$runs\`."
+jq -r -s --slurpfile spec "$spec" '
+  def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                     else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+  # statistics.quantiles(xs, n=4)[$i - 1], the "exclusive" method.
+  def quartile($i): sort as $v | ($v | length) as $n
+    | if $n < 2 then $v[0] else
+      ($i * ($n + 1)) as $pos
+      | ([[($pos / 4 | floor), 1] | max, $n - 1] | min) as $j
+      | $v[$j - 1] + ($v[$j] - $v[$j - 1]) * ($pos / 4 - $j) end;
+  # Four significant digits; byte counts in full.
+  def num: if . == null then "-" elif . == 0 then "0" elif . >= 100000 then round | tostring
+    else . as $x | ($x | fabs | log10 | floor) as $e | pow(10; 3 - $e) as $s
+      | ($x * $s | round) / $s | tostring end;
+  def row: "| " + join(" | ") + " |";
+  . as $runs
+  | [$spec[0].end_to_end[] | {name, better}] as $metrics
+  | ($runs | map(.workload) | unique)[] as $w
+  | [$runs[] | select(.workload == $w)] as $mine
+  | ($mine | map(.pair) | unique) as $pairs
+  | def value($pair; $side; $m):
+      first($mine[] | select(.pair == $pair and .side == $side) | .result.metrics[$m].value) // null;
+    def values($side; $m): [$pairs[] | value(.; $side; $m) | select(. != null)];
+    ($mine | map(select(.result == null or .result.correct != true or .result.failed != 0)) | length) as $bad
+  | "",
+    "**`\($w)`** — \($mine | length) runs, \($bad) not `correct` or with failed operations; cells are `A → B`:",
+    "",
+    (["pair", "seed", "ran first"] + ($metrics | map(.name)) | row),
+    (["---:", "---:", "---"] + ($metrics | map("---:")) | row),
+    ( $pairs[] as $p
+    | first($mine[] | select(.pair == $p)) as $any
+    | [($p | tostring), ($any.seed | tostring), $any.first]
+      + [$metrics[] | "\(value($p; "A"; .name) | num) → \(value($p; "B"; .name) | num)"]
+    | row ),
+    "",
+    (["metric", "A q1 / median / q3", "B q1 / median / q3", "B ÷ A (medians)", "pairs B won"] | row),
+    (["---", "---:", "---:", "---:", "---:"] | row),
+    ( $metrics[] as $m
+    | values("A"; $m.name) as $va | values("B"; $m.name) as $vb
+    | if ($va | length) == 0 or ($vb | length) == 0 then ["`\($m.name)`", "-", "-", "-", "-"] | row else
+      [ $pairs[] | [value(.; "A"; $m.name), value(.; "B"; $m.name)] | select(all(. != null))
+        | if .[0] == .[1] then 0 elif ((.[1] < .[0]) == ($m.better == "lower")) then 1 else -1 end ] as $duels
+      | [ "`\($m.name)`",
+          ([1, 2, 3] | map(. as $i | if $i == 2 then $va | median else $va | quartile($i) end | num) | join(" / ")),
+          ([1, 2, 3] | map(. as $i | if $i == 2 then $vb | median else $vb | quartile($i) end | num) | join(" / ")),
+          (($vb | median) / ($va | median) * 1000 | round / 1000 | tostring),
+          "\($duels | map(select(. == 1)) | length) / \($duels | length)"
+            + (($duels | map(select(. == 0)) | length) as $ties
+               | if $ties > 0 then " (\($ties) ties)" else "" end) ]
+      | row end )
+' "$runs"
+
+bad="$(jq -s 'map(select(.result == null or .result.correct != true or .result.failed != 0)) | length' "$runs")"
+[ "$bad" -eq 0 ] || { echo "ab.sh: $bad runs were not correct" >&2; exit 1; }
