@@ -12,6 +12,9 @@
 //! evaluation fanned out — says they are also the bits of the one-thread
 //! loops.
 
+mod common;
+
+use common::bit_hash;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_core::delta::DeltaTable;
@@ -62,17 +65,6 @@ fn federation(data: &FederatedData, cfg: &FlConfig, lazy: bool) -> Federation {
     }
 }
 
-/// FNV-1a over the bit patterns.
-fn bit_hash<'a>(rows: impl IntoIterator<Item = &'a [f32]>) -> u64 {
-    rows.into_iter()
-        .flatten()
-        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
-            x.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        })
-}
-
 /// A regularized algorithm that exposes its δ table.
 trait Regularized: Algorithm {
     fn table(&self) -> &DeltaTable;
@@ -113,9 +105,9 @@ fn fingerprint(make: Make, lossy: bool, lazy: bool, parallel: bool) -> String {
     let stats = fed.comm_stats();
     format!(
         "table={:016x} rows={} global={:016x} eval=[{}] ddown={} dup={} msgs={} dropped={}",
-        bit_hash((0..CLIENTS).map(|k| table.get(k))),
+        bit_hash(&table.flattened()),
         table.num_initialized(),
-        bit_hash([fed.global()]),
+        bit_hash(fed.global()),
         evals.join(","),
         stats.delta_download_bytes(),
         stats.delta_upload_bytes(),

@@ -9,6 +9,9 @@
 //!    attempt)` — the worker-pool thread budget must not change which
 //!    messages drop, nor the resulting model.
 
+mod common;
+
+use common::bit_hash;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_core::prelude::*;
@@ -59,16 +62,6 @@ fn run(algo: &mut dyn Algorithm, seed: u64, transport: Option<Box<dyn Transport>
     let stats = fed.comm_stats().clone();
     let faults = fed.fault_stats();
     (fed.global().to_vec(), h, stats, faults)
-}
-
-/// FNV-1a over the bit patterns — a one-word fingerprint of a parameter
-/// vector for the parity tables.
-fn bit_hash(v: &[f32]) -> u64 {
-    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
-        x.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    })
 }
 
 /// Round 0's spans in creation order as `kind{counter=value,..}` (timings

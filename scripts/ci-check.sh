@@ -50,6 +50,10 @@ cargo run --release -p rfl-bench --bin bench_scale -- --quick > /dev/null
 echo "== bench_connections --quick (reactor gate: fixed threads, exact bytes at 4096 conns)"
 cargo run --release -p rfl-bench --bin bench_connections -- --quick > /dev/null
 
+echo "== scripts/ab.sh smoke (syntax + --help; the A/B runs themselves take minutes and gate nothing)"
+bash -n scripts/ab.sh
+scripts/ab.sh --help > /dev/null
+
 echo "== benchmark/ harness: profile guard + its own tests (read-only; the yardstick, see benchmark/README.md)"
 benchmark/check-profile.sh
 (cd benchmark && cargo test --release --offline)
