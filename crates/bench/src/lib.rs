@@ -2,16 +2,17 @@
 //!
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (Sec. VI). Each `src/bin/*` binary reproduces one table or
-//! figure and prints the corresponding rows/series (ASCII chart + CSV);
-//! `benches/*` hold Criterion micro-benchmarks of the hot kernels.
+//! figure and prints the corresponding rows/series (ASCII chart + CSV).
+//! Nothing here times a kernel or gates an invariant: speed is measured by
+//! the standalone `benchmark/` harness, and the allocation, reactor, scale
+//! and compression gates are `#[test]`s (`crates/core/tests/{alloc,
+//! reactor_scale, scale}.rs`, `tests/extensions.rs`).
 //!
 //! All experiments run on the synthetic benchmark families documented in
 //! `DESIGN.md` §3 and accept `--scale quick|full` (quick is the default and
 //! finishes in seconds; full uses larger federations closer to the paper's
 //! sizes — see EXPERIMENTS.md).
 
-#[cfg(feature = "alloc-count")]
-pub mod alloc_count;
 pub mod args;
 pub mod runner;
 pub mod setup;

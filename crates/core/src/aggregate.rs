@@ -64,7 +64,7 @@
 
 /// Weighted average of parameter vectors (`Σ w_i θ_i`), every vector
 /// materialized: the oracle the [`StreamingAggregator`] is pinned against
-/// (unit tests here, the aggregator proptests, the Criterion baseline).
+/// (unit tests here and the aggregator proptests).
 pub fn weighted_average(params: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
     assert_eq!(params.len(), weights.len());
     assert!(!params.is_empty());

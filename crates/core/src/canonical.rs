@@ -1,9 +1,9 @@
 //! The canonical pinned round loop — one definition of the federated CNN
 //! run whose final training loss is bit-pinned across every execution mode.
 //!
-//! The benches (`bench_alloc`, `bench_kernels`), the distributed binaries
-//! (`rfl-server`, `rfl-client`), and the loopback integration tests all
-//! build this exact run: same synthetic MNIST-like pool, same similarity
+//! The allocation gate (`tests/alloc.rs`), the `benchmark/` harness, the
+//! distributed binaries (`rfl-server`, `rfl-client`), and the loopback
+//! integration tests all build this exact run: same synthetic MNIST-like pool, same similarity
 //! partition, same CNN and SGD hyper-parameters, same rFedAvg+ round
 //! structure. Any divergence — a kernel change, a transport bug, a client
 //! process sampling one extra RNG draw — shows up as a loss mismatch
@@ -26,12 +26,12 @@ use rfl_data::synth::image::SynthImageSpec;
 use rfl_data::{partition, FederatedData};
 use rfl_nn::CnnConfig;
 
-/// Round-loop loss pinned at the SIMD-kernel PR (`BENCH_PR5.json`): every
-/// later change must reproduce it bit-for-bit. Re-pinned once from the
-/// PR 2–4 value 1.604142427 when the canonical 8-lane accumulation order
-/// and polynomial `exp` replaced the sequential libm kernels (provenance in
-/// EXPERIMENTS.md); it is identical under SIMD on/off, at any thread
-/// count, and across the in-process and socket transports.
+/// Round-loop loss pinned at the SIMD-kernel PR (PR 5): every later change
+/// must reproduce it bit-for-bit. Re-pinned once from the PR 2–4 value
+/// 1.604142427 when the canonical 8-lane accumulation order and polynomial
+/// `exp` replaced the sequential libm kernels (EXPERIMENTS.md "Round-loop
+/// loss pin (provenance)"); it is identical under SIMD on/off, at any
+/// thread count, and across the in-process and socket transports.
 pub const PINNED_ROUND_LOSS: f64 = 1.604142189;
 
 /// Seed of the pinned run.
@@ -85,8 +85,7 @@ pub fn data(seed: u64) -> FederatedData {
 /// split over `n` clients, same draw order, same hyper-parameters. With
 /// `n == NUM_CLIENTS` this is byte-identical to the pinned dataset (the
 /// RNG stream only depends on the counts, which scale together) — the
-/// 64-client smoke leg and `bench_connections` use larger `n` without
-/// forking the data recipe.
+/// 64-client smoke leg uses a larger `n` without forking the data recipe.
 pub fn data_for(seed: u64, n_clients: usize) -> FederatedData {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = SynthImageSpec::mnist_like();

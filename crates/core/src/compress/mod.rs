@@ -5,7 +5,8 @@
 //! A [`Compressor`] maps a parameter vector to a compact wire form and
 //! back. Compressors are *lossy*; the round-trip error is the price paid
 //! for fewer bytes. They compose with any algorithm whose uploads are
-//! parameter vectors (see the `ext_compress` gate).
+//! parameter vectors (the gate is `tests/extensions.rs` at the repository
+//! root).
 
 mod quantize;
 mod sketch;

@@ -492,33 +492,10 @@ impl Federation {
     /// [`crate::Trainer`] calls this automatically.
     pub fn begin_round(&mut self, round: u64) {
         self.current_round = round;
-        self.evict_active();
-        self.transport().begin_round(round);
-    }
-
-    /// Lazy mode only (no-op otherwise): hibernates every active client
-    /// back into the registry shards, dropping the heavyweight simulation
-    /// objects — inline, or on a background wave (see
-    /// [`Federation::set_background_hibernate`]). Called automatically by
-    /// [`Federation::begin_round`]; wave-style drivers (`bench_scale`) call
-    /// it between waves so peak memory is bounded by the wave size, not the
-    /// sampled count.
-    pub fn evict_active(&mut self) {
         if let Some(l) = self.plane.local_mut() {
             l.evict_active();
         }
-    }
-
-    /// Switches [`Federation::evict_active`] between inline and
-    /// background hibernation (lazy mode). The pipelined engine turns this
-    /// on; wave-style drivers can opt in without installing a selection
-    /// stream.
-    pub fn set_background_hibernate(&mut self, on: bool) {
-        let l = self.local_mut();
-        if !on {
-            l.join_hibernate_wave();
-        }
-        l.background_hibernate = on;
+        self.transport().begin_round(round);
     }
 
     /// Joins any in-flight prefetch/hibernate waves, returning prefetched
@@ -551,17 +528,6 @@ impl Federation {
     pub(crate) fn apply_lr_schedule(&mut self, lr: f32) {
         if let Some(l) = self.plane.local_mut() {
             l.set_lr(lr);
-        }
-    }
-
-    /// Manually schedules a prefetch wave for `ids` (sorted) — the hook
-    /// wave-style drivers use to double-buffer: while wave `i` trains, wave
-    /// `i+1` materializes. Already-active ids are skipped; a wave already
-    /// in flight wins (one at a time). The wave is consumed by the next
-    /// materializing call (`broadcast_params`, `client_mut`, ...).
-    pub fn prefetch_hint(&mut self, ids: &[usize]) {
-        if let Some(l) = self.plane.local_mut() {
-            l.prefetch_hint(ids);
         }
     }
 
@@ -1414,7 +1380,7 @@ mod shell_tests {
     fn a_mispredicted_wave_returns_both_persist_and_shell() {
         let (mut fed, _) = lazy_fed(51);
         fed.begin_round(0);
-        fed.prefetch_hint(&[1, 3, 5]);
+        fed.local_mut().prefetch_hint(&[1, 3, 5]);
         // Nothing of the wave is wanted: three persists go to the shards,
         // three shells to the list, and the two clients the round does want
         // are assembled around two of those.
@@ -1446,7 +1412,7 @@ mod shell_tests {
                     .filter(|k| !r.selected.contains(k))
                     .take(5)
                     .collect();
-                r.fed.prefetch_hint(&self.hinted);
+                r.fed.local_mut().prefetch_hint(&self.hinted);
             }
             self.selections.push(r.selected.clone());
         }
@@ -1465,7 +1431,7 @@ mod shell_tests {
         crate::Trainer::new(cfg)
             .pipelined()
             .run(&mut probe, &mut fed);
-        fed.evict_active();
+        fed.local_mut().evict_active();
         fed.quiesce();
 
         // Every client ever brought to life is persisted, exactly once.

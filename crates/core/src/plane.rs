@@ -385,7 +385,7 @@ impl LocalPlane {
         }));
     }
 
-    pub(crate) fn join_hibernate_wave(&mut self) {
+    fn join_hibernate_wave(&mut self) {
         if let Some(w) = self.hibernate_wave.take() {
             w.join().expect("hibernate wave panicked");
         }

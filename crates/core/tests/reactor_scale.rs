@@ -1,0 +1,203 @@
+//! Connection-scaling gate for the event-driven server reactor.
+//!
+//! One `SocketTransport` server takes 64 and then 4,096 loopback TCP
+//! connections. A thread-per-connection server crosses 4,096 threads on the
+//! big leg; the poll-sharded reactor holds the same handful it used for 64,
+//! so the thread census is a hard gate. Every client end is a plain blocking
+//! [`ClientConn`] owned by ONE driver thread (echoing each `ModelDown`
+//! broadcast back as a `ModelUp`), so the process contains exactly the test
+//! harness, the driver and the reactor shards. Each round is an encode-once
+//! broadcast to all connections plus one claimed upload per connection, and
+//! every frame has a fixed-width encoding, so the byte ledger is checked
+//! against its closed form exactly. Nothing here times anything.
+//!
+//! This file holds exactly one `#[test]`: the thread census and the peak
+//! resident set are process-wide, and a sibling test would be counted in
+//! both.
+
+use rfl_core::comm::{
+    ClientConn, ClientEvent, ControlMsg, Endpoint, MsgKind, RemoteTransport, SocketTransport,
+    Transport, FRAME_HEADER_BYTES, PROTO_MAGIC, PROTO_VERSION,
+};
+use rfl_core::compress::Compression;
+use rfl_core::mem;
+use rfl_tensor::encode_f32_into;
+use std::time::Duration;
+
+/// Echo rounds per leg.
+const ROUNDS: usize = 3;
+/// Broadcast payload dimension (`f32`s): a small model, so the legs exercise
+/// connection machinery rather than memcpy bandwidth.
+const DIM: usize = 1024;
+const SEED: u64 = 7;
+
+/// Kernel-thread ceiling for either leg. The reactor needs the harness's
+/// two threads, the driver and at most four shards; thread-per-connection
+/// would need one per connection on top. The headroom covers runtime helper
+/// threads, not a second architecture.
+const MAX_THREADS: u64 = 16;
+/// Peak-RSS ceiling after the 4,096-connection leg. Measured ~28 MB (8,192
+/// socket ends, per-connection queues and reader buffers, one shared
+/// broadcast frame); the ceiling fails if per-connection state starts
+/// scaling with the payload or threads reappear with their stacks.
+const RSS_CEILING_BYTES: u64 = 128 * 1024 * 1024;
+
+/// The run configuration frame for a `conns`-connection leg; its encoded
+/// length is also the per-connection `Welcome` charge of the ledger.
+fn welcome_for(conns: usize) -> ControlMsg {
+    ControlMsg::Welcome {
+        num_clients: conns as u32,
+        rounds: ROUNDS as u32,
+        local_steps: 1,
+        batch_size: 1,
+        probe_batch: 1,
+        lambda: 0.0,
+        lr: 0.0,
+        clip_grad_norm: f32::NAN,
+        seed: SEED,
+        compression: Compression::None,
+    }
+}
+
+/// One leg: bind the reactor server, register `conns` blocking client
+/// connections from a single driver thread, run [`ROUNDS`] broadcast → echo
+/// rounds, reconcile the byte ledger. Returns the thread census taken once
+/// every connection is registered.
+fn run_leg(conns: usize) -> u64 {
+    // Both socket ends live in this process: 2 descriptors per connection
+    // plus listener, wake pipes and the standard streams.
+    let want_fds = conns as u64 * 2 + 64;
+    if let Some(limit) = mem::raise_fd_limit(want_fds) {
+        assert!(
+            limit >= want_fds,
+            "need {want_fds} descriptors for {conns} connections, hard limit allows {limit}"
+        );
+    }
+    let welcome = welcome_for(conns);
+    let endpoint = Endpoint::parse("tcp://127.0.0.1:0").expect("endpoint");
+    let mut transport = SocketTransport::bind(&endpoint, &welcome).expect("bind");
+    transport.set_recv_timeout(Duration::from_secs(120));
+    let actual = transport.local_endpoint().clone();
+
+    // ONE thread drives every client end: any per-connection thread in the
+    // process would belong to the server and trip the census.
+    let driver = std::thread::Builder::new()
+        .name("echo-driver".into())
+        .spawn(move || {
+            let mut clients = Vec::with_capacity(conns);
+            for id in 0..conns {
+                let mut c =
+                    ClientConn::connect_with_backoff(&actual, 20, Duration::from_millis(10))
+                        .expect("connect");
+                c.hello(id as u32, SEED).expect("register");
+                clients.push(c);
+            }
+            // Every connection gets its `Shutdown` in the same sweep (the
+            // server only shuts down once every echo is claimed). Finish
+            // the sweep before dropping the sockets: closing them on the
+            // first `Shutdown` drains sessions the server has not sent
+            // theirs to yet, and those frames go uncharged.
+            let mut shutting_down = false;
+            while !shutting_down {
+                for (id, c) in clients.iter_mut().enumerate() {
+                    match c.read_event() {
+                        Ok(ClientEvent::Payload(MsgKind::ModelDown, params)) => {
+                            c.send_payload(MsgKind::ModelUp, &params).expect("upload");
+                        }
+                        Ok(ClientEvent::Control(ControlMsg::Shutdown)) => shutting_down = true,
+                        Ok(other) => panic!("client {id}: unexpected frame {other:?}"),
+                        Err(e) => panic!("client {id}: link died: {e}"),
+                    }
+                }
+            }
+        })
+        .expect("spawn driver");
+
+    transport
+        .wait_for_clients(Duration::from_secs(60))
+        .expect("registration");
+    // Steady state: harness + driver + reactor shards, all up.
+    let threads = mem::thread_count();
+
+    let params: Vec<f32> = (0..DIM).map(|i| (i as f32) * 0.5 - 3.0).collect();
+    let all: Vec<usize> = (0..conns).collect();
+    for round in 0..ROUNDS {
+        transport.begin_round(round as u64);
+        let bd = transport.broadcast(MsgKind::ModelDown, &all, &params);
+        assert!(
+            bd.links.iter().all(|l| l.delivered),
+            "{conns} connections, round {round}: broadcast dropped a connection"
+        );
+        for &k in &all {
+            let d = transport.recv(MsgKind::ModelUp, k);
+            assert_eq!(
+                d.data.as_deref(),
+                Some(&params[..]),
+                "{conns} connections, round {round}: upload from connection {k} lost or corrupt"
+            );
+        }
+    }
+    transport.shutdown();
+    driver.join().expect("driver");
+    let stats = transport.stats();
+
+    let mut body = Vec::new();
+    let frame = |body: &Vec<u8>| FRAME_HEADER_BYTES + body.len() as u64;
+    ControlMsg::Hello {
+        magic: PROTO_MAGIC,
+        version: PROTO_VERSION,
+        client_id: 0,
+        seed: SEED,
+    }
+    .encode_body(&mut body);
+    let hello_len = frame(&body);
+    welcome.encode_body(&mut body);
+    let welcome_len = frame(&body);
+    ControlMsg::Shutdown.encode_body(&mut body);
+    let shutdown_len = frame(&body);
+    let mut wire = Vec::new();
+    encode_f32_into(&mut wire, &params);
+    let payload_len = FRAME_HEADER_BYTES + wire.len() as u64;
+
+    let (n, r) = (conns as u64, ROUNDS as u64);
+    // Handshake pairs + (one encode-once broadcast record + n uploads) per
+    // round + n shutdown frames.
+    let expected = (
+        n * hello_len + r * n * payload_len,
+        n * welcome_len + r * n * payload_len + n * shutdown_len,
+        2 * n + r * (1 + n) + n,
+    );
+    assert_eq!(
+        (
+            stats.upload_bytes(),
+            stats.download_bytes(),
+            stats.messages()
+        ),
+        expected,
+        "{conns} connections: (upload bytes, download bytes, messages) left the closed form"
+    );
+    threads
+}
+
+#[test]
+#[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
+fn thread_count_and_ledger_hold_from_64_to_4096_connections() {
+    let small = run_leg(64);
+    let large = run_leg(4096);
+    // A fixed budget means fixed: 64× the connections, the same threads.
+    assert_eq!(
+        small, large,
+        "thread count grew with connections ({small} at 64, {large} at 4096)"
+    );
+    assert!(
+        large <= MAX_THREADS,
+        "{large} threads, above the {MAX_THREADS}-thread budget"
+    );
+    let peak = mem::peak_rss_bytes();
+    assert!(
+        peak <= RSS_CEILING_BYTES,
+        "process peaked at {peak} resident bytes after the 4096-connection leg, \
+         above the ceiling of {RSS_CEILING_BYTES}"
+    );
+    println!("{large} threads at 64 and at 4096 connections; peak RSS {peak} bytes");
+}

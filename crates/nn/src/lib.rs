@@ -5,7 +5,7 @@
 //!
 //! * layers: [`Linear`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`],
 //!   [`Flatten`], [`Embedding`], [`Lstm`];
-//! * losses: softmax [`cross_entropy`] and [`mse`];
+//! * loss: softmax [`cross_entropy`];
 //! * optimizers over flat parameter vectors: [`Sgd`] and
 //!   [`RmsProp`] — the paper trains image models with SGD and the
 //!   Sent140 LSTM with RMSProp;
@@ -48,7 +48,6 @@ mod models;
 mod optim;
 mod param;
 mod pooling;
-mod sequential;
 
 pub use activations::{Relu, Sigmoid, Tanh};
 pub use conv2d::Conv2d;
@@ -56,7 +55,7 @@ pub use embedding::Embedding;
 pub use flatten::Flatten;
 pub use layer::Layer;
 pub use linear::Linear;
-pub use loss::{cross_entropy, cross_entropy_into, mse, nll_from_log_softmax};
+pub use loss::{cross_entropy, cross_entropy_into};
 pub use lstm::Lstm;
 pub use models::{
     CnnClassifier, CnnConfig, Input, LinearNet, LogisticRegression, LstmClassifier, LstmConfig,
@@ -65,4 +64,3 @@ pub use models::{
 pub use optim::{Optimizer, RmsProp, Sgd};
 pub use param::{read_grads_flat, read_params_flat, write_params_flat, Param};
 pub use pooling::MaxPool2d;
-pub use sequential::Sequential;

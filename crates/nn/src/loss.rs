@@ -41,29 +41,6 @@ pub fn cross_entropy_into(
     loss * inv_n
 }
 
-/// Negative log-likelihood when log-probabilities are already available.
-pub fn nll_from_log_softmax(log_p: &Tensor, labels: &[usize]) -> f32 {
-    let n = log_p.dims()[0];
-    assert_eq!(labels.len(), n);
-    let mut loss = 0.0f32;
-    for (r, &y) in labels.iter().enumerate() {
-        loss -= log_p.at(&[r, y]);
-    }
-    loss / n as f32
-}
-
-/// Mean squared error between predictions and targets of equal shape.
-///
-/// Returns the mean loss and `dL/dpred`.
-pub fn mse(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.numel() as f32;
-    let diff = pred.sub(target);
-    let loss = diff.norm_sq() / n;
-    let grad = diff.scale(2.0 / n);
-    (loss, grad)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,15 +90,6 @@ mod tests {
             let fd = (plus - base) / eps;
             assert!((fd - d.data()[i]).abs() < 1e-2, "i={i}");
         }
-    }
-
-    #[test]
-    fn mse_basics() {
-        let p = Tensor::from_slice(&[1.0, 2.0]);
-        let t = Tensor::from_slice(&[0.0, 0.0]);
-        let (loss, grad) = mse(&p, &t);
-        assert!((loss - 2.5).abs() < 1e-6);
-        assert_eq!(grad.data(), &[1.0, 2.0]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Prints the size of the maintained surface as two markdown tables: per crate
 # (Rust lines in src/ — all, and with each file's trailing `#[cfg(test)]`
-# module cut off — and in tests/ + benches/, `pub` items in src/, binaries,
-# #[test] functions, seconds for a clean release build of that crate alone)
+# module cut off — and in tests/, `pub` items in src/, binaries, #[test]
+# functions, seconds for a clean release build of that crate alone)
 # and workspace totals (lines, algorithms and their non-test lines,
 # Federation's public functions, the RFL_* variables library code reads).
 # Report-only: nothing gates on it.
@@ -12,7 +12,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Every .rs file under the given directories, NUL-separated (a crate without
-# tests/ or benches/ contributes nothing).
+# tests/ contributes nothing).
 rs_files() {
   find "$@" -name '*.rs' -print0 2> /dev/null || true
 }
@@ -51,7 +51,7 @@ for dir in crates/*/; do
   secs=$(echo "$(date +%s.%N) $start" | awk '{printf "%.1f", $1 - $2}')
   rm -rf "$target"
   echo "| $name | $(rs_lines "$dir/src") | $(rs_nontest_lines "$dir/src")" \
-    "| $(rs_lines "$dir/tests" "$dir/benches")" \
+    "| $(rs_lines "$dir/tests")" \
     "| $(rs_count "$PUB" "$dir/src") | $bins | $(rs_count '#\[test\]' "$dir") | $secs |"
 done
 

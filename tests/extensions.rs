@@ -3,7 +3,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfedavg::core::compress::Compression;
+use rfedavg::core::comm::{FaultConfig, FaultyTransport};
+use rfedavg::core::compress::{CompressedVec, Compression, Compressor};
 use rfedavg::core::personalization::{mean_gain, personalize_all};
 use rfedavg::data::synth::gaussian::GaussianMixtureSpec;
 use rfedavg::data::{partition, FederatedData};
@@ -40,6 +41,15 @@ fn fed(seed: u64, cfg: &FlConfig) -> Federation {
     )
 }
 
+/// FedAvg to the end of `c`: final test accuracy and summed upload bytes.
+fn run_fedavg(mut f: Federation, c: FlConfig) -> (f32, u64) {
+    let h = Trainer::new(c).run(&mut FedAvg::new(), &mut f);
+    (
+        h.final_accuracy().unwrap(),
+        h.records().iter().map(|r| r.up_bytes).sum(),
+    )
+}
+
 /// Compression end-to-end: every codec still learns, and the upload bytes
 /// rank dense > 8-bit > top-10%.
 #[test]
@@ -49,12 +59,7 @@ fn compressed_pipelines_learn_and_save_bytes() {
             compression,
             ..cfg(12, 40)
         };
-        let mut f = fed(40, &c);
-        let h = Trainer::new(c).run(&mut FedAvg::new(), &mut f);
-        (
-            h.final_accuracy().unwrap(),
-            h.records().iter().map(|r| r.up_bytes).sum(),
-        )
+        run_fedavg(fed(40, &c), c)
     };
     let (acc_dense, up_dense) = run(Compression::None);
     let (acc_q8, up_q8) = run(Compression::Quantize { bits: 8 });
@@ -72,6 +77,88 @@ fn compressed_pipelines_learn_and_save_bytes() {
     assert!(acc_sketch > 0.3, "{acc_sketch}");
     assert!(up_q8 < up_dense / 2, "{up_q8} vs {up_dense}");
     assert!(up_topk < up_q8, "{up_topk} vs {up_q8}");
+}
+
+/// The compression gate, on a model wide enough (logistic 64 → 4, 260
+/// parameters, 8 clients) that a 2-bit frame's fixed header does not eat the
+/// reduction: the ledger charges quantizer frames at their exact encoded
+/// length, some policy moves ≥ 10× fewer upload bytes than dense within one
+/// point of its accuracy, and the same frames riding a lossy link degrade
+/// like dense ones instead of wedging the round loop.
+#[test]
+fn compressed_uploads_are_charged_exactly_and_save_ten_times_at_dense_accuracy() {
+    const CLIENTS: usize = 8;
+    const ROUNDS: usize = 12;
+    const SEED: u64 = 7;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let spec = GaussianMixtureSpec {
+        dim: 64,
+        classes: 4,
+        sep: 2.0,
+        noise: 1.0,
+        mean_seed: 45,
+    };
+    let pool = spec.generate(CLIENTS * 40, None, &mut rng);
+    let parts = partition::similarity(pool.labels(), CLIENTS, 0.5, &mut rng);
+    let data = FederatedData::from_partition(&pool, &parts, spec.generate(512, None, &mut rng));
+    let run = |compression: Compression, drop: f64| -> (f32, u64) {
+        let c = FlConfig {
+            local_steps: 2,
+            compression,
+            ..cfg(ROUNDS, SEED)
+        };
+        let mut f = Federation::new(
+            &data,
+            ModelFactory::logistic(64, 4, 1e-3),
+            OptimizerFactory::sgd(0.1),
+            &c,
+            SEED,
+        );
+        if drop > 0.0 {
+            f.set_transport(Box::new(FaultyTransport::new(FaultConfig::lossy(
+                SEED ^ 0x10557,
+                drop,
+                1,
+            ))));
+        }
+        run_fedavg(f, c)
+    };
+    let dim = 64 * 4 + 4;
+
+    let (acc_dense, up_dense) = run(Compression::None, 0.0);
+    let mut best_reduction = 0.0f64;
+    for bits in [8, 4, 2, 1] {
+        let policy = Compression::Quantize { bits };
+        let (acc, up) = run(policy, 0.0);
+        // A quantizer frame's shape does not depend on the values, so the
+        // expected ledger total is closed-form.
+        let probe = vec![0.0f32; dim];
+        let mut payload = CompressedVec::default();
+        policy
+            .for_upload(&probe)
+            .expect("a compressing policy")
+            .compress_into(&probe, &mut payload);
+        assert_eq!(
+            up,
+            (ROUNDS * CLIENTS * payload.wire_bytes()) as u64,
+            "quantize:{bits} upload bytes are not rounds × clients × wire_bytes()"
+        );
+        if acc_dense - acc < 0.01 {
+            best_reduction = best_reduction.max(up_dense as f64 / up as f64);
+        }
+    }
+    assert!(
+        best_reduction >= 10.0,
+        "best reduction within 0.01 of dense accuracy {acc_dense}: {best_reduction:.1}x"
+    );
+
+    for policy in [Compression::None, Compression::Quantize { bits: 4 }] {
+        let (acc, _) = run(policy, 0.1);
+        assert!(
+            acc >= 0.5 * acc_dense,
+            "{policy:?} under 10 % drops collapsed to {acc} (clean dense {acc_dense})"
+        );
+    }
 }
 
 /// Personalization on a regularized global model lifts local accuracy.
