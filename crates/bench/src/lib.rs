@@ -5,7 +5,7 @@
 //! figure and prints the corresponding rows/series (ASCII chart + CSV).
 //! Nothing here times a kernel or gates an invariant: speed is measured by
 //! the standalone `benchmark/` harness, and the allocation, reactor, scale
-//! and compression gates are `#[test]`s (`crates/core/tests/{alloc,
+//! and compression gates are plain tests (`crates/core/tests/{alloc,
 //! reactor_scale, scale}.rs`, `tests/extensions.rs`).
 //!
 //! All experiments run on the synthetic benchmark families documented in

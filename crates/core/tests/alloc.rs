@@ -8,7 +8,7 @@
 //! hibernate cycle stays in single digits. The canonical loss is re-checked
 //! so the reuse provably did not change the arithmetic.
 //!
-//! This file holds exactly one `#[test]`, and that is load-bearing: the
+//! This file holds exactly one test function, and that is load-bearing: the
 //! counter is process-wide, so a second test running on a sibling thread
 //! would charge its allocator calls to whichever leg is being measured here.
 //! An integration test is its own process, which is also what lets it

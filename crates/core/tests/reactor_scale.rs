@@ -11,7 +11,7 @@
 //! every frame has a fixed-width encoding, so the byte ledger is checked
 //! against its closed form exactly. Nothing here times anything.
 //!
-//! This file holds exactly one `#[test]`: the thread census and the peak
+//! This file holds exactly one test function: the thread census and the peak
 //! resident set are process-wide, and a sibling test would be counted in
 //! both.
 

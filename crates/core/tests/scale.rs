@@ -9,7 +9,7 @@
 //! materializing the smaller federation alone holds ~500 MB of datasets and
 //! replicas.
 //!
-//! This file holds exactly one `#[test]`: the peak resident set is
+//! This file holds exactly one test function: the peak resident set is
 //! process-wide, and a sibling test's memory would be charged to the legs.
 
 use rand::rngs::StdRng;
