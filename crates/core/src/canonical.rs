@@ -3,11 +3,11 @@
 //!
 //! The allocation gate (`tests/alloc.rs`), the `benchmark/` harness, the
 //! distributed binaries (`rfl-server`, `rfl-client`), and the loopback
-//! integration tests all build this exact run: same synthetic MNIST-like pool, same similarity
-//! partition, same CNN and SGD hyper-parameters, same rFedAvg+ round
-//! structure. Any divergence — a kernel change, a transport bug, a client
-//! process sampling one extra RNG draw — shows up as a loss mismatch
-//! against [`PINNED_ROUND_LOSS`].
+//! integration tests all build this exact run: same synthetic MNIST-like
+//! pool, same similarity partition, same CNN and SGD hyper-parameters, same
+//! rFedAvg+ round structure. Any divergence — a kernel change, a transport
+//! bug, a client process sampling one extra RNG draw — shows up as a loss
+//! mismatch against [`PINNED_ROUND_LOSS`].
 //!
 //! Determinism notes: everything is derived from the single `seed`. The
 //! pool/partition/test RNG stream, the model initialization, and each

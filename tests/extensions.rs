@@ -93,10 +93,7 @@ fn compressed_uploads_are_charged_exactly_and_save_ten_times_at_dense_accuracy()
     let mut rng = StdRng::seed_from_u64(SEED);
     let spec = GaussianMixtureSpec {
         dim: 64,
-        classes: 4,
-        sep: 2.0,
-        noise: 1.0,
-        mean_seed: 45,
+        ..GaussianMixtureSpec::default_spec()
     };
     let pool = spec.generate(CLIENTS * 40, None, &mut rng);
     let parts = partition::similarity(pool.labels(), CLIENTS, 0.5, &mut rng);
@@ -123,17 +120,16 @@ fn compressed_uploads_are_charged_exactly_and_save_ten_times_at_dense_accuracy()
         }
         run_fedavg(f, c)
     };
-    let dim = 64 * 4 + 4;
 
     let (acc_dense, up_dense) = run(Compression::None, 0.0);
+    // A quantizer frame's shape does not depend on the values, so any vector
+    // of the model's dimension gives the closed-form ledger total.
+    let probe = vec![0.0f32; 64 * 4 + 4];
+    let mut payload = CompressedVec::default();
     let mut best_reduction = 0.0f64;
     for bits in [8, 4, 2, 1] {
         let policy = Compression::Quantize { bits };
         let (acc, up) = run(policy, 0.0);
-        // A quantizer frame's shape does not depend on the values, so the
-        // expected ledger total is closed-form.
-        let probe = vec![0.0f32; dim];
-        let mut payload = CompressedVec::default();
         policy
             .for_upload(&probe)
             .expect("a compressing policy")
