@@ -150,4 +150,31 @@ mod tests {
         let spec = GaussianMixtureSpec::default_spec();
         assert_eq!(spec.means(), spec.means());
     }
+
+    /// One lazy client's shard as `scale_lazy` draws it (a 32-normal shift,
+    /// then 32 × 32 normals off the same stream), as bits: recorded before
+    /// `normal_fill` fused its draws into its vector loop.
+    #[test]
+    fn generate_with_means_fingerprints() {
+        let spec = GaussianMixtureSpec {
+            dim: 32,
+            ..GaussianMixtureSpec::default_spec()
+        };
+        let means = spec.means();
+        let got = [21, 22].map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shift = spec.random_shift(1.0, &mut rng);
+            let ds = spec.generate_with_means(&means, 32, Some(&shift), &mut rng);
+            let Examples::Dense(x) = ds.examples() else {
+                unreachable!()
+            };
+            // FNV-1a over the bit patterns.
+            let hash = x.data().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits() as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            (seed, hash)
+        });
+        let recorded = [(21, 0x084f_3f68_2ead_928f), (22, 0xc879_fcec_723e_baac)];
+        assert_eq!(got, recorded, "{got:#018x?}");
+    }
 }
