@@ -453,7 +453,7 @@ impl Federation {
         self.plane.local().expect(NO_REPLICAS)
     }
 
-    fn local_mut(&mut self) -> &mut LocalPlane {
+    pub(crate) fn local_mut(&mut self) -> &mut LocalPlane {
         self.plane.local_mut().expect(NO_REPLICAS)
     }
 
@@ -1347,34 +1347,7 @@ mod transport_tests {
 
 #[cfg(test)]
 mod shell_tests {
-    use super::*;
-    use rfl_data::synth::gaussian::GaussianMixtureSpec;
-
-    /// 40 lazy clients of 10 samples each, a quarter sampled per round.
-    fn lazy_fed(seed: u64) -> (Federation, FlConfig) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let spec = GaussianMixtureSpec::default_spec();
-        let pool = spec.generate(400, None, &mut rng);
-        let parts = rfl_data::partition::iid(400, 40, &mut rng);
-        let data = FederatedData::from_partition(&pool, &parts, spec.generate(40, None, &mut rng));
-        let cfg = FlConfig {
-            rounds: 8,
-            local_steps: 2,
-            batch_size: 5,
-            sample_ratio: 0.25,
-            eval_every: 100,
-            ..FlConfig::cross_device()
-        };
-        let fed = Federation::lazy(
-            Arc::new(crate::registry::MaterializedSource::from_federated(&data)),
-            data.test.clone(),
-            ModelFactory::logistic(10, 4, 0.0),
-            OptimizerFactory::sgd(0.1),
-            &cfg,
-            seed,
-        );
-        (fed, cfg)
-    }
+    use crate::testutil::lazy_fed;
 
     #[test]
     fn a_mispredicted_wave_returns_both_persist_and_shell() {

@@ -226,15 +226,82 @@ pub(crate) fn fan_out<W: Send, I: Send>(
     });
 }
 
-/// Attaches a materialization site's tally to its span: `clients` brought
-/// to life, of which `shells_built` needed a new shell and `shells_reused`
-/// took one off the registry's list. The split is the growth of the
-/// registry's build count across the site, which is exact because sites
-/// never overlap: each joins the wave before it before materializing.
-fn shell_counters(span: &mut rfl_trace::Span, clients: usize, shells_built: u64) {
-    span.counter("clients", clients as u64);
+/// A cohort on its way to life: the ids of one materialization wave, handed
+/// out one at a time to whoever asks. Any number of threads drain it at once
+/// — [`materialize`] over [`Wave::claims`] — and each id goes to exactly one
+/// of them, so no client is ever built twice (a second build would find its
+/// persist gone and fabricate one from the initial global).
+struct Wave {
+    ids: Vec<usize>,
+    /// Index of the next id to hand out. A *closed* wave parks it at
+    /// [`Wave::CLOSED`], past the end of any id list, so every claim comes
+    /// back empty until [`Wave::open`] resets it.
+    next: AtomicUsize,
+}
+
+impl Wave {
+    const CLOSED: usize = usize::MAX / 2;
+
+    /// A wave over `ids`; `closed` until a hibernate wave that may still be
+    /// writing some of their persists has landed.
+    fn new(ids: Vec<usize>, closed: bool) -> Wave {
+        let next = AtomicUsize::new(if closed { Wave::CLOSED } else { 0 });
+        Wave { ids, next }
+    }
+
+    /// Lets the ids flow. Called once, by the thread that joined the
+    /// hibernate wave: the `Release` store pairs with the `Acquire` of
+    /// every later [`Wave::claim`].
+    fn open(&self) {
+        debug_assert!(
+            self.next.load(Ordering::Relaxed) >= Wave::CLOSED,
+            "only a closed wave opens"
+        );
+        self.next.store(0, Ordering::Release);
+    }
+
+    fn claim(&self) -> Option<usize> {
+        // `Acquire`: whoever gets an id sees what the opener saw land.
+        let i = self.next.fetch_add(1, Ordering::Acquire);
+        self.ids.get(i).copied()
+    }
+
+    /// The ids nobody has claimed yet, claimed one by one as the iterator
+    /// advances; ends when the wave is empty (at once on a closed one).
+    fn claims(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::from_fn(|| self.claim())
+    }
+}
+
+/// Brings `ids` to life one after the other and journals them as one `kind`
+/// span: `clients` built, of which `shells_built` needed a new shell and
+/// `shells_reused` took one off the registry's list (each
+/// [`ClientRegistry::materialize_counted`] call says which, so the split
+/// stays exact with any number of threads materializing at once). No ids, no
+/// span: a drainer that found its wave already empty leaves no trace.
+fn materialize(
+    reg: &ClientRegistry,
+    tracer: &Tracer,
+    kind: SpanKind,
+    ids: impl Iterator<Item = usize>,
+) -> Vec<Client> {
+    let mut ids = ids.peekable();
+    if ids.peek().is_none() {
+        return Vec::new();
+    }
+    let mut span = tracer.span(kind);
+    let mut shells_built = 0;
+    let built: Vec<Client> = ids
+        .map(|k| {
+            let (client, fresh_shell) = reg.materialize_counted(k);
+            shells_built += u64::from(fresh_shell);
+            client
+        })
+        .collect();
+    span.counter("clients", built.len() as u64);
     span.counter("shells_built", shells_built);
-    span.counter("shells_reused", clients as u64 - shells_built);
+    span.counter("shells_reused", built.len() as u64 - shells_built);
+    built
 }
 
 fn train_counters(span: &mut rfl_trace::Span, report: Option<&LocalReport>) {
@@ -256,6 +323,15 @@ pub(crate) struct Lookahead {
     pub(crate) overlap: bool,
 }
 
+/// A prefetch wave in flight: the queue, and the thread spawned to drain it
+/// while the round it was launched in goes on — one drainer among several
+/// once the next round arrives and wants the clients.
+struct Prefetch {
+    wave: Arc<Wave>,
+    /// Returns what it built, journaled as a `prefetch` span.
+    owner: JoinHandle<Vec<Client>>,
+}
+
 /// The in-process back-end: client replicas the server process owns, their
 /// frames carried by a simulated [`Transport`].
 pub(crate) struct LocalPlane {
@@ -264,7 +340,7 @@ pub(crate) struct LocalPlane {
     pub(crate) clients: Vec<Client>,
     /// Lazy mode: the sharded descriptor/persist store that materializes
     /// clients on demand. Shared (`Arc`) with the pipelined engine's
-    /// prefetch and hibernate worker threads.
+    /// prefetch and hibernate threads.
     pub(crate) registry: Option<Arc<ClientRegistry>>,
     pub(crate) transport: Box<dyn Transport>,
     pub(crate) tracer: Tracer,
@@ -272,14 +348,15 @@ pub(crate) struct LocalPlane {
     parallel: bool,
     pub(crate) lookahead: Option<Lookahead>,
     /// In-flight prefetch wave: clients for a *predicted* future selection,
-    /// materializing on a spare thread while the current round trains. The
-    /// next `ensure_active` consumes it — merging the ids it wanted and
-    /// returning the rest to the registry shards.
-    prefetch: Option<JoinHandle<Vec<Client>>>,
+    /// materializing while the current round trains. The next
+    /// `ensure_active` consumes it — drains what is left of it, merges the
+    /// ids it wanted and returns the rest to the registry shards.
+    prefetch: Option<Prefetch>,
     /// In-flight hibernate wave: the previous round's active clients being
-    /// persisted in the background. At most one wave is alive at a time,
-    /// and every materialization path joins it first, so a persist being
-    /// written can never race a wake of the same client.
+    /// persisted by one background thread. Every materialization path joins
+    /// it first — or, when a prefetch wave took it over, stays closed until
+    /// that wave's owner has — so a persist being written can never race a
+    /// wake of the same client.
     hibernate_wave: Option<JoinHandle<()>>,
     /// When set, `evict_active` hibernates on a background thread instead
     /// of inline.
@@ -358,8 +435,8 @@ impl LocalPlane {
 
     /// Hibernates every active client back into the registry shards (lazy
     /// mode; no-op otherwise). With background hibernation on, the persist
-    /// writes happen on a spare thread (one wave at a time); every
-    /// materialization path joins the wave before touching the shards.
+    /// writes happen on one spawned thread per wave (one wave at a time);
+    /// every materialization path joins the wave before touching the shards.
     pub(crate) fn evict_active(&mut self) {
         let Some(reg) = self.registry.clone() else {
             return;
@@ -410,8 +487,8 @@ impl LocalPlane {
     }
 
     /// Lazy mode: materializes every client in `ids` (sorted) that is not
-    /// already active, fanning construction across the worker budget, and
-    /// merges them into the id-sorted active set. No-op in eager mode.
+    /// already active, on [`LocalPlane::threads`] workers, and merges them
+    /// into the id-sorted active set. No-op in eager mode.
     pub(crate) fn ensure_active(&mut self, ids: &[usize]) {
         if self.registry.is_none() {
             return;
@@ -431,37 +508,45 @@ impl LocalPlane {
         // still missing.
         self.join_hibernate_wave();
         self.consume_prefetch(ids);
-        let reg = self.registry.as_ref().expect("lazy mode");
         let missing = self.inactive(ids);
         if missing.is_empty() {
             return;
         }
-        let mut span = self.tracer.span(SpanKind::Materialize);
-        let built_before = reg.shells_built();
-        let mut built: Vec<Option<Client>> = missing.iter().map(|_| None).collect();
-        let workers = &mut vec![(); rfl_tensor::thread_budget()];
-        fan_out(built.iter_mut(), workers, |(), i, slot| {
-            *slot = Some(reg.materialize(missing[i]));
-        });
-        shell_counters(&mut span, missing.len(), reg.shells_built() - built_before);
-        drop(span);
-        let built = built.into_iter().map(|c| c.expect("client not built"));
+        let built = self.drain(&Wave::new(missing, false), self.threads());
         self.clients.extend(built);
         self.clients.sort_by_key(|c| c.id());
     }
 
-    /// Merges a finished prefetch wave into the active set: clients in
-    /// `ids` (and not already active) join the round, everything else —
-    /// mispredictions, or ids a custom driver never asked for — goes back
-    /// to the registry shards so the persist each build consumed returns
-    /// home. Merged clients are re-stamped with the *current* pending
-    /// learning rate: a schedule step may have landed after the wave
-    /// launched.
+    /// Drains `wave` on `workers` threads — the caller and the rest from
+    /// [`fan_out`] — each journaling what it built as a `materialize` span,
+    /// and returns the clients in no particular order.
+    fn drain(&self, wave: &Wave, workers: usize) -> Vec<Client> {
+        let reg = self.registry.as_deref().expect("lazy mode");
+        let tracer = &self.tracer;
+        let mut shares: Vec<Vec<Client>> = (0..workers).map(|_| Vec::new()).collect();
+        fan_out(&mut shares, &mut vec![(); workers], |(), _, share| {
+            *share = materialize(reg, tracer, SpanKind::Materialize, wave.claims());
+        });
+        shares.into_iter().flatten().collect()
+    }
+
+    /// Finishes the prefetch wave and merges it into the active set. The
+    /// round thread does not wait for the wave's owner: it drains the queue
+    /// beside it, with as many [`fan_out`] workers as leave the owner its
+    /// share of [`LocalPlane::threads`], and joins the owner once the queue
+    /// is empty. Clients in `ids` (and not already active) then join the
+    /// round; everything else — mispredictions, or ids a custom driver never
+    /// asked for — goes back to the registry shards so the persist each
+    /// build consumed returns home. Merged clients are re-stamped with the
+    /// *current* pending learning rate: a schedule step may have landed
+    /// after the wave launched.
     fn consume_prefetch(&mut self, ids: &[usize]) {
-        let Some(wave) = self.prefetch.take() else {
+        let Some(Prefetch { wave, owner }) = self.prefetch.take() else {
             return;
         };
-        let built = wave.join().expect("prefetch wave panicked");
+        let helpers = self.threads().saturating_sub(1).max(1);
+        let mut built = self.drain(&wave, helpers);
+        built.extend(owner.join().expect("prefetch wave panicked"));
         let reg = self.registry.clone().expect("prefetch implies lazy mode");
         let lr = reg.pending_lr();
         let mut merged = false;
@@ -481,13 +566,15 @@ impl LocalPlane {
         }
     }
 
-    /// Schedules a prefetch wave materializing the not-yet-active clients of
-    /// `ids` (sorted) on a spare thread; a wave already in flight wins (one
-    /// at a time). Active ids are *never* prefetched — their authoritative
-    /// state is the live object, and a second build would fabricate a
-    /// persist from the initial global. The previous hibernate wave (if
-    /// any) is handed to the worker to join first: the wanted clients may
-    /// include some whose persists are still being written.
+    /// Launches a prefetch wave over the not-yet-active clients of `ids`
+    /// (sorted): a [`Wave`] and one spawned thread, its owner, that starts
+    /// draining it; a wave already in flight wins (one at a time). Active
+    /// ids are *never* prefetched — their authoritative state is the live
+    /// object, and a second build would fabricate a persist from the
+    /// initial global. The previous hibernate wave (if any) is handed to
+    /// the owner to join first, and the wave stays closed to everyone until
+    /// it has: the wanted clients may include some whose persists are still
+    /// being written.
     pub(crate) fn prefetch_hint(&mut self, ids: &[usize]) {
         let Some(reg) = self.registry.clone() else {
             return;
@@ -501,22 +588,23 @@ impl LocalPlane {
             return;
         }
         let hibernating = self.hibernate_wave.take();
-        let tracer = self.tracer.clone();
-        self.prefetch = Some(std::thread::spawn(move || {
-            if let Some(w) = hibernating {
-                w.join().expect("hibernate wave panicked");
-            }
-            let mut span = tracer.span(SpanKind::Prefetch);
-            let built_before = reg.shells_built();
-            let built: Vec<Client> = ids.iter().map(|&k| reg.materialize(k)).collect();
-            shell_counters(&mut span, built.len(), reg.shells_built() - built_before);
-            built
-        }));
+        let wave = Arc::new(Wave::new(ids, hibernating.is_some()));
+        let owner = {
+            let (wave, tracer) = (Arc::clone(&wave), self.tracer.clone());
+            std::thread::spawn(move || {
+                if let Some(w) = hibernating {
+                    w.join().expect("hibernate wave panicked");
+                    wave.open();
+                }
+                materialize(&reg, &tracer, SpanKind::Prefetch, wave.claims())
+            })
+        };
+        self.prefetch = Some(Prefetch { wave, owner });
     }
 
-    /// Brings `selected` to life for `round` and — pipelined engine — starts
-    /// materializing round `round + 1`'s predicted selection on a spare
-    /// thread while this round trains and folds.
+    /// Brings `selected` to life for `round` and — pipelined engine —
+    /// launches the wave for round `round + 1`'s predicted selection, which
+    /// its owner thread drains while this round trains and folds.
     fn activate(&mut self, selected: &[usize], round: u64) {
         self.ensure_active(selected);
         let Some(la) = &self.lookahead else { return };
@@ -841,3 +929,332 @@ impl ClientPlane {
 /// back-end (the capability check keeps algorithms from getting this far).
 pub(crate) const NO_REPLICAS: &str =
     "client state lives in the remote process; this back-end has no local replicas";
+
+/// Who ends up draining a prefetch wave is a race the round thread and the
+/// wave's owner run every round. These tests script it: the plane launches
+/// no wave of its own (streamed selection), a hook launches each round's
+/// wave over the same [`Wave`] with an owner thread that follows a
+/// [`Script`], and the plane's own `consume_prefetch` plays the joiner.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::federation::{Federation, FlConfig};
+    use crate::registry::ClientDataSource;
+    use crate::round::{Algorithm, Round};
+    use crate::testutil::lazy_fed_over;
+    use rfl_trace::SpanRecord;
+    use std::sync::mpsc;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Script {
+        /// The owner has drained the wave before the round thread arrives.
+        OwnerDrainsAll,
+        /// The owner does not start before the joiner has drained the wave.
+        JoinerDrainsAll,
+        /// The owner takes the first half and stops; the joiner finds the
+        /// rest.
+        Split,
+        /// The wave is closed and the owner opens it only once every helper
+        /// of the join has been refused: the joiner only waits.
+        ClosedAtJoin,
+    }
+
+    /// Launches the wave over `ids` with an owner that follows `script`.
+    fn launch(plane: &mut LocalPlane, ids: Vec<usize>, script: Script) {
+        let reg = plane.registry.clone().expect("lazy mode");
+        let tracer = plane.tracer.clone();
+        let helpers = plane.threads().saturating_sub(1).max(1);
+        let wave = Arc::new(Wave::new(ids, script == Script::ClosedAtJoin));
+        let (done, owner_is_done) = mpsc::channel();
+        let owner = {
+            let wave = Arc::clone(&wave);
+            std::thread::spawn(move || {
+                let len = wave.ids.len();
+                // Fails, rather than hangs, when the joiner never asks.
+                let wait_for_claims = |n: usize| {
+                    let patience = std::time::Instant::now() + std::time::Duration::from_secs(20);
+                    while wave.next.load(Ordering::Relaxed) < n {
+                        assert!(
+                            std::time::Instant::now() < patience,
+                            "the joiner never asked"
+                        );
+                        std::thread::yield_now();
+                    }
+                };
+                let share = match script {
+                    Script::OwnerDrainsAll => len,
+                    Script::Split => len / 2,
+                    Script::JoinerDrainsAll => {
+                        // Nobody else claims, so `len` claims made are the
+                        // joiner's and the wave is empty.
+                        wait_for_claims(len);
+                        0
+                    }
+                    Script::ClosedAtJoin => {
+                        // Each helper of the join asks a closed wave once.
+                        assert!(wave.next.load(Ordering::Relaxed) >= Wave::CLOSED);
+                        wait_for_claims(Wave::CLOSED + helpers);
+                        wave.open();
+                        len
+                    }
+                };
+                let ids = wave.claims().take(share);
+                let built = materialize(&reg, &tracer, SpanKind::Prefetch, ids);
+                let _ = done.send(());
+                built
+            })
+        };
+        if matches!(script, Script::OwnerDrainsAll | Script::Split) {
+            // An owner that panicked drops its end: done either way.
+            let _ = owner_is_done.recv();
+        }
+        plane.prefetch = Some(Prefetch { wave, owner });
+    }
+
+    /// Counts `dataset` calls per client, and refuses the poisoned one.
+    struct Recording {
+        inner: crate::registry::MaterializedSource,
+        calls: Mutex<Vec<usize>>,
+        poisoned: AtomicUsize,
+    }
+
+    impl ClientDataSource for Recording {
+        fn num_clients(&self) -> usize {
+            self.inner.num_clients()
+        }
+        fn num_samples(&self, k: usize) -> usize {
+            self.inner.num_samples(k)
+        }
+        fn dataset(&self, k: usize) -> rfl_data::Dataset {
+            let poisoned = self.poisoned.load(Ordering::Relaxed);
+            assert_ne!(k, poisoned, "shard {k} is corrupt");
+            self.calls.lock().expect("call log poisoned").push(k);
+            self.inner.dataset(k)
+        }
+    }
+
+    /// Which id of round 2's wave the source refuses to produce.
+    #[derive(Clone, Copy)]
+    enum Poison {
+        /// The owner's first.
+        First,
+        /// The joiner's last.
+        Last,
+    }
+
+    /// FedAvg, with a scripted wave for the next round launched where the
+    /// pipelined engine launches its own: right after the broadcast.
+    struct Scripted {
+        script: Script,
+        source: Arc<Recording>,
+        poison: Option<Poison>,
+        selections: Vec<Vec<usize>>,
+        waves: Vec<Vec<usize>>,
+    }
+
+    impl Algorithm for Scripted {
+        fn name(&self) -> &'static str {
+            "Scripted"
+        }
+
+        fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
+            self.selections.push(r.selected.clone());
+            let next = self.selections.len();
+            if next < r.cfg.rounds {
+                let plane = r.fed.local_mut();
+                let la = plane.lookahead.as_ref().expect("streamed selection");
+                let predicted = la.stream.select(next, plane.n_clients, la.sample_ratio);
+                let ids = plane.inactive(&predicted);
+                assert!(ids.len() >= 2, "a wave worth splitting");
+                let poisoned = match self.poison.filter(|_| next == 2) {
+                    Some(Poison::First) => ids[0],
+                    Some(Poison::Last) => ids[ids.len() - 1],
+                    None => usize::MAX,
+                };
+                self.source.poisoned.store(poisoned, Ordering::Relaxed);
+                launch(plane, ids.clone(), self.script);
+                self.waves.push(ids);
+            }
+            vec![LocalRule::Plain; r.active.len()]
+        }
+    }
+
+    /// What a run leaves behind: the global, every client's durable state
+    /// (its parameters, and the loss of one more step for the RNG position,
+    /// the shuffle cursor and the optimizer), how many are persisted.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        losses: Vec<u32>,
+        global: Vec<u32>,
+        persists: Vec<u32>,
+        num_persisted: usize,
+    }
+
+    fn bits(v: &[f32]) -> impl Iterator<Item = u32> + '_ {
+        v.iter().map(|x| x.to_bits())
+    }
+
+    struct Run {
+        outcome: Outcome,
+        /// Ids in the order `dataset` was called, up to the end of the run.
+        calls: Vec<usize>,
+        selections: Vec<Vec<usize>>,
+        waves: Vec<Vec<usize>>,
+        spans: Vec<SpanRecord>,
+        cfg: FlConfig,
+    }
+
+    /// The un-overlapped streamed run (`script: None`) or a scripted one.
+    fn run(script: Option<Script>, parallel: bool, poison: Option<Poison>) -> Run {
+        let mut source = None;
+        let (mut fed, cfg) = lazy_fed_over(61, |inner| {
+            let recording = Arc::new(Recording {
+                inner,
+                calls: Mutex::new(Vec::new()),
+                poisoned: AtomicUsize::new(usize::MAX),
+            });
+            source = Some(Arc::clone(&recording));
+            recording
+        });
+        let source = source.expect("the source was wrapped");
+        let cfg = FlConfig { parallel, ..cfg };
+        fed.local_mut().parallel = parallel;
+        fed.enable_streamed_selection(cfg.seed, cfg.sample_ratio, cfg.rounds);
+        let tracer = Tracer::enabled();
+        fed.set_tracer(tracer.clone());
+        let mut algo = Scripted {
+            script: script.unwrap_or(Script::Split),
+            source: Arc::clone(&source),
+            poison,
+            selections: Vec::new(),
+            waves: Vec::new(),
+        };
+        let history = match script {
+            None => crate::Trainer::new(cfg).run(&mut crate::algorithms::FedAvg, &mut fed),
+            Some(_) => {
+                // The production hibernate path under the scripted waves.
+                fed.local_mut().background_hibernate = true;
+                crate::Trainer::new(cfg).run(&mut algo, &mut fed)
+            }
+        };
+        let calls = source.calls.lock().expect("call log poisoned").clone();
+        let outcome = settle(&mut fed, &history);
+        Run {
+            outcome,
+            calls,
+            selections: algo.selections,
+            waves: algo.waves,
+            spans: tracer.records(),
+            cfg,
+        }
+    }
+
+    fn settle(fed: &mut Federation, history: &crate::history::History) -> Outcome {
+        fed.local_mut().evict_active();
+        fed.quiesce();
+        let reg = Arc::clone(fed.registry().expect("lazy mode"));
+        assert_eq!(
+            reg.shells_idle() as u64,
+            reg.shells_built(),
+            "a shell leaked"
+        );
+        let num_persisted = reg.num_persisted();
+        let (mut persists, mut params) = (Vec::new(), Vec::new());
+        for k in 0..reg.num_clients() {
+            let mut c = reg.materialize(k);
+            c.read_params(&mut params);
+            persists.extend(bits(&params));
+            persists.push(c.train_local(1, &LocalRule::Plain).loss.to_bits());
+        }
+        Outcome {
+            losses: (history.records().iter())
+                .map(|r| r.train_loss.to_bits())
+                .collect(),
+            global: bits(fed.global()).collect(),
+            persists,
+            num_persisted,
+        }
+    }
+
+    /// Clients journaled by the `prefetch` spans and by the `materialize`
+    /// spans; every span's shell split adds up and none is empty.
+    fn journaled(spans: &[SpanRecord]) -> (u64, u64) {
+        let (mut prefetched, mut materialized) = (0, 0);
+        for s in spans {
+            let total = match s.kind {
+                "prefetch" => &mut prefetched,
+                "materialize" => &mut materialized,
+                _ => continue,
+            };
+            let get = |name| s.counter(name).expect("materialization sites count shells");
+            assert_eq!(get("shells_built") + get("shells_reused"), get("clients"));
+            assert!(get("clients") > 0, "an empty {} span", s.kind);
+            *total += get("clients");
+        }
+        (prefetched, materialized)
+    }
+
+    #[test]
+    fn every_interleaving_of_owner_and_joiner_is_the_unoverlapped_run() {
+        let reference = run(None, true, None);
+        let client_rounds = (reference.cfg.rounds * 10) as u64;
+        assert_eq!(journaled(&reference.spans), (0, client_rounds));
+        for parallel in [false, true] {
+            for script in [
+                Script::OwnerDrainsAll,
+                Script::JoinerDrainsAll,
+                Script::Split,
+                Script::ClosedAtJoin,
+            ] {
+                let what = format!("{script:?}, parallel {parallel}");
+                let got = run(Some(script), parallel, None);
+                assert_eq!(got.outcome, reference.outcome, "{what}");
+
+                // Every selected client was brought to life once per round
+                // it was selected in, by somebody.
+                let mut wanted: Vec<usize> = got.selections.concat();
+                let mut calls = got.calls.clone();
+                wanted.sort_unstable();
+                calls.sort_unstable();
+                assert_eq!(calls, wanted, "{what}");
+                assert_eq!(wanted.len() as u64, client_rounds);
+
+                assert_eq!(got.waves.len(), got.cfg.rounds - 1, "{what}");
+                let owners_share: usize = (got.waves.iter())
+                    .map(|ids| match script {
+                        Script::OwnerDrainsAll | Script::ClosedAtJoin => ids.len(),
+                        Script::Split => ids.len() / 2,
+                        Script::JoinerDrainsAll => 0,
+                    })
+                    .sum();
+                let (prefetched, materialized) = journaled(&got.spans);
+                assert_eq!(prefetched, owners_share as u64, "{what}");
+                assert_eq!(prefetched + materialized, client_rounds, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefetch wave panicked")]
+    fn a_shard_that_panics_under_the_owner_panics_at_the_join() {
+        run(Some(Script::Split), false, Some(Poison::First));
+    }
+
+    #[test]
+    #[should_panic(expected = "is corrupt")]
+    fn a_shard_that_panics_under_a_helper_panics_at_the_join() {
+        run(Some(Script::Split), false, Some(Poison::Last));
+    }
+
+    #[test]
+    fn a_closed_wave_hands_out_nothing_until_it_opens_and_then_each_id_once() {
+        let wave = Wave::new(vec![3, 5, 8], true);
+        assert_eq!(wave.claims().next(), None);
+        wave.open();
+        let (mut a, mut b) = (wave.claims(), wave.claims());
+        assert_eq!(
+            [a.next(), b.next(), a.next(), b.next(), a.next()],
+            [Some(3), Some(5), Some(8), None, None]
+        );
+    }
+}

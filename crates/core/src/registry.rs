@@ -142,7 +142,8 @@ pub struct ClientRegistry {
     /// One lock, taken twice per client-round (see the module docs before
     /// sharding it).
     shells: Mutex<Vec<ClientShell>>,
-    /// Shells ever built — a statistic for the spans and the tests.
+    /// Shells ever built — a statistic for the tests (the spans count the
+    /// flag each [`ClientRegistry::materialize_counted`] call returns).
     shells_built: AtomicU64,
 }
 
@@ -208,6 +209,7 @@ impl ClientRegistry {
     /// Shells built so far. A shell is only built when the list is empty,
     /// that is when every shell built before it is inside a live client, so
     /// this is also the most clients that were ever live at once.
+    #[cfg(test)]
     pub(crate) fn shells_built(&self) -> u64 {
         self.shells_built.load(Ordering::Relaxed)
     }
@@ -221,15 +223,23 @@ impl ClientRegistry {
     /// Builds the live simulation object for client `k`: its persisted
     /// state — or, the first time, the initial state from the deterministic
     /// recipes — assembled around a recycled shell and its regenerated
-    /// dataset. Takes `&self` — materialization of a selection runs on the
-    /// worker pool, contending only on the per-shard locks and, for one
-    /// `pop`, on the shell list.
+    /// dataset. Takes `&self` — several threads materialize a selection at
+    /// once, contending only on the per-shard locks and, for one `pop`, on
+    /// the shell list.
     pub fn materialize(&self, k: usize) -> Client {
+        self.materialize_counted(k).0
+    }
+
+    /// [`ClientRegistry::materialize`], also saying whether the client's
+    /// shell had to be built (`true`) or came off the list — per call, so
+    /// concurrent materialization sites can each keep an exact tally.
+    pub(crate) fn materialize_counted(&self, k: usize) -> (Client, bool) {
         let persist = self.shards[self.shard_of(k)]
             .lock()
             .expect("registry shard poisoned")
             .remove(&k);
         let recycled = self.shells.lock().expect("shell list poisoned").pop();
+        let fresh_shell = recycled.is_none();
         let shell = recycled.unwrap_or_else(|| {
             self.shells_built.fetch_add(1, Ordering::Relaxed);
             ClientShell::new(self.model.build(self.seed))
@@ -249,7 +259,7 @@ impl ClientRegistry {
         if let Some(lr) = self.pending_lr() {
             client.set_lr(lr);
         }
-        client
+        (client, fresh_shell)
     }
 
     /// Evicts a client: its durable state goes to its shard, its shell back

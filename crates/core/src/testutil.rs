@@ -2,11 +2,13 @@
 
 use crate::federation::{Federation, FlConfig, ModelFactory, OptimizerFactory};
 use crate::history::History;
+use crate::registry::{ClientDataSource, MaterializedSource};
 use crate::trainer::{Algorithm, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_data::synth::gaussian::GaussianMixtureSpec;
 use rfl_data::FederatedData;
+use std::sync::Arc;
 
 /// A small strongly convex federation on a Gaussian mixture with the
 /// similarity-`s` partition, suitable for fast algorithm unit tests.
@@ -32,6 +34,40 @@ pub(crate) fn convex_fed(similarity: f64, seed: u64, n_clients: usize) -> (Feder
     let fed = Federation::new(
         &data,
         ModelFactory::linear_net(10, 6, 4, 1e-3),
+        OptimizerFactory::sgd(0.1),
+        &cfg,
+        seed,
+    );
+    (fed, cfg)
+}
+
+/// 40 lazy clients of 10 samples each, a quarter sampled per round.
+pub(crate) fn lazy_fed(seed: u64) -> (Federation, FlConfig) {
+    lazy_fed_over(seed, |source| Arc::new(source))
+}
+
+/// [`lazy_fed`] behind whatever `wrap` puts in front of its data source.
+pub(crate) fn lazy_fed_over(
+    seed: u64,
+    wrap: impl FnOnce(MaterializedSource) -> Arc<dyn ClientDataSource>,
+) -> (Federation, FlConfig) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spec = GaussianMixtureSpec::default_spec();
+    let pool = spec.generate(400, None, &mut rng);
+    let parts = rfl_data::partition::iid(400, 40, &mut rng);
+    let data = FederatedData::from_partition(&pool, &parts, spec.generate(40, None, &mut rng));
+    let cfg = FlConfig {
+        rounds: 8,
+        local_steps: 2,
+        batch_size: 5,
+        sample_ratio: 0.25,
+        eval_every: 100,
+        ..FlConfig::cross_device()
+    };
+    let fed = Federation::lazy(
+        wrap(MaterializedSource::from_federated(&data)),
+        data.test.clone(),
+        ModelFactory::logistic(10, 4, 0.0),
         OptimizerFactory::sgd(0.1),
         &cfg,
         seed,

@@ -4,9 +4,12 @@
 //! `t+1`'s predicted selection, background hibernation of round `t-1`'s
 //! actives, and the arrival-order tree fold — all of which must be
 //! invisible in the numbers: a pipelined run is bit-identical to the same
-//! selection stream executed serially, and the canonical pin survives
-//! untouched. The phase work itself is pinned through the rfl-trace
-//! journal (`prefetch`/`fold`/`hibernate` spans).
+//! selection stream executed serially, at any thread budget, and the
+//! canonical pin survives untouched. The phase work itself is pinned
+//! through the rfl-trace journal (`prefetch`/`materialize`/`fold`/
+//! `hibernate` spans). Who drains a prefetch wave — its owner thread or the
+//! round thread that arrives wanting the clients — is a race here; the
+//! scripted interleavings are unit tests of `rfl_core`'s plane.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,7 +87,9 @@ fn pipelined_lazy_run_reproduces_the_canonical_pin() {
 /// The overlap machinery is bit-invisible: a pipelined run equals the same
 /// selection stream executed with serial materialization and inline
 /// hibernation, loss for loss and parameter for parameter — under partial
-/// participation, where prefetch waves actually carry clients.
+/// participation, where prefetch waves actually carry clients, and with
+/// the round thread draining them alone (budgets 1 and 2) or with two
+/// helpers (budget 4).
 #[test]
 fn pipelined_run_matches_streamed_serial_run_bitwise() {
     let seed = 11;
@@ -95,34 +100,41 @@ fn pipelined_run_matches_streamed_serial_run_bitwise() {
     serial.enable_streamed_selection(cfg.seed, cfg.sample_ratio, cfg.rounds);
     let hs = Trainer::new(cfg).run(&mut FedAvg, &mut serial);
 
-    let mut piped = lazy_fed(&data, &cfg, seed);
-    let hp = Trainer::new(cfg).pipelined().run(&mut FedAvg, &mut piped);
+    let before = rfl_tensor::thread_budget();
+    for budget in [1, 2, 4] {
+        rfl_tensor::set_thread_budget(budget);
+        let mut piped = lazy_fed(&data, &cfg, seed);
+        let hp = Trainer::new(cfg).pipelined().run(&mut FedAvg, &mut piped);
 
-    assert_eq!(hs.len(), hp.len());
-    for (a, b) in hs.records().iter().zip(hp.records()) {
-        assert_eq!(
-            a.train_loss.to_bits(),
-            b.train_loss.to_bits(),
-            "round {} loss diverged",
-            a.round
+        assert_eq!(hs.len(), hp.len());
+        for (a, b) in hs.records().iter().zip(hp.records()) {
+            assert_eq!(
+                a.train_loss.to_bits(),
+                b.train_loss.to_bits(),
+                "budget {budget}: round {} loss diverged",
+                a.round
+            );
+            assert_eq!(a.participants, b.participants, "round {}", a.round);
+        }
+        let (ga, gb) = (serial.global(), piped.global());
+        assert_eq!(ga.len(), gb.len());
+        assert!(
+            ga.iter().zip(gb).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "budget {budget}: final global parameters diverged"
         );
-        assert_eq!(a.participants, b.participants, "round {}", a.round);
+        // Every prefetched-but-consumed or hibernated client settled back
+        // into the shards: both registries persist the same population.
+        assert_eq!(serial.num_persisted(), piped.num_persisted());
     }
-    let (ga, gb) = (serial.global(), piped.global());
-    assert_eq!(ga.len(), gb.len());
-    assert!(
-        ga.iter().zip(gb).all(|(x, y)| x.to_bits() == y.to_bits()),
-        "final global parameters diverged"
-    );
-    // Every prefetched-but-consumed or hibernated client settled back into
-    // the shards: both registries persist the same population.
-    assert_eq!(serial.num_persisted(), piped.num_persisted());
+    rfl_tensor::set_thread_budget(before);
 }
 
-/// The engine's phases are observable: a pipelined run journals
-/// `prefetch`, `fold`, and `hibernate` spans (with client counts), and the
-/// prefetch for round `t+1` opens while round `t` is still running — its
-/// start timestamp lies inside the enclosing round span.
+/// The engine's phases are observable: a pipelined run journals `fold` and
+/// `hibernate` spans, and every cohort is journaled by whoever brought it
+/// to life — the wave's owner as `prefetch`, the round thread (and its
+/// helpers) as `materialize` — with client counts. An owner's span opens
+/// while the round it reports to is still running: its start timestamp lies
+/// inside that round's span.
 #[test]
 fn pipelined_run_emits_prefetch_fold_and_hibernate_spans() {
     let seed = 13;
@@ -135,20 +147,12 @@ fn pipelined_run_emits_prefetch_fold_and_hibernate_spans() {
 
     let records = tracer.records();
     let count = |kind: &str| records.iter().filter(|r| r.kind == kind).count();
-    // One fold per round; prefetch for every round with a successor; at
-    // least one background hibernate wave once evictions start.
+    // One fold per round; at least one background hibernate wave once
+    // evictions start. How many `prefetch` spans there are is the race's
+    // business: an owner the round thread beat to every id journals none.
     assert_eq!(count("fold"), cfg.rounds, "one fold span per round");
-    assert!(
-        count("prefetch") >= cfg.rounds - 1,
-        "prefetch spans missing: {}",
-        count("prefetch")
-    );
     assert!(count("hibernate") >= 1, "no background hibernation spans");
     for r in records.iter().filter(|r| r.kind == "prefetch") {
-        assert!(
-            r.counter("clients").unwrap_or(0) > 0,
-            "empty prefetch wave journaled"
-        );
         // Overlap: the wave belongs to (and starts inside) a live round.
         let round = r.round.expect("prefetch spans attach to a round");
         let owner = records
@@ -163,10 +167,10 @@ fn pipelined_run_emits_prefetch_fold_and_hibernate_spans() {
     for r in records.iter().filter(|r| r.kind == "fold") {
         assert!(r.counter("dims").unwrap_or(0) > 0, "fold span lost its dim");
     }
-    // Both materialization sites say whether the shell list hit. Every
-    // selected client is brought to life once per round, by the wave or
-    // inline; two waves are live at once at most, so once the list holds
-    // two cohorts' worth of shells nothing is ever built again.
+    // Every drainer says whether the shell list hit. Every selected client
+    // is brought to life once per round, by one of them; two cohorts are
+    // live at once at most, so once the list holds two cohorts' worth of
+    // shells nothing is ever built again.
     let cohort = (cfg.sample_ratio * data.num_clients() as f32) as u64;
     let (mut clients, mut built) = (0, 0);
     for r in records
@@ -175,6 +179,7 @@ fn pipelined_run_emits_prefetch_fold_and_hibernate_spans() {
     {
         let get = |name| r.counter(name).expect("materialization sites count shells");
         assert_eq!(get("shells_built") + get("shells_reused"), get("clients"));
+        assert!(get("clients") > 0, "an empty {} span", r.kind);
         clients += get("clients");
         built += get("shells_built");
         assert!(

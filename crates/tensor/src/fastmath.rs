@@ -31,8 +31,8 @@ use rand::Rng;
 // ---------------------------------------------------------------------------
 
 /// `(1/c, log c)` pairs, interleaved flat, for 16 reciprocal anchors
-/// covering one octave. Kept flat (not tuples) so the vector path can
-/// gather from it with a guaranteed layout.
+/// covering one octave. Kept flat (not tuples) so the vector path can load
+/// a pair as one 128-bit word with a guaranteed layout.
 const LOGF_TAB: [f64; 32] = [
     f64::from_bits(0x3FF661EC79F8F3BE),
     f64::from_bits(0xBFD57BF7808CAADE),
@@ -224,23 +224,30 @@ unsafe fn normal_from_units_fma(u1: f32, u2: f32) -> f32 {
 }
 
 /// Fills `out` with standard normals, drawing `(u1, u2)` per element in the
-/// exact order `normal_sample` does, so the RNG stream — and therefore every
-/// downstream value — is unchanged. The unit draws are reconstructed from
-/// the raw 24-bit words exactly as the uniform sampler builds them
-/// (`lo + (hi−lo)·(k/2²⁴)`), then the transcendental kernels run four lanes
-/// wide under AVX2+FMA — where the speedup over per-element libm calls
-/// comes from — with a fused scalar path covering the tail and non-AVX2
-/// hosts bit-identically.
+/// exact order `normal_sample` does — two `next_u32` calls per element and
+/// nothing else — so the RNG stream, and therefore every downstream value,
+/// is unchanged. The unit draws are reconstructed from the raw 24-bit words
+/// exactly as the uniform sampler builds them (`lo + (hi−lo)·(k/2²⁴)`).
+/// Under AVX2+FMA one loop draws the eight words of four elements and runs
+/// the transcendental kernels on them four lanes wide, so the generator's
+/// serial integer chain for the next four overlaps the vector math of these
+/// (drawing a whole batch first left the two taking turns); the scalar loop
+/// covers the tail and non-AVX2 hosts bit-identically.
 pub fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
-    const B: usize = 64;
-    let mut k1 = [0u32; B];
-    let mut k2 = [0u32; B];
-    for chunk in out.chunks_mut(B) {
-        for i in 0..chunk.len() {
-            k1[i] = rng.next_u32() >> 8;
-            k2[i] = rng.next_u32() >> 8;
-        }
-        normal_batch(&k1[..chunk.len()], &k2[..chunk.len()], chunk);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma_available() {
+        // SAFETY: guarded by the runtime AVX2+FMA check.
+        return unsafe { avx2::normal_fill(rng, out) };
+    }
+    normal_fill_scalar(rng, out);
+}
+
+/// One element at a time: its two raw draws, then the scalar kernels.
+#[inline(always)]
+fn normal_fill_scalar<R: Rng>(rng: &mut R, out: &mut [f32]) {
+    for o in out {
+        let (k1, k2) = (rng.next_u32() >> 8, rng.next_u32() >> 8);
+        *o = normal_from_units_generic(u1_from_bits(k1), unit_f32(k2));
     }
 }
 
@@ -255,20 +262,6 @@ fn unit_f32(k: u32) -> f32 {
 #[inline(always)]
 fn u1_from_bits(k: u32) -> f32 {
     f32::EPSILON + (1.0 - f32::EPSILON) * unit_f32(k)
-}
-
-/// Batched Box–Muller over raw 24-bit unit draws.
-#[inline]
-fn normal_batch(k1: &[u32], k2: &[u32], out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: guarded by the runtime AVX2+FMA check.
-        unsafe { avx2::normal_batch(k1, k2, out) };
-        return;
-    }
-    for ((o, &a), &b) in out.iter_mut().zip(k1).zip(k2) {
-        *o = normal_from_units_generic(u1_from_bits(a), unit_f32(b));
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -303,21 +296,30 @@ mod avx2 {
     use super::*;
     use std::arch::x86_64::*;
 
+    /// [`super::normal_fill`], four elements per iteration.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn normal_batch(k1: &[u32], k2: &[u32], out: &mut [f32]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            let q = quad(
-                _mm_loadu_si128(k1.as_ptr().add(i) as *const __m128i),
-                _mm_loadu_si128(k2.as_ptr().add(i) as *const __m128i),
-            );
-            _mm_storeu_ps(out.as_mut_ptr().add(i), q);
-            i += 4;
+    pub unsafe fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
+        let mut quads = out.chunks_exact_mut(4);
+        for q in &mut quads {
+            // Draw order: element 0's k1, its k2, element 1's k1, ... — one
+            // 64-bit lane per element, k1 in its low half (four moves into
+            // vector registers instead of eight).
+            let mut pairs = [0i64; 4];
+            for pair in &mut pairs {
+                let (k1, k2) = (rng.next_u32() >> 8, rng.next_u32() >> 8);
+                *pair = (k1 as u64 | (k2 as u64) << 32) as i64;
+            }
+            let pairs = _mm256_setr_epi64x(pairs[0], pairs[1], pairs[2], pairs[3]);
+            let k1_then_k2 = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+            let split = _mm256_permutevar8x32_epi32(pairs, k1_then_k2);
+            let k1 = _mm256_castsi256_si128(split);
+            let k2 = _mm256_extracti128_si256::<1>(split);
+            _mm_storeu_ps(q.as_mut_ptr(), quad(k1, k2));
         }
-        for j in i..n {
-            out[j] = normal_from_units_generic(u1_from_bits(k1[j]), unit_f32(k2[j]));
-        }
+        normal_fill_scalar(rng, quads.into_remainder());
     }
 
     /// Four Box–Muller normals from four raw draw pairs.
@@ -336,10 +338,22 @@ mod avx2 {
         let ix = _mm_castps_si128(u1);
         let tmp = _mm_sub_epi32(ix, _mm_set1_epi32(0x3f33_0000));
         let idx = _mm_and_si128(_mm_srli_epi32::<19>(tmp), _mm_set1_epi32(0xf));
-        let idx2 = _mm_slli_epi32::<1>(idx);
-        let tab = LOGF_TAB.as_ptr();
-        let invc = _mm256_i32gather_pd::<8>(tab, idx2);
-        let logc = _mm256_i32gather_pd::<8>(tab.add(1), idx2);
+        // One 128-bit load per lane fetches its `(1/c, log c)` pair. Two
+        // four-lane gathers fetch the same values and cost a fifth of the
+        // whole fill on CPUs whose microcode serializes gathers.
+        // SAFETY: `idx` is masked to 0..16, so every pair lies inside the
+        // 32-entry table.
+        let pair = |i: i32| _mm_loadu_pd(LOGF_TAB.as_ptr().add(2 * i as usize));
+        let lo = (
+            pair(_mm_extract_epi32::<0>(idx)),
+            pair(_mm_extract_epi32::<1>(idx)),
+        );
+        let hi = (
+            pair(_mm_extract_epi32::<2>(idx)),
+            pair(_mm_extract_epi32::<3>(idx)),
+        );
+        let invc = _mm256_set_m128d(_mm_unpacklo_pd(hi.0, hi.1), _mm_unpacklo_pd(lo.0, lo.1));
+        let logc = _mm256_set_m128d(_mm_unpackhi_pd(hi.0, hi.1), _mm_unpackhi_pd(lo.0, lo.1));
         let k = _mm_srai_epi32::<23>(tmp);
         let iz = _mm_sub_epi32(
             ix,
@@ -430,6 +444,34 @@ mod tests {
         std::env::var("RFL_FASTMATH_EXHAUSTIVE").is_ok_and(|v| v == "1")
     }
 
+    /// A generator that hands out a fixed list of words through `next_u32`
+    /// and panics on any other call, or on one call too many: what
+    /// `normal_fill` asks of its generator, and in which order, is part of
+    /// its contract.
+    struct Scripted {
+        words: std::vec::IntoIter<u32>,
+    }
+
+    impl Scripted {
+        fn new(words: Vec<u32>) -> Self {
+            Scripted {
+                words: words.into_iter(),
+            }
+        }
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.words.next().expect("more than two words per element")
+        }
+        fn next_u64(&mut self) -> u64 {
+            panic!("normal_fill draws 32-bit words only")
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            panic!("normal_fill draws 32-bit words only")
+        }
+    }
+
     /// All f32 in `[lo, hi)` whose low bits match the stride mask.
     fn sweep(lo: f32, hi: f32, stride: u32, mut f: impl FnMut(f32)) {
         let mut bits = lo.to_bits();
@@ -499,8 +541,12 @@ mod tests {
         let mut k1s: Vec<u32> = (0..(1u32 << 24)).step_by(4099).collect();
         k1s.extend_from_slice(&[0, 1, 2, (1 << 24) - 1]);
         let k2s: Vec<u32> = k1s.iter().rev().copied().collect();
+        // `normal_fill` shifts each word right by eight, in draw order.
+        let words = k1s.iter().zip(&k2s).flat_map(|(&a, &b)| [a << 8, b << 8]);
+        let mut rng = Scripted::new(words.collect());
         let mut out = vec![0.0f32; k1s.len()];
-        normal_batch(&k1s, &k2s, &mut out);
+        normal_fill(&mut rng, &mut out);
+        assert!(rng.words.next().is_none(), "two words per element");
         for i in 0..k1s.len() {
             let want = normal_from_units_generic(u1_from_bits(k1s[i]), unit_f32(k2s[i]));
             assert_eq!(
@@ -510,6 +556,27 @@ mod tests {
                 k1s[i],
                 k2s[i]
             );
+        }
+    }
+
+    #[test]
+    fn normal_fill_draws_two_words_per_element_in_order_and_matches_the_scalar_kernels() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        // Every tail length behind 0..=17 quads, one lazy client's shard
+        // (32 × 32), and its shift plus shard with a tail of three.
+        let mut stream = StdRng::seed_from_u64(7);
+        for len in (0..=70).chain([1024, 1056 + 3]) {
+            let words: Vec<u32> = (0..2 * len).map(|_| stream.next_u32()).collect();
+            let mut rng = Scripted::new(words.clone());
+            let mut out = vec![0.0f32; len];
+            normal_fill(&mut rng, &mut out);
+            assert!(rng.words.next().is_none(), "len {len}: words left over");
+            for (i, pair) in words.chunks_exact(2).enumerate() {
+                let want =
+                    normal_from_units_generic(u1_from_bits(pair[0] >> 8), unit_f32(pair[1] >> 8));
+                assert_eq!(out[i].to_bits(), want.to_bits(), "len {len}, element {i}");
+            }
         }
     }
 
