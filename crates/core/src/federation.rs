@@ -547,12 +547,15 @@ impl Federation {
     /// come from a round-addressable [`SelectionStream`] seeded here
     /// instead of the trainer's threaded RNG, so round `t+1`'s ids are
     /// known while round `t` is still training: [`Federation::broadcast_params`]
-    /// launches a prefetch wave materializing them on a spare thread, and
-    /// [`Federation::begin_round`] hibernates the previous selection in
-    /// the background. `rounds` bounds the lookahead. Training results are
-    /// bit-identical to the same stream without overlap (pinned by the
-    /// pipeline tests); note the selection *sequence* differs from the
-    /// legacy threaded-RNG draw whenever `sample_ratio < 1`.
+    /// launches a prefetch wave — a queue of those ids and one spawned
+    /// thread draining it, which round `t+1` drains beside that thread
+    /// instead of waiting for it — and [`Federation::begin_round`]
+    /// hibernates the previous selection on a background thread. Both are
+    /// spawned at any thread budget. `rounds` bounds the lookahead.
+    /// Training results are bit-identical to the same stream without
+    /// overlap (pinned by the pipeline tests); note the selection
+    /// *sequence* differs from the legacy threaded-RNG draw whenever
+    /// `sample_ratio < 1`.
     pub fn enable_pipelined_rounds(&mut self, seed: u64, sample_ratio: f32, rounds: usize) {
         self.install_lookahead(seed, sample_ratio, rounds, true);
     }

@@ -939,7 +939,7 @@ pub(crate) const NO_REPLICAS: &str =
 mod tests {
     use super::*;
     use crate::federation::{Federation, FlConfig};
-    use crate::registry::ClientDataSource;
+    use crate::registry::{ClientDataSource, MaterializedSource};
     use crate::round::{Algorithm, Round};
     use crate::testutil::lazy_fed_over;
     use rfl_trace::SpanRecord;
@@ -1013,7 +1013,7 @@ mod tests {
 
     /// Counts `dataset` calls per client, and refuses the poisoned one.
     struct Recording {
-        inner: crate::registry::MaterializedSource,
+        inner: MaterializedSource,
         calls: Mutex<Vec<usize>>,
         poisoned: AtomicUsize,
     }
@@ -1117,24 +1117,29 @@ mod tests {
             recording
         });
         let source = source.expect("the source was wrapped");
-        let cfg = FlConfig { parallel, ..cfg };
+        // The plane copied `cfg.parallel` when the federation was built.
         fed.local_mut().parallel = parallel;
         fed.enable_streamed_selection(cfg.seed, cfg.sample_ratio, cfg.rounds);
         let tracer = Tracer::enabled();
         fed.set_tracer(tracer.clone());
-        let mut algo = Scripted {
-            script: script.unwrap_or(Script::Split),
-            source: Arc::clone(&source),
-            poison,
-            selections: Vec::new(),
-            waves: Vec::new(),
-        };
-        let history = match script {
-            None => crate::Trainer::new(cfg).run(&mut crate::algorithms::FedAvg, &mut fed),
-            Some(_) => {
+        let trainer = || crate::Trainer::new(cfg);
+        let (history, selections, waves) = match script {
+            None => {
+                let history = trainer().run(&mut crate::algorithms::FedAvg, &mut fed);
+                (history, Vec::new(), Vec::new())
+            }
+            Some(script) => {
+                let mut algo = Scripted {
+                    script,
+                    source: Arc::clone(&source),
+                    poison,
+                    selections: Vec::new(),
+                    waves: Vec::new(),
+                };
                 // The production hibernate path under the scripted waves.
                 fed.local_mut().background_hibernate = true;
-                crate::Trainer::new(cfg).run(&mut algo, &mut fed)
+                let history = trainer().run(&mut algo, &mut fed);
+                (history, algo.selections, algo.waves)
             }
         };
         let calls = source.calls.lock().expect("call log poisoned").clone();
@@ -1142,8 +1147,8 @@ mod tests {
         Run {
             outcome,
             calls,
-            selections: algo.selections,
-            waves: algo.waves,
+            selections,
+            waves,
             spans: tracer.records(),
             cfg,
         }

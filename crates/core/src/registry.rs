@@ -19,19 +19,25 @@
 //! half in its shard and puts the shell on a free list;
 //! [`ClientRegistry::materialize`] pops one, overwrites every parameter
 //! with the client's own, and hands back a client whose first step is
-//! already warm. A shell is only *built* when the list is empty. Building
-//! one per sampled client instead cost 60 allocator calls per client-round
-//! — made on the prefetch thread, used on the round thread, freed on the
-//! hibernate thread — and 60 % of a lazy round's CPU inside libc
+//! already warm. A shell is only *built* when the list is empty, and each
+//! materialization says whether it had to
+//! ([`ClientRegistry::materialize_counted`]): the trace spans add those
+//! flags up, which stays exact with several threads materializing at once
+//! where a before/after reading of a shared counter would not. Building one
+//! per sampled client instead cost 60 allocator calls per client-round —
+//! made on the thread that materialized, used on the round thread, freed on
+//! the hibernate thread — and 60 % of a lazy round's CPU inside libc
 //! (EXPERIMENTS.md "Why a lazy round spent 60 % of its CPU in the
 //! allocator").
 //!
 //! The list needs no cap: a shell is built only when every shell built
 //! before it is inside a live client, so the list never holds more shells
 //! than clients were live at once — two cohorts under the pipelined engine
-//! (the round's actives and the next round's prefetch). It is one
-//! `Mutex<Vec<_>>` locked twice per client-round, for one `pop` and one
-//! `push`; shard it only with a measurement that says the lock is hot.
+//! (the round's actives and the next round's prefetch wave, whoever is
+//! draining it). It is one `Mutex<Vec<_>>` locked twice per client-round,
+//! for one `pop` and one `push`, by up to a thread budget's worth of
+//! drainers and the hibernate thread; shard it only with a measurement that
+//! says the lock is hot.
 //!
 //! A recycled shell arrives dirty and differently shaped — the previous
 //! tenant may have had a smaller shard (a clamped batch), trained under an
@@ -58,10 +64,13 @@
 //! # Sharding
 //!
 //! Persisted state lives in `thread_budget()` shards behind per-shard
-//! mutexes, hashed by client index (`k % shards`). Materialization of a
-//! round's selection fans out across the worker budget; each worker only
-//! contends on the shard owning its current client, and results land in
-//! index-addressed slots so the active set is independent of scheduling.
+//! mutexes, hashed by client index (`k % shards`). A round's selection is
+//! materialized by whoever claims its ids off the plane's wave queue — the
+//! prefetch wave's owner thread, the round thread, its `fan_out` workers
+//! (the round thread alone under `parallel: false`); each only contends on
+//! the shard owning its current client, every id goes to exactly one of
+//! them, and the active set is sorted by id afterwards, so it is
+//! independent of scheduling.
 
 use crate::client::{Client, ClientPersist, ClientShell};
 use crate::federation::{FlConfig, ModelFactory, OptimizerFactory};
@@ -134,8 +143,8 @@ pub struct ClientRegistry {
     init_global: Vec<f32>,
     /// Latest learning-rate schedule value; applied on materialization so a
     /// woken client matches an eager one (which is overwritten every round).
-    /// Interior-mutable: the pipelined engine shares the registry across
-    /// prefetch/hibernate worker threads behind an `Arc`.
+    /// Interior-mutable: the pipelined engine shares the registry with its
+    /// prefetch and hibernate threads behind an `Arc`.
     pending_lr: Mutex<Option<f32>>,
     shards: Vec<Mutex<HashMap<usize, ClientPersist>>>,
     /// Shells of hibernated clients, waiting for the next materialization.

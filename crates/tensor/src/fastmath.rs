@@ -339,7 +339,7 @@ mod avx2 {
         let tmp = _mm_sub_epi32(ix, _mm_set1_epi32(0x3f33_0000));
         let idx = _mm_and_si128(_mm_srli_epi32::<19>(tmp), _mm_set1_epi32(0xf));
         // One 128-bit load per lane fetches its `(1/c, log c)` pair. Two
-        // four-lane gathers fetch the same values and cost a fifth of the
+        // four-lane gathers fetch the same values and cost a sixth of the
         // whole fill on CPUs whose microcode serializes gathers.
         // SAFETY: `idx` is masked to 0..16, so every pair lies inside the
         // 32-entry table.

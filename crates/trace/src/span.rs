@@ -28,14 +28,17 @@ pub enum SpanKind {
     /// Global-model evaluation on the held-out test set.
     Eval,
     /// Speculative materialization of the *next* round's clients while the
-    /// current round is still training (pipelined round engine).
+    /// current round is still training (pipelined round engine): the share
+    /// of a prefetch wave its owner thread built.
     Prefetch,
     /// Tree-fold of arriving uploads into the streaming aggregator.
     Fold,
     /// Background hibernation of the previous selection's client state.
     Hibernate,
-    /// Foreground materialization of the selected clients no prefetch wave
-    /// delivered (every client, without the pipelined engine).
+    /// Foreground materialization, one span per thread that built anything:
+    /// the share of a prefetch wave the round thread and its workers drained
+    /// at the join, and the selected clients no wave carried (every client,
+    /// without the pipelined engine).
     Materialize,
 }
 

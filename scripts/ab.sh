@@ -2,6 +2,7 @@
 # ab.sh — alternating A/B runs of benchmark/ between two revisions.
 #
 # Usage: scripts/ab.sh <rev-a> <rev-b> [--pairs N] [--seed0 S] [--dir DIR] [workload…]
+#        scripts/ab.sh --from RUNS.jsonl [workload…]
 #
 #   <rev-a> <rev-b>  anything `git rev-parse` resolves; A is the base (the
 #                    parent), B the change.
@@ -11,7 +12,10 @@
 #   --dir DIR        where the two checkouts and their target directories
 #                    live (default: a fresh `mktemp -d`). A checkout is keyed
 #                    on its commit, so a DIR given twice is built once.
-#   workload…        names from BENCHMARK.json (default: all of them).
+#   --from RUNS      print the tables of an earlier run's `runs.*.jsonl`
+#                    again; builds and runs nothing, takes no revisions.
+#   workload…        names from BENCHMARK.json (default: all of them, or all
+#                    that RUNS holds).
 #
 # Each revision is exported with `git archive` into DIR/<commit>/src (no
 # worktree is registered, so an interrupted run leaves nothing behind in
@@ -23,30 +27,133 @@
 #
 # Prints, per workload, one row per pair (`A → B` per end-to-end metric) and
 # a summary per metric: both sides' q1 / median / q3 (the quartiles of
-# benchmark/compare.sh), B ÷ A of the medians and the pairs B won — the
-# markdown tables of EXPERIMENTS.md. It only runs benchmark/; it edits
-# nothing. Exits 1 if a run was not `correct` or had failed operations.
+# benchmark/compare.sh), B ÷ A of the medians, the pairs B won and a verdict
+# — the markdown tables of EXPERIMENTS.md. The verdict is the rule of the
+# choosing-metrics guide, section 8, with the metric's `bound` from
+# BENCHMARK.json:
+#
+#   same        every pair tied (an exact count that did not move);
+#   regressed   B's median is worse than A's by more than the bound;
+#   gain        B won at least 9/10 of the untied pairs and the medians
+#               differ by more than A's q3 − q1;
+#   worse       the same with A winning, inside the bound;
+#   unresolved  anything else — not "unchanged".
+#
+# It only runs benchmark/; it edits nothing. Exits 1 if a run was not
+# `correct` or had failed operations.
 set -euo pipefail
 
 usage() { sed -n '2,/^set -euo/{/^set -euo/d;s/^# \{0,1\}//;p}' "$0"; }
 
-pairs=10 seed0=18 dir="" revs=() workloads=()
+pairs=10 seed0=18 dir="" from="" args=()
 while [ "$#" -gt 0 ]; do
     case "$1" in
         -h|--help) usage; exit 0 ;;
         --pairs) pairs="${2:?--pairs wants a count}"; shift 2 ;;
         --seed0) seed0="${2:?--seed0 wants a seed}"; shift 2 ;;
         --dir) dir="${2:?--dir wants a directory}"; shift 2 ;;
+        --from) from="${2:?--from wants a runs file}"; shift 2 ;;
         -*) echo "ab.sh: unknown option $1" >&2; exit 2 ;;
-        *) if [ "${#revs[@]}" -lt 2 ]; then revs+=("$1"); else workloads+=("$1"); fi; shift ;;
+        *) args+=("$1"); shift ;;
     esac
 done
-[ "${#revs[@]}" -eq 2 ] || { usage >&2; exit 2; }
+if [ -n "$from" ]; then
+    revs=() workloads=("${args[@]}")
+    [ -r "$from" ] || { echo "ab.sh: cannot read $from" >&2; exit 2; }
+else
+    [ "${#args[@]}" -ge 2 ] || { usage >&2; exit 2; }
+    revs=("${args[@]:0:2}") workloads=("${args[@]:2}")
+fi
 case "$pairs$seed0" in *[!0-9]*) echo "ab.sh: --pairs and --seed0 want integers" >&2; exit 2 ;; esac
 command -v jq > /dev/null || { echo "ab.sh needs jq" >&2; exit 2; }
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 spec="$repo/BENCHMARK.json"
+for w in "${workloads[@]}"; do
+    jq -e --arg w "$w" 'any(.workloads[]; .name == $w)' "$spec" > /dev/null ||
+        { echo "ab.sh: $w is not a workload of BENCHMARK.json" >&2; exit 2; }
+done
+
+# Prints the tables of the runs file $1, for the workloads named after it
+# (all it holds when none is); fails if a run in it was not correct.
+tables() {
+    local runs="$1" only bad
+    shift
+    only="$(printf '%s\n' "$@" | jq -R . | jq -s -c 'map(select(. != ""))')"
+    jq -r -s --slurpfile spec "$spec" --argjson only "$only" '
+      def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                         else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+      # statistics.quantiles(xs, n=4)[$i - 1], the "exclusive" method.
+      def quartile($i): sort as $v | ($v | length) as $n
+        | if $n < 2 then $v[0] else
+          ($i * ($n + 1)) as $pos
+          | ([[($pos / 4 | floor), 1] | max, $n - 1] | min) as $j
+          | $v[$j - 1] + ($v[$j] - $v[$j - 1]) * ($pos / 4 - $j) end;
+      # Four significant digits; byte counts in full.
+      def num: if . == null then "-" elif . == 0 then "0" elif . >= 100000 then round | tostring
+        else . as $x | ($x | fabs | log10 | floor) as $e | pow(10; 3 - $e) as $s
+          | ($x * $s | round) / $s | tostring end;
+      def row: "| " + join(" | ") + " |";
+      map(select(($only | length) == 0 or (.workload as $w | $only | index($w)))) as $runs
+      | [$spec[0].end_to_end[] | {name, better, bound}] as $metrics
+      | ($runs | map(.workload) | unique)[] as $w
+      | [$runs[] | select(.workload == $w)] as $mine
+      | ($mine | map(.pair) | unique) as $pairs
+      | def value($pair; $side; $m):
+          first($mine[] | select(.pair == $pair and .side == $side) | .result.metrics[$m].value) // null;
+        def values($side; $m): [$pairs[] | value(.; $side; $m) | select(. != null)];
+        ($mine | map(select(.result == null or .result.correct != true or .result.failed != 0)) | length) as $bad
+      | "",
+        "**`\($w)`** — \($mine | length) runs, \($bad) not `correct` or with failed operations; cells are `A → B`:",
+        "",
+        (["pair", "seed", "ran first"] + ($metrics | map(.name)) | row),
+        (["---:", "---:", "---"] + ($metrics | map("---:")) | row),
+        ( $pairs[] as $p
+        | first($mine[] | select(.pair == $p)) as $any
+        | [($p | tostring), ($any.seed | tostring), $any.first]
+          + [$metrics[] | "\(value($p; "A"; .name) | num) → \(value($p; "B"; .name) | num)"]
+        | row ),
+        "",
+        (["metric", "A q1 / median / q3", "B q1 / median / q3", "B ÷ A (medians)", "pairs B won", "verdict"] | row),
+        (["---", "---:", "---:", "---:", "---:", "---"] | row),
+        ( $metrics[] as $m
+        | values("A"; $m.name) as $va | values("B"; $m.name) as $vb
+        | if ($va | length) == 0 or ($vb | length) == 0 then ["`\($m.name)`", "-", "-", "-", "-", "-"] | row else
+          [ $pairs[] | [value(.; "A"; $m.name), value(.; "B"; $m.name)] | select(all(. != null))
+            | if .[0] == .[1] then 0 elif ((.[1] < .[0]) == ($m.better == "lower")) then 1 else -1 end ] as $duels
+          | ($duels | map(select(. == 1)) | length) as $won
+          | ($duels | map(select(. == -1)) | length) as $lost
+          | ($va | median) as $ma | ($vb | median) as $mb
+          | (($mb - $ma | fabs) > ($va | quartile(3)) - ($va | quartile(1))) as $beyond_spread
+          | [ "`\($m.name)`",
+              ([1, 2, 3] | map(. as $i | if $i == 2 then $ma else $va | quartile($i) end | num) | join(" / ")),
+              ([1, 2, 3] | map(. as $i | if $i == 2 then $mb else $vb | quartile($i) end | num) | join(" / ")),
+              ($mb / $ma * 1000 | round / 1000 | tostring),
+              "\($won) / \($duels | length)"
+                + (($duels | length) - $won - $lost
+                   | if . > 0 then " (\(.) ties)" else "" end),
+              ( if $won + $lost == 0 then "same"
+                elif (if $m.better == "lower" then $mb - $ma else $ma - $mb end) > $m.bound * ($ma | fabs)
+                then "regressed"
+                elif $beyond_spread and $won * 10 >= 9 * ($won + $lost) then "gain"
+                elif $beyond_spread and $lost * 10 >= 9 * ($won + $lost) then "worse"
+                else "unresolved" end ) ]
+          | row end )
+    ' "$runs"
+    bad="$(jq -s 'map(select(.result == null or .result.correct != true or .result.failed != 0)) | length' "$runs")"
+    [ "$bad" -eq 0 ] || { echo "ab.sh: $bad runs were not correct" >&2; return 1; }
+}
+
+if [ -n "$from" ]; then
+    jq -r -s --arg from "$from" '
+      def side($s): first(.[] | select(.side == $s)) | "\(.rev // "?") (\((.commit // "?")[0:7]))";
+      "A = \(side("A")), B = \(side("B")); \(map(.pair) | max) alternating pairs per workload,",
+      "seeds \(map(.seed) | min)–\(map(.seed) | max); tables of `\($from)` printed again, nothing built or run."
+    ' "$from"
+    tables "$from" "${workloads[@]}"
+    exit
+fi
+
 mapfile -t command < <(jq -r '.command[]' "$spec")
 # The same invocation with `build` for `run` (and no `--`) compiles without
 # running anything.
@@ -55,10 +162,6 @@ seconds="$(jq -r '.run_seconds' "$spec")"
 if [ "${#workloads[@]}" -eq 0 ]; then
     mapfile -t workloads < <(jq -r '.workloads[].name' "$spec")
 fi
-for w in "${workloads[@]}"; do
-    jq -e --arg w "$w" 'any(.workloads[]; .name == $w)' "$spec" > /dev/null ||
-        { echo "ab.sh: $w is not a workload of BENCHMARK.json" >&2; exit 2; }
-done
 [ -n "$dir" ] || dir="$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")"
 mkdir -p "$dir"
 dir="$(cd "$dir" && pwd)"
@@ -93,12 +196,14 @@ for w in "${workloads[@]}"; do
         seed=$((seed0 + i - 1))
         if ((i % 2)); then order=(A B); else order=(B A); fi
         for side in "${order[@]}"; do
-            if [ "$side" = A ]; then commit="$a"; else commit="$b"; fi
+            if [ "$side" = A ]; then rev="${revs[0]}" commit="$a"; else rev="${revs[1]}" commit="$b"; fi
             echo "$w pair $i/$pairs seed $seed side $side" >&2
             result="$(run "$commit" "$w" "$seed")"
             jq -c -n --arg w "$w" --argjson pair "$i" --argjson seed "$seed" --arg side "$side" \
-                --arg first "${order[0]}" --argjson result "${result:-null}" \
-                '{workload: $w, pair: $pair, seed: $seed, side: $side, first: $first, result: $result}' \
+                --arg first "${order[0]}" --arg rev "$rev" --arg commit "$commit" \
+                --argjson result "${result:-null}" \
+                '{workload: $w, pair: $pair, seed: $seed, side: $side, first: $first,
+                  rev: $rev, commit: $commit, result: $result}' \
                 >> "$runs"
         done
     done
@@ -106,56 +211,4 @@ done
 
 echo "A = ${revs[0]} (${a:0:7}), B = ${revs[1]} (${b:0:7}); $pairs alternating pairs per workload,"
 echo "seeds $seed0–$((seed0 + pairs - 1)), \`--seconds $seconds --trace 0\`, nproc $(nproc); runs in \`$runs\`."
-jq -r -s --slurpfile spec "$spec" '
-  def median: sort | if length % 2 == 1 then .[length / 2 | floor]
-                     else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-  # statistics.quantiles(xs, n=4)[$i - 1], the "exclusive" method.
-  def quartile($i): sort as $v | ($v | length) as $n
-    | if $n < 2 then $v[0] else
-      ($i * ($n + 1)) as $pos
-      | ([[($pos / 4 | floor), 1] | max, $n - 1] | min) as $j
-      | $v[$j - 1] + ($v[$j] - $v[$j - 1]) * ($pos / 4 - $j) end;
-  # Four significant digits; byte counts in full.
-  def num: if . == null then "-" elif . == 0 then "0" elif . >= 100000 then round | tostring
-    else . as $x | ($x | fabs | log10 | floor) as $e | pow(10; 3 - $e) as $s
-      | ($x * $s | round) / $s | tostring end;
-  def row: "| " + join(" | ") + " |";
-  . as $runs
-  | [$spec[0].end_to_end[] | {name, better}] as $metrics
-  | ($runs | map(.workload) | unique)[] as $w
-  | [$runs[] | select(.workload == $w)] as $mine
-  | ($mine | map(.pair) | unique) as $pairs
-  | def value($pair; $side; $m):
-      first($mine[] | select(.pair == $pair and .side == $side) | .result.metrics[$m].value) // null;
-    def values($side; $m): [$pairs[] | value(.; $side; $m) | select(. != null)];
-    ($mine | map(select(.result == null or .result.correct != true or .result.failed != 0)) | length) as $bad
-  | "",
-    "**`\($w)`** — \($mine | length) runs, \($bad) not `correct` or with failed operations; cells are `A → B`:",
-    "",
-    (["pair", "seed", "ran first"] + ($metrics | map(.name)) | row),
-    (["---:", "---:", "---"] + ($metrics | map("---:")) | row),
-    ( $pairs[] as $p
-    | first($mine[] | select(.pair == $p)) as $any
-    | [($p | tostring), ($any.seed | tostring), $any.first]
-      + [$metrics[] | "\(value($p; "A"; .name) | num) → \(value($p; "B"; .name) | num)"]
-    | row ),
-    "",
-    (["metric", "A q1 / median / q3", "B q1 / median / q3", "B ÷ A (medians)", "pairs B won"] | row),
-    (["---", "---:", "---:", "---:", "---:"] | row),
-    ( $metrics[] as $m
-    | values("A"; $m.name) as $va | values("B"; $m.name) as $vb
-    | if ($va | length) == 0 or ($vb | length) == 0 then ["`\($m.name)`", "-", "-", "-", "-"] | row else
-      [ $pairs[] | [value(.; "A"; $m.name), value(.; "B"; $m.name)] | select(all(. != null))
-        | if .[0] == .[1] then 0 elif ((.[1] < .[0]) == ($m.better == "lower")) then 1 else -1 end ] as $duels
-      | [ "`\($m.name)`",
-          ([1, 2, 3] | map(. as $i | if $i == 2 then $va | median else $va | quartile($i) end | num) | join(" / ")),
-          ([1, 2, 3] | map(. as $i | if $i == 2 then $vb | median else $vb | quartile($i) end | num) | join(" / ")),
-          (($vb | median) / ($va | median) * 1000 | round / 1000 | tostring),
-          "\($duels | map(select(. == 1)) | length) / \($duels | length)"
-            + (($duels | map(select(. == 0)) | length) as $ties
-               | if $ties > 0 then " (\($ties) ties)" else "" end) ]
-      | row end )
-' "$runs"
-
-bad="$(jq -s 'map(select(.result == null or .result.correct != true or .result.failed != 0)) | length' "$runs")"
-[ "$bad" -eq 0 ] || { echo "ab.sh: $bad runs were not correct" >&2; exit 1; }
+tables "$runs"

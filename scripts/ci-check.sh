@@ -40,9 +40,10 @@ echo "== ext_lossy --scale quick smoke"
 cargo build --release -p rfl-bench --bin ext_lossy
 ./target/release/ext_lossy --scale quick --seeds 1 --out none > /dev/null
 
-echo "== scripts/ab.sh smoke (syntax + --help; the A/B runs themselves take minutes and gate nothing)"
+echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
 bash -n scripts/ab.sh
 scripts/ab.sh --help > /dev/null
+scripts/ab-smoke.sh
 
 echo "== benchmark/ harness: profile guard + its own tests (read-only; the yardstick, see benchmark/README.md)"
 benchmark/check-profile.sh
