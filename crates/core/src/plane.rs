@@ -954,8 +954,8 @@ mod tests {
         /// The owner takes the first half and stops; the joiner finds the
         /// rest.
         Split,
-        /// The wave is closed and the owner opens it only once every helper
-        /// of the join has been refused: the joiner only waits.
+        /// The wave is closed and the owner opens it only once the join has
+        /// been refused: the joiner only waits. Serial planes only.
         ClosedAtJoin,
     }
 
@@ -991,9 +991,10 @@ mod tests {
                         0
                     }
                     Script::ClosedAtJoin => {
-                        // Each helper of the join asks a closed wave once.
+                        // The serial plane's join asks a closed wave once.
+                        assert_eq!(helpers, 1, "a serial plane");
                         assert!(wave.next.load(Ordering::Relaxed) >= Wave::CLOSED);
-                        wait_for_claims(Wave::CLOSED + helpers);
+                        wait_for_claims(Wave::CLOSED + 1);
                         wave.open();
                         len
                     }
@@ -1211,6 +1212,12 @@ mod tests {
                 Script::Split,
                 Script::ClosedAtJoin,
             ] {
+                // How many helpers a closed wave refuses follows the
+                // process-wide thread budget, which tests beside this one
+                // move; a serial plane has one whatever it reads.
+                if script == Script::ClosedAtJoin && parallel {
+                    continue;
+                }
                 let what = format!("{script:?}, parallel {parallel}");
                 let got = run(Some(script), parallel, None);
                 assert_eq!(got.outcome, reference.outcome, "{what}");
