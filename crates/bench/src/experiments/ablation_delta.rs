@@ -6,26 +6,19 @@
 //!    Measured analytically from the same wire format as the channel.
 //! 2. **Double sync (rFedAvg+) vs local-model δ (rFedAvg)** — accuracy and
 //!    δ-consistency comparison at equal λ.
-//!
-//! Usage: `cargo run --release -p rfl-bench --bin ablation_delta --
-//!         [--scale quick|full] [--seeds N] [--out DIR|none]`
 
-use rfl_bench::args::write_output;
-use rfl_bench::runner::{run_suite, AlgoFactory};
-use rfl_bench::setup::silo_config;
-use rfl_bench::{cifar_scenario, parse_args};
-use rfl_core::prelude::*;
-use rfl_metrics::{mean_std, TextTable};
+use crate::args::{print_table, ExpArgs};
+use crate::runner::{method, run_suite};
+use crate::setup::{cifar_scenario, fl_config};
+use rfl_metrics::TextTable;
 use rfl_tensor::wire_size;
 
-fn main() {
-    let args = parse_args(std::env::args().skip(1));
-    rfl_bench::init_tracing(&args);
+pub(crate) fn run(args: &ExpArgs) {
     println!("== Ablation: delayed δ & double synchronization ==\n");
 
     // Part 1: per-round δ communication of the three designs (bytes).
     let sc = cifar_scenario(args.scale, true, 0.0);
-    let cfg = silo_config(args.scale, 0);
+    let cfg = fl_config(args.scale, true);
     let n = sc.n_clients as u64;
     let d = 64u64; // CNN feature dim
     let e = cfg.local_steps as u64;
@@ -45,43 +38,26 @@ fn main() {
         ]);
     }
     println!("-- δ communication per round (N={n}, d={d}, E={e}) --");
-    println!("{}", t.render());
-    write_output(&args, "ablation_delta_comm.csv", &t.to_csv());
+    print_table(args, "ablation_delta_comm.csv", &t);
 
     // Part 2: accuracy of local-model δ vs global-model δ at equal λ.
-    let lambda = sc.lambda;
-    let algos: Vec<AlgoFactory> = vec![
-        (
-            "FedAvg (λ=0)",
-            Box::new(|| Box::new(FedAvg::new()) as Box<dyn Algorithm>),
-        ),
-        (
-            "rFedAvg (local-model δ)",
-            Box::new(move || Box::new(RFedAvg::new(lambda)) as Box<dyn Algorithm>),
-        ),
-        (
-            "rFedAvg+ (global-model δ)",
-            Box::new(move || Box::new(RFedAvgPlus::new(lambda)) as Box<dyn Algorithm>),
-        ),
+    let algos = [
+        ("FedAvg (λ=0)", method("FedAvg").1),
+        ("rFedAvg (local-model δ)", method("rFedAvg").1),
+        ("rFedAvg+ (global-model δ)", method("rFedAvg+").1),
     ];
-    eprintln!("running accuracy ablation on {} ...", sc.name);
-    let results = run_suite(&sc, &cfg, args.seeds, &algos);
+    let results = run_suite(&sc, &cfg, args, &algos);
     let mut t = TextTable::new(&["Design", "final acc", "mean sec/round"]);
     for r in &results {
-        let secs: f64 = r
-            .histories
-            .iter()
-            .map(|h| h.mean_round_seconds())
-            .sum::<f64>()
-            / r.histories.len() as f64;
         t.row(&[
             r.name.to_string(),
-            mean_std(&r.final_accuracies()).fmt_pm(true),
-            format!("{secs:.4}"),
+            r.accuracy_cell(),
+            format!("{:.4}", r.mean_round_seconds()),
         ]);
     }
-    println!("-- accuracy & time at λ = {lambda} (cifar-like, silo, sim 0%) --");
-    println!("{}", t.render());
-    write_output(&args, "ablation_delta_acc.csv", &t.to_csv());
-    rfl_bench::finish_tracing(&args);
+    println!(
+        "-- accuracy & time at λ = {} (cifar-like, silo, sim 0%) --",
+        sc.lambda
+    );
+    print_table(args, "ablation_delta_acc.csv", &t);
 }

@@ -11,15 +11,11 @@
 //! coordinates), render one ASCII panel per client, and quantify the
 //! divergence as the mean distance between the same class's centroids
 //! across clients, normalized by within-class spread.
-//!
-//! Usage: `cargo run --release -p rfl-bench --bin fig01_tsne --
-//!         [--scale quick|full] [--out DIR|none]`
 
-use rfl_bench::args::write_output;
-use rfl_bench::setup::silo_config;
-use rfl_bench::{cifar_scenario, parse_args};
+use crate::args::{write_output, ExpArgs};
+use crate::setup::{cifar_scenario, fl_config};
 use rfl_core::prelude::*;
-use rfl_core::{Federation, LocalRule};
+use rfl_core::LocalRule;
 use rfl_metrics::TextTable;
 use rfl_tensor::Tensor;
 use rfl_viz::scatter::scatter_csv;
@@ -33,15 +29,10 @@ struct Panel {
 
 /// Trains FedAvg + one local phase; returns the joint feature matrix of the
 /// three chosen clients' class-0/1/2 samples plus per-client row indices.
-fn joint_features(
-    similarity: f64,
-    args: &rfl_bench::ExpArgs,
-) -> (Tensor, Vec<Panel>, Vec<Vec<f32>>) {
+fn joint_features(similarity: f64, args: &ExpArgs) -> (Tensor, Vec<Panel>, Vec<Vec<f32>>) {
     let sc = cifar_scenario(args.scale, true, similarity);
-    let cfg = silo_config(args.scale, 0);
-    let data = sc.build_data(5);
-    let mut fed = Federation::new(&data, sc.model, sc.optimizer, &cfg, 5);
-    fed.set_tracer(rfl_bench::trace::tracer());
+    let cfg = fl_config(args.scale, true);
+    let mut fed = sc.federation(&cfg, 5, &args.tracer);
     Trainer::new(cfg).run(&mut FedAvg::new(), &mut fed);
     // One extra local phase → divergent local models under non-IID.
     let selected: Vec<usize> = (0..fed.num_clients()).collect();
@@ -171,9 +162,7 @@ fn cross_client_divergence(features: &Tensor, panels: &[Panel]) -> f64 {
     dist_sum / spread_sum
 }
 
-fn main() {
-    let args = parse_args(std::env::args().skip(1));
-    rfl_bench::init_tracing(&args);
+pub(crate) fn run(args: &ExpArgs) {
     println!(
         "== Fig. 1: t-SNE of FedAvg features ({:?}) ==\n",
         args.scale
@@ -186,7 +175,7 @@ fn main() {
     ]);
     for (tag, sim) in [("iid", 1.0f64), ("noniid", 0.0)] {
         eprintln!("training FedAvg on cifar-like ({tag}) ...");
-        let (joint, panels, deltas) = joint_features(sim, &args);
+        let (joint, panels, deltas) = joint_features(sim, args);
         if joint.dims()[0] < 10 {
             println!("({tag}: too few class-0/1/2 samples)");
             continue;
@@ -212,7 +201,7 @@ fn main() {
             if !p.rows.is_empty() {
                 println!("{}", render_scatter(&rows, &p.labels, 56, 14));
                 write_output(
-                    &args,
+                    args,
                     &format!("fig01_{tag}_client{}.csv", p.client),
                     &scatter_csv(&rows, &p.labels),
                 );
@@ -250,5 +239,4 @@ fn main() {
          distributions; non-IID clients' diverge — here visible as a larger\n\
          pairwise MMD between client δ maps and fewer classes per client)"
     );
-    rfl_bench::finish_tracing(&args);
 }

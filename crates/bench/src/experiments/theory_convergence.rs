@@ -8,59 +8,26 @@
 //!    constants `C₁..C₃`, same rate);
 //! 3. rFedAvg+'s excess loss constant is no worse than rFedAvg's
 //!    (`C₂ < C₃` — double synchronization helps).
-//!
-//! Usage: `cargo run --release -p rfl-bench --bin theory_convergence --
-//!         [--out DIR|none]`
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rfl_bench::parse_args;
+use crate::args::{ExpArgs, Scale};
+use crate::runner::{method, MakeAlgo};
+use crate::setup::{convex_scenario, fl_config, Scenario};
 use rfl_core::convex::{global_train_loss, loglog_slope, theory_schedule};
 use rfl_core::prelude::*;
-use rfl_core::{Federation, FlConfig, ModelFactory, OptimizerFactory};
-use rfl_data::synth::gaussian::GaussianMixtureSpec;
-use rfl_data::FederatedData;
 use rfl_metrics::TextTable;
 
-/// Strongly convex federation: logistic regression with L2, Gaussian data,
-/// non-IID feature shifts per client.
-fn convex_fed(seed: u64, cfg: &FlConfig) -> Federation {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = GaussianMixtureSpec::default_spec();
-    let n_clients = 8usize;
-    let clients = (0..n_clients)
-        .map(|_| {
-            let shift = spec.random_shift(1.0, &mut rng);
-            spec.generate(60, Some(&shift), &mut rng)
-        })
-        .collect();
-    let test = spec.generate(200, None, &mut rng);
-    let data = FederatedData { clients, test };
-    let mut fed = Federation::new(
-        &data,
-        ModelFactory::linear_net(10, 6, 4, 1e-2),
-        OptimizerFactory::sgd(0.1),
-        cfg,
-        seed,
-    );
-    fed.set_tracer(rfl_bench::trace::tracer());
-    fed
-}
-
-fn run_curve(algo: &mut dyn Algorithm, rounds: usize) -> Vec<(f64, f64)> {
+fn run_curve(sc: &Scenario, make: MakeAlgo, rounds: usize, args: &ExpArgs) -> Vec<(f64, f64)> {
+    // The cross-silo configuration (E = 5, full participation), serial,
+    // driven one round at a time so the step size can decay between rounds.
     let cfg = FlConfig {
         rounds: 1,
-        local_steps: 5,
         batch_size: 10,
-        sample_ratio: 1.0,
-        eval_every: 1,
         parallel: false,
-        clip_grad_norm: Some(10.0),
         seed: 7,
-        delta_probe_batch: None,
-        compression: rfl_core::compress::Compression::None,
+        ..fl_config(Scale::Quick, true)
     };
-    let mut fed = convex_fed(7, &cfg);
+    let mut fed = sc.federation(&cfg, 7, &args.tracer);
+    let mut algo = make(sc);
     // μ ≈ the L2 coefficient scale, κ chosen moderately; the theory only
     // needs the 1/t shape of the schedule.
     let sched = theory_schedule(0.5, 4.0, cfg.local_steps);
@@ -73,16 +40,13 @@ fn run_curve(algo: &mut dyn Algorithm, rounds: usize) -> Vec<(f64, f64)> {
             seed: 7 + round as u64,
             ..cfg
         };
-        Trainer::new(one).run(algo, &mut fed);
+        Trainer::new(one).run(algo.as_mut(), &mut fed);
         pts.push(((round + 1) as f64, global_train_loss(&mut fed) as f64));
     }
     pts
 }
 
-fn main() {
-    let args = parse_args(std::env::args().skip(1));
-    rfl_bench::init_tracing(&args);
-    let _ = &args;
+pub(crate) fn run(args: &ExpArgs) {
     println!("== Theorems 1–2: convergence under η_t = 2/(μ(γ+t)) ==\n");
     let rounds = 60usize;
 
@@ -93,13 +57,10 @@ fn main() {
         "excess slope (≈ -1 ⇒ O(1/T))",
     ]);
     let mut finals = Vec::new();
-    for (name, algo) in [
-        ("FedAvg", &mut FedAvg::new() as &mut dyn Algorithm),
-        ("rFedAvg", &mut RFedAvg::new(1e-3)),
-        ("rFedAvg+", &mut RFedAvgPlus::new(1e-3)),
-    ] {
+    let sc = convex_scenario();
+    for (name, make) in ["FedAvg", "rFedAvg", "rFedAvg+"].map(method) {
         eprintln!("running {name} ...");
-        let pts = run_curve(algo, rounds);
+        let pts = run_curve(&sc, make, rounds, args);
         // Excess loss vs the best achieved value (F* proxy).
         let fstar = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min) - 1e-4;
         let excess: Vec<(f64, f64)> = pts
@@ -114,13 +75,9 @@ fn main() {
             format!("{:.4}", pts[rounds - 1].1),
             format!("{slope:.2}"),
         ]);
-        finals.push((name, pts[rounds - 1].1));
+        finals.push(format!("{name} {:.4}", pts[rounds - 1].1));
     }
     println!("{}", table.render());
-    let fed_final = finals[0].1;
-    let r_final = finals[1].1;
-    let rp_final = finals[2].1;
     println!("final-loss ordering (expect rFedAvg+ ≤ rFedAvg up to noise):");
-    println!("  FedAvg {fed_final:.4} | rFedAvg {r_final:.4} | rFedAvg+ {rp_final:.4}");
-    rfl_bench::finish_tracing(&args);
+    println!("  {}", finals.join(" | "));
 }

@@ -1,13 +1,11 @@
 //! Suite execution: run a set of algorithms over repeated seeds and render
 //! the paper-style outputs.
 
+use crate::args::ExpArgs;
 use crate::setup::Scenario;
 use rfl_core::prelude::*;
 use rfl_core::Federation;
 use rfl_metrics::{mean_std, Series, TextTable};
-
-/// A named algorithm constructor (fresh state per repetition).
-pub type AlgoFactory = (&'static str, Box<dyn Fn() -> Box<dyn Algorithm>>);
 
 /// All histories of one algorithm across seeds.
 pub struct SuiteResult {
@@ -22,6 +20,17 @@ impl SuiteResult {
             .iter()
             .map(|h| h.final_accuracy().unwrap_or(0.0) as f64)
             .collect()
+    }
+
+    /// The `mean ± std` final-accuracy cell every table prints.
+    pub fn accuracy_cell(&self) -> String {
+        mean_std(&self.final_accuracies()).fmt_pm(true)
+    }
+
+    /// Mean over seeds of the wall-clock seconds per round.
+    pub fn mean_round_seconds(&self) -> f64 {
+        let total: f64 = self.histories.iter().map(|h| h.mean_round_seconds()).sum();
+        total / self.histories.len() as f64
     }
 
     /// Mean accuracy curve across seeds (x = round).
@@ -54,76 +63,72 @@ impl SuiteResult {
     }
 }
 
-/// The paper's six compared methods with the scenario's hyper-parameters.
-pub fn make_baselines(sc: &Scenario) -> Vec<AlgoFactory> {
-    let lambda = sc.lambda;
-    let mu = sc.prox_mu;
-    let q = sc.qfed_q;
-    vec![
-        (
-            "FedAvg",
-            Box::new(|| Box::new(FedAvg::new()) as Box<dyn Algorithm>),
-        ),
-        (
-            "FedProx",
-            Box::new(move || Box::new(FedProx::new(mu)) as Box<dyn Algorithm>),
-        ),
-        (
-            "Scaffold",
-            Box::new(|| Box::new(Scaffold::new(1.0)) as Box<dyn Algorithm>),
-        ),
-        (
-            "q-FedAvg",
-            Box::new(move || Box::new(QFedAvg::new(q)) as Box<dyn Algorithm>),
-        ),
-        (
-            "rFedAvg",
-            Box::new(move || Box::new(RFedAvg::new(lambda)) as Box<dyn Algorithm>),
-        ),
-        (
-            "rFedAvg+",
-            Box::new(move || Box::new(RFedAvgPlus::new(lambda)) as Box<dyn Algorithm>),
-        ),
-    ]
+/// Builds one method from a scenario's hyper-parameters (fresh state per
+/// repetition).
+pub(crate) type MakeAlgo = fn(&Scenario) -> Box<dyn Algorithm>;
+
+/// The paper's six compared methods, in the order every table prints them.
+pub(crate) const METHODS: [(&str, MakeAlgo); 6] = [
+    ("FedAvg", |_| Box::new(FedAvg::new())),
+    ("FedProx", |sc| Box::new(FedProx::new(sc.prox_mu))),
+    ("Scaffold", |_| Box::new(Scaffold::new(1.0))),
+    ("q-FedAvg", |sc| Box::new(QFedAvg::new(sc.qfed_q))),
+    ("rFedAvg", |sc| Box::new(RFedAvg::new(sc.lambda))),
+    ("rFedAvg+", |sc| Box::new(RFedAvgPlus::new(sc.lambda))),
+];
+
+/// The [`METHODS`] row called `name`.
+pub(crate) fn method(name: &str) -> (&'static str, MakeAlgo) {
+    *METHODS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no method called '{name}'"))
 }
 
-/// Only the proposed methods (for parameter studies).
-pub fn make_proposed(lambda: f32) -> Vec<AlgoFactory> {
-    vec![
-        (
-            "FedAvg",
-            Box::new(|| Box::new(FedAvg::new()) as Box<dyn Algorithm>),
-        ),
-        (
-            "rFedAvg",
-            Box::new(move || Box::new(RFedAvg::new(lambda)) as Box<dyn Algorithm>),
-        ),
-        (
-            "rFedAvg+",
-            Box::new(move || Box::new(RFedAvgPlus::new(lambda)) as Box<dyn Algorithm>),
-        ),
-    ]
-}
-
-/// Runs every algorithm for `seeds` repetitions on freshly built data.
-pub fn run_suite(
+/// One seeded repetition: the scenario's federation on fresh data, trained
+/// by a fresh `make(sc)` under `cfg` reseeded with `seed`.
+pub(crate) fn run_once(
     sc: &Scenario,
     cfg: &FlConfig,
-    seeds: usize,
-    algos: &[AlgoFactory],
+    seed: u64,
+    args: &ExpArgs,
+    make: impl Fn(&Scenario) -> Box<dyn Algorithm>,
+) -> (History, Federation) {
+    run_prepared(sc, cfg, seed, args, make, |_| {})
+}
+
+/// [`run_once`] with `prepare` applied to the federation before it trains
+/// (a lossy transport, a straggler model).
+pub(crate) fn run_prepared(
+    sc: &Scenario,
+    cfg: &FlConfig,
+    seed: u64,
+    args: &ExpArgs,
+    make: impl Fn(&Scenario) -> Box<dyn Algorithm>,
+    prepare: impl FnOnce(&mut Federation),
+) -> (History, Federation) {
+    let run_cfg = FlConfig { seed, ..*cfg };
+    let mut fed = sc.federation(&run_cfg, seed, &args.tracer);
+    prepare(&mut fed);
+    let history = Trainer::new(run_cfg).run(make(sc).as_mut(), &mut fed);
+    (history, fed)
+}
+
+/// Runs every algorithm for `args.seeds` repetitions on freshly built data.
+pub fn run_suite<F: Fn(&Scenario) -> Box<dyn Algorithm>>(
+    sc: &Scenario,
+    cfg: &FlConfig,
+    args: &ExpArgs,
+    algos: &[(&'static str, F)],
 ) -> Vec<SuiteResult> {
+    eprintln!("running {} ...", sc.name);
     algos
         .iter()
         .map(|(name, make)| {
-            let histories = (0..seeds)
+            let histories = (0..args.seeds)
                 .map(|rep| {
                     let seed = cfg.seed + rep as u64 * 1000 + 17;
-                    let data = sc.build_data(seed);
-                    let run_cfg = FlConfig { seed, ..*cfg };
-                    let mut fed = Federation::new(&data, sc.model, sc.optimizer, &run_cfg, seed);
-                    fed.set_tracer(crate::trace::tracer());
-                    let mut algo = make();
-                    Trainer::new(run_cfg).run(algo.as_mut(), &mut fed)
+                    run_once(sc, cfg, seed, args, make).0
                 })
                 .collect();
             SuiteResult { name, histories }
@@ -131,22 +136,11 @@ pub fn run_suite(
         .collect()
 }
 
-/// Runs the full baseline suite and returns `(accuracy curves, loss curves)`
-/// — the contents of one accuracy/loss figure pair (Figs. 2–7).
-pub fn run_curves(sc: &Scenario, cfg: &FlConfig, seeds: usize) -> (Vec<Series>, Vec<Series>) {
-    let algos = make_baselines(sc);
-    let results = run_suite(sc, cfg, seeds, &algos);
-    let acc = results.iter().map(|r| r.mean_accuracy_series()).collect();
-    let loss = results.iter().map(|r| r.mean_loss_series()).collect();
-    (acc, loss)
-}
-
 /// Renders the Tables I/II style `method × final accuracy` table.
-pub fn suite_table(results: &[SuiteResult], column: &str) -> TextTable {
-    let mut t = TextTable::new(&["Method", column]);
+pub fn suite_table(results: &[SuiteResult], header: [&str; 2]) -> TextTable {
+    let mut t = TextTable::new(&header);
     for r in results {
-        let m = mean_std(&r.final_accuracies());
-        t.row(&[r.name.to_string(), m.fmt_pm(true)]);
+        t.row(&[r.name.to_string(), r.accuracy_cell()]);
     }
     t
 }
@@ -155,23 +149,27 @@ pub fn suite_table(results: &[SuiteResult], column: &str) -> TextTable {
 mod tests {
     use super::*;
     use crate::args::Scale;
-    use crate::setup::{mnist_scenario, silo_config};
+    use crate::setup::{fl_config, mnist_scenario};
 
     #[test]
     fn run_suite_produces_one_result_per_algorithm() {
         let sc = mnist_scenario(Scale::Quick, true, 1.0);
-        let mut cfg = silo_config(Scale::Quick, 0);
+        let mut cfg = fl_config(Scale::Quick, true);
         cfg.rounds = 2;
         cfg.eval_every = 2;
-        let algos = make_proposed(sc.lambda);
-        let results = run_suite(&sc, &cfg, 1, &algos);
+        let args = ExpArgs {
+            seeds: 1,
+            ..ExpArgs::default()
+        };
+        let algos = ["FedAvg", "rFedAvg", "rFedAvg+"].map(method);
+        let results = run_suite(&sc, &cfg, &args, &algos);
         assert_eq!(results.len(), 3);
         for r in &results {
             assert_eq!(r.histories.len(), 1);
             assert_eq!(r.histories[0].len(), 2);
             assert!(r.final_accuracies()[0] > 0.0);
         }
-        let table = suite_table(&results, "Acc");
+        let table = suite_table(&results, ["Method", "Acc"]);
         assert_eq!(table.num_rows(), 3);
         let series = results[0].mean_accuracy_series();
         assert!(!series.is_empty());

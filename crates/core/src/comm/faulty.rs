@@ -107,11 +107,6 @@ impl FaultConfig {
         self.deadline_ms = Some(deadline);
         self
     }
-
-    pub fn with_backoff_ms(mut self, backoff: f64) -> Self {
-        self.backoff_ms = backoff;
-        self
-    }
 }
 
 /// SplitMix64 finalizer — the stateless mixer behind the fault schedule

@@ -89,14 +89,6 @@ impl History {
             .collect()
     }
 
-    /// `(round, loss)` points of the train-loss curve.
-    pub fn loss_curve(&self) -> Vec<(usize, f32)> {
-        self.records
-            .iter()
-            .map(|r| (r.round, r.train_loss))
-            .collect()
-    }
-
     /// First round (1-based count) at which test accuracy reached `target`,
     /// or `None` (Fig. 10a/b "minimal rounds needed").
     pub fn rounds_to_accuracy(&self, target: f32) -> Option<usize> {

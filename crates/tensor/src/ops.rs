@@ -86,13 +86,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` element-wise in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data_mut() {
-            *v = f(*v);
-        }
-    }
-
     /// Applies `f` pairwise with `other` (shapes must match).
     pub fn zip_map(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         let mut out = Tensor::scratch();

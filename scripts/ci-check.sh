@@ -36,9 +36,8 @@ scripts/distributed-smoke.sh
 echo "== RFL_THREADS=4 RFL_NET_THREADS=2 distributed smoke (threaded leg)"
 RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
 
-echo "== ext_lossy --scale quick smoke"
-cargo build --release -p rfl-bench --bin ext_lossy
-./target/release/ext_lossy --scale quick --seeds 1 --out none > /dev/null
+echo "== rfl-bench all --scale quick --seeds 1: every experiment's CSVs and stdout against scripts/experiments.sha256"
+scripts/experiments-smoke.sh
 
 echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
 bash -n scripts/ab.sh

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Runs every paper experiment at `--scale quick --seeds 1` and compares the
-# SHA-256 of each CSV and each stdout with scripts/experiments.sha256 — the
-# "same behaviour" gate of the experiment harness (~3 min on two cores).
+# Runs every paper experiment (`rfl-bench all --scale quick --seeds 1`, then
+# one of them alone, so "in one process" and "by name" are both checked) and
+# compares the SHA-256 of each CSV and each stdout with
+# scripts/experiments.sha256 — the "same behaviour" gate of the experiment
+# harness (~2.5 min on two cores).
 #
-# Masked before hashing, because two runs of one binary already disagree on
-# them: the `  wrote <path>` lines, the seconds / `relative` columns of
+# Masked before hashing, because two runs of one experiment already disagree
+# on them: the `  wrote <path>` lines, the seconds / `relative` columns of
 # fig10c_time_sim0.csv / fig10d_time_sim10.csv and of their stdout tables,
 # and the `mean sec/round` column of ablation_delta_acc.csv and of its stdout
 # table. Everything else is bit-reproducible, at any RFL_THREADS / RFL_SIMD.
@@ -16,10 +18,7 @@ cd "$(dirname "$0")/.."
 export LC_ALL=C
 
 PINS=scripts/experiments.sha256
-EXPERIMENTS=(tab3_delta_size theory_convergence ablation_delta fig01_tsne
-  fig09_params fig11_fairness fig12_privacy tab1_cross_silo tab2_cross_device
-  fig02_03_mnist_curves fig04_05_cifar_curves fig06_07_sent140_curves
-  fig08_femnist fig10_efficiency ext_future_work ext_stragglers ext_lossy)
+ALONE=tab3_delta_size
 
 # One experiment's stdout with the run-dependent parts cut out.
 mask_stdout() {
@@ -59,16 +58,21 @@ digest() {
 cargo build --release -p rfl-bench
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
+mkdir "$out/all" "$out/alone"
 
-for name in "${EXPERIMENTS[@]}"; do
-  echo "== $name" >&2
-  "target/release/$name" --scale quick --seeds 1 --out "$out" > "$out/$name.stdout" 2> /dev/null
-done
+# `all` prints `>>> rfl-bench <name>` before each experiment's own output.
+target/release/rfl-bench all --scale quick --seeds 1 --out "$out/all" 2> /dev/null |
+  awk -v dir="$out/all" '/^>>> rfl-bench / { file = dir "/" $3 ".stdout"; next } { print > file }'
+target/release/rfl-bench "$ALONE" --scale quick --seeds 1 --out "$out/alone" \
+  > "$out/alone/$ALONE.stdout" 2> /dev/null
 
 if [[ "${1:-}" == --record ]]; then
-  digest "$out" > "$PINS"
+  digest "$out/all" > "$PINS"
   echo "recorded $(wc -l < "$PINS") hashes in $PINS"
-else
-  diff "$PINS" <(digest "$out") || { echo "experiment outputs moved (see above)" >&2; exit 1; }
-  echo "all $(wc -l < "$PINS") experiment outputs match $PINS"
+  exit
 fi
+diff "$PINS" <(digest "$out/all") ||
+  { echo "experiment outputs moved (< recorded, > rfl-bench all)" >&2; exit 1; }
+diff <(grep " $ALONE" "$PINS") <(digest "$out/alone") ||
+  { echo "$ALONE alone differs from $ALONE inside rfl-bench all" >&2; exit 1; }
+echo "all $(wc -l < "$PINS") experiment outputs match $PINS"

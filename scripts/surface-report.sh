@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Prints the size of the maintained surface as two markdown tables: per crate
 # (Rust lines in src/ — all, and with each file's trailing `#[cfg(test)]`
-# module cut off — and in tests/, `pub` items in src/, binaries, #[test]
-# functions, seconds for a clean release build of that crate alone)
+# module cut off — and in tests/, `pub` items in src/, binaries (src/main.rs
+# and src/bin/*.rs), #[test] functions, seconds for a clean release build of
+# that crate alone)
 # and workspace totals (lines, algorithms and their non-test lines,
 # Federation's public functions, the RFL_* variables library code reads).
 # Report-only: nothing gates on it.
@@ -34,6 +35,14 @@ rs_nontest_lines() {
     xargs -0 -r awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip' | wc -l
 }
 
+# Executables a crate builds: src/main.rs and every src/bin/*.rs.
+bin_count() {
+  local dir
+  for dir in "$@"; do
+    find "$dir/src/main.rs" "$dir/src/bin" -maxdepth 1 -name '*.rs' 2> /dev/null || true
+  done | wc -l
+}
+
 PUB='^[[:space:]]*pub (fn|struct|enum|trait|const|static|type|mod|use|unsafe fn) '
 
 echo "| crate | src lines | non-test src lines | test lines | pub items | bins | #[test] | clean build s |"
@@ -41,8 +50,7 @@ echo "|---|---:|---:|---:|---:|---:|---:|---:|"
 for dir in crates/*/; do
   dir=${dir%/}
   name=$(sed -n 's/^name = "\(.*\)"/\1/p' "$dir/Cargo.toml" | head -1)
-  bins=0
-  [[ -d "$dir/src/bin" ]] && bins=$(find "$dir/src/bin" -name '*.rs' | wc -l)
+  bins=$(bin_count "$dir")
   target=target/surface-report
   rm -rf "$target"
   start=$(date +%s.%N)
@@ -71,7 +79,7 @@ echo "|---|---|"
 echo "| Rust lines under crates/ | $(rs_lines crates) |"
 echo "| Rust lines in root src/ tests/ examples/ | $(rs_lines src tests examples) |"
 echo "| pub items under crates/*/src | $(rs_count "$PUB" crates/*/src) |"
-echo "| binaries | $(find crates/*/src/bin -name '*.rs' | wc -l) |"
+echo "| binaries | $(bin_count crates/*) |"
 echo "| #[test] functions | $(rs_count '#\[test\]' crates src tests) |"
 echo "| algorithm files | $ALGOS |"
 echo "| non-test lines of crates/core/src/algorithms/*.rs | $(rs_nontest_lines crates/core/src/algorithms) |"
