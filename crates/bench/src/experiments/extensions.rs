@@ -30,15 +30,15 @@ pub(crate) fn future_work(args: &ExpArgs) {
     for name in ["FedAvg", "rFedAvg+"] {
         let (_, mut fed) = run_once(&sc, &cfg, 23, args, method(name).1);
         let results = personalize_all(&mut fed, 20, 32);
-        let mean = |accuracies: Vec<f32>| {
-            accuracies.iter().map(|&a| a as f64).sum::<f64>() / accuracies.len() as f64
-        };
-        let global = mean(results.iter().map(|r| r.global.accuracy).collect());
-        let personalized = mean(results.iter().map(|r| r.personalized.accuracy).collect());
+        let global: Vec<f64> = results.iter().map(|r| r.global.accuracy as f64).collect();
+        let tuned: Vec<f64> = results
+            .iter()
+            .map(|r| r.personalized.accuracy as f64)
+            .collect();
         t.row(&[
             name.to_string(),
-            format!("{:.1}%", global * 100.0),
-            format!("{:.1}%", personalized * 100.0),
+            format!("{:.1}%", mean_std(&global).mean * 100.0),
+            format!("{:.1}%", mean_std(&tuned).mean * 100.0),
             format!("{:+.1}%", mean_gain(&results) * 100.0),
         ]);
     }
@@ -130,8 +130,9 @@ pub(crate) fn lossy(args: &ExpArgs) {
                 });
                 accs.push(fed.evaluate_global().accuracy as f64);
                 delivery += h.mean_delivery_rate();
-                dropped += fed.fault_stats().dropped;
-                retries += fed.fault_stats().retries;
+                let faults = fed.fault_stats();
+                dropped += faults.dropped;
+                retries += faults.retries;
             }
             let (delivery, seeds) = (delivery / args.seeds as f64, args.seeds as u64);
             t.row(&[

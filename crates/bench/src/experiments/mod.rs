@@ -188,7 +188,6 @@ mod tests {
                 "{}",
                 exp.name
             );
-            assert!(find(exp.name).is_some());
         }
         assert_eq!(list().lines().count(), 17 + 2);
     }

@@ -30,7 +30,7 @@ pub(crate) fn accuracy_table(args: &ExpArgs, cross_silo: bool) {
         sent140_scenario(scale, silo, false),
         sent140_scenario(scale, silo, true),
     ];
-    let cfg = fl_config(args.scale, cross_silo);
+    let cfg = fl_config(scale, silo);
 
     // columns[scenario][method]
     let columns: Vec<Vec<String>> = scenarios
