@@ -35,7 +35,7 @@ pub use message::{
     BroadcastDelivery, ControlMsg, Delivery, DropReason, FaultStats, LinkOutcome, MsgKind,
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
-pub use reactor::WriteQueue;
+pub use reactor::{ReactorCounters, WriteQueue};
 pub use session::SessionState;
 pub use socket::run_client_loop;
 pub use socket::{

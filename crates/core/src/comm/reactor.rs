@@ -2,14 +2,36 @@
 //! replace the accept thread and the per-session reader threads.
 //!
 //! Each shard owns a set of non-blocking connections and multiplexes them
-//! through one `poll(2)` call: per-connection *read* state machines
-//! reassemble `[len][tag][body]` frames across arbitrarily split reads, and
-//! per-connection *write* state machines flush bounded FIFO queues of
-//! pre-encoded frames with `writev(2)`, resuming mid-frame after partial
-//! writes. Shard 0 additionally owns the listener and round-robins accepted
-//! connections across shards. Cross-thread nudges (a frame enqueued by the
-//! round loop, a shutdown request) land as one byte on the shard's self-pipe,
-//! so nothing in the server sleep-polls.
+//! through one `poll(2)` call over a *persistent* `pollfd` array that sits
+//! beside a slab connection table (a vacant slot holds `fd = -1`, which
+//! `poll` skips). Outside the stop path nothing in a wakeup visits every
+//! connection except that array's `revents` scan, which takes no lock, makes
+//! no call and stops once the count `poll` reported is consumed; everything
+//! else is proportional to what is ready:
+//!
+//! * **Reads.** A readable connection costs one `read(2)` into the shard's
+//!   64 KiB buffer (a short read means the socket is drained; level-triggered
+//!   readiness reports whatever is left), and a chunk-fed [`FrameReader`]
+//!   cuts the bytes into `[len][tag][body]` frames. A body grows with the
+//!   bytes that actually arrive, so a header alone cannot make the server
+//!   allocate the length it claims. A freshly adopted connection is read
+//!   speculatively: accept → `Hello` → `Welcome` flush is one wakeup.
+//! * **Writes.** A sender that queues a frame lists its connection — once,
+//!   guarded by a flag — on the owning shard's dirty list; the shard flushes
+//!   the listed connections plus those that reported `POLLOUT`, with
+//!   `writev(2)` and partial-write resume. `POLLOUT` is a bit in the
+//!   persistent array that the last flush outcome sets or clears.
+//! * **Wakeups.** Cross-thread nudges (a listed connection, an accepted
+//!   stream in the inbox, a stop request) coalesce on the shard's [`Waker`]:
+//!   only the first nudge since the shard last drained its self-pipe writes
+//!   a byte. Frames the shard queues itself (the `Welcome`) are listed
+//!   without waking anything. Nothing in the server sleep-polls.
+//! * **Deadlines.** Handshake deadlines are issued in order, so they sit in
+//!   a FIFO whose front is the next `poll` timeout; connections that die in
+//!   a wakeup go on a dead list that feeds the reap at its end.
+//!
+//! Shard 0 additionally owns the listener and round-robins accepted
+//! connections across shards.
 //!
 //! Backpressure: every connection's write queue is bounded
 //! ([`WRITE_BUF_BYTES`], 16 MiB). An enqueue that would
@@ -21,10 +43,11 @@
 
 use super::message::{ControlMsg, PROTO_MAGIC, PROTO_VERSION};
 use super::session::Session;
-use super::socket::{Listener, WireStream, MAX_FRAME_BYTES};
+use super::socket::{Listener, WireStream, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 use super::sys;
 use std::collections::VecDeque;
 use std::io;
+use std::ops::ControlFlow;
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -39,6 +62,15 @@ const STOP_FLUSH_GRACE: Duration = Duration::from_secs(5);
 
 /// Per-connection write-queue bound in bytes.
 const WRITE_BUF_BYTES: usize = 16 << 20;
+
+/// A shard's read buffer — the most one `read(2)` takes — and the most a
+/// [`FrameReader`] reserves for a body on the word of its header alone.
+const READ_CHUNK_BYTES: usize = 64 << 10;
+
+/// Reads one connection gets in a wakeup when each of them fills the
+/// buffer: a peer that writes as fast as the shard reads must not starve
+/// the shard's other connections.
+const MAX_READS_PER_WAKEUP: usize = 16;
 
 /// Number of event-loop shards a new server starts: `RFL_NET_THREADS`, or
 /// one per core up to 4.
@@ -131,15 +163,87 @@ impl WriteQueue {
     }
 }
 
-/// Wakes one shard's `poll(2)` by writing a byte to its self-pipe. Failure
-/// is fine: a full pipe means a wakeup is already pending.
+/// What a server's reactor has done since it was bound, summed over its
+/// shards ([`SocketTransport::reactor_counters`]). After a shutdown
+/// `bytes_in` and `bytes_out` equal the upload and download bytes of the
+/// [`CommStats`] ledger when every peer spoke the protocol.
+///
+/// [`SocketTransport::reactor_counters`]: super::socket::SocketTransport::reactor_counters
+/// [`CommStats`]: super::stats::CommStats
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReactorCounters {
+    /// Returns from `poll(2)`.
+    pub wakeups: u64,
+    /// Descriptors those returns reported ready; `ready ÷ wakeups` is the
+    /// batch one wakeup serves.
+    pub ready: u64,
+    /// `read(2)` calls on connections.
+    pub reads: u64,
+    /// Complete frames cut out of what those calls returned.
+    pub frames_in: u64,
+    /// Bytes those calls returned.
+    pub bytes_in: u64,
+    /// Flushes of one connection's write queue (it was listed, or reported
+    /// `POLLOUT`).
+    pub flushes: u64,
+    /// `writev(2)` calls that accepted bytes.
+    pub writevs: u64,
+    /// Bytes those calls accepted.
+    pub bytes_out: u64,
+    /// Bytes written to a self-pipe: the nudges that were not coalesced.
+    pub wake_writes: u64,
+    /// Handshakes completed (`Hello` validated, `Welcome` queued).
+    pub handshakes: u64,
+}
+
+/// One shard's share of [`ReactorCounters`]. Only the shard's own thread
+/// writes these, so an update is a relaxed load and store ([`bump`]), not a
+/// read-modify-write; they publish nothing but themselves.
+#[derive(Default)]
+struct ShardCounters {
+    wakeups: AtomicU64,
+    ready: AtomicU64,
+    reads: AtomicU64,
+    frames_in: AtomicU64,
+    bytes_in: AtomicU64,
+    flushes: AtomicU64,
+    writevs: AtomicU64,
+    bytes_out: AtomicU64,
+    handshakes: AtomicU64,
+}
+
+/// Single-writer increment of a [`ShardCounters`] field.
+fn bump(counter: &AtomicU64, n: usize) {
+    counter.store(
+        counter.load(Ordering::Relaxed) + n as u64,
+        Ordering::Relaxed,
+    );
+}
+
+/// Wakes one shard's `poll(2)` through its self-pipe, one byte per batch of
+/// nudges: only the first nudge since the shard last drained the pipe
+/// writes.
 pub(crate) struct Waker {
     tx: OwnedFd,
+    /// A byte is in the pipe, or about to be, that the shard has not
+    /// drained yet.
+    pending: AtomicBool,
+    /// Bytes written ([`ReactorCounters::wake_writes`]); any thread nudges.
+    writes: AtomicU64,
 }
 
 impl Waker {
+    /// The caller publishes its work (a dirty-list or inbox entry, the stop
+    /// flag) *before* it calls this.
     pub(crate) fn wake(&self) {
-        let _ = sys::write_fd(self.tx.as_raw_fd(), &[1]);
+        // Pairs with the swap in `Shard::drain_wake_pipe`. A nudge that
+        // finds the flag set is ordered before the shard's clear, and the
+        // shard takes its lists after the clear, so it sees this nudge's
+        // work; a nudge after the clear finds the flag down and writes.
+        if !self.pending.swap(true, Ordering::SeqCst) {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+            let _ = sys::write_fd(self.tx.as_raw_fd(), &[1]);
+        }
     }
 }
 
@@ -157,7 +261,8 @@ struct QueueState {
     open: bool,
     /// Flush what is queued, then close (graceful shutdown).
     close_after_flush: bool,
-    capacity: usize,
+    /// Senders blocked on `space`; a flush notifies only when there are any.
+    waiters: usize,
 }
 
 /// What a flush attempt left behind.
@@ -168,7 +273,7 @@ enum FlushStatus {
     WantWrite,
     /// Queue drained and a graceful close was requested.
     FlushedClose,
-    /// The socket died mid-write.
+    /// The socket died mid-write, or the connection was hard-closed.
     Dead,
 }
 
@@ -178,7 +283,13 @@ pub(crate) struct ConnShared {
     state: Mutex<QueueState>,
     /// Signalled when the reactor drains queue space (backpressure waits).
     space: Condvar,
-    waker: Arc<Waker>,
+    /// On the owning shard's dirty list and not yet taken off it for a
+    /// flush: whoever raises the flag lists the connection, everyone else
+    /// knows a flush is already owed.
+    dirty: AtomicBool,
+    shard: Arc<ShardHandle>,
+    /// This connection's slot in the owning shard's table.
+    slot: usize,
     /// A cloned stream handle used to force-close the socket from any
     /// thread; the reactor notices via `poll` and reaps the connection.
     closer: Box<dyn WireStream>,
@@ -186,45 +297,72 @@ pub(crate) struct ConnShared {
 }
 
 impl ConnShared {
-    /// Queues one encoded frame for delivery; returns its wire size.
-    ///
-    /// With a deadline (transport sends), a full queue blocks until space
-    /// frees up or the deadline passes — backpressure lands on the sender,
-    /// not on server memory. Without one (reactor-internal sends, e.g. the
-    /// `Welcome`), the frame is queued unconditionally: the reactor must
-    /// never block on its own queues.
+    /// Queues one encoded frame for delivery and returns its wire size. A
+    /// full queue blocks until space frees up or `deadline` passes —
+    /// backpressure lands on the sender, not on server memory.
     pub(crate) fn enqueue(
         &self,
         frame: &Arc<[u8]>,
-        deadline: Option<Instant>,
+        deadline: Instant,
     ) -> Result<u64, EnqueueError> {
         let mut st = self.state.lock().expect("write queue poisoned");
         loop {
             if !st.open {
                 return Err(EnqueueError::Closed);
             }
-            let fits = st.q.is_empty() || st.q.pending_bytes() + frame.len() <= st.capacity;
-            let Some(deadline) = deadline else {
+            if st.q.is_empty() || st.q.pending_bytes() + frame.len() <= WRITE_BUF_BYTES {
                 st.q.push(frame.clone());
                 drop(st);
-                self.waker.wake();
-                return Ok(frame.len() as u64);
-            };
-            if fits {
-                st.q.push(frame.clone());
-                drop(st);
-                self.waker.wake();
+                self.list();
                 return Ok(frame.len() as u64);
             }
             let now = Instant::now();
             if now >= deadline {
                 return Err(EnqueueError::TimedOut);
             }
+            st.waiters += 1;
             let (guard, _) = self
                 .space
                 .wait_timeout(st, deadline - now)
                 .expect("write queue poisoned");
             st = guard;
+            st.waiters -= 1;
+        }
+    }
+
+    /// Reactor-side enqueue (the `Welcome`): queued whatever the bound,
+    /// because the reactor must never block on its own queues, and not
+    /// listed, because the shard lists its own work without waking itself.
+    fn enqueue_unbounded(&self, frame: &Arc<[u8]>) -> Result<u64, EnqueueError> {
+        let mut st = self.state.lock().expect("write queue poisoned");
+        if !st.open {
+            return Err(EnqueueError::Closed);
+        }
+        st.q.push(frame.clone());
+        Ok(frame.len() as u64)
+    }
+
+    /// Raises the dirty flag; `true` if the caller is the one who must list
+    /// the connection.
+    fn mark_dirty(&self) -> bool {
+        // Pairs with the store in `flush`, made under the queue lock: a
+        // sender raises the flag after it has queued, so if it finds the
+        // flag up, the flush that will lower it has yet to take the lock
+        // and will see the frame; once that flush has let go of the lock
+        // the flag is down and the next sender lists again.
+        !self.dirty.swap(true, Ordering::SeqCst)
+    }
+
+    /// Puts the connection on its shard's dirty list (once) and nudges the
+    /// shard. Called with the state lock released.
+    fn list(&self) {
+        if self.mark_dirty() {
+            self.shard
+                .dirty
+                .lock()
+                .expect("dirty list poisoned")
+                .push(self.slot);
+            self.shard.waker.wake();
         }
     }
 
@@ -237,7 +375,7 @@ impl ConnShared {
         drop(st);
         self.space.notify_all();
         self.closer.shutdown_now();
-        self.waker.wake();
+        self.list();
     }
 
     /// Graceful close: refuse new frames, flush what is queued, then close.
@@ -247,7 +385,7 @@ impl ConnShared {
         st.close_after_flush = true;
         drop(st);
         self.space.notify_all();
-        self.waker.wake();
+        self.list();
     }
 
     /// Reactor-side: mark the queue closed when the connection is reaped so
@@ -255,27 +393,30 @@ impl ConnShared {
     fn mark_dead(&self) {
         let mut st = self.state.lock().expect("write queue poisoned");
         st.open = false;
+        st.close_after_flush = false;
         st.q = WriteQueue::new();
         drop(st);
         self.space.notify_all();
     }
 
-    /// Whether the shard must poll this connection for writability.
-    fn wants_write(&self) -> bool {
-        let st = self.state.lock().expect("write queue poisoned");
-        !st.q.is_empty() || st.close_after_flush
-    }
-
-    /// Reactor-side: write as much of the queue as the kernel will take,
-    /// one `writev` gather at a time, resuming partial writes.
+    /// Reactor-side: take the connection off the dirty list's books and
+    /// write as much of the queue as the kernel will take, one `writev`
+    /// gather at a time, resuming partial writes.
     fn flush(&self) -> FlushStatus {
+        let counters = &self.shard.counters;
+        bump(&counters.flushes, 1);
         let mut st = self.state.lock().expect("write queue poisoned");
+        // Inside the lock and ahead of the writes (see `mark_dirty`).
+        // Lowered after the lock is released, a frame queued in between
+        // would find the flag up, go unlisted, and wait for the next frame
+        // to this connection.
+        self.dirty.store(false, Ordering::SeqCst);
         loop {
             if st.q.is_empty() {
-                return if st.close_after_flush {
-                    FlushStatus::FlushedClose
-                } else {
-                    FlushStatus::Idle
+                return match (st.open, st.close_after_flush) {
+                    (_, true) => FlushStatus::FlushedClose,
+                    (true, false) => FlushStatus::Idle,
+                    (false, false) => FlushStatus::Dead,
                 };
             }
             let wrote = {
@@ -285,7 +426,11 @@ impl ConnShared {
             match wrote {
                 Ok(n) => {
                     st.q.advance(n);
-                    self.space.notify_all();
+                    bump(&counters.writevs, 1);
+                    bump(&counters.bytes_out, n);
+                    if st.waiters > 0 {
+                        self.space.notify_all();
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return FlushStatus::WantWrite,
                 Err(_) => return FlushStatus::Dead,
@@ -294,18 +439,65 @@ impl ConnShared {
     }
 }
 
-/// The cross-thread face of one shard: its waker plus an inbox of freshly
-/// accepted connections waiting to be adopted into the shard's poll set.
+/// The cross-thread face of one shard: its waker, an inbox of freshly
+/// accepted connections waiting to be adopted into the shard's poll set,
+/// the dirty list senders put connections on, and the shard's counters.
 pub(crate) struct ShardHandle {
-    pub(crate) waker: Arc<Waker>,
+    waker: Waker,
     inbox: Mutex<Vec<Box<dyn WireStream>>>,
+    /// Slots of connections that have frames queued, or a close requested,
+    /// since the shard last took the list (see [`ConnShared::dirty`]). A
+    /// slot may have changed hands by the time it is taken; flushing the
+    /// newcomer is harmless.
+    dirty: Mutex<Vec<usize>>,
+    counters: ShardCounters,
+}
+
+/// `sessions[k]` is client `k`'s session, if it ever registered; a drained
+/// session keeps its slot until a reconnect replaces it.
+pub(crate) struct SessionTable {
+    pub(crate) slots: Vec<Option<Arc<Session>>>,
+    /// How many slots are `Some` — what registration is waiting on.
+    occupied: usize,
+}
+
+impl SessionTable {
+    pub(crate) fn new(n_clients: usize) -> SessionTable {
+        SessionTable {
+            slots: vec![None; n_clients],
+            occupied: 0,
+        }
+    }
+
+    /// Whether every client has registered at least once. Only then is it
+    /// worth asking each session whether it is still live.
+    pub(crate) fn is_full(&self) -> bool {
+        self.occupied == self.slots.len()
+    }
+
+    pub(crate) fn live(&self) -> usize {
+        (self.slots.iter().flatten())
+            .filter(|s| s.is_live())
+            .count()
+    }
+
+    /// Installs client `id`'s new session; returns the one it supersedes.
+    fn register(&mut self, id: usize, session: Arc<Session>) -> Option<Arc<Session>> {
+        let old = self.slots[id].replace(session);
+        self.occupied += usize::from(old.is_none());
+        old
+    }
 }
 
 /// Server state shared between the transport (round loop) and the reactor
 /// shards.
 pub(crate) struct ServerShared {
-    /// `sessions[k]` is client `k`'s live session, if any.
-    pub(crate) sessions: Mutex<Vec<Option<Arc<Session>>>>,
+    pub(crate) sessions: Mutex<SessionTable>,
+    /// Signalled when a handshake leaves the session table full — the last
+    /// client registering, or a reconnect into a full table — which is the
+    /// only time [`wait_for_clients`] can have something new to find.
+    ///
+    /// [`wait_for_clients`]: super::socket::SocketTransport::wait_for_clients
     pub(crate) registration: Condvar,
     /// Reconnects observed at handshake — reported as
     /// [`FaultStats::retries`](super::message::FaultStats::retries), the
@@ -327,11 +519,31 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    /// Wakes every shard (stop requests, queued shutdown frames).
+    /// Wakes every shard (stop requests).
     pub(crate) fn wake_all(&self) {
         for shard in &self.shards {
             shard.waker.wake();
         }
+    }
+
+    /// The shards' counters, summed.
+    pub(crate) fn counters(&self) -> ReactorCounters {
+        let mut sum = ReactorCounters::default();
+        for shard in &self.shards {
+            let c = &shard.counters;
+            let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+            sum.wakeups += read(&c.wakeups);
+            sum.ready += read(&c.ready);
+            sum.reads += read(&c.reads);
+            sum.frames_in += read(&c.frames_in);
+            sum.bytes_in += read(&c.bytes_in);
+            sum.flushes += read(&c.flushes);
+            sum.writevs += read(&c.writevs);
+            sum.bytes_out += read(&c.bytes_out);
+            sum.wake_writes += read(&shard.waker.writes);
+            sum.handshakes += read(&c.handshakes);
+        }
+        sum
     }
 }
 
@@ -343,8 +555,14 @@ pub(crate) fn build_shards(n: usize) -> io::Result<(Vec<Arc<ShardHandle>>, Vec<O
     for _ in 0..n {
         let (rx, tx) = sys::pipe_nonblocking()?;
         handles.push(Arc::new(ShardHandle {
-            waker: Arc::new(Waker { tx }),
+            waker: Waker {
+                tx,
+                pending: AtomicBool::new(false),
+                writes: AtomicU64::new(0),
+            },
             inbox: Mutex::new(Vec::new()),
+            dirty: Mutex::new(Vec::new()),
+            counters: ShardCounters::default(),
         }));
         rx_ends.push(rx);
     }
@@ -360,15 +578,7 @@ pub(crate) fn spawn_shards(
     let mut threads = Vec::with_capacity(rx_ends.len());
     let mut listener = Some(listener);
     for (idx, wake_rx) in rx_ends.into_iter().enumerate() {
-        let shard = Shard {
-            idx,
-            wake_rx,
-            listener: if idx == 0 { listener.take() } else { None },
-            shared: shared.clone(),
-            conns: Vec::new(),
-            next_rr: 0,
-            stop_deadline: None,
-        };
+        let shard = Shard::new(idx, wake_rx, listener.take(), shared.clone());
         threads.push(
             std::thread::Builder::new()
                 .name(format!("rfl-net-{idx}"))
@@ -378,21 +588,19 @@ pub(crate) fn spawn_shards(
     Ok(threads)
 }
 
+/// A header claimed a body longer than [`MAX_FRAME_BYTES`].
+#[derive(Debug, PartialEq)]
+struct Corrupt;
+
 /// Read-side frame reassembly: `[u32 le len][u8 tag]` header, then the
-/// body, each accumulated across arbitrarily split non-blocking reads.
+/// body, fed whatever bytes a `read(2)` returned — any number of frames, cut
+/// anywhere.
 struct FrameReader {
     header: [u8; 5],
     header_have: usize,
+    /// The body so far, once the header is whole; `need` bytes complete it.
     body: Vec<u8>,
-    body_have: usize,
-    in_body: bool,
-}
-
-enum ReadStep {
-    Frame(u8, Vec<u8>),
-    WouldBlock,
-    Eof,
-    Corrupt,
+    need: usize,
 }
 
 impl FrameReader {
@@ -401,50 +609,63 @@ impl FrameReader {
             header: [0; 5],
             header_have: 0,
             body: Vec::new(),
-            body_have: 0,
-            in_body: false,
+            need: 0,
         }
     }
 
-    /// Advances the state machine by at most one complete frame.
-    fn step(&mut self, fd: RawFd) -> ReadStep {
-        if !self.in_body {
-            while self.header_have < self.header.len() {
-                match sys::read_fd(fd, &mut self.header[self.header_have..]) {
-                    Ok(0) => return ReadStep::Eof,
-                    Ok(n) => self.header_have += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadStep::WouldBlock,
-                    Err(_) => return ReadStep::Corrupt,
+    /// Consumes `chunk`, handing every frame it completes to `emit` as
+    /// `(tag, body)`, in order; a trailing partial frame waits for the next
+    /// chunk. `emit` breaking stops the feed and drops the rest of the chunk
+    /// (the connection is going away). After `Err` the reader is spent.
+    ///
+    /// A body is reserved up front only to [`READ_CHUNK_BYTES`]; beyond that
+    /// its buffer grows as bytes arrive (doubling, never past the claimed
+    /// length), so a peer has to send what it claims before the server
+    /// holds it.
+    fn feed(
+        &mut self,
+        mut chunk: &[u8],
+        mut emit: impl FnMut(u8, Vec<u8>) -> ControlFlow<()>,
+    ) -> Result<(), Corrupt> {
+        loop {
+            if self.header_have < self.header.len() {
+                let take = (self.header.len() - self.header_have).min(chunk.len());
+                self.header[self.header_have..][..take].copy_from_slice(&chunk[..take]);
+                self.header_have += take;
+                chunk = &chunk[take..];
+                if self.header_have < self.header.len() {
+                    return Ok(());
                 }
+                let len = u32::from_le_bytes(self.header[..4].try_into().expect("4 bytes"));
+                self.need = len as usize;
+                if self.need > MAX_FRAME_BYTES {
+                    return Err(Corrupt);
+                }
+                self.body = Vec::with_capacity(self.need.min(READ_CHUNK_BYTES));
             }
-            let len = u32::from_le_bytes(self.header[..4].try_into().expect("4 bytes")) as usize;
-            if len > MAX_FRAME_BYTES {
-                return ReadStep::Corrupt;
+            let have = self.body.len();
+            let take = (self.need - have).min(chunk.len());
+            if self.body.capacity() - have < take {
+                self.body
+                    .reserve_exact((self.need - have).min(take.max(have)));
             }
-            self.body = vec![0; len];
-            self.body_have = 0;
-            self.in_body = true;
+            self.body.extend_from_slice(&chunk[..take]);
+            chunk = &chunk[take..];
+            if self.body.len() < self.need {
+                return Ok(());
+            }
+            self.header_have = 0;
+            if emit(self.header[4], std::mem::take(&mut self.body)).is_break() {
+                return Ok(());
+            }
         }
-        while self.body_have < self.body.len() {
-            match sys::read_fd(fd, &mut self.body[self.body_have..]) {
-                Ok(0) => return ReadStep::Eof,
-                Ok(n) => self.body_have += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadStep::WouldBlock,
-                Err(_) => return ReadStep::Corrupt,
-            }
-        }
-        let tag = self.header[4];
-        let body = std::mem::take(&mut self.body);
-        self.header_have = 0;
-        self.body_have = 0;
-        self.in_body = false;
-        ReadStep::Frame(tag, body)
     }
 }
 
 enum Phase {
-    /// Accepted; `Hello` not yet validated.
-    Handshake { deadline: Instant },
+    /// Accepted; `Hello` not yet validated. The deadline is in
+    /// [`Shard::handshakes`].
+    Handshake,
     /// Registered: frames route to the session's receive queue.
     Open { session: Arc<Session> },
 }
@@ -456,120 +677,214 @@ struct Conn {
     shared: Arc<ConnShared>,
     phase: Phase,
     reader: FrameReader,
+    /// Distinguishes this connection from earlier tenants of its slot.
+    serial: u64,
+    /// Cleared once, by [`Shard::kill`], which also puts the slot on the
+    /// dead list.
     alive: bool,
 }
+
+/// `pollfds[WAKE]` is the self-pipe, `pollfds[LISTENER]` the listener (`fd =
+/// -1` on shards that have none), and `pollfds[CONN_BASE + slot]` belongs to
+/// `conns[slot]`.
+const WAKE: usize = 0;
+const LISTENER: usize = 1;
+const CONN_BASE: usize = 2;
+
+/// An entry `poll(2)` skips.
+const VACANT: sys::PollFd = sys::PollFd {
+    fd: -1,
+    events: 0,
+    revents: 0,
+};
 
 struct Shard {
     idx: usize,
     wake_rx: OwnedFd,
     listener: Option<Listener>,
     shared: Arc<ServerShared>,
-    conns: Vec<Conn>,
+    /// This shard's entry of `shared.shards`.
+    handle: Arc<ShardHandle>,
+    /// The persistent `poll(2)` set; `pollfds.len() == CONN_BASE +
+    /// conns.len()` always.
+    pollfds: Vec<sys::PollFd>,
+    /// Slab connection table: a reaped connection leaves `None` (and `fd =
+    /// -1` in `pollfds`) and its slot on `free`.
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
+    /// Occupied slots.
+    live: usize,
+    next_serial: u64,
+    /// `(deadline, slot, serial)` of every adopted connection, oldest — and
+    /// so soonest — first. Entries outlive their handshake; they are
+    /// dropped when they reach the front.
+    handshakes: VecDeque<(Instant, usize, u64)>,
+    /// Connections to flush this wakeup: the shard's own listings (a queued
+    /// `Welcome`, a reported `POLLOUT`) plus the handle's dirty list.
+    to_flush: Vec<usize>,
+    /// Connections that died this wakeup, for [`Shard::reap`].
+    dead: Vec<usize>,
+    /// Where every `read(2)` lands.
+    buf: Box<[u8]>,
     /// Round-robin cursor for distributing accepted connections (shard 0).
     next_rr: usize,
     stop_deadline: Option<Instant>,
 }
 
 impl Shard {
+    fn new(
+        idx: usize,
+        wake_rx: OwnedFd,
+        listener: Option<Listener>,
+        shared: Arc<ServerShared>,
+    ) -> Shard {
+        let wake = sys::PollFd::new(wake_rx.as_raw_fd(), sys::POLLIN);
+        let accept =
+            (listener.as_ref()).map_or(VACANT, |l| sys::PollFd::new(l.raw_fd(), sys::POLLIN));
+        Shard {
+            idx,
+            wake_rx,
+            listener,
+            handle: shared.shards[idx].clone(),
+            shared,
+            pollfds: vec![wake, accept],
+            conns: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            next_serial: 0,
+            handshakes: VecDeque::new(),
+            to_flush: Vec::new(),
+            dead: Vec::new(),
+            buf: vec![0; READ_CHUNK_BYTES].into_boxed_slice(),
+            next_rr: 0,
+            stop_deadline: None,
+        }
+    }
+
     fn run(mut self) {
-        let mut pollfds: Vec<sys::PollFd> = Vec::new();
         loop {
             let stopping = self.shared.stop.load(Ordering::Relaxed);
             if stopping {
-                self.listener = None;
+                self.stop_listening();
                 let deadline = *self
                     .stop_deadline
                     .get_or_insert_with(|| Instant::now() + STOP_FLUSH_GRACE);
                 // Handshakes can't complete on a stopped server, and past
-                // the grace deadline even graceful closes go hard.
-                for conn in &mut self.conns {
-                    let expired = Instant::now() >= deadline;
-                    if matches!(conn.phase, Phase::Handshake { .. }) || expired {
-                        conn.alive = false;
+                // the grace deadline even graceful closes go hard. The stop
+                // path is the one place that walks the whole table.
+                let expired = Instant::now() >= deadline;
+                for slot in 0..self.conns.len() {
+                    let handshaking = matches!(
+                        self.conns[slot],
+                        Some(Conn {
+                            phase: Phase::Handshake,
+                            ..
+                        })
+                    );
+                    if handshaking || expired {
+                        self.kill(slot);
                     }
                 }
                 self.reap();
-                if self.conns.is_empty() {
+                if self.live == 0 {
                     break;
                 }
             }
 
-            pollfds.clear();
-            pollfds.push(sys::PollFd::new(self.wake_rx.as_raw_fd(), sys::POLLIN));
-            let listener_slot = self.listener.as_ref().map(|l| {
-                pollfds.push(sys::PollFd::new(l.raw_fd(), sys::POLLIN));
-                pollfds.len() - 1
-            });
-            let conn_base = pollfds.len();
-            for conn in &self.conns {
-                let mut events = sys::POLLIN;
-                if conn.shared.wants_write() {
-                    events |= sys::POLLOUT;
-                }
-                pollfds.push(sys::PollFd::new(conn.fd, events));
-            }
-
             let timeout_ms = self.poll_timeout_ms(stopping);
-            if sys::poll_fds(&mut pollfds, timeout_ms).is_err() {
+            let Ok(ready) = sys::poll_fds(&mut self.pollfds, timeout_ms) else {
                 // Only catastrophic poll failures land here (EINTR is
                 // retried); treat them as a stop request.
                 self.shared.stop.store(true, Ordering::Relaxed);
                 continue;
-            }
-
-            if pollfds[0].revents & sys::POLLIN != 0 {
-                self.drain_wake_pipe();
-            }
-            if let Some(slot) = listener_slot {
-                if pollfds[slot].revents & (sys::POLLIN | sys::POLLERR) != 0 {
-                    self.accept_ready();
-                }
-            }
-            self.adopt_inbox();
-
-            for (i, conn) in self.conns.iter_mut().enumerate() {
-                // Connections adopted after the pollfd snapshot have no
-                // revents yet; they are serviced on the next iteration.
-                let Some(pfd) = pollfds.get(conn_base + i) else {
-                    break;
-                };
-                debug_assert_eq!(pfd.fd, conn.fd, "pollfd/conn order diverged");
-                if pfd.revents & (sys::POLLERR | sys::POLLNVAL) != 0 {
-                    conn.alive = false;
-                    continue;
-                }
-                if pfd.revents & (sys::POLLIN | sys::POLLHUP) != 0 {
-                    Shard::service_read(&self.shared, conn);
-                }
-            }
-            self.service_writes();
-            self.expire_handshakes();
-            self.reap();
+            };
+            bump(&self.handle.counters.wakeups, 1);
+            bump(&self.handle.counters.ready, ready);
+            self.serve(ready);
         }
     }
 
-    fn poll_timeout_ms(&self, stopping: bool) -> i32 {
+    /// One wakeup: `ready` entries of `pollfds` carry `revents`.
+    fn serve(&mut self, ready: usize) {
+        let mut unseen = ready;
+        if self.pollfds[WAKE].revents != 0 {
+            unseen -= 1;
+            self.drain_wake_pipe();
+        }
+        if self.pollfds[LISTENER].revents != 0 {
+            unseen -= 1;
+            self.accept_ready();
+        }
+        self.adopt_inbox();
+
+        // The one pass over the whole set: no lock, no call, and it ends
+        // with the last ready entry. Slots adopted above were vacant when
+        // `poll` ran, so their `revents` read zero.
+        let mut at = CONN_BASE;
+        while unseen > 0 && at < self.pollfds.len() {
+            let revents = self.pollfds[at].revents;
+            let slot = at - CONN_BASE;
+            at += 1;
+            if revents == 0 {
+                continue;
+            }
+            unseen -= 1;
+            if revents & (sys::POLLERR | sys::POLLNVAL) != 0 {
+                self.kill(slot);
+                continue;
+            }
+            if revents & (sys::POLLIN | sys::POLLHUP) != 0 {
+                self.service_read(slot);
+            }
+            if revents & sys::POLLOUT != 0 {
+                self.to_flush.push(slot);
+            }
+        }
+
+        self.flush_listed();
+        self.expire_handshakes();
+        self.reap();
+    }
+
+    fn poll_timeout_ms(&mut self, stopping: bool) -> i32 {
         if stopping {
             return 50;
         }
-        // Only pending handshake deadlines need a timed wakeup; everything
-        // else arrives as readiness or a self-pipe nudge.
-        let now = Instant::now();
-        self.conns
-            .iter()
-            .filter_map(|c| match c.phase {
-                Phase::Handshake { deadline } => {
-                    Some(deadline.saturating_duration_since(now).as_millis() as i32 + 1)
-                }
-                Phase::Open { .. } => None,
-            })
-            .min()
-            .map_or(-1, |ms| ms.clamp(1, 1000))
+        // Only a pending handshake deadline needs a timed wakeup;
+        // everything else arrives as readiness or a self-pipe nudge.
+        while let Some(&(deadline, slot, serial)) = self.handshakes.front() {
+            if self.is_handshaking(slot, serial) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                return (left.as_millis() as i32 + 1).clamp(1, 1000);
+            }
+            self.handshakes.pop_front();
+        }
+        -1
     }
 
-    fn drain_wake_pipe(&self) {
-        let mut buf = [0u8; 64];
-        while matches!(sys::read_fd(self.wake_rx.as_raw_fd(), &mut buf), Ok(n) if n > 0) {}
+    /// Whether `slot` still holds the connection `serial`, short of a valid
+    /// `Hello`.
+    fn is_handshaking(&self, slot: usize, serial: u64) -> bool {
+        self.conns[slot].as_ref().is_some_and(|conn| {
+            conn.serial == serial && conn.alive && matches!(conn.phase, Phase::Handshake)
+        })
+    }
+
+    fn drain_wake_pipe(&mut self) {
+        // Nudges coalesce, so the pipe holds a byte or two: a short read
+        // has emptied it.
+        let (rx, full) = (self.wake_rx.as_raw_fd(), self.buf.len());
+        while sys::read_fd(rx, &mut self.buf).is_ok_and(|n| n == full) {}
+        // Lower the flag *after* the drain and *before* the lists are
+        // taken (see `Waker::wake`). The other way round, a nudge that
+        // lands between taking a list and lowering the flag writes no byte
+        // and its work waits for the next unrelated wakeup.
+        self.handle.waker.pending.swap(false, Ordering::SeqCst);
+    }
+
+    fn stop_listening(&mut self) {
+        self.listener = None;
+        self.pollfds[LISTENER] = VACANT;
     }
 
     /// Shard 0: accept everything pending and deal connections round-robin
@@ -599,89 +914,149 @@ impl Shard {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 // A fatal accept error (e.g. EMFILE storm): stop accepting
                 // rather than spinning on a hot listener.
-                Err(_) => {
-                    self.listener = None;
-                    return;
-                }
+                Err(_) => return self.stop_listening(),
             }
         }
     }
 
     fn adopt_inbox(&mut self) {
-        let pending = {
-            let mut inbox = self.shared.shards[self.idx]
-                .inbox
-                .lock()
-                .expect("shard inbox poisoned");
-            std::mem::take(&mut *inbox)
-        };
+        let pending = std::mem::take(&mut *self.handle.inbox.lock().expect("shard inbox poisoned"));
         for stream in pending {
             self.adopt(stream);
         }
     }
 
     /// Wraps a freshly accepted (already non-blocking) stream into a
-    /// handshaking connection in this shard's poll set.
+    /// handshaking connection in this shard's poll set, and reads it at
+    /// once: a client writes its `Hello` right behind its `connect`, so the
+    /// bytes are usually there and the handshake needs no wakeup of its
+    /// own.
     fn adopt(&mut self, stream: Box<dyn WireStream>) {
         let Ok(closer) = stream.try_clone_stream() else {
             return;
         };
         let fd = stream.raw_fd();
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.pollfds.push(VACANT);
+            self.conns.len() - 1
+        });
         let shared = Arc::new(ConnShared {
             state: Mutex::new(QueueState {
                 q: WriteQueue::new(),
                 open: true,
                 close_after_flush: false,
-                capacity: WRITE_BUF_BYTES,
+                waiters: 0,
             }),
             space: Condvar::new(),
-            waker: self.shared.shards[self.idx].waker.clone(),
+            dirty: AtomicBool::new(false),
+            shard: self.handle.clone(),
+            slot,
             closer,
             fd,
         });
-        self.conns.push(Conn {
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        self.conns[slot] = Some(Conn {
             stream,
             fd,
             shared,
-            phase: Phase::Handshake {
-                deadline: Instant::now() + HANDSHAKE_TIMEOUT,
-            },
+            phase: Phase::Handshake,
             reader: FrameReader::new(),
+            serial,
             alive: true,
         });
+        self.pollfds[CONN_BASE + slot] = sys::PollFd::new(fd, sys::POLLIN);
+        self.live += 1;
+        self.handshakes
+            .push_back((Instant::now() + HANDSHAKE_TIMEOUT, slot, serial));
+        self.service_read(slot);
     }
 
-    /// Pulls every complete frame the socket has for us and dispatches by
-    /// phase.
-    fn service_read(server: &Arc<ServerShared>, conn: &mut Conn) {
-        while conn.alive {
-            match conn.reader.step(conn.fd) {
-                ReadStep::Frame(tag, body) => Shard::dispatch_frame(server, conn, tag, body),
-                ReadStep::WouldBlock => return,
-                ReadStep::Eof | ReadStep::Corrupt => {
-                    conn.alive = false;
-                }
-            }
+    /// Marks `slot`'s connection for this wakeup's reap.
+    fn kill(&mut self, slot: usize) {
+        if let Some(conn) = self.conns[slot].as_mut().filter(|c| c.alive) {
+            conn.alive = false;
+            self.dead.push(slot);
         }
     }
 
-    fn dispatch_frame(server: &Arc<ServerShared>, conn: &mut Conn, tag: u8, body: Vec<u8>) {
-        match &conn.phase {
-            Phase::Handshake { .. } => {
-                if Shard::complete_handshake(server, conn, tag, &body).is_err() {
-                    conn.alive = false;
+    /// Reads what the socket has — one `read(2)` unless it fills the whole
+    /// buffer — and dispatches every frame the bytes complete.
+    fn service_read(&mut self, slot: usize) {
+        let Shard {
+            conns,
+            buf,
+            shared: server,
+            handle,
+            to_flush,
+            ..
+        } = self;
+        let Some(conn) = conns[slot].as_mut().filter(|c| c.alive) else {
+            return;
+        };
+        let counters = &handle.counters;
+        let mut alive = true;
+        for _ in 0..MAX_READS_PER_WAKEUP {
+            bump(&counters.reads, 1);
+            let n = match sys::read_fd(conn.fd, buf) {
+                Ok(n) if n > 0 => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                // EOF, or the socket died.
+                _ => {
+                    alive = false;
+                    break;
                 }
-            }
-            Phase::Open { session } => {
-                if tag == ControlMsg::Goodbye.tag() {
-                    // A graceful departure drains the session: every later
-                    // send or receive on it is a deterministic Loss.
-                    session.drain();
-                    conn.alive = false;
-                } else {
-                    session.push_frame(tag, body);
+            };
+            bump(&counters.bytes_in, n);
+            let Conn {
+                reader,
+                phase,
+                shared: queue,
+                ..
+            } = conn;
+            let fed = reader.feed(&buf[..n], |tag, body| {
+                bump(&counters.frames_in, 1);
+                match phase {
+                    Phase::Handshake => {
+                        match Shard::complete_handshake(server, queue, tag, &body) {
+                            Ok(session) => {
+                                *phase = Phase::Open { session };
+                                bump(&counters.handshakes, 1);
+                                if queue.mark_dirty() {
+                                    to_flush.push(slot);
+                                }
+                                ControlFlow::Continue(())
+                            }
+                            Err(()) => {
+                                alive = false;
+                                ControlFlow::Break(())
+                            }
+                        }
+                    }
+                    Phase::Open { session } if tag == ControlMsg::Goodbye.tag() => {
+                        // A graceful departure drains the session: every
+                        // later send or receive on it is a deterministic
+                        // Loss.
+                        session.drain();
+                        alive = false;
+                        ControlFlow::Break(())
+                    }
+                    Phase::Open { session } => {
+                        session.push_frame(tag, body);
+                        ControlFlow::Continue(())
+                    }
                 }
+            });
+            alive &= fed.is_ok();
+            // A short read drained the socket; level-triggered readiness
+            // reports anything that arrives behind it.
+            if !alive || n < buf.len() {
+                break;
             }
+        }
+        if !alive {
+            self.kill(slot);
         }
     }
 
@@ -689,11 +1064,11 @@ impl Shard {
     /// pre-encoded `Welcome` frame. Any protocol violation closes the
     /// connection without a session ever existing.
     fn complete_handshake(
-        server: &Arc<ServerShared>,
-        conn: &mut Conn,
+        server: &ServerShared,
+        queue: &Arc<ConnShared>,
         tag: u8,
         body: &[u8],
-    ) -> Result<(), ()> {
+    ) -> Result<Arc<Session>, ()> {
         let hello = ControlMsg::decode_body(tag, body).map_err(|_| ())?;
         let ControlMsg::Hello {
             magic,
@@ -712,85 +1087,409 @@ impl Shard {
         {
             return Err(());
         }
-        let hello_bytes = super::socket::FRAME_HEADER_BYTES + body.len() as u64;
+        let hello_bytes = FRAME_HEADER_BYTES + body.len() as u64;
         // Register the session *before* queueing the welcome: a client that
         // holds its Welcome must already be visible to wait_for_clients.
-        let session = Session::new(conn.shared.clone());
-        conn.phase = Phase::Open {
-            session: session.clone(),
-        };
-        {
+        let session = Session::new(queue.clone());
+        let (old, full) = {
             let mut sessions = server.sessions.lock().expect("sessions poisoned");
-            if let Some(old) = sessions[id].replace(session) {
-                // A returning client: the old link is superseded. Count it
-                // as a retry (the reconnect IS the retransmission budget of
-                // this backend) and force the stale connection out.
-                server.reconnects.fetch_add(1, Ordering::Relaxed);
-                old.close();
-            }
+            (sessions.register(id, session.clone()), sessions.is_full())
+        };
+        if let Some(old) = old {
+            // A returning client: the old link is superseded. Count it
+            // as a retry (the reconnect IS the retransmission budget of
+            // this backend) and force the stale connection out.
+            server.reconnects.fetch_add(1, Ordering::Relaxed);
+            old.close();
         }
-        let welcome_bytes = conn
-            .shared
-            .enqueue(&server.welcome_frame, None)
+        let welcome_bytes = queue
+            .enqueue_unbounded(&server.welcome_frame)
             .map_err(|_| ())?;
         server.pending_up.fetch_add(hello_bytes, Ordering::Relaxed);
         server
             .pending_down
             .fetch_add(welcome_bytes, Ordering::Relaxed);
         server.pending_msgs.fetch_add(2, Ordering::Relaxed);
-        server.registration.notify_all();
-        Ok(())
+        if full {
+            server.registration.notify_all();
+        }
+        Ok(session)
     }
 
-    /// Flushes every connection with queued bytes (cheap no-op otherwise)
-    /// and applies flush outcomes.
-    fn service_writes(&mut self) {
-        for conn in &mut self.conns {
-            if !conn.alive {
+    /// Flushes exactly the connections someone listed — senders on the
+    /// handle's dirty list, this wakeup's `Welcome`s and `POLLOUT` reports
+    /// on the shard's own — and lets each outcome set or clear the
+    /// connection's `POLLOUT` bit.
+    fn flush_listed(&mut self) {
+        self.to_flush
+            .append(&mut self.handle.dirty.lock().expect("dirty list poisoned"));
+        for i in 0..self.to_flush.len() {
+            let slot = self.to_flush[i];
+            let Some(conn) = self.conns[slot].as_ref().filter(|c| c.alive) else {
                 continue;
-            }
+            };
+            let events = &mut self.pollfds[CONN_BASE + slot].events;
             match conn.shared.flush() {
-                FlushStatus::Idle | FlushStatus::WantWrite => {}
-                FlushStatus::FlushedClose | FlushStatus::Dead => conn.alive = false,
+                FlushStatus::Idle => *events &= !sys::POLLOUT,
+                FlushStatus::WantWrite => *events |= sys::POLLOUT,
+                FlushStatus::FlushedClose | FlushStatus::Dead => self.kill(slot),
             }
         }
+        self.to_flush.clear();
     }
 
     fn expire_handshakes(&mut self) {
-        let now = Instant::now();
-        for conn in &mut self.conns {
-            if let Phase::Handshake { deadline } = conn.phase {
-                if now >= deadline {
-                    conn.alive = false;
-                }
+        while let Some(&(deadline, slot, serial)) = self.handshakes.front() {
+            if deadline > Instant::now() {
+                break;
+            }
+            self.handshakes.pop_front();
+            if self.is_handshaking(slot, serial) {
+                self.kill(slot);
             }
         }
     }
 
-    /// Drops reaped connections: the write queue is marked dead (blocked
-    /// senders fail fast), the session drains, and the socket force-closes
-    /// so the peer observes EOF rather than a stall.
+    /// Drops this wakeup's dead connections: the write queue is marked dead
+    /// (blocked senders fail fast), the session drains, the socket
+    /// force-closes so the peer observes EOF rather than a stall, and the
+    /// slot is vacated.
     fn reap(&mut self) {
-        self.conns.retain(|conn| {
-            if conn.alive {
-                return true;
-            }
+        for slot in self.dead.drain(..) {
+            let conn = self.conns[slot].take().expect("listed by kill");
             conn.shared.mark_dead();
             if let Phase::Open { session } = &conn.phase {
                 session.drain();
             }
             conn.stream.shutdown_now();
-            false
-        });
+            self.pollfds[CONN_BASE + slot] = VACANT;
+            self.free.push(slot);
+            self.live -= 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::message::MsgKind;
+    use super::super::session::RecvError;
+    use super::super::socket::{encode_frame, read_frame, write_frame};
     use super::*;
+    use proptest::prelude::*;
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
 
     fn frame(tag: u8, body: &[u8]) -> Arc<[u8]> {
-        super::super::socket::encode_frame(tag, body)
+        encode_frame(tag, body)
+    }
+
+    /// A lost wakeup fails a test after this long instead of hanging it.
+    const PATIENCE: Duration = Duration::from_secs(20);
+    const SEED: u64 = 7;
+
+    /// Feeds `chunks` in order; everything emitted, or `Corrupt`.
+    fn feed_all(reader: &mut FrameReader, chunks: &[&[u8]]) -> Result<Vec<(u8, Vec<u8>)>, Corrupt> {
+        let mut frames = Vec::new();
+        for chunk in chunks {
+            reader.feed(chunk, |tag, body| {
+                frames.push((tag, body));
+                ControlFlow::Continue(())
+            })?;
+        }
+        Ok(frames)
+    }
+
+    #[test]
+    fn a_header_alone_reserves_at_most_one_read_chunk() {
+        let mut reader = FrameReader::new();
+        let mut header = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        header.push(0x02);
+        // 256 MiB claimed, then silence.
+        assert_eq!(feed_all(&mut reader, &[&header]), Ok(vec![]));
+        assert_eq!(reader.need, MAX_FRAME_BYTES);
+        assert!(reader.body.capacity() <= READ_CHUNK_BYTES);
+        // What does arrive is held, and little more.
+        let drip = vec![0xAB; 3 * READ_CHUNK_BYTES];
+        assert_eq!(feed_all(&mut reader, &[&drip]), Ok(vec![]));
+        assert_eq!(reader.body.len(), drip.len());
+        assert!(reader.body.capacity() <= 2 * drip.len());
+    }
+
+    #[test]
+    fn a_length_over_the_cap_is_corrupt() {
+        let mut header = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes().to_vec();
+        header.push(0x02);
+        assert_eq!(feed_all(&mut FrameReader::new(), &[&header]), Err(Corrupt));
+        // Also when the header arrives a byte at a time.
+        let bytes: Vec<&[u8]> = header.chunks(1).collect();
+        assert_eq!(feed_all(&mut FrameReader::new(), &bytes), Err(Corrupt));
+    }
+
+    #[test]
+    fn empty_bodies_emit_as_soon_as_their_header_is_whole() {
+        let wire = [frame(0x15, b""), frame(0x16, b"")].concat();
+        let mut reader = FrameReader::new();
+        assert_eq!(
+            feed_all(&mut reader, &[&wire[..9], &wire[9..]]),
+            Ok(vec![(0x15, vec![]), (0x16, vec![])])
+        );
+    }
+
+    #[test]
+    fn two_and_a_half_frames_emit_two_and_keep_the_half() {
+        let wire = [frame(1, b"first"), frame(2, b"second"), frame(3, b"third")].concat();
+        let cut = wire.len() - 4;
+        let mut reader = FrameReader::new();
+        assert_eq!(
+            feed_all(&mut reader, &[&wire[..cut]]),
+            Ok(vec![(1, b"first".to_vec()), (2, b"second".to_vec())])
+        );
+        assert_eq!(reader.body, b"t");
+        assert_eq!(
+            feed_all(&mut reader, &[&wire[cut..]]),
+            Ok(vec![(3, b"third".to_vec())])
+        );
+    }
+
+    #[test]
+    fn a_break_drops_the_rest_of_the_chunk() {
+        let wire = [frame(1, b"kept"), frame(0x15, b""), frame(2, b"dropped")].concat();
+        let mut seen = Vec::new();
+        let fed = FrameReader::new().feed(&wire, |tag, _| {
+            seen.push(tag);
+            if tag == 0x15 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!((fed, seen), (Ok(()), vec![1, 0x15]));
+    }
+
+    proptest! {
+        /// Any frames, cut anywhere, truncated anywhere: `feed` emits exactly
+        /// what `socket::read_frame` — the blocking reader every client end
+        /// uses — reads from the same bytes.
+        #[test]
+        fn feed_agrees_with_read_frame_under_any_chunking(
+            frames in prop::collection::vec(
+                (any::<u8>(), prop::collection::vec(any::<u8>(), 0..300)),
+                0..12,
+            ),
+            cuts in prop::collection::vec(1usize..97, 1..8),
+            cut_tail in 0usize..40,
+        ) {
+            let mut wire = Vec::new();
+            for (tag, body) in &frames {
+                write_frame(&mut wire, *tag, body).expect("vec write");
+            }
+            wire.truncate(wire.len().saturating_sub(cut_tail));
+
+            let mut oracle = Vec::new();
+            let mut rest = wire.as_slice();
+            while let Ok(frame) = read_frame(&mut rest) {
+                oracle.push(frame);
+            }
+
+            let mut reader = FrameReader::new();
+            let mut emitted = Vec::new();
+            let (mut at, mut turn) = (0, 0);
+            while at < wire.len() {
+                let end = (at + cuts[turn % cuts.len()]).min(wire.len());
+                let fed = reader.feed(&wire[at..end], |tag, body| {
+                    emitted.push((tag, body));
+                    ControlFlow::Continue(())
+                });
+                prop_assert_eq!(fed, Ok(()));
+                (at, turn) = (end, turn + 1);
+            }
+            prop_assert_eq!(emitted, oracle);
+        }
+    }
+
+    #[test]
+    fn nudges_coalesce_until_the_shard_lowers_the_flag() {
+        let (handles, rx_ends) = build_shards(1).expect("pipe");
+        let waker = &handles[0].waker;
+        for _ in 0..3 {
+            waker.wake();
+        }
+        assert_eq!(waker.writes.load(Ordering::Relaxed), 1);
+        let mut buf = [0u8; 8];
+        assert_eq!(sys::read_fd(rx_ends[0].as_raw_fd(), &mut buf).ok(), Some(1));
+        // Drained but not lowered: still coalescing.
+        waker.wake();
+        assert_eq!(waker.writes.load(Ordering::Relaxed), 1);
+        waker.pending.swap(false, Ordering::SeqCst);
+        waker.wake();
+        assert_eq!(waker.writes.load(Ordering::Relaxed), 2);
+    }
+
+    /// One listener-less shard on its own thread, serving `n` client ids
+    /// over Unix socket pairs dropped into its inbox.
+    struct Rig {
+        shared: Arc<ServerShared>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl Rig {
+        fn new(n_clients: usize) -> Rig {
+            let (shards, mut rx_ends) = build_shards(1).expect("pipe");
+            let welcome = ControlMsg::Shutdown;
+            let shared = Arc::new(ServerShared {
+                sessions: Mutex::new(SessionTable::new(n_clients)),
+                registration: Condvar::new(),
+                reconnects: AtomicU64::new(0),
+                stop: AtomicBool::new(false),
+                pending_up: AtomicU64::new(0),
+                pending_down: AtomicU64::new(0),
+                pending_msgs: AtomicU64::new(0),
+                // Any frame will do for the peers of these tests.
+                welcome_frame: frame(welcome.tag(), b""),
+                n_clients,
+                seed: SEED,
+                shards,
+            });
+            let shard = Shard::new(0, rx_ends.remove(0), None, shared.clone());
+            let thread = Some(std::thread::spawn(move || shard.run()));
+            Rig { shared, thread }
+        }
+
+        /// Registers client `id` and returns the peer's end, whose reads
+        /// give up after [`PATIENCE`].
+        fn connect(&self, id: usize) -> (UnixStream, Arc<Session>) {
+            let (mut ours, theirs) = UnixStream::pair().expect("socketpair");
+            theirs.set_nonblocking(true).expect("nonblocking");
+            ours.set_read_timeout(Some(PATIENCE)).expect("timeout");
+            let shard = &self.shared.shards[0];
+            shard.inbox.lock().unwrap().push(Box::new(theirs));
+            shard.waker.wake();
+            let mut body = Vec::new();
+            let hello = ControlMsg::Hello {
+                magic: PROTO_MAGIC,
+                version: PROTO_VERSION,
+                client_id: id as u32,
+                seed: SEED,
+            };
+            hello.encode_body(&mut body);
+            write_frame(&mut ours, hello.tag(), &body).expect("hello");
+            read_frame(&mut ours).expect("welcome");
+            // Registered before the welcome was queued.
+            let session = self.shared.sessions.lock().unwrap().slots[id].clone();
+            (ours, session.expect("registered"))
+        }
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            for session in self.shared.sessions.lock().unwrap().slots.iter().flatten() {
+                session.close();
+            }
+            self.shared.stop.store(true, Ordering::Relaxed);
+            self.shared.wake_all();
+            let shard = self.thread.take().expect("joined once").join();
+            if !std::thread::panicking() {
+                shard.expect("shard thread");
+            }
+        }
+    }
+
+    #[test]
+    fn a_goodbye_mid_chunk_stops_dispatch_of_what_follows_it() {
+        let rig = Rig::new(1);
+        let (mut peer, session) = rig.connect(0);
+        let up = MsgKind::ModelUp.tag();
+        let wire = [
+            frame(up, b"before"),
+            frame(ControlMsg::Goodbye.tag(), b""),
+            frame(up, b"after"),
+        ]
+        .concat();
+        // One write, so one read on the other side.
+        peer.write_all(&wire).expect("write");
+        let (body, _) = session.recv_frame(up, PATIENCE).expect("the frame before");
+        assert_eq!(body, b"before");
+        assert!(matches!(
+            session.recv_frame(up, PATIENCE),
+            Err(RecvError::Closed)
+        ));
+    }
+
+    /// Four threads queue frames for the eight connections of one shard,
+    /// round after round. The peers sit behind a gate — they read a round
+    /// only once every sender has queued it, and nothing is sent while they
+    /// read — so within a round the senders' nudges are all that wakes the
+    /// shard, and after it nobody comes to the rescue of a frame whose
+    /// nudge or listing was lost: its peer's read times out. EXPERIMENTS.md
+    /// ("Where a reactor wakeup went") records the two reorderings of the
+    /// wakeup protocol that turn this red.
+    #[test]
+    fn racing_senders_lose_no_wakeup_and_keep_per_connection_order() {
+        const SENDERS: usize = 4;
+        const CONNS: usize = 8;
+        /// Frames a sender queues per connection per round.
+        const BURST: u32 = 2;
+        /// A lost nudge strands a frame within a few hundred rounds; a
+        /// listing lost between a flush and the flag going down can take
+        /// a few thousand (a round is ~0.2 ms).
+        const ROUNDS: u32 = 8_000;
+
+        let rig = Rig::new(CONNS);
+        let (mut peers, sessions): (Vec<_>, Vec<_>) = (0..CONNS).map(|id| rig.connect(id)).unzip();
+        let sessions = Arc::new(sessions);
+        let (queued, round_queued) = mpsc::channel();
+        let starts: Vec<_> = (0..SENDERS)
+            .map(|t| {
+                let (start, started) = mpsc::channel::<u32>();
+                let (sessions, queued) = (sessions.clone(), queued.clone());
+                // Not joined: a sender left waiting for a round that never
+                // starts sees its channel close when the test unwinds.
+                std::thread::spawn(move || {
+                    for round in started {
+                        // Every sender walks the connections in the same
+                        // order, so they meet on one connection's queue
+                        // while the shard is flushing it.
+                        for session in sessions.iter() {
+                            for burst in 0..BURST {
+                                let seq = (round * BURST + burst).to_le_bytes();
+                                session
+                                    .send_frame(t as u8, &seq, Instant::now() + PATIENCE)
+                                    .expect("enqueue");
+                            }
+                        }
+                        queued.send(()).expect("gate");
+                    }
+                });
+                start
+            })
+            .collect();
+
+        for round in 0..ROUNDS {
+            for start in &starts {
+                start.send(round).expect("sender alive");
+            }
+            for _ in 0..SENDERS {
+                round_queued
+                    .recv_timeout(PATIENCE)
+                    .expect("a sender is wedged");
+            }
+            for (c, peer) in peers.iter_mut().enumerate() {
+                let mut next = [round * BURST; SENDERS];
+                for _ in 0..SENDERS as u32 * BURST {
+                    let (t, body) = read_frame(peer).unwrap_or_else(|e| {
+                        panic!("round {round}, connection {c}: a queued frame never left: {e}")
+                    });
+                    let seq = u32::from_le_bytes(body.try_into().expect("4 bytes"));
+                    assert_eq!(
+                        seq, next[t as usize],
+                        "round {round}, connection {c}, sender {t}: out of order or twice"
+                    );
+                    next[t as usize] += 1;
+                }
+                assert_eq!(next, [(round + 1) * BURST; SENDERS]);
+            }
+        }
     }
 
     #[test]

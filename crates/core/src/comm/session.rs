@@ -80,10 +80,29 @@ pub(crate) enum RecvError {
 /// queue; receives pop from the frame queue the reactor fills.
 pub(crate) struct Session {
     state: Mutex<SessionState>,
-    /// Received frames, newest last, not yet claimed by the round loop.
-    queue: Mutex<VecDeque<(u8, Vec<u8>)>>,
+    queue: Mutex<RecvQueue>,
     cv: Condvar,
     conn: Arc<ConnShared>,
+}
+
+#[derive(Default)]
+struct RecvQueue {
+    /// Received frames, newest last, not yet claimed by the round loop.
+    frames: VecDeque<(u8, Vec<u8>)>,
+    /// Receivers blocked on the condvar: the reactor notifies only when
+    /// there is one, so a frame for a session nobody is waiting on costs no
+    /// futex call.
+    waiting: usize,
+}
+
+impl RecvQueue {
+    /// Claims the oldest queued frame tagged `tag`: its body and wire size.
+    fn claim(&mut self, tag: u8) -> Option<(Vec<u8>, u64)> {
+        let pos = self.frames.iter().position(|(t, _)| *t == tag)?;
+        let (_, body) = self.frames.remove(pos).expect("position just found");
+        let wire = super::socket::FRAME_HEADER_BYTES + body.len() as u64;
+        Some((body, wire))
+    }
 }
 
 impl Session {
@@ -92,7 +111,7 @@ impl Session {
     pub(crate) fn new(conn: Arc<ConnShared>) -> Arc<Session> {
         Arc::new(Session {
             state: Mutex::new(SessionState::Registered),
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(RecvQueue::default()),
             cv: Condvar::new(),
             conn,
         })
@@ -102,7 +121,13 @@ impl Session {
     /// transport-side close paths both funnel through here.
     pub(crate) fn drain(&self) {
         *self.state.lock().expect("session state poisoned") = SessionState::Draining;
-        self.cv.notify_all();
+        // Through the queue lock, so a receiver is either already waiting
+        // or has yet to check the state: the notification cannot fall
+        // between its check and its wait.
+        let q = self.queue.lock().expect("session queue poisoned");
+        if q.waiting > 0 {
+            self.cv.notify_all();
+        }
     }
 
     pub(crate) fn state(&self) -> SessionState {
@@ -126,8 +151,10 @@ impl Session {
     /// Reactor-side delivery of one received frame.
     pub(crate) fn push_frame(&self, tag: u8, body: Vec<u8>) {
         let mut q = self.queue.lock().expect("session queue poisoned");
-        q.push_back((tag, body));
-        self.cv.notify_all();
+        q.frames.push_back((tag, body));
+        if q.waiting > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Encodes and queues one frame; returns its wire bytes. See
@@ -149,7 +176,7 @@ impl Session {
                 "session draining",
             ));
         }
-        match self.conn.enqueue(frame, Some(deadline)) {
+        match self.conn.enqueue(frame, deadline) {
             Ok(n) => Ok(n),
             Err(EnqueueError::Closed) => {
                 self.drain();
@@ -180,10 +207,8 @@ impl Session {
         let deadline = Instant::now() + timeout;
         let mut q = self.queue.lock().expect("session queue poisoned");
         loop {
-            if let Some(pos) = q.iter().position(|(t, _)| *t == tag) {
-                let (_, body) = q.remove(pos).expect("position just found");
-                let wire = super::socket::FRAME_HEADER_BYTES + body.len() as u64;
-                return Ok((body, wire));
+            if let Some(claimed) = q.claim(tag) {
+                return Ok(claimed);
             }
             if !self.is_live() {
                 return Err(RecvError::Closed);
@@ -192,11 +217,13 @@ impl Session {
             if now >= deadline {
                 return Err(RecvError::TimedOut);
             }
+            q.waiting += 1;
             let (guard, _) = self
                 .cv
                 .wait_timeout(q, deadline - now)
                 .expect("session queue poisoned");
             q = guard;
+            q.waiting -= 1;
         }
     }
 
@@ -206,11 +233,9 @@ impl Session {
     /// nothing yet, link still live. Arrival-order collection sweeps this
     /// across the round's sessions to fold whichever upload finished first.
     pub(crate) fn try_recv_frame(&self, tag: u8) -> Result<Option<(Vec<u8>, u64)>, RecvError> {
-        let mut q = self.queue.lock().expect("session queue poisoned");
-        if let Some(pos) = q.iter().position(|(t, _)| *t == tag) {
-            let (_, body) = q.remove(pos).expect("position just found");
-            let wire = super::socket::FRAME_HEADER_BYTES + body.len() as u64;
-            return Ok(Some((body, wire)));
+        let claimed = (self.queue.lock().expect("session queue poisoned")).claim(tag);
+        if claimed.is_some() {
+            return Ok(claimed);
         }
         if !self.is_live() {
             return Err(RecvError::Closed);

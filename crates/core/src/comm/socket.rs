@@ -38,7 +38,7 @@ use super::message::{
     BroadcastDelivery, ControlMsg, Delivery, DropReason, FaultStats, LinkOutcome, MsgKind,
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
-use super::reactor::{self, ServerShared};
+use super::reactor::{self, ReactorCounters, ServerShared, SessionTable};
 use super::session::{RecvError, Session, SessionState};
 use super::stats::{CommStats, Direction};
 use super::transport::{codec_round_trip, RemoteTransport, Transport};
@@ -317,7 +317,7 @@ impl SocketTransport {
         welcome.encode_body(&mut welcome_body);
         let (shards, wake_rx_ends) = reactor::build_shards(reactor::net_threads())?;
         let shared = Arc::new(ServerShared {
-            sessions: Mutex::new(vec![None; n_clients]),
+            sessions: Mutex::new(SessionTable::new(n_clients)),
             registration: Condvar::new(),
             reconnects: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -356,17 +356,20 @@ impl SocketTransport {
     }
 
     /// Blocks until all expected clients hold a live registered session, or
-    /// `timeout` passes.
+    /// `timeout` passes. The reactor signals only a handshake that leaves
+    /// the session table full, and only a full table is asked which of its
+    /// sessions are live, so registering `n` clients costs one wakeup and
+    /// one pass here, not `n` of each.
     pub fn wait_for_clients(&self, timeout: Duration) -> io::Result<()> {
         let deadline = Instant::now() + timeout;
         let mut sessions = self.shared.sessions.lock().expect("sessions poisoned");
         loop {
-            let live = sessions.iter().flatten().filter(|s| s.is_live()).count();
-            if live == self.shared.n_clients {
+            if sessions.is_full() && sessions.live() == self.shared.n_clients {
                 return Ok(());
             }
             let now = Instant::now();
             if now >= deadline {
+                let live = sessions.live();
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!("{live}/{} clients registered", self.shared.n_clients),
@@ -383,13 +386,18 @@ impl SocketTransport {
 
     /// Number of currently live (non-draining) sessions.
     pub fn live_clients(&self) -> usize {
-        let sessions = self.shared.sessions.lock().expect("sessions poisoned");
-        sessions.iter().flatten().filter(|s| s.is_live()).count()
+        (self.shared.sessions.lock().expect("sessions poisoned")).live()
+    }
+
+    /// What the reactor shards have done since `bind`, summed over them: a
+    /// snapshot, final once [`RemoteTransport::shutdown`] has returned.
+    pub fn reactor_counters(&self) -> ReactorCounters {
+        self.shared.counters()
     }
 
     fn session(&self, client: usize) -> Option<Arc<Session>> {
         let sessions = self.shared.sessions.lock().expect("sessions poisoned");
-        sessions.get(client).and_then(|s| s.clone())
+        sessions.slots.get(client).and_then(|s| s.clone())
     }
 
     /// Folds handshake traffic metered by the reactor shards into the
@@ -715,10 +723,14 @@ impl RemoteTransport for SocketTransport {
         }
     }
 
+    fn reactor_counters(&self) -> Option<ReactorCounters> {
+        Some(SocketTransport::reactor_counters(self))
+    }
+
     fn shutdown(&mut self) {
         let sessions: Vec<Arc<Session>> = {
             let guard = self.shared.sessions.lock().expect("sessions poisoned");
-            guard.iter().flatten().cloned().collect()
+            guard.slots.iter().flatten().cloned().collect()
         };
         self.body.clear();
         let deadline = self.send_deadline();

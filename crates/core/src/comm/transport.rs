@@ -8,6 +8,7 @@
 //! per-link faults.
 
 use super::message::{BroadcastDelivery, Delivery, FaultStats, LinkOutcome, MsgKind};
+use super::reactor::ReactorCounters;
 use super::stats::{CommStats, Direction};
 use crate::client::LocalReport;
 use crate::compress::CompressedVec;
@@ -102,6 +103,13 @@ pub trait RemoteTransport: Transport {
 
     /// Ends the run: notifies clients, closes links, stops accepting.
     fn shutdown(&mut self);
+
+    /// What the transport's event loop has done so far, if it runs one
+    /// ([`super::SocketTransport`] does): how a server that gave its
+    /// transport to [`crate::Federation::remote`] still gets to print them.
+    fn reactor_counters(&self) -> Option<ReactorCounters> {
+        None
+    }
 }
 
 /// The lossless, zero-latency transport: every send is delivered on the

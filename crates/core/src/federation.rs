@@ -449,6 +449,15 @@ impl Federation {
         }
     }
 
+    /// The socket server's event-loop counters — final after
+    /// [`Federation::shutdown_remote`]; `None` in simulation mode.
+    pub fn reactor_counters(&self) -> Option<crate::comm::ReactorCounters> {
+        match &self.plane {
+            ClientPlane::Remote(r) => r.transport.reactor_counters(),
+            ClientPlane::Local(_) => None,
+        }
+    }
+
     fn local(&self) -> &LocalPlane {
         self.plane.local().expect(NO_REPLICAS)
     }

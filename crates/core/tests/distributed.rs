@@ -707,6 +707,89 @@ fn reconnect_replaces_the_session_and_counts_as_a_retry() {
     assert!(first.read_event().is_err(), "stale session must be closed");
 }
 
+/// Fails a wait on the reactor instead of hanging the test.
+const PATIENCE: Duration = Duration::from_secs(30);
+
+fn registered(ep: &Endpoint, id: usize, seed: u64) -> ClientConn {
+    let mut conn = ClientConn::connect(ep).expect("connect");
+    conn.hello(id as u32, seed).expect("hello");
+    conn
+}
+
+/// Runs `wait_for_clients(PATIENCE)` beside `then` (which starts once the
+/// waiter is about to wait) and requires that it was *released* — by the
+/// reactor's notification or by finding the cohort already complete — not
+/// let go by its own timeout's re-check.
+fn released_by<T>(transport: &SocketTransport, then: impl FnOnce() -> T) -> T {
+    std::thread::scope(|s| {
+        let (entering, entered) = std::sync::mpsc::channel();
+        let waiter = s.spawn(move || {
+            let t0 = std::time::Instant::now();
+            entering.send(()).expect("main is waiting");
+            transport.wait_for_clients(PATIENCE).map(|()| t0.elapsed())
+        });
+        entered.recv().expect("waiter started");
+        // Give the waiter its chance to block first; either order must pass.
+        for _ in 0..1_000 {
+            std::thread::yield_now();
+        }
+        let kept = then();
+        let waited = waiter.join().expect("waiter").expect("cohort complete");
+        assert!(waited < PATIENCE / 2, "released by its timeout: {waited:?}");
+        kept
+    })
+}
+
+#[test]
+fn the_last_registration_releases_the_waiter() {
+    let seed = canonical::SEED;
+    let transport = SocketTransport::bind(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        &welcome(seed, canonical::ROUNDS, Compression::None),
+    )
+    .expect("bind");
+    let ep = transport.local_endpoint().clone();
+    let mut conns: Vec<ClientConn> = (1..canonical::NUM_CLIENTS)
+        .map(|id| registered(&ep, id, seed))
+        .collect();
+    // All but one: nothing to report yet, and the error says how far it got.
+    let err = transport.wait_for_clients(Duration::ZERO).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+    assert!(err.to_string().starts_with("3/4 "), "{err}");
+    conns.push(released_by(&transport, || registered(&ep, 0, seed)));
+    assert_eq!(transport.live_clients(), canonical::NUM_CLIENTS);
+}
+
+#[test]
+fn a_reconnect_into_a_full_table_releases_a_blocked_waiter() {
+    let seed = canonical::SEED;
+    let transport = SocketTransport::bind(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        &welcome(seed, canonical::ROUNDS, Compression::None),
+    )
+    .expect("bind");
+    let ep = transport.local_endpoint().clone();
+    let mut conns: Vec<ClientConn> = (0..canonical::NUM_CLIENTS)
+        .map(|id| registered(&ep, id, seed))
+        .collect();
+    transport.wait_for_clients(PATIENCE).expect("full cohort");
+    // Client 2 dies: its session drains but keeps its slot, so the table is
+    // full and one short.
+    drop(conns.remove(2));
+    let deadline = std::time::Instant::now() + PATIENCE;
+    while transport.live_clients() == canonical::NUM_CLIENTS {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the reactor never noticed the dead link"
+        );
+        std::thread::yield_now();
+    }
+    assert!(transport.wait_for_clients(Duration::ZERO).is_err());
+    conns.push(released_by(&transport, || registered(&ep, 2, seed)));
+    assert_eq!(transport.live_clients(), canonical::NUM_CLIENTS);
+    assert_eq!(transport.fault_stats().retries, 1);
+}
+
 #[test]
 fn handshake_rejects_wrong_seed_and_bad_id() {
     let seed = canonical::SEED;

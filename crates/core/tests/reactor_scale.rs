@@ -9,7 +9,9 @@
 //! harness, the driver and the reactor shards. Each round is an encode-once
 //! broadcast to all connections plus one claimed upload per connection, and
 //! every frame has a fixed-width encoding, so the byte ledger is checked
-//! against its closed form exactly. Nothing here times anything.
+//! against its closed form exactly — and so are the reactor's own byte
+//! counters, which must agree with the ledger to the byte; the same counters
+//! bound the `read(2)` calls a frame may cost. Nothing here times anything.
 //!
 //! This file holds exactly one test function: the thread census and the peak
 //! resident set are process-wide, and a sibling test would be counted in
@@ -61,8 +63,8 @@ fn welcome_for(conns: usize) -> ControlMsg {
 
 /// One leg: bind the reactor server, register `conns` blocking client
 /// connections from a single driver thread, run [`ROUNDS`] broadcast → echo
-/// rounds, reconcile the byte ledger. Returns the thread census taken once
-/// every connection is registered.
+/// rounds, reconcile the byte ledger and the reactor's counters. Returns the
+/// thread census taken once every connection is registered.
 fn run_leg(conns: usize) -> u64 {
     // Both socket ends live in this process: 2 descriptors per connection
     // plus listener, wake pipes and the standard streams.
@@ -175,6 +177,41 @@ fn run_leg(conns: usize) -> u64 {
         ),
         expected,
         "{conns} connections: (upload bytes, download bytes, messages) left the closed form"
+    );
+
+    // The net layer's half of the reconciliation: what the shards read and
+    // wrote is what the ledger was charged, handshakes and shutdowns
+    // included.
+    let c = transport.reactor_counters();
+    assert_eq!(
+        (c.bytes_in, c.bytes_out, c.handshakes),
+        (stats.upload_bytes(), stats.download_bytes(), n),
+        "{conns} connections: the reactor's (bytes in, bytes out, handshakes) left the ledger"
+    );
+    assert_eq!(c.frames_in, n + r * n, "{conns} connections: frames in");
+    // One read per frame when the frame is there in one piece; a handshake
+    // may add the speculative read that found nothing, and a connection its
+    // EOF. The loop this one replaced made three reads per frame.
+    assert!(
+        2 * c.reads <= 3 * c.frames_in + 4 * c.handshakes,
+        "{conns} connections: {} reads for {} frames and {} handshakes",
+        c.reads,
+        c.frames_in,
+        c.handshakes
+    );
+    // Welcome, a broadcast per round, shutdown.
+    let frames_out = n * (r + 2);
+    println!(
+        "{conns} connections: {:.2} ready per wakeup ({} / {}), {:.2} flushes per frame out \
+         ({} / {frames_out}), {:.2} reads per frame in, {} writevs, {} wake writes",
+        c.ready as f64 / c.wakeups as f64,
+        c.ready,
+        c.wakeups,
+        c.flushes as f64 / frames_out as f64,
+        c.flushes,
+        c.reads as f64 / c.frames_in as f64,
+        c.writevs,
+        c.wake_writes,
     );
     threads
 }

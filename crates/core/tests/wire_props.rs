@@ -2,6 +2,11 @@
 //! split reads *and* ragged partial writes, payload f32 codecs must be
 //! bit-lossless, and every [`ControlMsg`] must round-trip through its wire
 //! body — the invariants the distributed bit-exactness contract stands on.
+//!
+//! The server's own reader is the reactor's chunk-fed `FrameReader`, which
+//! is private to `comm/reactor.rs`; the property that it emits exactly what
+//! [`read_frame`] reads from the same bytes under any chunking sits beside
+//! it, in that module's tests (`feed_agrees_with_read_frame_under_any_chunking`).
 
 use proptest::prelude::*;
 use rfl_core::comm::{

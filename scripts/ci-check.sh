@@ -39,6 +39,10 @@ RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
 echo "== rfl-bench all --scale quick --seeds 1: every experiment's CSVs and stdout against scripts/experiments.sha256"
 scripts/experiments-smoke.sh
 
+echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment)"
+scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick --out none |
+    grep '^thread  *threads  *user_s' > /dev/null
+
 echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
 bash -n scripts/ab.sh
 scripts/ab.sh --help > /dev/null
