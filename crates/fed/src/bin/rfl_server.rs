@@ -133,21 +133,8 @@ fn main() {
         faults.dropped,
         faults.retries,
     );
-    if let Some(c) = fed.reactor_counters() {
-        println!(
-            "reactor: wakeups={} ready={} reads={} frames_in={} bytes_in={} flushes={} \
-             writevs={} bytes_out={} wake_writes={} handshakes={}",
-            c.wakeups,
-            c.ready,
-            c.reads,
-            c.frames_in,
-            c.bytes_in,
-            c.flushes,
-            c.writevs,
-            c.bytes_out,
-            c.wake_writes,
-            c.handshakes,
-        );
+    if let Some(counters) = fed.reactor_counters() {
+        println!("reactor: {counters:?}");
     }
     if let Some(expect) = expect_loss {
         if loss as f32 != expect as f32 {
