@@ -219,7 +219,14 @@ fn check(s: &Shape, special: bool, density: Density, seed: u64) {
         poison(&mut b, seed + 6);
     }
     let dy = upstream(s.n * s.o * oh * ow, density, seed + 5);
+    check_data(s, x, wt, b, dy);
+}
 
+/// [`check`] on given operands: `x [n][c][h][w]`, `wt [o][c][k][k]`,
+/// `b [o]`, `dy [n][o][oh][ow]`.
+fn check_data(s: &Shape, x: Vec<f32>, wt: Vec<f32>, b: Vec<f32>, dy: Vec<f32>) {
+    let (oh, ow) = s.out();
+    let k = s.spec.kernel;
     let want_y = oracle_forward(s, &x, &wt, &b);
     let (want_dx, want_dw, want_db) = oracle_backward(s, &x, &wt, &dy);
 
@@ -304,10 +311,10 @@ proptest! {
     }
 }
 
-/// The shapes the CNN models run, plus the corners the random shapes only
-/// sometimes hit: exact and ragged lane blocks, and kernel rows of eight or
-/// more, where the forward row reduction switches to `dot`'s chunk-then-tree
-/// order.
+/// The shapes the CNN models train on (batch 16), plus the corners the
+/// random shapes only sometimes hit: exact and ragged lane blocks, and
+/// kernel rows of eight or more, where the forward row reduction switches to
+/// `dot`'s chunk-then-tree order.
 #[test]
 fn fixed_shapes_match_oracle_bitwise() {
     let shape = |n, c, h, w, o, kernel, stride, pad| Shape {
@@ -323,9 +330,9 @@ fn fixed_shapes_match_oracle_bitwise() {
         },
     };
     let cases = [
-        shape(4, 1, 16, 16, 8, 3, 1, 1),  // mnist-like conv1
-        shape(4, 3, 16, 16, 8, 3, 1, 1),  // cifar-like conv1
-        shape(4, 8, 8, 8, 16, 3, 1, 1),   // conv2
+        shape(16, 1, 16, 16, 8, 3, 1, 1), // mnist-like conv1, as trained
+        shape(16, 3, 16, 16, 8, 3, 1, 1), // cifar-like conv1, as trained
+        shape(16, 8, 8, 8, 16, 3, 1, 1),  // conv2 of both, as trained
         shape(2, 5, 7, 9, 17, 3, 2, 1),   // ragged block, stride 2, H ≠ W
         shape(2, 3, 12, 13, 9, 8, 1, 0),  // full rows of exactly one chunk
         shape(2, 2, 11, 20, 3, 9, 1, 2),  // chunk + tail, clipped at the edges
@@ -378,4 +385,84 @@ fn signed_zero_bias_survives_only_where_no_row_is_added() {
         &mut y,
     );
     same(y.data(), &want, "forward");
+}
+
+/// The terms the kernels compute and mask instead of skipping, pinned where
+/// an unmasked term would be `0·inf` or `0·NaN` and so change the result:
+/// `dy = ±0.0` in some lanes of one eight-channel block at the pixels whose
+/// taps read `x = ±inf / NaN` (dweight); `w = ±inf / NaN` on the kernel
+/// column and row that fall in the padding at the borders (forward: a
+/// border pixel's row sum; dinput: a `dy` position outside the output);
+/// `dy = ±inf / NaN` only at the left and top border pixels, whose kernel
+/// column and row 0 read the padding (dweight: those taps must stay finite).
+#[test]
+fn masked_terms_with_non_finite_operands_match_oracle() {
+    let shape = |n, c, h, w, o, kernel, stride, pad| Shape {
+        n,
+        c,
+        h,
+        w,
+        o,
+        spec: ConvSpec {
+            kernel,
+            stride,
+            pad,
+        },
+    };
+    const BAD: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (i, s) in [
+        shape(2, 3, 6, 7, 8, 3, 1, 1),
+        shape(2, 2, 9, 9, 11, 5, 2, 2),
+        shape(1, 4, 5, 12, 16, 3, 1, 1),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let (oh, ow) = s.out();
+        let k = s.spec.kernel;
+        let seed = 7000 + i as u64;
+        let b = values(s.o, seed + 2);
+
+        // dweight: non-finite inputs under gradients that are ±0 in the even
+        // lanes of the first block, at every output pixel.
+        let mut x = values(s.n * s.c * s.h * s.w, seed);
+        for (j, v) in x.iter_mut().enumerate().filter(|(j, _)| j % 5 == 1) {
+            *v = BAD[j / 5 % 3];
+        }
+        let mut dy = values(s.n * s.o * oh * ow, seed + 5);
+        for (j, g) in dy.iter_mut().enumerate() {
+            let oc = j / (oh * ow) % s.o;
+            if oc < 8 && oc % 2 == 0 {
+                *g = if j % 3 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        let wt = values(s.o * s.c * k * k, seed + 1);
+        check_data(s, x, wt, b.clone(), dy);
+
+        // forward and dinput: non-finite weights on kernel column 0 and on
+        // kernel row 0, which the left border columns and the top border
+        // rows read in the padding.
+        let mut wt = values(s.o * s.c * k * k, seed + 1);
+        for (j, w) in wt.iter_mut().enumerate() {
+            let (ky, kx) = (j / k % k, j % k);
+            if kx == 0 || ky == 0 {
+                *w = BAD[j % 3];
+            }
+        }
+        let x = values(s.n * s.c * s.h * s.w, seed);
+        let dy = values(s.n * s.o * oh * ow, seed + 5);
+        check_data(s, x, wt, b.clone(), dy);
+
+        // dweight: non-finite gradients at the border pixels only.
+        let mut dy = values(s.n * s.o * oh * ow, seed + 5);
+        for (j, g) in dy.iter_mut().enumerate() {
+            let (oy, ox) = (j / ow % oh, j % ow);
+            if ox == 0 || oy == 0 {
+                *g = BAD[j % 3];
+            }
+        }
+        let x = values(s.n * s.c * s.h * s.w, seed);
+        let wt = values(s.o * s.c * k * k, seed + 1);
+        check_data(s, x, wt, b, dy);
+    }
 }

@@ -30,6 +30,9 @@ RFL_THREADS=4 cargo test -q --workspace
 echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
 RFL_SIMD=0 cargo test -q --workspace
 
+echo "== PROPTEST_CASES=2048 conv oracle in release (the register-tile kernels against the textbook loops, deep)"
+PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test conv_oracle
+
 echo "== distributed smoke (multi-process federation over sockets)"
 scripts/distributed-smoke.sh
 
@@ -42,6 +45,10 @@ scripts/experiments-smoke.sh
 echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment)"
 scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick --out none |
     grep '^thread  *threads  *user_s' > /dev/null
+
+echo "== cnn_layers smoke (per-layer step table of the two CNNs)"
+cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 |
+    grep '^pass  *us  *share' > /dev/null
 
 echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
 bash -n scripts/ab.sh
