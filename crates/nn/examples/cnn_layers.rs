@@ -8,7 +8,8 @@
 //! (nobody reads the first layer's input gradient). Below each table, each
 //! convolution's backward is split into its weight gradient
 //! (`conv2d_backward_params_into`) and its input gradient (the full backward
-//! less that), timed on the same operands beside the step.
+//! less that), timed on the same operands beside the step. The header names
+//! the SIMD tier that ran (`simd_backend()`).
 //!
 //! Run with: `cargo run --release -p rfl-nn --example cnn_layers [--iters N]`
 
@@ -16,8 +17,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_nn::{cross_entropy_into, Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu};
 use rfl_tensor::{
-    conv2d_backward_into, conv2d_backward_params_into, set_thread_budget, Conv2dGrads, Initializer,
-    Tensor,
+    conv2d_backward_into, conv2d_backward_params_into, set_thread_budget, simd_backend,
+    Conv2dGrads, Initializer, Tensor,
 };
 use std::time::Instant;
 
@@ -214,7 +215,10 @@ fn profile(name: &str, in_channels: usize, iters: usize) {
     }
     let us: Vec<f64> = passes.iter_mut().map(|s| median(s) * 1e6).collect();
     let total: f64 = us.iter().sum();
-    println!("{name} CNN, batch {BATCH}, thread budget 1, median of {iters} steps");
+    println!(
+        "{name} CNN, batch {BATCH}, thread budget 1, simd {}, median of {iters} steps",
+        simd_backend()
+    );
     println!("{:<24}{:>10}{:>9}", "pass", "us", "share");
     for (p, &t) in PASSES.iter().zip(&us) {
         println!("{p:<24}{t:>10.1}{:>8.1}%", 100.0 * t / total);

@@ -25,7 +25,8 @@
 # its own directory. Which side runs first flips every pair; the two runs of
 # a pair are back to back so both see the same phase of a noisy machine.
 #
-# Prints, per workload, one row per pair (`A → B` per end-to-end metric) and
+# Prints, per workload, one row per pair (`A → B` per end-to-end metric,
+# then each run's `cpu_s_per_round ÷ round_s`, the cores it kept busy) and
 # a summary per metric: both sides' q1 / median / q3 (the quartiles of
 # benchmark/compare.sh), B ÷ A of the medians, the pairs B won and a verdict
 # — the markdown tables of EXPERIMENTS.md. The verdict is the rule of the
@@ -38,6 +39,12 @@
 #               differ by more than A's q3 − q1;
 #   worse       the same with A winning, inside the bound;
 #   unresolved  anything else — not "unchanged".
+#
+# A run whose cores-busy ratio is below 1.3 at thread budget 2 is marked
+# `1-core` in the pair table, and each workload's summary counts such runs
+# per side: on a 2-vCPU VM a run sometimes stays on one vCPU for its whole
+# length (`round_s` almost doubles at the same `cpu_s_per_round`). The mark
+# is information; the verdict rule does not change.
 #
 # It only runs benchmark/; it edits nothing. Exits 1 if a run was not
 # `correct` or had failed operations.
@@ -94,6 +101,13 @@ tables() {
         else . as $x | ($x | fabs | log10 | floor) as $e | pow(10; 3 - $e) as $s
           | ($x * $s | round) / $s | tostring end;
       def row: "| " + join(" | ") + " |";
+      # cpu_s_per_round ÷ round_s of one run, and whether it ran on one core.
+      def busy: (.result.metrics.cpu_s_per_round.value // null) as $cpu
+        | (.result.metrics.round_s.value // null) as $round
+        | if $cpu == null or $round == null or $round == 0 then null else $cpu / $round end;
+      def one_core: busy as $b | .budget == 2 and $b != null and $b < 1.3;
+      def busy_cell: if busy == null then "-"
+        else (busy * 100 | round / 100 | tostring) + (if one_core then " 1-core" else "" end) end;
       map(select(($only | length) == 0 or (.workload as $w | $only | index($w)))) as $runs
       | [$spec[0].end_to_end[] | {name, better, bound}] as $metrics
       | ($runs | map(.workload) | unique)[] as $w
@@ -101,17 +115,19 @@ tables() {
       | ($mine | map(.pair) | unique) as $pairs
       | def value($pair; $side; $m):
           first($mine[] | select(.pair == $pair and .side == $side) | .result.metrics[$m].value) // null;
+        def run($pair; $side): first($mine[] | select(.pair == $pair and .side == $side)) // null;
         def values($side; $m): [$pairs[] | value(.; $side; $m) | select(. != null)];
         ($mine | map(select(.result == null or .result.correct != true or .result.failed != 0)) | length) as $bad
       | "",
         "**`\($w)`** — \($mine | length) runs, \($bad) not `correct` or with failed operations; cells are `A → B`:",
         "",
-        (["pair", "seed", "ran first"] + ($metrics | map(.name)) | row),
-        (["---:", "---:", "---"] + ($metrics | map("---:")) | row),
+        (["pair", "seed", "ran first"] + ($metrics | map(.name)) + ["cpu ÷ round"] | row),
+        (["---:", "---:", "---"] + ($metrics | map("---:")) + ["---:"] | row),
         ( $pairs[] as $p
         | first($mine[] | select(.pair == $p)) as $any
         | [($p | tostring), ($any.seed | tostring), $any.first]
           + [$metrics[] | "\(value($p; "A"; .name) | num) → \(value($p; "B"; .name) | num)"]
+          + ["\(run($p; "A") | if . == null then "-" else busy_cell end) → \(run($p; "B") | if . == null then "-" else busy_cell end)"]
         | row ),
         "",
         (["metric", "A q1 / median / q3", "B q1 / median / q3", "B ÷ A (medians)", "pairs B won", "verdict"] | row),
@@ -138,7 +154,9 @@ tables() {
                 elif $beyond_spread and $won * 10 >= 9 * ($won + $lost) then "gain"
                 elif $beyond_spread and $lost * 10 >= 9 * ($won + $lost) then "worse"
                 else "unresolved" end ) ]
-          | row end )
+          | row end ),
+        "",
+        "`1-core` runs (`cpu_s_per_round ÷ round_s` below 1.3 at thread budget 2): A \([$mine[] | select(.side == "A" and one_core)] | length), B \([$mine[] | select(.side == "B" and one_core)] | length)."
     ' "$runs"
     bad="$(jq -s 'map(select(.result == null or .result.correct != true or .result.failed != 0)) | length' "$runs")"
     [ "$bad" -eq 0 ] || { echo "ab.sh: $bad runs were not correct" >&2; return 1; }
@@ -181,11 +199,15 @@ prepare() {
     echo "$commit"
 }
 
-# One run: the harness prints its result line last.
+# One run: the harness prints its result line last, after a `DETAIL` line
+# that names the thread budget. Prints the result line, then the budget.
 run() { # commit workload seed
-    (cd "$dir/$1/src" &&
+    local out
+    out="$(cd "$dir/$1/src" &&
         CARGO_TARGET_DIR="$dir/$1/target" "${command[@]}" \
-            --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2> /dev/null | tail -n 1)
+            --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 2> /dev/null)" || true
+    tail -n 1 <<< "$out"
+    sed -n 's/^DETAIL //p' <<< "$out" | jq -r '.thread_budget // empty' 2> /dev/null || true
 }
 
 a="$(prepare "${revs[0]}")"
@@ -198,12 +220,12 @@ for w in "${workloads[@]}"; do
         for side in "${order[@]}"; do
             if [ "$side" = A ]; then rev="${revs[0]}" commit="$a"; else rev="${revs[1]}" commit="$b"; fi
             echo "$w pair $i/$pairs seed $seed side $side" >&2
-            result="$(run "$commit" "$w" "$seed")"
+            { read -r result; read -r budget; } < <(run "$commit" "$w" "$seed"; echo)
             jq -c -n --arg w "$w" --argjson pair "$i" --argjson seed "$seed" --arg side "$side" \
                 --arg first "${order[0]}" --arg rev "$rev" --arg commit "$commit" \
-                --argjson result "${result:-null}" \
+                --argjson budget "${budget:-null}" --argjson result "${result:-null}" \
                 '{workload: $w, pair: $pair, seed: $seed, side: $side, first: $first,
-                  rev: $rev, commit: $commit, result: $result}' \
+                  rev: $rev, commit: $commit, budget: $budget, result: $result}' \
                 >> "$runs"
         done
     done

@@ -30,8 +30,17 @@ RFL_THREADS=4 cargo test -q --workspace
 echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
 RFL_SIMD=0 cargo test -q --workspace
 
+# The deep oracle legs run every SIMD tier this CPU has (each test binary
+# reports a tier it skips on stderr); on an AVX-512 machine that is all
+# three, on an AVX2-only one two.
 echo "== PROPTEST_CASES=2048 conv oracle in release (the register-tile kernels against the textbook loops, deep)"
 PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test conv_oracle
+
+echo "== PROPTEST_CASES=2048 GEMM oracle and per-tier SIMD equivalence in release (deep)"
+PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test gemm_oracle --test simd_equiv
+
+echo "== PROPTEST_CASES=2048 LSTM cell oracle in release (deep)"
+PROPTEST_CASES=2048 cargo test --release -q -p rfl-nn --test lstm_oracle
 
 echo "== distributed smoke (multi-process federation over sockets)"
 scripts/distributed-smoke.sh
@@ -46,9 +55,11 @@ echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context sw
 scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick --out none |
     grep '^thread  *threads  *user_s' > /dev/null
 
-echo "== cnn_layers smoke (per-layer step table of the two CNNs)"
+echo "== cnn_layers and lstm_layers smoke (per-layer step tables; the headers name the SIMD tier)"
 cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 |
-    grep '^pass  *us  *share' > /dev/null
+    grep -E '^cifar-like CNN, .*, simd (avx512|avx2|scalar), '
+cargo run --release -q -p rfl-nn --example lstm_layers -- --iters 3 |
+    grep -E '^sent140-like LSTM, .*, simd (avx512|avx2|scalar), '
 
 echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
 bash -n scripts/ab.sh
