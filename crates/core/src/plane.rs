@@ -220,10 +220,26 @@ pub(crate) fn fan_out<W: Send, I: Send>(
     let (own, others) = workers.split_first_mut().expect("a fan-out needs a worker");
     std::thread::scope(|s| {
         for worker in others.iter_mut().take(work.len().saturating_sub(1)) {
-            s.spawn(move || drain(worker));
+            std::thread::Builder::new()
+                .name("rfl-fanout".into())
+                .spawn_scoped(s, move || drain(worker))
+                .expect("failed to spawn a fan-out helper");
         }
         drain(own);
     });
+}
+
+/// Spawns one of the plane's per-round threads under `name`, so per-thread
+/// tools (`scripts/thread-cpu.sh`, a debugger) tell it from the round
+/// thread.
+fn spawn_named<T: Send + 'static>(
+    name: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(f)
+        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"))
 }
 
 /// A cohort on its way to life: the ids of one materialization wave, handed
@@ -453,7 +469,7 @@ impl LocalPlane {
         self.join_hibernate_wave();
         let batch: Vec<Client> = self.clients.drain(..).collect();
         let tracer = self.tracer.clone();
-        self.hibernate_wave = Some(std::thread::spawn(move || {
+        self.hibernate_wave = Some(spawn_named("rfl-hibernate", move || {
             let mut span = tracer.span(SpanKind::Hibernate);
             span.counter("clients", batch.len() as u64);
             for c in batch {
@@ -591,7 +607,7 @@ impl LocalPlane {
         let wave = Arc::new(Wave::new(ids, hibernating.is_some()));
         let owner = {
             let (wave, tracer) = (Arc::clone(&wave), self.tracer.clone());
-            std::thread::spawn(move || {
+            spawn_named("rfl-prefetch", move || {
                 if let Some(w) = hibernating {
                     w.join().expect("hibernate wave panicked");
                     wave.open();

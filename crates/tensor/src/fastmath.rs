@@ -23,7 +23,33 @@
 //!
 //! Out-of-domain inputs (zero, subnormal, negative, non-finite, huge) take
 //! the libm call they always took; no pinned path reaches them.
+//!
+//! ## The sampler on the SIMD tiers
+//!
+//! [`normal_fill`] and [`normal_from_units`] are tier kernels: each call runs
+//! the instance of the tier `simd::simd_tier()` selects, like every kernel in
+//! `simd.rs`, so `RFL_SIMD=0` reaches them too. That selection is the only
+//! dispatch point; this module asks the CPU nothing itself.
+//!
+//! - **scalar**: the plain bodies, one element at a time. They are the
+//!   definition. On a CPU with FMA the scalar tier runs them compiled with
+//!   it (`mod fma`), so a `mul_add` is one `vfmadd` instead of a call into
+//!   libm's `fma()`.
+//! - **avx2**: four elements per step, `f64` internals in `__m256d`. Each
+//!   lane's `(1/c, log c)` pair comes from one 128-bit load.
+//! - **avx512**: eight elements per step in `__m512d`. The 16-entry `logf`
+//!   table lives in four `zmm` registers for the whole fill, and each step
+//!   reads it with two `vpermt2pd` (`_mm512_permutex2var_pd`), not loads.
+//!
+//! The two vector bodies are stamped by `simd::stamp_tiers!` like every
+//! intrinsic body, with the tier's register type choosing the body
+//! (`lanes::Lanes`). Every lane runs the plain body's operation sequence
+//! (the same fused steps, conversions and square root, and the same pin of a
+//! tiny angle to 1.0), so every tier returns the plain body's bits. Every
+//! tier also draws the same words in the same order, two per element, so the
+//! generator ends where the plain body leaves it.
 
+use crate::simd::stamp_tiers;
 use rand::Rng;
 
 // ---------------------------------------------------------------------------
@@ -31,8 +57,8 @@ use rand::Rng;
 // ---------------------------------------------------------------------------
 
 /// `(1/c, log c)` pairs, interleaved flat, for 16 reciprocal anchors
-/// covering one octave. Kept flat (not tuples) so the vector path can load
-/// a pair as one 128-bit word with a guaranteed layout.
+/// covering one octave. Kept flat (not tuples) so the AVX2 body can load a
+/// pair as one 128-bit word with a guaranteed layout.
 const LOGF_TAB: [f64; 32] = [
     f64::from_bits(0x3FF661EC79F8F3BE),
     f64::from_bits(0xBFD57BF7808CAADE),
@@ -67,6 +93,19 @@ const LOGF_TAB: [f64; 32] = [
     f64::from_bits(0x3FE767DCF5534862),
     f64::from_bits(0x3FD4043057B6EE09),
 ];
+
+/// Column `c` of [`LOGF_TAB`] (0: `1/c`, 1: `log c`): what the AVX-512 body
+/// holds in two registers of eight.
+#[cfg(target_arch = "x86_64")]
+const fn logf_column(c: usize) -> [f64; 16] {
+    let mut col = [0.0; 16];
+    let mut i = 0;
+    while i < 16 {
+        col[i] = LOGF_TAB[2 * i + c];
+        i += 1;
+    }
+    col
+}
 
 const LOGF_LN2: f64 = f64::from_bits(0x3FE62E42FEFA39EF);
 const LOGF_A0: f64 = f64::from_bits(0xBFD00EA348B88334);
@@ -198,29 +237,39 @@ fn cosf_reduced(y: f32) -> f32 {
 // Box–Muller batch front-end.
 // ---------------------------------------------------------------------------
 
+/// Runs `$name` of `$tier`'s instance: `avx512::$name`, `avx2::$name`, or
+/// on the scalar tier the plain body `$plain`, compiled with FMA
+/// (`fma::$name`) on a CPU that has it.
+macro_rules! on_tier {
+    ($tier:expr, $name:ident => $plain:ident($($arg:expr),*)) => {{
+        #[cfg(target_arch = "x86_64")]
+        {
+            use crate::simd::{hardware_fma, Tier};
+            // SAFETY: a tier only runs on a CPU that has its features (the
+            // dispatch selects only such a tier, the tests only call those),
+            // and the FMA build only on a CPU with FMA.
+            match $tier {
+                Tier::Avx512 => return unsafe { avx512::$name($($arg),*) },
+                Tier::Avx2 => return unsafe { avx2::$name($($arg),*) },
+                Tier::Scalar if hardware_fma() => return unsafe { fma::$name($($arg),*) },
+                Tier::Scalar => {}
+            }
+        }
+        $plain($($arg),*)
+    }};
+}
+
 /// One standard normal from the two unit draws of a Box–Muller step, bits
 /// identical to `(-2·ln u1)^½ · cos(2π·u2)` through libm.
 #[inline]
 pub fn normal_from_units(u1: f32, u2: f32) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if fma_available() {
-        // SAFETY: guarded by the runtime FMA check.
-        return unsafe { normal_from_units_fma(u1, u2) };
-    }
-    normal_from_units_generic(u1, u2)
+    on_tier!(crate::simd::simd_tier(), normal_from_units => normal_from_units_plain(u1, u2))
 }
 
+/// [`normal_from_units`], the plain body.
 #[inline(always)]
-fn normal_from_units_generic(u1: f32, u2: f32) -> f32 {
+fn normal_from_units_plain(u1: f32, u2: f32) -> f32 {
     (-2.0 * logf(u1)).sqrt() * cosf(std::f32::consts::TAU * u2)
-}
-
-/// Single-sample front-end compiled with hardware FMA so the `mul_add`s in
-/// the kernels become `vfmadd` instructions instead of libm `fma()` calls.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-unsafe fn normal_from_units_fma(u1: f32, u2: f32) -> f32 {
-    normal_from_units_generic(u1, u2)
 }
 
 /// Fills `out` with standard normals, drawing `(u1, u2)` per element in the
@@ -228,27 +277,33 @@ unsafe fn normal_from_units_fma(u1: f32, u2: f32) -> f32 {
 /// nothing else — so the RNG stream, and therefore every downstream value,
 /// is unchanged. The unit draws are reconstructed from the raw 24-bit words
 /// exactly as the uniform sampler builds them (`lo + (hi−lo)·(k/2²⁴)`).
-/// Under AVX2+FMA one loop draws the eight words of four elements and runs
-/// the transcendental kernels on them four lanes wide, so the generator's
-/// serial integer chain for the next four overlaps the vector math of these
-/// (drawing a whole batch first left the two taking turns); the scalar loop
-/// covers the tail and non-AVX2 hosts bit-identically.
+/// A vector tier draws the words of four (AVX2) or eight (AVX-512) elements
+/// and runs the transcendental kernels on them in one register, so the
+/// generator's serial integer chain for the next elements overlaps the
+/// vector math of these (drawing a whole batch first left the two taking
+/// turns); the plain body covers the tail bit-identically.
 pub fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: guarded by the runtime AVX2+FMA check.
-        return unsafe { avx2::normal_fill(rng, out) };
-    }
-    normal_fill_scalar(rng, out);
+    on_tier!(crate::simd::simd_tier(), normal_fill => normal_fill_plain(rng, out))
 }
 
-/// One element at a time: its two raw draws, then the scalar kernels.
+/// [`normal_fill`], the plain body: one element at a time, its two raw
+/// draws, then the scalar kernels.
 #[inline(always)]
-fn normal_fill_scalar<R: Rng>(rng: &mut R, out: &mut [f32]) {
+fn normal_fill_plain<R: Rng>(rng: &mut R, out: &mut [f32]) {
     for o in out {
         let (k1, k2) = (rng.next_u32() >> 8, rng.next_u32() >> 8);
-        *o = normal_from_units_generic(u1_from_bits(k1), unit_f32(k2));
+        *o = normal_from_units_plain(u1_from_bits(k1), unit_f32(k2));
     }
+}
+
+/// The next element's two draws as one 64-bit lane, `k1` in the low half:
+/// the two `next_u32` calls [`normal_fill_plain`] makes for it, in its
+/// order.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn draw_pair<R: Rng>(rng: &mut R) -> i64 {
+    let (k1, k2) = (rng.next_u32() >> 8, rng.next_u32() >> 8);
+    (k1 as u64 | (k2 as u64) << 32) as i64
 }
 
 /// Unit-interval value of a 24-bit draw, exactly as the uniform sampler
@@ -264,62 +319,96 @@ fn u1_from_bits(k: u32) -> f32 {
     f32::EPSILON + (1.0 - f32::EPSILON) * unit_f32(k)
 }
 
+/// The plain bodies compiled with FMA: the scalar tier's instances on a CPU
+/// that has it, where each `mul_add` is then one `vfmadd` instead of a call
+/// into libm's `fma()`, which rounds the same but costs a call per
+/// operation.
 #[cfg(target_arch = "x86_64")]
-fn fma_available() -> bool {
-    use std::sync::OnceLock;
-    static FMA: OnceLock<bool> = OnceLock::new();
-    *FMA.get_or_init(|| std::is_x86_feature_detected!("fma"))
+mod fma {
+    use super::*;
+
+    #[target_feature(enable = "fma")]
+    pub unsafe fn normal_from_units(u1: f32, u2: f32) -> f32 {
+        normal_from_units_plain(u1, u2)
+    }
+
+    #[target_feature(enable = "fma")]
+    pub unsafe fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
+        normal_fill_plain(rng, out)
+    }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn avx2_fma_available() -> bool {
-    use std::sync::OnceLock;
-    static OK: OnceLock<bool> = OnceLock::new();
-    *OK.get_or_init(|| {
-        std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
-    })
+/// A vector tier's instances: the plain [`normal_from_units`] compiled
+/// under the tier's features, and [`normal_fill`] as the tier's lane body,
+/// which the tier's register type `$V` picks ([`lanes::Lanes`]).
+macro_rules! sampler_bodies {
+    ($features:literal, $V:ty) => {
+        #[target_feature(enable = $features)]
+        pub unsafe fn normal_from_units(u1: f32, u2: f32) -> f32 {
+            normal_from_units_plain(u1, u2)
+        }
+
+        #[target_feature(enable = $features)]
+        pub unsafe fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
+            <$V as lanes::Lanes>::fill(rng, out)
+        }
+    };
 }
 
-/// Four-lane AVX2+FMA transcription of the scalar kernels. Every lane
-/// performs the identical f64 operation sequence (`vfmaddpd` rounds each
-/// lane exactly like `vfmaddsd`), so the results are bit-equal to the scalar
-/// path at any batch size — the `quad_matches_scalar` test pins this over
-/// the full 24-bit draw lattice, strided.
+stamp_tiers!(mod { sampler_bodies });
+
+/// The vector tiers' Box–Muller bodies, transcriptions of the scalar
+/// kernels. Every lane performs the identical `f64` operation sequence
+/// (`vfmaddpd` rounds each lane exactly like `vfmaddsd`), so the results
+/// are bit-equal to the plain body at any length — the
+/// `every_tier_matches_the_scalar_kernels_over_the_draw_lattice` test pins
+/// this over the 24-bit draw lattice, strided (every draw under
+/// `RFL_FASTMATH_EXHAUSTIVE=1`).
 ///
-/// Domain note: this path is only reachable from `normal_fill`, whose draws
-/// guarantee `u1 ∈ [ε, 1)` (always a normal positive float on the `logf`
-/// main path) and an angle in `[0, 2π)` (always on the `cosf` fast-reduce
-/// path, `n ∈ [0, 4]`), so the only per-lane branch left is the tiny-angle
-/// pin to 1.0, handled by a blend.
+/// Domain note: these bodies are only reachable from `normal_fill`, whose
+/// draws guarantee `u1 ∈ [ε, 1)` (always a normal positive float on the
+/// `logf` main path) and an angle in `[0, 2π)` (always on the `cosf`
+/// fast-reduce path, `n ∈ [0, 4]`), so the only per-lane branch left is the
+/// tiny-angle pin to 1.0, handled by a blend.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+mod lanes {
     use super::*;
     use std::arch::x86_64::*;
 
-    /// [`super::normal_fill`], four elements per iteration.
+    /// A vector tier's [`normal_fill`](super::normal_fill) body, on the
+    /// tier's widest `f32` register type: `__m256` for AVX2, `__m512` for
+    /// AVX-512.
     ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
-        let mut quads = out.chunks_exact_mut(4);
-        for q in &mut quads {
-            // Draw order: element 0's k1, its k2, element 1's k1, ... — one
-            // 64-bit lane per element, k1 in its low half (four moves into
-            // vector registers instead of eight).
-            let mut pairs = [0i64; 4];
-            for pair in &mut pairs {
-                let (k1, k2) = (rng.next_u32() >> 8, rng.next_u32() >> 8);
-                *pair = (k1 as u64 | (k2 as u64) << 32) as i64;
+    /// `fill` requires its tier's features; it is only ever inlined into
+    /// the tier's `#[target_feature]` instance.
+    pub(super) trait Lanes {
+        unsafe fn fill<R: Rng>(rng: &mut R, out: &mut [f32]);
+    }
+
+    /// AVX2: four elements per step.
+    impl Lanes for __m256 {
+        #[inline(always)]
+        unsafe fn fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
+            let mut quads = out.chunks_exact_mut(4);
+            for q in &mut quads {
+                // Draw order: element 0's k1, its k2, element 1's k1, ... —
+                // one 64-bit lane per element, k1 in its low half (four
+                // moves into vector registers instead of eight).
+                let pairs = _mm256_setr_epi64x(
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                );
+                let k1_then_k2 = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+                let split = _mm256_permutevar8x32_epi32(pairs, k1_then_k2);
+                let k1 = _mm256_castsi256_si128(split);
+                let k2 = _mm256_extracti128_si256::<1>(split);
+                _mm_storeu_ps(q.as_mut_ptr(), quad(k1, k2));
             }
-            let pairs = _mm256_setr_epi64x(pairs[0], pairs[1], pairs[2], pairs[3]);
-            let k1_then_k2 = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-            let split = _mm256_permutevar8x32_epi32(pairs, k1_then_k2);
-            let k1 = _mm256_castsi256_si128(split);
-            let k2 = _mm256_extracti128_si256::<1>(split);
-            _mm_storeu_ps(q.as_mut_ptr(), quad(k1, k2));
+            normal_fill_plain(rng, quads.into_remainder());
         }
-        normal_fill_scalar(rng, quads.into_remainder());
     }
 
     /// Four Box–Muller normals from four raw draw pairs.
@@ -434,11 +523,169 @@ mod avx2 {
 
         _mm_mul_ps(mag, cosv)
     }
+
+    /// [`LOGF_TAB`] in four registers: `[1/c₀ … 1/c₇]`, `[1/c₈ … 1/c₁₅]`,
+    /// `[log c₀ … log c₇]`, `[log c₈ … log c₁₅]`. `vpermt2pd` reads a pair of
+    /// registers as one 16-entry table, so a lane's 4-bit index fetches its
+    /// entry without touching memory.
+    #[derive(Clone, Copy)]
+    struct LogTable {
+        invc: (__m512d, __m512d),
+        logc: (__m512d, __m512d),
+    }
+
+    /// AVX-512: eight elements per step, the table in registers.
+    impl Lanes for __m512 {
+        #[inline(always)]
+        unsafe fn fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
+            const INVC: [f64; 16] = logf_column(0);
+            const LOGC: [f64; 16] = logf_column(1);
+            // Read through references the optimizer cannot see into: with
+            // the values known, LLVM reloads the table from its constant
+            // pool inside the loop as each permute's operand. This way the
+            // four registers are filled once per call.
+            let (invc, logc) = std::hint::black_box((&INVC, &LOGC));
+            let tab = LogTable {
+                invc: (
+                    _mm512_loadu_pd(invc.as_ptr()),
+                    _mm512_loadu_pd(invc.as_ptr().add(8)),
+                ),
+                logc: (
+                    _mm512_loadu_pd(logc.as_ptr()),
+                    _mm512_loadu_pd(logc.as_ptr().add(8)),
+                ),
+            };
+            // One octet per iteration: two per iteration read 4.5–4.7 µs per
+            // 1,056 normals against 3.9 µs (`lazy_cycle`'s sampler row).
+            let mut octets = out.chunks_exact_mut(8);
+            for o in &mut octets {
+                let (k1, k2) = draw_octet(rng);
+                _mm256_storeu_ps(o.as_mut_ptr(), octet(k1, k2, tab));
+            }
+            normal_fill_plain(rng, octets.into_remainder());
+        }
+    }
+
+    /// The next eight elements' draws: their `k1`s and their `k2`s.
+    #[inline(always)]
+    unsafe fn draw_octet<R: Rng>(rng: &mut R) -> (__m256i, __m256i) {
+        // Draw order as in the AVX2 body: one 64-bit lane per element, k1
+        // in its low half, built in registers.
+        let pairs = _mm512_setr_epi64(
+            draw_pair(rng),
+            draw_pair(rng),
+            draw_pair(rng),
+            draw_pair(rng),
+            draw_pair(rng),
+            draw_pair(rng),
+            draw_pair(rng),
+            draw_pair(rng),
+        );
+        let k1 = _mm512_cvtepi64_epi32(pairs);
+        let k2 = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<32>(pairs));
+        (k1, k2)
+    }
+
+    /// Eight Box–Muller normals from eight raw draw pairs: [`quad`] lane for
+    /// lane, with the table read from registers and the per-lane selections
+    /// as mask blends.
+    #[inline(always)]
+    unsafe fn octet(k1: __m256i, k2: __m256i, tab: LogTable) -> __m256 {
+        // Unit draws: k/2²⁴ exactly (k < 2²⁴ is exact in f32).
+        let inv = _mm256_set1_ps(1.0 / (1u32 << 24) as f32);
+        let unit1 = _mm256_mul_ps(_mm256_cvtepi32_ps(k1), inv);
+        let unit2 = _mm256_mul_ps(_mm256_cvtepi32_ps(k2), inv);
+        let u1 = _mm256_add_ps(
+            _mm256_set1_ps(f32::EPSILON),
+            _mm256_mul_ps(_mm256_set1_ps(1.0 - f32::EPSILON), unit1),
+        );
+
+        // ---- logf(u1), eight lanes ----
+        let ix = _mm256_castps_si256(u1);
+        let tmp = _mm256_sub_epi32(ix, _mm256_set1_epi32(0x3f33_0000));
+        let idx = _mm256_and_si256(_mm256_srli_epi32::<19>(tmp), _mm256_set1_epi32(0xf));
+        let idx = _mm512_cvtepu32_epi64(idx);
+        let invc = _mm512_permutex2var_pd(tab.invc.0, idx, tab.invc.1);
+        let logc = _mm512_permutex2var_pd(tab.logc.0, idx, tab.logc.1);
+        let k = _mm256_srai_epi32::<23>(tmp);
+        let iz = _mm256_sub_epi32(
+            ix,
+            _mm256_and_si256(tmp, _mm256_set1_epi32(0xff80_0000u32 as i32)),
+        );
+        let z = _mm512_cvtps_pd(_mm256_castsi256_ps(iz));
+        let kd = _mm512_cvtepi32_pd(k);
+        let r = _mm512_fmadd_pd(z, invc, _mm512_set1_pd(-1.0));
+        let y0 = _mm512_fmadd_pd(kd, _mm512_set1_pd(LOGF_LN2), logc);
+        let r2 = _mm512_mul_pd(r, r);
+        let y = _mm512_fmadd_pd(_mm512_set1_pd(LOGF_A1), r, _mm512_set1_pd(LOGF_A2));
+        let p = _mm512_add_pd(y0, r);
+        let y = _mm512_fmadd_pd(_mm512_set1_pd(LOGF_A0), r2, y);
+        let ln = _mm512_fmadd_pd(r2, y, p);
+        // (−2·ln u1)^½ in f32, exactly as the scalar front-end rounds it.
+        let mag = _mm256_sqrt_ps(_mm256_mul_ps(_mm512_cvtpd_ps(ln), _mm256_set1_ps(-2.0)));
+
+        // ---- cosf(2π·u2), eight lanes ----
+        let ang = _mm256_mul_ps(_mm256_set1_ps(std::f32::consts::TAU), unit2);
+        let top = _mm256_and_si256(
+            _mm256_srli_epi32::<20>(_mm256_castps_si256(ang)),
+            _mm256_set1_epi32(0x7ff),
+        );
+        let tiny = _mm256_cmplt_epi32_mask(top, _mm256_set1_epi32(0x398));
+        let x = _mm512_cvtps_pd(ang);
+        let n0 = _mm512_cvttpd_epi32(_mm512_mul_pd(x, _mm512_set1_pd(HPI_INV)));
+        let n = _mm256_srai_epi32::<24>(_mm256_add_epi32(n0, _mm256_set1_epi32(0x0080_0000)));
+        let nd = _mm512_cvtepi32_pd(n);
+        let rr = _mm512_fmadd_pd(nd, _mm512_set1_pd(-HPI), x);
+        let s = _mm512_mul_pd(rr, rr);
+        // Block select: quadrants {0,3} read P0, {1,2} read P1 (n & 2 set).
+        let use_p1 = _mm256_test_epi32_mask(n, _mm256_set1_epi32(2));
+        macro_rules! sel {
+            ($j:literal) => {
+                _mm512_mask_blend_pd(
+                    use_p1,
+                    _mm512_set1_pd(SINCOS_P0[$j]),
+                    _mm512_set1_pd(SINCOS_P1[$j]),
+                )
+            };
+        }
+        // Even-quadrant polynomial.
+        let x4 = _mm512_mul_pd(s, s);
+        let te = _mm512_fmadd_pd(sel!(1), s, sel!(0));
+        let ue = _mm512_fmadd_pd(sel!(7), s, sel!(5));
+        let ve = _mm512_mul_pd(s, x4);
+        let we = _mm512_fmadd_pd(x4, sel!(3), te);
+        let even = _mm512_fmadd_pd(ue, ve, we);
+        // Odd-quadrant polynomial on the sign-adjusted argument:
+        // sign[n&3] < 0 exactly when (n+1) & 2 ≠ 0.
+        let negative = _mm256_test_epi32_mask(
+            _mm256_add_epi32(n, _mm256_set1_epi32(1)),
+            _mm256_set1_epi32(2),
+        );
+        let a = _mm512_mask_xor_pd(rr, negative, rr, _mm512_set1_pd(-0.0));
+        let to = _mm512_fmadd_pd(
+            _mm512_set1_pd(SINCOS_P0[6]),
+            s,
+            _mm512_set1_pd(SINCOS_P0[4]),
+        );
+        let uo = _mm512_mul_pd(s, a);
+        let vo = _mm512_mul_pd(s, uo);
+        let wo = _mm512_fmadd_pd(uo, _mm512_set1_pd(SINCOS_P0[2]), a);
+        let odd = _mm512_fmadd_pd(to, vo, wo);
+        let oddq = _mm256_test_epi32_mask(n, _mm256_set1_epi32(1));
+        let res = _mm512_mask_blend_pd(oddq, even, odd);
+        let cosv = _mm256_mask_blend_ps(tiny, _mm512_cvtpd_ps(res), _mm256_set1_ps(1.0));
+
+        _mm256_mul_ps(mag, cosv)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Tier;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+    use std::io::Write;
 
     fn exhaustive() -> bool {
         std::env::var("RFL_FASTMATH_EXHAUSTIVE").is_ok_and(|v| v == "1")
@@ -533,66 +780,150 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quad_matches_scalar_over_draw_lattice() {
-        // The AVX2 path and the generic path must agree bitwise for every
-        // raw 24-bit draw pair. Strided sweep over the lattice, plus the
-        // boundary draws (0, 1, 2²⁴−1) that hit the tiny-angle blend.
-        let mut k1s: Vec<u32> = (0..(1u32 << 24)).step_by(4099).collect();
-        k1s.extend_from_slice(&[0, 1, 2, (1 << 24) - 1]);
-        let k2s: Vec<u32> = k1s.iter().rev().copied().collect();
-        // `normal_fill` shifts each word right by eight, in draw order.
-        let words = k1s.iter().zip(&k2s).flat_map(|(&a, &b)| [a << 8, b << 8]);
-        let mut rng = Scripted::new(words.collect());
-        let mut out = vec![0.0f32; k1s.len()];
-        normal_fill(&mut rng, &mut out);
-        assert!(rng.words.next().is_none(), "two words per element");
-        for i in 0..k1s.len() {
-            let want = normal_from_units_generic(u1_from_bits(k1s[i]), unit_f32(k2s[i]));
-            assert_eq!(
-                out[i].to_bits(),
-                want.to_bits(),
-                "draw pair ({}, {})",
-                k1s[i],
-                k2s[i]
+    /// The tiers this CPU runs. Each one it lacks is reported on stderr
+    /// directly, past the test harness's capture, so a CI log says which
+    /// tiers ran.
+    fn tiers() -> Vec<Tier> {
+        let (run, skip): (Vec<Tier>, Vec<Tier>) =
+            Tier::ALL.into_iter().partition(|t| t.available());
+        for t in skip {
+            let _ = writeln!(
+                std::io::stderr(),
+                "fastmath: skipped the {} tier: this CPU lacks its features",
+                t.name()
             );
         }
+        run
+    }
+
+    // Each tier's instance is called directly, not through the process-wide
+    // dispatch, so every tier this CPU has is tested whichever one the
+    // process selected, and no lock is needed against tests that switch it.
+    // The scalar tier's instance is the one its dispatch runs: the FMA build
+    // on a CPU with FMA.
+
+    /// `tier`'s instance of [`normal_fill`].
+    fn fill_on<R: Rng>(tier: Tier, rng: &mut R, out: &mut [f32]) {
+        on_tier!(tier, normal_fill => normal_fill_plain(rng, out))
+    }
+
+    /// `tier`'s instance of [`normal_from_units`].
+    fn units_on(tier: Tier, u1: f32, u2: f32) -> f32 {
+        on_tier!(tier, normal_from_units => normal_from_units_plain(u1, u2))
+    }
+
+    /// A fixed permutation of the 24-bit draw lattice (an odd multiplier
+    /// modulo 2²⁴): the `k2` drawn beside each `k1`.
+    fn partner(k1: u32) -> u32 {
+        k1.wrapping_mul(0x9E37_79B1) & 0xff_ffff
     }
 
     #[test]
-    fn normal_fill_draws_two_words_per_element_in_order_and_matches_the_scalar_kernels() {
-        use rand::rngs::StdRng;
-        use rand::{RngCore, SeedableRng};
-        // Every tail length behind 0..=17 quads, one lazy client's shard
-        // (32 × 32), and its shift plus shard with a tail of three.
-        let mut stream = StdRng::seed_from_u64(7);
-        for len in (0..=70).chain([1024, 1056 + 3]) {
-            let words: Vec<u32> = (0..2 * len).map(|_| stream.next_u32()).collect();
-            let mut rng = Scripted::new(words.clone());
-            let mut out = vec![0.0f32; len];
-            normal_fill(&mut rng, &mut out);
-            assert!(rng.words.next().is_none(), "len {len}: words left over");
-            for (i, pair) in words.chunks_exact(2).enumerate() {
-                let want =
-                    normal_from_units_generic(u1_from_bits(pair[0] >> 8), unit_f32(pair[1] >> 8));
-                assert_eq!(out[i].to_bits(), want.to_bits(), "len {len}, element {i}");
+    fn every_tier_matches_the_scalar_kernels_over_the_draw_lattice() {
+        // Every tier's `normal_fill` and `normal_from_units` against the
+        // plain kernels, bitwise, over raw 24-bit draw pairs `(k1,
+        // partner(k1))`: every 4,099th `k1`, or every one under
+        // RFL_FASTMATH_EXHAUSTIVE=1 (16.7 M pairs per tier; run it in
+        // release). Then the lattice's ends against each other, and the
+        // `k2`s around the last angle pinned to 1.0 (652).
+        let stride = if exhaustive() { 1 } else { 4099 };
+        let ends = [0, 1, 2, 651, 652, 653, (1 << 24) - 1];
+        let edges = ends.iter().flat_map(|&a| ends.map(|b| (a, b)));
+        let mut pairs = (0..1u32 << 24)
+            .step_by(stride)
+            .map(|k1| (k1, partner(k1)))
+            .chain(edges)
+            .peekable();
+        let tiers = tiers();
+        while pairs.peek().is_some() {
+            let chunk: Vec<(u32, u32)> = pairs.by_ref().take(1 << 16).collect();
+            let units = |&(k1, k2): &(u32, u32)| (u1_from_bits(k1), unit_f32(k2));
+            let want: Vec<u32> = (chunk.iter().map(units))
+                .map(|(u1, u2)| normal_from_units_plain(u1, u2).to_bits())
+                .collect();
+            // `normal_fill` shifts each word right by eight, in draw order.
+            let words: Vec<u32> = chunk.iter().flat_map(|&(a, b)| [a << 8, b << 8]).collect();
+            for &tier in &tiers {
+                let mut rng = Scripted::new(words.clone());
+                let mut out = vec![0.0f32; chunk.len()];
+                fill_on(tier, &mut rng, &mut out);
+                assert!(
+                    rng.words.next().is_none(),
+                    "{}: words left over",
+                    tier.name()
+                );
+                for ((pair, &w), o) in chunk.iter().zip(&want).zip(&out) {
+                    let (u1, u2) = units(pair);
+                    let one = units_on(tier, u1, u2);
+                    assert_eq!(
+                        o.to_bits(),
+                        w,
+                        "{} normal_fill, draw pair {pair:?}",
+                        tier.name()
+                    );
+                    assert_eq!(
+                        one.to_bits(),
+                        w,
+                        "{} normal_from_units, {pair:?}",
+                        tier.name()
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn normal_fill_matches_normal_sample_stream() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut a = StdRng::seed_from_u64(42);
-        let mut b = a.clone();
-        let mut batch = vec![0.0f32; 1000];
-        normal_fill(&mut a, &mut batch);
-        for (i, &v) in batch.iter().enumerate() {
-            let want = crate::init::normal_sample(&mut b);
-            assert_eq!(v.to_bits(), want.to_bits(), "element {i}");
+    fn every_tier_draws_two_words_per_element_in_order_and_matches_the_scalar_kernels() {
+        // Every tail length behind 0..=8 octets (and 0..=17 quads), one lazy
+        // client's shard (32 × 32), and its shift plus shard with a tail of
+        // three.
+        for tier in tiers() {
+            let mut stream = StdRng::seed_from_u64(7);
+            for len in (0..=70).chain([1024, 1056 + 3]) {
+                let words: Vec<u32> = (0..2 * len).map(|_| stream.next_u32()).collect();
+                let mut rng = Scripted::new(words.clone());
+                let mut out = vec![0.0f32; len];
+                fill_on(tier, &mut rng, &mut out);
+                let name = tier.name();
+                assert!(
+                    rng.words.next().is_none(),
+                    "{name} len {len}: words left over"
+                );
+                for (i, pair) in words.chunks_exact(2).enumerate() {
+                    let (u1, u2) = (u1_from_bits(pair[0] >> 8), unit_f32(pair[1] >> 8));
+                    let want = normal_from_units_plain(u1, u2);
+                    assert_eq!(
+                        out[i].to_bits(),
+                        want.to_bits(),
+                        "{name} len {len}, element {i}"
+                    );
+                }
+            }
         }
-        // Streams stay aligned afterwards.
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
+    #[test]
+    fn every_tier_matches_the_normal_sample_stream() {
+        // Ragged lengths 0..300 off one generator each, and 1,000: every
+        // element equals `normal_sample`'s, and the two streams end at the
+        // same position.
+        for tier in tiers() {
+            for len in (0..300).chain([1000]) {
+                let mut a = StdRng::seed_from_u64(42 + len as u64);
+                let mut b = a.clone();
+                let mut batch = vec![0.0f32; len];
+                fill_on(tier, &mut a, &mut batch);
+                for (i, &v) in batch.iter().enumerate() {
+                    let want = crate::init::normal_sample(&mut b);
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "{} len {len}, element {i}",
+                        tier.name()
+                    );
+                }
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{} len {len}", tier.name());
+            }
+        }
     }
 }

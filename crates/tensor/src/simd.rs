@@ -5,7 +5,11 @@
 //!
 //! - **scalar**: the plain bodies. They are the definition, and the
 //!   `RFL_SIMD=0` path.
-//! - **avx2**: 8-lane bodies under `#[target_feature(enable = "avx2")]`.
+//! - **avx2**: 8-lane bodies under `#[target_feature(enable = "avx2,fma")]`.
+//!   The tier requires FMA because the normal sampler (`fastmath.rs`) fuses
+//!   its multiply-adds. Intel and AMD brought AVX2 and FMA in the same
+//!   generations (Haswell, Excavator); a CPU with AVX2 and no FMA runs the
+//!   scalar tier.
 //! - **avx512**: the same kernels under `avx2, avx512f, avx512vl, avx512bw,
 //!   avx512dq`: EVEX encoding and 32 vector registers for every body, and
 //!   16-lane bodies where one register can hold sixteen independent outputs.
@@ -21,7 +25,9 @@
 //! (`wide::Vector`, instantiated at `__m256` and `__m512`). The reductions
 //! (`dot`, `sq_dist`, `sum`, [`dot_tile_slices`]) and the convolution and
 //! pooling bodies keep their 8-lane registers at the AVX-512 tier: only
-//! their encoding and register count change.
+//! their encoding and register count change. The Box–Muller sampler
+//! (`fastmath::normal_fill`) is a tier kernel too: four normals per step at
+//! the AVX2 tier, eight at the AVX-512 tier, with `f64` internals in both.
 //!
 //! ## Determinism contract
 //!
@@ -63,13 +69,16 @@
 //!   it exactly: same range clamp, same round-to-nearest-even via the
 //!   `1.5·2²³` magic constant, same Cody–Waite reduction, same Horner steps.
 //!
-//! **No multiply-add is fused on any tier.** Rust's target-feature table
-//! makes `avx512f` imply `fma`, so the AVX-512 instances are compiled with
-//! FMA available — and that contracts nothing: Rust emits every `a * b + c`
-//! as a separate multiply and add with no contraction flag, and LLVM fuses
-//! only the operations asked to fuse (`f32::mul_add`, the `_fmadd`
-//! intrinsics), which no kernel here uses. (`fastmath.rs` fuses on purpose,
-//! for its own normal sampler, against its own scalar reference.)
+//! **No multiply-add is fused in this module, on any tier.** Both vector
+//! tiers are compiled with FMA available (the AVX2 tier names `fma`, and
+//! Rust's target-feature table makes `avx512f` imply it), and that
+//! contracts nothing: Rust emits every `a * b + c` as a separate multiply and
+//! add with no contraction flag, and LLVM fuses only the operations asked to
+//! fuse (`f32::mul_add`, the `_fmadd` intrinsics), which no kernel here uses.
+//! The one tier kernel that fuses on purpose is the normal sampler in
+//! `fastmath.rs`: its plain body is written with `f64::mul_add`, which rounds
+//! once on every platform, and its vector bodies replay those fused steps
+//! with `vfmadd`, against that plain body.
 //!
 //! Consequently `RFL_SIMD=0` and `RFL_SIMD=1` produce bit-identical results
 //! at any thread count and on any tier, which CI gates the same way as the
@@ -79,7 +88,8 @@
 //! ## Dispatch
 //!
 //! The tier is selected once per process via [`OnceLock`]: the widest one
-//! the CPU reports (runtime `is_x86_feature_detected!`). `RFL_SIMD=0` forces
+//! the CPU reports (runtime `is_x86_feature_detected!`, asked here and
+//! nowhere else in the process). `RFL_SIMD=0` forces
 //! the scalar tier; `RFL_SIMD=1` (or unset) asks for the widest. An AVX2-only
 //! CPU runs the AVX2 instances, as it always has. [`set_simd_enabled`] and
 //! [`set_simd_tier`] flip the choice programmatically for benchmarks and
@@ -136,9 +146,9 @@ impl Tier {
             use std::arch::is_x86_feature_detected as has;
             match self {
                 Tier::Scalar => true,
-                Tier::Avx2 => has!("avx2"),
+                Tier::Avx2 => has!("avx2") && hardware_fma(),
                 Tier::Avx512 => {
-                    has!("avx2")
+                    Tier::Avx2.available()
                         && has!("avx512f")
                         && has!("avx512vl")
                         && has!("avx512bw")
@@ -160,6 +170,17 @@ impl Tier {
             .find(|t| t.available())
             .unwrap_or(Tier::Scalar)
     }
+}
+
+/// Whether this CPU fuses multiply-adds in hardware. Both vector tiers
+/// require it. On the scalar tier, `fastmath`'s sampler asks it to compile
+/// its `f64::mul_add`s as `vfmadd` instead of libm `fma()` calls (the same
+/// bits either way). With [`Tier::available`], the only place the process
+/// asks the CPU what it has.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn hardware_fma() -> bool {
+    std::arch::is_x86_feature_detected!("fma")
 }
 
 static TIER: OnceLock<AtomicU8> = OnceLock::new();
@@ -244,7 +265,7 @@ pub fn simd_backend() -> &'static str {
 /// nowhere else.
 macro_rules! stamp_tiers {
     ($vis:vis mod { $($body:ident),* $(,)? }) => {
-        $crate::simd::stamp_tiers!(@module $vis avx2, "avx2", __m256, [$($body),*],
+        $crate::simd::stamp_tiers!(@module $vis avx2, "avx2,fma", __m256, [$($body),*],
             "The AVX2 instances.");
         $crate::simd::stamp_tiers!($vis mod avx512 { $($body),* });
     };
@@ -305,7 +326,7 @@ macro_rules! kernel {
                         "avx2,avx512f,avx512vl,avx512bw,avx512dq", $plain($($arg: $ty),*));
                 }
                 $crate::simd::Tier::Avx2 => {
-                    return $crate::simd::kernel!(@instance $avx2, "avx2", $plain($($arg: $ty),*));
+                    return $crate::simd::kernel!(@instance $avx2, "avx2,fma", $plain($($arg: $ty),*));
                 }
                 $crate::simd::Tier::Scalar => {}
             }

@@ -299,12 +299,10 @@ fn dispatch_reports_a_backend() {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
-        let avx512 = has!("avx2")
-            && has!("avx512f")
-            && has!("avx512vl")
-            && has!("avx512bw")
-            && has!("avx512dq");
+        let avx2 = has!("avx2") && has!("fma");
+        let avx512 =
+            avx2 && has!("avx512f") && has!("avx512vl") && has!("avx512bw") && has!("avx512dq");
         assert_eq!(Tier::Avx512.available(), avx512);
-        assert_eq!(Tier::Avx2.available(), has!("avx2"));
+        assert_eq!(Tier::Avx2.available(), avx2);
     }
 }

@@ -42,6 +42,10 @@ PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test gemm_oracle --t
 echo "== PROPTEST_CASES=2048 LSTM cell oracle in release (deep)"
 PROPTEST_CASES=2048 cargo test --release -q -p rfl-nn --test lstm_oracle
 
+echo "== RFL_FASTMATH_EXHAUSTIVE=1 normal sampler on every tier over the whole 24-bit draw lattice in release (16.7 M pairs per tier)"
+RFL_FASTMATH_EXHAUSTIVE=1 cargo test --release -q -p rfl-tensor --lib -- --exact \
+    fastmath::tests::every_tier_matches_the_scalar_kernels_over_the_draw_lattice
+
 echo "== distributed smoke (multi-process federation over sockets)"
 scripts/distributed-smoke.sh
 
@@ -51,15 +55,25 @@ RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
 echo "== rfl-bench all --scale quick --seeds 1: every experiment's CSVs and stdout against scripts/experiments.sha256"
 scripts/experiments-smoke.sh
 
-echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment)"
+echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment; the rows add up to the total within a clock tick per row)"
 scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick --out none |
-    grep '^thread  *threads  *user_s' > /dev/null
+    awk -v hz="$(getconf CLK_TCK)" '
+        /^thread  *threads  *user_s/ { table = 1; next }
+        !table || NF < 6 { next }
+        $1 == "total" { tu = $(NF-3); ts = $(NF-2); total = 1; next }
+        { su += $(NF-3); ss += $(NF-2); rows++ }
+        function off(a, b) { return a > b ? a - b : b - a }
+        END { exit !(total && off(su, tu) <= rows / hz && off(ss, ts) <= rows / hz) }'
 
 echo "== cnn_layers and lstm_layers smoke (per-layer step tables; the headers name the SIMD tier)"
 cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 |
     grep -E '^cifar-like CNN, .*, simd (avx512|avx2|scalar), '
 cargo run --release -q -p rfl-nn --example lstm_layers -- --iters 3 |
     grep -E '^sent140-like LSTM, .*, simd (avx512|avx2|scalar), '
+
+echo "== lazy_cycle smoke (a lazy client-round's table; the header names the SIMD tier)"
+cargo run --release -q -p rfl-core --example lazy_cycle -- --iters 3 |
+    grep -E '^lazy client-round, .*, simd (avx512|avx2|scalar), '
 
 echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
 bash -n scripts/ab.sh
