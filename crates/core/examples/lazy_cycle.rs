@@ -189,7 +189,7 @@ fn main() {
     );
     println!("{:<28}{:>10}{:>9}", "part", "us", "share");
     for (p, &t) in PARTS.iter().zip(&us) {
-        println!("{p:<28}{t:>10.2}{:>8.1}%", 100.0 * t / total);
+        println!("{p:<28}{t:>10.3}{:>8.1}%", 100.0 * t / total);
     }
-    println!("{:<28}{total:>10.2}{:>8.1}%", "client-round", 100.0);
+    println!("{:<28}{total:>10.3}{:>8.1}%", "client-round", 100.0);
 }
