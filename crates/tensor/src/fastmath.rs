@@ -825,7 +825,7 @@ mod tests {
         // partner(k1))`: every 4,099th `k1`, or every one under
         // RFL_FASTMATH_EXHAUSTIVE=1 (16.7 M pairs per tier; run it in
         // release). Then the lattice's ends against each other, and the
-        // `k2`s around the last angle pinned to 1.0 (652).
+        // `k2`s around the last angle pinned to 1.0 (651).
         let stride = if exhaustive() { 1 } else { 4099 };
         let ends = [0, 1, 2, 651, 652, 653, (1 << 24) - 1];
         let edges = ends.iter().flat_map(|&a| ends.map(|b| (a, b)));

@@ -7,8 +7,8 @@
 //!   `RFL_SIMD=0` path.
 //! - **avx2**: 8-lane bodies under `#[target_feature(enable = "avx2,fma")]`.
 //!   The tier requires FMA because the normal sampler (`fastmath.rs`) fuses
-//!   its multiply-adds. Intel and AMD brought AVX2 and FMA in the same
-//!   generations (Haswell, Excavator); a CPU with AVX2 and no FMA runs the
+//!   its multiply-adds. Every Intel and AMD generation with AVX2 (Haswell,
+//!   Excavator and later) has FMA too; a CPU with AVX2 and no FMA runs the
 //!   scalar tier.
 //! - **avx512**: the same kernels under `avx2, avx512f, avx512vl, avx512bw,
 //!   avx512dq`: EVEX encoding and 32 vector registers for every body, and
