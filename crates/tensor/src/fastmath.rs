@@ -559,31 +559,24 @@ mod lanes {
             // 1,056 normals against 3.9 µs (`lazy_cycle`'s sampler row).
             let mut octets = out.chunks_exact_mut(8);
             for o in &mut octets {
-                let (k1, k2) = draw_octet(rng);
+                // Draw order as in the AVX2 body: one 64-bit lane per
+                // element, k1 in its low half, built in registers.
+                let pairs = _mm512_setr_epi64(
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                    draw_pair(rng),
+                );
+                let k1 = _mm512_cvtepi64_epi32(pairs);
+                let k2 = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<32>(pairs));
                 _mm256_storeu_ps(o.as_mut_ptr(), octet(k1, k2, tab));
             }
             normal_fill_plain(rng, octets.into_remainder());
         }
-    }
-
-    /// The next eight elements' draws: their `k1`s and their `k2`s.
-    #[inline(always)]
-    unsafe fn draw_octet<R: Rng>(rng: &mut R) -> (__m256i, __m256i) {
-        // Draw order as in the AVX2 body: one 64-bit lane per element, k1
-        // in its low half, built in registers.
-        let pairs = _mm512_setr_epi64(
-            draw_pair(rng),
-            draw_pair(rng),
-            draw_pair(rng),
-            draw_pair(rng),
-            draw_pair(rng),
-            draw_pair(rng),
-            draw_pair(rng),
-            draw_pair(rng),
-        );
-        let k1 = _mm512_cvtepi64_epi32(pairs);
-        let k2 = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<32>(pairs));
-        (k1, k2)
     }
 
     /// Eight Box–Muller normals from eight raw draw pairs: [`quad`] lane for
