@@ -20,9 +20,11 @@
 //!
 //! A part that is a difference (the two "rest" rows) is the median of the
 //! per-client differences. The header names the SIMD tier that ran
-//! (`simd_backend()`).
+//! (`simd_backend()`): the widest the CPU has, or the one `--tier` names (a
+//! tier the CPU lacks exits with status 2).
 //!
-//! Run with: `cargo run --release -p rfl-core --example lazy_cycle [--iters N]`
+//! Run with: `cargo run --release -p rfl-core --example lazy_cycle [--iters N]
+//! [--tier scalar|avx2|avx512]`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,6 +34,7 @@ use rfl_core::{
 };
 use rfl_data::synth::gaussian::GaussianMixtureSpec;
 use rfl_data::Dataset;
+use rfl_tensor::simd::{set_simd_tier, Tier};
 use rfl_tensor::{normal_fill, set_thread_budget, simd_backend, Tensor};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -94,12 +97,24 @@ fn median(v: &mut [f64]) -> f64 {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mut iters = 20_000;
+    let mut iters: usize = 20_000;
     while let Some(a) = args.next() {
-        match (a.as_str(), args.next().map(|v| v.parse::<usize>())) {
-            ("--iters", Some(Ok(n))) if n > 0 => iters = n,
+        match (a.as_str(), args.next().unwrap_or_default()) {
+            ("--iters", v) if v.parse::<usize>().is_ok_and(|n| n > 0) => {
+                iters = v.parse().expect("checked")
+            }
+            ("--tier", v) if v.parse::<Tier>().is_ok() => {
+                let tier: Tier = v.parse().expect("checked");
+                if !set_simd_tier(tier) {
+                    eprintln!("lazy_cycle: this CPU lacks the {v} tier's features");
+                    std::process::exit(2);
+                }
+            }
             _ => {
-                eprintln!("usage: lazy_cycle [--iters N]   (N ≥ 1, default 20000)");
+                eprintln!(
+                    "usage: lazy_cycle [--iters N] [--tier scalar|avx2|avx512]   \
+                     (N ≥ 1, default 20000; the tier defaults to the widest the CPU has)"
+                );
                 std::process::exit(2);
             }
         }

@@ -9,13 +9,16 @@
 //! convolution's backward is split into its weight gradient
 //! (`conv2d_backward_params_into`) and its input gradient (the full backward
 //! less that), timed on the same operands beside the step. The header names
-//! the SIMD tier that ran (`simd_backend()`).
+//! the SIMD tier that ran (`simd_backend()`): the widest the CPU has, or the
+//! one `--tier` names (a tier the CPU lacks exits with status 2).
 //!
-//! Run with: `cargo run --release -p rfl-nn --example cnn_layers [--iters N]`
+//! Run with: `cargo run --release -p rfl-nn --example cnn_layers [--iters N]
+//! [--tier scalar|avx2|avx512]`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_nn::{cross_entropy_into, Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu};
+use rfl_tensor::simd::{set_simd_tier, Tier};
 use rfl_tensor::{
     conv2d_backward_into, conv2d_backward_params_into, set_thread_budget, simd_backend,
     Conv2dGrads, Initializer, Tensor,
@@ -237,12 +240,24 @@ fn profile(name: &str, in_channels: usize, iters: usize) {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mut iters = 200;
+    let mut iters: usize = 200;
     while let Some(a) = args.next() {
-        match (a.as_str(), args.next().map(|v| v.parse::<usize>())) {
-            ("--iters", Some(Ok(n))) if n > 0 => iters = n,
+        match (a.as_str(), args.next().unwrap_or_default()) {
+            ("--iters", v) if v.parse::<usize>().is_ok_and(|n| n > 0) => {
+                iters = v.parse().expect("checked")
+            }
+            ("--tier", v) if v.parse::<Tier>().is_ok() => {
+                let tier: Tier = v.parse().expect("checked");
+                if !set_simd_tier(tier) {
+                    eprintln!("cnn_layers: this CPU lacks the {v} tier's features");
+                    std::process::exit(2);
+                }
+            }
             _ => {
-                eprintln!("usage: cnn_layers [--iters N]   (N ≥ 1, default 200)");
+                eprintln!(
+                    "usage: cnn_layers [--iters N] [--tier scalar|avx2|avx512]   \
+                     (N ≥ 1, default 200; the tier defaults to the widest the CPU has)"
+                );
                 std::process::exit(2);
             }
         }

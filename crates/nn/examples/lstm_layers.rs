@@ -15,13 +15,17 @@
 //! `transa` products (`xᵀ·dz`, `hᵀ·dz`: the weight gradients) and the
 //! `transb` products (`dz·Wxᵀ`, `dz·Whᵀ`: the input and hidden gradients).
 //!
-//! The header names the SIMD tier that ran (`simd_backend()`).
+//! The header names the SIMD tier that ran (`simd_backend()`): the widest
+//! the CPU has, or the one `--tier` names (a tier the CPU lacks exits with
+//! status 2).
 //!
-//! Run with: `cargo run --release -p rfl-nn --example lstm_layers [--iters N]`
+//! Run with: `cargo run --release -p rfl-nn --example lstm_layers [--iters N]
+//! [--tier scalar|avx2|avx512]`
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rfl_nn::{cross_entropy_into, Embedding, Layer, Linear, Lstm, LstmConfig, Tanh};
+use rfl_tensor::simd::{set_simd_tier, Tier};
 use rfl_tensor::{
     lstm_cell_backward_slices, lstm_cell_forward_slices, set_thread_budget, simd_backend,
     LstmCellCache, Tensor,
@@ -204,12 +208,24 @@ fn median(v: &mut [f64]) -> f64 {
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mut iters = 200;
+    let mut iters: usize = 200;
     while let Some(a) = args.next() {
-        match (a.as_str(), args.next().map(|v| v.parse::<usize>())) {
-            ("--iters", Some(Ok(n))) if n > 0 => iters = n,
+        match (a.as_str(), args.next().unwrap_or_default()) {
+            ("--iters", v) if v.parse::<usize>().is_ok_and(|n| n > 0) => {
+                iters = v.parse().expect("checked")
+            }
+            ("--tier", v) if v.parse::<Tier>().is_ok() => {
+                let tier: Tier = v.parse().expect("checked");
+                if !set_simd_tier(tier) {
+                    eprintln!("lstm_layers: this CPU lacks the {v} tier's features");
+                    std::process::exit(2);
+                }
+            }
             _ => {
-                eprintln!("usage: lstm_layers [--iters N]   (N ≥ 1, default 200)");
+                eprintln!(
+                    "usage: lstm_layers [--iters N] [--tier scalar|avx2|avx512]   \
+                     (N ≥ 1, default 200; the tier defaults to the widest the CPU has)"
+                );
                 std::process::exit(2);
             }
         }

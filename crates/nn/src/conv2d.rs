@@ -96,11 +96,15 @@ impl Layer for Conv2d {
         dinput
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
+    /// With `train = false` nothing is cached: a later backward still pairs
+    /// with the last training forward.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
         conv2d_into(input, &self.weight.value, &self.bias.value, self.spec, out);
-        match &mut self.cached_input {
-            Some(t) => t.assign(input),
-            None => self.cached_input = Some(input.clone()),
+        if train {
+            match &mut self.cached_input {
+                Some(t) => t.assign(input),
+                None => self.cached_input = Some(input.clone()),
+            }
         }
     }
 

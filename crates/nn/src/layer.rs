@@ -11,7 +11,9 @@ use rfl_tensor::Tensor;
 /// instance must see matching forward/backward pairs (standard for manual
 /// backprop engines).
 pub trait Layer {
-    /// Forward pass. `train` toggles train-time behaviour (e.g. dropout).
+    /// Forward pass. `train` says a backward will follow: with `false` the
+    /// convolution, dense, ReLU and max-pool layers cache nothing, and a
+    /// later backward still pairs with the last training forward.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backward pass for the most recent `forward` call.

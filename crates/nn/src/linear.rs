@@ -58,14 +58,18 @@ impl Layer for Linear {
         dinput
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
+    /// With `train = false` nothing is cached: a later backward still pairs
+    /// with the last training forward.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
         assert_eq!(input.ndim(), 2, "Linear expects [batch, in] input");
         assert_eq!(input.dims()[1], self.in_dim(), "Linear input dim mismatch");
         input.matmul_into(&self.weight.value, out);
         out.add_row_bias_assign(&self.bias.value);
-        match &mut self.cached_input {
-            Some(t) => t.assign(input),
-            None => self.cached_input = Some(input.clone()),
+        if train {
+            match &mut self.cached_input {
+                Some(t) => t.assign(input),
+                None => self.cached_input = Some(input.clone()),
+            }
         }
     }
 

@@ -8,7 +8,10 @@ use rfl_tensor::{maxpool2d_backward_into, maxpool2d_into, PoolSpec, Tensor};
 pub struct MaxPool2d {
     spec: PoolSpec,
     input_dims: Vec<usize>,
+    /// The last training forward's argmax, which a backward reads.
     argmax: Vec<u32>,
+    /// An inference forward's argmax, written and not kept.
+    argmax_inference: Vec<u32>,
 }
 
 impl MaxPool2d {
@@ -18,6 +21,7 @@ impl MaxPool2d {
             spec: PoolSpec::square(window),
             input_dims: Vec::new(),
             argmax: Vec::new(),
+            argmax_inference: Vec::new(),
         }
     }
 
@@ -40,7 +44,13 @@ impl Layer for MaxPool2d {
         dinput
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
+    /// With `train = false` nothing is cached: a later backward still pairs
+    /// with the last training forward.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+        if !train {
+            maxpool2d_into(input, self.spec, out, &mut self.argmax_inference);
+            return;
+        }
         maxpool2d_into(input, self.spec, out, &mut self.argmax);
         self.input_dims.clear();
         self.input_dims.extend_from_slice(input.dims());

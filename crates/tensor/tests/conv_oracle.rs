@@ -1,5 +1,6 @@
-//! The channel-lane convolution kernels against the textbook loops they
-//! replaced, **bit for bit**.
+//! The convolution kernels, on every tier and down both the masked and the
+//! mask-free path, against the textbook loops they replaced, **bit for
+//! bit**.
 //!
 //! The oracle below is the pre-lane production code, kept verbatim: one
 //! `dot_slices` / `axpy_slices` call per clipped kernel row, outputs visited
@@ -315,18 +316,6 @@ proptest! {
 /// `dot`'s chunk-then-tree order.
 #[test]
 fn fixed_shapes_match_oracle_bitwise() {
-    let shape = |n, c, h, w, o, kernel, stride, pad| Shape {
-        n,
-        c,
-        h,
-        w,
-        o,
-        spec: ConvSpec {
-            kernel,
-            stride,
-            pad,
-        },
-    };
     let cases = [
         shape(16, 1, 16, 16, 8, 3, 1, 1), // mnist-like conv1, as trained
         shape(16, 3, 16, 16, 8, 3, 1, 1), // cifar-like conv1, as trained
@@ -345,6 +334,129 @@ fn fixed_shapes_match_oracle_bitwise() {
             (Density::Zero, true),
         ] {
             check(s, special, density, 1000 + i as u64);
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn shape(
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    o: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+) -> Shape {
+    Shape {
+        n,
+        c,
+        h,
+        w,
+        o,
+        spec: ConvSpec {
+            kernel,
+            stride,
+            pad,
+        },
+    }
+}
+
+/// The edges of each pass's lane layouts: pixel-lane tiles of sixteen and
+/// their tails (`ow` 15, 16, 17, 32), channel blocks alone, paired and with
+/// an odd block count (`o` 8, 16, 17, 24, 32), two-row tiles (`ow` or `w`
+/// ≤ 8, an odd row count among them), one and two input-channel blocks, a
+/// stride-2 row of seventeen, and a 5×5 kernel (three weight-gradient
+/// passes of nine taps).
+#[test]
+fn lane_layout_edges_match_oracle_bitwise() {
+    let cases = [
+        shape(2, 3, 5, 15, 8, 3, 1, 1),
+        shape(2, 3, 5, 16, 8, 3, 1, 1),
+        shape(2, 3, 5, 17, 8, 3, 1, 1),
+        shape(2, 3, 4, 32, 8, 3, 1, 1),
+        shape(2, 4, 6, 6, 16, 3, 1, 1),
+        shape(2, 4, 6, 6, 17, 3, 1, 1),
+        shape(2, 4, 6, 6, 24, 3, 1, 1),
+        shape(2, 4, 6, 6, 32, 3, 1, 1),
+        shape(2, 8, 8, 8, 16, 3, 1, 1),
+        shape(2, 16, 8, 8, 8, 3, 1, 1),
+        shape(2, 8, 7, 8, 17, 3, 1, 1),
+        shape(2, 3, 9, 34, 8, 3, 2, 1),
+        shape(2, 3, 12, 20, 16, 5, 1, 2),
+    ];
+    for (i, s) in cases.iter().enumerate() {
+        for (density, special) in [
+            (Density::Dense, false),
+            (Density::Quarter, false),
+            (Density::Quarter, true),
+        ] {
+            check(s, special, density, 2000 + i as u64);
+        }
+    }
+}
+
+/// A pixel whose kernel columns or rows all miss the input adds no row sum
+/// and keeps a `−0.0` bias, in a row of sixteen pixels or more (kernel 1,
+/// padding 2: two border pixels at each end, and two border rows at each
+/// end) and in two-row tiles of eight; every other pixel turns it to
+/// `−0.0 + s`.
+#[test]
+fn pixels_that_miss_the_input_keep_a_negative_zero_bias() {
+    for (i, s) in [
+        shape(2, 3, 6, 14, 9, 1, 1, 2),
+        shape(2, 3, 4, 4, 9, 1, 1, 2),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let (oh, ow) = s.out();
+        let seed = 3000 + i as u64;
+        let x = values(s.n * s.c * s.h * s.w, seed);
+        let wt = values(s.o * s.c, seed + 1);
+        let dy = values(s.n * s.o * oh * ow, seed + 5);
+        check_data(s, x, wt, vec![-0.0; s.o], dy);
+    }
+}
+
+/// A single ±inf or NaN — in one image of a batch of sixteen, only in the
+/// weights, or only in `dy` — sends the call down the masked path, where it
+/// still matches the oracle. Each sits where a mask-free term would be
+/// `0·inf`: the input under `g = ±0.0` gradients (dweight), a weight in
+/// kernel column 0, which the left border pixels read in the padding
+/// (forward, dinput), a gradient at a left border pixel, whose kernel
+/// column 0 reads the padding (dweight).
+#[test]
+fn one_non_finite_value_matches_oracle() {
+    const BAD: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    for (i, s) in [
+        shape(16, 3, 16, 16, 8, 3, 1, 1),
+        shape(16, 8, 8, 8, 16, 3, 1, 1),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let (oh, ow) = s.out();
+        let k = s.spec.kernel;
+        let seed = 4000 + i as u64;
+        let x = values(s.n * s.c * s.h * s.w, seed);
+        let wt = values(s.o * s.c * k * k, seed + 1);
+        let b = values(s.o, seed + 2);
+        let dy = upstream(s.n * s.o * oh * ow, Density::Quarter, seed + 5);
+        for bad in BAD {
+            // Image 5, channel 1, row 3, column 4.
+            let mut xb = x.clone();
+            xb[((5 * s.c + 1) * s.h + 3) * s.w + 4] = bad;
+            check_data(s, xb, wt.clone(), b.clone(), dy.clone());
+            // Output channel 1, input channel 0, kernel row 1, column 0.
+            let mut wb = wt.clone();
+            wb[s.c * k * k + k] = bad;
+            check_data(s, x.clone(), wb, b.clone(), dy.clone());
+            // Image 5, output channel 1, row 3, column 0.
+            let mut dyb = dy.clone();
+            dyb[((5 * s.o + 1) * oh + 3) * ow] = bad;
+            check_data(s, x.clone(), wt.clone(), b.clone(), dyb);
         }
     }
 }
@@ -395,18 +507,6 @@ fn signed_zero_bias_survives_only_where_no_row_is_added() {
 /// column and row 0 read the padding (dweight: those taps must stay finite).
 #[test]
 fn masked_terms_with_non_finite_operands_match_oracle() {
-    let shape = |n, c, h, w, o, kernel, stride, pad| Shape {
-        n,
-        c,
-        h,
-        w,
-        o,
-        spec: ConvSpec {
-            kernel,
-            stride,
-            pad,
-        },
-    };
     const BAD: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
     for (i, s) in [
         shape(2, 3, 6, 7, 8, 3, 1, 1),

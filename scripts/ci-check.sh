@@ -65,9 +65,14 @@ scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick -
         function off(a, b) { return a > b ? a - b : b - a }
         END { exit !(total && off(su, tu) <= rows / hz && off(ss, ts) <= rows / hz) }'
 
-echo "== cnn_layers and lstm_layers smoke (per-layer step tables; the headers name the SIMD tier)"
+echo "== scripts/kernel-audit.sh on the release rfl-bench (tier bodies call no out-of-line intrinsic, 16-lane bodies use zmm, no FMA outside fastmath)"
+scripts/kernel-audit.sh target/release/rfl-bench > /dev/null
+
+echo "== cnn_layers and lstm_layers smoke (per-layer step tables; the headers name the SIMD tier, --tier picks one)"
 cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 |
     grep -E '^cifar-like CNN, .*, simd (avx512|avx2|scalar), '
+cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 --tier avx2 |
+    grep -E '^cifar-like CNN, .*, simd avx2, '
 cargo run --release -q -p rfl-nn --example lstm_layers -- --iters 3 |
     grep -E '^sent140-like LSTM, .*, simd (avx512|avx2|scalar), '
 
