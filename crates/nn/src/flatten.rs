@@ -29,9 +29,13 @@ impl Layer for Flatten {
         dinput
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
-        self.input_dims.clear();
-        self.input_dims.extend_from_slice(input.dims());
+    /// Records the input's dims for the backward only when `train` is true:
+    /// a later backward still pairs with the last training forward.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+        if train {
+            self.input_dims.clear();
+            self.input_dims.extend_from_slice(input.dims());
+        }
         let n = input.dims()[0];
         out.assign(input);
         out.reshape_in_place(&[n, input.numel() / n]);
