@@ -13,6 +13,7 @@ use rfl_data::synth::image::SynthImageSpec;
 use rfl_data::synth::text::SynthTextSpec;
 use rfl_data::{partition, FederatedData};
 use rfl_nn::{CnnConfig, LstmConfig};
+use rfl_tensor::simd::{set_simd_tier, simd_tier, Tier};
 use std::sync::Arc;
 
 /// The small CNN federation behind every run in this suite.
@@ -249,28 +250,28 @@ fn run_lstm_rounds() -> (Vec<f32>, Vec<f32>) {
 }
 
 /// The recurrent path's pin: the same LSTM federation at thread budgets 1
-/// and 4, with SIMD dispatch off and on, must agree bit for bit with each
+/// and 4, on every SIMD tier the CPU has, must agree bit for bit with each
 /// other and with [`LSTM_PINNED_FINAL_LOSS`].
 #[test]
 fn lstm_training_is_bit_identical_across_thread_budgets_and_simd() {
-    let (simd0, threads0) = (rfl_tensor::simd_enabled(), rfl_tensor::thread_budget());
+    let (tier0, threads0) = (simd_tier(), rfl_tensor::thread_budget());
     let mut runs = Vec::new();
-    for simd in [false, true] {
+    for tier in Tier::ALL.into_iter().filter(|t| t.available()) {
         for threads in [1, 4] {
-            rfl_tensor::set_simd_enabled(simd);
+            set_simd_tier(tier);
             rfl_tensor::set_thread_budget(threads);
-            runs.push((simd, threads, run_lstm_rounds()));
+            runs.push((tier, threads, run_lstm_rounds()));
         }
     }
-    rfl_tensor::set_simd_enabled(simd0);
+    set_simd_tier(tier0);
     rfl_tensor::set_thread_budget(threads0);
 
     let (_, _, (losses, params)) = &runs[0];
     let last = *losses.last().expect("three rounds ran");
     println!("lstm final train loss: {last:?} ({:#010x})", last.to_bits());
-    for (simd, threads, (l, p)) in &runs[1..] {
-        assert_eq!(l, losses, "losses differ at simd={simd} threads={threads}");
-        assert_eq!(p, params, "params differ at simd={simd} threads={threads}");
+    for (tier, threads, (l, p)) in &runs[1..] {
+        assert_eq!(l, losses, "losses differ at {tier:?} threads={threads}");
+        assert_eq!(p, params, "params differ at {tier:?} threads={threads}");
     }
     assert_eq!(
         last.to_bits(),

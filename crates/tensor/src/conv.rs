@@ -21,17 +21,21 @@
 //! `(oy, ox)` at `(kh − 1 + oy·stride, kw − 1 + ox·stride)`, zeros between),
 //! both wide enough for a [`TILE`]-pixel row (and the dilated one for a
 //! two-row tile), so every tap of every tile reads memory that exists, and a
-//! term the textbook loops would skip is computed instead. The plain bodies are the definition. On
-//! x86-64 each vector tier runs intrinsics bodies (`stamp_tiers!`), because
-//! LLVM does not keep these tiles in registers from portable code.
+//! term the textbook loops would skip is computed instead.
+//!
+//! The plain bodies are the scalar tier. Each is the portable spelling of
+//! its AVX2 body. On x86-64 each vector tier runs intrinsics bodies
+//! (`stamp_tiers!`), because LLVM does not keep these tiles in registers
+//! from portable code.
 //!
 //! ## Determinism
 //!
-//! Every output scalar keeps the operation sequence of the textbook loops
-//! (kept as the oracle in `tests/conv_oracle.rs`):
+//! Every output scalar keeps the operation sequence of the textbook loops,
+//! [`textbook_forward`] and [`textbook_backward`] (the test oracle in
+//! `tests/conv_oracle.rs` is an independent copy):
 //!
 //! - forward: `acc = bias`; per `(ic, ky)` in order, `s = dot(x_row, w_row)`
-//!   over the clipped kernel row — [`crate::dot_slices`]' order, i.e.
+//!   over the clipped kernel row — [`dot_slices`]' order, i.e.
 //!   `s = +0.0; s += x·w` for `kx` ascending while the row is shorter than
 //!   eight — then `acc += s`;
 //! - backward: `dx += g·w` and `dw += g·x` as a separate multiply and add,
@@ -39,41 +43,38 @@
 //!   (never "multiply by zero and add": that differs for non-finite
 //!   operands); per-image `dw` partials are summed in ascending image order.
 //!
-//! A computed term the textbook skips must add nothing. Every sum it meets
-//! starts at `+0.0`: a forward row sum, a per-image `dw` partial, a `dx`.
-//! Under round-to-nearest `a + b` is `−0.0` only when both addends are, so
-//! such a sum is never `−0.0`, and `s + (+0.0) = s` and `s + (−0.0) = s` for
-//! every other `s`, NaN and ±inf included. So a skipped term may be added
-//! whenever it is `±0.0`:
+//! A term the textbook skips and a tile computes must add nothing. Every sum
+//! it meets starts at `+0.0`: a forward row sum, a per-image `dw` partial, a
+//! `dx`. Under round-to-nearest `a + b` is `−0.0` only when both addends
+//! are, so such a sum is never `−0.0`, and `s + (+0.0) = s` and
+//! `s + (−0.0) = s` for every other `s`, NaN and ±inf included. A skipped
+//! term always has one zero operand: `g = ±0.0`, or the padded view's `+0.0`
+//! in a padding tap, or the dilated view's `+0.0` between strides and
+//! outside the output. With the other operand finite, the product is
+//! `±0.0`, and adding it changes nothing.
 //!
-//! - **Mask-free bodies** (the vector tiers, on a call whose operands are
-//!   all finite). A skipped term always has one zero operand: `g = ±0.0`, or
-//!   the padded view's `+0.0` in a padding tap, or the dilated view's `+0.0`
-//!   between strides and outside the output. With the other operand finite,
-//!   the product is `±0.0`. One check per call decides: the forward's weights
-//!   (its only skipped terms are padding taps, `+0.0 · w`); the backward's
-//!   input batch, weights and `dy` (its bias gradients, free: a plane holding
-//!   ±inf or NaN sums to ±inf or NaN).
-//! - **Masked bodies** (the plain ones: the scalar tier, and any call holding
-//!   a non-finite operand on every tier). A skipped term becomes an added
-//!   `+0.0` through an AND mask: *dweight* `g·x` ANDed with `g ≠ 0` and with
-//!   whether the tap lies inside the input; *dinput* `g·w` ANDed with
-//!   `g ≠ 0`, which is also `false` for the dilated view's zeros; *forward*
-//!   a padding tap meets a weight ANDed to `+0.0` in the tile's per-pixel
-//!   weights (see [`pack_pixels`]) and the padded view's `+0.0`:
-//!   `(+0.0)·(+0.0) = +0.0`. These bodies are the only builders of the mask
-//!   views.
+//! So each call takes one of two paths, decided once by [`path`]:
 //!
-//! The argument does not cover the forward `acc`, which starts at a bias that
-//! may be `−0.0`: it adds a row sum only for the kernel rows inside the input,
-//! and a pixel whose kernel columns all miss the input keeps its bias. Rows of eight or more taps keep [`dot_lanes`]' chunk-then-tree order
-//! over the clipped row, one pixel at a time, in the plain body.
+//! - **Tiles**, on a call whose operands are all finite: the selected tier's
+//!   bodies, the plain ones on the scalar tier. One check per call: the
+//!   forward's weights (its only skipped terms are padding taps,
+//!   `+0.0 · w`); the backward's input batch, weights and `dy` (its bias
+//!   gradients, free: a plane holding ±inf or NaN sums to ±inf or NaN).
+//! - **Textbook loops**, on every tier, for a call holding ±inf or NaN, and
+//!   for a forward whose kernel rows have eight taps or more (`dot_slices`
+//!   sums those in chunks, an order the tiles do not keep).
+//!
+//! The argument does not cover the forward `acc`, which starts at a bias
+//! that may be `−0.0`. It adds a row sum only for the kernel rows inside
+//! the input, and a pixel whose kernel columns all miss the input keeps its
+//! bias.
 //!
 //! A lane only ever holds one such scalar, so results are bit-identical at
 //! any thread count, on every tier and down either path (see `simd.rs`).
 
-use crate::simd::scalar::dot_lanes;
-use crate::simd::{kernel, simd_tier, stamp_tiers, Tier, LANES};
+use crate::simd::{
+    add_assign_slices, axpy_slices, dot_slices, kernel, simd_tier, stamp_tiers, Tier, LANES,
+};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 
@@ -129,23 +130,6 @@ const DW_TAPS: usize = 9;
 /// enough for it on every tier.
 const TILE: usize = 16;
 
-/// All-ones and all-zeros lane masks, stored as `f32` bit patterns.
-const ON: f32 = f32::from_bits(!0);
-const OFF: f32 = 0.0;
-
-/// An index stored in an `f32` view buffer as its bit pattern (read back
-/// with `to_bits`).
-fn offset(i: usize) -> f32 {
-    f32::from_bits(u32::try_from(i).expect("view offsets fit in 32 bits"))
-}
-
-/// `v & m` on the bit patterns: `v` where `m` is [`ON`], `+0.0` where
-/// it is [`OFF`].
-#[inline(always)]
-fn and(v: f32, m: f32) -> f32 {
-    f32::from_bits(v.to_bits() & m.to_bits())
-}
-
 /// Whether every value of `v` is finite: whether any exponent field is all
 /// ones, gathered with no early exit inside a chunk so that the loop
 /// vectorizes.
@@ -158,24 +142,18 @@ fn finite(v: &[f32]) -> bool {
     })
 }
 
-/// The tier whose bodies a call runs: the selected vector tier's mask-free
-/// bodies if `finite()` says every operand a skipped term can meet is
-/// finite (asked only on a vector tier), and otherwise [`Tier::Scalar`]'s,
-/// the plain masked ones (see the module docs).
-fn path(finite: impl FnOnce() -> bool) -> Tier {
-    let tier = simd_tier();
-    if tier == Tier::Scalar || finite() {
-        tier
-    } else {
-        Tier::Scalar
-    }
+/// The tier whose tiles a call runs: the selected one if `finite` (every
+/// operand a skipped term can meet is finite, see the module docs), and
+/// otherwise none: the textbook loops.
+fn path(finite: bool) -> Option<Tier> {
+    finite.then(simd_tier)
 }
 
-/// Evaluates the arm tier `$path` names: the AVX-512 or AVX2 mask-free
-/// body, or the plain masked one.
-macro_rules! on_path {
-    ($path:expr => avx512: $avx512:expr, avx2: $avx2:expr, plain: $plain:expr $(,)?) => {
-        match $path {
+/// Evaluates the arm `$tier` names: the AVX-512 or AVX2 body, or the plain
+/// one.
+macro_rules! on_tier {
+    ($tier:expr => avx512: $avx512:expr, avx2: $avx2:expr, plain: $plain:expr $(,)?) => {
+        match $tier {
             // SAFETY: [`path`] returns a vector tier only when it is the
             // selected one, which is only selected after its runtime feature
             // check.
@@ -277,12 +255,6 @@ impl Geom {
         self.clip(ox, self.w, self.kw)
     }
 
-    /// [`Geom::col_range`] of a masked forward tile `k`'s `LANES` pixels
-    /// (`ox = k·LANES + t`, past `ow` included).
-    fn tile_cols(&self, k: usize) -> [(usize, usize); LANES] {
-        std::array::from_fn(|t| self.col_range(k * LANES + t))
-    }
-
     /// The `(ky, oy)` pairs with `oy·stride − pad + ky = iy`, `oy` ascending
     /// (so `ky` descending): which kernel row of which output row reads
     /// input row `iy`.
@@ -367,11 +339,12 @@ struct Views {
 
 #[derive(Clone, Copy, PartialEq)]
 enum Layout {
-    /// A forward call's packed weights and bias, and on the masked path the
-    /// tiles' per-pixel weights (calling thread), for the [`path`] it runs.
-    Forward(Tier),
-    /// One image's `dy` views in a backward call, with or without `dinput`'s.
-    Backward(bool, Tier),
+    /// A forward call's weights and bias packed in lane blocks of the given
+    /// width (calling thread).
+    Forward(usize),
+    /// One image's `dy` views in a backward call, with or without `dinput`'s,
+    /// `dy` packed in lane blocks of the given width.
+    Backward(bool, usize),
     /// One image's padded input.
     Padded,
 }
@@ -475,84 +448,78 @@ pub fn conv2d_into(
     assert_eq!(bias.numel(), g.o, "conv2d bias mismatch");
     out.resize(&[n, g.o, g.oh, g.ow]);
     let x = input.data();
-    let image = g.c * g.h * g.w;
-    // Rows of eight or more taps keep `dot_lanes`' order: the plain body.
-    let path = if g.kw >= LANES {
-        Tier::Scalar
-    } else {
-        path(|| finite(weight.data()))
+    let Some(tier) = path(g.kw < LANES && finite(weight.data())) else {
+        return textbook_forward(&g, x, weight.data(), bias.data(), out.data_mut());
     };
+    let image = g.c * g.h * g.w;
 
     // The AVX-512 tile for rows of eight pixels or fewer holds two 8-channel
     // blocks per register.
-    let lanes = if path == Tier::Avx512 && g.ow <= LANES {
+    let lanes = if tier == Tier::Avx512 && g.ow <= LANES {
         TILE
     } else {
         LANES
     };
-    // views = [wp | bp | on the masked path: wx, one copy per distinct tile
-    //          column pattern | at], the fields of `Packed`
+    // views = [weights as [o/lanes][c][kh][kw][lanes] | bias, padded to
+    //          whole lane blocks]
     let channels = g.o.next_multiple_of(lanes);
     let wlen = channels * g.taps();
-    let tiles = g.ow.div_ceil(LANES);
-    let new_pattern = |k: usize| k == 0 || g.tile_cols(k) != g.tile_cols(k - 1);
-    let plen = wlen * LANES;
-    let (patterns, at_len) = if path == Tier::Scalar {
-        ((0..tiles).filter(|&k| new_pattern(k)).count(), tiles)
-    } else {
-        (0, 0)
-    };
-    let len = wlen + channels + patterns * plen + at_len;
-    with_view(&VIEWS, Layout::Forward(path), &g, len, |views| {
-        let (wp, rest) = views.split_at_mut(wlen);
-        let (bp, rest) = rest.split_at_mut(channels);
-        pack_lanes(weight.data(), g.o, g.taps(), lanes, wp);
-        bp[..g.o].copy_from_slice(bias.data());
-        let (wx, at) = rest.split_at_mut(patterns * plen);
-        let mut copies = wx.chunks_exact_mut(plen);
-        let mut used = 0;
-        for (k, at) in at.iter_mut().enumerate() {
-            if new_pattern(k) {
-                let copy = copies.next().expect("one copy per pattern");
-                pack_pixels(&g, wp, g.tile_cols(k), copy);
-                used += 1;
-            }
-            *at = offset((used - 1) * plen);
-        }
-        let p = Packed { wp, bp, wx, at };
-        crate::threads::parallel_for_chunks(out.data_mut(), g.o * g.oh * g.ow, |img, y| {
-            let x = &x[img * image..(img + 1) * image];
-            with_padded(&g, x, |xp| {
-                on_path!(path =>
-                    avx512: if lanes == TILE {
-                        avx512::forward_channels(&g, xp, p.wp, p.bp, y)
-                    } else {
-                        avx512::forward_pixels(&g, xp, p.wp, p.bp, y)
-                    },
-                    avx2: avx2::forward(&g, xp, p.wp, p.bp, y),
-                    plain: forward_plain(&g, x, xp, &p, y),
-                )
+    with_view(
+        &VIEWS,
+        Layout::Forward(lanes),
+        &g,
+        wlen + channels,
+        |views| {
+            let (wp, bp) = views.split_at_mut(wlen);
+            pack_lanes(weight.data(), g.o, g.taps(), lanes, wp);
+            bp[..g.o].copy_from_slice(bias.data());
+            let (wp, bp) = (&*wp, &*bp);
+            crate::threads::parallel_for_chunks(out.data_mut(), g.o * g.oh * g.ow, |img, y| {
+                with_padded(&g, &x[img * image..(img + 1) * image], |xp| {
+                    on_tier!(tier =>
+                        avx512: if lanes == TILE {
+                            avx512::forward_channels(&g, xp, wp, bp, y)
+                        } else {
+                            avx512::forward_pixels(&g, xp, wp, bp, y)
+                        },
+                        avx2: avx2::forward(&g, xp, wp, bp, y),
+                        plain: forward_plain(&g, xp, wp, bp, y),
+                    )
+                });
             });
-        });
-    });
+        },
+    );
 }
 
-/// One forward tile's weights per pixel: `dst [o/8][c][kh][kw][LANES][8]`,
-/// block `t` of a tap the packed block `wp [o/8][c][kh][kw][8]` ANDed with
-/// whether pixel `t`'s kernel columns `cols[t]` reach the tap's column. A
-/// tap in the padding thus meets a `+0.0` weight, and the padded view's
-/// `+0.0` there: the term is `(+0.0)·(+0.0) = +0.0`.
-fn pack_pixels(g: &Geom, wp: &[f32], cols: [(usize, usize); LANES], dst: &mut [f32]) {
-    for (j, (blk, out)) in wp
-        .chunks_exact(LANES)
-        .zip(dst.chunks_exact_mut(LANES * LANES))
-        .enumerate()
+/// The forward by the textbook loops: input `x [n][c][h][w]`, weights
+/// `w [o][c][kh][kw]`, bias `b [o]`, output `y [n][o][oh][ow]` (every cell
+/// overwritten). Each output, in `(oc, oy, ox)` order, is its bias plus one
+/// [`dot_slices`] per kernel row whose clipped columns lie inside the input.
+fn textbook_forward(g: &Geom, x: &[f32], w: &[f32], b: &[f32], y: &mut [f32]) {
+    let image = g.c * g.h * g.w;
+    for (x, y) in x
+        .chunks_exact(image)
+        .zip(y.chunks_exact_mut(g.o * g.oh * g.ow))
     {
-        let kx = j % g.kw;
-        for (&(lo, hi), o) in cols.iter().zip(out.chunks_exact_mut(LANES)) {
-            let keep = if (lo..hi).contains(&kx) { ON } else { OFF };
-            for (d, &v) in o.iter_mut().zip(blk) {
-                *d = and(v, keep);
+        for (oc, y) in y.chunks_exact_mut(g.oh * g.ow).enumerate() {
+            for oy in 0..g.oh {
+                let (ky_lo, ky_hi) = g.row_range(oy);
+                for ox in 0..g.ow {
+                    let (kx_lo, kx_hi) = g.col_range(ox);
+                    let mut acc = b[oc];
+                    // A pixel whose kernel columns all miss adds nothing.
+                    if kx_lo < kx_hi {
+                        let (ix, len) = (ox * g.stride + kx_lo - g.pad, kx_hi - kx_lo);
+                        for ic in 0..g.c {
+                            for ky in ky_lo..ky_hi {
+                                let xs = (ic * g.h + oy * g.stride + ky - g.pad) * g.w + ix;
+                                let ws = ((oc * g.c + ic) * g.kh + ky) * g.kw + kx_lo;
+                                acc += dot_slices(&x[xs..xs + len], &w[ws..ws + len]);
+                            }
+                        }
+                    }
+                    y[oy * g.ow + ox] = acc;
+                }
             }
         }
     }
@@ -595,49 +562,32 @@ fn pack_lanes_rest(
     }
 }
 
-/// A forward call's packed operands (see [`conv2d_into`]).
-struct Packed<'a> {
-    /// Weights `[o/lanes][c][kh][kw][lanes]`, 8 lanes but on the AVX-512
-    /// tile for short rows.
-    wp: &'a [f32],
-    /// Bias, padded to whole lane blocks.
-    bp: &'a [f32],
-    /// Masked path: per distinct tile pattern, each pixel's weights (see
-    /// [`pack_pixels`]).
-    wx: &'a [f32],
-    /// Masked path: each tile's pattern as an offset into `wx`.
-    at: &'a [f32],
-}
-
-/// One image forward, masked: input `x [c][h][w]` and its padded view
-/// `xp [c][ph][pw]`, the call's packed operands `p`, output `y [o][oh][ow]`.
-/// Each tile is `LANES` adjacent output pixels (the last one of a row
-/// ragged) × one lane block.
-fn forward_plain(g: &Geom, x: &[f32], xp: &[f32], p: &Packed, y: &mut [f32]) {
+/// One image forward on the tiles: padded input `xp [c][ph][pw]`, weights
+/// `wp [o/8][c][kh][kw][8]`, bias `bp` (whole lane blocks), output
+/// `y [o][oh][ow]`. Each tile is `LANES` adjacent output pixels (the last
+/// one of a row ragged) × one lane block; per `(ic, ky)` each pixel adds its
+/// [`row_sum`], and a pixel whose kernel columns all miss the input keeps
+/// its bias. A padding tap adds `(+0.0)·w`. The portable spelling of
+/// `avx2::forward`.
+fn forward_plain(g: &Geom, xp: &[f32], wp: &[f32], bp: &[f32], y: &mut [f32]) {
     let plane = g.oh * g.ow;
     let block = g.taps() * LANES;
-    let (kw, st) = (g.kw, g.stride);
-    let Packed { wp, bp, wx, at } = *p;
+    let cols = g.tap_cols();
     for ob in 0..Geom::blocks(g.o) {
         let bias: [f32; LANES] = bp[ob * LANES..(ob + 1) * LANES]
             .try_into()
             .expect("LANES-sized slice");
         for oy in 0..g.oh {
             let (ky_lo, ky_hi) = g.row_range(oy);
-            for (k, ox0) in (0..g.ow).step_by(LANES).enumerate() {
-                let pixels = at[k].to_bits() as usize + ob * block * LANES;
+            for ox0 in (0..g.ow).step_by(LANES) {
                 let mut acc = [bias; LANES];
                 for ic in 0..g.c {
                     for ky in ky_lo..ky_hi {
-                        let row = ic * g.ph + oy * st + ky;
-                        let xrow = &xp[row * g.pw..(row + 1) * g.pw];
-                        let iy = (ic * g.h + oy * st + ky - g.pad) * g.w;
-                        let xin = &x[iy..iy + g.w];
-                        let ws = ob * block + (ic * g.kh + ky) * kw * LANES;
-                        let wrow = &wp[ws..ws + kw * LANES];
-                        let wpix = &wx[pixels + (ws - ob * block) * LANES..];
+                        let row = (ic * g.ph + oy * g.stride + ky) * g.pw + ox0;
+                        let ws = ob * block + (ic * g.kh + ky) * g.kw * LANES;
+                        let wrow = &wp[ws..ws + g.kw * LANES];
                         for (t, a) in acc.iter_mut().enumerate() {
-                            let s = row_sum(g, ox0 + t, xrow, xin, wrow, &wpix[t * LANES..]);
+                            let s = row_sum(&xp[row + t..], &cols[..g.kw], wrow);
                             for (al, sl) in a.iter_mut().zip(s) {
                                 *al += sl;
                             }
@@ -655,32 +605,14 @@ fn forward_plain(g: &Geom, x: &[f32], xp: &[f32], p: &Packed, y: &mut [f32]) {
     }
 }
 
-/// Output pixel `ox`'s sum over one kernel row: `xrow` the padded row,
-/// `xin` the input row it pads, `wrow` the row's `kw` weight blocks, `wpix`
-/// the pixel's own (`kx`-th at `kx·LANES²`, see [`pack_pixels`]). A row that
-/// reaches eight taps inside the input is [`dot_lanes`] over those taps; any
-/// other is `+0.0` plus every tap's product with the pixel's weights, `kx`
-/// ascending.
+/// One pixel's sums over one kernel row for a lane block: `+0.0` plus, `kx`
+/// ascending, the product of the padded row's `xr[cols[kx]]` with the
+/// row's weight block `kx` (of `wrow`, `kw` blocks of `LANES`).
 #[inline(always)]
-fn row_sum(
-    g: &Geom,
-    ox: usize,
-    xrow: &[f32],
-    xin: &[f32],
-    wrow: &[f32],
-    wpix: &[f32],
-) -> [f32; LANES] {
-    if g.kw >= LANES {
-        let (lo, hi) = g.col_range(ox);
-        if hi - lo >= LANES {
-            let ix = ox * g.stride + lo - g.pad;
-            return dot_lanes(&xin[ix..ix + hi - lo], &wrow[lo * LANES..hi * LANES]);
-        }
-    }
+fn row_sum(xr: &[f32], cols: &[usize], wrow: &[f32]) -> [f32; LANES] {
     let mut s = [0.0f32; LANES];
-    for kx in 0..g.kw {
-        let xv = xrow[g.col(kx) + ox];
-        let wv = &wpix[kx * LANES * LANES..kx * LANES * LANES + LANES];
+    for (&at, wv) in cols.iter().zip(wrow.chunks_exact(LANES)) {
+        let xv = xr[at];
         for (sl, &wl) in s.iter_mut().zip(wv) {
             *sl += xv * wl;
         }
@@ -712,7 +644,7 @@ pub fn conv2d_backward(
 
 /// [`conv2d_backward`] into caller-provided gradient buffers. `scratch`
 /// holds the per-image weight-gradient partials (and the channel-minor
-/// weights and tap masks); it is resized and zeroed before use, so reusing
+/// weights); it is resized and zeroed before use, so reusing
 /// it across calls is bit-identical to allocating fresh — and
 /// allocation-free once warm.
 pub fn conv2d_backward_into(
@@ -763,32 +695,30 @@ fn backward(
         }
     }
     // A non-finite `dy` makes its channel's bias gradient non-finite (an
-    // overflowing sum only sends a finite call down the masked path).
-    let path = path(|| db.iter().all(|b| b.is_finite()) && finite(x) && finite(weight.data()));
-    let masked = path == Tier::Scalar;
+    // overflowing sum only sends a finite call to the textbook loops).
+    let finite = db.iter().all(|b| b.is_finite()) && finite(x) && finite(weight.data());
+    let Some(tier) = path(finite) else {
+        return textbook_backward(&g, x, weight.data(), dy, grads, scratch, want_dinput);
+    };
     // The AVX-512 weight-gradient tile pairs 8-channel blocks when o > 8.
-    let dy_lanes = if path == Tier::Avx512 && g.o > LANES {
+    let dy_lanes = if tier == Tier::Avx512 && g.o > LANES {
         TILE
     } else {
         LANES
     };
 
     // scratch = [w as [c/8][o][kh][kw][8] (when dinput is wanted)
-    //            | masked path: tap masks [oy·ow + ox][taps rounded up to DW_TAPS]
     //            | per image: dw partial as [o/8][c][kh][kw][8]]
     let ktaps = g.kh * g.kw;
-    let tap_row = ktaps.next_multiple_of(DW_TAPS);
     let wt_len = if want_dinput {
         Geom::blocks(g.c) * LANES * g.o * ktaps
     } else {
         0
     };
-    let tv_len = if masked { plane * tap_row } else { 0 };
     let dwp_len = Geom::blocks(g.o) * taps * LANES;
     scratch.clear();
-    scratch.resize(wt_len + tv_len + n * dwp_len, 0.0);
-    let (wt, rest) = scratch.split_at_mut(wt_len);
-    let (tv, partials) = rest.split_at_mut(tv_len);
+    scratch.resize(wt_len + n * dwp_len, 0.0);
+    let (wt, partials) = scratch.split_at_mut(wt_len);
     if want_dinput {
         for (oc, wrow) in weight.data().chunks_exact(g.c * ktaps).enumerate() {
             for (ic, wk) in wrow.chunks_exact(ktaps).enumerate() {
@@ -799,42 +729,27 @@ fn backward(
             }
         }
     }
-    for (oy, tv_row) in tv.chunks_exact_mut(g.ow * tap_row).enumerate() {
-        let rows = g.row_range(oy);
-        for (ox, m) in tv_row.chunks_exact_mut(tap_row).enumerate() {
-            let cols = g.col_range(ox);
-            for (ky, mk) in m[..ktaps].chunks_exact_mut(g.kw).enumerate() {
-                for (kx, mkx) in mk.iter_mut().enumerate() {
-                    let inside = (rows.0..rows.1).contains(&ky) && (cols.0..cols.1).contains(&kx);
-                    *mkx = if inside { ON } else { OFF };
-                }
-            }
-        }
-    }
-    let (wt, tv) = (&*wt, &*tv);
+    let wt = &*wt;
 
     let dyt_len = g.o.div_ceil(dy_lanes) * plane * dy_lanes;
     let (dh, dr) = g.dilated();
     let dyd_len = if want_dinput { g.o * dh * dr } else { 0 };
-    let dym_len = if masked { dyd_len } else { 0 };
     let per_image = |img: usize, dwp: &mut [f32], dx: Option<&mut [f32]>| {
         let img_dy = &dy[img * g.o * plane..(img + 1) * g.o * plane];
-        // views = [dy as [o/lanes][oh·ow][lanes] | dilated dy | masked path:
-        //          its g ≠ 0 masks]
-        let layout = Layout::Backward(want_dinput, path);
-        with_view(&VIEWS, layout, &g, dyt_len + dyd_len + dym_len, |views| {
-            let (dyt, rest) = views.split_at_mut(dyt_len);
-            let (dyd, dym) = rest.split_at_mut(dyd_len);
+        // views = [dy as [o/lanes][oh·ow][lanes] | dilated dy]
+        let layout = Layout::Backward(want_dinput, dy_lanes);
+        with_view(&VIEWS, layout, &g, dyt_len + dyd_len, |views| {
+            let (dyt, dyd) = views.split_at_mut(dyt_len);
             pack_lanes(img_dy, g.o, plane, dy_lanes, dyt);
             with_padded(&g, &x[img * image..(img + 1) * image], |xp| {
-                on_path!(path =>
+                on_tier!(tier =>
                     avx512: if dy_lanes == TILE {
                         avx512::dweight_pairs(&g, xp, dyt, dwp)
                     } else {
                         avx512::dweight(&g, xp, dyt, dwp)
                     },
                     avx2: avx2::dweight(&g, xp, dyt, dwp),
-                    plain: dweight_plain(&g, xp, dyt, tv, dwp),
+                    plain: dweight_plain(&g, xp, dyt, dwp),
                 )
             });
             if let Some(dx) = dx {
@@ -844,16 +759,11 @@ fn backward(
                     for (ox, &v) in src.iter().enumerate() {
                         dyd[row + ox * g.stride] = v;
                     }
-                    if masked {
-                        for (ox, &v) in src.iter().enumerate() {
-                            dym[row + ox * g.stride] = if v != 0.0 { ON } else { OFF };
-                        }
-                    }
                 }
-                on_path!(path =>
+                on_tier!(tier =>
                     avx512: avx512::dinput_pixels(&g, dyd, wt, dx),
                     avx2: avx2::dinput(&g, dyd, wt, dx),
-                    plain: dinput_plain(&g, dyd, dym, wt, dx),
+                    plain: dinput_plain(&g, dyd, wt, dx),
                 )
             }
         });
@@ -877,7 +787,7 @@ fn backward(
     // a sum from +0.0, never −0.0, so 0 + p₀ = p₀.
     let (sum, rest) = partials.split_at_mut(dwp_len);
     for part in rest.chunks_exact(dwp_len) {
-        crate::simd::add_assign_slices(sum, part);
+        add_assign_slices(sum, part);
     }
     grads.dweight.resize(weight.dims());
     for (oc, row) in grads.dweight.data_mut().chunks_exact_mut(taps).enumerate() {
@@ -888,17 +798,77 @@ fn backward(
     }
 }
 
-/// One image's weight-gradient partial, masked: padded input
-/// `xp [c][ph][pw]`, `dyt [o/8][oh·ow][8]`, tap masks `tv [oh·ow][taps
-/// rounded up to DW_TAPS]`, `dwp [o/8][c][kh][kw][8]`. Each tile is
-/// [`DW_TAPS`] taps of one input channel × one lane block, accumulated from
-/// `+0.0` over the output pixels in `(oy, ox)` order; a term whose `g` is
-/// zero or whose tap lies in the padding is masked. Padding lanes carry
-/// `g = 0`.
-fn dweight_plain(g: &Geom, xp: &[f32], dyt: &[f32], tv: &[f32], dwp: &mut [f32]) {
+/// The backward by the textbook loops: `grads.dweight`, and `grads.dinput`
+/// if `want_dinput` (every cell overwritten; `grads.dbias` is the caller's).
+/// Per image, every output in `(oc, oy, ox)` order whose `g ≠ 0` adds
+/// [`axpy_slices`] of `g` into `dx` and into the image's `dw` partial once
+/// per kernel row whose clipped columns lie inside the input; the partials
+/// are summed in ascending image order. `scratch` holds one partial.
+fn textbook_backward(
+    g: &Geom,
+    x: &[f32],
+    w: &[f32],
+    dy: &[f32],
+    grads: &mut Conv2dGrads,
+    scratch: &mut Vec<f32>,
+    want_dinput: bool,
+) {
+    let (image, plane) = (g.c * g.h * g.w, g.oh * g.ow);
+    let n = dy.len() / (g.o * plane);
+    scratch.clear();
+    scratch.resize(g.o * g.taps(), 0.0);
+    grads.dweight.resize(&[g.o, g.c, g.kh, g.kw]);
+    grads.dweight.fill(0.0);
+    if want_dinput {
+        grads.dinput.resize(&[n, g.c, g.h, g.w]);
+        grads.dinput.fill(0.0);
+    }
+    for img in 0..n {
+        let x = &x[img * image..(img + 1) * image];
+        let mut dx =
+            want_dinput.then(|| &mut grads.dinput.data_mut()[img * image..(img + 1) * image]);
+        let dw = &mut scratch[..];
+        dw.fill(0.0);
+        for (oc, dy) in dy[img * g.o * plane..(img + 1) * g.o * plane]
+            .chunks_exact(plane)
+            .enumerate()
+        {
+            for oy in 0..g.oh {
+                let (ky_lo, ky_hi) = g.row_range(oy);
+                for ox in 0..g.ow {
+                    let (kx_lo, kx_hi) = g.col_range(ox);
+                    let gv = dy[oy * g.ow + ox];
+                    if gv == 0.0 || kx_lo == kx_hi {
+                        continue;
+                    }
+                    let (ix, len) = (ox * g.stride + kx_lo - g.pad, kx_hi - kx_lo);
+                    for ic in 0..g.c {
+                        for ky in ky_lo..ky_hi {
+                            let xs = (ic * g.h + oy * g.stride + ky - g.pad) * g.w + ix;
+                            let ws = ((oc * g.c + ic) * g.kh + ky) * g.kw + kx_lo;
+                            let (xr, wr) = (xs..xs + len, ws..ws + len);
+                            if let Some(dx) = dx.as_deref_mut() {
+                                axpy_slices(&mut dx[xr.clone()], gv, &w[wr.clone()]);
+                            }
+                            axpy_slices(&mut dw[wr], gv, &x[xr]);
+                        }
+                    }
+                }
+            }
+        }
+        add_assign_slices(grads.dweight.data_mut(), dw);
+    }
+}
+
+/// One image's weight-gradient partial on the tiles: padded input
+/// `xp [c][ph][pw]`, `dyt [o/8][oh·ow][8]`, `dwp [o/8][c][kh][kw][8]`. Each
+/// tile is [`DW_TAPS`] taps of one input channel × one lane block,
+/// accumulated from `+0.0` over the output pixels in `(oy, ox)` order; a tap
+/// in the padding reads `+0.0`, and padding lanes carry `g = 0`. The
+/// portable spelling of `avx2::dweight`.
+fn dweight_plain(g: &Geom, xp: &[f32], dyt: &[f32], dwp: &mut [f32]) {
     let plane = g.oh * g.ow;
     let ktaps = g.kh * g.kw;
-    let tap_row = ktaps.next_multiple_of(DW_TAPS);
     for (dwblk, gblk) in dwp
         .chunks_exact_mut(g.taps() * LANES)
         .zip(dyt.chunks_exact(plane * LANES))
@@ -912,14 +882,11 @@ fn dweight_plain(g: &Geom, xp: &[f32], dyt: &[f32], tv: &[f32], dwp: &mut [f32])
                     for ox in 0..g.ow {
                         let pix = oy * g.ow + ox;
                         let gv = &gblk[pix * LANES..(pix + 1) * LANES];
-                        let gm: [f32; LANES] =
-                            std::array::from_fn(|l| if gv[l] != 0.0 { ON } else { OFF });
                         let base = oy * g.stride * g.pw + ox;
-                        let tm = &tv[pix * tap_row + k0..pix * tap_row + k0 + DW_TAPS];
-                        for ((a, &o), &m) in acc.iter_mut().zip(&off).zip(tm) {
+                        for (a, &o) in acc.iter_mut().zip(&off) {
                             let xv = xc[base + o];
-                            for ((al, &gl), &ml) in a.iter_mut().zip(gv).zip(&gm) {
-                                *al += and(gl * xv, and(ml, m));
+                            for (al, &gl) in a.iter_mut().zip(gv) {
+                                *al += gl * xv;
                             }
                         }
                     }
@@ -933,13 +900,13 @@ fn dweight_plain(g: &Geom, xp: &[f32], dyt: &[f32], tv: &[f32], dwp: &mut [f32])
     }
 }
 
-/// One image's input gradient, masked: dilated `dyd` (see
-/// [`Geom::dilated`]) and its masks `dym` (`g ≠ 0`), `wt [c/8][o][kh][kw][8]`,
-/// `dx [c][h][w]` (every cell overwritten). Each tile is `LANES` adjacent
-/// pixels of one input row × one lane block of input channels, accumulated
-/// from `+0.0`; a term whose `g` is zero, falls between strides or lies
-/// outside the output is masked.
-fn dinput_plain(g: &Geom, dyd: &[f32], dym: &[f32], wt: &[f32], dx: &mut [f32]) {
+/// One image's input gradient on the tiles: dilated `dyd` (see
+/// [`Geom::dilated`]), `wt [c/8][o][kh][kw][8]`, `dx [c][h][w]` (every cell
+/// overwritten). Each tile is `LANES` adjacent pixels of one input row × one
+/// lane block of input channels, accumulated from `+0.0`; a tap between
+/// strides or outside the output reads the dilated view's `+0.0`. The
+/// portable spelling of `avx2::dinput`.
+fn dinput_plain(g: &Geom, dyd: &[f32], wt: &[f32], dx: &mut [f32]) {
     let (kh, kw) = (g.kh, g.kw);
     let (dh, dr) = g.dilated();
     let wblock = g.o * kh * kw * LANES;
@@ -956,10 +923,9 @@ fn dinput_plain(g: &Geom, dyd: &[f32], dym: &[f32], wt: &[f32], dx: &mut [f32]) 
                         for kx in (0..kw).rev() {
                             let wv = &wblk[ws + kx * LANES..ws + (kx + 1) * LANES];
                             let gs = row + ix0 + g.pad + kw - 1 - kx;
-                            let gts = dyd[gs..gs + LANES].iter().zip(&dym[gs..gs + LANES]);
-                            for (a, (&gt, &m)) in acc.iter_mut().zip(gts) {
+                            for (a, &gt) in acc.iter_mut().zip(&dyd[gs..gs + LANES]) {
                                 for (al, &wl) in a.iter_mut().zip(wv) {
-                                    *al += and(gt * wl, m);
+                                    *al += gt * wl;
                                 }
                             }
                         }
@@ -1011,9 +977,9 @@ macro_rules! each_tap {
     };
 }
 
-/// The AVX2 tier's mask-free forward and input-gradient tiles: the plain
-/// bodies' channel-lane tiles with no mask and no per-pixel weights (the
-/// AVX-512 tier runs pixel lanes, [`conv16_bodies`]).
+/// The AVX2 tier's forward and input-gradient tiles: the plain bodies'
+/// channel-lane tiles in intrinsics (the AVX-512 tier runs pixel lanes,
+/// [`conv16_bodies`]).
 ///
 /// # Safety
 ///
@@ -1037,8 +1003,7 @@ macro_rules! conv8_bodies {
             out
         }
 
-        /// [`forward_plain`], mask-free: every tap takes the row's shared
-        /// weight block, and a padding tap adds `(+0.0)·w`.
+        /// [`forward_plain`] in intrinsics.
         #[target_feature(enable = $features)]
         pub(super) unsafe fn forward(g: &Geom, xp: &[f32], wp: &[f32], bp: &[f32], y: &mut [f32]) {
             let plane = g.oh * g.ow;
@@ -1115,7 +1080,7 @@ macro_rules! conv8_bodies {
             }
         }
 
-        /// [`dinput_plain`], mask-free.
+        /// [`dinput_plain`] in intrinsics.
         #[target_feature(enable = $features)]
         pub(super) unsafe fn dinput(g: &Geom, dyd: &[f32], wt: &[f32], dx: &mut [f32]) {
             let (kh, kw) = (g.kh, g.kw);
@@ -1157,7 +1122,7 @@ macro_rules! conv8_bodies {
     };
 }
 
-/// The 8-lane bodies both vector tiers run: `pack_lanes` and the mask-free
+/// The 8-lane bodies both vector tiers run: `pack_lanes` and the
 /// weight-gradient tile (the AVX-512 tier's when `o ≤ 8`), stamped for AVX2
 /// and, from the same tokens, for AVX-512 (EVEX encoding, 32 registers).
 ///
@@ -1223,7 +1188,7 @@ macro_rules! conv_bodies {
             pack_lanes_rest(src, o, len, width, dst, full_rows, full_len);
         }
 
-        /// [`dweight_plain`], mask-free.
+        /// [`dweight_plain`] in intrinsics.
         #[target_feature(enable = $features)]
         pub(super) unsafe fn dweight(g: &Geom, xp: &[f32], dyt: &[f32], dwp: &mut [f32]) {
             let plane = g.oh * g.ow;
@@ -1266,7 +1231,7 @@ macro_rules! conv_bodies {
     };
 }
 
-/// The 16-lane mask-free bodies, AVX-512 only: the same products and sums
+/// The 16-lane bodies, AVX-512 only: the same products and sums
 /// on every output scalar as the plain bodies, in the same order, with
 /// sixteen output scalars per register (see the module docs' table).
 ///
@@ -1298,7 +1263,7 @@ macro_rules! conv16_bodies {
             }
         }
 
-        /// [`forward_plain`], mask-free, on pixel lanes: each tile is sixteen
+        /// [`forward_plain`] on pixel lanes: each tile is sixteen
         /// adjacent pixels of one output row (the last one of a row ragged) ×
         /// one 8-channel block, one register per channel. A lane whose
         /// pixel's kernel columns all miss the input keeps its bias.
@@ -1355,7 +1320,7 @@ macro_rules! conv16_bodies {
             }
         }
 
-        /// [`forward_plain`], mask-free, for output rows of eight pixels or
+        /// [`forward_plain`] for output rows of eight pixels or
         /// fewer: the 8-lane tile's shape with two 8-channel blocks per
         /// register (weights packed `[o/16][c][kh][kw][16]`), each tile one
         /// output row × sixteen channels, transposed to store.
@@ -1418,7 +1383,7 @@ macro_rules! conv16_bodies {
             }
         }
 
-        /// [`dweight_plain`], mask-free, two 8-channel blocks per register:
+        /// [`dweight_plain`] with two 8-channel blocks per register:
         /// `dyt [o/16][oh·ow][16]`; block pair `p`'s halves are stored to
         /// `dwp`'s blocks `2p` and `2p + 1` (`[o/8][c][kh][kw][8]`, the plain
         /// body's layout; a block past `o` is not stored).
@@ -1465,7 +1430,7 @@ macro_rules! conv16_bodies {
             }
         }
 
-        /// [`dinput_plain`], mask-free, on pixel lanes: each tile is eight
+        /// [`dinput_plain`] on pixel lanes: each tile is eight
         /// adjacent pixels of two input rows × one 8-channel block, one
         /// register per channel. Every kernel row and column is visited,
         /// `(oc, ky ↓, kx ↓)`; a tap that reads no output reads the dilated

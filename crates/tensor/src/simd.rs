@@ -96,9 +96,9 @@
 //! the CPU reports (runtime `is_x86_feature_detected!`, asked here and
 //! nowhere else in the process). `RFL_SIMD=0` forces
 //! the scalar tier; `RFL_SIMD=1` (or unset) asks for the widest. An AVX2-only
-//! CPU runs the AVX2 instances, as it always has. [`set_simd_enabled`] and
-//! [`set_simd_tier`] flip the choice programmatically for benchmarks and
-//! equivalence tests; results never depend on it — only wall-clock does.
+//! CPU runs the AVX2 instances, as it always has. [`set_simd_tier`] flips
+//! the choice programmatically for benchmarks and equivalence tests; results
+//! never depend on it — only wall-clock does.
 //! Whether the 512-bit registers slow the core's clock on older AVX-512
 //! parts was not measured here: the tier was measured on one Xeon (family 6,
 //! model 207), where it is faster end to end (EXPERIMENTS.md).
@@ -249,19 +249,6 @@ pub fn set_simd_tier(tier: Tier) -> bool {
         tier_cell().store(tier as u8, Ordering::Relaxed);
     }
     ok
-}
-
-/// Whether kernels currently dispatch to a SIMD tier.
-#[inline]
-pub fn simd_enabled() -> bool {
-    simd_tier() != Tier::Scalar
-}
-
-/// Dispatches to the widest tier the CPU has (`on`) or to the scalar
-/// kernels. Results never depend on this — every tier shares the canonical
-/// semantics — so this only exists for benchmarks and equivalence tests.
-pub fn set_simd_enabled(on: bool) {
-    set_simd_tier(if on { Tier::widest() } else { Tier::Scalar });
 }
 
 /// Human-readable tier name for reports: `"avx512"`, `"avx2"` or
@@ -642,36 +629,6 @@ pub mod scalar {
 
     pub fn dot_tile<const R: usize>(a: [&[f32]; R], b: [&[f32]; 4]) -> [[f32; 4]; R] {
         a.map(|ar| b.map(|bj| dot(ar, bj)))
-    }
-
-    /// [`LANES`] simultaneous dot products sharing `a`, against a
-    /// lane-interleaved `b` (`b[i·LANES + l]` is element `i` of vector `l`):
-    /// `out[l]` is bit-identical to [`dot`] of `a` with vector `l`. The
-    /// lanes here are independent results, so the strided partial sums of
-    /// each reduction become [`LANES`] blocks of their own.
-    #[inline(always)]
-    pub fn dot_lanes(a: &[f32], b: &[f32]) -> [f32; LANES] {
-        debug_assert_eq!(a.len() * LANES, b.len());
-        let full = a.len() / LANES * LANES;
-        // part[j][l]: `dot`'s j-th strided accumulator for vector l.
-        let mut part = [[0.0f32; LANES]; LANES];
-        for (ca, cb) in a[..full]
-            .chunks_exact(LANES)
-            .zip(b.chunks_exact(LANES * LANES))
-        {
-            for ((p, &x), bv) in part.iter_mut().zip(ca).zip(cb.chunks_exact(LANES)) {
-                for (pl, &y) in p.iter_mut().zip(bv) {
-                    *pl += x * y;
-                }
-            }
-        }
-        let mut s: [f32; LANES] = std::array::from_fn(|l| hsum8(&part.map(|p| p[l])));
-        for (&x, bv) in a[full..].iter().zip(b[full * LANES..].chunks_exact(LANES)) {
-            for (sl, &y) in s.iter_mut().zip(bv) {
-                *sl += x * y;
-            }
-        }
-        s
     }
 
     #[inline(never)]
@@ -1660,23 +1617,6 @@ mod tests {
                 for (d, bj) in row.iter().zip(b) {
                     assert_eq!(d.to_bits(), dot_slices(ar, bj).to_bits());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn dot_lanes_matches_eight_dots_bitwise() {
-        for &n in LENS {
-            let (a, seed) = vecs(n);
-            let rows: Vec<Vec<f32>> = (0..LANES)
-                .map(|l| seed.iter().map(|v| v * (0.3 + l as f32) - 0.2).collect())
-                .collect();
-            let interleaved: Vec<f32> = (0..n)
-                .flat_map(|i| rows.iter().map(move |r| r[i]))
-                .collect();
-            let got = scalar::dot_lanes(&a, &interleaved);
-            for (g, r) in got.iter().zip(&rows) {
-                assert_eq!(g.to_bits(), scalar::dot(&a, r).to_bits());
             }
         }
     }

@@ -1,6 +1,6 @@
-//! The convolution kernels, on every tier and down both the masked and the
-//! mask-free path, against the textbook loops they replaced, **bit for
-//! bit**.
+//! The convolution kernels, on every tier and down both paths (the tiles
+//! and, for a call holding ±inf or NaN, the production copy of the textbook
+//! loops), against the textbook loops, **bit for bit**.
 //!
 //! The oracle below is the pre-lane production code, kept verbatim: one
 //! `dot_slices` / `axpy_slices` call per clipped kernel row, outputs visited
@@ -421,8 +421,8 @@ fn pixels_that_miss_the_input_keep_a_negative_zero_bias() {
 }
 
 /// A single ±inf or NaN — in one image of a batch of sixteen, only in the
-/// weights, or only in `dy` — sends the call down the masked path, where it
-/// still matches the oracle. Each sits where a mask-free term would be
+/// weights, or only in `dy` — sends the call to the textbook loops, where it
+/// still matches the oracle. Each sits where a tile's term would be
 /// `0·inf`: the input under `g = ±0.0` gradients (dweight), a weight in
 /// kernel column 0, which the left border pixels read in the padding
 /// (forward, dinput), a gradient at a left border pixel, whose kernel
@@ -497,8 +497,9 @@ fn signed_zero_bias_survives_only_where_no_row_is_added() {
     same(y.data(), &want, "forward");
 }
 
-/// The terms the kernels compute and mask instead of skipping, pinned where
-/// an unmasked term would be `0·inf` or `0·NaN` and so change the result:
+/// The terms the tiles compute and the textbook skips, pinned where such a
+/// term would be `0·inf` or `0·NaN` and so change the result (the check
+/// before each call must send these calls to the textbook loops):
 /// `dy = ±0.0` in some lanes of one eight-channel block at the pixels whose
 /// taps read `x = ±inf / NaN` (dweight); `w = ±inf / NaN` on the kernel
 /// column and row that fall in the padding at the borders (forward: a
@@ -506,7 +507,7 @@ fn signed_zero_bias_survives_only_where_no_row_is_added() {
 /// `dy = ±inf / NaN` only at the left and top border pixels, whose kernel
 /// column and row 0 read the padding (dweight: those taps must stay finite).
 #[test]
-fn masked_terms_with_non_finite_operands_match_oracle() {
+fn non_finite_operands_at_skipped_terms_match_oracle() {
     const BAD: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
     for (i, s) in [
         shape(2, 3, 6, 7, 8, 3, 1, 1),
