@@ -6,7 +6,6 @@
 //! `zip_map`s.
 
 use crate::layer::Layer;
-use crate::param::Param;
 use rfl_tensor::{sigmoid_slices, tanh_slices, Tensor};
 
 /// Rectified linear unit: `max(0, x)`.
@@ -22,18 +21,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut dinput = Tensor::scratch();
-        self.backward_into(dout, &mut dinput);
-        dinput
-    }
-
     /// One pass over the input writes the output — MAXPS semantics
     /// (`x > 0 ? x : 0`): NaN and −0.0 both map to +0.0 — and, with
     /// `train = true`, the mask. With `train = false` nothing is cached: a
@@ -63,14 +50,6 @@ impl Layer for Relu {
             *d = if m { g } else { 0.0 };
         }
     }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
 }
 
 /// Hyperbolic tangent.
@@ -86,24 +65,16 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut dinput = Tensor::scratch();
-        self.backward_into(dout, &mut dinput);
-        dinput
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
+    /// With `train = false` nothing is cached: a later backward still pairs
+    /// with the last training forward.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
         out.assign(input);
         tanh_slices(out.data_mut());
-        match &mut self.cached_output {
-            Some(t) => t.assign(out),
-            None => self.cached_output = Some(out.clone()),
+        if train {
+            match &mut self.cached_output {
+                Some(t) => t.assign(out),
+                None => self.cached_output = Some(out.clone()),
+            }
         }
     }
 
@@ -113,14 +84,6 @@ impl Layer for Tanh {
             .as_ref()
             .expect("Tanh::backward before forward");
         dout.zip_map_into(y, dinput, |g, yv| g * (1.0 - yv * yv));
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 }
 
@@ -137,24 +100,16 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut dinput = Tensor::scratch();
-        self.backward_into(dout, &mut dinput);
-        dinput
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
+    /// With `train = false` nothing is cached: a later backward still pairs
+    /// with the last training forward.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
         out.assign(input);
         sigmoid_slices(out.data_mut());
-        match &mut self.cached_output {
-            Some(t) => t.assign(out),
-            None => self.cached_output = Some(out.clone()),
+        if train {
+            match &mut self.cached_output {
+                Some(t) => t.assign(out),
+                None => self.cached_output = Some(out.clone()),
+            }
         }
     }
 
@@ -165,19 +120,14 @@ impl Layer for Sigmoid {
             .expect("Sigmoid::backward before forward");
         dout.zip_map_into(y, dinput, |g, yv| g * yv * (1.0 - yv));
     }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::check_layer_gradients;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn relu_clamps_negatives() {
@@ -230,17 +180,9 @@ mod tests {
     }
 
     #[test]
-    fn finite_difference_tanh() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_slice(&[0.3, -0.7, 1.2]);
-        let _ = t.forward(&x, true);
-        let dx = t.backward(&Tensor::ones(&[3]));
-        let eps = 1e-3;
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += eps;
-            let fd = (xp.data()[i].tanh() - x.data()[i].tanh()) / eps;
-            assert!((dx.data()[i] - fd).abs() < 1e-2);
-        }
+    fn tanh_and_sigmoid_pass_finite_difference_check() {
+        let mut rng = StdRng::seed_from_u64(0);
+        check_layer_gradients(&mut Tanh::new(), &[3, 5], &mut rng);
+        check_layer_gradients(&mut Sigmoid::new(), &[3, 5], &mut rng);
     }
 }

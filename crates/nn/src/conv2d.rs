@@ -84,18 +84,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut dinput = Tensor::scratch();
-        self.backward_into(dout, &mut dinput);
-        dinput
-    }
-
     /// With `train = false` nothing is cached: a later backward still pairs
     /// with the last training forward.
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
@@ -125,14 +113,6 @@ impl Layer for Conv2d {
         // Hand the freshly computed dinput to the caller and keep their old
         // buffer as next call's scratch — no copy, no allocation.
         std::mem::swap(&mut self.grads_buf.dinput, dinput);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {

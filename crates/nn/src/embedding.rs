@@ -1,9 +1,10 @@
 //! Token embedding table.
 //!
 //! Token inputs are not tensors, so `Embedding` has its own forward/backward
-//! signature rather than implementing [`crate::Layer`]. Output is
-//! *time-major* `[T, N, D]` because that is the layout the LSTM consumes
-//! (each timestep is then a contiguous `[N, D]` slab).
+//! signature rather than implementing [`crate::Layer`]: one buffer-reusing
+//! forward and one backward, and its one parameter is the public `table`.
+//! Output is *time-major* `[T, N, D]` because that is the layout the LSTM
+//! consumes (each timestep is then a contiguous `[N, D]` slab).
 
 use crate::param::Param;
 use rand::Rng;
@@ -36,20 +37,13 @@ impl Embedding {
         self.table.value.dims()[1]
     }
 
-    /// Looks up a batch of fixed-length sequences.
+    /// Looks up a batch of fixed-length sequences into `out` (every element
+    /// overwritten); a warm call allocates nothing.
     ///
-    /// `tokens` is row-major `[N, T]`; the result is time-major `[T, N, D]`.
+    /// `tokens` is row-major `[N, T]`; `out` becomes time-major `[T, N, D]`.
     ///
     /// # Panics
     /// Panics if any token id is out of vocabulary or sequences are ragged.
-    pub fn forward(&mut self, tokens: &[Vec<u32>]) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(tokens, &mut out);
-        out
-    }
-
-    /// [`forward`](Embedding::forward) into a caller-provided buffer (every
-    /// element overwritten); a warm call allocates nothing.
     pub fn forward_into(&mut self, tokens: &[Vec<u32>], out: &mut Tensor) {
         let n = tokens.len();
         assert!(n > 0, "empty batch");
@@ -97,14 +91,6 @@ impl Embedding {
             }
         }
     }
-
-    pub fn params(&self) -> Vec<&Param> {
-        vec![&self.table]
-    }
-
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.table]
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +103,8 @@ mod tests {
     fn lookup_copies_rows_time_major() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut e = Embedding::new(4, 3, &mut rng);
-        let out = e.forward(&[vec![1, 2], vec![3, 0]]);
+        let mut out = Tensor::scratch();
+        e.forward_into(&[vec![1, 2], vec![3, 0]], &mut out);
         assert_eq!(out.dims(), &[2, 2, 3]);
         // step 0: rows for tokens 1 (seq 0) and 3 (seq 1)
         assert_eq!(&out.data()[0..3], e.table.value.row(1));
@@ -132,7 +119,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut e = Embedding::new(3, 2, &mut rng);
         // Token 1 appears twice; gradient should double up.
-        e.forward(&[vec![1, 1]]);
+        e.forward_into(&[vec![1, 1]], &mut Tensor::scratch());
         let dout = Tensor::ones(&[2, 1, 2]);
         e.backward(&dout);
         assert_eq!(e.table.grad.row(1), &[2.0, 2.0]);
@@ -144,7 +131,7 @@ mod tests {
     fn rejects_oov_token() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut e = Embedding::new(2, 2, &mut rng);
-        e.forward(&[vec![5]]);
+        e.forward_into(&[vec![5]], &mut Tensor::scratch());
     }
 
     #[test]
@@ -152,6 +139,6 @@ mod tests {
     fn rejects_ragged_batch() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut e = Embedding::new(4, 2, &mut rng);
-        e.forward(&[vec![0, 1], vec![0]]);
+        e.forward_into(&[vec![0, 1], vec![0]], &mut Tensor::scratch());
     }
 }

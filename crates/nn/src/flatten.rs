@@ -1,7 +1,6 @@
 //! Flatten layer: `[N, ...] → [N, prod(...)]`.
 
 use crate::layer::Layer;
-use crate::param::Param;
 use rfl_tensor::Tensor;
 
 /// Collapses all non-batch dimensions into one.
@@ -17,18 +16,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut dinput = Tensor::scratch();
-        self.backward_into(dout, &mut dinput);
-        dinput
-    }
-
     /// Records the input's dims for the backward only when `train` is true:
     /// a later backward still pairs with the last training forward.
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
@@ -49,19 +36,14 @@ impl Layer for Flatten {
         dinput.assign(dout);
         dinput.reshape_in_place(&self.input_dims);
     }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gradcheck::check_layer_gradients;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn flattens_and_restores() {
@@ -71,5 +53,14 @@ mod tests {
         assert_eq!(y.dims(), &[2, 48]);
         let dx = f.backward(&Tensor::ones(&[2, 48]));
         assert_eq!(dx.dims(), &[2, 3, 4, 4]);
+    }
+
+    #[test]
+    fn gradients_pass_finite_difference_check() {
+        check_layer_gradients(
+            &mut Flatten::new(),
+            &[2, 3, 2, 2],
+            &mut StdRng::seed_from_u64(0),
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Finite-difference gradient checking used throughout the test suite.
+//! Finite-difference gradient checking for rfl-nn's unit tests.
 
 use crate::layer::Layer;
 use rand::Rng;
@@ -8,16 +8,19 @@ use rfl_tensor::{Initializer, Tensor};
 /// using the scalar loss `L = Σ output`.
 ///
 /// Verifies the gradient w.r.t. the input and w.r.t. up to 8 sampled
-/// coordinates of each parameter. Panics (assert) on disagreement; intended
-/// for `#[test]` use.
-pub fn check_layer_gradients<L: Layer, R: Rng>(layer: &mut L, input_dims: &[usize], rng: &mut R) {
+/// coordinates of each parameter, walking the parameters through the
+/// layer's visitors. Panics (assert) on disagreement.
+pub(crate) fn check_layer_gradients<L: Layer, R: Rng>(
+    layer: &mut L,
+    input_dims: &[usize],
+    rng: &mut R,
+) {
     let x = Initializer::Normal(0.5).init(input_dims, rng);
     let eps = 1e-2f32;
     let tol = 5e-2f32;
 
     let loss = |layer: &mut L, x: &Tensor| -> f32 { layer.forward(x, true).sum() };
 
-    let base = loss(layer, &x);
     layer.zero_grads();
     let y = layer.forward(&x, true);
     let dout = Tensor::ones(y.dims());
@@ -42,37 +45,43 @@ pub fn check_layer_gradients<L: Layer, R: Rng>(layer: &mut L, input_dims: &[usiz
         );
     }
 
-    // Parameter gradients.
-    let analytic: Vec<Vec<f32>> = layer
-        .params()
-        .iter()
-        .map(|p| p.grad.data().to_vec())
-        .collect();
-    let param_sizes: Vec<usize> = layer.params().iter().map(|p| p.numel()).collect();
-    for (pi, &size) in param_sizes.iter().enumerate() {
+    // Parameter gradients, in visit order: (values, analytic gradient).
+    let mut params: Vec<(Vec<f32>, Vec<f32>)> = Vec::new();
+    layer.for_each_param(&mut |p| params.push((p.value.data().to_vec(), p.grad.data().to_vec())));
+    for (pi, (values, analytic)) in params.iter().enumerate() {
+        let size = values.len();
         for s in 0..size.min(8) {
             let i = (s * 7919) % size; // pseudo-random but deterministic picks
-            let orig = layer.params()[pi].value.data()[i];
-            layer.params_mut()[pi].value.data_mut()[i] = orig + eps;
+            set_param(layer, pi, i, values[i] + eps);
             let plus = loss(layer, &x);
-            layer.params_mut()[pi].value.data_mut()[i] = orig - eps;
+            set_param(layer, pi, i, values[i] - eps);
             let minus = loss(layer, &x);
-            layer.params_mut()[pi].value.data_mut()[i] = orig;
+            set_param(layer, pi, i, values[i]);
             let fd = (plus - minus) / (2.0 * eps);
-            let an = analytic[pi][i];
+            let an = analytic[i];
             assert!(
                 (fd - an).abs() < tol.max(fd.abs() * 0.05),
                 "param {pi} grad[{i}]: finite-diff {fd} vs analytic {an}"
             );
         }
     }
-    let _ = base;
+}
+
+/// Sets scalar `i` of the `pi`-th visited parameter to `v`.
+fn set_param<L: Layer>(layer: &mut L, pi: usize, i: usize, v: f32) {
+    let mut k = 0;
+    layer.for_each_param_mut(&mut |p| {
+        if k == pi {
+            p.value.data_mut()[i] = v;
+        }
+        k += 1;
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Linear;
+    use crate::{Linear, Param};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -86,18 +95,18 @@ mod tests {
     struct BrokenLayer(Linear);
 
     impl Layer for BrokenLayer {
-        fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-            self.0.forward(input, train)
+        fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
+            self.0.forward_into(input, out, train);
         }
-        fn backward(&mut self, dout: &Tensor) -> Tensor {
+        fn backward_into(&mut self, dout: &Tensor, dinput: &mut Tensor) {
             // Wrong: scales the gradient by 2.
-            self.0.backward(&dout.scale(2.0))
+            self.0.backward_into(&dout.scale(2.0), dinput);
         }
-        fn params(&self) -> Vec<&crate::Param> {
-            self.0.params()
+        fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+            self.0.for_each_param(f);
         }
-        fn params_mut(&mut self) -> Vec<&mut crate::Param> {
-            self.0.params_mut()
+        fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+            self.0.for_each_param_mut(f);
         }
     }
 

@@ -1,63 +1,51 @@
 //! The [`Layer`] trait: tensor-in / tensor-out modules with cached state.
+//!
+//! An implementor writes the two buffer-reusing passes and, if it has
+//! parameters, the two visitors; everything else is provided once here.
 
 use crate::param::Param;
 use rfl_tensor::Tensor;
 
 /// A differentiable module mapping one tensor to another.
 ///
-/// `forward` caches whatever it needs for `backward`; `backward` consumes the
-/// gradient w.r.t. the output and returns the gradient w.r.t. the input while
-/// *accumulating* parameter gradients. Layers are stateful, so a layer
-/// instance must see matching forward/backward pairs (standard for manual
-/// backprop engines).
+/// `forward_into` caches whatever it needs for `backward_into`;
+/// `backward_into` consumes the gradient w.r.t. the output and writes the
+/// gradient w.r.t. the input while *accumulating* parameter gradients.
+/// Layers are stateful, so a layer instance must see matching
+/// forward/backward pairs (standard for manual backprop engines).
 pub trait Layer {
-    /// Forward pass. `train` says a backward will follow: with `false` the
-    /// convolution, dense, ReLU and max-pool layers cache nothing, and a
-    /// later backward still pairs with the last training forward.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Forward pass into `out` (resized and fully overwritten; a warm call
+    /// allocates nothing). `train` says a backward will follow: with `false`
+    /// a layer caches nothing, and a later backward still pairs with the
+    /// last training forward. The one exception is [`Lstm`](crate::Lstm):
+    /// its inference forward invalidates the BPTT cache, and a backward
+    /// after it panics rather than return a wrong gradient.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool);
 
-    /// Backward pass for the most recent `forward` call.
-    fn backward(&mut self, dout: &Tensor) -> Tensor;
+    /// Backward pass for the most recent training forward, writing the input
+    /// gradient into `dinput` (resized and fully overwritten).
+    fn backward_into(&mut self, dout: &Tensor, dinput: &mut Tensor);
 
-    /// [`forward`](Layer::forward) writing into a caller-provided buffer.
-    ///
-    /// The hot-path layers override this with a zero-allocation
-    /// implementation that is bit-identical to `forward` (the `_into`
-    /// kernels fully overwrite their destinations); this default keeps
-    /// rarely-used layers correct without converting them.
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        let r = self.forward(input, train);
-        out.assign(&r);
+    /// Visits every parameter in the layer's canonical order. The default
+    /// visits none: parameter-free layers write neither visitor.
+    fn for_each_param(&self, _f: &mut dyn FnMut(&Param)) {}
+
+    /// Mutable twin of [`for_each_param`](Layer::for_each_param), in the
+    /// same order.
+    fn for_each_param_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
+
+    /// [`forward_into`](Layer::forward_into) into a fresh tensor.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let mut out = Tensor::scratch();
+        self.forward_into(input, &mut out, train);
+        out
     }
 
-    /// [`backward`](Layer::backward) writing the input gradient into a
-    /// caller-provided buffer. Same override contract as
-    /// [`forward_into`](Layer::forward_into).
-    fn backward_into(&mut self, dout: &Tensor, dinput: &mut Tensor) {
-        let r = self.backward(dout);
-        dinput.assign(&r);
-    }
-
-    /// Immutable views of this layer's parameters (possibly empty).
-    fn params(&self) -> Vec<&Param>;
-
-    /// Mutable views of this layer's parameters (possibly empty).
-    fn params_mut(&mut self) -> Vec<&mut Param>;
-
-    /// Visits every parameter in the same order as [`params`](Layer::params)
-    /// without materializing a `Vec`. Hot-path layers override this (and the
-    /// `_mut` twin) so per-step parameter walks stay allocation-free.
-    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
-        for p in self.params() {
-            f(p);
-        }
-    }
-
-    /// Mutable twin of [`for_each_param`](Layer::for_each_param).
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for p in self.params_mut() {
-            f(p);
-        }
+    /// [`backward_into`](Layer::backward_into) into a fresh tensor.
+    fn backward(&mut self, dout: &Tensor) -> Tensor {
+        let mut dinput = Tensor::scratch();
+        self.backward_into(dout, &mut dinput);
+        dinput
     }
 
     /// Zeroes all parameter gradients.

@@ -4,7 +4,8 @@
 //! [`rfl_tensor`]. It implements exactly what the rFedAvg reproduction needs:
 //!
 //! * layers: [`Linear`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`],
-//!   [`Flatten`], [`Embedding`], [`Lstm`];
+//!   [`Sigmoid`], [`Flatten`], [`Lstm`] (each a [`Layer`]), and the token
+//!   lookup [`Embedding`];
 //! * loss: softmax [`cross_entropy`];
 //! * optimizers over flat parameter vectors: [`Sgd`] and
 //!   [`RmsProp`] — the paper trains image models with SGD and the
@@ -12,7 +13,16 @@
 //! * models exposing the *feature hook* needed by the distribution
 //!   regularizer: [`CnnClassifier`], [`LstmClassifier`],
 //!   [`LogisticRegression`] (the strongly convex objective used for the
-//!   convergence theory).
+//!   convergence theory), [`LinearNet`].
+//!
+//! Each pass is written once. A [`Layer`] implements `forward_into` /
+//! `backward_into`, which write into caller-owned buffers, and (if it has
+//! parameters) the `for_each_param` / `for_each_param_mut` visitors; a
+//! [`Model`] implements `forward_into`, `backward`, the two visitors and
+//! three shape queries. The allocating `forward` / `backward`, `zero_grads`,
+//! `num_params` and the flat parameter I/O (`read_params`, `write_params`,
+//! `read_grads`) are provided by the traits on top of those, so a model's
+//! flat parameter order is stated once, in its visitors.
 //!
 //! ## The feature hook
 //!
@@ -39,7 +49,6 @@ mod activations;
 mod conv2d;
 mod embedding;
 mod flatten;
-pub mod gradcheck;
 mod layer;
 mod linear;
 mod loss;
@@ -62,5 +71,8 @@ pub use models::{
     Model, ModelOutput,
 };
 pub use optim::{Optimizer, RmsProp, Sgd};
-pub use param::{read_grads_flat, read_params_flat, write_params_flat, Param};
+pub use param::Param;
 pub use pooling::MaxPool2d;
+
+#[cfg(test)]
+mod gradcheck;

@@ -46,18 +46,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut dinput = Tensor::scratch();
-        self.backward_into(dout, &mut dinput);
-        dinput
-    }
-
     /// With `train = false` nothing is cached: a later backward still pairs
     /// with the last training forward.
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
@@ -86,14 +74,6 @@ impl Layer for Linear {
         dout.sum_axis0_into(&mut self.db);
         self.bias.grad.add_assign(&self.db);
         dout.matmul_transb_into(&self.weight.value, dinput);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {

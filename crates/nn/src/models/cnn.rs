@@ -108,12 +108,6 @@ impl CnnClassifier {
 }
 
 impl Model for CnnClassifier {
-    fn forward(&mut self, input: &Input, train: bool) -> ModelOutput {
-        let mut out = ModelOutput::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
     fn forward_into(&mut self, input: &Input, out: &mut ModelOutput, train: bool) {
         let x = match input {
             Input::Images(t) => t,
@@ -157,24 +151,6 @@ impl Model for CnnClassifier {
         self.conv1.backward_params(&a); // nobody reads the input gradient
         self.ws.give(b);
         self.ws.give(a);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut v = Vec::with_capacity(8);
-        v.extend(self.conv1.params());
-        v.extend(self.conv2.params());
-        v.extend(self.fc1.params());
-        v.extend(self.fc2.params());
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = Vec::with_capacity(8);
-        v.extend(self.conv1.params_mut());
-        v.extend(self.conv2.params_mut());
-        v.extend(self.fc1.params_mut());
-        v.extend(self.fc2.params_mut());
-        v
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {

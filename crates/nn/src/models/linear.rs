@@ -18,7 +18,6 @@ use rfl_tensor::Tensor;
 pub struct LogisticRegression {
     head: Linear,
     l2: f32,
-    cached_input: Option<Tensor>,
     dinput: Tensor, // scratch for the head's (unused) input gradient
 }
 
@@ -28,7 +27,6 @@ impl LogisticRegression {
         LogisticRegression {
             head: Linear::new(in_dim, classes, rng),
             l2,
-            cached_input: None,
             dinput: Tensor::scratch(),
         }
     }
@@ -43,22 +41,12 @@ impl LogisticRegression {
 }
 
 impl Model for LogisticRegression {
-    fn forward(&mut self, input: &Input, train: bool) -> ModelOutput {
-        let mut out = ModelOutput::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
     fn forward_into(&mut self, input: &Input, out: &mut ModelOutput, train: bool) {
         let x = match input {
             Input::Dense(t) => t,
             _ => panic!("LogisticRegression expects Input::Dense"),
         };
         self.head.forward_into(x, &mut out.logits, train);
-        match &mut self.cached_input {
-            Some(t) => t.assign(x),
-            None => self.cached_input = Some(x.clone()),
-        }
         // φ is the identity: the features *are* the input.
         out.features.assign(x);
     }
@@ -72,14 +60,6 @@ impl Model for LogisticRegression {
             self.head.weight.grad.axpy(l2, &self.head.weight.value);
             self.head.bias.grad.axpy(l2, &self.head.bias.value);
         }
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        self.head.params()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.head.params_mut()
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
@@ -136,12 +116,6 @@ impl LinearNet {
 }
 
 impl Model for LinearNet {
-    fn forward(&mut self, input: &Input, train: bool) -> ModelOutput {
-        let mut out = ModelOutput::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
     fn forward_into(&mut self, input: &Input, out: &mut ModelOutput, train: bool) {
         let x = match input {
             Input::Dense(t) => t,
@@ -162,18 +136,6 @@ impl Model for LinearNet {
             let l2 = self.l2;
             self.for_each_param_mut(&mut |p| p.grad.axpy(l2, &p.value));
         }
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut v = self.feat.params();
-        v.extend(self.head.params());
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = self.feat.params_mut();
-        v.extend(self.head.params_mut());
-        v
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {

@@ -75,12 +75,6 @@ impl LstmClassifier {
 }
 
 impl Model for LstmClassifier {
-    fn forward(&mut self, input: &Input, train: bool) -> ModelOutput {
-        let mut out = ModelOutput::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
     fn forward_into(&mut self, input: &Input, out: &mut ModelOutput, train: bool) {
         let tokens = match input {
             Input::Tokens(t) => t,
@@ -139,44 +133,18 @@ impl Model for LstmClassifier {
         self.ws.give(a);
     }
 
-    fn params(&self) -> Vec<&Param> {
-        let mut v = Vec::with_capacity(11);
-        v.extend(self.embed.params());
-        v.extend(self.lstm1.params());
-        v.extend(self.lstm2.params());
-        v.extend(self.fc_feat.params());
-        v.extend(self.fc_out.params());
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = Vec::with_capacity(11);
-        v.extend(self.embed.params_mut());
-        v.extend(self.lstm1.params_mut());
-        v.extend(self.lstm2.params_mut());
-        v.extend(self.fc_feat.params_mut());
-        v.extend(self.fc_out.params_mut());
-        v
-    }
-
     fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
         f(&self.embed.table);
-        for l in [&self.lstm1, &self.lstm2] {
-            f(&l.wx);
-            f(&l.wh);
-            f(&l.b);
-        }
+        self.lstm1.for_each_param(f);
+        self.lstm2.for_each_param(f);
         self.fc_feat.for_each_param(f);
         self.fc_out.for_each_param(f);
     }
 
     fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.embed.table);
-        for l in [&mut self.lstm1, &mut self.lstm2] {
-            f(&mut l.wx);
-            f(&mut l.wh);
-            f(&mut l.b);
-        }
+        self.lstm1.for_each_param_mut(f);
+        self.lstm2.for_each_param_mut(f);
         self.fc_feat.for_each_param_mut(f);
         self.fc_out.for_each_param_mut(f);
     }
@@ -240,12 +208,14 @@ mod tests {
         let (_, d) = cross_entropy(&out.logits, &[0, 1]);
         m.backward(&d, None);
         // Every parameter group should receive some gradient.
-        for (i, p) in m.params().iter().enumerate() {
+        let mut i = 0;
+        m.for_each_param(&mut |p| {
             assert!(
                 p.grad.data().iter().any(|&v| v != 0.0),
                 "param group {i} has zero grad"
             );
-        }
+            i += 1;
+        });
     }
 
     #[test]

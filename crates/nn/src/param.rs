@@ -29,38 +29,6 @@ impl Param {
     }
 }
 
-/// Copies the concatenation of all parameter values into `out`
-/// (resizing it to fit). The order is the model's canonical parameter order.
-pub fn read_params_flat(params: &[&Param], out: &mut Vec<f32>) {
-    out.clear();
-    for p in params {
-        out.extend_from_slice(p.value.data());
-    }
-}
-
-/// Writes a flat vector back into the parameters.
-///
-/// # Panics
-/// Panics if `src` length differs from the total parameter count.
-pub fn write_params_flat(params: &mut [&mut Param], src: &[f32]) {
-    let total: usize = params.iter().map(|p| p.numel()).sum();
-    assert_eq!(src.len(), total, "flat parameter length mismatch");
-    let mut off = 0;
-    for p in params.iter_mut() {
-        let n = p.numel();
-        p.value.data_mut().copy_from_slice(&src[off..off + n]);
-        off += n;
-    }
-}
-
-/// Copies the concatenation of all gradients into `out`.
-pub fn read_grads_flat(params: &[&Param], out: &mut Vec<f32>) {
-    out.clear();
-    for p in params {
-        out.extend_from_slice(p.grad.data());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,25 +39,6 @@ mod tests {
         assert_eq!(p.numel(), 6);
         assert!(p.grad.data().iter().all(|&v| v == 0.0));
         assert_eq!(p.grad.dims(), p.value.dims());
-    }
-
-    #[test]
-    fn flat_round_trip() {
-        let mut a = Param::new(Tensor::from_slice(&[1.0, 2.0]));
-        let mut b = Param::new(Tensor::from_slice(&[3.0]));
-        let mut flat = Vec::new();
-        read_params_flat(&[&a, &b], &mut flat);
-        assert_eq!(flat, vec![1.0, 2.0, 3.0]);
-        write_params_flat(&mut [&mut a, &mut b], &[9.0, 8.0, 7.0]);
-        assert_eq!(a.value.data(), &[9.0, 8.0]);
-        assert_eq!(b.value.data(), &[7.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn write_checks_length() {
-        let mut a = Param::new(Tensor::from_slice(&[1.0]));
-        write_params_flat(&mut [&mut a], &[1.0, 2.0]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Max-pooling layer.
 
 use crate::layer::Layer;
-use crate::param::Param;
 use rfl_tensor::{maxpool2d_backward_into, maxpool2d_into, PoolSpec, Tensor};
 
 /// Non-overlapping (by default) 2-D max pooling over NCHW inputs.
@@ -32,18 +31,6 @@ impl MaxPool2d {
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.forward_into(input, &mut out, train);
-        out
-    }
-
-    fn backward(&mut self, dout: &Tensor) -> Tensor {
-        let mut dinput = Tensor::scratch();
-        self.backward_into(dout, &mut dinput);
-        dinput
-    }
-
     /// With `train = false` nothing is cached: a later backward still pairs
     /// with the last training forward.
     fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
@@ -62,14 +49,6 @@ impl Layer for MaxPool2d {
             "MaxPool2d::backward before forward"
         );
         maxpool2d_backward_into(&self.input_dims, dout, &self.argmax, dinput);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 }
 

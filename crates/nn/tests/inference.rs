@@ -3,12 +3,15 @@
 //! another batch size, a backward computes exactly what it computes after A
 //! alone, for every layer that caches something and for a whole CNN; and a
 //! model's inference forward computes what its training forward does, bit
-//! for bit.
+//! for bit. `Lstm` is the one exception: its inference forward invalidates
+//! the BPTT cache, and a backward after it panics (`lstm.rs`'s
+//! `backward_after_inference_forward_panics`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_nn::{
     CnnClassifier, CnnConfig, Conv2d, Flatten, Input, Layer, Linear, MaxPool2d, Model, Relu,
+    Sigmoid, Tanh,
 };
 use rfl_tensor::{Initializer, Tensor};
 
@@ -67,6 +70,16 @@ fn linear_backward_ignores_an_inference_forward() {
 #[test]
 fn relu_backward_ignores_an_inference_forward() {
     check(Relu::new, &[4, 3, 5, 5]);
+}
+
+#[test]
+fn tanh_backward_ignores_an_inference_forward() {
+    check(Tanh::new, &[4, 7]);
+}
+
+#[test]
+fn sigmoid_backward_ignores_an_inference_forward() {
+    check(Sigmoid::new, &[4, 7]);
 }
 
 #[test]

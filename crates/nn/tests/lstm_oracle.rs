@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfl_nn::Lstm;
+use rfl_nn::{Layer, Lstm};
 use rfl_tensor::simd::{set_simd_tier, Tier};
 use rfl_tensor::{set_thread_budget, sigmoid_slices, tanh_slices, Tensor};
 
@@ -214,9 +214,7 @@ fn check(t_len: usize, n: usize, d: usize, hd: usize, special: bool, seed: u64) 
             out.fill(f32::NAN);
             layer.forward_into(&input, &mut out, true);
             same(&out, &want.out, &tag("out"));
-            for p in layer.params_mut() {
-                p.zero_grad();
-            }
+            layer.zero_grads();
             layer.backward_into(&dout, &mut dinput);
             same(&dinput, &want.dinput, &tag("dinput"));
             same(&layer.wx.grad, &want.dwx, &tag("dWx"));

@@ -16,11 +16,16 @@ use std::sync::Arc;
 
 /// A sigmoid-bottleneck classifier: `x → Linear → Sigmoid (= φ) → Linear`.
 /// The sigmoid features are bounded, which suits the MMD regularizer's
-/// diameter assumption (A5).
+/// diameter assumption (A5). The model owns its intermediate buffers, so a
+/// warm step allocates nothing.
 struct SigmoidNet {
     feat: Linear,
     act: Sigmoid,
     head: Linear,
+    h: Tensor,      // the bottleneck's pre-activation
+    dfeat: Tensor,  // gradient w.r.t. the features
+    dh: Tensor,     // gradient w.r.t. the pre-activation
+    dinput: Tensor, // the input gradient nobody reads
 }
 
 impl SigmoidNet {
@@ -29,41 +34,47 @@ impl SigmoidNet {
             feat: Linear::new(in_dim, hidden, rng),
             act: Sigmoid::new(),
             head: Linear::new(hidden, classes, rng),
+            h: Tensor::scratch(),
+            dfeat: Tensor::scratch(),
+            dh: Tensor::scratch(),
+            dinput: Tensor::scratch(),
         }
     }
 }
 
+/// The minimal `Model`: the buffer-reusing forward, the backward, the two
+/// parameter visitors (the one place the flat parameter order is written)
+/// and three shape queries. `forward`, `read_params`, `write_params`,
+/// `read_grads`, `zero_grads` and `num_params` come with the trait.
 impl Model for SigmoidNet {
-    fn forward(&mut self, input: &Input, train: bool) -> ModelOutput {
+    fn forward_into(&mut self, input: &Input, out: &mut ModelOutput, train: bool) {
         let x = match input {
             Input::Dense(t) => t,
             _ => panic!("SigmoidNet expects dense inputs"),
         };
-        let h = self.feat.forward(x, train);
-        let features = self.act.forward(&h, train);
-        let logits = self.head.forward(&features, train);
-        ModelOutput { features, logits }
+        self.feat.forward_into(x, &mut self.h, train);
+        self.act.forward_into(&self.h, &mut out.features, train);
+        self.head
+            .forward_into(&out.features, &mut out.logits, train);
     }
 
     fn backward(&mut self, dlogits: &Tensor, dfeatures: Option<&Tensor>) {
-        let mut d = self.head.backward(dlogits);
+        self.head.backward_into(dlogits, &mut self.dfeat);
         if let Some(df) = dfeatures {
-            d.add_assign(df); // ← the MMD regularizer enters here
+            self.dfeat.add_assign(df); // ← the MMD regularizer enters here
         }
-        let d = self.act.backward(&d);
-        let _ = self.feat.backward(&d);
+        self.act.backward_into(&self.dfeat, &mut self.dh);
+        self.feat.backward_into(&self.dh, &mut self.dinput);
     }
 
-    fn params(&self) -> Vec<&Param> {
-        let mut v = self.feat.params();
-        v.extend(self.head.params());
-        v
+    fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
+        self.feat.for_each_param(f);
+        self.head.for_each_param(f);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = self.feat.params_mut();
-        v.extend(self.head.params_mut());
-        v
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.feat.for_each_param_mut(f);
+        self.head.for_each_param_mut(f);
     }
 
     fn feature_dim(&self) -> usize {

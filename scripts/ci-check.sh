@@ -81,6 +81,10 @@ cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 --tier scalar
 cargo run --release -q -p rfl-nn --example lstm_layers -- --iters 3 |
     grep -E '^sent140-like LSTM, .*, simd (avx512|avx2|scalar), '
 
+echo "== custom_model example smoke (a user-written Model trains under rFedAvg+)"
+cargo run --release -q --example custom_model |
+    grep -E '^custom SigmoidNet via rFedAvg\+: test acc'
+
 echo "== lazy_cycle smoke (a lazy client-round's table; the header names the SIMD tier)"
 cargo run --release -q -p rfl-core --example lazy_cycle -- --iters 3 |
     grep -E '^lazy client-round, .*, simd (avx512|avx2|scalar), '
