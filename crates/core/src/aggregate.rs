@@ -162,17 +162,6 @@ pub struct StreamingAggregator {
 }
 
 impl StreamingAggregator {
-    /// A fresh aggregator for one round: `dim`-float accumulator, one
-    /// prenormalized weight per selection slot.
-    pub fn new(dim: usize, weights: Vec<f32>) -> Self {
-        let mut agg = StreamingAggregator {
-            weights,
-            ..StreamingAggregator::default()
-        };
-        agg.rearm(dim);
-        agg
-    }
-
     /// Re-arms the aggregator for a new round over `selected`, computing the
     /// prenormalized weights in place (bit-identical to
     /// [`crate::sampling::renormalized_weights`]) and reusing every buffer.
@@ -210,16 +199,6 @@ impl StreamingAggregator {
         self.folded = 0;
         self.resolved = 0;
         self.folded_weight = 0.0;
-    }
-
-    /// Number of slots in the selection.
-    pub fn expected(&self) -> usize {
-        self.state.len()
-    }
-
-    /// Uploads folded so far.
-    pub fn folded(&self) -> usize {
-        self.folded
     }
 
     /// Advances the spine: combines ready leaves and skips dropped slots
@@ -336,6 +315,17 @@ impl StreamingAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A fresh aggregator for one round: `dim`-float accumulator, one
+    /// prenormalized weight per selection slot.
+    fn fresh(dim: usize, weights: Vec<f32>) -> StreamingAggregator {
+        let mut agg = StreamingAggregator {
+            weights,
+            ..StreamingAggregator::default()
+        };
+        agg.rearm(dim);
+        agg
+    }
     use crate::sampling::renormalized_weights;
 
     fn params(n: usize, d: usize) -> Vec<Vec<f32>> {
@@ -360,7 +350,7 @@ mod tests {
     fn in_order_fold_matches_weighted_average_bitwise() {
         let p = params(5, 17);
         let w = renormalized_weights(&[0.2, 0.1, 0.4, 0.05, 0.25], &[0, 1, 2, 3, 4]);
-        let mut agg = StreamingAggregator::new(17, w.clone());
+        let mut agg = fresh(17, w.clone());
         for (slot, pi) in p.iter().enumerate() {
             agg.push(slot, pi);
         }
@@ -372,13 +362,13 @@ mod tests {
     fn arrival_order_is_irrelevant() {
         let p = params(6, 9);
         let w = vec![0.3, 0.1, 0.15, 0.2, 0.05, 0.2];
-        let mut in_order = StreamingAggregator::new(9, w.clone());
+        let mut in_order = fresh(9, w.clone());
         for (slot, pi) in p.iter().enumerate() {
             in_order.push(slot, pi);
         }
         let want = in_order.finish().unwrap();
         for perm in [[5, 0, 3, 1, 4, 2], [2, 1, 0, 5, 4, 3], [0, 5, 1, 4, 2, 3]] {
-            let mut agg = StreamingAggregator::new(9, w.clone());
+            let mut agg = fresh(9, w.clone());
             for &slot in &perm {
                 agg.push(slot, &p[slot]);
             }
@@ -396,7 +386,7 @@ mod tests {
         let w = renormalized_weights(&[0.5, 0.2, 0.3], &[0, 1, 2]);
         let want = weighted_average(&p, &w);
         for order in [[0usize, 1, 2], [2, 1, 0]] {
-            let mut agg = StreamingAggregator::new(d, w.clone());
+            let mut agg = fresh(d, w.clone());
             for &slot in &order {
                 agg.push(slot, &p[slot]);
             }
@@ -408,7 +398,7 @@ mod tests {
     fn drops_renormalize_over_survivors() {
         let p = params(4, 5);
         let w = vec![0.4, 0.1, 0.3, 0.2];
-        let mut agg = StreamingAggregator::new(5, w.clone());
+        let mut agg = fresh(5, w.clone());
         agg.push(0, &p[0]);
         agg.mark_dropped(1);
         agg.push(2, &p[2]);
@@ -426,12 +416,12 @@ mod tests {
     fn late_drop_unblocks_leafed_arrivals() {
         let p = params(3, 4);
         let w = vec![0.5, 0.25, 0.25];
-        let mut agg = StreamingAggregator::new(4, w.clone());
+        let mut agg = fresh(4, w.clone());
         agg.push(2, &p[2]); // leafed: slots 0 and 1 unresolved
         agg.push(0, &p[0]); // folds 0; 2 still blocked behind 1
-        assert_eq!(agg.folded(), 1);
+        assert_eq!(agg.folded, 1);
         agg.mark_dropped(1); // unblocks 2
-        assert_eq!(agg.folded(), 2);
+        assert_eq!(agg.folded, 2);
         let got = agg.finish().unwrap();
         let mut want = vec![0.0f32; 4];
         rfl_tensor::axpy_slices(&mut want, w[0], &p[0]);
@@ -442,7 +432,7 @@ mod tests {
 
     #[test]
     fn all_dropped_returns_none() {
-        let mut agg = StreamingAggregator::new(3, vec![0.5, 0.5]);
+        let mut agg = fresh(3, vec![0.5, 0.5]);
         agg.mark_dropped(0);
         agg.mark_dropped(1);
         assert!(agg.finish().is_none());
@@ -452,7 +442,7 @@ mod tests {
     fn single_survivor_recovers_its_params_up_to_rescale() {
         let p = params(3, 6);
         let w = vec![0.25, 0.5, 0.25];
-        let mut agg = StreamingAggregator::new(6, w.clone());
+        let mut agg = fresh(6, w.clone());
         agg.mark_dropped(0);
         agg.push(1, &p[1]);
         agg.mark_dropped(2);
@@ -511,7 +501,7 @@ mod tests {
     #[should_panic(expected = "resolved twice")]
     fn double_push_panics() {
         let p = params(2, 2);
-        let mut agg = StreamingAggregator::new(2, vec![0.5, 0.5]);
+        let mut agg = fresh(2, vec![0.5, 0.5]);
         agg.push(0, &p[0]);
         agg.push(0, &p[0]);
     }
@@ -519,7 +509,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unresolved slots")]
     fn finish_with_pending_slot_panics() {
-        let mut agg = StreamingAggregator::new(2, vec![0.5, 0.5]);
+        let mut agg = fresh(2, vec![0.5, 0.5]);
         agg.push(0, &[1.0, 2.0]);
         let _ = agg.finish();
     }

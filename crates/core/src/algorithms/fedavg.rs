@@ -24,7 +24,7 @@ mod tests {
     use super::*;
     use crate::compress::Compression;
     use crate::history::History;
-    use crate::testutil::{convex_fed, run_rounds};
+    use crate::testutil::{convex_fed, convex_fed_with, run_rounds};
 
     #[test]
     fn improves_test_accuracy_on_iid_data() {
@@ -60,8 +60,7 @@ mod tests {
     /// Compression is a wire stage of the federation, not an algorithm:
     /// stock FedAvg over a federation with a policy set compresses uploads.
     fn run_compressed(policy: Compression, seed: u64, clients: usize, rounds: usize) -> History {
-        let (mut fed, cfg) = convex_fed(0.0, seed, clients);
-        fed.set_compression(policy);
+        let (mut fed, cfg) = convex_fed_with(0.0, seed, clients, policy);
         run_rounds(&mut FedAvg::new(), &mut fed, &cfg, rounds)
     }
 

@@ -132,7 +132,7 @@ mod tests {
         // After round 0 every client has reported (full participation), so
         // the MMD rule is active and the measured reg loss is positive.
         assert!(h.records()[1].reg_loss > 0.0);
-        assert!(algo.delta_table().unwrap().fully_initialized());
+        assert_eq!(algo.delta_table().unwrap().num_initialized(), 4);
     }
 
     #[test]

@@ -29,16 +29,6 @@ impl Scaffold {
             c_k: Vec::new(),
         }
     }
-
-    /// The server control variate (diagnostics / tests).
-    pub fn server_control(&self) -> &[f32] {
-        &self.c
-    }
-
-    /// A client's control variate (diagnostics / tests).
-    pub fn client_control(&self, k: usize) -> &[f32] {
-        &self.c_k[k]
-    }
 }
 
 impl Algorithm for Scaffold {
@@ -165,8 +155,8 @@ mod tests {
         let (mut fed, cfg) = convex_fed(0.0, 21, 4);
         let mut algo = Scaffold::new(1.0);
         run_rounds(&mut algo, &mut fed, &cfg, 2);
-        assert!(algo.server_control().iter().any(|&v| v != 0.0));
-        assert!(algo.client_control(0).iter().any(|&v| v != 0.0));
+        assert!(algo.c.iter().any(|&v| v != 0.0));
+        assert!(algo.c_k[0].iter().any(|&v| v != 0.0));
     }
 
     #[test]
@@ -177,11 +167,11 @@ mod tests {
         run_rounds(&mut algo, &mut fed, &cfg, 3);
         let n = 4;
         for i in 0..fed.num_params() {
-            let mean: f32 = (0..n).map(|k| algo.client_control(k)[i]).sum::<f32>() / n as f32;
+            let mean: f32 = (0..n).map(|k| algo.c_k[k][i]).sum::<f32>() / n as f32;
             assert!(
-                (algo.server_control()[i] - mean).abs() < 1e-4,
+                (algo.c[i] - mean).abs() < 1e-4,
                 "c[{i}] = {} vs mean {mean}",
-                algo.server_control()[i]
+                algo.c[i]
             );
         }
     }

@@ -195,12 +195,8 @@ impl Client {
         self.clip_grad_norm = clip;
     }
 
-    pub fn id(&self) -> usize {
+    pub(crate) fn id(&self) -> usize {
         self.id
-    }
-
-    pub fn num_samples(&self) -> usize {
-        self.data.len()
     }
 
     pub fn data(&self) -> &Dataset {
@@ -209,10 +205,6 @@ impl Client {
 
     pub fn feature_dim(&self) -> usize {
         self.shell.model.feature_dim()
-    }
-
-    pub fn num_params(&mut self) -> usize {
-        self.shell.model.num_params()
     }
 
     /// Installs parameters received from the server.
@@ -228,17 +220,12 @@ impl Client {
     /// The error-feedback residual of the compressed-upload stage. The
     /// compression helpers ([`crate::compress::ef_compress_update`]) size it
     /// lazily on first use; it is durable state and survives hibernation.
-    pub fn residual_mut(&mut self) -> &mut Vec<f32> {
+    pub(crate) fn residual_mut(&mut self) -> &mut Vec<f32> {
         &mut self.persist.residual
     }
 
-    /// Read-only view of the error-feedback residual (tests, diagnostics).
-    pub fn residual(&self) -> &[f32] {
-        &self.persist.residual
-    }
-
     /// Learning rate of the local optimizer.
-    pub fn lr(&self) -> f32 {
+    pub(crate) fn lr(&self) -> f32 {
         self.persist.optimizer.lr()
     }
 
@@ -359,7 +346,7 @@ impl Client {
 
     /// [`Client::compute_delta`] into a caller-provided buffer (overwritten;
     /// its allocation is reused from one probe to the next).
-    pub fn compute_delta_into(&mut self, sum: &mut Vec<f32>, batch: usize) {
+    pub(crate) fn compute_delta_into(&mut self, sum: &mut Vec<f32>, batch: usize) {
         let Client { data, shell, .. } = self;
         let n = data.len();
         sum.clear();
@@ -403,7 +390,7 @@ impl Client {
 
     /// Loss/accuracy of the current model on the client's own data
     /// (used by q-FedAvg and the fairness evaluation).
-    pub fn evaluate_local(&mut self, batch: usize) -> EvalResult {
+    pub(crate) fn evaluate_local(&mut self, batch: usize) -> EvalResult {
         evaluate(
             std::slice::from_mut(&mut self.shell.model),
             &self.data,
@@ -490,7 +477,7 @@ mod tests {
         // A constant correction acts like an extra gradient: params move
         // opposite to it.
         let mut c = make_client(2);
-        let n = c.num_params();
+        let n = c.shell.model.num_params();
         let mut before = Vec::new();
         c.read_params(&mut before);
         let correction = Arc::new(vec![1000.0f32; n]);
@@ -579,7 +566,7 @@ mod tests {
         c.residual_mut().extend_from_slice(&[0.25, -1.5, 3.0e-8]);
         let (persist, _) = c.take_apart();
         let woken = Client::assemble(0, foreign_shell(), dense_data(32, 8), persist, None);
-        assert_eq!(woken.residual(), &[0.25, -1.5, 3.0e-8]);
+        assert_eq!(woken.persist.residual, [0.25, -1.5, 3.0e-8]);
     }
 
     #[test]

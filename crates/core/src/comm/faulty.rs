@@ -28,7 +28,7 @@ pub struct LatencyModel {
 
 impl LatencyModel {
     /// The zero-latency model (every message is instantaneous).
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         LatencyModel {
             base_ms: 0.0,
             per_kb_ms: 0.0,
@@ -153,15 +153,6 @@ impl FaultyTransport {
             seqs: Vec::new(),
             wire: Vec::new(),
         }
-    }
-
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// A client's accumulated virtual time in the current round (ms).
-    pub fn client_clock_ms(&self, client: usize) -> f64 {
-        self.clocks.get(client).copied().unwrap_or(0.0)
     }
 
     fn ensure_client(&mut self, client: usize) {
@@ -336,7 +327,7 @@ mod tests {
     fn certain_loss_exhausts_bounded_retries() {
         let mut t = FaultyTransport::new(FaultConfig::lossy(0, 1.0, 2));
         let d = t.send(MsgKind::ModelUp, 3, &[1.0; 10]);
-        assert!(!d.is_delivered());
+        assert!(d.data.is_none());
         assert_eq!(d.attempts, 3, "1 attempt + 2 retries");
         assert_eq!(d.reason, Some(DropReason::Loss));
         // Every attempt costs wire bytes.
@@ -358,7 +349,7 @@ mod tests {
                 outcomes.push(bd.delivered_clients(&[0, 1, 2, 3]));
                 for k in 0..4 {
                     let d = t.send(MsgKind::ModelUp, k, &[2.0; 20]);
-                    outcomes.push(vec![usize::from(d.is_delivered()), d.attempts as usize]);
+                    outcomes.push(vec![usize::from(d.data.is_some()), d.attempts as usize]);
                 }
             }
             (outcomes, t.stats().total_bytes(), t.fault_stats())
@@ -372,7 +363,7 @@ mod tests {
             let mut t = FaultyTransport::new(FaultConfig::lossy(seed, 0.5, 0));
             t.begin_round(round);
             (0..64)
-                .map(|k| t.send(MsgKind::ModelUp, k, &[1.0; 4]).is_delivered())
+                .map(|k| t.send(MsgKind::ModelUp, k, &[1.0; 4]).data.is_some())
                 .collect()
         };
         assert_ne!(schedule(1, 0), schedule(1, 1), "rounds share a schedule");
@@ -392,16 +383,16 @@ mod tests {
             .with_deadline_ms(25.0);
         let mut t = FaultyTransport::new(cfg);
         t.begin_round(0);
-        assert!(t.send(MsgKind::ModelDown, 0, &[1.0]).is_delivered());
-        assert!(t.send(MsgKind::ModelUp, 0, &[1.0]).is_delivered());
+        assert!(t.send(MsgKind::ModelDown, 0, &[1.0]).data.is_some());
+        assert!(t.send(MsgKind::ModelUp, 0, &[1.0]).data.is_some());
         let third = t.send(MsgKind::DeltaUp, 0, &[1.0]);
-        assert!(!third.is_delivered());
+        assert!(third.data.is_none());
         assert_eq!(third.reason, Some(DropReason::Deadline));
         assert_eq!(t.fault_stats().deadline_drops, 1);
         // Another client is unaffected (per-link clocks).
-        assert!(t.send(MsgKind::ModelDown, 1, &[1.0]).is_delivered());
+        assert!(t.send(MsgKind::ModelDown, 1, &[1.0]).data.is_some());
         t.begin_round(1);
-        assert!(t.send(MsgKind::ModelDown, 0, &[1.0]).is_delivered());
+        assert!(t.send(MsgKind::ModelDown, 0, &[1.0]).data.is_some());
     }
 
     #[test]
@@ -421,7 +412,7 @@ mod tests {
         let mut t = FaultyTransport::new(cfg);
         t.send(MsgKind::ModelUp, 0, &[1.0]);
         // 3 attempts: 5 + (5+3) + (5+6) = 24 ms on the clock.
-        assert!((t.client_clock_ms(0) - 24.0).abs() < 1e-9);
+        assert!((t.clocks[0] - 24.0).abs() < 1e-9);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum MsgKind {
 
 impl MsgKind {
     /// Transfer direction, from the clients' perspective.
-    pub fn direction(self) -> Direction {
+    pub(crate) fn direction(self) -> Direction {
         match self {
             MsgKind::ModelDown
             | MsgKind::DeltaTableDown
@@ -55,7 +55,7 @@ impl MsgKind {
 
     /// Whether the message belongs to the δ accounting plane (the Table III
     /// byte counters).
-    pub fn is_delta(self) -> bool {
+    pub(crate) fn is_delta(self) -> bool {
         matches!(
             self,
             MsgKind::DeltaTableDown
@@ -67,23 +67,8 @@ impl MsgKind {
 
     /// Whether the payload is a `CompressedVec` frame rather than a dense
     /// f32 vector.
-    pub fn is_compressed(self) -> bool {
+    pub(crate) fn is_compressed(self) -> bool {
         matches!(self, MsgKind::CompressedUp | MsgKind::CompressedDeltaUp)
-    }
-
-    /// Stable wire name (trace labels, debugging).
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgKind::ModelDown => "model_down",
-            MsgKind::ModelUp => "model_up",
-            MsgKind::DeltaTableDown => "delta_table_down",
-            MsgKind::DeltaDown => "delta_down",
-            MsgKind::DeltaUp => "delta_up",
-            MsgKind::ControlDown => "control_down",
-            MsgKind::ControlUp => "control_up",
-            MsgKind::CompressedUp => "compressed_up",
-            MsgKind::CompressedDeltaUp => "compressed_delta_up",
-        }
     }
 
     /// Stable one-byte wire tag (the socket framing layer's frame type).
@@ -102,7 +87,7 @@ impl MsgKind {
     }
 
     /// Inverse of [`MsgKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<MsgKind> {
+    pub(crate) fn from_tag(tag: u8) -> Option<MsgKind> {
         Some(match tag {
             0x01 => MsgKind::ModelDown,
             0x02 => MsgKind::ModelUp,
@@ -161,7 +146,7 @@ pub enum ControlMsg {
         seed: u64,
         /// Upload-compression policy; clients compress `CompressedUp`/
         /// `CompressedDeltaUp` frames with exactly this policy (see
-        /// [`Compression::to_wire`] for the field encoding).
+        /// `Compression::to_wire` for the field encoding).
         compression: Compression,
     },
     /// Server → client: train `steps` local steps for `round` now, with the
@@ -201,7 +186,7 @@ impl ControlMsg {
     }
 
     /// Stable wire name (trace labels, error messages).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ControlMsg::Hello { .. } => "hello",
             ControlMsg::Welcome { .. } => "welcome",
@@ -215,7 +200,7 @@ impl ControlMsg {
 
     /// Accounting direction of the control frame (control frames are
     /// metered on the model plane, like [`MsgKind::ControlDown`]/`Up`).
-    pub fn direction(&self) -> Direction {
+    pub(crate) fn direction(&self) -> Direction {
         match self {
             ControlMsg::Hello { .. } | ControlMsg::Report { .. } | ControlMsg::Goodbye => {
                 Direction::Upload
@@ -446,7 +431,7 @@ pub struct LinkOutcome {
 
 impl LinkOutcome {
     /// The always-delivered, single-attempt outcome of a perfect link.
-    pub fn perfect() -> Self {
+    pub(crate) fn perfect() -> Self {
         LinkOutcome {
             delivered: true,
             attempts: 1,
@@ -455,7 +440,7 @@ impl LinkOutcome {
     }
 
     /// A single attempt that did not arrive.
-    pub fn lost(reason: DropReason) -> Self {
+    pub(crate) fn lost(reason: DropReason) -> Self {
         LinkOutcome {
             delivered: false,
             attempts: 1,
@@ -464,7 +449,7 @@ impl LinkOutcome {
     }
 
     /// Retransmissions beyond the first attempt.
-    pub fn retries(&self) -> u32 {
+    pub(crate) fn retries(&self) -> u32 {
         self.attempts.saturating_sub(1)
     }
 }
@@ -483,7 +468,7 @@ pub struct Delivery {
 
 impl Delivery {
     /// `data` as it fared on `link`.
-    pub fn over(link: LinkOutcome, data: Vec<f32>) -> Self {
+    pub(crate) fn over(link: LinkOutcome, data: Vec<f32>) -> Self {
         Delivery {
             data: link.delivered.then_some(data),
             attempts: link.attempts,
@@ -492,20 +477,12 @@ impl Delivery {
     }
 
     /// A single-attempt receive: the payload, or why there is none.
-    pub fn claimed(outcome: Result<Vec<f32>, DropReason>) -> Self {
+    pub(crate) fn claimed(outcome: Result<Vec<f32>, DropReason>) -> Self {
         Delivery {
             reason: outcome.as_ref().err().copied(),
             data: outcome.ok(),
             attempts: 1,
         }
-    }
-
-    pub fn is_delivered(&self) -> bool {
-        self.data.is_some()
-    }
-
-    pub fn retries(&self) -> u32 {
-        self.attempts.saturating_sub(1)
     }
 }
 
@@ -522,7 +499,7 @@ pub struct BroadcastDelivery {
 
 impl BroadcastDelivery {
     /// The subset of `clients` whose link delivered, in order.
-    pub fn delivered_clients(&self, clients: &[usize]) -> Vec<usize> {
+    pub(crate) fn delivered_clients(&self, clients: &[usize]) -> Vec<usize> {
         debug_assert_eq!(clients.len(), self.links.len());
         clients
             .iter()
@@ -530,11 +507,6 @@ impl BroadcastDelivery {
             .filter(|(_, l)| l.delivered)
             .map(|(&k, _)| k)
             .collect()
-    }
-
-    /// Number of links that dropped.
-    pub fn dropped(&self) -> u64 {
-        self.links.iter().filter(|l| !l.delivered).count() as u64
     }
 }
 
@@ -552,7 +524,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Difference against an earlier snapshot (per-round accounting).
-    pub fn since(&self, snapshot: &FaultStats) -> FaultStats {
+    pub(crate) fn since(&self, snapshot: &FaultStats) -> FaultStats {
         FaultStats {
             dropped: self.dropped - snapshot.dropped,
             retries: self.retries - snapshot.retries,
@@ -592,7 +564,6 @@ mod tests {
             ],
         };
         assert_eq!(bd.delivered_clients(&[3, 5, 9]), vec![3, 9]);
-        assert_eq!(bd.dropped(), 1);
     }
 
     #[test]

@@ -36,11 +36,10 @@ pub use message::{
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
 pub use reactor::{ReactorCounters, WriteQueue};
-pub use session::SessionState;
 pub use socket::run_client_loop;
 pub use socket::{
     encode_frame, read_frame, write_frame, ClientConn, ClientEvent, ClientLoopOpts, ClientOutcome,
-    Endpoint, SocketTransport, BACKOFF_CAP, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
+    Endpoint, SocketTransport, FRAME_HEADER_BYTES,
 };
 pub use stats::{CommStats, Direction};
 pub use transport::{PerfectTransport, RemoteTransport, Transport};

@@ -43,7 +43,9 @@
 
 use super::message::{ControlMsg, PROTO_MAGIC, PROTO_VERSION};
 use super::session::Session;
-use super::socket::{Listener, WireStream, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
+use super::socket::{
+    reserve_body, Listener, WireStream, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, READ_CHUNK_BYTES,
+};
 use super::sys;
 use std::collections::VecDeque;
 use std::io;
@@ -62,10 +64,6 @@ const STOP_FLUSH_GRACE: Duration = Duration::from_secs(5);
 
 /// Per-connection write-queue bound in bytes.
 const WRITE_BUF_BYTES: usize = 16 << 20;
-
-/// A shard's read buffer — the most one `read(2)` takes — and the most a
-/// [`FrameReader`] reserves for a body on the word of its header alone.
-const READ_CHUNK_BYTES: usize = 64 << 10;
 
 /// Reads one connection gets in a wakeup when each of them fills the
 /// buffer: a peer that writes as fast as the shard reads must not starve
@@ -618,10 +616,8 @@ impl FrameReader {
     /// chunk. `emit` breaking stops the feed and drops the rest of the chunk
     /// (the connection is going away). After `Err` the reader is spent.
     ///
-    /// A body is reserved up front only to [`READ_CHUNK_BYTES`]; beyond that
-    /// its buffer grows as bytes arrive (doubling, never past the claimed
-    /// length), so a peer has to send what it claims before the server
-    /// holds it.
+    /// A body's buffer grows by [`reserve_body`] as bytes arrive, so a peer
+    /// has to send what it claims before the server holds it.
     fn feed(
         &mut self,
         mut chunk: &[u8],
@@ -641,14 +637,9 @@ impl FrameReader {
                 if self.need > MAX_FRAME_BYTES {
                     return Err(Corrupt);
                 }
-                self.body = Vec::with_capacity(self.need.min(READ_CHUNK_BYTES));
             }
-            let have = self.body.len();
-            let take = (self.need - have).min(chunk.len());
-            if self.body.capacity() - have < take {
-                self.body
-                    .reserve_exact((self.need - have).min(take.max(have)));
-            }
+            let take = (self.need - self.body.len()).min(chunk.len());
+            reserve_body(&mut self.body, self.need, take);
             self.body.extend_from_slice(&chunk[..take]);
             chunk = &chunk[take..];
             if self.body.len() < self.need {
@@ -1414,6 +1405,46 @@ mod tests {
             session.recv_frame(up, PATIENCE),
             Err(RecvError::Closed)
         ));
+    }
+
+    /// Draining is terminal: after a `Goodbye` the session refuses to send
+    /// and reports every receive `Closed`; and `close()` releases a receive
+    /// blocked on another thread at once, not at its timeout.
+    #[test]
+    fn a_drained_session_never_carries_traffic_again() {
+        let rig = Rig::new(2);
+        let (mut gone, session) = rig.connect(0);
+        gone.write_all(&frame(ControlMsg::Goodbye.tag(), b""))
+            .expect("goodbye");
+        let deadline = Instant::now() + PATIENCE;
+        while session.is_live() {
+            assert!(Instant::now() < deadline, "the goodbye never drained");
+            std::thread::yield_now();
+        }
+        let sent = session.send_frame(MsgKind::ModelDown.tag(), b"x", deadline);
+        assert_eq!(sent.unwrap_err().kind(), io::ErrorKind::NotConnected);
+        assert!(matches!(
+            session.try_recv_frame(MsgKind::ModelUp.tag()),
+            Err(RecvError::Closed)
+        ));
+
+        let (_peer, live) = rig.connect(1);
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| {
+                let t0 = Instant::now();
+                let got = live.recv_frame(MsgKind::ModelUp.tag(), PATIENCE);
+                (got, t0.elapsed())
+            });
+            // Give the receiver its chance to block first; either order
+            // must pass.
+            for _ in 0..1_000 {
+                std::thread::yield_now();
+            }
+            live.close();
+            let (got, waited) = blocked.join().expect("receiver");
+            assert!(matches!(got, Err(RecvError::Closed)));
+            assert!(waited < PATIENCE / 2, "released by its timeout: {waited:?}");
+        });
     }
 
     /// Four threads queue frames for the eight connections of one shard,

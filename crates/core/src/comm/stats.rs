@@ -25,12 +25,12 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CommStats::default()
     }
 
     /// Records a model-plane transfer of `bytes`.
-    pub fn record(&mut self, dir: Direction, bytes: u64) {
+    pub(crate) fn record(&mut self, dir: Direction, bytes: u64) {
         match dir {
             Direction::Download => self.down_bytes += bytes,
             Direction::Upload => self.up_bytes += bytes,
@@ -39,7 +39,7 @@ impl CommStats {
     }
 
     /// Records a δ-plane transfer of `bytes` (also counted in the totals).
-    pub fn record_delta(&mut self, dir: Direction, bytes: u64) {
+    pub(crate) fn record_delta(&mut self, dir: Direction, bytes: u64) {
         match dir {
             Direction::Download => self.delta_down_bytes += bytes,
             Direction::Upload => self.delta_up_bytes += bytes,
@@ -49,7 +49,7 @@ impl CommStats {
 
     /// Charges `bytes` of a `kind` message to the direction and plane the
     /// envelope names — how every transport books its traffic.
-    pub fn charge(&mut self, kind: MsgKind, bytes: u64) {
+    pub(crate) fn charge(&mut self, kind: MsgKind, bytes: u64) {
         if kind.is_delta() {
             self.record_delta(kind.direction(), bytes);
         } else {
@@ -92,7 +92,7 @@ impl CommStats {
     /// record on each side carries the accumulated bytes, the rest only
     /// bump the message count. Byte-exact by construction: the counters
     /// end up identical to charging each handshake frame individually.
-    pub fn fold_handshakes(&mut self, up_bytes: u64, down_bytes: u64, msgs: u64) {
+    pub(crate) fn fold_handshakes(&mut self, up_bytes: u64, down_bytes: u64, msgs: u64) {
         for i in 0..msgs / 2 {
             self.record(Direction::Upload, if i == 0 { up_bytes } else { 0 });
             self.record(Direction::Download, if i == 0 { down_bytes } else { 0 });

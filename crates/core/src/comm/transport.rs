@@ -92,7 +92,7 @@ pub trait RemoteTransport: Transport {
     fn request_delta(&mut self, client: usize, round: u64, probe_batch: usize) -> LinkOutcome;
 
     /// Blocks for `client`'s next *compressed* upload (`kind` must satisfy
-    /// [`MsgKind::is_compressed`]), decoding the frame into `out` and
+    /// `MsgKind::is_compressed`), decoding the frame into `out` and
     /// metering the received wire bytes exactly as charged.
     fn recv_compressed(
         &mut self,

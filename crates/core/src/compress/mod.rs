@@ -12,9 +12,9 @@ mod quantize;
 mod sketch;
 mod topk;
 
-pub use quantize::UniformQuantizer;
-pub use sketch::CountSketch;
-pub use topk::TopK;
+pub(crate) use quantize::UniformQuantizer;
+pub(crate) use sketch::CountSketch;
+pub(crate) use topk::TopK;
 
 /// A lossy vector codec with an accountable wire size.
 pub trait Compressor: Send + Sync {
@@ -64,7 +64,7 @@ pub struct CompressedVec {
 
 impl CompressedVec {
     /// Encoded-frame header: three little-endian `u32` section lengths.
-    pub const HEADER_BYTES: usize = 12;
+    pub(crate) const HEADER_BYTES: usize = 12;
 
     /// Total bytes on the wire. Definitionally exact: this is the length
     /// [`CompressedVec::encode_into`] produces, pinned by test.
@@ -159,14 +159,14 @@ pub enum Compression {
     /// Count-sketch projection with a policy-level seed shared by both ends.
     Sketch { rows: u16, cols: u32, seed: u64 },
     /// Per-tensor bit-width: each upload picks its own quantizer width from
-    /// the tensor's norm and size (see [`adaptive_bits`]); the chosen width
+    /// the tensor's norm and size (see `adaptive_bits`); the chosen width
     /// is self-described by the payload so the receiver needs no side data.
     Adaptive { max_bits: u8 },
 }
 
 impl Compression {
     /// `true` when uploads are compressed.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         !matches!(self, Compression::None)
     }
 
@@ -176,7 +176,7 @@ impl Compression {
     /// estimator whose reconstruction error is zero-mean collision noise —
     /// feeding that noise back correlates it across rounds and diverges,
     /// so sketch uploads stay stateless.
-    pub fn uses_error_feedback(&self) -> bool {
+    pub(crate) fn uses_error_feedback(&self) -> bool {
         !matches!(self, Compression::None | Compression::Sketch { .. })
     }
 
@@ -204,7 +204,7 @@ impl Compression {
     /// length was `len`. For `Adaptive` the bit-width is recovered from the
     /// payload itself; `None` when the policy is off or the payload does not
     /// self-describe a valid width.
-    pub fn for_payload(&self, payload: &CompressedVec, len: usize) -> Option<AnyCompressor> {
+    pub(crate) fn for_payload(&self, payload: &CompressedVec, len: usize) -> Option<AnyCompressor> {
         match *self {
             Compression::Adaptive { .. } => {
                 UniformQuantizer::from_payload(payload).map(AnyCompressor::Quantize)
@@ -216,7 +216,7 @@ impl Compression {
 
     /// Fixed-width wire form carried by the socket handshake's `Welcome`:
     /// `(mode, bits, ratio, rows, cols, seed)`.
-    pub fn to_wire(self) -> (u8, u8, f32, u16, u32, u64) {
+    pub(crate) fn to_wire(self) -> (u8, u8, f32, u16, u32, u64) {
         match self {
             Compression::None => (0, 0, 0.0, 0, 0, 0),
             Compression::Quantize { bits } => (1, bits, 0.0, 0, 0, 0),
@@ -228,7 +228,7 @@ impl Compression {
 
     /// Inverse of [`Compression::to_wire`]; `None` on an unknown mode or
     /// out-of-range parameters.
-    pub fn from_wire(
+    pub(crate) fn from_wire(
         mode: u8,
         bits: u8,
         ratio: f32,
@@ -251,7 +251,7 @@ impl Compression {
     /// Parses the CLI/bench spelling of a policy: `none`,
     /// `quantize:<bits>`, `topk:<ratio>`, `sketch:<rows>:<cols>:<seed>`, or
     /// `adaptive:<max_bits>`. `None` on anything else (including
-    /// out-of-range parameters, via [`Compression::from_wire`] validation).
+    /// out-of-range parameters, via `Compression::from_wire` validation).
     pub fn parse(spec: &str) -> Option<Compression> {
         let parts: Vec<&str> = spec.split(':').collect();
         let policy = match parts.as_slice() {
@@ -333,7 +333,7 @@ impl Compressor for AnyCompressor {
 /// wider the dynamic range relative to the RMS magnitude, the more levels a
 /// uniform grid needs. Pure `f32` arithmetic in index order, so the sender
 /// and any replica derive the same width from the same values.
-pub fn adaptive_bits(values: &[f32], max_bits: u8) -> u8 {
+pub(crate) fn adaptive_bits(values: &[f32], max_bits: u8) -> u8 {
     assert!((1..=8).contains(&max_bits), "max_bits must be in 1..=8");
     if values.len() <= 32 {
         // Tiny tensors are cheap — keep the full precision budget.
@@ -374,7 +374,7 @@ pub fn adaptive_bits(values: &[f32], max_bits: u8) -> u8 {
 /// between the in-process fold and the socket client loop — both call this
 /// one function.
 ///
-/// Policies for which [`Compression::uses_error_feedback`] is `false`
+/// Policies for which `Compression::uses_error_feedback` is `false`
 /// (the unbiased count sketch) keep the residual pinned at zero: the
 /// update is compressed statelessly and no reconstruction noise is
 /// carried into the next round.
@@ -444,7 +444,7 @@ pub fn compress_plain(
 }
 
 /// Receiver side of [`compress_plain`].
-pub fn decode_plain_into(
+pub(crate) fn decode_plain_into(
     policy: Compression,
     payload: &CompressedVec,
     len: usize,
@@ -457,8 +457,9 @@ pub fn decode_plain_into(
     true
 }
 
-/// Relative L2 reconstruction error `‖x − x̂‖ / ‖x‖`.
-pub fn relative_error(original: &[f32], reconstructed: &[f32]) -> f32 {
+/// Relative L2 reconstruction error `‖x − x̂‖ / ‖x‖` (the codecs' tests).
+#[cfg(test)]
+pub(crate) fn relative_error(original: &[f32], reconstructed: &[f32]) -> f32 {
     assert_eq!(original.len(), reconstructed.len());
     let num: f32 = original
         .iter()
@@ -626,7 +627,10 @@ mod tests {
         let bits = adaptive_bits(&spiky, 8);
         let payload = UniformQuantizer::new(bits).compress(&spiky);
         let q = UniformQuantizer::from_payload(&payload).unwrap();
-        assert_eq!(q.bits(), bits);
+        assert_eq!(
+            format!("{q:?}"),
+            format!("{:?}", UniformQuantizer::new(bits))
+        );
     }
 
     #[test]

@@ -14,20 +14,15 @@ pub struct UniformQuantizer {
 impl UniformQuantizer {
     /// # Panics
     /// Panics unless `1 ≤ bits ≤ 8`.
-    pub fn new(bits: u8) -> Self {
+    pub(crate) fn new(bits: u8) -> Self {
         assert!((1..=8).contains(&bits), "bits must be in 1..=8");
         UniformQuantizer { bits }
-    }
-
-    /// Bit-width per coordinate.
-    pub fn bits(&self) -> u8 {
-        self.bits
     }
 
     /// Recovers the quantizer from a payload's self-described level count
     /// (`words_f32[2]`). `None` unless it matches a width in `1..=8` — this
     /// is how adaptive-width receivers decode without side information.
-    pub fn from_payload(payload: &CompressedVec) -> Option<UniformQuantizer> {
+    pub(crate) fn from_payload(payload: &CompressedVec) -> Option<UniformQuantizer> {
         let levels = *payload.words_f32.get(2)?;
         (1..=8u8)
             .find(|&b| ((1u32 << b) - 1) as f32 == levels)

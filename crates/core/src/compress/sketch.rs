@@ -15,7 +15,7 @@ pub struct CountSketch {
 impl CountSketch {
     /// # Panics
     /// Panics if `rows` is even (median needs an odd count) or zero-sized.
-    pub fn new(rows: usize, cols: usize, seed: u64) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize, seed: u64) -> Self {
         assert!(rows > 0 && rows % 2 == 1, "rows must be odd");
         assert!(cols > 0);
         CountSketch { rows, cols, seed }

@@ -11,13 +11,13 @@ pub struct TopK {
 impl TopK {
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k > 0, "k must be positive");
         TopK { k }
     }
 
     /// Keep a fraction of the coordinates of an `n`-vector.
-    pub fn with_ratio(n: usize, ratio: f32) -> Self {
+    pub(crate) fn with_ratio(n: usize, ratio: f32) -> Self {
         assert!((0.0..=1.0).contains(&ratio));
         TopK::new(((n as f32 * ratio).ceil() as usize).max(1))
     }

@@ -24,7 +24,7 @@ const BLOCK: usize = 256;
 /// actually reported occupy memory, so at cross-device scale the table
 /// costs `O(participants·d)`, not `O(N·d)` — a million registered clients
 /// at 1% lifetime participation store 10⁴ rows, not 10⁶. Unreported rows
-/// read as zeros ([`Self::get`] hands back a shared zero row), preserving
+/// read as zeros (`Self::get` hands back a shared zero row), preserving
 /// the dense table's observable behavior.
 ///
 /// Mutation goes through `&mut self`, so the shards need no locks of their
@@ -65,11 +65,7 @@ impl DeltaTable {
         }
     }
 
-    pub fn num_clients(&self) -> usize {
-        self.n
-    }
-
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -102,7 +98,7 @@ impl DeltaTable {
     }
 
     /// Client `k`'s row; zeros when it has never reported.
-    pub fn get(&self, k: usize) -> &[f32] {
+    pub(crate) fn get(&self, k: usize) -> &[f32] {
         self.shards[self.shard_of(k)]
             .get(&k)
             .map_or(&self.zero, Vec::as_slice)
@@ -110,11 +106,6 @@ impl DeltaTable {
 
     fn is_initialized(&self, k: usize) -> bool {
         self.shards[self.shard_of(k)].contains_key(&k)
-    }
-
-    /// True once every client has reported a δ at least once.
-    pub fn fully_initialized(&self) -> bool {
-        self.n_init == self.n
     }
 
     /// Dense materialization of all `n` rows (zeros for unreported
@@ -139,12 +130,6 @@ impl DeltaTable {
         for k in 0..self.n {
             out.extend_from_slice(self.get(k));
         }
-    }
-
-    /// Leave-one-out average `δ̄^{−k}` (what rFedAvg+ sends to client `k`):
-    /// `d` scalars.
-    pub fn mean_excluding(&self, k: usize) -> Vec<f32> {
-        mmd::mean_excluding(k, &self.dense_rows())
     }
 
     /// Sum of all initialized rows, accumulated per block in ascending
@@ -225,7 +210,7 @@ impl DeltaTable {
     /// `O(N·d)` total instead of `O(N²·d)` for `N` calls of
     /// [`Self::mean_excluding_initialized`]. The per-`k` result is identical
     /// up to summation order (`T_init − δ_k` vs. skipping `δ_k` in the sum).
-    /// Cross-device round loops use [`Self::means_excluding_initialized_for`]
+    /// Cross-device round loops use `Self::means_excluding_initialized_for`
     /// instead, which skips the `O(N·d)` output for unselected clients.
     pub fn means_excluding_initialized(&self) -> Vec<Option<Vec<f32>>> {
         let total = self.initialized_total();
@@ -238,14 +223,9 @@ impl DeltaTable {
     /// selection): `O(init·d + |ks|·d)` rather than materializing all `N`
     /// targets. `out[i]` corresponds to `ks[i]` and matches what
     /// [`Self::means_excluding_initialized`] would put at index `ks[i]`.
-    pub fn means_excluding_initialized_for(&self, ks: &[usize]) -> Vec<Option<Vec<f32>>> {
+    pub(crate) fn means_excluding_initialized_for(&self, ks: &[usize]) -> Vec<Option<Vec<f32>>> {
         let total = self.initialized_total();
         ks.iter().map(|&k| self.loo_from_total(&total, k)).collect()
-    }
-
-    /// The exact pairwise regularizer value for client `k` (diagnostics).
-    pub fn regularizer_value(&self, k: usize) -> f32 {
-        mmd::regularizer_value(k, &self.dense_rows())
     }
 
     /// Mean pairwise regularizer across all clients — the global
@@ -266,20 +246,20 @@ mod tests {
     #[test]
     fn starts_zeroed_and_uninitialized() {
         let t = DeltaTable::new(3, 2);
-        assert!(!t.fully_initialized());
+        assert_eq!(t.num_initialized(), 0);
         assert_eq!(t.get(1), &[0.0, 0.0]);
         assert_eq!(t.flattened().len(), 6);
     }
 
     #[test]
-    fn set_then_fully_initialized() {
+    fn set_counts_each_row_once_reported() {
         let mut t = DeltaTable::new(2, 1);
         t.set(0, vec![1.0]);
-        assert!(!t.fully_initialized());
+        assert_eq!(t.num_initialized(), 1);
         t.set(1, vec![3.0]);
-        assert!(t.fully_initialized());
-        assert_eq!(t.mean_excluding(0), vec![3.0]);
-        assert_eq!(t.mean_excluding(1), vec![1.0]);
+        assert_eq!(t.num_initialized(), 2);
+        assert_eq!(t.mean_excluding_initialized(0), Some(vec![3.0]));
+        assert_eq!(t.mean_excluding_initialized(1), Some(vec![1.0]));
     }
 
     #[test]

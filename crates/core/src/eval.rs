@@ -89,7 +89,11 @@ struct Worker<'a> {
 /// slots in ascending order afterwards — a reduction whose shape is keyed
 /// on the batch index, never on arrival or worker count, so the result is
 /// the same bits from one replica or from many.
-pub fn evaluate(replicas: &mut [Box<dyn Model>], data: &Dataset, batch: usize) -> EvalResult {
+pub(crate) fn evaluate(
+    replicas: &mut [Box<dyn Model>],
+    data: &Dataset,
+    batch: usize,
+) -> EvalResult {
     assert!(batch > 0);
     let n = data.len();
     assert!(n > 0, "empty evaluation set");

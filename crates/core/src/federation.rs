@@ -481,19 +481,6 @@ impl Federation {
         self.straggler = model;
     }
 
-    /// Switches the upload-compression policy. With anything but
-    /// [`Compression::None`], model uploads cross the transport as
-    /// `CompressedUp` frames (error-feedback compressed against
-    /// the last broadcast global) and δ syncs as
-    /// `CompressedDeltaUp` frames. Remote clients must run the
-    /// same policy (it rides the `Welcome` frame), so flip it before the
-    /// first round, never mid-run. Panics on a policy that would not
-    /// survive the wire, like the constructors.
-    pub fn set_compression(&mut self, policy: Compression) {
-        assert_wire_valid(policy);
-        self.compression = policy;
-    }
-
     /// Marks the start of communication round `round`: resets the
     /// transport's per-round fault state (virtual clocks, deadlines), pins
     /// the round index used by the straggler model, and — in lazy mode —
@@ -526,18 +513,6 @@ impl Federation {
     /// sampled, not active). 0 otherwise.
     pub fn num_persisted(&self) -> usize {
         self.registry().map_or(0, |r| r.num_persisted())
-    }
-
-    /// Applies a learning-rate schedule step to the whole federation.
-    /// Eager mode sets every replica's optimizer; lazy mode records the
-    /// rate in the registry (applied whenever a client materializes) and
-    /// updates the currently active set; the socket plane is a no-op — real
-    /// client processes own their optimizer, and the schedule is not part
-    /// of the socket protocol.
-    pub(crate) fn apply_lr_schedule(&mut self, lr: f32) {
-        if let Some(l) = self.plane.local_mut() {
-            l.set_lr(lr);
-        }
     }
 
     fn install_lookahead(&mut self, seed: u64, sample_ratio: f32, rounds: usize, overlap: bool) {
@@ -596,7 +571,7 @@ impl Federation {
         self.tracer = tracer;
     }
 
-    pub fn tracer(&self) -> &Tracer {
+    pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
@@ -622,7 +597,7 @@ impl Federation {
 
     /// Installs `params` as the global model; the old vector becomes the
     /// streaming fold's next accumulator.
-    pub fn set_global(&mut self, params: Vec<f32>) {
+    pub(crate) fn set_global(&mut self, params: Vec<f32>) {
         assert_eq!(params.len(), self.global.len());
         let old = std::mem::replace(&mut self.global, params);
         self.agg.donate(old);
@@ -1333,8 +1308,11 @@ mod transport_tests {
 
     #[test]
     #[should_panic(expected = "invalid compression policy")]
-    fn set_compression_rejects_wire_invalid_policies() {
-        fed_with(None, 45).set_compression(Compression::TopK { ratio: 1.5 });
+    fn constructors_reject_a_top_k_ratio_above_one() {
+        use crate::canonical::{config, data, model, optimizer};
+        let mut cfg = config(45, 1);
+        cfg.compression = Compression::TopK { ratio: 1.5 };
+        Federation::new(&data(45), model(), optimizer(), &cfg, 45);
     }
 
     #[test]

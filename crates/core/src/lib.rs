@@ -64,14 +64,14 @@ pub mod delta;
 pub mod dp;
 pub mod eval;
 pub mod federation;
-pub mod history;
+pub(crate) mod history;
 pub mod mem;
 pub mod mmd;
 pub mod personalization;
 pub mod plane;
 pub mod registry;
 pub mod round;
-pub mod rules;
+pub(crate) mod rules;
 pub mod sampling;
 #[cfg(test)]
 pub(crate) mod testutil;

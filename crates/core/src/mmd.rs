@@ -8,13 +8,6 @@
 
 use rfl_tensor::{add_assign_slices, dot_slices, scale_slices, sq_dist_slices, sum_slices, Tensor};
 
-/// The local mapping operator `δ = (1/n) Σ_r φ(x_r)`: the column mean of a
-/// feature matrix `[n, d]`.
-pub fn delta_of(features: &Tensor) -> Vec<f32> {
-    assert_eq!(features.ndim(), 2, "expected a feature matrix");
-    features.mean_axis0().into_vec()
-}
-
 /// Squared MMD (linear kernel) between two mean embeddings.
 pub fn mmd_sq(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "embedding dims differ");
@@ -41,9 +34,8 @@ pub fn regularizer_value(k: usize, deltas: &[Vec<f32>]) -> f32 {
     sum / (n - 1) as f32
 }
 
-/// Precomputed per-client norms and the embedding total, turning the
-/// all-clients regularizer and leave-one-out means from `O(N²·d)` into
-/// `O(N·d)` via
+/// Precomputed per-client norms and dot products with the embedding total,
+/// turning the all-clients regularizer from `O(N²·d)` into `O(N·d)` via
 /// `Σ_{j≠k} ‖δ_k − δ_j‖² = (N−1)‖δ_k‖² + Σ_{j≠k}‖δ_j‖² − 2·δ_k·Σ_{j≠k}δ_j`.
 pub struct MmdStats<'a> {
     deltas: &'a [Vec<f32>],
@@ -51,9 +43,7 @@ pub struct MmdStats<'a> {
     norms: Vec<f32>,
     /// `Σ_j ‖δ_j‖²`.
     sum_norms: f32,
-    /// `T = Σ_j δ_j` (component-wise).
-    total: Vec<f32>,
-    /// `δ_k · T` per client.
+    /// `δ_k · T` per client, `T = Σ_j δ_j` (component-wise).
     dots: Vec<f32>,
 }
 
@@ -75,7 +65,6 @@ impl<'a> MmdStats<'a> {
             deltas,
             norms,
             sum_norms,
-            total,
             dots,
         }
     }
@@ -83,7 +72,7 @@ impl<'a> MmdStats<'a> {
     /// `r_k` in `O(1)` after precomputation. Algebraically identical to
     /// [`regularizer_value`]; clamped at zero since the expanded form can
     /// round to a tiny negative where the pairwise sum cannot.
-    pub fn regularizer_value(&self, k: usize) -> f32 {
+    pub(crate) fn regularizer_value(&self, k: usize) -> f32 {
         let n = self.deltas.len();
         let nk = self.norms[k];
         let sum = (n - 1) as f32 * nk + (self.sum_norms - nk) - 2.0 * (self.dots[k] - nk);
@@ -96,16 +85,6 @@ impl<'a> MmdStats<'a> {
             .map(|k| self.regularizer_value(k))
             .collect()
     }
-
-    /// `δ̄^{−k} = (T − δ_k)/(N−1)` in `O(d)`.
-    pub fn mean_excluding(&self, k: usize) -> Vec<f32> {
-        let inv = 1.0 / (self.deltas.len() - 1) as f32;
-        self.total
-            .iter()
-            .zip(&self.deltas[k])
-            .map(|(&t, &v)| (t - v) * inv)
-            .collect()
-    }
 }
 
 /// rFedAvg+'s surrogate `r̃_k = ‖δ_k − δ̄^{−k}‖²` where `δ̄^{−k}` is the mean
@@ -115,11 +94,8 @@ pub fn surrogate_value(delta_k: &[f32], mean_others: &[f32]) -> f32 {
     mmd_sq(delta_k, mean_others)
 }
 
-/// Mean of the other clients' embeddings `δ̄^{−k} = (1/(N−1)) Σ_{j≠k} δ_j`.
-///
-/// Direct summation form — the reference/oracle for
-/// [`MmdStats::mean_excluding`], which answers the same query in `O(d)`
-/// after a shared `O(N·d)` precompute.
+/// Mean of the other clients' embeddings `δ̄^{−k} = (1/(N−1)) Σ_{j≠k} δ_j`,
+/// by direct summation.
 pub fn mean_excluding(k: usize, deltas: &[Vec<f32>]) -> Vec<f32> {
     let n = deltas.len();
     assert!(n >= 2, "need at least two clients");
@@ -173,14 +149,9 @@ pub fn feature_gradient_into(
     }
 }
 
-/// The regularizer loss `λ·‖μ_B − δ_target‖²` for monitoring.
-pub fn regularizer_loss(batch_features: &Tensor, target: &[f32], lambda: f32) -> f32 {
-    let mut mu = Tensor::scratch();
-    regularizer_loss_into(batch_features, target, lambda, &mut mu)
-}
-
-/// [`regularizer_loss`] with a caller-provided scratch for the batch mean.
-pub fn regularizer_loss_into(
+/// The regularizer loss `λ·‖μ_B − δ_target‖²` for monitoring, with a
+/// caller-provided scratch `mu` for the batch mean.
+pub(crate) fn regularizer_loss_into(
     batch_features: &Tensor,
     target: &[f32],
     lambda: f32,
@@ -195,12 +166,6 @@ pub fn regularizer_loss_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn delta_is_column_mean() {
-        let f = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        assert_eq!(delta_of(&f), vec![2.0, 3.0]);
-    }
 
     #[test]
     fn mmd_metric_properties() {
@@ -264,11 +229,6 @@ mod tests {
                 (fast - oracle).abs() <= 1e-4 * oracle.abs().max(1.0),
                 "k={k}: {fast} vs {oracle}"
             );
-            let fast_mean = stats.mean_excluding(k);
-            let oracle_mean = mean_excluding(k, &deltas);
-            for (a, b) in fast_mean.iter().zip(&oracle_mean) {
-                assert!((a - b).abs() < 1e-5, "k={k}: {a} vs {b}");
-            }
         }
         assert_eq!(stats.regularizer_values().len(), deltas.len());
     }
@@ -293,12 +253,11 @@ mod tests {
         let lambda = 0.3;
         let g = feature_gradient(&f, &target, lambda);
         let eps = 1e-3;
+        let loss = |f: &Tensor| regularizer_loss_into(f, &target, lambda, &mut Tensor::scratch());
         for i in 0..4 {
             let mut fp = f.clone();
             fp.data_mut()[i] += eps;
-            let fd = (regularizer_loss(&fp, &target, lambda)
-                - regularizer_loss(&f, &target, lambda))
-                / eps;
+            let fd = (loss(&fp) - loss(&f)) / eps;
             assert!((fd - g.data()[i]).abs() < 1e-2, "i={i}");
         }
     }

@@ -18,7 +18,7 @@ pub struct PersonalizationResult {
 
 impl PersonalizationResult {
     /// Accuracy gained by fine-tuning (can be negative).
-    pub fn gain(&self) -> f32 {
+    pub(crate) fn gain(&self) -> f32 {
         self.personalized.accuracy - self.global.accuracy
     }
 }

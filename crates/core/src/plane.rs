@@ -491,17 +491,6 @@ impl LocalPlane {
         self.consume_prefetch(&[]);
     }
 
-    /// Sets every live replica's learning rate and, in lazy mode, records
-    /// it for clients that materialize later.
-    pub(crate) fn set_lr(&mut self, lr: f32) {
-        if let Some(reg) = &self.registry {
-            reg.set_pending_lr(lr);
-        }
-        for c in &mut self.clients {
-            c.set_lr(lr);
-        }
-    }
-
     /// Lazy mode: materializes every client in `ids` (sorted) that is not
     /// already active, on [`LocalPlane::threads`] workers, and merges them
     /// into the id-sorted active set. No-op in eager mode.
@@ -553,9 +542,7 @@ impl LocalPlane {
     /// is empty. Clients in `ids` (and not already active) then join the
     /// round; everything else — mispredictions, or ids a custom driver never
     /// asked for — goes back to the registry shards so the persist each
-    /// build consumed returns home. Merged clients are re-stamped with the
-    /// *current* pending learning rate: a schedule step may have landed
-    /// after the wave launched.
+    /// build consumed returns home.
     fn consume_prefetch(&mut self, ids: &[usize]) {
         let Some(Prefetch { wave, owner }) = self.prefetch.take() else {
             return;
@@ -564,13 +551,9 @@ impl LocalPlane {
         let mut built = self.drain(&wave, helpers);
         built.extend(owner.join().expect("prefetch wave panicked"));
         let reg = self.registry.clone().expect("prefetch implies lazy mode");
-        let lr = reg.pending_lr();
         let mut merged = false;
-        for mut c in built {
+        for c in built {
             if ids.binary_search(&c.id()).is_ok() && !self.is_active(c.id()) {
-                if let Some(lr) = lr {
-                    c.set_lr(lr);
-                }
                 self.clients.push(c);
                 merged = true;
             } else {
@@ -1182,7 +1165,7 @@ mod tests {
         );
         let num_persisted = reg.num_persisted();
         let (mut persists, mut params) = (Vec::new(), Vec::new());
-        for k in 0..reg.num_clients() {
+        for k in 0..fed.num_clients() {
             let mut c = reg.materialize(k);
             c.read_params(&mut params);
             persists.extend(bits(&params));

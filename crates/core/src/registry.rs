@@ -141,11 +141,6 @@ pub struct ClientRegistry {
     /// have: at the round-0 global, not the current one (its download
     /// installs the current global only if the link delivers).
     init_global: Vec<f32>,
-    /// Latest learning-rate schedule value; applied on materialization so a
-    /// woken client matches an eager one (which is overwritten every round).
-    /// Interior-mutable: the pipelined engine shares the registry with its
-    /// prefetch and hibernate threads behind an `Arc`.
-    pending_lr: Mutex<Option<f32>>,
     shards: Vec<Mutex<HashMap<usize, ClientPersist>>>,
     /// Shells of hibernated clients, waiting for the next materialization.
     /// One lock, taken twice per client-round (see the module docs before
@@ -174,33 +169,14 @@ impl ClientRegistry {
             clip_grad_norm: cfg.clip_grad_norm,
             seed,
             init_global,
-            pending_lr: Mutex::new(None),
             shards: (0..n_shards).map(|_| Mutex::new(HashMap::new())).collect(),
             shells: Mutex::new(Vec::new()),
             shells_built: AtomicU64::new(0),
         }
     }
 
-    pub fn num_clients(&self) -> usize {
-        self.source.num_clients()
-    }
-
-    pub fn source(&self) -> &Arc<dyn ClientDataSource> {
+    pub(crate) fn source(&self) -> &Arc<dyn ClientDataSource> {
         &self.source
-    }
-
-    /// Records the schedule's current learning rate; every client
-    /// materialized from now on gets it applied.
-    pub fn set_pending_lr(&self, lr: f32) {
-        *self.pending_lr.lock().expect("pending_lr poisoned") = Some(lr);
-    }
-
-    /// The learning rate a client materialized right now would receive.
-    /// Prefetched clients are stamped again at *consumption* time with the
-    /// then-current value, so a schedule step between prefetch and use
-    /// cannot leak a stale rate into the round.
-    pub fn pending_lr(&self) -> Option<f32> {
-        *self.pending_lr.lock().expect("pending_lr poisoned")
     }
 
     /// Clients currently hibernated (previously sampled, not active).
@@ -264,10 +240,7 @@ impl ClientRegistry {
                 self.init_global.clone(),
             )
         });
-        let mut client = Client::assemble(k, shell, data, persist, self.clip_grad_norm);
-        if let Some(lr) = self.pending_lr() {
-            client.set_lr(lr);
-        }
+        let client = Client::assemble(k, shell, data, persist, self.clip_grad_norm);
         (client, fresh_shell)
     }
 
@@ -486,17 +459,5 @@ mod tests {
         let mut params = Vec::new();
         c.read_params(&mut params);
         assert_eq!(params, reg.init_global);
-    }
-
-    #[test]
-    fn pending_lr_is_applied_on_materialization() {
-        let reg = registry(9);
-        reg.set_pending_lr(0.025);
-        let fresh = reg.materialize(0);
-        assert_eq!(fresh.lr(), 0.025);
-        reg.hibernate(fresh);
-        reg.set_pending_lr(0.0125);
-        let woken = reg.materialize(0);
-        assert_eq!(woken.lr(), 0.0125);
     }
 }

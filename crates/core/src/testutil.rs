@@ -1,5 +1,6 @@
 //! Shared helpers for the algorithm unit tests.
 
+use crate::compress::Compression;
 use crate::federation::{Federation, FlConfig, ModelFactory, OptimizerFactory};
 use crate::history::History;
 use crate::registry::{ClientDataSource, MaterializedSource};
@@ -13,6 +14,16 @@ use std::sync::Arc;
 /// A small strongly convex federation on a Gaussian mixture with the
 /// similarity-`s` partition, suitable for fast algorithm unit tests.
 pub(crate) fn convex_fed(similarity: f64, seed: u64, n_clients: usize) -> (Federation, FlConfig) {
+    convex_fed_with(similarity, seed, n_clients, Compression::None)
+}
+
+/// [`convex_fed`] with `compression` as the upload policy.
+pub(crate) fn convex_fed_with(
+    similarity: f64,
+    seed: u64,
+    n_clients: usize,
+    compression: Compression,
+) -> (Federation, FlConfig) {
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = GaussianMixtureSpec::default_spec();
     let pool = spec.generate(40 * n_clients, None, &mut rng);
@@ -29,7 +40,7 @@ pub(crate) fn convex_fed(similarity: f64, seed: u64, n_clients: usize) -> (Feder
         clip_grad_norm: Some(10.0),
         delta_probe_batch: None,
         seed,
-        compression: crate::compress::Compression::None,
+        compression,
     };
     let fed = Federation::new(
         &data,

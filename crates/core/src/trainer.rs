@@ -8,18 +8,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_trace::Stopwatch;
 
-/// A learning-rate schedule `round → lr`.
-pub type LrSchedule = Box<dyn Fn(usize) -> f32 + Send>;
-
 /// A per-round observer callback.
-pub type RoundObserver = Box<dyn FnMut(&RoundRecord) + Send>;
+pub(crate) type RoundObserver = Box<dyn FnMut(&RoundRecord) + Send>;
 
 /// Runs an algorithm for `cfg.rounds` rounds, recording history.
 pub struct Trainer {
     cfg: FlConfig,
-    /// Optional learning-rate schedule: `lr(t)` applied to every client at
-    /// the start of round `t` (the theory uses `η_t = 2/(μ(γ+t))`).
-    lr_schedule: Option<LrSchedule>,
     /// Per-round callback (progress reporting in experiment binaries).
     on_round: Option<RoundObserver>,
     /// Opt-in pipelined round engine (lazy federations only): selections
@@ -39,7 +33,6 @@ impl Trainer {
         );
         Trainer {
             cfg,
-            lr_schedule: None,
             on_round: None,
             pipelined: false,
         }
@@ -51,12 +44,6 @@ impl Trainer {
     /// rng-threaded draw when `sample_ratio < 1`.
     pub fn pipelined(mut self) -> Self {
         self.pipelined = true;
-        self
-    }
-
-    /// Installs a learning-rate schedule.
-    pub fn with_lr_schedule(mut self, f: impl Fn(usize) -> f32 + Send + 'static) -> Self {
-        self.lr_schedule = Some(Box::new(f));
         self
     }
 
@@ -87,12 +74,6 @@ impl Trainer {
         }
         let run_span = fed.tracer().begin_run(algo.name());
         for round in 0..self.cfg.rounds {
-            if let Some(schedule) = &self.lr_schedule {
-                // Applied through the federation so lazy mode records the
-                // rate for clients that are not materialized (an O(N) loop
-                // over client handles would wake every registered client).
-                fed.apply_lr_schedule(schedule(round));
-            }
             let mut round_span = fed.tracer().begin_round(round);
             fed.begin_round(round as u64);
             let meter = Meter::start(fed);
@@ -209,15 +190,6 @@ mod tests {
             eval_every: 0,
             ..cfg
         });
-    }
-
-    #[test]
-    fn lr_schedule_is_applied() {
-        let (mut fed, cfg) = tiny_fed(1);
-        let mut t = Trainer::new(cfg).with_lr_schedule(|round| 1.0 / (round + 1) as f32);
-        t.run(&mut NoopAlgo, &mut fed);
-        // After the last round (round 4), lr must be 1/5.
-        assert!((fed.client(0).lr() - 0.2).abs() < 1e-6);
     }
 
     #[test]

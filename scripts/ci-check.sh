@@ -94,8 +94,8 @@ bash -n scripts/ab.sh
 scripts/ab.sh --help > /dev/null
 scripts/ab-smoke.sh
 
-echo "== benchmark/ harness: profile guard + its own tests (read-only; the yardstick, see benchmark/README.md)"
+echo "== benchmark/ harness: profile guard + its own tests, --locked as BENCHMARK.json runs it (read-only; the yardstick, see benchmark/README.md)"
 benchmark/check-profile.sh
-(cd benchmark && cargo test --release --offline)
+(cd benchmark && cargo test --release --offline --locked)
 
 echo "== all CI checks passed"

@@ -5,7 +5,8 @@
 # and src/bin/*.rs), #[test] functions, seconds for a clean release build of
 # that crate alone)
 # and workspace totals (lines, algorithms and their non-test lines,
-# Federation's public functions, the RFL_* variables library code reads).
+# Federation's public functions, rfl-core's `pub` items no file outside
+# crates/core/src names, the RFL_* variables library code reads).
 # Report-only: nothing gates on it.
 #
 # Usage: scripts/surface-report.sh   (one clean build per crate: minutes)
@@ -72,6 +73,43 @@ env_reads() {
     grep -oE 'RFL_[A-Z_]+' | sort -u | paste -sd' ' -
 }
 
+# `pub` items in crates/core/src (the `pub items` column's lines) whose name
+# no .rs file outside crates/core/src contains as a word: candidates for
+# `pub(crate)`. It matches names, not paths, so a name that collides with any
+# identifier outside (`new`, `len`) counts as used and the row under-counts.
+# A `pub use` is named when one of its leaf names is; one split over several
+# lines is counted as named.
+core_unnamed_pub() {
+  local words
+  words=$(mktemp)
+  find crates src tests examples benchmark -name '*.rs' \
+    -not -path 'crates/core/src/*' -not -path '*/target/*' -print0 |
+    xargs -0 -r grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u > "$words"
+  { rs_files crates/core/src | xargs -0 -r grep -hE "$PUB" || true; } |
+    awk -v words="$words" '
+      BEGIN { while ((getline w < words) > 0) seen[w] = 1 }
+      {
+        line = $0
+        sub(/^[[:space:]]*pub /, "", line)
+        n = 0
+        if (line ~ /^use /) {
+          sub(/^.*::/, "", line)
+          gsub(/[{},;]/, " ", line)
+          n = split(line, names, " ")
+          if (n == 0) next
+        } else {
+          sub(/^(unsafe fn|fn|struct|enum|trait|const|static|type|mod) +/, "", line)
+          match(line, /^[A-Za-z_][A-Za-z0-9_]*/)
+          names[1] = substr(line, 1, RLENGTH)
+          n = 1
+        }
+        for (i = 1; i <= n; i++) if (names[i] in seen) next
+        count++
+      }
+      END { print count + 0 }'
+  rm -f "$words"
+}
+
 ALGOS=$(find crates/core/src/algorithms -name '*.rs' -not -name mod.rs | wc -l)
 echo
 echo "| workspace | value |"
@@ -84,4 +122,5 @@ echo "| #[test] functions | $(rs_count '#\[test\]' crates src tests) |"
 echo "| algorithm files | $ALGOS |"
 echo "| non-test lines of crates/core/src/algorithms/*.rs | $(rs_nontest_lines crates/core/src/algorithms) |"
 echo "| Federation \`pub fn\` | $(grep -c '^    pub fn' crates/core/src/federation.rs) |"
+echo "| rfl-core \`pub\` items no file outside crates/core/src names | $(core_unnamed_pub) |"
 echo "| RFL_* read by library code | $(env_reads) |"
