@@ -53,7 +53,7 @@ impl Algorithm for QFedAvg {
     fn fold(&mut self, r: &mut Round<'_>) -> Vec<usize> {
         let fed = &mut *r.fed;
         let global = fed.global().to_vec();
-        let lrs: Vec<f32> = r.active.iter().map(|&k| fed.client(k).lr()).collect();
+        let lrs = fed.learning_rates(&r.active);
         let mut delta_sum = vec![0.0f32; global.len()];
         let mut h_sum = 0.0f32;
         let (q, losses) = (self.q, &self.losses);

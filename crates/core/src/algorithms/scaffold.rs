@@ -82,7 +82,7 @@ impl Algorithm for Scaffold {
         let (fed, active) = (&mut *r.fed, &r.active);
         let n = fed.num_clients();
         let global_before = fed.global().to_vec();
-        let lrs: Vec<f32> = active.iter().map(|&k| fed.client(k).lr()).collect();
+        let lrs = fed.learning_rates(active);
         let mut update_sum = vec![0.0f32; global_before.len()];
         let mut ctrl_uploads: Vec<(usize, Vec<f32>)> = Vec::with_capacity(active.len());
         let (c, c_k) = (&self.c, &self.c_k);

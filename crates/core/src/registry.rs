@@ -25,19 +25,21 @@
 //! flags up, which stays exact with several threads materializing at once
 //! where a before/after reading of a shared counter would not. Building one
 //! per sampled client instead cost 60 allocator calls per client-round —
-//! made on the thread that materialized, used on the round thread, freed on
-//! the hibernate thread — and 60 % of a lazy round's CPU inside libc
+//! made on one thread, used on a second, freed on a third, as the round
+//! engine then ran — and 60 % of a lazy round's CPU inside libc
 //! (EXPERIMENTS.md "Why a lazy round spent 60 % of its CPU in the
 //! allocator").
 //!
 //! The list needs no cap: a shell is built only when every shell built
 //! before it is inside a live client, so the list never holds more shells
-//! than clients were live at once — two cohorts under the pipelined engine
-//! (the round's actives and the next round's prefetch wave, whoever is
-//! draining it). It is one `Mutex<Vec<_>>` locked twice per client-round,
-//! for one `pop` and one `push`, by up to a thread budget's worth of
-//! drainers and the hibernate thread; shard it only with a measurement that
-//! says the lock is hot.
+//! than clients were live at once. A training request keeps one client per
+//! worker live — each job wakes its client, trains it and hibernates it
+//! before taking the next — so a lazy FedAvg run builds at most
+//! `threads()` shells; a request that leaves its clients live until the
+//! next round (a δ probe, a local evaluation) holds a cohort's worth. It is
+//! one `Mutex<Vec<_>>` locked twice per client-round, for one `pop` and one
+//! `push`, by up to a thread budget's worth of workers; shard it only with a
+//! measurement that says the lock is hot.
 //!
 //! A recycled shell arrives dirty and differently shaped — the previous
 //! tenant may have had a smaller shard (a clamped batch), trained under an
@@ -65,12 +67,10 @@
 //!
 //! Persisted state lives in `thread_budget()` shards behind per-shard
 //! mutexes, hashed by client index (`k % shards`). A round's selection is
-//! materialized by whoever claims its ids off the plane's wave queue — the
-//! prefetch wave's owner thread, the round thread, its `fan_out` workers
-//! (the round thread alone under `parallel: false`); each only contends on
-//! the shard owning its current client, every id goes to exactly one of
-//! them, and the active set is sorted by id afterwards, so it is
-//! independent of scheduling.
+//! woken by the plane's `fan_out` workers (the round thread alone under
+//! `parallel: false`), each job its own client's; a worker only contends on
+//! the shard owning its current client, and whatever a client computes
+//! lands in its selection slot, so results are independent of scheduling.
 
 use crate::client::{Client, ClientPersist, ClientShell};
 use crate::federation::{FlConfig, ModelFactory, OptimizerFactory};

@@ -45,13 +45,12 @@ pub fn sample_clients<R: Rng>(n: usize, sr: f32, rng: &mut R) -> Vec<usize> {
     selected
 }
 
-/// A deterministic per-round selection stream for the pipelined round
-/// engine.
+/// A deterministic per-round selection stream
+/// ([`crate::Trainer::pipelined`]).
 ///
 /// The classic sampler threads one mutable RNG through the rounds, so round
-/// `t+1`'s selection cannot be known before round `t` has drawn. Pipelining
-/// needs lookahead: the prefetch wave materializes round `t+1`'s clients
-/// while round `t` is still training. `SelectionStream` makes every round's
+/// `t+1`'s selection cannot be known before round `t` has drawn.
+/// `SelectionStream` makes every round's
 /// draw independently addressable by forking a fresh RNG per round from a
 /// fixed seed, so `select(t)` returns the same ids no matter when — or how
 /// many times — it is asked.

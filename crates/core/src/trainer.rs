@@ -16,10 +16,8 @@ pub struct Trainer {
     cfg: FlConfig,
     /// Per-round callback (progress reporting in experiment binaries).
     on_round: Option<RoundObserver>,
-    /// Opt-in pipelined round engine (lazy federations only): selections
-    /// come from a round-addressable stream so round `t+1`'s clients
-    /// prefetch while round `t` trains, and evictions hibernate in the
-    /// background.
+    /// Lazy federations only: draw each round's selection from a
+    /// round-addressable [`crate::sampling::SelectionStream`].
     pipelined: bool,
 }
 
@@ -38,10 +36,12 @@ impl Trainer {
         }
     }
 
-    /// Enables the pipelined round engine on lazy-mode federations (no-op
-    /// otherwise). Losses are bit-identical to the same selection stream
-    /// without overlap; the selection *sequence* differs from the legacy
-    /// rng-threaded draw when `sample_ratio < 1`.
+    /// On lazy-mode federations (no-op otherwise), draws each round's
+    /// selection from a [`crate::sampling::SelectionStream`] seeded with
+    /// `cfg.seed` ([`Federation::enable_streamed_selection`]); the selection
+    /// *sequence* differs from the rng-threaded draw when `sample_ratio <
+    /// 1`. The lazy plane already runs each client's wake, training, upload
+    /// and hibernation as one job, so nothing else changes.
     pub fn pipelined(mut self) -> Self {
         self.pipelined = true;
         self
@@ -70,7 +70,7 @@ impl Trainer {
         let mut history = History::new();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5EED_5EED);
         if self.pipelined && fed.registry().is_some() {
-            fed.enable_pipelined_rounds(self.cfg.seed, self.cfg.sample_ratio, self.cfg.rounds);
+            fed.enable_streamed_selection(self.cfg.seed);
         }
         let run_span = fed.tracer().begin_run(algo.name());
         for round in 0..self.cfg.rounds {
@@ -119,9 +119,6 @@ impl Trainer {
             }
             history.push(record);
         }
-        // Land any in-flight prefetch/hibernate waves so post-run registry
-        // inspection sees a settled shard map.
-        fed.quiesce();
         drop(run_span);
         Ok(history)
     }

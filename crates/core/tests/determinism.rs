@@ -279,3 +279,97 @@ fn lstm_training_is_bit_identical_across_thread_budgets_and_simd() {
         "LSTM final loss {last:?} drifted from the pin {LSTM_PINNED_FINAL_LOSS:?}"
     );
 }
+
+/// Eight label-skewed Gaussian clients, half of them sampled a round, for
+/// the eager ≡ lazy table: partial participation makes the lazy registry
+/// hibernate a client between the rounds that sample it.
+fn gaussian_data() -> (FederatedData, FlConfig) {
+    let seed = 29;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spec = rfl_data::synth::gaussian::GaussianMixtureSpec::default_spec();
+    let pool = spec.generate(8 * 30, None, &mut rng);
+    let parts = partition::similarity(pool.labels(), 8, 0.0, &mut rng);
+    let test = spec.generate(64, None, &mut rng);
+    let data = FederatedData::from_partition(&pool, &parts, test);
+    let cfg = FlConfig {
+        rounds: 5,
+        local_steps: 3,
+        batch_size: 10,
+        sample_ratio: 0.5,
+        eval_every: 100,
+        parallel: true,
+        clip_grad_norm: Some(10.0),
+        seed,
+        delta_probe_batch: None,
+        compression: rfl_core::compress::Compression::None,
+    };
+    (data, cfg)
+}
+
+/// Per-round losses and the final global of `algo` on the Gaussian
+/// federation, eager or lazy, over a perfect or a lossy link.
+fn gaussian_run(algo: &mut dyn Algorithm, lazy: bool, lossy: bool) -> (Vec<u32>, Vec<u32>) {
+    let (data, cfg) = gaussian_data();
+    let model = ModelFactory::linear_net(10, 6, 4, 1e-3);
+    let optimizer = OptimizerFactory::sgd(0.1);
+    let mut fed = if lazy {
+        let source = Arc::new(MaterializedSource::from_federated(&data));
+        Federation::lazy(source, data.test.clone(), model, optimizer, &cfg, cfg.seed)
+    } else {
+        Federation::new(&data, model, optimizer, &cfg, cfg.seed)
+    };
+    if lossy {
+        let link = FaultyTransport::new(FaultConfig::lossy(5, 0.2, 0));
+        fed.set_transport(Box::new(link));
+    }
+    let h = Trainer::new(cfg).run(algo, &mut fed);
+    let losses = h.records().iter().map(|r| r.train_loss.to_bits());
+    let global = fed.global().iter().map(|x| x.to_bits());
+    (losses.collect(), global.collect())
+}
+
+type Make = fn() -> Box<dyn Algorithm>;
+
+/// Every algorithm `rfl_core::algorithms` exports, and rFedAvg+ under DP,
+/// trains the same bits on a lazy federation as on an eager one — over a
+/// perfect link and a lossy one, at one worker and at two.
+#[test]
+fn every_algorithm_is_bit_identical_eager_and_lazy() {
+    let table: [(&str, Make); 9] = [
+        ("FedAvg", || Box::new(FedAvg::new())),
+        ("FedAvgM", || Box::new(FedAvgM::new(0.7))),
+        ("FedProx", || Box::new(FedProx::new(0.1))),
+        ("q-FedAvg", || Box::new(QFedAvg::new(1.0))),
+        ("power-of-choice", || {
+            Box::new(PowerOfChoice::new(2.0, 1e-2))
+        }),
+        ("SCAFFOLD", || Box::new(Scaffold::new(1.0))),
+        ("rFedAvg", || Box::new(RFedAvg::new(1e-2))),
+        ("rFedAvg+", || Box::new(RFedAvgPlus::new(1e-2))),
+        ("rFedAvg+ DP", || {
+            Box::new(RFedAvgPlus::new(1e-2).with_dp(rfl_core::dp::DpConfig::new(0.5, 1.0, 10)))
+        }),
+    ];
+    let before = rfl_tensor::thread_budget();
+    let mut failures = Vec::new();
+    for (label, make) in table {
+        for lossy in [false, true] {
+            rfl_tensor::set_thread_budget(1);
+            let eager = gaussian_run(make().as_mut(), false, lossy);
+            assert!(eager.0.iter().all(|&l| f32::from_bits(l).is_finite()));
+            for budget in [1, 2] {
+                rfl_tensor::set_thread_budget(budget);
+                let lazy = gaussian_run(make().as_mut(), true, lossy);
+                if lazy != eager {
+                    failures.push(format!("{label} (lossy {lossy}, budget {budget})"));
+                }
+            }
+        }
+    }
+    rfl_tensor::set_thread_budget(before);
+    assert!(
+        failures.is_empty(),
+        "lazy runs diverged from eager: {}",
+        failures.join(", ")
+    );
+}

@@ -1,6 +1,6 @@
 //! Scale gate: memory follows the sampled cohort, not the registry.
 //!
-//! Pipelined FedAvg rounds on [`Federation::lazy`] over a source that
+//! Streamed-selection FedAvg rounds on [`Federation::lazy`] over a source that
 //! *generates* each client's shard on demand, so a registered client that is
 //! never sampled costs a descriptor in the sharded registry and nothing
 //! else. 100,000 registered clients at 1 % and 1,000,000 at 0.1 % both
@@ -25,8 +25,9 @@ const SAMPLES_PER_CLIENT: usize = 32;
 const DIM: usize = 32;
 const CLASSES: usize = 4;
 const SEED: u64 = 7;
-/// Peak-RSS ceiling of either leg. They measure 29–33 MB and 33–50 MB (the
-/// spread is how far the prefetched cohort overlaps the training one).
+/// Peak-RSS ceiling of either leg. They measure about 8 MB and 12 MB: a
+/// training job holds one live client per worker, so the cohort's
+/// datasets and replicas are never resident at once.
 const RSS_CEILING_BYTES: u64 = 64 * 1024 * 1024;
 
 const SPEC: GaussianMixtureSpec = GaussianMixtureSpec {
@@ -62,7 +63,7 @@ impl ClientDataSource for GaussianSource {
     }
 }
 
-/// Two pipelined FedAvg rounds over `clients` registered clients; returns
+/// Two streamed-selection FedAvg rounds over `clients` registered clients; returns
 /// the leg's final train loss and peak resident bytes.
 fn run_leg(clients: usize, sample_ratio: f32) -> (f32, u64) {
     assert!(

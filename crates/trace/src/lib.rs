@@ -121,6 +121,23 @@ mod tests {
     }
 
     #[test]
+    fn a_span_closed_with_a_duration_reports_it() {
+        let t = Tracer::enabled();
+        let mut s = t.span(SpanKind::Hibernate);
+        s.counter("clients", 3);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        s.close_with_duration(1_234);
+        let recs = t.records();
+        assert_eq!(
+            (recs[0].dur_ns, recs[0].counter("clients")),
+            (1_234, Some(3))
+        );
+        Tracer::disabled()
+            .span(SpanKind::Hibernate)
+            .close_with_duration(5);
+    }
+
+    #[test]
     fn records_are_in_creation_order() {
         let t = Tracer::enabled();
         let a = t.span(SpanKind::Select);

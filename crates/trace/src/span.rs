@@ -27,18 +27,16 @@ pub enum SpanKind {
     Aggregate,
     /// Global-model evaluation on the held-out test set.
     Eval,
-    /// Speculative materialization of the *next* round's clients while the
-    /// current round is still training (pipelined round engine): the share
-    /// of a prefetch wave its owner thread built.
-    Prefetch,
     /// Tree-fold of arriving uploads into the streaming aggregator.
     Fold,
-    /// Background hibernation of the previous selection's client state.
+    /// Lazy registry: persisting clients' durable state, one span per worker
+    /// of a request that hibernated any; its duration is the sum of those
+    /// hibernations.
     Hibernate,
-    /// Foreground materialization, one span per thread that built anything:
-    /// the share of a prefetch wave the round thread and its workers drained
-    /// at the join, and the selected clients no wave carried (every client,
-    /// without the pipelined engine).
+    /// Lazy registry: bringing clients to life, one span per worker of a
+    /// request that woke any; a training request's worker wakes each client
+    /// between the previous one's training, so the duration is the sum of
+    /// the wakes.
     Materialize,
 }
 
@@ -56,7 +54,6 @@ impl SpanKind {
             SpanKind::Upload => "upload",
             SpanKind::Aggregate => "aggregate",
             SpanKind::Eval => "eval",
-            SpanKind::Prefetch => "prefetch",
             SpanKind::Fold => "fold",
             SpanKind::Hibernate => "hibernate",
             SpanKind::Materialize => "materialize",

@@ -163,9 +163,12 @@ impl Tracer {
         }
     }
 
-    fn finish(&self, mut record: SpanRecord) {
+    /// Files `record`, its duration `dur_ns` or, without one, the time since
+    /// it opened.
+    fn finish(&self, mut record: SpanRecord, dur_ns: Option<u64>) {
         let inner = self.inner.as_ref().expect("finish on disabled tracer");
-        record.dur_ns = (inner.epoch.elapsed().as_nanos() as u64).saturating_sub(record.start_ns);
+        let elapsed = || (inner.epoch.elapsed().as_nanos() as u64).saturating_sub(record.start_ns);
+        record.dur_ns = dur_ns.unwrap_or_else(elapsed);
         if record.kind == SpanKind::Round.name() {
             inner.current_round_span.store(0, Ordering::Relaxed);
             inner.current_round.store(NONE, Ordering::Relaxed);
@@ -206,12 +209,21 @@ impl Span {
             }
         }
     }
+
+    /// Closes the span with `dur_ns` as its duration instead of the time
+    /// since it opened: for work done in pieces between other spans (a
+    /// worker's wakes between its clients' training), the pieces' sum.
+    pub fn close_with_duration(mut self, dur_ns: u64) {
+        if let Some((tracer, record)) = self.state.take() {
+            tracer.finish(record, Some(dur_ns));
+        }
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((tracer, record)) = self.state.take() {
-            tracer.finish(record);
+            tracer.finish(record, None);
         }
     }
 }

@@ -27,6 +27,11 @@ cargo test -q --workspace
 echo "== RFL_THREADS=4 cargo test -q --workspace (determinism contract)"
 RFL_THREADS=4 cargo test -q --workspace
 
+# The benchmark runs at two workers; two racing over one selection is the
+# interleaving the lazy plane's per-client jobs add.
+echo "== RFL_THREADS=2 lazy-engine tests (the benchmark's budget)"
+RFL_THREADS=2 cargo test -q -p rfl-core --test pipeline --test scale --test determinism --test fanout
+
 echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
 RFL_SIMD=0 cargo test -q --workspace
 

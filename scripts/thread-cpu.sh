@@ -10,8 +10,9 @@
 # system seconds and voluntary / involuntary context switches, busiest first:
 # the table EXPERIMENTS.md's reactor timelines are made of (`rfl-net-*` are
 # the shards, `bench-driver` the harness's echo thread, `rfl-worker` the
-# kernel pool, `rfl-prefetch` / `rfl-hibernate` / `rfl-fanout` the lazy
-# plane's per-round threads).
+# kernel pool, `rfl-fanout` the in-process plane's per-request helpers — on
+# a lazy plane they wake, train, read and hibernate clients beside the round
+# thread).
 #
 # A thread's counters are those of the last sample that saw it, so a thread
 # that lived between two samples is missing from its row, and one that
