@@ -417,8 +417,13 @@ mod tests {
 
     #[test]
     fn compressed_sends_charge_exact_frame_bytes_per_attempt() {
-        use crate::compress::{Compressor, UniformQuantizer};
-        let payload = UniformQuantizer::new(4).compress(&[0.5f32; 33]);
+        use crate::compress::{compress_plain, Compression};
+        let mut payload = CompressedVec::default();
+        compress_plain(
+            Compression::Quantize { bits: 4 },
+            &[0.5f32; 33],
+            &mut payload,
+        );
         let frame = payload.wire_bytes() as u64;
 
         // Lossless: one attempt, exact frame bytes, bit-exact round trip.

@@ -757,6 +757,10 @@ impl RemoteTransport for SocketTransport {
         Some(SocketTransport::reactor_counters(self))
     }
 
+    fn drop_undecodable(&mut self) {
+        self.count_drop(DropReason::Loss);
+    }
+
     fn shutdown(&mut self) {
         let sessions: Vec<Arc<Session>> = {
             let guard = self.shared.sessions.lock().expect("sessions poisoned");

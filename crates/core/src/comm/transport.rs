@@ -101,6 +101,11 @@ pub trait RemoteTransport: Transport {
         out: &mut CompressedVec,
     ) -> LinkOutcome;
 
+    /// Counts the compressed upload just claimed, which framed correctly
+    /// but did not decode under the run's policy, as a
+    /// [`super::DropReason::Loss`]: the round goes on without it.
+    fn drop_undecodable(&mut self);
+
     /// Ends the run: notifies clients, closes links, stops accepting.
     fn shutdown(&mut self);
 
@@ -120,9 +125,9 @@ pub trait RemoteTransport: Transport {
 /// model is validated against.
 ///
 /// The wire buffer is reused for every message
-/// ([`rfl_tensor::encode_f32_into`] produces bytes identical to
-/// `encode_f32_slice`, so the ledger cannot tell the difference); only the
-/// received `Vec<f32>` copy handed to the caller is allocated per transfer.
+/// ([`rfl_tensor::encode_f32_into`] clears it first, so every message's
+/// bytes are those of a fresh buffer); only the received `Vec<f32>` copy
+/// handed to the caller is allocated per transfer.
 #[derive(Default)]
 pub struct PerfectTransport {
     stats: CommStats,
@@ -256,9 +261,14 @@ mod tests {
     /// copy is the bit-exact codec round trip.
     #[test]
     fn compressed_sends_charge_the_exact_encoded_length() {
-        use crate::compress::{Compressor, UniformQuantizer};
+        use crate::compress::{compress_plain, Compression};
         let mut t = PerfectTransport::new();
-        let payload = UniformQuantizer::new(8).compress(&[1.0f32, -2.0, 0.25, 7.5]);
+        let mut payload = CompressedVec::default();
+        compress_plain(
+            Compression::Quantize { bits: 8 },
+            &[1.0f32, -2.0, 0.25, 7.5],
+            &mut payload,
+        );
         let mut wire = Vec::new();
         payload.encode_into(&mut wire);
         assert_eq!(wire.len(), payload.wire_bytes());

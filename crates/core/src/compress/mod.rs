@@ -2,55 +2,26 @@
 //! axis the paper's related work surveys (Konečný et al.'s quantization and
 //! sub-sampling, sketching à la FetchSGD).
 //!
-//! A [`Compressor`] maps a parameter vector to a compact wire form and
-//! back. Compressors are *lossy*; the round-trip error is the price paid
-//! for fewer bytes. They compose with any algorithm whose uploads are
+//! A codec maps a parameter vector to a compact wire form and back, into
+//! buffers the caller owns: `compress_into` fills a [`CompressedVec`],
+//! `decompress_into` rebuilds the vector from one. There is no allocating
+//! form. Codecs are *lossy*; the round-trip error is the price paid for
+//! fewer bytes. They compose with any algorithm whose uploads are
 //! parameter vectors (the gate is `tests/extensions.rs` at the repository
-//! root).
+//! root). [`AnyCompressor`] dispatches to the three codecs.
+//!
+//! A payload comes off the wire from a peer nobody vouches for, so
+//! `decompress_into` checks its sections against the length it must decode
+//! to and returns `false` on a mismatch instead of panicking; the server
+//! counts such an upload as lost.
 
 mod quantize;
 mod sketch;
 mod topk;
 
 pub(crate) use quantize::UniformQuantizer;
-pub(crate) use sketch::CountSketch;
+pub(crate) use sketch::{CountSketch, MAX_ROWS};
 pub(crate) use topk::TopK;
-
-/// A lossy vector codec with an accountable wire size.
-pub trait Compressor: Send + Sync {
-    /// Human-readable name.
-    fn name(&self) -> &'static str;
-
-    /// Compresses `values`; returns the wire payload.
-    fn compress(&self, values: &[f32]) -> CompressedVec;
-
-    /// Reconstructs a length-`len` vector from a payload.
-    fn decompress(&self, payload: &CompressedVec, len: usize) -> Vec<f32>;
-
-    /// Compresses `values` into a caller-owned payload, reusing its section
-    /// buffers. Implementations override this to be allocation-free in the
-    /// warm steady state.
-    fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
-        *out = self.compress(values);
-    }
-
-    /// Reconstructs a length-`len` vector into a caller-owned workspace.
-    /// Bit-identical to [`Compressor::decompress`]; implementations override
-    /// this to avoid the per-call `Vec` the boxed form returns.
-    fn decompress_into(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) {
-        let v = self.decompress(payload, len);
-        out.clear();
-        out.extend_from_slice(&v);
-    }
-
-    /// Round-trips a vector, returning the reconstruction and its wire cost
-    /// in bytes.
-    fn round_trip(&self, values: &[f32]) -> (Vec<f32>, usize) {
-        let payload = self.compress(values);
-        let bytes = payload.wire_bytes();
-        (self.decompress(&payload, values.len()), bytes)
-    }
-}
 
 /// A compressed payload: opaque scalar words plus structural metadata.
 /// Wire cost = 4 bytes per `u32` word + 4 bytes per `f32` word + header.
@@ -240,7 +211,7 @@ impl Compression {
             0 => Some(Compression::None),
             1 if (1..=8).contains(&bits) => Some(Compression::Quantize { bits }),
             2 if (0.0..=1.0).contains(&ratio) => Some(Compression::TopK { ratio }),
-            3 if rows % 2 == 1 && rows > 0 && cols > 0 => {
+            3 if rows % 2 == 1 && usize::from(rows) <= MAX_ROWS && cols > 0 => {
                 Some(Compression::Sketch { rows, cols, seed })
             }
             4 if (1..=8).contains(&bits) => Some(Compression::Adaptive { max_bits: bits }),
@@ -287,32 +258,10 @@ pub enum AnyCompressor {
     Sketch(CountSketch),
 }
 
-impl Compressor for AnyCompressor {
-    fn name(&self) -> &'static str {
-        match self {
-            AnyCompressor::Quantize(c) => c.name(),
-            AnyCompressor::TopK(c) => c.name(),
-            AnyCompressor::Sketch(c) => c.name(),
-        }
-    }
-
-    fn compress(&self, values: &[f32]) -> CompressedVec {
-        match self {
-            AnyCompressor::Quantize(c) => c.compress(values),
-            AnyCompressor::TopK(c) => c.compress(values),
-            AnyCompressor::Sketch(c) => c.compress(values),
-        }
-    }
-
-    fn decompress(&self, payload: &CompressedVec, len: usize) -> Vec<f32> {
-        match self {
-            AnyCompressor::Quantize(c) => c.decompress(payload, len),
-            AnyCompressor::TopK(c) => c.decompress(payload, len),
-            AnyCompressor::Sketch(c) => c.decompress(payload, len),
-        }
-    }
-
-    fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
+impl AnyCompressor {
+    /// Compresses `values` into a caller-owned payload, reusing its section
+    /// buffers.
+    pub fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
         match self {
             AnyCompressor::Quantize(c) => c.compress_into(values, out),
             AnyCompressor::TopK(c) => c.compress_into(values, out),
@@ -320,7 +269,10 @@ impl Compressor for AnyCompressor {
         }
     }
 
-    fn decompress_into(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) {
+    /// Reconstructs a length-`len` vector into a caller-owned workspace;
+    /// `false` (with `out` unspecified) when `payload`'s sections do not
+    /// describe `len` values under this codec.
+    pub fn decompress_into(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) -> bool {
         match self {
             AnyCompressor::Quantize(c) => c.decompress_into(payload, len, out),
             AnyCompressor::TopK(c) => c.decompress_into(payload, len, out),
@@ -404,7 +356,8 @@ pub fn ef_compress_update(
     );
     let comp = policy.for_upload(update).expect("compression enabled");
     comp.compress_into(update, payload);
-    comp.decompress_into(payload, d, recon);
+    let decoded = comp.decompress_into(payload, d, recon);
+    assert!(decoded, "a payload decodes on its own sender");
     if feedback {
         for (r, (&u, &c)) in residual.iter_mut().zip(update.iter().zip(recon.iter())) {
             *r = u - c;
@@ -415,17 +368,17 @@ pub fn ef_compress_update(
 
 /// Receiver side of [`ef_compress_update`]: decompress a received upload and
 /// rebuild absolute parameters by adding the broadcast global back in.
-/// Returns `false` when the payload does not resolve under `policy`.
+/// Returns `false` when the payload does not decode to `global.len()`
+/// values under `policy`.
 pub fn decode_upload_into(
     policy: Compression,
     payload: &CompressedVec,
     global: &[f32],
     out: &mut Vec<f32>,
 ) -> bool {
-    let Some(comp) = policy.for_payload(payload, global.len()) else {
+    if !decode_plain_into(policy, payload, global.len(), out) {
         return false;
-    };
-    comp.decompress_into(payload, global.len(), out);
+    }
     for (o, &g) in out.iter_mut().zip(global) {
         *o += g;
     }
@@ -443,18 +396,27 @@ pub fn compress_plain(
     comp
 }
 
-/// Receiver side of [`compress_plain`].
+/// Receiver side of [`compress_plain`]; `false` when the payload does not
+/// decode to `len` values under `policy`.
 pub(crate) fn decode_plain_into(
     policy: Compression,
     payload: &CompressedVec,
     len: usize,
     out: &mut Vec<f32>,
 ) -> bool {
-    let Some(comp) = policy.for_payload(payload, len) else {
-        return false;
-    };
-    comp.decompress_into(payload, len, out);
-    true
+    policy
+        .for_payload(payload, len)
+        .is_some_and(|comp| comp.decompress_into(payload, len, out))
+}
+
+/// Compresses `values` into a fresh payload and decompresses it again: the
+/// reconstruction and the payload (the codecs' tests).
+#[cfg(test)]
+pub(crate) fn round_trip(comp: AnyCompressor, values: &[f32]) -> (Vec<f32>, CompressedVec) {
+    let (mut payload, mut rec) = (CompressedVec::default(), Vec::new());
+    comp.compress_into(values, &mut payload);
+    assert!(comp.decompress_into(&payload, values.len(), &mut rec));
+    (rec, payload)
 }
 
 /// Relative L2 reconstruction error `‖x − x̂‖ / ‖x‖` (the codecs' tests).
@@ -506,9 +468,17 @@ mod tests {
                 words_f32: vec![f32::NAN, f32::NEG_INFINITY, -0.0],
                 bytes: vec![0xAB; 29],
             },
-            UniformQuantizer::new(3).compress(&[1.0, -2.0, 0.5]),
-            TopK::new(2).compress(&[1.0, -2.0, 0.5, 9.0]),
-            CountSketch::new(3, 17, 42).compress(&[1.0; 100]),
+            round_trip(
+                AnyCompressor::Quantize(UniformQuantizer::new(3)),
+                &[1.0, -2.0, 0.5],
+            )
+            .1,
+            round_trip(AnyCompressor::TopK(TopK::new(2)), &[1.0, -2.0, 0.5, 9.0]).1,
+            round_trip(
+                AnyCompressor::Sketch(CountSketch::new(3, 17, 42)),
+                &[1.0; 100],
+            )
+            .1,
         ];
         let mut wire = Vec::new();
         for c in &shapes {
@@ -537,7 +507,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_malformed_frames() {
-        let c = UniformQuantizer::new(8).compress(&[1.0, 2.0, 3.0]);
+        let c = round_trip(
+            AnyCompressor::Quantize(UniformQuantizer::new(8)),
+            &[1.0, 2.0, 3.0],
+        )
+        .1;
         let mut wire = Vec::new();
         c.encode_into(&mut wire);
         assert!(CompressedVec::decode(&wire[..wire.len() - 1]).is_none());
@@ -574,6 +548,10 @@ mod tests {
         assert_eq!(Compression::from_wire(9, 0, 0.0, 0, 0, 0), None);
         assert_eq!(Compression::from_wire(1, 0, 0.0, 0, 0, 0), None);
         assert_eq!(Compression::from_wire(3, 0, 0.0, 4, 7, 0), None);
+        // Sketch rows stop where the decoder's median scratch does.
+        let rows = MAX_ROWS as u16;
+        assert!(Compression::from_wire(3, 0, 0.0, rows, 7, 0).is_some());
+        assert_eq!(Compression::from_wire(3, 0, 0.0, rows + 2, 7, 0), None);
     }
 
     #[test]
@@ -602,6 +580,7 @@ mod tests {
         // Same validation surface as the wire form.
         assert_eq!(Compression::parse("quantize:9"), None);
         assert_eq!(Compression::parse("sketch:4:7:0"), None);
+        assert_eq!(Compression::parse("sketch:65:31:1"), None);
         assert_eq!(Compression::parse("topk:1.5"), None);
         assert_eq!(Compression::parse("gzip"), None);
         assert_eq!(Compression::parse("quantize:8:extra"), None);
@@ -625,7 +604,7 @@ mod tests {
         assert_eq!(adaptive_bits(&spiky, 4), 4);
         // The receiver can recover the width from the payload alone.
         let bits = adaptive_bits(&spiky, 8);
-        let payload = UniformQuantizer::new(bits).compress(&spiky);
+        let payload = round_trip(AnyCompressor::Quantize(UniformQuantizer::new(bits)), &spiky).1;
         let q = UniformQuantizer::from_payload(&payload).unwrap();
         assert_eq!(
             format!("{q:?}"),
@@ -683,27 +662,69 @@ mod tests {
     }
 
     #[test]
-    fn compress_into_matches_compress_for_each_backend() {
+    fn into_a_dirty_buffer_matches_a_fresh_one_for_each_backend() {
         let x: Vec<f32> = (0..257).map(|i| (i as f32 * 0.21).sin()).collect();
         let comps = [
             AnyCompressor::Quantize(UniformQuantizer::new(4)),
             AnyCompressor::TopK(TopK::new(17)),
             AnyCompressor::Sketch(CountSketch::new(5, 31, 3)),
         ];
-        let mut payload = CompressedVec::default();
-        let mut out = Vec::new();
         for comp in comps {
-            let boxed = comp.compress(&x);
-            comp.compress_into(&x, &mut payload);
-            assert_eq!(boxed.words_u32, payload.words_u32);
-            assert_eq!(boxed.words_f32, payload.words_f32);
-            assert_eq!(boxed.bytes, payload.bytes);
-            let dense = comp.decompress(&payload, x.len());
-            comp.decompress_into(&payload, x.len(), &mut out);
-            assert_eq!(
-                dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            let (fresh, payload) = round_trip(comp, &x);
+            let mut dirty = CompressedVec {
+                words_u32: vec![7; 300],
+                words_f32: vec![f32::NAN; 3],
+                bytes: vec![0xEE; 999],
+            };
+            comp.compress_into(&x, &mut dirty);
+            assert_eq!(dirty.words_u32, payload.words_u32);
+            assert_eq!(dirty.bytes, payload.bytes);
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dirty.words_f32), bits(&payload.words_f32));
+            let mut out = vec![f32::NAN; 5];
+            assert!(comp.decompress_into(&payload, x.len(), &mut out));
+            assert_eq!(bits(&out), bits(&fresh));
+        }
+    }
+
+    /// A payload that frames correctly but does not describe `len` values
+    /// is refused, one case per section shape, never a panic.
+    #[test]
+    fn a_malformed_payload_decodes_to_false() {
+        let global = vec![0.5f32; 10];
+        let mut out = Vec::new();
+        let payload = |words_u32: Vec<u32>, words_f32: Vec<f32>, bytes: Vec<u8>| CompressedVec {
+            words_u32,
+            words_f32,
+            bytes,
+        };
+        let q8 = Compression::Quantize { bits: 8 };
+        let topk = Compression::TopK { ratio: 0.5 };
+        let sketch = Compression::Sketch {
+            rows: 3,
+            cols: 5,
+            seed: 1,
+        };
+        for (policy, bad) in [
+            // Quantizer: short code bytes, no range words, a wrong level count.
+            (q8, payload(vec![], vec![0.0, 1.0, 255.0], vec![0; 9])),
+            (q8, CompressedVec::default()),
+            (q8, payload(vec![], vec![0.0, 1.0, 15.0], vec![0; 10])),
+            (
+                Compression::Adaptive { max_bits: 8 },
+                payload(vec![], vec![0.0, 1.0, 255.0], vec![]),
+            ),
+            // Top-k: an index past the end, an index without a value.
+            (topk, payload(vec![10], vec![1.0], vec![])),
+            (topk, payload(vec![1, 2], vec![1.0], vec![])),
+            // Sketch: a table of the wrong size.
+            (sketch, payload(vec![], vec![0.0; 14], vec![])),
+        ] {
+            assert!(
+                !decode_upload_into(policy, &bad, &global, &mut out),
+                "{policy:?} decoded {bad:?}"
             );
+            assert!(!decode_plain_into(policy, &bad, global.len(), &mut out));
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Uniform b-bit quantization (Konečný et al.'s baseline compressor).
 
-use super::{CompressedVec, Compressor};
+use super::CompressedVec;
 
 /// Linear quantization into `2^bits` levels over the vector's `[min, max]`
 /// range. `bits ≤ 8`; codes are packed at true bit granularity (LSB-first
@@ -32,26 +32,10 @@ impl UniformQuantizer {
     fn levels(&self) -> u32 {
         (1u32 << self.bits) - 1
     }
-}
 
-impl Compressor for UniformQuantizer {
-    fn name(&self) -> &'static str {
-        "uniform-quantizer"
-    }
-
-    fn compress(&self, values: &[f32]) -> CompressedVec {
-        let mut out = CompressedVec::default();
-        self.compress_into(values, &mut out);
-        out
-    }
-
-    fn decompress(&self, payload: &CompressedVec, len: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(len);
-        self.decompress_into(payload, len, &mut out);
-        out
-    }
-
-    fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
+    /// Quantizes `values` into `out`'s sections: the codes in `bytes`,
+    /// `[min, max, levels]` in `words_f32`.
+    pub(crate) fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
         let min = values.iter().copied().fold(f32::INFINITY, f32::min);
         let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let range = (max - min).max(1e-12);
@@ -84,19 +68,26 @@ impl Compressor for UniformQuantizer {
         out.words_f32.extend_from_slice(&[min, max, levels]);
     }
 
-    fn decompress_into(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) {
-        let min = payload.words_f32[0];
-        let max = payload.words_f32[1];
-        let range = (max - min).max(1e-12);
+    /// Lifts `len` codes back onto the payload's range; `false` unless the
+    /// payload holds exactly `[min, max, levels]` for this width and
+    /// `ceil(len · bits / 8)` code bytes.
+    pub(crate) fn decompress_into(
+        &self,
+        payload: &CompressedVec,
+        len: usize,
+        out: &mut Vec<f32>,
+    ) -> bool {
         let levels = self.levels() as f32;
-        debug_assert_eq!(payload.words_f32.get(2).copied(), Some(levels));
+        let &[min, max, described] = payload.words_f32.as_slice() else {
+            return false;
+        };
+        let code_bytes = len.checked_mul(self.bits.into()).map(|b| b.div_ceil(8));
+        if described != levels || code_bytes != Some(payload.bytes.len()) {
+            return false;
+        }
+        let range = (max - min).max(1e-12);
         let lift = |c: u16| min + (c as f32 / levels) * range;
         out.clear();
-        assert_eq!(
-            payload.bytes.len(),
-            (len * self.bits as usize).div_ceil(8),
-            "code length mismatch"
-        );
         out.reserve(len);
         let mask: u16 = (1u16 << self.bits) - 1;
         let mut acc: u16 = 0;
@@ -111,36 +102,39 @@ impl Compressor for UniformQuantizer {
             acc >>= self.bits;
             filled -= u32::from(self.bits);
         }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::relative_error;
+    use crate::compress::{relative_error, round_trip, AnyCompressor};
+
+    fn q(bits: u8) -> AnyCompressor {
+        AnyCompressor::Quantize(UniformQuantizer::new(bits))
+    }
 
     #[test]
     fn eight_bit_error_is_small() {
         let x: Vec<f32> = (0..1000).map(|i| (i as f32 * 0.37).sin()).collect();
-        let q = UniformQuantizer::new(8);
-        let (rec, bytes) = q.round_trip(&x);
+        let (rec, payload) = round_trip(q(8), &x);
         assert!(relative_error(&x, &rec) < 0.01);
         // 1 byte/code + 2 range floats + header ≪ 4 bytes/f32.
-        assert!(bytes < 1000 * 4 / 3);
+        assert!(payload.wire_bytes() < 1000 * 4 / 3);
     }
 
     #[test]
     fn four_bit_packs_two_codes_per_byte() {
         let x: Vec<f32> = (0..101).map(|i| i as f32).collect();
-        let q4 = UniformQuantizer::new(4).compress(&x);
+        let (rec, q4) = round_trip(q(4), &x);
         assert_eq!(q4.bytes.len(), 51);
-        let rec = UniformQuantizer::new(4).decompress(&q4, 101);
         assert_eq!(rec.len(), 101);
         // Endpoints still exact.
         assert!((rec[0] - 0.0).abs() < 1e-4);
         assert!((rec[100] - 100.0).abs() < 1e-4);
         // Code payload is half the 8-bit variant's (headers aside).
-        let q8 = UniformQuantizer::new(8).compress(&x);
+        let q8 = round_trip(q(8), &x).1;
         assert_eq!(q8.bytes.len(), 101);
         assert!(q4.wire_bytes() < q8.wire_bytes());
     }
@@ -149,18 +143,17 @@ mod tests {
     fn low_bit_widths_pack_below_nibble_granularity() {
         let x: Vec<f32> = (0..101).map(|i| (i as f32 * 0.3).sin()).collect();
         for bits in 1u8..=8 {
-            let q = UniformQuantizer::new(bits);
-            let payload = q.compress(&x);
+            let (rec, payload) = round_trip(q(bits), &x);
             assert_eq!(
                 payload.bytes.len(),
                 (101 * bits as usize).div_ceil(8),
                 "bits={bits}"
             );
-            assert_eq!(q.decompress(&payload, 101).len(), 101, "bits={bits}");
+            assert_eq!(rec.len(), 101, "bits={bits}");
         }
         // 2-bit codes cost a quarter of 8-bit ones, not half.
-        let q2 = UniformQuantizer::new(2).compress(&x);
-        let q8 = UniformQuantizer::new(8).compress(&x);
+        let q2 = round_trip(q(2), &x).1;
+        let q8 = round_trip(q(8), &x).1;
         assert_eq!(q2.bytes.len(), 26);
         assert_eq!(q8.bytes.len(), 101);
     }
@@ -168,7 +161,7 @@ mod tests {
     #[test]
     fn odd_length_round_trips_at_low_bits() {
         let x = vec![-1.0f32, 0.5, 2.0];
-        let (rec, _) = UniformQuantizer::new(2).round_trip(&x);
+        let (rec, _) = round_trip(q(2), &x);
         assert_eq!(rec.len(), 3);
         assert!((rec[0] + 1.0).abs() < 1e-4);
         assert!((rec[2] - 2.0).abs() < 1e-4);
@@ -177,16 +170,16 @@ mod tests {
     #[test]
     fn fewer_bits_more_error() {
         let x: Vec<f32> = (0..500).map(|i| (i as f32 * 0.11).cos()).collect();
-        let e8 = relative_error(&x, &UniformQuantizer::new(8).round_trip(&x).0);
-        let e4 = relative_error(&x, &UniformQuantizer::new(4).round_trip(&x).0);
-        let e1 = relative_error(&x, &UniformQuantizer::new(1).round_trip(&x).0);
+        let e8 = relative_error(&x, &round_trip(q(8), &x).0);
+        let e4 = relative_error(&x, &round_trip(q(4), &x).0);
+        let e1 = relative_error(&x, &round_trip(q(1), &x).0);
         assert!(e8 < e4 && e4 < e1, "{e8} {e4} {e1}");
     }
 
     #[test]
     fn endpoints_are_exact() {
         let x = vec![-2.0f32, 0.0, 5.0];
-        let (rec, _) = UniformQuantizer::new(8).round_trip(&x);
+        let (rec, _) = round_trip(q(8), &x);
         assert!((rec[0] + 2.0).abs() < 1e-5);
         assert!((rec[2] - 5.0).abs() < 1e-5);
     }
@@ -194,7 +187,7 @@ mod tests {
     #[test]
     fn constant_vector_is_exact() {
         let x = vec![1.5f32; 64];
-        let (rec, _) = UniformQuantizer::new(2).round_trip(&x);
+        let (rec, _) = round_trip(q(2), &x);
         for v in rec {
             assert!((v - 1.5).abs() < 1e-5);
         }

@@ -2,7 +2,11 @@
 //! a small sketch with pairwise-independent hash/sign functions; estimate
 //! coordinates back by the median of their sketch cells.
 
-use super::{CompressedVec, Compressor};
+use super::CompressedVec;
+
+/// The most rows a sketch may have: the decoder's median scratch lives on
+/// the stack. Policy validation (`Compression::from_wire`) accepts no more.
+pub(crate) const MAX_ROWS: usize = 63;
 
 /// A seeded count sketch with `rows × cols` counters.
 #[derive(Clone, Copy, Debug)]
@@ -14,9 +18,11 @@ pub struct CountSketch {
 
 impl CountSketch {
     /// # Panics
-    /// Panics if `rows` is even (median needs an odd count) or zero-sized.
+    /// Panics if `rows` is even (median needs an odd count), above
+    /// [`MAX_ROWS`], or zero-sized.
     pub(crate) fn new(rows: usize, cols: usize, seed: u64) -> Self {
-        assert!(rows > 0 && rows % 2 == 1, "rows must be odd");
+        assert!(rows % 2 == 1, "rows must be odd");
+        assert!(rows <= MAX_ROWS, "sketch rows capped at {MAX_ROWS}");
         assert!(cols > 0);
         CountSketch { rows, cols, seed }
     }
@@ -34,26 +40,9 @@ impl CountSketch {
         let sign = if (z >> 63) & 1 == 1 { 1.0 } else { -1.0 };
         (col, sign)
     }
-}
 
-impl Compressor for CountSketch {
-    fn name(&self) -> &'static str {
-        "count-sketch"
-    }
-
-    fn compress(&self, values: &[f32]) -> CompressedVec {
-        let mut out = CompressedVec::default();
-        self.compress_into(values, &mut out);
-        out
-    }
-
-    fn decompress(&self, payload: &CompressedVec, len: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(len);
-        self.decompress_into(payload, len, &mut out);
-        out
-    }
-
-    fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
+    /// Sketches `values` into `out`'s `rows × cols` table (`words_f32`).
+    pub(crate) fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
         out.words_u32.clear();
         out.bytes.clear();
         out.words_f32.clear();
@@ -66,12 +55,17 @@ impl Compressor for CountSketch {
         }
     }
 
-    fn decompress_into(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) {
-        assert_eq!(payload.words_f32.len(), self.rows * self.cols);
-        // Median scratch lives on the stack; row counts this large would be
-        // absurd for a sketch, so the cap costs nothing in practice.
-        const MAX_ROWS: usize = 63;
-        assert!(self.rows <= MAX_ROWS, "sketch rows capped at {MAX_ROWS}");
+    /// Estimates `len` coordinates, each the median of its sketch cells;
+    /// `false` unless the payload's table holds `rows × cols` words.
+    pub(crate) fn decompress_into(
+        &self,
+        payload: &CompressedVec,
+        len: usize,
+        out: &mut Vec<f32>,
+    ) -> bool {
+        if payload.words_f32.len() != self.rows * self.cols {
+            return false;
+        }
         let table = &payload.words_f32;
         let mut cells = [0.0f32; MAX_ROWS];
         out.clear();
@@ -84,13 +78,18 @@ impl Compressor for CountSketch {
             cells[..self.rows].sort_by(|a, b| a.total_cmp(b));
             out.push(cells[self.rows / 2]); // median
         }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::relative_error;
+    use crate::compress::{relative_error, round_trip, AnyCompressor};
+
+    fn sketch(rows: usize, cols: usize, seed: u64) -> AnyCompressor {
+        AnyCompressor::Sketch(CountSketch::new(rows, cols, seed))
+    }
 
     /// A sparse heavy-hitter vector is recovered well by a modest sketch.
     #[test]
@@ -99,8 +98,8 @@ mod tests {
         x[17] = 50.0;
         x[900] = -30.0;
         x[1500] = 40.0;
-        let sk = CountSketch::new(5, 101, 7);
-        let (rec, bytes) = sk.round_trip(&x);
+        let (rec, payload) = round_trip(sketch(5, 101, 7), &x);
+        let bytes = payload.wire_bytes();
         assert!((rec[17] - 50.0).abs() < 5.0, "{}", rec[17]);
         assert!((rec[900] + 30.0).abs() < 5.0);
         assert!((rec[1500] - 40.0).abs() < 5.0);
@@ -112,8 +111,8 @@ mod tests {
         let x: Vec<f32> = (0..500)
             .map(|i| if i % 50 == 0 { 10.0 } else { 0.1 })
             .collect();
-        let small = relative_error(&x, &CountSketch::new(3, 31, 1).round_trip(&x).0);
-        let big = relative_error(&x, &CountSketch::new(7, 257, 1).round_trip(&x).0);
+        let small = relative_error(&x, &round_trip(sketch(3, 31, 1), &x).0);
+        let big = relative_error(&x, &round_trip(sketch(7, 257, 1), &x).0);
         assert!(big < small, "{big} vs {small}");
     }
 
@@ -124,10 +123,12 @@ mod tests {
         let a: Vec<f32> = (0..100).map(|i| i as f32 * 0.01).collect();
         let b: Vec<f32> = (0..100).map(|i| ((i * 7) % 13) as f32).collect();
         let sum: Vec<f32> = a.iter().zip(&b).map(|(x, y)| x + y).collect();
-        let sk = CountSketch::new(3, 17, 9);
-        let sa = sk.compress(&a);
-        let sb = sk.compress(&b);
-        let ssum = sk.compress(&sum);
+        let sk = sketch(3, 17, 9);
+        let (sa, sb, ssum) = (
+            round_trip(sk, &a).1,
+            round_trip(sk, &b).1,
+            round_trip(sk, &sum).1,
+        );
         for ((x, y), z) in sa.words_f32.iter().zip(&sb.words_f32).zip(&ssum.words_f32) {
             assert!((x + y - z).abs() < 1e-3);
         }
@@ -136,10 +137,10 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let x = vec![1.0f32, 2.0, 3.0];
-        let a = CountSketch::new(3, 7, 5).compress(&x);
-        let b = CountSketch::new(3, 7, 5).compress(&x);
+        let a = round_trip(sketch(3, 7, 5), &x).1;
+        let b = round_trip(sketch(3, 7, 5), &x).1;
         assert_eq!(a.words_f32, b.words_f32);
-        let c = CountSketch::new(3, 7, 6).compress(&x);
+        let c = round_trip(sketch(3, 7, 6), &x).1;
         assert_ne!(a.words_f32, c.words_f32);
     }
 

@@ -1,6 +1,6 @@
 //! Top-k sparsification: keep only the k largest-magnitude coordinates.
 
-use super::{CompressedVec, Compressor};
+use super::CompressedVec;
 
 /// Keeps the `k` largest-|value| entries (index + value pairs on the wire).
 #[derive(Clone, Copy, Debug)]
@@ -21,26 +21,10 @@ impl TopK {
         assert!((0.0..=1.0).contains(&ratio));
         TopK::new(((n as f32 * ratio).ceil() as usize).max(1))
     }
-}
 
-impl Compressor for TopK {
-    fn name(&self) -> &'static str {
-        "top-k"
-    }
-
-    fn compress(&self, values: &[f32]) -> CompressedVec {
-        let mut out = CompressedVec::default();
-        self.compress_into(values, &mut out);
-        out
-    }
-
-    fn decompress(&self, payload: &CompressedVec, len: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(len);
-        self.decompress_into(payload, len, &mut out);
-        out
-    }
-
-    fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
+    /// Writes the kept coordinates into `out`: ascending indices in
+    /// `words_u32`, their values in `words_f32`.
+    pub(crate) fn compress_into(&self, values: &[f32], out: &mut CompressedVec) {
         let k = self.k.min(values.len());
         // The selection scratch still allocates; the payload sections reuse
         // the caller's buffers.
@@ -57,56 +41,72 @@ impl Compressor for TopK {
         out.bytes.clear();
     }
 
-    fn decompress_into(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) {
+    /// Scatters the kept coordinates into a zeroed length-`len` vector;
+    /// `false` unless every index has a value and lies below `len`.
+    pub(crate) fn decompress_into(
+        &self,
+        payload: &CompressedVec,
+        len: usize,
+        out: &mut Vec<f32>,
+    ) -> bool {
+        let idx = &payload.words_u32;
+        if idx.len() != payload.words_f32.len() || idx.iter().any(|&i| i as usize >= len) {
+            return false;
+        }
         out.clear();
         out.resize(len, 0.0);
-        for (&i, &v) in payload.words_u32.iter().zip(&payload.words_f32) {
+        for (&i, &v) in idx.iter().zip(&payload.words_f32) {
             out[i as usize] = v;
         }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compress::relative_error;
+    use crate::compress::{relative_error, round_trip, AnyCompressor};
+
+    fn top(k: usize) -> AnyCompressor {
+        AnyCompressor::TopK(TopK::new(k))
+    }
 
     #[test]
     fn keeps_the_largest_coordinates() {
         let x = vec![0.1f32, -5.0, 0.2, 3.0, -0.05];
-        let (rec, _) = TopK::new(2).round_trip(&x);
+        let (rec, _) = round_trip(top(2), &x);
         assert_eq!(rec, vec![0.0, -5.0, 0.0, 3.0, 0.0]);
     }
 
     #[test]
     fn k_equal_len_is_lossless() {
         let x = vec![1.0f32, -2.0, 3.5];
-        let (rec, _) = TopK::new(3).round_trip(&x);
+        let (rec, _) = round_trip(top(3), &x);
         assert_eq!(rec, x);
     }
 
     #[test]
     fn error_decreases_with_k() {
         let x: Vec<f32> = (0..200).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
-        let e10 = relative_error(&x, &TopK::new(10).round_trip(&x).0);
-        let e50 = relative_error(&x, &TopK::new(50).round_trip(&x).0);
-        let e150 = relative_error(&x, &TopK::new(150).round_trip(&x).0);
+        let e10 = relative_error(&x, &round_trip(top(10), &x).0);
+        let e50 = relative_error(&x, &round_trip(top(50), &x).0);
+        let e150 = relative_error(&x, &round_trip(top(150), &x).0);
         assert!(e10 > e50 && e50 > e150);
     }
 
     #[test]
     fn wire_cost_scales_with_k() {
         let x = vec![1.0f32; 1000];
-        let b10 = TopK::new(10).round_trip(&x).1;
-        let b100 = TopK::new(100).round_trip(&x).1;
+        let b10 = round_trip(top(10), &x).1.wire_bytes();
+        let b100 = round_trip(top(100), &x).1.wire_bytes();
         assert!(b100 > 5 * b10);
         assert!(b10 < 1000); // far below the dense 4000 B
     }
 
     #[test]
     fn with_ratio_rounds_up() {
-        let t = TopK::with_ratio(10, 0.05);
-        let (rec, _) = t.round_trip(&[1.0; 10]);
+        let t = AnyCompressor::TopK(TopK::with_ratio(10, 0.05));
+        let (rec, _) = round_trip(t, &[1.0; 10]);
         assert_eq!(rec.iter().filter(|&&v| v != 0.0).count(), 1);
     }
 }

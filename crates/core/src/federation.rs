@@ -697,8 +697,12 @@ impl Federation {
                     let (rt, decoded) = (&fed.comp_rt, &mut fed.comp_decoded);
                     let params: Option<&[f32]> = match &arrived {
                         Arrived::Dense(params) => Some(params),
+                        Arrived::Compressed if decode_upload_into(policy, rt, global, decoded) => {
+                            Some(decoded)
+                        }
                         Arrived::Compressed => {
-                            decode_upload_into(policy, rt, global, decoded).then_some(decoded)
+                            fed.plane.drop_undecodable();
+                            None
                         }
                         Arrived::Lost => None,
                     };
@@ -776,7 +780,11 @@ impl Federation {
                     {
                         table.set_from_slice(k, &fed.comp_decoded)
                     }
-                    _ => continue,
+                    Arrived::Compressed => {
+                        fed.plane.drop_undecodable();
+                        continue;
+                    }
+                    Arrived::Lost => continue,
                 }
                 delivered += 1;
             }
@@ -1300,6 +1308,19 @@ mod transport_tests {
         let mut cfg = config(45, 1);
         cfg.compression = Compression::TopK { ratio: 1.5 };
         Federation::new(&data(45), model(), optimizer(), &cfg, 45);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid compression policy")]
+    fn constructors_reject_a_sketch_with_more_rows_than_the_decoder_takes() {
+        use crate::canonical::{config, data, model, optimizer};
+        let mut cfg = config(46, 1);
+        cfg.compression = Compression::Sketch {
+            rows: 65,
+            cols: 31,
+            seed: 1,
+        };
+        Federation::new(&data(46), model(), optimizer(), &cfg, 46);
     }
 
     #[test]

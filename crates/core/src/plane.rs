@@ -856,6 +856,15 @@ impl ClientPlane {
         }
     }
 
+    /// Counts a claimed compressed frame that did not decode as a loss. In
+    /// process every frame is built by the policy's own codec and decodes.
+    pub(crate) fn drop_undecodable(&mut self) {
+        match self {
+            ClientPlane::Local(_) => unreachable!("an in-process frame decodes"),
+            ClientPlane::Remote(r) => r.transport.drop_undecodable(),
+        }
+    }
+
     /// Claims client `k`'s frame for `what`. With `block` unset, a remote
     /// client whose frame has not completed yet (on a live link) is `None`;
     /// in process there is never anything to wait for.

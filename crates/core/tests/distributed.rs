@@ -904,6 +904,77 @@ fn a_garbled_report_drops_its_client() {
     client.join().expect("client");
 }
 
+/// A compressed upload that frames correctly but does not decode under the
+/// run's policy (here `quantize:8` codes one byte short) is a counted
+/// [`DropReason::Loss`]: the server folds the round without it instead of
+/// panicking in the decoder.
+#[test]
+fn a_malformed_compressed_upload_is_a_counted_loss() {
+    use rfl_core::comm::{read_frame, write_frame, PROTO_MAGIC, PROTO_VERSION};
+    fn fedavg() -> Box<dyn Algorithm> {
+        Box::new(rfl_core::algorithms::FedAvg::new())
+    }
+    let (seed, victim) = (canonical::SEED, 2usize);
+    let policy = Compression::Quantize { bits: 8 };
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let (server, actual) = server_run_with(&endpoint, seed, 1, PATIENCE, policy, fedavg);
+    let threads: Vec<_> = (0..canonical::NUM_CLIENTS)
+        .map(|k| {
+            let ep = actual.clone();
+            std::thread::spawn(move || {
+                if k != victim {
+                    return client_thread(ep, k, seed, ClientLoopOpts::default());
+                }
+                let Endpoint::Tcp(addr) = ep else {
+                    unreachable!("bound over TCP")
+                };
+                let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+                let mut body = Vec::new();
+                let hello = ControlMsg::Hello {
+                    magic: PROTO_MAGIC,
+                    version: PROTO_VERSION,
+                    client_id: k as u32,
+                    seed,
+                };
+                hello.encode_body(&mut body);
+                write_frame(&mut raw, hello.tag(), &body).expect("hello");
+                let start = ControlMsg::TrainStart { round: 0, steps: 0 }.tag();
+                loop {
+                    let (tag, _) = read_frame(&mut raw).expect("server frame");
+                    if tag == ControlMsg::Shutdown.tag() {
+                        return ClientOutcome::Shutdown;
+                    }
+                    if tag != start {
+                        continue;
+                    }
+                    let report = ControlMsg::Report {
+                        loss: 0.5,
+                        reg_loss: 0.0,
+                        steps: 1,
+                        examples: 8,
+                    };
+                    report.encode_body(&mut body);
+                    write_frame(&mut raw, report.tag(), &body).expect("report");
+                    let short = CompressedVec {
+                        words_u32: Vec::new(),
+                        words_f32: vec![-1.0, 1.0, 255.0],
+                        bytes: vec![0; 3],
+                    };
+                    short.encode_into(&mut body);
+                    write_frame(&mut raw, MsgKind::CompressedUp.tag(), &body).expect("upload");
+                }
+            })
+        })
+        .collect();
+    let (history, global, faults, _) = server.join().expect("the server survived the upload");
+    for t in threads {
+        assert!(matches!(t.join().expect("client"), ClientOutcome::Shutdown));
+    }
+    assert_eq!(history.records().len(), 1);
+    assert_eq!(faults.dropped, 1, "the malformed upload is the one loss");
+    assert!(global.iter().all(|v| v.is_finite()));
+}
+
 /// An algorithm whose hooks need more than the wire carries is refused
 /// with a typed error naming the missing capability — before round 0, and
 /// before a single frame is sent — instead of training plain FedAvg

@@ -247,12 +247,17 @@ fn lossless_faulty_is_bit_and_byte_identical_to_perfect() {
     );
 }
 
-/// The buffer-reusing encoder both transports now use must put the exact
-/// same bytes on the wire as the one-shot encoder, for every payload —
-/// otherwise the comm ledger (and Table III) would silently change meaning.
+/// The encoder's buffer both transports reuse must get the exact same bytes
+/// as a one-shot encode into a fresh buffer, for every payload — otherwise
+/// the comm ledger (and Table III) would silently change meaning.
 #[test]
 fn reused_wire_buffers_are_byte_identical_to_one_shot_encoding() {
-    use rfl_tensor::{decode_f32_slice, encode_f32_into, encode_f32_slice, wire_size};
+    use rfl_tensor::{decode_f32_into, encode_f32_into, wire_size};
+    let one_shot = |p: &[f32]| {
+        let mut fresh = Vec::new();
+        encode_f32_into(&mut fresh, p);
+        fresh
+    };
     let payloads: Vec<Vec<f32>> = vec![
         vec![],
         vec![0.0],
@@ -263,7 +268,7 @@ fn reused_wire_buffers_are_byte_identical_to_one_shot_encoding() {
     let mut buf = Vec::new();
     for p in &payloads {
         encode_f32_into(&mut buf, p);
-        assert_eq!(&buf[..], &encode_f32_slice(p)[..], "wire bytes diverged");
+        assert_eq!(buf, one_shot(p), "wire bytes diverged");
     }
     // And the perfect transport built on it delivers the one-shot codec's
     // bits and charges `wire_size(n)` per message (no state leaking between
@@ -272,7 +277,8 @@ fn reused_wire_buffers_are_byte_identical_to_one_shot_encoding() {
     let mut prev = 0u64;
     for p in &payloads {
         let got = reused.send(MsgKind::ModelUp, 0, p).data.expect("delivered");
-        let want = decode_f32_slice(encode_f32_slice(p)).expect("codec round trip");
+        let mut want = Vec::new();
+        decode_f32_into(&one_shot(p), &mut want).expect("codec round trip");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         assert_eq!(bits(&got), bits(&want));
         let cost = reused.stats().upload_bytes() - prev;

@@ -132,8 +132,13 @@ mod tests {
             (Examples::Dense(ta), Examples::Dense(tb)) => (ta, tb),
             _ => unreachable!(),
         };
-        let diff = tb.sub(ta);
-        assert!((diff.mean() - 10.0).abs() < 1e-4);
+        let diff: Vec<f32> = tb
+            .data()
+            .iter()
+            .zip(ta.data())
+            .map(|(b, a)| b - a)
+            .collect();
+        assert!((rfl_tensor::sum_slices(&diff) / diff.len() as f32 - 10.0).abs() < 1e-4);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::layer::Layer;
 use rand::Rng;
-use rfl_tensor::{Initializer, Tensor};
+use rfl_tensor::{sum_slices, Initializer, Tensor};
 
 /// Checks a layer's analytic gradients against central finite differences
 /// using the scalar loss `L = Σ output`.
@@ -19,7 +19,7 @@ pub(crate) fn check_layer_gradients<L: Layer, R: Rng>(
     let eps = 1e-2f32;
     let tol = 5e-2f32;
 
-    let loss = |layer: &mut L, x: &Tensor| -> f32 { layer.forward(x, true).sum() };
+    let loss = |layer: &mut L, x: &Tensor| -> f32 { sum_slices(layer.forward(x, true).data()) };
 
     layer.zero_grads();
     let y = layer.forward(&x, true);
@@ -100,7 +100,9 @@ mod tests {
         }
         fn backward_into(&mut self, dout: &Tensor, dinput: &mut Tensor) {
             // Wrong: scales the gradient by 2.
-            self.0.backward_into(&dout.scale(2.0), dinput);
+            let mut doubled = dout.clone();
+            doubled.scale_in_place(2.0);
+            self.0.backward_into(&doubled, dinput);
         }
         fn for_each_param(&self, f: &mut dyn FnMut(&Param)) {
             self.0.for_each_param(f);

@@ -32,8 +32,15 @@ struct Oracle {
 }
 
 fn slab(t: &Tensor, step: usize, rows: usize, cols: usize) -> Tensor {
-    Tensor::from_slice(&t.data()[step * rows * cols..(step + 1) * rows * cols])
-        .reshape(&[rows, cols])
+    let at = step * rows * cols;
+    Tensor::from_vec(t.data()[at..at + rows * cols].to_vec(), &[rows, cols])
+}
+
+/// `f`'s output written into a fresh buffer: `fresh(|c| a.matmul_into(b, c))`.
+fn fresh(f: impl FnOnce(&mut Tensor)) -> Tensor {
+    let mut c = Tensor::scratch();
+    f(&mut c);
+    c
 }
 
 /// The unfused layer: forward over `input [T, N, D]`, then BPTT of `dout`.
@@ -47,8 +54,8 @@ fn oracle(wx: &Tensor, wh: &Tensor, b: &Tensor, input: &Tensor, dout: &Tensor) -
     let mut cache: Vec<(Tensor, Tensor, Tensor, Tensor)> = Vec::new();
     for t in 0..t_len {
         let x_t = slab(input, t, n, d);
-        let mut gates = x_t.matmul(wx);
-        gates.add_assign(&h.matmul(wh));
+        let mut gates = fresh(|c| x_t.matmul_into(wx, c));
+        gates.add_assign(&fresh(|c| h.matmul_into(wh, c)));
         gates.add_row_bias_assign(b);
         for row in gates.data_mut().chunks_exact_mut(4 * hd) {
             let (ifg, o) = row.split_at_mut(3 * hd);
@@ -114,12 +121,13 @@ fn oracle(wx: &Tensor, wh: &Tensor, b: &Tensor, input: &Tensor, dout: &Tensor) -
                 dzd[zr + 3 * hd + j] = d_o * o_g * (1.0 - o_g);
             }
         }
-        dwx.add_assign(&slab(input, t, n, d).matmul_transa(&dz));
-        dwh.add_assign(&h_prev.matmul_transa(&dz));
+        dwx.add_assign(&fresh(|c| slab(input, t, n, d).matmul_transa_into(&dz, c)));
+        dwh.add_assign(&fresh(|c| h_prev.matmul_transa_into(&dz, c)));
         dz.sum_axis0_into(&mut step_db);
         db.add_assign(&step_db);
-        dinput.data_mut()[t * n * d..(t + 1) * n * d].copy_from_slice(dz.matmul_transb(wx).data());
-        dh_next = dz.matmul_transb(wh);
+        let dx = fresh(|c| dz.matmul_transb_into(wx, c));
+        dinput.data_mut()[t * n * d..(t + 1) * n * d].copy_from_slice(dx.data());
+        dh_next = fresh(|c| dz.matmul_transb_into(wh, c));
         dc_next = dc_prev;
     }
     Oracle {

@@ -18,7 +18,9 @@ proptest! {
         let mut l = Linear::new(6, 3, &mut rng);
         let xt = Tensor::from_vec(x, &[1, 6]);
         let y1 = l.forward(&xt, true);
-        let y2 = l.forward(&xt.scale(a), true);
+        let mut xa = xt.clone();
+        xa.scale_in_place(a);
+        let y2 = l.forward(&xa, true);
         let b = l.bias.value.clone();
         for j in 0..3 {
             let expected = a * y1.at(&[0, j]) - (a - 1.0) * b.data()[j];

@@ -1,14 +1,12 @@
 //! Binary encoding of `f32` buffers.
 //!
 //! All federated messages (model parameters, δ maps, control variates) are
-//! serialized through these two functions so the byte counts reported in the
+//! serialized through these functions so the byte counts reported in the
 //! communication statistics (and Table III) reflect the actual wire format:
 //! a little-endian `u32` length prefix followed by raw little-endian `f32`s —
 //! 4 bytes per scalar, matching the paper's accounting.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-/// Errors from [`decode_f32_slice`].
+/// Errors from [`decode_f32_into`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// Fewer bytes than the header demands.
@@ -30,20 +28,9 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encodes a slice of `f32`s: `u32` little-endian count + raw values.
-pub fn encode_f32_slice(values: &[f32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + values.len() * 4);
-    buf.put_u32_le(values.len() as u32);
-    for &v in values {
-        buf.put_f32_le(v);
-    }
-    buf.freeze()
-}
-
-/// Encodes into a caller-provided byte buffer (cleared first; its allocation
-/// is reused across calls). The bytes produced are identical to
-/// [`encode_f32_slice`] — same header, same little-endian payload — so the
-/// comm ledger cannot tell which path produced a message.
+/// Encodes a slice of `f32`s — a `u32` little-endian count, then the raw
+/// little-endian values — into a caller-provided byte buffer (cleared first;
+/// its allocation is reused across calls).
 pub fn encode_f32_into(buf: &mut Vec<u8>, values: &[f32]) {
     buf.clear();
     buf.reserve(wire_size(values.len()));
@@ -53,9 +40,8 @@ pub fn encode_f32_into(buf: &mut Vec<u8>, values: &[f32]) {
     }
 }
 
-/// Decodes a wire buffer into a caller-provided vector (cleared first; its
-/// allocation is reused across calls). Accepts the same format as
-/// [`decode_f32_slice`] and returns the same values.
+/// Decodes a buffer produced by [`encode_f32_into`] into a caller-provided
+/// vector (cleared first; its allocation is reused across calls).
 pub fn decode_f32_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<(), CodecError> {
     if bytes.len() < 4 {
         return Err(CodecError::MissingHeader);
@@ -79,25 +65,6 @@ pub fn decode_f32_into(bytes: &[u8], out: &mut Vec<f32>) -> Result<(), CodecErro
     Ok(())
 }
 
-/// Decodes a buffer produced by [`encode_f32_slice`].
-pub fn decode_f32_slice(mut bytes: Bytes) -> Result<Vec<f32>, CodecError> {
-    if bytes.remaining() < 4 {
-        return Err(CodecError::MissingHeader);
-    }
-    let n = bytes.get_u32_le() as usize;
-    if bytes.remaining() < n * 4 {
-        return Err(CodecError::Truncated {
-            expected: n * 4,
-            got: bytes.remaining(),
-        });
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(bytes.get_f32_le());
-    }
-    Ok(out)
-}
-
 /// Wire size in bytes of a message carrying `n` scalars.
 #[inline]
 pub fn wire_size(n: usize) -> usize {
@@ -108,27 +75,37 @@ pub fn wire_size(n: usize) -> usize {
 mod tests {
     use super::*;
 
+    fn encode(values: &[f32]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_f32_into(&mut buf, values);
+        buf
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Vec<f32>, CodecError> {
+        let mut out = Vec::new();
+        decode_f32_into(bytes, &mut out).map(|()| out)
+    }
+
     #[test]
     fn round_trips() {
         let v = vec![1.0f32, -2.5, f32::MIN_POSITIVE, 1e30];
-        let enc = encode_f32_slice(&v);
+        let enc = encode(&v);
         assert_eq!(enc.len(), wire_size(v.len()));
-        assert_eq!(decode_f32_slice(enc).unwrap(), v);
+        assert_eq!(decode(&enc).unwrap(), v);
     }
 
     #[test]
     fn empty_round_trips() {
-        let enc = encode_f32_slice(&[]);
+        let enc = encode(&[]);
         assert_eq!(enc.len(), 4);
-        assert_eq!(decode_f32_slice(enc).unwrap(), Vec::<f32>::new());
+        assert_eq!(decode(&enc).unwrap(), Vec::<f32>::new());
     }
 
     #[test]
     fn detects_truncation() {
-        let enc = encode_f32_slice(&[1.0, 2.0]);
-        let cut = enc.slice(0..enc.len() - 3);
+        let enc = encode(&[1.0, 2.0]);
         assert_eq!(
-            decode_f32_slice(cut),
+            decode(&enc[..enc.len() - 3]),
             Err(CodecError::Truncated {
                 expected: 8,
                 got: 5
@@ -138,29 +115,19 @@ mod tests {
 
     #[test]
     fn detects_missing_header() {
-        assert_eq!(
-            decode_f32_slice(Bytes::from_static(&[1, 2])),
-            Err(CodecError::MissingHeader)
-        );
+        assert_eq!(decode(&[1, 2]), Err(CodecError::MissingHeader));
     }
 
     #[test]
     fn nan_survives_round_trip() {
-        let enc = encode_f32_slice(&[f32::NAN]);
-        assert!(decode_f32_slice(enc).unwrap()[0].is_nan());
+        assert!(decode(&encode(&[f32::NAN])).unwrap()[0].is_nan());
     }
 
     #[test]
     fn encode_into_is_byte_identical_and_reuses_buffer() {
-        let mut buf = Vec::new();
-        for vals in [
-            vec![1.0f32, -2.5, f32::MIN_POSITIVE, 1e30, f32::NEG_INFINITY],
-            vec![0.25f32; 3],
-            vec![],
-        ] {
-            encode_f32_into(&mut buf, &vals);
-            assert_eq!(&buf[..], &encode_f32_slice(&vals)[..]);
-        }
+        let mut buf = vec![0xAA; 3];
+        encode_f32_into(&mut buf, &[1.0, -2.0]);
+        assert_eq!(buf, [2, 0, 0, 0, 0, 0, 0x80, 0x3F, 0, 0, 0, 0xC0]);
         // Warm reuse: a second encode of the same payload must not grow.
         encode_f32_into(&mut buf, &[9.0; 8]);
         let cap = buf.capacity();
@@ -169,22 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_into_matches_decode_and_reports_errors() {
+    fn decode_into_overwrites_a_dirty_vector() {
         let vals = vec![1.5f32, -0.25, 4096.0];
-        let enc = encode_f32_slice(&vals);
         let mut out = vec![99.0f32; 1];
-        decode_f32_into(&enc, &mut out).unwrap();
+        decode_f32_into(&encode(&vals), &mut out).unwrap();
         assert_eq!(out, vals);
-        assert_eq!(
-            decode_f32_into(&enc[..enc.len() - 3], &mut out),
-            Err(CodecError::Truncated {
-                expected: 12,
-                got: 9
-            })
-        );
-        assert_eq!(
-            decode_f32_into(&[1, 2], &mut out),
-            Err(CodecError::MissingHeader)
-        );
     }
 }

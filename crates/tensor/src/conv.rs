@@ -100,7 +100,7 @@ impl ConvSpec {
     }
 }
 
-/// Gradients produced by [`conv2d_backward`].
+/// Gradients produced by [`conv2d_backward_into`].
 pub struct Conv2dGrads {
     pub dinput: Tensor,
     pub dweight: Tensor,
@@ -426,17 +426,11 @@ fn copy_strided(src: &[f32], stride: usize, dst: &mut [f32]) {
     }
 }
 
-/// Forward convolution: `input [N,C,H,W]`, `weight [O,C,kh,kw]`, `bias [O]`.
+/// Forward convolution: `input [N,C,H,W]`, `weight [O,C,kh,kw]`, `bias [O]`,
+/// into a caller-provided buffer (every output cell overwritten).
 ///
 /// Parallel over the batch dimension: each worker-pool task owns one image's
 /// output slab, so results are bit-identical at any thread count.
-pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: ConvSpec) -> Tensor {
-    let mut out = Tensor::scratch();
-    conv2d_into(input, weight, bias, spec, &mut out);
-    out
-}
-
-/// [`conv2d`] into a caller-provided buffer (every output cell overwritten).
 pub fn conv2d_into(
     input: &Tensor,
     weight: &Tensor,
@@ -620,7 +614,7 @@ fn row_sum(xr: &[f32], cols: &[usize], wrow: &[f32]) -> [f32; LANES] {
     s
 }
 
-/// Backward convolution: given `dout = dL/dy`, produce gradients w.r.t.
+/// Backward convolution: given `dout = dL/dy`, the gradients w.r.t.
 /// input, weight, and bias.
 ///
 /// Parallel over the batch dimension. `dinput` is naturally disjoint per
@@ -630,23 +624,11 @@ fn row_sum(xr: &[f32], cols: &[usize], wrow: &[f32]) -> [f32; LANES] {
 /// count. (`dy == 0` terms are skipped: max-pooling backward scatters
 /// mostly-zero gradients into this kernel, and `g·w` / `g·x` contribute
 /// exact zeros only for finite operands.)
-pub fn conv2d_backward(
-    input: &Tensor,
-    weight: &Tensor,
-    dout: &Tensor,
-    spec: ConvSpec,
-) -> Conv2dGrads {
-    let mut grads = Conv2dGrads::scratch();
-    let mut scratch = Vec::new();
-    conv2d_backward_into(input, weight, dout, spec, &mut grads, &mut scratch);
-    grads
-}
-
-/// [`conv2d_backward`] into caller-provided gradient buffers. `scratch`
-/// holds the per-image weight-gradient partials (and the channel-minor
-/// weights); it is resized and zeroed before use, so reusing
-/// it across calls is bit-identical to allocating fresh — and
-/// allocation-free once warm.
+///
+/// The gradients land in caller-provided buffers. `scratch` holds the
+/// per-image weight-gradient partials (and the channel-minor weights); it is
+/// resized and zeroed before use, so reusing it across calls is
+/// bit-identical to a fresh one, and allocation-free once warm.
 pub fn conv2d_backward_into(
     input: &Tensor,
     weight: &Tensor,
@@ -1496,6 +1478,13 @@ mod tests {
         Tensor::from_vec((0..n).map(|v| (v as f32) * 0.01 - 0.3).collect(), dims)
     }
 
+    /// The forward into a fresh buffer.
+    fn conv2d(x: &Tensor, w: &Tensor, b: &Tensor, spec: ConvSpec) -> Tensor {
+        let mut y = Tensor::scratch();
+        conv2d_into(x, w, b, spec, &mut y);
+        y
+    }
+
     #[test]
     fn output_shape_matches_spec() {
         let spec = ConvSpec {
@@ -1590,7 +1579,8 @@ mod tests {
         // Loss = sum(conv(x)) so dL/dy = 1 everywhere.
         let y = conv2d(&x, &w, &b, spec);
         let dout = Tensor::ones(y.dims());
-        let grads = conv2d_backward(&x, &w, &dout, spec);
+        let mut grads = Conv2dGrads::scratch();
+        conv2d_backward_into(&x, &w, &dout, spec, &mut grads, &mut Vec::new());
 
         let eps = 1e-2;
         let loss = |x: &Tensor, w: &Tensor, b: &Tensor| -> f32 {

@@ -8,16 +8,22 @@
 //! the paper's models (CNNs and LSTMs) with manual backpropagation:
 //! element-wise arithmetic, matrix products (including the transposed
 //! variants required by backward passes), 2-D convolution and max-pooling
-//! (forward and backward), row-wise softmax / log-softmax, reductions, and
+//! (forward and backward), row-wise log-softmax, column reductions, and
 //! random initialization.
+//!
+//! A kernel writes into a buffer its caller owns; there is no allocating
+//! form. Start an output as [`Tensor::scratch`] (or take one from a
+//! [`Workspace`]): the kernel resizes it and overwrites every element, so a
+//! reused buffer gives the bytes of a fresh one.
 //!
 //! ## Quick example
 //!
 //! ```
 //! use rfl_tensor::Tensor;
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-//! let b = Tensor::eye(2);
-//! let c = a.matmul(&b);
+//! let b = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
+//! let mut c = Tensor::scratch();
+//! a.matmul_into(&b, &mut c);
 //! assert_eq!(c.data(), a.data());
 //! ```
 
@@ -35,16 +41,13 @@ mod tensor;
 mod threads;
 mod workspace;
 
-pub use codec::{
-    decode_f32_into, decode_f32_slice, encode_f32_into, encode_f32_slice, wire_size, CodecError,
-};
+pub use codec::{decode_f32_into, encode_f32_into, wire_size, CodecError};
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_backward_into, conv2d_backward_params_into, conv2d_into,
-    Conv2dGrads, ConvSpec,
+    conv2d_backward_into, conv2d_backward_params_into, conv2d_into, Conv2dGrads, ConvSpec,
 };
 pub use fastmath::{normal_fill, normal_from_units};
 pub use init::{normal_sample, Initializer};
-pub use pool::{maxpool2d, maxpool2d_backward, maxpool2d_backward_into, maxpool2d_into, PoolSpec};
+pub use pool::{maxpool2d_backward_into, maxpool2d_into, PoolSpec};
 pub use shape::Shape;
 pub use simd::{
     add_assign_slices, axpy_slices, dot_slices, dot_tile_slices, exp_slices,

@@ -1,18 +1,18 @@
 //! Matrix products, including the transposed variants needed for backprop.
 //!
-//! All four products run on the shared worker pool (see [`crate::threads`]):
+//! All three products run on the shared worker pool (see [`crate::threads`]):
 //! the task grid depends only on the operand shapes and every task owns a
 //! disjoint block of output rows, so results are bit-identical at any thread
 //! count. Per output element the reduction over the shared dimension follows
 //! one fixed order on both dispatch paths — ascending `k`, a separate
 //! multiply and add per term, starting from `+0.0`, for `matmul` /
 //! `matmul_transa`; the 8-lane strided order of [`crate::simd::dot_slices`]
-//! for `matmul_transb` / `matvec`.
+//! for `matmul_transb`. Each writes into a buffer the caller owns.
 //!
-//! The three matrix-matrix products are register tiles: a small block of C
-//! stays in registers for the whole `k` range, so each loaded A and B value
-//! meets several outputs and C is read and written once. The tile shape
-//! depends on the SIMD tier (`simd.rs`):
+//! The three products are register tiles: a small block of C stays in
+//! registers for the whole `k` range, so each loaded A and B value meets
+//! several outputs and C is read and written once. The tile shape depends
+//! on the SIMD tier (`simd.rs`):
 //!
 //! | tier | `matmul` / `matmul_transa` | `matmul_transb` |
 //! |---|---|---|
@@ -55,7 +55,7 @@ const NR: usize = 2 * LANES;
 #[cfg(target_arch = "x86_64")]
 const NR16: usize = 32;
 
-/// Row-block height for the non-packed kernels (`transa`/`transb`/`matvec`).
+/// Row-block height for the non-packed kernels (`transa`/`transb`).
 /// Collapsing to a single block below [`SMALL_GEMM`] makes `parallel_for`
 /// run the identical code inline.
 fn row_block(m: usize, work: usize) -> usize {
@@ -67,16 +67,9 @@ fn row_block(m: usize, work: usize) -> usize {
 }
 
 impl Tensor {
-    /// `self (m×k) × other (k×n) → (m×n)`.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`matmul`](Tensor::matmul) writing into a caller-provided buffer
+    /// `self (m×k) × other (k×n) → (m×n)` into a caller-provided buffer
     /// (resized as needed; every element overwritten, so stale contents
-    /// never leak and the result is bit-identical to the allocating version).
+    /// never leak).
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = mat_dims(self);
         let (k2, n) = mat_dims(other);
@@ -85,16 +78,9 @@ impl Tensor {
         gemm(self.data(), other.data(), out.data_mut(), m, k, n);
     }
 
-    /// `self (m×k) × otherᵀ (n×k) → (m×n)`; avoids materializing a transpose.
-    pub fn matmul_transb(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.matmul_transb_into(other, &mut out);
-        out
-    }
-
-    /// [`matmul_transb`](Tensor::matmul_transb) writing into a caller-provided
-    /// buffer. Every output element is overwritten, so stale contents never
-    /// leak and the arithmetic is identical to the allocating version.
+    /// `self (m×k) × otherᵀ (n×k) → (m×n)` into a caller-provided buffer,
+    /// without materializing a transpose. Every output element is
+    /// overwritten.
     pub fn matmul_transb_into(&self, other: &Tensor, out: &mut Tensor) {
         let (m, k) = mat_dims(self);
         let (n, k2) = mat_dims(other);
@@ -112,15 +98,8 @@ impl Tensor {
     }
 
     /// `selfᵀ (k×m viewed as m-major) × other (k×n) → (m×n)` where
-    /// `self` is stored as (k×m). Used for weight gradients `Xᵀ·dY`.
-    pub fn matmul_transa(&self, other: &Tensor) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.matmul_transa_into(other, &mut out);
-        out
-    }
-
-    /// [`matmul_transa`](Tensor::matmul_transa) writing into a
-    /// caller-provided buffer (every element overwritten).
+    /// `self` is stored as (k×m), into a caller-provided buffer (every
+    /// element overwritten). Used for weight gradients `Xᵀ·dY`.
     pub fn matmul_transa_into(&self, other: &Tensor, out: &mut Tensor) {
         let (k, m) = mat_dims(self);
         let (k2, n) = mat_dims(other);
@@ -142,30 +121,6 @@ impl Tensor {
                 ld: n,
             };
             tiles_tn(at, Block { data: b, ld: n }, c, (rows, k, n), false);
-        });
-    }
-
-    /// Matrix-vector product: `self (m×n) × v (n) → (m)`.
-    pub fn matvec(&self, v: &Tensor) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.matvec_into(v, &mut out);
-        out
-    }
-
-    /// [`matvec`](Tensor::matvec) writing into a caller-provided buffer
-    /// (every element overwritten).
-    pub fn matvec_into(&self, v: &Tensor, out: &mut Tensor) {
-        let (m, n) = mat_dims(self);
-        assert_eq!(v.numel(), n, "matvec length mismatch");
-        out.resize(&[m]);
-        let a = self.data();
-        let x = v.data();
-        let rb = row_block(m, m * n);
-        crate::threads::parallel_for_chunks(out.data_mut(), rb, |blk, ochunk| {
-            let i0 = blk * rb;
-            for (i, ov) in ochunk.iter_mut().enumerate() {
-                *ov = crate::simd::dot_slices(&a[(i0 + i) * n..(i0 + i + 1) * n], x);
-            }
         });
     }
 }
@@ -729,6 +684,13 @@ mod tests {
         Tensor::from_vec((0..n).map(|v| (v as f32) * 0.1 - 1.0).collect(), dims)
     }
 
+    /// `f`'s output written into a fresh buffer.
+    fn fresh(f: impl FnOnce(&mut Tensor)) -> Tensor {
+        let mut out = Tensor::scratch();
+        f(&mut out);
+        out
+    }
+
     fn assert_close(a: &Tensor, b: &Tensor) {
         assert_eq!(a.dims(), b.dims());
         for (x, y) in a.data().iter().zip(b.data()) {
@@ -740,7 +702,7 @@ mod tests {
     fn matmul_matches_naive() {
         let a = seq(&[3, 5]);
         let b = seq(&[5, 4]);
-        assert_close(&a.matmul(&b), &naive_matmul(&a, &b));
+        assert_close(&fresh(|c| a.matmul_into(&b, c)), &naive_matmul(&a, &b));
     }
 
     #[test]
@@ -758,7 +720,7 @@ mod tests {
         };
         let a = mk(&[67, 261]);
         let b = mk(&[261, 259]);
-        let fast = a.matmul(&b);
+        let fast = fresh(|c| a.matmul_into(&b, c));
         let reference = naive_matmul(&a, &b);
         assert_eq!(fast.dims(), reference.dims());
         for (x, y) in fast.data().iter().zip(reference.data()) {
@@ -770,31 +732,32 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = seq(&[4, 4]);
-        assert_close(&a.matmul(&Tensor::eye(4)), &a);
-        assert_close(&Tensor::eye(4).matmul(&a), &a);
+        let mut eye = Tensor::zeros(&[4, 4]);
+        (0..4).for_each(|i| *eye.at_mut(&[i, i]) = 1.0);
+        assert_close(&fresh(|c| a.matmul_into(&eye, c)), &a);
+        assert_close(&fresh(|c| eye.matmul_into(&a, c)), &a);
     }
 
     #[test]
     fn transb_equals_explicit_transpose() {
         let a = seq(&[3, 5]);
         let b = seq(&[4, 5]);
-        assert_close(&a.matmul_transb(&b), &a.matmul(&b.transpose()));
+        let bt = b.transpose();
+        assert_close(
+            &fresh(|c| a.matmul_transb_into(&b, c)),
+            &fresh(|c| a.matmul_into(&bt, c)),
+        );
     }
 
     #[test]
     fn transa_equals_explicit_transpose() {
         let a = seq(&[5, 3]);
         let b = seq(&[5, 4]);
-        assert_close(&a.matmul_transa(&b), &a.transpose().matmul(&b));
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = seq(&[3, 5]);
-        let v = seq(&[5]);
-        let mv = a.matvec(&v);
-        let mm = a.matmul(&v.reshape(&[5, 1]));
-        assert_close(&mv.reshape(&[3, 1]), &mm);
+        let at = a.transpose();
+        assert_close(
+            &fresh(|c| a.matmul_transa_into(&b, c)),
+            &fresh(|c| at.matmul_into(&b, c)),
+        );
     }
 
     #[test]
@@ -804,12 +767,10 @@ mod tests {
         let a = Tensor::zeros(&[2, 2]);
         let mut b = seq(&[2, 2]);
         b.data_mut()[1] = f32::NAN;
-        assert!(a.matmul(&b).data().iter().any(|v| v.is_nan()));
-        assert!(a.matmul_transa(&b).data().iter().any(|v| v.is_nan()));
-        assert!(a.matmul_transb(&b).data().iter().any(|v| v.is_nan()));
-        let mut v = seq(&[2]);
-        v.data_mut()[0] = f32::NAN;
-        assert!(a.matvec(&v).data().iter().all(|v| v.is_nan()));
+        let nan = |t: Tensor| t.data().iter().any(|v| v.is_nan());
+        assert!(nan(fresh(|c| a.matmul_into(&b, c))));
+        assert!(nan(fresh(|c| a.matmul_transa_into(&b, c))));
+        assert!(nan(fresh(|c| a.matmul_transb_into(&b, c))));
     }
 
     #[test]
@@ -818,11 +779,12 @@ mod tests {
         let b = seq(&[130, 66]);
         let before = crate::threads::thread_budget();
         crate::threads::set_thread_budget(1);
-        let serial = a.matmul(&b);
-        let serial_tb = a.matmul_transb(&b.transpose());
+        let bt = b.transpose();
+        let serial = fresh(|c| a.matmul_into(&b, c));
+        let serial_tb = fresh(|c| a.matmul_transb_into(&bt, c));
         crate::threads::set_thread_budget(4);
-        let parallel = a.matmul(&b);
-        let parallel_tb = a.matmul_transb(&b.transpose());
+        let parallel = fresh(|c| a.matmul_into(&b, c));
+        let parallel_tb = fresh(|c| a.matmul_transb_into(&bt, c));
         crate::threads::set_thread_budget(before);
         assert_eq!(serial.data(), parallel.data(), "gemm depends on budget");
         assert_eq!(
@@ -835,6 +797,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "inner dims")]
     fn matmul_checks_inner_dims() {
-        seq(&[2, 3]).matmul(&seq(&[4, 2]));
+        seq(&[2, 3]).matmul_into(&seq(&[4, 2]), &mut Tensor::scratch());
     }
 }

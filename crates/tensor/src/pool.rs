@@ -37,17 +37,9 @@ impl PoolSpec {
     }
 }
 
-/// Max-pools an NCHW tensor. Returns the pooled tensor and the flat indices
-/// (into the input buffer) of each selected maximum, used by the backward pass.
-pub fn maxpool2d(input: &Tensor, spec: PoolSpec) -> (Tensor, Vec<u32>) {
-    let mut out = Tensor::scratch();
-    let mut argmax = Vec::new();
-    maxpool2d_into(input, spec, &mut out, &mut argmax);
-    (out, argmax)
-}
-
-/// [`maxpool2d`] into caller-provided buffers (every cell of both
-/// overwritten).
+/// Max-pools an NCHW tensor into `out`, and the flat indices (into the
+/// input buffer) of each selected maximum into `argmax`, for the backward
+/// pass. Both are caller-provided; every cell of both is overwritten.
 pub fn maxpool2d_into(input: &Tensor, spec: PoolSpec, out: &mut Tensor, argmax: &mut Vec<u32>) {
     assert_eq!(input.ndim(), 4, "maxpool2d expects NCHW");
     let d = input.dims();
@@ -236,15 +228,8 @@ macro_rules! pool_bodies {
 
 stamp_tiers!(mod { pool_bodies });
 
-/// Scatters `dout` back through the argmax indices recorded by [`maxpool2d`].
-pub fn maxpool2d_backward(input_dims: &[usize], dout: &Tensor, argmax: &[u32]) -> Tensor {
-    let mut dinput = Tensor::scratch();
-    maxpool2d_backward_into(input_dims, dout, argmax, &mut dinput);
-    dinput
-}
-
-/// [`maxpool2d_backward`] into a caller-provided buffer (zeroed first, then
-/// scattered into in the identical order).
+/// Scatters `dout` back through the argmax indices recorded by
+/// [`maxpool2d_into`], into a caller-provided buffer (zeroed first).
 pub fn maxpool2d_backward_into(
     input_dims: &[usize],
     dout: &Tensor,
@@ -265,6 +250,20 @@ mod tests {
     use super::*;
     #[cfg(target_arch = "x86_64")]
     use crate::simd::Tier;
+
+    /// The forward into fresh buffers.
+    fn maxpool2d(x: &Tensor, spec: PoolSpec) -> (Tensor, Vec<u32>) {
+        let (mut y, mut arg) = (Tensor::scratch(), Vec::new());
+        maxpool2d_into(x, spec, &mut y, &mut arg);
+        (y, arg)
+    }
+
+    /// The backward into a fresh buffer.
+    fn maxpool2d_backward(dims: &[usize], dout: &Tensor, arg: &[u32]) -> Tensor {
+        let mut dx = Tensor::scratch();
+        maxpool2d_backward_into(dims, dout, arg, &mut dx);
+        dx
+    }
 
     #[test]
     fn pools_known_values() {
@@ -301,7 +300,7 @@ mod tests {
             stride: 1,
         };
         let (y, arg) = maxpool2d(
-            &x.reshape(&[1, 1, 1, 3]),
+            &x,
             PoolSpec {
                 window: 1,
                 stride: 1,

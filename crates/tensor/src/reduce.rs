@@ -1,6 +1,6 @@
-//! Reductions, row-wise softmax, and argmax helpers.
+//! Column reductions, row-wise log-softmax, and argmax helpers.
 //!
-//! Sums and the softmax `exp`/normalize passes run on the [`crate::simd`]
+//! Sums and the log-softmax `exp`/normalize passes run on the [`crate::simd`]
 //! kernels, so their accumulation order is the canonical 8-lane stride on
 //! both dispatch paths.
 
@@ -8,38 +8,9 @@ use crate::simd;
 use crate::tensor::Tensor;
 
 impl Tensor {
-    /// Sum of all elements (canonical 8-lane strided order).
-    pub fn sum(&self) -> f32 {
-        simd::sum_slices(self.data())
-    }
-
-    /// Mean of all elements.
-    pub fn mean(&self) -> f32 {
-        self.sum() / self.numel() as f32
-    }
-
-    /// Maximum element.
-    pub fn max(&self) -> f32 {
-        self.data()
-            .iter()
-            .copied()
-            .fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum element.
-    pub fn min(&self) -> f32 {
-        self.data().iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Column sums of a 2-D tensor: `[m, n] → [n]`. Used for bias gradients.
-    pub fn sum_axis0(&self) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.sum_axis0_into(&mut out);
-        out
-    }
-
-    /// [`sum_axis0`](Tensor::sum_axis0) into a caller-provided buffer
-    /// (zeroed first, then accumulated in the identical row order).
+    /// Column sums of a 2-D tensor, `[m, n] → [n]`, into a caller-provided
+    /// buffer (zeroed first, then accumulated row by row). Used for bias
+    /// gradients.
     pub fn sum_axis0_into(&self, out: &mut Tensor) {
         assert_eq!(self.ndim(), 2, "sum_axis0 requires a matrix");
         let n = self.dims()[1];
@@ -51,17 +22,11 @@ impl Tensor {
         }
     }
 
-    /// Column means of a 2-D tensor: `[m, n] → [n]`.
+    /// Column means of a 2-D tensor, `[m, n] → [n]`, into a caller-provided
+    /// buffer.
     ///
     /// This is the local mapping operator `δ = (1/n) Σ φ(x)` of the paper
     /// when applied to a feature matrix.
-    pub fn mean_axis0(&self) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.mean_axis0_into(&mut out);
-        out
-    }
-
-    /// [`mean_axis0`](Tensor::mean_axis0) into a caller-provided buffer.
     pub fn mean_axis0_into(&self, out: &mut Tensor) {
         let m = self.dims()[0] as f32;
         self.sum_axis0_into(out);
@@ -90,35 +55,8 @@ impl Tensor {
         }));
     }
 
-    /// Numerically stable row-wise softmax of a 2-D tensor.
-    pub fn softmax_rows(&self) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.softmax_rows_into(&mut out);
-        out
-    }
-
-    /// [`softmax_rows`](Tensor::softmax_rows) into a caller-provided buffer.
-    pub fn softmax_rows_into(&self, out: &mut Tensor) {
-        assert_eq!(self.ndim(), 2, "softmax_rows requires a matrix");
-        let n = self.dims()[1];
-        out.assign(self);
-        for row in out.data_mut().chunks_exact_mut(n) {
-            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            simd::exp_slices(row, 1.0, -m);
-            let z = simd::sum_slices(row);
-            simd::scale_slices(row, 1.0 / z);
-        }
-    }
-
-    /// Numerically stable row-wise log-softmax of a 2-D tensor.
-    pub fn log_softmax_rows(&self) -> Tensor {
-        let mut out = Tensor::scratch();
-        self.log_softmax_rows_into(&mut out);
-        out
-    }
-
-    /// [`log_softmax_rows`](Tensor::log_softmax_rows) into a caller-provided
-    /// buffer.
+    /// Numerically stable row-wise log-softmax of a 2-D tensor into a
+    /// caller-provided buffer.
     pub fn log_softmax_rows_into(&self, out: &mut Tensor) {
         assert_eq!(self.ndim(), 2, "log_softmax_rows requires a matrix");
         let n = self.dims()[1];
@@ -154,19 +92,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalar_reductions() {
-        let t = Tensor::from_slice(&[1.0, -2.0, 3.0]);
-        assert_eq!(t.sum(), 2.0);
-        assert!((t.mean() - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(t.max(), 3.0);
-        assert_eq!(t.min(), -2.0);
-    }
-
-    #[test]
     fn axis0_reductions() {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
-        assert_eq!(t.sum_axis0().data(), &[9.0, 12.0]);
-        assert_eq!(t.mean_axis0().data(), &[3.0, 4.0]);
+        let mut out = Tensor::scratch();
+        t.sum_axis0_into(&mut out);
+        assert_eq!(out.data(), &[9.0, 12.0]);
+        t.mean_axis0_into(&mut out);
+        assert_eq!(out.data(), &[3.0, 4.0]);
     }
 
     #[test]
@@ -176,34 +108,13 @@ mod tests {
     }
 
     #[test]
-    fn softmax_rows_sum_to_one() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 100.0, 100.0, 100.0], &[2, 3]);
-        let s = t.softmax_rows();
-        for r in 0..2 {
-            let sum: f32 = s.row(r).iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5);
-        }
-        // Uniform logits → uniform probabilities.
-        for &v in s.row(1) {
-            assert!((v - 1.0 / 3.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn softmax_is_stable_for_large_logits() {
-        let t = Tensor::from_vec(vec![1e4, 1e4 - 1.0], &[1, 2]);
-        let s = t.softmax_rows();
-        assert!(s.is_finite());
-        assert!(s.at(&[0, 0]) > s.at(&[0, 1]));
-    }
-
-    #[test]
     fn log_softmax_matches_log_of_softmax() {
-        let t = Tensor::from_vec(vec![0.5, -1.5, 2.0], &[1, 3]);
-        let a = t.log_softmax_rows();
-        let b = t.softmax_rows().map(|v| v.ln());
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-5);
+        let x = [0.5f32, -1.5, 2.0];
+        let mut a = Tensor::scratch();
+        Tensor::from_vec(x.to_vec(), &[1, 3]).log_softmax_rows_into(&mut a);
+        let z: f32 = x.iter().map(|v| v.exp()).sum();
+        for (l, v) in a.data().iter().zip(x) {
+            assert!((l - (v.exp() / z).ln()).abs() < 1e-5);
         }
     }
 }

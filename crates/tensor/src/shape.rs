@@ -61,15 +61,6 @@ impl Shape {
         self.0[i]
     }
 
-    /// Row-major strides (elements, not bytes).
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
-        }
-        strides
-    }
-
     /// Linear (flat) offset of a multi-dimensional index.
     ///
     /// # Panics
@@ -88,12 +79,6 @@ impl Shape {
             stride *= self.0[i];
         }
         off
-    }
-}
-
-impl From<&[usize]> for Shape {
-    fn from(dims: &[usize]) -> Self {
-        Shape::new(dims)
     }
 }
 
@@ -118,12 +103,6 @@ mod tests {
     fn numel_is_product_of_dims() {
         assert_eq!(Shape::new(&[2, 3, 4]).numel(), 24);
         assert_eq!(Shape::new(&[7]).numel(), 7);
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        assert_eq!(Shape::new(&[2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::new(&[5]).strides(), vec![1]);
     }
 
     #[test]

@@ -22,22 +22,8 @@ impl Tensor {
 
     /// A tensor filled with ones.
     pub fn ones(dims: &[usize]) -> Self {
-        Self::full(dims, 1.0)
-    }
-
-    /// A tensor filled with `value`.
-    pub fn full(dims: &[usize], value: f32) -> Self {
-        let shape = Shape::new(dims);
-        let data = vec![value; shape.numel()];
-        Tensor { shape, data }
-    }
-
-    /// The `n`×`n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(&[n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
+        let mut t = Self::zeros(dims);
+        t.fill(1.0);
         t
     }
 
@@ -109,11 +95,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     #[inline]
     pub fn at(&self, idx: &[usize]) -> f32 {
@@ -125,24 +106,6 @@ impl Tensor {
     pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
         let off = self.shape.offset(idx);
         &mut self.data[off]
-    }
-
-    /// Reinterprets the buffer under a new shape with the same element count.
-    ///
-    /// # Panics
-    /// Panics if the element counts differ.
-    pub fn reshape(&self, dims: &[usize]) -> Tensor {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            shape.numel(),
-            self.numel(),
-            "cannot reshape {} into {shape}",
-            self.shape
-        );
-        Tensor {
-            shape,
-            data: self.data.clone(),
-        }
     }
 
     /// In-place reshape (no copy, and no allocation when the shape's
@@ -192,12 +155,6 @@ impl Tensor {
         self.data.iter_mut().for_each(|v| *v = value);
     }
 
-    /// Copies values from `src` (shapes must match).
-    pub fn copy_from(&mut self, src: &Tensor) {
-        assert_eq!(self.shape, src.shape, "copy_from shape mismatch");
-        self.data.copy_from_slice(&src.data);
-    }
-
     /// Reshapes to `dims`, reusing the existing allocation when capacity
     /// allows. Contents are **unspecified** afterwards (the old values are
     /// neither preserved in any particular layout nor cleared) — callers
@@ -229,17 +186,6 @@ mod tests {
     fn constructors_have_expected_contents() {
         assert!(Tensor::zeros(&[2, 2]).data().iter().all(|&v| v == 0.0));
         assert!(Tensor::ones(&[3]).data().iter().all(|&v| v == 1.0));
-        assert_eq!(Tensor::full(&[2], 7.5).data(), &[7.5, 7.5]);
-    }
-
-    #[test]
-    fn eye_is_identity() {
-        let i = Tensor::eye(3);
-        for r in 0..3 {
-            for c in 0..3 {
-                assert_eq!(i.at(&[r, c]), if r == c { 1.0 } else { 0.0 });
-            }
-        }
     }
 
     #[test]
@@ -248,20 +194,6 @@ mod tests {
         *t.at_mut(&[1, 2]) = 5.0;
         assert_eq!(t.at(&[1, 2]), 5.0);
         assert_eq!(t.data()[5], 5.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec((0..6).map(|v| v as f32).collect(), &[2, 3]);
-        let r = t.reshape(&[3, 2]);
-        assert_eq!(r.data(), t.data());
-        assert_eq!(r.dims(), &[3, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot reshape")]
-    fn reshape_rejects_bad_count() {
-        Tensor::zeros(&[2, 3]).reshape(&[4, 2]);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! pool. After the shapes of a computation have been seen once, every
 //! subsequent `take` is allocation-free.
 //!
-//! Reuse never changes results: `_into` kernels are bit-identical to their
-//! allocating counterparts by construction (same arithmetic on a buffer that
-//! is zeroed or fully overwritten first), so a `Workspace` only changes
-//! *where* the bytes live, never what they hold afterwards.
+//! Reuse never changes results: an `_into` kernel zeroes or fully
+//! overwrites its destination first, so a reused buffer ends up with the
+//! bytes of a fresh one, and a `Workspace` only changes *where* the bytes
+//! live, never what they hold afterwards.
 
 use crate::tensor::Tensor;
 
@@ -45,11 +45,6 @@ impl Workspace {
     pub fn give(&mut self, t: Tensor) {
         self.pool.push(t);
     }
-
-    /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
 }
 
 #[cfg(test)]
@@ -63,11 +58,9 @@ mod tests {
         a.fill(7.0);
         let ptr = a.data().as_ptr();
         ws.give(a);
-        assert_eq!(ws.pooled(), 1);
         let b = ws.take(&[2, 8]); // same numel: must reuse the allocation
         assert_eq!(b.data().as_ptr(), ptr);
         assert_eq!(b.dims(), &[2, 8]);
-        assert_eq!(ws.pooled(), 0);
     }
 
     #[test]

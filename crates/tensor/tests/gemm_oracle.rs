@@ -195,17 +195,19 @@ fn zero_times_nan_is_nan_in_every_tile_position() {
         for j in 0..n {
             b[at * n + j] = if j % 2 == 0 { f32::NAN } else { f32::INFINITY };
         }
+        let mut out = Tensor::scratch();
         let at_ = Tensor::from_vec(a.clone(), &[m, k]);
-        let nn = at_.matmul(&Tensor::from_vec(b.clone(), &[k, n]));
-        assert!(nn.data().iter().all(|v| v.is_nan()), "matmul, k = {at}");
-        let tn = Tensor::from_vec(a, &[k, m]).matmul_transa(&Tensor::from_vec(b.clone(), &[k, n]));
-        assert!(tn.data().iter().all(|v| v.is_nan()), "transa, k = {at}");
+        at_.matmul_into(&Tensor::from_vec(b.clone(), &[k, n]), &mut out);
+        assert!(out.data().iter().all(|v| v.is_nan()), "matmul, k = {at}");
+        let a_km = Tensor::from_vec(a, &[k, m]);
+        a_km.matmul_transa_into(&Tensor::from_vec(b.clone(), &[k, n]), &mut out);
+        assert!(out.data().iter().all(|v| v.is_nan()), "transa, k = {at}");
         // For `transb`, B is n×k: poison column `at` of every row.
         let mut bt = vec![1.0f32; n * k];
         for j in 0..n {
             bt[j * k + at] = f32::NAN;
         }
-        let nt = at_.matmul_transb(&Tensor::from_vec(bt, &[n, k]));
-        assert!(nt.data().iter().all(|v| v.is_nan()), "transb, k = {at}");
+        at_.matmul_transb_into(&Tensor::from_vec(bt, &[n, k]), &mut out);
+        assert!(out.data().iter().all(|v| v.is_nan()), "transb, k = {at}");
     }
 }

@@ -2,44 +2,23 @@
 
 use proptest::prelude::*;
 use rfl_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_into, conv2d_into, decode_f32_into, decode_f32_slice,
-    encode_f32_into, encode_f32_slice, maxpool2d, maxpool2d_backward, maxpool2d_backward_into,
-    maxpool2d_into, Conv2dGrads, ConvSpec, PoolSpec, Tensor,
+    conv2d_backward_into, conv2d_backward_params_into, conv2d_into, decode_f32_into,
+    encode_f32_into, maxpool2d_backward_into, maxpool2d_into, Conv2dGrads, ConvSpec, PoolSpec,
+    Tensor,
 };
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, len)
 }
 
+/// `f`'s output written into a fresh buffer.
+fn fresh(f: impl FnOnce(&mut Tensor)) -> Tensor {
+    let mut out = Tensor::scratch();
+    f(&mut out);
+    out
+}
+
 proptest! {
-    #[test]
-    fn add_is_commutative(a in finite_vec(16), b in finite_vec(16)) {
-        let ta = Tensor::from_slice(&a);
-        let tb = Tensor::from_slice(&b);
-        prop_assert_eq!(ta.add(&tb), tb.add(&ta));
-    }
-
-    #[test]
-    fn sub_then_add_round_trips(a in finite_vec(12), b in finite_vec(12)) {
-        let ta = Tensor::from_slice(&a);
-        let tb = Tensor::from_slice(&b);
-        let back = ta.sub(&tb).add(&tb);
-        for (x, y) in back.data().iter().zip(ta.data()) {
-            prop_assert!((x - y).abs() < 1e-3);
-        }
-    }
-
-    #[test]
-    fn scale_distributes_over_add(a in finite_vec(8), b in finite_vec(8), s in -5.0f32..5.0) {
-        let ta = Tensor::from_slice(&a);
-        let tb = Tensor::from_slice(&b);
-        let lhs = ta.add(&tb).scale(s);
-        let rhs = ta.scale(s).add(&tb.scale(s));
-        for (x, y) in lhs.data().iter().zip(rhs.data()) {
-            prop_assert!((x - y).abs() < 1e-2);
-        }
-    }
-
     #[test]
     fn transpose_is_involution(a in finite_vec(24)) {
         let t = Tensor::from_vec(a, &[4, 6]);
@@ -53,8 +32,10 @@ proptest! {
         let ta = Tensor::from_vec(a, &[2, 3]);
         let tb = Tensor::from_vec(b, &[3, 2]);
         let tc = Tensor::from_vec(c, &[3, 2]);
-        let lhs = ta.matmul(&tb.add(&tc));
-        let rhs = ta.matmul(&tb).add(&ta.matmul(&tc));
+        let sum = fresh(|o| tb.zip_map_into(&tc, o, |x, y| x + y));
+        let lhs = fresh(|o| ta.matmul_into(&sum, o));
+        let (ab, ac) = (fresh(|o| ta.matmul_into(&tb, o)), fresh(|o| ta.matmul_into(&tc, o)));
+        let rhs = fresh(|o| ab.zip_map_into(&ac, o, |x, y| x + y));
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 0.5, "{} vs {}", x, y);
         }
@@ -65,43 +46,25 @@ proptest! {
         // (A·B)ᵀ == Bᵀ·Aᵀ
         let ta = Tensor::from_vec(a, &[2, 3]);
         let tb = Tensor::from_vec(b, &[3, 2]);
-        let lhs = ta.matmul(&tb).transpose();
-        let rhs = tb.transpose().matmul(&ta.transpose());
+        let lhs = fresh(|o| ta.matmul_into(&tb, o)).transpose();
+        let rhs = fresh(|o| tb.transpose().matmul_into(&ta.transpose(), o));
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 0.5);
         }
     }
 
     #[test]
-    fn dot_is_symmetric_and_cauchy_schwarz(a in finite_vec(10), b in finite_vec(10)) {
-        let ta = Tensor::from_slice(&a);
-        let tb = Tensor::from_slice(&b);
-        prop_assert!((ta.dot(&tb) - tb.dot(&ta)).abs() < 1e-2);
-        let lhs = ta.dot(&tb).abs() as f64;
-        let rhs = (ta.norm() as f64) * (tb.norm() as f64);
-        prop_assert!(lhs <= rhs * (1.0 + 1e-3) + 1e-3);
-    }
-
-    #[test]
-    fn softmax_rows_are_distributions(a in finite_vec(15)) {
-        let t = Tensor::from_vec(a, &[3, 5]).softmax_rows();
-        for r in 0..3 {
-            let s: f32 = t.row(r).iter().sum();
-            prop_assert!((s - 1.0).abs() < 1e-4);
-            prop_assert!(t.row(r).iter().all(|&v| v >= 0.0));
-        }
-    }
-
-    #[test]
     fn codec_round_trips(a in finite_vec(33)) {
-        let enc = encode_f32_slice(&a);
-        prop_assert_eq!(decode_f32_slice(enc).unwrap(), a);
+        let (mut enc, mut back) = (Vec::new(), Vec::new());
+        encode_f32_into(&mut enc, &a);
+        decode_f32_into(&enc, &mut back).unwrap();
+        prop_assert_eq!(back, a);
     }
 
     #[test]
     fn mean_axis0_is_between_min_and_max(a in finite_vec(20)) {
         let t = Tensor::from_vec(a, &[4, 5]);
-        let m = t.mean_axis0();
+        let m = fresh(|o| t.mean_axis0_into(o));
         for c in 0..5 {
             let col: Vec<f32> = (0..4).map(|r| t.at(&[r, c])).collect();
             let lo = col.iter().copied().fold(f32::INFINITY, f32::min);
@@ -141,7 +104,7 @@ proptest! {
         let bv: Vec<f32> = (0..k * n).map(|v| ((v * 17 + 3) % 53) as f32 * 0.04 - 1.0).collect();
         let ta = Tensor::from_vec(av.clone(), &[m, k]);
         let tb = Tensor::from_vec(bv.clone(), &[k, n]);
-        let c = ta.matmul(&tb);
+        let c = fresh(|o| ta.matmul_into(&tb, o));
         let reference = naive_matmul(&av, &bv, m, k, n);
         let scale = k as f32;
         for (x, y) in c.data().iter().zip(&reference) {
@@ -156,9 +119,9 @@ proptest! {
         let bv: Vec<f32> = (0..k * n).map(|v| ((v * 29 + 5) % 59) as f32 * 0.03 - 0.8).collect();
         let ta = Tensor::from_vec(av, &[m, k]);
         let tb = Tensor::from_vec(bv, &[k, n]);
-        let plain = ta.matmul(&tb);
-        let via_transb = ta.matmul_transb(&tb.transpose());
-        let via_transa = ta.transpose().matmul_transa(&tb);
+        let plain = fresh(|o| ta.matmul_into(&tb, o));
+        let via_transb = fresh(|o| ta.matmul_transb_into(&tb.transpose(), o));
+        let via_transa = fresh(|o| ta.transpose().matmul_transa_into(&tb, o));
         let scale = k as f32;
         for (x, y) in plain.data().iter().zip(via_transb.data()) {
             prop_assert!((x - y).abs() <= 1e-4 * scale, "transb: {} vs {}", x, y);
@@ -177,11 +140,12 @@ proptest! {
         let tb = Tensor::from_vec(bv, &[k, n]);
         let prev = rfl_tensor::thread_budget();
         rfl_tensor::set_thread_budget(1);
-        let serial = ta.matmul(&tb);
-        let serial_t = ta.matmul_transb(&tb.transpose());
+        let tbt = tb.transpose();
+        let serial = fresh(|o| ta.matmul_into(&tb, o));
+        let serial_t = fresh(|o| ta.matmul_transb_into(&tbt, o));
         rfl_tensor::set_thread_budget(4);
-        let parallel = ta.matmul(&tb);
-        let parallel_t = ta.matmul_transb(&tb.transpose());
+        let parallel = fresh(|o| ta.matmul_into(&tb, o));
+        let parallel_t = fresh(|o| ta.matmul_transb_into(&tbt, o));
         rfl_tensor::set_thread_budget(prev);
         // Bit-identical, not approximately equal: the task grid and each
         // element's accumulation order depend only on the problem shape.
@@ -191,9 +155,9 @@ proptest! {
 }
 
 /// A deliberately dirty destination: wrong shape, garbage contents. Every
-/// `_into` kernel must produce the same bytes into this as its allocating
-/// counterpart returns fresh — that equivalence is what makes workspace
-/// reuse bit-identical by construction.
+/// `_into` kernel must produce the same bytes into this as into a fresh
+/// [`Tensor::scratch`] — that equivalence is what makes workspace reuse
+/// bit-identical by construction.
 fn dirty() -> Tensor {
     let mut t = Tensor::scratch();
     t.resize(&[3, 7]);
@@ -210,8 +174,8 @@ fn det_vec(len: usize, salt: usize) -> Vec<f32> {
 }
 
 proptest! {
-    /// Matrix-product `_into` kernels are bit-identical to the allocating
-    /// versions on ragged shapes, even into dirty reused buffers.
+    /// Matrix-product kernels write the same bits into a dirty reused
+    /// buffer as into a fresh one, on ragged shapes.
     #[test]
     fn matmul_into_bit_identical(dims in ragged_dims()) {
         let (m, k, n) = dims;
@@ -219,57 +183,45 @@ proptest! {
         let tb = Tensor::from_vec(det_vec(k * n, 2), &[k, n]);
         let mut out = dirty();
         ta.matmul_into(&tb, &mut out);
-        prop_assert_eq!(out.data(), ta.matmul(&tb).data());
+        prop_assert_eq!(out.data(), fresh(|o| ta.matmul_into(&tb, o)).data());
         let tbt = tb.transpose();
         ta.matmul_transb_into(&tbt, &mut out);
-        prop_assert_eq!(out.data(), ta.matmul_transb(&tbt).data());
+        prop_assert_eq!(out.data(), fresh(|o| ta.matmul_transb_into(&tbt, o)).data());
         let tat = ta.transpose();
         tat.matmul_transa_into(&tb, &mut out);
-        prop_assert_eq!(out.data(), tat.matmul_transa(&tb).data());
-        let v = Tensor::from_vec(det_vec(k, 3), &[k]);
-        ta.matvec_into(&v, &mut out);
-        prop_assert_eq!(out.data(), ta.matvec(&v).data());
+        prop_assert_eq!(out.data(), fresh(|o| tat.matmul_transa_into(&tb, o)).data());
     }
 
-    /// Element-wise and reduction `_into` kernels match their allocating
-    /// counterparts bit-for-bit.
+    /// Element-wise and reduction kernels write the same bits into a dirty
+    /// reused buffer as into a fresh one.
     #[test]
     fn elementwise_and_reduce_into_bit_identical(rows in 1usize..9, cols in 1usize..13) {
         let ta = Tensor::from_vec(det_vec(rows * cols, 4), &[rows, cols]);
         let tb = Tensor::from_vec(det_vec(rows * cols, 5), &[rows, cols]);
         let bias = Tensor::from_vec(det_vec(cols, 6), &[cols]);
         let mut out = dirty();
-        ta.add_into(&tb, &mut out);
-        prop_assert_eq!(out.data(), ta.add(&tb).data());
-        ta.sub_into(&tb, &mut out);
-        prop_assert_eq!(out.data(), ta.sub(&tb).data());
-        ta.mul_into(&tb, &mut out);
-        prop_assert_eq!(out.data(), ta.mul(&tb).data());
-        ta.scale_into(-1.75, &mut out);
-        prop_assert_eq!(out.data(), ta.scale(-1.75).data());
-        ta.map_into(&mut out, |v| v.max(0.0));
-        prop_assert_eq!(out.data(), ta.map(|v| v.max(0.0)).data());
-        ta.add_row_bias_into(&bias, &mut out);
-        prop_assert_eq!(out.data(), ta.add_row_bias(&bias).data());
+        let sub = |a: f32, b: f32| a - b;
+        ta.zip_map_into(&tb, &mut out, sub);
+        prop_assert_eq!(out.data(), fresh(|o| ta.zip_map_into(&tb, o, sub)).data());
         let mut assigned = ta.clone();
         assigned.add_row_bias_assign(&bias);
-        prop_assert_eq!(assigned.data(), ta.add_row_bias(&bias).data());
+        let rows_plus_bias: Vec<f32> =
+            ta.data().iter().enumerate().map(|(i, v)| v + bias.data()[i % cols]).collect();
+        prop_assert_eq!(assigned.data(), &rows_plus_bias[..]);
         ta.sum_axis0_into(&mut out);
-        prop_assert_eq!(out.data(), ta.sum_axis0().data());
+        prop_assert_eq!(out.data(), fresh(|o| ta.sum_axis0_into(o)).data());
         ta.mean_axis0_into(&mut out);
-        prop_assert_eq!(out.data(), ta.mean_axis0().data());
-        ta.softmax_rows_into(&mut out);
-        prop_assert_eq!(out.data(), ta.softmax_rows().data());
+        prop_assert_eq!(out.data(), fresh(|o| ta.mean_axis0_into(o)).data());
         ta.log_softmax_rows_into(&mut out);
-        prop_assert_eq!(out.data(), ta.log_softmax_rows().data());
+        prop_assert_eq!(out.data(), fresh(|o| ta.log_softmax_rows_into(o)).data());
         let mut idx = vec![777usize; 2];
         ta.argmax_rows_into(&mut idx);
         prop_assert_eq!(idx, ta.argmax_rows());
     }
 
-    /// Convolution / pooling `_into` kernels (including backward and the
-    /// reusable weight-gradient scratch) are bit-identical into dirty
-    /// buffers on ragged image shapes.
+    /// Convolution / pooling kernels (including backward and the reusable
+    /// weight-gradient scratch) write the same bits into dirty buffers as
+    /// into fresh ones, on ragged image shapes.
     #[test]
     fn conv_and_pool_into_bit_identical(
         n in 1usize..3, c in 1usize..3, hw in 4usize..9, o in 1usize..4, pad in 0usize..2
@@ -280,48 +232,49 @@ proptest! {
         let b = Tensor::from_vec(det_vec(o, 9), &[o]);
         let mut out = dirty();
         conv2d_into(&x, &w, &b, spec, &mut out);
-        let fresh = conv2d(&x, &w, &b, spec);
-        prop_assert_eq!(out.data(), fresh.data());
-        prop_assert_eq!(out.dims(), fresh.dims());
+        let y = fresh(|y| conv2d_into(&x, &w, &b, spec, y));
+        prop_assert_eq!(out.data(), y.data());
+        prop_assert_eq!(out.dims(), y.dims());
 
-        let dy = Tensor::from_vec(det_vec(fresh.numel(), 10), fresh.dims());
-        let mut grads = Conv2dGrads {
-            dinput: dirty(),
-            dweight: dirty(),
-            dbias: dirty(),
-        };
-        let mut scratch = vec![f32::NAN; 5];
-        conv2d_backward_into(&x, &w, &dy, spec, &mut grads, &mut scratch);
-        let fresh_g = conv2d_backward(&x, &w, &dy, spec);
+        let dy = Tensor::from_vec(det_vec(y.numel(), 10), y.dims());
+        let dirty_grads = || Conv2dGrads { dinput: dirty(), dweight: dirty(), dbias: dirty() };
+        let mut grads = dirty_grads();
+        conv2d_backward_into(&x, &w, &dy, spec, &mut grads, &mut vec![f32::NAN; 5]);
+        let mut fresh_g = Conv2dGrads::scratch();
+        conv2d_backward_into(&x, &w, &dy, spec, &mut fresh_g, &mut Vec::new());
         prop_assert_eq!(grads.dinput.data(), fresh_g.dinput.data());
         prop_assert_eq!(grads.dweight.data(), fresh_g.dweight.data());
         prop_assert_eq!(grads.dbias.data(), fresh_g.dbias.data());
+        let mut params = dirty_grads();
+        conv2d_backward_params_into(&x, &w, &dy, spec, &mut params, &mut vec![f32::NAN; 5]);
+        prop_assert_eq!(params.dweight.data(), fresh_g.dweight.data());
+        prop_assert_eq!(params.dbias.data(), fresh_g.dbias.data());
 
-        if hw >= 2 {
-            let pspec = PoolSpec::square(2);
-            let mut arg = vec![42u32; 3];
-            maxpool2d_into(&x, pspec, &mut out, &mut arg);
-            let (py, parg) = maxpool2d(&x, pspec);
-            prop_assert_eq!(out.data(), py.data());
-            prop_assert_eq!(&arg, &parg);
-            let pdy = Tensor::from_vec(det_vec(py.numel(), 11), py.dims());
-            let mut dx = dirty();
-            maxpool2d_backward_into(x.dims(), &pdy, &arg, &mut dx);
-            prop_assert_eq!(dx.data(), maxpool2d_backward(x.dims(), &pdy, &parg).data());
-        }
+        let pspec = PoolSpec::square(2);
+        let mut arg = vec![42u32; 3];
+        maxpool2d_into(&x, pspec, &mut out, &mut arg);
+        let (mut py, mut parg) = (Tensor::scratch(), Vec::new());
+        maxpool2d_into(&x, pspec, &mut py, &mut parg);
+        prop_assert_eq!(out.data(), py.data());
+        prop_assert_eq!(&arg, &parg);
+        let pdy = Tensor::from_vec(det_vec(py.numel(), 11), py.dims());
+        let mut dx = dirty();
+        maxpool2d_backward_into(x.dims(), &pdy, &arg, &mut dx);
+        let fresh_dx = fresh(|d| maxpool2d_backward_into(x.dims(), &pdy, &parg, d));
+        prop_assert_eq!(dx.data(), fresh_dx.data());
     }
 
-    /// `encode_f32_into` produces the same bytes as `encode_f32_slice`, and
-    /// `decode_f32_into` recovers the same values as `decode_f32_slice`,
-    /// through a reused (non-empty) buffer.
+    /// `encode_f32_into` and `decode_f32_into` write the same bytes and
+    /// values through reused (non-empty) buffers as through fresh ones.
     #[test]
     fn codec_into_byte_identical(a in finite_vec(33)) {
         let mut buf = vec![0xAAu8; 7];
         encode_f32_into(&mut buf, &a);
-        let reference = encode_f32_slice(&a);
-        prop_assert_eq!(&buf[..], &reference[..]);
+        let mut reference = Vec::new();
+        encode_f32_into(&mut reference, &a);
+        prop_assert_eq!(&buf, &reference);
         let mut vals = vec![f32::NAN; 2];
         decode_f32_into(&buf, &mut vals).unwrap();
-        prop_assert_eq!(vals, decode_f32_slice(reference).unwrap());
+        prop_assert_eq!(vals, a);
     }
 }

@@ -99,6 +99,9 @@ bash -n scripts/ab.sh
 scripts/ab.sh --help > /dev/null
 scripts/ab-smoke.sh
 
+echo "== scripts/reach-report.sh: rfl-* functions no shipped binary links, per crate (report-only; gates on nothing)"
+scripts/reach-report.sh | grep -E '^(rfl_|total)'
+
 echo "== benchmark/ harness: profile guard + its own tests, --locked as BENCHMARK.json runs it (read-only; the yardstick, see benchmark/README.md)"
 benchmark/check-profile.sh
 (cd benchmark && cargo test --release --offline --locked)

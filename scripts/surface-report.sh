@@ -6,7 +6,8 @@
 # that crate alone)
 # and workspace totals (lines, algorithms and their non-test lines,
 # Federation's public functions, rfl-core's `pub` items no file outside
-# crates/core/src names, the RFL_* variables library code reads).
+# crates/core/src names, the rfl-* functions no shipped binary links per
+# scripts/reach-report.sh, the RFL_* variables library code reads).
 # Report-only: nothing gates on it.
 #
 # Usage: scripts/surface-report.sh   (one clean build per crate: minutes)
@@ -123,4 +124,5 @@ echo "| algorithm files | $ALGOS |"
 echo "| non-test lines of crates/core/src/algorithms/*.rs | $(rs_nontest_lines crates/core/src/algorithms) |"
 echo "| Federation \`pub fn\` | $(grep -c '^    pub fn' crates/core/src/federation.rs) |"
 echo "| rfl-core \`pub\` items no file outside crates/core/src names | $(core_unnamed_pub) |"
+echo "| rfl-* functions no shipped binary links (scripts/reach-report.sh) | $(scripts/reach-report.sh --total) |"
 echo "| RFL_* read by library code | $(env_reads) |"

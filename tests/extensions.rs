@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfedavg::core::comm::{FaultConfig, FaultyTransport};
-use rfedavg::core::compress::{CompressedVec, Compression, Compressor};
+use rfedavg::core::compress::{CompressedVec, Compression};
 use rfedavg::core::personalization::{mean_gain, personalize_all};
 use rfedavg::data::synth::gaussian::GaussianMixtureSpec;
 use rfedavg::data::{partition, FederatedData};
