@@ -3,11 +3,10 @@
 use crate::mmd;
 use std::collections::BTreeMap;
 
-/// Rows are interleaved across shards in blocks of this many clients, so a
-/// round's selection (arbitrary ids) spreads across shards instead of
-/// landing on one, while federations with `n ≤ BLOCK` keep all rows in a
-/// single block — every reduction below then runs in plain ascending-id
-/// order, bit-identical to a dense table.
+/// Initialized rows are summed in blocks of this many consecutive ids, and
+/// the block partials added in ascending block order: the arithmetic every
+/// leave-one-out target is taken from. With `n ≤ BLOCK` there is one block,
+/// and the total is the plain ascending-id sum of a dense table.
 const BLOCK: usize = 256;
 
 /// The table of per-client mean feature embeddings held by the server.
@@ -17,31 +16,21 @@ const BLOCK: usize = 256;
 /// * **rFedAvg+** stores the same table but broadcasts only the per-client
 ///   leave-one-out average `δ̄^{−k}` — `O(dN)` bytes total.
 ///
-/// # Sharded sparse storage
+/// # Sparse storage
 ///
-/// Rows live in `thread_budget()` shards of `BTreeMap<usize, Vec<f32>>`,
-/// block-index-hashed (`(k / BLOCK) % shards`). Only rows that a client has
-/// actually reported occupy memory, so at cross-device scale the table
-/// costs `O(participants·d)`, not `O(N·d)` — a million registered clients
-/// at 1% lifetime participation store 10⁴ rows, not 10⁶. Unreported rows
-/// read as zeros (`Self::get` hands back a shared zero row), preserving
-/// the dense table's observable behavior.
-///
-/// Mutation goes through `&mut self`, so the shards need no locks of their
-/// own (the per-shard locks of the lazy path live in
-/// [`crate::registry::ClientRegistry`], which *is* touched concurrently).
-/// Sharding here buys deterministic divide-and-combine reductions: totals
-/// are accumulated per block and the block partials combined in ascending
-/// block order, so results never depend on the thread budget, and with
-/// `n ≤ BLOCK` (every tier-1 federation) they are bitwise identical to the
-/// historical dense single-pass sums.
+/// Rows live in one `BTreeMap<usize, Vec<f32>>` keyed by client id. Only
+/// rows that a client has actually reported occupy memory, so at
+/// cross-device scale the table costs `O(participants·d)`, not `O(N·d)` — a
+/// million registered clients at 1% lifetime participation store 10⁴ rows,
+/// not 10⁶. Unreported rows read as zeros (`Self::get` hands back a shared
+/// zero row), preserving the dense table's observable behavior. Every walk
+/// over the rows is in ascending id order, so no result depends on the
+/// thread budget.
 #[derive(Clone, Debug)]
 pub struct DeltaTable {
-    shards: Vec<BTreeMap<usize, Vec<f32>>>,
+    rows: BTreeMap<usize, Vec<f32>>,
     n: usize,
     dim: usize,
-    /// Number of rows written at least once (= total rows stored).
-    n_init: usize,
     /// What [`Self::get`] returns for unreported clients.
     zero: Vec<f32>,
 }
@@ -52,15 +41,10 @@ impl DeltaTable {
     /// initializes `δ_0` arbitrarily; zeros make the first-round
     /// regularizer a pull toward the origin, which λ keeps tiny).
     pub fn new(n: usize, dim: usize) -> Self {
-        Self::with_shards(n, dim, rfl_tensor::thread_budget().max(1))
-    }
-
-    fn with_shards(n: usize, dim: usize, shards: usize) -> Self {
         DeltaTable {
-            shards: vec![BTreeMap::new(); shards.max(1)],
+            rows: BTreeMap::new(),
             n,
             dim,
-            n_init: 0,
             zero: vec![0.0; dim],
         }
     }
@@ -71,11 +55,7 @@ impl DeltaTable {
 
     /// Rows actually stored (clients that have reported at least once).
     pub fn num_initialized(&self) -> usize {
-        self.n_init
-    }
-
-    fn shard_of(&self, k: usize) -> usize {
-        (k / BLOCK) % self.shards.len()
+        self.rows.len()
     }
 
     /// Updates client `k`'s entry.
@@ -88,24 +68,14 @@ impl DeltaTable {
     pub fn set_from_slice(&mut self, k: usize, delta: &[f32]) {
         assert_eq!(delta.len(), self.dim, "δ dim mismatch");
         assert!(k < self.n, "client {k} out of range");
-        let shard = self.shard_of(k);
-        let row = self.shards[shard].entry(k).or_insert_with(|| {
-            self.n_init += 1;
-            Vec::with_capacity(delta.len())
-        });
+        let row = self.rows.entry(k).or_default();
         row.clear();
         row.extend_from_slice(delta);
     }
 
     /// Client `k`'s row; zeros when it has never reported.
     pub(crate) fn get(&self, k: usize) -> &[f32] {
-        self.shards[self.shard_of(k)]
-            .get(&k)
-            .map_or(&self.zero, Vec::as_slice)
-    }
-
-    fn is_initialized(&self, k: usize) -> bool {
-        self.shards[self.shard_of(k)].contains_key(&k)
+        self.rows.get(&k).map_or(&self.zero, Vec::as_slice)
     }
 
     /// Dense materialization of all `n` rows (zeros for unreported
@@ -132,31 +102,19 @@ impl DeltaTable {
         }
     }
 
-    /// Sum of all initialized rows, accumulated per block in ascending
-    /// block order — deterministic under any shard count, and with a
-    /// single block identical to summing rows `0..n` in one pass.
+    /// Sum of all initialized rows: each [`BLOCK`] of ids summed in
+    /// ascending id order, the block partials added in ascending block
+    /// order — with a single block, the sum of rows `0..n` in one pass.
     fn initialized_total(&self) -> Vec<f32> {
-        let mut blocks: Vec<(usize, Vec<f32>)> = Vec::new();
-        for shard in &self.shards {
-            let mut iter = shard.iter().peekable();
-            while let Some((&k0, _)) = iter.peek() {
-                let block = k0 / BLOCK;
-                let mut partial = vec![0.0f32; self.dim];
-                while let Some((&k, _)) = iter.peek() {
-                    if k / BLOCK != block {
-                        break;
-                    }
-                    let (_, row) = iter.next().expect("peeked entry vanished");
-                    for (t, &v) in partial.iter_mut().zip(row) {
-                        *t += v;
-                    }
-                }
-                blocks.push((block, partial));
-            }
-        }
-        blocks.sort_by_key(|&(b, _)| b);
         let mut total = vec![0.0f32; self.dim];
-        for (_, partial) in blocks {
+        let mut partial = vec![0.0f32; self.dim];
+        let mut rows = self.rows.iter().peekable();
+        while let Some((&k0, _)) = rows.peek() {
+            let block = k0 / BLOCK;
+            partial.fill(0.0);
+            while let Some((_, row)) = rows.next_if(|(&k, _)| k / BLOCK == block) {
+                rfl_tensor::add_assign_slices(&mut partial, row);
+            }
             rfl_tensor::add_assign_slices(&mut total, &partial);
         }
         total
@@ -167,43 +125,26 @@ impl DeltaTable {
     /// some clients may never have been selected; their zero placeholders
     /// must not drag the regularization target toward the origin.
     pub fn mean_excluding_initialized(&self, k: usize) -> Option<Vec<f32>> {
+        let others = self.others(k)?;
         let mut out = vec![0.0f32; self.dim];
-        let mut count = 0usize;
-        for shard in &self.shards {
-            for (&j, d) in shard {
-                if j == k {
-                    continue;
-                }
-                for (o, &v) in out.iter_mut().zip(d) {
-                    *o += v;
-                }
-                count += 1;
-            }
+        for (_, d) in self.rows.iter().filter(|(&j, _)| j != k) {
+            rfl_tensor::add_assign_slices(&mut out, d);
         }
-        if count == 0 {
-            return None;
-        }
-        let inv = 1.0 / count as f32;
-        for o in &mut out {
-            *o *= inv;
-        }
+        rfl_tensor::scale_slices(&mut out, 1.0 / others as f32);
         Some(out)
     }
 
+    /// How many reported rows are not client `k`'s; `None` when none is.
+    fn others(&self, k: usize) -> Option<usize> {
+        let others = self.rows.len() - usize::from(self.rows.contains_key(&k));
+        (others > 0).then_some(others)
+    }
+
     fn loo_from_total(&self, total: &[f32], k: usize) -> Option<Vec<f32>> {
-        let (cnt, sub): (usize, Option<&[f32]>) = if self.is_initialized(k) {
-            (self.n_init.saturating_sub(1), Some(self.get(k)))
-        } else {
-            (self.n_init, None)
-        };
-        if cnt == 0 {
-            return None;
-        }
-        let inv = 1.0 / cnt as f32;
-        Some(match sub {
-            Some(dk) => total.iter().zip(dk).map(|(&t, &v)| (t - v) * inv).collect(),
-            None => total.iter().map(|&t| t * inv).collect(),
-        })
+        let inv = 1.0 / self.others(k)? as f32;
+        // An unreported client's row reads as zeros, and `t − 0` is `t`.
+        let loo = total.iter().zip(self.get(k)).map(|(&t, &v)| (t - v) * inv);
+        Some(loo.collect())
     }
 
     /// All `N` leave-one-out averages over initialized entries in one pass:
@@ -305,37 +246,36 @@ mod tests {
             t.set(k, vec![k as f32; 4]);
         }
         assert_eq!(t.num_initialized(), 3);
-        let stored: usize = t.shards.iter().map(BTreeMap::len).sum();
-        assert_eq!(stored, 3);
+        assert_eq!(t.rows.len(), 3);
         assert_eq!(t.get(70_000), &[70_000.0; 4]);
         assert_eq!(t.get(500_000), &[0.0; 4]);
     }
 
     #[test]
-    fn totals_are_shard_count_invariant() {
-        // Same rows under 1 shard vs many shards: identical bits out of the
-        // block-ordered reduction (rows span multiple blocks on purpose).
-        let build = |t: &mut DeltaTable| {
-            for k in [0usize, 1, 255, 256, 511, 513, 1024] {
-                t.set(k, vec![0.1 + k as f32 * 1e-3, -(k as f32) * 7e-4]);
-            }
-        };
-        let mut t1 = DeltaTable::with_shards(2048, 2, 1);
-        build(&mut t1);
-        let mut t4 = DeltaTable::with_shards(2048, 2, 4);
-        build(&mut t4);
-        assert_eq!(t1.shards.len(), 1);
-        assert_eq!(t4.shards.len(), 4);
-        let total1 = t1.initialized_total();
-        let total4 = t4.initialized_total();
-        assert_eq!(total1, total4);
-        for k in [0usize, 2, 256, 513, 2047] {
-            assert_eq!(
-                t1.loo_from_total(&total1, k),
-                t4.loo_from_total(&total4, k),
-                "k={k}"
-            );
+    fn the_total_adds_block_partials_in_ascending_block_order() {
+        // Rows in four blocks: 1e8 swallows the small terms beside it, so
+        // block by block is not one ascending pass.
+        let rows = [
+            (0, 1e8),
+            (1, 1.0),
+            (255, 2.0),
+            (256, -1e8),
+            (511, 1.0),
+            (513, 4.0),
+            (1024, -3.0),
+        ];
+        let mut t = DeltaTable::new(2048, 1);
+        for &(k, v) in rows.iter().rev() {
+            t.set(k, vec![v]);
         }
+        let sum = |vs: &mut dyn Iterator<Item = f32>| vs.fold(0.0f32, |s, v| s + v);
+        let block = |b: usize| sum(&mut rows.iter().filter(|r| r.0 / BLOCK == b).map(|r| r.1));
+        let oracle = sum(&mut [0, 1, 2, 4].into_iter().map(block));
+        assert_eq!(t.initialized_total(), [oracle]);
+        let flat = sum(&mut rows.iter().map(|r| r.1));
+        assert_ne!(oracle, flat, "pick rows whose order shows");
+        let want = Some(vec![(oracle - 4.0) / 6.0]);
+        assert_eq!(t.loo_from_total(&[oracle], 513), want);
     }
 }
 
@@ -354,6 +294,18 @@ mod partial_tests {
         // Excludes self even when initialized.
         t.set(0, vec![100.0]);
         assert_eq!(t.mean_excluding_initialized(0), Some(vec![3.0]));
+    }
+
+    #[test]
+    fn mean_excluding_initialized_sums_in_ascending_id_order() {
+        // Rows in three blocks whose sum depends on its order: in id order
+        // 1e8 + 1 − 1e8 rounds the 1 away.
+        let mut t = DeltaTable::new(600, 1);
+        for (k, v) in [(0usize, 1e8f32), (256, 1.0), (512, -1e8), (599, 3.0)] {
+            t.set(k, vec![v]);
+        }
+        let sum = [1e8f32, 1.0, -1e8].iter().fold(0.0f32, |s, &v| s + v);
+        assert_eq!(t.mean_excluding_initialized(599), Some(vec![sum / 3.0]));
     }
 
     #[test]

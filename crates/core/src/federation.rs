@@ -19,7 +19,8 @@ use crate::delta::DeltaTable;
 use crate::dp::DpConfig;
 use crate::eval::{evaluate, EvalResult};
 use crate::plane::{
-    Arrived, ClientPlane, LocalPlane, Pull, RemotePlane, Unsupported, EVAL_BATCH, NO_REPLICAS,
+    fan_out_width, Arrived, ClientPlane, LocalPlane, Pull, RemotePlane, Unsupported, EVAL_BATCH,
+    NO_REPLICAS,
 };
 use crate::registry::{ClientDataSource, ClientRegistry};
 use crate::rules::LocalRule;
@@ -825,11 +826,13 @@ impl Federation {
     }
 
     /// Evaluates the global model on the held-out test set, its
-    /// mini-batches dealt to as many replicas as the thread budget allows.
+    /// mini-batches dealt to a replica per worker of [`fan_out_width`] (a
+    /// socket plane's server evaluates under the whole budget).
     pub fn evaluate_global(&mut self) -> EvalResult {
         let mut span = self.tracer.span(SpanKind::Eval);
         let batches = self.test.len().div_ceil(EVAL_BATCH);
-        let workers = rfl_tensor::thread_budget().min(batches);
+        let parallel = self.plane.local().is_none_or(|l| l.parallel);
+        let workers = fan_out_width(parallel, batches);
         let replicas = self.eval.load(workers, &self.global);
         let result = evaluate(replicas, &self.test, EVAL_BATCH);
         span.counter("examples", result.n as u64);
@@ -843,7 +846,7 @@ impl Federation {
         let Some(l) = self.plane.local() else {
             return Vec::new();
         };
-        let workers = l.threads().min(self.weights.len());
+        let workers = fan_out_width(l.parallel, self.weights.len());
         l.evaluate_each(self.eval.load(workers, &self.global))
     }
 

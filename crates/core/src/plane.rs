@@ -200,21 +200,36 @@ impl Arrived {
     }
 }
 
-/// Runs `job(worker, i, item)` once for the `i`-th of `items`, on one thread
-/// per element of `workers` (never more threads than items), the caller
-/// being the first. An atomic counter hands the items out one at a time, so
-/// a slow job occupies one worker while the rest drain the queue (static
-/// chunking would park everything that shares the slow job's chunk behind
-/// it). Whatever a job writes goes through its item — a `&mut` slot of the
-/// caller's, addressed by `i` — so the result does not depend on which
-/// worker ran what; `worker` is for state no two jobs may share at once (a
-/// model replica, batch buffers), `&mut vec![(); threads]` when there is
-/// none.
+/// Workers of a fan-out over `items`: the thread budget the kernels run on
+/// (`RFL_THREADS` / `set_thread_budget`) when `parallel`
+/// ([`crate::FlConfig::parallel`]), one otherwise, and never more than the
+/// items. Every fan-out is sized here.
+pub(crate) fn fan_out_width(parallel: bool, items: usize) -> usize {
+    if !parallel {
+        return 1;
+    }
+    rfl_tensor::thread_budget().min(items).max(1)
+}
+
+/// Runs `job(worker, i, item)` once for the `i`-th of `items`, one pool
+/// task per element of `workers` (never more tasks than items) on rfl-tensor's
+/// persistent pool: the caller and up to `budget − 1` `rfl-worker`s. An
+/// atomic counter hands the items out one at a time, so a slow job occupies
+/// one worker while the rest drain the queue (static chunking would park
+/// everything that shares the slow job's chunk behind it). Whatever a job
+/// writes goes through its item — a `&mut` slot of the caller's, addressed
+/// by `i` — so the result does not depend on which worker ran what;
+/// `worker` is for state no two jobs may share at once (a model replica,
+/// batch buffers), `&mut vec![(); n]` when there is none. The kernels a job
+/// calls run inline on the thread that runs the job (see
+/// [`rfl_tensor::parallel_for`]), which moves no bit: a kernel's result
+/// does not depend on how many threads ran it.
 pub(crate) fn fan_out<W: Send, I: Send>(
     items: impl IntoIterator<Item = I>,
     workers: &mut [W],
     job: impl Fn(&mut W, usize, I) + Sync,
 ) {
+    assert!(!workers.is_empty(), "a fan-out needs a worker");
     let work: Vec<Mutex<Option<I>>> = (items.into_iter())
         .map(|item| Mutex::new(Some(item)))
         .collect();
@@ -225,17 +240,8 @@ pub(crate) fn fan_out<W: Send, I: Send>(
         let item = slot.lock().expect("work slot poisoned").take();
         job(worker, i, item.expect("work item claimed twice"));
     };
-    let drain = &drain;
-    let (own, others) = workers.split_first_mut().expect("a fan-out needs a worker");
-    std::thread::scope(|s| {
-        for worker in others.iter_mut().take(work.len().saturating_sub(1)) {
-            std::thread::Builder::new()
-                .name("rfl-fanout".into())
-                .spawn_scoped(s, move || drain(worker))
-                .expect("failed to spawn a fan-out helper");
-        }
-        drain(own);
-    });
+    let n = workers.len().min(work.len());
+    rfl_tensor::parallel_for_chunks(&mut workers[..n], 1, |_, w| drain(&mut w[0]));
 }
 
 /// One worker's wakes (or hibernations) within one request, journaled as a
@@ -463,7 +469,7 @@ impl LocalPlane {
     }
 
     /// Lazy mode: materializes every client in `ids` (sorted) that is not
-    /// already live, on [`LocalPlane::threads`] workers, each journaling
+    /// already live, on [`fan_out_width`] workers, each journaling
     /// its share as a `materialize` span, and merges them into the id-sorted
     /// live set. No-op in eager mode.
     pub(crate) fn ensure_active(&mut self, ids: &[usize]) {
@@ -475,7 +481,9 @@ impl LocalPlane {
         }
         let (installed, tracer) = (&self.installed, &self.tracer);
         let mut shares: Vec<(Share, Vec<Client>)> =
-            (0..self.threads()).map(|_| Default::default()).collect();
+            (0..fan_out_width(self.parallel, missing.len()))
+                .map(|_| Default::default())
+                .collect();
         fan_out(&missing, &mut shares, |(share, woken), _, &k| {
             woken.push(share.wake(tracer, reg, installed, k))
         });
@@ -514,21 +522,10 @@ impl LocalPlane {
         delivered
     }
 
-    /// Workers of a per-client fan-out: the same budget as the tensor
-    /// kernels (`RFL_THREADS` / `set_thread_budget`), or one for a serial
-    /// federation.
-    pub(crate) fn threads(&self) -> usize {
-        if self.parallel {
-            rfl_tensor::thread_budget()
-        } else {
-            1
-        }
-    }
-
     /// The one per-client loop: runs `job(i, client, slot)` for every
     /// `selected[i]` (sorted by id), the live replica and `slots[i]` handed
     /// to it as disjoint `&mut` views, across [`fan_out`] on
-    /// [`LocalPlane::threads`] workers.
+    /// [`fan_out_width`] workers.
     fn each_selected<T: Send>(
         &mut self,
         selected: &[usize],
@@ -545,7 +542,7 @@ impl LocalPlane {
         );
         let all_live = selected.iter().all(|&k| self.is_active(k));
         assert!(all_live, "a selected client is not live");
-        let workers = &mut vec![(); self.threads()];
+        let workers = &mut vec![(); fan_out_width(self.parallel, selected.len())];
         let mut wanted = selected.iter().peekable();
         let live = (self.clients.iter_mut())
             .filter(|c| wanted.next_if(|&&k| k == c.id()).is_some())
@@ -578,7 +575,8 @@ impl LocalPlane {
         if uploads.len() < asleep.len() {
             uploads.resize_with(asleep.len(), Scratch::default);
         }
-        let mut shares: Vec<Share> = (0..self.threads()).map(|_| Share::default()).collect();
+        let width = fan_out_width(self.parallel, selected.len());
+        let mut shares: Vec<Share> = (0..width).map(|_| Share::default()).collect();
         let (reg, installed, tracer) = (self.registry.as_ref(), &self.installed, &self.tracer);
         // Each selected id with its live replica, or, asleep, with the
         // slot its upload goes to (both lists are sorted by id).
@@ -897,6 +895,7 @@ pub(crate) const NO_REPLICAS: &str =
 mod tests {
     use crate::registry::{ClientDataSource, MaterializedSource};
     use crate::testutil::lazy_fed_over;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
 
     /// A source whose every shard is corrupt.
@@ -914,11 +913,25 @@ mod tests {
         }
     }
 
+    /// Serial, and on the pool at budget 2: the round panics with the
+    /// shard's own message, whichever thread ran the job.
     #[test]
-    #[should_panic(expected = "is corrupt")]
     fn a_shard_that_panics_in_a_training_job_panics_the_round() {
-        let (mut fed, cfg) = lazy_fed_over(61, |inner| Arc::new(Corrupt(inner)));
-        fed.local_mut().parallel = false;
-        crate::Trainer::new(cfg).run(&mut crate::algorithms::FedAvg, &mut fed);
+        let before = rfl_tensor::thread_budget();
+        rfl_tensor::set_thread_budget(2);
+        for parallel in [false, true] {
+            let (mut fed, cfg) = lazy_fed_over(61, |inner| Arc::new(Corrupt(inner)));
+            fed.local_mut().parallel = parallel;
+            let round = AssertUnwindSafe(|| {
+                crate::Trainer::new(cfg).run(&mut crate::algorithms::FedAvg, &mut fed)
+            });
+            let payload = catch_unwind(round).expect_err("a corrupt shard trained");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(
+                message.contains("is corrupt"),
+                "parallel {parallel}: {message:?}"
+            );
+        }
+        rfl_tensor::set_thread_budget(before);
     }
 }

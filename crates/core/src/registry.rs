@@ -34,8 +34,8 @@
 //! before it is inside a live client, so the list never holds more shells
 //! than clients were live at once. A training request keeps one client per
 //! worker live — each job wakes its client, trains it and hibernates it
-//! before taking the next — so a lazy FedAvg run builds at most
-//! `threads()` shells; a request that leaves its clients live until the
+//! before taking the next — so a lazy FedAvg run builds at most a
+//! fan-out's width of shells; a request that leaves its clients live until the
 //! next round (a δ probe, a local evaluation) holds a cohort's worth. It is
 //! one `Mutex<Vec<_>>` locked twice per client-round, for one `pop` and one
 //! `push`, by up to a thread budget's worth of workers; shard it only with a
@@ -66,11 +66,13 @@
 //! # Sharding
 //!
 //! Persisted state lives in `thread_budget()` shards behind per-shard
-//! mutexes, hashed by client index (`k % shards`). A round's selection is
-//! woken by the plane's `fan_out` workers (the round thread alone under
-//! `parallel: false`), each job its own client's; a worker only contends on
-//! the shard owning its current client, and whatever a client computes
-//! lands in its selection slot, so results are independent of scheduling.
+//! mutexes, hashed by client index (`k % shards`). They are sharded because
+//! they are touched concurrently: a round's selection is woken and
+//! hibernated by the plane's `fan_out` workers (the round thread and the
+//! kernel pool's `rfl-worker`s; the round thread alone under
+//! `parallel: false`), each job its own client's, so a worker only contends
+//! on the shard owning its current client. Whatever a client computes lands
+//! in its selection slot, so results are independent of scheduling.
 
 use crate::client::{Client, ClientPersist, ClientShell};
 use crate::federation::{FlConfig, ModelFactory, OptimizerFactory};

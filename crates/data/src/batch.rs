@@ -28,11 +28,6 @@ impl BatchSampler {
         }
     }
 
-    /// Effective batch size (clamped to the dataset size).
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Next batch of indices; reshuffles when the epoch is exhausted.
     pub fn next_batch<R: Rng>(&mut self, rng: &mut R) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.batch_size);
@@ -87,7 +82,6 @@ mod tests {
     fn clamps_batch_to_dataset_size() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut s = BatchSampler::new(4, 100);
-        assert_eq!(s.batch_size(), 4);
         assert_eq!(s.next_batch(&mut rng).len(), 4);
     }
 

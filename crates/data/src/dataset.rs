@@ -39,17 +39,6 @@ impl Examples {
     }
 }
 
-/// Concatenates two tensors along dim 0 (all other dims must match).
-fn concat_rows(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.dims()[1..], b.dims()[1..], "trailing dims mismatch");
-    let mut dims = a.dims().to_vec();
-    dims[0] += b.dims()[0];
-    let mut data = Vec::with_capacity(a.numel() + b.numel());
-    data.extend_from_slice(a.data());
-    data.extend_from_slice(b.data());
-    Tensor::from_vec(data, &dims)
-}
-
 /// Gathers rows (dim-0 slices) of a tensor.
 fn gather_rows(t: &Tensor, indices: &[usize]) -> Tensor {
     let mut out = Tensor::scratch();
@@ -116,10 +105,6 @@ impl Dataset {
         &self.labels
     }
 
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
     /// Subset at `indices` (copies the data).
     pub fn select(&self, indices: &[usize]) -> Dataset {
         Dataset {
@@ -142,28 +127,6 @@ impl Dataset {
         let cut = ((self.len() as f64) * frac).round() as usize;
         assert!(cut > 0 && cut < self.len(), "split leaves an empty side");
         (self.select(&order[..cut]), self.select(&order[cut..]))
-    }
-
-    /// Concatenates two datasets with identical payload kind and class
-    /// count.
-    ///
-    /// # Panics
-    /// Panics on mismatched kinds or class counts.
-    pub fn merge(&self, other: &Dataset) -> Dataset {
-        assert_eq!(self.num_classes, other.num_classes, "class count mismatch");
-        let examples = match (&self.examples, &other.examples) {
-            (Examples::Images(a), Examples::Images(b)) => Examples::Images(concat_rows(a, b)),
-            (Examples::Dense(a), Examples::Dense(b)) => Examples::Dense(concat_rows(a, b)),
-            (Examples::Tokens(a), Examples::Tokens(b)) => {
-                let mut v = a.clone();
-                v.extend(b.iter().cloned());
-                Examples::Tokens(v)
-            }
-            _ => panic!("cannot merge datasets of different payload kinds"),
-        };
-        let mut labels = self.labels.clone();
-        labels.extend_from_slice(&other.labels);
-        Dataset::new(examples, labels, self.num_classes)
     }
 
     /// Per-class sample counts.
@@ -275,20 +238,6 @@ mod tests {
             counts[c] += v;
         }
         assert_eq!(counts, ds.class_counts());
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let a = image_dataset(3);
-        let b = image_dataset(2);
-        let m = a.merge(&b);
-        assert_eq!(m.len(), 5);
-        assert_eq!(&m.labels()[..3], a.labels());
-        assert_eq!(&m.labels()[3..], b.labels());
-        match m.examples() {
-            Examples::Images(t) => assert_eq!(t.dims(), &[5, 1, 2, 2]),
-            _ => unreachable!(),
-        }
     }
 
     #[test]

@@ -133,7 +133,7 @@ mod tests {
             Examples::Images(t) => assert_eq!(t.dims(), &[25, 1, 16, 16]),
             _ => unreachable!(),
         }
-        assert_eq!(ds.num_classes(), 10);
+        assert_eq!(ds.class_counts().len(), 10);
     }
 
     #[test]

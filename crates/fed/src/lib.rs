@@ -22,11 +22,6 @@ pub fn arg_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) 
     }
 }
 
-/// Whether the bare flag `--name` is present.
-pub fn arg_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,7 +36,5 @@ mod tests {
         assert_eq!(arg_value(&a, "--id").as_deref(), Some("3"));
         assert_eq!(arg_parse(&a, "--id", 0usize), 3);
         assert_eq!(arg_parse(&a, "--rounds", 2usize), 2);
-        assert!(arg_flag(&a, "--quick"));
-        assert!(!arg_flag(&a, "--verbose"));
     }
 }

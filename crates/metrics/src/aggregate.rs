@@ -35,16 +35,6 @@ pub fn mean_std(values: &[f64]) -> MeanStd {
     }
 }
 
-/// Point-wise mean curve over several equal-length curves.
-pub fn mean_curve(curves: &[Vec<f64>]) -> Vec<f64> {
-    assert!(!curves.is_empty());
-    let len = curves[0].len();
-    assert!(curves.iter().all(|c| c.len() == len), "ragged curves");
-    (0..len)
-        .map(|i| curves.iter().map(|c| c[i]).sum::<f64>() / curves.len() as f64)
-        .collect()
-}
-
 /// `p`-th percentile (0–100) by linear interpolation on the sorted sample.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty());
@@ -85,12 +75,6 @@ mod tests {
     fn fmt_pm_matches_paper_style() {
         let m = mean_std(&[0.9707, 0.9707]);
         assert_eq!(m.fmt_pm(true), "97.07 ± 0.00");
-    }
-
-    #[test]
-    fn mean_curve_averages_pointwise() {
-        let c = mean_curve(&[vec![0.0, 2.0], vec![2.0, 4.0]]);
-        assert_eq!(c, vec![1.0, 3.0]);
     }
 
     #[test]

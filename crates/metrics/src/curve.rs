@@ -35,36 +35,6 @@ impl Series {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|p| p.1)
-    }
-
-    pub fn max_y(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.1)
-            .fold(None, |a, v| Some(a.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Centered moving average with window `2k+1` (edges use what exists).
-    pub fn smoothed(&self, k: usize) -> Series {
-        let pts = &self.points;
-        let smoothed = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, _))| {
-                let lo = i.saturating_sub(k);
-                let hi = (i + k + 1).min(pts.len());
-                let mean = pts[lo..hi].iter().map(|p| p.1).sum::<f64>() / (hi - lo) as f64;
-                (x, mean)
-            })
-            .collect();
-        Series {
-            name: self.name.clone(),
-            points: smoothed,
-        }
-    }
 }
 
 /// CSV with one `x` column and one column per series (missing values blank).
@@ -101,24 +71,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_and_accessors() {
+    fn push_appends_points_in_order() {
         let mut s = Series::new("acc");
         s.push(0.0, 0.5);
         s.push(1.0, 0.9);
-        s.push(2.0, 0.7);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.last_y(), Some(0.7));
-        assert_eq!(s.max_y(), Some(0.9));
-    }
-
-    #[test]
-    fn smoothing_flattens_spikes() {
-        let s = Series::from_points("x", vec![(0.0, 0.0), (1.0, 10.0), (2.0, 0.0), (3.0, 0.0)]);
-        let sm = s.smoothed(1);
-        assert!(sm.points[1].1 < 5.0);
-        assert_eq!(sm.len(), 4);
-        // x coordinates preserved.
-        assert_eq!(sm.points[3].0, 3.0);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.points, [(0.0, 0.5), (1.0, 0.9)]);
     }
 
     #[test]

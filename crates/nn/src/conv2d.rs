@@ -53,11 +53,6 @@ impl Conv2d {
         self.spec
     }
 
-    /// Output spatial size for a square input of extent `n`.
-    pub fn out_size(&self, n: usize) -> usize {
-        self.spec.out_size(n)
-    }
-
     /// [`Layer::backward_into`] for a network's first layer: accumulates the
     /// same weight and bias gradients, bit for bit, and skips the input
     /// gradient nobody reads.

@@ -101,10 +101,6 @@ impl CnnClassifier {
             ws: Workspace::new(),
         }
     }
-
-    pub fn config(&self) -> CnnConfig {
-        self.cfg
-    }
 }
 
 impl Model for CnnClassifier {

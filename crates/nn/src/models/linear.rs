@@ -30,14 +30,6 @@ impl LogisticRegression {
             dinput: Tensor::scratch(),
         }
     }
-
-    pub fn l2(&self) -> f32 {
-        self.l2
-    }
-
-    pub fn in_dim(&self) -> usize {
-        self.head.in_dim()
-    }
 }
 
 impl Model for LogisticRegression {

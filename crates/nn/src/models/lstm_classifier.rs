@@ -68,10 +68,6 @@ impl LstmClassifier {
             ws: Workspace::new(),
         }
     }
-
-    pub fn config(&self) -> LstmConfig {
-        self.cfg
-    }
 }
 
 impl Model for LstmClassifier {

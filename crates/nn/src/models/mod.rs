@@ -32,16 +32,6 @@ pub enum Input {
     Dense(Tensor),
 }
 
-impl Input {
-    /// Number of examples in the batch.
-    pub fn batch_size(&self) -> usize {
-        match self {
-            Input::Images(t) | Input::Dense(t) => t.dims()[0],
-            Input::Tokens(seqs) => seqs.len(),
-        }
-    }
-}
-
 /// Forward-pass result: feature embeddings `[N, F]` and logits `[N, K]`.
 pub struct ModelOutput {
     pub features: Tensor,
@@ -142,17 +132,5 @@ pub trait Model: Send {
     /// Zeroes all gradient accumulators.
     fn zero_grads(&mut self) {
         self.for_each_param_mut(&mut |p| p.zero_grad());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn input_batch_size() {
-        assert_eq!(Input::Dense(Tensor::zeros(&[3, 2])).batch_size(), 3);
-        assert_eq!(Input::Images(Tensor::zeros(&[5, 1, 2, 2])).batch_size(), 5);
-        assert_eq!(Input::Tokens(vec![vec![0], vec![1]]).batch_size(), 2);
     }
 }

@@ -68,16 +68,6 @@ impl RmsProp {
             sq_avg: Vec::new(),
         }
     }
-
-    pub fn with_params(lr: f32, alpha: f32, eps: f32) -> Self {
-        assert!((0.0..1.0).contains(&alpha));
-        RmsProp {
-            lr,
-            alpha,
-            eps,
-            sq_avg: Vec::new(),
-        }
-    }
 }
 
 impl Optimizer for RmsProp {
@@ -121,7 +111,7 @@ mod tests {
     fn rmsprop_normalizes_gradient_scale() {
         // Two parameters with gradients of very different scales should move
         // by comparable amounts after the accumulator warms up.
-        let mut o = RmsProp::with_params(0.01, 0.9, 1e-8);
+        let mut o = RmsProp::new(0.01);
         let mut p = vec![0.0f32, 0.0];
         for _ in 0..100 {
             o.step(&mut p, &[100.0, 0.01]);

@@ -23,11 +23,6 @@ impl MaxPool2d {
             argmax_inference: Vec::new(),
         }
     }
-
-    /// Output spatial size for an input of extent `n`.
-    pub fn out_size(&self, n: usize) -> usize {
-        self.spec.out_size(n)
-    }
 }
 
 impl Layer for MaxPool2d {

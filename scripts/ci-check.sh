@@ -63,15 +63,16 @@ RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
 echo "== rfl-bench all --scale quick --seeds 1: every experiment's CSVs and stdout against scripts/experiments.sha256"
 scripts/experiments-smoke.sh
 
-echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment; the rows add up to the total within a clock tick per row)"
+echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment; the rows add up to the total within a clock tick per row, and every thread is rfl-bench or an rfl-worker)"
 scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick --out none |
     awk -v hz="$(getconf CLK_TCK)" '
         /^thread  *threads  *user_s/ { table = 1; next }
         !table || NF < 6 { next }
         $1 == "total" { tu = $(NF-3); ts = $(NF-2); total = 1; next }
+        $1 != "rfl-bench" && $1 != "rfl-worker" && $1 != "(unsampled)" { print "thread-cpu smoke: unexpected thread " $1 > "/dev/stderr"; stray = 1 }
         { su += $(NF-3); ss += $(NF-2); rows++ }
         function off(a, b) { return a > b ? a - b : b - a }
-        END { exit !(total && off(su, tu) <= rows / hz && off(ss, ts) <= rows / hz) }'
+        END { exit !(total && !stray && off(su, tu) <= rows / hz && off(ss, ts) <= rows / hz) }'
 
 echo "== scripts/kernel-audit.sh on the release rfl-bench (tier bodies call no out-of-line intrinsic, 16-lane bodies use zmm, no FMA outside fastmath)"
 scripts/kernel-audit.sh target/release/rfl-bench > /dev/null

@@ -64,6 +64,10 @@ rfl_core|rfl_core::history::History::total_dropped|out of scope here: transport_
 rfl_core|rfl_core::delta::DeltaTable::flattened|out of scope here: the tests read the table through it
 rfl_core|rfl_core::delta::DeltaTable::num_initialized|out of scope here: fanout.rs reads it
 rfl_core|rfl_core::mem::reset_peak_rss|out of scope here: scale.rs measures each leg's peak from it
+rfl_data|rfl_data::dataset::Examples::is_empty|clippy's len_without_is_empty wants it beside the pub len
+rfl_data|rfl_data::partition::is_valid_partition|test fixture: the check every partitioner's unit tests and data's proptests.rs call
+rfl_metrics|rfl_metrics::curve::Series::is_empty|clippy's len_without_is_empty wants it beside the pub len
+rfl_metrics|rfl_metrics::table::TextTable::num_rows|test fixture: rfl-bench's runner test counts a table's rows with it
 EOF
 )
 

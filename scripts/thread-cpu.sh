@@ -10,18 +10,20 @@
 # system seconds and voluntary / involuntary context switches, busiest first:
 # the table EXPERIMENTS.md's reactor timelines are made of (`rfl-net-*` are
 # the shards, `bench-driver` the harness's echo thread, `rfl-worker` the
-# kernel pool, `rfl-fanout` the in-process plane's per-request helpers — on
-# a lazy plane they wake, train, read and hibernate clients beside the round
-# thread).
+# kernel pool, which also runs the in-process plane's client jobs beside the
+# round thread — on a lazy plane they wake, train, read and hibernate
+# clients).
 #
 # A thread's counters are those of the last sample that saw it, so a thread
 # that lived between two samples is missing from its row, and one that
 # exited keeps up to 50 ms out of it. The `(unsampled)` row holds that
 # remainder: the command's total CPU, read from the shell's child times
 # after it exits, minus the rows above. `total` is the command's CPU, so the
-# rows add up to it (to a clock tick per row). Short-lived per-round threads
-# land mostly in `(unsampled)`; the split between user and system time there
-# can be off by a few ticks, as the kernel apportions the two per thread.
+# rows add up to it (to a clock tick per row). Short-lived threads land
+# mostly in `(unsampled)`; the split between user and system time there can
+# be off by a few ticks, as the kernel apportions the two per thread. A
+# sample that lands before a new thread names itself counts it under its
+# parent's name.
 #
 # Give it the program itself, not `cargo run`: it samples the process it
 # started, not that process's children (their CPU still counts in `total`
