@@ -4,7 +4,7 @@
 //! selection — never on arrival order or thread count.
 //!
 //! Materialize-then-average — buffer `O(sampled·d)` floats, then walk the
-//! whole set ([`weighted_average`]) — holds 10,000 live parameter vectors
+//! whole set — holds 10,000 live parameter vectors
 //! with a million registered clients and 1% sampling. The
 //! [`StreamingAggregator`] replaces the buffer with one flat `d`-float
 //! accumulator plus a folded-weight scalar.
@@ -25,9 +25,9 @@
 //!   order ([`rfl_tensor::add_assign_slices`]). A left comb is the one tree
 //!   shape whose per-element operation sequence is *identical* to the flat
 //!   sequential fold `zeros; acc += w₀·θ₀; acc += w₁·θ₁; …`, which is what
-//!   keeps the result bit-identical to the retained
-//!   [`weighted_average`] oracle (f32 addition is not
-//!   associative, so any balanced shape would change the pinned losses).
+//!   keeps the result bit-identical to the materializing oracle below (f32
+//!   addition is not associative, so any balanced shape would change the
+//!   pinned losses).
 //!
 //! In-order arrivals skip the explicit leaf and fold straight into the spine
 //! with [`rfl_tensor::axpy_slices`] — bit-equal, because axpy performs the
@@ -56,25 +56,12 @@
 //! selection* ([`crate::sampling::renormalized_weights`]). When every
 //! selected upload arrives (the common, pinned case) the fold sequence is
 //! exactly `zeros; axpy(w_0, θ_0); axpy(w_1, θ_1); …` — bit-identical to
-//! `weighted_average(params, renormalized_weights(..))`, which stays below
-//! as the oracle. When uploads drop, the accumulator is rescaled
+//! `weighted_average(params, renormalized_weights(..))`, the oracle in
+//! rfl-core's `tests/oracle/fold.rs` that `tests/proptests.rs` pins the
+//! aggregator against. When uploads drop, the accumulator is rescaled
 //! once by `1/Σ(folded weights)` — the same renormalize-over-survivors
 //! semantics, applied as a single deterministic correction instead of a
 //! re-walk of buffered vectors.
-
-/// Weighted average of parameter vectors (`Σ w_i θ_i`), every vector
-/// materialized: the oracle the [`StreamingAggregator`] is pinned against
-/// (unit tests here and the aggregator proptests).
-pub fn weighted_average(params: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
-    assert_eq!(params.len(), weights.len());
-    assert!(!params.is_empty());
-    let mut out = vec![0.0; params[0].len()];
-    for (p, &w) in params.iter().zip(weights) {
-        assert_eq!(p.len(), out.len());
-        rfl_tensor::axpy_slices(&mut out, w, p);
-    }
-    out
-}
 
 /// Dimension at which element-wise tree ops start chunking across the worker
 /// pool; below this the dispatch overhead exceeds the win.
@@ -326,36 +313,11 @@ mod tests {
         agg.rearm(dim);
         agg
     }
-    use crate::sampling::renormalized_weights;
 
     fn params(n: usize, d: usize) -> Vec<Vec<f32>> {
         (0..n)
             .map(|i| (0..d).map(|j| (i * d + j) as f32 * 0.37 - 1.5).collect())
             .collect()
-    }
-
-    #[test]
-    fn weighted_average_of_identical_is_identity() {
-        let p = vec![vec![1.0, 2.0], vec![1.0, 2.0]];
-        assert_eq!(weighted_average(&p, &[0.3, 0.7]), vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn weighted_average_weights_matter() {
-        let p = vec![vec![0.0], vec![10.0]];
-        assert_eq!(weighted_average(&p, &[0.9, 0.1]), vec![1.0]);
-    }
-
-    #[test]
-    fn in_order_fold_matches_weighted_average_bitwise() {
-        let p = params(5, 17);
-        let w = renormalized_weights(&[0.2, 0.1, 0.4, 0.05, 0.25], &[0, 1, 2, 3, 4]);
-        let mut agg = fresh(17, w.clone());
-        for (slot, pi) in p.iter().enumerate() {
-            agg.push(slot, pi);
-        }
-        let got = agg.finish().unwrap();
-        assert_eq!(got, weighted_average(&p, &w));
     }
 
     #[test]
@@ -373,24 +335,6 @@ mod tests {
                 agg.push(slot, &p[slot]);
             }
             assert_eq!(agg.finish().unwrap(), want, "perm {perm:?}");
-        }
-    }
-
-    #[test]
-    fn pool_parallel_dims_match_the_oracle_in_any_arrival_order() {
-        // Above PAR_MIN_DIM the leaf/spine ops chunk across the worker
-        // pool; the result must still be bit-identical to the sequential
-        // oracle, in order and fully reversed.
-        let d = PAR_MIN_DIM + 3;
-        let p = params(3, d);
-        let w = renormalized_weights(&[0.5, 0.2, 0.3], &[0, 1, 2]);
-        let want = weighted_average(&p, &w);
-        for order in [[0usize, 1, 2], [2, 1, 0]] {
-            let mut agg = fresh(d, w.clone());
-            for &slot in &order {
-                agg.push(slot, &p[slot]);
-            }
-            assert_eq!(agg.finish().unwrap(), want, "order {order:?}");
         }
     }
 
@@ -450,29 +394,6 @@ mod tests {
         for (g, x) in got.iter().zip(&p[1]) {
             assert!((g - x).abs() <= x.abs() * 1e-6 + 1e-6, "{g} vs {x}");
         }
-    }
-
-    #[test]
-    fn reset_reuses_buffers_and_matches_fresh() {
-        let all_w = vec![0.1f32, 0.2, 0.3, 0.4];
-        let sel = vec![0usize, 2, 3];
-        let p = params(3, 8);
-        let run = |agg: &mut StreamingAggregator| {
-            agg.reset_for_selection(8, &all_w, &sel);
-            for (slot, pi) in p.iter().enumerate() {
-                agg.push(slot, pi);
-            }
-            agg.finish().unwrap()
-        };
-        let mut agg = StreamingAggregator::default();
-        let first = run(&mut agg);
-        agg.donate(first.clone());
-        let second = run(&mut agg);
-        assert_eq!(first, second);
-        assert_eq!(
-            first,
-            weighted_average(&p, &renormalized_weights(&all_w, &sel))
-        );
     }
 
     #[test]

@@ -125,21 +125,15 @@ pub fn run(fed: &mut Federation, seed: u64, rounds: usize) -> History {
     Trainer::new(config(seed, rounds)).run(&mut algo, fed)
 }
 
-/// The whole pinned run, in-process, on the default perfect transport.
-pub fn run_in_process(seed: u64, rounds: usize) -> History {
-    let fed_data = data(seed);
-    let cfg = config(seed, rounds);
-    let mut fed = Federation::new(&fed_data, model(), optimizer(), &cfg, seed);
-    run(&mut fed, seed, rounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn in_process_run_reproduces_the_pinned_loss() {
-        let h = run_in_process(SEED, ROUNDS);
+        let (fed_data, cfg) = (data(SEED), config(SEED, ROUNDS));
+        let mut fed = Federation::new(&fed_data, model(), optimizer(), &cfg, SEED);
+        let h = run(&mut fed, SEED, ROUNDS);
         let loss = h.records().last().unwrap().train_loss as f64;
         assert!(
             loss_matches_pin(loss),

@@ -35,7 +35,7 @@ pub use message::{
     BroadcastDelivery, ControlMsg, Delivery, DropReason, FaultStats, LinkOutcome, MsgKind,
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
-pub use reactor::{ReactorCounters, WriteQueue};
+pub use reactor::ReactorCounters;
 pub use socket::run_client_loop;
 pub use socket::{
     encode_frame, read_frame, write_frame, ClientConn, ClientEvent, ClientLoopOpts, ClientOutcome,

@@ -100,7 +100,7 @@ fn parse_net_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
 /// several frames. Frames are shared `Arc<[u8]>`s, so queueing one frame to
 /// N connections costs N refcount bumps, not N copies.
 #[derive(Default)]
-pub struct WriteQueue {
+struct WriteQueue {
     /// `(frame, offset)`: `offset` bytes of the front frame are already on
     /// the wire.
     segs: VecDeque<(Arc<[u8]>, usize)>,
@@ -109,28 +109,24 @@ pub struct WriteQueue {
 }
 
 impl WriteQueue {
-    pub fn new() -> WriteQueue {
-        WriteQueue::default()
-    }
-
     /// Appends one encoded frame.
-    pub fn push(&mut self, frame: Arc<[u8]>) {
+    fn push(&mut self, frame: Arc<[u8]>) {
         self.queued += frame.len();
         self.segs.push_back((frame, 0));
     }
 
     /// Unwritten bytes currently queued.
-    pub fn pending_bytes(&self) -> usize {
+    fn pending_bytes(&self) -> usize {
         self.queued
     }
 
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.queued == 0
     }
 
     /// The unwritten tails of up to `max_slices` queued frames, in wire
     /// order — ready for one vectored write.
-    pub fn gather(&self, max_slices: usize) -> Vec<&[u8]> {
+    fn gather(&self, max_slices: usize) -> Vec<&[u8]> {
         self.segs
             .iter()
             .take(max_slices)
@@ -144,7 +140,7 @@ impl WriteQueue {
     ///
     /// # Panics
     /// If `n` exceeds [`pending_bytes`](WriteQueue::pending_bytes).
-    pub fn advance(&mut self, mut n: usize) {
+    fn advance(&mut self, mut n: usize) {
         assert!(n <= self.queued, "advanced past the queued bytes");
         self.queued -= n;
         while n > 0 {
@@ -369,7 +365,7 @@ impl ConnShared {
     pub(crate) fn close(&self) {
         let mut st = self.state.lock().expect("write queue poisoned");
         st.open = false;
-        st.q = WriteQueue::new();
+        st.q = WriteQueue::default();
         drop(st);
         self.space.notify_all();
         self.closer.shutdown_now();
@@ -392,7 +388,7 @@ impl ConnShared {
         let mut st = self.state.lock().expect("write queue poisoned");
         st.open = false;
         st.close_after_flush = false;
-        st.q = WriteQueue::new();
+        st.q = WriteQueue::default();
         drop(st);
         self.space.notify_all();
     }
@@ -934,7 +930,7 @@ impl Shard {
         });
         let shared = Arc::new(ConnShared {
             state: Mutex::new(QueueState {
-                q: WriteQueue::new(),
+                q: WriteQueue::default(),
                 open: true,
                 close_after_flush: false,
                 waiters: 0,
@@ -1297,6 +1293,90 @@ mod tests {
             }
             prop_assert_eq!(emitted, oracle);
         }
+
+        /// The reactor's partial-write resume path: a queue of encoded frames
+        /// drained in arbitrary byte-sized steps (including splits *inside*
+        /// headers and across frame boundaries) emits exactly the
+        /// concatenation of the frames, with `pending_bytes` bookkeeping exact
+        /// at every step.
+        #[test]
+        fn write_queue_resumes_partial_writes_at_any_boundary(
+            frames in prop::collection::vec(
+                (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)),
+                1..6,
+            ),
+            steps in prop::collection::vec(1usize..8, 1..10),
+            max_slices in 1usize..8,
+        ) {
+            let mut q = WriteQueue::default();
+            let mut want = Vec::new();
+            for (tag, body) in &frames {
+                let frame = encode_frame(*tag, body);
+                want.extend_from_slice(&frame);
+                q.push(frame);
+            }
+            prop_assert_eq!(q.pending_bytes(), want.len());
+
+            // Simulated kernel: accept `step` bytes of whatever the gather
+            // exposes, cycling through the step sizes until drained.
+            let mut wire = Vec::new();
+            let mut next = 0usize;
+            while !q.is_empty() {
+                let slices = q.gather(max_slices);
+                prop_assert!(!slices.is_empty());
+                let exposed: usize = slices.iter().map(|s| s.len()).sum();
+                let step = steps[next % steps.len()].min(exposed);
+                next += 1;
+                let mut take = step;
+                for s in &slices {
+                    let n = take.min(s.len());
+                    wire.extend_from_slice(&s[..n]);
+                    take -= n;
+                    if take == 0 {
+                        break;
+                    }
+                }
+                let before = q.pending_bytes();
+                q.advance(step);
+                prop_assert_eq!(q.pending_bytes(), before - step);
+            }
+            prop_assert_eq!(&wire, &want);
+
+            // And the byte stream parses back into the original frames.
+            let mut reader = wire.as_slice();
+            for (tag, body) in &frames {
+                let (got_tag, got_body) = read_frame(&mut reader).unwrap();
+                prop_assert_eq!(got_tag, *tag);
+                prop_assert_eq!(&got_body, body);
+            }
+        }
+
+        /// A single frame split at *every* byte boundary: a two-step drain
+        /// (cut, rest) reproduces the frame for each possible cut point.
+        #[test]
+        fn write_queue_single_frame_splits_everywhere(
+            tag in any::<u8>(),
+            body in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let frame = encode_frame(tag, &body);
+            for cut in 0..=frame.len() {
+                let mut q = WriteQueue::default();
+                q.push(frame.clone());
+                let mut wire = Vec::new();
+                for want in [cut, frame.len() - cut] {
+                    let mut need = want;
+                    while need > 0 {
+                        let slices = q.gather(4);
+                        let n = need.min(slices[0].len());
+                        wire.extend_from_slice(&slices[0][..n]);
+                        q.advance(n);
+                        need -= n;
+                    }
+                }
+                prop_assert!(q.is_empty());
+                prop_assert_eq!(wire.as_slice(), &frame[..]);
+            }
+        }
     }
 
     #[test]
@@ -1522,7 +1602,7 @@ mod tests {
 
     #[test]
     fn write_queue_tracks_offsets_across_partial_writes() {
-        let mut q = WriteQueue::new();
+        let mut q = WriteQueue::default();
         q.push(frame(1, b"abc")); // 8 bytes on the wire
         q.push(frame(2, b"")); // 5 bytes
         assert_eq!(q.pending_bytes(), 13);
@@ -1544,14 +1624,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "advanced past the queued bytes")]
     fn write_queue_rejects_overadvance() {
-        let mut q = WriteQueue::new();
+        let mut q = WriteQueue::default();
         q.push(frame(1, b"x"));
         q.advance(7);
     }
 
     #[test]
     fn gather_respects_slice_cap() {
-        let mut q = WriteQueue::new();
+        let mut q = WriteQueue::default();
         for i in 0..10 {
             q.push(frame(i, &[i]));
         }

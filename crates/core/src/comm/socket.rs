@@ -2,7 +2,7 @@
 //!
 //! This module promotes the [`Transport`] abstraction from in-memory
 //! delivery to an actual wire: a length-prefixed framing layer over TCP or
-//! Unix-domain sockets, speaking the *same* hand-rolled `bytes` codec as
+//! Unix-domain sockets, speaking the *same* little-endian `f32` codec as
 //! the in-memory transports ([`rfl_tensor::encode_f32_into`]), so a payload's
 //! bytes on the wire are exactly the bytes the simulation meters.
 //!
@@ -65,6 +65,14 @@ pub(crate) const MAX_FRAME_BYTES: usize = 256 << 20;
 /// Ceiling on one reconnect-backoff delay (see
 /// [`ClientConn::connect_with_backoff`]).
 pub(crate) const BACKOFF_CAP: Duration = Duration::from_secs(1);
+
+/// The wait before reconnect attempt `attempt` (1-based: the first retry):
+/// `base_delay · 2^(attempt−1)`, capped at [`BACKOFF_CAP`].
+fn backoff_delay(base_delay: Duration, attempt: u32) -> Duration {
+    base_delay
+        .saturating_mul(1u32 << (attempt - 1).min(16))
+        .min(BACKOFF_CAP)
+}
 
 /// Writes one `[len][tag][body]` frame; returns its wire size. Header and
 /// body leave in one vectored write — on a `TCP_NODELAY` stream one `send`
@@ -654,25 +662,15 @@ impl Transport for SocketTransport {
 }
 
 impl RemoteTransport for SocketTransport {
-    /// Claims one client-originated upload frame, blocking until it
-    /// completes. The fold calls this per selected client *in selection
-    /// order* and folds each payload as its frame completes, dropping the
-    /// buffer before claiming the next — the server never holds more than
-    /// one decoded upload. The aggregation path instead sweeps
-    /// [`RemoteTransport::try_recv`] to claim frames in *arrival* order
-    /// (the reduction tree makes the fold order-free), falling back to this
-    /// blocking claim only when nothing is ready.
+    /// The fold claims in selection order and folds each payload before
+    /// claiming the next, so the server holds one decoded upload at a time.
     fn recv(&mut self, kind: MsgKind, client: usize) -> Delivery {
         let claimed = self.claim_upload(kind, client, true, decode_dense);
         Delivery::claimed(claimed.expect("a blocking claim resolves"))
     }
 
-    /// Non-blocking readiness probe: resolves `client`'s upload right now
-    /// if its frame already completed in the reactor (identical decode and
-    /// byte accounting to [`RemoteTransport::recv`]) or if the session is
-    /// gone (a deterministic loss, like the blocking path); returns `None`
-    /// while the link is live with nothing queued. Never times a client
-    /// out — deadline enforcement stays with the blocking claim.
+    /// Decodes and meters a claimed frame as `recv` does. Never times a
+    /// client out: deadlines stay with the blocking claim.
     fn try_recv(&mut self, kind: MsgKind, client: usize) -> Option<Delivery> {
         self.claim_upload(kind, client, false, decode_dense)
             .map(Delivery::claimed)
@@ -751,10 +749,6 @@ impl RemoteTransport for SocketTransport {
             Some(Err(reason)) => LinkOutcome::lost(reason),
             None => unreachable!("a blocking claim resolves"),
         }
-    }
-
-    fn reactor_counters(&self) -> Option<ReactorCounters> {
-        Some(SocketTransport::reactor_counters(self))
     }
 
     fn drop_undecodable(&mut self) {
@@ -836,40 +830,22 @@ impl ClientConn {
         })
     }
 
-    /// Connects with bounded exponential backoff: after a failed attempt
-    /// `i` (0-based) the delay doubles from `base_delay`, capped at one
-    /// second (`BACKOFF_CAP`). The wait runs on a condvar with an absolute
-    /// deadline rather than `thread::sleep`, so churn/reconnect paths never
-    /// depend on sleep granularity and a wrapping runtime could cancel the
-    /// wait by notifying. Gives a client started before its server a
+    /// Connects with bounded exponential backoff: before attempt `i`
+    /// (0-based, `i > 0`) the thread sleeps `backoff_delay(base_delay, i)`,
+    /// a delay doubling from `base_delay` and capped at one second
+    /// (`BACKOFF_CAP`). Gives a client started before its server a
     /// registration window, and bounds how long a partitioned client spins.
+    /// After `attempts` failures it returns the last connect error.
     pub fn connect_with_backoff(
         endpoint: &Endpoint,
         attempts: u32,
         base_delay: Duration,
     ) -> io::Result<ClientConn> {
         assert!(attempts >= 1, "need at least one attempt");
-        let parked = (Mutex::new(()), Condvar::new());
         let mut last = None;
         for i in 0..attempts {
             if i > 0 {
-                let delay = base_delay
-                    .saturating_mul(1u32 << (i - 1).min(16))
-                    .min(BACKOFF_CAP);
-                let deadline = Instant::now() + delay;
-                let mut guard = parked.0.lock().expect("backoff mutex poisoned");
-                // Deadline loop: spurious wakeups re-check the clock.
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (g, _) = parked
-                        .1
-                        .wait_timeout(guard, deadline - now)
-                        .expect("backoff mutex poisoned");
-                    guard = g;
-                }
+                std::thread::sleep(backoff_delay(base_delay, i));
             }
             match ClientConn::connect(endpoint) {
                 Ok(conn) => return Ok(conn),
@@ -1065,6 +1041,39 @@ pub fn run_client_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backoff_doubles_from_the_base_and_stops_at_the_cap() {
+        let ms = Duration::from_millis;
+        let delays: Vec<Duration> = (1..=10).map(|i| backoff_delay(ms(5), i)).collect();
+        assert_eq!(
+            delays,
+            [5, 10, 20, 40, 80, 160, 320, 640, 1000, 1000].map(ms)
+        );
+        // Far past the cap the doubling saturates instead of overflowing,
+        // and a base above the cap is cut to it.
+        assert_eq!(backoff_delay(ms(5), 40), BACKOFF_CAP);
+        assert_eq!(backoff_delay(Duration::from_secs(3), 1), BACKOFF_CAP);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn backoff_sleeps_the_schedule_then_returns_the_connect_error() {
+        let dir = std::env::temp_dir().join(format!("rfl-absent-{}", std::process::id()));
+        let endpoint = Endpoint::Unix(dir.join("server.sock"));
+        let Err(refused) = ClientConn::connect(&endpoint) else {
+            panic!("nothing listens")
+        };
+        let start = Instant::now();
+        let Err(err) = ClientConn::connect_with_backoff(&endpoint, 4, Duration::from_millis(5))
+        else {
+            panic!("nothing listens")
+        };
+        let waited = start.elapsed();
+        assert_eq!(err.kind(), refused.kind());
+        // Three retries: 5 + 10 + 20 ms of sleep before the last attempt.
+        assert!(waited >= Duration::from_millis(35), "waited {waited:?}");
+    }
 
     #[test]
     fn frame_round_trip() {

@@ -8,7 +8,6 @@
 //! per-link faults.
 
 use super::message::{BroadcastDelivery, Delivery, FaultStats, LinkOutcome, MsgKind};
-use super::reactor::ReactorCounters;
 use super::stats::{CommStats, Direction};
 use crate::client::LocalReport;
 use crate::compress::CompressedVec;
@@ -57,9 +56,10 @@ pub trait Transport: Send {
 
 /// A [`Transport`] whose clients are real processes: besides sending
 /// downloads, the server must *ask* for work and *wait* for the bytes
-/// (in the simulation `send(ModelUp, ..)` already knows the payload). This
-/// is what [`crate::plane`]'s socket back-end is built on, and what
-/// [`crate::Federation::remote`] takes — the back-end is chosen by type.
+/// (in the simulation `send(ModelUp, ..)` already knows the payload).
+/// [`super::SocketTransport`] is its one implementation: the one
+/// [`crate::Federation::remote`] takes and [`crate::plane`]'s socket
+/// back-end holds.
 pub trait RemoteTransport: Transport {
     /// Blocks for `client`'s next upload on `kind`'s plane (an
     /// upload-direction [`MsgKind`]); meters the received wire bytes. A
@@ -73,12 +73,10 @@ pub trait RemoteTransport: Transport {
     /// claimed off the queue, or a dead link mapped to a loss — while
     /// `None` means nothing has arrived yet and the link is still live.
     /// Arrival-order collection (`Federation::collect_average`) sweeps
-    /// this across the selection so early finishers fold while
-    /// stragglers upload. The default resolves by blocking: a transport
-    /// with no readiness information degrades to in-order claiming.
-    fn try_recv(&mut self, kind: MsgKind, client: usize) -> Option<Delivery> {
-        Some(self.recv(kind, client))
-    }
+    /// this across the selection so early finishers fold while stragglers
+    /// upload (the reduction tree makes the fold order-free), and blocks
+    /// in [`Self::recv`] only when nothing is ready.
+    fn try_recv(&mut self, kind: MsgKind, client: usize) -> Option<Delivery>;
 
     /// Tells `client` to run `steps` local steps for `round`.
     fn start_training(&mut self, client: usize, round: u64, steps: usize) -> LinkOutcome;
@@ -108,13 +106,6 @@ pub trait RemoteTransport: Transport {
 
     /// Ends the run: notifies clients, closes links, stops accepting.
     fn shutdown(&mut self);
-
-    /// What the transport's event loop has done so far, if it runs one
-    /// ([`super::SocketTransport`] does): how a server that gave its
-    /// transport to [`crate::Federation::remote`] still gets to print them.
-    fn reactor_counters(&self) -> Option<ReactorCounters> {
-        None
-    }
 }
 
 /// The lossless, zero-latency transport: every send is delivered on the

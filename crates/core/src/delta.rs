@@ -85,15 +85,9 @@ impl DeltaTable {
         (0..self.n).map(|k| self.get(k).to_vec()).collect()
     }
 
-    /// The full table flattened (what rFedAvg broadcasts): `N·d` scalars.
-    pub fn flattened(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.n * self.dim);
-        self.flattened_into(&mut out);
-        out
-    }
-
-    /// [`Self::flattened`] into a caller-provided buffer (cleared first; its
-    /// allocation is reused across rounds).
+    /// The full table flattened (what rFedAvg broadcasts), `N·d` scalars,
+    /// into a caller-provided buffer (cleared first; its allocation is
+    /// reused across rounds).
     pub fn flattened_into(&self, out: &mut Vec<f32>) {
         out.clear();
         out.reserve(self.n * self.dim);
@@ -189,7 +183,9 @@ mod tests {
         let t = DeltaTable::new(3, 2);
         assert_eq!(t.num_initialized(), 0);
         assert_eq!(t.get(1), &[0.0, 0.0]);
-        assert_eq!(t.flattened().len(), 6);
+        let mut flat = vec![1.0];
+        t.flattened_into(&mut flat);
+        assert_eq!(flat, vec![0.0; 6]);
     }
 
     #[test]
@@ -208,7 +204,9 @@ mod tests {
         let mut t = DeltaTable::new(2, 2);
         t.set(0, vec![1.0, 2.0]);
         t.set(1, vec![3.0, 4.0]);
-        assert_eq!(t.flattened(), vec![1.0, 2.0, 3.0, 4.0]);
+        let mut flat = Vec::new();
+        t.flattened_into(&mut flat);
+        assert_eq!(flat, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -277,11 +275,6 @@ mod tests {
         let want = Some(vec![(oracle - 4.0) / 6.0]);
         assert_eq!(t.loo_from_total(&[oracle], 513), want);
     }
-}
-
-#[cfg(test)]
-mod partial_tests {
-    use super::*;
 
     #[test]
     fn mean_excluding_initialized_skips_unreported_clients() {

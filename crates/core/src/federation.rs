@@ -5,7 +5,7 @@
 //! The constructor picks the [`crate::plane`] back-end: [`Federation::new`]
 //! and [`Federation::lazy`] the in-process one (eager replicas or the lazy
 //! registry, behind any [`Transport`]), [`Federation::remote`] the socket
-//! one over a [`RemoteTransport`]. Everything below them is written once
+//! one over a [`SocketTransport`]. Everything below them is written once
 //! against the plane: a model broadcast is an install, the fold claims
 //! uploads, the δ sync claims δ frames, and each metered phase is one
 //! `Federation::metered` call. Which phases run, in what order, with
@@ -13,7 +13,7 @@
 
 use crate::aggregate::StreamingAggregator;
 use crate::client::{Client, LocalReport};
-use crate::comm::{CommStats, FaultStats, RemoteTransport, Transport};
+use crate::comm::{CommStats, FaultStats, RemoteTransport, SocketTransport, Transport};
 use crate::compress::{decode_plain_into, decode_upload_into, CompressedVec, Compression};
 use crate::delta::DeltaTable;
 use crate::dp::DpConfig;
@@ -434,7 +434,7 @@ impl Federation {
         model: ModelFactory,
         cfg: &FlConfig,
         seed: u64,
-        transport: Box<dyn RemoteTransport>,
+        transport: Box<SocketTransport>,
     ) -> Self {
         let weights = data.client_weights();
         Self::base(model, cfg, seed, weights, data.test.clone(), |_| {
@@ -457,7 +457,7 @@ impl Federation {
     /// [`Federation::shutdown_remote`]; `None` in simulation mode.
     pub fn reactor_counters(&self) -> Option<crate::comm::ReactorCounters> {
         match &self.plane {
-            ClientPlane::Remote(r) => r.transport.reactor_counters(),
+            ClientPlane::Remote(r) => Some(r.transport.reactor_counters()),
             ClientPlane::Local(_) => None,
         }
     }
@@ -724,9 +724,10 @@ impl Federation {
     /// Streaming collect-and-average *without* installing the result:
     /// returns the delivered ids and the weighted average over them (with
     /// weights renormalized over the survivors), or `None` when every
-    /// upload dropped. Bit-identical to
-    /// [`crate::aggregate::weighted_average`] over the uploads with
-    /// `renormalized_weights(weights, delivered)` when all of them arrive.
+    /// upload dropped. Bit-identical to the materializing
+    /// `weighted_average` oracle (rfl-core's `tests/oracle/fold.rs`) over the
+    /// uploads with `renormalized_weights(weights, delivered)` when all of
+    /// them arrive.
     pub(crate) fn collect_average(&mut self, selected: &[usize]) -> (Vec<usize>, Option<Vec<f32>>) {
         let dim = self.global.len();
         let mut fold_span = self.tracer.span(SpanKind::Fold);

@@ -98,11 +98,6 @@ impl History {
         self.records.iter().map(|r| r.delta_bytes).sum()
     }
 
-    /// Total messages dropped by the transport across the run.
-    pub fn total_dropped(&self) -> u64 {
-        self.records.iter().map(|r| r.dropped_msgs).sum()
-    }
-
     /// Mean delivered-participant fraction (`delivered / participants`)
     /// over rounds with at least one selected client — 1.0 on a perfect
     /// transport.
@@ -184,16 +179,14 @@ mod tests {
     }
 
     #[test]
-    fn fault_totals_and_delivery_rate() {
+    fn delivery_rate_averages_over_rounds() {
         let mut h = History::new();
         assert_eq!(h.mean_delivery_rate(), 1.0, "empty history is perfect");
         let mut a = rec(0, None);
         a.delivered = 2;
-        a.dropped_msgs = 3;
         let b = rec(1, None);
         h.push(a);
         h.push(b);
-        assert_eq!(h.total_dropped(), 3);
         assert!((h.mean_delivery_rate() - 0.75).abs() < 1e-12, "(0.5 + 1)/2");
     }
 }

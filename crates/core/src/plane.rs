@@ -25,7 +25,9 @@
 //! that [`crate::Trainer::try_run`] checks the algorithm's against.
 
 use crate::client::{Client, LocalReport};
-use crate::comm::{Delivery, LinkOutcome, MsgKind, PerfectTransport, RemoteTransport, Transport};
+use crate::comm::{
+    Delivery, LinkOutcome, MsgKind, PerfectTransport, RemoteTransport, SocketTransport, Transport,
+};
 use crate::compress::{compress_plain, ef_compress_update, CompressedVec, Compression};
 use crate::dp::{privatize_delta, DpConfig};
 use crate::eval::{evaluate, EvalResult};
@@ -718,7 +720,7 @@ impl LocalPlane {
 /// [`crate::comm::run_client_loop`]; the server sends requests as frames
 /// and claims the replies off their sessions.
 pub(crate) struct RemotePlane {
-    pub(crate) transport: Box<dyn RemoteTransport>,
+    pub(crate) transport: Box<SocketTransport>,
     pub(crate) tracer: Tracer,
 }
 

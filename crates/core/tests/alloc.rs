@@ -251,7 +251,11 @@ fn warm_paths_stay_off_the_allocator() {
          (cold {lifecycle_cold:.2}); ceiling is {LIFECYCLE_CEILING}"
     );
 
-    let h = canonical::run_in_process(canonical::SEED, canonical::ROUNDS);
+    let (seed, rounds) = (canonical::SEED, canonical::ROUNDS);
+    let (data, cfg) = (canonical::data(seed), canonical::config(seed, rounds));
+    let (model, optimizer) = (canonical::model(), canonical::optimizer());
+    let mut fed = Federation::new(&data, model, optimizer, &cfg, seed);
+    let h = canonical::run(&mut fed, seed, rounds);
     let loss = h.records().last().expect("a round ran").train_loss as f64;
     assert!(
         canonical::loss_matches_pin(loss),

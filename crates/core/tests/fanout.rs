@@ -103,9 +103,11 @@ fn fingerprint(make: Make, lossy: bool, lazy: bool, parallel: bool) -> String {
         })
         .collect();
     let stats = fed.comm_stats();
+    let mut flat = Vec::new();
+    table.flattened_into(&mut flat);
     format!(
         "table={:016x} rows={} global={:016x} eval=[{}] ddown={} dup={} msgs={} dropped={}",
-        bit_hash(&table.flattened()),
+        bit_hash(&flat),
         table.num_initialized(),
         bit_hash(fed.global()),
         evals.join(","),

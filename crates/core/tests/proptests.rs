@@ -1,18 +1,43 @@
-//! Property-based tests of the FL-core primitives.
+//! Property-based tests of the FL-core primitives, and the tests that pin
+//! the fast forms the library runs (`MmdStats`, `StreamingAggregator`)
+//! against the direct, materializing forms in `oracle/`, which no
+//! production path calls.
 
+mod oracle {
+    pub mod fold;
+    pub mod mmd;
+}
+
+use oracle::fold::weighted_average;
+use oracle::mmd::{mean_excluding, regularizer_value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rfl_core::aggregate::weighted_average;
 use rfl_core::dp::{clip_l2, privatize_delta, DpConfig};
-use rfl_core::mmd;
+use rfl_core::mmd::{self, MmdStats};
 use rfl_core::sampling::{renormalized_weights, sample_clients};
 use rfl_core::StreamingAggregator;
 use rfl_tensor::Tensor;
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, len)
+}
+
+/// `params` (one upload per slot of `sel`) through a fresh
+/// [`StreamingAggregator`] over `raw`'s weights, arriving in `order`.
+fn fold(
+    raw: &[f32],
+    sel: &[usize],
+    params: &[Vec<f32>],
+    order: impl IntoIterator<Item = usize>,
+) -> Vec<f32> {
+    let mut agg = StreamingAggregator::default();
+    agg.reset_for_selection(params[0].len(), raw, sel);
+    for slot in order {
+        agg.push(slot, &params[slot]);
+    }
+    agg.finish().unwrap()
 }
 
 proptest! {
@@ -43,9 +68,9 @@ proptest! {
     ) {
         let deltas = vec![d0, d1, d2, d3];
         for k in 0..4 {
-            let exact = mmd::regularizer_value(k, &deltas);
-            let mean = mmd::mean_excluding(k, &deltas);
-            let surrogate = mmd::surrogate_value(&deltas[k], &mean);
+            let exact = regularizer_value(k, &deltas);
+            let mean = mean_excluding(k, &deltas);
+            let surrogate = mmd::mmd_sq(&deltas[k], &mean);
             prop_assert!(surrogate <= exact + 1e-3, "k={}: {} > {}", k, surrogate, exact);
         }
     }
@@ -63,12 +88,17 @@ proptest! {
         // target above vs below the mean by the same offset.
         let above: Vec<f32> = mu.iter().map(|v| v + 1.0).collect();
         let below: Vec<f32> = mu.iter().map(|v| v - 1.0).collect();
-        let g_above = mmd::feature_gradient(&feats, &above, lambda);
-        let g_below = mmd::feature_gradient(&feats, &below, lambda);
+        let gradient = |target: &[f32]| {
+            let mut out = Tensor::scratch();
+            mmd::feature_gradient_into(&feats, target, lambda, &mut Tensor::scratch(), &mut out);
+            out
+        };
+        let g_above = gradient(&above);
+        let g_below = gradient(&below);
         for (x, y) in g_above.data().iter().zip(g_below.data()) {
             prop_assert!((x + y).abs() < 1e-4);
         }
-        let g_center = mmd::feature_gradient(&feats, &mu, lambda);
+        let g_center = gradient(&mu);
         prop_assert!(g_center.data().iter().all(|v| v.abs() < 1e-5));
     }
 
@@ -158,12 +188,7 @@ proptest! {
             (0..n).map(|i| flat[i * dim..(i + 1) * dim].to_vec()).collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xA11));
-        let mut agg = StreamingAggregator::default();
-        agg.reset_for_selection(dim, &raw_w, &sel);
-        for &slot in &order {
-            agg.push(slot, &params[slot]);
-        }
-        let got = agg.finish().unwrap();
+        let got = fold(&raw_w, &sel, &params, order);
         let want =
             weighted_average(&params, &renormalized_weights(&raw_w, &sel));
         prop_assert_eq!(got, want);
@@ -190,23 +215,13 @@ proptest! {
 
         // Sequential: arrivals in slot order (every push hits the in-order
         // spine path).
-        let mut seq = StreamingAggregator::default();
-        seq.reset_for_selection(dim, &raw_w, &sel);
-        for (slot, p) in params.iter().enumerate() {
-            seq.push(slot, p);
-        }
-        let sequential = seq.finish().unwrap();
+        let sequential = fold(&raw_w, &sel, &params, 0..n);
 
         // Tree: the same uploads in a random arrival permutation (late
         // slots land as scaled leaves, folded on the spine in slot order).
         let mut order: Vec<usize> = (0..n).collect();
         order.shuffle(&mut StdRng::seed_from_u64(seed ^ 0x7EE));
-        let mut tree = StreamingAggregator::default();
-        tree.reset_for_selection(dim, &raw_w, &sel);
-        for &slot in &order {
-            tree.push(slot, &params[slot]);
-        }
-        let treed = tree.finish().unwrap();
+        let treed = fold(&raw_w, &sel, &params, order);
 
         let oracle =
             weighted_average(&params, &renormalized_weights(&raw_w, &sel));
@@ -294,4 +309,121 @@ proptest! {
         }
         prop_assert_eq!(got, want);
     }
+}
+
+#[test]
+fn identical_distributions_have_zero_regularizer() {
+    let deltas = vec![vec![1.0, 1.0]; 5];
+    for k in 0..5 {
+        assert_eq!(regularizer_value(k, &deltas), 0.0);
+    }
+}
+
+#[test]
+fn surrogate_is_lower_bound_of_regularizer() {
+    // Jensen: ‖δ_k − mean_j δ_j‖² ≤ (1/(N−1)) Σ_j ‖δ_k − δ_j‖².
+    let deltas = vec![
+        vec![0.0, 0.0],
+        vec![1.0, 2.0],
+        vec![-1.0, 3.0],
+        vec![0.5, -0.5],
+    ];
+    for k in 0..4 {
+        let mean = mean_excluding(k, &deltas);
+        let surrogate = mmd::mmd_sq(&deltas[k], &mean);
+        let exact = regularizer_value(k, &deltas);
+        assert!(surrogate <= exact + 1e-6, "k={k}: {surrogate} > {exact}");
+    }
+}
+
+#[test]
+fn mean_excluding_excludes_self() {
+    let deltas = vec![vec![100.0], vec![1.0], vec![3.0]];
+    assert_eq!(mean_excluding(0, &deltas), vec![2.0]);
+    assert_eq!(mean_excluding(1, &deltas), vec![51.5]);
+}
+
+#[test]
+fn stats_match_pairwise_oracle() {
+    let deltas: Vec<Vec<f32>> = (0..7)
+        .map(|k| {
+            (0..5)
+                .map(|i| ((k * 13 + i * 7) as f32).sin() * 2.0)
+                .collect()
+        })
+        .collect();
+    let stats = MmdStats::new(&deltas).regularizer_values();
+    for (k, &fast) in stats.iter().enumerate() {
+        let oracle = regularizer_value(k, &deltas);
+        assert!(
+            (fast - oracle).abs() <= 1e-4 * oracle.abs().max(1.0),
+            "k={k}: {fast} vs {oracle}"
+        );
+    }
+    assert_eq!(stats.len(), deltas.len());
+}
+
+/// `n` parameter vectors of `d` distinct values.
+fn params(n: usize, d: usize) -> Vec<Vec<f32>> {
+    (0..n)
+        .map(|i| (0..d).map(|j| (i * d + j) as f32 * 0.37 - 1.5).collect())
+        .collect()
+}
+
+#[test]
+fn weighted_average_of_identical_is_identity() {
+    let p = vec![vec![1.0, 2.0], vec![1.0, 2.0]];
+    assert_eq!(weighted_average(&p, &[0.3, 0.7]), vec![1.0, 2.0]);
+}
+
+#[test]
+fn weighted_average_weights_matter() {
+    let p = vec![vec![0.0], vec![10.0]];
+    assert_eq!(weighted_average(&p, &[0.9, 0.1]), vec![1.0]);
+}
+
+#[test]
+fn in_order_fold_matches_weighted_average_bitwise() {
+    let p = params(5, 17);
+    let raw = [0.2, 0.1, 0.4, 0.05, 0.25];
+    let sel = [0, 1, 2, 3, 4];
+    let got = fold(&raw, &sel, &p, 0..5);
+    assert_eq!(got, weighted_average(&p, &renormalized_weights(&raw, &sel)));
+}
+
+#[test]
+fn pool_parallel_dims_match_the_oracle_in_any_arrival_order() {
+    // From 2^16 floats on (the aggregator's PAR_MIN_DIM) the leaf/spine ops
+    // chunk across the worker pool; the result must still be bit-identical
+    // to the sequential oracle, in order and fully reversed.
+    let d = (1 << 16) + 3;
+    let p = params(3, d);
+    let (raw, sel) = ([0.5, 0.2, 0.3], [0, 1, 2]);
+    let want = weighted_average(&p, &renormalized_weights(&raw, &sel));
+    for order in [[0usize, 1, 2], [2, 1, 0]] {
+        assert_eq!(fold(&raw, &sel, &p, order), want, "order {order:?}");
+    }
+}
+
+#[test]
+fn reset_reuses_buffers_and_matches_fresh() {
+    let all_w = vec![0.1f32, 0.2, 0.3, 0.4];
+    let sel = vec![0usize, 2, 3];
+    let p = params(3, 8);
+    let run = |agg: &mut StreamingAggregator| {
+        agg.reset_for_selection(8, &all_w, &sel);
+        for (slot, pi) in p.iter().enumerate() {
+            agg.push(slot, pi);
+        }
+        agg.finish().unwrap()
+    };
+    let mut agg = StreamingAggregator::default();
+    let first = run(&mut agg);
+    agg.donate(first.clone());
+    let second = run(&mut agg);
+    assert_eq!(first, second);
+    assert_eq!(
+        first,
+        weighted_average(&p, &renormalized_weights(&all_w, &sel))
+    );
 }

@@ -3,15 +3,14 @@
 //! bit-lossless, and every [`ControlMsg`] must round-trip through its wire
 //! body — the invariants the distributed bit-exactness contract stands on.
 //!
-//! The server's own reader is the reactor's chunk-fed `FrameReader`, which
-//! is private to `comm/reactor.rs`; the property that it emits exactly what
-//! [`read_frame`] reads from the same bytes under any chunking sits beside
-//! it, in that module's tests (`feed_agrees_with_read_frame_under_any_chunking`).
+//! The server's own reader and writer, the reactor's `FrameReader` and
+//! `WriteQueue`, are private to `comm/reactor.rs`, and their properties sit
+//! in that module's tests: the reader emits what [`read_frame`] reads under
+//! any chunking, and the queue resumes partial writes at any byte.
 
 use proptest::prelude::*;
 use rfl_core::comm::{
-    encode_frame, read_frame, write_frame, ControlMsg, MsgKind, WriteQueue, FRAME_HEADER_BYTES,
-    PROTO_MAGIC, PROTO_VERSION,
+    read_frame, write_frame, ControlMsg, MsgKind, FRAME_HEADER_BYTES, PROTO_MAGIC, PROTO_VERSION,
 };
 use rfl_core::compress::Compression;
 use rfl_tensor::{decode_f32_into, encode_f32_into};
@@ -269,90 +268,6 @@ proptest! {
         let (got_tag, got_body) = read_frame(&mut ragged.sink.as_slice()).unwrap();
         prop_assert_eq!(got_tag, tag);
         prop_assert_eq!(got_body, body);
-    }
-
-    /// The reactor's partial-write resume path: a queue of encoded frames
-    /// drained in arbitrary byte-sized steps (including splits *inside*
-    /// headers and across frame boundaries) emits exactly the
-    /// concatenation of the frames, with `pending_bytes` bookkeeping exact
-    /// at every step.
-    #[test]
-    fn write_queue_resumes_partial_writes_at_any_boundary(
-        frames in prop::collection::vec(
-            (any::<u8>(), prop::collection::vec(any::<u8>(), 0..64)),
-            1..6,
-        ),
-        steps in prop::collection::vec(1usize..8, 1..10),
-        max_slices in 1usize..8,
-    ) {
-        let mut q = WriteQueue::new();
-        let mut want = Vec::new();
-        for (tag, body) in &frames {
-            let frame = encode_frame(*tag, body);
-            want.extend_from_slice(&frame);
-            q.push(frame);
-        }
-        prop_assert_eq!(q.pending_bytes(), want.len());
-
-        // Simulated kernel: accept `step` bytes of whatever the gather
-        // exposes, cycling through the step sizes until drained.
-        let mut wire = Vec::new();
-        let mut next = 0usize;
-        while !q.is_empty() {
-            let slices = q.gather(max_slices);
-            prop_assert!(!slices.is_empty());
-            let exposed: usize = slices.iter().map(|s| s.len()).sum();
-            let step = steps[next % steps.len()].min(exposed);
-            next += 1;
-            let mut take = step;
-            for s in &slices {
-                let n = take.min(s.len());
-                wire.extend_from_slice(&s[..n]);
-                take -= n;
-                if take == 0 {
-                    break;
-                }
-            }
-            let before = q.pending_bytes();
-            q.advance(step);
-            prop_assert_eq!(q.pending_bytes(), before - step);
-        }
-        prop_assert_eq!(&wire, &want);
-
-        // And the byte stream parses back into the original frames.
-        let mut reader = wire.as_slice();
-        for (tag, body) in &frames {
-            let (got_tag, got_body) = read_frame(&mut reader).unwrap();
-            prop_assert_eq!(got_tag, *tag);
-            prop_assert_eq!(&got_body, body);
-        }
-    }
-
-    /// A single frame split at *every* byte boundary: a two-step drain
-    /// (cut, rest) reproduces the frame for each possible cut point.
-    #[test]
-    fn write_queue_single_frame_splits_everywhere(
-        tag in any::<u8>(),
-        body in prop::collection::vec(any::<u8>(), 0..48),
-    ) {
-        let frame = encode_frame(tag, &body);
-        for cut in 0..=frame.len() {
-            let mut q = WriteQueue::new();
-            q.push(frame.clone());
-            let mut wire = Vec::new();
-            for want in [cut, frame.len() - cut] {
-                let mut need = want;
-                while need > 0 {
-                    let slices = q.gather(4);
-                    let n = need.min(slices[0].len());
-                    wire.extend_from_slice(&slices[0][..n]);
-                    q.advance(n);
-                    need -= n;
-                }
-            }
-            prop_assert!(q.is_empty());
-            prop_assert_eq!(wire.as_slice(), &frame[..]);
-        }
     }
 
     /// Every control message round-trips through its wire body.

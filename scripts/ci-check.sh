@@ -1,17 +1,29 @@
 #!/usr/bin/env bash
-# Runs the exact same checks as .github/workflows/ci.yml, locally.
-# Usage: scripts/ci-check.sh
+# The CI checks, defined once. Each job of .github/workflows/ci.yml runs one
+# section (`scripts/ci-check.sh <section>`); with no argument every section
+# runs, in the order below, so a local run is the whole of CI.
+#
+# Usage: scripts/ci-check.sh [section ...]
+#   sections: fmt clippy build test distributed threaded bench
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --all -- --check"
-cargo fmt --all -- --check
+SECTIONS=(fmt clippy build test distributed threaded bench)
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+section_fmt() {
+    echo "== cargo fmt --all -- --check"
+    cargo fmt --all -- --check
+}
 
-echo "== cargo build --release --workspace"
-cargo build --release --workspace
+section_clippy() {
+    echo "== cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets -- -D warnings
+}
+
+section_build() {
+    echo "== cargo build --release --workspace"
+    cargo build --release --workspace
+}
 
 # The back-end parity tables (crates/core/tests/transport_equiv.rs: all eight
 # algorithms, lossless and lossy, bits/bytes/messages/spans as literals;
@@ -19,92 +31,115 @@ cargo build --release --workspace
 # (crates/core/tests/{alloc,reactor_scale,scale}.rs: allocator calls, reactor
 # thread census + byte ledger, peak RSS at 1M registered clients;
 # tests/extensions.rs: compression byte honesty + 10x trade-off) are plain
-# tests, so they run inside this leg and the two below — default,
+# tests, so they run inside this leg and the ones below it — default,
 # RFL_THREADS=4, RFL_SIMD=0 — and need no step of their own.
-echo "== cargo test -q --workspace"
-cargo test -q --workspace
+section_test() {
+    echo "== cargo test -q --workspace"
+    cargo test -q --workspace
 
-echo "== RFL_THREADS=4 cargo test -q --workspace (determinism contract)"
-RFL_THREADS=4 cargo test -q --workspace
+    echo "== RFL_THREADS=4 cargo test -q --workspace (determinism contract)"
+    RFL_THREADS=4 cargo test -q --workspace
 
-# The benchmark runs at two workers; two racing over one selection is the
-# interleaving the lazy plane's per-client jobs add.
-echo "== RFL_THREADS=2 lazy-engine tests (the benchmark's budget)"
-RFL_THREADS=2 cargo test -q -p rfl-core --test pipeline --test scale --test determinism --test fanout
+    # The benchmark runs at two workers; two racing over one selection is the
+    # interleaving the lazy plane's per-client jobs add.
+    echo "== RFL_THREADS=2 lazy-engine tests (the benchmark's budget)"
+    RFL_THREADS=2 cargo test -q -p rfl-core --test pipeline --test scale --test determinism --test fanout
 
-echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
-RFL_SIMD=0 cargo test -q --workspace
+    echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
+    RFL_SIMD=0 cargo test -q --workspace
+}
 
-# The deep oracle legs run every SIMD tier this CPU has (each test binary
-# reports a tier it skips on stderr); on an AVX-512 machine that is all
-# three, on an AVX2-only one two.
-echo "== PROPTEST_CASES=2048 conv oracle in release (the register-tile kernels against the textbook loops, deep)"
-PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test conv_oracle
+# The round traces of every leg stay in target/smoke-traces, which CI uploads
+# when the job fails.
+section_distributed() {
+    echo "== distributed smoke (multi-process federation over loopback TCP and a Unix socket, bit-exact)"
+    rm -rf target/smoke-traces
+    scripts/distributed-smoke.sh --trace-dir target/smoke-traces
+}
 
-echo "== PROPTEST_CASES=2048 GEMM oracle and per-tier SIMD equivalence in release (deep)"
-PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test gemm_oracle --test simd_equiv
+section_threaded() {
+    echo "== RFL_THREADS=4 RFL_NET_THREADS=2 distributed smoke (a fixed worker/reactor thread budget, bit-exact)"
+    RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
+}
 
-echo "== PROPTEST_CASES=2048 LSTM cell oracle in release (deep)"
-PROPTEST_CASES=2048 cargo test --release -q -p rfl-nn --test lstm_oracle
+section_bench() {
+    echo "== rfl-bench all --scale quick --seeds 1: every experiment's CSVs and stdout against scripts/experiments.sha256"
+    scripts/experiments-smoke.sh
 
-echo "== scripts/sanitize.sh: the kernel oracles under AddressSanitizer (nightly; prints skipped without one)"
-scripts/sanitize.sh
+    # The deep oracle legs run every SIMD tier this CPU has (each test binary
+    # reports a tier it skips on stderr); on an AVX-512 machine that is all
+    # three, on an AVX2-only one two.
+    echo "== PROPTEST_CASES=2048 conv oracle in release (the register-tile kernels against the textbook loops, deep)"
+    PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test conv_oracle
 
-echo "== RFL_FASTMATH_EXHAUSTIVE=1 normal sampler on every tier over the whole 24-bit draw lattice in release (16.7 M pairs per tier)"
-RFL_FASTMATH_EXHAUSTIVE=1 cargo test --release -q -p rfl-tensor --lib -- --exact \
-    fastmath::tests::every_tier_matches_the_scalar_kernels_over_the_draw_lattice
+    echo "== PROPTEST_CASES=2048 GEMM oracle and per-tier SIMD equivalence in release (deep)"
+    PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test gemm_oracle --test simd_equiv
 
-echo "== distributed smoke (multi-process federation over sockets)"
-scripts/distributed-smoke.sh
+    echo "== PROPTEST_CASES=2048 LSTM cell oracle in release (deep)"
+    PROPTEST_CASES=2048 cargo test --release -q -p rfl-nn --test lstm_oracle
 
-echo "== RFL_THREADS=4 RFL_NET_THREADS=2 distributed smoke (threaded leg)"
-RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
+    echo "== scripts/sanitize.sh: the kernel oracles under AddressSanitizer (nightly; prints skipped without one)"
+    scripts/sanitize.sh
 
-echo "== rfl-bench all --scale quick --seeds 1: every experiment's CSVs and stdout against scripts/experiments.sha256"
-scripts/experiments-smoke.sh
+    echo "== RFL_FASTMATH_EXHAUSTIVE=1 normal sampler on every tier over the whole 24-bit draw lattice in release (16.7 M pairs per tier)"
+    RFL_FASTMATH_EXHAUSTIVE=1 cargo test --release -q -p rfl-tensor --lib -- --exact \
+        fastmath::tests::every_tier_matches_the_scalar_kernels_over_the_draw_lattice
 
-echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment; the rows add up to the total within a clock tick per row, and every thread is rfl-bench or an rfl-worker)"
-scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick --out none |
-    awk -v hz="$(getconf CLK_TCK)" '
-        /^thread  *threads  *user_s/ { table = 1; next }
-        !table || NF < 6 { next }
-        $1 == "total" { tu = $(NF-3); ts = $(NF-2); total = 1; next }
-        $1 != "rfl-bench" && $1 != "rfl-worker" && $1 != "(unsampled)" { print "thread-cpu smoke: unexpected thread " $1 > "/dev/stderr"; stray = 1 }
-        { su += $(NF-3); ss += $(NF-2); rows++ }
-        function off(a, b) { return a > b ? a - b : b - a }
-        END { exit !(total && !stray && off(su, tu) <= rows / hz && off(ss, ts) <= rows / hz) }'
+    echo "== scripts/thread-cpu.sh smoke (per-thread user/sys seconds and context switches of one quick experiment; the rows add up to the total within a clock tick per row, and every thread is rfl-bench or an rfl-worker)"
+    scripts/thread-cpu.sh ./target/release/rfl-bench tab3_delta_size --scale quick --out none |
+        awk -v hz="$(getconf CLK_TCK)" '
+            /^thread  *threads  *user_s/ { table = 1; next }
+            !table || NF < 6 { next }
+            $1 == "total" { tu = $(NF-3); ts = $(NF-2); total = 1; next }
+            $1 != "rfl-bench" && $1 != "rfl-worker" && $1 != "(unsampled)" { print "thread-cpu smoke: unexpected thread " $1 > "/dev/stderr"; stray = 1 }
+            { su += $(NF-3); ss += $(NF-2); rows++ }
+            function off(a, b) { return a > b ? a - b : b - a }
+            END { exit !(total && !stray && off(su, tu) <= rows / hz && off(ss, ts) <= rows / hz) }'
 
-echo "== scripts/kernel-audit.sh on the release rfl-bench (tier bodies call no out-of-line intrinsic, 16-lane bodies use zmm, no FMA outside fastmath)"
-scripts/kernel-audit.sh target/release/rfl-bench > /dev/null
+    echo "== scripts/kernel-audit.sh on the release rfl-bench (tier bodies call no out-of-line intrinsic, 16-lane bodies use zmm, no FMA outside fastmath)"
+    scripts/kernel-audit.sh target/release/rfl-bench > /dev/null
 
-echo "== cnn_layers and lstm_layers smoke (per-layer step tables; the headers name the SIMD tier, --tier picks one)"
-cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 |
-    grep -E '^cifar-like CNN, .*, simd (avx512|avx2|scalar), '
-cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 --tier avx2 |
-    grep -E '^cifar-like CNN, .*, simd avx2, '
-cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 --tier scalar |
-    grep -E '^cifar-like CNN, .*, simd scalar, '
-cargo run --release -q -p rfl-nn --example lstm_layers -- --iters 3 |
-    grep -E '^sent140-like LSTM, .*, simd (avx512|avx2|scalar), '
+    echo "== cnn_layers and lstm_layers smoke (per-layer step tables; the headers name the SIMD tier, --tier picks one)"
+    cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 |
+        grep -E '^cifar-like CNN, .*, simd (avx512|avx2|scalar), '
+    cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 --tier avx2 |
+        grep -E '^cifar-like CNN, .*, simd avx2, '
+    cargo run --release -q -p rfl-nn --example cnn_layers -- --iters 3 --tier scalar |
+        grep -E '^cifar-like CNN, .*, simd scalar, '
+    cargo run --release -q -p rfl-nn --example lstm_layers -- --iters 3 |
+        grep -E '^sent140-like LSTM, .*, simd (avx512|avx2|scalar), '
 
-echo "== custom_model example smoke (a user-written Model trains under rFedAvg+)"
-cargo run --release -q --example custom_model |
-    grep -E '^custom SigmoidNet via rFedAvg\+: test acc'
+    echo "== custom_model example smoke (a user-written Model trains under rFedAvg+)"
+    cargo run --release -q --example custom_model |
+        grep -E '^custom SigmoidNet via rFedAvg\+: test acc'
 
-echo "== lazy_cycle smoke (a lazy client-round's table; the header names the SIMD tier)"
-cargo run --release -q -p rfl-core --example lazy_cycle -- --iters 3 |
-    grep -E '^lazy client-round, .*, simd (avx512|avx2|scalar), '
+    echo "== lazy_cycle smoke (a lazy client-round's table; the header names the SIMD tier)"
+    cargo run --release -q -p rfl-core --example lazy_cycle -- --iters 3 |
+        grep -E '^lazy client-round, .*, simd (avx512|avx2|scalar), '
 
-echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
-bash -n scripts/ab.sh
-scripts/ab.sh --help > /dev/null
-scripts/ab-smoke.sh
+    echo "== scripts/ab.sh smoke (syntax, --help, and the verdicts of a three-pair fixture; the A/B runs themselves take minutes and gate nothing)"
+    bash -n scripts/ab.sh
+    scripts/ab.sh --help > /dev/null
+    scripts/ab-smoke.sh
 
-echo "== scripts/reach-report.sh: rfl-* functions no shipped binary links, per crate (report-only; gates on nothing)"
-scripts/reach-report.sh | grep -E '^(rfl_|total)'
+    echo "== scripts/reach-report.sh --check: every rfl-* function no shipped binary links stays with a reason, and every reason names one"
+    scripts/reach-report.sh --check
 
-echo "== benchmark/ harness: profile guard + its own tests, --locked as BENCHMARK.json runs it (read-only; the yardstick, see benchmark/README.md)"
-benchmark/check-profile.sh
-(cd benchmark && cargo test --release --offline --locked)
+    echo "== benchmark/ harness: profile guard + its own tests, --locked as BENCHMARK.json runs it (read-only; the yardstick, see benchmark/README.md)"
+    benchmark/check-profile.sh
+    (cd benchmark && cargo test --release --offline --locked)
+}
 
-echo "== all CI checks passed"
+if [[ $# -eq 0 ]]; then
+    set -- "${SECTIONS[@]}"
+fi
+for section in "$@"; do
+    if ! declare -F "section_$section" > /dev/null; then
+        echo "usage: scripts/ci-check.sh [section ...]; sections: ${SECTIONS[*]}" >&2
+        exit 2
+    fi
+done
+for section in "$@"; do
+    "section_$section"
+done
+echo "== CI checks passed: $*"

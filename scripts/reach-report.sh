@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the functions the rfl-* library crates define that no shipped
-# binary links: a census by the linker, not by name greps. Report-only:
-# nothing gates on it.
+# binary links: a census by the linker, not by name greps. With --check it is
+# a gate: every unreached function has a STAYS line below, and every STAYS
+# line names something unreached.
 #
 # How: the root workspace's binaries and examples (rfl-bench, rfl-server,
 # rfl-client, every examples/*.rs) and benchmark/'s rfl-benchmark are built
@@ -25,45 +26,42 @@
 # - Names are compared without hashes, so two functions of one name (two
 #   inherent impls in one module) count as one.
 #
-# Usage: scripts/reach-report.sh [--total]
+# Usage: scripts/reach-report.sh [--total | --check]
 #   --total  prints only the workspace's unreached count (surface-report.sh)
+#   --check  prints the per-crate counts and exits 1 if an unreached function
+#            has no STAYS line, or a STAYS line names nothing unreached (so
+#            the list cannot go stale)
 # Scratch target dirs: $REACH_TARGET/{root,benchmark}, default
 # target/reach-report. A cold run builds both workspaces (minutes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-total_only=0
+mode=report
 case "${1:-}" in
-  --total) total_only=1 ;;
+  --total) mode=total ;;
+  --check) mode=check ;;
   "") ;;
-  *) echo "usage: scripts/reach-report.sh [--total]" >&2; exit 2 ;;
+  *) echo "usage: scripts/reach-report.sh [--total | --check]" >&2; exit 2 ;;
 esac
 
-# `crate|name|reason` for every unreached item that stays on purpose.
+# `crate|name|reason` for every unreached item that stays on purpose. A name
+# covers the item itself and, for a type, its methods and trait impls.
 STAYS=$(cat << 'EOF'
 rfl_tensor|rfl_tensor::tensor::Tensor::from_slice|test fixture: 22 test call sites in two crates, each longer as from_vec(v.to_vec(), &[n])
 rfl_tensor|rfl_tensor::tensor::Tensor::ones|test fixture: 19 test call sites in two crates
 rfl_tensor|rfl_tensor::tensor::Tensor::transpose|test fixture: the transa/transb oracles of matmul's unit tests and the tensor proptests
 rfl_tensor|rfl_tensor::tensor::Tensor::is_finite|test fixture: a one-line check nn's tests call
 rfl_tensor|<rfl_tensor::codec::CodecError as core::fmt::Display>::fmt|std::error::Error requires it; no binary prints a CodecError
-rfl_core|rfl_core::mmd::feature_gradient|out of scope here: the pairwise oracle of feature_gradient_into, for the test tree
-rfl_core|rfl_core::mmd::regularizer_value|out of scope here: a pairwise oracle of the surrogate, for the test tree
-rfl_core|rfl_core::mmd::surrogate_value|out of scope here: a pairwise oracle of the surrogate, for the test tree
-rfl_core|rfl_core::mmd::mean_excluding|out of scope here: the pairwise oracle of means_excluding, for the test tree
-rfl_core|rfl_core::aggregate::weighted_average|out of scope here: the fold's oracle, for beside the fold's proptest
-rfl_core|rfl_core::canonical::run_in_process|out of scope here: the canonical run's in-process reference
-rfl_core|rfl_core::registry::MaterializedSource|out of scope here: a ClientDataSource over materialized shards
-rfl_core|rfl_core::comm::faulty::FaultConfig|out of scope here: FaultConfig builders the fault tests use
-rfl_core|rfl_core::comm::faulty::LatencyModel::wan|out of scope here: a latency preset transport_equiv.rs uses
-rfl_core|rfl_core::comm::socket::SocketTransport::live_clients|out of scope here: distributed.rs waits for registrations on it
-rfl_core|rfl_core::algorithms::rfedavg::RFedAvg::delta_table|out of scope here: fanout.rs reads the δ table through it
-rfl_core|rfl_core::algorithms::rfedavg_plus::RFedAvgPlus::delta_table|out of scope here: fanout.rs reads the δ table through it
-rfl_core|rfl_core::algorithms::rfedavg::RFedAvg::with_dp|out of scope here: the tests build DP rFedAvg with it
-rfl_core|rfl_core::history::History::is_empty|out of scope here: the is_empty beside History::len
-rfl_core|rfl_core::history::History::total_dropped|out of scope here: transport_equiv.rs reads it
-rfl_core|rfl_core::delta::DeltaTable::flattened|out of scope here: the tests read the table through it
-rfl_core|rfl_core::delta::DeltaTable::num_initialized|out of scope here: fanout.rs reads it
-rfl_core|rfl_core::mem::reset_peak_rss|out of scope here: scale.rs measures each leg's peak from it
+rfl_core|rfl_core::registry::MaterializedSource|test fixture: a ClientDataSource over materialized shards, for three unit-test modules (testutil, registry, plane) and five integration files (alloc, determinism, fanout, pipeline, serial)
+rfl_core|rfl_core::comm::faulty::FaultConfig|doc example: README's fault-injection snippet builds a FaultConfig with with_latency and with_deadline_ms (transport_equiv.rs runs the same chain)
+rfl_core|rfl_core::comm::faulty::LatencyModel::wan|doc example: the latency preset of README's fault-injection snippet (transport_equiv.rs runs it)
+rfl_core|rfl_core::algorithms::rfedavg::RFedAvg::with_dp|an algorithm variant: rFedAvg under DP, a PARITY row (transport_equiv.rs) and a cell of README's back-end table
+rfl_core|rfl_core::algorithms::rfedavg::RFedAvg::delta_table|test accessor: fanout.rs's budget-invariance pins read the δ table through it
+rfl_core|rfl_core::algorithms::rfedavg_plus::RFedAvgPlus::delta_table|test accessor: fanout.rs's budget-invariance pins read the δ table through it
+rfl_core|rfl_core::delta::DeltaTable::num_initialized|test accessor: fanout.rs's budget-invariance pins count the table's rows with it
+rfl_core|rfl_core::comm::socket::SocketTransport::live_clients|test accessor: distributed.rs waits for registrations and drains with it
+rfl_core|rfl_core::history::History::is_empty|clippy's len_without_is_empty wants it beside the pub len
+rfl_core|rfl_core::mem::reset_peak_rss|test accessor: scale.rs measures each leg's peak RSS from a reset
 rfl_data|rfl_data::dataset::Examples::is_empty|clippy's len_without_is_empty wants it beside the pub len
 rfl_data|rfl_data::partition::is_valid_partition|test fixture: the check every partitioner's unit tests and data's proptests.rs call
 rfl_metrics|rfl_metrics::curve::Series::is_empty|clippy's len_without_is_empty wants it beside the pub len
@@ -88,7 +86,8 @@ functions() {
 }
 
 bins=$(mktemp)
-trap 'rm -f "$bins"' EXIT
+failures=$(mktemp)
+trap 'rm -f "$bins" "$failures"' EXIT
 {
   find "$root_target/debug" "$root_target/debug/examples" -maxdepth 1 -type f -executable \
     -not -name '*.so' -not -regex '.*-[0-9a-f]\{16\}$'
@@ -96,6 +95,7 @@ trap 'rm -f "$bins"' EXIT
 } | while read -r bin; do functions "$bin"; done | sort -u > "$bins"
 
 grand=0
+seen=""
 for rlib_name in $(cd "$root_target/debug/deps" && ls librfl_*.rlib | sed 's/^lib\(rfl_[a-z]*\)-.*/\1/' | sort -u); do
   rlibs=("$root_target"/debug/deps/lib"$rlib_name"-*.rlib)
   if [[ ${#rlibs[@]} -ne 1 ]]; then
@@ -126,7 +126,10 @@ for rlib_name in $(cd "$root_target/debug/deps" && ls librfl_*.rlib | sed 's/^li
       if (RLENGTH == length(name)) sub(/::[a-z_0-9]*$/, "", mod)
       # An item stays when its own name or the type it belongs to is listed.
       why = ""
-      for (k in reason) if (name == k || index(name, k "::") == 1 || index(name, "<" k " as ") == 1) why = reason[k]
+      for (k in reason) if (name == k || index(name, k "::") == 1 || index(name, "<" k " as ") == 1) {
+        why = reason[k]
+        used[k] = 1
+      }
       if (why == "") cut++; else kept++
       if (!(mod in count)) order[++mods] = mod
       item[mod] = item[mod] sprintf("    %s%s\n", name, why == "" ? "" : "  [stays: " why "]")
@@ -135,16 +138,32 @@ for rlib_name in $(cd "$root_target/debug/deps" && ls librfl_*.rlib | sed 's/^li
     END {
       printf "%s %d %d %d\n", crate, cut + kept, kept, derived + 0
       for (i = 1; i <= mods; i++) printf "  %s (%d)\n%s", order[i], count[order[i]], item[order[i]]
+      for (k in reason) if (!(k in used)) printf "!stale %s\n", k
     }' "$bins" -)
   read -r _ unreached kept derived <<< "$(head -1 <<< "$report")"
   grand=$((grand + unreached))
-  if [[ $total_only -eq 0 ]]; then
+  seen="$seen $rlib_name"
+  # Unlisted items are the ones printed without a reason.
+  awk '/^    / && !/\[stays: / { sub(/^ +/, ""); print "unreached, no STAYS line: " $0 }
+       /^!stale / { print "STAYS line names nothing unreached: " $2 }' <<< "$report" >> "$failures"
+  if [[ $mode != total ]]; then
     echo "$rlib_name: $unreached unreached ($kept listed as staying), $derived derive helpers filtered"
-    tail -n +2 <<< "$report"
+  fi
+  if [[ $mode == report ]]; then
+    awk '!/^!stale /' <<< "$report" | tail -n +2
   fi
 done
-if [[ $total_only -eq 1 ]]; then
-  echo "$grand"
-else
-  echo "total: $grand unreached functions"
-fi
+# A STAYS line for a crate with no rlib names nothing unreached either.
+awk -F'|' -v seen="$seen " 'index(seen, " " $1 " ") == 0 {
+  print "STAYS line names nothing unreached: " $2 }' <<< "$STAYS" >> "$failures"
+case $mode in
+  total) echo "$grand" ;;
+  report) echo "total: $grand unreached functions" ;;
+  check)
+    echo "total: $grand unreached functions"
+    if [[ -s $failures ]]; then
+      cat "$failures" >&2
+      exit 1
+    fi
+    echo "reach-report --check: every unreached function stays with a reason, every STAYS line is live" ;;
+esac

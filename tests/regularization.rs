@@ -1,6 +1,9 @@
 //! Integration tests of the paper's headline claims about the distribution
 //! regularizer (Sec. III-B, IV, VI).
 
+#[path = "../crates/core/tests/oracle/mmd.rs"]
+mod oracle;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfedavg::core::mmd;
@@ -59,15 +62,16 @@ fn regularizer_shrinks_client_discrepancy_vs_fedavg() {
             let mut algo = FedAvg::new();
             Trainer::new(c).run(&mut algo, &mut fed);
         }
-        // Measure pairwise MMD of the final global model's δ maps.
+        // Measure the pairwise MMD (Eq. 5) of the final global model's δ maps.
         let selected: Vec<usize> = (0..fed.num_clients()).collect();
         fed.broadcast_params(&selected);
         let deltas: Vec<Vec<f32>> = selected
             .iter()
             .map(|&k| fed.client_mut(k).compute_delta(32))
             .collect();
-        (0..deltas.len())
-            .map(|k| mmd::regularizer_value(k, &deltas))
+        mmd::MmdStats::new(&deltas)
+            .regularizer_values()
+            .iter()
             .sum::<f32>()
             / deltas.len() as f32
     };
@@ -94,8 +98,8 @@ fn surrogate_lower_bounds_exact_on_trained_deltas() {
         .map(|&k| fed.client_mut(k).compute_delta(32))
         .collect();
     for k in 0..deltas.len() {
-        let exact = mmd::regularizer_value(k, &deltas);
-        let surrogate = mmd::surrogate_value(&deltas[k], &mmd::mean_excluding(k, &deltas));
+        let exact = oracle::regularizer_value(k, &deltas);
+        let surrogate = mmd::mmd_sq(&deltas[k], &oracle::mean_excluding(k, &deltas));
         assert!(surrogate <= exact + 1e-5, "k={k}: {surrogate} > {exact}");
     }
 }
