@@ -148,7 +148,7 @@ fn main() {
         global.clone(),
     );
     // Every client of the cohort is built once and hibernated, so each wake
-    // below finds its persist and a recycled shell.
+    // below finds its record and a recycled shell.
     for k in 0..COHORT {
         registry.hibernate(registry.materialize(k));
     }

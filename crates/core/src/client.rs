@@ -1,11 +1,14 @@
 //! A federated client: private data, a model replica, persistent local
 //! optimizer state, and a private RNG.
 //!
-//! A [`Client`] is two halves around its dataset: the durable
-//! `ClientPersist` — everything that must survive an eviction — and a
-//! `ClientShell` — the model replica and the step loop's buffers, which
-//! hold nothing a later tenant can observe and are therefore recycled by
-//! the lazy registry instead of rebuilt ([`crate::registry`]).
+//! A [`Client`] is its dataset around a `ClientShell`: the model replica,
+//! the RNG, the epoch sampler, the optimizer, the EF residual and the step
+//! loop's buffers. A lazy client also carries its *record*: its durable
+//! state — the parameters, the RNG position, the sampler, the optimizer's
+//! state and the residual — packed into one flat run of 32-bit words, which
+//! is all the registry keeps of it while it sleeps. Waking unpacks the
+//! record into a recycled shell and hibernating packs it back
+//! ([`crate::registry`]).
 
 use crate::eval::{evaluate, gather_batch, to_input, EvalResult};
 use crate::mmd;
@@ -30,65 +33,81 @@ pub struct LocalReport {
     pub examples: usize,
 }
 
-/// The durable half of a client, retained while the heavyweight simulation
-/// objects (model replica, dataset, scratch buffers) are evicted between
-/// rounds. [`Client::take_apart`] hands it out and [`Client::assemble`]
-/// takes it back, round-tripping the client bit-exactly: the RNG stream
-/// position, the epoch-shuffle cursor, the optimizer state (RMSProp
-/// accumulators, learning rate), and the flat parameters are everything
-/// local training reads besides the data itself, which the registry
-/// regenerates deterministically.
-pub(crate) struct ClientPersist {
+/// Word layout of a client record ([`ClientShell::pack`]): a fixed
+/// header, then the parameters, the optimizer's state words, the EF
+/// residual and the packed sampler.
+///
+/// | words | field |
+/// |---|---|
+/// | 0..8 | xoshiro256++ state, four `u64`s low word first |
+/// | 8 | learning rate (`f32` bits) |
+/// | 9, 10, 11 | lengths of the parameters, the optimizer state, the residual |
+/// | 12.. | parameters, optimizer state, residual (`f32` bits) |
+/// | rest | `n`, cursor, order ([`BatchSampler::pack`]) |
+///
+/// The parameters sit at a fixed offset, so a broadcast lands in a
+/// sleeping client's record without unpacking it ([`install_record_params`]).
+const LR: usize = 8;
+const LENS: usize = 9;
+const HEADER: usize = 12;
+
+/// `out` becomes the `f32`s whose bits are `words`.
+fn refill(out: &mut Vec<f32>, words: &[u32]) {
+    out.clear();
+    out.extend(words.iter().map(|&w| f32::from_bits(w)));
+}
+
+/// `words` (as long as `v`) becomes the bits of `v`.
+fn copy_bits(words: &mut [u32], v: &[f32]) {
+    assert_eq!(words.len(), v.len(), "parameter count mismatch");
+    for (w, x) in words.iter_mut().zip(v) {
+        *w = x.to_bits();
+    }
+}
+
+/// Overwrites the parameters a sleeping client's record holds with
+/// `params`, in place: what installing them into the live client and
+/// hibernating it again would store.
+pub(crate) fn install_record_params(record: &mut [u32], params: &[f32]) {
+    let d = record[LENS] as usize;
+    copy_bits(&mut record[HEADER..HEADER + d], params);
+}
+
+/// A live client's working state: the model replica, the RNG, the sampler,
+/// the optimizer, the EF residual, and every buffer of the step loop.
+///
+/// The lazy registry recycles shells across clients of one federation, so
+/// a shell that served one client must serve any other, already warm, with
+/// bit-identical results. It does: a wake overwrites every durable field
+/// and every parameter from the client's record ([`ClientShell::unpack`]),
+/// `zero_grads` opens every step, and each buffer is resized and fully
+/// overwritten before it is read.
+pub(crate) struct ClientShell {
+    model: Box<dyn Model>,
     rng: StdRng,
     sampler: BatchSampler,
+    /// Its learning rate and [`Optimizer::state_mut`] words are the
+    /// client's; the kind (and its constants) is the federation's.
     optimizer: Box<dyn Optimizer>,
-    /// The flat parameters: the step loop's read/step/write buffer while
-    /// the client is live (empty until an eager client's first step), the
-    /// model's only durable copy while it is not.
-    params: Vec<f32>,
     /// Error-feedback residual of the compression stage: what the last
     /// compressed upload failed to carry, folded into the next update.
     /// Empty (length 0) until the first compressed upload. Durable state —
     /// dropping it on eviction would silently change the model trajectory
     /// whenever uploads are compressed.
     residual: Vec<f32>,
+    /// The flat parameters: the step loop's read/step/write buffer, and
+    /// the staging buffer between the replica and a record.
+    params: Vec<f32>,
+    /// Boxed: a shell moves in and out of a live client and the registry's
+    /// free list twice per client-round, and this keeps the move to the
+    /// fields above and a pointer.
+    scratch: Box<StepScratch>,
 }
 
-impl ClientPersist {
-    /// The durable state of client `id` before its first local step: its
-    /// own RNG stream, a sampler over `n_samples` examples, a fresh
-    /// optimizer, and `params` as the starting point.
-    pub(crate) fn initial(
-        id: usize,
-        n_samples: usize,
-        optimizer: Box<dyn Optimizer>,
-        batch_size: usize,
-        seed: u64,
-        params: Vec<f32>,
-    ) -> Self {
-        assert!(n_samples > 0, "client {id} has no data");
-        ClientPersist {
-            // Offset the stream so clients never share a sequence.
-            rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            sampler: BatchSampler::new(n_samples, batch_size),
-            optimizer,
-            params,
-            residual: Vec::new(),
-        }
-    }
-}
-
-/// The non-durable half of a client: the model replica and every buffer of
-/// the step loop. Nothing in it outlives a call as *state* — `write_params`
-/// overwrites every parameter on assembly, `zero_grads` opens every step,
-/// and each buffer is resized and fully overwritten before it is read — so
-/// a shell that served one client can serve any other of the same
-/// architecture, already warm, with bit-identical results.
-pub(crate) struct ClientShell {
-    model: Box<dyn Model>,
+/// The step loop's reusable buffers: once warm, a local SGD step touches
+/// the allocator only through the model's own (workspace-backed) forward.
+struct StepScratch {
     grads: Vec<f32>,
-    // Reusable mini-batch buffers: once warm, a local SGD step touches the
-    // allocator only through the model's own (workspace-backed) forward.
     batch_idx: Vec<usize>,
     batch_input: Option<Input>,
     batch_labels: Vec<usize>,
@@ -101,21 +120,118 @@ pub(crate) struct ClientShell {
 }
 
 impl ClientShell {
-    /// A cold shell around `model`; its buffers size themselves on first use.
-    pub(crate) fn new(model: Box<dyn Model>) -> Self {
+    /// A cold shell around `model` and `optimizer` (fresh, of the
+    /// federation's kind) that holds no client yet: [`ClientShell::restart`]
+    /// or [`ClientShell::unpack`] makes it one. Its buffers size themselves
+    /// on first use.
+    pub(crate) fn new(model: Box<dyn Model>, optimizer: Box<dyn Optimizer>) -> Self {
         ClientShell {
             model,
-            grads: Vec::new(),
-            batch_idx: Vec::new(),
-            batch_input: None,
-            batch_labels: Vec::new(),
-            out: ModelOutput::scratch(),
-            log_p: Tensor::scratch(),
-            dlogits: Tensor::scratch(),
-            mu: Tensor::scratch(),
-            dfeatures: Tensor::scratch(),
-            feat_sum: Tensor::scratch(),
+            rng: StdRng::from_state([0; 4]),
+            sampler: BatchSampler::default(),
+            optimizer,
+            residual: Vec::new(),
+            params: Vec::new(),
+            scratch: Box::new(StepScratch {
+                grads: Vec::new(),
+                batch_idx: Vec::new(),
+                batch_input: None,
+                batch_labels: Vec::new(),
+                out: ModelOutput::scratch(),
+                log_p: Tensor::scratch(),
+                dlogits: Tensor::scratch(),
+                mu: Tensor::scratch(),
+                dfeatures: Tensor::scratch(),
+                feat_sum: Tensor::scratch(),
+            }),
         }
+    }
+
+    /// Makes the durable fields client `id`'s before its first local step,
+    /// reusing their allocations: its own RNG stream, a sampler over
+    /// `n_samples` examples, the optimizer reset to `lr`, no residual. The
+    /// replica's parameters are the caller's to set.
+    pub(crate) fn restart(
+        &mut self,
+        id: usize,
+        n_samples: usize,
+        batch_size: usize,
+        seed: u64,
+        lr: f32,
+    ) {
+        assert!(n_samples > 0, "client {id} has no data");
+        // Offset the stream so clients never share a sequence.
+        self.rng = StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        self.sampler.reset(n_samples, batch_size);
+        self.optimizer.reset();
+        self.optimizer.set_lr(lr);
+        self.residual.clear();
+    }
+
+    /// The record of the client this shell holds, at `params` rather than
+    /// the replica's parameters: what [`ClientShell::restart`] followed by
+    /// installing `params` and hibernating would store.
+    pub(crate) fn record_at(&mut self, params: &[f32]) -> Box<[u32]> {
+        self.params.clear();
+        self.params.extend_from_slice(params);
+        let mut record = Vec::new();
+        self.pack(&mut record);
+        record.into_boxed_slice()
+    }
+
+    /// Writes the record (layout at [`HEADER`]) of the client this shell
+    /// holds, with `self.params` as its parameters, into `out`, overwriting
+    /// it. `out` keeps its allocation when the record's length is unchanged
+    /// and is otherwise sized exactly.
+    fn pack(&mut self, out: &mut Vec<u32>) {
+        let lr = self.optimizer.lr();
+        let state: &[f32] = self.optimizer.state_mut().map_or(&[], |s| s);
+        let fields = [&self.params[..], state, &self.residual];
+        let lens = fields.map(<[f32]>::len);
+        let len = HEADER + lens.iter().sum::<usize>() + self.sampler.packed_words();
+        if out.len() != len {
+            out.clear();
+            out.reserve_exact(len);
+            out.resize(len, 0);
+        }
+        let (head, mut body) = out.split_at_mut(HEADER);
+        for (pair, w) in head.chunks_exact_mut(2).zip(self.rng.state()) {
+            pair.copy_from_slice(&[w as u32, (w >> 32) as u32]);
+        }
+        head[LR] = lr.to_bits();
+        for (h, l) in head[LENS..].iter_mut().zip(lens) {
+            *h = u32::try_from(l).expect("a record field holds under 2^32 words");
+        }
+        for v in fields {
+            let (field, rest) = body.split_at_mut(v.len());
+            copy_bits(field, v);
+            body = rest;
+        }
+        self.sampler.pack(body);
+    }
+
+    /// Makes this shell the client whose `record` ([`ClientShell::pack`])
+    /// it is handed, reusing the allocations: the parameters overwrite the
+    /// replica's and the RNG/sampler/optimizer/residual resume exactly
+    /// where they stopped, whatever the shell held before. `batch_size` is
+    /// the federation's (the sampler clamps it to the shard again).
+    fn unpack(&mut self, record: &[u32], batch_size: usize) {
+        let (head, body) = record.split_at(HEADER);
+        let word = |i: usize| u64::from(head[2 * i]) | u64::from(head[2 * i + 1]) << 32;
+        self.rng = StdRng::from_state([word(0), word(1), word(2), word(3)]);
+        self.optimizer.set_lr(f32::from_bits(head[LR]));
+        let [d, a, r] = [0, 1, 2].map(|i| head[LENS + i] as usize);
+        let (params, body) = body.split_at(d);
+        let (state, body) = body.split_at(a);
+        let (residual, sampler) = body.split_at(r);
+        refill(&mut self.params, params);
+        self.model.write_params(&self.params);
+        match self.optimizer.state_mut() {
+            Some(words) => refill(words, state),
+            None => assert!(state.is_empty(), "a stateless optimizer got state"),
+        }
+        refill(&mut self.residual, residual);
+        self.sampler.unpack(batch_size, sampler);
     }
 }
 
@@ -124,14 +240,16 @@ pub struct Client {
     id: usize,
     data: Dataset,
     clip_grad_norm: Option<f32>,
-    persist: ClientPersist,
     shell: ClientShell,
+    /// A lazy client's record allocation, carried while it is live so that
+    /// hibernating packs into it instead of allocating; its contents are
+    /// stale until then. Empty (unallocated) for an eager client.
+    record: Vec<u32>,
 }
 
 impl Client {
     /// An eager client: the initial durable state and a cold shell around
-    /// `model`, whose current parameters are the starting point (the flat
-    /// copy fills on the first step).
+    /// `model`, whose current parameters are the starting point.
     pub fn new(
         id: usize,
         model: Box<dyn Model>,
@@ -140,52 +258,49 @@ impl Client {
         batch_size: usize,
         seed: u64,
     ) -> Self {
+        let lr = optimizer.lr();
+        let mut shell = ClientShell::new(model, optimizer);
+        shell.restart(id, data.len(), batch_size, seed, lr);
         Client {
             id,
-            persist: ClientPersist::initial(
-                id,
-                data.len(),
-                optimizer,
-                batch_size,
-                seed,
-                Vec::new(),
-            ),
             data,
             clip_grad_norm: None,
-            shell: ClientShell::new(model),
+            shell,
+            record: Vec::new(),
         }
     }
 
-    /// Puts a client together from its two halves and its (regenerated)
-    /// dataset: the persisted parameters overwrite whatever the shell's
-    /// replica held, and the RNG/sampler/optimizer resume exactly where
-    /// they stopped. Bit-exact inverse of [`Client::take_apart`], whatever
-    /// the shell did in between.
-    pub(crate) fn assemble(
+    /// A lazy client woken from its record around a recycled shell and its
+    /// regenerated dataset ([`ClientShell::unpack`]); the record's
+    /// allocation travels with the live client. Bit-exact inverse of
+    /// [`Client::take_apart`], whatever the shell did in between.
+    pub(crate) fn wake(
         id: usize,
         mut shell: ClientShell,
         data: Dataset,
-        persist: ClientPersist,
+        record: Box<[u32]>,
+        batch_size: usize,
         clip_grad_norm: Option<f32>,
     ) -> Self {
         assert!(!data.is_empty(), "client {id} has no data");
-        shell.model.write_params(&persist.params);
+        shell.unpack(&record, batch_size);
         Client {
             id,
             data,
             clip_grad_norm,
-            persist,
             shell,
+            record: record.into_vec(),
         }
     }
 
-    /// Takes the client apart into its durable state (now holding the
-    /// replica's current parameters) and its reusable shell, dropping the
-    /// dataset. The lazy registry calls this when evicting a client after
-    /// its round.
-    pub(crate) fn take_apart(mut self) -> (ClientPersist, ClientShell) {
-        self.shell.model.read_params(&mut self.persist.params);
-        (self.persist, self.shell)
+    /// Takes the client apart into its record (its durable state and the
+    /// replica's parameters, packed into the allocation the client
+    /// carried) and its reusable shell, dropping the dataset. The lazy
+    /// registry calls this when evicting a client after its round.
+    pub(crate) fn take_apart(mut self) -> (Box<[u32]>, ClientShell) {
+        self.shell.model.read_params(&mut self.shell.params);
+        self.shell.pack(&mut self.record);
+        (self.record.into_boxed_slice(), self.shell)
     }
 
     /// Enables global-norm gradient clipping on the assembled local
@@ -221,17 +336,17 @@ impl Client {
     /// compression helpers ([`crate::compress::ef_compress_update`]) size it
     /// lazily on first use; it is durable state and survives hibernation.
     pub(crate) fn residual_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.persist.residual
+        &mut self.shell.residual
     }
 
     /// Learning rate of the local optimizer.
     pub(crate) fn lr(&self) -> f32 {
-        self.persist.optimizer.lr()
+        self.shell.optimizer.lr()
     }
 
     /// Overrides the local learning rate (decaying schedules).
     pub fn set_lr(&mut self, lr: f32) {
-        self.persist.optimizer.set_lr(lr);
+        self.shell.optimizer.set_lr(lr);
     }
 
     /// Runs `steps` mini-batch SGD steps under `rule` (Algorithm 1/2 inner
@@ -240,92 +355,92 @@ impl Client {
         let Client {
             data,
             clip_grad_norm,
-            persist,
             shell,
             ..
         } = self;
+        let scratch = &mut *shell.scratch;
         let mut loss_sum = 0.0f32;
         let mut reg_sum = 0.0f32;
         let mut examples = 0usize;
         for _ in 0..steps {
-            persist
+            shell
                 .sampler
-                .next_batch_into(&mut persist.rng, &mut shell.batch_idx);
-            examples += shell.batch_idx.len();
+                .next_batch_into(&mut shell.rng, &mut scratch.batch_idx);
+            examples += scratch.batch_idx.len();
             gather_batch(
                 data,
-                &shell.batch_idx,
-                &mut shell.batch_input,
-                &mut shell.batch_labels,
+                &scratch.batch_idx,
+                &mut scratch.batch_input,
+                &mut scratch.batch_labels,
             );
             shell.model.zero_grads();
             shell.model.forward_into(
-                shell.batch_input.as_ref().expect("batch gathered"),
-                &mut shell.out,
+                scratch.batch_input.as_ref().expect("batch gathered"),
+                &mut scratch.out,
                 true,
             );
             let loss = cross_entropy_into(
-                &shell.out.logits,
-                &shell.batch_labels,
-                &mut shell.log_p,
-                &mut shell.dlogits,
+                &scratch.out.logits,
+                &scratch.batch_labels,
+                &mut scratch.log_p,
+                &mut scratch.dlogits,
             );
             loss_sum += loss;
 
             let dfeatures = match rule {
                 LocalRule::Mmd { lambda, target } => {
                     reg_sum += mmd::regularizer_loss_into(
-                        &shell.out.features,
+                        &scratch.out.features,
                         target,
                         *lambda,
-                        &mut shell.mu,
+                        &mut scratch.mu,
                     );
                     mmd::feature_gradient_into(
-                        &shell.out.features,
+                        &scratch.out.features,
                         target,
                         *lambda,
-                        &mut shell.mu,
-                        &mut shell.dfeatures,
+                        &mut scratch.mu,
+                        &mut scratch.dfeatures,
                     );
-                    Some(&shell.dfeatures)
+                    Some(&scratch.dfeatures)
                 }
                 _ => None,
             };
-            shell.model.backward(&shell.dlogits, dfeatures);
+            shell.model.backward(&scratch.dlogits, dfeatures);
 
-            shell.model.read_params(&mut persist.params);
-            shell.model.read_grads(&mut shell.grads);
+            shell.model.read_params(&mut shell.params);
+            shell.model.read_grads(&mut scratch.grads);
             match rule {
                 LocalRule::Prox { mu, anchor } => {
-                    debug_assert_eq!(anchor.len(), persist.params.len());
-                    for ((g, w), a) in shell
+                    debug_assert_eq!(anchor.len(), shell.params.len());
+                    for ((g, w), a) in scratch
                         .grads
                         .iter_mut()
-                        .zip(&persist.params)
+                        .zip(&shell.params)
                         .zip(anchor.iter())
                     {
                         *g += mu * (w - a);
                     }
                 }
                 LocalRule::Scaffold { correction } => {
-                    debug_assert_eq!(correction.len(), shell.grads.len());
-                    for (g, c) in shell.grads.iter_mut().zip(correction.iter()) {
+                    debug_assert_eq!(correction.len(), scratch.grads.len());
+                    for (g, c) in scratch.grads.iter_mut().zip(correction.iter()) {
                         *g += c;
                     }
                 }
                 _ => {}
             }
             if let Some(clip) = *clip_grad_norm {
-                let norm = shell.grads.iter().map(|g| g * g).sum::<f32>().sqrt();
+                let norm = scratch.grads.iter().map(|g| g * g).sum::<f32>().sqrt();
                 if norm > clip {
                     let s = clip / norm;
-                    for g in &mut shell.grads {
+                    for g in &mut scratch.grads {
                         *g *= s;
                     }
                 }
             }
-            persist.optimizer.step(&mut persist.params, &shell.grads);
-            shell.model.write_params(&persist.params);
+            shell.optimizer.step(&mut shell.params, &scratch.grads);
+            shell.model.write_params(&shell.params);
         }
         LocalReport {
             loss: loss_sum / steps.max(1) as f32,
@@ -348,27 +463,28 @@ impl Client {
     /// its allocation is reused from one probe to the next).
     pub(crate) fn compute_delta_into(&mut self, sum: &mut Vec<f32>, batch: usize) {
         let Client { data, shell, .. } = self;
+        let scratch = &mut *shell.scratch;
         let n = data.len();
         sum.clear();
         sum.resize(shell.model.feature_dim(), 0.0);
         let mut lo = 0usize;
         while lo < n {
             let hi = (lo + batch).min(n);
-            shell.batch_idx.clear();
-            shell.batch_idx.extend(lo..hi);
+            scratch.batch_idx.clear();
+            scratch.batch_idx.extend(lo..hi);
             gather_batch(
                 data,
-                &shell.batch_idx,
-                &mut shell.batch_input,
-                &mut shell.batch_labels,
+                &scratch.batch_idx,
+                &mut scratch.batch_input,
+                &mut scratch.batch_labels,
             );
             shell.model.forward_into(
-                shell.batch_input.as_ref().expect("batch gathered"),
-                &mut shell.out,
+                scratch.batch_input.as_ref().expect("batch gathered"),
+                &mut scratch.out,
                 false,
             );
-            shell.out.features.sum_axis0_into(&mut shell.feat_sum);
-            for (s, &v) in sum.iter_mut().zip(shell.feat_sum.data()) {
+            scratch.out.features.sum_axis0_into(&mut scratch.feat_sum);
+            for (s, &v) in sum.iter_mut().zip(scratch.feat_sum.data()) {
                 *s += v;
             }
             lo = hi;
@@ -533,25 +649,29 @@ mod tests {
         assert_eq!(r.reg_loss, 0.0);
     }
 
-    /// A cold shell whose replica starts from *different* weights than
-    /// `make_client`'s, so a parameter the assembly failed to overwrite
-    /// would show.
+    /// A shell that held another client of another shape, whose replica
+    /// starts from *different* weights than `make_client`'s, so a
+    /// parameter or durable field the wake failed to overwrite would show.
     fn foreign_shell() -> ClientShell {
         let mut rng = StdRng::seed_from_u64(0xF0E1);
-        ClientShell::new(Box::new(LogisticRegression::new(4, 2, 0.0, &mut rng)))
+        let model = Box::new(LogisticRegression::new(4, 2, 0.0, &mut rng));
+        let mut shell = ClientShell::new(model, Box::new(Sgd::new(0.9)));
+        shell.restart(3, 5, 2, 11, 0.9);
+        shell.residual.extend_from_slice(&[2.0; 10]);
+        shell
     }
 
     #[test]
-    fn take_apart_assemble_roundtrip_is_bit_exact() {
-        // A client evicted mid-run and put back together around another
+    fn take_apart_wake_roundtrip_is_bit_exact() {
+        // A client evicted mid-run and woken from its record around another
         // shell + a regenerated dataset must continue training
         // bit-identically to one that stayed live the whole time.
         let mut live = make_client(7);
         let mut cycled = make_client(7);
         live.train_local(3, &LocalRule::Plain);
         cycled.train_local(3, &LocalRule::Plain);
-        let (persist, _) = cycled.take_apart();
-        let mut cycled = Client::assemble(0, foreign_shell(), dense_data(32, 7), persist, None);
+        let (record, _) = cycled.take_apart();
+        let mut cycled = Client::wake(0, foreign_shell(), dense_data(32, 7), record, 8, None);
         live.train_local(5, &LocalRule::Plain);
         cycled.train_local(5, &LocalRule::Plain);
         let (mut wa, mut wb) = (Vec::new(), Vec::new());
@@ -564,9 +684,9 @@ mod tests {
     fn take_apart_preserves_the_compression_residual() {
         let mut c = make_client(8);
         c.residual_mut().extend_from_slice(&[0.25, -1.5, 3.0e-8]);
-        let (persist, _) = c.take_apart();
-        let woken = Client::assemble(0, foreign_shell(), dense_data(32, 8), persist, None);
-        assert_eq!(woken.persist.residual, [0.25, -1.5, 3.0e-8]);
+        let (record, _) = c.take_apart();
+        let woken = Client::wake(0, foreign_shell(), dense_data(32, 8), record, 8, None);
+        assert_eq!(woken.shell.residual, [0.25, -1.5, 3.0e-8]);
     }
 
     #[test]

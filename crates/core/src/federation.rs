@@ -180,6 +180,13 @@ impl OptimizerFactory {
         OptimizerFactory::RmsProp { lr }
     }
 
+    /// The learning rate every optimizer it builds starts at.
+    pub(crate) fn lr(&self) -> f32 {
+        match *self {
+            OptimizerFactory::Sgd { lr } | OptimizerFactory::RmsProp { lr } => lr,
+        }
+    }
+
     pub fn build(&self) -> Box<dyn Optimizer> {
         match *self {
             OptimizerFactory::Sgd { lr } => Box::new(Sgd::new(lr)),

@@ -345,12 +345,11 @@ impl Installed {
         self.owed.retain(|k| woken.binary_search(k).is_err());
     }
 
-    /// Lands the broadcast in the persists of the clients still owed it.
+    /// Lands the broadcast in the records of the clients still owed it,
+    /// in place: none of them is woken.
     fn land(&mut self, reg: &ClientRegistry) {
         for k in self.owed.drain(..) {
-            let mut client = reg.materialize(k);
-            client.write_params(&self.params);
-            reg.hibernate(client);
+            reg.install_params(k, &self.params);
         }
     }
 }
@@ -374,7 +373,7 @@ pub(crate) struct LocalPlane {
     /// Sorted by id. Eager mode: all `N` replicas; lazy mode: the clients a
     /// request other than training woke this round.
     pub(crate) clients: Vec<Client>,
-    /// Lazy mode: the sharded descriptor/persist store that materializes
+    /// Lazy mode: the sharded descriptor/record store that materializes
     /// clients on demand.
     pub(crate) registry: Option<ClientRegistry>,
     pub(crate) transport: Box<dyn Transport>,
@@ -459,7 +458,7 @@ impl LocalPlane {
     }
 
     /// Lazy mode: hibernates every live client back into the registry
-    /// shards, and lands the last broadcast in the persists of the clients
+    /// shards, and lands the last broadcast in the records of the clients
     /// it reached that no request woke (an eager replica installed it).
     /// No-op otherwise.
     pub(crate) fn evict_active(&mut self) {
@@ -499,7 +498,7 @@ impl LocalPlane {
 
     /// One `ModelDown` broadcast: live replicas install it now, lazy clients
     /// asleep when it reaches them when a request wakes them (a client
-    /// still owed the previous broadcast gets that one in its persist
+    /// still owed the previous broadcast gets that one in its record
     /// first). A new model voids the uploads of the last training request.
     fn install(&mut self, selected: &[usize], global: &[f32]) -> Vec<usize> {
         let bd = self

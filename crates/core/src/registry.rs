@@ -7,21 +7,42 @@
 //! but a *descriptor*: its id plus the deterministic recipes (federation
 //! seed, model/optimizer factories, data source) that rebuild it on demand.
 //! The heavyweight objects exist only while the client is **active** in the
-//! current round; eviction keeps just the client's durable half (RNG
-//! position, epoch-shuffle cursor, optimizer state, flat parameters, EF
-//! residual) in an index-hashed shard map.
+//! current round; eviction keeps just the client's durable half, packed
+//! into one flat record (see "Records" below), in an index-hashed shard
+//! map.
+//!
+//! # Records
+//!
+//! A hibernated client is one `Box<[u32]>`: the xoshiro state, the
+//! learning rate and the optimizer's state words, the flat parameters, the
+//! EF residual, and the sampler's cursor and epoch order at the narrowest
+//! integer width that holds its indices (layout in `client.rs`). For
+//! `scale_lazy`'s client — logistic 32 → 4, 32 examples, SGD — that is 154
+//! words, a 624-byte allocation, and with its index entry about 660
+//! resident bytes (`tests/persist_rss.rs` holds it to 720; EXPERIMENTS.md
+//! "A hibernated client is one packed record").
+//!
+//! Waking unpacks the record into a recycled shell and hibernating packs
+//! it back, bit-exactly; meanwhile the live client carries the record's
+//! allocation, so a warm wake → train → hibernate cycle allocates nothing
+//! for it. A client's first wake goes the same way: the shell is restarted
+//! as that client and packed into its initial record, which the wake then
+//! unpacks. A broadcast that reached a sleeping client lands in its
+//! record's parameter words in place ([`ClientRegistry::install_params`]),
+//! without a wake. The index stays `O(persisted)`: a dense array over every
+//! registered id would be the `O(N)` term `tests/scale.rs` forbids.
 //!
 //! # Shells
 //!
-//! The other half of a client — its model replica and the step loop's
-//! buffers, a `ClientShell` — is not durable and not thrown away either:
-//! [`ClientRegistry::hibernate`] takes the client apart, files the durable
-//! half in its shard and puts the shell on a free list;
-//! [`ClientRegistry::materialize`] pops one, overwrites every parameter
-//! with the client's own, and hands back a client whose first step is
-//! already warm. A shell is only *built* when the list is empty, and each
-//! materialization says whether it had to
-//! ([`ClientRegistry::materialize_counted`]): the trace spans add those
+//! The rest of a live client — its model replica, RNG, sampler, optimizer,
+//! residual and the step loop's buffers, a `ClientShell` — is working
+//! state, and not thrown away either: [`ClientRegistry::hibernate`] takes
+//! the client apart, files its record in its shard and puts the shell on a
+//! free list; [`ClientRegistry::materialize`] pops one, overwrites every
+//! parameter and every durable field with the client's own, and hands back
+//! a client whose first step is already warm. A shell is only *built*
+//! when the list is empty, and each materialization says whether it had
+//! to ([`ClientRegistry::materialize_counted`]): the trace spans add those
 //! flags up, which stays exact with several threads materializing at once
 //! where a before/after reading of a shared counter would not. Building one
 //! per sampled client instead cost 60 allocator calls per client-round —
@@ -31,8 +52,9 @@
 //! allocator").
 //!
 //! The list needs no cap: a shell is built only when every shell built
-//! before it is inside a live client, so the list never holds more shells
-//! than clients were live at once. A training request keeps one client per
+//! before it is in use — inside a live client, or for a moment packing a
+//! never-woken client's first record — so the list never holds more shells
+//! than were in use at once. A training request keeps one client per
 //! worker live — each job wakes its client, trains it and hibernates it
 //! before taking the next — so a lazy FedAvg run builds at most a
 //! fan-out's width of shells; a request that leaves its clients live until the
@@ -44,6 +66,7 @@
 //! A recycled shell arrives dirty and differently shaped — the previous
 //! tenant may have had a smaller shard (a clamped batch), trained under an
 //! MMD rule, or been evaluated — and none of that may show. It does not:
+//! the wake overwrites every durable field from the record,
 //! `write_params` overwrites every parameter, `zero_grads` opens every
 //! step, and every buffer of the step loop, the models, their layers and
 //! their `Workspace`s is cleared or resized and then fully overwritten
@@ -65,16 +88,17 @@
 //!
 //! # Sharding
 //!
-//! Persisted state lives in `thread_budget()` shards behind per-shard
-//! mutexes, hashed by client index (`k % shards`). They are sharded because
-//! they are touched concurrently: a round's selection is woken and
-//! hibernated by the plane's `fan_out` workers (the round thread and the
-//! kernel pool's `rfl-worker`s; the round thread alone under
-//! `parallel: false`), each job its own client's, so a worker only contends
-//! on the shard owning its current client. Whatever a client computes lands
+//! Records live in `thread_budget()` shards behind per-shard mutexes, each
+//! a `HashMap` from client id to record, hashed by client index
+//! (`k % shards`). They are sharded because they are touched
+//! concurrently: a round's selection is woken and hibernated by the
+//! plane's `fan_out` workers (the round thread and the kernel pool's
+//! `rfl-worker`s; the round thread alone under `parallel: false`), each job
+//! its own client's, so a worker only contends on the shard owning its
+//! current client. Whatever a client computes lands
 //! in its selection slot, so results are independent of scheduling.
 
-use crate::client::{Client, ClientPersist, ClientShell};
+use crate::client::{install_record_params, Client, ClientShell};
 use crate::federation::{FlConfig, ModelFactory, OptimizerFactory};
 use rfl_data::{Dataset, FederatedData};
 use std::collections::HashMap;
@@ -130,7 +154,7 @@ impl ClientDataSource for MaterializedSource {
 }
 
 /// The lazy-mode backing store: construction recipes plus the sharded
-/// persist map. See the module docs.
+/// record map. See the module docs.
 pub struct ClientRegistry {
     source: Arc<dyn ClientDataSource>,
     model: ModelFactory,
@@ -143,7 +167,8 @@ pub struct ClientRegistry {
     /// have: at the round-0 global, not the current one (its download
     /// installs the current global only if the link delivers).
     init_global: Vec<f32>,
-    shards: Vec<Mutex<HashMap<usize, ClientPersist>>>,
+    /// Each hibernated client's record, by id.
+    shards: Vec<Mutex<HashMap<usize, Box<[u32]>>>>,
     /// Shells of hibernated clients, waiting for the next materialization.
     /// One lock, taken twice per client-round (see the module docs before
     /// sharding it).
@@ -194,8 +219,10 @@ impl ClientRegistry {
     }
 
     /// Shells built so far. A shell is only built when the list is empty,
-    /// that is when every shell built before it is inside a live client, so
-    /// this is also the most clients that were ever live at once.
+    /// that is when every shell built before it is in use, so this is also
+    /// the most shells that were ever in use at once: one per live client,
+    /// and one for a moment while [`ClientRegistry::install_params`] builds
+    /// a record.
     #[cfg(test)]
     pub(crate) fn shells_built(&self) -> u64 {
         self.shells_built.load(Ordering::Relaxed)
@@ -207,12 +234,12 @@ impl ClientRegistry {
         self.shells.lock().expect("shell list poisoned").len()
     }
 
-    /// Builds the live simulation object for client `k`: its persisted
-    /// state — or, the first time, the initial state from the deterministic
-    /// recipes — assembled around a recycled shell and its regenerated
-    /// dataset. Takes `&self` — several threads materialize a selection at
-    /// once, contending only on the per-shard locks and, for one `pop`, on
-    /// the shell list.
+    /// Builds the live simulation object for client `k`: its record — or,
+    /// the first time, its initial record from the deterministic recipes —
+    /// unpacked into a recycled shell around its regenerated dataset. Takes
+    /// `&self` — several threads materialize a selection at once,
+    /// contending only on the per-shard locks and, for one `pop`, on the
+    /// shell list.
     pub fn materialize(&self, k: usize) -> Client {
         self.materialize_counted(k).0
     }
@@ -221,41 +248,76 @@ impl ClientRegistry {
     /// shell had to be built (`true`) or came off the list — per call, so
     /// concurrent materialization sites can each keep an exact tally.
     pub(crate) fn materialize_counted(&self, k: usize) -> (Client, bool) {
-        let persist = self.shards[self.shard_of(k)]
+        let record = self.shards[self.shard_of(k)]
             .lock()
             .expect("registry shard poisoned")
             .remove(&k);
-        let recycled = self.shells.lock().expect("shell list poisoned").pop();
-        let fresh_shell = recycled.is_none();
-        let shell = recycled.unwrap_or_else(|| {
-            self.shells_built.fetch_add(1, Ordering::Relaxed);
-            ClientShell::new(self.model.build(self.seed))
-        });
+        let (mut shell, fresh_shell) = self.pop_shell();
         let data = self.source.dataset(k);
-        let persist = persist.unwrap_or_else(|| {
-            ClientPersist::initial(
-                k,
-                data.len(),
-                self.optimizer.build(),
-                self.batch_size,
-                self.seed,
-                self.init_global.clone(),
-            )
-        });
-        let client = Client::assemble(k, shell, data, persist, self.clip_grad_norm);
+        let record = record
+            .unwrap_or_else(|| self.initial_record(&mut shell, k, data.len(), &self.init_global));
+        let client = Client::wake(k, shell, data, record, self.batch_size, self.clip_grad_norm);
         (client, fresh_shell)
     }
 
-    /// Evicts a client: its durable state goes to its shard, its shell back
-    /// on the list, its dataset away.
+    /// A shell off the list, or a new one if the list is empty (`true`).
+    fn pop_shell(&self) -> (ClientShell, bool) {
+        match self.shells.lock().expect("shell list poisoned").pop() {
+            Some(shell) => (shell, false),
+            None => {
+                self.shells_built.fetch_add(1, Ordering::Relaxed);
+                let shell = ClientShell::new(self.model.build(self.seed), self.optimizer.build());
+                (shell, true)
+            }
+        }
+    }
+
+    /// The record of client `k` (`n_samples` examples) before its first
+    /// local step, at `params`: `shell` is restarted as that client and
+    /// packed.
+    fn initial_record(
+        &self,
+        shell: &mut ClientShell,
+        k: usize,
+        n_samples: usize,
+        params: &[f32],
+    ) -> Box<[u32]> {
+        let lr = self.optimizer.lr();
+        shell.restart(k, n_samples, self.batch_size, self.seed, lr);
+        shell.record_at(params)
+    }
+
+    /// Evicts a client: its state, packed into its record, goes to its
+    /// shard, its shell back on the list, its dataset away.
     pub fn hibernate(&self, client: Client) {
         let k = client.id();
-        let (persist, shell) = client.take_apart();
+        let (record, shell) = client.take_apart();
         self.shards[self.shard_of(k)]
             .lock()
             .expect("registry shard poisoned")
-            .insert(k, persist);
+            .insert(k, record);
         self.shells.lock().expect("shell list poisoned").push(shell);
+    }
+
+    /// Installs `params` into sleeping client `k`, as waking it, writing
+    /// them and hibernating it again would, without doing either: the
+    /// record's parameter words are overwritten in place, and a client that
+    /// never slept gets its initial record (sized by
+    /// [`ClientDataSource::num_samples`]) with `params` in it, packed by a
+    /// shell borrowed from the list. No dataset is built. `k` must not be
+    /// live.
+    pub(crate) fn install_params(&self, k: usize, params: &[f32]) {
+        let shard = &self.shards[self.shard_of(k)];
+        if let Some(record) = shard.lock().expect("registry shard poisoned").get_mut(&k) {
+            return install_record_params(record, params);
+        }
+        let (mut shell, _) = self.pop_shell();
+        let record = self.initial_record(&mut shell, k, self.source.num_samples(k), params);
+        self.shells.lock().expect("shell list poisoned").push(shell);
+        shard
+            .lock()
+            .expect("registry shard poisoned")
+            .insert(k, record);
     }
 }
 
@@ -452,6 +514,167 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A [`MaterializedSource`] that counts its `dataset` calls.
+    struct CountingSource {
+        inner: MaterializedSource,
+        built: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ClientDataSource for CountingSource {
+        fn num_clients(&self) -> usize {
+            self.inner.num_clients()
+        }
+        fn num_samples(&self, k: usize) -> usize {
+            self.inner.num_samples(k)
+        }
+        fn dataset(&self, k: usize) -> Dataset {
+            self.built.fetch_add(1, Ordering::Relaxed);
+            self.inner.dataset(k)
+        }
+    }
+
+    fn counting_registry(seed: u64) -> (ClientRegistry, Arc<CountingSource>) {
+        let (inner, _) = source(4, seed);
+        let src = Arc::new(CountingSource {
+            inner,
+            built: Default::default(),
+        });
+        let model = ModelFactory::logistic(10, 4, 0.0);
+        let mut init_global = Vec::new();
+        model.build(seed).read_params(&mut init_global);
+        let mut cfg = FlConfig::cross_silo();
+        cfg.batch_size = 5;
+        let optimizer = OptimizerFactory::rmsprop(0.01);
+        let reg = ClientRegistry::new(src.clone(), model, optimizer, &cfg, seed, init_global);
+        (reg, src)
+    }
+
+    #[test]
+    fn landing_a_broadcast_builds_no_dataset() {
+        // Client 0 slept after training, client 1 never woke. Landing a
+        // broadcast in both must regenerate no shard, and leave each as
+        // waking it, installing and hibernating it again would have.
+        let (landed, src) = counting_registry(9);
+        let (woken, _) = counting_registry(9);
+        for reg in [&landed, &woken] {
+            let mut c = reg.materialize(0);
+            c.train_local(3, &LocalRule::Plain);
+            reg.hibernate(c);
+        }
+        let global: Vec<f32> = (0..landed.init_global.len())
+            .map(|i| i as f32 * 0.01 - 0.2)
+            .collect();
+        let built = src.built.load(Ordering::Relaxed);
+        for k in [0, 1] {
+            landed.install_params(k, &global);
+            let mut c = woken.materialize(k);
+            c.write_params(&global);
+            woken.hibernate(c);
+        }
+        assert_eq!(
+            src.built.load(Ordering::Relaxed),
+            built,
+            "a land built a dataset"
+        );
+        assert_eq!(landed.num_persisted(), 2);
+        for k in [0, 1] {
+            let (a, b) = (landed.materialize(k), woken.materialize(k));
+            train_twins(a, b, 4, &format!("client {k}"));
+        }
+    }
+
+    /// Trains both clients `steps` steps and asserts that every loss, every
+    /// parameter bit, the residual and the learning rate agree.
+    fn train_twins(mut a: Client, mut b: Client, steps: usize, what: &str) {
+        for _ in 0..steps {
+            let (ra, rb) = (
+                a.train_local(1, &LocalRule::Plain),
+                b.train_local(1, &LocalRule::Plain),
+            );
+            assert_eq!(ra.loss.to_bits(), rb.loss.to_bits(), "{what}");
+        }
+        let (mut wa, mut wb) = (Vec::new(), Vec::new());
+        a.read_params(&mut wa);
+        b.read_params(&mut wb);
+        assert_eq!(bits(&wa), bits(&wb), "{what}");
+        assert_eq!(bits(a.residual_mut()), bits(b.residual_mut()), "{what}");
+        assert_eq!(a.lr().to_bits(), b.lr().to_bits(), "{what}");
+    }
+
+    #[test]
+    fn a_record_round_trips_every_durable_field() {
+        // One client per shard size, on both sides of every width the
+        // sampler's order packs at (1, 2 and 4 bytes per index), with
+        // RMSProp accumulators, a changed learning rate, an EF residual and
+        // a cursor in the middle of an epoch; its twin stays live.
+        let sizes = [1, 255, 256, 257, 65_535, 65_536, 65_537];
+        let mut rng = StdRng::seed_from_u64(4);
+        let pool = GaussianMixtureSpec::default_spec().generate(65_537, None, &mut rng);
+        let neighbour = pool.select(&(0..1_000).collect::<Vec<_>>());
+        for n in sizes {
+            let shard = pool.select(&(0..n).collect::<Vec<_>>());
+            let model = ModelFactory::logistic(10, 4, 0.0);
+            let mut init_global = Vec::new();
+            model.build(5).read_params(&mut init_global);
+            let mut cfg = FlConfig::cross_silo();
+            cfg.batch_size = 4;
+            let reg = || {
+                let shards = vec![shard.clone(), neighbour.clone()];
+                let src = Arc::new(MaterializedSource::new(shards));
+                let optimizer = OptimizerFactory::rmsprop(0.01);
+                ClientRegistry::new(src, model, optimizer, &cfg, 5, init_global.clone())
+            };
+            let (stays, cycles) = (reg(), reg());
+            let (mut live, mut cycled) = (stays.materialize(0), cycles.materialize(0));
+            for c in [&mut live, &mut cycled] {
+                c.train_local(3, &LocalRule::Plain);
+                c.set_lr(0.003);
+                let d = c.residual_mut();
+                d.extend((0..init_global.len()).map(|i| (i as f32 - 20.5) * 1e-3));
+            }
+            // Client 1 (1,000 examples) trains and sleeps last, so client 0
+            // wakes around the shell it left behind.
+            let mut neighbour = cycles.materialize(1);
+            neighbour.train_local(2, &LocalRule::Plain);
+            cycles.hibernate(cycled);
+            cycles.hibernate(neighbour);
+            let cycled = cycles.materialize(0);
+            assert_eq!(cycles.shells_built(), 2);
+            train_twins(live, cycled, 5, &format!("n = {n}"));
+        }
+    }
+
+    #[test]
+    fn scale_lazy_s_record_is_154_words() {
+        // Logistic 32 → 4 (132 parameters), 32 examples (a 1-byte order:
+        // 8 words), SGD (no state), no residual: a 12-word header, the
+        // parameters and 2 + 8 sampler words.
+        let spec = GaussianMixtureSpec {
+            dim: 32,
+            ..GaussianMixtureSpec::default_spec()
+        };
+        let shard = spec.generate(32, None, &mut StdRng::seed_from_u64(1));
+        let model = ModelFactory::logistic(32, 4, 0.0);
+        let mut init_global = Vec::new();
+        model.build(1).read_params(&mut init_global);
+        let mut cfg = FlConfig::cross_device();
+        cfg.batch_size = 8;
+        let src = Arc::new(MaterializedSource::new(vec![shard]));
+        let reg = ClientRegistry::new(
+            src,
+            model,
+            OptimizerFactory::sgd(0.05),
+            &cfg,
+            1,
+            init_global,
+        );
+        let mut c = reg.materialize(0);
+        c.train_local(1, &LocalRule::Plain);
+        reg.hibernate(c);
+        let shard = reg.shards[reg.shard_of(0)].lock().expect("shard");
+        assert_eq!(shard[&0].len(), 154);
     }
 
     #[test]

@@ -153,7 +153,7 @@ fn lazy_mode_is_bit_identical_to_eager() {
 }
 
 /// With upload compression on, each client carries an error-feedback
-/// residual across rounds. The residual is part of `ClientPersist`, so
+/// residual across rounds. The residual is part of a client's record, so
 /// hibernating a client between rounds and rebuilding it on selection must
 /// reproduce the eager trajectory bit-for-bit — the invariant that keeps
 /// lazy mode a pure memory optimization even under lossy uploads.

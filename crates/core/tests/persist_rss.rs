@@ -1,0 +1,97 @@
+//! Gate: bytes a hibernated client keeps resident.
+//!
+//! Builds a [`ClientRegistry`] of `scale_lazy`'s shape (a Gaussian mixture
+//! of dimension 32 with 4 classes, 32 examples per client, logistic
+//! regression 32 → 4, batch 8, plain SGD), materializes and hibernates
+//! 50,000 fresh clients one at a time, and charges the resident growth to
+//! the persisted clients. At 50,000 clients every shard's index is about
+//! 76 % full at a thread budget of 1, 2 or 4 shards, so the reading does not
+//! depend on where a table last doubled.
+//!
+//! A client's packed record is 154 words (616 bytes, a 624-byte malloc
+//! chunk) and its index entry about 33 bytes: this reads about 657. The
+//! form a hibernated client was kept in before records — a struct with
+//! three heap allocations in a hash-map bucket — reads 1,051 and fails the
+//! ceiling.
+//!
+//! This file holds exactly one test function: `VmRSS` is process-wide, and
+//! a sibling test's memory would be charged to the clients.
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rfl_core::{ClientDataSource, ClientRegistry, FlConfig, ModelFactory, OptimizerFactory};
+use rfl_data::synth::gaussian::GaussianMixtureSpec;
+use rfl_data::Dataset;
+use rfl_tensor::Tensor;
+use std::sync::Arc;
+
+const CLIENTS: usize = 50_000;
+const SAMPLES_PER_CLIENT: usize = 32;
+const DIM: usize = 32;
+const CLASSES: usize = 4;
+const SEED: u64 = 17;
+/// Resident bytes one hibernated client may cost: its record, its share of
+/// the index and of the allocator's bookkeeping.
+const BYTES_PER_PERSISTED_CEILING: f64 = 720.0;
+
+const SPEC: GaussianMixtureSpec = GaussianMixtureSpec {
+    dim: DIM,
+    classes: CLASSES,
+    sep: 2.0,
+    noise: 1.0,
+    mean_seed: 45,
+};
+
+/// `scale_lazy`'s source: client `k`'s shard is a pure function of
+/// `(seed, k)`.
+struct GaussianSource {
+    means: Tensor,
+}
+
+impl ClientDataSource for GaussianSource {
+    fn num_clients(&self) -> usize {
+        CLIENTS
+    }
+    fn num_samples(&self, _k: usize) -> usize {
+        SAMPLES_PER_CLIENT
+    }
+    fn dataset(&self, k: usize) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(SEED ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let shift = SPEC.random_shift(1.0, &mut rng);
+        SPEC.generate_with_means(&self.means, SAMPLES_PER_CLIENT, Some(&shift), &mut rng)
+    }
+}
+
+#[test]
+#[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
+fn a_hibernated_client_stays_under_its_byte_ceiling() {
+    let model = ModelFactory::logistic(DIM, CLASSES, 0.0);
+    let mut init = Vec::new();
+    model.build(SEED).read_params(&mut init);
+    let cfg = FlConfig {
+        batch_size: 8,
+        clip_grad_norm: None,
+        seed: SEED,
+        ..FlConfig::cross_device()
+    };
+    let source = Arc::new(GaussianSource {
+        means: SPEC.means(),
+    });
+    let registry =
+        ClientRegistry::new(source, model, OptimizerFactory::sgd(0.05), &cfg, SEED, init);
+    let before = rfl_core::mem::current_rss_bytes();
+    assert!(before > 0, "VmRSS is unreadable");
+    for k in 0..CLIENTS {
+        registry.hibernate(registry.materialize(k));
+    }
+    let grown = rfl_core::mem::current_rss_bytes().saturating_sub(before);
+    let persisted = registry.num_persisted();
+    assert_eq!(persisted, CLIENTS);
+    let per_client = grown as f64 / persisted as f64;
+    println!("{persisted} hibernated clients: {per_client:.0} resident bytes each");
+    assert!(
+        per_client <= BYTES_PER_PERSISTED_CEILING,
+        "{per_client:.0} resident bytes per hibernated client, above the ceiling of \
+         {BYTES_PER_PERSISTED_CEILING}"
+    );
+}

@@ -18,6 +18,13 @@ pub trait Optimizer: Send {
 
     /// Clears internal state (squared-gradient accumulators etc.).
     fn reset(&mut self);
+
+    /// Every word of state the optimizer keeps besides its learning rate,
+    /// as one flat vector (RMSProp's squared-gradient accumulators, empty
+    /// before the first step), or `None` for a stateless one. Whoever stores
+    /// an optimizer apart from it saves the learning rate and these words,
+    /// and restores both into a fresh optimizer of the same kind.
+    fn state_mut(&mut self) -> Option<&mut Vec<f32>>;
 }
 
 /// Plain stochastic gradient descent.
@@ -48,6 +55,10 @@ impl Optimizer for Sgd {
     }
 
     fn reset(&mut self) {}
+
+    fn state_mut(&mut self) -> Option<&mut Vec<f32>> {
+        None
+    }
 }
 
 /// RMSProp as used for the paper's Sent140 LSTM (lr 0.01).
@@ -74,7 +85,8 @@ impl Optimizer for RmsProp {
     fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "param/grad length mismatch");
         if self.sq_avg.len() != params.len() {
-            self.sq_avg = vec![0.0; params.len()];
+            self.sq_avg.clear();
+            self.sq_avg.resize(params.len(), 0.0);
         }
         for ((p, g), s) in params.iter_mut().zip(grads).zip(&mut self.sq_avg) {
             *s = self.alpha * *s + (1.0 - self.alpha) * g * g;
@@ -92,6 +104,10 @@ impl Optimizer for RmsProp {
 
     fn reset(&mut self) {
         self.sq_avg.clear();
+    }
+
+    fn state_mut(&mut self) -> Option<&mut Vec<f32>> {
+        Some(&mut self.sq_avg)
     }
 }
 

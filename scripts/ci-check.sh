@@ -43,7 +43,7 @@ section_test() {
     # The benchmark runs at two workers; two racing over one selection is the
     # interleaving the lazy plane's per-client jobs add.
     echo "== RFL_THREADS=2 lazy-engine tests (the benchmark's budget)"
-    RFL_THREADS=2 cargo test -q -p rfl-core --test pipeline --test scale --test determinism --test fanout
+    RFL_THREADS=2 cargo test -q -p rfl-core --test pipeline --test scale --test determinism --test fanout --test persist_rss
 
     echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
     RFL_SIMD=0 cargo test -q --workspace
