@@ -4,11 +4,11 @@
 //! A [`Client`] is its dataset around a `ClientShell`: the model replica,
 //! the RNG, the epoch sampler, the optimizer, the EF residual and the step
 //! loop's buffers. A lazy client also carries its *record*: its durable
-//! state — the parameters, the RNG position, the sampler, the optimizer's
-//! state and the residual — packed into one flat run of 32-bit words, which
-//! is all the registry keeps of it while it sleeps. Waking unpacks the
-//! record into a recycled shell and hibernating packs it back
-//! ([`crate::registry`]).
+//! state — the RNG position, the sampler, the optimizer's state and the
+//! residual — packed into one flat run of 32-bit words, which is all the
+//! registry keeps of it while it sleeps. Waking unpacks the record into a
+//! recycled shell, with the parameters it is handed, and hibernating packs
+//! it back ([`crate::registry`]).
 
 use crate::eval::{evaluate, gather_batch, to_input, EvalResult};
 use crate::mmd;
@@ -34,43 +34,29 @@ pub struct LocalReport {
 }
 
 /// Word layout of a client record ([`ClientShell::pack`]): a fixed
-/// header, then the parameters, the optimizer's state words, the EF
-/// residual and the packed sampler.
+/// header, then the optimizer's state words, the EF residual and the
+/// packed sampler.
 ///
 /// | words | field |
 /// |---|---|
 /// | 0..8 | xoshiro256++ state, four `u64`s low word first |
 /// | 8 | learning rate (`f32` bits) |
-/// | 9, 10, 11 | lengths of the parameters, the optimizer state, the residual |
-/// | 12.. | parameters, optimizer state, residual (`f32` bits) |
+/// | 9, 10 | lengths of the optimizer state and the residual |
+/// | 11.. | optimizer state, residual (`f32` bits) |
 /// | rest | `n`, cursor, order ([`BatchSampler::pack`]) |
 ///
-/// The parameters sit at a fixed offset, so a broadcast lands in a
-/// sleeping client's record without unpacking it ([`install_record_params`]).
+/// A record holds no parameters: a sleeping client's are dead, because the
+/// next broadcast it installs overwrites them before anything reads them.
+/// A wake installs the parameters it is handed, or NaN
+/// ([`ClientShell::unpack`]).
 const LR: usize = 8;
 const LENS: usize = 9;
-const HEADER: usize = 12;
+const HEADER: usize = 11;
 
 /// `out` becomes the `f32`s whose bits are `words`.
 fn refill(out: &mut Vec<f32>, words: &[u32]) {
     out.clear();
     out.extend(words.iter().map(|&w| f32::from_bits(w)));
-}
-
-/// `words` (as long as `v`) becomes the bits of `v`.
-fn copy_bits(words: &mut [u32], v: &[f32]) {
-    assert_eq!(words.len(), v.len(), "parameter count mismatch");
-    for (w, x) in words.iter_mut().zip(v) {
-        *w = x.to_bits();
-    }
-}
-
-/// Overwrites the parameters a sleeping client's record holds with
-/// `params`, in place: what installing them into the live client and
-/// hibernating it again would store.
-pub(crate) fn install_record_params(record: &mut [u32], params: &[f32]) {
-    let d = record[LENS] as usize;
-    copy_bits(&mut record[HEADER..HEADER + d], params);
 }
 
 /// A live client's working state: the model replica, the RNG, the sampler,
@@ -79,7 +65,7 @@ pub(crate) fn install_record_params(record: &mut [u32], params: &[f32]) {
 /// The lazy registry recycles shells across clients of one federation, so
 /// a shell that served one client must serve any other, already warm, with
 /// bit-identical results. It does: a wake overwrites every durable field
-/// and every parameter from the client's record ([`ClientShell::unpack`]),
+/// from the client's record and every parameter ([`ClientShell::unpack`]),
 /// `zero_grads` opens every step, and each buffer is resized and fully
 /// overwritten before it is read.
 pub(crate) struct ClientShell {
@@ -95,8 +81,8 @@ pub(crate) struct ClientShell {
     /// dropping it on eviction would silently change the model trajectory
     /// whenever uploads are compressed.
     residual: Vec<f32>,
-    /// The flat parameters: the step loop's read/step/write buffer, and
-    /// the staging buffer between the replica and a record.
+    /// The flat parameters: the step loop's read/step/write buffer, and a
+    /// wake's NaN fill.
     params: Vec<f32>,
     /// Boxed: a shell moves in and out of a live client and the registry's
     /// free list twice per client-round, and this keeps the move to the
@@ -168,25 +154,20 @@ impl ClientShell {
         self.residual.clear();
     }
 
-    /// The record of the client this shell holds, at `params` rather than
-    /// the replica's parameters: what [`ClientShell::restart`] followed by
-    /// installing `params` and hibernating would store.
-    pub(crate) fn record_at(&mut self, params: &[f32]) -> Box<[u32]> {
-        self.params.clear();
-        self.params.extend_from_slice(params);
+    /// The record of the client this shell holds.
+    pub(crate) fn record(&mut self) -> Box<[u32]> {
         let mut record = Vec::new();
         self.pack(&mut record);
         record.into_boxed_slice()
     }
 
     /// Writes the record (layout at [`HEADER`]) of the client this shell
-    /// holds, with `self.params` as its parameters, into `out`, overwriting
-    /// it. `out` keeps its allocation when the record's length is unchanged
-    /// and is otherwise sized exactly.
+    /// holds into `out`, overwriting it. `out` keeps its allocation when the
+    /// record's length is unchanged and is otherwise sized exactly.
     fn pack(&mut self, out: &mut Vec<u32>) {
         let lr = self.optimizer.lr();
         let state: &[f32] = self.optimizer.state_mut().map_or(&[], |s| s);
-        let fields = [&self.params[..], state, &self.residual];
+        let fields = [state, &self.residual[..]];
         let lens = fields.map(<[f32]>::len);
         let len = HEADER + lens.iter().sum::<usize>() + self.sampler.packed_words();
         if out.len() != len {
@@ -204,28 +185,37 @@ impl ClientShell {
         }
         for v in fields {
             let (field, rest) = body.split_at_mut(v.len());
-            copy_bits(field, v);
+            for (w, x) in field.iter_mut().zip(v) {
+                *w = x.to_bits();
+            }
             body = rest;
         }
         self.sampler.pack(body);
     }
 
     /// Makes this shell the client whose `record` ([`ClientShell::pack`])
-    /// it is handed, reusing the allocations: the parameters overwrite the
-    /// replica's and the RNG/sampler/optimizer/residual resume exactly
-    /// where they stopped, whatever the shell held before. `batch_size` is
-    /// the federation's (the sampler clamps it to the shard again).
-    fn unpack(&mut self, record: &[u32], batch_size: usize) {
+    /// it is handed, at `params`, reusing the allocations: the
+    /// RNG/sampler/optimizer/residual resume exactly where they stopped,
+    /// whatever the shell held before, and `params` — NaN in every
+    /// parameter when `None` — overwrite the replica's. `batch_size` is the
+    /// federation's (the sampler clamps it to the shard again).
+    fn unpack(&mut self, record: &[u32], batch_size: usize, params: Option<&[f32]>) {
         let (head, body) = record.split_at(HEADER);
         let word = |i: usize| u64::from(head[2 * i]) | u64::from(head[2 * i + 1]) << 32;
         self.rng = StdRng::from_state([word(0), word(1), word(2), word(3)]);
         self.optimizer.set_lr(f32::from_bits(head[LR]));
-        let [d, a, r] = [0, 1, 2].map(|i| head[LENS + i] as usize);
-        let (params, body) = body.split_at(d);
+        let [a, r] = [0, 1].map(|i| head[LENS + i] as usize);
         let (state, body) = body.split_at(a);
         let (residual, sampler) = body.split_at(r);
-        refill(&mut self.params, params);
-        self.model.write_params(&self.params);
+        let params = match params {
+            Some(params) => params,
+            None => {
+                self.params.clear();
+                self.params.resize(self.model.num_params(), f32::NAN);
+                &self.params
+            }
+        };
+        self.model.write_params(params);
         match self.optimizer.state_mut() {
             Some(words) => refill(words, state),
             None => assert!(state.is_empty(), "a stateless optimizer got state"),
@@ -271,9 +261,10 @@ impl Client {
     }
 
     /// A lazy client woken from its record around a recycled shell and its
-    /// regenerated dataset ([`ClientShell::unpack`]); the record's
-    /// allocation travels with the live client. Bit-exact inverse of
-    /// [`Client::take_apart`], whatever the shell did in between.
+    /// regenerated dataset, at `params` or NaN ([`ClientShell::unpack`]);
+    /// the record's allocation travels with the live client. Bit-exact
+    /// inverse of [`Client::take_apart`] in every durable field, whatever
+    /// the shell did in between.
     pub(crate) fn wake(
         id: usize,
         mut shell: ClientShell,
@@ -281,9 +272,10 @@ impl Client {
         record: Box<[u32]>,
         batch_size: usize,
         clip_grad_norm: Option<f32>,
+        params: Option<&[f32]>,
     ) -> Self {
         assert!(!data.is_empty(), "client {id} has no data");
-        shell.unpack(&record, batch_size);
+        shell.unpack(&record, batch_size, params);
         Client {
             id,
             data,
@@ -293,12 +285,11 @@ impl Client {
         }
     }
 
-    /// Takes the client apart into its record (its durable state and the
-    /// replica's parameters, packed into the allocation the client
-    /// carried) and its reusable shell, dropping the dataset. The lazy
-    /// registry calls this when evicting a client after its round.
+    /// Takes the client apart into its record (its durable state, packed
+    /// into the allocation the client carried; the parameters are dropped)
+    /// and its reusable shell, dropping the dataset. The lazy registry
+    /// calls this when evicting a client after its round.
     pub(crate) fn take_apart(mut self) -> (Box<[u32]>, ClientShell) {
-        self.shell.model.read_params(&mut self.shell.params);
         self.shell.pack(&mut self.record);
         (self.record.into_boxed_slice(), self.shell)
     }
@@ -664,14 +655,18 @@ mod tests {
     #[test]
     fn take_apart_wake_roundtrip_is_bit_exact() {
         // A client evicted mid-run and woken from its record around another
-        // shell + a regenerated dataset must continue training
+        // shell + a regenerated dataset, with the live twin's parameters
+        // installed as a broadcast would, must continue training
         // bit-identically to one that stayed live the whole time.
         let mut live = make_client(7);
         let mut cycled = make_client(7);
         live.train_local(3, &LocalRule::Plain);
         cycled.train_local(3, &LocalRule::Plain);
         let (record, _) = cycled.take_apart();
-        let mut cycled = Client::wake(0, foreign_shell(), dense_data(32, 7), record, 8, None);
+        let mut params = Vec::new();
+        live.read_params(&mut params);
+        let data = dense_data(32, 7);
+        let mut cycled = Client::wake(0, foreign_shell(), data, record, 8, None, Some(&params));
         live.train_local(5, &LocalRule::Plain);
         cycled.train_local(5, &LocalRule::Plain);
         let (mut wa, mut wb) = (Vec::new(), Vec::new());
@@ -685,7 +680,7 @@ mod tests {
         let mut c = make_client(8);
         c.residual_mut().extend_from_slice(&[0.25, -1.5, 3.0e-8]);
         let (record, _) = c.take_apart();
-        let woken = Client::wake(0, foreign_shell(), dense_data(32, 8), record, 8, None);
+        let woken = Client::wake(0, foreign_shell(), dense_data(32, 8), record, 8, None, None);
         assert_eq!(woken.shell.residual, [0.25, -1.5, 3.0e-8]);
     }
 

@@ -44,7 +44,7 @@ use super::stats::{CommStats, Direction};
 use super::transport::{codec_round_trip, RemoteTransport, Transport};
 use crate::client::{Client, LocalReport};
 use crate::compress::{CompressedVec, Compression};
-use crate::plane::{answer, Frame, Pull, Scratch};
+use crate::plane::{answer_delta, answer_upload, Frame, Pull, Scratch};
 use crate::rules::LocalRule;
 use rfl_tensor::{decode_f32_into, encode_f32_into};
 use std::io::{self, IoSlice, Read, Write};
@@ -899,7 +899,8 @@ impl ClientConn {
         Ok(())
     }
 
-    /// Sends `client`'s [`answer`] to `what` on the message kind it belongs to.
+    /// Sends `client`'s answer to `what` ([`answer_upload`],
+    /// [`answer_delta`]) on the message kind it belongs to.
     fn send_answer(
         &mut self,
         client: &mut Client,
@@ -908,7 +909,11 @@ impl ClientConn {
         scratch: &mut Scratch,
     ) -> io::Result<()> {
         let kind = what.kind(policy.is_enabled());
-        match answer(client, what, policy, scratch) {
+        let frame = match what {
+            Pull::Upload { global } => answer_upload(client, global, policy, scratch),
+            Pull::Delta { dp } => answer_delta(dp, policy, scratch),
+        };
+        match frame {
             Frame::Dense(values) => self.send_payload(kind, values),
             Frame::Compressed(payload) => self.send_compressed(kind, payload),
         }
@@ -962,8 +967,8 @@ pub enum ClientOutcome {
 /// parameters, trains on `TrainStart` (with the δ target received this
 /// round, if any) and follows the report with the upload, answers δ probes
 /// — until `Shutdown`, a graceful departure, or a dead link. The frames it
-/// uploads come from [`answer`], the function the in-process plane calls on
-/// its replicas.
+/// uploads come from [`answer_upload`] and [`answer_delta`], the functions
+/// the in-process plane calls on its replicas.
 ///
 /// The numeric call sequence on `client` is exactly the one the in-process
 /// simulation makes on its local replica, so the client's RNG stream and

@@ -613,7 +613,12 @@ impl Federation {
         self.local().client(k)
     }
 
-    /// Mutably borrows client `k`, materializing it first in lazy mode.
+    /// Mutably borrows client `k`, materializing it first in lazy mode. A
+    /// lazy client keeps no parameters while it sleeps. It wakes holding the
+    /// last broadcast if that reached it and no request has woken it since,
+    /// its trained model if the last training request trained it after that
+    /// broadcast, and NaN in every parameter otherwise — where an eager
+    /// replica holds whatever it held last.
     pub fn client_mut(&mut self, k: usize) -> &mut Client {
         self.local_mut().client_mut(k)
     }
@@ -808,6 +813,12 @@ impl Federation {
     /// [`StragglerModel`] is installed, each client's step count is drawn
     /// from it instead of the uniform `steps`. One report per client, in
     /// selection order; `None` where a remote client's never came back.
+    ///
+    /// A lazy client goes back to sleep without its parameters. Until the
+    /// next broadcast or training request, a request that wakes it (a δ
+    /// probe, [`Federation::client_mut`]) installs the trained model its
+    /// upload holds; after that, it wakes at NaN unless a broadcast reaches
+    /// it, where an eager replica would still hold its trained model.
     pub fn train_selected(
         &mut self,
         selected: &[usize],
@@ -1356,26 +1367,140 @@ mod transport_tests {
 
 #[cfg(test)]
 mod shell_tests {
+    use super::*;
+    use crate::comm::{
+        BroadcastDelivery, Delivery, DropReason, LinkOutcome, MsgKind, PerfectTransport,
+    };
     use crate::testutil::lazy_fed;
-    use rfl_trace::Tracer;
     use std::collections::BTreeSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn a_broadcast_nobody_woke_for_lands_in_the_persists_at_the_next_round() {
+    fn a_sleeper_wakes_at_its_broadcast_or_trained_model_and_at_nan_otherwise() {
+        // Round 0 reaches clients 1, 2 and 3. Client 1 trains live after a
+        // request woke it and changed its learning rate, client 3 in its
+        // own job; client 2 is not trained, and no request wakes it.
         let (mut fed, _) = lazy_fed(51);
-        let moved: Vec<f32> = fed.global().iter().map(|x| x + 1.0).collect();
-        fed.set_global(moved.clone());
+        let round_0 = fed.global().to_vec();
         fed.begin_round(0);
-        fed.broadcast_params(&[1, 3]);
+        fed.broadcast_params(&[1, 2, 3]);
         assert!(fed.local().clients.is_empty(), "a broadcast wakes nobody");
+        fed.client_mut(1).set_lr(0.0123);
+        let rules = vec![LocalRule::Plain; 2];
+        fed.train_selected(&[1, 3], &rules, 2);
         fed.begin_round(1);
-        let reg = fed.registry().expect("lazy mode");
-        assert_eq!(reg.num_persisted(), 2);
-        let mut params = Vec::new();
-        for k in [1, 3] {
-            reg.materialize(k).read_params(&mut params);
-            assert_eq!(params, moved, "client {k}");
+        assert_eq!(fed.num_persisted(), 2, "only a wake makes a record");
+        let lrs: Vec<u32> = fed
+            .learning_rates(&[1, 2, 3])
+            .iter()
+            .map(|l| l.to_bits())
+            .collect();
+        assert_eq!(
+            lrs,
+            [0.0123f32.to_bits(), 0.1f32.to_bits(), 0.1f32.to_bits()]
+        );
+        let params = |fed: &Federation, k: usize| {
+            let mut p = Vec::new();
+            fed.client(k).read_params(&mut p);
+            assert_eq!(p.len(), fed.num_params());
+            p
+        };
+        // Client 1 slept with nothing to install; client 2 holds the
+        // broadcast that reached it, bit for bit; client 3 its trained
+        // model, which its upload kept.
+        assert!(params(&fed, 1).iter().all(|p| p.is_nan()));
+        let bits = |p: Vec<f32>| p.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(params(&fed, 2)), bits(round_0.clone()));
+        let trained = params(&fed, 3);
+        assert!(trained.iter().all(|p| p.is_finite()) && trained != round_0);
+
+        // A broadcast that misses client 3 voids its upload: it wakes at
+        // NaN from then on, as do clients 1 and 2.
+        fed.begin_round(2);
+        fed.broadcast_params(&[5]);
+        fed.learning_rates(&[1, 2, 3]);
+        for k in [1, 2, 3] {
+            assert!(params(&fed, k).iter().all(|p| p.is_nan()), "client {k}");
         }
+    }
+
+    /// A perfect link that loses every `DeltaUp` frame of `victim`.
+    struct LosesDeltas {
+        inner: PerfectTransport,
+        victim: usize,
+    }
+
+    impl Transport for LosesDeltas {
+        fn begin_round(&mut self, round: u64) {
+            self.inner.begin_round(round)
+        }
+        fn send(&mut self, kind: MsgKind, client: usize, payload: &[f32]) -> Delivery {
+            let mut d = self.inner.send(kind, client, payload);
+            if kind == MsgKind::DeltaUp && client == self.victim {
+                d.data = None;
+                d.reason = Some(DropReason::Loss);
+            }
+            d
+        }
+        fn broadcast(
+            &mut self,
+            kind: MsgKind,
+            clients: &[usize],
+            payload: &[f32],
+        ) -> BroadcastDelivery {
+            self.inner.broadcast(kind, clients, payload)
+        }
+        fn send_compressed(
+            &mut self,
+            kind: MsgKind,
+            client: usize,
+            payload: &CompressedVec,
+            out: &mut CompressedVec,
+        ) -> LinkOutcome {
+            self.inner.send_compressed(kind, client, payload, out)
+        }
+        fn stats(&self) -> &CommStats {
+            self.inner.stats()
+        }
+        fn fault_stats(&self) -> FaultStats {
+            self.inner.fault_stats()
+        }
+    }
+
+    #[test]
+    fn a_lost_delta_claim_leaves_no_map_a_later_claim_can_read() {
+        // Clients 1 and 3 train in their own jobs and are woken again by
+        // the δ request; the link loses client 3's map.
+        let (mut fed, cfg) = lazy_fed(53);
+        fed.set_transport(Box::new(LosesDeltas {
+            inner: PerfectTransport::new(),
+            victim: 3,
+        }));
+        let (selected, probe) = ([1, 3], cfg.probe_batch());
+        fed.begin_round(0);
+        fed.broadcast_params(&selected);
+        let rules = vec![LocalRule::Plain; 2];
+        fed.train_selected(&selected, &rules, 2);
+        let mut table = DeltaTable::new(fed.num_clients(), fed.feature_dim());
+        let mut rng = StdRng::seed_from_u64(0);
+        let arrived = fed.sync_deltas(&selected, &mut table, probe, None, &mut rng);
+        assert_eq!((arrived, table.num_initialized()), (1, 1));
+
+        // The next broadcast voids the map the δ request probed for client
+        // 3, as it voids the stored uploads: claiming it again finds
+        // nothing.
+        fed.broadcast_params(&[1]);
+        let claim = catch_unwind(AssertUnwindSafe(|| {
+            let (policy, rt) = (fed.compression, &mut fed.comp_rt);
+            fed.plane
+                .pull(3, Pull::Delta { dp: None }, policy, rt, true);
+        }));
+        let payload = claim.expect_err("a voided δ map was claimed");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            message.starts_with("a δ claim follows its request"),
+            "{message}"
+        );
     }
 
     /// FedAvg under observation: the selections, and after every fold the

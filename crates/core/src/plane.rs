@@ -17,8 +17,8 @@
 //! allows the dense fold's arrival-order sweep. A lazy client's upload is
 //! read by the training job that put it back to sleep, the way a remote
 //! client answers its training request with its upload; the claim only
-//! frames it. What a client does to
-//! produce such a frame is written once, in [`answer`], for both sides.
+//! frames it. What a client does to produce such a frame is written once,
+//! in [`answer_upload`] and [`answer_delta`], for both sides.
 //!
 //! The back-end is chosen once, by the [`crate::Federation`] constructor;
 //! what it offers beyond the five requests is a list of [`Capability`]s
@@ -110,13 +110,15 @@ impl Pull<'_> {
     }
 }
 
-/// Reused client-side buffers of [`answer`]: the flat parameters or δ map,
+/// Reused client-side buffers of [`answer_upload`] and [`answer_delta`]:
+/// the flat parameters or δ map,
 /// the error-feedback workspaces and the encoded payload.
 #[derive(Default)]
 pub(crate) struct Scratch {
     flat: Vec<f32>,
     /// The probed δ map: a δ *request* fills it
-    /// ([`Client::compute_delta_into`]), the claim's [`answer`] frames it.
+    /// ([`Client::compute_delta_into`]), the claim's [`answer_delta`]
+    /// frames it.
     pub(crate) delta: Vec<f32>,
     update: Vec<f32>,
     recon: Vec<f32>,
@@ -130,7 +132,7 @@ pub(crate) enum Frame<'a> {
 }
 
 impl Scratch {
-    /// The frame [`answer`] left in these buffers: an upload's (`upload`)
+    /// The frame an answer left in these buffers: an upload's (`upload`)
     /// or a δ claim's.
     fn frame(&self, upload: bool, policy: Compression) -> Frame<'_> {
         match (policy.is_enabled(), upload) {
@@ -141,43 +143,48 @@ impl Scratch {
     }
 }
 
-/// The client half of an upload or a δ claim — the same arithmetic in the
-/// same order whichever side of a wire the client sits on. The δ probe
-/// itself belongs to the request, as on the wire: by the time its frame is
-/// claimed the map is in `scratch.delta`, and what is left is what must
-/// happen in claim order — the noise draws and the frame.
-pub(crate) fn answer<'a>(
+/// The client half of an upload — the same arithmetic in the same order
+/// whichever side of a wire the client sits on: the parameters, dense, or
+/// the update against `global` compressed with the client's error-feedback
+/// residual.
+pub(crate) fn answer_upload<'a>(
     client: &mut Client,
-    what: Pull<'_>,
+    global: &[f32],
     policy: Compression,
     scratch: &'a mut Scratch,
 ) -> Frame<'a> {
-    let upload = matches!(what, Pull::Upload { .. });
-    match what {
-        Pull::Upload { global } => {
-            client.read_params(&mut scratch.flat);
-            if policy.is_enabled() {
-                ef_compress_update(
-                    policy,
-                    &scratch.flat,
-                    global,
-                    client.residual_mut(),
-                    &mut scratch.update,
-                    &mut scratch.recon,
-                    &mut scratch.payload,
-                );
-            }
-        }
-        Pull::Delta { dp } => {
-            if let Some((dp, rng)) = dp {
-                privatize_delta(&mut scratch.delta, dp, rng);
-            }
-            if policy.is_enabled() {
-                compress_plain(policy, &scratch.delta, &mut scratch.payload);
-            }
-        }
+    client.read_params(&mut scratch.flat);
+    if policy.is_enabled() {
+        ef_compress_update(
+            policy,
+            &scratch.flat,
+            global,
+            client.residual_mut(),
+            &mut scratch.update,
+            &mut scratch.recon,
+            &mut scratch.payload,
+        );
     }
-    scratch.frame(upload, policy)
+    scratch.frame(true, policy)
+}
+
+/// The client half of a δ claim, on both sides of a wire. The δ probe
+/// itself belongs to the request, as on the wire: by the time its frame is
+/// claimed the map is in `scratch.delta`, and what is left is what must
+/// happen in claim order — the noise draws and the frame. It touches no
+/// client.
+pub(crate) fn answer_delta<'a>(
+    dp: Option<(DpConfig, &mut StdRng)>,
+    policy: Compression,
+    scratch: &'a mut Scratch,
+) -> Frame<'a> {
+    if let Some((dp, rng)) = dp {
+        privatize_delta(&mut scratch.delta, dp, rng);
+    }
+    if policy.is_enabled() {
+        compress_plain(policy, &scratch.delta, &mut scratch.payload);
+    }
+    scratch.frame(false, policy)
 }
 
 /// A pulled frame as it reached the server.
@@ -248,8 +255,8 @@ pub(crate) fn fan_out<W: Send, I: Send>(
 
 /// One worker's wakes (or hibernations) within one request, journaled as a
 /// single span when the request ends: `clients`, and for wakes the shell
-/// split ([`ClientRegistry::materialize_counted`] says per call whether the
-/// shell was new, so the split stays exact with several workers at once).
+/// split ([`ClientRegistry::wake`] says per call whether the shell was new,
+/// so the split stays exact with several workers at once).
 /// A training worker's wakes alternate with its clients' training, so the
 /// span's duration is the sum of the pieces, not the time since it opened.
 #[derive(Default)]
@@ -294,16 +301,17 @@ struct Share {
 }
 
 impl Share {
+    /// Client `k` woken at `params` ([`ClientRegistry::wake`]).
     fn wake(
         &mut self,
         tracer: &Tracer,
         reg: &ClientRegistry,
-        installed: &Installed,
         k: usize,
+        params: Option<&[f32]>,
     ) -> Client {
         let (client, fresh_shell) = self
             .woke
-            .time(tracer, SpanKind::Materialize, || installed.wake(reg, k));
+            .time(tracer, SpanKind::Materialize, || reg.wake(k, params));
         self.woke.shells_built += u64::from(fresh_shell);
         client
     }
@@ -320,8 +328,9 @@ impl Share {
 }
 
 /// The last model broadcast, kept for the lazy clients it reached while
-/// they were asleep: whichever request wakes one installs it first, as the
-/// broadcast would have installed it into a live replica.
+/// they were asleep: whichever request wakes one installs it, as the
+/// broadcast would have installed it into a live replica. The next
+/// broadcast replaces it.
 #[derive(Default)]
 struct Installed {
     params: Vec<f32>,
@@ -330,27 +339,15 @@ struct Installed {
 }
 
 impl Installed {
-    /// Client `k` brought to life with the broadcast installed if it is
-    /// owed one, and whether its shell had to be built.
-    fn wake(&self, reg: &ClientRegistry, k: usize) -> (Client, bool) {
-        let (mut client, fresh_shell) = reg.materialize_counted(k);
-        if self.owed.binary_search(&k).is_ok() {
-            client.write_params(&self.params);
-        }
-        (client, fresh_shell)
+    /// The broadcast client `k` is owed, if any.
+    fn owed_to(&self, k: usize) -> Option<&[f32]> {
+        let owed = self.owed.binary_search(&k).is_ok();
+        owed.then_some(&self.params[..])
     }
 
     /// `woken` (sorted) have installed the broadcast.
     fn woke(&mut self, woken: &[usize]) {
         self.owed.retain(|k| woken.binary_search(k).is_err());
-    }
-
-    /// Lands the broadcast in the records of the clients still owed it,
-    /// in place: none of them is woken.
-    fn land(&mut self, reg: &ClientRegistry) {
-        for k in self.owed.drain(..) {
-            reg.install_params(k, &self.params);
-        }
     }
 }
 
@@ -368,7 +365,9 @@ fn train_counters(span: &mut Span, report: Option<&LocalReport>) {
 /// request, hibernate it — so at most one client per worker is live while a
 /// cohort trains. Every other request (a δ probe, a local evaluation,
 /// [`LocalPlane::client_mut`]) wakes the clients it asks for and leaves them
-/// live until the next round begins.
+/// live until the next round begins. A sleeping client keeps no parameters:
+/// such a wake installs the trained model its stored upload holds, else the
+/// broadcast the client is owed, else NaN.
 pub(crate) struct LocalPlane {
     /// Sorted by id. Eager mode: all `N` replicas; lazy mode: the clients a
     /// request other than training woke this round.
@@ -385,6 +384,7 @@ pub(crate) struct LocalPlane {
     /// The last training request's sleepers: who the jobs woke (sorted)
     /// and, slot for slot, the upload each read as its training ended,
     /// until [`LocalPlane::pull`] frames them or a broadcast voids them.
+    /// A slot's `flat` is the trained model, which a later wake installs.
     stored: Vec<usize>,
     uploads: Vec<Scratch>,
     /// The last δ request: who was probed (sorted) and, slot for slot,
@@ -458,21 +458,19 @@ impl LocalPlane {
     }
 
     /// Lazy mode: hibernates every live client back into the registry
-    /// shards, and lands the last broadcast in the records of the clients
-    /// it reached that no request woke (an eager replica installed it).
-    /// No-op otherwise.
+    /// shards. No-op otherwise.
     pub(crate) fn evict_active(&mut self) {
         let Some(reg) = &self.registry else { return };
         for c in self.clients.drain(..) {
             reg.hibernate(c);
         }
-        self.installed.land(reg);
     }
 
     /// Lazy mode: materializes every client in `ids` (sorted) that is not
-    /// already live, on [`fan_out_width`] workers, each journaling
-    /// its share as a `materialize` span, and merges them into the id-sorted
-    /// live set. No-op in eager mode.
+    /// already live — at the trained model its stored upload holds, else
+    /// the broadcast it is owed, else NaN — on [`fan_out_width`] workers,
+    /// each journaling its share as a `materialize` span, and merges them
+    /// into the id-sorted live set. No-op in eager mode.
     pub(crate) fn ensure_active(&mut self, ids: &[usize]) {
         let Some(reg) = &self.registry else { return };
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
@@ -481,12 +479,17 @@ impl LocalPlane {
             return;
         }
         let (installed, tracer) = (&self.installed, &self.tracer);
+        let (stored, uploads) = (&self.stored, &self.uploads);
         let mut shares: Vec<(Share, Vec<Client>)> =
             (0..fan_out_width(self.parallel, missing.len()))
                 .map(|_| Default::default())
                 .collect();
         fan_out(&missing, &mut shares, |(share, woken), _, &k| {
-            woken.push(share.wake(tracer, reg, installed, k))
+            let params = match stored.binary_search(&k) {
+                Ok(slot) => Some(&uploads[slot].flat[..]),
+                Err(_) => installed.owed_to(k),
+            };
+            woken.push(share.wake(tracer, reg, k, params))
         });
         for (share, woken) in shares {
             share.close();
@@ -497,18 +500,20 @@ impl LocalPlane {
     }
 
     /// One `ModelDown` broadcast: live replicas install it now, lazy clients
-    /// asleep when it reaches them when a request wakes them (a client
-    /// still owed the previous broadcast gets that one in its record
-    /// first). A new model voids the uploads of the last training request.
+    /// asleep when it reaches them when a request wakes them. A client
+    /// still owed the previous broadcast is owed nothing more unless this
+    /// one reaches it (in a round that [`crate::round::run_round`] drives,
+    /// whatever reads its parameters next runs after a broadcast that
+    /// does). A new model voids the last training request's uploads and the
+    /// last δ request's maps.
     fn install(&mut self, selected: &[usize], global: &[f32]) -> Vec<usize> {
         let bd = self
             .transport
             .broadcast(MsgKind::ModelDown, selected, global);
         let delivered = bd.delivered_clients(selected);
         self.stored.clear();
-        if let Some(reg) = &self.registry {
-            self.installed.land(reg);
-        }
+        self.probed.clear();
+        self.installed.owed.clear();
         for &k in &delivered {
             match self.slot(k) {
                 Some(idx) => self.clients[idx].write_params(&bd.data),
@@ -599,11 +604,11 @@ impl LocalPlane {
             |share, i, (replica, report)| {
                 *report = Some(match replica {
                     Ok(client) => train(client, i),
-                    Err((k, upload)) => {
+                    Err((k, slot)) => {
                         let reg = reg.unwrap_or_else(|| panic!("client {k} is not live"));
-                        let mut client = share.wake(tracer, reg, installed, k);
+                        let mut client = share.wake(tracer, reg, k, installed.owed_to(k));
                         let trained = train(&mut client, i);
-                        answer(&mut client, Pull::Upload { global }, policy, upload);
+                        answer_upload(&mut client, global, policy, slot);
                         share.hibernate(tracer, reg, client);
                         trained
                     }
@@ -638,8 +643,8 @@ impl LocalPlane {
     }
 
     /// Sends client `k`'s frame for `what`: the upload its training job
-    /// stored, or — a live client's upload, a δ claim — the frame [`answer`]
-    /// builds from the live client.
+    /// stored or the one [`answer_upload`] reads off the live client, or
+    /// the δ map the last δ request probed. A δ claim reads no client.
     fn pull(
         &mut self,
         k: usize,
@@ -648,20 +653,19 @@ impl LocalPlane {
         rt: &mut CompressedVec,
     ) -> Arrived {
         let kind = what.kind(policy.is_enabled());
-        let stored = match what {
-            Pull::Upload { .. } => self.stored.binary_search(&k).ok(),
-            Pull::Delta { .. } => None,
-        };
-        let frame = match stored {
-            Some(slot) => self.uploads[slot].frame(true, policy),
-            None => {
-                if let Pull::Delta { .. } = what {
-                    let probed = self.probed.binary_search(&k);
-                    let slot = probed.expect("a δ claim follows its request");
-                    std::mem::swap(&mut self.scratch.delta, &mut self.deltas[slot]);
+        let frame = match what {
+            Pull::Upload { global } => match self.stored.binary_search(&k) {
+                Ok(slot) => self.uploads[slot].frame(true, policy),
+                Err(_) => {
+                    let idx = self.idx(k);
+                    answer_upload(&mut self.clients[idx], global, policy, &mut self.scratch)
                 }
-                let idx = self.idx(k);
-                answer(&mut self.clients[idx], what, policy, &mut self.scratch)
+            },
+            Pull::Delta { dp } => {
+                let probed = self.probed.binary_search(&k);
+                let slot = probed.expect("a δ claim follows its request");
+                std::mem::swap(&mut self.scratch.delta, &mut self.deltas[slot]);
+                answer_delta(dp, policy, &mut self.scratch)
             }
         };
         match frame {
@@ -788,8 +792,8 @@ impl ClientPlane {
     }
 
     /// One `ModelDown` broadcast, installed by every client it reaches (a
-    /// remote one from the frame, a lazy one asleep when it wakes); returns
-    /// who those are.
+    /// remote one from the frame, a lazy one asleep when a request wakes
+    /// it); returns who those are.
     pub(crate) fn install(&mut self, selected: &[usize], global: &[f32]) -> Vec<usize> {
         match self {
             ClientPlane::Local(l) => l.install(selected, global),

@@ -14,23 +14,38 @@
 //! # Records
 //!
 //! A hibernated client is one `Box<[u32]>`: the xoshiro state, the
-//! learning rate and the optimizer's state words, the flat parameters, the
-//! EF residual, and the sampler's cursor and epoch order at the narrowest
-//! integer width that holds its indices (layout in `client.rs`). For
-//! `scale_lazy`'s client — logistic 32 → 4, 32 examples, SGD — that is 154
-//! words, a 624-byte allocation, and with its index entry about 660
-//! resident bytes (`tests/persist_rss.rs` holds it to 720; EXPERIMENTS.md
-//! "A hibernated client is one packed record").
+//! learning rate and the optimizer's state words, the EF residual, and the
+//! sampler's cursor and epoch order at the narrowest integer width that
+//! holds its indices (layout in `client.rs`). For `scale_lazy`'s client —
+//! logistic 32 → 4, 32 examples, SGD — that is 21 words, a 96-byte malloc
+//! chunk, and with its index entry about 130 resident bytes
+//! (`tests/persist_rss.rs` holds it to 192; EXPERIMENTS.md "A sleeping
+//! client keeps no parameters").
+//!
+//! A record holds no parameters. In a round that
+//! [`crate::round::run_round`] drives, a sleeping client's are dead across
+//! rounds: every request that reads them runs after a broadcast that
+//! reached the client, and that broadcast overwrites them. Within a round
+//! the one reader of a trained sleeper's parameters is rFedAvg's δ probe
+//! before the upload, and the training request already keeps them: each
+//! job reads its client's parameters into the request's upload slot before
+//! the hibernation. So a plane wake installs the trained model of the last
+//! training request's stored upload, else the last broadcast when the
+//! client is owed it (the plane keeps that one copy, not one per record),
+//! else NaN: deterministic, and loud if read. Nothing lands in a record in
+//! place. A caller that drives requests itself can see the difference from
+//! an eager federation: a client trained, then missed by a broadcast, wakes
+//! at NaN where an eager replica still holds its trained model
+//! (`Federation::train_selected`).
 //!
 //! Waking unpacks the record into a recycled shell and hibernating packs
-//! it back, bit-exactly; meanwhile the live client carries the record's
-//! allocation, so a warm wake → train → hibernate cycle allocates nothing
-//! for it. A client's first wake goes the same way: the shell is restarted
-//! as that client and packed into its initial record, which the wake then
-//! unpacks. A broadcast that reached a sleeping client lands in its
-//! record's parameter words in place ([`ClientRegistry::install_params`]),
-//! without a wake. The index stays `O(persisted)`: a dense array over every
-//! registered id would be the `O(N)` term `tests/scale.rs` forbids.
+//! it back, bit-exactly in every durable field; meanwhile the live client
+//! carries the record's allocation, so a warm wake → train → hibernate
+//! cycle allocates nothing for it. A client's first wake goes the same
+//! way: the shell is restarted as that client and packed into its initial
+//! record, which the wake then unpacks. The index stays `O(persisted)`: a
+//! dense array over every registered id would be the `O(N)` term
+//! `tests/scale.rs` forbids.
 //!
 //! # Shells
 //!
@@ -38,11 +53,10 @@
 //! residual and the step loop's buffers, a `ClientShell` — is working
 //! state, and not thrown away either: [`ClientRegistry::hibernate`] takes
 //! the client apart, files its record in its shard and puts the shell on a
-//! free list; [`ClientRegistry::materialize`] pops one, overwrites every
-//! parameter and every durable field with the client's own, and hands back
-//! a client whose first step is already warm. A shell is only *built*
-//! when the list is empty, and each materialization says whether it had
-//! to ([`ClientRegistry::materialize_counted`]): the trace spans add those
+//! free list; a wake ([`ClientRegistry::wake`]) pops one, overwrites every
+//! parameter and every durable field, and hands back a client whose first
+//! step is already warm. A shell is only *built* when the list is empty,
+//! and each wake says whether it had to: the trace spans add those
 //! flags up, which stays exact with several threads materializing at once
 //! where a before/after reading of a shared counter would not. Building one
 //! per sampled client instead cost 60 allocator calls per client-round —
@@ -52,22 +66,28 @@
 //! allocator").
 //!
 //! The list needs no cap: a shell is built only when every shell built
-//! before it is in use — inside a live client, or for a moment packing a
-//! never-woken client's first record — so the list never holds more shells
-//! than were in use at once. A training request keeps one client per
-//! worker live — each job wakes its client, trains it and hibernates it
-//! before taking the next — so a lazy FedAvg run builds at most a
-//! fan-out's width of shells; a request that leaves its clients live until the
-//! next round (a δ probe, a local evaluation) holds a cohort's worth. It is
-//! one `Mutex<Vec<_>>` locked twice per client-round, for one `pop` and one
-//! `push`, by up to a thread budget's worth of workers; shard it only with a
-//! measurement that says the lock is hot.
+//! before it is in use — inside a live client — so the list never holds
+//! more shells than were in use at once. A training request keeps one
+//! client per worker live — each job wakes its client, trains it and
+//! hibernates it before taking the next — so a lazy FedAvg run builds at
+//! most a fan-out's width of shells; a request that leaves its clients live
+//! until the next round (a δ probe, a local evaluation) holds a cohort's
+//! worth. It is one `Mutex<Vec<_>>` locked twice per client-round, for one
+//! `pop` and one `push`, by up to a thread budget's worth of workers; shard
+//! it only with a measurement that says the lock is hot.
+//!
+//! Nor is the list trimmed (to the fan-out width, say) at the start of a
+//! round. On a lazy rFedAvg+ or power-of-choice run the δ probe after the
+//! fold wakes a whole cohort every round, so a trim would rebuild about a
+//! cohort of shells per round: the allocator churn the list exists to
+//! remove. It would also miss `benchmark/`'s registry probe, which holds
+//! 10,000 clients live and never begins a round.
 //!
 //! A recycled shell arrives dirty and differently shaped — the previous
 //! tenant may have had a smaller shard (a clamped batch), trained under an
 //! MMD rule, or been evaluated — and none of that may show. It does not:
-//! the wake overwrites every durable field from the record,
-//! `write_params` overwrites every parameter, `zero_grads` opens every
+//! the wake overwrites every durable field from the record and every
+//! parameter with the ones it installs, `zero_grads` opens every
 //! step, and every buffer of the step loop, the models, their layers and
 //! their `Workspace`s is cleared or resized and then fully overwritten
 //! before it is read (the shapes already changed from step to step within
@@ -80,11 +100,13 @@
 //! Nothing about a client's state may depend on *when* it is first
 //! materialized, or around which shell. Client `k`'s RNG stream is keyed on
 //! `(seed, k)` (the same `seed ^ k·φ64` offset [`crate::client::Client::new`]
-//! always used — never on construction order), and a fresh client starts
-//! from the *initial* global parameters exactly as an eagerly built one
-//! does. Hibernate → materialize round-trips bit-exactly, so an eager run
-//! and a lazy run of the same federation produce identical losses and
-//! parameters (pinned by the `eager ≡ lazy` e2e test).
+//! always used — never on construction order), and its parameters are
+//! those an eager replica would hold wherever a round reads one: the
+//! trained model or the broadcast that reached it for the plane's wakes.
+//! [`ClientRegistry::materialize`] always installs the initial global.
+//! Hibernate → wake round-trips every durable field bit-exactly, so an
+//! eager run and a lazy run of the same federation produce identical
+//! losses and parameters (pinned by the `eager ≡ lazy` e2e test).
 //!
 //! # Sharding
 //!
@@ -98,7 +120,7 @@
 //! current client. Whatever a client computes lands
 //! in its selection slot, so results are independent of scheduling.
 
-use crate::client::{install_record_params, Client, ClientShell};
+use crate::client::{Client, ClientShell};
 use crate::federation::{FlConfig, ModelFactory, OptimizerFactory};
 use rfl_data::{Dataset, FederatedData};
 use std::collections::HashMap;
@@ -162,10 +184,8 @@ pub struct ClientRegistry {
     batch_size: usize,
     clip_grad_norm: Option<f32>,
     seed: u64,
-    /// The global initialization every client starts from — a client first
-    /// sampled in round 40 must begin exactly where an eager replica would
-    /// have: at the round-0 global, not the current one (its download
-    /// installs the current global only if the link delivers).
+    /// The global initialization, which [`ClientRegistry::materialize`]
+    /// installs: what an eager replica holds before its first broadcast.
     init_global: Vec<f32>,
     /// Each hibernated client's record, by id.
     shards: Vec<Mutex<HashMap<usize, Box<[u32]>>>>,
@@ -174,7 +194,7 @@ pub struct ClientRegistry {
     /// sharding it).
     shells: Mutex<Vec<ClientShell>>,
     /// Shells ever built — a statistic for the tests (the spans count the
-    /// flag each [`ClientRegistry::materialize_counted`] call returns).
+    /// flag each [`ClientRegistry::wake`] call returns).
     shells_built: AtomicU64,
 }
 
@@ -220,9 +240,7 @@ impl ClientRegistry {
 
     /// Shells built so far. A shell is only built when the list is empty,
     /// that is when every shell built before it is in use, so this is also
-    /// the most shells that were ever in use at once: one per live client,
-    /// and one for a moment while [`ClientRegistry::install_params`] builds
-    /// a record.
+    /// the most shells that were ever in use at once: one per live client.
     #[cfg(test)]
     pub(crate) fn shells_built(&self) -> u64 {
         self.shells_built.load(Ordering::Relaxed)
@@ -234,29 +252,32 @@ impl ClientRegistry {
         self.shells.lock().expect("shell list poisoned").len()
     }
 
-    /// Builds the live simulation object for client `k`: its record — or,
-    /// the first time, its initial record from the deterministic recipes —
-    /// unpacked into a recycled shell around its regenerated dataset. Takes
-    /// `&self` — several threads materialize a selection at once,
-    /// contending only on the per-shard locks and, for one `pop`, on the
-    /// shell list.
+    /// Builds the live simulation object for client `k` at the initial
+    /// global ([`ClientRegistry::wake`] with it) — always the initial
+    /// global, whatever the client trained before it was hibernated: a
+    /// record keeps no parameters. Takes `&self` — several
+    /// threads materialize a selection at once, contending only on the
+    /// per-shard locks and, for one `pop`, on the shell list.
     pub fn materialize(&self, k: usize) -> Client {
-        self.materialize_counted(k).0
+        self.wake(k, Some(&self.init_global)).0
     }
 
-    /// [`ClientRegistry::materialize`], also saying whether the client's
-    /// shell had to be built (`true`) or came off the list — per call, so
-    /// concurrent materialization sites can each keep an exact tally.
-    pub(crate) fn materialize_counted(&self, k: usize) -> (Client, bool) {
+    /// Client `k` brought to life: its record — or, the first time, its
+    /// initial record from the deterministic recipes — unpacked into a
+    /// recycled shell around its regenerated dataset, at `params` (NaN in
+    /// every parameter when `None`). Also says whether the shell had to be
+    /// built (`true`) or came off the list — per call, so concurrent wake
+    /// sites can each keep an exact tally.
+    pub(crate) fn wake(&self, k: usize, params: Option<&[f32]>) -> (Client, bool) {
         let record = self.shards[self.shard_of(k)]
             .lock()
             .expect("registry shard poisoned")
             .remove(&k);
         let (mut shell, fresh_shell) = self.pop_shell();
         let data = self.source.dataset(k);
-        let record = record
-            .unwrap_or_else(|| self.initial_record(&mut shell, k, data.len(), &self.init_global));
-        let client = Client::wake(k, shell, data, record, self.batch_size, self.clip_grad_norm);
+        let record = record.unwrap_or_else(|| self.initial_record(&mut shell, k, data.len()));
+        let (batch, clip) = (self.batch_size, self.clip_grad_norm);
+        let client = Client::wake(k, shell, data, record, batch, clip, params);
         (client, fresh_shell)
     }
 
@@ -273,22 +294,16 @@ impl ClientRegistry {
     }
 
     /// The record of client `k` (`n_samples` examples) before its first
-    /// local step, at `params`: `shell` is restarted as that client and
-    /// packed.
-    fn initial_record(
-        &self,
-        shell: &mut ClientShell,
-        k: usize,
-        n_samples: usize,
-        params: &[f32],
-    ) -> Box<[u32]> {
+    /// local step: `shell` is restarted as that client and packed.
+    fn initial_record(&self, shell: &mut ClientShell, k: usize, n_samples: usize) -> Box<[u32]> {
         let lr = self.optimizer.lr();
         shell.restart(k, n_samples, self.batch_size, self.seed, lr);
-        shell.record_at(params)
+        shell.record()
     }
 
-    /// Evicts a client: its state, packed into its record, goes to its
-    /// shard, its shell back on the list, its dataset away.
+    /// Evicts a client: its durable state, packed into its record, goes to
+    /// its shard, its shell back on the list, its dataset and parameters
+    /// away.
     pub fn hibernate(&self, client: Client) {
         let k = client.id();
         let (record, shell) = client.take_apart();
@@ -297,27 +312,6 @@ impl ClientRegistry {
             .expect("registry shard poisoned")
             .insert(k, record);
         self.shells.lock().expect("shell list poisoned").push(shell);
-    }
-
-    /// Installs `params` into sleeping client `k`, as waking it, writing
-    /// them and hibernating it again would, without doing either: the
-    /// record's parameter words are overwritten in place, and a client that
-    /// never slept gets its initial record (sized by
-    /// [`ClientDataSource::num_samples`]) with `params` in it, packed by a
-    /// shell borrowed from the list. No dataset is built. `k` must not be
-    /// live.
-    pub(crate) fn install_params(&self, k: usize, params: &[f32]) {
-        let shard = &self.shards[self.shard_of(k)];
-        if let Some(record) = shard.lock().expect("registry shard poisoned").get_mut(&k) {
-            return install_record_params(record, params);
-        }
-        let (mut shell, _) = self.pop_shell();
-        let record = self.initial_record(&mut shell, k, self.source.num_samples(k), params);
-        self.shells.lock().expect("shell list poisoned").push(shell);
-        shard
-            .lock()
-            .expect("registry shard poisoned")
-            .insert(k, record);
     }
 }
 
@@ -375,7 +369,8 @@ mod tests {
     #[test]
     fn hibernate_then_materialize_resumes_training() {
         // Two identical registries: one client stays live, its twin is
-        // evicted and revived mid-run; both must train bit-identically.
+        // evicted and revived mid-run with the live one's parameters
+        // installed, as a broadcast would; both must train bit-identically.
         let reg = registry(5);
         let reg2 = registry(5);
         let mut live = reg.materialize(2);
@@ -387,6 +382,9 @@ mod tests {
         assert_eq!(reg2.num_persisted(), 1);
         let mut cycled = reg2.materialize(2);
         assert_eq!(reg2.num_persisted(), 0);
+        let mut params = Vec::new();
+        live.read_params(&mut params);
+        cycled.write_params(&params);
         let ra = live.train_local(4, &LocalRule::Plain);
         let rb = cycled.train_local(4, &LocalRule::Plain);
         assert_eq!(ra.loss, rb.loss);
@@ -516,75 +514,6 @@ mod tests {
         }
     }
 
-    /// A [`MaterializedSource`] that counts its `dataset` calls.
-    struct CountingSource {
-        inner: MaterializedSource,
-        built: std::sync::atomic::AtomicUsize,
-    }
-
-    impl ClientDataSource for CountingSource {
-        fn num_clients(&self) -> usize {
-            self.inner.num_clients()
-        }
-        fn num_samples(&self, k: usize) -> usize {
-            self.inner.num_samples(k)
-        }
-        fn dataset(&self, k: usize) -> Dataset {
-            self.built.fetch_add(1, Ordering::Relaxed);
-            self.inner.dataset(k)
-        }
-    }
-
-    fn counting_registry(seed: u64) -> (ClientRegistry, Arc<CountingSource>) {
-        let (inner, _) = source(4, seed);
-        let src = Arc::new(CountingSource {
-            inner,
-            built: Default::default(),
-        });
-        let model = ModelFactory::logistic(10, 4, 0.0);
-        let mut init_global = Vec::new();
-        model.build(seed).read_params(&mut init_global);
-        let mut cfg = FlConfig::cross_silo();
-        cfg.batch_size = 5;
-        let optimizer = OptimizerFactory::rmsprop(0.01);
-        let reg = ClientRegistry::new(src.clone(), model, optimizer, &cfg, seed, init_global);
-        (reg, src)
-    }
-
-    #[test]
-    fn landing_a_broadcast_builds_no_dataset() {
-        // Client 0 slept after training, client 1 never woke. Landing a
-        // broadcast in both must regenerate no shard, and leave each as
-        // waking it, installing and hibernating it again would have.
-        let (landed, src) = counting_registry(9);
-        let (woken, _) = counting_registry(9);
-        for reg in [&landed, &woken] {
-            let mut c = reg.materialize(0);
-            c.train_local(3, &LocalRule::Plain);
-            reg.hibernate(c);
-        }
-        let global: Vec<f32> = (0..landed.init_global.len())
-            .map(|i| i as f32 * 0.01 - 0.2)
-            .collect();
-        let built = src.built.load(Ordering::Relaxed);
-        for k in [0, 1] {
-            landed.install_params(k, &global);
-            let mut c = woken.materialize(k);
-            c.write_params(&global);
-            woken.hibernate(c);
-        }
-        assert_eq!(
-            src.built.load(Ordering::Relaxed),
-            built,
-            "a land built a dataset"
-        );
-        assert_eq!(landed.num_persisted(), 2);
-        for k in [0, 1] {
-            let (a, b) = (landed.materialize(k), woken.materialize(k));
-            train_twins(a, b, 4, &format!("client {k}"));
-        }
-    }
-
     /// Trains both clients `steps` steps and asserts that every loss, every
     /// parameter bit, the residual and the learning rate agree.
     fn train_twins(mut a: Client, mut b: Client, steps: usize, what: &str) {
@@ -635,22 +564,25 @@ mod tests {
                 d.extend((0..init_global.len()).map(|i| (i as f32 - 20.5) * 1e-3));
             }
             // Client 1 (1,000 examples) trains and sleeps last, so client 0
-            // wakes around the shell it left behind.
+            // wakes around the shell it left behind, and installs its
+            // twin's parameters as a broadcast would.
             let mut neighbour = cycles.materialize(1);
             neighbour.train_local(2, &LocalRule::Plain);
             cycles.hibernate(cycled);
             cycles.hibernate(neighbour);
-            let cycled = cycles.materialize(0);
+            let mut params = Vec::new();
+            live.read_params(&mut params);
+            let (cycled, _) = cycles.wake(0, Some(&params));
             assert_eq!(cycles.shells_built(), 2);
             train_twins(live, cycled, 5, &format!("n = {n}"));
         }
     }
 
     #[test]
-    fn scale_lazy_s_record_is_154_words() {
-        // Logistic 32 → 4 (132 parameters), 32 examples (a 1-byte order:
-        // 8 words), SGD (no state), no residual: a 12-word header, the
-        // parameters and 2 + 8 sampler words.
+    fn scale_lazy_s_record_is_21_words() {
+        // Logistic 32 → 4 (132 parameters, none kept), 32 examples (a
+        // 1-byte order: 8 words), SGD (no state), no residual: an 11-word
+        // header and 2 + 8 sampler words.
         let spec = GaussianMixtureSpec {
             dim: 32,
             ..GaussianMixtureSpec::default_spec()
@@ -674,7 +606,7 @@ mod tests {
         c.train_local(1, &LocalRule::Plain);
         reg.hibernate(c);
         let shard = reg.shards[reg.shard_of(0)].lock().expect("shard");
-        assert_eq!(shard[&0].len(), 154);
+        assert_eq!(shard[&0].len(), 21);
     }
 
     #[test]

@@ -44,6 +44,7 @@ section_test() {
     # interleaving the lazy plane's per-client jobs add.
     echo "== RFL_THREADS=2 lazy-engine tests (the benchmark's budget)"
     RFL_THREADS=2 cargo test -q -p rfl-core --test pipeline --test scale --test determinism --test fanout --test persist_rss
+    RFL_THREADS=2 cargo test -q -p rfl-core --lib -- registry:: federation::shell_tests::
 
     echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
     RFL_SIMD=0 cargo test -q --workspace
