@@ -14,6 +14,10 @@
 //! `decompress_into` checks its sections against the length it must decode
 //! to and returns `false` on a mismatch instead of panicking; the server
 //! counts such an upload as lost.
+//!
+//! A quantized upload is two passes on the sender and one on the receiver
+//! ([`ef_compress_update`], [`decode_upload_into`]); the per-value loops
+//! they replaced are the oracle in `crates/core/tests/oracle/quantize.rs`.
 
 mod quantize;
 mod sketch;
@@ -274,7 +278,7 @@ impl AnyCompressor {
     /// describe `len` values under this codec.
     pub fn decompress_into(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) -> bool {
         match self {
-            AnyCompressor::Quantize(c) => c.decompress_into(payload, len, out),
+            AnyCompressor::Quantize(c) => c.decompress_into(payload, len, None, out),
             AnyCompressor::TopK(c) => c.decompress_into(payload, len, out),
             AnyCompressor::Sketch(c) => c.decompress_into(payload, len, out),
         }
@@ -322,9 +326,17 @@ pub(crate) fn adaptive_bits(values: &[f32], max_bits: u8) -> u8 {
 /// ```
 ///
 /// All buffers are caller-owned workspaces; `residual` is (re)sized to `d`
-/// on first use. The exact loop shapes here are the bit-exactness contract
-/// between the in-process fold and the socket client loop — both call this
-/// one function.
+/// on first use, and `recon` holds `decompress(payload)`. The in-process
+/// plane and the socket client loop both call this one function; what it
+/// computes is pinned bitwise by `compress_props.rs` against the loop it
+/// replaced (`crates/core/tests/oracle/quantize.rs`).
+///
+/// Under a quantizer this is two passes. The first writes `update`, then
+/// takes its extent in a lane-parallel sweep while it is still in cache.
+/// The second writes each code and reads the code's reconstruction from a
+/// lift table of the `levels + 1` values a code stands for, and with it the
+/// residual: the sender never decodes its own payload. Top-k and the sketch
+/// rebuild `recon` from their payload, unchecked.
 ///
 /// Policies for which `Compression::uses_error_feedback` is `false`
 /// (the unbiased count sketch) keep the residual pinned at zero: the
@@ -355,12 +367,21 @@ pub fn ef_compress_update(
             .map(|((&p, &g), &r)| p - g + r),
     );
     let comp = policy.for_upload(update).expect("compression enabled");
-    comp.compress_into(update, payload);
-    let decoded = comp.decompress_into(payload, d, recon);
-    assert!(decoded, "a payload decodes on its own sender");
-    if feedback {
-        for (r, (&u, &c)) in residual.iter_mut().zip(update.iter().zip(recon.iter())) {
-            *r = u - c;
+    match comp {
+        // Every quantizing policy carries feedback.
+        AnyCompressor::Quantize(q) => {
+            q.compress_with_feedback(update, quantize::extent(update), payload, recon, residual)
+        }
+        AnyCompressor::TopK(c) => {
+            c.compress_into(update, payload);
+            TopK::scatter(payload, d, recon);
+            for (r, (&u, &c)) in residual.iter_mut().zip(update.iter().zip(recon.iter())) {
+                *r = u - c;
+            }
+        }
+        AnyCompressor::Sketch(c) => {
+            c.compress_into(update, payload);
+            c.estimate(payload, d, recon);
         }
     }
     comp
@@ -376,13 +397,18 @@ pub fn decode_upload_into(
     global: &[f32],
     out: &mut Vec<f32>,
 ) -> bool {
-    if !decode_plain_into(policy, payload, global.len(), out) {
-        return false;
+    let len = global.len();
+    match policy.for_payload(payload, len) {
+        // One pass: each code's lift plus the global.
+        Some(AnyCompressor::Quantize(q)) => q.decompress_into(payload, len, Some(global), out),
+        Some(comp) if comp.decompress_into(payload, len, out) => {
+            for (o, &g) in out.iter_mut().zip(global) {
+                *o += g;
+            }
+            true
+        }
+        _ => false,
     }
-    for (o, &g) in out.iter_mut().zip(global) {
-        *o += g;
-    }
-    true
 }
 
 /// Compress a δ-sync vector (no error feedback — δ maps are stateless).

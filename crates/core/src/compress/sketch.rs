@@ -66,6 +66,13 @@ impl CountSketch {
         if payload.words_f32.len() != self.rows * self.cols {
             return false;
         }
+        self.estimate(payload, len, out);
+        true
+    }
+
+    /// The estimate of [`CountSketch::decompress_into`] without its check:
+    /// the sender's reconstruction of a payload it wrote itself.
+    pub(crate) fn estimate(&self, payload: &CompressedVec, len: usize, out: &mut Vec<f32>) {
         let table = &payload.words_f32;
         let mut cells = [0.0f32; MAX_ROWS];
         out.clear();
@@ -78,7 +85,6 @@ impl CountSketch {
             cells[..self.rows].sort_by(|a, b| a.total_cmp(b));
             out.push(cells[self.rows / 2]); // median
         }
-        true
     }
 }
 

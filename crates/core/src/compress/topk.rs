@@ -53,12 +53,18 @@ impl TopK {
         if idx.len() != payload.words_f32.len() || idx.iter().any(|&i| i as usize >= len) {
             return false;
         }
+        Self::scatter(payload, len, out);
+        true
+    }
+
+    /// The scatter of [`TopK::decompress_into`] without its checks: the
+    /// sender's reconstruction of a payload it wrote itself.
+    pub(crate) fn scatter(payload: &CompressedVec, len: usize, out: &mut Vec<f32>) {
         out.clear();
         out.resize(len, 0.0);
-        for (&i, &v) in idx.iter().zip(&payload.words_f32) {
+        for (&i, &v) in payload.words_u32.iter().zip(&payload.words_f32) {
             out[i as usize] = v;
         }
-        true
     }
 }
 

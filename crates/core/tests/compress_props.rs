@@ -2,9 +2,16 @@
 //! codec must be bit-lossless for every section shape (including raw NaN
 //! and infinity bit patterns), every compressor backend must round-trip
 //! ragged lengths into dirty reused buffers exactly as into fresh ones, no
-//! payload may panic the decoder, and error feedback must leave no residual
-//! when the compressor reconstructs exactly.
+//! payload may panic the decoder, error feedback must leave no residual
+//! when the compressor reconstructs exactly, and the quantizer — sender,
+//! error feedback and receiver — must equal the per-value loops in
+//! `oracle/quantize.rs` bit for bit, on honest and hostile payloads alike.
 
+mod oracle {
+    pub mod quantize;
+}
+
+use oracle::quantize as old;
 use proptest::prelude::*;
 use rfl_core::compress::{
     decode_upload_into, ef_compress_update, AnyCompressor, CompressedVec, Compression,
@@ -66,6 +73,114 @@ fn tamper<T: Clone>(honest: &mut Vec<T>, mode: u8, junk: &[T]) {
             honest.pop();
         }
         _ => honest.extend_from_slice(junk),
+    }
+}
+
+/// A quantizing policy: a fixed width or the adaptive one.
+fn quantizing_policy() -> impl Strategy<Value = Compression> {
+    prop_oneof![
+        (1u8..=8).prop_map(|bits| Compression::Quantize { bits }),
+        (1u8..=8).prop_map(|max_bits| Compression::Adaptive { max_bits }),
+    ]
+}
+
+/// The values at a quantizer's edges: NaN, ±∞, ±0, ± the smallest
+/// subnormal, the smallest normal and the largest finites.
+fn edge_f32() -> impl Strategy<Value = f32> {
+    const EDGES: [f32; 10] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.0,
+        -0.0,
+        1e-45,
+        -1e-45,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+    ];
+    (0..EDGES.len()).prop_map(|i| EDGES[i])
+}
+
+/// A vector length: `0..=67`, or the canonical CNN's 18,346 one case in 17.
+fn quantizer_len() -> impl Strategy<Value = usize> {
+    (0u8..17, 0usize..=67).prop_map(|(pick, n)| if pick == 0 { 18_346 } else { n })
+}
+
+/// `n` values to quantize: raw bit patterns; finite values with edge values
+/// among them; a constant; or a one-signed vector whose extremum is a zero
+/// of both signs.
+fn quantizer_input(n: usize) -> impl Strategy<Value = Vec<f32>> {
+    let zero_or = |v: f32, pick: u8| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        _ => v,
+    };
+    prop_oneof![
+        prop::collection::vec(raw_f32(), n),
+        prop::collection::vec(
+            prop_oneof![-100.0f32..100.0, -100.0f32..100.0, edge_f32()],
+            n
+        ),
+        raw_f32().prop_map(move |c| vec![c; n]),
+        (
+            prop::collection::vec((0.0f32..10.0, 0u8..4), n),
+            any::<bool>()
+        )
+            .prop_map(move |(v, negate)| {
+                v.into_iter()
+                    .map(|(v, pick)| zero_or(v, pick))
+                    .map(|v| if negate { -v } else { v })
+                    .collect()
+            }),
+    ]
+}
+
+/// The raw bits of every section of a payload.
+fn sections(p: &CompressedVec) -> (Vec<u32>, Vec<u32>, Vec<u8>) {
+    (p.words_u32.clone(), f32_bits(&p.words_f32), p.bytes.clone())
+}
+
+fn f32_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The raw bits of a computed vector, every NaN as one pattern: Rust does
+/// not pin which operand's NaN a sum of two NaNs carries, and the optimizer
+/// may commute an add.
+fn value_bits(v: &[f32]) -> Vec<u32> {
+    let nan = f32::NAN.to_bits();
+    v.iter()
+        .map(|v| if v.is_nan() { nan } else { v.to_bits() })
+        .collect()
+}
+
+/// One error-feedback sender's buffers.
+#[derive(Default)]
+struct Sender {
+    residual: Vec<f32>,
+    update: Vec<f32>,
+    recon: Vec<f32>,
+    payload: CompressedVec,
+}
+
+/// Each width's codes for values a few ulps around every half step of the
+/// grid `[0, levels]`, where `x` is the value itself or close to it: a
+/// rounding that differs from `round` only at `0.5 − 2⁻²⁵` shows here.
+#[test]
+fn every_half_step_rounds_as_the_oracle_does() {
+    for bits in 1u8..=8 {
+        let levels = ((1u32 << bits) - 1) as f32;
+        let mut values = vec![0.0, levels];
+        for k in 0..(1u32 << bits) - 1 {
+            let half = (k as f32 + 0.5).to_bits();
+            values.extend((half - 4..=half + 4).map(f32::from_bits));
+        }
+        let comp = Compression::Quantize { bits }.for_upload(&[]).unwrap();
+        let (mut new, mut oracle) = (CompressedVec::default(), CompressedVec::default());
+        comp.compress_into(&values, &mut new);
+        old::compress_into(bits, &values, &mut oracle);
+        assert_eq!(sections(&new), sections(&oracle), "bits={bits}");
     }
 }
 
@@ -232,5 +347,137 @@ proptest! {
             "constant update must leave no residual: {:?}",
             &residual[..residual.len().min(4)]
         );
+    }
+
+    /// The quantizer equals the oracle bit for bit: every payload section,
+    /// the decode, the receiver's `global + decode`, and the sender's
+    /// update, reconstruction and residual over three error-feedback
+    /// rounds.
+    #[test]
+    fn quantizer_matches_the_oracle(
+        policy in quantizing_policy(),
+        vectors in quantizer_len()
+            .prop_flat_map(|n| (quantizer_input(n), quantizer_input(n), quantizer_input(n))),
+    ) {
+        let (values, global, drift) = vectors;
+        let n = values.len();
+        let comp = policy.for_upload(&values).unwrap();
+        let bits = old::quantizer_bits(&comp).unwrap();
+        let (mut new, mut oracle) = (CompressedVec::default(), CompressedVec::default());
+        comp.compress_into(&values, &mut new);
+        old::compress_into(bits, &values, &mut oracle);
+        prop_assert_eq!(sections(&new), sections(&oracle), "compress_into");
+
+        let (mut a, mut b) = (vec![f32::NAN; 3], Vec::new());
+        prop_assert!(comp.decompress_into(&new, n, &mut a));
+        prop_assert!(old::decompress_into(bits, &oracle, n, &mut b));
+        prop_assert_eq!(value_bits(&a), value_bits(&b), "decompress_into");
+
+        let (mut new_sender, mut old_sender) = (Sender::default(), Sender::default());
+        for round in 0..3 {
+            let params: Vec<f32> = values
+                .iter()
+                .zip(&drift)
+                .map(|(&v, &d)| v + round as f32 * d)
+                .collect();
+            let s = &mut new_sender;
+            ef_compress_update(
+                policy, &params, &global, &mut s.residual, &mut s.update, &mut s.recon,
+                &mut s.payload,
+            );
+            let o = &mut old_sender;
+            old::ef_compress_update(
+                policy, &params, &global, &mut o.residual, &mut o.update, &mut o.recon,
+                &mut o.payload,
+            );
+            let (s, o) = (&new_sender, &old_sender);
+            prop_assert_eq!(sections(&s.payload), sections(&o.payload), "round {} payload", round);
+            prop_assert_eq!(value_bits(&s.update), value_bits(&o.update), "round {} update", round);
+            prop_assert_eq!(value_bits(&s.recon), value_bits(&o.recon), "round {} recon", round);
+            prop_assert_eq!(value_bits(&s.residual), value_bits(&o.residual), "round {} residual", round);
+
+            let got = decode_upload_into(policy, &s.payload, &global, &mut a);
+            prop_assert!(got && old::decode_upload_into(policy, &o.payload, &global, &mut b));
+            prop_assert_eq!(value_bits(&a), value_bits(&b), "round {} decode_upload_into", round);
+        }
+    }
+
+    /// A hostile quantized payload — a NaN or infinite `min` / `max`, a
+    /// wrong or non-numeric level count, a missing or extra word, code
+    /// bytes cut short, padded or replaced — gets the oracle's verdict,
+    /// and when it is accepted, the oracle's output bit for bit.
+    #[test]
+    fn a_hostile_quantized_payload_gets_the_oracle_s_verdict(
+        receiver in quantizing_policy(),
+        sent_bits in 1u8..=8,
+        vectors in (0usize..=67).prop_flat_map(|n| (quantizer_input(n), quantizer_input(n))),
+        modes in (0u8..5, 0u8..5, 0u8..4, 0u8..3, 0u8..5),
+        tampering in (
+            prop::collection::vec(raw_f32(), 4),
+            1u8..=8,
+            prop::collection::vec(any::<u8>(), 0..48),
+        ),
+    ) {
+        let ((values, global), (raw, width, junk)) = (vectors, tampering);
+        let pick = |honest: f32, mode: u8, raw: f32| match mode {
+            0 => honest,
+            1 => f32::NAN,
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            _ => raw,
+        };
+        let mut payload = CompressedVec::default();
+        Compression::Quantize { bits: sent_bits }
+            .for_upload(&[])
+            .unwrap()
+            .compress_into(&values, &mut payload);
+        let w = &mut payload.words_f32;
+        w[0] = pick(w[0], modes.0, raw[0]);
+        w[1] = pick(w[1], modes.1, raw[1]);
+        w[2] = match modes.2 {
+            0 => w[2],
+            1 => ((1u32 << width) - 1) as f32,
+            2 => raw[2],
+            _ => f32::NAN,
+        };
+        match modes.3 {
+            0 => {}
+            1 => {
+                w.pop();
+            }
+            _ => w.push(raw[3]),
+        }
+        let bytes = &mut payload.bytes;
+        match modes.4 {
+            0 => {}
+            1 => {
+                bytes.pop();
+            }
+            2 => bytes.extend_from_slice(&junk),
+            3 => {
+                for (b, &j) in bytes.iter_mut().zip(junk.iter().cycle()) {
+                    *b = j;
+                }
+            }
+            _ => bytes.clear(),
+        }
+
+        let n = values.len();
+        let (mut a, mut b) = (vec![f32::NAN; 3], vec![f32::NAN; 5]);
+        let got = decode_upload_into(receiver, &payload, &global, &mut a);
+        let want = old::decode_upload_into(receiver, &payload, &global, &mut b);
+        prop_assert_eq!(got, want, "decode_upload_into's verdict on {:?}", payload);
+        if got {
+            prop_assert_eq!(value_bits(&a), value_bits(&b), "decode_upload_into");
+        }
+
+        let comp = receiver.for_upload(&[]).unwrap();
+        let bits = old::quantizer_bits(&comp).unwrap();
+        let got = comp.decompress_into(&payload, n, &mut a);
+        let want = old::decompress_into(bits, &payload, n, &mut b);
+        prop_assert_eq!(got, want, "decompress_into's verdict on {:?}", payload);
+        if got {
+            prop_assert_eq!(value_bits(&a), value_bits(&b), "decompress_into");
+        }
     }
 }

@@ -33,10 +33,11 @@ impl std::error::Error for CodecError {}
 /// its allocation is reused across calls).
 pub fn encode_f32_into(buf: &mut Vec<u8>, values: &[f32]) {
     buf.clear();
-    buf.reserve(wire_size(values.len()));
-    buf.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for &v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
+    buf.resize(wire_size(values.len()), 0);
+    let (count, body) = buf.split_at_mut(4);
+    count.copy_from_slice(&(values.len() as u32).to_le_bytes());
+    for (bytes, v) in body.chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&v.to_le_bytes());
     }
 }
 

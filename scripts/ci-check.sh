@@ -79,6 +79,9 @@ section_bench() {
     echo "== PROPTEST_CASES=2048 LSTM cell oracle in release (deep)"
     PROPTEST_CASES=2048 cargo test --release -q -p rfl-nn --test lstm_oracle
 
+    echo "== PROPTEST_CASES=2048 quantizer oracle in release (payload, reconstruction, residual and receiver against the per-value loops, honest and hostile payloads; deep)"
+    PROPTEST_CASES=2048 cargo test --release -q -p rfl-core --test compress_props
+
     echo "== scripts/sanitize.sh: the kernel oracles under AddressSanitizer (nightly; prints skipped without one)"
     scripts/sanitize.sh
 
