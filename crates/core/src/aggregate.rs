@@ -45,10 +45,13 @@
 //!
 //! # Determinism
 //!
-//! PerfectTransport, FaultyTransport, and SocketTransport runs — where
-//! frames genuinely complete out of order — all execute the identical
-//! per-element operation sequence, so the canonical pinned loss reproduces
-//! bit-exactly over the wire.
+//! PerfectTransport, FaultyTransport, and SocketTransport runs all execute
+//! the identical per-element operation sequence, so the canonical pinned
+//! loss reproduces bit-exactly over the wire. The round's folds claim
+//! every upload in selection order on both planes, so they always take the
+//! in-order path; leaves serve only a caller that pushes slots out of
+//! order (the property tests, and the harness's reordered-fold probe), and
+//! the result is the same bits either way.
 //!
 //! # Bit-compatibility with the oracle
 //!

@@ -57,7 +57,7 @@ impl Algorithm for QFedAvg {
         let mut delta_sum = vec![0.0f32; global.len()];
         let mut h_sum = 0.0f32;
         let (q, losses) = (self.q, &self.losses);
-        let delivered = fed.fold_uploads(&r.active, false, |slot, _, params| {
+        let delivered = fed.fold_uploads(&r.active, |slot, _, params| {
             let lipschitz = 1.0 / lrs[slot];
             let f_k = losses[slot].max(1e-10);
             let fq = f_k.powf(q);

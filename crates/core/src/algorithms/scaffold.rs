@@ -87,7 +87,7 @@ impl Algorithm for Scaffold {
         let mut ctrl_uploads: Vec<(usize, Vec<f32>)> = Vec::with_capacity(active.len());
         let (c, c_k) = (&self.c, &self.c_k);
         let local_steps = r.cfg.local_steps as f32;
-        let delivered = fed.fold_uploads(active, false, |slot, k, params| {
+        let delivered = fed.fold_uploads(active, |slot, k, params| {
             rfl_tensor::add_assign_slices(&mut update_sum, params);
             rfl_tensor::axpy_slices(&mut update_sum, -1.0, &global_before);
             let scale = 1.0 / (local_steps * lrs[slot]);

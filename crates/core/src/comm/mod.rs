@@ -12,12 +12,12 @@
 //!   latency, bounded retries, and per-round deadlines. Both directions go
 //!   through `send`/`broadcast` — the plane computes a client's frame and
 //!   hands it to the transport.
-//! * **Over sockets**, a [`RemoteTransport`] — a `Transport` for the
-//!   downloads plus the receives, training orders and δ probes a server
-//!   needs when the other end is a process — moves the same frames over a
-//!   real wire. [`SocketTransport`] runs the server end over TCP or
-//!   Unix-domain sockets on the reactor; [`run_client_loop`] is the client
-//!   end. A loopback run reproduces the perfect transport bit-exactly.
+//! * **Over sockets**, [`SocketTransport`] — a `Transport` for the
+//!   downloads plus the training orders, δ probes and blocking claims a
+//!   server needs when the other end is a process — moves the same frames
+//!   over a real wire: the server end over TCP or Unix-domain sockets on
+//!   the reactor. [`run_client_loop`] is the client end. A loopback run
+//!   reproduces the perfect transport bit-exactly.
 
 mod faulty;
 mod message;

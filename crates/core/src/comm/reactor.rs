@@ -42,7 +42,7 @@
 //! every recipient queues a refcount bump, not a copy.
 
 use super::message::{ControlMsg, PROTO_MAGIC, PROTO_VERSION};
-use super::session::Session;
+use super::session::{Deadline, Session};
 use super::socket::{
     reserve_body, Listener, WireStream, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, READ_CHUNK_BYTES,
 };
@@ -297,7 +297,7 @@ impl ConnShared {
     pub(crate) fn enqueue(
         &self,
         frame: &Arc<[u8]>,
-        deadline: Instant,
+        deadline: Deadline,
     ) -> Result<u64, EnqueueError> {
         let mut st = self.state.lock().expect("write queue poisoned");
         loop {
@@ -310,16 +310,13 @@ impl ConnShared {
                 self.list();
                 return Ok(frame.len() as u64);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if deadline.passed() {
                 return Err(EnqueueError::TimedOut);
             }
             st.waiters += 1;
-            let (guard, _) = self
-                .space
-                .wait_timeout(st, deadline - now)
+            st = deadline
+                .wait(&self.space, st)
                 .expect("write queue poisoned");
-            st = guard;
             st.waiters -= 1;
         }
     }
@@ -1501,10 +1498,10 @@ mod tests {
             assert!(Instant::now() < deadline, "the goodbye never drained");
             std::thread::yield_now();
         }
-        let sent = session.send_frame(MsgKind::ModelDown.tag(), b"x", deadline);
+        let sent = session.send_frame(MsgKind::ModelDown.tag(), b"x", Deadline::after(PATIENCE));
         assert_eq!(sent.unwrap_err().kind(), io::ErrorKind::NotConnected);
         assert!(matches!(
-            session.try_recv_frame(MsgKind::ModelUp.tag()),
+            session.recv_frame(MsgKind::ModelUp.tag(), Duration::ZERO),
             Err(RecvError::Closed)
         ));
 
@@ -1565,7 +1562,7 @@ mod tests {
                                 .send_frame(
                                     t as u8,
                                     &round.to_le_bytes(),
-                                    Instant::now() + PATIENCE,
+                                    Deadline::after(PATIENCE),
                                 )
                                 .expect("enqueue");
                         }

@@ -15,7 +15,7 @@
 //! flushes the connection's bounded write queue. A send here only *queues*
 //! a pre-encoded frame (blocking briefly under backpressure); a receive
 //! pops from the frame queue under a bounded condvar wait, so a hung client
-//! can never wedge the server.
+//! can never wedge the server. Every such wait ends at a [`Deadline`].
 //!
 //! [`ControlMsg::Goodbye`]: super::message::ControlMsg::Goodbye
 //! [`DropReason::Loss`]: super::message::DropReason::Loss
@@ -25,8 +25,41 @@ use super::socket::encode_frame;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// When a blocking wait on the socket plane gives up: a timeout from now,
+/// or never, when no [`Instant`] can represent that time. Every send,
+/// receive and registration wait forms its deadline here, so no timeout a
+/// caller passes can overflow the clock.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Deadline(Option<Instant>);
+
+impl Deadline {
+    pub(crate) fn after(timeout: Duration) -> Deadline {
+        Deadline(Instant::now().checked_add(timeout))
+    }
+
+    pub(crate) fn passed(self) -> bool {
+        self.0.is_some_and(|at| Instant::now() >= at)
+    }
+
+    /// Blocks on `cv` until it is notified or the deadline passes.
+    pub(crate) fn wait<'a, T>(
+        self,
+        cv: &Condvar,
+        guard: MutexGuard<'a, T>,
+    ) -> LockResult<MutexGuard<'a, T>> {
+        let Some(at) = self.0 else {
+            return cv.wait(guard);
+        };
+        let left = at.saturating_duration_since(Instant::now());
+        match cv.wait_timeout(guard, left) {
+            Ok((guard, _)) => Ok(guard),
+            Err(poisoned) => Err(PoisonError::new(poisoned.into_inner().0)),
+        }
+    }
+}
 
 /// Why a blocking receive returned no frame.
 #[derive(Debug)]
@@ -113,7 +146,7 @@ impl Session {
 
     /// Encodes and queues one frame; returns its wire bytes. See
     /// [`send_encoded`](Session::send_encoded) for the failure contract.
-    pub(crate) fn send_frame(&self, tag: u8, body: &[u8], deadline: Instant) -> io::Result<u64> {
+    pub(crate) fn send_frame(&self, tag: u8, body: &[u8], deadline: Deadline) -> io::Result<u64> {
         self.send_encoded(&encode_frame(tag, body), deadline)
     }
 
@@ -123,7 +156,7 @@ impl Session {
     /// past it means the link is effectively wedged, so the session drains
     /// and the connection closes — everything after a failed send is
     /// dropped, exactly like a dead link.
-    pub(crate) fn send_encoded(&self, frame: &Arc<[u8]>, deadline: Instant) -> io::Result<u64> {
+    pub(crate) fn send_encoded(&self, frame: &Arc<[u8]>, deadline: Deadline) -> io::Result<u64> {
         if !self.is_live() {
             return Err(io::Error::new(
                 io::ErrorKind::NotConnected,
@@ -158,7 +191,7 @@ impl Session {
         tag: u8,
         timeout: Duration,
     ) -> Result<(Vec<u8>, u64), RecvError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Deadline::after(timeout);
         let mut q = self.queue.lock().expect("session queue poisoned");
         loop {
             if let Some(claimed) = q.claim(tag) {
@@ -167,34 +200,13 @@ impl Session {
             if !self.is_live() {
                 return Err(RecvError::Closed);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if deadline.passed() {
                 return Err(RecvError::TimedOut);
             }
             q.waiting += 1;
-            let (guard, _) = self
-                .cv
-                .wait_timeout(q, deadline - now)
-                .expect("session queue poisoned");
-            q = guard;
+            q = deadline.wait(&self.cv, q).expect("session queue poisoned");
             q.waiting -= 1;
         }
-    }
-
-    /// Non-blocking [`Session::recv_frame`]: claims a queued frame with
-    /// `tag` if one has already completed in the reactor, reports a drained
-    /// session as [`RecvError::Closed`], and otherwise returns `Ok(None)` —
-    /// nothing yet, link still live. Arrival-order collection sweeps this
-    /// across the round's sessions to fold whichever upload finished first.
-    pub(crate) fn try_recv_frame(&self, tag: u8) -> Result<Option<(Vec<u8>, u64)>, RecvError> {
-        let claimed = (self.queue.lock().expect("session queue poisoned")).claim(tag);
-        if claimed.is_some() {
-            return Ok(claimed);
-        }
-        if !self.is_live() {
-            return Err(RecvError::Closed);
-        }
-        Ok(None)
     }
 
     /// Hard close: drains the session, discards the frames received but not

@@ -15,9 +15,10 @@
 //!   for downloads (frames queued to per-client [`Session`]s and flushed by
 //!   the event-driven reactor in [`super::reactor`]: a fixed budget of
 //!   `poll(2)` shards owns every non-blocking socket, so connections scale
-//!   without threads) and [`RemoteTransport`] for the client-originated
-//!   half (uploads, reports) that the in-memory simulation fakes locally.
-//!   [`crate::plane`]'s socket back-end is built on the pair, so
+//!   without threads); its own methods carry the client-originated half
+//!   (training orders, reports, uploads) that the in-memory simulation
+//!   fakes locally, each reply claimed by one blocking call.
+//!   [`crate::plane`]'s socket back-end is built on it, so
 //!   `Trainer::run` drives real client processes unchanged. Broadcasts
 //!   encode once into a shared `Arc<[u8]>` frame; fan-out costs refcount
 //!   bumps, not payload copies.
@@ -39,7 +40,7 @@ use super::message::{
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
 use super::reactor::{self, ReactorCounters, ServerShared, SessionTable};
-use super::session::{RecvError, Session};
+use super::session::{Deadline, RecvError, Session};
 use super::stats::{CommStats, Direction};
 use super::transport::{codec_round_trip, RemoteTransport, Transport};
 use crate::client::{Client, LocalReport};
@@ -54,7 +55,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Framing overhead per frame: 4-byte body length + 1-byte tag.
 pub const FRAME_HEADER_BYTES: u64 = 5;
@@ -321,9 +322,9 @@ impl Drop for Listener {
 /// The socket-backed server transport (TCP or Unix-domain).
 ///
 /// Downloads implement [`Transport`] by writing real frames; the
-/// client-originated half (uploads, reports) arrives through the
-/// [`RemoteTransport`] receives that [`crate::Federation::remote`]'s socket plane
-/// calls in place of the simulation's local loopback. Delivery outcomes map
+/// client-originated half (uploads, reports) arrives through the blocking
+/// claims that [`crate::Federation::remote`]'s socket plane makes in place
+/// of the simulation's local loopback. Delivery outcomes map
 /// onto the same [`Delivery`]/[`LinkOutcome`] vocabulary as the in-memory
 /// backends: a drained session is a [`DropReason::Loss`], a receive that
 /// outwaits [`SocketTransport::set_recv_timeout`] is a
@@ -394,7 +395,7 @@ impl SocketTransport {
 
     /// Bounds every blocking receive; a client that stays silent longer is
     /// dropped from the round as a [`DropReason::Deadline`]. Defaults to
-    /// 120 s.
+    /// 120 s; a timeout past what the clock can represent waits forever.
     pub fn set_recv_timeout(&mut self, timeout: Duration) {
         self.timeout = timeout;
     }
@@ -405,26 +406,21 @@ impl SocketTransport {
     /// sessions are live, so registering `n` clients costs one wakeup and
     /// one pass here, not `n` of each.
     pub fn wait_for_clients(&self, timeout: Duration) -> io::Result<()> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Deadline::after(timeout);
         let mut sessions = self.shared.sessions.lock().expect("sessions poisoned");
         loop {
             if sessions.is_full() && sessions.live() == self.shared.n_clients {
                 return Ok(());
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if deadline.passed() {
                 let live = sessions.live();
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!("{live}/{} clients registered", self.shared.n_clients),
                 ));
             }
-            let (guard, _) = self
-                .shared
-                .registration
-                .wait_timeout(sessions, deadline - now)
-                .expect("sessions poisoned");
-            sessions = guard;
+            let registered = deadline.wait(&self.shared.registration, sessions);
+            sessions = registered.expect("sessions poisoned");
         }
     }
 
@@ -457,8 +453,8 @@ impl SocketTransport {
     /// The per-send enqueue deadline: backpressure on a wedged client's
     /// write queue is bounded by the same budget as a silent client's
     /// receive.
-    fn send_deadline(&self) -> Instant {
-        Instant::now() + self.timeout
+    fn send_deadline(&self) -> Deadline {
+        Deadline::after(self.timeout)
     }
 
     /// Queues one frame on `client`'s session through `push` and returns
@@ -467,7 +463,7 @@ impl SocketTransport {
     fn enqueue(
         &mut self,
         client: usize,
-        push: impl FnOnce(&Session, Instant) -> io::Result<u64>,
+        push: impl FnOnce(&Session, Deadline) -> io::Result<u64>,
     ) -> Result<u64, LinkOutcome> {
         let deadline = self.send_deadline();
         match self.session(client).map(|s| push(&s, deadline)) {
@@ -514,29 +510,17 @@ impl SocketTransport {
         reason
     }
 
-    /// Claims `client`'s next frame tagged `tag` — blocking up to the
-    /// receive timeout, or (`block == false`) only if it already completed
-    /// in the reactor, `None` meaning nothing yet on a live link. A missing
-    /// or drained session is a [`DropReason::Loss`], a timeout a
-    /// [`DropReason::Deadline`]; either is counted.
-    fn claim(
-        &mut self,
-        client: usize,
-        tag: u8,
-        block: bool,
-    ) -> Option<Result<Vec<u8>, DropReason>> {
+    /// Claims `client`'s next frame tagged `tag`, blocking up to the
+    /// receive timeout. A missing or drained session is a
+    /// [`DropReason::Loss`], a timeout a [`DropReason::Deadline`]; either is
+    /// counted.
+    fn claim(&mut self, client: usize, tag: u8) -> Result<Vec<u8>, DropReason> {
         let Some(session) = self.session(client) else {
-            return Some(Err(self.count_drop(DropReason::Loss)));
+            return Err(self.count_drop(DropReason::Loss));
         };
-        let claimed = if block {
-            session.recv_frame(tag, self.timeout).map(Some)
-        } else {
-            session.try_recv_frame(tag)
-        };
-        Some(match claimed {
+        match session.recv_frame(tag, self.timeout) {
             // The caller charges the wire bytes (plane depends on the kind).
-            Ok(Some((body, _wire))) => Ok(body),
-            Ok(None) => return None,
+            Ok((body, _wire)) => Ok(body),
             Err(RecvError::Closed) => Err(self.count_drop(DropReason::Loss)),
             Err(RecvError::TimedOut) => {
                 // A silent client is dropped from the round, exactly like
@@ -545,7 +529,7 @@ impl SocketTransport {
                 session.close();
                 Err(self.count_drop(DropReason::Deadline))
             }
-        })
+        }
     }
 
     /// [`SocketTransport::claim`] of an upload on `kind`'s plane, decoded by
@@ -555,26 +539,113 @@ impl SocketTransport {
         &mut self,
         kind: MsgKind,
         client: usize,
-        block: bool,
         decode: impl FnOnce(&[u8]) -> Option<T>,
-    ) -> Option<Result<T, DropReason>> {
+    ) -> Result<T, DropReason> {
         assert_eq!(
             kind.direction(),
             Direction::Upload,
             "remote receives are client-originated uploads"
         );
-        let body = match self.claim(client, kind.tag(), block)? {
-            Ok(body) => body,
-            Err(reason) => return Some(Err(reason)),
-        };
-        Some(match decode(&body) {
+        let body = self.claim(client, kind.tag())?;
+        match decode(&body) {
             Some(value) => {
                 self.stats
                     .charge(kind, FRAME_HEADER_BYTES + body.len() as u64);
                 Ok(value)
             }
             None => Err(self.count_drop(DropReason::Loss)),
+        }
+    }
+
+    /// Tells `client` to run `steps` local steps for `round`.
+    pub fn start_training(&mut self, client: usize, round: u64, steps: usize) -> LinkOutcome {
+        self.send_control(
+            client,
+            &ControlMsg::TrainStart {
+                round,
+                steps: steps as u32,
+            },
+        )
+    }
+
+    /// Blocks for `client`'s training report; `None` if the link died or
+    /// timed out (the client sits the aggregation out). A report body that
+    /// does not decode is a counted [`DropReason::Loss`], like an
+    /// undecodable upload, and closes the session, discarding whatever else
+    /// it already received: the client's upload claim resolves as a loss at
+    /// once, and its update is never folded.
+    pub fn recv_report(&mut self, client: usize) -> Option<LocalReport> {
+        let tag = ControlMsg::Report {
+            loss: 0.0,
+            reg_loss: 0.0,
+            steps: 0,
+            examples: 0,
+        }
+        .tag();
+        let body = self.claim(client, tag).ok()?;
+        let Ok(ControlMsg::Report {
+            loss,
+            reg_loss,
+            steps,
+            examples,
+        }) = ControlMsg::decode_body(tag, &body)
+        else {
+            if let Some(s) = self.session(client) {
+                s.close();
+            }
+            self.count_drop(DropReason::Loss);
+            return None;
+        };
+        self.stats
+            .record(Direction::Upload, FRAME_HEADER_BYTES + body.len() as u64);
+        Some(LocalReport {
+            loss,
+            reg_loss,
+            steps: steps as usize,
+            examples: examples as usize,
         })
+    }
+
+    /// Tells `client` to probe its δ map with `probe_batch`-sized batches
+    /// and upload it.
+    pub(crate) fn request_delta(
+        &mut self,
+        client: usize,
+        round: u64,
+        probe_batch: usize,
+    ) -> LinkOutcome {
+        self.send_control(
+            client,
+            &ControlMsg::DeltaProbe {
+                round,
+                probe_batch: probe_batch as u32,
+            },
+        )
+    }
+
+    /// Blocks for `client`'s next *compressed* upload (`kind` must satisfy
+    /// `MsgKind::is_compressed`) and decodes the frame into `out`. The
+    /// frame body IS the `CompressedVec` wire encoding, so the charge is its
+    /// true length (plus frame header), never a modelled estimate.
+    pub(crate) fn recv_compressed(
+        &mut self,
+        kind: MsgKind,
+        client: usize,
+        out: &mut CompressedVec,
+    ) -> LinkOutcome {
+        assert!(kind.is_compressed(), "a compressed plane");
+        let decode = |body: &[u8]| out.decode_from(body).then_some(());
+        match self.claim_upload(kind, client, decode) {
+            Ok(()) => LinkOutcome::perfect(),
+            Err(reason) => LinkOutcome::lost(reason),
+        }
+    }
+
+    /// Counts the compressed upload just claimed, which framed correctly
+    /// but did not decode under the run's policy, as a
+    /// [`DropReason::Loss`]: the round goes on without it.
+    pub(crate) fn drop_undecodable(&mut self) {
+        self.count_drop(DropReason::Loss);
     }
 }
 
@@ -644,7 +715,7 @@ impl Transport for SocketTransport {
         _out: &mut CompressedVec,
     ) -> LinkOutcome {
         unreachable!(
-            "{kind:?} is an upload; compressed uploads arrive via RemoteTransport::recv_compressed"
+            "{kind:?} is an upload; compressed uploads arrive via SocketTransport::recv_compressed"
         )
     }
 
@@ -665,94 +736,7 @@ impl RemoteTransport for SocketTransport {
     /// The fold claims in selection order and folds each payload before
     /// claiming the next, so the server holds one decoded upload at a time.
     fn recv(&mut self, kind: MsgKind, client: usize) -> Delivery {
-        let claimed = self.claim_upload(kind, client, true, decode_dense);
-        Delivery::claimed(claimed.expect("a blocking claim resolves"))
-    }
-
-    /// Decodes and meters a claimed frame as `recv` does. Never times a
-    /// client out: deadlines stay with the blocking claim.
-    fn try_recv(&mut self, kind: MsgKind, client: usize) -> Option<Delivery> {
-        self.claim_upload(kind, client, false, decode_dense)
-            .map(Delivery::claimed)
-    }
-
-    fn start_training(&mut self, client: usize, round: u64, steps: usize) -> LinkOutcome {
-        self.send_control(
-            client,
-            &ControlMsg::TrainStart {
-                round,
-                steps: steps as u32,
-            },
-        )
-    }
-
-    /// A report body that does not decode is a counted
-    /// [`DropReason::Loss`], like an undecodable upload, and closes the
-    /// session, discarding whatever else it already received: the client's
-    /// upload claim resolves as a loss at once, and its update is never
-    /// folded.
-    fn recv_report(&mut self, client: usize) -> Option<LocalReport> {
-        let tag = ControlMsg::Report {
-            loss: 0.0,
-            reg_loss: 0.0,
-            steps: 0,
-            examples: 0,
-        }
-        .tag();
-        let body = self.claim(client, tag, true)?.ok()?;
-        let Ok(ControlMsg::Report {
-            loss,
-            reg_loss,
-            steps,
-            examples,
-        }) = ControlMsg::decode_body(tag, &body)
-        else {
-            if let Some(s) = self.session(client) {
-                s.close();
-            }
-            self.count_drop(DropReason::Loss);
-            return None;
-        };
-        self.stats
-            .record(Direction::Upload, FRAME_HEADER_BYTES + body.len() as u64);
-        Some(LocalReport {
-            loss,
-            reg_loss,
-            steps: steps as usize,
-            examples: examples as usize,
-        })
-    }
-
-    fn request_delta(&mut self, client: usize, round: u64, probe_batch: usize) -> LinkOutcome {
-        self.send_control(
-            client,
-            &ControlMsg::DeltaProbe {
-                round,
-                probe_batch: probe_batch as u32,
-            },
-        )
-    }
-
-    /// The compressed frame body IS the `CompressedVec` wire encoding, so
-    /// the charge is its true length (plus frame header), never a modelled
-    /// estimate.
-    fn recv_compressed(
-        &mut self,
-        kind: MsgKind,
-        client: usize,
-        out: &mut CompressedVec,
-    ) -> LinkOutcome {
-        assert!(kind.is_compressed(), "a compressed plane");
-        let decode = |body: &[u8]| out.decode_from(body).then_some(());
-        match self.claim_upload(kind, client, true, decode) {
-            Some(Ok(())) => LinkOutcome::perfect(),
-            Some(Err(reason)) => LinkOutcome::lost(reason),
-            None => unreachable!("a blocking claim resolves"),
-        }
-    }
-
-    fn drop_undecodable(&mut self) {
-        self.count_drop(DropReason::Loss);
+        Delivery::claimed(self.claim_upload(kind, client, decode_dense))
     }
 
     fn shutdown(&mut self) {
@@ -1046,6 +1030,7 @@ pub fn run_client_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn backoff_doubles_from_the_base_and_stops_at_the_cap() {

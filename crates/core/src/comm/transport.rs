@@ -9,7 +9,6 @@
 
 use super::message::{BroadcastDelivery, Delivery, FaultStats, LinkOutcome, MsgKind};
 use super::stats::{CommStats, Direction};
-use crate::client::LocalReport;
 use crate::compress::CompressedVec;
 use rfl_tensor::{decode_f32_into, encode_f32_into};
 
@@ -54,12 +53,12 @@ pub trait Transport: Send {
     fn fault_stats(&self) -> FaultStats;
 }
 
-/// A [`Transport`] whose clients are real processes: besides sending
-/// downloads, the server must *ask* for work and *wait* for the bytes
-/// (in the simulation `send(ModelUp, ..)` already knows the payload).
-/// [`super::SocketTransport`] is its one implementation: the one
-/// [`crate::Federation::remote`] takes and [`crate::plane`]'s socket
-/// back-end holds.
+/// The two calls `benchmark/`'s `wire_cohort_1k` workload makes on a
+/// [`super::SocketTransport`] through a trait. The rest of the server's
+/// client-originated half (training orders, reports, δ probes, compressed
+/// claims) is inherent to `SocketTransport`, which the socket plane holds
+/// as a concrete type. The trait goes, with the harness's import of it, in
+/// the harness change ROADMAP.md lists first.
 pub trait RemoteTransport: Transport {
     /// Blocks for `client`'s next upload on `kind`'s plane (an
     /// upload-direction [`MsgKind`]); meters the received wire bytes. A
@@ -67,42 +66,6 @@ pub trait RemoteTransport: Transport {
     /// [`super::DropReason::Deadline`] — the same vocabulary the in-memory
     /// fault models emit, so churn handling is backend-agnostic.
     fn recv(&mut self, kind: MsgKind, client: usize) -> Delivery;
-
-    /// Non-blocking readiness probe on `client`'s `kind` plane:
-    /// `Some(delivery)` resolves the upload *now* — a completed frame
-    /// claimed off the queue, or a dead link mapped to a loss — while
-    /// `None` means nothing has arrived yet and the link is still live.
-    /// Arrival-order collection (`Federation::collect_average`) sweeps
-    /// this across the selection so early finishers fold while stragglers
-    /// upload (the reduction tree makes the fold order-free), and blocks
-    /// in [`Self::recv`] only when nothing is ready.
-    fn try_recv(&mut self, kind: MsgKind, client: usize) -> Option<Delivery>;
-
-    /// Tells `client` to run `steps` local steps for `round`.
-    fn start_training(&mut self, client: usize, round: u64, steps: usize) -> LinkOutcome;
-
-    /// Blocks for `client`'s training report; `None` if the link died or
-    /// timed out (the client sits the aggregation out).
-    fn recv_report(&mut self, client: usize) -> Option<LocalReport>;
-
-    /// Tells `client` to probe its δ map with `probe_batch`-sized batches
-    /// and upload it.
-    fn request_delta(&mut self, client: usize, round: u64, probe_batch: usize) -> LinkOutcome;
-
-    /// Blocks for `client`'s next *compressed* upload (`kind` must satisfy
-    /// `MsgKind::is_compressed`), decoding the frame into `out` and
-    /// metering the received wire bytes exactly as charged.
-    fn recv_compressed(
-        &mut self,
-        kind: MsgKind,
-        client: usize,
-        out: &mut CompressedVec,
-    ) -> LinkOutcome;
-
-    /// Counts the compressed upload just claimed, which framed correctly
-    /// but did not decode under the run's policy, as a
-    /// [`super::DropReason::Loss`]: the round goes on without it.
-    fn drop_undecodable(&mut self);
 
     /// Ends the run: notifies clients, closes links, stops accepting.
     fn shutdown(&mut self);

@@ -19,8 +19,7 @@ use crate::delta::DeltaTable;
 use crate::dp::DpConfig;
 use crate::eval::{evaluate, EvalResult};
 use crate::plane::{
-    fan_out_width, Arrived, ClientPlane, LocalPlane, Pull, RemotePlane, Unsupported, EVAL_BATCH,
-    NO_REPLICAS,
+    fan_out_width, ClientPlane, LocalPlane, Pull, RemotePlane, Unsupported, EVAL_BATCH, NO_REPLICAS,
 };
 use crate::registry::{ClientDataSource, ClientRegistry};
 use crate::rules::LocalRule;
@@ -33,7 +32,6 @@ use rfl_nn::{
     Optimizer, RmsProp, Sgd,
 };
 use rfl_trace::{SpanKind, Tracer};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Run-level hyper-parameters shared by all algorithms.
@@ -664,21 +662,15 @@ impl Federation {
         )
     }
 
-    /// The streaming upload walk: claims each selected client's upload and
-    /// hands delivered parameters to `visit(slot, client, params)` one at a
-    /// time, so the server never holds more than one upload unless the
-    /// visitor keeps it. Compressed frames decode into reused workspaces
-    /// against the global they were compressed against. Claims block in
-    /// selection order, except that `arrival_order` lets the dense walk
-    /// sweep non-blocking first — early finishers are visited while
-    /// stragglers still upload — and block on the earliest pending client
-    /// only when a whole sweep found nothing; only an order-free visitor
-    /// ([`Federation::collect_average`]'s reduction tree) tolerates that.
-    /// Returns the delivered ids in selection order either way.
+    /// The streaming upload walk: claims each selected client's upload in
+    /// selection order and hands delivered parameters to
+    /// `visit(slot, client, params)` one at a time, so the server never
+    /// holds more than one upload unless the visitor keeps it. Compressed
+    /// frames decode into reused workspaces against the global they were
+    /// compressed against. Returns the delivered ids in selection order.
     pub(crate) fn fold_uploads(
         &mut self,
         selected: &[usize],
-        arrival_order: bool,
         mut visit: impl FnMut(usize, usize, &[f32]),
     ) -> Vec<usize> {
         let clients = selected.len();
@@ -688,47 +680,18 @@ impl Federation {
             None,
             clients,
             |fed| {
-                let policy = fed.compression;
-                let sweep = arrival_order && !policy.is_enabled();
-                let mut got = vec![false; clients];
-                let mut pending: VecDeque<usize> = (0..clients).collect();
-                // Probes that found nothing since the last claim.
-                let mut idle = 0;
-                while let Some(slot) = pending.pop_front() {
-                    let k = selected[slot];
-                    let global = &fed.global;
-                    // Block once a whole sweep found nothing.
-                    let block = !sweep || idle > pending.len();
+                let (policy, global) = (fed.compression, &fed.global);
+                let mut delivered = Vec::with_capacity(clients);
+                for (slot, &k) in selected.iter().enumerate() {
                     let what = Pull::Upload { global };
-                    let Some(arrived) = fed.plane.pull(k, what, policy, &mut fed.comp_rt, block)
-                    else {
-                        idle += 1;
-                        pending.push_back(slot);
-                        continue;
-                    };
-                    idle = 0;
-                    let (rt, decoded) = (&fed.comp_rt, &mut fed.comp_decoded);
-                    let params: Option<&[f32]> = match &arrived {
-                        Arrived::Dense(params) => Some(params),
-                        Arrived::Compressed if decode_upload_into(policy, rt, global, decoded) => {
-                            Some(decoded)
-                        }
-                        Arrived::Compressed => {
-                            fed.plane.drop_undecodable();
-                            None
-                        }
-                        Arrived::Lost => None,
-                    };
-                    if let Some(params) = params {
+                    let (rt, values) = (&mut fed.comp_rt, &mut fed.comp_decoded);
+                    let decode = |rt: &_, out: &mut _| decode_upload_into(policy, rt, global, out);
+                    if let Some(params) = fed.plane.claim(k, what, policy, rt, values, decode) {
                         visit(slot, k, params);
-                        got[slot] = true;
+                        delivered.push(k);
                     }
                 }
-                selected
-                    .iter()
-                    .zip(got)
-                    .filter_map(|(&k, got)| got.then_some(k))
-                    .collect()
+                delivered
             },
         )
     }
@@ -745,7 +708,7 @@ impl Federation {
         let mut fold_span = self.tracer.span(SpanKind::Fold);
         let mut agg = std::mem::take(&mut self.agg);
         agg.reset_for_selection(dim, &self.weights, selected);
-        let delivered = self.fold_uploads(selected, true, |slot, _, params| agg.push(slot, params));
+        let delivered = self.fold_uploads(selected, |slot, _, params| agg.push(slot, params));
         for (slot, k) in selected.iter().enumerate() {
             if delivered.binary_search(k).is_err() {
                 agg.mark_dropped(slot);
@@ -786,21 +749,12 @@ impl Federation {
                 let what = Pull::Delta {
                     dp: dp.map(|dp| (dp, &mut *rng)),
                 };
-                let arrived = fed.plane.pull(k, what, policy, &mut fed.comp_rt, true);
-                match arrived.expect("a blocking claim resolves") {
-                    Arrived::Dense(delta) => table.set(k, delta),
-                    Arrived::Compressed
-                        if decode_plain_into(policy, &fed.comp_rt, dim, &mut fed.comp_decoded) =>
-                    {
-                        table.set_from_slice(k, &fed.comp_decoded)
-                    }
-                    Arrived::Compressed => {
-                        fed.plane.drop_undecodable();
-                        continue;
-                    }
-                    Arrived::Lost => continue,
+                let (rt, values) = (&mut fed.comp_rt, &mut fed.comp_decoded);
+                let decode = |rt: &_, out: &mut _| decode_plain_into(policy, rt, dim, out);
+                if let Some(delta) = fed.plane.claim(k, what, policy, rt, values, decode) {
+                    table.set_from_slice(k, delta);
+                    delivered += 1;
                 }
-                delivered += 1;
             }
             delivered
         })
@@ -1491,9 +1445,9 @@ mod shell_tests {
         // nothing.
         fed.broadcast_params(&[1]);
         let claim = catch_unwind(AssertUnwindSafe(|| {
-            let (policy, rt) = (fed.compression, &mut fed.comp_rt);
-            fed.plane
-                .pull(3, Pull::Delta { dp: None }, policy, rt, true);
+            let (policy, rt, values) = (fed.compression, &mut fed.comp_rt, &mut fed.comp_decoded);
+            let what = Pull::Delta { dp: None };
+            fed.plane.claim(3, what, policy, rt, values, |_, _| true);
         }));
         let payload = claim.expect_err("a voided δ map was claimed");
         let message = payload.downcast_ref::<String>().map_or("", String::as_str);

@@ -13,12 +13,13 @@
 //! Requests fan out to the whole selection first — in process that is
 //! [`fan_out`] dealing the selected replicas to workers under the thread
 //! budget, each writing into its own slot — and upload and δ frames are
-//! then claimed one client at a time, in selection order unless the caller
-//! allows the dense fold's arrival-order sweep. A lazy client's upload is
-//! read by the training job that put it back to sleep, the way a remote
-//! client answers its training request with its upload; the claim only
-//! frames it. What a client does to produce such a frame is written once,
-//! in [`answer_upload`] and [`answer_delta`], for both sides.
+//! then claimed one client at a time, in selection order, by one blocking
+//! call on either back-end ([`ClientPlane::claim`]) that also decodes a
+//! compressed frame, so the server's caller sees values or nothing. A lazy
+//! client's upload is read by the training job that put it back to sleep,
+//! the way a remote client answers its training request with its upload;
+//! the claim only frames it. What a client does to produce such a frame is
+//! written once, in [`answer_upload`] and [`answer_delta`], for both sides.
 //!
 //! The back-end is chosen once, by the [`crate::Federation`] constructor;
 //! what it offers beyond the five requests is a list of [`Capability`]s
@@ -188,7 +189,7 @@ pub(crate) fn answer_delta<'a>(
 }
 
 /// A pulled frame as it reached the server.
-pub(crate) enum Arrived {
+enum Arrived {
     Dense(Vec<f32>),
     /// Decoded into the caller's `CompressedVec`.
     Compressed,
@@ -845,7 +846,8 @@ impl ClientPlane {
 
     /// Fans the δ-probe requests out so the clients compute their maps
     /// concurrently — remote ones each in its process, replicas across the
-    /// worker pool; the replies are then [`ClientPlane::pull`]ed.
+    /// worker pool; the replies are then claimed one at a time
+    /// ([`ClientPlane::claim`]).
     pub(crate) fn request_deltas(&mut self, selected: &[usize], round: u64, probe_batch: usize) {
         match self {
             ClientPlane::Local(l) => {
@@ -859,35 +861,41 @@ impl ClientPlane {
         }
     }
 
-    /// Counts a claimed compressed frame that did not decode as a loss. In
-    /// process every frame is built by the policy's own codec and decodes.
-    pub(crate) fn drop_undecodable(&mut self) {
-        match self {
-            ClientPlane::Local(_) => unreachable!("an in-process frame decodes"),
-            ClientPlane::Remote(r) => r.transport.drop_undecodable(),
-        }
-    }
-
-    /// Claims client `k`'s frame for `what`. With `block` unset, a remote
-    /// client whose frame has not completed yet (on a live link) is `None`;
-    /// in process there is never anything to wait for.
-    pub(crate) fn pull(
+    /// Claims client `k`'s frame for `what`, blocking until it resolves,
+    /// and returns its values: a dense frame's as they arrived, a compressed
+    /// one (received into `rt`) as `decode` rebuilds it into `values`.
+    /// `None` when the frame was lost or did not decode; an undecodable
+    /// remote frame is counted as a loss (in process every frame is built
+    /// by the policy's own codec and decodes).
+    pub(crate) fn claim<'v>(
         &mut self,
         k: usize,
         what: Pull<'_>,
         policy: Compression,
         rt: &mut CompressedVec,
-        block: bool,
-    ) -> Option<Arrived> {
+        values: &'v mut Vec<f32>,
+        decode: impl FnOnce(&CompressedVec, &mut Vec<f32>) -> bool,
+    ) -> Option<&'v [f32]> {
         let kind = what.kind(policy.is_enabled());
-        Some(match self {
+        let arrived = match self {
             ClientPlane::Local(l) => l.pull(k, what, policy, rt),
             ClientPlane::Remote(r) if policy.is_enabled() => {
                 Arrived::compressed(r.transport.recv_compressed(kind, k, rt))
             }
-            ClientPlane::Remote(r) if block => Arrived::dense(r.transport.recv(kind, k)),
-            ClientPlane::Remote(r) => Arrived::dense(r.transport.try_recv(kind, k)?),
-        })
+            ClientPlane::Remote(r) => Arrived::dense(r.transport.recv(kind, k)),
+        };
+        match arrived {
+            Arrived::Dense(dense) => *values = dense,
+            Arrived::Compressed if decode(rt, values) => {}
+            Arrived::Compressed => {
+                if let ClientPlane::Remote(r) = self {
+                    r.transport.drop_undecodable();
+                }
+                return None;
+            }
+            Arrived::Lost => return None,
+        }
+        Some(values)
     }
 }
 

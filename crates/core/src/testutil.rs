@@ -100,9 +100,7 @@ pub(crate) fn run_rounds(
 /// Every delivered upload of `selected`, materialized as `(client, params)`.
 pub(crate) fn uploads(fed: &mut Federation, selected: &[usize]) -> Vec<(usize, Vec<f32>)> {
     let mut out = Vec::with_capacity(selected.len());
-    fed.fold_uploads(selected, false, |_, k, params| {
-        out.push((k, params.to_vec()))
-    });
+    fed.fold_uploads(selected, |_, k, params| out.push((k, params.to_vec())));
     out
 }
 

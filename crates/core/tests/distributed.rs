@@ -904,13 +904,76 @@ fn a_garbled_report_drops_its_client() {
     client.join().expect("client");
 }
 
+/// A canonical client `k` that speaks the protocol by hand: registers,
+/// then hands every frame the server sends (its tag and body) to `answer`,
+/// with the link to reply on, until `Shutdown`.
+fn raw_client(
+    ep: Endpoint,
+    k: usize,
+    seed: u64,
+    mut answer: impl FnMut(u8, &[u8], &mut std::net::TcpStream),
+) -> ClientOutcome {
+    use rfl_core::comm::{read_frame, write_frame, PROTO_MAGIC, PROTO_VERSION};
+    let Endpoint::Tcp(addr) = ep else {
+        unreachable!("bound over TCP")
+    };
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    let mut body = Vec::new();
+    let hello = ControlMsg::Hello {
+        magic: PROTO_MAGIC,
+        version: PROTO_VERSION,
+        client_id: k as u32,
+        seed,
+    };
+    hello.encode_body(&mut body);
+    write_frame(&mut raw, hello.tag(), &body).expect("hello");
+    loop {
+        let (tag, body) = read_frame(&mut raw).expect("server frame");
+        if tag == ControlMsg::Shutdown.tag() {
+            return ClientOutcome::Shutdown;
+        }
+        answer(tag, &body, &mut raw);
+    }
+}
+
+/// Writes `msg` on a raw client's link.
+fn write_control(raw: &mut std::net::TcpStream, msg: &ControlMsg) {
+    let mut body = Vec::new();
+    msg.encode_body(&mut body);
+    rfl_core::comm::write_frame(raw, msg.tag(), &body).expect("control frame");
+}
+
+/// Writes `payload` on a raw client's link as a `kind` frame.
+fn write_compressed(raw: &mut std::net::TcpStream, kind: MsgKind, payload: &CompressedVec) {
+    let mut body = Vec::new();
+    payload.encode_into(&mut body);
+    rfl_core::comm::write_frame(raw, kind.tag(), &body).expect("compressed frame");
+}
+
+/// The report a raw client answers `TrainStart` with.
+const REPORT: ControlMsg = ControlMsg::Report {
+    loss: 0.5,
+    reg_loss: 0.0,
+    steps: 1,
+    examples: 8,
+};
+
+/// A compressed payload that frames correctly but whose `quantize:8` codes
+/// are far short of the canonical model's (or δ map's) dimension.
+fn short_payload() -> CompressedVec {
+    CompressedVec {
+        words_u32: Vec::new(),
+        words_f32: vec![-1.0, 1.0, 255.0],
+        bytes: vec![0; 3],
+    }
+}
+
 /// A compressed upload that frames correctly but does not decode under the
 /// run's policy (here `quantize:8` codes one byte short) is a counted
 /// [`DropReason::Loss`]: the server folds the round without it instead of
 /// panicking in the decoder.
 #[test]
 fn a_malformed_compressed_upload_is_a_counted_loss() {
-    use rfl_core::comm::{read_frame, write_frame, PROTO_MAGIC, PROTO_VERSION};
     fn fedavg() -> Box<dyn Algorithm> {
         Box::new(rfl_core::algorithms::FedAvg::new())
     }
@@ -918,6 +981,7 @@ fn a_malformed_compressed_upload_is_a_counted_loss() {
     let policy = Compression::Quantize { bits: 8 };
     let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
     let (server, actual) = server_run_with(&endpoint, seed, 1, PATIENCE, policy, fedavg);
+    let start = ControlMsg::TrainStart { round: 0, steps: 0 }.tag();
     let threads: Vec<_> = (0..canonical::NUM_CLIENTS)
         .map(|k| {
             let ep = actual.clone();
@@ -925,44 +989,12 @@ fn a_malformed_compressed_upload_is_a_counted_loss() {
                 if k != victim {
                     return client_thread(ep, k, seed, ClientLoopOpts::default());
                 }
-                let Endpoint::Tcp(addr) = ep else {
-                    unreachable!("bound over TCP")
-                };
-                let mut raw = std::net::TcpStream::connect(addr).expect("connect");
-                let mut body = Vec::new();
-                let hello = ControlMsg::Hello {
-                    magic: PROTO_MAGIC,
-                    version: PROTO_VERSION,
-                    client_id: k as u32,
-                    seed,
-                };
-                hello.encode_body(&mut body);
-                write_frame(&mut raw, hello.tag(), &body).expect("hello");
-                let start = ControlMsg::TrainStart { round: 0, steps: 0 }.tag();
-                loop {
-                    let (tag, _) = read_frame(&mut raw).expect("server frame");
-                    if tag == ControlMsg::Shutdown.tag() {
-                        return ClientOutcome::Shutdown;
+                raw_client(ep, k, seed, |tag, _, raw| {
+                    if tag == start {
+                        write_control(raw, &REPORT);
+                        write_compressed(raw, MsgKind::CompressedUp, &short_payload());
                     }
-                    if tag != start {
-                        continue;
-                    }
-                    let report = ControlMsg::Report {
-                        loss: 0.5,
-                        reg_loss: 0.0,
-                        steps: 1,
-                        examples: 8,
-                    };
-                    report.encode_body(&mut body);
-                    write_frame(&mut raw, report.tag(), &body).expect("report");
-                    let short = CompressedVec {
-                        words_u32: Vec::new(),
-                        words_f32: vec![-1.0, 1.0, 255.0],
-                        bytes: vec![0; 3],
-                    };
-                    short.encode_into(&mut body);
-                    write_frame(&mut raw, MsgKind::CompressedUp.tag(), &body).expect("upload");
-                }
+                })
             })
         })
         .collect();
@@ -973,6 +1005,126 @@ fn a_malformed_compressed_upload_is_a_counted_loss() {
     assert_eq!(history.records().len(), 1);
     assert_eq!(faults.dropped, 1, "the malformed upload is the one loss");
     assert!(global.iter().all(|v| v.is_finite()));
+}
+
+/// The δ half of the same claim: under rFedAvg+ with `quantize:8`, a
+/// client whose upload decodes but whose `CompressedDeltaUp` answer to the
+/// δ probe does not is one counted loss, the round completes, and the
+/// server's table holds no row for it.
+#[test]
+fn a_malformed_compressed_delta_is_a_counted_loss_and_sets_no_row() {
+    use rfl_core::algorithms::RFedAvgPlus;
+    use rfl_core::compress::compress_plain;
+    let (seed, victim) = (canonical::SEED, 1usize);
+    let policy = Compression::Quantize { bits: 8 };
+    let mut transport = SocketTransport::bind(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        &welcome(seed, 1, policy),
+    )
+    .expect("bind");
+    transport.set_recv_timeout(PATIENCE);
+    let actual = transport.local_endpoint().clone();
+    let server = std::thread::spawn(move || {
+        transport
+            .wait_for_clients(PATIENCE)
+            .expect("clients register");
+        let data = canonical::data(seed);
+        let mut cfg = canonical::config(seed, 1);
+        cfg.compression = policy;
+        let mut fed =
+            Federation::remote(&data, canonical::model(), &cfg, seed, Box::new(transport));
+        let mut algo = RFedAvgPlus::new(canonical::LAMBDA);
+        let history = Trainer::new(canonical::config(seed, 1)).run(&mut algo, &mut fed);
+        let faults = fed.fault_stats();
+        fed.shutdown_remote();
+        let table = algo.delta_table().expect("the round built the table");
+        (history, faults, table.num_initialized())
+    });
+    let (start, probe) = (
+        ControlMsg::TrainStart { round: 0, steps: 0 }.tag(),
+        ControlMsg::DeltaProbe {
+            round: 0,
+            probe_batch: 0,
+        }
+        .tag(),
+    );
+    let threads: Vec<_> = (0..canonical::NUM_CLIENTS)
+        .map(|k| {
+            let ep = actual.clone();
+            std::thread::spawn(move || {
+                if k != victim {
+                    return client_thread(ep, k, seed, ClientLoopOpts::default());
+                }
+                // The upload is an update of zeros against the broadcast, so
+                // it decodes; only the δ answer is short.
+                let mut dim = 0;
+                raw_client(ep, k, seed, |tag, body, raw| {
+                    if tag == MsgKind::ModelDown.tag() {
+                        let mut params = Vec::new();
+                        rfl_tensor::decode_f32_into(body, &mut params).expect("a model");
+                        dim = params.len();
+                    } else if tag == start {
+                        write_control(raw, &REPORT);
+                        let mut upload = CompressedVec::default();
+                        compress_plain(policy, &vec![0.0; dim], &mut upload);
+                        write_compressed(raw, MsgKind::CompressedUp, &upload);
+                    } else if tag == probe {
+                        write_compressed(raw, MsgKind::CompressedDeltaUp, &short_payload());
+                    }
+                })
+            })
+        })
+        .collect();
+    let (history, faults, rows) = server.join().expect("the server survived the δ frame");
+    for t in threads {
+        assert!(matches!(t.join().expect("client"), ClientOutcome::Shutdown));
+    }
+    assert_eq!(history.records().len(), 1);
+    assert_eq!(faults.dropped, 1, "the malformed δ frame is the one loss");
+    assert_eq!(rows, canonical::NUM_CLIENTS - 1, "the victim's row was set");
+}
+
+/// A timeout past what the clock can represent means "no deadline": the
+/// registration wait, a broadcast's enqueue and a blocking claim each
+/// take `Duration::MAX` without overflowing an `Instant`.
+#[test]
+fn a_timeout_past_the_clock_is_no_deadline() {
+    use rfl_core::comm::{ClientEvent, RemoteTransport};
+    let seed = canonical::SEED;
+    let mut transport = SocketTransport::bind(
+        &Endpoint::Tcp("127.0.0.1:0".to_string()),
+        &welcome(seed, canonical::ROUNDS, Compression::None),
+    )
+    .expect("bind");
+    let ep = transport.local_endpoint().clone();
+    let conns: Vec<ClientConn> = (0..canonical::NUM_CLIENTS)
+        .map(|id| registered(&ep, id, seed))
+        .collect();
+    transport
+        .wait_for_clients(Duration::MAX)
+        .expect("full cohort");
+    transport.set_recv_timeout(Duration::MAX);
+    let ids: Vec<usize> = (0..canonical::NUM_CLIENTS).collect();
+    let model = [0.5f32, -1.25, 3.0];
+    let sent = transport.broadcast(MsgKind::ModelDown, &ids, &model);
+    assert!(sent.links.iter().all(|link| link.delivered));
+    // Each client echoes the model scaled by its id + 1, a little after
+    // the server has started to wait.
+    let echoes = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        for (k, mut conn) in conns.into_iter().enumerate() {
+            let Ok(ClientEvent::Payload(MsgKind::ModelDown, params)) = conn.read_event() else {
+                panic!("client {k}: no broadcast")
+            };
+            let echo: Vec<f32> = params.iter().map(|v| v * (k + 1) as f32).collect();
+            conn.send_payload(MsgKind::ModelUp, &echo).expect("echo");
+        }
+    });
+    for k in ids {
+        let want: Vec<f32> = model.iter().map(|v| v * (k + 1) as f32).collect();
+        assert_eq!(transport.recv(MsgKind::ModelUp, k).data, Some(want));
+    }
+    echoes.join().expect("clients");
 }
 
 /// An algorithm whose hooks need more than the wire carries is refused

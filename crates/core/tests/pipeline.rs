@@ -58,7 +58,7 @@ fn lazy_fed(data: &FederatedData, cfg: &FlConfig, seed: u64) -> Federation {
 }
 
 /// The canonical pin through the full engine — streamed selection,
-/// per-client jobs, arrival-order fold — bit-exactly. Full participation
+/// per-client jobs, the streaming fold — bit-exactly. Full participation
 /// means the selection is RNG-free, so this is the same trajectory every
 /// other mode pins.
 #[test]

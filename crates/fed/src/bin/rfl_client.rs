@@ -51,6 +51,10 @@ fn main() {
     }
     let seed = arg_parse(&args, "--seed", canonical::SEED);
     let attempts = arg_parse(&args, "--backoff-attempts", 50u32);
+    if attempts == 0 {
+        eprintln!("error: --backoff-attempts wants at least one attempt");
+        std::process::exit(2);
+    }
     let backoff = Duration::from_millis(arg_parse(&args, "--backoff-ms", 100u64));
     let leave_after_round = arg_value(&args, "--leave-after-round").map(|v| {
         v.parse::<u64>().unwrap_or_else(|_| {
@@ -81,11 +85,14 @@ fn main() {
     else {
         unreachable!("hello() only returns a Welcome");
     };
-    assert_eq!(server_seed, seed, "server runs a different seed");
-    assert!(
-        (id as usize) < num_clients as usize,
-        "id {id} out of range for {num_clients} clients"
-    );
+    if server_seed != seed {
+        eprintln!("error: the server runs seed {server_seed}, this client {seed}");
+        std::process::exit(2);
+    }
+    if id >= num_clients {
+        eprintln!("error: id {id} out of range for {num_clients} clients");
+        std::process::exit(2);
+    }
 
     // Regenerate this client's shard and model replica from the shared
     // seed — bit-identical to the in-process replica the simulation owns.

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Prints the size of the maintained surface as two markdown tables: per crate
+# Prints the size of the maintained surface as markdown tables: per crate
 # (Rust lines in src/ — all, and with each file's trailing `#[cfg(test)]`
 # module cut off — and in tests/, `pub` items in src/, binaries (src/main.rs
 # and src/bin/*.rs), #[test] functions, seconds for a clean release build of
@@ -8,11 +8,28 @@
 # Federation's public functions, rfl-core's `pub` items no file outside
 # crates/core/src names, the rfl-* functions no shipped binary links per
 # scripts/reach-report.sh, the RFL_* variables library code reads).
-# Report-only: nothing gates on it.
+# The wire-path panic census (see `panic_census`) needs no build and prints
+# first. Report-only: nothing gates on it.
 #
 # Usage: scripts/surface-report.sh   (one clean build per crate: minutes)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The wire-path panic census, ROADMAP direction 3's counting rule: one row per
+# file in crates/core/src/comm/ and crates/core/src/compress/, each read up to
+# its first `#[cfg(test)]`; the lines with `unwrap()` or `.expect(`, then the
+# lines with `assert!`, `assert_eq!`, `panic!` or `unreachable!` (their
+# `debug_` forms included).
+panic_census() {
+  local f head
+  echo "| wire-path file | unwrap/expect lines | assert/panic lines |"
+  echo "|---|---:|---:|"
+  for f in crates/core/src/comm/*.rs crates/core/src/compress/*.rs; do
+    head=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f")
+    echo "| ${f#crates/core/src/} | $(grep -cE 'unwrap\(\)|\.expect\(' <<< "$head" || true)" \
+      "| $(grep -cE 'assert!|assert_eq!|panic!|unreachable!' <<< "$head" || true) |"
+  done
+}
 
 # Every .rs file under the given directories, NUL-separated (a crate without
 # tests/ contributes nothing).
@@ -47,6 +64,8 @@ bin_count() {
 
 PUB='^[[:space:]]*pub (fn|struct|enum|trait|const|static|type|mod|use|unsafe fn) '
 
+panic_census
+echo
 echo "| crate | src lines | non-test src lines | test lines | pub items | bins | #[test] | clean build s |"
 echo "|---|---:|---:|---:|---:|---:|---:|---:|"
 for dir in crates/*/; do
