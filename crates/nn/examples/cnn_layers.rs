@@ -3,9 +3,10 @@
 //! Builds the cifar-like (3×16×16) and mnist-like (1×16×16) CNNs of
 //! [`rfl_nn::CnnClassifier`] out of their layers, runs warmed-up training
 //! steps at batch 16 on a thread budget of 1, and prints the median
-//! microseconds and share of the step for each of the 21 passes: the ten
-//! forwards, the loss, the nine backwards and conv1's params-only backward
-//! (nobody reads the first layer's input gradient). Below each table, each
+//! microseconds and share of the step for each of the 17 passes: the eight
+//! forwards (each ReLU and max-pool one `ReluMaxPool` pass), the loss, the
+//! seven backwards and conv1's params-only backward (nobody reads the first
+//! layer's input gradient). Below each table, each
 //! convolution's backward is split into its weight gradient
 //! (`conv2d_backward_params_into`) and its input gradient (the full backward
 //! less that), timed on the same operands beside the step. The header names
@@ -17,7 +18,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfl_nn::{cross_entropy_into, Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu};
+use rfl_nn::{cross_entropy_into, Conv2d, Flatten, Layer, Linear, Relu, ReluMaxPool};
 use rfl_tensor::simd::{set_simd_tier, Tier};
 use rfl_tensor::{
     conv2d_backward_into, conv2d_backward_params_into, set_thread_budget, simd_backend,
@@ -29,13 +30,11 @@ const BATCH: usize = 16;
 const IMAGE: usize = 16;
 
 /// The passes of one step, in the order they run.
-const PASSES: [&str; 21] = [
+const PASSES: [&str; 17] = [
     "conv1.forward",
-    "relu1.forward",
-    "pool1.forward",
+    "relupool1.forward",
     "conv2.forward",
-    "relu2.forward",
-    "pool2.forward",
+    "relupool2.forward",
     "flatten.forward",
     "fc1.forward",
     "relu3.forward",
@@ -45,11 +44,9 @@ const PASSES: [&str; 21] = [
     "relu3.backward",
     "fc1.backward",
     "flatten.backward",
-    "pool2.backward",
-    "relu2.backward",
+    "relupool2.backward",
     "conv2.backward",
-    "pool1.backward",
-    "relu1.backward",
+    "relupool1.backward",
     "conv1.backward_params",
 ];
 
@@ -59,11 +56,9 @@ const SPLITS: usize = 4;
 
 struct Net {
     conv1: Conv2d,
-    relu1: Relu,
-    pool1: MaxPool2d,
+    pool1: ReluMaxPool,
     conv2: Conv2d,
-    relu2: Relu,
-    pool2: MaxPool2d,
+    pool2: ReluMaxPool,
     flatten: Flatten,
     fc1: Linear,
     relu3: Relu,
@@ -77,11 +72,9 @@ impl Net {
         let flat = 16 * (IMAGE / 4) * (IMAGE / 4);
         Net {
             conv1: Conv2d::new(in_channels, 8, 3, 1, 1, rng),
-            relu1: Relu::new(),
-            pool1: MaxPool2d::new(2),
+            pool1: ReluMaxPool::new(),
             conv2: Conv2d::new(8, 16, 3, 1, 1, rng),
-            relu2: Relu::new(),
-            pool2: MaxPool2d::new(2),
+            pool2: ReluMaxPool::new(),
             flatten: Flatten::new(),
             fc1: Linear::new(flat, 64, rng),
             relu3: Relu::new(),
@@ -93,10 +86,10 @@ impl Net {
 /// Every activation and gradient of one step, kept apart so the conv
 /// backward splits can re-read their operands.
 struct Buffers {
-    fwd: [Tensor; 10],
+    fwd: [Tensor; 8],
     log_p: Tensor,
     dlogits: Tensor,
-    bwd: [Tensor; 9],
+    bwd: [Tensor; 7],
     grads: Conv2dGrads,
     scratch: Vec<f32>,
 }
@@ -121,7 +114,7 @@ fn step(
     x: &Tensor,
     labels: &[usize],
     b: &mut Buffers,
-    pass: &mut [f64; 21],
+    pass: &mut [f64; 17],
     split: &mut [f64; SPLITS],
 ) {
     let mut clock = Instant::now();
@@ -130,53 +123,45 @@ fn step(
         pass[i] = (now - clock).as_secs_f64();
         clock = now;
     };
-    let [c1, r1, p1, c2, r2, p2, fl, f1, r3, f2] = &mut b.fwd;
+    let [c1, p1, c2, p2, fl, f1, r3, f2] = &mut b.fwd;
     net.conv1.forward_into(x, c1, true);
     lap(0);
-    net.relu1.forward_into(c1, r1, true);
+    net.pool1.forward_into(c1, p1, true);
     lap(1);
-    net.pool1.forward_into(r1, p1, true);
-    lap(2);
     net.conv2.forward_into(p1, c2, true);
+    lap(2);
+    net.pool2.forward_into(c2, p2, true);
     lap(3);
-    net.relu2.forward_into(c2, r2, true);
-    lap(4);
-    net.pool2.forward_into(r2, p2, true);
-    lap(5);
     net.flatten.forward_into(p2, fl, true);
-    lap(6);
+    lap(4);
     net.fc1.forward_into(fl, f1, true);
-    lap(7);
+    lap(5);
     net.relu3.forward_into(f1, r3, true);
-    lap(8);
+    lap(6);
     net.fc2.forward_into(r3, f2, true);
-    lap(9);
+    lap(7);
     cross_entropy_into(f2, labels, &mut b.log_p, &mut b.dlogits);
-    lap(10);
-    let [d_f2, d_r3, d_f1, d_fl, d_p2, d_r2, d_c2, d_p1, d_r1] = &mut b.bwd;
+    lap(8);
+    let [d_f2, d_r3, d_f1, d_fl, d_p2, d_c2, d_p1] = &mut b.bwd;
     net.fc2.backward_into(&b.dlogits, d_f2);
-    lap(11);
+    lap(9);
     net.relu3.backward_into(d_f2, d_r3);
-    lap(12);
+    lap(10);
     net.fc1.backward_into(d_r3, d_f1);
-    lap(13);
+    lap(11);
     net.flatten.backward_into(d_f1, d_fl);
-    lap(14);
+    lap(12);
     net.pool2.backward_into(d_fl, d_p2);
-    lap(15);
-    net.relu2.backward_into(d_p2, d_r2);
-    lap(16);
-    net.conv2.backward_into(d_r2, d_c2);
-    lap(17);
+    lap(13);
+    net.conv2.backward_into(d_p2, d_c2);
+    lap(14);
     net.pool1.backward_into(d_c2, d_p1);
-    lap(18);
-    net.relu1.backward_into(d_p1, d_r1);
-    lap(19);
-    net.conv1.backward_params(d_r1);
-    lap(20);
+    lap(15);
+    net.conv1.backward_params(d_p1);
+    lap(16);
 
     // The splits, on the operands the step just used.
-    let convs = [(&net.conv1, x, &*d_r1), (&net.conv2, &*p1, &*d_r2)];
+    let convs = [(&net.conv1, x, &*d_p1), (&net.conv2, &*p1, &*d_p2)];
     for (k, (conv, input, dy)) in convs.into_iter().enumerate() {
         let (w, spec) = (&conv.weight.value, conv.spec());
         let t = Instant::now();
@@ -199,7 +184,7 @@ fn profile(name: &str, in_channels: usize, iters: usize) {
     let x = Initializer::Normal(1.0).init(&[BATCH, in_channels, IMAGE, IMAGE], &mut rng);
     let labels: Vec<usize> = (0..BATCH).map(|i| i % 10).collect();
     let mut b = Buffers::new();
-    let (mut pass, mut split) = ([0.0; 21], [0.0; SPLITS]);
+    let (mut pass, mut split) = ([0.0; 17], [0.0; SPLITS]);
     for _ in 0..iters.div_ceil(4).max(3) {
         step(&mut net, &x, &labels, &mut b, &mut pass, &mut split);
     }

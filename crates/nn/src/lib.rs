@@ -3,9 +3,9 @@
 //! A compact neural-network library with *manual backpropagation*, built on
 //! [`rfl_tensor`]. It implements exactly what the rFedAvg reproduction needs:
 //!
-//! * layers: [`Linear`], [`Conv2d`], [`MaxPool2d`], [`Relu`], [`Tanh`],
-//!   [`Sigmoid`], [`Flatten`], [`Lstm`] (each a [`Layer`]), and the token
-//!   lookup [`Embedding`];
+//! * layers: [`Linear`], [`Conv2d`], [`ReluMaxPool`] (ReLU and 2×2
+//!   max-pooling in one pass), [`Relu`], [`Tanh`], [`Sigmoid`], [`Flatten`],
+//!   [`Lstm`] (each a [`Layer`]), and the token lookup [`Embedding`];
 //! * loss: softmax [`cross_entropy`];
 //! * optimizers over flat parameter vectors: [`Sgd`] and
 //!   [`RmsProp`] — the paper trains image models with SGD and the
@@ -72,7 +72,7 @@ pub use models::{
 };
 pub use optim::{Optimizer, RmsProp, Sgd};
 pub use param::Param;
-pub use pooling::MaxPool2d;
+pub use pooling::ReluMaxPool;
 
 #[cfg(test)]
 mod gradcheck;

@@ -2,8 +2,9 @@
 //!
 //! Architecture (scaled-down version of the McMahan et al. CNN, see
 //! DESIGN.md §3): `conv3×3(c1) → ReLU → pool2 → conv3×3(c2) → ReLU → pool2 →
-//! flatten → FC(feature_dim) → ReLU → FC(classes)`. The post-ReLU output of
-//! the first FC layer is the feature embedding `φ(x)`.
+//! flatten → FC(feature_dim) → ReLU → FC(classes)`, each `ReLU → pool2` one
+//! [`ReluMaxPool`] pass. The post-ReLU output of the first FC layer is the
+//! feature embedding `φ(x)`.
 
 use super::{Input, Model, ModelOutput};
 use crate::activations::Relu;
@@ -12,7 +13,7 @@ use crate::flatten::Flatten;
 use crate::layer::Layer;
 use crate::linear::Linear;
 use crate::param::Param;
-use crate::pooling::MaxPool2d;
+use crate::pooling::ReluMaxPool;
 use rand::Rng;
 use rfl_tensor::{Tensor, Workspace};
 
@@ -69,11 +70,9 @@ impl CnnConfig {
 pub struct CnnClassifier {
     cfg: CnnConfig,
     conv1: Conv2d,
-    relu1: Relu,
-    pool1: MaxPool2d,
+    pool1: ReluMaxPool,
     conv2: Conv2d,
-    relu2: Relu,
-    pool2: MaxPool2d,
+    pool2: ReluMaxPool,
     flatten: Flatten,
     fc1: Linear,
     relu3: Relu,
@@ -89,11 +88,9 @@ impl CnnClassifier {
         CnnClassifier {
             cfg,
             conv1: Conv2d::new(cfg.in_channels, cfg.conv1_channels, 3, 1, 1, rng),
-            relu1: Relu::new(),
-            pool1: MaxPool2d::new(2),
+            pool1: ReluMaxPool::new(),
             conv2: Conv2d::new(cfg.conv1_channels, cfg.conv2_channels, 3, 1, 1, rng),
-            relu2: Relu::new(),
-            pool2: MaxPool2d::new(2),
+            pool2: ReluMaxPool::new(),
             flatten: Flatten::new(),
             fc1: Linear::new(flat, cfg.feature_dim, rng),
             relu3: Relu::new(),
@@ -116,10 +113,8 @@ impl Model for CnnClassifier {
         let mut a = self.ws.take(&[1]);
         let mut b = self.ws.take(&[1]);
         self.conv1.forward_into(x, &mut a, train);
-        self.relu1.forward_into(&a, &mut b, train);
-        self.pool1.forward_into(&b, &mut a, train);
-        self.conv2.forward_into(&a, &mut b, train);
-        self.relu2.forward_into(&b, &mut a, train);
+        self.pool1.forward_into(&a, &mut b, train);
+        self.conv2.forward_into(&b, &mut a, train);
         self.pool2.forward_into(&a, &mut b, train);
         self.flatten.forward_into(&b, &mut a, train);
         self.fc1.forward_into(&a, &mut b, train);
@@ -140,10 +135,8 @@ impl Model for CnnClassifier {
         self.fc1.backward_into(&b, &mut a);
         self.flatten.backward_into(&a, &mut b);
         self.pool2.backward_into(&b, &mut a);
-        self.relu2.backward_into(&a, &mut b);
-        self.conv2.backward_into(&b, &mut a);
-        self.pool1.backward_into(&a, &mut b);
-        self.relu1.backward_into(&b, &mut a);
+        self.conv2.backward_into(&a, &mut b);
+        self.pool1.backward_into(&b, &mut a);
         self.conv1.backward_params(&a); // nobody reads the input gradient
         self.ws.give(b);
         self.ws.give(a);

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_nn::{
-    CnnClassifier, CnnConfig, Conv2d, Flatten, Input, Layer, Linear, MaxPool2d, Model, Relu,
+    CnnClassifier, CnnConfig, Conv2d, Flatten, Input, Layer, Linear, Model, Relu, ReluMaxPool,
     Sigmoid, Tanh,
 };
 use rfl_tensor::{Initializer, Tensor};
@@ -83,8 +83,8 @@ fn sigmoid_backward_ignores_an_inference_forward() {
 }
 
 #[test]
-fn maxpool_backward_ignores_an_inference_forward() {
-    check(|| MaxPool2d::new(2), &[4, 3, 8, 8]);
+fn relu_maxpool_backward_ignores_an_inference_forward() {
+    check(ReluMaxPool::new, &[4, 3, 8, 8]);
 }
 
 #[test]

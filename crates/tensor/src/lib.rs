@@ -7,9 +7,9 @@
 //! The library intentionally covers exactly the operations needed to train
 //! the paper's models (CNNs and LSTMs) with manual backpropagation:
 //! element-wise arithmetic, matrix products (including the transposed
-//! variants required by backward passes), 2-D convolution and max-pooling
-//! (forward and backward), row-wise log-softmax, column reductions, and
-//! random initialization.
+//! variants required by backward passes), 2-D convolution and ReLU with 2×2
+//! max-pooling in one pass (forward and backward), row-wise log-softmax,
+//! column reductions, and random initialization.
 //!
 //! A kernel writes into a buffer its caller owns; there is no allocating
 //! form. Start an output as [`Tensor::scratch`] (or take one from a
@@ -47,7 +47,7 @@ pub use conv::{
 };
 pub use fastmath::{normal_fill, normal_from_units};
 pub use init::{normal_sample, Initializer};
-pub use pool::{maxpool2d_backward_into, maxpool2d_into, PoolSpec};
+pub use pool::{relu_maxpool2x2_backward_into, relu_maxpool2x2_into};
 pub use shape::Shape;
 pub use simd::{
     add_assign_slices, axpy_slices, dot_slices, dot_tile_slices, exp_slices,

@@ -25,10 +25,11 @@
 //! (`wide::Vector`, instantiated at `__m256` and `__m512`). The
 //! convolutions (`conv.rs`) have 16-lane bodies of their own: pixel lanes
 //! for the forward and the input gradient, two 8-channel blocks per register
-//! for the short-row forward and the weight gradient. The reductions (`dot`,
-//! `sq_dist`, `sum`, [`dot_tile_slices`]), the pooling body and the
-//! weight gradient of eight channels or fewer keep their 8-lane registers at
-//! the AVX-512 tier: only their encoding and register count change. The
+//! for the short-row forward and the weight gradient, and the fused ReLU and
+//! max-pool (`pool.rs`) sixteen windows to a register. The reductions
+//! (`dot`, `sq_dist`, `sum`, [`dot_tile_slices`]) and the weight gradient of
+//! eight channels or fewer keep their 8-lane registers at the AVX-512 tier:
+//! only their encoding and register count change. The
 //! Box–Muller sampler
 //! (`fastmath::normal_fill`) is a tier kernel too: four normals per step at
 //! the AVX2 tier, eight at the AVX-512 tier, with `f64` internals in both.
@@ -64,9 +65,10 @@
 //!   memory per operation; each value goes through the same `exp` polynomial,
 //!   divisions, multiplies and adds, in the same order, as the separate
 //!   `add_assign` / `sigmoid` / `tanh` passes.
-//! - Lane kernels (the convolutions in `conv.rs`, max-pooling in `pool.rs`)
-//!   put **independent output scalars** in the lanes — output channels or
-//!   adjacent pixels, eight or sixteen, never a reduction — so each output
+//! - Lane kernels (the convolutions in `conv.rs`, ReLU and max-pooling in
+//!   `pool.rs`) put **independent output scalars** in the lanes — output
+//!   channels, adjacent pixels or pooling windows, eight or sixteen, never a
+//!   reduction — so each output
 //!   replays its scalar operation sequence unchanged and the lane layout is
 //!   invisible in the result.
 //! - The transcendental kernels use a shared Cephes-style polynomial
@@ -116,9 +118,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Stride of the canonical reductions: 8 × f32 = one `__m256` register.
-/// Also the width of the 8-lane tiles (the plain and AVX2 convolutions, the
-/// pooling body); the AVX-512 tier's 16-lane bodies hold two such blocks
-/// per register.
+/// Also the width of the 8-lane tiles (the plain and AVX2 convolutions); the
+/// AVX-512 tier's 16-lane bodies hold two such blocks per register.
 pub const LANES: usize = 8;
 
 /// A kernel tier. Every tier computes the same bits; they differ in speed.

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rfl_tensor::{
     conv2d_backward_into, conv2d_backward_params_into, conv2d_into, decode_f32_into,
-    encode_f32_into, maxpool2d_backward_into, maxpool2d_into, Conv2dGrads, ConvSpec, PoolSpec,
+    encode_f32_into, relu_maxpool2x2_backward_into, relu_maxpool2x2_into, Conv2dGrads, ConvSpec,
     Tensor,
 };
 
@@ -250,17 +250,16 @@ proptest! {
         prop_assert_eq!(params.dweight.data(), fresh_g.dweight.data());
         prop_assert_eq!(params.dbias.data(), fresh_g.dbias.data());
 
-        let pspec = PoolSpec::square(2);
-        let mut arg = vec![42u32; 3];
-        maxpool2d_into(&x, pspec, &mut out, &mut arg);
+        let mut arg = vec![42u8; 3];
+        relu_maxpool2x2_into(&x, &mut out, &mut arg);
         let (mut py, mut parg) = (Tensor::scratch(), Vec::new());
-        maxpool2d_into(&x, pspec, &mut py, &mut parg);
+        relu_maxpool2x2_into(&x, &mut py, &mut parg);
         prop_assert_eq!(out.data(), py.data());
         prop_assert_eq!(&arg, &parg);
         let pdy = Tensor::from_vec(det_vec(py.numel(), 11), py.dims());
         let mut dx = dirty();
-        maxpool2d_backward_into(x.dims(), &pdy, &arg, &mut dx);
-        let fresh_dx = fresh(|d| maxpool2d_backward_into(x.dims(), &pdy, &parg, d));
+        relu_maxpool2x2_backward_into(x.dims(), &pdy, &arg, &mut dx);
+        let fresh_dx = fresh(|d| relu_maxpool2x2_backward_into(x.dims(), &pdy, &parg, d));
         prop_assert_eq!(dx.data(), fresh_dx.data());
     }
 

@@ -79,6 +79,9 @@ section_bench() {
     echo "== PROPTEST_CASES=2048 LSTM cell oracle in release (deep)"
     PROPTEST_CASES=2048 cargo test --release -q -p rfl-nn --test lstm_oracle
 
+    echo "== PROPTEST_CASES=2048 fused ReLU and max-pool oracle in release (output and input gradient against the ReLU-then-pool composition, every tier; deep)"
+    PROPTEST_CASES=2048 cargo test --release -q -p rfl-tensor --test pool_oracle
+
     echo "== PROPTEST_CASES=2048 quantizer oracle in release (payload, reconstruction, residual and receiver against the per-value loops, honest and hostile payloads; deep)"
     PROPTEST_CASES=2048 cargo test --release -q -p rfl-core --test compress_props
 

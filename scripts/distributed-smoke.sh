@@ -2,7 +2,9 @@
 # Real multi-process federation smoke: one rfl-server plus four rfl-client
 # processes over loopback TCP *and* over a Unix-domain socket must each
 # reproduce the pinned in-process round-loop loss bit-exactly
-# (--expect-loss makes the server's exit code the assertion).
+# (--expect-loss makes the server's exit code the assertion), and so must a
+# federation whose clients alternate between the scalar kernels and the
+# widest SIMD tier the CPU has (RFL_SIMD=0 and RFL_SIMD=1).
 #
 # Usage: scripts/distributed-smoke.sh [--trace-dir DIR]
 #
@@ -33,13 +35,19 @@ cargo build --release -p rfl-fed --bins
 run_leg() {
     # LEG_CLIENTS overrides the cohort size for one leg (the 64-client
     # fan-out leg); every other leg runs the pinned 4-client cohort.
+    # LEG_TIERS (space-separated RFL_SIMD values) runs client i under
+    # value i mod their count; unset, every client runs the widest tier.
     local name="$1" listen="$2" clients="${LEG_CLIENTS:-$NUM_CLIENTS}"
     shift 2
-    local dir ready trace endpoint server_pid watchdog_pid rc
+    local dir ready trace endpoint server_pid watchdog_pid rc tiers=()
+    read -ra tiers <<< "${LEG_TIERS:-}"
     dir=$(mktemp -d)
     ready="$dir/endpoint"
     trace="${TRACE_DIR:-$dir}/distributed-smoke-$name.jsonl"
     echo "== distributed smoke ($name): $listen"
+    if [ "${#tiers[@]}" -gt 0 ]; then
+        echo "   client i runs RFL_SIMD value i mod ${#tiers[@]} of: ${tiers[*]}"
+    fi
 
     # Extra args select the leg's assertion: --expect-loss pins the dense
     # run to the canonical loss; --compress + --expect-oracle pins a
@@ -78,7 +86,12 @@ run_leg() {
 
     local client_pids=()
     for id in $(seq 0 $((clients - 1))); do
-        ./target/release/rfl-client --connect "$endpoint" --id "$id" &
+        if [ "${#tiers[@]}" -gt 0 ]; then
+            RFL_SIMD="${tiers[id % ${#tiers[@]}]}" \
+                ./target/release/rfl-client --connect "$endpoint" --id "$id" &
+        else
+            ./target/release/rfl-client --connect "$endpoint" --id "$id" &
+        fi
         client_pids+=("$!")
     done
 
@@ -102,9 +115,13 @@ run_leg unix "unix:$(mktemp -u /tmp/rfl-smoke-XXXXXX.sock)" --expect-loss "$EXPE
 # Compressed uploads over real sockets: 8-bit quantized frames with error
 # feedback must match the in-process compressed run bit-for-bit.
 run_leg tcp-compressed "tcp://127.0.0.1:0" --compress quantize:8 --expect-oracle
+# Mixed tiers: the kernels' tiers compute the same bits, so a cohort whose
+# clients alternate between the scalar and the widest tier lands on the
+# same pin.
+LEG_TIERS="0 1" run_leg tcp-mixed-tiers "tcp://127.0.0.1:0" --expect-loss "$EXPECT_LOSS"
 # 64 concurrent client processes on one TCP endpoint: the reactor multiplexes
 # all of them on its fixed shard budget, and the cohort's own pinned loss
 # gates the run bit-exactly (same watchdog hard-kills a wedged leg).
 LEG_CLIENTS=64 run_leg tcp-64 "tcp://127.0.0.1:0" --expect-loss "$EXPECT_LOSS_64"
 
-echo "== distributed smoke passed (dense tcp + unix + 64-client fan-out bit-exact, compressed tcp == in-process oracle)"
+echo "== distributed smoke passed (dense tcp + unix + mixed SIMD tiers + 64-client fan-out bit-exact, compressed tcp == in-process oracle)"

@@ -41,11 +41,11 @@ fi
 
 # The AVX-512 tier's 8-lane bodies: the reductions keep the canonical 8-lane
 # stride, the weight gradient's `o ≤ 8` tile and `pack_lanes` are shared
-# with AVX2, and the pool and `normal_from_units` are the same source as
-# their AVX2 instances.
+# with AVX2, and `normal_from_units` is the same source as its AVX2
+# instance.
 EIGHT_LANE="simd::avx512::dot simd::avx512::dot_tile simd::avx512::sq_dist
 simd::avx512::sum conv::avx512::dweight conv::avx512::pack_lanes
-pool::avx512::pool fastmath::avx512::normal_from_units"
+fastmath::avx512::normal_from_units"
 
 objdump -d -C --no-show-raw-insn "$bin" | awk -v eight="$EIGHT_LANE" '
     BEGIN {

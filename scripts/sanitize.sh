@@ -26,6 +26,6 @@ export RUSTFLAGS=-Zsanitizer=address
 run() {
     cargo +nightly test --offline --target "$target" -q "$@"
 }
-run -p rfl-tensor --test simd_equiv --test conv_oracle --test gemm_oracle
+run -p rfl-tensor --test simd_equiv --test conv_oracle --test gemm_oracle --test pool_oracle
 run -p rfl-nn --test inference --test lstm_oracle --test non_finite
 echo "sanitize: passed"
