@@ -40,13 +40,13 @@ fn joint_features(similarity: f64, args: &ExpArgs) -> (Tensor, Vec<Panel>, Vec<V
     let rules = vec![LocalRule::Plain; selected.len()];
     fed.train_selected(&selected, &rules, cfg.local_steps);
 
-    // Client with the most samples of class c, for c = 0, 1, 2.
+    // Client with the most samples of class c, for c = 0, 1, 2, read off
+    // the federation's shards regenerated from its seed: no client wakes.
+    let counts: Vec<Vec<usize>> = (sc.build_data(5).clients.iter())
+        .map(|shard| shard.class_counts())
+        .collect();
     let chosen: Vec<usize> = (0..3)
-        .map(|class| {
-            (0..fed.num_clients())
-                .max_by_key(|&k| fed.client(k).data().class_counts()[class])
-                .unwrap()
-        })
+        .map(|class| (0..counts.len()).max_by_key(|&k| counts[k][class]).unwrap())
         .collect();
 
     // The paper's core quantity: each client's δ over its FULL local data,

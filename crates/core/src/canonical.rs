@@ -17,7 +17,7 @@
 
 use crate::algorithms::RFedAvgPlus;
 use crate::client::Client;
-use crate::federation::{eager_client, Federation, FlConfig, ModelFactory, OptimizerFactory};
+use crate::federation::{Federation, FlConfig, ModelFactory, OptimizerFactory};
 use crate::history::History;
 use crate::trainer::Trainer;
 use rand::rngs::StdRng;
@@ -105,15 +105,17 @@ pub fn optimizer() -> OptimizerFactory {
     OptimizerFactory::sgd(LR)
 }
 
-/// Builds client `k` exactly as [`Federation::new`] would: global
+/// Builds client `k` as [`Federation::new`] first wakes it: the global
 /// initialization derived from `seed`, then the client's own optimizer
 /// state, RNG stream, and gradient clip. This is what a distributed
 /// `rfl-client` process runs so its parameter trajectory is bit-identical
-/// to the in-process replica's.
+/// to the in-process client's.
 pub fn client(k: usize, fed_data: &FederatedData, cfg: &FlConfig, seed: u64) -> Client {
-    let mut global = Vec::new();
-    model().build(seed).read_params(&mut global);
-    eager_client(k, fed_data, model(), optimizer(), cfg, seed, &global)
+    let shard = fed_data.clients[k].clone();
+    let (batch, sgd) = (cfg.batch_size, optimizer().build());
+    let mut c = Client::new(k, model().build(seed), shard, sgd, batch, seed);
+    c.set_clip_grad_norm(cfg.clip_grad_norm);
+    c
 }
 
 /// Runs the pinned round loop in-process on the given federation (which
@@ -145,13 +147,13 @@ mod tests {
     fn client_replica_matches_federation_client() {
         let fed_data = data(SEED);
         let cfg = config(SEED, ROUNDS);
-        let fed = Federation::new(&fed_data, model(), optimizer(), &cfg, SEED);
+        let mut fed = Federation::new(&fed_data, model(), optimizer(), &cfg, SEED);
         let mut a = Vec::new();
         let mut b = Vec::new();
         for k in 0..NUM_CLIENTS {
             let replica = client(k, &fed_data, &cfg, SEED);
             replica.read_params(&mut a);
-            fed.client(k).read_params(&mut b);
+            fed.client_mut(k).read_params(&mut b);
             assert_eq!(a, b, "client {k} replica diverges at init");
         }
     }

@@ -16,8 +16,8 @@ pub struct Trainer {
     cfg: FlConfig,
     /// Per-round callback (progress reporting in experiment binaries).
     on_round: Option<RoundObserver>,
-    /// Lazy federations only: draw each round's selection from a
-    /// round-addressable [`crate::sampling::SelectionStream`].
+    /// Draw each round's selection from a round-addressable
+    /// [`crate::sampling::SelectionStream`].
     pipelined: bool,
 }
 
@@ -36,12 +36,12 @@ impl Trainer {
         }
     }
 
-    /// On lazy-mode federations (no-op otherwise), draws each round's
-    /// selection from a [`crate::sampling::SelectionStream`] seeded with
-    /// `cfg.seed` ([`Federation::enable_streamed_selection`]); the selection
+    /// Draws each round's selection from a
+    /// [`crate::sampling::SelectionStream`] seeded with `cfg.seed`
+    /// ([`Federation::enable_streamed_selection`]); the selection
     /// *sequence* differs from the rng-threaded draw when `sample_ratio <
-    /// 1`. The lazy plane already runs each client's wake, training, upload
-    /// and hibernation as one job, so nothing else changes.
+    /// 1`. The in-process plane already runs each client's wake, training,
+    /// upload and hibernation as one job, so nothing else changes.
     pub fn pipelined(mut self) -> Self {
         self.pipelined = true;
         self
@@ -69,7 +69,7 @@ impl Trainer {
         fed.check(algo)?;
         let mut history = History::new();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ 0x5EED_5EED);
-        if self.pipelined && fed.registry().is_some() {
+        if self.pipelined {
             fed.enable_streamed_selection(self.cfg.seed);
         }
         let run_span = fed.tracer().begin_run(algo.name());

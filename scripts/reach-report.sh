@@ -52,7 +52,6 @@ rfl_tensor|rfl_tensor::tensor::Tensor::ones|test fixture: 19 test call sites in 
 rfl_tensor|rfl_tensor::tensor::Tensor::transpose|test fixture: the transa/transb oracles of matmul's unit tests and the tensor proptests
 rfl_tensor|rfl_tensor::tensor::Tensor::is_finite|test fixture: a one-line check nn's tests call
 rfl_tensor|<rfl_tensor::codec::CodecError as core::fmt::Display>::fmt|std::error::Error requires it; no binary prints a CodecError
-rfl_core|rfl_core::registry::MaterializedSource|test fixture: a ClientDataSource over materialized shards, for three unit-test modules (testutil, registry, plane) and five integration files (alloc, determinism, fanout, pipeline, serial)
 rfl_core|rfl_core::comm::faulty::FaultConfig|doc example: README's fault-injection snippet builds a FaultConfig with with_latency and with_deadline_ms (transport_equiv.rs runs the same chain)
 rfl_core|rfl_core::comm::faulty::LatencyModel::wan|doc example: the latency preset of README's fault-injection snippet (transport_equiv.rs runs it)
 rfl_core|rfl_core::algorithms::rfedavg::RFedAvg::with_dp|an algorithm variant: rFedAvg under DP, a PARITY row (transport_equiv.rs) and a cell of README's back-end table

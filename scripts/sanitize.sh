@@ -3,7 +3,9 @@
 # nightly toolchain with -Zsanitizer=address (a debug build, so every
 # debug_assert! bound fires too) and run on every SIMD tier the CPU has.
 # The oracles check values; this leg checks that no tile reads or writes
-# past an allocation.
+# past an allocation. The proptests run 2,048 cases each, as the release
+# deep legs do, and rfl-tensor's `fastmath` unit tests (the sampler's tier
+# bodies) run beside the oracles.
 #
 # Usage: scripts/sanitize.sh
 #
@@ -22,10 +24,11 @@ if [[ -z $sysroot || ! -f $sysroot/lib/rustlib/$target/lib/librustc-nightly_rt.a
     exit 0
 fi
 
-export RUSTFLAGS=-Zsanitizer=address
+export RUSTFLAGS=-Zsanitizer=address PROPTEST_CASES=2048
 run() {
     cargo +nightly test --offline --target "$target" -q "$@"
 }
 run -p rfl-tensor --test simd_equiv --test conv_oracle --test gemm_oracle --test pool_oracle
+run -p rfl-tensor --lib -- fastmath::
 run -p rfl-nn --test inference --test lstm_oracle --test non_finite
 echo "sanitize: passed"
