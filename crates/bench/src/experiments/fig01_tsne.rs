@@ -53,14 +53,14 @@ fn joint_features(similarity: f64, args: &ExpArgs) -> (Tensor, Vec<Panel>, Vec<V
     // computed with its (divergent) local model.
     let deltas: Vec<Vec<f32>> = chosen
         .iter()
-        .map(|&k| fed.client_mut(k).compute_delta(64))
+        .map(|&k| fed.with_client(k, |c| c.compute_delta(64)))
         .collect();
 
     let mut all_rows: Vec<Vec<f32>> = Vec::new();
     let mut panels = Vec::new();
     let mut dim = 0usize;
     for &k in &chosen {
-        let (feats, labels) = fed.client_mut(k).compute_features(200);
+        let (feats, labels) = fed.with_client(k, |c| c.compute_features(200));
         dim = feats.dims()[1];
         let mut rows = Vec::new();
         let mut panel_labels = Vec::new();

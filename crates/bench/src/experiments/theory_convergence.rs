@@ -34,7 +34,7 @@ fn run_curve(sc: &Scenario, make: MakeAlgo, rounds: usize, args: &ExpArgs) -> Ve
     let mut pts = Vec::new();
     for round in 0..rounds {
         for k in 0..fed.num_clients() {
-            fed.client_mut(k).set_lr(sched(round));
+            fed.with_client(k, |c| c.set_lr(sched(round)));
         }
         let one = FlConfig {
             seed: 7 + round as u64,

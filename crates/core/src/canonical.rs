@@ -153,7 +153,7 @@ mod tests {
         for k in 0..NUM_CLIENTS {
             let replica = client(k, &fed_data, &cfg, SEED);
             replica.read_params(&mut a);
-            fed.client_mut(k).read_params(&mut b);
+            fed.with_client(k, |c| c.read_params(&mut b));
             assert_eq!(a, b, "client {k} replica diverges at init");
         }
     }

@@ -96,7 +96,7 @@ mod tests {
         let sched = theory_schedule(0.5, 4.0, cfg.local_steps);
         for round in 0..rounds {
             for k in 0..fed.num_clients() {
-                fed.client_mut(k).set_lr(sched(round));
+                fed.with_client(k, |c| c.set_lr(sched(round)));
             }
             Trainer::new(run_cfg).run(algo, &mut fed);
             if round >= 4 {

@@ -27,8 +27,10 @@ impl PersonalizationResult {
 /// SGD steps and reports global-vs-personalized local accuracy.
 ///
 /// Uses a held-in evaluation on the client's own data, matching how
-/// personalization is typically scored in cross-device FL. The clients'
-/// models and optimizer state are mutated (call after training finishes).
+/// personalization is typically scored in cross-device FL. Each client is
+/// woken once for all three steps; fine-tuning advances its optimizer state
+/// and RNG stream, and its fine-tuned parameters are gone when it goes back
+/// to sleep (call after training finishes).
 pub fn personalize_all(
     fed: &mut Federation,
     steps: usize,
@@ -39,9 +41,11 @@ pub fn personalize_all(
     let delivered = fed.broadcast_params(&selected);
     let mut out = Vec::with_capacity(delivered.len());
     for &k in &delivered {
-        let global = fed.client_mut(k).evaluate_local(eval_batch);
-        fed.client_mut(k).train_local(steps, &LocalRule::Plain);
-        let personalized = fed.client_mut(k).evaluate_local(eval_batch);
+        let (global, personalized) = fed.with_client(k, |c| {
+            let global = c.evaluate_local(eval_batch);
+            c.train_local(steps, &LocalRule::Plain);
+            (global, c.evaluate_local(eval_batch))
+        });
         out.push(PersonalizationResult {
             client: k,
             global,

@@ -9,14 +9,23 @@
 //! Between requests a client is its record plus its shard, which the
 //! federation keeps resident (32 images of 3 × 16 × 16 floats, 98 KB). The
 //! model replicas, workspaces and step buffers live in the registry's
-//! shells, one per client live at once: a training job holds one per
-//! worker, and rFedAvg+'s δ probe after the fold holds the cohort, a fifth
-//! of the clients. A shell that has trained and probed holds about 1.1 MB,
-//! so an added client costs its shard plus a fifth of a shell: this reads
-//! 270–320 KB. A federation that kept a replica, its workspaces and its
-//! step buffers for every client read 750–770 KB here, after three rounds
-//! had touched about half of its clients, and 1.10–1.19 MB on `cnn_device`
-//! (EXPERIMENTS.md "One client lifecycle").
+//! shells, and every request holds at most one per worker, so three rounds
+//! build two shells whatever the client count. What sets the reading is
+//! therefore the data, not the clients' working state. At 48 clients the
+//! peak is reached before any client wakes: generating the data holds the
+//! image pool and the shards cut from it at once (18.5 MB), then
+//! `Federation::new` clones the shards while the caller's copy is still
+//! alive (19.1 MB), and the three rounds add under 1 MB (18.6–19.8 MB at
+//! the end). At 24 clients the rounds set the peak (12.8–13.7 MB, against
+//! 9.7 MB after setup). So the reading is what a client's data adds at
+//! setup, less the rounds' headroom at 24 clients: 224–255 KB over 15
+//! readings, about two and a half copies of its shard. While rFedAvg+'s δ probe kept its
+//! cohort of shells live until the next round (a fifth of the clients,
+//! 1.1 MB each after a train and a probe) this read 270–320 KB, and a
+//! federation that kept a replica, its workspaces and its step buffers for
+//! every client read 750–770 KB, after three rounds had touched about half
+//! of its clients (EXPERIMENTS.md "One client lifecycle", "No client is
+//! live between requests").
 //!
 //! This file holds exactly one test function: `VmHWM` is process-wide, and
 //! a sibling test's memory would be charged to the clients.
@@ -34,9 +43,9 @@ const SAMPLES_PER_CLIENT: usize = 32;
 const TEST_SAMPLES: usize = 200;
 const ROUNDS: usize = 3;
 const SEED: u64 = 17;
-/// Peak resident bytes one added client may cost: the highest reading plus
-/// a quarter.
-const BYTES_PER_ADDED_CLIENT_CEILING: f64 = 400e3;
+/// Peak resident bytes one added client may cost: the highest reading
+/// (255 KB) plus a quarter.
+const BYTES_PER_ADDED_CLIENT_CEILING: f64 = 319e3;
 
 /// `cnn_device`'s data recipe over `clients` clients.
 fn data(clients: usize) -> FederatedData {

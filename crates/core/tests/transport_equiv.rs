@@ -200,38 +200,38 @@ const PARITY: &[(&str, &str, &str)] = &[
     ),
     (
         "Scaffold",
-        "global=17187f84f28fd0db loss=[3fa1e4a4,3fa31e67,3f90a350,3f6af178] down=9120 up=9120 ddown=0 dup=0 msgs=32 faults=(0,0,0) | round{bytes_down=2280,bytes_up=2280,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3} materialize{clients=6} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} upload{bytes=1140,clients=3} upload{bytes=1140,clients=3} aggregate{clients=3}",
-        "global=920bd6768a4f0ce8 loss=[3f8ddc69,3fa890db,3ef2ae46,3f5a2ab7] down=9120 up=6080 ddown=0 dup=0 msgs=24 faults=(5,0,0) | round{bytes_down=2280,bytes_up=760,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3,dropped=2} materialize{clients=2} local_train#1{batches=5,examples=50} hibernate{clients=1} upload{bytes=380,clients=1} upload{bytes=380,clients=1} aggregate{clients=1}",
+        "global=17187f84f28fd0db loss=[3fa1e4a4,3fa31e67,3f90a350,3f6af178] down=9120 up=9120 ddown=0 dup=0 msgs=32 faults=(0,0,0) | round{bytes_down=2280,bytes_up=2280,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3} materialize{clients=6} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=6} upload{bytes=1140,clients=3} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=920bd6768a4f0ce8 loss=[3f8ddc69,3fa890db,3ef2ae46,3f5a2ab7] down=9120 up=6080 ddown=0 dup=0 msgs=24 faults=(5,0,0) | round{bytes_down=2280,bytes_up=760,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3,dropped=2} materialize{clients=2} local_train#1{batches=5,examples=50} hibernate{clients=2} upload{bytes=380,clients=1} upload{bytes=380,clients=1} aggregate{clients=1}",
     ),
     (
         "q-FedAvg",
-        "global=cde980f6526847fd loss=[3fa1e4a4,3fa3603d,3f8b43b4,3f74adbc] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} upload{bytes=1140,clients=3} aggregate{clients=3}",
-        "global=809cea706ac422ba loss=[3fa1e4a4,3fa72c36,3f8fbdcb,3f6ffcf2] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
+        "global=cde980f6526847fd loss=[3fa1e4a4,3fa3603d,3f8b43b4,3f74adbc] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=9} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=9} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=809cea706ac422ba loss=[3fa1e4a4,3fa72c36,3f8fbdcb,3f6ffcf2] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=9} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=9} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
     ),
     (
         "PoC",
-        "global=7f28b264653543eb loss=[3fc2e452,3f78bf1e,3f5423e0,3f4a2b58] down=13680 up=4560 ddown=0 dup=0 msgs=20 faults=(0,0,0) | round{bytes_down=3420,bytes_up=1140,bytes_delta=0,participants=3} select{candidates=6,clients=3} broadcast{bytes=2280,clients=6} materialize{clients=6} local_train#2{batches=5,examples=50} local_train#4{batches=5,examples=50} local_train#5{batches=5,examples=50} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{dims=6,clients=3}",
-        "global=f62da33e937a1d90 loss=[3fc2e452,3f85e54e,3f79dd33,3f6481e2] down=13680 up=4560 ddown=0 dup=0 msgs=20 faults=(11,0,0) | round{bytes_down=3420,bytes_up=1140,bytes_delta=0,participants=3,dropped=3} select{candidates=6,clients=3} broadcast{bytes=2280,clients=6,dropped=1} materialize{clients=5} local_train#2{batches=5,examples=50} local_train#4{batches=5,examples=50} local_train#5{batches=5,examples=50} fold{clients=2,dims=94} upload{bytes=1140,clients=3,dropped=1} aggregate{clients=2} broadcast{bytes=1140,clients=3,dropped=1} delta_sync{dims=6,clients=2}",
+        "global=7f28b264653543eb loss=[3fc2e452,3f78bf1e,3f5423e0,3f4a2b58] down=13680 up=4560 ddown=0 dup=0 msgs=20 faults=(0,0,0) | round{bytes_down=3420,bytes_up=1140,bytes_delta=0,participants=3} select{candidates=6,clients=3} broadcast{bytes=2280,clients=6} materialize{clients=9} local_train#2{batches=5,examples=50} local_train#4{batches=5,examples=50} local_train#5{batches=5,examples=50} hibernate{clients=9} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{dims=6,clients=3} materialize{clients=3} hibernate{clients=3}",
+        "global=f62da33e937a1d90 loss=[3fc2e452,3f85e54e,3f79dd33,3f6481e2] down=13680 up=4560 ddown=0 dup=0 msgs=20 faults=(11,0,0) | round{bytes_down=3420,bytes_up=1140,bytes_delta=0,participants=3,dropped=3} select{candidates=6,clients=3} broadcast{bytes=2280,clients=6,dropped=1} materialize{clients=8} local_train#2{batches=5,examples=50} local_train#4{batches=5,examples=50} local_train#5{batches=5,examples=50} hibernate{clients=8} fold{clients=2,dims=94} upload{bytes=1140,clients=3,dropped=1} aggregate{clients=2} broadcast{bytes=1140,clients=3,dropped=1} delta_sync{dims=6,clients=2} materialize{clients=2} hibernate{clients=2}",
     ),
     (
         "rFedAvg",
-        "global=288b7f41348cc473 loss=[3fa1e4a4,3f92ce02,3f546424,3f3a4a15] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(0,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
-        "global=cd6a25036e289efe loss=[3fa1e4a4,3f92ce02,3f5454bc,3f3a4f1a] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(6,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3,dropped=2} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=288b7f41348cc473 loss=[3fa1e4a4,3f92ce02,3f546424,3f3a4a15] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(0,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=cd6a25036e289efe loss=[3fa1e4a4,3f92ce02,3f5454bc,3f3a4f1a] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(6,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3,dropped=2} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
     ),
     (
         "rFedAvg+",
-        "global=6b0322491bef7309 loss=[3fa1e4a4,3f92ccc0,3f545e0a,3f3a49de] down=9372 up=4896 ddown=252 dup=336 msgs=41 faults=(0,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3}",
-        "global=090d0035faf9ae69 loss=[3fa1e4a4,3fa09956,3f6df5f6,3f3264fc] down=9372 up=4868 ddown=252 dup=308 msgs=40 faults=(6,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3}",
+        "global=6b0322491bef7309 loss=[3fa1e4a4,3f92ccc0,3f545e0a,3f3a49de] down=9372 up=4896 ddown=252 dup=336 msgs=41 faults=(0,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3}",
+        "global=090d0035faf9ae69 loss=[3fa1e4a4,3fa09956,3f6df5f6,3f3264fc] down=9372 up=4868 ddown=252 dup=308 msgs=40 faults=(6,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3}",
     ),
     (
         "rFedAvg/dp",
-        "global=7330b4caa215a7b2 loss=[3fa1e4a4,3f60168c,3f5b804d,3f5d3460] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(0,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
-        "global=651aace66b5fbdc9 loss=[3fa1e4a4,3f7544b6,3f6ae9c1,3f4df952] down=5892 up=3672 ddown=1332 dup=252 msgs=26 faults=(9,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3,dropped=2} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=7330b4caa215a7b2 loss=[3fa1e4a4,3f60168c,3f5b804d,3f5d3460] down=6336 up=4896 ddown=1776 dup=336 msgs=32 faults=(0,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=651aace66b5fbdc9 loss=[3fa1e4a4,3f7544b6,3f6ae9c1,3f4df952] down=5892 up=3672 ddown=1332 dup=252 msgs=26 faults=(9,0,0) | round{bytes_down=1584,bytes_up=1224,bytes_delta=528,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=444,dims=36,clients=3,dropped=2} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3}",
     ),
     (
         "rFedAvg+/dp",
-        "global=2cf0967690158f0b loss=[3fa1e4a4,3f6017d2,3f5b8026,3f5d3274] down=9372 up=4896 ddown=252 dup=336 msgs=41 faults=(0,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3}",
-        "global=82adf307fc0106d0 loss=[3fa1e4a4,3f7e353d,3f733300,3f47a66f] down=8148 up=3672 ddown=168 dup=252 msgs=32 faults=(10,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3}",
+        "global=2cf0967690158f0b loss=[3fa1e4a4,3f6017d2,3f5b8026,3f5d3274] down=9372 up=4896 ddown=252 dup=336 msgs=41 faults=(0,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=3,dims=94} upload{bytes=1140,clients=3} aggregate{clients=3} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3}",
+        "global=82adf307fc0106d0 loss=[3fa1e4a4,3f7e353d,3f733300,3f47a66f] down=8148 up=3672 ddown=168 dup=252 msgs=32 faults=(10,0,0) | round{bytes_down=2280,bytes_up=1224,bytes_delta=84,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} delta_broadcast{bytes=0,dims=6,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} fold{clients=1,dims=94} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1} broadcast{bytes=1140,clients=3} delta_sync{bytes=84,dims=6,clients=3} materialize{clients=3} hibernate{clients=3}",
     ),
 ];
 

@@ -44,7 +44,7 @@ section_test() {
     # interleaving the lazy plane's per-client jobs add.
     echo "== RFL_THREADS=2 lazy-engine tests (the benchmark's budget)"
     RFL_THREADS=2 cargo test -q -p rfl-core --test pipeline --test scale --test determinism --test fanout --test persist_rss
-    RFL_THREADS=2 cargo test -q -p rfl-core --lib -- registry:: federation::shell_tests::
+    RFL_THREADS=2 cargo test -q -p rfl-core --lib -- registry:: federation::shell_tests:: federation::lifecycle_tests::
 
     echo "== RFL_SIMD=0 cargo test -q --workspace (scalar-fallback contract)"
     RFL_SIMD=0 cargo test -q --workspace
@@ -84,6 +84,9 @@ section_bench() {
 
     echo "== PROPTEST_CASES=2048 quantizer oracle in release (payload, reconstruction, residual and receiver against the per-value loops, honest and hostile payloads; deep)"
     PROPTEST_CASES=2048 cargo test --release -q -p rfl-core --test compress_props
+
+    echo "== PROPTEST_CASES=2048 client lifecycle oracle in release (request sequences on the in-process plane against live replicas of its clients, serial and on two workers; deep)"
+    PROPTEST_CASES=2048 cargo test --release -q -p rfl-core --lib -- federation::lifecycle_tests::
 
     echo "== scripts/sanitize.sh: the kernel oracles under AddressSanitizer (nightly; prints skipped without one)"
     scripts/sanitize.sh

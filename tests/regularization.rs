@@ -67,7 +67,7 @@ fn regularizer_shrinks_client_discrepancy_vs_fedavg() {
         fed.broadcast_params(&selected);
         let deltas: Vec<Vec<f32>> = selected
             .iter()
-            .map(|&k| fed.client_mut(k).compute_delta(32))
+            .map(|&k| fed.with_client(k, |c| c.compute_delta(32)))
             .collect();
         mmd::MmdStats::new(&deltas)
             .regularizer_values()
@@ -95,7 +95,7 @@ fn surrogate_lower_bounds_exact_on_trained_deltas() {
     fed.broadcast_params(&selected);
     let deltas: Vec<Vec<f32>> = selected
         .iter()
-        .map(|&k| fed.client_mut(k).compute_delta(32))
+        .map(|&k| fed.with_client(k, |c| c.compute_delta(32)))
         .collect();
     for k in 0..deltas.len() {
         let exact = oracle::regularizer_value(k, &deltas);

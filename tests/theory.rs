@@ -44,7 +44,7 @@ fn run_with_schedule(algo: &mut dyn Algorithm, rounds: usize, seed: u64) -> Vec<
     let mut pts = Vec::new();
     for round in 0..rounds {
         for k in 0..fed.num_clients() {
-            fed.client_mut(k).set_lr(sched(round));
+            fed.with_client(k, |c| c.set_lr(sched(round)));
         }
         let one = FlConfig {
             seed: seed + round as u64,
