@@ -8,10 +8,9 @@
 //! of them train per round. Here a registered client is nothing but a
 //! *descriptor*: its id plus the deterministic recipes (federation seed,
 //! model/optimizer factories, data source) that rebuild it on demand. The
-//! heavyweight objects exist only while the client is **active** in the
-//! current round; eviction keeps just the client's durable half, packed
-//! into one flat record (see "Records" below), in an index-hashed shard
-//! map. The shard is the source's: [`MaterializedSource`] (what
+//! heavyweight objects exist only while a request runs on the client;
+//! hibernation keeps just the client's durable half, packed into one flat
+//! record (see "Records" below), in an index-hashed shard map. The shard is the source's: [`MaterializedSource`] (what
 //! [`crate::Federation::new`] runs on) keeps it resident and lends it to
 //! each wake, a generating source builds it again.
 //!
@@ -37,11 +36,14 @@
 //! training request's stored upload, else the last broadcast when the
 //! client is owed it (the plane keeps that one copy, not one per record),
 //! else NaN: deterministic, and loud if read. Nothing lands in a record in
-//! place. A client's very first wake, handed nothing, holds the initial
-//! global, as every client does before anything reached it. A caller that
-//! drives requests itself can see what a record drops: a client trained,
-//! then missed by a broadcast, wakes at NaN, not at the model it trained
-//! (`Federation::train_selected`, `Federation::client_mut`).
+//! place, and a request that only reads leaves what the plane keeps as it
+//! was, so the next wake installs the same parameters. A client's very
+//! first wake, handed nothing, holds the initial global, as every client
+//! does before anything reached it. A caller that drives requests itself
+//! can see what a record drops: a client trained, then missed by a
+//! broadcast, wakes at NaN, not at the model it trained, and what a
+//! `Federation::with_client` call does to the parameters is gone with the
+//! call (`Federation::train_selected`, `Federation::with_client`).
 //!
 //! Waking unpacks the record into a recycled shell and hibernating packs
 //! it back, bit-exactly in every durable field; meanwhile the live client
@@ -72,21 +74,20 @@
 //!
 //! The list needs no cap: a shell is built only when every shell built
 //! before it is in use — inside a live client — so the list never holds
-//! more shells than were in use at once. A training request keeps one
-//! client per worker live — each job wakes its client, trains it and
-//! hibernates it before taking the next — so a FedAvg run builds at
-//! most a fan-out's width of shells; a request that leaves its clients live
-//! until the next round (a δ probe, a local evaluation) holds a cohort's
-//! worth. It is one `Mutex<Vec<_>>` locked twice per client-round, for one
-//! `pop` and one `push`, by up to a thread budget's worth of workers; shard
-//! it only with a measurement that says the lock is hot.
-//!
-//! Nor is the list trimmed (to the fan-out width, say) at the start of a
-//! round. On an rFedAvg+ or power-of-choice run the δ probe after the
-//! fold wakes a whole cohort every round, so a trim would rebuild about a
-//! cohort of shells per round: the allocator churn the list exists to
-//! remove. It would also miss `benchmark/`'s registry probe, which holds
-//! 10,000 clients live and never begins a round.
+//! more shells than were in use at once. Every request of the in-process
+//! plane is one job per client — wake it, answer, hibernate it — and a
+//! worker takes its next client only once it has put the last one back, so
+//! a run builds at most its widest fan-out's worth of shells, whatever the
+//! algorithm: two at thread budget 2, where a δ probe that kept its cohort
+//! live until the next round built a cohort's worth
+//! (`federation::shell_tests::the_shell_list_is_bounded_and_leaks_nothing`
+//! holds six algorithms to it). Nothing trims the list either: the plane
+//! never leaves more on it than that, and a caller that materializes
+//! clients itself (`benchmark/`'s registry probe holds 10,000 live) gets
+//! back on it what it hibernates. It is one `Mutex<Vec<_>>` locked twice
+//! per client-request, for one `pop` and one `push`, by up to a thread
+//! budget's worth of workers; shard it only with a measurement that says
+//! the lock is hot.
 //!
 //! A recycled shell arrives dirty and differently shaped — the previous
 //! tenant may have had a smaller shard (a clamped batch), trained under an
@@ -260,7 +261,7 @@ impl ClientRegistry {
         &self.source
     }
 
-    /// Clients currently hibernated (previously sampled, not active).
+    /// Clients currently hibernated (woken before, not live now).
     pub fn num_persisted(&self) -> usize {
         self.shards
             .iter()
