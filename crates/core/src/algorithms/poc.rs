@@ -83,8 +83,9 @@ impl Algorithm for PowerOfChoice {
     }
 
     /// Re-broadcast, then δ recomputation — server-simulated here (the
-    /// plane's probe without the metered claims), so the span carries dims
-    /// but no bytes.
+    /// in-process plane's δ request, its maps read in place without the
+    /// metered claims of `Federation::sync_deltas`), so the span carries
+    /// dims but no bytes.
     fn after_fold(&mut self, r: &mut Round<'_>) {
         if self.lambda == 0.0 {
             return;
@@ -94,8 +95,9 @@ impl Algorithm for PowerOfChoice {
         let mut span = r.fed.tracer().span(SpanKind::DeltaSync);
         span.counter("dims", table.dim() as u64);
         span.counter("clients", resynced.len() as u64);
-        let deltas = r.fed.probe_deltas(&resynced, r.cfg.probe_batch());
-        for (&k, delta) in resynced.iter().zip(deltas) {
+        let local = r.fed.local_mut();
+        local.probe_deltas(&resynced, r.cfg.probe_batch());
+        for (&k, delta) in resynced.iter().zip(local.probed()) {
             table.set_from_slice(k, delta);
         }
     }

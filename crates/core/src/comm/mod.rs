@@ -7,7 +7,7 @@
 //! sit on the two kinds of transport:
 //!
 //! * **In process**, a [`Transport`] simulates the network between the
-//!   server and replicas it owns: [`PerfectTransport`] is the lossless
+//!   server and the clients it owns: [`PerfectTransport`] is the lossless
 //!   default; [`FaultyTransport`] injects seeded per-link drops, virtual
 //!   latency, bounded retries, and per-round deadlines. Both directions go
 //!   through `send`/`broadcast` — the plane computes a client's frame and

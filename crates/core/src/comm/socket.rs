@@ -883,20 +883,10 @@ impl ClientConn {
         Ok(())
     }
 
-    /// Sends `client`'s answer to `what` ([`answer_upload`],
+    /// Sends a client's answer to `what` ([`answer_upload`],
     /// [`answer_delta`]) on the message kind it belongs to.
-    fn send_answer(
-        &mut self,
-        client: &mut Client,
-        what: Pull<'_>,
-        policy: Compression,
-        scratch: &mut Scratch,
-    ) -> io::Result<()> {
-        let kind = what.kind(policy.is_enabled());
-        let frame = match what {
-            Pull::Upload { global } => answer_upload(client, global, policy, scratch),
-            Pull::Delta { dp } => answer_delta(dp, policy, scratch),
-        };
+    fn send_answer(&mut self, what: Pull<'_>, frame: Frame<'_>) -> io::Result<()> {
+        let kind = what.kind(matches!(frame, Frame::Compressed(_)));
         match frame {
             Frame::Dense(values) => self.send_payload(kind, values),
             Frame::Compressed(payload) => self.send_compressed(kind, payload),
@@ -951,8 +941,8 @@ pub enum ClientOutcome {
 /// parameters, trains on `TrainStart` (with the δ target received this
 /// round, if any) and follows the report with the upload, answers δ probes
 /// — until `Shutdown`, a graceful departure, or a dead link. The frames it
-/// uploads come from [`answer_upload`] and [`answer_delta`], the functions
-/// the in-process plane calls on its replicas.
+/// uploads come from `answer_upload` and `answer_delta`, the functions the
+/// in-process plane's jobs call on the clients they wake.
 ///
 /// The numeric call sequence on `client` is exactly the one the in-process
 /// simulation makes on its local replica, so the client's RNG stream and
@@ -1000,8 +990,8 @@ pub fn run_client_loop(
                     examples: report.examples as u32,
                 })
                 .and_then(|()| {
-                    let upload = Pull::Upload { global: &global };
-                    conn.send_answer(client, upload, opts.compression, &mut scratch)
+                    let frame = answer_upload(client, &global, opts.compression, &mut scratch);
+                    conn.send_answer(Pull::Upload, frame)
                 })
             }
             ClientEvent::Control(ControlMsg::DeltaProbe { round, probe_batch }) => {
@@ -1010,9 +1000,9 @@ pub fn run_client_loop(
                     return ClientOutcome::Left;
                 }
                 // The request is the probe; the frame is claimed at once.
-                client.compute_delta_into(&mut scratch.delta, probe_batch as usize);
-                let claim = Pull::Delta { dp: None };
-                conn.send_answer(client, claim, opts.compression, &mut scratch)
+                client.compute_delta_into(&mut scratch.values, probe_batch as usize);
+                let frame = answer_delta(None, opts.compression, &mut scratch);
+                conn.send_answer(Pull::Delta { dp: None }, frame)
             }
             ClientEvent::Control(ControlMsg::Shutdown) => return ClientOutcome::Shutdown,
             // Frames this loop has no request for (`DeltaTableDown`, the

@@ -575,12 +575,14 @@ impl Federation {
     /// hibernated after it. A client keeps no parameters while it sleeps,
     /// so what `f` does to them is gone with the call; everything else
     /// (the optimizer and its learning rate, the RNG, the sampler, the
-    /// error-feedback residual) stays. It wakes holding its trained model
-    /// if the last training request trained it after the last broadcast,
-    /// else that broadcast if it reached the client and no training request
-    /// trained it since, else the initial global if nothing has woken it
-    /// yet, and NaN in every parameter otherwise: a client trained and then
-    /// missed by a broadcast wakes at NaN, not at the model it trained.
+    /// error-feedback residual) stays. Three rules say what it wakes
+    /// holding: its trained model if the last training request trained it
+    /// after the last broadcast (the upload holds it, claimed or not), else
+    /// that broadcast if it reached the client and no training request
+    /// trained it since, else NaN in every parameter; the initial global at
+    /// the first wake; and a broadcast voids the uploads, so a client
+    /// trained and then missed by a broadcast wakes at NaN, not at the
+    /// model it trained.
     pub fn with_client<R>(&mut self, k: usize, f: impl FnOnce(&mut Client) -> R) -> R {
         self.local_mut().with_client(k, f)
     }
@@ -647,9 +649,9 @@ impl Federation {
                 let (policy, global) = (fed.compression, &fed.global);
                 let mut delivered = Vec::with_capacity(clients);
                 for (slot, &k) in selected.iter().enumerate() {
-                    let what = Pull::Upload { global };
                     let (rt, values) = (&mut fed.comp_rt, &mut fed.comp_decoded);
                     let decode = |rt: &_, out: &mut _| decode_upload_into(policy, rt, global, out);
+                    let what = Pull::Upload;
                     if let Some(params) = fed.plane.claim(k, what, policy, rt, values, decode) {
                         visit(slot, k, params);
                         delivered.push(k);
@@ -726,8 +728,10 @@ impl Federation {
 
     /// Runs local training on the selected clients (in parallel when
     /// configured); `rules[i]` applies to `selected[i]`. An in-process
-    /// client's upload is read as its training ends, before it goes back to
-    /// sleep, and the fold claims what was read. When a
+    /// client's upload is read into its reply slot as its training ends,
+    /// before it goes back to sleep, and the fold claims it — once, and
+    /// only until the next broadcast: an upload claim of a client this
+    /// request did not train is refused. When a
     /// [`StragglerModel`] is installed, each client's step count is drawn
     /// from it instead of the uniform `steps`. One report per client, in
     /// selection order; `None` where a remote client's never came back.
@@ -762,7 +766,7 @@ impl Federation {
     }
 
     /// Evaluates the global model on the held-out test set, its
-    /// mini-batches dealt to a replica per worker of [`fan_out_width`] (a
+    /// mini-batches dealt to a replica per worker of `fan_out_width` (a
     /// socket plane's server evaluates under the whole budget).
     pub fn evaluate_global(&mut self) -> EvalResult {
         let mut span = self.tracer.span(SpanKind::Eval);
@@ -784,13 +788,6 @@ impl Federation {
         };
         let workers = fan_out_width(l.parallel, self.weights.len());
         l.evaluate_each(self.eval.load(workers, &self.global))
-    }
-
-    /// The δ map of each selected client, probed in place and unmetered —
-    /// the server-simulated sync of power-of-choice; the metered one is
-    /// [`Federation::sync_deltas`].
-    pub(crate) fn probe_deltas(&mut self, selected: &[usize], probe_batch: usize) -> &[Vec<f32>] {
-        self.local_mut().probe_deltas(selected, probe_batch)
     }
 
     /// Mean data loss of the model each selected client holds — the global
@@ -977,6 +974,11 @@ mod tests {
         let tracer = Tracer::enabled();
         fed.set_tracer(tracer.clone());
         fed.broadcast_params(&[0, 1, 2]);
+        fed.train_selected(
+            &[0, 1, 2],
+            &[LocalRule::Plain, LocalRule::Plain, LocalRule::Plain],
+            1,
+        );
         let params = uploads(&mut fed, &[0, 1, 2]);
         assert_eq!(params.len(), 3);
         let recs = tracer.records();
@@ -1426,6 +1428,77 @@ mod shell_tests {
             message.starts_with("a δ claim follows its request"),
             "{message}"
         );
+    }
+
+    /// Client `k`'s δ claim: the map, `None` when lost, `Err` when refused.
+    fn claim_delta(fed: &mut Federation, k: usize) -> std::thread::Result<Option<Vec<f32>>> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let (policy, rt, values) = (fed.compression, &mut fed.comp_rt, &mut fed.comp_decoded);
+            let what = Pull::Delta { dp: None };
+            let delta = fed.plane.claim(k, what, policy, rt, values, |_, _| true);
+            delta.map(<[f32]>::to_vec)
+        }))
+    }
+
+    /// Client `k`'s upload claim, as [`claim_delta`].
+    fn claim_upload(fed: &mut Federation, k: usize) -> std::thread::Result<Option<Vec<f32>>> {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut upload = None;
+            fed.fold_uploads(&[k], |_, _, params| upload = Some(params.to_vec()));
+            upload
+        }))
+    }
+
+    /// Asserts that a claim was refused with `message`.
+    fn refused<T: std::fmt::Debug>(claim: std::thread::Result<T>, message: &str) {
+        let payload = claim.expect_err(message);
+        let got = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(got.starts_with(message), "{got}");
+    }
+
+    #[test]
+    fn a_delta_claim_takes_its_map_once() {
+        // Clients 1 and 3 are probed; client 1's map is claimed once and
+        // client 3's twice.
+        let (mut fed, cfg) = lazy_fed(54);
+        fed.begin_round(0);
+        fed.broadcast_params(&[1, 3]);
+        fed.plane.request_deltas(&[1, 3], 0, cfg.probe_batch());
+        let one = claim_delta(&mut fed, 1).expect("client 1's map");
+        let three = claim_delta(&mut fed, 3).expect("client 3's map");
+        assert_ne!(one, three, "two clients, two maps");
+        let again = claim_delta(&mut fed, 3).map(|d| d == one);
+        refused(again, "a δ claim follows its request");
+    }
+
+    #[test]
+    fn a_broadcast_voids_the_maps_no_claim_took() {
+        // Clients 1 and 3 are probed; a broadcast reaches them before
+        // client 3's map is claimed.
+        let (mut fed, cfg) = lazy_fed(56);
+        fed.begin_round(0);
+        fed.broadcast_params(&[1, 3]);
+        fed.plane.request_deltas(&[1, 3], 0, cfg.probe_batch());
+        claim_delta(&mut fed, 1).expect("client 1's map");
+        fed.broadcast_params(&[1, 3]);
+        refused(claim_delta(&mut fed, 3), "a δ claim follows its request");
+    }
+
+    #[test]
+    fn an_upload_claim_takes_what_training_left_once() {
+        // Round 0 reaches clients 1, 2 and 3; clients 1 and 3 train.
+        let (mut fed, _) = lazy_fed(55);
+        fed.begin_round(0);
+        fed.broadcast_params(&[1, 2, 3]);
+        fed.train_selected(&[1, 3], &[LocalRule::Plain, LocalRule::Plain], 2);
+        let message = "an upload claim follows its request";
+        refused(claim_upload(&mut fed, 2), message);
+        let one = claim_upload(&mut fed, 1).expect("client 1's upload");
+        assert_eq!(one.map(|p| p.len()), Some(fed.num_params()));
+        refused(claim_upload(&mut fed, 1), message);
+        // A broadcast voids client 3's upload before anyone claimed it.
+        fed.broadcast_params(&[3]);
+        refused(claim_upload(&mut fed, 3), message);
     }
 
     /// An algorithm under observation: its selections, and at every hook

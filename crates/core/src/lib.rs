@@ -5,10 +5,10 @@
 //!
 //! The crate runs a synchronous FL system: a [`Federation`] holds the
 //! server's state (flat global parameters, aggregation weights, the
-//! streaming fold, evaluation) over one client plane ([`plane`]) — client
-//! replicas in this process (each with a private [`rfl_data::Dataset`], its
-//! own model replica, local optimizer state, and seeded RNG) behind a
-//! byte-accurate simulated [`comm::Transport`] ([`comm::PerfectTransport`],
+//! streaming fold, evaluation) over one client plane ([`plane`]) — clients
+//! in this process, asleep between requests (a record of optimizer state
+//! and seeded RNG beside a data shard, woken for each request it answers)
+//! behind a byte-accurate simulated [`comm::Transport`] ([`comm::PerfectTransport`],
 //! or [`comm::FaultyTransport`] with seeded drops, latency, retries and
 //! deadlines), or real client processes behind [`comm::SocketTransport`].
 //! One round driver ([`round`]) runs the phase sequence every algorithm

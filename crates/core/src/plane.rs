@@ -7,19 +7,15 @@
 //! `LocalPlane` owns the in-process clients (a registry; each request wakes
 //! a client in a job of its own and puts it back to sleep before the job
 //! ends) and carries their frames through any [`Transport`], so perfect and
-//! faulty delivery are the same code;
-//! `RemotePlane` sends the requests to processes running
-//! [`crate::comm::run_client_loop`] and claims their frames off the wire.
-//! Requests fan out to the whole selection first — in process that is
-//! [`fan_out`] dealing the selected clients to workers under the thread
-//! budget, each writing into its own slot — and upload and δ frames are
-//! then claimed one client at a time, in selection order, by one blocking
-//! call on either back-end ([`ClientPlane::claim`]) that also decodes a
-//! compressed frame, so the server's caller sees values or nothing. An
-//! in-process client's upload is read by the training job that put it back
-//! to sleep, the way a remote client answers its training request with its
-//! upload; the claim only frames it. What a client does to produce such a frame is
-//! written once, in [`answer_upload`] and [`answer_delta`], for both sides.
+//! faulty delivery are the same code; `RemotePlane` sends the requests to
+//! processes running [`crate::comm::run_client_loop`]. A request fans out
+//! to the whole selection first — in process, `fan_out` deals the clients
+//! to workers under the thread budget — and leaves one reply per client;
+//! upload and δ frames are then claimed one client at a time, in selection
+//! order, by one blocking call on either back-end (`ClientPlane::claim`)
+//! that also decodes a compressed frame, so the server's caller sees values
+//! or nothing. What a client does to produce a frame is written once, in
+//! `answer_upload` and `answer_delta`, for both sides.
 //!
 //! The back-end is chosen once, by the [`crate::Federation`] constructor;
 //! what it offers beyond the five requests is a list of [`Capability`]s
@@ -86,10 +82,10 @@ pub(crate) const EVAL_BATCH: usize = 64;
 
 /// The two requests whose reply is a frame the server claims per client.
 pub(crate) enum Pull<'a> {
-    /// The parameters: dense, or — under an enabled policy — the update
-    /// against `global` compressed with the client's error-feedback
-    /// residual.
-    Upload { global: &'a [f32] },
+    /// The parameters the client trained to: dense, or — under an enabled
+    /// policy — the update against the broadcast it trained from,
+    /// compressed with the client's error-feedback residual.
+    Upload,
     /// The δ map the request probed, privatized when `dp` is set
     /// (compressed without error feedback: the probe starts from scratch
     /// every round, so there is nothing to carry over).
@@ -102,26 +98,25 @@ impl Pull<'_> {
     /// The message kind of the frame, dense or compressed.
     pub(crate) fn kind(&self, compressed: bool) -> MsgKind {
         match (self, compressed) {
-            (Pull::Upload { .. }, false) => MsgKind::ModelUp,
-            (Pull::Upload { .. }, true) => MsgKind::CompressedUp,
+            (Pull::Upload, false) => MsgKind::ModelUp,
+            (Pull::Upload, true) => MsgKind::CompressedUp,
             (Pull::Delta { .. }, false) => MsgKind::DeltaUp,
             (Pull::Delta { .. }, true) => MsgKind::CompressedDeltaUp,
         }
     }
 }
 
-/// Reused client-side buffers of [`answer_upload`] and [`answer_delta`]:
-/// the flat parameters or δ map and the encoded payload. The
-/// error-feedback workspaces are the client's own step buffers
-/// ([`Client::feedback_buffers`]), so a stored upload holds only its frame
-/// and the trained model.
+/// A client's reply to a frame-bearing request, in reused buffers: the
+/// values — the flat parameters of an upload, or a δ map — and their
+/// encoded payload under an enabled policy. The error-feedback workspaces
+/// are the client's own step buffers ([`Client::feedback_buffers`]), so an
+/// upload holds only its frame and the trained model.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    flat: Vec<f32>,
-    /// The probed δ map: a δ *request* fills it
-    /// ([`Client::compute_delta_into`]), the claim's [`answer_delta`]
-    /// frames it.
-    pub(crate) delta: Vec<f32>,
+    /// The flat parameters [`answer_upload`] reads, or the δ map a δ
+    /// request probed ([`Client::compute_delta_into`]) for
+    /// [`answer_delta`] to frame.
+    pub(crate) values: Vec<f32>,
     payload: CompressedVec,
 }
 
@@ -132,13 +127,11 @@ pub(crate) enum Frame<'a> {
 }
 
 impl Scratch {
-    /// The frame an answer left in these buffers: an upload's (`upload`)
-    /// or a δ claim's.
-    fn frame(&self, upload: bool, policy: Compression) -> Frame<'_> {
-        match (policy.is_enabled(), upload) {
-            (true, _) => Frame::Compressed(&self.payload),
-            (false, true) => Frame::Dense(&self.flat),
-            (false, false) => Frame::Dense(&self.delta),
+    /// The frame an answer left in these buffers.
+    fn frame(&self, policy: Compression) -> Frame<'_> {
+        match policy.is_enabled() {
+            true => Frame::Compressed(&self.payload),
+            false => Frame::Dense(&self.values),
         }
     }
 }
@@ -153,12 +146,12 @@ pub(crate) fn answer_upload<'a>(
     policy: Compression,
     scratch: &'a mut Scratch,
 ) -> Frame<'a> {
-    client.read_params(&mut scratch.flat);
+    client.read_params(&mut scratch.values);
     if policy.is_enabled() {
         let (residual, update, recon) = client.feedback_buffers();
         ef_compress_update(
             policy,
-            &scratch.flat,
+            &scratch.values,
             global,
             residual,
             update,
@@ -166,12 +159,12 @@ pub(crate) fn answer_upload<'a>(
             &mut scratch.payload,
         );
     }
-    scratch.frame(true, policy)
+    scratch.frame(policy)
 }
 
 /// The client half of a δ claim, on both sides of a wire. The δ probe
 /// itself belongs to the request, as on the wire: by the time its frame is
-/// claimed the map is in `scratch.delta`, and what is left is what must
+/// claimed the map is in `scratch.values`, and what is left is what must
 /// happen in claim order — the noise draws and the frame. It touches no
 /// client.
 pub(crate) fn answer_delta<'a>(
@@ -180,33 +173,28 @@ pub(crate) fn answer_delta<'a>(
     scratch: &'a mut Scratch,
 ) -> Frame<'a> {
     if let Some((dp, rng)) = dp {
-        privatize_delta(&mut scratch.delta, dp, rng);
+        privatize_delta(&mut scratch.values, dp, rng);
     }
     if policy.is_enabled() {
-        compress_plain(policy, &scratch.delta, &mut scratch.payload);
+        compress_plain(policy, &scratch.values, &mut scratch.payload);
     }
-    scratch.frame(false, policy)
+    scratch.frame(policy)
 }
 
-/// A pulled frame as it reached the server.
+/// A pulled frame that reached the server (`None`: lost).
 enum Arrived {
     Dense(Vec<f32>),
-    /// Decoded into the caller's `CompressedVec`.
+    /// Received into the caller's `CompressedVec`.
     Compressed,
-    Lost,
 }
 
 impl Arrived {
-    fn dense(delivery: Delivery) -> Arrived {
-        delivery.data.map_or(Arrived::Lost, Arrived::Dense)
+    fn dense(delivery: Delivery) -> Option<Arrived> {
+        delivery.data.map(Arrived::Dense)
     }
 
-    fn compressed(link: LinkOutcome) -> Arrived {
-        if link.delivered {
-            Arrived::Compressed
-        } else {
-            Arrived::Lost
-        }
+    fn compressed(link: LinkOutcome) -> Option<Arrived> {
+        link.delivered.then_some(Arrived::Compressed)
     }
 }
 
@@ -329,34 +317,80 @@ impl Share {
     }
 }
 
+/// One client's reply to a frame-bearing request, until a claim takes it.
+#[derive(Default)]
+struct Slot {
+    client: usize,
+    reply: Scratch,
+    taken: bool,
+}
+
+/// The replies of the last request of one kind — training or δ — since
+/// the last broadcast: a slot per client it asked, sorted by client. A
+/// claim takes a slot once; a broadcast voids them all, and the next
+/// request of the kind replaces them. The buffers are recycled from one
+/// request to the next.
+#[derive(Default)]
+struct Replies {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl Replies {
+    /// Readies an untaken slot for each of `selected` (sorted), replacing
+    /// what the last request left.
+    fn ask(&mut self, selected: &[usize]) -> &mut [Slot] {
+        assert!(selected.is_sorted_by(|a, b| a < b), "ids must be sorted");
+        if self.slots.len() < selected.len() {
+            self.slots.resize_with(selected.len(), Slot::default);
+        }
+        self.len = selected.len();
+        for (slot, &k) in self.slots.iter_mut().zip(selected) {
+            (slot.client, slot.taken) = (k, false);
+        }
+        &mut self.slots[..self.len]
+    }
+
+    /// The slot of client `k`'s reply, if the last request asked `k`.
+    fn find(&self, k: usize) -> Option<usize> {
+        let live = &self.slots[..self.len];
+        live.binary_search_by_key(&k, |s| s.client).ok()
+    }
+
+    /// Takes client `k`'s reply. Panics when no request since the last
+    /// broadcast left one or a claim took it already: `a` names the claim
+    /// in the message.
+    fn claim(&mut self, k: usize, a: &str) -> &mut Scratch {
+        let i = self.find(k).filter(|&i| !self.slots[i].taken);
+        let i = i.unwrap_or_else(|| panic!("{a} claim follows its request, once"));
+        self.slots[i].taken = true;
+        &mut self.slots[i].reply
+    }
+}
+
 /// What the plane keeps of its sleeping clients' parameters, since a
 /// record keeps none: the last model broadcast for the clients it reached,
-/// and the trained model of each client the last training request trained.
-/// A broadcast replaces the one and voids the other.
+/// and the uploads of the clients the last training request trained, each
+/// holding the trained model. A broadcast replaces the one and voids the
+/// other.
 #[derive(Default)]
 struct Kept {
     broadcast: Vec<f32>,
     /// Reached by `broadcast` and not trained since, sorted.
     owed: Vec<usize>,
-    /// The last training request's clients (sorted) and, slot for slot,
-    /// the upload each read as its training ended, until
-    /// [`LocalPlane::pull`] frames them or a broadcast voids them. A slot's
-    /// `flat` is the trained model.
-    stored: Vec<usize>,
-    uploads: Vec<Scratch>,
+    /// The training request's replies; a claim frames nothing more, and the
+    /// trained model stays for the wakes until the next broadcast.
+    uploads: Replies,
 }
 
 impl Kept {
-    /// What a wake of client `k` installs: the trained model its stored
-    /// upload holds, else the broadcast it is owed, else nothing (NaN; the
-    /// initial global at its first wake).
+    /// What a wake of client `k` installs: the trained model its upload
+    /// holds, else the broadcast it is owed, else nothing (NaN; the initial
+    /// global at its first wake).
     fn params_of(&self, k: usize) -> Option<&[f32]> {
-        match self.stored.binary_search(&k) {
-            Ok(slot) => Some(&self.uploads[slot].flat),
-            Err(_) => {
-                let owed = self.owed.binary_search(&k).is_ok();
-                owed.then_some(&self.broadcast[..])
-            }
+        match self.uploads.find(k) {
+            Some(i) => Some(&self.uploads.slots[i].reply.values),
+            None => (self.owed.binary_search(&k).ok()).map(|_| &self.broadcast[..]),
         }
     }
 }
@@ -371,15 +405,21 @@ fn train_counters(span: &mut Span, report: Option<&LocalReport>) {
 ///
 /// No client is live between requests: it is its record in the registry
 /// and its shard in the source. Every request is one job per client on one
-/// worker — wake it, answer, hibernate it — so a request holds at most one
-/// client per worker, the way a remote client answers a request and keeps
-/// nothing. A training job installs the round's broadcast, trains and reads
-/// its upload into a slot of the request before the hibernation; a δ
-/// probe, a local evaluation, the learning rates, an upload claim of a
-/// client that did not train and [`LocalPlane::with_client`] wake the
-/// client where it rests ([`Kept::params_of`]). A job that only reads
-/// leaves the owed broadcast and the stored uploads as they were, so the
-/// next wake installs the same parameters.
+/// worker ([`LocalPlane::each_selected`]) — wake it, answer, hibernate it —
+/// so a request holds at most one client per worker, the way a remote
+/// client answers a request and keeps nothing. Three rules make the
+/// lifecycle:
+/// - a wake installs the trained model of the client's upload, else the
+///   broadcast it is owed, else NaN ([`Kept::params_of`]);
+/// - a first wake holds the initial global;
+/// - a broadcast voids the training and δ requests' replies.
+///
+/// The two frame-bearing requests leave a reply slot per client — training
+/// its framed upload and trained model, a δ request its map — and a claim
+/// takes a slot once: a claim that no request since the last broadcast
+/// answered, or that a claim before it took, is refused (it panics). A job
+/// that only reads leaves the owed broadcast and the uploads as they were,
+/// so the next wake installs the same parameters.
 pub(crate) struct LocalPlane {
     /// The sharded record store that materializes clients on demand.
     pub(crate) registry: ClientRegistry,
@@ -387,12 +427,8 @@ pub(crate) struct LocalPlane {
     pub(crate) tracer: Tracer,
     pub(crate) parallel: bool,
     kept: Kept,
-    scratch: Scratch,
-    /// The last δ request: who was probed (sorted) and, slot for slot,
-    /// their maps, until [`LocalPlane::pull`] takes them. The buffers are
-    /// recycled from one request to the next.
-    probed: Vec<usize>,
-    deltas: Vec<Vec<f32>>,
+    /// The δ request's replies: the maps it probed.
+    deltas: Replies,
 }
 
 impl LocalPlane {
@@ -413,9 +449,7 @@ impl LocalPlane {
             tracer: Tracer::disabled(),
             parallel,
             kept: Kept::default(),
-            scratch: Scratch::default(),
-            probed: Vec::new(),
-            deltas: Vec::new(),
+            deltas: Replies::default(),
         }
     }
 
@@ -434,48 +468,47 @@ impl LocalPlane {
     /// broadcast is owed nothing more unless this one reaches it (in a
     /// round that [`crate::round::run_round`] drives, whatever reads its
     /// parameters next runs after a broadcast that does). A new model voids
-    /// the last training request's uploads and the last δ request's maps.
+    /// the replies of the last training and δ requests.
     fn install(&mut self, selected: &[usize], global: &[f32]) -> Vec<usize> {
         let bd = self
             .transport
             .broadcast(MsgKind::ModelDown, selected, global);
         let delivered = bd.delivered_clients(selected);
-        self.kept.stored.clear();
-        self.probed.clear();
+        (self.kept.uploads.len, self.deltas.len) = (0, 0);
         self.kept.owed.clone_from(&delivered);
         self.kept.broadcast = bd.data;
         delivered
     }
 
-    /// The per-client loop of every request but training: one job per
-    /// `selected[i]` across [`fan_out`] on [`fan_out_width`] workers, which
-    /// wakes the client where it rests, runs `job(client, slots[i])` and
-    /// hibernates it.
+    /// The job runner of every request: one job per `selected[i]` across
+    /// [`fan_out`] on [`fan_out_width`] workers, which wakes the client
+    /// where it rests, runs `job(client, i, slot)` with the `i`-th of
+    /// `slots` and hibernates it.
     fn each_selected<T: Send>(
         &self,
         selected: &[usize],
-        slots: &mut [T],
-        job: impl Fn(&mut Client, &mut T) + Sync,
+        slots: impl IntoIterator<Item = T, IntoIter: ExactSizeIterator>,
+        job: impl Fn(&mut Client, usize, T) + Sync,
     ) {
+        let slots = slots.into_iter();
         assert_eq!(slots.len(), selected.len(), "one slot per selected client");
         let width = fan_out_width(self.parallel, selected.len());
         let mut shares: Vec<Share> = (0..width).map(|_| Share::default()).collect();
         let (reg, kept, tracer) = (&self.registry, &self.kept, &self.tracer);
-        fan_out(
-            selected.iter().zip(slots),
-            &mut shares,
-            |share, _, (&k, slot)| share.serve(tracer, reg, k, kept.params_of(k), |c| job(c, slot)),
-        );
+        let jobs = selected.iter().zip(slots);
+        fan_out(jobs, &mut shares, |share, i, (&k, slot)| {
+            share.serve(tracer, reg, k, kept.params_of(k), |c| job(c, i, slot))
+        });
         for share in shares {
             share.close();
         }
     }
 
     /// Trains every selected client (sorted by id) under `rules[i]` for
-    /// `steps[i]`, one job per client across [`fan_out`]: wake it at the
-    /// broadcast it is owed, train it, read its upload — against `global`
-    /// under `policy` — into a slot of the request and hibernate it, all on
-    /// one worker. [`LocalPlane::pull`] frames the stored upload.
+    /// `steps[i]`: each job wakes the client at the broadcast it is owed,
+    /// trains it and reads its upload — against `global` under `policy` —
+    /// into its reply slot before the hibernation. [`LocalPlane::pull`]
+    /// frames nothing more.
     fn train(
         &mut self,
         selected: &[usize],
@@ -484,92 +517,59 @@ impl LocalPlane {
         global: &[f32],
         policy: Compression,
     ) -> Vec<Option<LocalReport>> {
-        assert!(
-            selected.windows(2).all(|w| w[0] < w[1]),
-            "ids must be sorted"
-        );
         let mut reports = vec![None; selected.len()];
-        // The trained become the stored set; its buffers are recycled, and
-        // with them out of `kept` a wake finds only the owed broadcast.
-        let mut stored = std::mem::take(&mut self.kept.stored);
-        stored.clear();
-        stored.extend_from_slice(selected);
+        // With the uploads out of `kept`, a wake finds only the owed
+        // broadcast.
         let mut uploads = std::mem::take(&mut self.kept.uploads);
-        if uploads.len() < selected.len() {
-            uploads.resize_with(selected.len(), Scratch::default);
-        }
-        let width = fan_out_width(self.parallel, selected.len());
-        let mut shares: Vec<Share> = (0..width).map(|_| Share::default()).collect();
-        let (reg, kept, tracer) = (&self.registry, &self.kept, &self.tracer);
-        let jobs = selected.iter().zip(&mut uploads).zip(&mut reports);
-        fan_out(jobs, &mut shares, |share, i, ((&k, slot), report)| {
-            *report = Some(share.serve(tracer, reg, k, kept.params_of(k), |client| {
-                let mut span = tracer.client_span(SpanKind::LocalTrain, k);
-                let trained = client.train_local(steps[i], &rules[i]);
-                train_counters(&mut span, Some(&trained));
-                drop(span);
-                answer_upload(client, global, policy, slot);
-                trained
-            }))
+        let slots = uploads.ask(selected).iter_mut().zip(&mut reports);
+        let tracer = &self.tracer;
+        self.each_selected(selected, slots, |client, i, (slot, report)| {
+            let mut span = tracer.client_span(SpanKind::LocalTrain, selected[i]);
+            let trained = client.train_local(steps[i], &rules[i]);
+            train_counters(&mut span, Some(&trained));
+            drop(span);
+            answer_upload(client, global, policy, &mut slot.reply);
+            *report = Some(trained);
         });
-        for share in shares {
-            share.close();
-        }
-        self.kept.owed.retain(|k| stored.binary_search(k).is_err());
+        let owed = &mut self.kept.owed;
+        owed.retain(|k| selected.binary_search(k).is_err());
         self.kept.uploads = uploads;
-        self.kept.stored = stored;
         reports
     }
 
-    /// The client half of a δ request, for the whole selection at once:
-    /// probes every selected client's map with `probe_batch`-sized batches
-    /// into the plane's recycled buffers and returns them in selection
-    /// order. [`LocalPlane::pull`] then frames them one at a time.
-    pub(crate) fn probe_deltas(&mut self, selected: &[usize], probe_batch: usize) -> &[Vec<f32>] {
+    /// The client half of a δ request, for the whole selection (sorted) at
+    /// once: probes every selected client's map with `probe_batch`-sized
+    /// batches into its reply slot. [`LocalPlane::pull`] frames them one at
+    /// a time; [`LocalPlane::probed`] reads them in place.
+    pub(crate) fn probe_deltas(&mut self, selected: &[usize], probe_batch: usize) {
         let mut deltas = std::mem::take(&mut self.deltas);
-        if deltas.len() < selected.len() {
-            deltas.resize_with(selected.len(), Vec::new);
-        }
-        self.each_selected(selected, &mut deltas[..selected.len()], |c, map| {
-            c.compute_delta_into(map, probe_batch)
+        self.each_selected(selected, deltas.ask(selected), |c, _, slot| {
+            c.compute_delta_into(&mut slot.reply.values, probe_batch)
         });
         self.deltas = deltas;
-        self.probed.clear();
-        self.probed.extend_from_slice(selected);
-        &self.deltas[..selected.len()]
     }
 
-    /// Sends client `k`'s frame for `what`: the upload its training job
-    /// stored or, for a client that did not train, the one
-    /// [`answer_upload`] reads off it in a job of its own; or the δ map the
-    /// last δ request probed. A δ claim reads no client.
+    /// The maps the last δ request probed, in selection order.
+    pub(crate) fn probed(&self) -> impl Iterator<Item = &[f32]> {
+        let live = &self.deltas.slots[..self.deltas.len];
+        live.iter().map(|s| &s.reply.values[..])
+    }
+
+    /// Sends client `k`'s frame for `what`, taking the reply a request left
+    /// ([`Replies::claim`]): the upload its training job framed, or the δ
+    /// map the last δ request probed, privatized and framed here in claim
+    /// order. A claim reads no client.
     fn pull(
         &mut self,
         k: usize,
         what: Pull<'_>,
         policy: Compression,
         rt: &mut CompressedVec,
-    ) -> Arrived {
+    ) -> Option<Arrived> {
         let kind = what.kind(policy.is_enabled());
         let frame = match what {
-            Pull::Upload { global } => match self.kept.stored.binary_search(&k) {
-                Ok(slot) => self.kept.uploads[slot].frame(true, policy),
-                Err(_) => {
-                    let (kept, scratch) = (&self.kept, &mut self.scratch);
-                    let mut share = Share::default();
-                    share.serve(&self.tracer, &self.registry, k, kept.params_of(k), |c| {
-                        answer_upload(c, global, policy, scratch);
-                    });
-                    share.close();
-                    self.scratch.frame(true, policy)
-                }
-            },
-            Pull::Delta { dp } => {
-                let probed = self.probed.binary_search(&k);
-                let slot = probed.expect("a δ claim follows its request");
-                std::mem::swap(&mut self.scratch.delta, &mut self.deltas[slot]);
-                answer_delta(dp, policy, &mut self.scratch)
-            }
+            Pull::Upload => self.kept.uploads.claim(k, "an upload").frame(policy),
+            Pull::Delta { dp } => answer_delta(dp, policy, self.deltas.claim(k, "a δ")),
         };
         match frame {
             Frame::Dense(values) => Arrived::dense(self.transport.send(kind, k, values)),
@@ -582,7 +582,7 @@ impl LocalPlane {
     /// The local loss of the model each selected client holds.
     pub(crate) fn eval_local(&self, selected: &[usize]) -> Vec<f32> {
         let mut losses = vec![0.0; selected.len()];
-        self.each_selected(selected, &mut losses, |c, loss| {
+        self.each_selected(selected, &mut losses, |c, _, loss| {
             *loss = c.evaluate_local(EVAL_BATCH).loss
         });
         losses
@@ -591,7 +591,7 @@ impl LocalPlane {
     /// The learning rate each selected client trains with.
     pub(crate) fn learning_rates(&self, selected: &[usize]) -> Vec<f32> {
         let mut lrs = vec![0.0; selected.len()];
-        self.each_selected(selected, &mut lrs, |c, lr| *lr = c.lr());
+        self.each_selected(selected, &mut lrs, |c, _, lr| *lr = c.lr());
         lrs
     }
 
@@ -742,9 +742,7 @@ impl ClientPlane {
     /// ([`ClientPlane::claim`]).
     pub(crate) fn request_deltas(&mut self, selected: &[usize], round: u64, probe_batch: usize) {
         match self {
-            ClientPlane::Local(l) => {
-                l.probe_deltas(selected, probe_batch);
-            }
+            ClientPlane::Local(l) => l.probe_deltas(selected, probe_batch),
             ClientPlane::Remote(r) => {
                 for &k in selected {
                     r.transport.request_delta(k, round, probe_batch);
@@ -776,7 +774,7 @@ impl ClientPlane {
             }
             ClientPlane::Remote(r) => Arrived::dense(r.transport.recv(kind, k)),
         };
-        match arrived {
+        match arrived? {
             Arrived::Dense(dense) => *values = dense,
             Arrived::Compressed if decode(rt, values) => {}
             Arrived::Compressed => {
@@ -785,7 +783,6 @@ impl ClientPlane {
                 }
                 return None;
             }
-            Arrived::Lost => return None,
         }
         Some(values)
     }

@@ -31,15 +31,18 @@
 //! reached the client, and that broadcast overwrites them. Within a round
 //! the one reader of a trained sleeper's parameters is rFedAvg's δ probe
 //! before the upload, and the training request already keeps them: each
-//! job reads its client's parameters into the request's upload slot before
-//! the hibernation. So a plane wake installs the trained model of the last
-//! training request's stored upload, else the last broadcast when the
-//! client is owed it (the plane keeps that one copy, not one per record),
-//! else NaN: deterministic, and loud if read. Nothing lands in a record in
-//! place, and a request that only reads leaves what the plane keeps as it
-//! was, so the next wake installs the same parameters. A client's very
-//! first wake, handed nothing, holds the initial global, as every client
-//! does before anything reached it. A caller that drives requests itself
+//! job reads its client's parameters into its reply slot, the upload,
+//! before the hibernation. So the plane's lifecycle is three rules: a wake
+//! installs the trained model of the client's upload, else the last
+//! broadcast when the client is owed it (the plane keeps that one copy, not
+//! one per record), else NaN — deterministic, and loud if read; a client's
+//! very first wake, handed nothing, holds the initial global, as every
+//! client does before anything reached it; and a broadcast voids the
+//! uploads and the δ request's maps. A claim takes a client's reply once,
+//! and only one a request since the last broadcast left: any other claim
+//! is refused. Nothing lands in a record in place, and a request that only
+//! reads leaves what the plane keeps as it was, so the next wake installs
+//! the same parameters. A caller that drives requests itself
 //! can see what a record drops: a client trained, then missed by a
 //! broadcast, wakes at NaN, not at the model it trained, and what a
 //! `Federation::with_client` call does to the parameters is gone with the
@@ -60,7 +63,7 @@
 //! residual and the step loop's buffers, a `ClientShell` — is working
 //! state, and not thrown away either: [`ClientRegistry::hibernate`] takes
 //! the client apart, files its record in its shard and puts the shell on a
-//! free list; a wake ([`ClientRegistry::wake`]) pops one, overwrites every
+//! free list; a wake (`ClientRegistry::wake`) pops one, overwrites every
 //! parameter and every durable field, and hands back a client whose first
 //! step is already warm. A shell is only *built* when the list is empty,
 //! and each wake says whether it had to: the trace spans add those
@@ -288,7 +291,7 @@ impl ClientRegistry {
     }
 
     /// Builds the live simulation object for client `k` at the initial
-    /// global ([`ClientRegistry::wake`] with it) — always the initial
+    /// global (`ClientRegistry::wake` with it) — always the initial
     /// global, whatever the client trained before it was hibernated: a
     /// record keeps no parameters. Takes `&self` — several
     /// threads materialize a selection at once, contending only on the

@@ -13,14 +13,15 @@
 //! a model broadcast (after `begin_round` or, as rFedAvg+'s second sync,
 //! inside the round), reads of the clients it reached, at most one training
 //! request, then the upload claims — of every client it trained plus any
-//! others it reached, once each, in selection order — and more reads. A
+//! others it reached, one at a time, in selection order — and more reads. A
 //! read is a local evaluation, the learning rates, a δ request, δ claims
-//! (with or without the Gaussian mechanism) or a learning-rate change.
-//! δ claims may also name clients whose map no request of this epoch left:
-//! both sides must refuse those. The driver never reads a client the
-//! epoch's broadcast missed (a record keeps no parameters), never trains
-//! twice in an epoch and never claims an upload twice, so the sequences
-//! do not either.
+//! (with or without the Gaussian mechanism), upload claims or a
+//! learning-rate change. A claim takes the reply a request of this epoch
+//! left, once: claims may also name a client whose reply no request of the
+//! epoch left (an upload of a client that did not train) or one a claim
+//! took already, and both sides must refuse those. The driver never reads
+//! a client the epoch's broadcast missed (a record keeps no parameters)
+//! and never trains twice in an epoch, so the sequences do not either.
 
 use super::*;
 use crate::comm::{FaultConfig, FaultyTransport, PerfectTransport};
@@ -42,9 +43,11 @@ trait Requests {
     fn begin(&mut self, round: u64);
     fn broadcast(&mut self, selected: &[usize], global: &[f32]) -> Vec<usize>;
     fn train(&mut self, selected: &[usize], rules: &[LocalRule], steps: usize) -> Vec<LocalReport>;
-    fn uploads(&mut self, selected: &[usize], global: &[f32]) -> Vec<(usize, Vec<f32>)>;
+    /// Panics when `k` did not train this epoch or its upload was claimed.
+    fn claim_upload(&mut self, k: usize, global: &[f32]) -> Option<Vec<f32>>;
     fn probe(&mut self, selected: &[usize]) -> Vec<Vec<f32>>;
-    /// Panics when no δ request of this epoch left a map for `k`.
+    /// Panics when no δ request of this epoch left a map for `k` or its map
+    /// was claimed.
     fn claim_delta(&mut self, k: usize, dp: Option<(DpConfig, &mut StdRng)>) -> Option<Vec<f32>>;
     fn eval_local(&mut self, selected: &[usize]) -> Vec<f32>;
     fn learning_rates(&mut self, selected: &[usize]) -> Vec<f32>;
@@ -66,13 +69,15 @@ impl Requests for Federation {
             .map(|r| r.expect("an in-process client reports"))
             .collect()
     }
-    fn uploads(&mut self, selected: &[usize], _global: &[f32]) -> Vec<(usize, Vec<f32>)> {
-        let mut out = Vec::new();
-        self.fold_uploads(selected, |_, k, params| out.push((k, params.to_vec())));
+    fn claim_upload(&mut self, k: usize, _global: &[f32]) -> Option<Vec<f32>> {
+        let mut out = None;
+        self.fold_uploads(&[k], |_, _, params| out = Some(params.to_vec()));
         out
     }
     fn probe(&mut self, selected: &[usize]) -> Vec<Vec<f32>> {
-        self.probe_deltas(selected, PROBE_BATCH).to_vec()
+        let local = self.local_mut();
+        local.probe_deltas(selected, PROBE_BATCH);
+        local.probed().map(<[f32]>::to_vec).collect()
     }
     fn claim_delta(&mut self, k: usize, dp: Option<(DpConfig, &mut StdRng)>) -> Option<Vec<f32>> {
         let policy = self.compression;
@@ -107,10 +112,8 @@ impl Requests for ReplicaPlane {
     fn train(&mut self, selected: &[usize], rules: &[LocalRule], steps: usize) -> Vec<LocalReport> {
         ReplicaPlane::train(self, selected, rules, steps)
     }
-    fn uploads(&mut self, selected: &[usize], global: &[f32]) -> Vec<(usize, Vec<f32>)> {
-        (selected.iter())
-            .filter_map(|&k| self.claim_upload(k, global).map(|p| (k, p)))
-            .collect()
+    fn claim_upload(&mut self, k: usize, global: &[f32]) -> Option<Vec<f32>> {
+        ReplicaPlane::claim_upload(self, k, global)
     }
     fn probe(&mut self, selected: &[usize]) -> Vec<Vec<f32>> {
         ReplicaPlane::probe(self, selected, PROBE_BATCH)
@@ -147,6 +150,8 @@ enum Read {
         pick: Vec<bool>,
         dp: bool,
     },
+    /// Upload claims, one client at a time.
+    Uploads(Vec<bool>),
     /// Sets the picked clients' learning rate to `LRS[i]`.
     SetLr(Vec<bool>, usize),
 }
@@ -162,7 +167,8 @@ struct Epoch {
     /// Who trains (of those reached), for how many steps, under MMD or not.
     train: Option<(Vec<bool>, usize, bool)>,
     between: Vec<Read>,
-    /// Reached clients claimed beside the trained ones.
+    /// Reached clients claimed beside the trained ones: refused, as no
+    /// request left them an upload.
     extra_uploads: Vec<bool>,
     after: Vec<Read>,
     /// Whether a fold moves the global before the next broadcast.
@@ -194,6 +200,7 @@ fn read() -> impl Strategy<Value = Read> {
         mask().prop_map(Read::Rates),
         mask().prop_map(Read::Probe),
         (mask(), any::<bool>()).prop_map(|(pick, dp)| Read::Claim { pick, dp }),
+        mask().prop_map(Read::Uploads),
         (mask(), 0..LRS.len()).prop_map(|(pick, i)| Read::SetLr(pick, i)),
     ]
 }
@@ -265,8 +272,6 @@ struct Transcript<'a> {
     lines: Vec<String>,
     /// The server's noise stream.
     rng: StdRng,
-    /// Clients whose δ map was claimed since the last δ request.
-    claimed: [bool; N],
 }
 
 impl Transcript<'_> {
@@ -275,7 +280,25 @@ impl Transcript<'_> {
         self.lines.push(line);
     }
 
-    fn read(&mut self, read: &Read, reached: &[usize]) {
+    /// Runs one claim and logs what it read: `refused` when it panicked.
+    fn claim(
+        &mut self,
+        what: String,
+        claim: impl FnOnce(&mut dyn Requests, &mut StdRng) -> Option<Vec<f32>>,
+    ) {
+        let (plane, rng) = (&mut *self.plane, &mut self.rng);
+        let claim = catch_unwind(AssertUnwindSafe(|| claim(plane, rng)));
+        let claim = claim.map(|d| d.map(|d| bits(&d))).map_err(|_| "refused");
+        self.log(format!("{what} {claim:?}"));
+    }
+
+    fn claim_upload(&mut self, k: usize, global: &[f32]) {
+        self.claim(format!("claim up {k}"), |plane, _| {
+            plane.claim_upload(k, global)
+        });
+    }
+
+    fn read(&mut self, read: &Read, reached: &[usize], global: &[f32]) {
         let all: Vec<usize> = (0..N).collect();
         match read {
             Read::Eval(m) => {
@@ -289,20 +312,19 @@ impl Transcript<'_> {
             Read::Probe(m) => {
                 let maps = self.plane.probe(&picked(m, reached));
                 let maps: Vec<Vec<u32>> = maps.iter().map(|d| bits(d)).collect();
-                self.claimed = [false; N];
                 self.log(format!("probe {maps:?}"));
             }
             Read::Claim { pick, dp } => {
                 for k in picked(pick, &all) {
-                    if self.claimed[k] {
-                        continue;
-                    }
-                    let (plane, rng) = (&mut *self.plane, &mut self.rng);
-                    let dp = dp.then(|| (DpConfig::new(0.5, 1.0, 10), rng));
-                    let claim = catch_unwind(AssertUnwindSafe(|| plane.claim_delta(k, dp)));
-                    self.claimed[k] = claim.is_ok();
-                    let claim = claim.map(|d| d.map(|d| bits(&d))).map_err(|_| "refused");
-                    self.log(format!("claim δ {k} {claim:?}"));
+                    self.claim(format!("claim δ {k}"), |plane, rng| {
+                        let dp = dp.then(|| (DpConfig::new(0.5, 1.0, 10), rng));
+                        plane.claim_delta(k, dp)
+                    });
+                }
+            }
+            Read::Uploads(m) => {
+                for k in picked(m, &all) {
+                    self.claim_upload(k, global);
                 }
             }
             Read::SetLr(m, i) => {
@@ -316,7 +338,7 @@ impl Transcript<'_> {
     fn run(mut self, case: &Case, mut global: Vec<f32>) -> Vec<String> {
         let all: Vec<usize> = (0..N).collect();
         if let Some(read) = &case.first {
-            self.read(read, &all);
+            self.read(read, &all, &global);
         }
         let mut round = 0;
         for e in &case.epochs {
@@ -325,10 +347,9 @@ impl Transcript<'_> {
                 round += 1;
             }
             let reached = self.plane.broadcast(&picked(&e.reach, &all), &global);
-            self.claimed = [false; N];
             self.log(format!("broadcast {reached:?}"));
             for read in &e.before {
-                self.read(read, &reached);
+                self.read(read, &reached, &global);
             }
             let mut trained = Vec::new();
             if let Some((m, steps, mmd)) = &e.train {
@@ -348,16 +369,15 @@ impl Transcript<'_> {
                 self.log(format!("train {trained:?} {reports:?}"));
             }
             for read in &e.between {
-                self.read(read, &reached);
+                self.read(read, &reached, &global);
             }
-            let claimed: Vec<usize> = (reached.iter().copied())
-                .filter(|k| trained.contains(k) || e.extra_uploads[*k])
-                .collect();
-            let uploads = self.plane.uploads(&claimed, &global);
-            let uploads: Vec<_> = uploads.iter().map(|(k, p)| (k, bits(p))).collect();
-            self.log(format!("uploads {claimed:?} {uploads:?}"));
+            for &k in &reached {
+                if trained.contains(&k) || e.extra_uploads[k] {
+                    self.claim_upload(k, &global);
+                }
+            }
             for read in &e.after {
-                self.read(read, &reached);
+                self.read(read, &reached, &global);
             }
             if e.fold {
                 for (i, w) in global.iter_mut().enumerate() {
@@ -393,7 +413,6 @@ fn transcript(plane: &mut dyn Requests, case: &Case, global: Vec<f32>) -> Vec<St
         plane,
         lines: Vec::new(),
         rng: StdRng::seed_from_u64(case.seed),
-        claimed: [false; N],
     };
     t.run(case, global)
 }

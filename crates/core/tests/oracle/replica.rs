@@ -27,6 +27,9 @@ pub(crate) struct ReplicaPlane {
     clients: Vec<Client>,
     pub(crate) transport: Box<dyn Transport>,
     policy: Compression,
+    /// Whether a client trained since the last broadcast and its upload was
+    /// not claimed yet.
+    trained: Vec<bool>,
     /// The last δ request's maps by client, until claimed; a broadcast or
     /// the next δ request voids them.
     maps: Vec<Option<Vec<f32>>>,
@@ -58,6 +61,7 @@ impl ReplicaPlane {
             clients,
             transport,
             policy: cfg.compression,
+            trained: vec![false; data.clients.len()],
             maps: vec![None; data.clients.len()],
             scratch: Scratch::default(),
             rt: CompressedVec::default(),
@@ -72,6 +76,7 @@ impl ReplicaPlane {
         for &k in &delivered {
             self.clients[k].write_params(&bd.data);
         }
+        self.trained.fill(false);
         self.maps.fill(None);
         delivered
     }
@@ -82,15 +87,23 @@ impl ReplicaPlane {
         rules: &[LocalRule],
         steps: usize,
     ) -> Vec<LocalReport> {
+        self.trained.fill(false);
         (selected.iter().zip(rules))
-            .map(|(&k, rule)| self.clients[k].train_local(steps, rule))
+            .map(|(&k, rule)| {
+                self.trained[k] = true;
+                self.clients[k].train_local(steps, rule)
+            })
             .collect()
     }
 
     /// Client `k`'s upload as the server decodes it; `None` when lost.
+    /// Panics when `k` did not train since the last broadcast or its upload
+    /// was claimed already.
     pub(crate) fn claim_upload(&mut self, k: usize, global: &[f32]) -> Option<Vec<f32>> {
+        let owed = std::mem::take(&mut self.trained[k]);
+        assert!(owed, "an upload claim follows its request");
         let policy = self.policy;
-        let kind = Pull::Upload { global }.kind(policy.is_enabled());
+        let kind = Pull::Upload.kind(policy.is_enabled());
         let frame = answer_upload(&mut self.clients[k], global, policy, &mut self.scratch);
         let (transport, rt) = (&mut self.transport, &mut self.rt);
         match frame {
@@ -104,7 +117,7 @@ impl ReplicaPlane {
     }
 
     /// The δ request: every selected client's map at the parameters it
-    /// holds, kept for the claims.
+    /// holds, kept for the claims (each at most once).
     pub(crate) fn probe(&mut self, selected: &[usize], batch: usize) -> Vec<Vec<f32>> {
         self.maps.fill(None);
         let maps: Vec<Vec<f32>> = (selected.iter())
@@ -126,7 +139,7 @@ impl ReplicaPlane {
         let map = self.maps[k].take().expect("a δ claim follows its request");
         let (policy, dim) = (self.policy, map.len());
         let kind = Pull::Delta { dp: None }.kind(policy.is_enabled());
-        self.scratch.delta = map;
+        self.scratch.values = map;
         let frame = answer_delta(dp, policy, &mut self.scratch);
         let (transport, rt) = (&mut self.transport, &mut self.rt);
         match frame {

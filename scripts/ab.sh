@@ -28,8 +28,11 @@
 # Prints, per workload, one row per pair (`A → B` per end-to-end metric,
 # then each run's `cpu_s_per_round ÷ round_s`, the cores it kept busy) and
 # a summary per metric: both sides' q1 / median / q3 (the quartiles of
-# benchmark/compare.sh), B ÷ A of the medians, the pairs B won and a verdict
-# — the markdown tables of EXPERIMENTS.md. The verdict is the rule of the
+# benchmark/compare.sh), B ÷ A of the medians, the resolution, the pairs B
+# won and a verdict — the markdown tables of EXPERIMENTS.md. The
+# resolution is A's (q3 − q1) ÷ median, printed `±r`: the `gain` / `worse`
+# rule below sees no B ÷ A inside 1 ± r, so a move smaller than that needs
+# more pairs (or a quieter A) to show, at any win count. The verdict is the rule of the
 # choosing-metrics guide, section 8, with the metric's `bound` from
 # BENCHMARK.json:
 #
@@ -153,11 +156,11 @@ tables() {
           + ["\(run($p; $a; "A") | if . == null then "-" else busy_cell end) → \(run($p; $a; "B") | if . == null then "-" else busy_cell end)"]
         | row ),
         "",
-        (["metric", "A q1 / median / q3", "B q1 / median / q3", "B ÷ A (medians)", "pairs B won", "verdict"] | row),
-        (["---", "---:", "---:", "---:", "---:", "---"] | row),
+        (["metric", "A q1 / median / q3", "B q1 / median / q3", "B ÷ A (medians)", "resolution", "pairs B won", "verdict"] | row),
+        (["---", "---:", "---:", "---:", "---:", "---:", "---"] | row),
         ( $metrics[] as $m
         | values("A"; $m.name) as $va | values("B"; $m.name) as $vb
-        | if ($va | length) == 0 or ($vb | length) == 0 then ["`\($m.name)`", "-", "-", "-", "-", "-"] | row else
+        | if ($va | length) == 0 or ($vb | length) == 0 then ["`\($m.name)`", "-", "-", "-", "-", "-", "-"] | row else
           [ $pairs[] | [value(.; "A"; $m.name), value(.; "B"; $m.name)] | select(all(. != null))
             | if .[0] == .[1] then 0 elif ((.[1] < .[0]) == ($m.better == "lower")) then 1 else -1 end ] as $duels
           | ($duels | map(select(. == 1)) | length) as $won
@@ -168,6 +171,8 @@ tables() {
               ([1, 2, 3] | map(. as $i | if $i == 2 then $ma else $va | quartile($i) end | num) | join(" / ")),
               ([1, 2, 3] | map(. as $i | if $i == 2 then $mb else $vb | quartile($i) end | num) | join(" / ")),
               ($mb / $ma * 1000 | round / 1000 | tostring),
+              (if $ma == 0 then "-"
+               else "±" + (($va | quartile(3)) - ($va | quartile(1)) | . / ($ma | fabs) * 1000 | round / 1000 | tostring) end),
               "\($won) / \($duels | length)"
                 + (($duels | length) - $won - $lost
                    | if . > 0 then " (\(.) ties)" else "" end),
