@@ -9,13 +9,20 @@
 
 /// Current resident set size in bytes (0 when unavailable).
 pub fn current_rss_bytes() -> u64 {
-    read_status_field("VmRSS:") * 1024
+    read_status_fields(["VmRSS:"])[0] * 1024
 }
 
 /// Peak resident set size in bytes since process start or the last
 /// [`reset_peak_rss`] (0 when unavailable).
 pub fn peak_rss_bytes() -> u64 {
-    read_status_field("VmHWM:") * 1024
+    read_status_fields(["VmHWM:"])[0] * 1024
+}
+
+/// [`current_rss_bytes`] and [`peak_rss_bytes`] from one read of
+/// `/proc/self/status`.
+pub fn rss_and_peak_bytes() -> (u64, u64) {
+    let [rss, peak] = read_status_fields(["VmRSS:", "VmHWM:"]);
+    (rss * 1024, peak * 1024)
 }
 
 /// Kernel threads in this process (`Threads:` in `/proc/self/status`;
@@ -23,7 +30,7 @@ pub fn peak_rss_bytes() -> u64 {
 /// event-driven server holds a fixed thread budget at any connection
 /// count, where thread-per-connection grows linearly.
 pub fn thread_count() -> u64 {
-    read_status_field("Threads:")
+    read_status_fields(["Threads:"])[0]
 }
 
 /// Raises the soft open-file limit (`RLIMIT_NOFILE`) toward `want`,
@@ -82,27 +89,32 @@ pub fn reset_peak_rss() -> bool {
     }
 }
 
+/// The number after each of `keys` in `/proc/self/status`, 0 for a key
+/// it lacks.
 #[cfg(target_os = "linux")]
-fn read_status_field(key: &str) -> u64 {
+fn read_status_fields<const N: usize>(keys: [&str; N]) -> [u64; N] {
+    let mut out = [0; N];
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
+        return out;
     };
     for line in status.lines() {
-        if let Some(rest) = line.strip_prefix(key) {
-            // "VmRSS:      123456 kB"
-            return rest
-                .split_whitespace()
-                .next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(0);
+        for (key, v) in keys.iter().zip(&mut out) {
+            if let Some(rest) = line.strip_prefix(key) {
+                // "VmRSS:      123456 kB"
+                *v = rest
+                    .split_whitespace()
+                    .next()
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .unwrap_or(0);
+            }
         }
     }
-    0
+    out
 }
 
 #[cfg(not(target_os = "linux"))]
-fn read_status_field(_key: &str) -> u64 {
-    0
+fn read_status_fields<const N: usize>(_keys: [&str; N]) -> [u64; N] {
+    [0; N]
 }
 
 #[cfg(test)]
@@ -116,12 +128,15 @@ mod tests {
         // `reset_peak_rss` would make that racy within one process.
         assert!(current_rss_bytes() > 0, "VmRSS should parse on Linux");
         assert!(peak_rss_bytes() > 0, "VmHWM should parse on Linux");
+        let (rss, peak) = rss_and_peak_bytes();
+        assert!(rss > 0 && peak > 0, "one read parses both");
     }
 
     #[test]
     fn queries_never_panic() {
         let _ = current_rss_bytes();
         let _ = peak_rss_bytes();
+        let _ = rss_and_peak_bytes();
         let _ = reset_peak_rss();
         let _ = raise_fd_limit(0);
     }

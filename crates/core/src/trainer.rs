@@ -85,8 +85,7 @@ impl Trainer {
             let do_eval = (round + 1) % self.cfg.eval_every == 0 || round + 1 == self.cfg.rounds;
             let eval = do_eval.then(|| fed.evaluate_global());
 
-            let rss_bytes = crate::mem::current_rss_bytes();
-            let peak_rss_bytes = crate::mem::peak_rss_bytes();
+            let (rss_bytes, peak_rss_bytes) = crate::mem::rss_and_peak_bytes();
             round_span.counter("bytes_down", comm.download_bytes());
             round_span.counter("bytes_up", comm.upload_bytes());
             round_span.counter("bytes_delta", comm.delta_bytes());

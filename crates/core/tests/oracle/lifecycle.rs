@@ -3,7 +3,8 @@
 //! on live replicas of its clients (`replica.rs` beside this file) — every
 //! delivered set, frame, δ map, report, local loss, learning rate and the
 //! byte ledger after each request, bit for bit, serially and on two
-//! workers. A proptest state machine draws the sequences.
+//! workers. A proptest state machine draws the sequences, under SGD or
+//! RMSProp, with dense or 8-bit quantized uploads.
 //!
 //! rfl-core's unit tests include this file as `federation::lifecycle_tests`
 //! (by `#[path]`): it drives the federation's private claim path.
@@ -178,6 +179,10 @@ struct Epoch {
 #[derive(Clone, Debug)]
 struct Case {
     compressed: bool,
+    /// RMSProp, not SGD: with `compressed`, a record grows twice, at the
+    /// first step and at the first compressed upload, and moves in its
+    /// shard's arena each time.
+    rmsprop: bool,
     lossy: bool,
     seed: u64,
     first: Option<Read>,
@@ -245,12 +250,14 @@ fn case() -> impl Strategy<Value = Case> {
     (
         any::<bool>(),
         any::<bool>(),
+        any::<bool>(),
         any::<u64>(),
         maybe(first),
         epochs,
     )
-        .prop_map(|(compressed, lossy, seed, first, epochs)| Case {
+        .prop_map(|(compressed, rmsprop, lossy, seed, first, epochs)| Case {
             compressed,
+            rmsprop,
             lossy,
             seed,
             first,
@@ -430,7 +437,10 @@ proptest! {
             },
             ..FlConfig::cross_silo()
         };
-        let optimizer = OptimizerFactory::sgd(0.1);
+        let optimizer = match case.rmsprop {
+            true => OptimizerFactory::rmsprop(0.01),
+            false => OptimizerFactory::sgd(0.1),
+        };
         let mut global = Vec::new();
         model().build(SEED).read_params(&mut global);
         let mut replicas =

@@ -36,26 +36,35 @@ impl BatchSampler {
         self.cursor = n;
     }
 
-    /// Words [`BatchSampler::pack`] writes.
-    pub fn packed_words(&self) -> usize {
-        2 + order_words(self.n)
+    /// Examples this sampler draws from.
+    pub fn num_examples(&self) -> usize {
+        self.n
+    }
+
+    /// Words [`BatchSampler::pack`] writes for a sampler over `n` examples.
+    pub fn packed_words(n: usize) -> usize {
+        1 + order_words(n)
     }
 
     /// Writes the sampler's position into `out`, which holds exactly
-    /// [`BatchSampler::packed_words`]: `n`, the cursor, then the epoch's
-    /// order at the narrowest width that holds every index (one byte up to
-    /// 256 examples, two up to 65,536, four beyond), packed little-end first
-    /// into 32-bit words. The batch size is not stored: it is the caller's,
-    /// clamped to `n` again on unpacking.
+    /// [`BatchSampler::packed_words`]: the cursor, then the epoch's order at
+    /// the narrowest width that holds every index (one byte up to 256
+    /// examples, two up to 65,536, four beyond), packed little-end first
+    /// into 32-bit words. Neither `n` nor the batch size is stored: both are
+    /// the caller's, and [`BatchSampler::unpack`] is handed them again.
     ///
     /// # Panics
     /// Panics if `n` does not fit in 32 bits or `out` has another length.
     pub fn pack(&self, out: &mut [u32]) {
-        assert_eq!(out.len(), self.packed_words(), "packed sampler length");
-        out[0] = u32::try_from(self.n).expect("a packed sampler holds under 2^32 examples");
+        assert!(
+            u32::try_from(self.n).is_ok(),
+            "a packed sampler holds under 2^32 examples"
+        );
+        let len = BatchSampler::packed_words(self.n);
+        assert_eq!(out.len(), len, "packed sampler length");
         // The cursor never passes `n`.
-        out[1] = self.cursor as u32;
-        let words = &mut out[2..];
+        out[0] = self.cursor as u32;
+        let words = &mut out[1..];
         match indices_per_word_log2(self.n) {
             2 => pack_indices::<4>(&self.order, words),
             1 => pack_indices::<2>(&self.order, words),
@@ -64,20 +73,22 @@ impl BatchSampler {
     }
 
     /// Restores the position [`BatchSampler::pack`] wrote into `words` (all
-    /// of them), reusing this sampler's allocation: the next batches are
-    /// the ones the packed sampler would have drawn from the same RNG.
+    /// of them) for a sampler over `n` examples, reusing this sampler's
+    /// allocation: the next batches are the ones the packed sampler would
+    /// have drawn from the same RNG.
     ///
     /// # Panics
-    /// Panics if `words` is not one packed sampler.
-    pub fn unpack(&mut self, batch_size: usize, words: &[u32]) {
-        let [n, cursor] = [words[0], words[1]].map(|w| w as usize);
-        assert_eq!(
-            words.len(),
-            2 + order_words(n),
-            "not a packed sampler over {n} examples"
-        );
+    /// Panics on an empty dataset, a zero batch size, or if `words` is not
+    /// one packed sampler over `n` examples.
+    pub fn unpack(&mut self, n: usize, batch_size: usize, words: &[u32]) {
         assert!(n > 0, "empty dataset");
         assert!(batch_size > 0, "zero batch size");
+        assert_eq!(
+            words.len(),
+            BatchSampler::packed_words(n),
+            "not a packed sampler over {n} examples"
+        );
+        let cursor = words[0] as usize;
         assert!(cursor <= n, "cursor {cursor} past {n} examples");
         self.n = n;
         self.batch_size = batch_size.min(n);
@@ -85,9 +96,9 @@ impl BatchSampler {
         self.order.resize(n, 0);
         let order = &mut self.order[..];
         match indices_per_word_log2(n) {
-            2 => unpack_indices::<4>(&words[2..], order),
-            1 => unpack_indices::<2>(&words[2..], order),
-            _ => unpack_indices::<1>(&words[2..], order),
+            2 => unpack_indices::<4>(&words[1..], order),
+            1 => unpack_indices::<2>(&words[1..], order),
+            _ => unpack_indices::<1>(&words[1..], order),
         }
     }
 
@@ -213,11 +224,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(n as u64);
             let mut s = sampler(n, 7);
             s.next_batch(&mut rng);
-            let mut words = vec![0; s.packed_words()];
+            let mut words = vec![0; BatchSampler::packed_words(n)];
             s.pack(&mut words);
             // Unpacked into a sampler that held another shape before.
             let mut t = sampler(9, 2);
-            t.unpack(7, &words);
+            t.unpack(n, 7, &words);
             let mut again = rng.clone();
             for _ in 0..3 {
                 assert_eq!(s.next_batch(&mut rng), t.next_batch(&mut again), "n = {n}");

@@ -97,6 +97,12 @@ section_bench() {
     echo "== PROPTEST_CASES=2048 client lifecycle oracle in release (request sequences on the in-process plane against live replicas of its clients, serial and on two workers; deep)"
     PROPTEST_CASES=2048 cargo test --release -q -p rfl-core --lib -- federation::lifecycle_tests::
 
+    # The test legs run it at budget 2; a chunk's unused tail is paid once
+    # per shard, so the ceiling must hold at one shard and at four too.
+    echo "== persist_rss at RFL_THREADS=1 and RFL_THREADS=4 (resident bytes per hibernated client at one and four registry shards)"
+    RFL_THREADS=1 cargo test --release -q -p rfl-core --test persist_rss
+    RFL_THREADS=4 cargo test --release -q -p rfl-core --test persist_rss
+
     echo "== scripts/sanitize.sh: the kernel oracles under AddressSanitizer (nightly; prints skipped without one)"
     scripts/sanitize.sh
 
