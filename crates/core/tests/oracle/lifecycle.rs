@@ -4,7 +4,7 @@
 //! delivered set, frame, δ map, report, local loss, learning rate and the
 //! byte ledger after each request, bit for bit, serially and on two
 //! workers. A proptest state machine draws the sequences, under SGD or
-//! RMSProp, with dense or 8-bit quantized uploads.
+//! RMSProp, with dense, 8-bit quantized, top-k or count-sketched uploads.
 //!
 //! rfl-core's unit tests include this file as `federation::lifecycle_tests`
 //! (by `#[path]`): it drives the federation's private claim path.
@@ -178,10 +178,12 @@ struct Epoch {
 
 #[derive(Clone, Debug)]
 struct Case {
-    compressed: bool,
-    /// RMSProp, not SGD: with `compressed`, a record grows twice, at the
-    /// first step and at the first compressed upload, and moves in its
-    /// shard's arena each time.
+    /// Under an enabled policy every record carries a `d`-word residual:
+    /// the error feedback of quantized and top-k uploads, zeros under the
+    /// count sketch, which keeps none.
+    policy: Compression,
+    /// RMSProp, not SGD: every record carries `d` words of accumulators,
+    /// zeros until the client's first step.
     rmsprop: bool,
     lossy: bool,
     seed: u64,
@@ -240,6 +242,21 @@ fn epoch() -> impl Strategy<Value = Epoch> {
         )
 }
 
+fn policy() -> impl Strategy<Value = Compression> {
+    prop_oneof![
+        Just(Compression::None),
+        Just(Compression::Quantize { bits: 8 }),
+        (1u32..=1000).prop_map(|r| Compression::TopK {
+            ratio: r as f32 / 1000.0
+        }),
+        (0u16..4, 1u32..=128, any::<u64>()).prop_map(|(r, cols, seed)| Compression::Sketch {
+            rows: 2 * r + 1,
+            cols,
+            seed,
+        }),
+    ]
+}
+
 fn case() -> impl Strategy<Value = Case> {
     let first = prop_oneof![
         mask().prop_map(Read::Eval),
@@ -248,15 +265,15 @@ fn case() -> impl Strategy<Value = Case> {
     ];
     let epochs = prop::collection::vec(epoch(), 1..4);
     (
-        any::<bool>(),
+        policy(),
         any::<bool>(),
         any::<bool>(),
         any::<u64>(),
         maybe(first),
         epochs,
     )
-        .prop_map(|(compressed, rmsprop, lossy, seed, first, epochs)| Case {
-            compressed,
+        .prop_map(|(policy, rmsprop, lossy, seed, first, epochs)| Case {
+            policy,
             rmsprop,
             lossy,
             seed,
@@ -431,10 +448,7 @@ proptest! {
         let cfg = |parallel| FlConfig {
             batch_size: 5,
             parallel,
-            compression: match case.compressed {
-                true => Compression::Quantize { bits: 8 },
-                false => Compression::None,
-            },
+            compression: case.policy,
             ..FlConfig::cross_silo()
         };
         let optimizer = match case.rmsprop {

@@ -12,56 +12,21 @@
 //! This file holds exactly one test function: the peak resident set is
 //! process-wide, and a sibling test's memory would be charged to the legs.
 
+#[path = "common/gaussian_source.rs"]
+mod gaussian_source;
+
+use gaussian_source::{GaussianSource, CLASSES, DIM, SPEC};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rfl_core::algorithms::FedAvg;
-use rfl_core::{ClientDataSource, Federation, FlConfig, ModelFactory, OptimizerFactory, Trainer};
-use rfl_data::synth::gaussian::GaussianMixtureSpec;
-use rfl_data::Dataset;
-use rfl_tensor::Tensor;
+use rfl_core::{Federation, FlConfig, ModelFactory, OptimizerFactory, Trainer};
 use std::sync::Arc;
 
-const SAMPLES_PER_CLIENT: usize = 32;
-const DIM: usize = 32;
-const CLASSES: usize = 4;
 const SEED: u64 = 7;
 /// Peak-RSS ceiling of either leg. They measure about 8 MB and 12 MB: a
 /// training job holds one live client per worker, so the cohort's
 /// datasets and replicas are never resident at once.
 const RSS_CEILING_BYTES: u64 = 64 * 1024 * 1024;
-
-const SPEC: GaussianMixtureSpec = GaussianMixtureSpec {
-    dim: DIM,
-    classes: CLASSES,
-    sep: 2.0,
-    noise: 1.0,
-    mean_seed: 45,
-};
-
-/// Client `k`'s shard is a pure function of `(seed, k)`: a hibernated client
-/// rebuilds the identical data on every wake, and the registry never stores
-/// data for unsampled clients.
-struct GaussianSource {
-    /// Class means, shared by every shard and hoisted out of the per-client
-    /// path.
-    means: Tensor,
-    clients: usize,
-}
-
-impl ClientDataSource for GaussianSource {
-    fn num_clients(&self) -> usize {
-        self.clients
-    }
-    fn num_samples(&self, _k: usize) -> usize {
-        SAMPLES_PER_CLIENT
-    }
-    fn dataset(&self, k: usize) -> Dataset {
-        // Same (seed, id) keying discipline as the client RNG streams.
-        let mut rng = StdRng::seed_from_u64(SEED ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let shift = SPEC.random_shift(1.0, &mut rng);
-        SPEC.generate_with_means(&self.means, SAMPLES_PER_CLIENT, Some(&shift), &mut rng)
-    }
-}
 
 /// Two streamed-selection FedAvg rounds over `clients` registered clients; returns
 /// the leg's final train loss and peak resident bytes.
@@ -80,10 +45,7 @@ fn run_leg(clients: usize, sample_ratio: f32) -> (f32, u64) {
         seed: SEED,
         ..FlConfig::cross_device()
     };
-    let source = Arc::new(GaussianSource {
-        means: SPEC.means(),
-        clients,
-    });
+    let source = Arc::new(GaussianSource::new(clients, SEED));
     let mut fed = Federation::lazy(
         source,
         SPEC.generate(64, None, &mut StdRng::seed_from_u64(SEED)),

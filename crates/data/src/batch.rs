@@ -36,11 +36,6 @@ impl BatchSampler {
         self.cursor = n;
     }
 
-    /// Examples this sampler draws from.
-    pub fn num_examples(&self) -> usize {
-        self.n
-    }
-
     /// Words [`BatchSampler::pack`] writes for a sampler over `n` examples.
     pub fn packed_words(n: usize) -> usize {
         1 + order_words(n)

@@ -16,12 +16,10 @@ pub trait Optimizer: Send {
     /// Replaces the learning rate (used by decaying schedules).
     fn set_lr(&mut self, lr: f32);
 
-    /// Clears internal state (squared-gradient accumulators etc.).
-    fn reset(&mut self);
-
     /// Every word of state the optimizer keeps besides its learning rate,
-    /// as one flat vector (RMSProp's squared-gradient accumulators, empty
-    /// before the first step), or `None` for a stateless one. Whoever stores
+    /// as one flat vector (RMSProp's squared-gradient accumulators, which
+    /// a step of another length resizes to zeros first), or `None` for a
+    /// stateless one. Zeros are a fresh optimizer's state. Whoever stores
     /// an optimizer apart from it saves the learning rate and these words,
     /// and restores both into a fresh optimizer of the same kind.
     fn state_mut(&mut self) -> Option<&mut Vec<f32>>;
@@ -53,8 +51,6 @@ impl Optimizer for Sgd {
     fn set_lr(&mut self, lr: f32) {
         self.lr = lr;
     }
-
-    fn reset(&mut self) {}
 
     fn state_mut(&mut self) -> Option<&mut Vec<f32>> {
         None
@@ -102,10 +98,6 @@ impl Optimizer for RmsProp {
         self.lr = lr;
     }
 
-    fn reset(&mut self) {
-        self.sq_avg.clear();
-    }
-
     fn state_mut(&mut self) -> Option<&mut Vec<f32>> {
         Some(&mut self.sq_avg)
     }
@@ -149,17 +141,6 @@ mod tests {
             o.step(&mut p, &g);
         }
         assert!(p[0].abs() < 0.1, "got {}", p[0]);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut o = RmsProp::new(0.1);
-        let mut p = vec![0.0f32];
-        o.step(&mut p, &[1.0]);
-        o.reset();
-        let mut q = vec![0.0f32];
-        o.step(&mut q, &[1.0]);
-        assert_eq!(q[0], p[0]); // same as a fresh first step
     }
 
     #[test]

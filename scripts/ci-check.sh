@@ -103,6 +103,12 @@ section_bench() {
     RFL_THREADS=1 cargo test --release -q -p rfl-core --test persist_rss
     RFL_THREADS=4 cargo test --release -q -p rfl-core --test persist_rss
 
+    # The test legs run them at budget 2; at one shard every test client
+    # shares one arena, at four each shard holds fewer.
+    echo "== registry unit tests at RFL_THREADS=1 and RFL_THREADS=4 (one and four registry shards)"
+    RFL_THREADS=1 cargo test -q -p rfl-core --lib -- registry::
+    RFL_THREADS=4 cargo test -q -p rfl-core --lib -- registry::
+
     echo "== scripts/sanitize.sh: the kernel oracles under AddressSanitizer (nightly; prints skipped without one)"
     scripts/sanitize.sh
 
