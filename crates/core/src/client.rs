@@ -12,7 +12,6 @@
 
 use crate::eval::{evaluate, gather_batch, to_input, EvalResult};
 use crate::mmd;
-use crate::registry::Shard;
 use crate::rules::LocalRule;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -256,7 +255,7 @@ impl ClientShell {
 /// One client in the federation.
 pub struct Client {
     id: usize,
-    data: Shard,
+    data: Dataset,
     clip_grad_norm: Option<f32>,
     shell: ClientShell,
 }
@@ -278,7 +277,7 @@ impl Client {
         shell.restart(id, data.len(), batch_size, seed, lr);
         Client {
             id,
-            data: Shard::Built(data),
+            data,
             clip_grad_norm: None,
             shell,
         }
@@ -291,7 +290,7 @@ impl Client {
     pub(crate) fn wake(
         id: usize,
         shell: ClientShell,
-        data: Shard,
+        data: Dataset,
         clip_grad_norm: Option<f32>,
     ) -> Self {
         assert!(!data.is_empty(), "client {id} has no data");
@@ -369,7 +368,7 @@ impl Client {
             shell,
             ..
         } = self;
-        let (data, scratch) = (&**data, &mut *shell.scratch);
+        let (data, scratch) = (&*data, &mut *shell.scratch);
         let mut loss_sum = 0.0f32;
         let mut reg_sum = 0.0f32;
         let mut examples = 0usize;
@@ -474,7 +473,7 @@ impl Client {
     /// its allocation is reused from one probe to the next).
     pub(crate) fn compute_delta_into(&mut self, sum: &mut Vec<f32>, batch: usize) {
         let Client { data, shell, .. } = self;
-        let (data, scratch) = (&**data, &mut *shell.scratch);
+        let (data, scratch) = (&*data, &mut *shell.scratch);
         let n = data.len();
         sum.clear();
         sum.resize(shell.model.feature_dim(), 0.0);
@@ -683,7 +682,7 @@ mod tests {
         shell.pack(&mut record);
         let mut woken = foreign_shell(shape);
         woken.unpack(&record, 32, 8, params);
-        Client::wake(0, woken, Shard::Built(dense_data(32, seed)), None)
+        Client::wake(0, woken, dense_data(32, seed), None)
     }
 
     #[test]

@@ -354,7 +354,8 @@ impl Federation {
     }
 
     /// Builds the federation over `data`'s shards, which it keeps resident:
-    /// [`Federation::lazy`] over a [`MaterializedSource`]. Every client
+    /// [`Federation::lazy`] over a [`MaterializedSource`]. The shards and
+    /// the test set are shared with `data`, not copied. Every client
     /// starts from the same global initialization (derived from `seed`),
     /// with its own optimizer state and RNG stream.
     pub fn new(
@@ -907,7 +908,7 @@ mod tests {
         let each: Vec<EvalResult> = (0..fed.num_clients())
             .map(|k| {
                 let model = std::slice::from_mut(&mut model);
-                evaluate(model, &fed.local().registry.source().shard(k), EVAL_BATCH)
+                evaluate(model, &fed.local().registry.source().dataset(k), EVAL_BATCH)
             })
             .collect();
         assert_eq!(each.len(), 4);

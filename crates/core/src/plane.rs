@@ -597,13 +597,13 @@ impl LocalPlane {
 
     /// Evaluates the model `replicas` hold on every client's data, one
     /// worker per replica, results in client order. The shards come from
-    /// the source (lent or built for the pass); no client wakes.
+    /// the source (shared or built for the pass); no client wakes.
     pub(crate) fn evaluate_each(&self, replicas: &mut [Box<dyn Model>]) -> Vec<EvalResult> {
         let source = self.registry.source();
         let mut results: Vec<Option<EvalResult>> = vec![None; source.num_clients()];
         fan_out(results.iter_mut(), replicas, |model, k, result| {
             let model = std::slice::from_mut(model);
-            *result = Some(evaluate(model, &source.shard(k), EVAL_BATCH))
+            *result = Some(evaluate(model, &source.dataset(k), EVAL_BATCH))
         });
         let results = results
             .into_iter()

@@ -10,9 +10,10 @@
 //! model/optimizer factories, data source) that rebuild it on demand. The
 //! heavyweight objects exist only while a request runs on the client;
 //! hibernation keeps just the client's durable half, packed into one flat
-//! record (see "Records" below) in its shard's arena. The dataset shard is the source's: [`MaterializedSource`] (what
-//! [`crate::Federation::new`] runs on) keeps it resident and lends it to
-//! each wake, a generating source builds it again.
+//! record (see "Records" below) in its shard's arena. The dataset shard is
+//! the source's: [`MaterializedSource`] (what [`crate::Federation::new`]
+//! runs on) keeps it resident and each wake shares it (a [`Dataset`] clone
+//! is a reference-count bump), a generating source builds it again.
 //!
 //! # Records
 //!
@@ -163,49 +164,27 @@ pub trait ClientDataSource: Send + Sync {
     /// `n_k` — sample count of client `k`'s shard, *without* materializing
     /// it (aggregation weights for a million clients must stay O(N) ints).
     fn num_samples(&self, k: usize) -> usize;
-    /// Materializes client `k`'s dataset.
+    /// Client `k`'s dataset for one wake or evaluation: built for it, or,
+    /// from a source that keeps it resident, a clone that shares the
+    /// resident buffers.
     fn dataset(&self, k: usize) -> Dataset;
-    /// Client `k`'s shard for one wake: [`ClientDataSource::dataset`],
-    /// unless the source keeps the shard resident and lends it.
-    fn shard(&self, k: usize) -> Shard {
-        Shard::Built(self.dataset(k))
-    }
-}
-
-/// A client's dataset while it is live: built for this wake, or lent by a
-/// source that keeps it resident, so a wake copies no example.
-pub enum Shard {
-    Built(Dataset),
-    Lent(Arc<Dataset>),
-}
-
-impl std::ops::Deref for Shard {
-    type Target = Dataset;
-
-    fn deref(&self) -> &Dataset {
-        match self {
-            Shard::Built(data) => data,
-            Shard::Lent(data) => data,
-        }
-    }
 }
 
 /// A [`ClientDataSource`] over resident datasets (the classic
-/// [`FederatedData`] layout) — what [`crate::Federation::new`] runs on. It
-/// lends each shard to the client that wakes ([`Shard::Lent`]).
+/// [`FederatedData`] layout) — what [`crate::Federation::new`] runs on. A
+/// [`Dataset`] clone shares its buffers, so the source holds the caller's
+/// shards without copying them, and a wake copies no example.
 pub struct MaterializedSource {
-    clients: Vec<Arc<Dataset>>,
+    clients: Vec<Dataset>,
 }
 
 impl MaterializedSource {
     pub fn new(clients: Vec<Dataset>) -> Self {
-        MaterializedSource {
-            clients: clients.into_iter().map(Arc::new).collect(),
-        }
+        MaterializedSource { clients }
     }
 
-    /// Copies the client datasets out of a [`FederatedData`] (once; the
-    /// test set stays with the caller).
+    /// The client datasets of a [`FederatedData`], shared with it (the test
+    /// set stays with the caller).
     pub fn from_federated(data: &FederatedData) -> Self {
         MaterializedSource::new(data.clients.clone())
     }
@@ -221,11 +200,7 @@ impl ClientDataSource for MaterializedSource {
     }
 
     fn dataset(&self, k: usize) -> Dataset {
-        Dataset::clone(&self.clients[k])
-    }
-
-    fn shard(&self, k: usize) -> Shard {
-        Shard::Lent(Arc::clone(&self.clients[k]))
+        self.clients[k].clone()
     }
 }
 
@@ -341,7 +316,7 @@ impl ClientRegistry {
     /// Panics if client `k` is awake: woken and not hibernated since.
     pub(crate) fn wake(&self, k: usize, params: Option<&[f32]>) -> (Client, bool) {
         let (mut shell, fresh_shell) = self.pop_shell();
-        let data = self.source.shard(k);
+        let data = self.source.dataset(k);
         let (n, batch) = (data.len(), self.batch_size);
         let mut arena = self.shard(k);
         let Some(record) = arena.wake(k, self.shape.record_len(n)) else {

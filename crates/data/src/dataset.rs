@@ -1,6 +1,7 @@
 //! Dataset containers shared by all benchmarks.
 
 use rfl_tensor::Tensor;
+use std::sync::Arc;
 
 /// The example payload of a dataset.
 #[derive(Clone, Debug)]
@@ -65,9 +66,14 @@ pub fn gather_rows_into(t: &Tensor, indices: &[usize], out: &mut Tensor) {
     }
 }
 
-/// A labelled dataset.
+/// A labelled dataset. Immutable once built, and shared: its examples,
+/// labels and class count live behind one `Arc`, so a clone is a
+/// reference-count bump and every clone reads the same buffers.
 #[derive(Clone, Debug)]
-pub struct Dataset {
+pub struct Dataset(Arc<Labelled>);
+
+#[derive(Debug)]
+struct Labelled {
     examples: Examples,
     labels: Vec<usize>,
     num_classes: usize,
@@ -82,36 +88,36 @@ impl Dataset {
             labels.iter().all(|&y| y < num_classes),
             "label out of range"
         );
-        Dataset {
+        Dataset(Arc::new(Labelled {
             examples,
             labels,
             num_classes,
-        }
+        }))
     }
 
     pub fn len(&self) -> usize {
-        self.labels.len()
+        self.0.labels.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
+        self.0.labels.is_empty()
     }
 
     pub fn examples(&self) -> &Examples {
-        &self.examples
+        &self.0.examples
     }
 
     pub fn labels(&self) -> &[usize] {
-        &self.labels
+        &self.0.labels
     }
 
     /// Subset at `indices` (copies the data).
     pub fn select(&self, indices: &[usize]) -> Dataset {
-        Dataset {
-            examples: self.examples.select(indices),
-            labels: indices.iter().map(|&i| self.labels[i]).collect(),
-            num_classes: self.num_classes,
-        }
+        Dataset(Arc::new(Labelled {
+            examples: self.0.examples.select(indices),
+            labels: indices.iter().map(|&i| self.0.labels[i]).collect(),
+            num_classes: self.0.num_classes,
+        }))
     }
 
     /// Splits into `(train, held_out)` with `frac` of samples in train,
@@ -131,8 +137,8 @@ impl Dataset {
 
     /// Per-class sample counts.
     pub fn class_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_classes];
-        for &y in &self.labels {
+        let mut counts = vec![0usize; self.0.num_classes];
+        for &y in &self.0.labels {
             counts[y] += 1;
         }
         counts

@@ -10,7 +10,7 @@
 use crate::dataset::{Dataset, Examples};
 use crate::synth::image::SynthImageSpec;
 use rand::Rng;
-use rfl_tensor::{normal_sample, Tensor};
+use rfl_tensor::{normal_fill, Tensor};
 
 /// Specification of the FEMNIST-like benchmark.
 #[derive(Clone, Copy, Debug)]
@@ -116,8 +116,9 @@ impl FemnistSpec {
                 let proto = &protos.data()[y * px..(y + 1) * px];
                 let styled = style.apply(proto, self.size);
                 let dst = &mut x.data_mut()[row * px..(row + 1) * px];
+                normal_fill(rng, dst);
                 for (d, &p) in dst.iter_mut().zip(&styled) {
-                    *d = p + self.noise_std * normal_sample(rng);
+                    *d = p + self.noise_std * *d;
                 }
                 row += 1;
             }

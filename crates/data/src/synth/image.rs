@@ -9,7 +9,7 @@
 use crate::dataset::{Dataset, Examples};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rfl_tensor::{normal_sample, Tensor};
+use rfl_tensor::{normal_fill, Tensor};
 
 /// Specification of a synthetic image benchmark.
 #[derive(Clone, Copy, Debug)]
@@ -58,29 +58,33 @@ impl SynthImageSpec {
 
     /// The class prototypes `[classes, C, H, W]` implied by `proto_seed`.
     pub fn prototypes(&self) -> Tensor {
+        const COARSE: usize = 4;
         let mut rng = StdRng::seed_from_u64(self.proto_seed);
-        let coarse = 4usize;
-        let mut protos = Tensor::zeros(&[self.classes, self.channels, self.size, self.size]);
-        for c in 0..self.classes {
-            for ch in 0..self.channels {
-                // Coarse random grid.
-                let grid: Vec<f32> = (0..coarse * coarse)
-                    .map(|_| self.class_sep * normal_sample(&mut rng))
-                    .collect();
-                // Bilinear upsample to size × size.
-                for y in 0..self.size {
-                    for x in 0..self.size {
-                        let fy = y as f32 / self.size as f32 * (coarse - 1) as f32;
-                        let fx = x as f32 / self.size as f32 * (coarse - 1) as f32;
-                        let (y0, x0) = (fy.floor() as usize, fx.floor() as usize);
-                        let (y1, x1) = ((y0 + 1).min(coarse - 1), (x0 + 1).min(coarse - 1));
-                        let (ty, tx) = (fy - y0 as f32, fx - x0 as f32);
-                        let v = grid[y0 * coarse + x0] * (1.0 - ty) * (1.0 - tx)
-                            + grid[y0 * coarse + x1] * (1.0 - ty) * tx
-                            + grid[y1 * coarse + x0] * ty * (1.0 - tx)
-                            + grid[y1 * coarse + x1] * ty * tx;
-                        *protos.at_mut(&[c, ch, y, x]) = v;
-                    }
+        let size = self.size;
+        // Where pixel `i` of a row or column falls on the coarse grid: its
+        // two neighbours and its weight towards the second.
+        let taps: Vec<(usize, usize, f32)> = (0..size)
+            .map(|i| {
+                let f = i as f32 / size as f32 * (COARSE - 1) as f32;
+                let i0 = f.floor() as usize;
+                (i0, (i0 + 1).min(COARSE - 1), f - i0 as f32)
+            })
+            .collect();
+        let mut protos = Tensor::zeros(&[self.classes, self.channels, size, size]);
+        let mut grid = [0.0f32; COARSE * COARSE];
+        for plane in protos.data_mut().chunks_exact_mut(size * size) {
+            // Coarse random grid.
+            normal_fill(&mut rng, &mut grid);
+            for g in &mut grid {
+                *g *= self.class_sep;
+            }
+            // Bilinear upsample to size × size.
+            for (row, &(y0, y1, ty)) in plane.chunks_exact_mut(size).zip(&taps) {
+                for (v, &(x0, x1, tx)) in row.iter_mut().zip(&taps) {
+                    *v = grid[y0 * COARSE + x0] * (1.0 - ty) * (1.0 - tx)
+                        + grid[y0 * COARSE + x1] * (1.0 - ty) * tx
+                        + grid[y1 * COARSE + x0] * ty * (1.0 - tx)
+                        + grid[y1 * COARSE + x1] * ty * tx;
                 }
             }
         }
@@ -88,7 +92,9 @@ impl SynthImageSpec {
     }
 
     /// Generates `n` labelled samples (labels cycle through the classes so
-    /// the pool is class-balanced).
+    /// the pool is class-balanced). Each image draws its jitter, then its
+    /// noise with one [`normal_fill`] into its row, which it then scales
+    /// in place.
     pub fn generate<R: Rng>(&self, n: usize, rng: &mut R) -> Dataset {
         let protos = self.prototypes();
         let px = self.channels * self.size * self.size;
@@ -111,8 +117,9 @@ impl SynthImageSpec {
             };
             let proto = &pd[y * px..(y + 1) * px];
             let dst = &mut xd[i * px..(i + 1) * px];
+            normal_fill(rng, dst);
             for (d, &p) in dst.iter_mut().zip(proto) {
-                *d = contrast * p + brightness + self.noise_std * normal_sample(rng);
+                *d = contrast * p + brightness + self.noise_std * *d;
             }
         }
         Dataset::new(Examples::Images(x), labels, self.classes)

@@ -43,6 +43,23 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.weight.value.dims()[1]
     }
+
+    /// The weight and bias gradients of [`Layer::backward_into`], bit for
+    /// bit, without the input gradient `dY·Wᵀ`: for a layer whose input
+    /// gradient nobody reads.
+    pub fn backward_params_into(&mut self, dout: &Tensor) {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("Linear::backward called before forward");
+        // dW += xᵀ·dY ; db += column-sums of dY. The per-call products land
+        // in scratch tensors before being accumulated so the summation order
+        // matches the allocating implementation exactly.
+        x.matmul_transa_into(dout, &mut self.dw);
+        self.weight.grad.add_assign(&self.dw);
+        dout.sum_axis0_into(&mut self.db);
+        self.bias.grad.add_assign(&self.db);
+    }
 }
 
 impl Layer for Linear {
@@ -62,17 +79,8 @@ impl Layer for Linear {
     }
 
     fn backward_into(&mut self, dout: &Tensor, dinput: &mut Tensor) {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward called before forward");
-        // dW += xᵀ·dY ; db += column-sums of dY ; dX = dY·Wᵀ. The per-call
-        // products land in scratch tensors before being accumulated so the
-        // summation order matches the allocating implementation exactly.
-        x.matmul_transa_into(dout, &mut self.dw);
-        self.weight.grad.add_assign(&self.dw);
-        dout.sum_axis0_into(&mut self.db);
-        self.bias.grad.add_assign(&self.db);
+        self.backward_params_into(dout);
+        // dX = dY·Wᵀ.
         dout.matmul_transb_into(&self.weight.value, dinput);
     }
 
@@ -126,6 +134,22 @@ mod tests {
         for (a, b) in l.weight.grad.data().iter().zip(g1.data()) {
             assert!((a - 2.0 * b).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn backward_params_matches_full_backward_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut l = Linear::new(32, 4, &mut rng);
+        let x = Initializer::Normal(1.0).init(&[8, 32], &mut rng);
+        let y = l.forward(&x, true);
+        let dy = Initializer::Normal(1.0).init(y.dims(), &mut rng);
+        l.backward(&dy);
+        let (dw, db) = (l.weight.grad.clone(), l.bias.grad.clone());
+        l.weight.zero_grad();
+        l.bias.zero_grad();
+        l.backward_params_into(&dy);
+        assert_eq!(l.weight.grad.data(), dw.data());
+        assert_eq!(l.bias.grad.data(), db.data());
     }
 
     #[test]

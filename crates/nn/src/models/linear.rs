@@ -18,7 +18,6 @@ use rfl_tensor::Tensor;
 pub struct LogisticRegression {
     head: Linear,
     l2: f32,
-    dinput: Tensor, // scratch for the head's (unused) input gradient
 }
 
 impl LogisticRegression {
@@ -27,7 +26,6 @@ impl LogisticRegression {
         LogisticRegression {
             head: Linear::new(in_dim, classes, rng),
             l2,
-            dinput: Tensor::scratch(),
         }
     }
 }
@@ -45,8 +43,9 @@ impl Model for LogisticRegression {
 
     fn backward(&mut self, dlogits: &Tensor, _dfeatures: Option<&Tensor>) {
         // φ is the identity here, so a feature gradient would only flow into
-        // the (non-trainable) input; it is intentionally dropped.
-        self.head.backward_into(dlogits, &mut self.dinput);
+        // the (non-trainable) input; it is intentionally dropped, and the
+        // head's input gradient is not computed.
+        self.head.backward_params_into(dlogits);
         if self.l2 > 0.0 {
             let l2 = self.l2;
             self.head.weight.grad.axpy(l2, &self.head.weight.value);
@@ -85,8 +84,7 @@ pub struct LinearNet {
     feat: Linear,
     head: Linear,
     l2: f32,
-    dfeat: Tensor,  // scratch: gradient w.r.t. the features
-    dinput: Tensor, // scratch for `feat`'s (unused) input gradient
+    dfeat: Tensor, // scratch: gradient w.r.t. the features
 }
 
 impl LinearNet {
@@ -102,7 +100,6 @@ impl LinearNet {
             head: Linear::new(feature_dim, classes, rng),
             l2,
             dfeat: Tensor::scratch(),
-            dinput: Tensor::scratch(),
         }
     }
 }
@@ -123,7 +120,8 @@ impl Model for LinearNet {
         if let Some(df) = dfeatures {
             self.dfeat.add_assign(df);
         }
-        self.feat.backward_into(&self.dfeat, &mut self.dinput);
+        // Nobody reads the input gradient.
+        self.feat.backward_params_into(&self.dfeat);
         if self.l2 > 0.0 {
             let l2 = self.l2;
             self.for_each_param_mut(&mut |p| p.grad.axpy(l2, &p.value));

@@ -59,13 +59,13 @@ impl Initializer {
     }
 }
 
-/// Standard normal sample via Box–Muller; avoids pulling in `rand_distr`.
-/// The transcendentals go through [`crate::fastmath`], whose kernels are
-/// bit-identical to the libm calls this function originally made.
+/// One standard normal: [`crate::normal_fill`] of one element. A loop of
+/// these draws the stream one fill of the loop's length would, slower; fill
+/// a buffer where there is one.
 pub fn normal_sample<R: Rng>(rng: &mut R) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
-    crate::fastmath::normal_from_units(u1, u2)
+    let mut x = [0.0];
+    crate::fastmath::normal_fill(rng, &mut x);
+    x[0]
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub use codec::{decode_f32_into, encode_f32_into, wire_size, CodecError};
 pub use conv::{
     conv2d_backward_into, conv2d_backward_params_into, conv2d_into, Conv2dGrads, ConvSpec,
 };
-pub use fastmath::{normal_fill, normal_from_units};
+pub use fastmath::normal_fill;
 pub use init::{normal_sample, Initializer};
 pub use pool::{relu_maxpool2x2_backward_into, relu_maxpool2x2_into};
 pub use shape::Shape;

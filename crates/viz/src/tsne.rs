@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfl_tensor::{normal_sample, sq_dist_slices, Tensor};
+use rfl_tensor::{normal_fill, sq_dist_slices, Tensor};
 
 /// t-SNE hyper-parameters.
 #[derive(Clone, Copy, Debug)]
@@ -138,9 +138,9 @@ impl Tsne {
 
     fn optimize(&self, n: usize, p: &[f64]) -> Tensor {
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        let mut y: Vec<f64> = (0..n * 2)
-            .map(|_| 1e-2 * normal_sample(&mut rng) as f64)
-            .collect();
+        let mut start = vec![0.0f32; n * 2];
+        normal_fill(&mut rng, &mut start);
+        let mut y: Vec<f64> = start.iter().map(|&z| 1e-2 * z as f64).collect();
         let mut vel = vec![0.0f64; n * 2];
         let mut q = vec![0.0f64; n * n];
 
@@ -199,6 +199,7 @@ impl Tsne {
 mod tests {
     use super::*;
     use rand::Rng;
+    use rfl_tensor::normal_sample;
 
     /// Two well-separated Gaussian blobs must remain separated in 2-D.
     #[test]

@@ -11,6 +11,9 @@
 # and the `mean sec/round` column of ablation_delta_acc.csv and of its stdout
 # table. Everything else is bit-reproducible, at any RFL_THREADS / RFL_SIMD.
 #
+# Prints the wall time of the `all` run on a line of its own, which no hash
+# covers (EXPERIMENTS.md keeps the readings).
+#
 # Usage: scripts/experiments-smoke.sh            compare with the recorded hashes
 #        scripts/experiments-smoke.sh --record   rewrite them (an output moved on purpose)
 set -euo pipefail
@@ -61,8 +64,11 @@ trap 'rm -rf "$out"' EXIT
 mkdir "$out/all" "$out/alone"
 
 # `all` prints `>>> rfl-bench <name>` before each experiment's own output.
+start=$(date +%s.%N)
 target/release/rfl-bench all --scale quick --seeds 1 --out "$out/all" 2> /dev/null |
   awk -v dir="$out/all" '/^>>> rfl-bench / { file = dir "/" $3 ".stdout"; next } { print > file }'
+awk -v a="$start" -v b="$(date +%s.%N)" \
+  'BEGIN { printf "rfl-bench all --scale quick --seeds 1: %.1f s\n", b - a }'
 target/release/rfl-bench "$ALONE" --scale quick --seeds 1 --out "$out/alone" \
   > "$out/alone/$ALONE.stdout" 2> /dev/null
 
