@@ -85,11 +85,12 @@ const MIN_COLD_WARM_RATIO: f64 = 10.0;
 /// all pooled, so the steady-state overhead is zero.
 const COMPRESSED_ROUND_OVERHEAD: f64 = 4.0;
 /// Allocator calls a warm client-round of the lazy lifecycle may make:
-/// materialize (recycled shell, persisted state, the source's cloned
-/// `Dataset`), one local step, upload, hibernate. What is left once shells
-/// are recycled is the dataset clone (3) and the round's own bookkeeping —
-/// measured 4.43 with each client's round one job on one worker (4.7 to
-/// 4.9 while separate prefetch and hibernate waves ran it). Rebuilding the
+/// wake (a recycled shell, the record's slot, the source's `Dataset`
+/// clone), one local step, upload, hibernate. The clone is a
+/// reference-count bump and allocates nothing, so what is left once shells
+/// are recycled is the round's own bookkeeping — measured 1.29 (4.43 while
+/// the source handed each wake a copy of its shard, 4.7 to 4.9 while
+/// separate prefetch and hibernate waves ran the round). Rebuilding the
 /// replica and the step-loop buffers for every sampled client, as the
 /// registry did before it kept a shell list, reads 55.6 and fails the gate.
 const LIFECYCLE_CEILING: f64 = 6.0;

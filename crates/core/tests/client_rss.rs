@@ -7,25 +7,30 @@
 //! the peak resident set between the two runs to the 24 added clients.
 //!
 //! Between requests a client is its record plus its shard, which the
-//! federation keeps resident (32 images of 3 × 16 × 16 floats, 98 KB). The
-//! model replicas, workspaces and step buffers live in the registry's
-//! shells, and every request holds at most one per worker, so three rounds
-//! build two shells whatever the client count. What sets the reading is
-//! therefore the data, not the clients' working state. At 48 clients the
-//! peak is reached before any client wakes: generating the data holds the
-//! image pool and the shards cut from it at once (18.5 MB), then
-//! `Federation::new` clones the shards while the caller's copy is still
-//! alive (19.1 MB), and the three rounds add under 1 MB (18.6–19.8 MB at
-//! the end). At 24 clients the rounds set the peak (12.8–13.7 MB, against
-//! 9.7 MB after setup). So the reading is what a client's data adds at
-//! setup, less the rounds' headroom at 24 clients: 224–255 KB over 15
-//! readings, about two and a half copies of its shard. While rFedAvg+'s δ probe kept its
-//! cohort of shells live until the next round (a fifth of the clients,
-//! 1.1 MB each after a train and a probe) this read 270–320 KB, and a
-//! federation that kept a replica, its workspaces and its step buffers for
-//! every client read 750–770 KB, after three rounds had touched about half
-//! of its clients (EXPERIMENTS.md "One client lifecycle", "No client is
-//! live between requests").
+//! federation keeps resident (32 images of 3 × 16 × 16 floats, 98 KB) and
+//! shares with the caller's `FederatedData`: a `Dataset` clone is a
+//! reference-count bump, so `Federation::new` adds no copy. The model
+//! replicas, workspaces and step buffers live in the registry's shells, and
+//! every request holds at most one per worker, so three rounds build two
+//! shells whatever the client count. What sets the reading is therefore
+//! the data, not the clients' working state. At 48 clients the peak is
+//! reached while the data is generated: the image pool and the shards cut
+//! from it are alive at once, two copies of every client's data, on top of
+//! what the 24-client run left with the allocator (17.2–17.4 MB after
+//! setup); `Federation::new` and the three rounds add nothing measurable.
+//! At 24 clients the rounds set the peak (11.9–12.7 MB, against 8.9 MB
+//! after setup). So the reading is two copies of a client's data plus the
+//! smaller run's allocator leftovers, less the rounds' headroom at 24
+//! clients: 236–269 KB over ten readings (peaks of 12.2–12.7 MB at 24
+//! clients and 18.2–19.1 MB at 48). While `Federation::new` cloned every
+//! shard, the same ten readings were 226–252 KB at peaks of 13.6–14.0 MB
+//! and 19.3–20.0 MB: the clone raised both runs' peaks alike. While
+//! rFedAvg+'s δ probe kept its cohort of shells live until the next round
+//! (a fifth of the clients, 1.1 MB each after a train and a probe) this
+//! read 270–320 KB, and a federation that kept a replica, its workspaces
+//! and its step buffers for every client read 750–770 KB, after three
+//! rounds had touched about half of its clients (EXPERIMENTS.md "One
+//! client lifecycle", "No client is live between requests").
 //!
 //! This file holds exactly one test function: `VmHWM` is process-wide, and
 //! a sibling test's memory would be charged to the clients.
@@ -43,8 +48,9 @@ const SAMPLES_PER_CLIENT: usize = 32;
 const TEST_SAMPLES: usize = 200;
 const ROUNDS: usize = 3;
 const SEED: u64 = 17;
-/// Peak resident bytes one added client may cost: the highest reading
-/// (255 KB) plus a quarter.
+/// Peak resident bytes one added client may cost: a quarter above the
+/// highest reading of the clone era (255 KB). The highest of today's ten
+/// (269 KB) plus a quarter is 336 KB, above it, so it stays.
 const BYTES_PER_ADDED_CLIENT_CEILING: f64 = 319e3;
 
 /// `cnn_device`'s data recipe over `clients` clients.
