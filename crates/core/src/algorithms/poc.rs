@@ -61,7 +61,7 @@ impl Algorithm for PowerOfChoice {
         // therefore be ranked; the rest drop out of the pool.
         let pool = r.fed.broadcast_params(&candidates);
         if !pool.is_empty() {
-            let losses = r.fed.eval_local(&pool);
+            let losses = r.fed.local_mut().eval_local(&pool);
             let mut ranked: Vec<(usize, f32)> = pool.into_iter().zip(losses).collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
             r.selected = ranked.iter().take(m).map(|(k, _)| *k).collect();
@@ -126,7 +126,12 @@ mod tests {
         let mut algo = PowerOfChoice::new(4.0, 0.0); // pool = all 8
         let all: Vec<usize> = (0..8).collect();
         fed.broadcast_params(&all);
-        let mut losses: Vec<(usize, f32)> = fed.eval_local(&all).into_iter().enumerate().collect();
+        let mut losses: Vec<(usize, f32)> = fed
+            .local_mut()
+            .eval_local(&all)
+            .into_iter()
+            .enumerate()
+            .collect();
         losses.sort_by(|a, b| b.1.total_cmp(&a.1));
         let expected: Vec<usize> = {
             let mut v: Vec<usize> = losses.iter().take(2).map(|(k, _)| *k).collect();

@@ -41,7 +41,7 @@ impl Algorithm for QFedAvg {
 
     /// Reads `F_k` client-side, right after the download.
     fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
-        self.losses = r.fed.eval_local(&r.active);
+        self.losses = r.fed.local_mut().eval_local(&r.active);
         vec![LocalRule::Plain; r.active.len()]
     }
 
@@ -53,11 +53,11 @@ impl Algorithm for QFedAvg {
     fn fold(&mut self, r: &mut Round<'_>) -> Vec<usize> {
         let fed = &mut *r.fed;
         let global = fed.global().to_vec();
-        let lrs = fed.learning_rates(&r.active);
+        let lrs = fed.local_mut().learning_rates(&r.active);
         let mut delta_sum = vec![0.0f32; global.len()];
         let mut h_sum = 0.0f32;
         let (q, losses) = (self.q, &self.losses);
-        let delivered = fed.fold_uploads(&r.active, |slot, _, params| {
+        let delivered = fed.fold_uploads(&r.active, false, |slot, _, params| {
             let lipschitz = 1.0 / lrs[slot];
             let f_k = losses[slot].max(1e-10);
             let fq = f_k.powf(q);

@@ -2,13 +2,14 @@
 //! optimizer state, and a private RNG.
 //!
 //! A [`Client`] is its dataset around a `ClientShell`: the model replica,
-//! the RNG, the epoch sampler, the optimizer, the EF residual and the step
-//! loop's buffers. A client of a federation is kept between requests as
-//! its *record*: its durable state — the RNG position, the sampler, the
-//! optimizer's state and the residual — packed into one flat run of 32-bit
-//! words, which is all the registry keeps of it while it sleeps. Waking
-//! unpacks the record into a recycled shell, with the parameters it is
-//! handed, and hibernating packs it back ([`crate::registry`]).
+//! the RNG, the epoch sampler, the optimizer, the EF residual, SCAFFOLD's
+//! control variate and the step loop's buffers. A federation keeps a client
+//! between requests as its *record*: its durable state — the RNG, the
+//! sampler, the optimizer's state, the residual and the control variate —
+//! packed into one run of 32-bit words, all the registry keeps of it while
+//! it sleeps. Waking unpacks the record into a recycled shell, with the
+//! parameters it is handed, and hibernating packs it back
+//! ([`crate::registry`]).
 
 use crate::eval::{evaluate, gather_batch, to_input, EvalResult};
 use crate::mmd;
@@ -34,17 +35,17 @@ pub struct LocalReport {
 }
 
 /// Word layout of a client record ([`ClientShell::pack`]): a fixed
-/// header, then the optimizer's state words, the EF residual and the
-/// packed sampler.
+/// header, then the optimizer's state words, the EF residual, the control
+/// variate and the packed sampler.
 ///
 /// | words | field |
 /// |---|---|
 /// | 0..8 | xoshiro256++ state, four `u64`s low word first |
 /// | 8 | learning rate (`f32` bits) |
-/// | 9.. | optimizer state, residual (`f32` bits) |
+/// | 9.. | optimizer state, residual, control variate (`f32` bits) |
 /// | rest | cursor, order ([`BatchSampler::pack`]) |
 ///
-/// Neither the two lengths nor the sampler's example count is stored: they
+/// Neither the three lengths nor the sampler's example count is stored: they
 /// are the federation's [`Shape`] and the shard's, so [`Shape::record_len`]
 /// gives a record's length. A record holds no parameters: a sleeping
 /// client's are dead, because the next broadcast it installs overwrites
@@ -53,27 +54,25 @@ pub struct LocalReport {
 const LR: usize = 8;
 const HEADER: usize = 9;
 
-/// The lengths of a client's optimizer state and EF residual, its
-/// federation's for life: for a model of `d` parameters, `d` words of state
-/// under an optimizer that keeps any (RMSProp) and `d` of residual under an
-/// enabled compression policy, else none. A standalone [`Client::new`] has
-/// the empty shape and sizes both on first use; it is never packed.
+/// The lengths of a client's optimizer state, EF residual and control
+/// variate, in record order, its federation's for life: for `d` parameters,
+/// `d` words of state under RMSProp, of residual under compression and of
+/// control variate under SCAFFOLD, else none. A standalone [`Client::new`]
+/// has the empty shape and sizes each on first use; it is never packed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Shape {
-    pub(crate) state: usize,
-    pub(crate) residual: usize,
-}
+pub(crate) struct Shape(pub(crate) [usize; 3]);
 
 impl Shape {
     /// Words of the record of a client of this shape with `n_samples`
     /// examples.
     pub(crate) fn record_len(self, n_samples: usize) -> usize {
-        HEADER + self.state + self.residual + BatchSampler::packed_words(n_samples)
+        HEADER + self.0.iter().sum::<usize>() + BatchSampler::packed_words(n_samples)
     }
 }
 
 /// A live client's working state: the model replica, the RNG, the sampler,
-/// the optimizer, the EF residual, and every buffer of the step loop.
+/// the optimizer, the EF residual and control variate, and every buffer of
+/// the step loop.
 ///
 /// The registry recycles shells across clients of one federation, so
 /// a shell that served one client must serve any other, already warm, with
@@ -93,6 +92,8 @@ pub(crate) struct ClientShell {
     /// the shell's [`Shape`]. Durable state — dropping it on eviction would
     /// silently change the model trajectory whenever uploads are compressed.
     residual: Vec<f32>,
+    /// SCAFFOLD's `c_k`, of the shell's [`Shape`]: zeros until a commit.
+    control: Vec<f32>,
     /// The flat parameters: the step loop's read/step/write buffer, and a
     /// wake's NaN fill.
     params: Vec<f32>,
@@ -119,17 +120,18 @@ struct StepScratch {
 
 impl ClientShell {
     /// A cold shell around `model` and `optimizer` (fresh, of the
-    /// federation's kind), its optimizer state and residual zeros of
-    /// `shape`, that holds no client yet: [`ClientShell::restart`] or
-    /// [`ClientShell::unpack`] makes it one. Its other buffers size
-    /// themselves on first use.
+    /// federation's kind), its durable sections zeros of `shape`, that holds
+    /// no client yet: [`ClientShell::restart`] or [`ClientShell::unpack`]
+    /// makes it one. Its other buffers size themselves on first use.
     pub(crate) fn new(model: Box<dyn Model>, optimizer: Box<dyn Optimizer>, shape: Shape) -> Self {
+        let [state, residual, control] = shape.0;
         let mut shell = ClientShell {
             model,
             rng: StdRng::from_state([0; 4]),
             sampler: BatchSampler::default(),
             optimizer,
-            residual: vec![0.0; shape.residual],
+            residual: vec![0.0; residual],
+            control: vec![0.0; control],
             params: Vec::new(),
             scratch: Box::new(StepScratch {
                 grads: Vec::new(),
@@ -144,17 +146,16 @@ impl ClientShell {
                 feat_sum: Tensor::scratch(),
             }),
         };
-        if let Some(state) = shell.optimizer.state_mut() {
-            state.resize(shape.state, 0.0);
+        if let Some(words) = shell.optimizer.state_mut() {
+            words.resize(state, 0.0);
         }
         shell
     }
 
     /// Makes the durable fields client `id`'s before its first local step,
     /// in place: its own RNG stream, a sampler over `n_samples` examples,
-    /// the learning rate `lr`, and zeros in the optimizer state and the
-    /// residual, which keep their shape. The replica's parameters are the
-    /// caller's to set.
+    /// the learning rate `lr`, and zeros in the durable sections, which keep
+    /// their shape. The replica's parameters are the caller's to set.
     pub(crate) fn restart(
         &mut self,
         id: usize,
@@ -168,22 +169,21 @@ impl ClientShell {
         self.rng = StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         self.sampler.reset(n_samples, batch_size);
         self.optimizer.set_lr(lr);
-        let (state, residual) = self.durable();
-        state.fill(0.0);
-        residual.fill(0.0);
+        for v in self.durable() {
+            v.fill(0.0);
+        }
     }
 
-    /// The optimizer state and the residual, in place.
-    fn durable(&mut self) -> (&mut [f32], &mut [f32]) {
+    /// The three sections of the record, in place.
+    fn durable(&mut self) -> [&mut [f32]; 3] {
         let state = self.optimizer.state_mut().map(Vec::as_mut_slice);
-        (state.unwrap_or_default(), &mut self.residual)
+        let state = state.unwrap_or_default();
+        [state, &mut self.residual, &mut self.control]
     }
 
     /// The shape of the client this shell holds.
     pub(crate) fn shape(&mut self) -> Shape {
-        let (state, residual) = self.durable();
-        let (state, residual) = (state.len(), residual.len());
-        Shape { state, residual }
+        Shape(self.durable().map(|v| v.len()))
     }
 
     /// Writes the record (layout at [`HEADER`]) of the client this shell
@@ -196,8 +196,7 @@ impl ClientShell {
             pair.copy_from_slice(&[w as u32, (w >> 32) as u32]);
         }
         head[LR] = lr.to_bits();
-        let (state, residual) = self.durable();
-        for v in [state, residual] {
+        for v in self.durable() {
             let (field, rest) = body.split_at_mut(v.len());
             for (w, x) in field.iter_mut().zip(v) {
                 *w = x.to_bits();
@@ -210,9 +209,9 @@ impl ClientShell {
     /// Makes this shell the client whose `record` ([`ClientShell::pack`],
     /// exactly [`Shape::record_len`] words of the shell's shape) it is
     /// handed, over `n_samples` examples, at `params`, in place: the
-    /// RNG/sampler/optimizer/residual resume exactly where they stopped,
-    /// whatever the shell held before, and `params` overwrite the replica's
-    /// ([`ClientShell::install`]). `batch_size` is the federation's (the
+    /// RNG/sampler/optimizer/residual/control variate resume exactly where
+    /// they stopped, whatever the shell held before, and `params` overwrite
+    /// the replica's ([`ClientShell::install`]). `batch_size` is the federation's (the
     /// sampler clamps it to the shard again).
     pub(crate) fn unpack(
         &mut self,
@@ -226,8 +225,7 @@ impl ClientShell {
         self.rng = StdRng::from_state([word(0), word(1), word(2), word(3)]);
         self.optimizer.set_lr(f32::from_bits(head[LR]));
         self.install(params);
-        let (state, residual) = self.durable();
-        for v in [state, residual] {
+        for v in self.durable() {
             let (field, rest) = body.split_at(v.len());
             for (x, &w) in v.iter_mut().zip(field) {
                 *x = f32::from_bits(w);
@@ -349,6 +347,11 @@ impl Client {
         )
     }
 
+    /// SCAFFOLD's `c_k` (durable state, it survives hibernation).
+    pub(crate) fn control(&mut self) -> &mut Vec<f32> {
+        &mut self.shell.control
+    }
+
     /// Learning rate of the local optimizer.
     pub(crate) fn lr(&self) -> f32 {
         self.shell.optimizer.lr()
@@ -432,10 +435,11 @@ impl Client {
                         *g += mu * (w - a);
                     }
                 }
-                LocalRule::Scaffold { correction } => {
-                    debug_assert_eq!(correction.len(), scratch.grads.len());
-                    for (g, c) in scratch.grads.iter_mut().zip(correction.iter()) {
-                        *g += c;
+                LocalRule::Scaffold { c } => {
+                    debug_assert_eq!(c.len(), scratch.grads.len());
+                    shell.control.resize(c.len(), 0.0); // a standalone client's first use
+                    for ((g, c), ck) in scratch.grads.iter_mut().zip(c.iter()).zip(&shell.control) {
+                        *g += c - ck;
                     }
                 }
                 _ => {}
@@ -606,8 +610,8 @@ mod tests {
         let n = c.shell.model.num_params();
         let mut before = Vec::new();
         c.read_params(&mut before);
-        let correction = Arc::new(vec![1000.0f32; n]);
-        c.train_local(1, &LocalRule::Scaffold { correction });
+        let c_server = Arc::new(vec![1000.0f32; n]);
+        c.train_local(1, &LocalRule::Scaffold { c: c_server });
         let mut after = Vec::new();
         c.read_params(&mut after);
         // lr 0.2 × correction 1000 dominates: every param decreased by ~200.

@@ -443,11 +443,6 @@ impl Federation {
         }
     }
 
-    #[cfg(test)]
-    fn local(&self) -> &LocalPlane {
-        self.plane.local().expect(NO_LOCAL_CLIENTS)
-    }
-
     pub(crate) fn local_mut(&mut self) -> &mut LocalPlane {
         self.plane.local_mut().expect(NO_LOCAL_CLIENTS)
     }
@@ -630,37 +625,41 @@ impl Federation {
     }
 
     /// The streaming upload walk: claims each selected client's upload in
-    /// selection order and hands delivered parameters to
-    /// `visit(slot, client, params)` one at a time, so the server never
-    /// holds more than one upload unless the visitor keeps it. Compressed
-    /// frames decode into reused workspaces against the global they were
-    /// compressed against. Returns the delivered ids in selection order.
+    /// selection order and hands delivered values to `visit(slot, client,
+    /// values)` one at a time, so the server never holds more than one
+    /// upload unless the visitor keeps it. Compressed frames decode into
+    /// reused workspaces against the global they were compressed against.
+    /// `control` claims SCAFFOLD's `Δ`s instead, and commits the `c_k⁺` of
+    /// each client whose `Δ` arrived. Returns the delivered ids in order.
     pub(crate) fn fold_uploads(
         &mut self,
         selected: &[usize],
+        control: bool,
         mut visit: impl FnMut(usize, usize, &[f32]),
     ) -> Vec<usize> {
-        let clients = selected.len();
-        self.metered(
-            SpanKind::Upload,
-            CommStats::upload_bytes,
-            None,
-            clients,
-            |fed| {
-                let (policy, global) = (fed.compression, &fed.global);
-                let mut delivered = Vec::with_capacity(clients);
-                for (slot, &k) in selected.iter().enumerate() {
-                    let (rt, values) = (&mut fed.comp_rt, &mut fed.comp_decoded);
-                    let decode = |rt: &_, out: &mut _| decode_upload_into(policy, rt, global, out);
-                    let what = Pull::Upload;
-                    if let Some(params) = fed.plane.claim(k, what, policy, rt, values, decode) {
-                        visit(slot, k, params);
-                        delivered.push(k);
-                    }
+        let (clients, bytes) = (selected.len(), CommStats::upload_bytes);
+        let delivered = self.metered(SpanKind::Upload, bytes, None, clients, |fed| {
+            let (global, mut delivered) = (&fed.global, Vec::with_capacity(clients));
+            let policy = if control {
+                Compression::None
+            } else {
+                fed.compression
+            };
+            for (slot, &k) in selected.iter().enumerate() {
+                let (rt, values) = (&mut fed.comp_rt, &mut fed.comp_decoded);
+                let decode = |rt: &_, out: &mut _| decode_upload_into(policy, rt, global, out);
+                let what = if control { Pull::Control } else { Pull::Upload };
+                if let Some(params) = fed.plane.claim(k, what, policy, rt, values, decode) {
+                    visit(slot, k, params);
+                    delivered.push(k);
                 }
-                delivered
-            },
-        )
+            }
+            delivered
+        });
+        if control {
+            self.local_mut().commit_controls(&delivered);
+        }
+        delivered
     }
 
     /// Streaming collect-and-average *without* installing the result:
@@ -675,7 +674,8 @@ impl Federation {
         let mut fold_span = self.tracer.span(SpanKind::Fold);
         let mut agg = std::mem::take(&mut self.agg);
         agg.reset_for_selection(dim, &self.weights, selected);
-        let delivered = self.fold_uploads(selected, |slot, _, params| agg.push(slot, params));
+        let delivered =
+            self.fold_uploads(selected, false, |slot, _, params| agg.push(slot, params));
         for (slot, k) in selected.iter().enumerate() {
             if delivered.binary_search(k).is_err() {
                 agg.mark_dropped(slot);
@@ -790,18 +790,12 @@ impl Federation {
         let workers = fan_out_width(l.parallel, self.weights.len());
         l.evaluate_each(self.eval.load(workers, &self.global))
     }
+}
 
-    /// Mean data loss of the model each selected client holds — the global
-    /// one, right after a broadcast — on its own data (q-FedAvg's fair
-    /// weights, power-of-choice's ranking).
-    pub(crate) fn eval_local(&mut self, selected: &[usize]) -> Vec<f32> {
-        self.local_mut().eval_local(selected)
-    }
-
-    /// The learning rate each selected client trains with, read off the
-    /// client (woken if it is asleep).
-    pub(crate) fn learning_rates(&mut self, selected: &[usize]) -> Vec<f32> {
-        self.local_mut().learning_rates(selected)
+#[cfg(test)]
+impl Federation {
+    fn local(&self) -> &LocalPlane {
+        self.plane.local().expect(NO_LOCAL_CLIENTS)
     }
 }
 
@@ -917,7 +911,7 @@ mod tests {
             let mut fed = small_fed(parallel, 6);
             fed.broadcast_params(&selected);
             fed.train_selected(&selected, &vec![LocalRule::Plain; 3], 3);
-            let got: Vec<u32> = (fed.eval_local(&selected).iter())
+            let got: Vec<u32> = (fed.local().eval_local(&selected).iter())
                 .map(|l| l.to_bits())
                 .collect();
             assert_eq!(got, local, "parallel {parallel}, budget {budget}");
@@ -1312,6 +1306,7 @@ mod shell_tests {
         fed.begin_round(1);
         assert_eq!(fed.num_persisted(), 2, "only a wake makes a record");
         let lrs: Vec<u32> = fed
+            .local()
             .learning_rates(&[1, 2, 3])
             .iter()
             .map(|l| l.to_bits())
@@ -1343,7 +1338,7 @@ mod shell_tests {
         // broadcast: they wake at NaN from then on.
         fed.begin_round(2);
         fed.broadcast_params(&[5]);
-        fed.learning_rates(&[1, 2, 3]);
+        fed.local().learning_rates(&[1, 2, 3]);
         for k in [1, 2, 3] {
             let nan = params(&mut fed, k)
                 .iter()
@@ -1445,7 +1440,7 @@ mod shell_tests {
     fn claim_upload(fed: &mut Federation, k: usize) -> std::thread::Result<Option<Vec<f32>>> {
         catch_unwind(AssertUnwindSafe(|| {
             let mut upload = None;
-            fed.fold_uploads(&[k], |_, _, params| upload = Some(params.to_vec()));
+            fed.fold_uploads(&[k], false, |_, _, params| upload = Some(params.to_vec()));
             upload
         }))
     }

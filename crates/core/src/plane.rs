@@ -25,7 +25,9 @@ use crate::client::{Client, LocalReport};
 use crate::comm::{
     Delivery, LinkOutcome, MsgKind, PerfectTransport, RemoteTransport, SocketTransport, Transport,
 };
-use crate::compress::{compress_plain, ef_compress_update, CompressedVec, Compression};
+use crate::compress::{
+    compress_plain, decode_upload_into, ef_compress_update, CompressedVec, Compression,
+};
 use crate::dp::{privatize_delta, DpConfig};
 use crate::eval::{evaluate, EvalResult};
 use crate::registry::ClientRegistry;
@@ -40,10 +42,10 @@ use std::sync::Mutex;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Capability {
     /// The server decides each client's [`LocalRule`] and the client must
-    /// apply it as given (FedProx's anchor, SCAFFOLD's correction, a δ
-    /// target that never crossed the wire). A remote client derives its
-    /// rule from the frames it received, so only `Plain` and an MMD rule
-    /// built from a delivered `DeltaDown` agree on both sides.
+    /// apply it as given (FedProx's anchor, a δ target that never crossed
+    /// the wire). A remote client derives its rule from the frames it
+    /// received, so only `Plain` and an MMD rule built from a delivered
+    /// `DeltaDown` agree on both sides.
     ServerSideRule,
     /// The server reads client state directly: learning rates, the local
     /// loss at the global model, an unmetered δ probe.
@@ -80,7 +82,7 @@ impl std::error::Error for Unsupported {}
 /// Batch size of every evaluation pass (global and per client).
 pub(crate) const EVAL_BATCH: usize = 64;
 
-/// The two requests whose reply is a frame the server claims per client.
+/// The requests whose reply is a frame the server claims per client.
 pub(crate) enum Pull<'a> {
     /// The parameters the client trained to: dense, or — under an enabled
     /// policy — the update against the broadcast it trained from,
@@ -92,6 +94,8 @@ pub(crate) enum Pull<'a> {
     Delta {
         dp: Option<(DpConfig, &'a mut StdRng)>,
     },
+    /// SCAFFOLD's `Δ = c_k⁺ − c_k` the training job computed, dense.
+    Control,
 }
 
 impl Pull<'_> {
@@ -102,6 +106,7 @@ impl Pull<'_> {
             (Pull::Upload, true) => MsgKind::CompressedUp,
             (Pull::Delta { .. }, false) => MsgKind::DeltaUp,
             (Pull::Delta { .. }, true) => MsgKind::CompressedDeltaUp,
+            (Pull::Control, _) => MsgKind::ControlUp,
         }
     }
 }
@@ -429,6 +434,8 @@ pub(crate) struct LocalPlane {
     kept: Kept,
     /// The δ request's replies: the maps it probed.
     deltas: Replies,
+    /// The training request's SCAFFOLD replies: `Δ`, then `c_k⁺`.
+    controls: Replies,
 }
 
 impl LocalPlane {
@@ -450,6 +457,7 @@ impl LocalPlane {
             parallel,
             kept: Kept::default(),
             deltas: Replies::default(),
+            controls: Replies::default(),
         }
     }
 
@@ -474,7 +482,7 @@ impl LocalPlane {
             .transport
             .broadcast(MsgKind::ModelDown, selected, global);
         let delivered = bd.delivered_clients(selected);
-        (self.kept.uploads.len, self.deltas.len) = (0, 0);
+        (self.kept.uploads.len, self.deltas.len, self.controls.len) = (0, 0, 0);
         self.kept.owed.clone_from(&delivered);
         self.kept.broadcast = bd.data;
         delivered
@@ -507,8 +515,9 @@ impl LocalPlane {
     /// Trains every selected client (sorted by id) under `rules[i]` for
     /// `steps[i]`: each job wakes the client at the broadcast it is owed,
     /// trains it and reads its upload — against `global` under `policy` —
-    /// into its reply slot before the hibernation. [`LocalPlane::pull`]
-    /// frames nothing more.
+    /// into its reply slot before the hibernation; a SCAFFOLD job then adds
+    /// `Δ` and `c_k⁺` (option II) from what its upload delivers, as the
+    /// server decodes it. [`LocalPlane::pull`] frames nothing more.
     fn train(
         &mut self,
         selected: &[usize],
@@ -521,19 +530,38 @@ impl LocalPlane {
         // With the uploads out of `kept`, a wake finds only the owed
         // broadcast.
         let mut uploads = std::mem::take(&mut self.kept.uploads);
-        let slots = uploads.ask(selected).iter_mut().zip(&mut reports);
+        let mut controls = std::mem::take(&mut self.controls);
+        let scaffold = |r: &LocalRule| matches!(r, LocalRule::Scaffold { .. });
+        let any = rules.iter().any(scaffold);
+        let mut asked = controls.ask(if any { selected } else { &[] }).iter_mut();
+        let slots = (uploads.ask(selected).iter_mut().zip(&mut reports)).map(|s| (s, asked.next()));
         let tracer = &self.tracer;
-        self.each_selected(selected, slots, |client, i, (slot, report)| {
+        self.each_selected(selected, slots, |client, i, ((slot, report), control)| {
             let mut span = tracer.client_span(SpanKind::LocalTrain, selected[i]);
             let trained = client.train_local(steps[i], &rules[i]);
             train_counters(&mut span, Some(&trained));
             drop(span);
             answer_upload(client, global, policy, &mut slot.reply);
+            if let (LocalRule::Scaffold { c }, Some(control)) = (&rules[i], control) {
+                let (up, w) = (&slot.reply, &mut control.reply.values);
+                match policy.is_enabled() {
+                    true => assert!(decode_upload_into(policy, &up.payload, global, w)),
+                    false => w.clone_from(&up.values),
+                }
+                w.resize(2 * global.len(), 0.0);
+                let (delta, next) = w.split_at_mut(global.len());
+                let scale = 1.0 / (trained.steps as f32 * client.lr());
+                let pairs = client.control().iter().zip(c.iter());
+                for (((d, n), (ck, c)), g) in delta.iter_mut().zip(next).zip(pairs).zip(global) {
+                    *n = ck - c + scale * (g - *d);
+                    *d = *n - ck;
+                }
+            }
             *report = Some(trained);
         });
         let owed = &mut self.kept.owed;
         owed.retain(|k| selected.binary_search(k).is_err());
-        self.kept.uploads = uploads;
+        (self.kept.uploads, self.controls) = (uploads, controls);
         reports
     }
 
@@ -556,9 +584,9 @@ impl LocalPlane {
     }
 
     /// Sends client `k`'s frame for `what`, taking the reply a request left
-    /// ([`Replies::claim`]): the upload its training job framed, or the δ
-    /// map the last δ request probed, privatized and framed here in claim
-    /// order. A claim reads no client.
+    /// ([`Replies::claim`]): the upload or the control `Δ` its training job
+    /// framed, or the δ map the last δ request probed, privatized and
+    /// framed here in claim order. A claim reads no client.
     fn pull(
         &mut self,
         k: usize,
@@ -570,6 +598,10 @@ impl LocalPlane {
         let frame = match what {
             Pull::Upload => self.kept.uploads.claim(k, "an upload").frame(policy),
             Pull::Delta { dp } => answer_delta(dp, policy, self.deltas.claim(k, "a δ")),
+            Pull::Control => {
+                let values = &self.controls.claim(k, "a control").values;
+                Frame::Dense(&values[..values.len() / 2])
+            }
         };
         match frame {
             Frame::Dense(values) => Arrived::dense(self.transport.send(kind, k, values)),
@@ -579,7 +611,21 @@ impl LocalPlane {
         }
     }
 
-    /// The local loss of the model each selected client holds.
+    /// Installs in each of `clients` (sorted) its control reply's `c_k⁺`.
+    pub(crate) fn commit_controls(&self, clients: &[usize]) {
+        let controls = &self.controls;
+        self.each_selected(clients, clients, |c, _, &k| {
+            let i = controls.find(k).filter(|&i| controls.slots[i].taken);
+            let v = &controls.slots[i.expect("a commit follows its claim")]
+                .reply
+                .values;
+            c.control().copy_from_slice(&v[v.len() / 2..]);
+        });
+    }
+
+    /// Mean data loss of the model each selected client holds — the global
+    /// one, right after a broadcast — on its own data (q-FedAvg's fair
+    /// weights, power-of-choice's ranking).
     pub(crate) fn eval_local(&self, selected: &[usize]) -> Vec<f32> {
         let mut losses = vec![0.0; selected.len()];
         self.each_selected(selected, &mut losses, |c, _, loss| {

@@ -18,18 +18,18 @@
 //! # Records
 //!
 //! A hibernated client is one run of 32-bit words: the xoshiro state, the
-//! learning rate and the optimizer's state words, the EF residual, and the
-//! sampler's cursor and epoch order at the narrowest integer width that
-//! holds its indices (layout in `client.rs`). A record has one shape for
-//! the client's life: every shell the registry builds holds `d` zeros of
-//! optimizer state under RMSProp and `d` of residual under an enabled
-//! compression policy (else none), the sizes RMSProp and the codec give
-//! them on first use, and a first wake zero-fills both. So the shape and
-//! the shard give a record's length, and the record stores neither it nor
-//! the sampler's `n`. For `scale_lazy`'s client — logistic 32 → 4, 32
-//! examples, SGD — that is 18 words, and with its index entry 86–88
-//! resident bytes (`tests/persist_rss.rs` holds it to 92; EXPERIMENTS.md
-//! "A client's record has one shape for life").
+//! learning rate, the optimizer's state, the EF residual, SCAFFOLD's `c_k`,
+//! and the sampler's cursor and epoch order at the narrowest integer width
+//! that holds its indices (layout in `client.rs`). A record has one shape
+//! for the client's life: every shell the registry builds holds `d` zeros
+//! of optimizer state under RMSProp, of residual under compression and of
+//! `c_k` once SCAFFOLD reserved them before any wake, else none, and a
+//! first wake zero-fills all three. So the shape and the shard give a
+//! record's length, and the record stores neither it nor the sampler's
+//! `n`. For `scale_lazy`'s client — logistic 32 → 4, 32 examples, SGD —
+//! that is 18 words, and with its index entry 86–88 resident bytes
+//! (`tests/persist_rss.rs` holds it to 92; EXPERIMENTS.md "A client's
+//! record has one shape for life").
 //!
 //! The records of a shard live in its arena: 64 KiB chunks of words that
 //! are never reallocated (a record longer than a chunk gets one of its
@@ -253,13 +253,24 @@ impl ClientRegistry {
             clip_grad_norm: cfg.clip_grad_norm,
             seed,
             init_global,
-            shape: Shape { state, residual },
+            shape: Shape([state, residual, 0]),
             shards: (0..n_shards)
                 .map(|_| Mutex::new(Arena::default()))
                 .collect(),
             shells: Mutex::new(Vec::new()),
             shells_built: AtomicU64::new(0),
         }
+    }
+
+    /// Gives every record a `d`-word section for SCAFFOLD's `c_k`. Panics,
+    /// naming a client, once any has woken: its record has no such section.
+    pub(crate) fn reserve_control(&mut self, d: usize) {
+        for shard in &mut self.shards {
+            if let Some(k) = shard.get_mut().expect("shard poisoned").index.keys().next() {
+                panic!("client {k} holds a record: reserve the control variates before any wake");
+            }
+        }
+        self.shape.0[2] = d;
     }
 
     pub(crate) fn source(&self) -> &Arc<dyn ClientDataSource> {
@@ -278,20 +289,6 @@ impl ClientRegistry {
         self.shards[k % self.shards.len()]
             .lock()
             .expect("registry shard poisoned")
-    }
-
-    /// Shells built so far. A shell is only built when the list is empty,
-    /// that is when every shell built before it is in use, so this is also
-    /// the most shells that were ever in use at once: one per live client.
-    #[cfg(test)]
-    pub(crate) fn shells_built(&self) -> u64 {
-        self.shells_built.load(Ordering::Relaxed)
-    }
-
-    /// Shells on the list right now.
-    #[cfg(test)]
-    pub(crate) fn shells_idle(&self) -> usize {
-        self.shells.lock().expect("shell list poisoned").len()
     }
 
     /// Builds the live simulation object for client `k` at the initial
@@ -452,6 +449,22 @@ impl Arena {
             .ok()
             .filter(|&o| o < NO_SLOT)
             .expect("a registry shard holds under 2^31 words")
+    }
+}
+
+/// Test accessors of the registry's shell statistics.
+#[cfg(test)]
+impl ClientRegistry {
+    /// Shells built so far. A shell is only built when the list is empty,
+    /// that is when every shell built before it is in use, so this is also
+    /// the most shells that were ever in use at once: one per live client.
+    pub(crate) fn shells_built(&self) -> u64 {
+        self.shells_built.load(Ordering::Relaxed)
+    }
+
+    /// Shells on the list right now.
+    pub(crate) fn shells_idle(&self) -> usize {
+        self.shells.lock().expect("shell list poisoned").len()
     }
 }
 
@@ -655,7 +668,8 @@ mod tests {
     }
 
     /// Trains both clients `steps` steps and asserts that every loss, every
-    /// parameter bit, the residual and the learning rate agree.
+    /// parameter bit, the residual, the control variate and the learning
+    /// rate agree.
     fn train_twins(mut a: Client, mut b: Client, steps: usize, what: &str) {
         for _ in 0..steps {
             let (ra, rb) = (
@@ -670,6 +684,7 @@ mod tests {
         assert_eq!(bits(&wa), bits(&wb), "{what}");
         let (ra, rb) = (a.feedback_buffers().0, b.feedback_buffers().0);
         assert_eq!(bits(ra), bits(rb), "{what}");
+        assert_eq!(bits(a.control()), bits(b.control()), "{what}");
         assert_eq!(a.lr().to_bits(), b.lr().to_bits(), "{what}");
     }
 
@@ -678,8 +693,8 @@ mod tests {
         // One client per shard size, on both sides of every width the
         // sampler's order packs at (1, 2 and 4 bytes per index), with
         // RMSProp accumulators, a changed learning rate, an EF residual of
-        // 8-bit quantized uploads and a cursor in the middle of an epoch;
-        // its twin stays live.
+        // 8-bit quantized uploads, a control variate and a cursor in the
+        // middle of an epoch; its twin stays live.
         let sizes = [1, 255, 256, 257, 65_535, 65_536, 65_537];
         let mut rng = StdRng::seed_from_u64(4);
         let pool = GaussianMixtureSpec::default_spec().generate(65_537, None, &mut rng);
@@ -698,7 +713,10 @@ mod tests {
                 let optimizer = OptimizerFactory::rmsprop(0.01);
                 ClientRegistry::new(src, model, optimizer, &cfg, 5, init_global.clone())
             };
-            let (stays, cycles) = (reg(), reg());
+            let (mut stays, mut cycles) = (reg(), reg());
+            for r in [&mut stays, &mut cycles] {
+                r.reserve_control(init_global.len());
+            }
             let (mut live, mut cycled) = (stays.materialize(0), cycles.materialize(0));
             for c in [&mut live, &mut cycled] {
                 c.train_local(3, &LocalRule::Plain);
@@ -706,6 +724,9 @@ mod tests {
                 let d = c.feedback_buffers().0;
                 d.clear();
                 d.extend((0..init_global.len()).map(|i| (i as f32 - 20.5) * 1e-3));
+                for (i, v) in c.control().iter_mut().enumerate() {
+                    *v = (i as f32 - 3.5) * 7e-4;
+                }
             }
             // Client 1 (1,000 examples) trains and sleeps last, so client 0
             // wakes around the shell it left behind, and installs its

@@ -15,8 +15,8 @@ pub enum LocalRule {
     /// proximal term `μ/2·‖w − w_global‖²`).
     Prox { mu: f32, anchor: Arc<Vec<f32>> },
     /// SCAFFOLD: add the control-variate correction `c − c_k` to the
-    /// gradient.
-    Scaffold { correction: Arc<Vec<f32>> },
+    /// gradient, `c` as `ControlDown` delivered it and `c_k` the client's.
+    Scaffold { c: Arc<Vec<f32>> },
     /// rFedAvg / rFedAvg+: inject the distribution-regularizer gradient
     /// `2λ(μ_B − δ_target)/B` at the feature layer (Eq. 5 with the delayed
     /// target `δ_target`).

@@ -13,24 +13,20 @@
 //! replicas, workspaces and step buffers live in the registry's shells, and
 //! every request holds at most one per worker, so three rounds build two
 //! shells whatever the client count. What sets the reading is therefore
-//! the data, not the clients' working state. At 48 clients the peak is
-//! reached while the data is generated: the image pool and the shards cut
-//! from it are alive at once, two copies of every client's data, on top of
-//! what the 24-client run left with the allocator (17.2–17.4 MB after
-//! setup); `Federation::new` and the three rounds add nothing measurable.
-//! At 24 clients the rounds set the peak (11.9–12.7 MB, against 8.9 MB
-//! after setup). So the reading is two copies of a client's data plus the
-//! smaller run's allocator leftovers, less the rounds' headroom at 24
-//! clients: 236–269 KB over ten readings (peaks of 12.2–12.7 MB at 24
-//! clients and 18.2–19.1 MB at 48). While `Federation::new` cloned every
-//! shard, the same ten readings were 226–252 KB at peaks of 13.6–14.0 MB
-//! and 19.3–20.0 MB: the clone raised both runs' peaks alike. While
-//! rFedAvg+'s δ probe kept its cohort of shells live until the next round
-//! (a fifth of the clients, 1.1 MB each after a train and a probe) this
-//! read 270–320 KB, and a federation that kept a replica, its workspaces
-//! and its step buffers for every client read 750–770 KB, after three
-//! rounds had touched about half of its clients (EXPERIMENTS.md "One
-//! client lifecycle", "No client is live between requests").
+//! the data, not the clients' working state.
+//!
+//! Each run is a fresh process — this binary again, running only this test
+//! with `CLIENT_RSS_LEG` naming the client count — so neither peak sits on
+//! what the other run left with the allocator. While both ran in one
+//! process, the 48-client peak (reached while its data is generated: the
+//! image pool and the shards cut from it are alive at once) sat on the
+//! 24-client run's leftovers, 17.2–17.4 MB after setup against 13.5–13.7
+//! MB in a fresh process, and ten readings were 236–269 KB. Earlier
+//! designs read more: 270–320 KB while rFedAvg+'s δ probe kept its cohort
+//! of shells live until the next round, and 750–770 KB while a federation
+//! kept a replica, its workspaces and its step buffers for every client
+//! (EXPERIMENTS.md "One client lifecycle", "No client is live between
+//! requests").
 //!
 //! This file holds exactly one test function: `VmHWM` is process-wide, and
 //! a sibling test's memory would be charged to the clients.
@@ -43,15 +39,22 @@ use rfl_core::{Federation, FlConfig, ModelFactory, OptimizerFactory, Trainer};
 use rfl_data::synth::image::SynthImageSpec;
 use rfl_data::{partition, FederatedData};
 use rfl_nn::CnnConfig;
+use std::process::Command;
 
 const SAMPLES_PER_CLIENT: usize = 32;
 const TEST_SAMPLES: usize = 200;
 const ROUNDS: usize = 3;
 const SEED: u64 = 17;
+/// The variable that makes a run of this binary one leg: its client count.
+const LEG: &str = "CLIENT_RSS_LEG";
+/// The one test, which the legs re-run.
+const TEST: &str = "an_added_client_stays_under_its_peak_byte_ceiling";
 /// Peak resident bytes one added client may cost: a quarter above the
-/// highest reading of the clone era (255 KB). The highest of today's ten
-/// (269 KB) plus a quarter is 336 KB, above it, so it stays.
-const BYTES_PER_ADDED_CLIENT_CEILING: f64 = 319e3;
+/// highest of ten readings with each leg in a fresh process (102–111 KB,
+/// at peaks of 12.39–12.52 MB at 24 clients and 14.95–15.14 MB at 48; the
+/// default test profile read 101–112 KB). Over one process the same gate
+/// read 236–269 KB and held a ceiling of 319 KB.
+const BYTES_PER_ADDED_CLIENT_CEILING: f64 = 139e3;
 
 /// `cnn_device`'s data recipe over `clients` clients.
 fn data(clients: usize) -> FederatedData {
@@ -88,13 +91,39 @@ fn peak_after_run(clients: usize) -> u64 {
     rfl_core::mem::peak_rss_bytes()
 }
 
+/// The peak resident set of a fresh process that ran over `clients`
+/// clients: this test binary again, as one leg.
+fn peak_of_a_fresh_run(clients: usize) -> u64 {
+    let exe = std::env::current_exe().expect("the test binary's path");
+    let out = Command::new(exe)
+        .args(["--exact", TEST, "--nocapture", "--test-threads=1"])
+        .env(LEG, clients.to_string())
+        .output()
+        .expect("the leg starts");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "the {clients}-client leg failed:\n{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The harness prints the test's name on the same line.
+    let peak = stdout.split("peak bytes: ").nth(1);
+    peak.and_then(|p| p.split_whitespace().next()?.parse().ok())
+        .unwrap_or_else(|| panic!("the {clients}-client leg printed no peak:\n{stdout}"))
+}
+
 #[test]
 #[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
 fn an_added_client_stays_under_its_peak_byte_ceiling() {
-    rfl_tensor::set_thread_budget(2);
-    let small = peak_after_run(24);
+    if let Ok(clients) = std::env::var(LEG) {
+        rfl_tensor::set_thread_budget(2);
+        let clients = clients.parse().expect("a client count");
+        println!("peak bytes: {}", peak_after_run(clients));
+        return;
+    }
+    let small = peak_of_a_fresh_run(24);
     assert!(small > 0, "VmHWM is unreadable");
-    let large = peak_after_run(48);
+    let large = peak_of_a_fresh_run(48);
     let per_client = large.saturating_sub(small) as f64 / 24.0;
     println!(
         "peak RSS {:.2} MB at 24 clients, {:.2} MB at 48: {:.0} KB per added client",

@@ -4,7 +4,8 @@
 //! delivered set, frame, δ map, report, local loss, learning rate and the
 //! byte ledger after each request, bit for bit, serially and on two
 //! workers. A proptest state machine draws the sequences, under SGD or
-//! RMSProp, with dense, 8-bit quantized, top-k or count-sketched uploads.
+//! RMSProp, with dense, 8-bit quantized, top-k or count-sketched uploads,
+//! on records with or without SCAFFOLD's control variate.
 //!
 //! rfl-core's unit tests include this file as `federation::lifecycle_tests`
 //! (by `#[path]`): it drives the federation's private claim path.
@@ -13,8 +14,11 @@
 //! reached them (a first wake holds the initial global), then runs epochs:
 //! a model broadcast (after `begin_round` or, as rFedAvg+'s second sync,
 //! inside the round), reads of the clients it reached, at most one training
-//! request, then the upload claims — of every client it trained plus any
-//! others it reached, one at a time, in selection order — and more reads. A
+//! request (plain, MMD, or — on records with the section — SCAFFOLD under a
+//! drawn `c`), then the upload claims — of every client it trained plus any
+//! others it reached, one at a time, in selection order — then the control
+//! claims, which commit `c_k⁺` when the link delivers them — of every client
+//! trained under SCAFFOLD plus any others it reached — and more reads. A
 //! read is a local evaluation, the learning rates, a δ request, δ claims
 //! (with or without the Gaussian mechanism), upload claims or a
 //! learning-rate change. A claim takes the reply a request of this epoch
@@ -50,6 +54,11 @@ trait Requests {
     /// Panics when no δ request of this epoch left a map for `k` or its map
     /// was claimed.
     fn claim_delta(&mut self, k: usize, dp: Option<(DpConfig, &mut StdRng)>) -> Option<Vec<f32>>;
+    /// Panics when `k` did not train under SCAFFOLD this epoch or its
+    /// control `Δ` was claimed.
+    fn claim_control(&mut self, k: usize) -> Option<Vec<f32>>;
+    /// Each selected client's control variate.
+    fn variates(&mut self, selected: &[usize]) -> Vec<Vec<f32>>;
     fn eval_local(&mut self, selected: &[usize]) -> Vec<f32>;
     fn learning_rates(&mut self, selected: &[usize]) -> Vec<f32>;
     fn set_lr(&mut self, k: usize, lr: f32);
@@ -72,7 +81,7 @@ impl Requests for Federation {
     }
     fn claim_upload(&mut self, k: usize, _global: &[f32]) -> Option<Vec<f32>> {
         let mut out = None;
-        self.fold_uploads(&[k], |_, _, params| out = Some(params.to_vec()));
+        self.fold_uploads(&[k], false, |_, _, params| out = Some(params.to_vec()));
         out
     }
     fn probe(&mut self, selected: &[usize]) -> Vec<Vec<f32>> {
@@ -89,11 +98,21 @@ impl Requests for Federation {
             .claim(k, Pull::Delta { dp }, policy, rt, values, decode);
         delta.map(<[f32]>::to_vec)
     }
+    fn claim_control(&mut self, k: usize) -> Option<Vec<f32>> {
+        let mut out = None;
+        self.fold_uploads(&[k], true, |_, _, delta| out = Some(delta.to_vec()));
+        out
+    }
+    fn variates(&mut self, selected: &[usize]) -> Vec<Vec<f32>> {
+        (selected.iter())
+            .map(|&k| self.with_client(k, |c| c.control().clone()))
+            .collect()
+    }
     fn eval_local(&mut self, selected: &[usize]) -> Vec<f32> {
-        Federation::eval_local(self, selected)
+        self.local_mut().eval_local(selected)
     }
     fn learning_rates(&mut self, selected: &[usize]) -> Vec<f32> {
-        Federation::learning_rates(self, selected)
+        self.local_mut().learning_rates(selected)
     }
     fn set_lr(&mut self, k: usize, lr: f32) {
         self.with_client(k, |c| c.set_lr(lr));
@@ -121,6 +140,12 @@ impl Requests for ReplicaPlane {
     }
     fn claim_delta(&mut self, k: usize, dp: Option<(DpConfig, &mut StdRng)>) -> Option<Vec<f32>> {
         ReplicaPlane::claim_delta(self, k, dp)
+    }
+    fn claim_control(&mut self, k: usize) -> Option<Vec<f32>> {
+        ReplicaPlane::claim_control(self, k)
+    }
+    fn variates(&mut self, selected: &[usize]) -> Vec<Vec<f32>> {
+        ReplicaPlane::variates(self, selected)
     }
     fn eval_local(&mut self, selected: &[usize]) -> Vec<f32> {
         ReplicaPlane::eval_local(self, selected)
@@ -153,11 +178,26 @@ enum Read {
     },
     /// Upload claims, one client at a time.
     Uploads(Vec<bool>),
+    /// The control variates, as the records hold them.
+    Variates(Vec<bool>),
     /// Sets the picked clients' learning rate to `LRS[i]`.
     SetLr(Vec<bool>, usize),
 }
 
 const LRS: [f32; 3] = [0.05, 0.0123, 0.2];
+
+/// Parameters of [`model`].
+const PARAMS: usize = 94;
+
+/// The rule a training request hands every client it trains.
+#[derive(Clone, Debug)]
+enum Rule {
+    Plain,
+    Mmd,
+    /// SCAFFOLD under the server variate `c` (plain SGD on records without
+    /// the section).
+    Scaffold(Vec<f32>),
+}
 
 /// One model broadcast and what follows it.
 #[derive(Clone, Debug)]
@@ -165,12 +205,15 @@ struct Epoch {
     new_round: bool,
     reach: Vec<bool>,
     before: Vec<Read>,
-    /// Who trains (of those reached), for how many steps, under MMD or not.
-    train: Option<(Vec<bool>, usize, bool)>,
+    /// Who trains (of those reached), for how many steps, under which rule.
+    train: Option<(Vec<bool>, usize, Rule)>,
     between: Vec<Read>,
     /// Reached clients claimed beside the trained ones: refused, as no
     /// request left them an upload.
     extra_uploads: Vec<bool>,
+    /// Reached clients whose control `Δ` is claimed (once more, for those
+    /// trained under SCAFFOLD): refused, as no request left them one.
+    extra_controls: Vec<bool>,
     after: Vec<Read>,
     /// Whether a fold moves the global before the next broadcast.
     fold: bool,
@@ -185,6 +228,9 @@ struct Case {
     /// RMSProp, not SGD: every record carries `d` words of accumulators,
     /// zeros until the client's first step.
     rmsprop: bool,
+    /// Every record carries a `d`-word control variate, reserved before
+    /// any client wakes.
+    scaffold: bool,
     lossy: bool,
     seed: u64,
     first: Option<Read>,
@@ -208,6 +254,7 @@ fn read() -> impl Strategy<Value = Read> {
         mask().prop_map(Read::Probe),
         (mask(), any::<bool>()).prop_map(|(pick, dp)| Read::Claim { pick, dp }),
         mask().prop_map(Read::Uploads),
+        mask().prop_map(Read::Variates),
         (mask(), 0..LRS.len()).prop_map(|(pick, i)| Read::SetLr(pick, i)),
     ]
 }
@@ -216,28 +263,33 @@ fn reads() -> impl Strategy<Value = Vec<Read>> {
     prop::collection::vec(read(), 0..3)
 }
 
+fn rule() -> impl Strategy<Value = Rule> {
+    prop_oneof![
+        Just(Rule::Plain),
+        Just(Rule::Mmd),
+        prop::collection::vec(-0.5f32..0.5, PARAMS).prop_map(Rule::Scaffold),
+    ]
+}
+
 fn epoch() -> impl Strategy<Value = Epoch> {
-    let train = maybe((mask(), 1..=3usize, any::<bool>()));
+    let train = maybe((mask(), 1..=3usize, rule()));
     (
-        any::<bool>(),
-        mask(),
-        reads(),
-        train,
-        reads(),
-        mask(),
-        reads(),
-        any::<bool>(),
+        (any::<bool>(), mask(), reads(), train, reads()),
+        (mask(), mask(), reads(), any::<bool>()),
     )
         .prop_map(
-            |(new_round, reach, before, train, between, extra_uploads, after, fold)| Epoch {
-                new_round,
-                reach,
-                before,
-                train,
-                between,
-                extra_uploads,
-                after,
-                fold,
+            |((new_round, reach, before, train, between), (uploads, controls, after, fold))| {
+                Epoch {
+                    new_round,
+                    reach,
+                    before,
+                    train,
+                    between,
+                    extra_uploads: uploads,
+                    extra_controls: controls,
+                    after,
+                    fold,
+                }
             },
         )
 }
@@ -268,18 +320,22 @@ fn case() -> impl Strategy<Value = Case> {
         policy(),
         any::<bool>(),
         any::<bool>(),
+        any::<bool>(),
         any::<u64>(),
         maybe(first),
         epochs,
     )
-        .prop_map(|(policy, rmsprop, lossy, seed, first, epochs)| Case {
-            policy,
-            rmsprop,
-            lossy,
-            seed,
-            first,
-            epochs,
-        })
+        .prop_map(
+            |(policy, rmsprop, scaffold, lossy, seed, first, epochs)| Case {
+                policy,
+                rmsprop,
+                scaffold,
+                lossy,
+                seed,
+                first,
+                epochs,
+            },
+        )
 }
 
 fn picked(mask: &[bool], from: &[usize]) -> Vec<usize> {
@@ -322,6 +378,17 @@ impl Transcript<'_> {
         });
     }
 
+    fn variates(&mut self, clients: &[usize]) {
+        // A standalone replica sizes its variate at its first SCAFFOLD
+        // step, a record holds zeros from the start: both read as `None`
+        // until then.
+        let variates = self.plane.variates(clients);
+        let variates: Vec<Option<Vec<u32>>> = (variates.iter())
+            .map(|v| v.iter().any(|x| x.to_bits() != 0).then(|| bits(v)))
+            .collect();
+        self.log(format!("variates {variates:?}"));
+    }
+
     fn read(&mut self, read: &Read, reached: &[usize], global: &[f32]) {
         let all: Vec<usize> = (0..N).collect();
         match read {
@@ -351,6 +418,7 @@ impl Transcript<'_> {
                     self.claim_upload(k, global);
                 }
             }
+            Read::Variates(m) => self.variates(&picked(m, reached)),
             Read::SetLr(m, i) => {
                 for k in picked(m, &all) {
                     self.plane.set_lr(k, LRS[*i]);
@@ -375,15 +443,21 @@ impl Transcript<'_> {
             for read in &e.before {
                 self.read(read, &reached, &global);
             }
-            let mut trained = Vec::new();
-            if let Some((m, steps, mmd)) = &e.train {
+            let (mut trained, mut scaffold) = (Vec::new(), false);
+            if let Some((m, steps, rule)) = &e.train {
                 trained = picked(m, &reached);
-                let rule = match mmd {
-                    true => LocalRule::Mmd {
+                let rule = match rule {
+                    Rule::Mmd => LocalRule::Mmd {
                         lambda: 0.1,
                         target: Arc::new(vec![0.05; FEATURES]),
                     },
-                    false => LocalRule::Plain,
+                    Rule::Scaffold(c) if case.scaffold => {
+                        scaffold = true;
+                        LocalRule::Scaffold {
+                            c: Arc::new(c.clone()),
+                        }
+                    }
+                    _ => LocalRule::Plain,
                 };
                 let rules = vec![rule; trained.len()];
                 let reports = self.plane.train(&trained, &rules, *steps);
@@ -398,6 +472,15 @@ impl Transcript<'_> {
             for &k in &reached {
                 if trained.contains(&k) || e.extra_uploads[k] {
                     self.claim_upload(k, &global);
+                }
+            }
+            for &k in &reached {
+                let claims = usize::from(scaffold && trained.contains(&k));
+                for _ in 0..claims + usize::from(e.extra_controls[k]) {
+                    self.claim(format!("claim control {k}"), |plane, _| {
+                        plane.claim_control(k)
+                    });
+                    self.variates(&[k]);
                 }
             }
             for read in &e.after {
@@ -457,6 +540,7 @@ proptest! {
         };
         let mut global = Vec::new();
         model().build(SEED).read_params(&mut global);
+        assert_eq!(global.len(), PARAMS);
         let mut replicas =
             ReplicaPlane::new(&data, model(), optimizer, &cfg(false), SEED, transport(&case));
         let want = transcript(&mut replicas, &case, global.clone());
@@ -466,6 +550,9 @@ proptest! {
             .into_iter()
             .map(|parallel| {
                 let mut fed = Federation::new(&data, model(), optimizer, &cfg(parallel), SEED);
+                if case.scaffold {
+                    fed.local_mut().registry.reserve_control(PARAMS);
+                }
                 fed.set_transport(transport(&case));
                 (parallel, transcript(&mut fed, &case, global.clone()))
             })

@@ -8,9 +8,11 @@
 //! report, loss and byte count bit for bit.
 //!
 //! Included into rfl-core's unit tests by `#[path]`: it reads client state
-//! the crate does not export (the learning rate, the local loss) and
-//! answers with the client half every back-end shares (`answer_upload`,
-//! `answer_delta`).
+//! the crate does not export (the learning rate, the local loss, the
+//! control variate) and answers with the client half every back-end shares
+//! (`answer_upload`, `answer_delta`). SCAFFOLD's control update has no
+//! remote half yet, so its option-II arithmetic is written here again, per
+//! element, from the frame the upload claim built.
 
 use crate::client::{Client, LocalReport};
 use crate::comm::Transport;
@@ -21,6 +23,10 @@ use crate::plane::{answer_delta, answer_upload, Frame, Pull, Scratch, EVAL_BATCH
 use crate::rules::LocalRule;
 use rand::rngs::StdRng;
 use rfl_data::FederatedData;
+use std::sync::Arc;
+
+/// A SCAFFOLD training: the delivered `c`, the steps run, the rate.
+type Trained = (Arc<Vec<f32>>, usize, f32);
 
 /// Every client live, behind a simulated transport.
 pub(crate) struct ReplicaPlane {
@@ -33,6 +39,13 @@ pub(crate) struct ReplicaPlane {
     /// The last δ request's maps by client, until claimed; a broadcast or
     /// the next δ request voids them.
     maps: Vec<Option<Vec<f32>>>,
+    /// What a client trained under SCAFFOLD answers its control upload
+    /// from — the delivered `c`, its step count and learning rate — until
+    /// its upload is claimed.
+    scaffold: Vec<Option<Trained>>,
+    /// `Δ` and `c_k⁺` of a client trained under SCAFFOLD, from its upload
+    /// claim until its control claim.
+    controls: Vec<Option<(Vec<f32>, Vec<f32>)>>,
     scratch: Scratch,
     rt: CompressedVec,
 }
@@ -63,6 +76,8 @@ impl ReplicaPlane {
             policy: cfg.compression,
             trained: vec![false; data.clients.len()],
             maps: vec![None; data.clients.len()],
+            scaffold: vec![None; data.clients.len()],
+            controls: vec![None; data.clients.len()],
             scratch: Scratch::default(),
             rt: CompressedVec::default(),
         }
@@ -78,6 +93,8 @@ impl ReplicaPlane {
         }
         self.trained.fill(false);
         self.maps.fill(None);
+        self.scaffold.fill(None);
+        self.controls.fill(None);
         delivered
     }
 
@@ -88,10 +105,16 @@ impl ReplicaPlane {
         steps: usize,
     ) -> Vec<LocalReport> {
         self.trained.fill(false);
+        self.scaffold.fill(None);
+        self.controls.fill(None);
         (selected.iter().zip(rules))
             .map(|(&k, rule)| {
                 self.trained[k] = true;
-                self.clients[k].train_local(steps, rule)
+                let report = self.clients[k].train_local(steps, rule);
+                if let LocalRule::Scaffold { c } = rule {
+                    self.scaffold[k] = Some((c.clone(), report.steps, self.clients[k].lr()));
+                }
+                report
             })
             .collect()
     }
@@ -105,15 +128,49 @@ impl ReplicaPlane {
         let policy = self.policy;
         let kind = Pull::Upload.kind(policy.is_enabled());
         let frame = answer_upload(&mut self.clients[k], global, policy, &mut self.scratch);
+        // What the upload delivers, as the server decodes it.
+        let mut delivers = Vec::new();
+        match &frame {
+            Frame::Dense(values) => delivers.extend_from_slice(values),
+            Frame::Compressed(payload) => {
+                assert!(decode_upload_into(policy, payload, global, &mut delivers))
+            }
+        }
         let (transport, rt) = (&mut self.transport, &mut self.rt);
-        match frame {
+        let arrived = match frame {
             Frame::Dense(values) => transport.send(kind, k, values).data,
             Frame::Compressed(payload) => {
                 let link = transport.send_compressed(kind, k, payload, rt);
                 let mut out = Vec::new();
                 (link.delivered && decode_upload_into(policy, rt, global, &mut out)).then_some(out)
             }
+        };
+        if let Some((c, steps, lr)) = self.scaffold[k].take() {
+            let (scale, c_k) = (1.0 / (steps as f32 * lr), self.clients[k].control());
+            let next: Vec<f32> = (0..c.len())
+                .map(|i| c_k[i] - c[i] + scale * (global[i] - delivers[i]))
+                .collect();
+            let delta = (0..c.len()).map(|i| next[i] - c_k[i]).collect();
+            self.controls[k] = Some((delta, next));
         }
+        arrived
+    }
+
+    /// Client `k`'s control `Δ` as the server receives it; `None` when
+    /// lost. A delivered one commits `c_k⁺`. Panics when `k`'s upload did
+    /// not follow a SCAFFOLD training since the last broadcast, or its `Δ`
+    /// was claimed already.
+    pub(crate) fn claim_control(&mut self, k: usize) -> Option<Vec<f32>> {
+        let control = self.controls[k].take();
+        let (delta, next) = control.expect("a control claim follows its request");
+        let arrived = self
+            .transport
+            .send(Pull::Control.kind(false), k, &delta)
+            .data;
+        if arrived.is_some() {
+            *self.clients[k].control() = next;
+        }
+        arrived
     }
 
     /// The δ request: every selected client's map at the parameters it
@@ -150,6 +207,12 @@ impl ReplicaPlane {
                 (link.delivered && decode_plain_into(policy, rt, dim, &mut out)).then_some(out)
             }
         }
+    }
+
+    pub(crate) fn variates(&mut self, selected: &[usize]) -> Vec<Vec<f32>> {
+        (selected.iter())
+            .map(|&k| self.clients[k].control().clone())
+            .collect()
     }
 
     pub(crate) fn eval_local(&mut self, selected: &[usize]) -> Vec<f32> {

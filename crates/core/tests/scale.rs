@@ -1,13 +1,16 @@
 //! Scale gate: memory follows the sampled cohort, not the registry.
 //!
-//! Streamed-selection FedAvg rounds on [`Federation::lazy`] over a source that
+//! Streamed-selection rounds on [`Federation::lazy`] over a source that
 //! *generates* each client's shard on demand, so a registered client that is
 //! never sampled costs a descriptor in the sharded registry and nothing
 //! else. 100,000 registered clients at 1 % and 1,000,000 at 0.1 % both
 //! sample 1,000 a round, so the permitted `O(d + sampled)` term cancels and
 //! the shared ceiling isolates the forbidden `O(N)` one: eagerly
 //! materializing the smaller federation alone holds ~500 MB of datasets and
-//! replicas.
+//! replicas. FedAvg runs both sizes; SCAFFOLD runs the larger, where a
+//! control variate per registered client held on the server would be
+//! 10⁶ × 132 floats, about 0.53 GB: each client's `c_k` is a section of its
+//! record, so only the sampled clients hold one.
 //!
 //! This file holds exactly one test function: the peak resident set is
 //! process-wide, and a sibling test's memory would be charged to the legs.
@@ -18,19 +21,19 @@ mod gaussian_source;
 use gaussian_source::{GaussianSource, CLASSES, DIM, SPEC};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rfl_core::algorithms::FedAvg;
-use rfl_core::{Federation, FlConfig, ModelFactory, OptimizerFactory, Trainer};
+use rfl_core::algorithms::{FedAvg, Scaffold};
+use rfl_core::{Algorithm, Federation, FlConfig, ModelFactory, OptimizerFactory, Trainer};
 use std::sync::Arc;
 
 const SEED: u64 = 7;
-/// Peak-RSS ceiling of either leg. They measure about 8 MB and 12 MB: a
-/// training job holds one live client per worker, so the cohort's
+/// Peak-RSS ceiling of every leg. The FedAvg legs measure about 8 MB and
+/// 12 MB: a training job holds one live client per worker, so the cohort's
 /// datasets and replicas are never resident at once.
 const RSS_CEILING_BYTES: u64 = 64 * 1024 * 1024;
 
-/// Two streamed-selection FedAvg rounds over `clients` registered clients; returns
-/// the leg's final train loss and peak resident bytes.
-fn run_leg(clients: usize, sample_ratio: f32) -> (f32, u64) {
+/// Two streamed-selection rounds of `algo` over `clients` registered
+/// clients; returns the leg's final train loss and peak resident bytes.
+fn run_leg(algo: &mut dyn Algorithm, clients: usize, sample_ratio: f32) -> (f32, u64) {
     assert!(
         rfl_core::mem::reset_peak_rss(),
         "cannot reset VmHWM, so the second leg would inherit the first one's peak"
@@ -54,9 +57,7 @@ fn run_leg(clients: usize, sample_ratio: f32) -> (f32, u64) {
         &cfg,
         SEED,
     );
-    let h = Trainer::new(cfg)
-        .pipelined()
-        .run(&mut FedAvg::new(), &mut fed);
+    let h = Trainer::new(cfg).pipelined().run(algo, &mut fed);
     let last = h.records().last().expect("two rounds ran");
     // 1,000,000 × 0.001f32 rounds up to 1,001.
     assert!(
@@ -70,14 +71,28 @@ fn run_leg(clients: usize, sample_ratio: f32) -> (f32, u64) {
 #[test]
 #[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
 fn peak_rss_follows_the_cohort_from_100k_to_1m_registered_clients() {
-    for (clients, sample_ratio) in [(100_000, 0.01), (1_000_000, 0.001)] {
-        let (loss, peak) = run_leg(clients, sample_ratio);
-        assert!(loss.is_finite(), "{clients} clients diverged: loss {loss}");
+    type MakeAlgo = fn() -> Box<dyn Algorithm>;
+    let legs: [(&str, MakeAlgo, usize, f32); 3] = [
+        ("FedAvg", || Box::new(FedAvg::new()), 100_000, 0.01),
+        ("FedAvg", || Box::new(FedAvg::new()), 1_000_000, 0.001),
+        (
+            "SCAFFOLD",
+            || Box::new(Scaffold::new(1.0)),
+            1_000_000,
+            0.001,
+        ),
+    ];
+    for (name, make, clients, sample_ratio) in legs {
+        let (loss, peak) = run_leg(make().as_mut(), clients, sample_ratio);
+        assert!(
+            loss.is_finite(),
+            "{name}, {clients} clients diverged: loss {loss}"
+        );
         assert!(
             peak <= RSS_CEILING_BYTES,
-            "{clients} registered clients peaked at {peak} resident bytes, \
+            "{name}, {clients} registered clients peaked at {peak} resident bytes, \
              above the ceiling of {RSS_CEILING_BYTES}"
         );
-        println!("{clients} registered: peak RSS {peak} bytes, loss {loss}");
+        println!("{name}, {clients} registered: peak RSS {peak} bytes, loss {loss}");
     }
 }

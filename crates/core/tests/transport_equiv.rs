@@ -200,8 +200,8 @@ const PARITY: &[(&str, &str, &str)] = &[
     ),
     (
         "Scaffold",
-        "global=17187f84f28fd0db loss=[3fa1e4a4,3fa31e67,3f90a350,3f6af178] down=9120 up=9120 ddown=0 dup=0 msgs=32 faults=(0,0,0) | round{bytes_down=2280,bytes_up=2280,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3} materialize{clients=6} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=6} upload{bytes=1140,clients=3} upload{bytes=1140,clients=3} aggregate{clients=3}",
-        "global=920bd6768a4f0ce8 loss=[3f8ddc69,3fa890db,3ef2ae46,3f5a2ab7] down=9120 up=6080 ddown=0 dup=0 msgs=24 faults=(5,0,0) | round{bytes_down=2280,bytes_up=760,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3,dropped=2} materialize{clients=2} local_train#1{batches=5,examples=50} hibernate{clients=2} upload{bytes=380,clients=1} upload{bytes=380,clients=1} aggregate{clients=1}",
+        "global=17187f84f28fd0db loss=[3fa1e4a4,3fa31e67,3f90a350,3f6af178] down=9120 up=9120 ddown=0 dup=0 msgs=32 faults=(0,0,0) | round{bytes_down=2280,bytes_up=2280,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3} materialize{clients=3} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=3} upload{bytes=1140,clients=3} upload{bytes=1140,clients=3} materialize{clients=3} hibernate{clients=3} aggregate{clients=3}",
+        "global=920bd6768a4f0ce8 loss=[3f8ddc69,3fa890db,3ef2ae46,3f5a2ab7] down=9120 up=6080 ddown=0 dup=0 msgs=24 faults=(5,0,0) | round{bytes_down=2280,bytes_up=760,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} broadcast{bytes=1140,clients=3,dropped=2} materialize{clients=1} local_train#1{batches=5,examples=50} hibernate{clients=1} upload{bytes=380,clients=1} upload{bytes=380,clients=1} materialize{clients=1} hibernate{clients=1} aggregate{clients=1}",
     ),
     (
         "q-FedAvg",
@@ -266,6 +266,66 @@ fn lossless_faulty_is_bit_and_byte_identical_to_perfect() {
         actual == expected,
         "parity table moved; this run reads:\n{}",
         render(&actual)
+    );
+}
+
+/// SCAFFOLD where [`PARITY`] does not reach: compressed uploads (8-bit
+/// quantized and top-k), at full and half participation, on a perfect link
+/// and a lossy one (30 % loss, no retry). Each line is the final global's
+/// bit hash and every round's `train_loss` bits, recorded while the server
+/// still computed each client's control variate from the decoded upload.
+/// A client's `c_k⁺` must come from what its upload delivers, not from the
+/// model it trained to.
+const SCAFFOLD_COMPRESSED: &[&str] = &[
+    "q8 sr=1 lossy=false global=454a31abc7de8ea0 loss=[3f68aeb8,3f6f9ad1,3f4f86ad,3f3d0794]",
+    "q8 sr=1 lossy=true global=6f7e57d87138c3a0 loss=[3f674c26,3f34a67c,3f5c1335,3f39524d]",
+    "q8 sr=0.5 lossy=false global=6931660eeaddcf7b loss=[3f6bae6b,3f7b5384,3f3a986f,3f415b4f]",
+    "q8 sr=0.5 lossy=true global=a35dbe60a03f238b loss=[3f3cdfa8,3f831f3f,00000000,3f5e7ca0]",
+    "topk sr=1 lossy=false global=56f05b8a138749cd loss=[3f68aeb8,3f70f41b,3f59fb6b,3f4e2c3f]",
+    "topk sr=1 lossy=true global=1f655dbda8f5e3f7 loss=[3f674c26,3f3c500e,3f738883,3f334199]",
+    "topk sr=0.5 lossy=false global=1bfb916429119748 loss=[3f6bae6b,3f894968,3f3c4164,3f5035c4]",
+    "topk sr=0.5 lossy=true global=354dd32a004e762c loss=[3f3cdfa8,3f831f3f,00000000,3f61a6d8]",
+];
+
+#[test]
+fn compressed_scaffold_reads_as_recorded() {
+    let policies = [
+        ("q8", rfl_core::compress::Compression::Quantize { bits: 8 }),
+        (
+            "topk",
+            rfl_core::compress::Compression::TopK { ratio: 0.25 },
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (label, compression) in policies {
+        for sample_ratio in [1.0, 0.5] {
+            for lossy in [false, true] {
+                let cfg = FlConfig {
+                    sample_ratio,
+                    compression,
+                    ..quick_cfg(4, 64)
+                };
+                let mut fed = gaussian_fed(64, &cfg);
+                if lossy {
+                    let t = FaultyTransport::new(FaultConfig::lossy(7, 0.3, 0));
+                    fed.set_transport(Box::new(t));
+                }
+                let h = Trainer::new(cfg).run(&mut Scaffold::new(1.0), &mut fed);
+                let losses: Vec<String> = (h.records().iter())
+                    .map(|r| format!("{:08x}", r.train_loss.to_bits()))
+                    .collect();
+                actual.push(format!(
+                    "{label} sr={sample_ratio} lossy={lossy} global={:016x} loss=[{}]",
+                    bit_hash(fed.global()),
+                    losses.join(",")
+                ));
+            }
+        }
+    }
+    let render: String = actual.iter().map(|l| format!("    {l:?},\n")).collect();
+    assert!(
+        actual == SCAFFOLD_COMPRESSED,
+        "compressed SCAFFOLD moved; this run reads:\n{render}"
     );
 }
 

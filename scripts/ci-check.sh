@@ -97,11 +97,13 @@ section_bench() {
     echo "== PROPTEST_CASES=2048 client lifecycle oracle in release (request sequences on the in-process plane against live replicas of its clients, serial and on two workers; deep)"
     PROPTEST_CASES=2048 cargo test --release -q -p rfl-core --lib -- federation::lifecycle_tests::
 
-    # The test legs run it at budget 2; a chunk's unused tail is paid once
-    # per shard, so the ceiling must hold at one shard and at four too.
-    echo "== persist_rss at RFL_THREADS=1 and RFL_THREADS=4 (resident bytes per hibernated client at one and four registry shards)"
-    RFL_THREADS=1 cargo test --release -q -p rfl-core --test persist_rss
-    RFL_THREADS=4 cargo test --release -q -p rfl-core --test persist_rss
+    # The test legs run them at budget 2; a chunk's unused tail is paid once
+    # per shard, and the registry's shard count follows the budget, so the
+    # ceilings must hold at one shard and at four too (scale.rs's SCAFFOLD
+    # leg spreads its records, control variates included, over them).
+    echo "== persist_rss and scale at RFL_THREADS=1 and RFL_THREADS=4 (resident bytes per hibernated client, and peak RSS at 1M registered clients, at one and four registry shards)"
+    RFL_THREADS=1 cargo test --release -q -p rfl-core --test persist_rss --test scale
+    RFL_THREADS=4 cargo test --release -q -p rfl-core --test persist_rss --test scale
 
     # The test legs run them at budget 2; at one shard every test client
     # shares one arena, at four each shard holds fewer.
