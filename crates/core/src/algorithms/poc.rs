@@ -61,7 +61,8 @@ impl Algorithm for PowerOfChoice {
         // therefore be ranked; the rest drop out of the pool.
         let pool = r.fed.broadcast_params(&candidates);
         if !pool.is_empty() {
-            let losses = r.fed.local_mut().eval_local(&pool);
+            let evals = r.fed.local_mut().eval_local(&pool);
+            let losses = evals.into_iter().map(|(loss, _)| loss);
             let mut ranked: Vec<(usize, f32)> = pool.into_iter().zip(losses).collect();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
             r.selected = ranked.iter().take(m).map(|(k, _)| *k).collect();
@@ -131,6 +132,7 @@ mod tests {
             .eval_local(&all)
             .into_iter()
             .enumerate()
+            .map(|(k, (loss, _))| (k, loss))
             .collect();
         losses.sort_by(|a, b| b.1.total_cmp(&a.1));
         let expected: Vec<usize> = {

@@ -18,6 +18,8 @@ pub struct QFedAvg {
     q: f32,
     /// `F_k`: the global model's loss on each participant's data.
     losses: Vec<f32>,
+    /// `η_l` of each participant, read in the same wake as its `F_k`.
+    lrs: Vec<f32>,
 }
 
 impl QFedAvg {
@@ -26,6 +28,7 @@ impl QFedAvg {
         QFedAvg {
             q,
             losses: Vec::new(),
+            lrs: Vec::new(),
         }
     }
 }
@@ -39,24 +42,23 @@ impl Algorithm for QFedAvg {
         &[Capability::ClientStateRead]
     }
 
-    /// Reads `F_k` client-side, right after the download.
+    /// Reads `F_k` and `η_l` client-side, right after the download.
     fn prepare(&mut self, r: &mut Round<'_>) -> Vec<LocalRule> {
-        self.losses = r.fed.local_mut().eval_local(&r.active);
+        let evals = r.fed.local_mut().eval_local(&r.active);
+        (self.losses, self.lrs) = evals.into_iter().unzip();
         vec![LocalRule::Plain; r.active.len()]
     }
 
     /// The q-fair sums `Σ Δ_k` and `Σ h_k` are per-upload accumulations, so
     /// each upload folds into them as it arrives and is dropped — O(d)
-    /// server state. What the fold needs of the federation (global
-    /// snapshot, learning rates) is captured before the walk because the
-    /// visitor cannot borrow it.
+    /// server state. The global snapshot is captured before the walk
+    /// because the visitor cannot borrow the federation.
     fn fold(&mut self, r: &mut Round<'_>) -> Vec<usize> {
         let fed = &mut *r.fed;
         let global = fed.global().to_vec();
-        let lrs = fed.local_mut().learning_rates(&r.active);
         let mut delta_sum = vec![0.0f32; global.len()];
         let mut h_sum = 0.0f32;
-        let (q, losses) = (self.q, &self.losses);
+        let (q, losses, lrs) = (self.q, &self.losses, &self.lrs);
         let delivered = fed.fold_uploads(&r.active, false, |slot, _, params| {
             let lipschitz = 1.0 / lrs[slot];
             let f_k = losses[slot].max(1e-10);

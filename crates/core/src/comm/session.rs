@@ -10,7 +10,7 @@
 //! churn handling is identical across backends. A reconnect builds a new
 //! session rather than reviving the drained one.
 //!
-//! I/O is reactor-driven: the owning [`reactor`](super::reactor) shard
+//! I/O is reactor-driven: the server's [`reactor`](super::reactor) loop
 //! drains the socket into this session's tag-indexed frame queue and
 //! flushes the connection's bounded write queue. A send here only *queues*
 //! a pre-encoded frame (blocking briefly under backpressure); a receive

@@ -13,8 +13,8 @@
 //!   carry a [`ControlMsg`] (handshake, round orchestration, churn).
 //! * **[`SocketTransport`]** — the server backend. Implements [`Transport`]
 //!   for downloads (frames queued to per-client [`Session`]s and flushed by
-//!   the event-driven reactor in [`super::reactor`]: a fixed budget of
-//!   `poll(2)` shards owns every non-blocking socket, so connections scale
+//!   the event-driven reactor in [`super::reactor`]: one `poll(2)` thread
+//!   owns the listener and every non-blocking socket, so connections scale
 //!   without threads); its own methods carry the client-originated half
 //!   (training orders, reports, uploads) that the in-memory simulation
 //!   fakes locally, each reply claimed by one blocking call.
@@ -39,7 +39,7 @@ use super::message::{
     BroadcastDelivery, ControlMsg, Delivery, DropReason, FaultStats, LinkOutcome, MsgKind,
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
-use super::reactor::{self, ReactorCounters, ServerShared, SessionTable};
+use super::reactor::{ReactorCounters, ServerShared};
 use super::session::{Deadline, RecvError, Session};
 use super::stats::{CommStats, Direction};
 use super::transport::{codec_round_trip, RemoteTransport, Transport};
@@ -53,8 +53,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Framing overhead per frame: 4-byte body length + 1-byte tag.
@@ -276,7 +276,7 @@ impl Listener {
     }
 
     /// Non-blocking accept. Accepted streams stay non-blocking — they are
-    /// handed straight to a reactor shard's poll set.
+    /// handed straight to the reactor's poll set.
     pub(crate) fn try_accept(&self) -> io::Result<Option<Box<dyn WireStream>>> {
         match self {
             Listener::Tcp(l) => match l.accept() {
@@ -300,7 +300,7 @@ impl Listener {
         }
     }
 
-    /// The listening descriptor, for the accepting shard's poll set.
+    /// The listening descriptor, for the reactor's poll set.
     pub(crate) fn raw_fd(&self) -> RawFd {
         match self {
             Listener::Tcp(l) => l.as_raw_fd(),
@@ -331,7 +331,8 @@ impl Drop for Listener {
 /// [`DropReason::Deadline`], and reconnects count as retries.
 pub struct SocketTransport {
     shared: Arc<ServerShared>,
-    net_threads: Vec<std::thread::JoinHandle<()>>,
+    /// The event loop's thread; joined by the first shutdown.
+    net_thread: Option<std::thread::JoinHandle<()>>,
     local: Endpoint,
     stats: CommStats,
     dropped: u64,
@@ -343,7 +344,7 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Binds `endpoint` and starts the reactor shards that accept
+    /// Binds `endpoint` and starts the reactor thread that accepts
     /// registrations. `welcome` must be the [`ControlMsg::Welcome`] run
     /// configuration; its `num_clients` and `seed` validate incoming
     /// `Hello`s.
@@ -360,24 +361,11 @@ impl SocketTransport {
         let (listener, local) = Listener::bind(endpoint)?;
         let mut welcome_body = Vec::new();
         welcome.encode_body(&mut welcome_body);
-        let (shards, wake_rx_ends) = reactor::build_shards(reactor::net_threads())?;
-        let shared = Arc::new(ServerShared {
-            sessions: Mutex::new(SessionTable::new(n_clients)),
-            registration: Condvar::new(),
-            reconnects: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-            pending_up: AtomicU64::new(0),
-            pending_down: AtomicU64::new(0),
-            pending_msgs: AtomicU64::new(0),
-            welcome_frame: encode_frame(welcome.tag(), &welcome_body),
-            n_clients,
-            seed,
-            shards,
-        });
-        let net_threads = reactor::spawn_shards(listener, &shared, wake_rx_ends)?;
+        let welcome_frame = encode_frame(welcome.tag(), &welcome_body);
+        let (shared, net_thread) = ServerShared::start(listener, n_clients, seed, welcome_frame)?;
         Ok(SocketTransport {
             shared,
-            net_threads,
+            net_thread: Some(net_thread),
             local,
             stats: CommStats::new(),
             dropped: 0,
@@ -429,8 +417,8 @@ impl SocketTransport {
         (self.shared.sessions.lock().expect("sessions poisoned")).live()
     }
 
-    /// What the reactor shards have done since `bind`, summed over them: a
-    /// snapshot, final once [`RemoteTransport::shutdown`] has returned.
+    /// What the reactor has done since `bind`: a snapshot, final once
+    /// [`RemoteTransport::shutdown`] has returned.
     pub fn reactor_counters(&self) -> ReactorCounters {
         self.shared.counters()
     }
@@ -440,7 +428,7 @@ impl SocketTransport {
         sessions.slots.get(client).and_then(|s| s.clone())
     }
 
-    /// Folds handshake traffic metered by the reactor shards into the
+    /// Folds handshake traffic metered by the reactor into the
     /// ledger (the pair-wise accounting itself lives in
     /// [`CommStats::fold_handshakes`]).
     fn fold_pending(&mut self) {
@@ -760,12 +748,11 @@ impl RemoteTransport for SocketTransport {
                 session.close();
             }
         }
-        // Stop *after* queueing the shutdown frames so no shard starts its
-        // wind-down with an empty-looking queue it then ignores.
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.wake_all();
-        for handle in self.net_threads.drain(..) {
-            let _ = handle.join();
+        // Stop *after* queueing the shutdown frames so the reactor does not
+        // start its wind-down with an empty-looking queue it then ignores.
+        self.shared.request_stop();
+        if let Some(thread) = self.net_thread.take() {
+            let _ = thread.join();
         }
         self.fold_pending();
     }

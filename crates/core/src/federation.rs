@@ -912,7 +912,7 @@ mod tests {
             fed.broadcast_params(&selected);
             fed.train_selected(&selected, &vec![LocalRule::Plain; 3], 3);
             let got: Vec<u32> = (fed.local().eval_local(&selected).iter())
-                .map(|l| l.to_bits())
+                .map(|(l, _)| l.to_bits())
                 .collect();
             assert_eq!(got, local, "parallel {parallel}, budget {budget}");
             assert_eq!(fed.evaluate_per_client(), each);
@@ -1307,9 +1307,9 @@ mod shell_tests {
         assert_eq!(fed.num_persisted(), 2, "only a wake makes a record");
         let lrs: Vec<u32> = fed
             .local()
-            .learning_rates(&[1, 2, 3])
+            .eval_local(&[1, 2, 3])
             .iter()
-            .map(|l| l.to_bits())
+            .map(|(_, lr)| lr.to_bits())
             .collect();
         assert_eq!(
             lrs,
@@ -1338,7 +1338,7 @@ mod shell_tests {
         // broadcast: they wake at NaN from then on.
         fed.begin_round(2);
         fed.broadcast_params(&[5]);
-        fed.local().learning_rates(&[1, 2, 3]);
+        fed.local().eval_local(&[1, 2, 3]);
         for k in [1, 2, 3] {
             let nan = params(&mut fed, k)
                 .iter()

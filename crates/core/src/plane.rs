@@ -623,22 +623,16 @@ impl LocalPlane {
         });
     }
 
-    /// Mean data loss of the model each selected client holds — the global
-    /// one, right after a broadcast — on its own data (q-FedAvg's fair
-    /// weights, power-of-choice's ranking).
-    pub(crate) fn eval_local(&self, selected: &[usize]) -> Vec<f32> {
-        let mut losses = vec![0.0; selected.len()];
-        self.each_selected(selected, &mut losses, |c, _, loss| {
-            *loss = c.evaluate_local(EVAL_BATCH).loss
+    /// `(loss, learning rate)` of each selected client, from one wake: the
+    /// mean data loss of the model it holds — the global one, right after a
+    /// broadcast — on its own data, and the rate it trains with (q-FedAvg's
+    /// fair weights, power-of-choice's ranking).
+    pub(crate) fn eval_local(&self, selected: &[usize]) -> Vec<(f32, f32)> {
+        let mut evals = vec![(0.0, 0.0); selected.len()];
+        self.each_selected(selected, &mut evals, |c, _, eval| {
+            *eval = (c.evaluate_local(EVAL_BATCH).loss, c.lr())
         });
-        losses
-    }
-
-    /// The learning rate each selected client trains with.
-    pub(crate) fn learning_rates(&self, selected: &[usize]) -> Vec<f32> {
-        let mut lrs = vec![0.0; selected.len()];
-        self.each_selected(selected, &mut lrs, |c, _, lr| *lr = c.lr());
-        lrs
+        evals
     }
 
     /// Evaluates the model `replicas` hold on every client's data, one

@@ -215,14 +215,13 @@ impl ReplicaPlane {
             .collect()
     }
 
-    pub(crate) fn eval_local(&mut self, selected: &[usize]) -> Vec<f32> {
+    pub(crate) fn eval_local(&mut self, selected: &[usize]) -> Vec<(f32, f32)> {
         (selected.iter())
-            .map(|&k| self.clients[k].evaluate_local(EVAL_BATCH).loss)
+            .map(|&k| {
+                let c = &mut self.clients[k];
+                (c.evaluate_local(EVAL_BATCH).loss, c.lr())
+            })
             .collect()
-    }
-
-    pub(crate) fn learning_rates(&self, selected: &[usize]) -> Vec<f32> {
-        selected.iter().map(|&k| self.clients[k].lr()).collect()
     }
 
     pub(crate) fn set_lr(&mut self, k: usize, lr: f32) {

@@ -2,11 +2,12 @@
 //!
 //! One `SocketTransport` server takes 64 and then 4,096 loopback TCP
 //! connections. A thread-per-connection server crosses 4,096 threads on the
-//! big leg; the poll-sharded reactor holds the same handful it used for 64,
-//! so the thread census is a hard gate. Every client end is a plain blocking
-//! [`ClientConn`] owned by ONE driver thread (echoing each `ModelDown`
-//! broadcast back as a `ModelUp`), so the process contains exactly the test
-//! harness, the driver and the reactor shards. Each round is an encode-once
+//! big leg; the reactor serves both legs from its one `poll(2)` thread, so
+//! the thread census is exact: registration adds the driver and one thread.
+//! Every client end is a plain blocking [`ClientConn`] owned by ONE driver
+//! thread (echoing each `ModelDown` broadcast back as a `ModelUp`), so the
+//! process contains exactly the test harness, the driver and the reactor's
+//! thread. Each round is an encode-once
 //! broadcast to all connections plus one claimed upload per connection, and
 //! every frame has a fixed-width encoding, so the byte ledger is checked
 //! against its closed form exactly — and so are the reactor's own byte
@@ -34,8 +35,8 @@ const DIM: usize = 1024;
 const SEED: u64 = 7;
 
 /// Kernel-thread ceiling for either leg. The reactor needs the harness's
-/// two threads, the driver and at most four shards; thread-per-connection
-/// would need one per connection on top. The headroom covers runtime helper
+/// two threads, the driver and its own one; thread-per-connection would
+/// need one per connection on top. The headroom covers runtime helper
 /// threads, not a second architecture.
 const MAX_THREADS: u64 = 16;
 /// Peak-RSS ceiling after the 4,096-connection leg. Measured ~28 MB (8,192
@@ -118,7 +119,7 @@ fn run_leg(conns: usize) -> u64 {
     transport
         .wait_for_clients(Duration::from_secs(60))
         .expect("registration");
-    // Steady state: harness + driver + reactor shards, all up.
+    // Steady state: harness + driver + the reactor's thread, all up.
     let threads = mem::thread_count();
 
     let params: Vec<f32> = (0..DIM).map(|i| (i as f32) * 0.5 - 3.0).collect();
@@ -179,7 +180,7 @@ fn run_leg(conns: usize) -> u64 {
         "{conns} connections: (upload bytes, download bytes, messages) left the closed form"
     );
 
-    // The net layer's half of the reconciliation: what the shards read and
+    // The net layer's half of the reconciliation: what the reactor read and
     // wrote is what the ledger was charged, handshakes and shutdowns
     // included.
     let c = transport.reactor_counters();
@@ -219,13 +220,20 @@ fn run_leg(conns: usize) -> u64 {
 #[test]
 #[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
 fn thread_count_and_ledger_hold_from_64_to_4096_connections() {
+    // No server is bound yet, and each leg joins what it started.
+    let before = mem::thread_count();
     let small = run_leg(64);
     let large = run_leg(4096);
-    // A fixed budget means fixed: 64× the connections, the same threads.
-    assert_eq!(
-        small, large,
-        "thread count grew with connections ({small} at 64, {large} at 4096)"
-    );
+    // Past the driver, registration started exactly one thread: the
+    // reactor's, at 64 connections and at 4,096.
+    for (conns, threads) in [(64, small), (4096, large)] {
+        assert_eq!(
+            threads,
+            before + 2,
+            "{conns} connections: {threads} threads after registration, {before} before bind; \
+             the driver and one reactor thread account for 2"
+        );
+    }
     assert!(
         large <= MAX_THREADS,
         "{large} threads, above the {MAX_THREADS}-thread budget"
@@ -236,5 +244,7 @@ fn thread_count_and_ledger_hold_from_64_to_4096_connections() {
         "process peaked at {peak} resident bytes after the 4096-connection leg, \
          above the ceiling of {RSS_CEILING_BYTES}"
     );
-    println!("{large} threads at 64 and at 4096 connections; peak RSS {peak} bytes");
+    println!(
+        "{before} threads before bind, {large} at 64 and at 4096 connections; peak RSS {peak} bytes"
+    );
 }

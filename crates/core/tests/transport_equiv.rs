@@ -205,8 +205,8 @@ const PARITY: &[(&str, &str, &str)] = &[
     ),
     (
         "q-FedAvg",
-        "global=cde980f6526847fd loss=[3fa1e4a4,3fa3603d,3f8b43b4,3f74adbc] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=9} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=9} upload{bytes=1140,clients=3} aggregate{clients=3}",
-        "global=809cea706ac422ba loss=[3fa1e4a4,3fa72c36,3f8fbdcb,3f6ffcf2] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=9} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=9} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
+        "global=cde980f6526847fd loss=[3fa1e4a4,3fa3603d,3f8b43b4,3f74adbc] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(0,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=6} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=6} upload{bytes=1140,clients=3} aggregate{clients=3}",
+        "global=809cea706ac422ba loss=[3fa1e4a4,3fa72c36,3f8fbdcb,3f6ffcf2] down=4560 up=4560 ddown=0 dup=0 msgs=16 faults=(4,0,0) | round{bytes_down=1140,bytes_up=1140,bytes_delta=0,participants=3,dropped=2} select{clients=3} broadcast{bytes=1140,clients=3} materialize{clients=6} local_train#0{batches=5,examples=50} local_train#1{batches=5,examples=50} local_train#4{batches=5,examples=50} hibernate{clients=6} upload{bytes=1140,clients=3,dropped=2} aggregate{clients=1}",
     ),
     (
         "PoC",

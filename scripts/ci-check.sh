@@ -68,8 +68,8 @@ section_distributed() {
 }
 
 section_threaded() {
-    echo "== RFL_THREADS=4 RFL_NET_THREADS=2 distributed smoke (a fixed worker/reactor thread budget, bit-exact)"
-    RFL_THREADS=4 RFL_NET_THREADS=2 scripts/distributed-smoke.sh
+    echo "== RFL_THREADS=4 distributed smoke (a fixed worker thread budget beside the one reactor thread, bit-exact)"
+    RFL_THREADS=4 scripts/distributed-smoke.sh
 }
 
 section_bench() {

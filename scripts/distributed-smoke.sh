@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 EXPECT_LOSS=1.604142189
 # 64-client cohort over the same recipe (`canonical::data_for(SEED, 64)`);
 # pin provenance in EXPERIMENTS.md. Exercises the reactor's fan-out path —
-# 64 concurrent connections multiplexed on a fixed shard budget.
+# 64 concurrent connections multiplexed on one reactor thread.
 EXPECT_LOSS_64=2.115149736
 NUM_CLIENTS=4
 TIMEOUT_SECS="${RFL_SMOKE_TIMEOUT_SECS:-180}"
@@ -120,7 +120,7 @@ run_leg tcp-compressed "tcp://127.0.0.1:0" --compress quantize:8 --expect-oracle
 # same pin.
 LEG_TIERS="0 1" run_leg tcp-mixed-tiers "tcp://127.0.0.1:0" --expect-loss "$EXPECT_LOSS"
 # 64 concurrent client processes on one TCP endpoint: the reactor multiplexes
-# all of them on its fixed shard budget, and the cohort's own pinned loss
+# all of them on its one thread, and the cohort's own pinned loss
 # gates the run bit-exactly (same watchdog hard-kills a wedged leg).
 LEG_CLIENTS=64 run_leg tcp-64 "tcp://127.0.0.1:0" --expect-loss "$EXPECT_LOSS_64"
 

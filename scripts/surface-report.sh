@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Prints the size of the maintained surface as markdown tables: per crate
-# (Rust lines in src/ — all, and with each file's trailing `#[cfg(test)]`
-# module cut off — and in tests/, `pub` items in src/, binaries (src/main.rs
+# (Rust lines in src/ — all, and with every `#[cfg(test)]` item and file cut
+# off (see `nontest_src`) — and in tests/, `pub` items in src/, binaries (src/main.rs
 # and src/bin/*.rs), #[test] functions, seconds for a clean release build of
 # that crate alone)
 # and workspace totals (lines, algorithms and their non-test lines,
@@ -47,11 +47,59 @@ rs_count() {
   { rs_files "$@" | xargs -0 -r grep -hE "$pattern" || true; } | wc -l
 }
 
-# Lines of those files with each one's trailing `#[cfg(test)]` module cut off
-# — the number ROADMAP direction 2's "less code" contract is stated in.
+# Prints the non-test lines of the .rs files named (NUL-separated) on stdin.
+# A `#[cfg(test)]` item is cut from the comment lines right above its
+# attribute to the brace that closes it, or to its `;` when it has no
+# braces: a trailing `mod tests { … }`, an `impl` block, a function, a
+# one-line `mod x;`. A file such a `mod x;` declares is test code as a whole.
+# Braces inside string and character literals and `//` comments do not
+# count.
+nontest_src() {
+  local -a files keep=()
+  local -A test_only=()
+  local f
+  mapfile -d '' files
+  ((${#files[@]})) || return 0
+  while IFS= read -r f; do test_only[$f]=1; done < <(awk '
+    FNR == 1 { test = 0 }
+    sub(/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*/, "") { test = 1; path = 0 }
+    !test { next }
+    /^[[:space:]]*#\[path/ { path = 1 }
+    /^[[:space:]]*(#\[.*\])?$/ { next }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ && !path {
+      dir = FILENAME; sub(/\/[^\/]*$/, "", dir)
+      if (FILENAME !~ /\/(lib|mod|main)\.rs$/) { dir = FILENAME; sub(/\.rs$/, "", dir) }
+      match($0, /mod [A-Za-z0-9_]+/)
+      name = substr($0, RSTART + 4, RLENGTH - 4)
+      print dir "/" name ".rs"; print dir "/" name "/mod.rs"
+    }
+    { test = 0 }' "${files[@]}")
+  for f in "${files[@]}"; do [[ -n ${test_only[$f]:-} ]] || keep+=("$f"); done
+  ((${#keep[@]})) || return 0
+  awk '
+    FNR == 1 { printf "%s", held; held = ""; item = 0 }
+    !item && /^[[:space:]]*\/\// { held = held $0 "\n"; next }
+    !item && /^[[:space:]]*#\[cfg\(test\)\]/ {
+      item = 1; depth = 0; opened = 0; held = ""
+      sub(/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*/, "")
+    }
+    item {
+      line = $0
+      gsub(/"([^"\\]|\\.)*"|\x27([^\x27\\]|\\.)\x27|\/\/.*/, "", line)
+      opens = gsub(/\{/, "", line); depth += opens - gsub(/\}/, "", line)
+      if (opens) opened = 1
+      if (depth == 0 && (opened || line ~ /;[[:space:]]*$/)) item = 0
+      next
+    }
+    { printf "%s", held; held = ""; print }
+    END { printf "%s", held }' "${keep[@]}"
+}
+
+# Non-test lines (see `nontest_src`) of the .rs files under the given
+# directories — the number ROADMAP direction 2's "less code" contract is
+# stated in.
 rs_nontest_lines() {
-  rs_files "$@" |
-    xargs -0 -r awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip' | wc -l
+  rs_files "$@" | nontest_src | wc -l
 }
 
 # Executables a crate builds: src/main.rs and every src/bin/*.rs.
@@ -84,11 +132,10 @@ for dir in crates/*/; do
     "| $(rs_count "$PUB" "$dir/src") | $bins | $(rs_count '#\[test\]' "$dir") | $secs |"
 done
 
-# Library sources with their trailing `#[cfg(test)]` module cut off, so a
+# Library sources without their test code (see `nontest_src`), so a
 # variable only a unit test reads is not counted as a knob.
 env_reads() {
-  find crates/*/src src -name '*.rs' -not -path '*/bin/*' -print0 |
-    xargs -0 -r awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip' |
+  find crates/*/src src -name '*.rs' -not -path '*/bin/*' -print0 | nontest_src |
     { grep -oE 'env::var(_os)?\("RFL_[A-Z_]+"' || true; } |
     grep -oE 'RFL_[A-Z_]+' | sort -u | paste -sd' ' -
 }

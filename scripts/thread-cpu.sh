@@ -8,8 +8,8 @@
 # /proc/<pid>/task/*/{stat,status} every 50 ms until it exits, and prints one
 # row per thread name — threads sharing a name are summed — with user and
 # system seconds and voluntary / involuntary context switches, busiest first:
-# the table EXPERIMENTS.md's reactor timelines are made of (`rfl-net-*` are
-# the shards, `bench-driver` the harness's echo thread, `rfl-worker` the
+# the table EXPERIMENTS.md's reactor timelines are made of (`rfl-net` is
+# the reactor's event loop, `bench-driver` the harness's echo thread, `rfl-worker` the
 # kernel pool, which also runs the in-process plane's client jobs beside the
 # round thread — on a lazy plane they wake, train, read and hibernate
 # clients).
