@@ -1,18 +1,18 @@
-//! Event-driven socket server: one `poll(2)` loop per server replaces the
+//! Event-driven socket server: one `epoll(7)` loop per server replaces the
 //! accept thread and the per-session reader threads.
 //!
 //! The loop owns the listener and every non-blocking connection and
-//! multiplexes them through one `poll(2)` call over a *persistent* `pollfd`
-//! array that sits beside a slab connection table (a vacant slot holds `fd =
-//! -1`, which `poll` skips). Outside the stop path nothing in a wakeup visits
-//! every connection except that array's `revents` scan, which takes no lock,
-//! makes no call and stops once the count `poll` reported is consumed;
-//! everything else is proportional to what is ready:
+//! multiplexes them through one level-triggered `epoll` instance beside a
+//! slab connection table: each connection is registered once, when it is
+//! adopted, with its slot as the token, and deregistered when it is reaped.
+//! A wait returns only what is ready, so outside the stop path nothing in a
+//! wakeup — and nothing in a registration — visits every connection; all of
+//! it is proportional to what is ready:
 //!
 //! * **Accepts.** A readable listener is drained with `accept(2)` on the
-//!   loop's own thread, and each accepted connection joins the array. It is
-//!   read speculatively at once: accept → `Hello` → `Welcome` flush is one
-//!   wakeup.
+//!   loop's own thread, and each accepted connection joins the set. It is
+//!   read speculatively at once: when its `Hello` is already in, accept →
+//!   `Welcome` flush is one wakeup.
 //! * **Reads.** A readable connection costs one `read(2)` into the loop's
 //!   64 KiB buffer (a short read means the socket is drained; level-triggered
 //!   readiness reports whatever is left), and a chunk-fed [`FrameReader`]
@@ -21,16 +21,16 @@
 //!   allocate the length it claims.
 //! * **Writes.** A sender that queues a frame lists its connection — once,
 //!   guarded by a flag — on the loop's dirty list; the loop flushes the
-//!   listed connections plus those that reported `POLLOUT`, with `writev(2)`
-//!   and partial-write resume. `POLLOUT` is a bit in the persistent array
-//!   that the last flush outcome sets or clears.
+//!   listed connections plus those that reported `EPOLLOUT`, with `writev(2)`
+//!   and partial-write resume. A registration holds `EPOLLOUT` while the last
+//!   flush left bytes behind: only a changed outcome costs an `EPOLL_CTL_MOD`.
 //! * **Wakeups.** Cross-thread nudges (a listed connection, a stop request)
 //!   coalesce on the loop's [`Waker`]: only the first nudge since the loop
 //!   last drained its self-pipe writes a byte. Frames the loop queues itself
 //!   (the `Welcome`) are listed without waking anything. Nothing in the
 //!   server sleep-polls.
 //! * **Deadlines.** Handshake deadlines are issued in order, so they sit in
-//!   a FIFO whose front is the next `poll` timeout; connections that die in
+//!   a FIFO whose front is the next wait's timeout; connections that die in
 //!   a wakeup go on a dead list that feeds the reap at its end.
 //!
 //! Backpressure: every connection's write queue is bounded
@@ -143,10 +143,10 @@ impl WriteQueue {
 /// [`CommStats`]: super::stats::CommStats
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReactorCounters {
-    /// Returns from `poll(2)`.
+    /// Returns from `epoll_wait(2)`.
     pub wakeups: u64,
-    /// Descriptors those returns reported ready; `ready ÷ wakeups` is the
-    /// batch one wakeup serves.
+    /// Events those returns reported; `ready ÷ wakeups` is the batch one
+    /// wakeup serves.
     pub ready: u64,
     /// `read(2)` calls on connections.
     pub reads: u64,
@@ -155,7 +155,7 @@ pub struct ReactorCounters {
     /// Bytes those calls returned.
     pub bytes_in: u64,
     /// Flushes of one connection's write queue (it was listed, or reported
-    /// `POLLOUT`).
+    /// `EPOLLOUT`).
     pub flushes: u64,
     /// `writev(2)` calls that accepted bytes.
     pub writevs: u64,
@@ -191,7 +191,7 @@ fn bump(counter: &AtomicU64, n: usize) {
     );
 }
 
-/// Wakes the loop's `poll(2)` through its self-pipe, one byte per batch of
+/// Wakes the loop's `epoll_wait(2)` through its self-pipe, one byte per batch of
 /// nudges: only the first nudge since the loop last drained the pipe
 /// writes.
 struct Waker {
@@ -251,7 +251,7 @@ struct QueueState {
 enum FlushStatus {
     /// Nothing queued (and no pending close).
     Idle,
-    /// The kernel buffer filled; poll for `POLLOUT`.
+    /// The kernel buffer filled; wait for `EPOLLOUT`.
     WantWrite,
     /// Queue drained and a graceful close was requested.
     FlushedClose,
@@ -273,7 +273,9 @@ pub(crate) struct ConnShared {
     /// This connection's slot in the loop's table.
     slot: usize,
     /// A cloned stream handle used to force-close the socket from any
-    /// thread; the reactor notices via `poll` and reaps the connection.
+    /// thread; the reactor notices the hang-up and reaps the connection.
+    /// Being a dup, it keeps the socket's open file, and so its `epoll`
+    /// registration, alive after the reap closes the stream's descriptor.
     closer: Box<dyn WireStream>,
     fd: RawFd,
 }
@@ -499,7 +501,8 @@ impl ServerShared {
     /// Starts a server's event loop on `listener`, on its one `rfl-net`
     /// thread: it accepts connections, validates their `Hello`s against
     /// `n_clients` and `seed`, answers each with `welcome_frame`, and serves
-    /// every registered session until a stop.
+    /// every registered session until a stop. A self-pipe, `epoll` or
+    /// thread the kernel refuses is an error here, on the caller's thread.
     pub(crate) fn start(
         listener: Listener,
         n_clients: usize,
@@ -524,7 +527,7 @@ impl ServerShared {
                 counters: LoopCounters::default(),
             }),
         });
-        let event_loop = EventLoop::new(wake_rx, listener, shared.clone());
+        let event_loop = EventLoop::new(wake_rx, listener, shared.clone())?;
         let thread = std::thread::Builder::new()
             .name("rfl-net".into())
             .spawn(move || event_loop.run())?;
@@ -635,7 +638,6 @@ enum Phase {
 struct Conn {
     /// Owns the socket; dropped when the connection is reaped.
     stream: Box<dyn WireStream>,
-    fd: RawFd,
     shared: Arc<ConnShared>,
     phase: Phase,
     reader: FrameReader,
@@ -644,31 +646,27 @@ struct Conn {
     /// Cleared once, by [`EventLoop::kill`], which also puts the slot on the
     /// dead list.
     alive: bool,
+    /// `EPOLLOUT` is in the registration: the last flush left bytes behind.
+    out_armed: bool,
 }
 
-/// `pollfds[WAKE]` is the self-pipe, `pollfds[LISTENER]` the listener (`fd =
-/// -1` once it stopped listening), and `pollfds[CONN_BASE + slot]` belongs to
-/// `conns[slot]`.
-const WAKE: usize = 0;
-const LISTENER: usize = 1;
-const CONN_BASE: usize = 2;
+/// The tokens [`sys::Epoll::wait`] reports the self-pipe and the listener
+/// with; a connection's token is its slot in the table.
+const WAKE: u64 = u64::MAX;
+const LISTENER: u64 = u64::MAX - 1;
 
-/// An entry `poll(2)` skips.
-const VACANT: sys::PollFd = sys::PollFd {
-    fd: -1,
-    events: 0,
-    revents: 0,
-};
+/// Most events one wait returns; the next wait reports the rest.
+const MAX_EVENTS: usize = 1024;
 
 struct EventLoop {
+    /// Level-triggered: the self-pipe, the listener, every connection.
+    epoll: sys::Epoll,
+    events: Box<[sys::EpollEvent]>,
     wake_rx: OwnedFd,
     listener: Option<Listener>,
     shared: Arc<ServerShared>,
-    /// The persistent `poll(2)` set; `pollfds.len() == CONN_BASE +
-    /// conns.len()` always.
-    pollfds: Vec<sys::PollFd>,
-    /// Slab connection table: a reaped connection leaves `None` (and `fd =
-    /// -1` in `pollfds`) and its slot on `free`.
+    /// Slab connection table: a reaped connection leaves `None` and its
+    /// slot on `free`.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     /// Occupied slots.
@@ -679,7 +677,7 @@ struct EventLoop {
     /// dropped when they reach the front.
     handshakes: VecDeque<(Instant, usize, u64)>,
     /// Connections to flush this wakeup: the loop's own listings (a queued
-    /// `Welcome`, a reported `POLLOUT`) plus the handle's dirty list.
+    /// `Welcome`, a reported `EPOLLOUT`) plus the handle's dirty list.
     to_flush: Vec<usize>,
     /// Connections that died this wakeup, for [`EventLoop::reap`].
     dead: Vec<usize>,
@@ -689,14 +687,17 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(wake_rx: OwnedFd, listener: Listener, shared: Arc<ServerShared>) -> EventLoop {
-        let wake = sys::PollFd::new(wake_rx.as_raw_fd(), sys::POLLIN);
-        let accept = sys::PollFd::new(listener.raw_fd(), sys::POLLIN);
-        EventLoop {
+    /// Fails when the kernel refuses the `epoll` instance or a registration.
+    fn new(wake_rx: OwnedFd, listener: Listener, shared: Arc<ServerShared>) -> io::Result<Self> {
+        let epoll = sys::Epoll::new()?;
+        epoll.add(wake_rx.as_raw_fd(), sys::EPOLLIN, WAKE)?;
+        epoll.add(listener.raw_fd(), sys::EPOLLIN, LISTENER)?;
+        Ok(EventLoop {
+            epoll,
+            events: vec![sys::EpollEvent::default(); MAX_EVENTS].into_boxed_slice(),
             wake_rx,
             listener: Some(listener),
             shared,
-            pollfds: vec![wake, accept],
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -706,7 +707,7 @@ impl EventLoop {
             dead: Vec::new(),
             buf: vec![0; READ_CHUNK_BYTES].into_boxed_slice(),
             stop_deadline: None,
-        }
+        })
     }
 
     fn run(mut self) {
@@ -739,9 +740,9 @@ impl EventLoop {
                 }
             }
 
-            let timeout_ms = self.poll_timeout_ms(stopping);
-            let Ok(ready) = sys::poll_fds(&mut self.pollfds, timeout_ms) else {
-                // Only catastrophic poll failures land here (EINTR is
+            let timeout_ms = self.wait_timeout_ms(stopping);
+            let Ok(ready) = self.epoll.wait(&mut self.events, timeout_ms) else {
+                // Only catastrophic wait failures land here (EINTR is
                 // retried); treat them as a stop request.
                 self.shared.stop.store(true, Ordering::Relaxed);
                 continue;
@@ -753,39 +754,27 @@ impl EventLoop {
         }
     }
 
-    /// One wakeup: `ready` entries of `pollfds` carry `revents`.
+    /// One wakeup: the first `ready` entries of `events`. A slot's token
+    /// means its current tenant: a reaped connection left before the wait.
     fn serve(&mut self, ready: usize) {
-        let mut unseen = ready;
-        if self.pollfds[WAKE].revents != 0 {
-            unseen -= 1;
-            self.drain_wake_pipe();
-        }
-        if self.pollfds[LISTENER].revents != 0 {
-            unseen -= 1;
-            self.accept_ready();
-        }
-
-        // The one pass over the whole set: no lock, no call, and it ends
-        // with the last ready entry. Slots adopted above were vacant when
-        // `poll` ran, so their `revents` read zero.
-        let mut at = CONN_BASE;
-        while unseen > 0 && at < self.pollfds.len() {
-            let revents = self.pollfds[at].revents;
-            let slot = at - CONN_BASE;
-            at += 1;
-            if revents == 0 {
-                continue;
-            }
-            unseen -= 1;
-            if revents & (sys::POLLERR | sys::POLLNVAL) != 0 {
-                self.kill(slot);
-                continue;
-            }
-            if revents & (sys::POLLIN | sys::POLLHUP) != 0 {
-                self.service_read(slot);
-            }
-            if revents & sys::POLLOUT != 0 {
-                self.to_flush.push(slot);
+        for i in 0..ready {
+            let sys::EpollEvent { events, token } = self.events[i];
+            match token {
+                WAKE => self.drain_wake_pipe(),
+                LISTENER => self.accept_ready(),
+                token => {
+                    let slot = token as usize;
+                    if events & sys::EPOLLERR != 0 {
+                        self.kill(slot);
+                        continue;
+                    }
+                    if events & (sys::EPOLLIN | sys::EPOLLHUP) != 0 {
+                        self.service_read(slot);
+                    }
+                    if events & sys::EPOLLOUT != 0 {
+                        self.to_flush.push(slot);
+                    }
+                }
             }
         }
 
@@ -794,7 +783,7 @@ impl EventLoop {
         self.reap();
     }
 
-    fn poll_timeout_ms(&mut self, stopping: bool) -> i32 {
+    fn wait_timeout_ms(&mut self, stopping: bool) -> i32 {
         if stopping {
             return 50;
         }
@@ -831,9 +820,9 @@ impl EventLoop {
         waker.pending.swap(false, Ordering::SeqCst);
     }
 
+    /// Closes the listener; its only descriptor's close ends its registration.
     fn stop_listening(&mut self) {
         self.listener = None;
-        self.pollfds[LISTENER] = VACANT;
     }
 
     /// Accepts everything pending and adopts it.
@@ -854,10 +843,11 @@ impl EventLoop {
     }
 
     /// Wraps a freshly accepted (already non-blocking) stream into a
-    /// handshaking connection in the poll set, and reads it at
+    /// handshaking connection, registered under its slot, and reads it at
     /// once: a client writes its `Hello` right behind its `connect`, so the
-    /// bytes are usually there and the handshake needs no wakeup of its
-    /// own.
+    /// bytes are often there and the handshake needs no wakeup of its
+    /// own. A registration the kernel refuses (`max_user_watches`,
+    /// `ENOMEM`) drops the connection as a failed handshake does.
     fn adopt(&mut self, stream: Box<dyn WireStream>) {
         let Ok(closer) = stream.try_clone_stream() else {
             return;
@@ -865,9 +855,12 @@ impl EventLoop {
         let fd = stream.raw_fd();
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
-            self.pollfds.push(VACANT);
             self.conns.len() - 1
         });
+        if self.epoll.add(fd, sys::EPOLLIN, slot as u64).is_err() {
+            self.free.push(slot);
+            return;
+        }
         let shared = Arc::new(ConnShared {
             state: Mutex::new(QueueState {
                 q: WriteQueue::default(),
@@ -886,14 +879,13 @@ impl EventLoop {
         self.next_serial += 1;
         self.conns[slot] = Some(Conn {
             stream,
-            fd,
             shared,
             phase: Phase::Handshake,
             reader: FrameReader::new(),
             serial,
             alive: true,
+            out_armed: false,
         });
-        self.pollfds[CONN_BASE + slot] = sys::PollFd::new(fd, sys::POLLIN);
         self.live += 1;
         self.handshakes
             .push_back((Instant::now() + HANDSHAKE_TIMEOUT, slot, serial));
@@ -925,7 +917,7 @@ impl EventLoop {
         let mut alive = true;
         for _ in 0..MAX_READS_PER_WAKEUP {
             bump(&counters.reads, 1);
-            let n = match sys::read_fd(conn.fd, buf) {
+            let n = match sys::read_fd(conn.shared.fd, buf) {
                 Ok(n) if n > 0 => n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // EOF, or the socket died.
@@ -1043,23 +1035,36 @@ impl EventLoop {
     }
 
     /// Flushes exactly the connections someone listed — senders on the
-    /// handle's dirty list, this wakeup's `Welcome`s and `POLLOUT` reports
-    /// on the loop's own — and lets each outcome set or clear the
-    /// connection's `POLLOUT` bit.
+    /// handle's dirty list, this wakeup's `Welcome`s and `EPOLLOUT` reports
+    /// on the loop's own — and, when a connection's outcome changes, adds
+    /// `EPOLLOUT` to its registration or takes it out.
     fn flush_listed(&mut self) {
         let dirty = &self.shared.handle.dirty;
         self.to_flush
             .append(&mut dirty.lock().expect("dirty list poisoned"));
         for i in 0..self.to_flush.len() {
             let slot = self.to_flush[i];
-            let Some(conn) = self.conns[slot].as_ref().filter(|c| c.alive) else {
+            let Some(conn) = self.conns[slot].as_mut().filter(|c| c.alive) else {
                 continue;
             };
-            let events = &mut self.pollfds[CONN_BASE + slot].events;
-            match conn.shared.flush() {
-                FlushStatus::Idle => *events &= !sys::POLLOUT,
-                FlushStatus::WantWrite => *events |= sys::POLLOUT,
-                FlushStatus::FlushedClose | FlushStatus::Dead => self.kill(slot),
+            let want_out = match conn.shared.flush() {
+                FlushStatus::Idle => false,
+                FlushStatus::WantWrite => true,
+                FlushStatus::FlushedClose | FlushStatus::Dead => {
+                    self.kill(slot);
+                    continue;
+                }
+            };
+            if want_out != conn.out_armed {
+                conn.out_armed = want_out;
+                let events = sys::EPOLLIN | if want_out { sys::EPOLLOUT } else { 0 };
+                if self
+                    .epoll
+                    .modify(conn.shared.fd, events, slot as u64)
+                    .is_err()
+                {
+                    self.kill(slot);
+                }
             }
         }
         self.to_flush.clear();
@@ -1084,12 +1089,16 @@ impl EventLoop {
     fn reap(&mut self) {
         for slot in self.dead.drain(..) {
             let conn = self.conns[slot].take().expect("listed by kill");
+            // Before the stream drops: `ConnShared::closer`, a dup of the
+            // socket, keeps its open file — and with it the registration —
+            // alive past the stream's close, where it would report the dead
+            // socket under this slot's next tenant.
+            let _ = self.epoll.delete(conn.shared.fd);
             conn.shared.mark_dead();
             if let Phase::Open { session } = &conn.phase {
                 session.drain();
             }
             conn.stream.shutdown_now();
-            self.pollfds[CONN_BASE + slot] = VACANT;
             self.free.push(slot);
             self.live -= 1;
         }
@@ -1458,6 +1467,53 @@ mod tests {
             assert!(matches!(got, Err(RecvError::Closed)));
             assert!(waited < PATIENCE / 2, "released by its timeout: {waited:?}");
         });
+    }
+
+    /// A reaped connection leaves the readiness set although its session —
+    /// and with it `ConnShared::closer`, a dup that keeps the socket open —
+    /// outlives the reap: the next connection into its slot trades frames
+    /// as usual, and an idle loop stays asleep. A registration left behind
+    /// keeps reporting the dead socket's hang-up under the slot's token, so
+    /// the loop spins (or kills the newcomer); EXPERIMENTS.md ("The reactor
+    /// on epoll") records that run.
+    #[test]
+    fn a_reaped_slot_s_next_tenant_is_undisturbed() {
+        let rig = Rig::new(2);
+        // The loop's only connection so far, so its slot is the one the
+        // next accept reuses.
+        let (gone, held) = rig.connect(0);
+        drop(gone);
+        let deadline = Instant::now() + PATIENCE;
+        while held.is_live() {
+            assert!(Instant::now() < deadline, "the hang-up was never reaped");
+            std::thread::yield_now();
+        }
+
+        let (mut peer, session) = rig.connect(1);
+        let up = MsgKind::ModelUp.tag();
+        peer.write_all(&frame(up, b"up")).expect("write");
+        assert_eq!(session.recv_frame(up, PATIENCE).expect("upload").0, b"up");
+        let down = MsgKind::ModelDown.tag();
+        session
+            .send_frame(down, b"down", Deadline::after(PATIENCE))
+            .expect("enqueue");
+        assert_eq!(
+            read_frame(&mut peer).expect("download"),
+            (down, b"down".to_vec())
+        );
+
+        // Let the flush's wakeup end, then watch the idle loop.
+        std::thread::sleep(Duration::from_millis(10));
+        let before = rig.shared.counters().wakeups;
+        std::thread::sleep(Duration::from_millis(50));
+        let after = rig.shared.counters().wakeups;
+        assert_eq!(
+            after,
+            before,
+            "an idle loop woke {} times in 50 ms",
+            after - before
+        );
+        assert!(session.is_live(), "the newcomer was killed");
     }
 
     /// Four threads queue frames for the eight connections of the loop,

@@ -13,7 +13,7 @@
 //!   carry a [`ControlMsg`] (handshake, round orchestration, churn).
 //! * **[`SocketTransport`]** — the server backend. Implements [`Transport`]
 //!   for downloads (frames queued to per-client [`Session`]s and flushed by
-//!   the event-driven reactor in [`super::reactor`]: one `poll(2)` thread
+//!   the event-driven reactor in [`super::reactor`]: one `epoll(7)` thread
 //!   owns the listener and every non-blocking socket, so connections scale
 //!   without threads); its own methods carry the client-originated half
 //!   (training orders, reports, uploads) that the in-memory simulation
@@ -51,7 +51,6 @@ use rfl_tensor::{decode_f32_into, encode_f32_into};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -173,7 +172,6 @@ pub enum Endpoint {
     /// TCP, `host:port` (port 0 binds an ephemeral port).
     Tcp(String),
     /// Unix-domain socket path.
-    #[cfg(unix)]
     Unix(std::path::PathBuf),
 }
 
@@ -183,7 +181,6 @@ impl Endpoint {
         if let Some(addr) = s.strip_prefix("tcp://") {
             return Ok(Endpoint::Tcp(addr.to_string()));
         }
-        #[cfg(unix)]
         if let Some(path) = s
             .strip_prefix("unix://")
             .or_else(|| s.strip_prefix("unix:"))
@@ -201,7 +198,6 @@ impl std::fmt::Display for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Endpoint::Tcp(addr) => write!(f, "tcp://{addr}"),
-            #[cfg(unix)]
             Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
         }
     }
@@ -213,9 +209,9 @@ pub(crate) trait WireStream: Read + Write + Send + Sync {
     fn try_clone_stream(&self) -> io::Result<Box<dyn WireStream>>;
     /// Force-closes both halves (unblocks a blocked reader).
     fn shutdown_now(&self);
-    /// The underlying descriptor, for the reactor's `poll`/`writev` calls.
-    /// The stream object retains ownership; the fd is only valid while it
-    /// lives.
+    /// The underlying descriptor, for the reactor's `epoll_ctl`, `read`
+    /// and `writev` calls. The stream object retains ownership; the fd is
+    /// only valid while it lives.
     fn raw_fd(&self) -> RawFd;
 }
 
@@ -233,7 +229,6 @@ impl WireStream for TcpStream {
     }
 }
 
-#[cfg(unix)]
 impl WireStream for UnixStream {
     fn try_clone_stream(&self) -> io::Result<Box<dyn WireStream>> {
         Ok(Box::new(self.try_clone()?))
@@ -250,7 +245,6 @@ impl WireStream for UnixStream {
 
 pub(crate) enum Listener {
     Tcp(TcpListener),
-    #[cfg(unix)]
     Unix(UnixListener, std::path::PathBuf),
 }
 
@@ -263,7 +257,6 @@ impl Listener {
                 l.set_nonblocking(true)?;
                 Ok((Listener::Tcp(l), actual))
             }
-            #[cfg(unix)]
             Endpoint::Unix(path) => {
                 // A stale socket file from a dead server would fail the
                 // bind; replacing it is the conventional daemon behavior.
@@ -276,7 +269,7 @@ impl Listener {
     }
 
     /// Non-blocking accept. Accepted streams stay non-blocking — they are
-    /// handed straight to the reactor's poll set.
+    /// handed straight to the reactor's `epoll` set.
     pub(crate) fn try_accept(&self) -> io::Result<Option<Box<dyn WireStream>>> {
         match self {
             Listener::Tcp(l) => match l.accept() {
@@ -288,7 +281,6 @@ impl Listener {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
-            #[cfg(unix)]
             Listener::Unix(l, _) => match l.accept() {
                 Ok((s, _)) => {
                     s.set_nonblocking(true)?;
@@ -300,11 +292,10 @@ impl Listener {
         }
     }
 
-    /// The listening descriptor, for the reactor's poll set.
+    /// The listening descriptor, for the reactor's `epoll` set.
     pub(crate) fn raw_fd(&self) -> RawFd {
         match self {
             Listener::Tcp(l) => l.as_raw_fd(),
-            #[cfg(unix)]
             Listener::Unix(l, _) => l.as_raw_fd(),
         }
     }
@@ -312,7 +303,6 @@ impl Listener {
 
 impl Drop for Listener {
     fn drop(&mut self) {
-        #[cfg(unix)]
         if let Listener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
@@ -347,7 +337,8 @@ impl SocketTransport {
     /// Binds `endpoint` and starts the reactor thread that accepts
     /// registrations. `welcome` must be the [`ControlMsg::Welcome`] run
     /// configuration; its `num_clients` and `seed` validate incoming
-    /// `Hello`s.
+    /// `Hello`s. Fails when the endpoint cannot be bound or the kernel
+    /// refuses the reactor its self-pipe, `epoll` instance or thread.
     pub fn bind(endpoint: &Endpoint, welcome: &ControlMsg) -> io::Result<SocketTransport> {
         let (n_clients, seed) = match *welcome {
             ControlMsg::Welcome {
@@ -791,7 +782,6 @@ impl ClientConn {
                 s.set_nodelay(true)?;
                 Box::new(s)
             }
-            #[cfg(unix)]
             Endpoint::Unix(path) => Box::new(UnixStream::connect(path)?),
         };
         Ok(ClientConn {
@@ -1023,7 +1013,6 @@ mod tests {
         assert_eq!(backoff_delay(Duration::from_secs(3), 1), BACKOFF_CAP);
     }
 
-    #[cfg(unix)]
     #[test]
     fn backoff_sleeps_the_schedule_then_returns_the_connect_error() {
         let dir = std::env::temp_dir().join(format!("rfl-absent-{}", std::process::id()));
@@ -1187,7 +1176,6 @@ mod tests {
             Endpoint::parse("tcp://127.0.0.1:7070").unwrap(),
             Endpoint::Tcp("127.0.0.1:7070".to_string())
         );
-        #[cfg(unix)]
         {
             assert_eq!(
                 Endpoint::parse("unix:/tmp/x.sock").unwrap(),

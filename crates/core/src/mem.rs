@@ -1,11 +1,10 @@
 //! Process memory introspection for the scaling benchmarks and per-round
 //! History columns.
 //!
-//! Linux-only in substance: resident-set figures come from
-//! `/proc/self/status` (`VmRSS` = current resident bytes, `VmHWM` = the
-//! high-water mark since the last peak reset). On other platforms every
-//! query returns 0 — the CSV columns and bench gates degrade to no-ops
-//! rather than breaking the build.
+//! Linux only, as the whole crate is (see `comm::sys`): resident-set figures
+//! come from `/proc/self/status` (`VmRSS` = current resident bytes, `VmHWM` =
+//! the high-water mark since the last peak reset), and a query that cannot
+//! read it returns 0.
 
 /// Current resident set size in bytes (0 when unavailable).
 pub fn current_rss_bytes() -> u64 {
@@ -35,10 +34,9 @@ pub fn thread_count() -> u64 {
 
 /// Raises the soft open-file limit (`RLIMIT_NOFILE`) toward `want`,
 /// capped at the process's hard limit, and returns the resulting soft
-/// limit — `None` when the platform query fails or is unsupported. A
-/// 4096-connection bench leg holds both socket ends in one process, far
-/// past the conventional 1024-descriptor default.
-#[cfg(target_os = "linux")]
+/// limit — `None` when the query fails. A 4096-connection bench leg holds
+/// both socket ends in one process, far past the conventional
+/// 1024-descriptor default.
 pub fn raise_fd_limit(want: u64) -> Option<u64> {
     #[repr(C)]
     struct Rlimit {
@@ -68,30 +66,17 @@ pub fn raise_fd_limit(want: u64) -> Option<u64> {
     Some(lim.cur)
 }
 
-/// Non-Linux stub: the limit cannot be queried portably without a crate.
-#[cfg(not(target_os = "linux"))]
-pub fn raise_fd_limit(_want: u64) -> Option<u64> {
-    None
-}
-
 /// Resets the kernel's peak-RSS watermark (`VmHWM`) so per-leg peaks can be
-/// measured inside one process. Returns `false` when unsupported; callers
-/// must then treat `peak_rss_bytes` as a whole-process maximum.
+/// measured inside one process. Returns `false` when the kernel refuses
+/// (before Linux 4.0); callers must then treat `peak_rss_bytes` as a
+/// whole-process maximum.
 pub fn reset_peak_rss() -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        // Writing "5" to clear_refs resets VmHWM (Linux >= 4.0).
-        std::fs::write("/proc/self/clear_refs", "5\n").is_ok()
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        false
-    }
+    // Writing "5" to clear_refs resets VmHWM.
+    std::fs::write("/proc/self/clear_refs", "5\n").is_ok()
 }
 
 /// The number after each of `keys` in `/proc/self/status`, 0 for a key
 /// it lacks.
-#[cfg(target_os = "linux")]
 fn read_status_fields<const N: usize>(keys: [&str; N]) -> [u64; N] {
     let mut out = [0; N];
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
@@ -112,17 +97,11 @@ fn read_status_fields<const N: usize>(keys: [&str; N]) -> [u64; N] {
     out
 }
 
-#[cfg(not(target_os = "linux"))]
-fn read_status_fields<const N: usize>(_keys: [&str; N]) -> [u64; N] {
-    [0; N]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    #[cfg_attr(not(target_os = "linux"), ignore)]
     fn rss_and_peak_parse_on_linux() {
         // Note: no `peak >= rss` assertion — a concurrent test calling
         // `reset_peak_rss` would make that racy within one process.
@@ -142,13 +121,11 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(not(target_os = "linux"), ignore)]
     fn thread_count_sees_this_thread() {
         assert!(thread_count() >= 1, "Threads: should parse on Linux");
     }
 
     #[test]
-    #[cfg_attr(not(target_os = "linux"), ignore)]
     fn fd_limit_raise_is_monotone() {
         // `want=0` never lowers the limit; a modest raise either succeeds
         // or reports the hard cap — both return the effective soft limit.

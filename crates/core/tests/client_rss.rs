@@ -113,7 +113,6 @@ fn peak_of_a_fresh_run(clients: usize) -> u64 {
 }
 
 #[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
 fn an_added_client_stays_under_its_peak_byte_ceiling() {
     if let Ok(clients) = std::env::var(LEG) {
         rfl_tensor::set_thread_budget(2);

@@ -314,7 +314,6 @@ fn loopback_tcp_is_bit_exact_against_perfect_transport() {
     socket_run_matches_oracle(&Endpoint::Tcp("127.0.0.1:0".to_string()));
 }
 
-#[cfg(unix)]
 #[test]
 fn loopback_unix_socket_is_bit_exact_against_perfect_transport() {
     let path = std::env::temp_dir().join(format!("rfl-test-{}.sock", std::process::id()));

@@ -39,7 +39,6 @@ const SEED: u64 = 17;
 const BYTES_PER_PERSISTED_CEILING: f64 = 92.0;
 
 #[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
 fn a_hibernated_client_stays_under_its_byte_ceiling() {
     let model = ModelFactory::logistic(DIM, CLASSES, 0.0);
     let mut init = Vec::new();

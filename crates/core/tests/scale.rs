@@ -69,7 +69,6 @@ fn run_leg(algo: &mut dyn Algorithm, clients: usize, sample_ratio: f32) -> (f32,
 }
 
 #[test]
-#[cfg_attr(not(target_os = "linux"), ignore = "reads /proc/self/status")]
 fn peak_rss_follows_the_cohort_from_100k_to_1m_registered_clients() {
     type MakeAlgo = fn() -> Box<dyn Algorithm>;
     let legs: [(&str, MakeAlgo, usize, f32); 3] = [
