@@ -1205,8 +1205,8 @@ mod tests {
 
     proptest! {
         /// Any frames, cut anywhere, truncated anywhere: `feed` emits exactly
-        /// what `socket::read_frame` — the blocking reader every client end
-        /// uses — reads from the same bytes.
+        /// what `socket::read_frame` — the blocking reader a client end reads
+        /// every frame but a dense payload with — reads from the same bytes.
         #[test]
         fn feed_agrees_with_read_frame_under_any_chunking(
             frames in prop::collection::vec(

@@ -54,9 +54,7 @@ impl CompressedVec {
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.reserve(self.wire_bytes());
-        out.extend_from_slice(&(self.words_u32.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.words_f32.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.section_header());
         for w in &self.words_u32 {
             out.extend_from_slice(&w.to_le_bytes());
         }
@@ -64,6 +62,17 @@ impl CompressedVec {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out.extend_from_slice(&self.bytes);
+    }
+
+    /// The encoding's first [`CompressedVec::HEADER_BYTES`]: the three
+    /// section lengths.
+    pub(crate) fn section_header(&self) -> [u8; Self::HEADER_BYTES] {
+        let mut header = [0u8; Self::HEADER_BYTES];
+        let lens = [self.words_u32.len(), self.words_f32.len(), self.bytes.len()];
+        for (field, len) in header.chunks_exact_mut(4).zip(lens) {
+            field.copy_from_slice(&(len as u32).to_le_bytes());
+        }
+        header
     }
 
     /// Parses an encoded payload into `self`, reusing the section buffers.

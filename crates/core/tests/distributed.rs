@@ -1006,6 +1006,49 @@ fn a_malformed_compressed_upload_is_a_counted_loss() {
     assert!(global.iter().all(|v| v.is_finite()));
 }
 
+/// The dense half of the same claim: a `ModelUp` whose body carries one
+/// word more than its count — the broadcast echoed with a zero behind it —
+/// does not decode (a dense body is exactly its count and values), so it is
+/// a counted [`DropReason::Loss`] and the round folds without it.
+#[test]
+fn a_padded_dense_upload_is_a_counted_loss() {
+    fn fedavg() -> Box<dyn Algorithm> {
+        Box::new(rfl_core::algorithms::FedAvg::new())
+    }
+    let (seed, victim) = (canonical::SEED, 1usize);
+    let endpoint = Endpoint::Tcp("127.0.0.1:0".to_string());
+    let (server, actual) = server_run_with(&endpoint, seed, 1, PATIENCE, Compression::None, fedavg);
+    let start = ControlMsg::TrainStart { round: 0, steps: 0 }.tag();
+    let threads: Vec<_> = (0..canonical::NUM_CLIENTS)
+        .map(|k| {
+            let ep = actual.clone();
+            std::thread::spawn(move || {
+                if k != victim {
+                    return client_thread(ep, k, seed, ClientLoopOpts::default());
+                }
+                let mut echo = Vec::new();
+                raw_client(ep, k, seed, |tag, body, raw| {
+                    if tag == MsgKind::ModelDown.tag() {
+                        echo = body.to_vec();
+                        echo.extend_from_slice(&0.0f32.to_le_bytes());
+                    } else if tag == start {
+                        write_control(raw, &REPORT);
+                        rfl_core::comm::write_frame(raw, MsgKind::ModelUp.tag(), &echo)
+                            .expect("padded upload");
+                    }
+                })
+            })
+        })
+        .collect();
+    let (history, global, faults, _) = server.join().expect("the server survived the upload");
+    for t in threads {
+        assert!(matches!(t.join().expect("client"), ClientOutcome::Shutdown));
+    }
+    assert_eq!(history.records().len(), 1);
+    assert_eq!(faults.dropped, 1, "the padded upload is the one loss");
+    assert!(global.iter().all(|v| v.is_finite()));
+}
+
 /// The δ half of the same claim: under rFedAvg+ with `quantize:8`, a
 /// client whose upload decodes but whose `CompressedDeltaUp` answer to the
 /// δ probe does not is one counted loss, the round completes, and the

@@ -279,10 +279,12 @@ fn normal_from_units_plain(u1: f32, u2: f32) -> f32 {
 /// The unit draws are reconstructed from the raw 24-bit words exactly as
 /// the uniform sampler builds them (`lo + (hi−lo)·(k/2²⁴)`).
 /// A vector tier draws the words of four (AVX2) or eight (AVX-512) elements
-/// and runs the transcendental kernels on them in one register, so the
-/// generator's serial integer chain for the next elements overlaps the
-/// vector math of these (drawing a whole batch first left the two taking
-/// turns); the plain body covers the tail bit-identically.
+/// and runs the transcendental kernels on them in one register; the plain
+/// body covers the tail bit-identically. Drawing inside the vector loop does
+/// not overlap the generator's serial integer chain with the vector math:
+/// timed on AVX-512, this fused loop costs about what its draws and its
+/// transform cost run one after the other, or more (EXPERIMENTS.md, "ROADMAP
+/// 15, step 0").
 pub fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
     on_tier!(crate::simd::simd_tier(), normal_fill => normal_fill_plain(rng, out))
 }

@@ -41,7 +41,9 @@ mod tensor;
 mod threads;
 mod workspace;
 
-pub use codec::{decode_f32_into, encode_f32_into, wire_size, CodecError};
+pub use codec::{
+    decode_f32_into, encode_f32_into, f32_bytes, f32_bytes_mut, u32_bytes, wire_size, CodecError,
+};
 pub use conv::{
     conv2d_backward_into, conv2d_backward_params_into, conv2d_into, Conv2dGrads, ConvSpec,
 };

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use rfl_tensor::{
     conv2d_backward_into, conv2d_backward_params_into, conv2d_into, decode_f32_into,
-    encode_f32_into, relu_maxpool2x2_backward_into, relu_maxpool2x2_into, Conv2dGrads, ConvSpec,
-    Tensor,
+    encode_f32_into, f32_bytes, f32_bytes_mut, relu_maxpool2x2_backward_into, relu_maxpool2x2_into,
+    u32_bytes, Conv2dGrads, ConvSpec, Tensor,
 };
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -59,6 +59,25 @@ proptest! {
         encode_f32_into(&mut enc, &a);
         decode_f32_into(&enc, &mut back).unwrap();
         prop_assert_eq!(back, a);
+    }
+
+    /// The byte views are the codec's body in place, for every bit pattern
+    /// (NaN payloads included): reading a body into `f32_bytes_mut` gives
+    /// the words `decode_f32_into` gives.
+    #[test]
+    fn byte_views_are_the_encoded_body(bits in prop::collection::vec(any::<u32>(), 0..70)) {
+        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut enc = Vec::new();
+        encode_f32_into(&mut enc, &values);
+        prop_assert_eq!(f32_bytes(&values), &enc[4..]);
+        prop_assert_eq!(u32_bytes(&bits), &enc[4..]);
+        let mut back = vec![0.0f32; values.len()];
+        f32_bytes_mut(&mut back).copy_from_slice(&enc[4..]);
+        let mut decoded = Vec::new();
+        decode_f32_into(&enc, &mut decoded).unwrap();
+        let to_bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(to_bits(&back), bits);
+        prop_assert_eq!(to_bits(&decoded), to_bits(&back));
     }
 
     #[test]

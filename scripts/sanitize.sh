@@ -5,7 +5,8 @@
 # The oracles check values; this leg checks that no tile reads or writes
 # past an allocation. The proptests run 2,048 cases each, as the release
 # deep legs do, and rfl-tensor's `fastmath` unit tests (the sampler's tier
-# bodies) run beside the oracles.
+# bodies) and `codec` unit tests (the wire byte views over `f32` / `u32`
+# slices) run beside the oracles.
 #
 # Usage: scripts/sanitize.sh
 #
@@ -30,5 +31,6 @@ run() {
 }
 run -p rfl-tensor --test simd_equiv --test conv_oracle --test gemm_oracle --test pool_oracle
 run -p rfl-tensor --lib -- fastmath::
+run -p rfl-tensor --lib -- codec::
 run -p rfl-nn --test inference --test lstm_oracle --test non_finite
 echo "sanitize: passed"
