@@ -111,6 +111,9 @@ pub const PROTO_MAGIC: u32 = u32::from_le_bytes(*b"rFL1");
 /// plane gained `CompressedUp`/`CompressedDeltaUp` frames.
 pub const PROTO_VERSION: u16 = 2;
 
+/// Every [`ControlMsg::Hello`] body's length; a handshake admits no longer.
+pub(crate) const HELLO_BODY_BYTES: usize = 4 + 2 + 4 + 8;
+
 /// Control frames of the socket protocol — the session/handshake vocabulary
 /// that exists *next to* the [`MsgKind`] payload planes. In the in-process
 /// simulation these never occur; over a real socket they carry registration,
@@ -664,6 +667,9 @@ mod tests {
         for msg in msgs {
             msg.encode_body(&mut body);
             let back = ControlMsg::decode_body(msg.tag(), &body).expect("round trip");
+            if matches!(msg, ControlMsg::Hello { .. }) {
+                assert_eq!(body.len(), HELLO_BODY_BYTES);
+            }
             assert_eq!(back, msg);
         }
     }

@@ -15,10 +15,9 @@
 //!   `Welcome` flush is one wakeup.
 //! * **Reads.** A readable connection costs one `read(2)` into the loop's
 //!   64 KiB buffer (a short read means the socket is drained; level-triggered
-//!   readiness reports whatever is left), and a chunk-fed [`FrameReader`]
-//!   cuts the bytes into `[len][tag][body]` frames. A body grows with the
-//!   bytes that actually arrive, so a header alone cannot make the server
-//!   allocate the length it claims.
+//!   readiness reports whatever is left), which the connection's frame
+//!   decoder ([`super::frame`]) cuts into frames. Until its handshake the
+//!   decoder refuses a header longer than a `Hello`'s.
 //! * **Writes.** A sender that queues a frame lists its connection — once,
 //!   guarded by a flag — on the loop's dirty list; the loop flushes the
 //!   listed connections plus those that reported `EPOLLOUT`, with `writev(2)`
@@ -41,15 +40,13 @@
 //! is encode-once: the transport encodes a frame into one `Arc<[u8]>` and
 //! every recipient queues a refcount bump, not a copy.
 
-use super::message::{ControlMsg, PROTO_MAGIC, PROTO_VERSION};
+use super::frame::{Body, Decoder, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, READ_CHUNK_BYTES};
+use super::message::{ControlMsg, HELLO_BODY_BYTES, PROTO_MAGIC, PROTO_VERSION};
 use super::session::{Deadline, Session};
-use super::socket::{
-    reserve_body, Listener, WireStream, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, READ_CHUNK_BYTES,
-};
+use super::socket::{Listener, WireStream};
 use super::sys;
 use std::collections::VecDeque;
 use std::io;
-use std::ops::ControlFlow;
 use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -560,73 +557,6 @@ impl ServerShared {
     }
 }
 
-/// A header claimed a body longer than [`MAX_FRAME_BYTES`].
-#[derive(Debug, PartialEq)]
-struct Corrupt;
-
-/// Read-side frame reassembly: `[u32 le len][u8 tag]` header, then the
-/// body, fed whatever bytes a `read(2)` returned — any number of frames, cut
-/// anywhere.
-struct FrameReader {
-    header: [u8; 5],
-    header_have: usize,
-    /// The body so far, once the header is whole; `need` bytes complete it.
-    body: Vec<u8>,
-    need: usize,
-}
-
-impl FrameReader {
-    fn new() -> FrameReader {
-        FrameReader {
-            header: [0; 5],
-            header_have: 0,
-            body: Vec::new(),
-            need: 0,
-        }
-    }
-
-    /// Consumes `chunk`, handing every frame it completes to `emit` as
-    /// `(tag, body)`, in order; a trailing partial frame waits for the next
-    /// chunk. `emit` breaking stops the feed and drops the rest of the chunk
-    /// (the connection is going away). After `Err` the reader is spent.
-    ///
-    /// A body's buffer grows by [`reserve_body`] as bytes arrive, so a peer
-    /// has to send what it claims before the server holds it.
-    fn feed(
-        &mut self,
-        mut chunk: &[u8],
-        mut emit: impl FnMut(u8, Vec<u8>) -> ControlFlow<()>,
-    ) -> Result<(), Corrupt> {
-        loop {
-            if self.header_have < self.header.len() {
-                let take = (self.header.len() - self.header_have).min(chunk.len());
-                self.header[self.header_have..][..take].copy_from_slice(&chunk[..take]);
-                self.header_have += take;
-                chunk = &chunk[take..];
-                if self.header_have < self.header.len() {
-                    return Ok(());
-                }
-                let len = u32::from_le_bytes(self.header[..4].try_into().expect("4 bytes"));
-                self.need = len as usize;
-                if self.need > MAX_FRAME_BYTES {
-                    return Err(Corrupt);
-                }
-            }
-            let take = (self.need - self.body.len()).min(chunk.len());
-            reserve_body(&mut self.body, self.need, take);
-            self.body.extend_from_slice(&chunk[..take]);
-            chunk = &chunk[take..];
-            if self.body.len() < self.need {
-                return Ok(());
-            }
-            self.header_have = 0;
-            if emit(self.header[4], std::mem::take(&mut self.body)).is_break() {
-                return Ok(());
-            }
-        }
-    }
-}
-
 enum Phase {
     /// Accepted; `Hello` not yet validated. The deadline is in
     /// [`EventLoop::handshakes`].
@@ -640,7 +570,8 @@ struct Conn {
     stream: Box<dyn WireStream>,
     shared: Arc<ConnShared>,
     phase: Phase,
-    reader: FrameReader,
+    /// Capped at a `Hello`'s body until the handshake.
+    decoder: Decoder,
     /// Distinguishes this connection from earlier tenants of its slot.
     serial: u64,
     /// Cleared once, by [`EventLoop::kill`], which also puts the slot on the
@@ -881,7 +812,7 @@ impl EventLoop {
             stream,
             shared,
             phase: Phase::Handshake,
-            reader: FrameReader::new(),
+            decoder: Decoder::new(HELLO_BODY_BYTES, true),
             serial,
             alive: true,
             out_armed: false,
@@ -928,45 +859,42 @@ impl EventLoop {
             };
             bump(&counters.bytes_in, n);
             let Conn {
-                reader,
+                decoder,
                 phase,
                 shared: queue,
                 ..
             } = conn;
-            let fed = reader.feed(&buf[..n], |tag, body| {
+            let mut chunk = &buf[..n];
+            while alive {
+                let frame = decoder.read_from(&mut chunk);
+                alive = frame.is_ok();
+                let Ok(Some((tag, body))) = frame else { break };
                 bump(&counters.frames_in, 1);
                 match phase {
                     Phase::Handshake => {
                         match EventLoop::complete_handshake(server, queue, tag, &body) {
                             Ok(session) => {
                                 *phase = Phase::Open { session };
+                                // Lift the `Hello` cap. Between frames a
+                                // decoder holds nothing a fresh one lacks.
+                                *decoder = Decoder::new(MAX_FRAME_BYTES, true);
                                 bump(&counters.handshakes, 1);
                                 if queue.mark_dirty() {
                                     to_flush.push(slot);
                                 }
-                                ControlFlow::Continue(())
                             }
-                            Err(()) => {
-                                alive = false;
-                                ControlFlow::Break(())
-                            }
+                            Err(()) => alive = false,
                         }
                     }
+                    // A graceful departure drains the session: every later
+                    // send or receive on it is a deterministic Loss.
                     Phase::Open { session } if tag == ControlMsg::Goodbye.tag() => {
-                        // A graceful departure drains the session: every
-                        // later send or receive on it is a deterministic
-                        // Loss.
                         session.drain();
                         alive = false;
-                        ControlFlow::Break(())
                     }
-                    Phase::Open { session } => {
-                        session.push_frame(tag, body);
-                        ControlFlow::Continue(())
-                    }
+                    Phase::Open { session } => session.push_frame(tag, body),
                 }
-            });
-            alive &= fed.is_ok();
+            }
             // A short read drained the socket; level-triggered readiness
             // reports anything that arrives behind it.
             if !alive || n < buf.len() {
@@ -985,15 +913,15 @@ impl EventLoop {
         server: &ServerShared,
         queue: &Arc<ConnShared>,
         tag: u8,
-        body: &[u8],
+        body: &Body,
     ) -> Result<Arc<Session>, ()> {
-        let hello = ControlMsg::decode_body(tag, body).map_err(|_| ())?;
-        let ControlMsg::Hello {
+        let hello = body.bytes().map(|b| ControlMsg::decode_body(tag, b));
+        let Some(Ok(ControlMsg::Hello {
             magic,
             version,
             client_id,
             seed,
-        } = hello
+        })) = hello
         else {
             return Err(());
         };
@@ -1005,7 +933,7 @@ impl EventLoop {
         {
             return Err(());
         }
-        let hello_bytes = FRAME_HEADER_BYTES + body.len() as u64;
+        let hello_bytes = FRAME_HEADER_BYTES + body.wire_len() as u64;
         // Register the session *before* queueing the welcome: a client that
         // holds its Welcome must already be visible to wait_for_clients.
         let session = Session::new(queue.clone());
@@ -1107,9 +1035,10 @@ impl EventLoop {
 
 #[cfg(test)]
 mod tests {
+    use super::super::frame::{encode_frame, read_frame, write_frame};
     use super::super::message::MsgKind;
     use super::super::session::RecvError;
-    use super::super::socket::{encode_frame, read_frame, write_frame, Endpoint};
+    use super::super::socket::Endpoint;
     use super::*;
     use proptest::prelude::*;
     use std::io::Write;
@@ -1124,125 +1053,7 @@ mod tests {
     const PATIENCE: Duration = Duration::from_secs(20);
     const SEED: u64 = 7;
 
-    /// Feeds `chunks` in order; everything emitted, or `Corrupt`.
-    fn feed_all(reader: &mut FrameReader, chunks: &[&[u8]]) -> Result<Vec<(u8, Vec<u8>)>, Corrupt> {
-        let mut frames = Vec::new();
-        for chunk in chunks {
-            reader.feed(chunk, |tag, body| {
-                frames.push((tag, body));
-                ControlFlow::Continue(())
-            })?;
-        }
-        Ok(frames)
-    }
-
-    #[test]
-    fn a_header_alone_reserves_at_most_one_read_chunk() {
-        let mut reader = FrameReader::new();
-        let mut header = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
-        header.push(0x02);
-        // 256 MiB claimed, then silence.
-        assert_eq!(feed_all(&mut reader, &[&header]), Ok(vec![]));
-        assert_eq!(reader.need, MAX_FRAME_BYTES);
-        assert!(reader.body.capacity() <= READ_CHUNK_BYTES);
-        // What does arrive is held, and little more.
-        let drip = vec![0xAB; 3 * READ_CHUNK_BYTES];
-        assert_eq!(feed_all(&mut reader, &[&drip]), Ok(vec![]));
-        assert_eq!(reader.body.len(), drip.len());
-        assert!(reader.body.capacity() <= 2 * drip.len());
-    }
-
-    #[test]
-    fn a_length_over_the_cap_is_corrupt() {
-        let mut header = (MAX_FRAME_BYTES as u32 + 1).to_le_bytes().to_vec();
-        header.push(0x02);
-        assert_eq!(feed_all(&mut FrameReader::new(), &[&header]), Err(Corrupt));
-        // Also when the header arrives a byte at a time.
-        let bytes: Vec<&[u8]> = header.chunks(1).collect();
-        assert_eq!(feed_all(&mut FrameReader::new(), &bytes), Err(Corrupt));
-    }
-
-    #[test]
-    fn empty_bodies_emit_as_soon_as_their_header_is_whole() {
-        let wire = [frame(0x15, b""), frame(0x16, b"")].concat();
-        let mut reader = FrameReader::new();
-        assert_eq!(
-            feed_all(&mut reader, &[&wire[..9], &wire[9..]]),
-            Ok(vec![(0x15, vec![]), (0x16, vec![])])
-        );
-    }
-
-    #[test]
-    fn two_and_a_half_frames_emit_two_and_keep_the_half() {
-        let wire = [frame(1, b"first"), frame(2, b"second"), frame(3, b"third")].concat();
-        let cut = wire.len() - 4;
-        let mut reader = FrameReader::new();
-        assert_eq!(
-            feed_all(&mut reader, &[&wire[..cut]]),
-            Ok(vec![(1, b"first".to_vec()), (2, b"second".to_vec())])
-        );
-        assert_eq!(reader.body, b"t");
-        assert_eq!(
-            feed_all(&mut reader, &[&wire[cut..]]),
-            Ok(vec![(3, b"third".to_vec())])
-        );
-    }
-
-    #[test]
-    fn a_break_drops_the_rest_of_the_chunk() {
-        let wire = [frame(1, b"kept"), frame(0x15, b""), frame(2, b"dropped")].concat();
-        let mut seen = Vec::new();
-        let fed = FrameReader::new().feed(&wire, |tag, _| {
-            seen.push(tag);
-            if tag == 0x15 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        assert_eq!((fed, seen), (Ok(()), vec![1, 0x15]));
-    }
-
     proptest! {
-        /// Any frames, cut anywhere, truncated anywhere: `feed` emits exactly
-        /// what `socket::read_frame` — the blocking reader a client end reads
-        /// every frame but a dense payload with — reads from the same bytes.
-        #[test]
-        fn feed_agrees_with_read_frame_under_any_chunking(
-            frames in prop::collection::vec(
-                (any::<u8>(), prop::collection::vec(any::<u8>(), 0..300)),
-                0..12,
-            ),
-            cuts in prop::collection::vec(1usize..97, 1..8),
-            cut_tail in 0usize..40,
-        ) {
-            let mut wire = Vec::new();
-            for (tag, body) in &frames {
-                write_frame(&mut wire, *tag, body).expect("vec write");
-            }
-            wire.truncate(wire.len().saturating_sub(cut_tail));
-
-            let mut oracle = Vec::new();
-            let mut rest = wire.as_slice();
-            while let Ok(frame) = read_frame(&mut rest) {
-                oracle.push(frame);
-            }
-
-            let mut reader = FrameReader::new();
-            let mut emitted = Vec::new();
-            let (mut at, mut turn) = (0, 0);
-            while at < wire.len() {
-                let end = (at + cuts[turn % cuts.len()]).min(wire.len());
-                let fed = reader.feed(&wire[at..end], |tag, body| {
-                    emitted.push((tag, body));
-                    ControlFlow::Continue(())
-                });
-                prop_assert_eq!(fed, Ok(()));
-                (at, turn) = (end, turn + 1);
-            }
-            prop_assert_eq!(emitted, oracle);
-        }
-
         /// The reactor's partial-write resume path: a queue of encoded frames
         /// drained in arbitrary byte-sized steps (including splits *inside*
         /// headers and across frame boundaries) emits exactly the
@@ -1408,6 +1219,32 @@ mod tests {
         }
     }
 
+    /// A header longer than a `Hello`'s body fails the handshake at once:
+    /// the peer sees EOF long before the handshake deadline, and nothing was
+    /// reserved for the body it claimed.
+    #[test]
+    fn a_hello_header_claiming_more_than_a_hello_drops_at_once() {
+        use std::io::Read;
+        let rig = Rig::new(1);
+        let mut peer = UnixStream::connect(rig.dir.join("server.sock")).expect("connect");
+        peer.set_read_timeout(Some(PATIENCE)).expect("timeout");
+        let hello = ControlMsg::Hello {
+            magic: PROTO_MAGIC,
+            version: PROTO_VERSION,
+            client_id: 0,
+            seed: SEED,
+        };
+        let mut header = (1u32 << 20).to_le_bytes().to_vec();
+        header.push(hello.tag());
+        let t0 = Instant::now();
+        peer.write_all(&header).expect("header");
+        let mut byte = [0u8; 1];
+        assert_eq!(peer.read(&mut byte).expect("EOF, not a timeout"), 0);
+        let waited = t0.elapsed();
+        assert!(waited < Duration::from_secs(1), "dropped after {waited:?}");
+        assert_eq!(rig.shared.counters().handshakes, 0);
+    }
+
     #[test]
     fn a_goodbye_mid_chunk_stops_dispatch_of_what_follows_it() {
         let rig = Rig::new(1);
@@ -1421,8 +1258,8 @@ mod tests {
         .concat();
         // One write, so one read on the other side.
         peer.write_all(&wire).expect("write");
-        let (body, _) = session.recv_frame(up, PATIENCE).expect("the frame before");
-        assert_eq!(body, b"before");
+        let body = session.recv_frame(up, PATIENCE).expect("the frame before");
+        assert_eq!(body.bytes(), Some(&b"before"[..]));
         assert!(matches!(
             session.recv_frame(up, PATIENCE),
             Err(RecvError::Closed)
@@ -1492,7 +1329,8 @@ mod tests {
         let (mut peer, session) = rig.connect(1);
         let up = MsgKind::ModelUp.tag();
         peer.write_all(&frame(up, b"up")).expect("write");
-        assert_eq!(session.recv_frame(up, PATIENCE).expect("upload").0, b"up");
+        let body = session.recv_frame(up, PATIENCE).expect("upload");
+        assert_eq!(body.bytes(), Some(&b"up"[..]));
         let down = MsgKind::ModelDown.tag();
         session
             .send_frame(down, b"down", Deadline::after(PATIENCE))

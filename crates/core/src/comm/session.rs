@@ -20,8 +20,8 @@
 //! [`ControlMsg::Goodbye`]: super::message::ControlMsg::Goodbye
 //! [`DropReason::Loss`]: super::message::DropReason::Loss
 
+use super::frame::{encode_frame, Body};
 use super::reactor::{ConnShared, EnqueueError};
-use super::socket::encode_frame;
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -83,8 +83,9 @@ pub(crate) struct Session {
 
 #[derive(Default)]
 struct RecvQueue {
-    /// Received frames, newest last, not yet claimed by the round loop.
-    frames: VecDeque<(u8, Vec<u8>)>,
+    /// Received frames, newest last, not yet claimed by the round loop: a
+    /// dense upload as the vector the decoder read its values into.
+    frames: VecDeque<(u8, Body)>,
     /// Receivers blocked on the condvar: the reactor notifies only when
     /// there is one, so a frame for a session nobody is waiting on costs no
     /// futex call.
@@ -92,12 +93,10 @@ struct RecvQueue {
 }
 
 impl RecvQueue {
-    /// Claims the oldest queued frame tagged `tag`: its body and wire size.
-    fn claim(&mut self, tag: u8) -> Option<(Vec<u8>, u64)> {
+    /// Claims the oldest queued frame tagged `tag`: its body.
+    fn claim(&mut self, tag: u8) -> Option<Body> {
         let pos = self.frames.iter().position(|(t, _)| *t == tag)?;
-        let (_, body) = self.frames.remove(pos).expect("position just found");
-        let wire = super::socket::FRAME_HEADER_BYTES + body.len() as u64;
-        Some((body, wire))
+        self.frames.remove(pos).map(|(_, body)| body)
     }
 }
 
@@ -133,7 +132,7 @@ impl Session {
     /// Reactor-side delivery of one received frame. A drained session takes
     /// no more: the flag is read under the queue lock, so a frame cannot
     /// slip in behind [`Session::close`]'s discard.
-    pub(crate) fn push_frame(&self, tag: u8, body: Vec<u8>) {
+    pub(crate) fn push_frame(&self, tag: u8, body: Body) {
         let mut q = self.queue.lock().expect("session queue poisoned");
         if !self.is_live() {
             return;
@@ -185,12 +184,8 @@ impl Session {
 
     /// Blocks until a frame with `tag` arrives (earlier frames of other
     /// tags stay queued), the session drains, or `timeout` passes. Returns
-    /// the frame body and its wire size.
-    pub(crate) fn recv_frame(
-        &self,
-        tag: u8,
-        timeout: Duration,
-    ) -> Result<(Vec<u8>, u64), RecvError> {
+    /// the frame body.
+    pub(crate) fn recv_frame(&self, tag: u8, timeout: Duration) -> Result<Body, RecvError> {
         let deadline = Deadline::after(timeout);
         let mut q = self.queue.lock().expect("session queue poisoned");
         loop {

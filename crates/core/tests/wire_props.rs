@@ -3,10 +3,11 @@
 //! bit-lossless, and every [`ControlMsg`] must round-trip through its wire
 //! body — the invariants the distributed bit-exactness contract stands on.
 //!
-//! The server's own reader and writer, the reactor's `FrameReader` and
-//! `WriteQueue`, are private to `comm/reactor.rs`, and their properties sit
-//! in that module's tests: the reader emits what [`read_frame`] reads under
-//! any chunking, and the queue resumes partial writes at any byte.
+//! The frame decoder both ends share and the reactor's `WriteQueue` are
+//! private to `comm/`, and their properties sit in their modules' tests:
+//! the decoder yields what a slicing parser finds under any chunking or
+//! read split (`comm/frame.rs`), and the queue resumes partial writes at
+//! any byte (`comm/reactor.rs`).
 
 use proptest::prelude::*;
 use rfl_core::comm::{

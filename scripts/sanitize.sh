@@ -6,7 +6,8 @@
 # past an allocation. The proptests run 2,048 cases each, as the release
 # deep legs do, and rfl-tensor's `fastmath` unit tests (the sampler's tier
 # bodies) and `codec` unit tests (the wire byte views over `f32` / `u32`
-# slices) run beside the oracles.
+# slices) run beside the oracles, as do rfl-core's `comm::frame` unit tests
+# (the frame decoder reads a dense body through `f32_bytes_mut`).
 #
 # Usage: scripts/sanitize.sh
 #
@@ -32,5 +33,6 @@ run() {
 run -p rfl-tensor --test simd_equiv --test conv_oracle --test gemm_oracle --test pool_oracle
 run -p rfl-tensor --lib -- fastmath::
 run -p rfl-tensor --lib -- codec::
+run -p rfl-core --lib -- comm::frame::
 run -p rfl-nn --test inference --test lstm_oracle --test non_finite
 echo "sanitize: passed"
