@@ -120,12 +120,6 @@ impl CompressedVec {
         self.bytes.extend_from_slice(&body[at..]);
         true
     }
-
-    /// One-shot decode into a fresh payload.
-    pub fn decode(body: &[u8]) -> Option<CompressedVec> {
-        let mut out = CompressedVec::default();
-        out.decode_from(body).then_some(out)
-    }
 }
 
 /// Wire-compression policy for client uploads and δ syncs. `Copy` so it can
@@ -531,7 +525,8 @@ mod tests {
         };
         let mut wire = Vec::new();
         c.encode_into(&mut wire);
-        let d = CompressedVec::decode(&wire).unwrap();
+        let mut d = CompressedVec::default();
+        assert!(d.decode_from(&wire));
         assert_eq!(c.words_u32, d.words_u32);
         assert_eq!(
             c.words_f32.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -549,15 +544,16 @@ mod tests {
         .1;
         let mut wire = Vec::new();
         c.encode_into(&mut wire);
-        assert!(CompressedVec::decode(&wire[..wire.len() - 1]).is_none());
-        assert!(CompressedVec::decode(&wire[..4]).is_none());
+        let decodes = |body: &[u8]| CompressedVec::default().decode_from(body);
+        assert!(!decodes(&wire[..wire.len() - 1]));
+        assert!(!decodes(&wire[..4]));
         let mut extra = wire.clone();
         extra.push(0);
-        assert!(CompressedVec::decode(&extra).is_none());
+        assert!(!decodes(&extra));
         // Section lengths that overflow the length arithmetic.
         let mut bogus = vec![0xFFu8; 12];
         bogus.extend_from_slice(&[0; 16]);
-        assert!(CompressedVec::decode(&bogus).is_none());
+        assert!(!decodes(&bogus));
     }
 
     #[test]

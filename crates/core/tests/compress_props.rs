@@ -253,7 +253,8 @@ proptest! {
         // The frame the transports ship decodes back to the same payload.
         let mut body = Vec::new();
         payload.encode_into(&mut body);
-        let decoded = CompressedVec::decode(&body).unwrap();
+        let mut decoded = CompressedVec::default();
+        prop_assert!(decoded.decode_from(&body));
         let mut back = Vec::new();
         prop_assert!(comp.decompress_into(&decoded, values.len(), &mut back));
         prop_assert_eq!(recon, back, "reconstruction changed across the wire");
