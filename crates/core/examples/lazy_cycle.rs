@@ -1,5 +1,6 @@
 //! Where one lazy client's round goes: the wake, the step, the upload read
-//! and the hibernation, with the wake's data synthesis split out.
+//! and the hibernation, with the wake's draws and the step's row
+//! transforms split out.
 //!
 //! Builds `scale_lazy`'s client source (a Gaussian mixture of dimension 32
 //! with 4 classes, 32 examples per client, a feature shift of norm 1.0) and
@@ -10,15 +11,20 @@
 //! read the parameters for upload, hibernate. It prints the median
 //! microseconds and share of a client-round for each part:
 //!
-//! - `normal_fill`: the shard's two `normal_fill` calls (the 32-value shift
-//!   and the 32 × 32 examples), replayed on the client's own generator;
-//! - the rest of `generate_with_means`: seeding, the shift's norm, the
-//!   means-and-shift pass and the `Dataset` build;
+//! - `wake draws`: what the wake draws off the client's own generator,
+//!   replayed on it — the shift's `normal_fill` (32 values) and the shard's
+//!   raw pairs (`draw_normal_pairs`, 32 × 32);
+//! - the rest of `generate_with_means`: seeding, the shift's norm, and the
+//!   deferred `Dataset` build (copies of the means and shift, the labels);
 //! - the rest of the warm wake: assembling the client around a recycled
 //!   shell, and installing the global;
-//! - one local step, the parameter read for upload, and the hibernation.
+//! - `gather transforms`: `normals_from_pairs` over the 8 rows one step
+//!   reads, one call per row as the gather makes them;
+//! - the rest of the local step (the sampler, the rows' means and shift,
+//!   forward, loss, backward, update), the parameter read for upload, and
+//!   the hibernation.
 //!
-//! A part that is a difference (the two "rest" rows) is the median of the
+//! A part that is a difference (the three "rest" rows) is the median of the
 //! per-client differences. The header names the SIMD tier that ran
 //! (`simd_backend()`): the widest the CPU has, or the one `--tier` names (a
 //! tier the CPU lacks exits with status 2).
@@ -34,6 +40,7 @@ use rfl_core::{
 };
 use rfl_data::synth::gaussian::GaussianMixtureSpec;
 use rfl_data::Dataset;
+use rfl_tensor::fastmath::{draw_normal_pairs, normals_from_pairs};
 use rfl_tensor::simd::{set_simd_tier, Tier};
 use rfl_tensor::{normal_fill, set_thread_budget, simd_backend, Tensor};
 use std::hint::black_box;
@@ -56,12 +63,16 @@ const SPEC: GaussianMixtureSpec = GaussianMixtureSpec {
     mean_seed: 45,
 };
 
+/// Rows one local step reads.
+const BATCH: usize = 8;
+
 /// The parts of a client-round, in the order they are printed.
-const PARTS: [&str; 6] = [
-    "normal_fill",
+const PARTS: [&str; 7] = [
+    "wake draws",
     "generate_with_means rest",
     "wake rest",
-    "local step",
+    "gather transforms",
+    "local step rest",
     "read params",
     "hibernate",
 ];
@@ -128,7 +139,7 @@ fn main() {
     let cfg = FlConfig {
         rounds: 1,
         local_steps: 1,
-        batch_size: 8,
+        batch_size: BATCH,
         sample_ratio: 0.01,
         eval_every: usize::MAX,
         parallel: false,
@@ -153,7 +164,8 @@ fn main() {
         registry.hibernate(registry.materialize(k));
     }
 
-    let (mut shift, mut shard) = (vec![0.0f32; DIM], vec![0.0f32; EXAMPLES * DIM]);
+    let (mut shift, mut pairs) = (vec![0.0f32; DIM], vec![0u64; EXAMPLES * DIM]);
+    let mut rows = vec![0.0f32; BATCH * DIM];
     let mut upload = Vec::with_capacity(global.len());
     let warm = iters.div_ceil(4).max(COHORT);
     let mut parts: Vec<Vec<f64>> = vec![Vec::with_capacity(iters); PARTS.len()];
@@ -162,22 +174,27 @@ fn main() {
         let t0 = Instant::now();
         let mut rng = client_rng(k);
         normal_fill(&mut rng, &mut shift);
-        normal_fill(&mut rng, &mut shard);
-        black_box((&shift, &shard));
+        draw_normal_pairs(&mut rng, &mut pairs);
+        black_box((&shift, &pairs));
         let t1 = Instant::now();
         black_box(source.dataset(k));
         let t2 = Instant::now();
-        let mut client = registry.materialize(k);
+        for (row, p) in rows.chunks_exact_mut(DIM).zip(pairs.chunks_exact(DIM)) {
+            normals_from_pairs(p, row);
+        }
+        black_box(&rows);
         let t3 = Instant::now();
-        client.write_params(&global);
+        let mut client = registry.materialize(k);
         let t4 = Instant::now();
-        black_box(client.train_local(cfg.local_steps, &LocalRule::Plain));
+        client.write_params(&global);
         let t5 = Instant::now();
+        black_box(client.train_local(cfg.local_steps, &LocalRule::Plain));
+        let t6 = Instant::now();
         client.read_params(&mut upload);
         black_box(&upload);
-        let t6 = Instant::now();
-        registry.hibernate(client);
         let t7 = Instant::now();
+        registry.hibernate(client);
+        let t8 = Instant::now();
         if i < warm {
             continue;
         }
@@ -185,10 +202,11 @@ fn main() {
         let sample = [
             s(t0, t1),
             s(t1, t2) - s(t0, t1),
-            s(t2, t3) - s(t1, t2) + s(t3, t4),
-            s(t4, t5),
-            s(t5, t6),
+            s(t3, t4) - s(t1, t2) + s(t4, t5),
+            s(t2, t3),
+            s(t5, t6) - s(t2, t3),
             s(t6, t7),
+            s(t7, t8),
         ];
         for (samples, v) in parts.iter_mut().zip(sample) {
             samples.push(v);
@@ -199,7 +217,7 @@ fn main() {
     let total: f64 = us.iter().sum();
     println!(
         "lazy client-round, gaussian d {DIM} x {EXAMPLES} examples, logistic {DIM} -> {CLASSES}, \
-         batch 8, thread budget 1, simd {}, median of {iters} wakes",
+         batch {BATCH}, thread budget 1, simd {}, median of {iters} wakes",
         simd_backend()
     );
     println!("{:<28}{:>10}{:>9}", "part", "us", "share");

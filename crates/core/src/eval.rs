@@ -1,7 +1,7 @@
 //! Model evaluation on datasets.
 
 use crate::plane::fan_out;
-use rfl_data::{gather_rows_into, Dataset, Examples};
+use rfl_data::{Dataset, ExampleKind, Examples};
 use rfl_nn::{cross_entropy_into, Input, Model, ModelOutput};
 use rfl_tensor::Tensor;
 
@@ -26,6 +26,8 @@ pub fn to_input(ex: &Examples) -> Input {
 /// input/label buffer pair. The first call populates the slot; warm calls
 /// copy into the existing buffers without touching the allocator (the
 /// mini-batch inner loops of training and evaluation all go through here).
+/// Image and dense rows come through [`Dataset::gather_into`], so a deferred
+/// dataset builds only the rows a batch reads.
 pub(crate) fn gather_batch(
     data: &Dataset,
     indices: &[usize],
@@ -34,32 +36,29 @@ pub(crate) fn gather_batch(
 ) {
     labels.clear();
     labels.extend(indices.iter().map(|&i| data.labels()[i]));
-    match (data.examples(), &mut *input) {
-        (Examples::Images(t), Some(Input::Images(buf))) => gather_rows_into(t, indices, buf),
-        (Examples::Dense(t), Some(Input::Dense(buf))) => gather_rows_into(t, indices, buf),
-        (Examples::Tokens(s), Some(Input::Tokens(buf))) => {
+    // A slot of another kind (or none yet) starts from an empty buffer.
+    let fresh = match (data.kind(), &*input) {
+        (ExampleKind::Images, Some(Input::Images(_)))
+        | (ExampleKind::Dense, Some(Input::Dense(_)))
+        | (ExampleKind::Tokens, Some(Input::Tokens(_))) => None,
+        (ExampleKind::Images, _) => Some(Input::Images(Tensor::scratch())),
+        (ExampleKind::Dense, _) => Some(Input::Dense(Tensor::scratch())),
+        (ExampleKind::Tokens, _) => Some(Input::Tokens(Vec::new())),
+    };
+    if let Some(f) = fresh {
+        *input = Some(f);
+    }
+    match input.as_mut().expect("the slot was filled above") {
+        Input::Images(buf) | Input::Dense(buf) => data.gather_into(indices, buf),
+        Input::Tokens(buf) => {
+            let Examples::Tokens(s) = data.examples() else {
+                unreachable!("a token dataset holds tokens")
+            };
             buf.resize(indices.len(), Vec::new());
             for (dst, &i) in buf.iter_mut().zip(indices) {
                 dst.clear();
                 dst.extend_from_slice(&s[i]);
             }
-        }
-        (ex, slot) => {
-            *slot = Some(match ex {
-                Examples::Images(t) => {
-                    let mut b = Tensor::scratch();
-                    gather_rows_into(t, indices, &mut b);
-                    Input::Images(b)
-                }
-                Examples::Dense(t) => {
-                    let mut b = Tensor::scratch();
-                    gather_rows_into(t, indices, &mut b);
-                    Input::Dense(b)
-                }
-                Examples::Tokens(s) => {
-                    Input::Tokens(indices.iter().map(|&i| s[i].clone()).collect())
-                }
-            });
         }
     }
 }
@@ -136,7 +135,7 @@ pub(crate) fn evaluate(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rfl_nn::LogisticRegression;
     use rfl_tensor::Tensor;
 
@@ -241,6 +240,88 @@ mod tests {
             }
         }
         rfl_tensor::set_thread_budget(before);
+    }
+
+    /// A Gaussian-mixture dataset built the eager way, written out here
+    /// rather than taken from the library: one `normal_fill` over the whole
+    /// `n × dim` matrix, then `μ_y + noise·z + s` element by element (`+ 0.0`
+    /// without a shift). Its rows, flat.
+    fn eager_rows(
+        spec: &rfl_data::synth::gaussian::GaussianMixtureSpec,
+        n: usize,
+        shift: Option<&[f32]>,
+        rng: &mut StdRng,
+    ) -> Vec<f32> {
+        let means = spec.means();
+        let mut x = vec![0.0f32; n * spec.dim];
+        rfl_tensor::normal_fill(rng, &mut x);
+        for (i, row) in x.chunks_exact_mut(spec.dim).enumerate() {
+            let mu = means.row(i % spec.classes);
+            for (j, d) in row.iter_mut().enumerate() {
+                *d = mu[j] + spec.noise * *d + shift.map_or(0.0, |s| s[j]);
+            }
+        }
+        x
+    }
+
+    proptest::proptest! {
+        /// A deferred Gaussian dataset gathered through `gather_batch` in
+        /// random batches (any indices, repeats allowed), then the whole set
+        /// in one batch, then one more batch — so gathers run before, at and
+        /// after the one that builds its examples: every row and label
+        /// equals the eager build's bit for bit, and so do its examples.
+        #[test]
+        fn deferred_gathers_equal_the_eager_rows(
+            seed in 0u64..1_000,
+            dim in 1usize..40,
+            classes in 1usize..5,
+            noise in 0.25f32..3.0,
+            n in 1usize..48,
+            shifted in proptest::prelude::any::<bool>(),
+            batches in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0usize..1_000, 1..12),
+                1..8,
+            ),
+        ) {
+            use rfl_data::synth::gaussian::GaussianMixtureSpec;
+            let spec = GaussianMixtureSpec { dim, classes, noise, ..GaussianMixtureSpec::default_spec() };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let shift = shifted.then(|| spec.random_shift(1.5, &mut rng));
+            let mut eager_rng = rng.clone();
+            let data = spec.generate_with_means(&spec.means(), n, shift.as_deref(), &mut rng);
+            let want = eager_rows(&spec, n, shift.as_deref(), &mut eager_rng);
+            proptest::prop_assert_eq!(rng.next_u64(), eager_rng.next_u64(), "the streams part");
+
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut order: Vec<Vec<usize>> = batches
+                .iter()
+                .map(|b| b.iter().map(|&i| i % n).collect())
+                .collect();
+            order.push((0..n).collect());
+            order.push(batches[0].iter().map(|&i| i % n).collect());
+            let (mut input, mut labels) = (None, Vec::new());
+            for idx in &order {
+                gather_batch(&data, idx, &mut input, &mut labels);
+                let Some(Input::Dense(x)) = &input else {
+                    panic!("a Gaussian batch is dense")
+                };
+                proptest::prop_assert_eq!(x.dims(), &[idx.len(), dim]);
+                for (r, &i) in idx.iter().enumerate() {
+                    proptest::prop_assert_eq!(
+                        bits(x.row(r)),
+                        bits(&want[i * dim..(i + 1) * dim]),
+                        "row {} of batch {:?}",
+                        i,
+                        idx
+                    );
+                    proptest::prop_assert_eq!(labels[r], i % classes);
+                }
+            }
+            let Examples::Dense(x) = data.examples() else {
+                panic!("a Gaussian dataset is dense")
+            };
+            proptest::prop_assert_eq!(bits(x.data()), bits(&want));
+        }
     }
 
     #[test]

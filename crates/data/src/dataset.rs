@@ -1,7 +1,9 @@
 //! Dataset containers shared by all benchmarks.
 
+use crate::synth::gaussian::GaussianRows;
 use rfl_tensor::Tensor;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// The example payload of a dataset.
 #[derive(Clone, Debug)]
@@ -12,6 +14,15 @@ pub enum Examples {
     Tokens(Vec<Vec<u32>>),
     /// Dense feature batch `[N, D]`.
     Dense(Tensor),
+}
+
+/// Which [`Examples`] variant a dataset holds, known without building a
+/// deferred dataset's examples.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExampleKind {
+    Images,
+    Tokens,
+    Dense,
 }
 
 impl Examples {
@@ -51,7 +62,7 @@ fn gather_rows(t: &Tensor, indices: &[usize]) -> Tensor {
 /// destination. The destination is resized (a no-op when the shape already
 /// matches, so warm mini-batch loops gather without allocating) and every
 /// element is overwritten.
-pub fn gather_rows_into(t: &Tensor, indices: &[usize], out: &mut Tensor) {
+fn gather_rows_into(t: &Tensor, indices: &[usize], out: &mut Tensor) {
     let row = t.numel() / t.dims()[0];
     let nd = t.ndim();
     assert!(nd <= 8, "gather_rows_into supports up to 8 dims");
@@ -69,12 +80,24 @@ pub fn gather_rows_into(t: &Tensor, indices: &[usize], out: &mut Tensor) {
 /// A labelled dataset. Immutable once built, and shared: its examples,
 /// labels and class count live behind one `Arc`, so a clone is a
 /// reference-count bump and every clone reads the same buffers.
+///
+/// A Gaussian-mixture dataset
+/// ([`GaussianMixtureSpec::generate_with_means`](crate::synth::gaussian::GaussianMixtureSpec::generate_with_means))
+/// is *deferred*: it holds its elements' raw draws, and a gather
+/// ([`Dataset::gather_into`]) turns only the rows it reads into values,
+/// bit for bit the values an eager build would hold. Its examples are built
+/// once, by [`Dataset::examples`], [`Dataset::select`], or the gather that
+/// takes its gathers past its length; every later read copies them.
 #[derive(Clone, Debug)]
 pub struct Dataset(Arc<Labelled>);
 
 #[derive(Debug)]
 struct Labelled {
-    examples: Examples,
+    /// Set at construction for an eager dataset, at first need for a
+    /// deferred one.
+    examples: OnceLock<Examples>,
+    /// A deferred dataset's rows, and the rows its gathers have read so far.
+    deferred: Option<(GaussianRows, AtomicUsize)>,
     labels: Vec<usize>,
     num_classes: usize,
 }
@@ -84,12 +107,32 @@ impl Dataset {
     /// Panics if lengths disagree or any label is out of range.
     pub fn new(examples: Examples, labels: Vec<usize>, num_classes: usize) -> Self {
         assert_eq!(examples.len(), labels.len(), "examples/labels length");
+        Dataset::labelled(OnceLock::from(examples), None, labels, num_classes)
+    }
+
+    /// A dense dataset of one row of `rows` per label, turned into values
+    /// as they are read.
+    ///
+    /// # Panics
+    /// Panics if any label is out of range.
+    pub(crate) fn deferred(rows: GaussianRows, labels: Vec<usize>, num_classes: usize) -> Self {
+        let deferred = Some((rows, AtomicUsize::new(0)));
+        Dataset::labelled(OnceLock::new(), deferred, labels, num_classes)
+    }
+
+    fn labelled(
+        examples: OnceLock<Examples>,
+        deferred: Option<(GaussianRows, AtomicUsize)>,
+        labels: Vec<usize>,
+        num_classes: usize,
+    ) -> Self {
         assert!(
             labels.iter().all(|&y| y < num_classes),
             "label out of range"
         );
         Dataset(Arc::new(Labelled {
             examples,
+            deferred,
             labels,
             num_classes,
         }))
@@ -103,21 +146,67 @@ impl Dataset {
         self.0.labels.is_empty()
     }
 
+    /// The examples, built on first call for a deferred dataset.
     pub fn examples(&self) -> &Examples {
-        &self.0.examples
+        self.0.examples.get_or_init(|| {
+            let (rows, _) = self
+                .0
+                .deferred
+                .as_ref()
+                .expect("an eager dataset has examples");
+            let mut x = Tensor::zeros(&[self.len(), rows.dim()]);
+            rows.rows_into(0..self.len(), &self.0.labels, x.data_mut());
+            Examples::Dense(x)
+        })
+    }
+
+    pub fn kind(&self) -> ExampleKind {
+        if self.0.deferred.is_some() {
+            return ExampleKind::Dense;
+        }
+        match self.examples() {
+            Examples::Images(_) => ExampleKind::Images,
+            Examples::Tokens(_) => ExampleKind::Tokens,
+            Examples::Dense(_) => ExampleKind::Dense,
+        }
     }
 
     pub fn labels(&self) -> &[usize] {
         &self.0.labels
     }
 
+    /// Gathers the examples at `indices` of an image or dense dataset into
+    /// `out` (resized; a warm buffer of the batch's shape is not
+    /// reallocated), row by row from [`Dataset::examples`]. A deferred
+    /// dataset whose gathers, this one included, total at most its length
+    /// builds only these rows; the gather that passes it builds the
+    /// examples.
+    ///
+    /// # Panics
+    /// Panics on a token dataset or an index out of range.
+    pub fn gather_into(&self, indices: &[usize], out: &mut Tensor) {
+        if let (Some((rows, gathered)), None) = (&self.0.deferred, self.0.examples.get()) {
+            // A count only: the examples are published by the `OnceLock`.
+            let before = gathered.fetch_add(indices.len(), Ordering::Relaxed);
+            if before + indices.len() <= self.len() {
+                out.resize(&[indices.len(), rows.dim()]);
+                rows.rows_into(indices.iter().copied(), &self.0.labels, out.data_mut());
+                return;
+            }
+        }
+        match self.examples() {
+            Examples::Images(t) | Examples::Dense(t) => gather_rows_into(t, indices, out),
+            Examples::Tokens(_) => panic!("a token dataset has no rows to gather"),
+        }
+    }
+
     /// Subset at `indices` (copies the data).
     pub fn select(&self, indices: &[usize]) -> Dataset {
-        Dataset(Arc::new(Labelled {
-            examples: self.0.examples.select(indices),
-            labels: indices.iter().map(|&i| self.0.labels[i]).collect(),
-            num_classes: self.0.num_classes,
-        }))
+        Dataset::new(
+            self.examples().select(indices),
+            indices.iter().map(|&i| self.0.labels[i]).collect(),
+            self.0.num_classes,
+        )
     }
 
     /// Splits into `(train, held_out)` with `frac` of samples in train,
@@ -212,6 +301,27 @@ mod tests {
             Examples::Tokens(s) => assert_eq!(s, &vec![vec![5, 6]]),
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn gathers_build_a_deferred_dataset_once_they_pass_its_length() {
+        use crate::synth::gaussian::GaussianMixtureSpec;
+        use rand::SeedableRng;
+        let spec = GaussianMixtureSpec::default_spec();
+        let ds = spec.generate(12, None, &mut rand::rngs::StdRng::seed_from_u64(3));
+        let built = |ds: &Dataset| ds.0.examples.get().is_some();
+        let mut out = Tensor::scratch();
+        // Three gathers of four rows, one repeated: twelve rows, the length.
+        for idx in [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 2, 11]] {
+            ds.gather_into(&idx, &mut out);
+            assert!(!built(&ds), "built by a gather within the length");
+        }
+        let rows = out.data().to_vec();
+        ds.gather_into(&[10], &mut out);
+        assert!(built(&ds), "the thirteenth row builds the examples");
+        ds.gather_into(&[8, 9, 2, 11], &mut out);
+        assert_eq!(out.data(), &rows[..], "a gather after the build copies");
+        assert_eq!(ds.kind(), ExampleKind::Dense);
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub mod stats;
 pub mod synth;
 
 pub use batch::BatchSampler;
-pub use dataset::{gather_rows_into, Dataset, Examples, FederatedData};
+pub use dataset::{Dataset, ExampleKind, Examples, FederatedData};

@@ -1,9 +1,10 @@
 //! Gaussian-mixture dense datasets for the strongly convex convergence
 //! experiments (Theorems 1 and 2).
 
-use crate::dataset::{Dataset, Examples};
+use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rfl_tensor::fastmath::{draw_normal_pairs, normals_from_pairs};
 use rfl_tensor::{normal_fill, Tensor};
 
 /// Specification of a Gaussian-mixture classification problem.
@@ -54,6 +55,13 @@ impl GaussianMixtureSpec {
     /// source, so callers materializing thousands of clients per round hoist
     /// the `means()` recomputation out of the per-client path; passing
     /// `self.means()` here is exactly `generate`.
+    ///
+    /// The dataset is deferred: this draws all of its normals' raw words
+    /// off `rng` (so `rng` ends where a full build leaves it) and keeps
+    /// them, and a row becomes values only when a gather reads it (see
+    /// [`Dataset`]). Example `i` has label `i mod classes` and values
+    /// `μ_y + noise·z + s` (`s` zero without a shift), `z` the `dim`
+    /// normals of its row, in that order of operations.
     pub fn generate_with_means<R: Rng>(
         &self,
         means: &Tensor,
@@ -65,32 +73,17 @@ impl GaussianMixtureSpec {
             assert_eq!(s.len(), self.dim, "shift dimension mismatch");
         }
         assert_eq!(means.dims(), &[self.classes, self.dim], "means shape");
-        let mut x = Tensor::zeros(&[n, self.dim]);
-        let mut labels = Vec::with_capacity(n);
-        // One batched draw for the whole matrix: the draw order matches the
-        // old per-element `normal_sample` loop exactly, and the per-element
-        // arithmetic below keeps the original rounding order, so every value
-        // is bit-identical to the scalar formulation.
-        normal_fill(rng, x.data_mut());
-        for i in 0..n {
-            let y = i % self.classes;
-            labels.push(y);
-            let mu = means.row(y);
-            let dst = &mut x.data_mut()[i * self.dim..(i + 1) * self.dim];
-            match shift {
-                Some(s) => {
-                    for (j, d) in dst.iter_mut().enumerate() {
-                        *d = mu[j] + self.noise * *d + s[j];
-                    }
-                }
-                None => {
-                    for (j, d) in dst.iter_mut().enumerate() {
-                        *d = mu[j] + self.noise * *d + 0.0;
-                    }
-                }
-            }
-        }
-        Dataset::new(Examples::Dense(x), labels, self.classes)
+        let mut pairs = vec![0u64; n * self.dim];
+        draw_normal_pairs(rng, &mut pairs);
+        let rows = GaussianRows {
+            pairs,
+            dim: self.dim,
+            noise: self.noise,
+            means: means.data().to_vec(),
+            shift: shift.map_or_else(|| vec![0.0; self.dim], <[f32]>::to_vec),
+        };
+        let labels = (0..n).map(|i| i % self.classes).collect();
+        Dataset::deferred(rows, labels, self.classes)
     }
 
     /// A random feature-shift vector of norm `magnitude`.
@@ -105,9 +98,52 @@ impl GaussianMixtureSpec {
     }
 }
 
+/// The rows of a deferred Gaussian-mixture dataset before they are values:
+/// each element's raw Box–Muller draw pair, and the affine map its row's
+/// normals go through.
+#[derive(Debug)]
+pub(crate) struct GaussianRows {
+    /// `n × dim` pairs, row-major, as `draw_normal_pairs` drew them.
+    pairs: Vec<u64>,
+    dim: usize,
+    noise: f32,
+    /// Class means, `classes × dim`, row-major.
+    means: Vec<f32>,
+    /// The feature shift; zeros without one.
+    shift: Vec<f32>,
+}
+
+impl GaussianRows {
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Writes rows `rows` into consecutive rows of `out` (as many as it
+    /// holds), row `i` with the mean of class `labels[i]`.
+    pub(crate) fn rows_into(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        labels: &[usize],
+        out: &mut [f32],
+    ) {
+        let dim = self.dim;
+        if dim == 0 {
+            return;
+        }
+        for (dst, i) in out.chunks_exact_mut(dim).zip(rows) {
+            normals_from_pairs(&self.pairs[i * dim..(i + 1) * dim], dst);
+            let mu = &self.means[labels[i] * dim..(labels[i] + 1) * dim];
+            for ((d, &m), &s) in dst.iter_mut().zip(mu).zip(&self.shift) {
+                *d = m + self.noise * *d + s;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Examples;
 
     #[test]
     fn generates_balanced_dense_data() {

@@ -25,19 +25,19 @@ pub fn cross_entropy_into(
     assert_eq!(labels.len(), n, "label count mismatch");
     logits.log_softmax_rows_into(log_p);
     let mut loss = 0.0f32;
-    // Softmax probabilities via the dispatched batch-exp kernel.
+    // Softmax probabilities via the dispatched batch-exp kernel, less the
+    // one-hot labels, then one scale of the whole matrix: per element
+    // `(p − [j = y]) · (1/N)`.
     dlogits.assign(log_p);
     rfl_tensor::exp_slices(dlogits.data_mut(), 1.0, 0.0);
-    let inv_n = 1.0 / n as f32;
+    let (lp, d) = (log_p.data(), dlogits.data_mut());
     for (r, &y) in labels.iter().enumerate() {
         assert!(y < k, "label {y} out of range for {k} classes");
-        loss -= log_p.at(&[r, y]);
-        let row = dlogits.row_mut(r);
-        row[y] -= 1.0;
-        for v in row.iter_mut() {
-            *v *= inv_n;
-        }
+        loss -= lp[r * k + y];
+        d[r * k + y] -= 1.0;
     }
+    let inv_n = 1.0 / n as f32;
+    rfl_tensor::scale_slices(d, inv_n);
     loss * inv_n
 }
 

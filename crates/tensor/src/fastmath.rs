@@ -42,16 +42,26 @@
 //! - **avx2**: four elements per step, `f64` internals in `__m256d`. Each
 //!   lane's `(1/c, log c)` pair comes from one 128-bit load.
 //! - **avx512**: eight elements per step in `__m512d`. The 16-entry `logf`
-//!   table lives in four `zmm` registers for the whole fill, and each step
+//!   table lives in four `zmm` registers for the whole call, and each step
 //!   reads it with two `vpermt2pd` (`_mm512_permutex2var_pd`), not loads.
 //!
-//! The two vector bodies are stamped by `simd::stamp_tiers!` like every
-//! intrinsic body, with the tier's register type choosing the body
-//! (`lanes::Lanes`). Every lane runs the plain body's operation sequence
-//! (the same fused steps, conversions and square root, and the same pin of a
+//! The sampler is two kernels, and [`normal_fill`] is their composition in
+//! blocks of 64 elements: [`draw_normal_pairs`] draws each element's two raw
+//! 24-bit words into a `u64` (integer work, the same on every tier), and
+//! [`normals_from_pairs`] turns a block of them into normals (the tier's
+//! transform body). A caller that needs only some of the normals it draws —
+//! a lazy Gaussian shard, whose gathers read a few rows — keeps the pairs
+//! and transforms the ones it reads, with the bits a fill would have given.
+//!
+//! The vector bodies are stamped by `simd::stamp_tiers!` like every
+//! intrinsic body: the blocked fill for both tiers, and each tier's own
+//! transform body. Every lane runs the plain body's operation sequence (the
+//! same fused steps, conversions and square root, and the same pin of a
 //! tiny angle to 1.0), so every tier returns the plain body's bits. Every
 //! tier also draws the same words in the same order, two per element, so the
 //! generator ends where the plain body leaves it.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::simd::stamp_tiers;
 use rand::Rng;
@@ -249,12 +259,14 @@ macro_rules! on_tier {
         #[cfg(target_arch = "x86_64")]
         {
             use crate::simd::{hardware_fma, Tier};
-            // SAFETY: a tier only runs on a CPU that has its features (the
-            // dispatch selects only such a tier, the tests only call those),
-            // and the FMA build only on a CPU with FMA.
+            // A tier only runs on a CPU that has its features: the dispatch
+            // selects only such a tier, and the tests only call those.
             match $tier {
+                // SAFETY: the CPU has AVX-512 (above).
                 Tier::Avx512 => return unsafe { avx512::$name($($arg),*) },
+                // SAFETY: the CPU has AVX2 and FMA (above).
                 Tier::Avx2 => return unsafe { avx2::$name($($arg),*) },
+                // SAFETY: the FMA build runs only on a CPU with FMA.
                 Tier::Scalar if hardware_fma() => return unsafe { fma::$name($($arg),*) },
                 Tier::Scalar => {}
             }
@@ -262,6 +274,10 @@ macro_rules! on_tier {
         $plain($($arg),*)
     }};
 }
+
+/// Pairs one [`normal_fill`] call draws before it transforms them: 512
+/// bytes of stack, eight AVX-512 octets.
+const BLOCK: usize = 64;
 
 /// One standard normal from the two unit draws of a Box–Muller step, bits
 /// identical to `(-2·ln u1)^½ · cos(2π·u2)` through libm: the scalar
@@ -278,35 +294,69 @@ fn normal_from_units_plain(u1: f32, u2: f32) -> f32 {
 /// through the uniform sampler, and leaves the generator where they would.
 /// The unit draws are reconstructed from the raw 24-bit words exactly as
 /// the uniform sampler builds them (`lo + (hi−lo)·(k/2²⁴)`).
-/// A vector tier draws the words of four (AVX2) or eight (AVX-512) elements
-/// and runs the transcendental kernels on them in one register; the plain
-/// body covers the tail bit-identically. Drawing inside the vector loop does
-/// not overlap the generator's serial integer chain with the vector math:
-/// timed on AVX-512, this fused loop costs about what its draws and its
-/// transform cost run one after the other, or more (EXPERIMENTS.md, "ROADMAP
-/// 15, step 0").
+///
+/// A fill is its two halves in blocks of 64 elements: [`draw_normal_pairs`]
+/// into a stack block, then [`normals_from_pairs`] out of it. The blocks
+/// replace a loop that drew each register's pairs inside the vector step:
+/// it overlapped nothing of the generator's serial integer chain with the
+/// vector math, and cost more than its two halves run one after the other
+/// (EXPERIMENTS.md, "ROADMAP 15, step 0" and "A lazy Gaussian shard").
 pub fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
     on_tier!(crate::simd::simd_tier(), normal_fill => normal_fill_plain(rng, out))
 }
 
-/// [`normal_fill`], the plain body: one element at a time, its two raw
-/// draws, then the scalar kernels.
+/// The draw half of [`normal_fill`]: the raw 24-bit words of `pairs.len()`
+/// Box–Muller steps, one element's pair to a `u64`, `k1` (the word behind
+/// `u1`) in the low half and `k2` in the high half. Two `next_u32` calls per
+/// pair and nothing else, in [`normal_fill`]'s order, so drawing `n` pairs
+/// leaves the generator where a fill of `n` would. Integer work only, the
+/// same on every tier.
+pub fn draw_normal_pairs<R: Rng>(rng: &mut R, pairs: &mut [u64]) {
+    for p in pairs {
+        *p = draw_pair(rng);
+    }
+}
+
+/// The transform half of [`normal_fill`]: the standard normal of each pair
+/// [`draw_normal_pairs`] drew, bit for bit the value a fill would have
+/// written in its place. A tier kernel, like [`normal_fill`].
+///
+/// # Panics
+/// Panics unless `pairs` and `out` have one length.
+pub fn normals_from_pairs(pairs: &[u64], out: &mut [f32]) {
+    assert_eq!(pairs.len(), out.len(), "normals_from_pairs: lengths differ");
+    on_tier!(crate::simd::simd_tier(), normals_from_pairs => normals_from_pairs_plain(pairs, out))
+}
+
+/// [`normal_fill`], the plain body: a block of pairs drawn, then the scalar
+/// kernels over it.
 #[inline(always)]
 fn normal_fill_plain<R: Rng>(rng: &mut R, out: &mut [f32]) {
-    for o in out {
-        let (k1, k2) = (rng.next_u32() >> 8, rng.next_u32() >> 8);
+    let mut block = [0u64; BLOCK];
+    for chunk in out.chunks_mut(BLOCK) {
+        let pairs = &mut block[..chunk.len()];
+        draw_normal_pairs(rng, pairs);
+        normals_from_pairs_plain(pairs, chunk);
+    }
+}
+
+/// [`normals_from_pairs`], the plain body: one element at a time through
+/// the scalar kernels. Every vector body runs it on the pairs past its last
+/// full register.
+#[inline(always)]
+fn normals_from_pairs_plain(pairs: &[u64], out: &mut [f32]) {
+    for (o, &p) in out.iter_mut().zip(pairs) {
+        let (k1, k2) = (p as u32, (p >> 32) as u32);
         *o = normal_from_units_plain(u1_from_bits(k1), unit_f32(k2));
     }
 }
 
 /// The next element's two draws as one 64-bit lane, `k1` in the low half:
-/// the two `next_u32` calls [`normal_fill_plain`] makes for it, in its
-/// order.
-#[cfg(target_arch = "x86_64")]
+/// the two `next_u32` calls a Box–Muller step makes, in its order.
 #[inline(always)]
-fn draw_pair<R: Rng>(rng: &mut R) -> i64 {
+fn draw_pair<R: Rng>(rng: &mut R) -> u64 {
     let (k1, k2) = (rng.next_u32() >> 8, rng.next_u32() >> 8);
-    (k1 as u64 | (k2 as u64) << 32) as i64
+    k1 as u64 | (k2 as u64) << 32
 }
 
 /// Unit-interval value of a 24-bit draw, exactly as the uniform sampler
@@ -322,7 +372,7 @@ fn u1_from_bits(k: u32) -> f32 {
     f32::EPSILON + (1.0 - f32::EPSILON) * unit_f32(k)
 }
 
-/// The plain body compiled with FMA: the scalar tier's instance on a CPU
+/// The plain bodies compiled with FMA: the scalar tier's instances on a CPU
 /// that has it, where each `mul_add` is then one `vfmadd` instead of a call
 /// into libm's `fma()`, which rounds the same but costs a call per
 /// operation.
@@ -330,206 +380,225 @@ fn u1_from_bits(k: u32) -> f32 {
 mod fma {
     use super::*;
 
+    /// # Safety
+    /// The CPU has FMA.
     #[target_feature(enable = "fma")]
     pub unsafe fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
         normal_fill_plain(rng, out)
     }
+
+    /// # Safety
+    /// The CPU has FMA.
+    #[target_feature(enable = "fma")]
+    pub unsafe fn normals_from_pairs(pairs: &[u64], out: &mut [f32]) {
+        normals_from_pairs_plain(pairs, out)
+    }
 }
 
-/// A vector tier's instance: [`normal_fill`] as the tier's lane body, which
-/// the tier's register type `$V` picks ([`lanes::Lanes`]).
+/// A vector tier's [`normal_fill`]: blocks of pairs drawn, then the tier's
+/// [`normals_from_pairs`] over each, compiled together under the tier's
+/// features. The transform is `#[inline]`, so each block's call folds into
+/// this loop instead of spilling the generator's state around a call.
 macro_rules! sampler_bodies {
     ($features:literal, $V:ty) => {
         #[target_feature(enable = $features)]
         pub unsafe fn normal_fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
-            <$V as lanes::Lanes>::fill(rng, out)
+            let mut block = [0u64; BLOCK];
+            for chunk in out.chunks_mut(BLOCK) {
+                let pairs = &mut block[..chunk.len()];
+                draw_normal_pairs(rng, pairs);
+                // SAFETY: this instance runs with its tier's features, and
+                // `pairs` is as long as `chunk`.
+                unsafe { normals_from_pairs(pairs, chunk) }
+            }
         }
     };
 }
 
-stamp_tiers!(mod { sampler_bodies });
+// The vector tiers' Box–Muller transforms, transcriptions of the scalar
+// kernels: four pairs per step in `__m256d` (AVX2), eight in `__m512d`
+// (AVX-512). Every lane performs the identical `f64` operation sequence
+// (`vfmaddpd` rounds each lane exactly like `vfmaddsd`), so the results are
+// bit-equal to the plain body at any length — the
+// `every_tier_matches_the_scalar_kernels_over_the_draw_lattice` test pins
+// this over the 24-bit draw lattice, strided (every draw under
+// `RFL_FASTMATH_EXHAUSTIVE=1`).
+//
+// Domain note: a pair is two 24-bit draws, so `u1 ∈ [ε, 1)` (always a
+// normal positive float on the `logf` main path) and the angle lies in
+// `[0, 2π)` (always on the `cosf` fast-reduce path, `n ∈ [0, 4]`); the only
+// per-lane branch left is the tiny-angle pin to 1.0, handled by a blend.
 
-/// The vector tiers' Box–Muller bodies, transcriptions of the scalar
-/// kernels. Every lane performs the identical `f64` operation sequence
-/// (`vfmaddpd` rounds each lane exactly like `vfmaddsd`), so the results
-/// are bit-equal to the plain body at any length — the
-/// `every_tier_matches_the_scalar_kernels_over_the_draw_lattice` test pins
-/// this over the 24-bit draw lattice, strided (every draw under
-/// `RFL_FASTMATH_EXHAUSTIVE=1`).
-///
-/// Domain note: these bodies are only reachable from `normal_fill`, whose
-/// draws guarantee `u1 ∈ [ε, 1)` (always a normal positive float on the
-/// `logf` main path) and an angle in `[0, 2π)` (always on the `cosf`
-/// fast-reduce path, `n ∈ [0, 4]`), so the only per-lane branch left is the
-/// tiny-angle pin to 1.0, handled by a blend.
-#[cfg(target_arch = "x86_64")]
-mod lanes {
-    use super::*;
-    use std::arch::x86_64::*;
-
-    /// A vector tier's [`normal_fill`](super::normal_fill) body, on the
-    /// tier's widest `f32` register type: `__m256` for AVX2, `__m512` for
-    /// AVX-512.
-    ///
-    /// # Safety
-    /// `fill` requires its tier's features; it is only ever inlined into
-    /// the tier's `#[target_feature]` instance.
-    pub(super) trait Lanes {
-        unsafe fn fill<R: Rng>(rng: &mut R, out: &mut [f32]);
-    }
-
-    /// AVX2: four elements per step.
-    impl Lanes for __m256 {
-        #[inline(always)]
-        unsafe fn fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
-            let mut quads = out.chunks_exact_mut(4);
-            for q in &mut quads {
-                // Draw order: element 0's k1, its k2, element 1's k1, ... —
-                // one 64-bit lane per element, k1 in its low half (four
-                // moves into vector registers instead of eight).
-                let pairs = _mm256_setr_epi64x(
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                );
+/// AVX2: four pairs per step, each lane's `(1/c, log c)` pair fetched by one
+/// 128-bit load.
+macro_rules! quad_bodies {
+    ($features:literal, $V:ty) => {
+        /// # Safety
+        /// The tier's features, and `out` as long as `pairs`.
+        #[target_feature(enable = $features)]
+        #[inline]
+        pub unsafe fn normals_from_pairs(pairs: &[u64], out: &mut [f32]) {
+            debug_assert_eq!(pairs.len(), out.len());
+            let full = out.len() / 4 * 4;
+            for o in (0..full).step_by(4) {
+                debug_assert!(o + 4 <= pairs.len());
+                // SAFETY: `o + 4 ≤ full ≤ pairs.len()`: the four pairs at
+                // `o` lie inside the block.
+                let p = unsafe { _mm256_loadu_si256(pairs.as_ptr().add(o).cast()) };
+                // One 64-bit lane per element, k1 in its low half: gather
+                // the four k1 into the low 128 bits, the four k2 above.
                 let k1_then_k2 = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-                let split = _mm256_permutevar8x32_epi32(pairs, k1_then_k2);
+                let split = _mm256_permutevar8x32_epi32(p, k1_then_k2);
                 let k1 = _mm256_castsi256_si128(split);
                 let k2 = _mm256_extracti128_si256::<1>(split);
-                _mm_storeu_ps(q.as_mut_ptr(), quad(k1, k2));
+                let v = quad(k1, k2);
+                debug_assert!(o + 4 <= out.len());
+                // SAFETY: `out` is as long as `pairs`, so its four elements
+                // at `o` lie inside it too.
+                unsafe { _mm_storeu_ps(out.as_mut_ptr().add(o), v) };
             }
-            normal_fill_plain(rng, quads.into_remainder());
+            normals_from_pairs_plain(&pairs[full..], &mut out[full..]);
         }
-    }
 
-    /// Four Box–Muller normals from four raw draw pairs.
-    #[inline(always)]
-    unsafe fn quad(k1: __m128i, k2: __m128i) -> __m128 {
-        // Unit draws: k/2²⁴ exactly (k < 2²⁴ is exact in f32).
-        let inv = _mm_set1_ps(1.0 / (1u32 << 24) as f32);
-        let unit1 = _mm_mul_ps(_mm_cvtepi32_ps(k1), inv);
-        let unit2 = _mm_mul_ps(_mm_cvtepi32_ps(k2), inv);
-        let u1 = _mm_add_ps(
-            _mm_set1_ps(f32::EPSILON),
-            _mm_mul_ps(_mm_set1_ps(1.0 - f32::EPSILON), unit1),
-        );
+        /// Four Box–Muller normals from four raw draw pairs.
+        #[target_feature(enable = $features)]
+        #[inline]
+        fn quad(k1: __m128i, k2: __m128i) -> __m128 {
+            // Unit draws: k/2²⁴ exactly (k < 2²⁴ is exact in f32).
+            let inv = _mm_set1_ps(1.0 / (1u32 << 24) as f32);
+            let unit1 = _mm_mul_ps(_mm_cvtepi32_ps(k1), inv);
+            let unit2 = _mm_mul_ps(_mm_cvtepi32_ps(k2), inv);
+            let u1 = _mm_add_ps(
+                _mm_set1_ps(f32::EPSILON),
+                _mm_mul_ps(_mm_set1_ps(1.0 - f32::EPSILON), unit1),
+            );
 
-        // ---- logf(u1), four lanes ----
-        let ix = _mm_castps_si128(u1);
-        let tmp = _mm_sub_epi32(ix, _mm_set1_epi32(0x3f33_0000));
-        let idx = _mm_and_si128(_mm_srli_epi32::<19>(tmp), _mm_set1_epi32(0xf));
-        // One 128-bit load per lane fetches its `(1/c, log c)` pair. Two
-        // four-lane gathers fetch the same values and cost a sixth of the
-        // whole fill on CPUs whose microcode serializes gathers.
-        // SAFETY: `idx` is masked to 0..16, so every pair lies inside the
-        // 32-entry table.
-        let pair = |i: i32| _mm_loadu_pd(LOGF_TAB.as_ptr().add(2 * i as usize));
-        let lo = (
-            pair(_mm_extract_epi32::<0>(idx)),
-            pair(_mm_extract_epi32::<1>(idx)),
-        );
-        let hi = (
-            pair(_mm_extract_epi32::<2>(idx)),
-            pair(_mm_extract_epi32::<3>(idx)),
-        );
-        let invc = _mm256_set_m128d(_mm_unpacklo_pd(hi.0, hi.1), _mm_unpacklo_pd(lo.0, lo.1));
-        let logc = _mm256_set_m128d(_mm_unpackhi_pd(hi.0, hi.1), _mm_unpackhi_pd(lo.0, lo.1));
-        let k = _mm_srai_epi32::<23>(tmp);
-        let iz = _mm_sub_epi32(
-            ix,
-            _mm_and_si128(tmp, _mm_set1_epi32(0xff80_0000u32 as i32)),
-        );
-        let z = _mm256_cvtps_pd(_mm_castsi128_ps(iz));
-        let kd = _mm256_cvtepi32_pd(k);
-        let r = _mm256_fmadd_pd(z, invc, _mm256_set1_pd(-1.0));
-        let y0 = _mm256_fmadd_pd(kd, _mm256_set1_pd(LOGF_LN2), logc);
-        let r2 = _mm256_mul_pd(r, r);
-        let y = _mm256_fmadd_pd(_mm256_set1_pd(LOGF_A1), r, _mm256_set1_pd(LOGF_A2));
-        let p = _mm256_add_pd(y0, r);
-        let y = _mm256_fmadd_pd(_mm256_set1_pd(LOGF_A0), r2, y);
-        let ln = _mm256_fmadd_pd(r2, y, p);
-        // (−2·ln u1)^½ in f32, exactly as the scalar front-end rounds it.
-        let mag = _mm_sqrt_ps(_mm_mul_ps(_mm256_cvtpd_ps(ln), _mm_set1_ps(-2.0)));
+            // ---- logf(u1), four lanes ----
+            let ix = _mm_castps_si128(u1);
+            let tmp = _mm_sub_epi32(ix, _mm_set1_epi32(0x3f33_0000));
+            let idx = _mm_and_si128(_mm_srli_epi32::<19>(tmp), _mm_set1_epi32(0xf));
+            // One 128-bit load per lane fetches its `(1/c, log c)` pair. Two
+            // four-lane gathers fetch the same values and cost a sixth of
+            // the whole fill on CPUs whose microcode serializes gathers.
+            let pair = |i: i32| {
+                let at = 2 * i as usize;
+                debug_assert!(at + 2 <= LOGF_TAB.len());
+                // SAFETY: `idx` is masked to 0..16, so the pair at `2·i`
+                // lies inside the 32-entry table.
+                unsafe { _mm_loadu_pd(LOGF_TAB.as_ptr().add(at)) }
+            };
+            let lo = (
+                pair(_mm_extract_epi32::<0>(idx)),
+                pair(_mm_extract_epi32::<1>(idx)),
+            );
+            let hi = (
+                pair(_mm_extract_epi32::<2>(idx)),
+                pair(_mm_extract_epi32::<3>(idx)),
+            );
+            let invc = _mm256_set_m128d(_mm_unpacklo_pd(hi.0, hi.1), _mm_unpacklo_pd(lo.0, lo.1));
+            let logc = _mm256_set_m128d(_mm_unpackhi_pd(hi.0, hi.1), _mm_unpackhi_pd(lo.0, lo.1));
+            let k = _mm_srai_epi32::<23>(tmp);
+            let iz = _mm_sub_epi32(
+                ix,
+                _mm_and_si128(tmp, _mm_set1_epi32(0xff80_0000u32 as i32)),
+            );
+            let z = _mm256_cvtps_pd(_mm_castsi128_ps(iz));
+            let kd = _mm256_cvtepi32_pd(k);
+            let r = _mm256_fmadd_pd(z, invc, _mm256_set1_pd(-1.0));
+            let y0 = _mm256_fmadd_pd(kd, _mm256_set1_pd(LOGF_LN2), logc);
+            let r2 = _mm256_mul_pd(r, r);
+            let y = _mm256_fmadd_pd(_mm256_set1_pd(LOGF_A1), r, _mm256_set1_pd(LOGF_A2));
+            let p = _mm256_add_pd(y0, r);
+            let y = _mm256_fmadd_pd(_mm256_set1_pd(LOGF_A0), r2, y);
+            let ln = _mm256_fmadd_pd(r2, y, p);
+            // (−2·ln u1)^½ in f32, exactly as the scalar front-end rounds it.
+            let mag = _mm_sqrt_ps(_mm_mul_ps(_mm256_cvtpd_ps(ln), _mm_set1_ps(-2.0)));
 
-        // ---- cosf(2π·u2), four lanes ----
-        let ang = _mm_mul_ps(_mm_set1_ps(std::f32::consts::TAU), unit2);
-        let top = _mm_and_si128(
-            _mm_srli_epi32::<20>(_mm_castps_si128(ang)),
-            _mm_set1_epi32(0x7ff),
-        );
-        let tiny = _mm_cmplt_epi32(top, _mm_set1_epi32(0x398));
-        let x = _mm256_cvtps_pd(ang);
-        let n0 = _mm256_cvttpd_epi32(_mm256_mul_pd(x, _mm256_set1_pd(HPI_INV)));
-        let n = _mm_srai_epi32::<24>(_mm_add_epi32(n0, _mm_set1_epi32(0x0080_0000)));
-        let nd = _mm256_cvtepi32_pd(n);
-        let rr = _mm256_fmadd_pd(nd, _mm256_set1_pd(-HPI), x);
-        let s = _mm256_mul_pd(rr, rr);
-        let n64 = _mm256_cvtepi32_epi64(n);
-        // Block select: quadrants {0,3} read P0, {1,2} read P1. The blocks
-        // differ only in the sign of coefficients 0, 1, 3, 5, 7.
-        let use_p0 = _mm256_cmpeq_epi64(
-            _mm256_and_si256(n64, _mm256_set1_epi64x(2)),
-            _mm256_setzero_si256(),
-        );
-        let sel = |j: usize| {
-            _mm256_blendv_pd(
-                _mm256_set1_pd(SINCOS_P1[j]),
-                _mm256_set1_pd(SINCOS_P0[j]),
-                _mm256_castsi256_pd(use_p0),
-            )
-        };
-        // Even-quadrant polynomial.
-        let x4 = _mm256_mul_pd(s, s);
-        let te = _mm256_fmadd_pd(sel(1), s, sel(0));
-        let ue = _mm256_fmadd_pd(sel(7), s, sel(5));
-        let ve = _mm256_mul_pd(s, x4);
-        let we = _mm256_fmadd_pd(x4, sel(3), te);
-        let even = _mm256_fmadd_pd(ue, ve, we);
-        // Odd-quadrant polynomial on the sign-adjusted argument:
-        // sign[n&3] < 0 exactly when (n+1) & 2 ≠ 0.
-        let negbit = _mm256_slli_epi64::<62>(_mm256_and_si256(
-            _mm256_add_epi64(n64, _mm256_set1_epi64x(1)),
-            _mm256_set1_epi64x(2),
-        ));
-        let a = _mm256_xor_pd(rr, _mm256_castsi256_pd(negbit));
-        let to = _mm256_fmadd_pd(
-            _mm256_set1_pd(SINCOS_P0[6]),
-            s,
-            _mm256_set1_pd(SINCOS_P0[4]),
-        );
-        let uo = _mm256_mul_pd(s, a);
-        let vo = _mm256_mul_pd(s, uo);
-        let wo = _mm256_fmadd_pd(uo, _mm256_set1_pd(SINCOS_P0[2]), a);
-        let odd = _mm256_fmadd_pd(to, vo, wo);
-        let evenq = _mm256_cmpeq_epi64(
-            _mm256_and_si256(n64, _mm256_set1_epi64x(1)),
-            _mm256_setzero_si256(),
-        );
-        let res = _mm256_blendv_pd(odd, even, _mm256_castsi256_pd(evenq));
-        let cosv = _mm_blendv_ps(
-            _mm256_cvtpd_ps(res),
-            _mm_set1_ps(1.0),
-            _mm_castsi128_ps(tiny),
-        );
+            // ---- cosf(2π·u2), four lanes ----
+            let ang = _mm_mul_ps(_mm_set1_ps(std::f32::consts::TAU), unit2);
+            let top = _mm_and_si128(
+                _mm_srli_epi32::<20>(_mm_castps_si128(ang)),
+                _mm_set1_epi32(0x7ff),
+            );
+            let tiny = _mm_cmplt_epi32(top, _mm_set1_epi32(0x398));
+            let x = _mm256_cvtps_pd(ang);
+            let n0 = _mm256_cvttpd_epi32(_mm256_mul_pd(x, _mm256_set1_pd(HPI_INV)));
+            let n = _mm_srai_epi32::<24>(_mm_add_epi32(n0, _mm_set1_epi32(0x0080_0000)));
+            let nd = _mm256_cvtepi32_pd(n);
+            let rr = _mm256_fmadd_pd(nd, _mm256_set1_pd(-HPI), x);
+            let s = _mm256_mul_pd(rr, rr);
+            let n64 = _mm256_cvtepi32_epi64(n);
+            // Block select: quadrants {0,3} read P0, {1,2} read P1. The
+            // blocks differ only in the sign of coefficients 0, 1, 3, 5, 7.
+            let use_p0 = _mm256_cmpeq_epi64(
+                _mm256_and_si256(n64, _mm256_set1_epi64x(2)),
+                _mm256_setzero_si256(),
+            );
+            let sel = |j: usize| {
+                _mm256_blendv_pd(
+                    _mm256_set1_pd(SINCOS_P1[j]),
+                    _mm256_set1_pd(SINCOS_P0[j]),
+                    _mm256_castsi256_pd(use_p0),
+                )
+            };
+            // Even-quadrant polynomial.
+            let x4 = _mm256_mul_pd(s, s);
+            let te = _mm256_fmadd_pd(sel(1), s, sel(0));
+            let ue = _mm256_fmadd_pd(sel(7), s, sel(5));
+            let ve = _mm256_mul_pd(s, x4);
+            let we = _mm256_fmadd_pd(x4, sel(3), te);
+            let even = _mm256_fmadd_pd(ue, ve, we);
+            // Odd-quadrant polynomial on the sign-adjusted argument:
+            // sign[n&3] < 0 exactly when (n+1) & 2 ≠ 0.
+            let negbit = _mm256_slli_epi64::<62>(_mm256_and_si256(
+                _mm256_add_epi64(n64, _mm256_set1_epi64x(1)),
+                _mm256_set1_epi64x(2),
+            ));
+            let a = _mm256_xor_pd(rr, _mm256_castsi256_pd(negbit));
+            let to = _mm256_fmadd_pd(
+                _mm256_set1_pd(SINCOS_P0[6]),
+                s,
+                _mm256_set1_pd(SINCOS_P0[4]),
+            );
+            let uo = _mm256_mul_pd(s, a);
+            let vo = _mm256_mul_pd(s, uo);
+            let wo = _mm256_fmadd_pd(uo, _mm256_set1_pd(SINCOS_P0[2]), a);
+            let odd = _mm256_fmadd_pd(to, vo, wo);
+            let evenq = _mm256_cmpeq_epi64(
+                _mm256_and_si256(n64, _mm256_set1_epi64x(1)),
+                _mm256_setzero_si256(),
+            );
+            let res = _mm256_blendv_pd(odd, even, _mm256_castsi256_pd(evenq));
+            let cosv = _mm_blendv_ps(
+                _mm256_cvtpd_ps(res),
+                _mm_set1_ps(1.0),
+                _mm_castsi128_ps(tiny),
+            );
 
-        _mm_mul_ps(mag, cosv)
-    }
+            _mm_mul_ps(mag, cosv)
+        }
+    };
+}
 
-    /// [`LOGF_TAB`] in four registers: `[1/c₀ … 1/c₇]`, `[1/c₈ … 1/c₁₅]`,
-    /// `[log c₀ … log c₇]`, `[log c₈ … log c₁₅]`. `vpermt2pd` reads a pair of
-    /// registers as one 16-entry table, so a lane's 4-bit index fetches its
-    /// entry without touching memory.
-    #[derive(Clone, Copy)]
-    struct LogTable {
-        invc: (__m512d, __m512d),
-        logc: (__m512d, __m512d),
-    }
+/// AVX-512: eight pairs per step, the `logf` table in registers.
+macro_rules! octet_bodies {
+    ($features:literal, $V:ty) => {
+        /// [`LOGF_TAB`] in four registers: `[1/c₀ … 1/c₇]`, `[1/c₈ …
+        /// 1/c₁₅]`, `[log c₀ … log c₇]`, `[log c₈ … log c₁₅]`. `vpermt2pd`
+        /// reads a pair of registers as one 16-entry table, so a lane's
+        /// 4-bit index fetches its entry without touching memory.
+        #[derive(Clone, Copy)]
+        struct LogTable {
+            invc: (__m512d, __m512d),
+            logc: (__m512d, __m512d),
+        }
 
-    /// AVX-512: eight elements per step, the table in registers.
-    impl Lanes for __m512 {
-        #[inline(always)]
-        unsafe fn fill<R: Rng>(rng: &mut R, out: &mut [f32]) {
+        /// # Safety
+        /// The tier's features, and `out` as long as `pairs`.
+        #[target_feature(enable = $features)]
+        #[inline]
+        pub unsafe fn normals_from_pairs(pairs: &[u64], out: &mut [f32]) {
+            debug_assert_eq!(pairs.len(), out.len());
             const INVC: [f64; 16] = logf_column(0);
             const LOGC: [f64; 16] = logf_column(1);
             // Read through references the optimizer cannot see into: with
@@ -537,132 +606,137 @@ mod lanes {
             // pool inside the loop as each permute's operand. This way the
             // four registers are filled once per call.
             let (invc, logc) = std::hint::black_box((&INVC, &LOGC));
-            let tab = LogTable {
-                invc: (
-                    _mm512_loadu_pd(invc.as_ptr()),
-                    _mm512_loadu_pd(invc.as_ptr().add(8)),
-                ),
-                logc: (
-                    _mm512_loadu_pd(logc.as_ptr()),
-                    _mm512_loadu_pd(logc.as_ptr().add(8)),
-                ),
+            // SAFETY: each column holds 16 `f64`; the loads read `[0, 8)`
+            // and `[8, 16)`.
+            let tab = unsafe {
+                LogTable {
+                    invc: (
+                        _mm512_loadu_pd(invc.as_ptr()),
+                        _mm512_loadu_pd(invc.as_ptr().add(8)),
+                    ),
+                    logc: (
+                        _mm512_loadu_pd(logc.as_ptr()),
+                        _mm512_loadu_pd(logc.as_ptr().add(8)),
+                    ),
+                }
             };
-            // One octet per iteration: two per iteration read 4.5–4.7 µs per
-            // 1,056 normals against 3.9 µs (`lazy_cycle`'s sampler row).
-            let mut octets = out.chunks_exact_mut(8);
-            for o in &mut octets {
-                // Draw order as in the AVX2 body: one 64-bit lane per
-                // element, k1 in its low half, built in registers.
-                let pairs = _mm512_setr_epi64(
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                    draw_pair(rng),
-                );
-                let k1 = _mm512_cvtepi64_epi32(pairs);
-                let k2 = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<32>(pairs));
-                _mm256_storeu_ps(o.as_mut_ptr(), octet(k1, k2, tab));
+            // One octet per iteration: two per iteration transformed 1,056
+            // pairs in 2.75–2.87 µs against 2.76–2.91 µs for one (medians of
+            // 20,000 calls, five alternating runs; EXPERIMENTS.md, "A lazy
+            // Gaussian shard"), too little for a second copy of the step.
+            let full = out.len() / 8 * 8;
+            for o in (0..full).step_by(8) {
+                debug_assert!(o + 8 <= pairs.len());
+                // SAFETY: `o + 8 ≤ full ≤ pairs.len()`: the eight pairs at
+                // `o` lie inside the block.
+                let p = unsafe { _mm512_loadu_si512(pairs.as_ptr().add(o).cast()) };
+                let k1 = _mm512_cvtepi64_epi32(p);
+                let k2 = _mm512_cvtepi64_epi32(_mm512_srli_epi64::<32>(p));
+                let v = octet(k1, k2, tab);
+                debug_assert!(o + 8 <= out.len());
+                // SAFETY: `out` is as long as `pairs`, so its eight elements
+                // at `o` lie inside it too.
+                unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(o), v) };
             }
-            normal_fill_plain(rng, octets.into_remainder());
+            normals_from_pairs_plain(&pairs[full..], &mut out[full..]);
         }
-    }
 
-    /// Eight Box–Muller normals from eight raw draw pairs: [`quad`] lane for
-    /// lane, with the table read from registers and the per-lane selections
-    /// as mask blends.
-    #[inline(always)]
-    unsafe fn octet(k1: __m256i, k2: __m256i, tab: LogTable) -> __m256 {
-        // Unit draws: k/2²⁴ exactly (k < 2²⁴ is exact in f32).
-        let inv = _mm256_set1_ps(1.0 / (1u32 << 24) as f32);
-        let unit1 = _mm256_mul_ps(_mm256_cvtepi32_ps(k1), inv);
-        let unit2 = _mm256_mul_ps(_mm256_cvtepi32_ps(k2), inv);
-        let u1 = _mm256_add_ps(
-            _mm256_set1_ps(f32::EPSILON),
-            _mm256_mul_ps(_mm256_set1_ps(1.0 - f32::EPSILON), unit1),
-        );
+        /// Eight Box–Muller normals from eight raw draw pairs: the AVX2
+        /// `quad` lane for lane, with the table read from registers and the
+        /// per-lane selections as mask blends.
+        #[target_feature(enable = $features)]
+        #[inline]
+        fn octet(k1: __m256i, k2: __m256i, tab: LogTable) -> __m256 {
+            // Unit draws: k/2²⁴ exactly (k < 2²⁴ is exact in f32).
+            let inv = _mm256_set1_ps(1.0 / (1u32 << 24) as f32);
+            let unit1 = _mm256_mul_ps(_mm256_cvtepi32_ps(k1), inv);
+            let unit2 = _mm256_mul_ps(_mm256_cvtepi32_ps(k2), inv);
+            let u1 = _mm256_add_ps(
+                _mm256_set1_ps(f32::EPSILON),
+                _mm256_mul_ps(_mm256_set1_ps(1.0 - f32::EPSILON), unit1),
+            );
 
-        // ---- logf(u1), eight lanes ----
-        let ix = _mm256_castps_si256(u1);
-        let tmp = _mm256_sub_epi32(ix, _mm256_set1_epi32(0x3f33_0000));
-        let idx = _mm256_and_si256(_mm256_srli_epi32::<19>(tmp), _mm256_set1_epi32(0xf));
-        let idx = _mm512_cvtepu32_epi64(idx);
-        let invc = _mm512_permutex2var_pd(tab.invc.0, idx, tab.invc.1);
-        let logc = _mm512_permutex2var_pd(tab.logc.0, idx, tab.logc.1);
-        let k = _mm256_srai_epi32::<23>(tmp);
-        let iz = _mm256_sub_epi32(
-            ix,
-            _mm256_and_si256(tmp, _mm256_set1_epi32(0xff80_0000u32 as i32)),
-        );
-        let z = _mm512_cvtps_pd(_mm256_castsi256_ps(iz));
-        let kd = _mm512_cvtepi32_pd(k);
-        let r = _mm512_fmadd_pd(z, invc, _mm512_set1_pd(-1.0));
-        let y0 = _mm512_fmadd_pd(kd, _mm512_set1_pd(LOGF_LN2), logc);
-        let r2 = _mm512_mul_pd(r, r);
-        let y = _mm512_fmadd_pd(_mm512_set1_pd(LOGF_A1), r, _mm512_set1_pd(LOGF_A2));
-        let p = _mm512_add_pd(y0, r);
-        let y = _mm512_fmadd_pd(_mm512_set1_pd(LOGF_A0), r2, y);
-        let ln = _mm512_fmadd_pd(r2, y, p);
-        // (−2·ln u1)^½ in f32, exactly as the scalar front-end rounds it.
-        let mag = _mm256_sqrt_ps(_mm256_mul_ps(_mm512_cvtpd_ps(ln), _mm256_set1_ps(-2.0)));
+            // ---- logf(u1), eight lanes ----
+            let ix = _mm256_castps_si256(u1);
+            let tmp = _mm256_sub_epi32(ix, _mm256_set1_epi32(0x3f33_0000));
+            let idx = _mm256_and_si256(_mm256_srli_epi32::<19>(tmp), _mm256_set1_epi32(0xf));
+            let idx = _mm512_cvtepu32_epi64(idx);
+            let invc = _mm512_permutex2var_pd(tab.invc.0, idx, tab.invc.1);
+            let logc = _mm512_permutex2var_pd(tab.logc.0, idx, tab.logc.1);
+            let k = _mm256_srai_epi32::<23>(tmp);
+            let iz = _mm256_sub_epi32(
+                ix,
+                _mm256_and_si256(tmp, _mm256_set1_epi32(0xff80_0000u32 as i32)),
+            );
+            let z = _mm512_cvtps_pd(_mm256_castsi256_ps(iz));
+            let kd = _mm512_cvtepi32_pd(k);
+            let r = _mm512_fmadd_pd(z, invc, _mm512_set1_pd(-1.0));
+            let y0 = _mm512_fmadd_pd(kd, _mm512_set1_pd(LOGF_LN2), logc);
+            let r2 = _mm512_mul_pd(r, r);
+            let y = _mm512_fmadd_pd(_mm512_set1_pd(LOGF_A1), r, _mm512_set1_pd(LOGF_A2));
+            let p = _mm512_add_pd(y0, r);
+            let y = _mm512_fmadd_pd(_mm512_set1_pd(LOGF_A0), r2, y);
+            let ln = _mm512_fmadd_pd(r2, y, p);
+            // (−2·ln u1)^½ in f32, exactly as the scalar front-end rounds it.
+            let mag = _mm256_sqrt_ps(_mm256_mul_ps(_mm512_cvtpd_ps(ln), _mm256_set1_ps(-2.0)));
 
-        // ---- cosf(2π·u2), eight lanes ----
-        let ang = _mm256_mul_ps(_mm256_set1_ps(std::f32::consts::TAU), unit2);
-        let top = _mm256_and_si256(
-            _mm256_srli_epi32::<20>(_mm256_castps_si256(ang)),
-            _mm256_set1_epi32(0x7ff),
-        );
-        let tiny = _mm256_cmplt_epi32_mask(top, _mm256_set1_epi32(0x398));
-        let x = _mm512_cvtps_pd(ang);
-        let n0 = _mm512_cvttpd_epi32(_mm512_mul_pd(x, _mm512_set1_pd(HPI_INV)));
-        let n = _mm256_srai_epi32::<24>(_mm256_add_epi32(n0, _mm256_set1_epi32(0x0080_0000)));
-        let nd = _mm512_cvtepi32_pd(n);
-        let rr = _mm512_fmadd_pd(nd, _mm512_set1_pd(-HPI), x);
-        let s = _mm512_mul_pd(rr, rr);
-        // Block select: quadrants {0,3} read P0, {1,2} read P1 (n & 2 set).
-        let use_p1 = _mm256_test_epi32_mask(n, _mm256_set1_epi32(2));
-        macro_rules! sel {
-            ($j:literal) => {
-                _mm512_mask_blend_pd(
-                    use_p1,
-                    _mm512_set1_pd(SINCOS_P0[$j]),
-                    _mm512_set1_pd(SINCOS_P1[$j]),
-                )
-            };
+            // ---- cosf(2π·u2), eight lanes ----
+            let ang = _mm256_mul_ps(_mm256_set1_ps(std::f32::consts::TAU), unit2);
+            let top = _mm256_and_si256(
+                _mm256_srli_epi32::<20>(_mm256_castps_si256(ang)),
+                _mm256_set1_epi32(0x7ff),
+            );
+            let tiny = _mm256_cmplt_epi32_mask(top, _mm256_set1_epi32(0x398));
+            let x = _mm512_cvtps_pd(ang);
+            let n0 = _mm512_cvttpd_epi32(_mm512_mul_pd(x, _mm512_set1_pd(HPI_INV)));
+            let n = _mm256_srai_epi32::<24>(_mm256_add_epi32(n0, _mm256_set1_epi32(0x0080_0000)));
+            let nd = _mm512_cvtepi32_pd(n);
+            let rr = _mm512_fmadd_pd(nd, _mm512_set1_pd(-HPI), x);
+            let s = _mm512_mul_pd(rr, rr);
+            // Block select: quadrants {0,3} read P0, {1,2} read P1 (n & 2 set).
+            let use_p1 = _mm256_test_epi32_mask(n, _mm256_set1_epi32(2));
+            macro_rules! sel {
+                ($j:literal) => {
+                    _mm512_mask_blend_pd(
+                        use_p1,
+                        _mm512_set1_pd(SINCOS_P0[$j]),
+                        _mm512_set1_pd(SINCOS_P1[$j]),
+                    )
+                };
+            }
+            // Even-quadrant polynomial.
+            let x4 = _mm512_mul_pd(s, s);
+            let te = _mm512_fmadd_pd(sel!(1), s, sel!(0));
+            let ue = _mm512_fmadd_pd(sel!(7), s, sel!(5));
+            let ve = _mm512_mul_pd(s, x4);
+            let we = _mm512_fmadd_pd(x4, sel!(3), te);
+            let even = _mm512_fmadd_pd(ue, ve, we);
+            // Odd-quadrant polynomial on the sign-adjusted argument:
+            // sign[n&3] < 0 exactly when (n+1) & 2 ≠ 0.
+            let negative = _mm256_test_epi32_mask(
+                _mm256_add_epi32(n, _mm256_set1_epi32(1)),
+                _mm256_set1_epi32(2),
+            );
+            let a = _mm512_mask_xor_pd(rr, negative, rr, _mm512_set1_pd(-0.0));
+            let to = _mm512_fmadd_pd(
+                _mm512_set1_pd(SINCOS_P0[6]),
+                s,
+                _mm512_set1_pd(SINCOS_P0[4]),
+            );
+            let uo = _mm512_mul_pd(s, a);
+            let vo = _mm512_mul_pd(s, uo);
+            let wo = _mm512_fmadd_pd(uo, _mm512_set1_pd(SINCOS_P0[2]), a);
+            let odd = _mm512_fmadd_pd(to, vo, wo);
+            let oddq = _mm256_test_epi32_mask(n, _mm256_set1_epi32(1));
+            let res = _mm512_mask_blend_pd(oddq, even, odd);
+            let cosv = _mm256_mask_blend_ps(tiny, _mm512_cvtpd_ps(res), _mm256_set1_ps(1.0));
+
+            _mm256_mul_ps(mag, cosv)
         }
-        // Even-quadrant polynomial.
-        let x4 = _mm512_mul_pd(s, s);
-        let te = _mm512_fmadd_pd(sel!(1), s, sel!(0));
-        let ue = _mm512_fmadd_pd(sel!(7), s, sel!(5));
-        let ve = _mm512_mul_pd(s, x4);
-        let we = _mm512_fmadd_pd(x4, sel!(3), te);
-        let even = _mm512_fmadd_pd(ue, ve, we);
-        // Odd-quadrant polynomial on the sign-adjusted argument:
-        // sign[n&3] < 0 exactly when (n+1) & 2 ≠ 0.
-        let negative = _mm256_test_epi32_mask(
-            _mm256_add_epi32(n, _mm256_set1_epi32(1)),
-            _mm256_set1_epi32(2),
-        );
-        let a = _mm512_mask_xor_pd(rr, negative, rr, _mm512_set1_pd(-0.0));
-        let to = _mm512_fmadd_pd(
-            _mm512_set1_pd(SINCOS_P0[6]),
-            s,
-            _mm512_set1_pd(SINCOS_P0[4]),
-        );
-        let uo = _mm512_mul_pd(s, a);
-        let vo = _mm512_mul_pd(s, uo);
-        let wo = _mm512_fmadd_pd(uo, _mm512_set1_pd(SINCOS_P0[2]), a);
-        let odd = _mm512_fmadd_pd(to, vo, wo);
-        let oddq = _mm256_test_epi32_mask(n, _mm256_set1_epi32(1));
-        let res = _mm512_mask_blend_pd(oddq, even, odd);
-        let cosv = _mm256_mask_blend_ps(tiny, _mm512_cvtpd_ps(res), _mm256_set1_ps(1.0));
-
-        _mm256_mul_ps(mag, cosv)
-    }
+    };
 }
+
+stamp_tiers!(mod { sampler_bodies } avx2 { quad_bodies } avx512 { octet_bodies });
 
 #[cfg(test)]
 mod tests {
@@ -792,6 +866,12 @@ mod tests {
         on_tier!(tier, normal_fill => normal_fill_plain(rng, out))
     }
 
+    /// `tier`'s instance of [`normals_from_pairs`].
+    fn transform_on(tier: Tier, pairs: &[u64], out: &mut [f32]) {
+        assert_eq!(pairs.len(), out.len());
+        on_tier!(tier, normals_from_pairs => normals_from_pairs_plain(pairs, out))
+    }
+
     /// A fixed permutation of the 24-bit draw lattice (an odd multiplier
     /// modulo 2²⁴): the `k2` drawn beside each `k1`.
     fn partner(k1: u32) -> u32 {
@@ -823,6 +903,10 @@ mod tests {
                 .collect();
             // `normal_fill` shifts each word right by eight, in draw order.
             let words: Vec<u32> = chunk.iter().flat_map(|&(a, b)| [a << 8, b << 8]).collect();
+            let packed: Vec<u64> = chunk
+                .iter()
+                .map(|&(a, b)| a as u64 | (b as u64) << 32)
+                .collect();
             for &tier in &tiers {
                 let mut rng = Scripted::new(words.clone());
                 let mut out = vec![0.0f32; chunk.len()];
@@ -832,11 +916,19 @@ mod tests {
                     "{}: words left over",
                     tier.name()
                 );
-                for ((pair, &w), o) in chunk.iter().zip(&want).zip(&out) {
+                let mut transformed = vec![0.0f32; chunk.len()];
+                transform_on(tier, &packed, &mut transformed);
+                for (((pair, &w), o), t) in chunk.iter().zip(&want).zip(&out).zip(&transformed) {
                     assert_eq!(
                         o.to_bits(),
                         w,
                         "{} normal_fill, draw pair {pair:?}",
+                        tier.name()
+                    );
+                    assert_eq!(
+                        t.to_bits(),
+                        w,
+                        "{} normals_from_pairs, draw pair {pair:?}",
                         tier.name()
                     );
                 }
@@ -846,12 +938,13 @@ mod tests {
 
     #[test]
     fn every_tier_draws_two_words_per_element_in_order_and_matches_the_scalar_kernels() {
-        // Every tail length behind 0..=8 octets (and 0..=17 quads), one lazy
-        // client's shard (32 × 32), and its shift plus shard with a tail of
-        // three.
+        // Every length from none to two blocks and an octet (every tail
+        // behind every count of octets and quads, in the first, second and
+        // third block), one lazy client's shard (32 × 32), and its shift plus
+        // shard with a tail of three.
         for tier in tiers() {
             let mut stream = StdRng::seed_from_u64(7);
-            for len in (0..=70).chain([1024, 1056 + 3]) {
+            for len in (0..=2 * BLOCK + 8).chain([1024, 1056 + 3]) {
                 let words: Vec<u32> = (0..2 * len).map(|_| stream.next_u32()).collect();
                 let mut rng = Scripted::new(words.clone());
                 let mut out = vec![0.0f32; len];
@@ -869,6 +962,61 @@ mod tests {
                         want.to_bits(),
                         "{name} len {len}, element {i}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fill_split_in_two_at_any_offset_equals_one_fill() {
+        // Two calls on one generator, the first ending at every offset of the
+        // first block and of the second: the same values as one call, and
+        // every word drawn (a block must not draw ahead of its elements).
+        let len = 2 * BLOCK + 8;
+        let mut stream = StdRng::seed_from_u64(11);
+        let words: Vec<u32> = (0..2 * len).map(|_| stream.next_u32()).collect();
+        for tier in tiers() {
+            let mut whole = vec![0.0f32; len];
+            fill_on(tier, &mut Scripted::new(words.clone()), &mut whole);
+            for cut in 0..=2 * BLOCK {
+                let mut rng = Scripted::new(words.clone());
+                let mut out = vec![0.0f32; len];
+                let (head, tail) = out.split_at_mut(cut);
+                fill_on(tier, &mut rng, head);
+                fill_on(tier, &mut rng, tail);
+                let name = tier.name();
+                assert!(
+                    rng.words.next().is_none(),
+                    "{name} cut {cut}: words left over"
+                );
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&whole), "{name} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn drawn_pairs_transform_to_the_fill_at_any_offset_and_length() {
+        // `draw_normal_pairs` leaves the generator where a fill does, and any
+        // stretch of its pairs, at any alignment, transforms to the fill's
+        // values there: what a lazy shard's gather of one row relies on.
+        let len = 2 * BLOCK + 8;
+        for tier in tiers() {
+            let mut a = StdRng::seed_from_u64(13);
+            let mut b = a.clone();
+            let mut filled = vec![0.0f32; len];
+            fill_on(tier, &mut a, &mut filled);
+            let mut pairs = vec![0u64; len];
+            draw_normal_pairs(&mut b, &mut pairs);
+            let name = tier.name();
+            assert_eq!(a.next_u32(), b.next_u32(), "{name}: the streams part");
+            for lo in 0..=BLOCK / 4 {
+                for hi in (lo..=len).step_by(7) {
+                    let mut out = vec![0.0f32; hi - lo];
+                    transform_on(tier, &pairs[lo..hi], &mut out);
+                    for (i, (o, f)) in out.iter().zip(&filled[lo..hi]).enumerate() {
+                        assert_eq!(o.to_bits(), f.to_bits(), "{name} [{lo}, {hi}) at {i}");
+                    }
                 }
             }
         }

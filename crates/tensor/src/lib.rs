@@ -53,9 +53,8 @@ pub use pool::{relu_maxpool2x2_backward_into, relu_maxpool2x2_into};
 pub use shape::Shape;
 pub use simd::{
     add_assign_slices, axpy_slices, dot_slices, dot_tile_slices, exp_slices,
-    lstm_cell_backward_slices, lstm_cell_forward_slices, scale_add_slices, scale_slices,
-    scale_slices_into, sigmoid_slices, simd_backend, sq_dist_slices, sum_slices, tanh_slices,
-    LstmCellCache,
+    lstm_cell_backward_slices, lstm_cell_forward_slices, scale_slices, scale_slices_into,
+    sigmoid_slices, simd_backend, sq_dist_slices, sum_slices, tanh_slices, LstmCellCache,
 };
 pub use tensor::Tensor;
 pub use threads::{

@@ -1,8 +1,8 @@
 //! Column reductions, row-wise log-softmax, and argmax helpers.
 //!
-//! Sums and the log-softmax `exp`/normalize passes run on the [`crate::simd`]
-//! kernels, so their accumulation order is the canonical 8-lane stride on
-//! both dispatch paths.
+//! Sums and the log-softmax `exp` pass run on the [`crate::simd`] kernels,
+//! and the log-softmax's row sums take the canonical 8-lane order of
+//! [`crate::simd::scalar::sum`], so every tier rounds alike.
 
 use crate::simd;
 use crate::tensor::Tensor;
@@ -56,33 +56,48 @@ impl Tensor {
     }
 
     /// Numerically stable row-wise log-softmax of a 2-D tensor into a
-    /// caller-provided buffer.
+    /// caller-provided buffer: row `r` less `m + ln Σ exp(x − m)`, `m` its
+    /// maximum and the sum in the canonical 8-lane order. Three passes over
+    /// the whole matrix — the rows less their maxima, one `exp` over all of
+    /// them, each row less its log-normalizer — so a batch of short rows
+    /// costs one dispatched kernel call.
     pub fn log_softmax_rows_into(&self, out: &mut Tensor) {
         assert_eq!(self.ndim(), 2, "log_softmax_rows requires a matrix");
         let n = self.dims()[1];
         out.assign(self);
-        // Scratch row for the exp pass; grows once per thread, so the warm
-        // training path stays allocation-free (PR 4 contract).
+        if out.numel() == 0 {
+            return;
+        }
+        let row_max = |row: &[f32]| row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        // Matrix-sized scratch for the exp pass; grows to the largest batch
+        // once per thread, so the warm training path stays allocation-free.
         LOG_SOFTMAX_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            if scratch.len() < n {
-                scratch.resize(n, 0.0);
+            if scratch.len() < out.numel() {
+                scratch.resize(out.numel(), 0.0);
             }
-            let ex = &mut scratch[..n];
-            for row in out.data_mut().chunks_exact_mut(n) {
-                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                ex.copy_from_slice(row);
-                simd::exp_slices(ex, 1.0, -m);
-                let z = simd::sum_slices(ex);
-                let lz = m + z.ln();
-                simd::scale_add_slices(row, 1.0, -lz);
+            let ex = &mut scratch[..out.numel()];
+            for (e, row) in ex.chunks_exact_mut(n).zip(out.data().chunks_exact(n)) {
+                let m = row_max(row);
+                for (e, &x) in e.iter_mut().zip(row) {
+                    *e = x - m;
+                }
+            }
+            // `e·1 + (−0)` is `e` exactly (also for `e = −0`), so each
+            // `exp` operand is `x − m`, rounded once.
+            simd::exp_slices(ex, 1.0, -0.0);
+            for (row, e) in out.data_mut().chunks_exact_mut(n).zip(ex.chunks_exact(n)) {
+                let lz = row_max(row) + simd::scalar::sum(e).ln();
+                for x in row {
+                    *x -= lz;
+                }
             }
         });
     }
 }
 
 thread_local! {
-    /// Row-sized scratch for [`Tensor::log_softmax_rows_into`]'s exp pass.
+    /// Batch-sized scratch for [`Tensor::log_softmax_rows_into`]'s exp pass.
     static LOG_SOFTMAX_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }

@@ -55,12 +55,6 @@ impl Shape {
         self.0.iter().product()
     }
 
-    /// Extent of dimension `i`.
-    #[inline]
-    pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
-    }
-
     /// Linear (flat) offset of a multi-dimensional index.
     ///
     /// # Panics

@@ -20,7 +20,7 @@
 //! `matmul_transa` register tile and the `matmul_transb` dot tile
 //! (`matmul.rs`), the fused LSTM cell forward and backward, and the
 //! element-wise passes (`axpy`, `add_assign`, `scale`, `scale_into`,
-//! `scale_add`, `exp`, `tanh`, `sigmoid`). The element-wise passes
+//! `exp`, `tanh`, `sigmoid`). The element-wise passes
 //! and the cell are one body generic over the register width
 //! (`wide::Vector`, instantiated at `__m256` and `__m512`). The
 //! convolutions (`conv.rs`) have 16-lane bodies of their own: pixel lanes
@@ -49,7 +49,7 @@
 //!   and round differently. A 16-lane register may still hold *two outputs'*
 //!   8-lane accumulator sets, which is what the AVX-512 `matmul_transb`
 //!   tile does.
-//! - Element-wise kernels (`axpy`, `scale_add`, `exp`, `tanh`, `sigmoid`,
+//! - Element-wise kernels (`axpy`, `scale`, `exp`, `tanh`, `sigmoid`,
 //!   the LSTM cell passes) perform the identical scalar operation
 //!   sequence per element, so any number of elements may share a register.
 //! - Register tiles (the matrix products in `matmul.rs`, [`dot_tile_slices`])
@@ -461,12 +461,6 @@ pub fn scale_slices(y: &mut [f32], a: f32) {
     dispatch!(scale(y, a))
 }
 
-/// `y = a·y + b` element-wise (separate multiply and add, never FMA).
-#[inline]
-pub fn scale_add_slices(y: &mut [f32], a: f32, b: f32) {
-    dispatch!(scale_add(y, a, b))
-}
-
 /// `xs[i] = exp(scale·xs[i] + bias)` via the canonical polynomial. The
 /// `scale` operand hoists a constant multiply out of the caller's loop;
 /// the `bias` operand folds in softmax's `−max` shift.
@@ -690,13 +684,6 @@ pub mod scalar {
     pub fn scale(y: &mut [f32], a: f32) {
         for yv in y.iter_mut() {
             *yv *= a;
-        }
-    }
-
-    #[inline(never)]
-    pub fn scale_add(y: &mut [f32], a: f32, b: f32) {
-        for yv in y.iter_mut() {
-            *yv = a * *yv + b;
         }
     }
 
@@ -1131,12 +1118,6 @@ mod wide {
     }
 
     #[inline(always)]
-    pub(super) unsafe fn scale_add<V: Vector>(y: &mut [f32], a: f32, b: f32) -> usize {
-        let (va, vb) = (V::splat(a), V::splat(b));
-        registers!(V: y => |v| va.mul(v).add(vb))
-    }
-
-    #[inline(always)]
     pub(super) unsafe fn exp<V: Vector>(xs: &mut [f32], scale: f32, bias: f32) -> usize {
         let (vs, vb) = (V::splat(scale), V::splat(bias));
         registers!(V: xs => |v| exp_v(v.mul(vs).add(vb)))
@@ -1407,15 +1388,6 @@ macro_rules! tier_bodies {
             let at = at + wide::scale::<__m256>(&mut y[at..], a);
             if at < y.len() {
                 scalar::scale(&mut y[at..], a);
-            }
-        }
-
-        #[target_feature(enable = $features)]
-        pub unsafe fn scale_add(y: &mut [f32], a: f32, b: f32) {
-            let at = wide::scale_add::<$V>(y, a, b);
-            let at = at + wide::scale_add::<__m256>(&mut y[at..], a, b);
-            if at < y.len() {
-                scalar::scale_add(&mut y[at..], a, b);
             }
         }
 

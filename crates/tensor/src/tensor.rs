@@ -121,21 +121,14 @@ impl Tensor {
     /// Panics if the tensor is not 2-D or the row is out of range.
     pub fn row(&self, r: usize) -> &[f32] {
         assert_eq!(self.ndim(), 2, "row() requires a matrix");
-        let cols = self.shape.dim(1);
+        let cols = self.dims()[1];
         &self.data[r * cols..(r + 1) * cols]
-    }
-
-    /// Mutable row `r` of a 2-D tensor.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        assert_eq!(self.ndim(), 2, "row_mut() requires a matrix");
-        let cols = self.shape.dim(1);
-        &mut self.data[r * cols..(r + 1) * cols]
     }
 
     /// Transpose of a 2-D tensor.
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose() requires a matrix");
-        let (m, n) = (self.shape.dim(0), self.shape.dim(1));
+        let (m, n) = (self.dims()[0], self.dims()[1]);
         let mut out = Tensor::zeros(&[n, m]);
         for i in 0..m {
             for j in 0..n {

@@ -238,6 +238,32 @@ proptest! {
         prop_assert_eq!(idx, ta.argmax_rows());
     }
 
+    /// The whole-matrix log-softmax equals the row-at-a-time formulation
+    /// bit for bit: each row through `exp(x·1 − m)`, the canonical sum and
+    /// `x·1 − (m + ln z)`, written out here with the public kernels, at
+    /// widths on both sides of the 8-lane stride and with large logits.
+    #[test]
+    fn log_softmax_matches_the_row_at_a_time_formula(
+        rows in 1usize..9,
+        cols in 1usize..40,
+        x in prop::collection::vec(-90.0f32..90.0, 8 * 40),
+    ) {
+        let t = Tensor::from_vec(x[..rows * cols].to_vec(), &[rows, cols]);
+        let mut want = t.data().to_vec();
+        for row in want.chunks_exact_mut(cols) {
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut ex = row.to_vec();
+            rfl_tensor::exp_slices(&mut ex, 1.0, -m);
+            let lz = m + rfl_tensor::sum_slices(&ex).ln();
+            for v in row.iter_mut() {
+                *v = 1.0 * *v + -lz;
+            }
+        }
+        let got = fresh(|o| t.log_softmax_rows_into(o));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(got.data()), bits(&want));
+    }
+
     /// Convolution / pooling kernels (including backward and the reusable
     /// weight-gradient scratch) write the same bits into dirty buffers as
     /// into fresh ones, on ragged image shapes.

@@ -179,9 +179,6 @@ proptest! {
             on!(tier, scale(&mut got, b));
             scalar::scale(&mut want, b);
             same(&got, &want, &what("scale"));
-            on!(tier, scale_add(&mut got, a, b));
-            scalar::scale_add(&mut want, a, b);
-            same(&got, &want, &what("scale_add"));
         }
     }
 

@@ -40,12 +40,12 @@ if [ ! -f "$bin" ]; then
 fi
 
 # The AVX-512 tier's 8-lane bodies: the reductions keep the canonical 8-lane
-# stride, the weight gradient's `o ≤ 8` tile and `pack_lanes` are shared
-# with AVX2, and `normal_from_units` is the same source as its AVX2
-# instance.
+# stride, and the weight gradient's `o ≤ 8` tile and `pack_lanes` are shared
+# with AVX2. The sampler's AVX-512 bodies (`normal_fill` and the transform
+# `normals_from_pairs`) run eight `f64` lanes in zmm registers, so they are
+# 16-lane bodies to this check.
 EIGHT_LANE="simd::avx512::dot simd::avx512::dot_tile simd::avx512::sq_dist
-simd::avx512::sum conv::avx512::dweight conv::avx512::pack_lanes
-fastmath::avx512::normal_from_units"
+simd::avx512::sum conv::avx512::dweight conv::avx512::pack_lanes"
 
 objdump -d -C --no-show-raw-insn "$bin" | awk -v eight="$EIGHT_LANE" '
     BEGIN {

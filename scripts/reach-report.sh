@@ -51,6 +51,7 @@ rfl_tensor|rfl_tensor::tensor::Tensor::from_slice|test fixture: 22 test call sit
 rfl_tensor|rfl_tensor::tensor::Tensor::ones|test fixture: 19 test call sites in two crates
 rfl_tensor|rfl_tensor::tensor::Tensor::transpose|test fixture: the transa/transb oracles of matmul's unit tests and the tensor proptests
 rfl_tensor|rfl_tensor::tensor::Tensor::is_finite|test fixture: a one-line check nn's tests call
+rfl_tensor|rfl_tensor::tensor::Tensor::row|test fixture: the row reads of nn's loss and embedding tests, nn's proptests and rfl-core's deferred-dataset proptest
 rfl_tensor|<rfl_tensor::codec::CodecError as core::fmt::Display>::fmt|std::error::Error requires it; no binary prints a CodecError
 rfl_core|rfl_core::comm::faulty::FaultConfig|doc example: README's fault-injection snippet builds a FaultConfig with with_latency and with_deadline_ms (transport_equiv.rs runs the same chain)
 rfl_core|rfl_core::comm::faulty::LatencyModel::wan|doc example: the latency preset of README's fault-injection snippet (transport_equiv.rs runs it)
