@@ -1,13 +1,15 @@
 //! The wire format, written once: a frame is `[u32 le body_len][u8 tag][body]`,
-//! the body a dense `f32` payload (its count, then its values), a
-//! [`CompressedVec`] or a `ControlMsg`. The writers send a body from the
-//! caller's slices in one vectored write, or encode it once into a shared
-//! buffer ([`encode_frame`]). The reader is one sans-IO `Decoder`, which
-//! both ends drive: a client from its blocking socket, the reactor from
-//! each chunk its `read(2)` returned. A dense payload's values land straight
-//! in the `Vec<f32>` the frame hands out; every other body is kept as bytes.
-//! A body grows as bytes arrive (`reserve_body`), so a header costs no more
-//! memory than the bytes behind it, and one over the decoder's cap none.
+//! the body a [`Payload`]: bytes (a `ControlMsg`'s, or any body as is), a
+//! dense `f32` payload (its count, then its values) or a [`CompressedVec`].
+//! One encoder ([`Payload::frame`]) turns a payload into a header plus at
+//! most three borrowed parts, which a writer sends in one vectored write and
+//! the encode-once broadcast joins into one shared buffer. The reader is one
+//! sans-IO `Decoder`, which both ends drive: a client from its blocking
+//! socket, the reactor from each chunk its `read(2)` returned. A dense
+//! payload's values land straight in the `Vec<f32>` the frame hands out;
+//! every other body is kept as bytes. A body grows as bytes arrive
+//! (`reserve_body`), so a header costs no more memory than the bytes behind
+//! it, and one over the decoder's cap none.
 
 use super::message::MsgKind;
 use crate::compress::CompressedVec;
@@ -33,91 +35,127 @@ pub(crate) const READ_CHUNK_BYTES: usize = 64 << 10;
 /// and one segment instead of two — and only a short write loops. A body
 /// over the cap is an `InvalidInput` error, and nothing is written.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, tag: u8, body: &[u8]) -> io::Result<u64> {
-    let header = frame_header(tag, body.len())?;
-    write_parts(w, [&header, body])?;
+    Payload::Bytes(body).frame(tag)?.write_to(w)?;
     Ok(FRAME_HEADER_BYTES + body.len() as u64)
-}
-
-/// The `[len][tag]` header of a frame whose body is `len` bytes; a body
-/// over [`MAX_FRAME_BYTES`] is an `InvalidInput` error.
-fn frame_header(tag: u8, len: usize) -> io::Result<[u8; HEADER]> {
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame body of {len} bytes exceeds the {MAX_FRAME_BYTES} cap"),
-        ));
-    }
-    let [a, b, c, d] = (len as u32).to_le_bytes();
-    Ok([a, b, c, d, tag])
-}
-
-/// Writes `parts` back to back, then flushes: one vectored write when the
-/// writer takes everything, and only a short write loops, resuming at the
-/// first byte not taken.
-fn write_parts<W: Write + ?Sized, const N: usize>(w: &mut W, parts: [&[u8]; N]) -> io::Result<()> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut sent = 0;
-    while sent < total {
-        let mut slices = [IoSlice::new(&[]); N];
-        let (mut used, mut skip) = (0, sent);
-        for part in parts {
-            if skip < part.len() {
-                slices[used] = IoSlice::new(&part[skip..]);
-                used += 1;
-            }
-            skip = skip.saturating_sub(part.len());
-        }
-        match w.write_vectored(&slices[..used]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => sent += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    w.flush()
 }
 
 /// Encodes one `[len][tag][body]` frame into a shared buffer — the
 /// encode-once broadcast path queues a single `Arc<[u8]>` to every
 /// recipient, so fan-out costs refcount bumps, not copies.
 pub fn encode_frame(tag: u8, body: &[u8]) -> Arc<[u8]> {
-    let header = frame_header(tag, body.len()).expect("frame body too large");
-    Arc::from([&header[..], body].concat())
+    Payload::Bytes(body).encode(tag)
 }
 
-/// Writes `values` as one `tag` frame in the codec's encoding
-/// ([`rfl_tensor::encode_f32_into`]): `[frame header | count]`, then the
-/// values' wire bytes in place. A payload over the frame cap is an
-/// `InvalidInput` error, and nothing is written.
-pub(crate) fn write_dense<W: Write + ?Sized>(w: &mut W, tag: u8, values: &[f32]) -> io::Result<()> {
-    let bytes = f32_bytes(values);
-    let mut head = [0u8; HEADER + 4];
-    head[..HEADER].copy_from_slice(&frame_header(tag, 4 + bytes.len())?);
-    head[HEADER..].copy_from_slice(&(values.len() as u32).to_le_bytes());
-    write_parts(w, [&head, bytes])
+/// What a frame carries, borrowed from its owner.
+#[derive(Clone, Copy)]
+pub(crate) enum Payload<'a> {
+    /// A body sent as is: a control message's, or any frame's.
+    Bytes(&'a [u8]),
+    /// `f32` values in the codec's encoding ([`rfl_tensor::encode_f32_into`]):
+    /// their count, then their bytes.
+    Dense(&'a [f32]),
+    /// [`CompressedVec::encode_into`]'s layout: the section header, then the
+    /// three sections.
+    Compressed(&'a CompressedVec),
 }
 
-/// Writes `payload` as one `tag` frame in [`CompressedVec::encode_into`]'s
-/// layout: `[frame header | section header]` and the three sections' wire
-/// bytes in place, in one vectored write. A payload over the frame cap is
-/// an `InvalidInput` error, and nothing is written.
-pub(crate) fn write_compressed<W: Write + ?Sized>(
-    w: &mut W,
-    tag: u8,
-    payload: &CompressedVec,
-) -> io::Result<()> {
-    let mut head = [0u8; HEADER + CompressedVec::HEADER_BYTES];
-    head[..HEADER].copy_from_slice(&frame_header(tag, payload.wire_bytes())?);
-    head[HEADER..].copy_from_slice(&payload.section_header());
-    write_parts(
-        w,
-        [
-            &head,
-            u32_bytes(&payload.words_u32),
-            f32_bytes(&payload.words_f32),
-            &payload.bytes,
-        ],
-    )
+/// The longest header a frame's parts lead with: the frame's own and a
+/// compressed payload's section header.
+const HEAD: usize = HEADER + CompressedVec::HEADER_BYTES;
+
+/// One frame ready for the wire: its header — the frame's, then a dense
+/// payload's count or a compressed payload's section header — and the
+/// payload's bytes in place, in at most three parts.
+pub(crate) struct Parts<'a> {
+    head: [u8; HEAD],
+    head_len: usize,
+    body: [&'a [u8]; 3],
+}
+
+impl<'a> Payload<'a> {
+    /// The one encoder: this payload as a `tag` frame. A body over
+    /// [`MAX_FRAME_BYTES`] is an `InvalidInput` error.
+    pub(crate) fn frame(self, tag: u8) -> io::Result<Parts<'a>> {
+        let mut parts = Parts {
+            head: [0; HEAD],
+            head_len: HEADER,
+            body: [&[]; 3],
+        };
+        let len = match self {
+            Payload::Bytes(bytes) => {
+                parts.body[0] = bytes;
+                bytes.len()
+            }
+            Payload::Dense(values) => {
+                parts.head_len += 4;
+                parts.head[HEADER..parts.head_len]
+                    .copy_from_slice(&(values.len() as u32).to_le_bytes());
+                parts.body[0] = f32_bytes(values);
+                4 + parts.body[0].len()
+            }
+            Payload::Compressed(payload) => {
+                parts.head_len = HEAD;
+                parts.head[HEADER..].copy_from_slice(&payload.section_header());
+                let (words, floats) = (&payload.words_u32, &payload.words_f32);
+                parts.body = [u32_bytes(words), f32_bytes(floats), &payload.bytes];
+                payload.wire_bytes()
+            }
+        };
+        if len > MAX_FRAME_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame body of {len} bytes exceeds the {MAX_FRAME_BYTES} cap"),
+            ));
+        }
+        let [a, b, c, d] = (len as u32).to_le_bytes();
+        parts.head[..HEADER].copy_from_slice(&[a, b, c, d, tag]);
+        Ok(parts)
+    }
+
+    /// This payload as one `tag` frame in a shared buffer, for the write
+    /// queues of the server's connections.
+    ///
+    /// # Panics
+    /// If the body is over [`MAX_FRAME_BYTES`].
+    pub(crate) fn encode(self, tag: u8) -> Arc<[u8]> {
+        let parts = self.frame(tag).expect("frame body too large");
+        Arc::from(parts.slices().concat())
+    }
+}
+
+impl Parts<'_> {
+    /// The header and the body's parts, in wire order.
+    fn slices(&self) -> [&[u8]; 4] {
+        let [a, b, c] = self.body;
+        [&self.head[..self.head_len], a, b, c]
+    }
+
+    /// Writes the frame, then flushes: one vectored write when the writer
+    /// takes everything, and only a short write loops, resuming at the first
+    /// byte not taken.
+    pub(crate) fn write_to<W: Write + ?Sized>(&self, w: &mut W) -> io::Result<()> {
+        let parts = self.slices();
+        let total: usize = parts.iter().map(|p| p.len()).sum();
+        let mut sent = 0;
+        while sent < total {
+            let mut slices = [IoSlice::new(&[]); 4];
+            let (mut used, mut skip) = (0, sent);
+            for part in parts {
+                if skip < part.len() {
+                    slices[used] = IoSlice::new(&part[skip..]);
+                    used += 1;
+                }
+                skip = skip.saturating_sub(part.len());
+            }
+            match w.write_vectored(&slices[..used]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        w.flush()
+    }
 }
 
 /// Reads one frame, tolerating arbitrarily split reads. Returns `(tag,
@@ -564,7 +602,8 @@ mod tests {
         );
 
         // The vectored payload sends resume mid-part too, and write what the
-        // staged encoders would have.
+        // staged encoders would have, as do the joined frames a broadcast
+        // queues.
         let payload = CompressedVec {
             words_u32: vec![7, u32::MAX, 0x0102_0304],
             words_f32: vec![-1.5, f32::NAN, 3.25],
@@ -573,16 +612,20 @@ mod tests {
         let mut staged = Vec::new();
         payload.encode_into(&mut staged);
         let mut sink = drip();
-        write_compressed(&mut sink, 0x21, &payload).unwrap();
+        let compressed = Payload::Compressed(&payload);
+        compressed.frame(0x21).unwrap().write_to(&mut sink).unwrap();
         assert_eq!(sink.calls, 5 + staged.len());
         assert_eq!(sink.bytes, encode_frame(0x21, &staged).as_ref());
+        assert_eq!(sink.bytes, compressed.encode(0x21).as_ref());
 
         let values = [0.5f32, -0.0, f32::INFINITY, 1e-40];
         rfl_tensor::encode_f32_into(&mut staged, &values);
         let mut sink = drip();
-        write_dense(&mut sink, 0x22, &values).unwrap();
+        let dense = Payload::Dense(&values);
+        dense.frame(0x22).unwrap().write_to(&mut sink).unwrap();
         assert_eq!(sink.calls, 5 + staged.len());
         assert_eq!(sink.bytes, encode_frame(0x22, &staged).as_ref());
+        assert_eq!(sink.bytes, dense.encode(0x22).as_ref());
     }
 
     #[test]
@@ -598,15 +641,17 @@ mod tests {
             bytes: huge,
             ..CompressedVec::default()
         };
-        let err = write_compressed(&mut wire, 0x21, &payload).unwrap_err();
+        let err = Payload::Compressed(&payload).frame(0x21).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         // The count pushes a cap's worth of values one word over.
         let values = vec![0.0f32; MAX_FRAME_BYTES / 4];
-        let err = write_dense(&mut wire, 0x22, &values).unwrap_err();
+        let err = Payload::Dense(&values).frame(0x22).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(wire.is_empty());
         // At the cap exactly, a frame goes.
-        let [a, b, c, d, tag] = frame_header(0x22, MAX_FRAME_BYTES).unwrap();
+        let at_cap = Payload::Dense(&values[1..]).frame(0x22).unwrap();
+        let [a, b, c, d, tag] = at_cap.slices()[0][..HEADER] else {
+            unreachable!("a header is five bytes")
+        };
         assert_eq!((u32::from_le_bytes([a, b, c, d]), tag), (256 << 20, 0x22));
     }
 

@@ -15,9 +15,14 @@
 //! * **Over sockets**, [`SocketTransport`] — a `Transport` for the
 //!   downloads plus the training orders, δ probes and blocking claims a
 //!   server needs when the other end is a process — moves the same frames
-//!   over TCP or Unix-domain sockets on the reactor; [`run_client_loop`] is
-//!   the client end. Both ends write and decode frames with `frame.rs`'s
-//!   one codec. A loopback run reproduces the perfect transport bit-exactly.
+//!   over TCP or Unix-domain sockets on the reactor, one shared object per
+//!   connection; [`ClientConn`] is the client's end of the link. Both ends
+//!   write frames with `frame.rs`'s one encoder and read them with its one
+//!   decoder. A loopback run reproduces the perfect transport bit-exactly.
+//!
+//! This module is transport only: what a client does with the frames it
+//! receives — [`run_client_loop`] — lives in [`crate::plane`] beside the
+//! in-process clients' answers, and is re-exported here at its old path.
 
 mod faulty;
 mod frame;
@@ -30,7 +35,9 @@ mod sys;
 mod transport;
 
 pub(crate) use faulty::mix64;
+pub(crate) use frame::Payload;
 
+pub use crate::plane::{run_client_loop, ClientLoopOpts, ClientOutcome};
 pub use faulty::{FaultConfig, FaultyTransport, LatencyModel};
 pub use frame::{encode_frame, read_frame, write_frame, FRAME_HEADER_BYTES};
 pub use message::{
@@ -38,9 +45,6 @@ pub use message::{
     WireError, PROTO_MAGIC, PROTO_VERSION,
 };
 pub use reactor::ReactorCounters;
-pub use socket::run_client_loop;
-pub use socket::{
-    ClientConn, ClientEvent, ClientLoopOpts, ClientOutcome, Endpoint, SocketTransport,
-};
+pub use socket::{ClientConn, ClientEvent, Endpoint, SocketTransport};
 pub use stats::{CommStats, Direction};
 pub use transport::{PerfectTransport, RemoteTransport, Transport};

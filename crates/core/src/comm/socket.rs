@@ -1,4 +1,5 @@
-//! Real multi-process federation over sockets.
+//! Real multi-process federation over sockets: the listener, the server's
+//! transport and the client's end of the link.
 //!
 //! This module promotes the [`Transport`] abstraction from in-memory
 //! delivery to an actual wire: [`super::frame`]'s length-prefixed frames
@@ -8,27 +9,26 @@
 //!
 //! Two ends:
 //!
-//! * **[`SocketTransport`]** — the server. Implements [`Transport`]
-//!   for downloads (frames queued to per-client [`Session`]s and flushed by
-//!   the event-driven reactor in [`super::reactor`]: one `epoll(7)` thread
-//!   owns the listener and every non-blocking socket, so connections scale
-//!   without threads); its own methods carry the client-originated half
-//!   (training orders, reports, uploads) that the in-memory simulation
-//!   fakes locally, each reply claimed by one blocking call.
-//!   [`crate::plane`]'s socket back-end is built on it, so
-//!   `Trainer::run` drives real client processes unchanged. Broadcasts
-//!   encode once into a shared `Arc<[u8]>` frame; fan-out costs refcount
-//!   bumps, not payload copies.
-//! * **[`ClientConn`] / [`run_client_loop`]** — the client: connect
-//!   (with bounded backoff), register via `Hello`/`Welcome`, then an
-//!   event-driven loop that installs broadcast parameters, trains on
-//!   `TrainStart`, uploads, and answers δ probes, until `Shutdown`. A
-//!   connection holds no payload buffer (see [`ClientConn`]).
+//! * **[`SocketTransport`]** — the server. Implements [`Transport`] for
+//!   downloads (frames queued on each client's connection, one
+//!   [`ConnShared`] that the event-driven reactor in [`super::reactor`]
+//!   flushes and fills: one `epoll(7)` thread owns the listener and every
+//!   non-blocking socket, so connections scale without threads); its own
+//!   methods carry the client-originated half (training orders, reports,
+//!   uploads) that the in-memory simulation fakes locally, each reply
+//!   claimed by one blocking call. [`crate::plane`]'s socket back-end is
+//!   built on it, so `Trainer::run` drives real client processes unchanged.
+//!   Broadcasts encode once into a shared `Arc<[u8]>` frame; fan-out costs
+//!   refcount bumps, not payload copies.
+//! * **[`ClientConn`]** — the client: connect (with bounded backoff),
+//!   register via `Hello`/`Welcome`, then send and read frames for the
+//!   client loop ([`crate::plane::run_client_loop`]). A connection holds no
+//!   payload buffer (see [`ClientConn`]).
 //!
-//! Both ends decode with the one frame decoder, so a dense payload's
-//! values land straight in the vector a claim or a read returns, and a
-//! dense body is exactly its count and values at both; anything else does
-//! not decode.
+//! Both ends encode with the one frame encoder and decode with the one
+//! frame decoder, so a dense payload's values land straight in the vector a
+//! claim or a read returns, and a dense body is exactly its count and
+//! values at both; anything else does not decode.
 //!
 //! Determinism contract: a loopback run of the canonical round loop
 //! reproduces the [`PerfectTransport`] loss bit-exactly — the wire moves
@@ -38,22 +38,17 @@
 //!
 //! [`PerfectTransport`]: super::transport::PerfectTransport
 
-use super::frame::{
-    encode_frame, write_compressed, write_dense, write_frame, Body, Decoder, FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES,
-};
+use super::frame::{Body, Decoder, Payload, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 use super::message::{
     BroadcastDelivery, ControlMsg, Delivery, DropReason, FaultStats, LinkOutcome, MsgKind,
     PROTO_MAGIC, PROTO_VERSION,
 };
-use super::reactor::{ReactorCounters, ServerShared};
-use super::session::{Deadline, RecvError, Session};
+use super::reactor::{ConnShared, ReactorCounters, ServerShared};
+use super::session::{Deadline, RecvError};
 use super::stats::{CommStats, Direction};
-use super::transport::{codec_round_trip, RemoteTransport, Transport};
-use crate::client::{Client, LocalReport};
-use crate::compress::{CompressedVec, Compression};
-use crate::plane::{answer_delta, answer_upload, Frame, Pull, Scratch};
-use crate::rules::LocalRule;
+use super::transport::{RemoteTransport, Transport};
+use crate::client::LocalReport;
+use crate::compress::CompressedVec;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -215,7 +210,7 @@ impl Drop for Listener {
 /// claims that [`crate::Federation::remote`]'s socket plane makes in place
 /// of the simulation's local loopback. Delivery outcomes map
 /// onto the same [`Delivery`]/[`LinkOutcome`] vocabulary as the in-memory
-/// backends: a drained session is a [`DropReason::Loss`], a receive that
+/// backends: an ended connection is a [`DropReason::Loss`], a receive that
 /// outwaits [`SocketTransport::set_recv_timeout`] is a
 /// [`DropReason::Deadline`], and reconnects count as retries.
 pub struct SocketTransport {
@@ -227,8 +222,7 @@ pub struct SocketTransport {
     dropped: u64,
     deadline_drops: u64,
     timeout: Duration,
-    /// Codec scratch (payload encode) and control scratch.
-    wire: Vec<u8>,
+    /// A control message's body, encoded here before it is framed.
     body: Vec<u8>,
 }
 
@@ -236,23 +230,28 @@ impl SocketTransport {
     /// Binds `endpoint` and starts the reactor thread that accepts
     /// registrations. `welcome` must be the [`ControlMsg::Welcome`] run
     /// configuration; its `num_clients` and `seed` validate incoming
-    /// `Hello`s. Fails when the endpoint cannot be bound or the kernel
-    /// refuses the reactor its self-pipe, `epoll` instance or thread.
+    /// `Hello`s; any other message is an `InvalidInput` error. Fails when
+    /// the endpoint cannot be bound or the kernel refuses the reactor its
+    /// self-pipe, `epoll` instance or thread.
     pub fn bind(endpoint: &Endpoint, welcome: &ControlMsg) -> io::Result<SocketTransport> {
-        let (n_clients, seed) = match *welcome {
-            ControlMsg::Welcome {
-                num_clients, seed, ..
-            } => (num_clients as usize, seed),
-            ref other => panic!(
-                "SocketTransport::bind needs a Welcome, got {}",
-                other.name()
-            ),
+        let ControlMsg::Welcome {
+            num_clients, seed, ..
+        } = *welcome
+        else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "SocketTransport::bind needs a Welcome, got {}",
+                    welcome.name()
+                ),
+            ));
         };
         let (listener, local) = Listener::bind(endpoint)?;
         let mut welcome_body = Vec::new();
         welcome.encode_body(&mut welcome_body);
-        let welcome_frame = encode_frame(welcome.tag(), &welcome_body);
-        let (shared, net_thread) = ServerShared::start(listener, n_clients, seed, welcome_frame)?;
+        let welcome_frame = Payload::Bytes(&welcome_body).encode(welcome.tag());
+        let (shared, net_thread) =
+            ServerShared::start(listener, num_clients as usize, seed, welcome_frame)?;
         Ok(SocketTransport {
             shared,
             net_thread: Some(net_thread),
@@ -261,7 +260,6 @@ impl SocketTransport {
             dropped: 0,
             deadline_drops: 0,
             timeout: DEFAULT_RECV_TIMEOUT,
-            wire: Vec::new(),
             body: Vec::new(),
         })
     }
@@ -278,11 +276,11 @@ impl SocketTransport {
         self.timeout = timeout;
     }
 
-    /// Blocks until all expected clients hold a live registered session, or
-    /// `timeout` passes. The reactor signals only a handshake that leaves
-    /// the session table full, and only a full table is asked which of its
-    /// sessions are live, so registering `n` clients costs one wakeup and
-    /// one pass here, not `n` of each.
+    /// Blocks until all expected clients hold a live registered connection,
+    /// or `timeout` passes. The reactor signals only a handshake that leaves
+    /// the table full, and only a full table is asked which of its
+    /// connections are live, so registering `n` clients costs one wakeup
+    /// and one pass here, not `n` of each.
     pub fn wait_for_clients(&self, timeout: Duration) -> io::Result<()> {
         let deadline = Deadline::after(timeout);
         let mut sessions = self.shared.sessions.lock().expect("sessions poisoned");
@@ -302,7 +300,7 @@ impl SocketTransport {
         }
     }
 
-    /// Number of currently live (non-draining) sessions.
+    /// Number of currently live registered connections.
     pub fn live_clients(&self) -> usize {
         (self.shared.sessions.lock().expect("sessions poisoned")).live()
     }
@@ -313,7 +311,7 @@ impl SocketTransport {
         self.shared.counters()
     }
 
-    fn session(&self, client: usize) -> Option<Arc<Session>> {
+    fn conn(&self, client: usize) -> Option<Arc<ConnShared>> {
         let sessions = self.shared.sessions.lock().expect("sessions poisoned");
         sessions.slots.get(client).and_then(|s| s.clone())
     }
@@ -328,50 +326,22 @@ impl SocketTransport {
         self.stats.fold_handshakes(up, down, msgs);
     }
 
-    /// The per-send enqueue deadline: backpressure on a wedged client's
-    /// write queue is bounded by the same budget as a silent client's
-    /// receive.
-    fn send_deadline(&self) -> Deadline {
-        Deadline::after(self.timeout)
-    }
-
-    /// Queues one frame on `client`'s session through `push` and returns
-    /// its wire size; a missing session or a failed enqueue is a counted
-    /// loss.
-    fn enqueue(
-        &mut self,
-        client: usize,
-        push: impl FnOnce(&Session, Deadline) -> io::Result<u64>,
-    ) -> Result<u64, LinkOutcome> {
-        let deadline = self.send_deadline();
-        match self.session(client).map(|s| push(&s, deadline)) {
-            Some(Ok(wire)) => Ok(wire),
-            _ => Err(LinkOutcome::lost(self.count_drop(DropReason::Loss))),
-        }
-    }
-
-    /// [`SocketTransport::enqueue`] of a `[tag][body]` frame charged to the
-    /// ledger as `kind`.
-    fn send_frame(&mut self, kind: MsgKind, client: usize, body: &[u8]) -> LinkOutcome {
-        match self.enqueue(client, |s, deadline| {
-            s.send_frame(kind.tag(), body, deadline)
-        }) {
-            Ok(wire) => {
-                self.stats.charge(kind, wire);
-                LinkOutcome::perfect()
-            }
-            Err(lost) => lost,
+    /// Queues `frame` on `client`'s connection and returns its wire size.
+    /// Backpressure on a wedged client's write queue is bounded by the same
+    /// budget as a silent client's receive; a missing or ended connection,
+    /// or one that stays wedged past it, is a counted loss.
+    fn enqueue(&mut self, client: usize, frame: &Arc<[u8]>) -> Result<u64, LinkOutcome> {
+        let deadline = Deadline::after(self.timeout);
+        match self.conn(client).and_then(|c| c.send(frame, deadline)) {
+            Some(wire) => Ok(wire),
+            None => Err(LinkOutcome::lost(self.count_drop(DropReason::Loss))),
         }
     }
 
     fn send_control(&mut self, client: usize, msg: &ControlMsg) -> LinkOutcome {
-        let mut body = std::mem::take(&mut self.body);
-        msg.encode_body(&mut body);
-        let sent = self.enqueue(client, |s, deadline| {
-            s.send_frame(msg.tag(), &body, deadline)
-        });
-        self.body = body;
-        match sent {
+        msg.encode_body(&mut self.body);
+        let frame = Payload::Bytes(&self.body).encode(msg.tag());
+        match self.enqueue(client, &frame) {
             Ok(wire) => {
                 self.stats.record(msg.direction(), wire);
                 LinkOutcome::perfect()
@@ -389,22 +359,22 @@ impl SocketTransport {
     }
 
     /// Claims `client`'s next frame tagged `tag`, blocking up to the
-    /// receive timeout. A missing or drained session is a
+    /// receive timeout. A missing or ended connection is a
     /// [`DropReason::Loss`], a timeout a [`DropReason::Deadline`]; either is
     /// counted.
     fn claim(&mut self, client: usize, tag: u8) -> Result<Body, DropReason> {
-        let Some(session) = self.session(client) else {
+        let Some(conn) = self.conn(client) else {
             return Err(self.count_drop(DropReason::Loss));
         };
-        match session.recv_frame(tag, self.timeout) {
+        match conn.recv_frame(tag, self.timeout) {
             // The caller charges the wire bytes (plane depends on the kind).
             Ok(body) => Ok(body),
             Err(RecvError::Closed) => Err(self.count_drop(DropReason::Loss)),
             Err(RecvError::TimedOut) => {
                 // A silent client is dropped from the round, exactly like
-                // the in-memory deadline model; drain so later phases fail
+                // the in-memory deadline model; close so later phases fail
                 // fast instead of re-waiting the full timeout.
-                session.close();
+                conn.close();
                 Err(self.count_drop(DropReason::Deadline))
             }
         }
@@ -449,7 +419,7 @@ impl SocketTransport {
     /// Blocks for `client`'s training report; `None` if the link died or
     /// timed out (the client sits the aggregation out). A report body that
     /// does not decode is a counted [`DropReason::Loss`], like an
-    /// undecodable upload, and closes the session, discarding whatever else
+    /// undecodable upload, and closes the connection, discarding whatever else
     /// it already received: the client's upload claim resolves as a loss at
     /// once, and its update is never folded.
     pub fn recv_report(&mut self, client: usize) -> Option<LocalReport> {
@@ -468,8 +438,8 @@ impl SocketTransport {
             examples,
         })) = body.bytes().map(|b| ControlMsg::decode_body(tag, b))
         else {
-            if let Some(s) = self.session(client) {
-                s.close();
+            if let Some(conn) = self.conn(client) {
+                conn.close();
             }
             self.count_drop(DropReason::Loss);
             return None;
@@ -542,17 +512,23 @@ impl Transport for SocketTransport {
         self.fold_pending();
     }
 
+    /// The copy handed back is `payload`'s own bits: the codec copies
+    /// bits, so a round trip through it would make the same vector.
     fn send(&mut self, kind: MsgKind, client: usize, payload: &[f32]) -> Delivery {
         assert_eq!(
             kind.direction(),
             Direction::Download,
             "server-originated sends go down; uploads arrive via RemoteTransport::recv"
         );
-        let mut wire = std::mem::take(&mut self.wire);
-        let data = codec_round_trip(&mut wire, payload);
-        let link = self.send_frame(kind, client, &wire);
-        self.wire = wire;
-        Delivery::over(link, data)
+        let frame = Payload::Dense(payload).encode(kind.tag());
+        let link = match self.enqueue(client, &frame) {
+            Ok(wire) => {
+                self.stats.charge(kind, wire);
+                LinkOutcome::perfect()
+            }
+            Err(lost) => lost,
+        };
+        Delivery::over(link, payload.to_vec())
     }
 
     fn broadcast(
@@ -562,27 +538,27 @@ impl Transport for SocketTransport {
         payload: &[f32],
     ) -> BroadcastDelivery {
         debug_assert_eq!(kind.direction(), Direction::Download, "broadcasts go down");
-        let data = codec_round_trip(&mut self.wire, payload);
         // Encode once: every recipient queues the same `Arc<[u8]>` frame —
         // fan-out is N refcount bumps plus N queue pushes, never N copies
         // of an O(d) model.
-        let frame = encode_frame(kind.tag(), &self.wire);
+        let frame = Payload::Dense(payload).encode(kind.tag());
         let mut delivered_bytes = 0u64;
         let links = (clients.iter())
-            .map(
-                |&k| match self.enqueue(k, |s, deadline| s.send_encoded(&frame, deadline)) {
-                    Ok(wire) => {
-                        delivered_bytes += wire;
-                        LinkOutcome::perfect()
-                    }
-                    Err(lost) => lost,
-                },
-            )
+            .map(|&k| match self.enqueue(k, &frame) {
+                Ok(wire) => {
+                    delivered_bytes += wire;
+                    LinkOutcome::perfect()
+                }
+                Err(lost) => lost,
+            })
             .collect();
         if delivered_bytes > 0 {
             self.stats.charge(kind, delivered_bytes);
         }
-        BroadcastDelivery { data, links }
+        BroadcastDelivery {
+            data: payload.to_vec(),
+            links,
+        }
     }
 
     /// Every compressed plane is an upload, so this always refuses.
@@ -619,24 +595,24 @@ impl RemoteTransport for SocketTransport {
     }
 
     fn shutdown(&mut self) {
-        let sessions: Vec<Arc<Session>> = {
+        let conns: Vec<Arc<ConnShared>> = {
             let guard = self.shared.sessions.lock().expect("sessions poisoned");
             guard.slots.iter().flatten().cloned().collect()
         };
-        self.body.clear();
-        let deadline = self.send_deadline();
-        for session in sessions {
-            if session.is_live() {
-                let msg = ControlMsg::Shutdown;
-                msg.encode_body(&mut self.body);
-                if let Ok(n) = session.send_frame(msg.tag(), &self.body, deadline) {
+        let msg = ControlMsg::Shutdown;
+        msg.encode_body(&mut self.body);
+        let frame = Payload::Bytes(&self.body).encode(msg.tag());
+        let deadline = Deadline::after(self.timeout);
+        for conn in conns {
+            if conn.is_live() {
+                if let Some(n) = conn.send(&frame, deadline) {
                     self.stats.record(Direction::Download, n);
                 }
                 // Let the reactor flush the queued Shutdown before the
                 // socket closes; a hard close here could drop it.
-                session.close_graceful();
+                conn.close_after_flush();
             } else {
-                session.close();
+                conn.close();
             }
         }
         // Stop *after* queueing the shutdown frames so the reactor does not
@@ -741,19 +717,23 @@ impl ClientConn {
             client_id,
             seed,
         })?;
-        match self.read_event()? {
-            ClientEvent::Control(welcome @ ControlMsg::Welcome { .. }) => Ok(welcome),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected welcome, got {other:?}"),
-            )),
-        }
+        // Named, not printed: a payload frame may hold a whole model.
+        let got = match self.read_event()? {
+            ClientEvent::Control(welcome @ ControlMsg::Welcome { .. }) => return Ok(welcome),
+            ClientEvent::Control(other) => other.name().to_string(),
+            ClientEvent::Payload(kind, values) => format!("{kind:?} ({} values)", values.len()),
+        };
+        Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("expected welcome, got {got}"),
+        ))
     }
 
     /// Sends a control frame.
     pub(crate) fn send_control(&mut self, msg: &ControlMsg) -> io::Result<()> {
         msg.encode_body(&mut self.control);
-        write_frame(&mut self.stream, msg.tag(), &self.control).map(drop)
+        let frame = Payload::Bytes(&self.control).frame(msg.tag())?;
+        frame.write_to(&mut self.stream)
     }
 
     /// Sends an `f32` payload on `kind`'s plane in the codec's encoding
@@ -762,18 +742,13 @@ impl ClientConn {
     /// payload over the frame cap is an `InvalidInput` error, and nothing is
     /// sent.
     pub fn send_payload(&mut self, kind: MsgKind, data: &[f32]) -> io::Result<()> {
-        write_dense(&mut self.stream, kind.tag(), data)
+        self.send(kind, Payload::Dense(data))
     }
 
-    /// Sends a client's answer to `what` ([`answer_upload`],
-    /// [`answer_delta`]) on the message kind it belongs to, from the
-    /// answer's own buffers.
-    fn send_answer(&mut self, what: Pull<'_>, frame: Frame<'_>) -> io::Result<()> {
-        let kind = what.kind(matches!(frame, Frame::Compressed(_)));
-        match frame {
-            Frame::Dense(values) => self.send_payload(kind, values),
-            Frame::Compressed(payload) => write_compressed(&mut self.stream, kind.tag(), payload),
-        }
+    /// Sends `payload` on `kind`'s plane from the caller's buffers, in one
+    /// vectored write.
+    pub(crate) fn send(&mut self, kind: MsgKind, payload: Payload<'_>) -> io::Result<()> {
+        payload.frame(kind.tag())?.write_to(&mut self.stream)
     }
 
     /// Blocks for the next frame: its header in one read, then its body
@@ -782,109 +757,6 @@ impl ClientConn {
         let frame = self.decoder.read_from(&mut self.stream)?;
         let (tag, body) = frame.ok_or(io::ErrorKind::UnexpectedEof)?;
         decode_event(tag, body)
-    }
-}
-
-/// Client-loop tuning knobs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClientLoopOpts {
-    /// Graceful churn: after completing round `r`'s training and upload,
-    /// answer its δ probe with a `Goodbye` and leave the federation.
-    pub leave_after_round: Option<u64>,
-    /// Upload-compression policy (normally taken from the `Welcome` frame).
-    /// When enabled, model uploads go up as error-feedback-compressed
-    /// `CompressedUp` frames and δ syncs as `CompressedDeltaUp` frames.
-    pub compression: Compression,
-}
-
-/// How a client loop ended.
-#[derive(Debug)]
-pub enum ClientOutcome {
-    /// The server ended the run; exit cleanly.
-    Shutdown,
-    /// This client left gracefully (`leave_after_round`).
-    Left,
-    /// The link died; the caller may reconnect and resume.
-    Disconnected(io::Error),
-}
-
-/// The event-driven client half of the protocol: installs broadcast
-/// parameters, trains on `TrainStart` (with the δ target received this
-/// round, if any) and follows the report with the upload, answers δ probes
-/// — until `Shutdown`, a graceful departure, or a dead link. The frames it
-/// uploads come from `answer_upload` and `answer_delta`, the functions the
-/// in-process plane's jobs call on the clients they wake.
-///
-/// The numeric call sequence on `client` is exactly the one the in-process
-/// simulation makes on its local replica, so the client's RNG stream and
-/// parameter trajectory are bit-identical to the oracle's.
-pub fn run_client_loop(
-    conn: &mut ClientConn,
-    client: &mut Client,
-    lambda: f32,
-    opts: &ClientLoopOpts,
-) -> ClientOutcome {
-    let mut pending_target: Option<Vec<f32>> = None;
-    // The last broadcast parameters (a compressed upload is relative to
-    // them) and the reused upload workspaces. The error-feedback residual
-    // itself lives on the `Client` so hibernation persists it.
-    let mut global: Vec<f32> = Vec::new();
-    let mut scratch = Scratch::default();
-    loop {
-        let event = match conn.read_event() {
-            Ok(ev) => ev,
-            Err(e) => return ClientOutcome::Disconnected(e),
-        };
-        let io_result = match event {
-            ClientEvent::Payload(MsgKind::ModelDown, params) => {
-                client.write_params(&params);
-                global = params;
-                Ok(())
-            }
-            ClientEvent::Payload(MsgKind::DeltaDown, target) => {
-                pending_target = Some(target);
-                Ok(())
-            }
-            ClientEvent::Control(ControlMsg::TrainStart { steps, .. }) => {
-                let rule = match pending_target.take() {
-                    Some(target) => LocalRule::Mmd {
-                        lambda,
-                        target: Arc::new(target),
-                    },
-                    None => LocalRule::Plain,
-                };
-                let report = client.train_local(steps as usize, &rule);
-                conn.send_control(&ControlMsg::Report {
-                    loss: report.loss,
-                    reg_loss: report.reg_loss,
-                    steps: report.steps as u32,
-                    examples: report.examples as u32,
-                })
-                .and_then(|()| {
-                    let frame = answer_upload(client, &global, opts.compression, &mut scratch);
-                    conn.send_answer(Pull::Upload, frame)
-                })
-            }
-            ClientEvent::Control(ControlMsg::DeltaProbe { round, probe_batch }) => {
-                if opts.leave_after_round == Some(round) {
-                    let _ = conn.send_control(&ControlMsg::Goodbye);
-                    return ClientOutcome::Left;
-                }
-                // The request is the probe; the frame is claimed at once.
-                client.compute_delta_into(&mut scratch.values, probe_batch as usize);
-                let frame = answer_delta(None, opts.compression, &mut scratch);
-                conn.send_answer(Pull::Delta { dp: None }, frame)
-            }
-            ClientEvent::Control(ControlMsg::Shutdown) => return ClientOutcome::Shutdown,
-            // Frames this loop has no request for (`DeltaTableDown`, the
-            // control-variate planes) are ignored rather than fatal: the
-            // server refuses, before round 0, every algorithm that would
-            // send one ([`crate::Trainer::try_run`]).
-            _ => Ok(()),
-        };
-        if let Err(e) = io_result {
-            return ClientOutcome::Disconnected(e);
-        }
     }
 }
 
@@ -933,11 +805,55 @@ mod tests {
             bytes: vec![9, 8],
         };
         let mut wire = Vec::new();
-        write_compressed(&mut wire, MsgKind::CompressedUp.tag(), &payload).unwrap();
+        let frame = Payload::Compressed(&payload).frame(MsgKind::CompressedUp.tag());
+        frame.unwrap().write_to(&mut wire).unwrap();
         let mut decoder = Decoder::new(MAX_FRAME_BYTES, true);
         let (tag, body) = decoder.read_from(&mut wire.as_slice()).unwrap().unwrap();
         let err = decode_event(tag, body).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Handed anything but a `Welcome`, `bind` is an `InvalidInput` error,
+    /// and binds nothing.
+    #[test]
+    fn binding_without_a_welcome_is_invalid_input() {
+        let dir = std::env::temp_dir().join(format!("rfl-no-welcome-{}", std::process::id()));
+        let endpoint = Endpoint::Unix(dir.join("server.sock"));
+        let Err(err) = SocketTransport::bind(&endpoint, &ControlMsg::Shutdown) else {
+            panic!("bound without a Welcome")
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("shutdown"), "{err}");
+        assert!(!dir.exists());
+    }
+
+    /// A server that answers `Hello` with a model: the client's error names
+    /// the frame instead of printing its 100,000 floats.
+    #[test]
+    fn a_hello_answered_by_a_payload_names_the_frame() {
+        let dir = std::env::temp_dir().join(format!("rfl-raw-server-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("directory");
+        let path = dir.join("server.sock");
+        let listener = UnixListener::bind(&path).expect("bind");
+        let server = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().expect("accept");
+            super::super::frame::read_frame(&mut peer).expect("hello");
+            let model = vec![0.25f32; 100_000];
+            let frame = Payload::Dense(&model).frame(MsgKind::ModelDown.tag());
+            frame.and_then(|f| f.write_to(&mut peer)).expect("model");
+        });
+        let mut conn = ClientConn::connect(&Endpoint::Unix(path)).expect("connect");
+        let err = conn.hello(0, 7).expect_err("a model is no welcome");
+        server.join().expect("raw server");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(
+            message.len() < 200,
+            "{} bytes: {message:.200}",
+            message.len()
+        );
+        assert!(message.contains("ModelDown"), "{message}");
     }
 
     #[test]

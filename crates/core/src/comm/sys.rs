@@ -3,11 +3,10 @@
 //! self-pipe wakeup, and `writev(2)` for flushing queued frames with
 //! partial-write resume. std already links libc, so no new crates are
 //! involved; everything here is a thin safe wrapper with `EINTR` retry and
-//! `WouldBlock` mapping, and the unsafe surface is confined to this module.
+//! `WouldBlock` mapping, and the reactor's unsafe surface is confined to this
+//! module.
 //! Linux only, on purpose: CI and every documented deployment are Linux, and
 //! a second readiness path would be code that nothing tests.
-#![deny(unsafe_op_in_unsafe_fn)]
-#![deny(clippy::undocumented_unsafe_blocks)]
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("rfl-core's socket reactor waits on Linux's epoll(7), its one readiness path");

@@ -53,6 +53,11 @@
 //! assert_eq!(history.len(), 3);
 //! ```
 
+// The crate's few `unsafe` blocks (the reactor's system calls in
+// `comm::sys`, the descriptor limit in `mem`) each state why they hold.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod aggregate;
 pub mod algorithms;
 pub mod canonical;

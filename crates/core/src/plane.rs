@@ -8,14 +8,17 @@
 //! a client in a job of its own and puts it back to sleep before the job
 //! ends) and carries their frames through any [`Transport`], so perfect and
 //! faulty delivery are the same code; `RemotePlane` sends the requests to
-//! processes running [`crate::comm::run_client_loop`]. A request fans out
-//! to the whole selection first — in process, `fan_out` deals the clients
+//! processes running [`run_client_loop`], which lives here too (and in
+//! [`crate::comm`] by re-export). A request fans out to the whole selection
+//! first — in process, `fan_out` deals the clients
 //! to workers under the thread budget — and leaves one reply per client;
 //! upload and δ frames are then claimed one client at a time, in selection
 //! order, by one blocking call on either back-end (`ClientPlane::claim`)
 //! that also decodes a compressed frame, so the server's caller sees values
 //! or nothing. What a client does to produce a frame is written once, in
-//! `answer_upload` and `answer_delta`, for both sides.
+//! `answer_upload` and `answer_delta`, for both sides; the frame is a
+//! `Payload` borrowed from the client's reply buffers, which a socket
+//! client sends as is.
 //!
 //! The back-end is chosen once, by the [`crate::Federation`] constructor;
 //! what it offers beyond the five requests is a list of [`Capability`]s
@@ -23,7 +26,8 @@
 
 use crate::client::{Client, LocalReport};
 use crate::comm::{
-    Delivery, LinkOutcome, MsgKind, PerfectTransport, RemoteTransport, SocketTransport, Transport,
+    ClientConn, ClientEvent, ControlMsg, Delivery, LinkOutcome, MsgKind, Payload, PerfectTransport,
+    RemoteTransport, SocketTransport, Transport,
 };
 use crate::compress::{
     compress_plain, decode_upload_into, ef_compress_update, CompressedVec, Compression,
@@ -35,8 +39,9 @@ use crate::rules::LocalRule;
 use rand::rngs::StdRng;
 use rfl_nn::Model;
 use rfl_trace::{Span, SpanKind, Stopwatch, Tracer};
+use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Something a round hook needs from the plane beyond the five requests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,18 +130,12 @@ pub(crate) struct Scratch {
     payload: CompressedVec,
 }
 
-/// A client's frame, borrowed from the [`Scratch`] it was built in.
-pub(crate) enum Frame<'a> {
-    Dense(&'a [f32]),
-    Compressed(&'a CompressedVec),
-}
-
 impl Scratch {
     /// The frame an answer left in these buffers.
-    fn frame(&self, policy: Compression) -> Frame<'_> {
+    fn frame(&self, policy: Compression) -> Payload<'_> {
         match policy.is_enabled() {
-            true => Frame::Compressed(&self.payload),
-            false => Frame::Dense(&self.values),
+            true => Payload::Compressed(&self.payload),
+            false => Payload::Dense(&self.values),
         }
     }
 }
@@ -150,7 +149,7 @@ pub(crate) fn answer_upload<'a>(
     global: &[f32],
     policy: Compression,
     scratch: &'a mut Scratch,
-) -> Frame<'a> {
+) -> Payload<'a> {
     client.read_params(&mut scratch.values);
     if policy.is_enabled() {
         let (residual, update, recon) = client.feedback_buffers();
@@ -176,7 +175,7 @@ pub(crate) fn answer_delta<'a>(
     dp: Option<(DpConfig, &mut StdRng)>,
     policy: Compression,
     scratch: &'a mut Scratch,
-) -> Frame<'a> {
+) -> Payload<'a> {
     if let Some((dp, rng)) = dp {
         privatize_delta(&mut scratch.values, dp, rng);
     }
@@ -600,14 +599,15 @@ impl LocalPlane {
             Pull::Delta { dp } => answer_delta(dp, policy, self.deltas.claim(k, "a δ")),
             Pull::Control => {
                 let values = &self.controls.claim(k, "a control").values;
-                Frame::Dense(&values[..values.len() / 2])
+                Payload::Dense(&values[..values.len() / 2])
             }
         };
         match frame {
-            Frame::Dense(values) => Arrived::dense(self.transport.send(kind, k, values)),
-            Frame::Compressed(payload) => {
+            Payload::Dense(values) => Arrived::dense(self.transport.send(kind, k, values)),
+            Payload::Compressed(payload) => {
                 Arrived::compressed(self.transport.send_compressed(kind, k, payload, rt))
             }
+            Payload::Bytes(_) => unreachable!("a client's answer is values"),
         }
     }
 
@@ -653,7 +653,7 @@ impl LocalPlane {
 }
 
 /// The socket back-end: the clients are processes running
-/// [`crate::comm::run_client_loop`]; the server sends requests as frames
+/// [`run_client_loop`]; the server sends requests as frames
 /// and claims the replies off their sessions.
 pub(crate) struct RemotePlane {
     pub(crate) transport: Box<SocketTransport>,
@@ -825,6 +825,110 @@ impl ClientPlane {
             }
         }
         Some(values)
+    }
+}
+
+/// Client-loop tuning knobs.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ClientLoopOpts {
+    /// Graceful churn: after completing round `r`'s training and upload,
+    /// answer its δ probe with a `Goodbye` and leave the federation.
+    pub leave_after_round: Option<u64>,
+    /// Upload-compression policy (normally taken from the `Welcome` frame).
+    /// When enabled, model uploads go up as error-feedback-compressed
+    /// `CompressedUp` frames and δ syncs as `CompressedDeltaUp` frames.
+    pub compression: Compression,
+}
+
+/// How a client loop ended.
+#[derive(Debug)]
+pub enum ClientOutcome {
+    /// The server ended the run; exit cleanly.
+    Shutdown,
+    /// This client left gracefully (`leave_after_round`).
+    Left,
+    /// The link died; the caller may reconnect and resume.
+    Disconnected(io::Error),
+}
+
+/// The event-driven client half of the protocol: installs broadcast
+/// parameters, trains on `TrainStart` (with the δ target received this
+/// round, if any) and follows the report with the upload, answers δ probes
+/// — until `Shutdown`, a graceful departure, or a dead link. The frames it
+/// uploads come from `answer_upload` and `answer_delta`, the functions the
+/// in-process plane's jobs call on the clients they wake.
+///
+/// The numeric call sequence on `client` is exactly the one the in-process
+/// simulation makes on its local replica, so the client's RNG stream and
+/// parameter trajectory are bit-identical to the oracle's.
+pub fn run_client_loop(
+    conn: &mut ClientConn,
+    client: &mut Client,
+    lambda: f32,
+    opts: &ClientLoopOpts,
+) -> ClientOutcome {
+    let mut pending_target: Option<Vec<f32>> = None;
+    // The last broadcast parameters (a compressed upload is relative to
+    // them) and the reused upload workspaces. The error-feedback residual
+    // itself lives on the `Client` so hibernation persists it.
+    let mut global: Vec<f32> = Vec::new();
+    let mut scratch = Scratch::default();
+    let compressed = opts.compression.is_enabled();
+    loop {
+        let event = match conn.read_event() {
+            Ok(ev) => ev,
+            Err(e) => return ClientOutcome::Disconnected(e),
+        };
+        let io_result = match event {
+            ClientEvent::Payload(MsgKind::ModelDown, params) => {
+                client.write_params(&params);
+                global = params;
+                Ok(())
+            }
+            ClientEvent::Payload(MsgKind::DeltaDown, target) => {
+                pending_target = Some(target);
+                Ok(())
+            }
+            ClientEvent::Control(ControlMsg::TrainStart { steps, .. }) => {
+                let rule = match pending_target.take() {
+                    Some(target) => LocalRule::Mmd {
+                        lambda,
+                        target: Arc::new(target),
+                    },
+                    None => LocalRule::Plain,
+                };
+                let report = client.train_local(steps as usize, &rule);
+                conn.send_control(&ControlMsg::Report {
+                    loss: report.loss,
+                    reg_loss: report.reg_loss,
+                    steps: report.steps as u32,
+                    examples: report.examples as u32,
+                })
+                .and_then(|()| {
+                    let frame = answer_upload(client, &global, opts.compression, &mut scratch);
+                    conn.send(Pull::Upload.kind(compressed), frame)
+                })
+            }
+            ClientEvent::Control(ControlMsg::DeltaProbe { round, probe_batch }) => {
+                if opts.leave_after_round == Some(round) {
+                    let _ = conn.send_control(&ControlMsg::Goodbye);
+                    return ClientOutcome::Left;
+                }
+                // The request is the probe; the frame is claimed at once.
+                client.compute_delta_into(&mut scratch.values, probe_batch as usize);
+                let frame = answer_delta(None, opts.compression, &mut scratch);
+                conn.send(Pull::Delta { dp: None }.kind(compressed), frame)
+            }
+            ClientEvent::Control(ControlMsg::Shutdown) => return ClientOutcome::Shutdown,
+            // Frames this loop has no request for (`DeltaTableDown`, the
+            // control-variate planes) are ignored rather than fatal: the
+            // server refuses, before round 0, every algorithm that would
+            // send one ([`crate::Trainer::try_run`]).
+            _ => Ok(()),
+        };
+        if let Err(e) = io_result {
+            return ClientOutcome::Disconnected(e);
+        }
     }
 }
 

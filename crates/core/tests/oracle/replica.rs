@@ -15,11 +15,11 @@
 //! element, from the frame the upload claim built.
 
 use crate::client::{Client, LocalReport};
-use crate::comm::Transport;
+use crate::comm::{Payload, Transport};
 use crate::compress::{decode_plain_into, decode_upload_into, CompressedVec, Compression};
 use crate::dp::DpConfig;
 use crate::federation::{FlConfig, ModelFactory, OptimizerFactory};
-use crate::plane::{answer_delta, answer_upload, Frame, Pull, Scratch, EVAL_BATCH};
+use crate::plane::{answer_delta, answer_upload, Pull, Scratch, EVAL_BATCH};
 use crate::rules::LocalRule;
 use rand::rngs::StdRng;
 use rfl_data::FederatedData;
@@ -131,19 +131,21 @@ impl ReplicaPlane {
         // What the upload delivers, as the server decodes it.
         let mut delivers = Vec::new();
         match &frame {
-            Frame::Dense(values) => delivers.extend_from_slice(values),
-            Frame::Compressed(payload) => {
+            Payload::Dense(values) => delivers.extend_from_slice(values),
+            Payload::Compressed(payload) => {
                 assert!(decode_upload_into(policy, payload, global, &mut delivers))
             }
+            Payload::Bytes(_) => unreachable!("an answer is values"),
         }
         let (transport, rt) = (&mut self.transport, &mut self.rt);
         let arrived = match frame {
-            Frame::Dense(values) => transport.send(kind, k, values).data,
-            Frame::Compressed(payload) => {
+            Payload::Dense(values) => transport.send(kind, k, values).data,
+            Payload::Compressed(payload) => {
                 let link = transport.send_compressed(kind, k, payload, rt);
                 let mut out = Vec::new();
                 (link.delivered && decode_upload_into(policy, rt, global, &mut out)).then_some(out)
             }
+            Payload::Bytes(_) => unreachable!("an answer is values"),
         };
         if let Some((c, steps, lr)) = self.scaffold[k].take() {
             let (scale, c_k) = (1.0 / (steps as f32 * lr), self.clients[k].control());
@@ -200,12 +202,13 @@ impl ReplicaPlane {
         let frame = answer_delta(dp, policy, &mut self.scratch);
         let (transport, rt) = (&mut self.transport, &mut self.rt);
         match frame {
-            Frame::Dense(values) => transport.send(kind, k, values).data,
-            Frame::Compressed(payload) => {
+            Payload::Dense(values) => transport.send(kind, k, values).data,
+            Payload::Compressed(payload) => {
                 let link = transport.send_compressed(kind, k, payload, rt);
                 let mut out = Vec::new();
                 (link.delivered && decode_plain_into(policy, rt, dim, &mut out)).then_some(out)
             }
+            Payload::Bytes(_) => unreachable!("an answer is values"),
         }
     }
 

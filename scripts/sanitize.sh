@@ -6,8 +6,10 @@
 # past an allocation. The proptests run 2,048 cases each, as the release
 # deep legs do, and rfl-tensor's `fastmath` unit tests (the sampler's tier
 # bodies) and `codec` unit tests (the wire byte views over `f32` / `u32`
-# slices) run beside the oracles, as do rfl-core's `comm::frame` unit tests
-# (the frame decoder reads a dense body through `f32_bytes_mut`).
+# slices) run beside the oracles, as do rfl-core's `comm::` unit tests: the
+# frame encoder and decoder (a dense body is written through `f32_bytes` and
+# read through `f32_bytes_mut`), the reactor's event loop and connections,
+# the `sys` system-call wrappers and the socket ends.
 #
 # Usage: scripts/sanitize.sh
 #
@@ -33,6 +35,6 @@ run() {
 run -p rfl-tensor --test simd_equiv --test conv_oracle --test gemm_oracle --test pool_oracle
 run -p rfl-tensor --lib -- fastmath::
 run -p rfl-tensor --lib -- codec::
-run -p rfl-core --lib -- comm::frame::
+run -p rfl-core --lib -- comm::
 run -p rfl-nn --test inference --test lstm_oracle --test non_finite
 echo "sanitize: passed"
